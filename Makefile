@@ -70,11 +70,15 @@ bench:
 
 # bench-quick is the allocation gate (run in CI on every push/PR): the encode
 # hot-path benchmarks in internal/msg, dominated by BenchmarkAppendEnvelopeFrame,
-# which fails itself if the pooled frame-encode path allocates at all. The
-# benchtime is short because the gate is the allocs/op assertion, not ns/op —
-# timing numbers for the record live in EXPERIMENTS.md.
+# which fails itself if the pooled frame-encode path allocates at all, and
+# BenchmarkStoreCheckpoint in internal/app, which fails itself if a checkpoint
+# interval at a fixed dirty set allocates in proportion to the state or costs
+# more than twice as much on 256 MiB of state as on 1 MiB. The benchtimes are
+# short because the gates are those assertions, not ns/op — timing numbers
+# for the record live in EXPERIMENTS.md.
 bench-quick:
 	$(GO) test -run xxx -bench 'Encode|AppendEnvelopeFrame|BatchDigest' -benchmem -benchtime 1000x ./internal/msg/
+	$(GO) test -run xxx -bench 'StoreCheckpoint' -benchmem -benchtime 20x ./internal/app/
 
 # race is the focused race-detector gate: the seeded chaos schedules at the
 # module root plus the two most goroutine-heavy packages — the pipelined

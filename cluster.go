@@ -109,12 +109,14 @@ type ClusterConfig struct {
 	PipelineDepth int
 
 	// SnapshotChunkSize, StateChunkWindow and StateFetchTimeout tune
-	// chunked checkpoint state transfer: snapshots are carved into
-	// SnapshotChunkSize-byte chunks (identical on all replicas — it shapes
-	// the voted manifest), a fetching replica keeps at most StateChunkWindow
-	// chunks in flight, and unanswered fetch rounds retry after
-	// StateFetchTimeout with exponential backoff and peer rotation. Zero
-	// values use package defaults.
+	// chunked checkpoint state transfer: snapshots are carved into chunks
+	// of at most SnapshotChunkSize bytes (identical on all replicas — it
+	// shapes the voted manifest; an upper bound, not every chunk's exact
+	// size: a chunk is a run of whole records and only a single record
+	// larger than the bound exceeds it), a fetching replica keeps at most
+	// StateChunkWindow chunks in flight, and unanswered fetch rounds retry
+	// after StateFetchTimeout with exponential backoff and peer rotation.
+	// Zero values use package defaults.
 	SnapshotChunkSize int
 	StateChunkWindow  int
 	StateFetchTimeout time.Duration

@@ -2,11 +2,11 @@ package app
 
 import "errors"
 
-// Incremental snapshot support. Checkpoint state transfer streams a snapshot
-// as a sequence of bounded chunks instead of one monolithic byte slice; an
-// application that can produce and consume its snapshot piecewise avoids ever
-// materializing the whole thing, so peak transfer memory is bounded by the
-// chunk window rather than the state size. The contract is byte-exact: the
+// Incremental snapshot support: an application that can produce and consume
+// its monolithic snapshot piecewise never has to hold a second full copy of
+// it. The checkpoint adapter (checkpoint.go) builds on this for applications
+// without native checkpoints: it reads the snapshot through the iterator and
+// restores through the sink. The contract is byte-exact: the
 // concatenation of every piece an iterator yields must equal Snapshot(), and
 // feeding exactly those bytes through a RestoreSink followed by Commit must
 // be equivalent to Restore of the same snapshot.

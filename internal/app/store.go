@@ -1,11 +1,14 @@
 package app
 
 import (
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
+	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/wire"
 )
 
@@ -16,12 +19,48 @@ import (
 //	DEL <key>
 //
 // GET is the only read. Keys must not contain spaces; values may.
+//
+// The state lives in storeShards hash shards, each a run of entries sorted by
+// (key hash, key). The layout is a function of the contents alone — never of
+// the order operations arrived in — which is what lets a checkpoint be cut in
+// time proportional to what changed since the last one (storecheckpoint.go).
 type Store struct {
-	data map[string]string
+	shards [storeShards]storeShard
+
+	// Scratch space of Checkpoint, kept so that a steady-state cut allocates
+	// only what the checkpoint retains.
+	encBuf, digestBuf []byte
+}
+
+// storeShards is the number of hash shards. It shapes the checkpoint chunks
+// every replica must cut identically, hence a constant and not a setting.
+const storeShards = 64
+
+// storeEntry is one key with its value.
+type storeEntry struct{ key, value string }
+
+// storeShard is one hash shard. Once a checkpoint has captured entries, the
+// slice is shared with that immutable view and the next write clones it
+// first (strings are immutable, so values are never copied). digests is
+// never shared: it belongs to the live shard alone.
+type storeShard struct {
+	entries []storeEntry // sorted by (keyHash(key), key)
+	// hashes[i] is keyHash(entries[i].key). A lookup searches this dense
+	// array and touches a key only to confirm the match; searching the
+	// keys themselves costs a cache miss per probe.
+	hashes []uint32
+	// digests[i] is the SHA-256 of entries[i]'s canonical encoding once a
+	// checkpoint has needed it; zero means "not computed since the write".
+	digests []msg.Digest
+	shared  bool // entries is referenced by a checkpoint
+	dirty   bool // written since chunks was cut
+	resized bool // an entry was added or removed since chunks was cut
+	cutSize int  // chunk size chunks was cut for
+	chunks  []storeChunk
 }
 
 // NewStore creates an empty store.
-func NewStore() *Store { return &Store{data: make(map[string]string)} }
+func NewStore() *Store { return &Store{} }
 
 // NewStoreFactory returns a Factory producing empty stores.
 func NewStoreFactory() Factory {
@@ -29,6 +68,142 @@ func NewStoreFactory() Factory {
 }
 
 var _ Application = (*Store)(nil)
+
+// keyHash is FNV-1a through the murmur3 finalizer (on its own FNV spreads
+// sequentially named keys over the shards unevenly, 2 to 42 of 1 024). Its
+// top six bits pick the shard, all of it orders the entries within one.
+// Every replica must compute the same value, so no seeded hash.
+func keyHash(key string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
+	h ^= h >> 16
+	h *= 0x85ebca6b
+	h ^= h >> 13
+	h *= 0xc2b2ae35
+	h ^= h >> 16
+	return h
+}
+
+// shardBits is 32 - log2(storeShards): a hash's top bits pick the shard.
+const shardBits = 26
+
+// shard returns the shard a key with hash h lives in.
+func (s *Store) shard(h uint32) *storeShard { return &s.shards[h>>shardBits] }
+
+// find returns the position of the key with hash h in the shard, or where
+// it would go.
+func (sh *storeShard) find(h uint32, key string) (int, bool) {
+	lo, hi := 0, len(sh.hashes)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if sh.hashes[mid] < h {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	for ; lo < len(sh.hashes) && sh.hashes[lo] == h; lo++ {
+		if c := strings.Compare(sh.entries[lo].key, key); c >= 0 {
+			return lo, c == 0
+		}
+	}
+	return lo, false
+}
+
+// own makes the shard writable: entries shared with a checkpoint are cloned,
+// so the checkpoint keeps seeing the state it captured.
+func (sh *storeShard) own() {
+	if sh.shared {
+		sh.entries = append([]storeEntry(nil), sh.entries...)
+		sh.shared = false
+	}
+	sh.dirty = true
+}
+
+func (s *Store) get(key string) (string, bool) {
+	h := keyHash(key)
+	sh := s.shard(h)
+	i, found := sh.find(h, key)
+	if !found {
+		return "", false
+	}
+	return sh.entries[i].value, true
+}
+
+func (s *Store) put(key, value string) {
+	h := keyHash(key)
+	sh := s.shard(h)
+	i, found := sh.find(h, key)
+	sh.own()
+	if found {
+		// An overwrite replaces the key string too: key and value are
+		// usually substrings of one operation, and keeping the old key
+		// would pin the whole old operation in memory.
+		sh.entries[i], sh.digests[i] = storeEntry{key, value}, msg.Digest{}
+		return
+	}
+	sh.entries = slices.Insert(sh.entries, i, storeEntry{key, value})
+	sh.hashes = slices.Insert(sh.hashes, i, h)
+	sh.digests = slices.Insert(sh.digests, i, msg.Digest{})
+	sh.resized = true
+}
+
+func (s *Store) del(key string) bool {
+	h := keyHash(key)
+	sh := s.shard(h)
+	i, found := sh.find(h, key)
+	if found {
+		sh.own()
+		sh.entries = slices.Delete(sh.entries, i, i+1)
+		sh.hashes = slices.Delete(sh.hashes, i, i+1)
+		sh.digests = slices.Delete(sh.digests, i, i+1)
+		sh.resized = true
+	}
+	return found
+}
+
+// storeLoader builds a store's shards from entries arriving in any order —
+// a restore. Inserting them one by one would shift half a shard per entry
+// (a snapshot is in key order, the shards are in hash order); the loader
+// collects them and sorts each shard once.
+type storeLoader struct {
+	shards [storeShards][]loadedEntry
+}
+
+type loadedEntry struct {
+	hash uint32
+	storeEntry
+}
+
+func (l *storeLoader) add(key, value string) {
+	h := keyHash(key)
+	l.shards[h>>shardBits] = append(l.shards[h>>shardBits], loadedEntry{h, storeEntry{key, value}})
+}
+
+// build returns the shards; of entries with the same key the last added wins.
+func (l *storeLoader) build() (shards [storeShards]storeShard) {
+	for i, in := range l.shards {
+		slices.SortStableFunc(in, func(a, b loadedEntry) int {
+			if c := cmp.Compare(a.hash, b.hash); c != 0 {
+				return c
+			}
+			return strings.Compare(a.key, b.key)
+		})
+		sh := &shards[i]
+		for j, e := range in {
+			if j+1 < len(in) && in[j+1].hash == e.hash && in[j+1].key == e.key {
+				continue
+			}
+			sh.entries = append(sh.entries, e.storeEntry)
+			sh.hashes = append(sh.hashes, e.hash)
+		}
+		sh.digests = make([]msg.Digest, len(sh.entries))
+		sh.dirty = true
+	}
+	return shards
+}
 
 func parseStoreOp(op []byte) (verb, key, value string, ok bool) {
 	s := string(op)
@@ -61,19 +236,18 @@ func (s *Store) Execute(op []byte) []byte {
 	}
 	switch verb {
 	case "GET":
-		v, found := s.data[key]
+		v, found := s.get(key)
 		if !found {
 			return []byte("NOTFOUND")
 		}
 		return []byte("VALUE " + v)
 	case "PUT":
-		s.data[key] = value
+		s.put(key, value)
 		return []byte("OK")
 	case "DEL":
-		if _, found := s.data[key]; !found {
+		if !s.del(key) {
 			return []byte("NOTFOUND")
 		}
-		delete(s.data, key)
 		return []byte("OK")
 	}
 	return badOp(op)
@@ -94,22 +268,39 @@ func (s *Store) Keys(op []byte) []string {
 	return []string{key}
 }
 
+// sorted returns every entry in global key order, the order of the
+// monolithic snapshot format.
+func (s *Store) sorted() []storeEntry {
+	all := make([]storeEntry, 0, s.Len())
+	for i := range s.shards {
+		all = append(all, s.shards[i].entries...)
+	}
+	slices.SortFunc(all, func(a, b storeEntry) int { return strings.Compare(a.key, b.key) })
+	return all
+}
+
+// appendEntry appends the canonical encoding of one entry: the key and the
+// value as length-prefixed strings. Snapshots, checkpoint records and entry
+// digests all use it.
+func appendEntry(b []byte, e *storeEntry) []byte {
+	return wire.AppendString(wire.AppendString(b, e.key), e.value)
+}
+
+// entrySize is the length of appendEntry's output.
+func entrySize(e *storeEntry) int { return 8 + len(e.key) + len(e.value) }
+
 // Snapshot implements Application. Entries are encoded in sorted key order
 // so all replicas produce identical snapshots.
 func (s *Store) Snapshot() []byte {
-	keys := make([]string, 0, len(s.data))
-	for k := range s.data {
-		keys = append(keys, k)
+	all := s.sorted()
+	size := 4
+	for i := range all {
+		size += entrySize(&all[i])
 	}
-	sort.Strings(keys)
-	w := wire.NewWriter(64)
-	w.U32(uint32(len(keys)))
-	for _, k := range keys {
-		w.String(k)
-		w.String(s.data[k])
+	out := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(len(all)))
+	for i := range all {
+		out = appendEntry(out, &all[i])
 	}
-	out := make([]byte, w.Len())
-	copy(out, w.Bytes())
 	return out
 }
 
@@ -117,24 +308,30 @@ func (s *Store) Snapshot() []byte {
 func (s *Store) Restore(snapshot []byte) error {
 	r := wire.NewReader(snapshot)
 	n := r.SliceLen()
-	data := make(map[string]string, n)
+	var staged storeLoader
 	for i := 0; i < n; i++ {
 		k := r.String()
 		v := r.String()
 		if r.Err() != nil {
 			break
 		}
-		data[k] = v
+		staged.add(k, v)
 	}
 	if err := r.Finish(); err != nil {
 		return fmt.Errorf("app: restore store: %w", err)
 	}
-	s.data = data
+	s.shards = staged.build()
 	return nil
 }
 
 // Len returns the number of stored keys (used by tests and examples).
-func (s *Store) Len() int { return len(s.data) }
+func (s *Store) Len() int {
+	n := 0
+	for i := range s.shards {
+		n += len(s.shards[i].entries)
+	}
+	return n
+}
 
 var _ Incremental = (*Store)(nil)
 
@@ -142,58 +339,50 @@ var _ Incremental = (*Store)(nil)
 // pieces is byte-identical to Snapshot(): a U32 entry count followed by
 // sorted (key, value) string pairs. Entries are encoded lazily, so a
 // gigabyte-scale store never materializes its full snapshot; only the sorted
-// key slice is captured up front. The iterator must be drained before the
-// store executes further operations.
+// entry list (strings shared with the store) is captured up front.
 func (s *Store) SnapshotIter(maxPiece int) ChunkIterator {
-	keys := make([]string, 0, len(s.data))
-	for k := range s.data {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return &storeIter{s: s, keys: keys, max: maxPiece}
+	// At least one entry per piece, or a bound below one would never finish.
+	return &storeIter{all: s.sorted(), max: max(maxPiece, 1)}
 }
 
 type storeIter struct {
-	s      *Store
-	keys   []string
+	all    []storeEntry
 	i      int
 	max    int
 	header bool
 }
 
 func (it *storeIter) Next() ([]byte, bool) {
-	if it.header && it.i >= len(it.keys) {
+	if it.header && it.i >= len(it.all) {
 		return nil, false
 	}
-	w := wire.NewWriter(min(it.max+256, 64<<10))
+	out := make([]byte, 0, min(it.max+256, 64<<10))
 	if !it.header {
-		w.U32(uint32(len(it.keys)))
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(it.all)))
 		it.header = true
 	}
-	for it.i < len(it.keys) && w.Len() < it.max {
-		k := it.keys[it.i]
-		w.String(k)
-		w.String(it.s.data[k])
+	for it.i < len(it.all) && len(out) < it.max {
+		out = appendEntry(out, &it.all[it.i])
 		it.i++
 	}
-	return w.CopyBytes(), true
+	return out, true
 }
 
 // RestoreSink implements Incremental. The sink parses the snapshot stream
 // entry by entry as bytes arrive, keeping only the tail of an entry split
-// across Write calls, so peak extra memory is one entry plus the staged map —
-// never a second full copy of the encoded snapshot.
+// across Write calls, so peak extra memory is one entry plus the staged
+// state — never a second full copy of the encoded snapshot.
 func (s *Store) RestoreSink() RestoreSink {
 	return &storeSink{s: s, total: -1}
 }
 
 type storeSink struct {
-	s     *Store
-	carry []byte
-	data  map[string]string
-	total int // declared entry count; -1 until the header has been read
-	got   int
-	err   error
+	s      *Store
+	carry  []byte
+	staged storeLoader
+	total  int // declared entry count; -1 until the header has been read
+	got    int
+	err    error
 }
 
 func (sk *storeSink) Write(p []byte) error {
@@ -209,7 +398,6 @@ func (sk *storeSink) Write(p []byte) error {
 			r := wire.NewReader(sk.carry[:4])
 			sk.total = int(r.U32())
 			sk.carry = sk.carry[4:]
-			sk.data = make(map[string]string, min(sk.total, 4096))
 			continue
 		}
 		if sk.got >= sk.total {
@@ -234,7 +422,7 @@ func (sk *storeSink) Write(p []byte) error {
 			return nil
 		}
 		sk.carry = sk.carry[len(sk.carry)-r.Remaining():]
-		sk.data[k] = v
+		sk.staged.add(k, v)
 		sk.got++
 	}
 }
@@ -248,7 +436,7 @@ func (sk *storeSink) Commit() error {
 			sk.got, sk.total, len(sk.carry))
 		return sk.err
 	}
-	sk.s.data = sk.data
+	sk.s.shards = sk.staged.build()
 	sk.err = errors.New("app: restore sink already committed")
 	return nil
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"net"
 	"sort"
 	"time"
 
@@ -136,18 +135,6 @@ func medianByP50(runs []transportResult) transportResult {
 	return sorted[len(sorted)/2]
 }
 
-// reserveLoopbackAddr grabs a loopback address that a listener can bind
-// shortly afterwards.
-func reserveLoopbackAddr() (string, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
-	}
-	addr := l.Addr().String()
-	l.Close()
-	return addr, nil
-}
-
 func transportName(tr realnet.Transport) string {
 	if tr == realnet.TransportRing {
 		return "ring"
@@ -181,8 +168,7 @@ func runTransportCell(opt Options, tr realnet.Transport, batch, depth int, warmu
 		panic(fmt.Sprintf("transport: cluster: %v", err))
 	}
 
-	// Router B hosts the replicas; its bridge address is reserved up front so
-	// router A's address book can point at it before it listens.
+	// Router B hosts the replicas, router A the client machines.
 	routerA := realnet.NewRouter()
 	routerA.SetLogOutput(io.Discard)
 	defer routerA.Close()
@@ -190,14 +176,19 @@ func runTransportCell(opt Options, tr realnet.Transport, batch, depth int, warmu
 	routerB.SetLogOutput(io.Discard)
 	defer routerB.Close()
 
-	// NewBridge copies its address book, so both listen addresses must be
-	// known before either bridge exists: bridge B binds first and bridge A's
-	// port is reserved and rebound (the same reserve/rebind pattern the
-	// realnet chaos harness uses for its late listener).
-	addrA, err := reserveLoopbackAddr()
-	if err != nil {
-		panic(fmt.Sprintf("transport: reserve addr: %v", err))
+	// NewBridge copies its address book, so an address must be bound before
+	// the bridge that dials it exists. Router A therefore gets two bridges:
+	// listenA only accepts (created first, empty address book, port 0) and
+	// bridgeA only sends (created once bridge B's address is known). The
+	// kernel picks every port while it is being bound; reserving a port,
+	// closing it and binding it again later can lose it in between.
+	listenA := realnet.NewBridge(routerA, nil)
+	listenA.SetTransport(tr)
+	defer listenA.Close()
+	if err := listenA.Listen("127.0.0.1:0"); err != nil {
+		panic(fmt.Sprintf("transport: bridge A listen: %v", err))
 	}
+	addrA := listenA.Addr().String()
 	toA := map[msg.NodeID]string{100: addrA, 101: addrA}
 	bridgeB := realnet.NewBridge(routerB, toA)
 	bridgeB.SetTransport(tr)
@@ -214,9 +205,6 @@ func runTransportCell(opt Options, tr realnet.Transport, batch, depth int, warmu
 	bridgeA := realnet.NewBridge(routerA, toB)
 	bridgeA.SetTransport(tr)
 	defer bridgeA.Close()
-	if err := bridgeA.Listen(addrA); err != nil {
-		panic(fmt.Sprintf("transport: bridge A listen: %v", err))
-	}
 
 	for i, r := range cl.Replicas {
 		routerB.Attach(msg.NodeID(i), r)
@@ -249,21 +237,21 @@ func runTransportCell(opt Options, tr realnet.Transport, batch, depth int, warmu
 	}
 
 	out := transportResult{Result: res}
-	for _, stats := range []map[string]realnet.RingStats{bridgeA.FlushStats(), bridgeB.FlushStats()} {
-		for _, s := range stats {
+	for _, b := range []*realnet.Bridge{bridgeA, listenA, bridgeB} {
+		for _, s := range b.FlushStats() {
 			out.Flushes += s.Flushes
 			out.Frames += s.Frames
 		}
-	}
-	for _, drops := range []map[string]uint64{bridgeA.Drops(), bridgeB.Drops()} {
-		for _, n := range drops {
+		for _, n := range b.Drops() {
 			out.Drops += n
 		}
 	}
 
-	// Tear the client side down first: closing bridge A severs the TCP link,
-	// so replica-side goroutines stop receiving before router B joins them.
+	// Tear the client side down first: closing router A's bridges severs the
+	// TCP links, so replica-side goroutines stop receiving before router B
+	// joins them.
 	bridgeA.Close()
+	listenA.Close()
 	routerA.Close()
 	bridgeB.Close()
 	routerB.Close()

@@ -1,6 +1,7 @@
 package faultplane_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -226,5 +227,29 @@ func TestCheckLinearizableLostUpdate(t *testing.T) {
 	}
 	if err := faultplane.CheckLinearizable(hist); err == nil {
 		t.Fatal("lost update accepted")
+	}
+}
+
+// TestCheckLinearizableLongHistory is the regression for the memo key: 62
+// strictly sequential operations on one key, 15 distinct values, then only
+// reads. Packed as mask×16+state the visited pairs after 60 and after 61
+// operations are the same integer modulo 2^64, and the checker called this
+// (trivially linearizable) history a violation.
+func TestCheckLinearizableLongHistory(t *testing.T) {
+	var hist []faultplane.Op
+	for i := 0; i < 62; i++ {
+		op, result := fmt.Sprintf("PUT k v%d", i), "OK"
+		if i >= 15 {
+			op, result = "GET k", "VALUE v14"
+		}
+		hist = append(hist, mkOp(1, uint64(i+1), 10*i, 10*i+5, op, result))
+	}
+	if err := faultplane.CheckLinearizable(hist); err != nil {
+		t.Fatalf("sequential 62-op history rejected: %v", err)
+	}
+	// The same history with a stale read at the end must still fail.
+	hist[61].Result = []byte("VALUE v13")
+	if err := faultplane.CheckLinearizable(hist); err == nil {
+		t.Fatal("stale read at the end of a 62-op history accepted")
 	}
 }

@@ -136,7 +136,6 @@ func checkKey(key string, kops []keyOp) error {
 			}
 		}
 	}
-	nStates := len(values) + 1
 
 	// apply linearizes ko against register state s, returning the next state
 	// and whether the observed result is consistent.
@@ -160,17 +159,23 @@ func checkKey(key string, kops []keyOp) error {
 	}
 
 	full := uint64(1)<<len(kops) - 1
-	visited := make(map[uint64]bool)
+	// The memo is keyed on the pair itself: packing it into one integer
+	// (mask × states + state) overflows well below maxLinOps, and colliding
+	// pairs made linearizable histories fail.
+	type visit struct {
+		mask  uint64
+		state int
+	}
+	visited := make(map[visit]bool)
 	var dfs func(mask uint64, state int) bool
 	dfs = func(mask uint64, state int) bool {
 		if mask == full {
 			return true
 		}
-		code := mask*uint64(nStates) + uint64(state)
-		if visited[code] {
+		if visited[visit{mask, state}] {
 			return false
 		}
-		visited[code] = true
+		visited[visit{mask, state}] = true
 		// An op is eligible next iff no other unlinearized op responded
 		// before it was invoked.
 		minRespond := time.Duration(1<<63 - 1)

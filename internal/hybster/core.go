@@ -106,10 +106,11 @@ type Config struct {
 	// (the default) disables the fast path.
 	SpecShadow app.Application
 
-	// SnapshotChunkSize is the chunk size for checkpoint snapshots and
-	// state transfer, in bytes. Zero means 64 KiB. Like N and F it must be
-	// identical on all replicas: it shapes the chunk manifest whose digest
-	// CHECKPOINT votes agree on.
+	// SnapshotChunkSize bounds a chunk of a checkpoint snapshot and of
+	// state transfer, in bytes: a chunk is a run of whole records and only
+	// a single larger record exceeds it. Zero means 64 KiB. Like N and F it
+	// must be identical on all replicas: it shapes the chunk manifest whose
+	// digest CHECKPOINT votes agree on.
 	SnapshotChunkSize int
 
 	// StateChunkWindow bounds how many chunks a state-transferring replica
@@ -1196,10 +1197,12 @@ func (c *Core) maybeCheckpoint(env node.Env) {
 	// transfer that carried only the application half would let a
 	// view-change re-proposal replay a gap-covered request on the
 	// transferred replica alone. What peers vote on is the digest of the
-	// chunk manifest derived from the composite, so a lagging replica can
-	// later verify individual chunks against it.
+	// chunk manifest derived from both, so a lagging replica can later
+	// verify individual chunks against it. The charge is for the bytes the
+	// cut actually hashed, which is what was written since the last one
+	// where the application keeps record digests.
 	cs := c.buildChunkedSnapshot()
-	env.Charge(c.cfg.Profile, node.ChargeHash, len(cs.data)+len(cs.manifestBytes))
+	env.Charge(c.cfg.Profile, node.ChargeHash, cs.hashed)
 	c.ownCheckpoints[seq] = cs
 	cp := &msg.Checkpoint{Seq: seq, StateDigest: cs.digest}
 	for i := 0; i < c.cfg.N; i++ {

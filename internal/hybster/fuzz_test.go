@@ -2,11 +2,13 @@ package hybster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 
 	"github.com/troxy-bft/troxy/internal/app"
 	"github.com/troxy-bft/troxy/internal/msg"
+	"github.com/troxy-bft/troxy/internal/wire"
 )
 
 // Fuzz targets for the state-transfer decoders and the chunk assembler.
@@ -29,13 +31,24 @@ func fuzzSnapshot(chunkSize, window int) (*testReplica, *chunkedSnapshot) {
 
 func FuzzManifestDecode(f *testing.F) {
 	_, cs := fuzzSnapshot(16, 4)
+	const header = 4 + 1 + 4 + 4 // magic, version, head chunks, chunk count
 	f.Add(cs.manifestBytes)
-	f.Add(cs.manifestBytes[:len(cs.manifestBytes)-7]) // truncated digest table
+	f.Add(cs.manifestBytes[:len(cs.manifestBytes)-7]) // truncated table
 	f.Add(cs.manifestBytes[:9])                       // truncated header
 	// Oversize chunk-count claim: valid header, absurd table length.
-	huge := append([]byte(nil), cs.manifestBytes[:21]...)
+	huge := append([]byte(nil), cs.manifestBytes[:header-4]...)
 	huge = append(huge, 0xff, 0xff, 0xff, 0xff)
 	f.Add(huge)
+	// Oversize and zero chunk-length claims in an otherwise valid table.
+	for _, l := range []uint32{0xffffffff, 0} {
+		bad := append([]byte(nil), cs.manifestBytes...)
+		binary.LittleEndian.PutUint32(bad[header:], l)
+		f.Add(bad)
+	}
+	// More head chunks than chunks.
+	bad := append([]byte(nil), cs.manifestBytes...)
+	binary.LittleEndian.PutUint32(bad[5:], 0xffff)
+	f.Add(bad)
 	f.Add([]byte{})
 	f.Add([]byte("TXCM"))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -43,25 +56,16 @@ func FuzzManifestDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Decoded layouts must be arithmetically sound: the assembler
-		// trusts nChunks and chunkLen downstream.
-		if m.chunkSize == 0 {
-			t.Fatal("decoded manifest with chunk size 0")
-		}
+		// Decoded tables must be sound: the assembler trusts the chunk
+		// count, the head split and the lengths downstream.
 		n := m.nChunks()
-		if want := (m.totalLen + uint64(m.chunkSize) - 1) / uint64(m.chunkSize); uint64(n) != want {
-			t.Fatalf("chunk count %d inconsistent with %d bytes at size %d", n, m.totalLen, m.chunkSize)
+		if m.headChunks == 0 || m.headChunks > n || len(m.lens) != int(n) {
+			t.Fatalf("decoded manifest with %d head chunks, %d chunks, %d lengths", m.headChunks, n, len(m.lens))
 		}
-		var sum uint64
-		for i := uint32(0); i < n; i++ {
-			l := m.chunkLen(i)
-			if l <= 0 || l > int(m.chunkSize) {
-				t.Fatalf("chunk %d length %d outside (0, %d]", i, l, m.chunkSize)
+		for i, l := range m.lens {
+			if l == 0 || l > wire.MaxBytesLen {
+				t.Fatalf("chunk %d length %d outside (0, %d]", i, l, wire.MaxBytesLen)
 			}
-			sum += uint64(l)
-		}
-		if sum != m.totalLen {
-			t.Fatalf("chunk lengths sum to %d, total %d", sum, m.totalLen)
 		}
 		// Canonical: re-encoding is a fixed point.
 		re := m.encode()
@@ -76,14 +80,13 @@ func FuzzManifestDecode(f *testing.F) {
 }
 
 func FuzzSnapshotHead(f *testing.F) {
-	srv, cs := fuzzSnapshot(16, 4)
-	head := cs.data[:cs.manifest.clientLen]
+	srv, _ := fuzzSnapshot(16, 4)
+	head := srv.core.encodeSnapshotHead()
 	f.Add(head)
 	f.Add(head[:len(head)-3])
 	f.Add((&Core{}).encodeSnapshotHead()) // empty table
 	f.Add([]byte{snapshotVersion, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{snapshotVersion + 1, 0, 0, 0, 0})
-	_ = srv
 	f.Fuzz(func(t *testing.T, data []byte) {
 		clients, err := decodeSnapshotHead(data)
 		if err != nil {
@@ -107,19 +110,27 @@ func FuzzSnapshotHead(f *testing.F) {
 
 // FuzzChunkAssembly drives the fetch state machine with an adversarial chunk
 // schedule — duplicates, overlaps (data of one index under another), stale
-// and out-of-range indices, corrupted and truncated payloads — and checks the
-// two invariants the protocol promises: buffering stays within the window
-// bound, and if the transfer completes, the installed state is exactly the
-// server's.
+// and out-of-range indices, corrupted, truncated and mis-framed payloads —
+// and checks the invariants the protocol promises: buffering stays within
+// the window bound, every chunk that is not the server's is refused and
+// attributed to its sender, and if the transfer completes, the installed
+// state is exactly the server's.
 func FuzzChunkAssembly(f *testing.F) {
-	const chunkSize, window = 8, 4
+	// Chunks hold whole records, so the size must admit one (24 bytes here)
+	// for the window bound below to be the configured one.
+	const chunkSize, window = 48, 4
 	srv, cs := fuzzSnapshot(chunkSize, window)
 	srvSnap := srv.core.cfg.App.(*app.Store).Snapshot()
-	n := cs.manifest.nChunks()
+	m, err := decodeManifest(cs.manifestBytes)
+	if err != nil {
+		f.Fatal(err)
+	}
+	n := m.nChunks()
 
 	f.Add([]byte{0, 0, 1, 0, 2, 0})       // in-order prefix
 	f.Add([]byte{2, 0, 1, 0, 0, 0, 2, 0}) // out of order with duplicate
-	f.Add([]byte{0, 1, 0, 2, 0, 4, 0, 0}) // corrupted, truncated, overlapped, then honest
+	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 0}) // corrupted, truncated, overlapped, then honest
+	f.Add([]byte{0, 4, 1, 5, 0, 0})       // oversize record length, record cut short, then honest
 	f.Add(bytes.Repeat([]byte{9, 0}, 8))  // hammer one out-of-window index
 	inOrder := make([]byte, 0, 2*n)
 	for i := uint32(0); i < n; i++ {
@@ -133,20 +144,30 @@ func FuzzChunkAssembly(f *testing.F) {
 		fc.OnStateReply(&env, 0, &msg.StateReply{Seq: 8, Manifest: cs.manifestBytes})
 		for i := 0; i+1 < len(ops); i += 2 {
 			idx := uint32(ops[i]) % (n + 3) // includes out-of-range indices
-			data, ok := cs.chunk(idx % n)
+			data, ok := cs.chunk(idx % n)   // encoded afresh, ours to mutate
 			if !ok {
 				t.Fatalf("no chunk %d", idx%n)
 			}
-			data = append([]byte(nil), data...)
-			switch ops[i+1] % 4 {
-			case 1: // corrupt
-				data[0] ^= 0x01
+			honest := ops[i+1]%6 == 0
+			switch ops[i+1] % 6 {
+			case 1: // tamper with an entry
+				data[len(data)-1] ^= 0x01
 			case 2: // truncate
 				data = data[:len(data)-1]
 			case 3: // overlap: this index, another index's bytes
 				data, _ = cs.chunk((idx + 1) % n)
+				honest = n == 1
+			case 4: // oversize record length, chunk length kept
+				binary.LittleEndian.PutUint32(data, 0xffffffff)
+			case 5: // first record one byte short, chunk length kept
+				binary.LittleEndian.PutUint32(data, binary.LittleEndian.Uint32(data)-1)
 			}
+			live := fc.fetch != nil && idx < n && idx >= fc.fetch.next && idx < fc.fetch.next+window
+			before := fc.RejectedCertsFrom(1)
 			fc.OnStateChunk(&env, 1, &msg.StateChunk{Seq: 8, Index: idx, Data: data})
+			if live && !honest && fc.RejectedCertsFrom(1) != before+1 {
+				t.Fatalf("forged chunk %d (mutation %d) not refused and attributed", idx, ops[i+1]%6)
+			}
 			if fc.fetch != nil && fc.fetch.buffered > window*chunkSize {
 				t.Fatalf("buffered %d bytes, window bound %d", fc.fetch.buffered, window*chunkSize)
 			}

@@ -22,27 +22,35 @@ import (
 // state-transferred back in, then a view-change re-proposal replayed a
 // gap-covered write only on that replica.
 //
-// The composite is transferred in chunks, not as one blob. What CHECKPOINT
-// votes agree on is the digest of a *chunk manifest*: the composite's layout
-// (total length, chunk size, client-table head length) plus one digest per
-// fixed-size chunk. Quorum semantics are unchanged — f+1 matching manifest
-// digests still make a checkpoint stable — but a joiner that has fetched the
-// manifest can verify every chunk independently as it arrives, re-request
-// exactly the missing ones, and stream the application part of the composite
-// into an app.RestoreSink without ever materializing the whole snapshot.
+// The snapshot is transferred in chunks, not as one blob, and what CHECKPOINT
+// votes agree on is the digest of a *chunk manifest*: one (length, digest)
+// pair per chunk, the chunks of the client-table head first and those of the
+// application after them. Quorum semantics are unchanged — f+1 matching
+// manifest digests still make a checkpoint stable — but a joiner that has
+// fetched the manifest can verify every chunk independently as it arrives,
+// re-request exactly the missing ones, and stream the application chunks into
+// a restore sink without ever materializing the whole snapshot.
+//
+// Chunks come from app.CheckpointOf: an immutable view of the application
+// state whose chunk digests are built from per-record digests, so that an
+// application which remembers them (app.Store) re-hashes only what was
+// written since the last checkpoint, and whose chunk bytes are encoded only
+// when a peer asks for them. A retained checkpoint therefore costs what
+// changed, not what exists. The chunk layout is a function of the state
+// alone — a replica that executed the whole log and one that was state-
+// transferred in vote the same digest.
 
-// snapshotVersion guards the composite layout; a decoder seeing any other
-// version rejects the snapshot (it would be verified against the agreed
-// digest anyway, so this only sharpens the error). Version 2 drops the length
-// prefix on the application part: the composite is the client-table head
-// followed by raw application bytes to the end, so the app part can be
-// streamed without knowing its length up front.
-const snapshotVersion uint8 = 2
+// snapshotVersion guards the head layout; a decoder seeing any other version
+// rejects the snapshot (it would be verified against the agreed digest
+// anyway, so this only sharpens the error). Version 3: the head is the
+// version byte and the client table and nothing follows it — the application
+// state travels as chunks of its own (version 2 appended the raw application
+// snapshot to the head).
+const snapshotVersion uint8 = 3
 
-// encodeSnapshotHead serializes the composite's head: the version byte and
+// encodeSnapshotHead serializes the snapshot's head: the version byte and
 // the client table — in client-ID order, so every replica produces the
-// identical byte string for identical state. The application snapshot bytes
-// follow the head verbatim (no length prefix) to form the full composite.
+// identical byte string for identical state.
 func (c *Core) encodeSnapshotHead() []byte {
 	w := wire.NewWriter(64)
 	w.U8(snapshotVersion)
@@ -68,7 +76,7 @@ func (c *Core) encodeSnapshotHead() []byte {
 	return w.Bytes()
 }
 
-// decodeSnapshotHead parses a composite head produced by encodeSnapshotHead,
+// decodeSnapshotHead parses a head produced by encodeSnapshotHead,
 // consuming the buffer exactly. Heads come from peers, so decoding must not
 // trust the layout — but the caller has already verified the enclosing chunks
 // against the quorum-agreed manifest, so errors here indicate version skew,
@@ -101,48 +109,51 @@ func decodeSnapshotHead(data []byte) (map[uint64]*clientRecord, error) {
 	return clients, nil
 }
 
-// Manifest layout limits. maxManifestChunks bounds the digest-table
-// allocation when decoding a manifest received from an untrusted peer
-// (32 MiB of digests at the cap — far above any real snapshot, far below a
-// crash-by-allocation).
+// Manifest layout limits. maxManifestChunks bounds the table allocation when
+// decoding a manifest received from an untrusted peer (36 MiB at the cap —
+// far above any real snapshot, far below a crash-by-allocation).
+// manifestVersion 2 lists a length beside every digest: chunks are runs of
+// whole records and no longer all one size (version 1 derived every length
+// from a total and a fixed chunk size).
 const (
 	manifestMagic     = "TXCM"
-	manifestVersion   = 1
+	manifestVersion   = 2
 	maxManifestChunks = 1 << 20
+	manifestEntryLen  = 4 + len(msg.Digest{})
 )
 
-// snapshotManifest describes a chunked composite snapshot: its layout and
-// one digest per chunk. The digest of the *encoded manifest* is what
-// CHECKPOINT votes agree on, so a joiner holding f+1 matching votes can
-// verify first the manifest and then every chunk against evidence it trusts.
+// snapshotManifest describes a chunked snapshot: the length and digest of
+// every chunk, the first headChunks of which hold the client-table head. The
+// digest of the *encoded manifest* is what CHECKPOINT votes agree on, so a
+// joiner holding f+1 matching votes can verify first the manifest and then
+// every chunk against evidence it trusts.
 type snapshotManifest struct {
-	totalLen  uint64       // composite length in bytes
-	chunkSize uint32       // every chunk but the last is exactly this long
-	clientLen uint32       // head length: version byte + client table
-	chunks    []msg.Digest // per-chunk digests, in order
+	headChunks uint32
+	lens       []uint32     // encoded chunk lengths, in order
+	chunks     []msg.Digest // chunk digests (app.ChunkDigest), in order
 }
 
 // nChunks returns the number of chunks the manifest describes.
 func (m *snapshotManifest) nChunks() uint32 { return uint32(len(m.chunks)) }
 
-// chunkLen returns the byte length of chunk i.
-func (m *snapshotManifest) chunkLen(i uint32) int {
-	if i+1 < m.nChunks() || m.totalLen == 0 {
-		return int(m.chunkSize)
+// add appends the chunks of one checkpoint part to the table.
+func (m *snapshotManifest) add(cp app.Checkpoint) {
+	for i := 0; i < cp.NumChunks(); i++ {
+		d, size := cp.ChunkInfo(i)
+		m.lens = append(m.lens, uint32(size))
+		m.chunks = append(m.chunks, d)
 	}
-	return int(m.totalLen - uint64(i)*uint64(m.chunkSize))
 }
 
 // encode serializes the manifest canonically.
 func (m *snapshotManifest) encode() []byte {
-	w := wire.NewWriter(32 + len(m.chunks)*len(msg.Digest{}))
+	w := wire.NewWriter(16 + len(m.chunks)*manifestEntryLen)
 	w.Raw([]byte(manifestMagic))
 	w.U8(manifestVersion)
-	w.U64(m.totalLen)
-	w.U32(m.chunkSize)
-	w.U32(m.clientLen)
+	w.U32(m.headChunks)
 	w.U32(uint32(len(m.chunks)))
 	for i := range m.chunks {
+		w.U32(m.lens[i])
 		w.Raw(m.chunks[i][:])
 	}
 	return w.Bytes()
@@ -152,7 +163,7 @@ func (m *snapshotManifest) encode() []byte {
 // caller verifies the raw bytes against the agreed checkpoint digest before
 // trusting the contents; validation here bounds allocations and rejects
 // internally inconsistent layouts so the fetch state machine can rely on the
-// arithmetic (chunk count and per-chunk lengths) downstream.
+// table (chunk count, head split, per-chunk lengths) downstream.
 func decodeManifest(data []byte) (*snapshotManifest, error) {
 	r := wire.NewReader(data)
 	if magic := r.FixedBytes(len(manifestMagic)); r.Err() == nil && string(magic) != manifestMagic {
@@ -161,11 +172,7 @@ func decodeManifest(data []byte) (*snapshotManifest, error) {
 	if v := r.U8(); r.Err() == nil && v != manifestVersion {
 		return nil, fmt.Errorf("manifest version %d, want %d", v, manifestVersion)
 	}
-	m := &snapshotManifest{
-		totalLen:  r.U64(),
-		chunkSize: r.U32(),
-		clientLen: r.U32(),
-	}
+	m := &snapshotManifest{headChunks: r.U32()}
 	n := r.U32()
 	if err := r.Err(); err != nil {
 		return nil, err
@@ -173,30 +180,24 @@ func decodeManifest(data []byte) (*snapshotManifest, error) {
 	if n > maxManifestChunks {
 		return nil, fmt.Errorf("manifest claims %d chunks, cap %d", n, maxManifestChunks)
 	}
-	// Bound the digest-table allocation by the bytes actually present: a
-	// short message claiming a huge table must fail before allocating it.
-	if uint64(n)*uint64(len(msg.Digest{})) > uint64(r.Remaining()) {
+	// Bound the table allocation by the bytes actually present: a short
+	// message claiming a huge table must fail before allocating it.
+	if uint64(n)*uint64(manifestEntryLen) != uint64(r.Remaining()) {
 		return nil, fmt.Errorf("manifest claims %d chunks with %d bytes left", n, r.Remaining())
 	}
-	if m.chunkSize == 0 {
-		return nil, fmt.Errorf("manifest chunk size 0")
+	// The head is never empty: at least the version byte and the client count.
+	if m.headChunks == 0 || m.headChunks > n {
+		return nil, fmt.Errorf("manifest claims %d head chunks of %d", m.headChunks, n)
 	}
-	// The head is at least the version byte plus the client-table count.
-	if uint64(m.clientLen) > m.totalLen || m.clientLen < 5 {
-		return nil, fmt.Errorf("manifest head length %d inconsistent with total %d", m.clientLen, m.totalLen)
-	}
-	want := (m.totalLen + uint64(m.chunkSize) - 1) / uint64(m.chunkSize)
-	if uint64(n) != want {
-		return nil, fmt.Errorf("manifest claims %d chunks for %d bytes at chunk size %d, want %d",
-			n, m.totalLen, m.chunkSize, want)
-	}
+	m.lens = make([]uint32, n)
 	m.chunks = make([]msg.Digest, n)
-	for i := uint32(0); i < n; i++ {
-		b := r.FixedBytes(len(msg.Digest{}))
-		if b == nil {
-			break
+	for i := range m.chunks {
+		// A chunk travels as one message field, so no honest length
+		// exceeds the field limit; zero would be a chunk with no record.
+		if m.lens[i] = r.U32(); m.lens[i] == 0 || m.lens[i] > wire.MaxBytesLen {
+			return nil, fmt.Errorf("manifest chunk %d length %d out of range", i, m.lens[i])
 		}
-		copy(m.chunks[i][:], b)
+		copy(m.chunks[i][:], r.FixedBytes(len(msg.Digest{})))
 	}
 	if err := r.Finish(); err != nil {
 		return nil, err
@@ -204,60 +205,45 @@ func decodeManifest(data []byte) (*snapshotManifest, error) {
 	return m, nil
 }
 
-// chunkedSnapshot is a retained checkpoint snapshot in serving form: the
-// composite bytes plus the manifest describing them. digest is the digest of
-// the encoded manifest — the value CHECKPOINT votes carry.
+// chunkedSnapshot is a retained checkpoint in serving form: the encoded
+// manifest and the two checkpoint views its chunks are encoded from on
+// demand. digest is the digest of the encoded manifest — the value
+// CHECKPOINT votes carry; hashed is how many bytes producing it hashed.
 type chunkedSnapshot struct {
-	manifest      *snapshotManifest
 	manifestBytes []byte
 	digest        msg.Digest
-	data          []byte
+	head, app     app.Checkpoint
+	hashed        int
 }
 
-// chunk returns the bytes of chunk i.
+// chunk encodes chunk i.
 func (cs *chunkedSnapshot) chunk(i uint32) ([]byte, bool) {
-	if i >= cs.manifest.nChunks() {
-		return nil, false
+	if h := uint32(cs.head.NumChunks()); i < h {
+		return cs.head.Chunk(int(i)), true
+	} else if i-h < uint32(cs.app.NumChunks()) {
+		return cs.app.Chunk(int(i - h)), true
 	}
-	lo := uint64(i) * uint64(cs.manifest.chunkSize)
-	hi := min(lo+uint64(cs.manifest.chunkSize), cs.manifest.totalLen)
-	return cs.data[lo:hi], true
+	return nil, false
 }
 
-// buildChunkedSnapshot assembles the composite for the current state (client
-// table head + application snapshot streamed through the incremental
-// iterator) and derives its manifest. chunkSize comes from the configured
-// SnapshotChunkSize.
+// buildChunkedSnapshot cuts a checkpoint of the current state — the encoded
+// client table and the application — and derives its manifest.
+// SnapshotChunkSize bounds every chunk that is not a single larger record.
 func (c *Core) buildChunkedSnapshot() *chunkedSnapshot {
-	chunkSize := c.cfg.SnapshotChunkSize
-	head := c.encodeSnapshotHead()
-	data := make([]byte, 0, len(head)*2)
-	data = append(data, head...)
-	it := app.SnapshotIterOf(c.cfg.App, chunkSize)
-	for {
-		p, ok := it.Next()
-		if !ok {
-			break
-		}
-		data = append(data, p...)
+	cs := &chunkedSnapshot{
+		head: app.CheckpointOfBytes(c.encodeSnapshotHead(), c.cfg.SnapshotChunkSize),
+		app:  app.CheckpointOf(c.cfg.App, c.cfg.SnapshotChunkSize),
 	}
+	n := cs.head.NumChunks() + cs.app.NumChunks()
 	m := &snapshotManifest{
-		totalLen:  uint64(len(data)),
-		chunkSize: uint32(chunkSize),
-		clientLen: uint32(len(head)),
+		headChunks: uint32(cs.head.NumChunks()),
+		lens:       make([]uint32, 0, n),
+		chunks:     make([]msg.Digest, 0, n),
 	}
-	n := (m.totalLen + uint64(m.chunkSize) - 1) / uint64(m.chunkSize)
-	m.chunks = make([]msg.Digest, n)
-	for i := uint64(0); i < n; i++ {
-		lo := i * uint64(m.chunkSize)
-		hi := min(lo+uint64(m.chunkSize), m.totalLen)
-		m.chunks[i] = msg.DigestOf(data[lo:hi])
-	}
-	mb := m.encode()
-	return &chunkedSnapshot{
-		manifest:      m,
-		manifestBytes: mb,
-		digest:        msg.DigestOf(mb),
-		data:          data,
-	}
+	m.add(cs.head)
+	m.add(cs.app)
+	cs.manifestBytes = m.encode()
+	cs.digest = msg.DigestOf(cs.manifestBytes)
+	cs.hashed = cs.head.HashedBytes() + cs.app.HashedBytes() + len(cs.manifestBytes)
+	return cs
 }

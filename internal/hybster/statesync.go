@@ -27,11 +27,11 @@ import (
 //     indices, the server answers each with StateChunk{Seq, Index, Data}.
 //     Every chunk is verified against the manifest's per-chunk digest, so
 //     nothing the server sends is taken on trust.
-//  3. Chunks apply in index order; the composite head (client table) is
-//     decoded once complete, the application part streams into an
-//     app.RestoreSink. Out-of-order chunks buffer in a bounded window of
-//     StateChunkWindow chunks — peak extra memory is window × chunk size
-//     regardless of state size.
+//  3. Chunks apply in index order; the head chunks (client table) are
+//     decoded once complete, the application chunks stream into the
+//     application's chunk sink. Out-of-order chunks buffer in a bounded
+//     window of StateChunkWindow chunks — peak extra memory is window ×
+//     chunk size regardless of state size.
 //  4. A fetch round that goes unanswered (dropped request, dropped reply,
 //     crashed or Byzantine server) is retried on a jittered
 //     exponential-backoff timer, rotating across the digest voters.
@@ -78,8 +78,7 @@ type stateFetch struct {
 	window   map[uint32][]byte // verified out-of-order chunks above next
 	buffered int               // bytes held in window
 
-	headBuf []byte                   // composite head accumulator
-	fed     uint64                   // composite bytes consumed so far
+	headBuf []byte                   // client-table head accumulator
 	clients map[uint64]*clientRecord // decoded client table
 	sink    app.RestoreSink          // streaming application restore
 
@@ -255,7 +254,7 @@ func (c *Core) OnStateReply(env node.Env, from msg.NodeID, rep *msg.StateReply) 
 	f.manifest = m
 	f.manifestBytes = rep.Manifest
 	f.window = make(map[uint32][]byte, c.cfg.StateChunkWindow)
-	f.sink = app.RestoreSinkOf(c.cfg.App)
+	f.sink = app.ChunkSinkOf(c.cfg.App)
 	f.attempts = 0
 	c.requestChunks(env, f.next)
 	c.armFetchTimer(env)
@@ -293,16 +292,17 @@ func (c *Core) OnStateChunk(env node.Env, from msg.NodeID, ch *msg.StateChunk) {
 		c.metrics.StateChunkRejects++
 		return // beyond anything we asked for; never buffer unbounded
 	}
-	if len(ch.Data) != m.chunkLen(ch.Index) {
+	if len(ch.Data) != int(m.lens[ch.Index]) {
 		c.metrics.StateChunkRejects++
 		c.rejectCert(from)
 		return
 	}
 	env.Charge(c.cfg.Profile, node.ChargeHash, len(ch.Data))
-	if msg.DigestOf(ch.Data) != m.chunks[ch.Index] {
+	if d, err := app.ChunkDigest(ch.Data); err != nil || d != m.chunks[ch.Index] {
 		// The transport MAC authenticated the sender and correct replicas
-		// serve only digest-verified chunks, so a mismatch is attributable
-		// tampering. The timer rotates us to another voter.
+		// serve only digest-verified chunks, so a mismatch (or record
+		// framing that does not parse) is attributable tampering. Nothing
+		// of the chunk has been used. The timer rotates us to another voter.
 		c.metrics.StateChunkRejects++
 		c.rejectCert(from)
 		return
@@ -345,38 +345,32 @@ func (c *Core) OnStateChunk(env node.Env, from msg.NodeID, ch *msg.StateChunk) {
 	c.armFetchTimer(env)
 }
 
-// applyFetchedChunk consumes the next in-order chunk: head bytes accumulate
-// until the client table is complete, everything after streams into the
-// restore sink. Returns false if the stream is undecodable (version skew —
-// the digests already verified), aborting the fetch.
+// applyFetchedChunk consumes the next in-order chunk, already verified: the
+// records of the head chunks accumulate until the client table is complete,
+// every later chunk goes to the application's chunk sink. Returns false if
+// the stream is undecodable (version skew — the digests already verified),
+// aborting the fetch.
 func (c *Core) applyFetchedChunk(env node.Env, data []byte) bool {
 	f := c.fetch
-	if f.fed < uint64(f.manifest.clientLen) {
-		take := min(uint64(f.manifest.clientLen)-f.fed, uint64(len(data)))
-		f.headBuf = append(f.headBuf, data[:take]...)
-		data = data[take:]
-		f.fed += take
-		if f.fed == uint64(f.manifest.clientLen) {
-			clients, err := decodeSnapshotHead(f.headBuf)
-			if err != nil {
-				env.Logf("hybster: decode snapshot head at %d: %v", f.seq, err)
-				c.cancelFetch(env)
-				return false
-			}
-			f.clients = clients
+	var err error
+	if f.next >= f.manifest.headChunks {
+		err = f.sink.Write(data)
+	} else {
+		err = app.EachRecord(data, func(p []byte) error {
+			f.headBuf = append(f.headBuf, p...)
+			return nil
+		})
+		if err == nil && f.next+1 == f.manifest.headChunks {
+			f.clients, err = decodeSnapshotHead(f.headBuf)
 			f.headBuf = nil
 		}
 	}
-	f.next++
-	if len(data) == 0 {
-		return true
-	}
-	f.fed += uint64(len(data))
-	if err := f.sink.Write(data); err != nil {
+	if err != nil {
 		env.Logf("hybster: stream snapshot at %d: %v", f.seq, err)
 		c.cancelFetch(env)
 		return false
 	}
+	f.next++
 	return true
 }
 
@@ -409,8 +403,8 @@ func (c *Core) finishFetch(env node.Env) {
 	c.lastExec = f.seq
 	c.stableSeq = f.seq
 	c.stableDigest = f.digest
-	// We streamed the composite into the application without materializing
-	// it, so we hold no serving form of this checkpoint; we can serve again
+	// We streamed the chunks into the application without retaining them,
+	// so we hold no serving form of this checkpoint; we can serve again
 	// after our next own checkpoint.
 	c.stableChunks = nil
 	if c.seqNext <= f.seq {

@@ -2,6 +2,7 @@ package hybster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
@@ -162,7 +163,7 @@ func TestStateChunkVerification(t *testing.T) {
 	var env fakeEnv
 
 	// A server with real state: application keys plus a client-table entry,
-	// so the composite head spans chunk boundaries.
+	// so the head spans several chunks.
 	srv := newStateCore(0, chunkSize, window)
 	srvStore := srv.core.cfg.App.(*app.Store)
 	for i := 0; i < 50; i++ {
@@ -170,9 +171,13 @@ func TestStateChunkVerification(t *testing.T) {
 	}
 	srv.core.clients[7] = &clientRecord{lastSeq: 3, seq: 9, result: []byte("OK")}
 	cs := srv.core.buildChunkedSnapshot()
-	n := cs.manifest.nChunks()
-	if n < uint32(window)+2 {
-		t.Fatalf("snapshot has %d chunks, need > %d for window cases", n, window+2)
+	m, err := decodeManifest(cs.manifestBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := m.nChunks()
+	if m.headChunks < 2 || n < m.headChunks+uint32(window)+2 {
+		t.Fatalf("snapshot has %d head chunks of %d, need several of each for the window cases", m.headChunks, n)
 	}
 
 	// A fetcher with an active transfer; the manifest installs through the
@@ -185,11 +190,11 @@ func TestStateChunkVerification(t *testing.T) {
 	}
 
 	chunkData := func(i uint32) []byte {
-		data, ok := cs.chunk(i)
+		data, ok := cs.chunk(i) // encoded afresh on every call
 		if !ok {
 			t.Fatalf("no chunk %d", i)
 		}
-		return append([]byte(nil), data...)
+		return data
 	}
 
 	// Stale seq: silently ignored, nothing counted.
@@ -221,10 +226,29 @@ func TestStateChunkVerification(t *testing.T) {
 		t.Fatalf("short chunk not attributed: RejectedCertsFrom = %d", got)
 	}
 
+	// Right length, record framing that does not parse — a length prefix
+	// far beyond the chunk, then one that cuts its record a byte short:
+	// rejected and attributed like any other digest mismatch, and nothing
+	// of the chunk reaches the head decoder or the sink.
+	for i, prefix := range []uint32{0xffffffff, chunkSize - 4 - 1} {
+		bad := chunkData(0)
+		binary.LittleEndian.PutUint32(bad, prefix)
+		fc.OnStateChunk(&env, 0, &msg.StateChunk{Seq: 8, Index: 0, Data: bad})
+		if m := fc.Metrics(); m.StateChunkRejects != uint64(3+i) || m.StateChunksReceived != 0 {
+			t.Fatalf("mis-framed chunk (prefix %#x) not rejected: %+v", prefix, m)
+		}
+		if got := fc.RejectedCertsFrom(0); got != uint64(3+i) {
+			t.Fatalf("mis-framed chunk not attributed: RejectedCertsFrom = %d", got)
+		}
+	}
+	if fc.fetch.next != 0 || len(fc.fetch.headBuf) != 0 {
+		t.Fatalf("rejected chunks reached the assembler: next %d, %d head bytes", fc.fetch.next, len(fc.fetch.headBuf))
+	}
+
 	// Beyond the request window: refused (bounded buffering) but not
 	// attributed — it can be honest traffic racing a window slide.
 	fc.OnStateChunk(&env, 1, &msg.StateChunk{Seq: 8, Index: window, Data: chunkData(window)})
-	if m := fc.Metrics(); m.StateChunkRejects != 3 {
+	if m := fc.Metrics(); m.StateChunkRejects != 5 {
 		t.Fatalf("out-of-window chunk not refused: %+v", m)
 	}
 	if got := fc.RejectedCertsFrom(1); got != 0 {
@@ -271,5 +295,172 @@ func TestStateChunkVerification(t *testing.T) {
 	rec := fc.clients[7]
 	if rec == nil || rec.seq != 9 || rec.lastSeq != 3 || string(rec.result) != "OK" {
 		t.Errorf("client table not installed: %+v", rec)
+	}
+}
+
+// catchUp runs the crash/catch-up scenario the transfer tests share: replica 2
+// is cut off early, misses the first script, comes back and has to
+// state-transfer in while a second client runs the second script.
+func catchUp(t *testing.T, cfgMut func(*Config), during, after []string) *cluster {
+	t.Helper()
+	cl := newCluster(t, 3, cfgMut, during...)
+	cl.net.Run(100 * time.Millisecond)
+	cl.net.Crash(2)
+	cl.net.Run(30 * time.Second)
+	if !cl.client.done {
+		t.Fatalf("client stalled during partition: %d/%d", cl.client.current, len(during))
+	}
+	cl.net.Restore(2)
+	extra := &testClient{id: 99, n: 3, f: 1, ops: toOps(after)}
+	cl.net.AttachConfig(99, extra, simnet.NodeConfig{})
+	cl.net.Run(60 * time.Second)
+	if !extra.done {
+		t.Fatalf("second client stalled: %d/%d", extra.current, len(after))
+	}
+	if m := cl.replicas[2].core.Metrics(); m.StateTransfers == 0 || m.StateChunksReceived == 0 {
+		t.Fatalf("replica 2 did not state-transfer: %+v", m)
+	}
+	return cl
+}
+
+// TestTransferredReplicaVotesSameDigest pins the layout rule: a checkpoint's
+// chunks — and so the digest CHECKPOINT votes carry — depend on the state
+// only, not on how a replica got there. Replica 2 receives its store from
+// chunks, replicas 0 and 1 built theirs by executing every write, delete and
+// re-put; at the next checkpoints all three must cut the same manifest, or
+// replica 2 would be told it diverged and rewind.
+func TestTransferredReplicaVotesSameDigest(t *testing.T) {
+	var during, after []string
+	for i := 0; i < 60; i++ {
+		during = append(during, fmt.Sprintf("PUT key-%d first-%d", i%23, i))
+		if i%4 == 3 {
+			during = append(during, fmt.Sprintf("DEL key-%d", (i*7)%23))
+		}
+	}
+	for i := 0; i < 40; i++ {
+		after = append(after, fmt.Sprintf("DEL key-%d", i%23), fmt.Sprintf("PUT key-%d again-%d", i%23, i))
+	}
+	cl := catchUp(t, func(c *Config) { c.SnapshotChunkSize = 64 }, during, after)
+
+	stable := cl.replicas[0].core.stableSeq
+	want, ok := cl.replicas[0].core.ownCheckpoints[stable]
+	if !ok {
+		t.Fatalf("replica 0 holds no own checkpoint at its stable seq %d", stable)
+	}
+	for i, r := range cl.replicas {
+		// An own checkpoint exists only where the replica executed up to the
+		// sequence number itself; for replica 2 that is after the transfer.
+		own, ok := r.core.ownCheckpoints[stable]
+		if !ok {
+			t.Fatalf("replica %d holds no own checkpoint at %d (stable %d, executed %d)",
+				i, stable, r.core.stableSeq, r.core.LastExecuted())
+		}
+		if own.digest != want.digest {
+			t.Errorf("replica %d votes a different digest at %d", i, stable)
+		}
+		wantTransfers := uint64(0)
+		if i == 2 {
+			wantTransfers = 1 // one catch-up, and no divergence rewind after it
+		}
+		if got := r.core.Metrics().StateTransfers; got != wantTransfers {
+			t.Errorf("replica %d: %d state transfers, want %d", i, got, wantTransfers)
+		}
+		if !bytes.Equal(cl.apps[i].Snapshot(), cl.apps[0].Snapshot()) {
+			t.Errorf("replica %d state diverged", i)
+		}
+	}
+}
+
+// forwardOnly forwards the Application methods and nothing else, the way a
+// decorator written before app.Checkpointer existed does: the wrapped store's
+// native checkpoints are out of reach and the adapter has to serve.
+type forwardOnly struct{ app.Application }
+
+// TestStateTransferThroughAdapter round-trips the applications without
+// native checkpoints through a real catch-up: their monolithic snapshot is
+// cut into single-record chunks on the serving side and streamed back into
+// Restore on the fetching side.
+func TestStateTransferThroughAdapter(t *testing.T) {
+	script := func(n int, op func(i int) []byte) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = string(op(i))
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name   string
+		newApp func() app.Application
+		op     func(i int) []byte
+	}{
+		{"pages", func() app.Application { return app.NewPages() },
+			func(i int) []byte { return app.PagePost(fmt.Sprintf("/p/%d", i%7), []byte(fmt.Sprintf("body %d", i))) }},
+		{"bench", func() app.Application { return app.NewBench(64) },
+			func(i int) []byte { return app.BenchWrite(uint64(i), 32) }},
+		{"decorated-store", func() app.Application { return forwardOnly{app.NewStore()} },
+			func(i int) []byte { return []byte(fmt.Sprintf("PUT key-%d value-%d", i%9, i)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			apps := make([]app.Application, 3)
+			cl := catchUp(t, func(c *Config) {
+				apps[c.Self] = tc.newApp()
+				c.App = apps[c.Self]
+				c.SnapshotChunkSize = 24
+			}, script(40, tc.op), script(30, func(i int) []byte { return tc.op(40 + i) }))
+			for i, a := range apps {
+				if !bytes.Equal(a.Snapshot(), apps[0].Snapshot()) {
+					t.Errorf("replica %d state diverged after catch-up", i)
+				}
+				if got := cl.replicas[i].core.Metrics().RejectedCerts; got != 0 {
+					t.Errorf("replica %d rejected %d certificates", i, got)
+				}
+			}
+		})
+	}
+}
+
+// TestRetainedCheckpointServesItsOwnState: a checkpoint retained for serving
+// is a view of the state at the moment it was cut. Intervals of later writes
+// to the live application — overwrites, deletes, deleted keys put back — and
+// later checkpoints must not show through: every chunk still verifies
+// against the voted manifest and a fetcher installs the old state.
+func TestRetainedCheckpointServesItsOwnState(t *testing.T) {
+	const chunkSize, window = 64, 4
+	var env fakeEnv
+	srv := newStateCore(0, chunkSize, window)
+	store := srv.core.cfg.App.(*app.Store)
+	for i := 0; i < 200; i++ {
+		store.Execute([]byte(fmt.Sprintf("PUT key-%03d value-%d", i, i)))
+	}
+	cs := srv.core.buildChunkedSnapshot()
+	frozen := store.Snapshot()
+
+	for interval := 0; interval < 3; interval++ {
+		for i := interval; i < 200; i += 2 {
+			store.Execute([]byte(fmt.Sprintf("DEL key-%03d", i)))
+			if i%4 < 2 {
+				store.Execute([]byte(fmt.Sprintf("PUT key-%03d back-%d", i, interval)))
+			}
+		}
+		if later := srv.core.buildChunkedSnapshot(); later.digest == cs.digest {
+			t.Fatal("the live state did not change (test is vacuous)")
+		}
+	}
+
+	fc := newStateCore(2, chunkSize, window).core
+	fc.fetch = &stateFetch{seq: 8, digest: cs.digest, peers: []msg.NodeID{0, 1}}
+	fc.OnStateReply(&env, 0, &msg.StateReply{Seq: 8, Manifest: cs.manifestBytes})
+	for i := uint32(0); fc.fetch != nil; i++ {
+		data, ok := cs.chunk(i)
+		if !ok {
+			t.Fatalf("fetch still active after all %d chunks", i)
+		}
+		fc.OnStateChunk(&env, 0, &msg.StateChunk{Seq: 8, Index: i, Data: data})
+	}
+	if m := fc.Metrics(); m.StateChunkRejects != 0 {
+		t.Fatalf("chunks of a retained checkpoint were rejected: %+v", m)
+	}
+	if !bytes.Equal(fc.cfg.App.(*app.Store).Snapshot(), frozen) {
+		t.Fatal("fetcher installed something other than the state the checkpoint was cut from")
 	}
 }

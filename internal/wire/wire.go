@@ -125,9 +125,13 @@ func (w *Writer) Bytes32(b []byte) {
 }
 
 // String appends a length-prefixed string.
-func (w *Writer) String(s string) {
-	w.U32(uint32(len(s)))
-	w.buf = append(w.buf, s...)
+func (w *Writer) String(s string) { w.buf = AppendString(w.buf, s) }
+
+// AppendString appends s to b in Writer.String's format, for callers that
+// encode into a buffer of their own.
+func AppendString(b []byte, s string) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
+	return append(b, s...)
 }
 
 // Raw appends bytes verbatim with no length prefix.
