@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK := honnef.co/go/tools/cmd/staticcheck@2025.1
 GOVULNCHECK := golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: build test check lint staticcheck govulncheck bench bench-quick fuzz chaos chaos-realnet race soak soak-quick
+.PHONY: build test check lint staticcheck govulncheck bench bench-quick bench-check fuzz chaos chaos-realnet race soak soak-quick
 
 build:
 	$(GO) build ./...
@@ -31,7 +31,7 @@ check: lint staticcheck govulncheck
 # secretflow, lockcheck, exhaustive, quorumcheck, certgate, boundedalloc,
 # allocfree (on the dataflow engine and the interproc call-graph/summary
 # layer) — see cmd/troxy-lint and DESIGN.md "Trust-boundary enforcement".
-# The standalone driver caches per-package results under bin/.lintcache keyed
+# troxy-lint caches per-package results under bin/.lintcache keyed
 # by content (driver binary, export data, sources), so an unchanged tree
 # re-lints from the cache; TROXY_LINT_TIMING=1 prints per-analyzer wall time
 # and the cache hit/miss tally to stderr.
@@ -79,6 +79,14 @@ bench:
 bench-quick:
 	$(GO) test -run xxx -bench 'Encode|AppendEnvelopeFrame|BatchDigest' -benchmem -benchtime 1000x ./internal/msg/
 	$(GO) test -run xxx -bench 'StoreCheckpoint' -benchmem -benchtime 20x ./internal/app/
+
+# bench-check compiles and unit-tests the wall-clock benchmark, which is its
+# own Go module (bench/go.mod replaces this one) and so is invisible to
+# `go build ./...`, `go vet ./...` and `make check`: a rename in internal/...
+# that bench/ imports would otherwise surface only in the benchmark
+# pipeline. It writes nothing under bench/.
+bench-check:
+	cd bench && $(GO) vet . && $(GO) test .
 
 # race is the focused race-detector gate: the seeded chaos schedules at the
 # module root plus the two most goroutine-heavy packages — the pipelined

@@ -3,14 +3,13 @@ package troxy_test
 // Benchmark harness: one Benchmark per table/figure of the paper's
 // evaluation, each delegating to the corresponding experiment in
 // internal/experiments (quick scale; run cmd/troxy-bench for full scale),
-// plus micro-benchmarks of the primitives the cost model prices.
+// plus one wall-clock run through the gateway. The primitives the cost model
+// prices are timed per PR by bench/primitives.go.
 //
 //	go test -bench=. -benchmem
 //	go run ./cmd/troxy-bench all        # full-scale reproduction
 
 import (
-	"crypto/ed25519"
-	"crypto/rand"
 	"io"
 	"net"
 	"testing"
@@ -18,14 +17,10 @@ import (
 
 	troxy "github.com/troxy-bft/troxy"
 	"github.com/troxy-bft/troxy/internal/app"
-	"github.com/troxy-bft/troxy/internal/authn"
-	"github.com/troxy-bft/troxy/internal/enclave"
 	"github.com/troxy-bft/troxy/internal/experiments"
 	"github.com/troxy-bft/troxy/internal/legacyclient"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/realnet"
-	"github.com/troxy-bft/troxy/internal/securechannel"
-	"github.com/troxy-bft/troxy/internal/tcounter"
 )
 
 // benchExperiment runs one evaluation experiment per iteration and dumps its
@@ -81,95 +76,6 @@ func BenchmarkFig11(b *testing.B) { benchExperiment(b, "fig11") }
 // larger batches must show higher ops/s than unbatched ordering (run with -v
 // for the table, which also reports the certification amortization factor).
 func BenchmarkBatching(b *testing.B) { benchExperiment(b, "batching") }
-
-// BenchmarkTransport runs the realnet egress-transport matrix (ring vs
-// buffered over a TCP bridge, wall clock); the experiment itself panics
-// unless the ring transport's closed-loop p50 beats the buffered one at
-// batch=64 depth=4.
-func BenchmarkTransport(b *testing.B) { benchExperiment(b, "transport") }
-
-// Micro-benchmarks of the primitives underlying the simulation's cost model.
-
-func BenchmarkTransportMAC(b *testing.B) {
-	dir, err := authn.NewDirectory([]byte("bench"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	auth := authn.NewAuthenticator(0, dir)
-	e := msg.Seal(0, 1, &msg.ChannelData{Payload: make([]byte, 1024)})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		auth.SealMAC(e)
-	}
-}
-
-func BenchmarkCounterCertify(b *testing.B) {
-	sub := tcounter.NewSubsystem(0)
-	sub.SetKey([]byte("k"))
-	d := msg.DigestOf([]byte("x"))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sub.Certify(1, uint64(i+1), d); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSecureChannelSeal1K(b *testing.B) {
-	pub, priv, err := ed25519.GenerateKey(rand.Reader)
-	if err != nil {
-		b.Fatal(err)
-	}
-	hs, hello, err := securechannel.NewClientHandshake(pub, rand.Reader)
-	if err != nil {
-		b.Fatal(err)
-	}
-	server, serverHello, err := securechannel.ServerHandshake(priv, hello, rand.Reader)
-	if err != nil {
-		b.Fatal(err)
-	}
-	client, err := hs.Finish(serverHello)
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload := make([]byte, 1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec, err := client.Seal(payload)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := server.Open(rec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkECallRoundTrip(b *testing.B) {
-	platform := enclave.NewPlatformWithKey([]byte("hw"))
-	sub := tcounter.NewSubsystem(0)
-	enc, err := platform.Launch(
-		enclave.Definition{Name: "bench", CodeIdentity: "bench-v1"},
-		tcounter.Hosted{S: sub}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := enc.Provision(map[string][]byte{tcounter.SecretName: []byte("k")}); err != nil {
-		b.Fatal(err)
-	}
-	auth := tcounter.EnclaveAuthority{E: enc}
-	d := msg.DigestOf([]byte("x"))
-	cert, err := auth.Certify(1, 1, d)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !auth.Verify(cert, d) {
-			b.Fatal("verify failed")
-		}
-	}
-}
 
 // BenchmarkEndToEndKV measures real (wall-clock) request latency through a
 // full in-process cluster over the real runtime — the deployable library's

@@ -34,11 +34,12 @@
 // and lint-cache hit/miss counts on stderr.
 //
 // Malformed //lint:allow comments (stale analyzer name, missing reason) are
-// reported by the unsuppressable "allowaudit" pass built into the drivers.
+// reported by the unsuppressable "allowaudit" pass built into the driver.
 //
-// Run it either standalone (`go run ./cmd/troxy-lint ./...`) or as a
-// vettool (`go vet -vettool=$(pwd)/bin/troxy-lint ./...`); `make lint` does
-// the latter. Suppress a finding with a trailing or preceding
+// Run it on package patterns: `make lint` builds bin/troxy-lint and runs
+// `./bin/troxy-lint ./...` (`go run ./cmd/troxy-lint ./...` works too), one
+// process for the whole module with per-package results cached under
+// bin/.lintcache. Suppress a finding with a trailing or preceding
 // `//lint:allow <analyzer> <reason>` comment — see DESIGN.md.
 package main
 

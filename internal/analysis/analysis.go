@@ -4,13 +4,10 @@
 // library's go/ast and go/types, because this repository vendors no
 // third-party code.
 //
-// Two drivers run the analyzers (see cmd/troxy-lint):
-//
-//   - a unitchecker-compatible driver speaking the `go vet -vettool`
-//     protocol (one process per compilation unit, imports resolved from the
-//     build cache's gc export data), and
-//   - a standalone driver that loads whole package patterns via
-//     `go list -export -deps -json`.
+// One driver runs the analyzers (standalone.go, invoked as
+// `troxy-lint ./...`): it loads whole package patterns via
+// `go list -export -deps -json`, resolves imports from the build cache's gc
+// export data, and caches per-package results by content.
 //
 // Suppression: a diagnostic is dropped when the offending line, or the line
 // immediately above it, carries a comment of the form
@@ -28,8 +25,7 @@
 // code.
 //
 // Setting TROXY_LINT_TIMING=1 in the environment prints per-analyzer wall
-// time per package to stderr (the variable reaches the vettool subprocesses
-// through go vet's inherited environment).
+// time per package to stderr.
 package analysis
 
 import (
@@ -52,7 +48,7 @@ const ModulePath = "github.com/troxy-bft/troxy"
 // reported as a diagnostic in its own right (analyzer "allowaudit", itself
 // unsuppressable): a stale name means the suppression silently stopped
 // doing anything, which is worse than a loud failure. Main() also checks
-// the drivers register exactly this set, so the registry cannot drift from
+// the driver registers exactly this set, so the registry cannot drift from
 // cmd/troxy-lint.
 var KnownAnalyzerNames = map[string]bool{
 	"boundarycheck":  true,

@@ -14,14 +14,72 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 )
 
-// The standalone driver loads whole package patterns in one process,
-// resolving every import from the gc export data that `go list -export`
-// leaves in the build cache, and memoizes per-package results under
-// bin/.lintcache (see lintcache.go) so an unchanged tree re-lints from the
-// cache. `make lint` runs this path; the vet vettool protocol (runUnit)
-// remains available for editor integrations.
+// The driver loads whole package patterns in one process, resolving every
+// import from the gc export data that `go list -export` leaves in the build
+// cache, and memoizes per-package results under bin/.lintcache (see
+// lintcache.go) so an unchanged tree re-lints from the cache. `make lint` and
+// CI invoke it as `troxy-lint ./...`.
+
+// Main is the entry point of cmd/troxy-lint: it checks the analyzer
+// registry, then analyzes the package patterns on the command line and
+// exits with Standalone's status.
+func Main(analyzers ...*Analyzer) {
+	log.SetFlags(0)
+	log.SetPrefix("troxy-lint: ")
+	if err := checkRegistry(analyzers); err != nil {
+		log.Fatal(err)
+	}
+	args := os.Args[1:]
+	for _, a := range args {
+		if a == "-help" || a == "--help" || a == "-h" {
+			usage(analyzers)
+			return
+		}
+	}
+	if len(args) == 0 {
+		usage(analyzers)
+		os.Exit(2)
+	}
+	os.Exit(Standalone(args, analyzers))
+}
+
+// checkRegistry verifies the driver registers exactly the analyzers in
+// KnownAnalyzerNames: a new analyzer must be added to both the registry (so
+// //lint:allow can reference it) and cmd/troxy-lint (so it actually runs),
+// and this check makes forgetting either a startup failure instead of a
+// silent gap.
+func checkRegistry(analyzers []*Analyzer) error {
+	registered := make(map[string]bool, len(analyzers))
+	for _, a := range analyzers {
+		if !KnownAnalyzerNames[a.Name] {
+			return fmt.Errorf("analyzer %q is not in KnownAnalyzerNames; add it to the registry in internal/analysis", a.Name)
+		}
+		registered[a.Name] = true
+	}
+	for name := range KnownAnalyzerNames {
+		if !registered[name] {
+			return fmt.Errorf("analyzer %q is in KnownAnalyzerNames but not registered with the driver; add it in cmd/troxy-lint", name)
+		}
+	}
+	return nil
+}
+
+func usage(analyzers []*Analyzer) {
+	fmt.Fprintf(os.Stderr, "troxy-lint: static enforcement of Troxy's trust boundary and protocol determinism\n\n")
+	fmt.Fprintf(os.Stderr, "usage:\n")
+	fmt.Fprintf(os.Stderr, "  troxy-lint <packages>          analyze package patterns (e.g. ./...)\n\n")
+	fmt.Fprintf(os.Stderr, "analyzers:\n")
+	for _, a := range analyzers {
+		doc := a.Doc
+		if i := strings.IndexByte(doc, '\n'); i >= 0 {
+			doc = doc[:i]
+		}
+		fmt.Fprintf(os.Stderr, "  %-16s %s\n", a.Name, doc)
+	}
+}
 
 // listPackage is the subset of `go list -json` output the driver consumes.
 type listPackage struct {
@@ -34,8 +92,8 @@ type listPackage struct {
 	Error      *struct{ Err string }
 }
 
-// Standalone analyzes the packages matched by patterns. Exit status
-// semantics mirror runUnit: 0 clean, 1 operational error, 2 findings.
+// Standalone analyzes the packages matched by patterns. Exit status: 0
+// clean, 1 operational error, 2 findings.
 func Standalone(patterns []string, analyzers []*Analyzer) int {
 	args := append([]string{"list", "-e", "-export", "-deps", "-json=ImportPath,Dir,Export,Standard,DepOnly,GoFiles,Error"}, patterns...)
 	cmd := exec.Command("go", args...)

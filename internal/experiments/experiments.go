@@ -124,7 +124,6 @@ func All() []Experiment {
 		{"ablation", "design-choice ablations (cache, monitor, client protocol)", Ablation},
 		{"batching", "leader batching sweep (counter-certification amortization)", Batching},
 		{"commitlevel", "tunable commit levels: crash-commit fast path vs durable tier", CommitLevel},
-		{"transport", "realnet egress transport: ring vs buffered (wall clock)", Transport},
 	}
 }
 

@@ -6,12 +6,11 @@ import (
 	"time"
 
 	root "github.com/troxy-bft/troxy"
-	"github.com/troxy-bft/troxy/internal/realnet"
 )
 
 func TestRegistryComplete(t *testing.T) {
 	// Every table and figure of the paper's evaluation must have a target.
-	required := []string{"table1", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "batching", "commitlevel", "transport"}
+	required := []string{"table1", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "batching", "commitlevel"}
 	for _, name := range required {
 		if _, ok := ByName(name); !ok {
 			t.Errorf("missing experiment %q", name)
@@ -170,30 +169,6 @@ func TestCommitLevelFastTierBeatsDurable(t *testing.T) {
 	}
 	if fast.P50 >= durable.P50 {
 		t.Errorf("fast-tier p50 %v not below durable p50 %v", fast.P50, durable.P50)
-	}
-}
-
-func TestTransportCellSmoke(t *testing.T) {
-	// One wall-clock cell per transport, small and ungated: the full matrix
-	// (with its ring-beats-buffered invariant) runs under BenchmarkTransport
-	// and cmd/troxy-bench, not in the unit suite. The windows are generous
-	// because this test also runs under the race detector, whose ~10x
-	// slowdown on a small machine can starve a short measurement window of
-	// completed operations (runTransportCell panics on a zero-op window).
-	const warmup, measure = 500 * time.Millisecond, 2 * time.Second
-	ring := runTransportCell(Options{Seed: 7}, realnet.TransportRing, 16, 2,
-		warmup, measure)
-	if ring.Flushes == 0 || ring.Frames < ring.Result.Count {
-		t.Errorf("ring transport flush counters implausible: %d flushes, %d frames for %d ops",
-			ring.Flushes, ring.Frames, ring.Result.Count)
-	}
-	if ring.Drops != 0 {
-		t.Errorf("ring transport dropped %d frames on an idle network", ring.Drops)
-	}
-	buffered := runTransportCell(Options{Seed: 7}, realnet.TransportBuffered, 16, 2,
-		warmup, measure)
-	if buffered.Flushes != 0 || buffered.Frames != 0 {
-		t.Errorf("buffered transport reported ring counters: %+v", buffered)
 	}
 }
 

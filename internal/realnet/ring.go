@@ -9,20 +9,18 @@ import (
 	"github.com/troxy-bft/troxy/internal/wire"
 )
 
-// Ring transport tuning. A woken drainer flushes on a size trigger
+// Send ring tuning. A woken drainer flushes on a size trigger
 // (ringFlushFrames) or after a deadline of one scheduler quantum: below the
 // trigger it yields the processor once so a burst's producers can finish
 // enqueueing, then flushes whatever is there. A lone frame on a quiet link
-// therefore goes out after ~one scheduler pass instead of waiting for an
-// idle poll the way the buffered transport's flush-on-idle did. (A
-// timer-based grace deadline was measured here first and rejected: the
-// shortest expressible sleep costs tens of microseconds of timer latency and
-// made the ring lose the closed-loop p50 comparison the transport experiment
-// gates on, while the single yield both wins it and coalesces better.)
+// therefore goes out after ~one scheduler pass instead of waiting for the
+// sender to go idle. (A timer-based grace deadline was measured here first
+// and rejected: the shortest expressible sleep costs tens of microseconds of
+// timer latency, which showed up directly in closed-loop p50, while the
+// single yield is cheaper and coalesces better — DESIGN.md decision 8.)
 const (
-	// ringCapacity bounds the per-peer ring; a full ring drops the frame,
-	// matching the buffered transport's queue semantics (the network is
-	// unreliable by assumption). Overflow is counted, never silent.
+	// ringCapacity bounds the per-peer ring; a full ring drops the frame (the
+	// network is unreliable by assumption). Overflow is counted, never silent.
 	ringCapacity = 4096
 
 	// ringFlushFrames is the size trigger: a ring holding this many frames is
@@ -30,7 +28,7 @@ const (
 	ringFlushFrames = 64
 )
 
-// RingStats are the per-peer flush counters of a ring transport, exported
+// RingStats are the per-peer flush counters of a send ring, exported
 // next to the drop counters so operators can see the coalescing factor
 // (FramesPerFlush) the writev path actually achieves.
 type RingStats struct {

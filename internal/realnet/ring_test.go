@@ -61,8 +61,8 @@ func TestSendRingTakeDoubleBuffers(t *testing.T) {
 }
 
 // bridgePair wires router A (hosting node 1) to router B (hosting node 2)
-// over a TCP bridge using the given transport on the sending side.
-func bridgePair(t *testing.T, transport Transport) (ra, rb *Router, ba *Bridge) {
+// over a TCP bridge.
+func bridgePair(t *testing.T) (ra, rb *Router, ba *Bridge) {
 	t.Helper()
 	ra, rb = NewRouter(), NewRouter()
 	t.Cleanup(ra.Close)
@@ -75,14 +75,13 @@ func bridgePair(t *testing.T, transport Transport) (ra, rb *Router, ba *Bridge) 
 	t.Cleanup(bb.Close)
 
 	ba = NewBridge(ra, map[msg.NodeID]string{2: bb.Addr().String()})
-	ba.SetTransport(transport)
 	t.Cleanup(ba.Close)
 	return ra, rb, ba
 }
 
 func TestRingTransportFlushStats(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	ra, rb, ba := bridgePair(t, TransportRing)
+	ra, rb, ba := bridgePair(t)
 
 	const sent = 32
 	recv := newCollector(sent)
@@ -112,20 +111,45 @@ func TestRingTransportFlushStats(t *testing.T) {
 	}
 }
 
-func TestBufferedTransportStillWorks(t *testing.T) {
+// TestBridgeUnreachablePeerCountsEveryDrop pins the accounting of the one
+// drop counter: with no listener at the peer address the drainer sits in
+// dial backoff holding at most one taken batch, the ring holds at most
+// ringCapacity more, and every further frame is counted — none vanishes.
+func TestBridgeUnreachablePeerCountsEveryDrop(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	ra, rb, ba := bridgePair(t, TransportBuffered)
+	l, err := listen(t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	l.Close() // nothing listens here any more: dials are refused at once
 
-	recv := newCollector(5)
-	rb.Attach(2, recv)
-	ra.Attach(1, &senderNode{to: 2, n: 5})
-	waitCh(t, recv.done, "buffered-bridged envelopes")
+	ra := NewRouter()
+	defer ra.Close()
+	ba := NewBridge(ra, map[msg.NodeID]string{2: addr})
 
-	// The buffered transport reports no ring activity.
-	for addr, s := range ba.FlushStats() {
-		if s.Flushes != 0 || s.Frames != 0 {
-			t.Errorf("buffered peer %s reports ring stats %+v", addr, s)
-		}
+	const sent = 2*ringCapacity + 100
+	for i := 0; i < sent; i++ {
+		ra.Send(msg.Seal(1, 2, &msg.ChannelData{ConnID: uint64(i)}))
+	}
+
+	drops := ba.Drops()[addr]
+	ba.mu.Lock()
+	pending := ba.conns[addr].ring.pendingLen()
+	ba.mu.Unlock()
+	inFlight := sent - int(drops) - pending
+	if inFlight < 0 || inFlight > ringCapacity {
+		t.Errorf("sent %d = %d dropped + %d in ring + %d unaccounted; want 0..%d held by the drainer",
+			sent, drops, pending, inFlight, ringCapacity)
+	}
+	if s := ba.FlushStats()[addr]; s.Frames != 0 {
+		t.Errorf("flushed %d frames to a peer that never accepted", s.Frames)
+	}
+
+	start := time.Now()
+	ba.Close() // must interrupt the dial backoff, not wait it out
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("Close took %v while the dial was backing off", d)
 	}
 }
 
@@ -134,7 +158,7 @@ func TestRingLoneFrameFlushesOnDeadline(t *testing.T) {
 	// wait for more traffic: this is the flush-on-idle latency pathology the
 	// ring fixes.
 	testutil.CheckGoroutines(t)
-	ra, rb, _ := bridgePair(t, TransportRing)
+	ra, rb, _ := bridgePair(t)
 
 	recv := newCollector(1)
 	rb.Attach(2, recv)
@@ -152,7 +176,7 @@ func TestRingLoneFrameFlushesOnDeadline(t *testing.T) {
 // survivors leave in coalesced vectored writes.
 func TestRingFaultplanePerMessage(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	ra, rb, _ := bridgePair(t, TransportRing)
+	ra, rb, _ := bridgePair(t)
 	ra.SetFault(faultplane.NewInjector(7, faultplane.Plan{
 		Links: []faultplane.LinkFault{{
 			From: faultplane.Wildcard, To: 2,

@@ -1,7 +1,6 @@
 package realnet
 
 import (
-	"bufio"
 	"fmt"
 	"math/rand"
 	"net"
@@ -14,25 +13,6 @@ import (
 	"github.com/troxy-bft/troxy/internal/wire"
 )
 
-// Transport selects the egress path of a Bridge or Gateway.
-type Transport int
-
-const (
-	// TransportRing is the specialized transport: senders enqueue pooled
-	// pre-encoded frames into a bounded per-peer ring; a drainer goroutine
-	// flushes the whole ring in one vectored write, on a size trigger or
-	// after yielding one scheduler quantum to stragglers. Ingress reads are
-	// chunked to match: one syscall and one allocation consume a whole
-	// coalesced burst. Encoding allocates nothing in steady state.
-	TransportRing Transport = iota
-
-	// TransportBuffered is the legacy path: one encode allocation per frame,
-	// a channel per peer, and a bufio.Writer flushed when the queue
-	// momentarily drains (flush-on-idle). Kept selectable so the benchmark
-	// matrix can measure the ring against it.
-	TransportBuffered
-)
-
 // Bridge connects a Router to peer processes over TCP. Envelopes addressed
 // to non-local nodes are framed and sent over a persistent connection to the
 // peer process hosting the destination node; incoming frames are injected
@@ -41,13 +21,19 @@ const (
 // The address book maps node IDs to "host:port" listen addresses. Multiple
 // node IDs may map to the same address (one process hosting several nodes).
 //
+// Egress: senders encode each envelope into a pooled frame and push it onto
+// a bounded per-peer ring; a drainer goroutine flushes the whole ring in one
+// vectored write, on a size trigger or after yielding one scheduler quantum
+// to stragglers. Ingress reads are chunked to match: one syscall and one
+// allocation consume a whole coalesced burst. Encoding allocates nothing in
+// steady state.
+//
 // Fault injection happens in Router.Send, above this layer: the fault judge
-// sees every envelope individually before it is encoded into a ring or
-// queue, so drop/corrupt/jitter plans keep per-message granularity no matter
-// how many frames a flush coalesces.
+// sees every envelope individually before it is encoded into a ring, so
+// drop/corrupt/jitter plans keep per-message granularity no matter how many
+// frames a flush coalesces.
 type Bridge struct {
-	router    *Router
-	transport Transport
+	router *Router
 
 	mu       sync.Mutex
 	addrs    map[msg.NodeID]string
@@ -59,66 +45,25 @@ type Bridge struct {
 	wg sync.WaitGroup
 }
 
-// bridgeQueueLen bounds the per-peer outbound queue of the buffered
-// transport; a full queue drops the envelope (the network is unreliable by
-// assumption).
-const bridgeQueueLen = 4096
-
-// bridgeBufSize is the bufio buffer on each buffered-transport connection.
-const bridgeBufSize = 64 << 10
-
 // Dial backoff bounds: a failed dial is retried with jittered exponential
-// backoff while the frames that triggered it wait in the ring or queue,
-// instead of being dropped silently. The ring bounds memory; only overflow
-// drops frames, and those are counted.
+// backoff while the frames that triggered it wait in the ring, instead of
+// being dropped silently. The ring bounds memory; only overflow drops
+// frames, and those are counted.
 const (
 	bridgeBackoffMin = 25 * time.Millisecond
 	bridgeBackoffMax = 2 * time.Second
 )
 
-// bridgeConn is one outbound peer connection. Exactly one of out (buffered
-// transport) or ring (ring transport) is non-nil; a dedicated goroutine owns
-// the socket either way.
+// bridgeConn is one outbound peer connection: a send ring and the drainer
+// goroutine that owns the socket.
 type bridgeConn struct {
-	mu     sync.Mutex
-	closed bool
-	out    chan []byte   // buffered transport
-	ring   *sendRing     // ring transport
-	done   chan struct{} // closed with the conn; interrupts dial backoff
-
-	// drops counts frames dropped on queue overflow by the buffered
-	// transport (ring overflow is counted in the ring itself); exposed per
-	// peer through Bridge.Drops like Gateway.SendFailures.
-	drops atomic.Uint64
+	ring *sendRing
+	done chan struct{} // closed with the conn; interrupts dial backoff
 }
 
-func (bc *bridgeConn) enqueue(frame []byte) {
-	bc.mu.Lock()
-	defer bc.mu.Unlock()
-	if bc.closed {
-		return
-	}
-	select {
-	case bc.out <- frame:
-	default: // queue full: drop, but keep count
-		bc.drops.Add(1)
-	}
-}
-
+// close is called once, by Bridge.Close, after the conn left b.conns.
 func (bc *bridgeConn) close() {
-	bc.mu.Lock()
-	wasClosed := bc.closed
-	bc.closed = true
-	bc.mu.Unlock()
-	if wasClosed {
-		return
-	}
-	if bc.out != nil {
-		close(bc.out)
-	}
-	if bc.ring != nil {
-		bc.ring.close()
-	}
+	bc.ring.close()
 	close(bc.done)
 }
 
@@ -162,59 +107,7 @@ func (bc *bridgeConn) dial(addr string, rng *rand.Rand) net.Conn {
 	}
 }
 
-// writeLoop is the buffered transport's writer: it drains the outbound queue
-// onto a lazily dialed connection, flushing the buffered writer only when no
-// more frames are immediately available (flush-on-idle write coalescing).
-func (bc *bridgeConn) writeLoop(addr string) {
-	var conn net.Conn
-	var bw *bufio.Writer
-	fail := func() {
-		conn.Close()
-		conn, bw = nil, nil
-	}
-	defer func() {
-		if conn != nil {
-			//lint:allow senderr final teardown flush: the bridge is shutting down and has no caller left to surface the error to; undelivered frames are covered by the protocol's retransmission
-			bw.Flush()
-			conn.Close()
-		}
-	}()
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	for frame := range bc.out {
-		if conn == nil {
-			if conn = bc.dial(addr, rng); conn == nil {
-				return
-			}
-			bw = bufio.NewWriterSize(conn, bridgeBufSize)
-		}
-		if err := wire.WriteFrame(bw, frame); err != nil {
-			fail()
-			continue
-		}
-	drain:
-		for {
-			select {
-			case more, ok := <-bc.out:
-				if !ok {
-					return // deferred flush+close
-				}
-				if err := wire.WriteFrame(bw, more); err != nil {
-					fail()
-					break drain
-				}
-			default:
-				break drain
-			}
-		}
-		if conn != nil {
-			if err := bw.Flush(); err != nil {
-				fail()
-			}
-		}
-	}
-}
-
-// drainLoop is the ring transport's writer: woken when the first frame of a
+// drainLoop is the connection's writer: woken when the first frame of a
 // burst lands, it yields one scheduler quantum so the burst's producers can
 // finish (unless the size trigger is already met), swaps the whole ring out,
 // and pushes it to the socket in one vectored write. Frames survive dial backoff
@@ -262,8 +155,7 @@ func (bc *bridgeConn) drainLoop(addr string) {
 }
 
 // NewBridge creates a bridge for router with the given address book and
-// installs itself as the router's remote sender. The ring transport is the
-// default; SetTransport switches before traffic starts.
+// installs itself as the router's remote sender.
 func NewBridge(router *Router, addrs map[msg.NodeID]string) *Bridge {
 	b := &Bridge{
 		router:  router,
@@ -276,14 +168,6 @@ func NewBridge(router *Router, addrs map[msg.NodeID]string) *Bridge {
 	}
 	router.SetRemoteSender(b.send)
 	return b
-}
-
-// SetTransport selects the egress path. Call before the first send; peers
-// already connected keep their transport.
-func (b *Bridge) SetTransport(t Transport) {
-	b.mu.Lock()
-	b.transport = t
-	b.mu.Unlock()
 }
 
 // Listen starts accepting peer connections on addr. Incoming envelopes are
@@ -339,21 +223,14 @@ func (b *Bridge) Addr() net.Addr {
 }
 
 // readLoop injects frames from an accepted peer connection into the router.
-// On the ring transport ingress is batched to match the peer's vectored
-// egress: a ChunkReader consumes a coalesced burst at one read syscall and
-// one chunk allocation instead of two syscalls and an allocation per frame.
+// Ingress is batched to match the peer's vectored egress: a ChunkReader
+// consumes a coalesced burst at one read syscall and one chunk allocation
+// instead of two syscalls and an allocation per frame.
 func (b *Bridge) readLoop(conn net.Conn) {
 	defer conn.Close()
-	b.mu.Lock()
-	transport := b.transport
-	b.mu.Unlock()
-	readFrame := func() ([]byte, error) { return wire.ReadFrame(conn) }
-	if transport == TransportRing {
-		cr := wire.NewChunkReader(conn)
-		readFrame = cr.ReadFrame
-	}
+	cr := wire.NewChunkReader(conn)
 	for {
-		frame, err := readFrame()
+		frame, err := cr.ReadFrame()
 		if err != nil {
 			return
 		}
@@ -378,74 +255,51 @@ func (b *Bridge) send(e *msg.Envelope) {
 		b.mu.Unlock()
 		return
 	}
-	transport := b.transport
 	bc, ok := b.conns[addr]
 	if !ok {
-		bc = &bridgeConn{done: make(chan struct{})}
-		if transport == TransportRing {
-			bc.ring = newSendRing()
-		} else {
-			bc.out = make(chan []byte, bridgeQueueLen)
-		}
+		bc = &bridgeConn{ring: newSendRing(), done: make(chan struct{})}
 		b.conns[addr] = bc
 		b.wg.Add(1)
 		go func() {
 			defer b.wg.Done()
-			if bc.ring != nil {
-				bc.drainLoop(addr)
-			} else {
-				bc.writeLoop(addr)
-			}
+			bc.drainLoop(addr)
 		}()
 	}
 	b.mu.Unlock()
 
-	if bc.ring != nil {
-		// Zero-allocation path: the envelope (frame header included) encodes
-		// into a pooled writer that travels through the ring to the writev
-		// iovec and back to the pool.
-		w := wire.GetWriter()
-		if err := msg.AppendEnvelopeFrame(w, e); err != nil {
-			wire.PutWriter(w)
-			bc.ring.drops.Add(1)
-			return
-		}
-		bc.ring.push(w)
+	// Zero-allocation path: the envelope (frame header included) encodes
+	// into a pooled writer that travels through the ring to the writev
+	// iovec and back to the pool.
+	w := wire.GetWriter()
+	if err := msg.AppendEnvelopeFrame(w, e); err != nil {
+		wire.PutWriter(w)
+		bc.ring.drops.Add(1)
 		return
 	}
-	bc.enqueue(msg.EncodeEnvelope(e))
+	bc.ring.push(w)
 }
 
 // Drops returns, per peer address, how many outbound frames were dropped on
-// queue or ring overflow (the peer was unreachable long enough to fill it).
+// ring overflow (the peer was unreachable long enough to fill it).
 func (b *Bridge) Drops() map[string]uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	out := make(map[string]uint64, len(b.conns))
 	for addr, bc := range b.conns {
-		n := bc.drops.Load()
-		if bc.ring != nil {
-			n += bc.ring.drops.Load()
-		}
-		out[addr] = n
+		out[addr] = bc.ring.drops.Load()
 	}
 	return out
 }
 
-// FlushStats returns, per peer address, the ring transport's flush counters.
-// Peers on the buffered transport report zero.
+// FlushStats returns, per peer address, the send ring's flush counters.
 func (b *Bridge) FlushStats() map[string]RingStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	out := make(map[string]RingStats, len(b.conns))
 	for addr, bc := range b.conns {
-		if bc.ring != nil {
-			out[addr] = RingStats{
-				Flushes: bc.ring.flushes.Load(),
-				Frames:  bc.ring.frames.Load(),
-			}
-		} else {
-			out[addr] = RingStats{}
+		out[addr] = RingStats{
+			Flushes: bc.ring.flushes.Load(),
+			Frames:  bc.ring.frames.Load(),
 		}
 	}
 	return out
@@ -489,14 +343,12 @@ func (b *Bridge) Close() {
 // to the socket. The replica's untrusted connection handling (Section III-C:
 // sockets and worker threads live outside the Troxy) is exactly this.
 //
-// With the ring transport (default), replies are encoded into pooled frames
-// and drained to the client socket by a per-connection goroutine in vectored
-// writes, so the router's handler goroutine never blocks on client I/O. The
-// buffered transport keeps the legacy blocking write in the handler.
+// Replies are encoded into pooled frames and drained to the client socket by
+// a per-connection goroutine in vectored writes, so the router's handler
+// goroutine never blocks on client I/O.
 type Gateway struct {
-	router    *Router
-	replica   msg.NodeID
-	transport Transport
+	router  *Router
+	replica msg.NodeID
 
 	mu     sync.Mutex
 	nextID msg.NodeID
@@ -536,13 +388,6 @@ func NewGateway(router *Router, replica, firstClientID msg.NodeID) *Gateway {
 	}
 }
 
-// SetTransport selects the reply egress path. Call before Serve.
-func (g *Gateway) SetTransport(t Transport) {
-	g.mu.Lock()
-	g.transport = t
-	g.mu.Unlock()
-}
-
 // Serve accepts connections on l until the gateway is closed.
 func (g *Gateway) Serve(l net.Listener) {
 	g.mu.Lock()
@@ -562,7 +407,6 @@ func (g *Gateway) Serve(l net.Listener) {
 		id := g.nextID
 		g.nextID++
 		g.active[conn] = struct{}{}
-		transport := g.transport
 		g.mu.Unlock()
 		g.wg.Add(1)
 		go func() {
@@ -572,17 +416,17 @@ func (g *Gateway) Serve(l net.Listener) {
 				delete(g.active, conn)
 				g.mu.Unlock()
 			}()
-			g.handle(conn, id, transport)
+			g.handle(conn, id)
 		}()
 	}
 }
 
 // gatewayHandler is the per-connection node: it relays ChannelData
-// envelopes from the replica back to the client socket — through the egress
-// ring when one is attached, directly otherwise.
+// envelopes from the replica back to the client socket through the
+// connection's egress ring.
 type gatewayHandler struct {
 	conn net.Conn
-	ring *sendRing // nil on the buffered transport
+	ring *sendRing
 	gw   *Gateway
 }
 
@@ -600,26 +444,16 @@ func (h gatewayHandler) OnEnvelope(env node.Env, e *msg.Envelope) {
 	if !ok {
 		return
 	}
-	if h.ring != nil {
-		w := wire.GetWriter()
-		if err := wire.AppendFramePayload(w, cd.Payload); err != nil {
-			wire.PutWriter(w)
-			h.gw.sendFailures.Add(1)
-			return
-		}
-		if !h.ring.push(w) {
-			n := h.gw.sendFailures.Add(1)
-			env.Logf("realnet: gateway egress ring to %v full (%d dropped total)",
-				h.conn.RemoteAddr(), n)
-		}
+	w := wire.GetWriter()
+	if err := wire.AppendFramePayload(w, cd.Payload); err != nil {
+		wire.PutWriter(w)
+		h.gw.sendFailures.Add(1)
 		return
 	}
-	if err := wire.WriteFrame(h.conn, cd.Payload); err != nil {
-		// Usually the client hung up; the read loop will notice and tear the
-		// connection node down. Count and log the drop either way.
+	if !h.ring.push(w) {
 		n := h.gw.sendFailures.Add(1)
-		env.Logf("realnet: gateway send to %v failed (%d dropped total): %v",
-			h.conn.RemoteAddr(), n, err)
+		env.Logf("realnet: gateway egress ring to %v full (%d dropped total)",
+			h.conn.RemoteAddr(), n)
 	}
 }
 
@@ -656,35 +490,27 @@ func (g *Gateway) drainClient(conn net.Conn, ring *sendRing, done <-chan struct{
 	}
 }
 
-func (g *Gateway) handle(conn net.Conn, id msg.NodeID, transport Transport) {
+func (g *Gateway) handle(conn net.Conn, id msg.NodeID) {
 	defer conn.Close()
-	h := gatewayHandler{conn: conn, gw: g}
-	if transport == TransportRing {
-		ring := newSendRing()
-		done := make(chan struct{})
-		h.ring = ring
-		g.wg.Add(1)
-		go func() {
-			defer g.wg.Done()
-			g.drainClient(conn, ring, done)
-		}()
-		defer func() {
-			close(done)
-			ring.close()
-		}()
-	}
-	g.router.Attach(id, h)
+	ring := newSendRing()
+	done := make(chan struct{})
+	g.wg.Add(1)
+	go func() {
+		defer g.wg.Done()
+		g.drainClient(conn, ring, done)
+	}()
+	defer func() {
+		close(done)
+		ring.close()
+	}()
+	g.router.Attach(id, gatewayHandler{conn: conn, ring: ring, gw: g})
 	defer g.router.Detach(id)
 
-	// Ring ingress mirrors ring egress: batched chunk reads instead of
-	// per-frame syscalls and allocations.
-	readFrame := func() ([]byte, error) { return wire.ReadFrame(conn) }
-	if transport == TransportRing {
-		cr := wire.NewChunkReader(conn)
-		readFrame = cr.ReadFrame
-	}
+	// Ingress mirrors egress: batched chunk reads instead of per-frame
+	// syscalls and allocations.
+	cr := wire.NewChunkReader(conn)
 	for {
-		frame, err := readFrame()
+		frame, err := cr.ReadFrame()
 		if err != nil {
 			return
 		}

@@ -2,6 +2,7 @@ package troxy
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -263,5 +264,52 @@ func TestCacheFootprintAccountedAgainstEPC(t *testing.T) {
 	}
 	if after := encl.Stats().EPCUsed; after >= used {
 		t.Errorf("EPC not released on invalidation: %d -> %d", used, after)
+	}
+}
+
+// TestStatsCodecCoversEveryField sets every numeric field of Stats (and the
+// nested CacheStats) to a distinct value by reflection, so a counter added
+// to either struct without reaching Stats.wireFields fails here instead of
+// reading back as zero on the untrusted side. It also pins the bytes: one
+// little-endian uint64 per field, in declaration order — the format the
+// simulator charges for by length and bench/ reads through ECallStats.
+func TestStatsCodecCoversEveryField(t *testing.T) {
+	var s Stats
+	var want []byte
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			n := uint64(len(want)/8 + 1)
+			switch f.Kind() {
+			case reflect.Struct:
+				fill(f)
+				continue
+			case reflect.Uint64:
+				f.SetUint(n)
+			case reflect.Int, reflect.Int64:
+				f.SetInt(int64(n))
+			default:
+				t.Fatalf("field %s has kind %s; teach the stats codec and this test about it",
+					v.Type().Field(i).Name, f.Kind())
+			}
+			want = binary.LittleEndian.AppendUint64(want, n)
+		}
+	}
+	fill(reflect.ValueOf(&s).Elem())
+
+	enc := encodeStats(s)
+	if !bytes.Equal(enc, want) {
+		t.Fatalf("encoded stats = %x\nwant one LE uint64 per field in declaration order = %x", enc, want)
+	}
+	got, err := decodeStats(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != s {
+		t.Errorf("round trip lost a field:\n got %+v\nwant %+v", got, s)
+	}
+	if _, err := decodeStats(enc[:len(enc)-1]); err == nil {
+		t.Error("truncated stats decoded without error")
 	}
 }

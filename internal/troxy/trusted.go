@@ -382,38 +382,41 @@ func decodeActions(b []byte) (Actions, error) {
 	return a, nil
 }
 
-func encodeStats(s Stats) []byte {
-	w := wire.NewWriter(160)
-	for _, v := range []uint64{
-		s.Handshakes, s.Requests, s.Reads, s.Writes,
-		s.FastReadOK, s.FastReadFell, s.CacheMisses, s.VotesCompleted,
-		s.BadReplies, s.BadQueries, s.ModeSwitches, s.StaleFreshRead,
-		s.SpecAnswered, s.SpecConfirmed, s.SpecRetracted, s.SpecMismatches,
-		s.Cache.Hits, s.Cache.Misses, s.Cache.Invalidations, s.Cache.Evictions,
-		uint64(s.Cache.Entries), uint64(s.Cache.UsedBytes),
-	} {
-		w.U64(v)
+// wireFields is the one table of Stats' wire format: the counters in the
+// order they cross the ECallStats boundary. encodeStats and decodeStats both
+// walk it. The two cache gauges are not uint64 in the struct, so they travel
+// through entries/usedBytes and the callers convert at the edges.
+func (s *Stats) wireFields(entries, usedBytes *uint64) []*uint64 {
+	return []*uint64{
+		&s.Handshakes, &s.Requests, &s.Reads, &s.Writes,
+		&s.FastReadOK, &s.FastReadFell, &s.CacheMisses, &s.VotesCompleted,
+		&s.BadReplies, &s.BadQueries, &s.ModeSwitches, &s.StaleFreshRead,
+		&s.SpecAnswered, &s.SpecConfirmed, &s.SpecRetracted, &s.SpecMismatches,
+		&s.Cache.Hits, &s.Cache.Misses, &s.Cache.Invalidations, &s.Cache.Evictions,
+		entries, usedBytes,
 	}
-	out := make([]byte, w.Len())
-	copy(out, w.Bytes())
-	return out
+}
+
+func encodeStats(s Stats) []byte {
+	entries, usedBytes := uint64(s.Cache.Entries), uint64(s.Cache.UsedBytes)
+	fields := s.wireFields(&entries, &usedBytes)
+	w := wire.NewWriter(8 * len(fields))
+	for _, f := range fields {
+		w.U64(*f)
+	}
+	return w.Bytes()
 }
 
 func decodeStats(b []byte) (Stats, error) {
-	r := wire.NewReader(b)
 	var s Stats
-	vals := make([]uint64, 22)
-	for i := range vals {
-		vals[i] = r.U64()
+	var entries, usedBytes uint64
+	r := wire.NewReader(b)
+	for _, f := range s.wireFields(&entries, &usedBytes) {
+		*f = r.U64()
 	}
 	if err := r.Finish(); err != nil {
-		return s, err
+		return Stats{}, err
 	}
-	s.Handshakes, s.Requests, s.Reads, s.Writes = vals[0], vals[1], vals[2], vals[3]
-	s.FastReadOK, s.FastReadFell, s.CacheMisses, s.VotesCompleted = vals[4], vals[5], vals[6], vals[7]
-	s.BadReplies, s.BadQueries, s.ModeSwitches, s.StaleFreshRead = vals[8], vals[9], vals[10], vals[11]
-	s.SpecAnswered, s.SpecConfirmed, s.SpecRetracted, s.SpecMismatches = vals[12], vals[13], vals[14], vals[15]
-	s.Cache.Hits, s.Cache.Misses, s.Cache.Invalidations, s.Cache.Evictions = vals[16], vals[17], vals[18], vals[19]
-	s.Cache.Entries, s.Cache.UsedBytes = int(vals[20]), int64(vals[21])
+	s.Cache.Entries, s.Cache.UsedBytes = int(entries), int64(usedBytes)
 	return s, nil
 }
