@@ -70,15 +70,17 @@ bench:
 
 # bench-quick is the allocation gate (run in CI on every push/PR): the encode
 # hot-path benchmarks in internal/msg, dominated by BenchmarkAppendEnvelopeFrame,
-# which fails itself if the pooled frame-encode path allocates at all, and
-# BenchmarkStoreCheckpoint in internal/app, which fails itself if a checkpoint
+# which fails itself if the pooled frame-encode path allocates at all, and in
+# internal/app BenchmarkStoreCheckpoint, which fails itself if a checkpoint
 # interval at a fixed dirty set allocates in proportion to the state or costs
-# more than twice as much on 256 MiB of state as on 1 MiB. The benchtimes are
+# more than twice as much on 256 MiB of state as on 1 MiB, and
+# BenchmarkStoreFork, which fails itself if forking the store (the speculation
+# shadow's re-anchor) allocates more than 64 bytes an entry. The benchtimes are
 # short because the gates are those assertions, not ns/op — timing numbers
 # for the record live in EXPERIMENTS.md.
 bench-quick:
 	$(GO) test -run xxx -bench 'Encode|AppendEnvelopeFrame|BatchDigest' -benchmem -benchtime 1000x ./internal/msg/
-	$(GO) test -run xxx -bench 'StoreCheckpoint' -benchmem -benchtime 20x ./internal/app/
+	$(GO) test -run xxx -bench 'StoreCheckpoint|StoreFork' -benchmem -benchtime 20x ./internal/app/
 
 # bench-check compiles and unit-tests the wall-clock benchmark, which is its
 # own Go module (bench/go.mod replaces this one) and so is invisible to

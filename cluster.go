@@ -135,12 +135,12 @@ type ClusterConfig struct {
 	FullCacheReplies bool
 
 	// CommitLevels enables the tunable-commit-level fast path: each replica
-	// gets a second application instance (from the same App factory) as a
-	// speculative shadow, and requests flagged fast (the FlagFastCommit
-	// request flag, or the X-Troxy-Consistency: fast HTTP header) are
-	// answered at PREPARE time with f+1 counter-certified speculative votes.
-	// Requires a Troxy mode (the baseline's BFT clients vote over durable
-	// replies only).
+	// executes prepared requests ahead of commitment on a fork of its
+	// application (App must produce an app.Forker), and requests flagged fast
+	// (the FlagFastCommit request flag, or the X-Troxy-Consistency: fast HTTP
+	// header) are answered at PREPARE time with f+1 counter-certified
+	// speculative votes. No effect in Baseline mode (its BFT clients vote
+	// over durable replies only).
 	CommitLevels bool
 }
 
@@ -279,9 +279,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 
 		application := cfg.App()
 		cl.apps = append(cl.apps, application)
-		var shadow app.Application
-		if cfg.CommitLevels && cfg.Mode != Baseline {
-			shadow = cfg.App()
+		speculate := cfg.CommitLevels && cfg.Mode != Baseline
+		if _, ok := application.(app.Forker); speculate && !ok {
+			return nil, fmt.Errorf("troxy: CommitLevels needs an application that implements app.Forker, not %T", application)
 		}
 		rep := replica.New(replica.Config{
 			Self: self,
@@ -299,7 +299,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 				Profile:            node.ProfileJava,
 				Authority:          authority,
 				App:                application,
-				SpecShadow:         shadow,
+				Speculate:          speculate,
 			},
 			Directory:    dir,
 			Proxy:        proxy,

@@ -432,4 +432,29 @@ func TestNewClusterValidation(t *testing.T) {
 	if _, err := NewCluster(ClusterConfig{}); err == nil {
 		t.Error("missing app factory accepted")
 	}
+	// Embedding the interface hides Store's Fork.
+	type unforkable struct{ app.Application }
+	noFork := func() app.Application { return unforkable{app.NewStore()} }
+	if _, err := NewCluster(ClusterConfig{App: noFork, CommitLevels: true}); err == nil {
+		t.Error("CommitLevels accepted with an application that cannot fork")
+	}
+	if _, err := NewCluster(ClusterConfig{App: noFork}); err != nil {
+		t.Errorf("an application that cannot fork refused without CommitLevels: %v", err)
+	}
+}
+
+// Speculation runs on a fork of each replica's one application: the factory
+// is asked for N instances, not for a second one per replica.
+func TestCommitLevelsBuildsOneApplicationPerReplica(t *testing.T) {
+	calls := 0
+	cl, err := NewCluster(ClusterConfig{
+		App:          func() app.Application { calls++; return app.NewStore() },
+		CommitLevels: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != cl.Config.N {
+		t.Errorf("App factory called %d times for %d replicas", calls, cl.Config.N)
+	}
 }

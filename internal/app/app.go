@@ -43,6 +43,15 @@ type Application interface {
 	Restore(snapshot []byte) error
 }
 
+// Forker is implemented by applications that can hand out an independent
+// copy of their current state without serializing it; the speculative commit
+// tier executes on one and replaces it when the speculation is invalidated.
+type Forker interface {
+	// Fork returns an application holding the receiver's current state.
+	// Operations executed on either afterwards are invisible to the other.
+	Fork() Application
+}
+
 // Factory creates a fresh application instance for one replica.
 type Factory func() Application
 

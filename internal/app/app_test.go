@@ -241,6 +241,45 @@ func TestPagesSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// A fork starts from the state it was taken in and shares nothing a later
+// write on either side could reach. (Store's fork, which does share until
+// then, has its property tests in checkpoint_test.go.)
+func TestBenchAndPagesForksAreIndependent(t *testing.T) {
+	pages := NewPages()
+	pages.Execute(PagePost("/a", []byte("alpha")))
+	bench := NewBench(64)
+	bench.Execute(BenchWrite(1, 16))
+	for _, tc := range []struct {
+		name       string
+		a          Application
+		write, own []byte
+	}{
+		{"pages", pages, PagePost("/a", []byte("beta")), PagePost("/b", []byte("fork only"))},
+		{"bench", bench, BenchWrite(2, 16), BenchWrite(3, 16)},
+	} {
+		before := tc.a.Snapshot()
+		fork := tc.a.(Forker).Fork()
+		tc.a.Execute(tc.write)
+		after := tc.a.Snapshot()
+		if bytes.Equal(after, before) {
+			t.Fatalf("%s: the write changed nothing (test is vacuous)", tc.name)
+		}
+		if !bytes.Equal(fork.Snapshot(), before) {
+			t.Errorf("%s: a write to the original shows in the fork", tc.name)
+		}
+		fork.Execute(tc.own)
+		if !bytes.Equal(tc.a.Snapshot(), after) {
+			t.Errorf("%s: a write to the fork shows in the original", tc.name)
+		}
+		if bytes.Equal(fork.Snapshot(), before) {
+			t.Errorf("%s: the fork does not execute", tc.name)
+		}
+	}
+	if fork := bench.Fork().(*Bench); fork.ReplySize != bench.ReplySize {
+		t.Errorf("bench fork replies with %d bytes, original with %d", fork.ReplySize, bench.ReplySize)
+	}
+}
+
 func TestQuickStorePutGet(t *testing.T) {
 	f := func(keyRaw, value string) bool {
 		key := "k" + sanitize(keyRaw)

@@ -55,6 +55,7 @@ func NewBenchFactory(replySize int) Factory {
 }
 
 var _ Application = (*Bench)(nil)
+var _ Forker = (*Bench)(nil)
 
 // BenchRead builds a read operation for key, padded to requestSize bytes.
 func BenchRead(key uint64, requestSize int) []byte {
@@ -155,6 +156,9 @@ func (b *Bench) Restore(snapshot []byte) error {
 	b.version = version
 	return nil
 }
+
+// Fork implements Forker.
+func (b *Bench) Fork() Application { f := *b; return &f }
 
 // Version returns the current service-state version (for tests).
 func (b *Bench) Version() uint64 { return b.version }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -55,8 +56,9 @@ func restoredFrom(t testing.TB, dst Application, cp Checkpoint) Application {
 // The checkpoint contract's central property: the layout depends on the
 // contents only. Stores that reach the same contents through different
 // histories — different operation orders, keys deleted and put back, values
-// overwritten on the way, checkpoints cut in between — and a store restored
-// from the chunks all cut the same checkpoint.
+// overwritten on the way, checkpoints cut in between, the history continued
+// on a fork or beside one that is written to — and a store restored from the
+// chunks all cut the same checkpoint.
 func TestStoreCheckpointDependsOnContentsOnly(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -86,6 +88,20 @@ func TestStoreCheckpointDependsOnContentsOnly(t *testing.T) {
 					}
 					if i%50 == 7 {
 						s.Checkpoint(chunkSize) // caches digests, shares shards
+					}
+					if i%50 == 31 {
+						// Go on with the fork or with the original; what the
+						// other one is given must not show.
+						other := s.Fork().(*Store)
+						if rng.Intn(2) == 0 {
+							s, other = other, s
+						}
+						for _, j := range rng.Perm(len(keys))[:min(len(keys), 20)] {
+							other.Execute([]byte("PUT " + keys[j] + " stray"))
+							other.Execute([]byte("DEL " + keys[(j+1)%len(keys)]))
+							other.Execute([]byte("PUT stray-" + keys[j] + " x"))
+						}
+						other.Checkpoint(chunkSize)
 					}
 				}
 				s.Execute([]byte("PUT " + k + " " + final[k]))
@@ -126,7 +142,8 @@ func TestStoreCheckpointDependsOnContentsOnly(t *testing.T) {
 
 // A checkpoint is an immutable view: it keeps serving exactly the bytes it
 // was cut from while later intervals of writes — overwrites, deletes, keys
-// deleted and put back, new keys — and later checkpoints hit the live store.
+// deleted and put back, new keys — and later checkpoints hit the live store
+// and the forks taken from it.
 func TestStoreCheckpointStaysStable(t *testing.T) {
 	const chunkSize = 256
 	s := populatedStore(t, 500)
@@ -139,11 +156,16 @@ func TestStoreCheckpointStaysStable(t *testing.T) {
 	}
 
 	for interval := 0; interval < 3; interval++ {
+		fork := s.Fork().(*Store)
 		for i := 0; i < 500; i += 1 + interval {
 			k := fmt.Sprintf("key-%04d", i)
 			s.Execute([]byte("PUT " + k + " overwritten-" + fmt.Sprint(interval)))
 			if i%3 == 0 {
 				s.Execute([]byte("DEL " + k))
+			}
+			if i%4 == interval {
+				fork.Execute([]byte("PUT " + k + " forked-" + fmt.Sprint(interval)))
+				fork.Execute([]byte(fmt.Sprintf("DEL key-%04d", i+1)))
 			}
 			if i%6 == 0 {
 				s.Execute([]byte("PUT " + k + " back-" + fmt.Sprint(interval)))
@@ -151,6 +173,7 @@ func TestStoreCheckpointStaysStable(t *testing.T) {
 			s.Execute([]byte(fmt.Sprintf("PUT new-%d-%d v", interval, i)))
 		}
 		s.Checkpoint(chunkSize)
+		fork.Checkpoint(chunkSize)
 
 		if got := layoutDigest(t, cp); got != want {
 			t.Fatalf("interval %d: retained checkpoint changed", interval)
@@ -166,6 +189,47 @@ func TestStoreCheckpointStaysStable(t *testing.T) {
 	}
 	if bytes.Equal(s.Snapshot(), frozen) {
 		t.Fatal("the live store did not change (test is vacuous)")
+	}
+}
+
+// Forks are independent: over random interleavings of writes, deletes, forks
+// and checkpoints in a family of stores forked from one another, every store
+// holds exactly what was executed on it and on its ancestors before they
+// parted.
+func TestStoreForkIsolation(t *testing.T) {
+	type member struct {
+		s     *Store
+		model map[string]string
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		family := []member{{NewStore(), map[string]string{}}}
+		for step := 0; step < 1500; step++ {
+			m := family[rng.Intn(len(family))]
+			key := fmt.Sprintf("key-%d", rng.Intn(150))
+			switch r := rng.Intn(100); {
+			case r < 60:
+				value := fmt.Sprintf("v%d-%d", seed, step)
+				m.s.Execute([]byte("PUT " + key + " " + value))
+				m.model[key] = value
+			case r < 90:
+				m.s.Execute([]byte("DEL " + key))
+				delete(m.model, key)
+			case r < 95:
+				m.s.Checkpoint(128) // shares the shards once more
+			case len(family) < 8:
+				family = append(family, member{m.s.Fork().(*Store), maps.Clone(m.model)})
+			}
+		}
+		for i, m := range family {
+			fresh := NewStore()
+			for k, v := range m.model {
+				fresh.Execute([]byte("PUT " + k + " " + v))
+			}
+			if !bytes.Equal(m.s.Snapshot(), fresh.Snapshot()) {
+				t.Fatalf("seed %d: store %d of %d does not hold what was executed on it", seed, i, len(family))
+			}
+		}
 	}
 }
 
@@ -270,6 +334,51 @@ func TestChunkDigestRejectsMalformedChunks(t *testing.T) {
 	}
 }
 
+// ballastStore returns a store holding state bytes of entries with the given
+// value.
+func ballastStore(state int, value string) *Store {
+	s := NewStore()
+	for i := 0; i < state/len(value); i++ {
+		s.put(fmt.Sprintf("e%07d", i), value)
+	}
+	return s
+}
+
+// BenchmarkStoreFork measures a fork — what re-anchoring the speculation
+// shadow costs on every view install, state-transfer install and divergence
+// — of 1 MiB to 256 MiB of checkpointed 4 KiB entries. The benchmark fails
+// itself if a fork copies state: it may allocate at most 64 bytes an entry
+// (the hashes and digests are 36) and at most 1/64 of the state's bytes. As
+// in BenchmarkStoreCheckpoint the gate starts at 32 MiB: 1 MiB is 256
+// entries, and the 7 KiB Store header alone is 28 bytes for each of them.
+func BenchmarkStoreFork(b *testing.B) {
+	const valueSize, chunkSize = 4 << 10, 64 << 10
+	value := string(bytes.Repeat([]byte{'v'}, valueSize))
+	for _, state := range []int{1 << 20, 32 << 20, 256 << 20} {
+		s := ballastStore(state, value)
+		s.Checkpoint(chunkSize)
+		b.Run(fmt.Sprintf("state=%dMiB", state>>20), func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				forkSink = s.Fork()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			perFork := (after.TotalAlloc - before.TotalAlloc) / uint64(b.N)
+			if limit := uint64(min(64*s.Len(), state/64)); perFork > limit && state >= 32<<20 {
+				b.Fatalf("%d MiB of state in %d entries: a fork allocates %d bytes, more than %d", state>>20, s.Len(), perFork, limit)
+			}
+		})
+	}
+}
+
+// forkSink keeps the compiler from discarding the measured call.
+var forkSink Application
+
 // BenchmarkStoreCheckpoint measures what one checkpoint interval costs the
 // store at a fixed dirty set — 2 048 writes of 4 KiB between two cuts, the
 // write_bigstate shape — as the clean state under it grows from 1 MiB to
@@ -301,10 +410,7 @@ func BenchmarkStoreCheckpoint(b *testing.B) {
 	states := []int{1 << 20, 32 << 20, 256 << 20}
 	stores := make([]*Store, len(states))
 	for si, state := range states {
-		s := NewStore()
-		for i := 0; i < state/valueSize; i++ {
-			s.put(fmt.Sprintf("e%07d", i), value)
-		}
+		s := ballastStore(state, value)
 		interval(s) // hashes everything, once
 		stores[si] = s
 

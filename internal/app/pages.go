@@ -2,6 +2,7 @@ package app
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"github.com/troxy-bft/troxy/internal/wire"
@@ -39,6 +40,7 @@ func NewPagesFactory(initial map[string][]byte) Factory {
 }
 
 var _ Application = (*Pages)(nil)
+var _ Forker = (*Pages)(nil)
 
 // PageGet encodes a GET operation.
 func PageGet(path string) []byte {
@@ -166,6 +168,10 @@ func (p *Pages) Restore(snapshot []byte) error {
 	p.pages = pages
 	return nil
 }
+
+// Fork implements Forker. A page's content is replaced by a POST, never
+// written into, so the fork shares the contents and copies only the index.
+func (p *Pages) Fork() Application { return &Pages{pages: maps.Clone(p.pages)} }
 
 // Len returns the number of stored pages.
 func (p *Pages) Len() int { return len(p.pages) }

@@ -68,6 +68,7 @@ func NewStoreFactory() Factory {
 }
 
 var _ Application = (*Store)(nil)
+var _ Forker = (*Store)(nil)
 
 // keyHash is FNV-1a through the murmur3 finalizer (on its own FNV spreads
 // sequentially named keys over the shards unevenly, 2 to 42 of 1 024). Its
@@ -120,6 +121,22 @@ func (sh *storeShard) own() {
 		sh.shared = false
 	}
 	sh.dirty = true
+}
+
+// Fork implements Forker. Fork and store share every shard's entries the
+// way a checkpoint and the store do, each cloning a shard before its first
+// write to it; only the per-entry hashes and digests (36 bytes an entry),
+// which are updated in place, are copied. The fork cuts its first
+// checkpoint's chunk tables from those digests without hashing an entry.
+func (s *Store) Fork() Application {
+	f := &Store{}
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.shared = true
+		f.shards[i] = storeShard{entries: sh.entries, shared: true, dirty: true,
+			hashes: slices.Clone(sh.hashes), digests: slices.Clone(sh.digests)}
+	}
+	return f
 }
 
 func (s *Store) get(key string) (string, bool) {

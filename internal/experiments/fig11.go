@@ -3,6 +3,7 @@ package experiments
 import (
 	"crypto/ed25519"
 	"fmt"
+	"slices"
 	"time"
 
 	root "github.com/troxy-bft/troxy"
@@ -64,6 +65,9 @@ func httpPages() (map[string][]byte, []string) {
 		pages[path] = body
 		paths = append(paths, path)
 	}
+	// The workload draws an index into paths: map order would give every
+	// run of one seed other page sizes.
+	slices.Sort(paths)
 	return pages, paths
 }
 

@@ -67,6 +67,9 @@ type microResult struct {
 
 	// Baseline client counters.
 	directOK, conflicts uint64
+
+	// net is the simulator's delivery counters at the end of the run.
+	net simnet.Stats
 }
 
 // conflictRate returns the fraction of optimized reads that had to be
@@ -204,7 +207,7 @@ func runMicro(cfg microConfig) microResult {
 	net.Run(cfg.warmup + cfg.measure)
 	rec.End(net.Now())
 
-	res := microResult{Result: rec.Snapshot(net.Now())}
+	res := microResult{Result: rec.Snapshot(net.Now()), net: net.Stats()}
 	for i := range cluster.Replicas {
 		ts := cluster.TroxyStats(i)
 		res.fastOK += ts.FastReadOK

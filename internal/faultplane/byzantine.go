@@ -227,6 +227,7 @@ type WrongExec struct {
 }
 
 var _ app.Application = (*WrongExec)(nil)
+var _ app.Forker = (*WrongExec)(nil)
 
 // Execute implements app.Application, corrupting the result.
 func (w *WrongExec) Execute(op []byte) []byte {
@@ -244,3 +245,8 @@ func (w *WrongExec) Snapshot() []byte { return w.Inner.Snapshot() }
 
 // Restore implements app.Application.
 func (w *WrongExec) Restore(snap []byte) error { return w.Inner.Restore(snap) }
+
+// Fork implements app.Forker (Inner must too): the fork executes as wrongly.
+func (w *WrongExec) Fork() app.Application {
+	return &WrongExec{Inner: w.Inner.(app.Forker).Fork(), Marker: w.Marker}
+}

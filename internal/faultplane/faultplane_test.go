@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/troxy-bft/troxy/internal/app"
 	"github.com/troxy-bft/troxy/internal/faultplane"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/node"
@@ -251,5 +252,21 @@ func TestCheckLinearizableLongHistory(t *testing.T) {
 	hist[61].Result = []byte("VALUE v13")
 	if err := faultplane.CheckLinearizable(hist); err == nil {
 		t.Fatal("stale read at the end of a 62-op history accepted")
+	}
+}
+
+// A fork of a wrongly executing application executes as wrongly, on a state
+// of its own.
+func TestWrongExecFork(t *testing.T) {
+	w := &faultplane.WrongExec{Inner: app.NewStore(), Marker: "!"}
+	w.Execute([]byte("PUT k before"))
+	fork := w.Fork()
+	w.Execute([]byte("PUT k original"))
+	if got := string(fork.Execute([]byte("GET k"))); got != "VALUE before!" {
+		t.Errorf("fork read %q, want the state it was taken in, marked", got)
+	}
+	fork.Execute([]byte("PUT k fork"))
+	if got := string(w.Execute([]byte("GET k"))); got != "VALUE original!" {
+		t.Errorf("original read %q after a write to the fork", got)
 	}
 }

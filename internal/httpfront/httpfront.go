@@ -150,6 +150,7 @@ func NewAppFactory(initial map[string][]byte) app.Factory {
 }
 
 var _ app.Application = (*App)(nil)
+var _ app.Forker = (*App)(nil)
 
 // Execute implements app.Application: it serves one raw HTTP request.
 func (a *App) Execute(op []byte) []byte {
@@ -207,3 +208,6 @@ func (a *App) Snapshot() []byte { return a.pages.Snapshot() }
 
 // Restore implements app.Application.
 func (a *App) Restore(snapshot []byte) error { return a.pages.Restore(snapshot) }
+
+// Fork implements app.Forker.
+func (a *App) Fork() app.Application { return NewApp(a.pages.Fork().(*app.Pages)) }

@@ -195,6 +195,23 @@ func TestAppSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+func TestAppForkIsIndependent(t *testing.T) {
+	a := newTestApp()
+	before := a.Snapshot()
+	fork := a.Fork()
+	a.Execute(post("/index.html", "original only"))
+	after := a.Snapshot()
+	if !bytes.Equal(fork.Snapshot(), before) {
+		t.Error("a POST to the original shows in the fork")
+	}
+	if res := string(fork.Execute(post("/fork", "fork only"))); !strings.HasPrefix(res, "HTTP/1.1 200") {
+		t.Errorf("the fork does not serve HTTP: %q", res)
+	}
+	if !bytes.Equal(a.Snapshot(), after) {
+		t.Error("a POST to the fork shows in the original")
+	}
+}
+
 func TestQuickExtractNeverPanics(t *testing.T) {
 	f := func(b []byte) bool {
 		_, n, err := ExtractRequest(b)

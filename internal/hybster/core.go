@@ -95,16 +95,12 @@ type Config struct {
 	// App is the replicated application.
 	App app.Application
 
-	// SpecShadow, when non-nil, enables the speculative crash-commit fast
-	// path (spec.go): the contiguous prepared-but-uncommitted log prefix is
-	// executed against this shadow instance ahead of durable commitment, and
+	// Speculate enables the speculative crash-commit fast path (spec.go):
+	// the contiguous prepared-but-uncommitted log prefix is executed ahead of
+	// durable commitment on a fork of App (which must be an app.Forker), and
 	// requests flagged msg.FlagFastCommit are answered from it with this
-	// replica's PREPARE-round counter certificate attached. The shadow must
-	// be a fresh instance of the same application type as App — it is
-	// re-anchored from App's snapshot whenever a view change, state
-	// transfer, or execution divergence invalidates the speculation. Nil
-	// (the default) disables the fast path.
-	SpecShadow app.Application
+	// replica's PREPARE-round counter certificate attached.
+	Speculate bool
 
 	// SnapshotChunkSize bounds a chunk of a checkpoint snapshot and of
 	// state transfer, in bytes: a chunk is a run of whole records and only
@@ -350,20 +346,20 @@ type Core struct {
 	// when idle.
 	fetch *stateFetch
 
-	// Speculative fast path (spec.go). specExec is the shadow execution
-	// frontier (always >= lastExec); specLog maps each speculated slot to
-	// the batch digest the shadow ran there, checked against the durable
-	// batch at execution time; specClients is the shadow's dedup table;
-	// specOut tracks fast-answered requests not yet durably settled, so a
-	// rollback knows what to retract. specStale marks a detected divergence
-	// for rollback once the current execution run completes; specBroken
-	// permanently disables the fast path after a shadow restore failure.
+	// Speculative fast path (spec.go). shadow is the fork of cfg.App that
+	// speculation executes on (nil: fast path off) and specExec its
+	// execution frontier (always >= lastExec); specLog maps each speculated
+	// slot to the batch digest the shadow ran there, checked against the
+	// durable batch at execution time; specClients is the shadow's dedup
+	// table; specOut tracks fast-answered requests not yet durably settled,
+	// so a rollback knows what to retract. specStale marks a detected
+	// divergence for rollback once the current execution run completes.
+	shadow      app.Application
 	specExec    uint64
 	specLog     map[uint64]msg.Digest
 	specClients map[uint64]uint64
 	specOut     map[specKey]*specRecord
 	specStale   bool
-	specBroken  bool
 
 	metrics Metrics
 
@@ -426,6 +422,9 @@ func New(cfg Config, out Outbound) *Core {
 		specLog:         make(map[uint64]msg.Digest),
 		specClients:     make(map[uint64]uint64),
 		specOut:         make(map[specKey]*specRecord),
+	}
+	if cfg.Speculate {
+		c.shadow = cfg.App.(app.Forker).Fork()
 	}
 	c.resetContinuity(1)
 	return c
@@ -1104,7 +1103,7 @@ func (c *Core) execute(env node.Env, e *entry) {
 	// durable path overtook the shadow (a batch can commit in the same
 	// handler invocation that accepted it), the executed requests below are
 	// replayed into the shadow so it stays a superset of the durable prefix.
-	specCatchup := c.specEnabled() && e.seq > c.specExec
+	specCatchup := c.shadow != nil && e.seq > c.specExec
 	if d, ok := c.specLog[e.seq]; ok {
 		delete(c.specLog, e.seq)
 		if d != e.digest {
@@ -1146,7 +1145,7 @@ func (c *Core) execute(env node.Env, e *entry) {
 			// Mirror into the shadow: at this point specExec == lastExec-1,
 			// so the shadow state and dedup table are identical to the
 			// durable ones and the same skip decisions were made above.
-			c.cfg.SpecShadow.Execute(req.Op)
+			c.shadow.Execute(req.Op)
 			c.specClients[req.Client] = req.ClientSeq
 		}
 

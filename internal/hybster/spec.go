@@ -3,6 +3,7 @@ package hybster
 import (
 	"sort"
 
+	"github.com/troxy-bft/troxy/internal/app"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/node"
 )
@@ -14,30 +15,33 @@ import (
 // instead of f+1 durable execution replies. To produce that answer without
 // touching the durable application state, each replica runs the contiguous
 // *prepared* prefix of its log — entries holding a verified PREPARE but not
-// necessarily a commit quorum — against a shadow application instance
-// (Config.SpecShadow) and emits a SpecReply per fast-flagged request, carrying
-// the certificate it already holds for the batch: the leader's own PREPARE
-// certificate, or the follower's COMMIT certificate minted when it accepted
-// the PREPARE. Both bind (view, seq, batchDigest) through the trusted
-// counter, so f+1 of them prove f+1 replicas adopted this batch at this slot
-// — a crash-commit: it survives any combination of crashes (the quorum
-// intersects every later view-change quorum in at least one replica), but a
-// Byzantine replica inside the intersection can still make the view change
-// drop it.
+// necessarily a commit quorum — against the shadow, a copy-on-write fork of
+// the durable application (app.Forker; Config.Speculate turns it on), and
+// emits a SpecReply per fast-flagged request, carrying the certificate it
+// already holds for the batch: the leader's own PREPARE certificate, or the
+// follower's COMMIT certificate minted when it accepted the PREPARE. Both
+// bind (view, seq, batchDigest) through the trusted counter, so f+1 of them
+// prove f+1 replicas adopted this batch at this slot — a crash-commit: it
+// survives any combination of crashes (the quorum intersects every later
+// view-change quorum in at least one replica), but a Byzantine replica
+// inside the intersection can still make the view change drop it.
 //
 // When that happens — or whenever the speculated prefix stops matching the
-// durable one — the shadow is rolled back: it is restored from the durable
-// application's own snapshot (the durable prefix is, by definition, the
-// certified anchor), the speculative client table is rebuilt from the durable
-// one, and every outstanding speculation is retracted so the origin's Troxy
-// can tell its client the fast answer was withdrawn before the durable repair
-// arrives. Rollback triggers are view installation (the new view may drop or
-// reorder prepared entries), state-transfer installs (the shadow's history is
-// unrelated to the jumped-to state), and execution-time divergence (the
-// durable batch at a slot differs from the one speculated there).
+// durable one — the shadow is rolled back: it is dropped and the durable
+// application forked again (the durable prefix is, by definition, the
+// certified anchor; a fork copies no key or value, so a large state does not
+// stall the view-change handler), the speculative client table is rebuilt
+// from the durable one, and every outstanding speculation is retracted so the
+// origin's Troxy can tell its client the fast answer was withdrawn before the
+// durable repair arrives. Rollback triggers are view installation (the new
+// view may drop or reorder prepared entries), state-transfer installs (the
+// shadow's history is unrelated to the jumped-to state), and execution-time
+// divergence (the durable batch at a slot differs from the one speculated
+// there).
 //
 // The shadow never feeds back into agreement: durable execution, checkpoints,
-// and state transfer read Config.App only, so a speculation bug can produce a
+// and state transfer read Config.App only, and a fork's writes are invisible
+// to the application it was forked from, so a speculation bug can produce a
 // wrong *fast* answer (later retracted and repaired) but never a wrong
 // durable one.
 
@@ -80,9 +84,6 @@ type specRecord struct {
 	req    *msg.OrderRequest
 }
 
-// specEnabled reports whether the fast path is active.
-func (c *Core) specEnabled() bool { return c.cfg.SpecShadow != nil && !c.specBroken }
-
 // SpecFrontier returns the highest sequence number executed against the
 // shadow (>= LastExecuted; equal when speculation is disabled or fully
 // rolled back).
@@ -94,7 +95,7 @@ func (c *Core) SpecFrontier() uint64 { return c.specExec }
 // *before* the corresponding durable commit attempt, so the fast answer for
 // an entry is emitted no later than its durable one.
 func (c *Core) advanceSpec(env node.Env) {
-	if !c.specEnabled() || c.inVC {
+	if c.shadow == nil || c.inVC {
 		return
 	}
 	for {
@@ -124,7 +125,7 @@ func (c *Core) speculate(env node.Env, e *entry) {
 		if last, ok := c.specClients[req.Client]; ok && req.ClientSeq <= last {
 			continue // duplicate under the speculated history
 		}
-		result := c.cfg.SpecShadow.Execute(req.Op)
+		result := c.shadow.Execute(req.Op)
 		env.Charge(c.cfg.Profile, node.ChargeExec, len(req.Op)+len(result))
 		c.specClients[req.Client] = req.ClientSeq
 		if !req.FastCommit() || req.Origin == msg.NoNode {
@@ -182,16 +183,16 @@ func (c *Core) settleSpec(req *msg.OrderRequest) {
 }
 
 // rollbackSpec rewinds the shadow onto the durable prefix: retract every
-// outstanding speculation, restore the shadow from the durable application's
-// snapshot (the certified anchor — everything at or below lastExec carries a
-// commit quorum or a stable checkpoint), rebuild the speculative client
+// outstanding speculation, replace the shadow with a new fork of the durable
+// application (the certified anchor — everything at or below lastExec carries
+// a commit quorum or a stable checkpoint), rebuild the speculative client
 // table from the durable one, and re-advance over whatever prepared prefix
 // survived. Retraction is conservative: a speculation whose batch survives
 // the view change intact is retracted anyway and the client repaired by the
 // durable reply — cheap, and it keeps the retraction rule independent of
 // *why* the prefix changed.
 func (c *Core) rollbackSpec(env node.Env) {
-	if !c.specEnabled() {
+	if c.shadow == nil {
 		return
 	}
 	c.metrics.SpecRollbacks++
@@ -214,17 +215,7 @@ func (c *Core) rollbackSpec(env node.Env) {
 			so.Retracted(env, rec.seq, rec.req, rec.view)
 		}
 	}
-	if err := c.cfg.SpecShadow.Restore(c.cfg.App.Snapshot()); err != nil {
-		// The shadow cannot re-anchor (an application whose snapshot does not
-		// round-trip). Disable the fast path rather than answer from a stale
-		// shadow; durable operation is unaffected.
-		env.Logf("hybster: spec shadow restore failed, disabling fast path: %v", err)
-		c.specBroken = true
-		c.specOut = make(map[specKey]*specRecord)
-		c.specLog = make(map[uint64]msg.Digest)
-		c.specExec = c.lastExec
-		return
-	}
+	c.shadow = c.cfg.App.(app.Forker).Fork()
 	c.specExec = c.lastExec
 	c.specLog = make(map[uint64]msg.Digest)
 	c.specClients = make(map[uint64]uint64, len(c.clients))

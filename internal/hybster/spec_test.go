@@ -73,7 +73,7 @@ func newSpecShuttle(ids ...msg.NodeID) *specShuttle {
 			Profile:            node.ProfileJava,
 			Authority:          tcounter.Direct{S: sub},
 			App:                app.NewStore(),
-			SpecShadow:         app.NewStore(),
+			Speculate:          true,
 			SnapshotChunkSize:  32,
 			StateChunkWindow:   4,
 		}, r)
@@ -317,7 +317,7 @@ func TestSpeculationRollbackOnViewChange(t *testing.T) {
 		if !bytes.Equal(r.core.cfg.App.(*app.Store).Snapshot(), durable0) {
 			t.Errorf("replica %d durable state diverged", id)
 		}
-		if !bytes.Equal(r.core.cfg.SpecShadow.(*app.Store).Snapshot(), r.core.cfg.App.(*app.Store).Snapshot()) {
+		if !bytes.Equal(r.core.shadow.Snapshot(), r.core.cfg.App.(*app.Store).Snapshot()) {
 			t.Errorf("replica %d shadow diverged from its durable state", id)
 		}
 	}

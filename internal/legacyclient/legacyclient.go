@@ -13,6 +13,7 @@ package legacyclient
 
 import (
 	"crypto/ed25519"
+	"sync/atomic"
 	"time"
 
 	"github.com/troxy-bft/troxy/internal/httpfront"
@@ -121,12 +122,17 @@ type clientState struct {
 	specs map[uint64]*specRetained
 }
 
-// Machine is the client-machine handler.
+// Machine is the client-machine handler. Stop, Done and Unsettled may be
+// called from any goroutine while a runtime drives the handler; everything
+// else belongs to the handler goroutine.
 type Machine struct {
 	cfg     Config
 	clients []*clientState
 	byConn  map[uint64]*clientState
-	stopped bool
+
+	stopped   atomic.Bool
+	completed atomic.Int64 // operations completed, all clients
+	unsettled atomic.Int64 // entries in the clients' specs maps
 }
 
 var _ node.Handler = (*Machine)(nil)
@@ -154,28 +160,16 @@ func New(cfg Config) *Machine {
 }
 
 // Stop makes the machine cease issuing new operations.
-func (m *Machine) Stop() { m.stopped = true }
+func (m *Machine) Stop() { m.stopped.Store(true) }
 
 // Done reports how many operations completed across all clients.
-func (m *Machine) Done() int {
-	total := 0
-	for _, cs := range m.clients {
-		total += cs.done
-	}
-	return total
-}
+func (m *Machine) Done() int { return int(m.completed.Load()) }
 
 // Unsettled reports how many speculatively answered operations are still
 // awaiting their durable confirmation or repair. Chaos harnesses drain this
 // to zero before checking histories, so every fast-tier op has a settled
 // outcome.
-func (m *Machine) Unsettled() int {
-	total := 0
-	for _, cs := range m.clients {
-		total += len(cs.specs)
-	}
-	return total
-}
+func (m *Machine) Unsettled() int { return int(m.unsettled.Load()) }
 
 // OnStart implements node.Handler: clients connect with a small stagger to
 // avoid a synchronized handshake burst.
@@ -213,7 +207,7 @@ func (m *Machine) sendFrame(env node.Env, cs *clientState, frame []byte) {
 
 // nextOp issues the next operation (or schedules it under pacing).
 func (m *Machine) nextOp(env node.Env, cs *clientState) {
-	if m.stopped || (m.cfg.MaxOps > 0 && cs.done >= m.cfg.MaxOps) {
+	if m.stopped.Load() || (m.cfg.MaxOps > 0 && cs.done >= m.cfg.MaxOps) {
 		cs.inflight = false
 		return
 	}
@@ -375,6 +369,7 @@ func (m *Machine) onReply(env node.Env, cs *clientState, reply *msg.ChannelReply
 			// speculative result, repair otherwise (including after a
 			// retraction).
 			delete(cs.specs, reply.Seq)
+			m.unsettled.Add(-1)
 			env.CancelTimer(node.TimerKey{Kind: timerConfirm, ID: confirmTimerID(cs.idx, reply.Seq)})
 			if m.cfg.ObserveTier != nil {
 				m.cfg.ObserveTier("confirm", cs.identity, reply.Seq, reply.Result, env.Now())
@@ -395,6 +390,7 @@ func (m *Machine) onReply(env node.Env, cs *clientState, reply *msg.ChannelReply
 			cs.specs = make(map[uint64]*specRetained)
 		}
 		cs.specs[cs.seq] = rec
+		m.unsettled.Add(1)
 		if m.cfg.ObserveTier != nil {
 			m.cfg.ObserveTier("spec", cs.identity, cs.seq, reply.Result, env.Now())
 		}
@@ -421,6 +417,7 @@ func (m *Machine) complete(env node.Env, cs *clientState, result []byte) {
 	}
 	cs.inflight = false
 	cs.done++
+	m.completed.Add(1)
 	env.CancelTimer(node.TimerKey{Kind: timerOp, ID: uint64(cs.idx)})
 	if m.cfg.Rec != nil {
 		m.cfg.Rec.Record(env.Now(), env.Now()-cs.started, cs.op.Read)
@@ -510,7 +507,7 @@ func (m *Machine) OnTimer(env node.Env, key node.TimerKey) {
 			m.issue(env, cs)
 		}
 	case timerOp:
-		if m.stopped {
+		if m.stopped.Load() {
 			return
 		}
 		if cs.sess == nil || cs.inflight {

@@ -112,6 +112,55 @@ func TestStopCeasesTraffic(t *testing.T) {
 	}
 }
 
+// Stop, Done and Unsettled are for whoever runs the machine, which under
+// realnet is another goroutine than the handler's. Run with -race: the test
+// polls them while the router drives fast-commit traffic.
+func TestProgressAccessorsFromOutsideTheHandler(t *testing.T) {
+	cluster, err := troxy.NewCluster(troxy.ClusterConfig{
+		Mode:         troxy.ETroxy,
+		App:          app.NewStoreFactory(),
+		Classify:     app.NewStore().IsRead,
+		CommitLevels: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := realnet.NewRouter()
+	defer router.Close()
+	cluster.Attach(router)
+	m := New(Config{
+		Machine: 100, Clients: 4, FirstClientID: 1000,
+		Replicas: cluster.ReplicaIDs(), ServerPub: cluster.ServerPub,
+		Gen: workload.KVGen{Keys: 8, ReadRatio: 0.5}, FastCommit: true,
+	})
+	router.Attach(100, m)
+
+	const clients, want = 4, 200
+	deadline := time.Now().Add(30 * time.Second)
+	for m.Done() < want {
+		if u := m.Unsettled(); u < 0 {
+			t.Fatalf("Unsettled = %d", u)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d/%d operations after 30 s", m.Done(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	m.Stop()
+	atStop := m.Done()
+	for m.Unsettled() > 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if u := m.Unsettled(); u != 0 {
+		t.Errorf("%d speculations never settled", u)
+	}
+	router.Close() // waits for the handler goroutines
+	// Only the operation a client had in flight at Stop may still complete.
+	if done := m.Done(); done > atStop+clients {
+		t.Errorf("%d operations completed after Stop, by %d clients", done-atStop, clients)
+	}
+}
+
 func TestTCPClientAgainstRealCluster(t *testing.T) {
 	cluster, err := troxy.NewCluster(troxy.ClusterConfig{
 		Mode:     troxy.ETroxy,

@@ -217,6 +217,19 @@ func putSeq(nonce []byte, seq uint64) {
 	}
 }
 
+// ephemeralKey draws an X25519 private key from exactly 32 bytes of
+// randSource. ecdh's GenerateKey also reads one more byte on a coin flip
+// (randutil.MaybeReadByte, so that nobody depends on how many bytes it
+// consumes); from a seeded simulator stream shared with the workload that
+// shifted every later draw differently in every run.
+func ephemeralKey(randSource io.Reader) (*ecdh.PrivateKey, error) {
+	var seed [32]byte
+	if _, err := io.ReadFull(randSource, seed[:]); err != nil {
+		return nil, err
+	}
+	return ecdh.X25519().NewPrivateKey(seed[:])
+}
+
 // ClientHandshake is the in-flight client side of a handshake.
 type ClientHandshake struct {
 	serverPub ed25519.PublicKey
@@ -229,7 +242,7 @@ type ClientHandshake struct {
 // ClientHello frame to transmit. randSource supplies ephemeral key material
 // (crypto/rand.Reader in production, a seeded reader in the simulator).
 func NewClientHandshake(serverPub ed25519.PublicKey, randSource io.Reader) (*ClientHandshake, []byte, error) {
-	priv, err := ecdh.X25519().GenerateKey(randSource)
+	priv, err := ephemeralKey(randSource)
 	if err != nil {
 		return nil, nil, fmt.Errorf("securechannel: ephemeral key: %w", err)
 	}
@@ -280,7 +293,7 @@ func ServerHandshake(identity ed25519.PrivateKey, clientHello []byte, randSource
 	}
 	clientECDH := clientHello[1:33]
 
-	priv, err := ecdh.X25519().GenerateKey(randSource)
+	priv, err := ephemeralKey(randSource)
 	if err != nil {
 		return nil, nil, fmt.Errorf("securechannel: ephemeral key: %w", err)
 	}

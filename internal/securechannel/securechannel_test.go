@@ -48,6 +48,41 @@ func handshake(t *testing.T) (client, server *Session) {
 	return client, server
 }
 
+// countingReader counts the bytes drawn from the underlying reader.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// A handshake must draw a fixed number of bytes: the simulator hands it the
+// seeded stream that also draws the workload, so a draw whose length varies
+// (ecdh's GenerateKey reads an extra byte on a coin flip) makes every run of
+// one seed different.
+func TestHandshakesDrawFixedRandomness(t *testing.T) {
+	pub, priv := testIdentity(t)
+	const want = 32 + 16 // key share + hello random
+	for trial := 0; trial < 64; trial++ {
+		cr := &countingReader{r: rand.Reader}
+		_, hello, err := NewClientHandshake(pub, cr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sr := &countingReader{r: rand.Reader}
+		if _, _, err := ServerHandshake(priv, hello, sr); err != nil {
+			t.Fatal(err)
+		}
+		if cr.n != want || sr.n != want {
+			t.Fatalf("trial %d: client drew %d bytes, server %d, want %d each", trial, cr.n, sr.n, want)
+		}
+	}
+}
+
 func TestRoundTripBothDirections(t *testing.T) {
 	client, server := handshake(t)
 	for i := 0; i < 5; i++ {
