@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK := honnef.co/go/tools/cmd/staticcheck@2025.1
 GOVULNCHECK := golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: build test check lint staticcheck govulncheck bench bench-quick bench-check fuzz chaos chaos-realnet race soak soak-quick
+.PHONY: build test check lint staticcheck govulncheck bench bench-quick bench-check allocs-top fuzz chaos chaos-realnet race soak soak-quick
 
 build:
 	$(GO) build ./...
@@ -68,19 +68,34 @@ govulncheck:
 bench:
 	$(GO) test -bench . -benchmem ./...
 
-# bench-quick is the allocation gate (run in CI on every push/PR): the encode
-# hot-path benchmarks in internal/msg, dominated by BenchmarkAppendEnvelopeFrame,
-# which fails itself if the pooled frame-encode path allocates at all, and in
-# internal/app BenchmarkStoreCheckpoint, which fails itself if a checkpoint
-# interval at a fixed dirty set allocates in proportion to the state or costs
-# more than twice as much on 256 MiB of state as on 1 MiB, and
-# BenchmarkStoreFork, which fails itself if forking the store (the speculation
-# shadow's re-anchor) allocates more than 64 bytes an entry. The benchtimes are
-# short because the gates are those assertions, not ns/op — timing numbers
-# for the record live in EXPERIMENTS.md.
+# bench-quick is the allocation gates (run in CI on every push/PR). The
+# request path's buffer discipline (DESIGN.md §5) is held function by function
+# by the BenchmarkAllocGate of internal/msg, authn, tcounter and app — each
+# sub-benchmark fails itself above its ceiling (encode into a pooled writer 0,
+# decode + open a 16-request PREPARE 3, VerifyMAC 0, Store.Keys 0, …) — beside
+# BenchmarkAppendEnvelopeFrame, which fails itself if the pooled frame-encode
+# path allocates at all, and end to end by TestWriteAllocBudget at the module
+# root (allocations per 128-byte write through a whole simulated cluster). In
+# internal/app BenchmarkStoreCheckpoint fails itself if a checkpoint interval
+# at a fixed dirty set allocates in proportion to the state or costs more than
+# twice as much on 256 MiB of state as on 1 MiB, and BenchmarkStoreFork if
+# forking the store (the speculation shadow's re-anchor) allocates more than
+# 64 bytes an entry. The benchtimes are short because the gates are those
+# assertions, not ns/op — timing numbers for the record live in EXPERIMENTS.md.
 bench-quick:
-	$(GO) test -run xxx -bench 'Encode|AppendEnvelopeFrame|BatchDigest' -benchmem -benchtime 1000x ./internal/msg/
+	$(GO) test -run xxx -bench 'Encode|AppendEnvelopeFrame|BatchDigest|AllocGate' -benchmem -benchtime 1000x ./internal/msg/
+	$(GO) test -run xxx -bench 'AllocGate' -benchmem -benchtime 1000x ./internal/authn/ ./internal/tcounter/ ./internal/app/
 	$(GO) test -run xxx -bench 'StoreCheckpoint|StoreFork' -benchmem -benchtime 20x ./internal/app/
+	$(GO) test -count=1 -run 'TestWriteAllocBudget' -v .
+
+# allocs-top prints the twenty call sites that allocate most often on the
+# real path (gateway, secure channel, ecalls, ordering, execution, reply),
+# every allocation sampled: where the next round of the allocation budget
+# goes, without patching bench/ to get a profile. The test binary and the
+# profile land in bin/.
+allocs-top:
+	$(GO) test -run xxx -bench EndToEndKV -benchtime 20000x -o bin/troxy.test -memprofile bin/allocs.prof -memprofilerate 1 .
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=20 bin/troxy.test bin/allocs.prof
 
 # bench-check compiles and unit-tests the wall-clock benchmark, which is its
 # own Go module (bench/go.mod replaces this one) and so is invisible to

@@ -26,6 +26,9 @@ import (
 type Application interface {
 	// Execute applies one operation and returns its result. Service-level
 	// failures are encoded in the result; Execute itself must be total.
+	// op belongs to the caller and is valid for the call only: state keeps
+	// a copy of what it needs of it, and the result — which becomes the
+	// caller's, who keeps it for retransmissions — never aliases it.
 	Execute(op []byte) []byte
 
 	// IsRead reports whether op leaves the state unchanged. It must be
@@ -34,6 +37,7 @@ type Application interface {
 
 	// Keys returns the identifiers of the state parts op reads or writes;
 	// the Troxy fast-read cache indexes and invalidates entries by these.
+	// The slice may be shared between calls: callers do not modify it.
 	Keys(op []byte) []string
 
 	// Snapshot serializes the full application state deterministically.

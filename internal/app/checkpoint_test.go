@@ -339,7 +339,7 @@ func TestChunkDigestRejectsMalformedChunks(t *testing.T) {
 func ballastStore(state int, value string) *Store {
 	s := NewStore()
 	for i := 0; i < state/len(value); i++ {
-		s.put(fmt.Sprintf("e%07d", i), value)
+		s.put(fmt.Appendf(nil, "e%07d", i), []byte(value))
 	}
 	return s
 }
@@ -386,7 +386,8 @@ var forkSink Application
 // that of the clean ballast and the 8 MiB dirty set sits on top of it). An
 // iteration is the writes, which clone the shards the previous checkpoint
 // still shares, plus the cut. The benchmark fails itself if the cost follows
-// the state: an interval may allocate at most 1/16 of the state's bytes (a
+// the state: beyond the 8 MiB of values it stores (the store copies what it
+// keeps), an interval may allocate at most 1/16 of the state's bytes (a
 // materialized snapshot is at least all of them), and on 256 MiB it may take
 // at most twice the time it takes on 1 MiB. The time gate compares medians of
 // intervals timed alternately on the two stores: this code also runs on
@@ -394,12 +395,12 @@ var forkSink Application
 // of the sub-benchmarks then differ by more than the effect gated.
 func BenchmarkStoreCheckpoint(b *testing.B) {
 	const dirty, valueSize, chunkSize = 2048, 4 << 10, 64 << 10
-	value := string(bytes.Repeat([]byte{'v'}, valueSize)) // shared: only its length matters here
+	value := bytes.Repeat([]byte{'v'}, valueSize)
 	// Entries are ordered by key hash, so the written keys spread evenly
 	// among the clean ones whatever they are called.
-	hot := make([]string, dirty)
+	hot := make([][]byte, dirty)
 	for i := range hot {
-		hot[i] = fmt.Sprintf("hot%05d", i)
+		hot[i] = fmt.Appendf(nil, "hot%05d", i)
 	}
 	interval := func(s *Store) Checkpoint {
 		for _, k := range hot {
@@ -410,7 +411,7 @@ func BenchmarkStoreCheckpoint(b *testing.B) {
 	states := []int{1 << 20, 32 << 20, 256 << 20}
 	stores := make([]*Store, len(states))
 	for si, state := range states {
-		s := ballastStore(state, value)
+		s := ballastStore(state, string(value))
 		interval(s) // hashes everything, once
 		stores[si] = s
 
@@ -427,8 +428,9 @@ func BenchmarkStoreCheckpoint(b *testing.B) {
 			b.StopTimer()
 			runtime.ReadMemStats(&after)
 			b.ReportMetric(float64(hashed)/float64(b.N), "hashed-B/op")
-			if perOp := (after.TotalAlloc - before.TotalAlloc) / uint64(b.N); perOp > uint64(state)/16 && state >= 32<<20 {
-				b.Fatalf("%d MiB of state: %d bytes allocated per interval, more than 1/16 of the state", state>>20, perOp)
+			const stored = dirty * valueSize // each write's value
+			if perOp := (after.TotalAlloc-before.TotalAlloc)/uint64(b.N) - stored; perOp > uint64(state)/16 && state >= 32<<20 {
+				b.Fatalf("%d MiB of state: %d bytes allocated per interval beside the values written, more than 1/16 of the state", state>>20, perOp)
 			}
 			if min := dirty * valueSize; hashed/b.N < min || hashed/b.N > 2*min {
 				b.Fatalf("%d bytes hashed per interval for %d dirty bytes", hashed/b.N, min)

@@ -102,7 +102,7 @@ func checkChunk(t *testing.T, data []byte) {
 		if err := r.Finish(); err != nil && entries == nil {
 			entries = err
 		}
-		want.put(k, v)
+		want.put([]byte(k), []byte(v))
 	}
 	st := NewStore()
 	st.Execute([]byte("PUT before 1"))

@@ -36,12 +36,22 @@ type Store struct {
 // every replica must cut identically, hence a constant and not a setting.
 const storeShards = 64
 
-// storeEntry is one key with its value.
-type storeEntry struct{ key, value string }
+// storeEntry is one key with its value. The key sits in a one-element array
+// of its own so that Keys can hand out a slice of it without allocating; the
+// array is never written after the entry is created, and an overwrite keeps
+// it (only the value is new).
+type storeEntry struct {
+	name  *[1]string
+	value string
+}
+
+func newEntry(key, value string) storeEntry { return storeEntry{&[1]string{key}, value} }
+
+func (e *storeEntry) key() string { return e.name[0] }
 
 // storeShard is one hash shard. Once a checkpoint has captured entries, the
 // slice is shared with that immutable view and the next write clones it
-// first (strings are immutable, so values are never copied). digests is
+// first (keys and values are immutable, so they are never copied). digests is
 // never shared: it belongs to the live shard alone.
 type storeShard struct {
 	entries []storeEntry // sorted by (keyHash(key), key)
@@ -74,7 +84,7 @@ var _ Forker = (*Store)(nil)
 // sequentially named keys over the shards unevenly, 2 to 42 of 1 024). Its
 // top six bits pick the shard, all of it orders the entries within one.
 // Every replica must compute the same value, so no seeded hash.
-func keyHash(key string) uint32 {
+func keyHash[K string | []byte](key K) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
 		h = (h ^ uint32(key[i])) * 16777619
@@ -93,9 +103,20 @@ const shardBits = 26
 // shard returns the shard a key with hash h lives in.
 func (s *Store) shard(h uint32) *storeShard { return &s.shards[h>>shardBits] }
 
+// compareKey orders a stored key against a looked-up one bytewise, as
+// strings.Compare does, without converting either.
+func compareKey[K string | []byte](a string, b K) int {
+	for i := 0; i < min(len(a), len(b)); i++ {
+		if a[i] != b[i] {
+			return cmp.Compare(a[i], b[i])
+		}
+	}
+	return cmp.Compare(len(a), len(b))
+}
+
 // find returns the position of the key with hash h in the shard, or where
 // it would go.
-func (sh *storeShard) find(h uint32, key string) (int, bool) {
+func find[K string | []byte](sh *storeShard, h uint32, key K) (int, bool) {
 	lo, hi := 0, len(sh.hashes)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -106,7 +127,7 @@ func (sh *storeShard) find(h uint32, key string) (int, bool) {
 		}
 	}
 	for ; lo < len(sh.hashes) && sh.hashes[lo] == h; lo++ {
-		if c := strings.Compare(sh.entries[lo].key, key); c >= 0 {
+		if c := compareKey(sh.entries[lo].key(), key); c >= 0 {
 			return lo, c == 0
 		}
 	}
@@ -139,38 +160,38 @@ func (s *Store) Fork() Application {
 	return f
 }
 
-func (s *Store) get(key string) (string, bool) {
+// lookup returns the entry for key, or nil.
+func (s *Store) lookup(key []byte) *storeEntry {
 	h := keyHash(key)
 	sh := s.shard(h)
-	i, found := sh.find(h, key)
-	if !found {
-		return "", false
+	if i, found := find(sh, h, key); found {
+		return &sh.entries[i]
 	}
-	return sh.entries[i].value, true
+	return nil
 }
 
-func (s *Store) put(key, value string) {
+// put stores value under key. The store is where a value is kept, so this is
+// where the operation's bytes are copied: the value always, the key only
+// when it is new.
+func (s *Store) put(key, value []byte) {
 	h := keyHash(key)
 	sh := s.shard(h)
-	i, found := sh.find(h, key)
+	i, found := find(sh, h, key)
 	sh.own()
 	if found {
-		// An overwrite replaces the key string too: key and value are
-		// usually substrings of one operation, and keeping the old key
-		// would pin the whole old operation in memory.
-		sh.entries[i], sh.digests[i] = storeEntry{key, value}, msg.Digest{}
+		sh.entries[i].value, sh.digests[i] = string(value), msg.Digest{}
 		return
 	}
-	sh.entries = slices.Insert(sh.entries, i, storeEntry{key, value})
+	sh.entries = slices.Insert(sh.entries, i, newEntry(string(key), string(value)))
 	sh.hashes = slices.Insert(sh.hashes, i, h)
 	sh.digests = slices.Insert(sh.digests, i, msg.Digest{})
 	sh.resized = true
 }
 
-func (s *Store) del(key string) bool {
+func (s *Store) del(key []byte) bool {
 	h := keyHash(key)
 	sh := s.shard(h)
-	i, found := sh.find(h, key)
+	i, found := find(sh, h, key)
 	if found {
 		sh.own()
 		sh.entries = slices.Delete(sh.entries, i, i+1)
@@ -196,7 +217,7 @@ type loadedEntry struct {
 
 func (l *storeLoader) add(key, value string) {
 	h := keyHash(key)
-	l.shards[h>>shardBits] = append(l.shards[h>>shardBits], loadedEntry{h, storeEntry{key, value}})
+	l.shards[h>>shardBits] = append(l.shards[h>>shardBits], loadedEntry{h, newEntry(key, value)})
 }
 
 // build returns the shards; of entries with the same key the last added wins.
@@ -206,11 +227,11 @@ func (l *storeLoader) build() (shards [storeShards]storeShard) {
 			if c := cmp.Compare(a.hash, b.hash); c != 0 {
 				return c
 			}
-			return strings.Compare(a.key, b.key)
+			return strings.Compare(a.key(), b.key())
 		})
 		sh := &shards[i]
 		for j, e := range in {
-			if j+1 < len(in) && in[j+1].hash == e.hash && in[j+1].key == e.key {
+			if j+1 < len(in) && in[j+1].hash == e.hash && in[j+1].key() == e.key() {
 				continue
 			}
 			sh.entries = append(sh.entries, e.storeEntry)
@@ -222,67 +243,99 @@ func (l *storeLoader) build() (shards [storeShards]storeShard) {
 	return shards
 }
 
-func parseStoreOp(op []byte) (verb, key, value string, ok bool) {
-	s := string(op)
-	verb, rest, found := strings.Cut(s, " ")
-	if !found && verb != s {
-		return "", "", "", false
+// storeVerb is a parsed operation's kind; the zero value is a malformed one.
+type storeVerb uint8
+
+const (
+	verbGet storeVerb = iota + 1
+	verbPut
+	verbDel
+)
+
+// cutSpace splits b around its first space, like bytes.Cut.
+func cutSpace(b []byte) (before, after []byte, found bool) {
+	for i, c := range b {
+		if c == ' ' {
+			return b[:i], b[i+1:], true
+		}
 	}
-	switch verb {
-	case "GET", "DEL":
-		if rest == "" || strings.Contains(rest, " ") {
-			return "", "", "", false
+	return b, nil, false
+}
+
+// parseStoreOp splits an operation into views of op: it runs several times
+// per request on every replica (classification, execution, key extraction)
+// and allocates nothing.
+//
+//troxy:hotpath
+func parseStoreOp(op []byte) (verb storeVerb, key, value []byte) {
+	name, rest, _ := cutSpace(op)
+	if len(name) != 3 {
+		return 0, nil, nil
+	}
+	switch [3]byte(name) {
+	case [3]byte{'G', 'E', 'T'}:
+		verb = verbGet
+	case [3]byte{'D', 'E', 'L'}:
+		verb = verbDel
+	case [3]byte{'P', 'U', 'T'}:
+		key, value, found := cutSpace(rest)
+		if !found || len(key) == 0 {
+			return 0, nil, nil
 		}
-		return verb, rest, "", true
-	case "PUT":
-		key, value, found = strings.Cut(rest, " ")
-		if !found || key == "" {
-			return "", "", "", false
-		}
-		return verb, key, value, true
+		return verbPut, key, value
 	default:
-		return "", "", "", false
+		return 0, nil, nil
 	}
+	// GET and DEL take exactly one key, which holds no space.
+	if _, _, spaced := cutSpace(rest); spaced || len(rest) == 0 {
+		return 0, nil, nil
+	}
+	return verb, rest, nil
 }
 
 // Execute implements Application.
 func (s *Store) Execute(op []byte) []byte {
-	verb, key, value, ok := parseStoreOp(op)
-	if !ok {
-		return badOp(op)
-	}
+	verb, key, value := parseStoreOp(op)
 	switch verb {
-	case "GET":
-		v, found := s.get(key)
-		if !found {
+	case verbGet:
+		e := s.lookup(key)
+		if e == nil {
 			return []byte("NOTFOUND")
 		}
-		return []byte("VALUE " + v)
-	case "PUT":
+		return append(append(make([]byte, 0, len("VALUE ")+len(e.value)), "VALUE "...), e.value...)
+	case verbPut:
 		s.put(key, value)
 		return []byte("OK")
-	case "DEL":
+	case verbDel:
 		if !s.del(key) {
 			return []byte("NOTFOUND")
 		}
 		return []byte("OK")
+	default:
+		return badOp(op)
 	}
-	return badOp(op)
 }
 
 // IsRead implements Application.
+//
+//troxy:hotpath
 func (s *Store) IsRead(op []byte) bool {
-	verb, _, _, ok := parseStoreOp(op)
-	return ok && verb == "GET"
+	verb, _, _ := parseStoreOp(op)
+	return verb == verbGet
 }
 
-// Keys implements Application.
+// Keys implements Application. For a key the store holds, the result is the
+// entry's own one-element key slice — shared and never to be written, and no
+// allocation; only an operation on an absent key builds one.
 func (s *Store) Keys(op []byte) []string {
-	_, key, _, ok := parseStoreOp(op)
-	if !ok {
+	verb, key, _ := parseStoreOp(op)
+	if verb == 0 {
 		return nil
 	}
-	return []string{key}
+	if e := s.lookup(key); e != nil {
+		return e.name[:]
+	}
+	return []string{string(key)}
 }
 
 // sorted returns every entry in global key order, the order of the
@@ -292,7 +345,7 @@ func (s *Store) sorted() []storeEntry {
 	for i := range s.shards {
 		all = append(all, s.shards[i].entries...)
 	}
-	slices.SortFunc(all, func(a, b storeEntry) int { return strings.Compare(a.key, b.key) })
+	slices.SortFunc(all, func(a, b storeEntry) int { return strings.Compare(a.key(), b.key()) })
 	return all
 }
 
@@ -300,11 +353,11 @@ func (s *Store) sorted() []storeEntry {
 // value as length-prefixed strings. Snapshots, checkpoint records and entry
 // digests all use it.
 func appendEntry(b []byte, e *storeEntry) []byte {
-	return wire.AppendString(wire.AppendString(b, e.key), e.value)
+	return wire.AppendString(wire.AppendString(b, e.key()), e.value)
 }
 
 // entrySize is the length of appendEntry's output.
-func entrySize(e *storeEntry) int { return 8 + len(e.key) + len(e.value) }
+func entrySize(e *storeEntry) int { return 8 + len(e.key()) + len(e.value) }
 
 // Snapshot implements Application. Entries are encoded in sorted key order
 // so all replicas produce identical snapshots.

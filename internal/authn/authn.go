@@ -89,6 +89,12 @@ type Authenticator struct {
 	self msg.NodeID
 	dir  *Directory
 	macs map[msg.NodeID]hash.Hash
+
+	// Scratch for one MAC computation: what is handed to a hash.Hash leaves
+	// the stack, so the header and a verification's sum live here instead of
+	// being allocated per call.
+	hdr [9]byte
+	sum [TagSize]byte
 }
 
 // NewAuthenticator creates the authenticator for node self.
@@ -97,34 +103,29 @@ func NewAuthenticator(self msg.NodeID, dir *Directory) *Authenticator {
 }
 
 // mac returns the cached keyed HMAC for a peer (creating one costs four
-// SHA-256 compressions; reusing via Reset costs none).
-func (a *Authenticator) mac(peer msg.NodeID) hash.Hash {
+// SHA-256 compressions; reusing via Reset costs none), fed with everything
+// a point-to-point MAC covers: the header (kind, from, to) and the body, as
+// two writes, so the body is hashed where it lies.
+func (a *Authenticator) mac(peer msg.NodeID, e *msg.Envelope) hash.Hash {
 	m, ok := a.macs[peer]
 	if !ok {
 		m = hmac.New(sha256.New, a.dir.PairKey(a.self, peer))
 		a.macs[peer] = m
 	}
 	m.Reset()
+	a.hdr = [9]byte{byte(e.Kind),
+		byte(e.From), byte(e.From >> 8), byte(e.From >> 16), byte(e.From >> 24),
+		byte(e.To), byte(e.To >> 8), byte(e.To >> 16), byte(e.To >> 24)}
+	m.Write(a.hdr[:])
+	m.Write(e.Body)
 	return m
 }
 
-// macInput returns the canonical byte string a point-to-point MAC covers.
-func macInput(e *msg.Envelope) []byte {
-	b := make([]byte, 0, 9+len(e.Body))
-	b = append(b, byte(e.Kind))
-	b = append(b,
-		byte(e.From), byte(e.From>>8), byte(e.From>>16), byte(e.From>>24),
-		byte(e.To), byte(e.To>>8), byte(e.To>>16), byte(e.To>>24))
-	b = append(b, e.Body...)
-	return b
-}
-
 // SealMAC computes and attaches the point-to-point MAC for an outgoing
-// envelope. The envelope's From must be the authenticator's node.
+// envelope. The envelope's From must be the authenticator's node. The tag is
+// the envelope's own allocation: it travels with it and is never reused.
 func (a *Authenticator) SealMAC(e *msg.Envelope) {
-	mac := a.mac(e.To)
-	mac.Write(macInput(e))
-	e.MAC = mac.Sum(nil)
+	e.MAC = a.mac(e.To, e).Sum(make([]byte, 0, TagSize))
 }
 
 // VerifyMAC checks the point-to-point MAC of an incoming envelope. The
@@ -133,17 +134,19 @@ func (a *Authenticator) VerifyMAC(e *msg.Envelope) bool {
 	if len(e.MAC) != TagSize {
 		return false
 	}
-	mac := a.mac(e.From)
-	mac.Write(macInput(e))
-	return hmac.Equal(mac.Sum(nil), e.MAC)
+	return hmac.Equal(a.mac(e.From, e).Sum(a.sum[:0]), e.MAC)
 }
 
 // GroupTagger computes Troxy group tags. It lives inside the trusted
 // subsystem: the group key never leaves the enclave boundary. Tags are bound
 // to the producing Troxy's instance ID so a Troxy cannot impersonate another
-// one even though the group secret is shared.
+// one even though the group secret is shared. Like the Core that owns it, a
+// tagger is not safe for concurrent use.
 type GroupTagger struct {
 	mac hash.Hash
+	// Scratch, for the reason Authenticator has its own.
+	id  [4]byte
+	sum [TagSize]byte
 }
 
 // NewGroupTagger creates a tagger over the Troxy group secret.
@@ -151,18 +154,18 @@ func NewGroupTagger(groupKey []byte) *GroupTagger {
 	return &GroupTagger{mac: hmac.New(sha256.New, groupKey)}
 }
 
-func (g *GroupTagger) sum(instance msg.NodeID, input []byte) []byte {
+// feed resets the HMAC and writes the instance ID and the input to it.
+func (g *GroupTagger) feed(instance msg.NodeID, input []byte) {
 	g.mac.Reset()
-	var id [4]byte
-	id[0], id[1], id[2], id[3] = byte(instance), byte(instance>>8), byte(instance>>16), byte(instance>>24)
-	g.mac.Write(id[:])
+	g.id = [4]byte{byte(instance), byte(instance >> 8), byte(instance >> 16), byte(instance >> 24)}
+	g.mac.Write(g.id[:])
 	g.mac.Write(input)
-	return g.mac.Sum(nil)
 }
 
 // Tag computes the group tag of input as produced by the given instance.
 func (g *GroupTagger) Tag(instance msg.NodeID, input []byte) []byte {
-	return g.sum(instance, input)
+	g.feed(instance, input)
+	return g.mac.Sum(make([]byte, 0, TagSize))
 }
 
 // Verify checks a group tag allegedly produced by instance over input.
@@ -170,5 +173,6 @@ func (g *GroupTagger) Verify(instance msg.NodeID, input, tag []byte) bool {
 	if len(tag) != TagSize {
 		return false
 	}
-	return hmac.Equal(g.sum(instance, input), tag)
+	g.feed(instance, input)
+	return hmac.Equal(g.mac.Sum(g.sum[:0]), tag)
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"github.com/troxy-bft/troxy/internal/msg"
+	"github.com/troxy-bft/troxy/internal/testutil"
 )
 
 func newDir(t *testing.T) *Directory {
@@ -179,4 +180,30 @@ func TestQuickTamperDetected(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// BenchmarkAllocGate: a transport MAC hashes header and body where they lie
+// and allocates only the tag it attaches; verification — transport or group —
+// sums into scratch and allocates nothing.
+func BenchmarkAllocGate(b *testing.B) {
+	d, err := NewDirectory([]byte("gate"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sender, receiver := NewAuthenticator(0, d), NewAuthenticator(1, d)
+	e := msg.Seal(0, 1, &msg.Forward{Req: msg.OrderRequest{Op: make([]byte, 128)}})
+	testutil.AllocGate(b, "SealMAC", 1, func() { sender.SealMAC(e) })
+	testutil.AllocGate(b, "VerifyMAC", 0, func() {
+		if !receiver.VerifyMAC(e) {
+			b.Fatal("MAC rejected")
+		}
+	})
+	tagger := NewGroupTagger(d.TroxyGroupKey())
+	input := make([]byte, 200)
+	tag := tagger.Tag(2, input)
+	testutil.AllocGate(b, "GroupTaggerVerify", 0, func() {
+		if !tagger.Verify(2, input, tag) {
+			b.Fatal("tag rejected")
+		}
+	})
 }

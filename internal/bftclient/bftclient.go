@@ -269,7 +269,7 @@ func (m *Machine) OnEnvelope(env node.Env, e *msg.Envelope) {
 	if _, dup := cs.replies[rep.Executor]; dup {
 		return
 	}
-	cs.replies[rep.Executor] = rep.Result
+	cs.replies[rep.Executor] = bytes.Clone(rep.Result) // rep is a view of the envelope
 	h := msg.DigestOf(rep.Result)
 	env.Charge(node.ProfileJava, node.ChargeHash, len(rep.Result))
 	cs.votes[h]++
@@ -298,7 +298,7 @@ func (m *Machine) onDirectReply(env node.Env, cs *clientState, rep *msg.BFTReply
 			return
 		}
 	}
-	cs.replies[rep.Executor] = rep.Result
+	cs.replies[rep.Executor] = bytes.Clone(rep.Result) // rep is a view of the envelope
 	env.Charge(node.ProfileJava, node.ChargeHash, len(rep.Result))
 	if len(cs.replies) == m.cfg.N {
 		m.stats.DirectOK++

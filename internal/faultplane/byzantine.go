@@ -113,13 +113,22 @@ func (b *Byzantine) sealSend(raw node.Env, to msg.NodeID, m msg.Message) {
 	raw.Send(e)
 }
 
+// openCopy decodes e from a private copy of its body. Decoded messages are
+// views of the bytes they were decoded from, and e.Body is shared with the
+// honest envelope's other holders (every recipient of a broadcast and, under
+// the in-process router, the receiver itself): tampering with a view of it
+// would rewrite what the correct replica sent.
+func openCopy(e *msg.Envelope) (msg.Message, error) {
+	return CloneEnvelope(e).Open()
+}
+
 func (b *Byzantine) send(raw node.Env, e *msg.Envelope) {
 	switch e.Kind {
 	case msg.KindOrderedReply:
 		if b.mode&(CorruptReplies|ReplayStaleReplies) == 0 {
 			break
 		}
-		m, err := e.Open()
+		m, err := openCopy(e)
 		if err != nil {
 			break
 		}
@@ -146,7 +155,7 @@ func (b *Byzantine) send(raw node.Env, e *msg.Envelope) {
 		if b.mode&EquivocateCerts == 0 || e.To <= b.self {
 			break
 		}
-		m, err := e.Open()
+		m, err := openCopy(e)
 		if err != nil {
 			break
 		}
@@ -163,7 +172,7 @@ func (b *Byzantine) send(raw node.Env, e *msg.Envelope) {
 		if b.mode&EquivocateCerts == 0 || e.To <= b.self {
 			break
 		}
-		m, err := e.Open()
+		m, err := openCopy(e)
 		if err != nil {
 			break
 		}
@@ -178,7 +187,7 @@ func (b *Byzantine) send(raw node.Env, e *msg.Envelope) {
 		if b.mode&EquivocateSpecReplies == 0 || e.To <= b.self {
 			break
 		}
-		m, err := e.Open()
+		m, err := openCopy(e)
 		if err != nil {
 			break
 		}
@@ -193,7 +202,7 @@ func (b *Byzantine) send(raw node.Env, e *msg.Envelope) {
 		if b.mode&CorruptStateChunks == 0 {
 			break
 		}
-		m, err := e.Open()
+		m, err := openCopy(e)
 		if err != nil {
 			break
 		}

@@ -31,6 +31,7 @@ package hybster
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -144,6 +145,28 @@ type Outbound interface {
 	Committed(env node.Env, seq uint64, req *msg.OrderRequest, result []byte, keys []string, read, fresh bool)
 }
 
+// Broadcaster is an optional extension of Outbound. An Outbound that also
+// implements it receives a message meant for every peer once, and can encode
+// it once and authenticate it per recipient; one that does not gets a Send
+// per peer.
+type Broadcaster interface {
+	// Broadcast transmits m to every replica but this one, in ID order.
+	Broadcast(env node.Env, m msg.Message)
+}
+
+// broadcast sends m to every other replica.
+func (c *Core) broadcast(env node.Env, m msg.Message) {
+	if b, ok := c.out.(Broadcaster); ok {
+		b.Broadcast(env, m)
+		return
+	}
+	for i := 0; i < c.cfg.N; i++ {
+		if to := msg.NodeID(i); to != c.cfg.Self {
+			c.out.Send(env, to, m)
+		}
+	}
+}
+
 // Metrics counts protocol events for tests and experiments. Proposed and
 // Executed count individual requests; Batches counts PREPARE/COMMIT rounds,
 // so Proposed/Batches is the achieved amortization factor.
@@ -220,15 +243,14 @@ type Metrics struct {
 }
 
 type entry struct {
-	view       uint64
-	seq        uint64
-	batch      *msg.Batch
-	digest     msg.Digest // combined batch digest
-	reqDigests []msg.Digest
-	hasPrep    bool
-	prepCert   msg.CounterCert
-	vouchers   map[msg.NodeID]struct{}
-	executed   bool
+	view     uint64
+	seq      uint64
+	batch    *msg.Batch // owned by the log; its requests carry their digests
+	digest   msg.Digest // combined batch digest
+	hasPrep  bool
+	prepCert msg.CounterCert
+	vouchers map[msg.NodeID]struct{}
+	executed bool
 
 	// specCert is the certificate a SpecReply for this batch carries: the
 	// prepare cert when this replica leads the entry's view, this replica's
@@ -465,22 +487,22 @@ func (c *Core) RejectedCertsFrom(source msg.NodeID) uint64 { return c.rejectedBy
 // quorum is the certificate size, delegated to the canonical Config helper.
 func (c *Core) quorum() int { return c.cfg.Quorum() }
 
-func prepareDigest(view, seq uint64, reqDigest msg.Digest) msg.Digest {
-	w := wire.NewWriter(64)
-	w.String("hybster-prepare")
-	w.U64(view)
-	w.U64(seq)
-	w.Raw(reqDigest[:])
-	return sha256.Sum256(w.Bytes())
+// orderDigest is the statement a PREPARE or COMMIT certificate binds: a
+// domain label, the slot and the batch digest, built on the stack.
+func orderDigest(label string, view, seq uint64, batchDigest msg.Digest) msg.Digest {
+	var buf [4 + len("hybster-prepare") + 8 + 8 + len(batchDigest)]byte
+	b := wire.AppendString(buf[:0], label)
+	b = binary.LittleEndian.AppendUint64(b, view)
+	b = binary.LittleEndian.AppendUint64(b, seq)
+	return sha256.Sum256(append(b, batchDigest[:]...))
 }
 
-func commitDigest(view, seq uint64, reqDigest msg.Digest) msg.Digest {
-	w := wire.NewWriter(64)
-	w.String("hybster-commit")
-	w.U64(view)
-	w.U64(seq)
-	w.Raw(reqDigest[:])
-	return sha256.Sum256(w.Bytes())
+func prepareDigest(view, seq uint64, batchDigest msg.Digest) msg.Digest {
+	return orderDigest("hybster-prepare", view, seq, batchDigest)
+}
+
+func commitDigest(view, seq uint64, batchDigest msg.Digest) msg.Digest {
+	return orderDigest("hybster-commit", view, seq, batchDigest)
 }
 
 // chargeCounterOp accounts the cost of one trusted-counter operation: a JNI
@@ -493,7 +515,9 @@ func (c *Core) chargeCounterOp(env node.Env) {
 
 // Submit hands a client request to the ordering protocol. Origin must be set
 // to the node that votes over the replies. Duplicate requests (same client,
-// same or older sequence number) are answered from the reply cache.
+// same or older sequence number) are answered from the reply cache. req is
+// the caller's for the length of the call: its operation may be a view of a
+// buffer the caller reuses, so what the core keeps of it is a copy.
 func (c *Core) Submit(env node.Env, req *msg.OrderRequest) {
 	if rec, ok := c.clients[req.Client]; ok && req.ClientSeq <= rec.lastSeq {
 		if req.ClientSeq == rec.lastSeq {
@@ -501,37 +525,36 @@ func (c *Core) Submit(env node.Env, req *msg.OrderRequest) {
 			// peers replay theirs too — the origin's voter needs f+1 fresh
 			// replies, not just ours.
 			c.out.Committed(env, rec.seq, req, rec.result, rec.keys, rec.read, false)
-			fwd := &msg.Forward{Req: *req}
-			for i := 0; i < c.cfg.N; i++ {
-				if to := msg.NodeID(i); to != c.cfg.Self {
-					c.out.Send(env, to, fwd)
-				}
-			}
+			c.broadcast(env, &msg.Forward{Req: *req})
 		}
 		return
 	}
 	if c.inVC {
-		c.queued = append(c.queued, req)
+		c.queued = append(c.queued, req.Clone())
 		return
 	}
 	digest := req.Digest()
 	env.Charge(c.cfg.Profile, node.ChargeHash, len(req.Op))
-	c.watchProgress(env, digest, req)
+	// The progress watch keeps the one owned copy the core makes of a
+	// submitted request; on the leader the batch accumulator shares it. A
+	// retransmission finds that copy already there, and must not reset the
+	// suspicion deadline either — a dead leader would never be suspected
+	// while the client keeps retrying.
+	held, watched := c.pendingLocal[digest]
+	if !watched {
+		held = req.Clone()
+		c.watchProgress(env, digest, held)
+	}
 	if c.IsLeader() {
-		c.enqueue(env, req, digest)
+		c.enqueue(env, held, digest)
 		return
 	}
-	c.out.Send(env, c.Leader(c.view), &msg.Forward{Req: *req})
+	c.out.Send(env, c.Leader(c.view), &msg.Forward{Req: *held})
 }
 
 // watchProgress arms the leader-suspicion timer for a locally submitted
-// request.
+// request, which it keeps (re-submission after a view change).
 func (c *Core) watchProgress(env node.Env, digest msg.Digest, req *msg.OrderRequest) {
-	if _, exists := c.pendingLocal[digest]; exists {
-		// A retransmission must not reset the suspicion deadline, or a dead
-		// leader would never be suspected while the client keeps retrying.
-		return
-	}
 	c.pendingLocal[digest] = req
 	if len(c.pendingLocal) == 1 {
 		env.SetTimer(c.cfg.ViewChangeTimeout, node.TimerKey{Kind: timerProgress})
@@ -657,7 +680,9 @@ func (c *Core) advanceContinuity(seq uint64) {
 // enqueue adds a request to the leader's batch accumulator and cuts the
 // batch per the cut policy (full, or delay expired). Re-submissions of an
 // in-flight digest are suppressed (retransmissions may reach the leader
-// through several forwarders).
+// through several forwarders). The accumulator — and the log entry the
+// request is proposed in — keeps req's operation bytes, so the caller passes
+// a request that owns them.
 func (c *Core) enqueue(env node.Env, req *msg.OrderRequest, digest msg.Digest) {
 	if req.Origin != msg.NoNode {
 		if _, inFlight := c.proposed[digest]; inFlight {
@@ -735,12 +760,12 @@ func (c *Core) flushBatchBuf(env node.Env) {
 
 // proposeBatch assigns the next sequence number to a batch (leader only):
 // one trusted-counter certification and one PREPARE covers every request in
-// it. An empty batch is a view-change gap filler.
+// it. An empty batch is a view-change gap filler. The log entry keeps batch,
+// which therefore owns its operation bytes.
 func (c *Core) proposeBatch(env node.Env, batch *msg.Batch) {
 	seq := c.seqNext
 	c.seqNext++
-	reqDigests := batch.ReqDigests()
-	digest := msg.BatchDigestOf(reqDigests)
+	digest := batch.Digest() // the requests carry theirs from Submit/OnForward
 	cert, err := c.cfg.Authority.Certify(c.laneCounter(c.view, seq), seq, prepareDigest(c.view, seq, digest))
 	c.chargeCounterOp(env)
 	if err != nil {
@@ -749,7 +774,7 @@ func (c *Core) proposeBatch(env node.Env, batch *msg.Batch) {
 	}
 	for i := range batch.Reqs {
 		if batch.Reqs[i].Origin != msg.NoNode {
-			c.proposed[reqDigests[i]] = struct{}{}
+			c.proposed[batch.Reqs[i].Digest()] = struct{}{}
 		}
 	}
 	prep := &msg.Prepare{View: c.view, Seq: seq, Batch: *batch, Cert: cert}
@@ -757,7 +782,6 @@ func (c *Core) proposeBatch(env node.Env, batch *msg.Batch) {
 	e.view = c.view
 	e.batch = batch
 	e.digest = digest
-	e.reqDigests = reqDigests
 	e.hasPrep = true
 	e.prepCert = cert
 	// The leader's spec replies ride on its prepare certificate.
@@ -766,11 +790,7 @@ func (c *Core) proposeBatch(env node.Env, batch *msg.Batch) {
 	e.vouchers[c.cfg.Self] = struct{}{}
 	c.metrics.Proposed += uint64(batch.Len())
 	c.metrics.Batches++
-	for i := 0; i < c.cfg.N; i++ {
-		if to := msg.NodeID(i); to != c.cfg.Self {
-			c.out.Send(env, to, prep)
-		}
-	}
+	c.broadcast(env, prep)
 	// Speculate before attempting the durable commit, so the fast answer for
 	// this batch is emitted no later than its durable one.
 	c.advanceSpec(env)
@@ -786,17 +806,18 @@ func (c *Core) getEntry(seq uint64) *entry {
 	return e
 }
 
-// OnForward handles a request forwarded by a follower.
+// OnForward handles a request forwarded by a follower. fwd is a view of the
+// delivered envelope: the request is copied where it is kept.
 func (c *Core) OnForward(env node.Env, from msg.NodeID, fwd *msg.Forward) {
-	req := fwd.Req
+	req := &fwd.Req
 	if rec, ok := c.clients[req.Client]; ok && req.ClientSeq <= rec.lastSeq {
 		if req.ClientSeq == rec.lastSeq {
-			c.out.Committed(env, rec.seq, &req, rec.result, rec.keys, rec.read, false)
+			c.out.Committed(env, rec.seq, req, rec.result, rec.keys, rec.read, false)
 		}
 		return
 	}
 	if c.inVC {
-		c.queued = append(c.queued, &req)
+		c.queued = append(c.queued, req.Clone())
 		return
 	}
 	if !c.IsLeader() {
@@ -805,7 +826,7 @@ func (c *Core) OnForward(env node.Env, from msg.NodeID, fwd *msg.Forward) {
 		return
 	}
 	env.Charge(c.cfg.Profile, node.ChargeHash, len(req.Op))
-	c.enqueue(env, &req, req.Digest())
+	c.enqueue(env, req.Clone(), req.Digest())
 }
 
 // deferToView parks a message for a view that has not been installed yet —
@@ -815,7 +836,8 @@ func (c *Core) OnForward(env node.Env, from msg.NodeID, fwd *msg.Forward) {
 // that moment would otherwise defer the cluster's live traffic forever and
 // silently stop contributing to quorums. One solicitation per view suffices
 // in the common case; while deferral persists it is refreshed periodically in
-// case the request or its answer was itself lost.
+// case the request or its answer was itself lost. The parked message outlives
+// the call, so m owns its bytes (the callers pass a Clone).
 func (c *Core) deferToView(env node.Env, from msg.NodeID, view uint64, m msg.Message) {
 	if len(c.deferred) < maxDeferred {
 		c.deferred = append(c.deferred, deferredMsg{from: from, view: view, m: m})
@@ -869,7 +891,7 @@ func (c *Core) replayDeferred(env node.Env) {
 // OnPrepare handles the leader's ordering proposal.
 func (c *Core) OnPrepare(env node.Env, from msg.NodeID, prep *msg.Prepare) {
 	if prep.View > c.view {
-		c.deferToView(env, from, prep.View, prep)
+		c.deferToView(env, from, prep.View, prep.Clone())
 		return
 	}
 	if prep.View != c.view || c.inVC {
@@ -879,8 +901,7 @@ func (c *Core) OnPrepare(env node.Env, from msg.NodeID, prep *msg.Prepare) {
 		c.rejectCert(from)
 		return
 	}
-	reqDigests := prep.Batch.ReqDigests()
-	batchDigest := msg.BatchDigestOf(reqDigests)
+	batchDigest := prep.Batch.Digest()
 	for i := range prep.Batch.Reqs {
 		opLen := len(prep.Batch.Reqs[i].Op)
 		env.Charge(c.cfg.Profile, node.ChargeHash, opLen)
@@ -903,13 +924,13 @@ func (c *Core) OnPrepare(env node.Env, from msg.NodeID, prep *msg.Prepare) {
 	// earlier batch is still in transit.
 	lane := tcounter.LaneOf(prep.Seq, c.cfg.PipelineDepth)
 	if prep.Cert.Value > c.nextPrepareValue[lane] {
-		c.pendingPrepares[prep.Cert.Value] = prep
+		c.pendingPrepares[prep.Cert.Value] = prep.Clone() // held past this call
 		return
 	}
 	if prep.Cert.Value < c.nextPrepareValue[lane] {
 		return // stale duplicate
 	}
-	c.acceptPrepare(env, prep, reqDigests, batchDigest)
+	c.acceptPrepare(env, prep, batchDigest)
 	c.drainPrepares(env)
 }
 
@@ -925,14 +946,16 @@ func (c *Core) drainPrepares(env node.Env) {
 				continue
 			}
 			delete(c.pendingPrepares, c.nextPrepareValue[l])
-			reqDigests := next.Batch.ReqDigests()
-			c.acceptPrepare(env, next, reqDigests, msg.BatchDigestOf(reqDigests))
+			c.acceptPrepare(env, next, next.Batch.Digest())
 			progressed = true
 		}
 	}
 }
 
-func (c *Core) acceptPrepare(env node.Env, prep *msg.Prepare, reqDigests []msg.Digest, batchDigest msg.Digest) {
+// acceptPrepare admits a verified, in-lane-order PREPARE to the log. prep is
+// a view of the delivered envelope; the entry gets its own copy of the batch
+// (with the request digests OnPrepare just computed) and of the certificate.
+func (c *Core) acceptPrepare(env node.Env, prep *msg.Prepare, batchDigest msg.Digest) {
 	lane := tcounter.LaneOf(prep.Seq, c.cfg.PipelineDepth)
 	c.nextPrepareValue[lane] = prep.Cert.Value + uint64(c.lanes())
 	if prep.Seq < c.maxAcceptedPrep {
@@ -942,13 +965,11 @@ func (c *Core) acceptPrepare(env node.Env, prep *msg.Prepare, reqDigests []msg.D
 	}
 
 	e := c.getEntry(prep.Seq)
-	batch := prep.Batch
 	e.view = prep.View
-	e.batch = &batch
+	e.batch = prep.Batch.Clone()
 	e.digest = batchDigest
-	e.reqDigests = reqDigests
 	e.hasPrep = true
-	e.prepCert = prep.Cert
+	e.prepCert = prep.Cert.Clone()
 	e.vouchers[prep.Cert.Replica] = struct{}{}
 
 	// Certify and broadcast our commit: one certification acknowledges the
@@ -965,11 +986,7 @@ func (c *Core) acceptPrepare(env node.Env, prep *msg.Prepare, reqDigests []msg.D
 	// minted for the batch.
 	e.specCert = cert
 	e.hasSpecCert = true
-	for i := 0; i < c.cfg.N; i++ {
-		if to := msg.NodeID(i); to != c.cfg.Self {
-			c.out.Send(env, to, com)
-		}
-	}
+	c.broadcast(env, com)
 	e.vouchers[c.cfg.Self] = struct{}{}
 	// Speculate before attempting the durable commit, so the fast answer for
 	// this batch is emitted no later than its durable one.
@@ -980,7 +997,7 @@ func (c *Core) acceptPrepare(env node.Env, prep *msg.Prepare, reqDigests []msg.D
 // OnCommit handles a commit acknowledgment.
 func (c *Core) OnCommit(env node.Env, from msg.NodeID, com *msg.Commit) {
 	if com.View > c.view {
-		c.deferToView(env, from, com.View, com)
+		c.deferToView(env, from, com.View, com.Clone())
 		return
 	}
 	if com.View != c.view || c.inVC {
@@ -1007,7 +1024,7 @@ func (c *Core) OnCommit(env node.Env, from msg.NodeID, com *msg.Commit) {
 			byVal = make(map[uint64]*msg.Commit)
 			c.pendingCommits[from] = byVal
 		}
-		byVal[com.Cert.Value] = com
+		byVal[com.Cert.Value] = com.Clone() // held past this call
 		// A peer that installed a checkpoint via state transfer advanced its
 		// own counters past the gap it jumped, so the values we still expect
 		// from it will never arrive and its commits would buffer here
@@ -1117,7 +1134,7 @@ func (c *Core) execute(env node.Env, e *entry) {
 	// and fast-read cache invalidation see the same replies as before.
 	for i := range e.batch.Reqs {
 		req := &e.batch.Reqs[i]
-		reqDigest := e.reqDigests[i]
+		reqDigest := req.Digest() // carried since the batch was proposed or accepted
 		c.clearProgress(env, reqDigest)
 		delete(c.proposed, reqDigest)
 
@@ -1203,12 +1220,7 @@ func (c *Core) maybeCheckpoint(env node.Env) {
 	cs := c.buildChunkedSnapshot()
 	env.Charge(c.cfg.Profile, node.ChargeHash, cs.hashed)
 	c.ownCheckpoints[seq] = cs
-	cp := &msg.Checkpoint{Seq: seq, StateDigest: cs.digest}
-	for i := 0; i < c.cfg.N; i++ {
-		if to := msg.NodeID(i); to != c.cfg.Self {
-			c.out.Send(env, to, cp)
-		}
-	}
+	c.broadcast(env, &msg.Checkpoint{Seq: seq, StateDigest: cs.digest})
 	c.recordCheckpoint(env, c.cfg.Self, seq, cs.digest)
 }
 

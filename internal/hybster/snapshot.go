@@ -1,6 +1,7 @@
 package hybster
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -96,7 +97,9 @@ func decodeSnapshotHead(data []byte) (map[uint64]*clientRecord, error) {
 			read:    r.Bool(),
 		}
 		copy(rec.reqDigest[:], r.FixedBytes(len(msg.Digest{})))
-		rec.result = r.Bytes32()
+		// The table outlives data (the fetch's accumulated head): each
+		// record owns its result instead of pinning the whole head.
+		rec.result = bytes.Clone(r.Bytes32())
 		nk := r.SliceLen()
 		for j := 0; j < nk; j++ {
 			rec.keys = append(rec.keys, r.String())

@@ -2,7 +2,6 @@ package hybster
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"sort"
 
 	"github.com/troxy-bft/troxy/internal/msg"
@@ -34,7 +33,7 @@ func (c *Core) startViewChange(env node.Env, newView uint64) {
 		StableDigest: c.stableDigest,
 		Prepared:     c.preparedAbove(c.stableSeq),
 	}
-	digest := sha256.Sum256(vc.CertInput())
+	digest := vc.CertDigest()
 	cert, err := c.cfg.Authority.Certify(tcounter.ViewChangeCounter, newView, digest)
 	c.chargeCounterOp(env)
 	if err != nil {
@@ -44,11 +43,7 @@ func (c *Core) startViewChange(env node.Env, newView uint64) {
 	vc.Cert = cert
 	c.vcVoted = newView
 
-	for i := 0; i < c.cfg.N; i++ {
-		if to := msg.NodeID(i); to != c.cfg.Self {
-			c.out.Send(env, to, vc)
-		}
-	}
+	c.broadcast(env, vc)
 	c.recordViewChange(env, vc)
 	env.SetTimer(c.cfg.ViewChangeTimeout, node.TimerKey{Kind: timerViewChange, ID: newView})
 }
@@ -79,7 +74,7 @@ func (c *Core) preparedAbove(seq uint64) []msg.PreparedEntry {
 // verifyViewChange checks a VIEW-CHANGE message's certificate and the
 // prepare certificates of every entry it carries.
 func (c *Core) verifyViewChange(env node.Env, vc *msg.ViewChange) bool {
-	digest := sha256.Sum256(vc.CertInput())
+	digest := vc.CertDigest()
 	if vc.Cert.Replica != vc.Replica ||
 		vc.Cert.Counter != tcounter.ViewChangeCounter ||
 		vc.Cert.Value != vc.NewView ||
@@ -149,7 +144,7 @@ func (c *Core) maybeInstall(env node.Env, newView uint64) {
 	for _, id := range ids[:c.quorum()] {
 		nv.ViewChanges = append(nv.ViewChanges, *votes[id])
 	}
-	digest := sha256.Sum256(nv.CertInput())
+	digest := nv.CertDigest()
 	cert, err := c.cfg.Authority.Certify(tcounter.NewViewCounter, newView, digest)
 	c.chargeCounterOp(env)
 	if err != nil {
@@ -157,11 +152,7 @@ func (c *Core) maybeInstall(env node.Env, newView uint64) {
 		return
 	}
 	nv.Cert = cert
-	for i := 0; i < c.cfg.N; i++ {
-		if to := msg.NodeID(i); to != c.cfg.Self {
-			c.out.Send(env, to, nv)
-		}
-	}
+	c.broadcast(env, nv)
 	c.installView(env, nv)
 }
 
@@ -186,7 +177,7 @@ func (c *Core) OnNewView(env node.Env, from msg.NodeID, nv *msg.NewView) {
 		c.rejectCert(from)
 		return
 	}
-	digest := sha256.Sum256(nv.CertInput())
+	digest := nv.CertDigest()
 	if nv.Cert.Replica != nv.Leader ||
 		nv.Cert.Counter != tcounter.NewViewCounter ||
 		nv.Cert.Value != nv.View ||
@@ -292,8 +283,8 @@ func (c *Core) installView(env node.Env, nv *msg.NewView) {
 		for seq := startSeq; seq <= maxPrepared; seq++ {
 			if pe, ok := reproposals[seq]; ok {
 				batch := pe.Batch
-				for _, d := range batch.ReqDigests() {
-					reproposed[d] = struct{}{}
+				for i := range batch.Reqs {
+					reproposed[batch.Reqs[i].Digest()] = struct{}{}
 				}
 				c.proposeBatch(env, &batch)
 				continue
@@ -302,9 +293,15 @@ func (c *Core) installView(env node.Env, nv *msg.NewView) {
 			c.proposeBatch(env, &msg.Batch{})
 		}
 	} else {
-		for _, pe := range reproposals {
-			for _, d := range pe.Batch.ReqDigests() {
-				reproposed[d] = struct{}{}
+		seqs := make([]uint64, 0, len(reproposals))
+		for seq := range reproposals {
+			seqs = append(seqs, seq)
+		}
+		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+		for _, seq := range seqs {
+			reqs := reproposals[seq].Batch.Reqs
+			for i := range reqs {
+				reproposed[reqs[i].Digest()] = struct{}{}
 			}
 		}
 	}

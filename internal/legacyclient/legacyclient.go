@@ -20,6 +20,7 @@ import (
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/node"
 	"github.com/troxy-bft/troxy/internal/securechannel"
+	"github.com/troxy-bft/troxy/internal/wire"
 	"github.com/troxy-bft/troxy/internal/workload"
 )
 
@@ -237,10 +238,8 @@ func (m *Machine) transmit(env node.Env, cs *clientState) {
 	if !cs.sess.Established() {
 		return // will be retransmitted once the channel is up
 	}
-	var plaintext []byte
-	if m.cfg.HTTP {
-		plaintext = cs.op.Op
-	} else {
+	plaintext := cs.op.Op
+	if !m.cfg.HTTP {
 		flags := uint8(0)
 		if cs.op.Read {
 			flags = msg.FlagReadOnly
@@ -248,12 +247,10 @@ func (m *Machine) transmit(env node.Env, cs *clientState) {
 		if m.cfg.FastCommit {
 			flags |= msg.FlagFastCommit
 		}
-		plaintext = msg.EncodeChannelRequest(&msg.ChannelRequest{
-			Client: cs.identity,
-			Seq:    cs.seq,
-			Flags:  flags,
-			Op:     cs.op.Op,
-		})
+		w := wire.GetWriter()
+		defer wire.PutWriter(w) // Seal copies the plaintext into the record
+		(&msg.ChannelRequest{Client: cs.identity, Seq: cs.seq, Flags: flags, Op: cs.op.Op}).MarshalWire(w)
+		plaintext = w.Bytes()
 	}
 	record, err := cs.sess.Seal(plaintext)
 	if err != nil {
@@ -349,7 +346,7 @@ func (m *Machine) OnEnvelope(env node.Env, e *msg.Envelope) {
 }
 
 // onReply dispatches one decoded reply frame by status and sequence number.
-func (m *Machine) onReply(env node.Env, cs *clientState, reply *msg.ChannelReply) {
+func (m *Machine) onReply(env node.Env, cs *clientState, reply msg.ChannelReply) {
 	// Retained speculations settle independently of the current in-flight
 	// operation: the client has usually moved on by the time the durable
 	// tier reports back.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/troxy-bft/troxy/internal/testutil"
 	"github.com/troxy-bft/troxy/internal/wire"
 )
 
@@ -89,4 +90,45 @@ func BenchmarkAppendEnvelopeFrame(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkAllocGate holds the codec side of the request path's buffer
+// discipline (DESIGN.md §5): encoding appends into a writer the caller
+// brought, decoding returns views, and what is left to allocate is the
+// message objects themselves — never a copy of a field.
+func BenchmarkAllocGate(b *testing.B) {
+	rep := &OrderedReply{Executor: 1, Seq: 9, Client: 100, ClientSeq: 3,
+		Result: make([]byte, 128), InvalidKeys: []string{"key-0001"}, TroxyTag: make([]byte, 32)}
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
+	testutil.AllocGate(b, "OrderedReplyMarshalAndTagInput", 0, func() {
+		w.Reset()
+		rep.MarshalWire(w)
+		w.Reset()
+		rep.TagInput(w)
+	})
+
+	// Decoding allocates the envelope, the message, and for the reply its
+	// key list (one slice, one string): 4. The 16 operations and the
+	// certificate of a PREPARE are views, so it takes 3: envelope, message,
+	// request slice.
+	sealed := func(m Message) []byte {
+		e := Seal(0, 1, m)
+		e.MAC = make([]byte, 32)
+		return EncodeEnvelope(e)
+	}
+	open := func(frame []byte) func() {
+		return func() {
+			e, err := DecodeEnvelope(frame)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := e.Open(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	testutil.AllocGate(b, "DecodeOpenOrderedReply", 4, open(sealed(rep)))
+	testutil.AllocGate(b, "DecodeOpenPrepare16", 3, open(sealed(&Prepare{View: 1, Seq: 7, Batch: *benchBatch(16),
+		Cert: CounterCert{Replica: 0, Counter: 1, Value: 7, MAC: make([]byte, 32)}})))
 }

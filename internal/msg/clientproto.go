@@ -53,54 +53,57 @@ const (
 // ErrBadChannelFrame reports a malformed plaintext frame.
 var ErrBadChannelFrame = errors.New("msg: malformed channel frame")
 
-// EncodeChannelRequest marshals the request frame.
-func EncodeChannelRequest(m *ChannelRequest) []byte {
-	w := wire.NewWriter(24 + len(m.Op))
+// EncodeChannelRequest marshals the request frame into a buffer of its own.
+// The request path appends with MarshalWire into a pooled writer instead.
+func EncodeChannelRequest(m *ChannelRequest) []byte { return marshalOwned(m) }
+
+// MarshalWire appends the request frame.
+//
+//troxy:hotpath
+func (m *ChannelRequest) MarshalWire(w *wire.Writer) {
 	w.U64(m.Client)
 	w.U64(m.Seq)
 	w.U8(m.Flags)
 	w.Bytes32(m.Op)
-	out := make([]byte, w.Len())
-	copy(out, w.Bytes())
-	return out
 }
 
-// DecodeChannelRequest parses a request frame.
-func DecodeChannelRequest(b []byte) (*ChannelRequest, error) {
+// DecodeChannelRequest parses a request frame. Op is a view of b.
+func DecodeChannelRequest(b []byte) (ChannelRequest, error) {
 	r := wire.NewReader(b)
-	m := &ChannelRequest{
+	m := ChannelRequest{
 		Client: r.U64(),
 		Seq:    r.U64(),
 		Flags:  r.U8(),
 		Op:     r.Bytes32(),
 	}
 	if err := r.Finish(); err != nil {
-		return nil, errors.Join(ErrBadChannelFrame, err)
+		return ChannelRequest{}, errors.Join(ErrBadChannelFrame, err)
 	}
 	return m, nil
 }
 
-// EncodeChannelReply marshals the reply frame.
-func EncodeChannelReply(m *ChannelReply) []byte {
-	w := wire.NewWriter(16 + len(m.Result))
+// EncodeChannelReply marshals the reply frame into a buffer of its own.
+func EncodeChannelReply(m *ChannelReply) []byte { return marshalOwned(m) }
+
+// MarshalWire appends the reply frame.
+//
+//troxy:hotpath
+func (m *ChannelReply) MarshalWire(w *wire.Writer) {
 	w.U64(m.Seq)
 	w.U8(m.Status)
 	w.Bytes32(m.Result)
-	out := make([]byte, w.Len())
-	copy(out, w.Bytes())
-	return out
 }
 
-// DecodeChannelReply parses a reply frame.
-func DecodeChannelReply(b []byte) (*ChannelReply, error) {
+// DecodeChannelReply parses a reply frame. Result is a view of b.
+func DecodeChannelReply(b []byte) (ChannelReply, error) {
 	r := wire.NewReader(b)
-	m := &ChannelReply{
+	m := ChannelReply{
 		Seq:    r.U64(),
 		Status: r.U8(),
 		Result: r.Bytes32(),
 	}
 	if err := r.Finish(); err != nil {
-		return nil, errors.Join(ErrBadChannelFrame, err)
+		return ChannelReply{}, errors.Join(ErrBadChannelFrame, err)
 	}
 	return m, nil
 }

@@ -2,11 +2,58 @@ package msg
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
 // Fuzz targets: decoders face bytes from Byzantine peers and must never
-// panic; whatever decodes must re-encode to an equivalent message.
+// panic; whatever decodes must re-encode to an equivalent message. Decoding
+// is by view, which adds two properties: it leaves the input untouched, and
+// no decoded field can be used to write into the input or into another field.
+
+// appendToByteFields appends one byte to every []byte reachable from v. A
+// field that kept spare capacity over its neighbour would let the append
+// write into the buffer it was decoded from.
+func appendToByteFields(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		if !v.IsNil() {
+			appendToByteFields(v.Elem())
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				appendToByteFields(v.Field(i))
+			}
+		}
+	case reflect.Slice:
+		if v.Type().Elem().Kind() == reflect.Uint8 {
+			_ = append(v.Bytes(), 0xA5)
+			return
+		}
+		for i := 0; i < v.Len(); i++ {
+			appendToByteFields(v.Index(i))
+		}
+	}
+}
+
+// checkView holds a decoded value to the view properties: input is what it
+// was decoded from, pristine a copy taken before decoding, encode its
+// canonical re-encoding.
+func checkView(t *testing.T, what string, decoded any, input, pristine []byte, encode func() []byte) {
+	t.Helper()
+	if !bytes.Equal(input, pristine) {
+		t.Fatalf("decoding %s modified its input", what)
+	}
+	before := encode()
+	appendToByteFields(reflect.ValueOf(decoded))
+	if !bytes.Equal(input, pristine) {
+		t.Fatalf("appending to a decoded field of %s wrote into the input", what)
+	}
+	if !bytes.Equal(encode(), before) {
+		t.Fatalf("appending to a decoded field of %s changed another field", what)
+	}
+}
 
 func FuzzDecode(f *testing.F) {
 	f.Add(Encode(&Checkpoint{Seq: 1}))
@@ -20,10 +67,12 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		pristine := bytes.Clone(data)
 		m, err := Decode(data)
 		if err != nil {
 			return
 		}
+		checkView(t, m.Kind().String(), m, data, pristine, func() []byte { return Encode(m) })
 		// Round-trip stability: re-encoding a decoded message and decoding
 		// again yields the same encoding.
 		re := Encode(m)
@@ -65,19 +114,28 @@ func FuzzBatch(f *testing.F) {
 		if d1 != b2.Digest() {
 			t.Fatal("batch digest not stable across re-encode")
 		}
-		if len(b.ReqDigests()) != b.Len() {
-			t.Fatal("ReqDigests length mismatch")
-		}
 	})
 }
 
 func FuzzDecodeEnvelope(f *testing.F) {
 	f.Add(EncodeEnvelope(Seal(1, 2, &Checkpoint{Seq: 9})))
+	prep := Seal(0, 1, &Prepare{View: 1, Seq: 2,
+		Batch: Batch{Reqs: []OrderRequest{{Op: []byte("PUT a 1")}, {Op: []byte("PUT b 2")}}},
+		Cert:  CounterCert{MAC: []byte("mac")}})
+	prep.MAC = []byte("transport-mac")
+	f.Add(EncodeEnvelope(prep))
+	f.Add(EncodeEnvelope(Seal(2, 0, &OrderedReply{Result: []byte("r"), InvalidKeys: []string{"k"}, TroxyTag: []byte("t")})))
+	f.Add(EncodeEnvelope(Seal(2, 0, &StateChunk{Seq: 8, Index: 1, Data: []byte("chunk")})))
 	f.Add([]byte{1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		pristine := bytes.Clone(data)
 		e, err := DecodeEnvelope(data)
 		if err != nil {
 			return
+		}
+		checkView(t, "envelope", e, data, pristine, func() []byte { return EncodeEnvelope(e) })
+		if m, err := e.Open(); err == nil {
+			checkView(t, "opened "+e.Kind.String(), m, data, pristine, func() []byte { return EncodeBody(m) })
 		}
 		re := EncodeEnvelope(e)
 		e2, err := DecodeEnvelope(re)
@@ -87,7 +145,6 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		if !bytes.Equal(re, EncodeEnvelope(e2)) {
 			t.Fatal("envelope encoding not a fixed point")
 		}
-		_, _ = e.Open() // must not panic
 	})
 }
 
@@ -95,15 +152,18 @@ func FuzzDecodeChannelFrames(f *testing.F) {
 	f.Add(EncodeChannelRequest(&ChannelRequest{Client: 1, Seq: 2, Op: []byte("GET k")}))
 	f.Add(EncodeChannelReply(&ChannelReply{Seq: 2, Status: StatusOK, Result: []byte("v")}))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		pristine := bytes.Clone(data)
 		if req, err := DecodeChannelRequest(data); err == nil {
-			if !bytes.Equal(EncodeChannelRequest(req), data) {
+			if !bytes.Equal(EncodeChannelRequest(&req), data) {
 				t.Fatal("request decode/encode mismatch")
 			}
+			checkView(t, "channel request", &req, data, pristine, func() []byte { return EncodeChannelRequest(&req) })
 		}
 		if rep, err := DecodeChannelReply(data); err == nil {
-			if !bytes.Equal(EncodeChannelReply(rep), data) {
+			if !bytes.Equal(EncodeChannelReply(&rep), data) {
 				t.Fatal("reply decode/encode mismatch")
 			}
+			checkView(t, "channel reply", &rep, data, pristine, func() []byte { return EncodeChannelReply(&rep) })
 		}
 	})
 }

@@ -14,6 +14,7 @@
 package msg
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -172,11 +173,15 @@ func (d Digest) Short() string { return fmt.Sprintf("%x", d[:6]) }
 
 func writeDigest(w *wire.Writer, d Digest) { w.Raw(d[:]) }
 
-func readDigest(r *wire.Reader, d *Digest) {
-	b := r.FixedBytes(len(d))
-	if b != nil {
-		copy(d[:], b)
-	}
+func readDigest(r *wire.Reader, d *Digest) { copy(d[:], r.FixedBytes(len(d))) }
+
+// marshalOwned returns m's encoding in a buffer of its own, marshalled
+// through a pooled writer: the one allocation is the result.
+func marshalOwned(m interface{ MarshalWire(*wire.Writer) }) []byte {
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
+	m.MarshalWire(w)
+	return w.CopyBytes()
 }
 
 // Encode marshals m with its kind prefix.
@@ -190,24 +195,17 @@ func Encode(m Message) []byte {
 
 // EncodeBody marshals m without the kind prefix. MACs and digests are
 // computed over this form together with the kind passed separately.
-func EncodeBody(m Message) []byte {
-	w := wire.GetWriter()
-	defer wire.PutWriter(w)
-	m.MarshalWire(w)
-	return w.CopyBytes()
-}
+func EncodeBody(m Message) []byte { return marshalOwned(m) }
 
-// Decode parses a message encoded by Encode.
+// Decode parses a message encoded by Encode. Like Envelope.Open it decodes
+// by view: the message's byte fields alias b.
 func Decode(b []byte) (Message, error) {
 	if len(b) == 0 {
 		return nil, wire.ErrTruncated
 	}
-	m, err := New(Kind(b[0]))
-	if err != nil {
-		return nil, err
-	}
 	r := wire.NewReader(b[1:])
-	if err := m.UnmarshalWire(r); err != nil {
+	m, err := decode(Kind(b[0]), r)
+	if err != nil {
 		return nil, err
 	}
 	if err := r.Finish(); err != nil {
@@ -216,55 +214,96 @@ func Decode(b []byte) (Message, error) {
 	return m, nil
 }
 
-// New returns a fresh zero message of the given kind.
-func New(k Kind) (Message, error) {
+// decode unmarshals a fresh message of the given kind from r. The calls are
+// on concrete types rather than through Message so that the reader never
+// escapes and callers keep it on their stack.
+func decode(k Kind, r *wire.Reader) (Message, error) {
 	switch k {
 	case KindChannelData:
-		return &ChannelData{}, nil
+		m := &ChannelData{}
+		return m, m.UnmarshalWire(r)
 	case KindBFTRequest:
-		return &BFTRequest{}, nil
+		m := &BFTRequest{}
+		return m, m.UnmarshalWire(r)
 	case KindBFTReply:
-		return &BFTReply{}, nil
+		m := &BFTReply{}
+		return m, m.UnmarshalWire(r)
 	case KindForward:
-		return &Forward{}, nil
+		m := &Forward{}
+		return m, m.UnmarshalWire(r)
 	case KindPrepare:
-		return &Prepare{}, nil
+		m := &Prepare{}
+		return m, m.UnmarshalWire(r)
 	case KindCommit:
-		return &Commit{}, nil
+		m := &Commit{}
+		return m, m.UnmarshalWire(r)
 	case KindOrderedReply:
-		return &OrderedReply{}, nil
+		m := &OrderedReply{}
+		return m, m.UnmarshalWire(r)
 	case KindCheckpoint:
-		return &Checkpoint{}, nil
+		m := &Checkpoint{}
+		return m, m.UnmarshalWire(r)
 	case KindViewChange:
-		return &ViewChange{}, nil
+		m := &ViewChange{}
+		return m, m.UnmarshalWire(r)
 	case KindNewView:
-		return &NewView{}, nil
+		m := &NewView{}
+		return m, m.UnmarshalWire(r)
 	case KindCacheQuery:
-		return &CacheQuery{}, nil
+		m := &CacheQuery{}
+		return m, m.UnmarshalWire(r)
 	case KindCacheReply:
-		return &CacheReply{}, nil
+		m := &CacheReply{}
+		return m, m.UnmarshalWire(r)
 	case KindStateRequest:
-		return &StateRequest{}, nil
+		m := &StateRequest{}
+		return m, m.UnmarshalWire(r)
 	case KindStateReply:
-		return &StateReply{}, nil
+		m := &StateReply{}
+		return m, m.UnmarshalWire(r)
 	case KindBatch:
-		return &Batch{}, nil
+		m := &Batch{}
+		return m, m.UnmarshalWire(r)
 	case KindStateChunk:
-		return &StateChunk{}, nil
+		m := &StateChunk{}
+		return m, m.UnmarshalWire(r)
 	case KindStatePrefix:
-		return &StatePrefix{}, nil
+		m := &StatePrefix{}
+		return m, m.UnmarshalWire(r)
 	case KindNewViewRequest:
-		return &NewViewRequest{}, nil
+		m := &NewViewRequest{}
+		return m, m.UnmarshalWire(r)
 	case KindSpecReply:
-		return &SpecReply{}, nil
+		m := &SpecReply{}
+		return m, m.UnmarshalWire(r)
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrUnknownKind, uint8(k))
+	}
+}
+
+// keptWhole reports the kinds whose handler keeps the decoded message as it
+// is — view-change evidence (held until the view installs, relayed to stale
+// replicas, re-proposed from) and state-transfer pieces (buffered out of
+// order until their turn). Open decodes those from a copy of the body it
+// makes once, so the message owns every byte it points to; every other kind
+// is a view of the envelope and its handler copies what it stores.
+func (k Kind) keptWhole() bool {
+	switch k {
+	case KindViewChange, KindNewView, KindStateReply, KindStateChunk, KindStatePrefix:
+		return true
+	default:
+		return false
 	}
 }
 
 // Envelope is the transport unit exchanged between nodes. MAC, when present,
 // is a point-to-point HMAC over (From, To, Kind, Body) computed by the
 // untrusted replica part (or the BFT client library).
+//
+// Body and MAC are immutable once the envelope has been handed to a
+// runtime's Send: the in-process router delivers the very same envelope to
+// the receiver, and a broadcast shares one Body among its recipients. They
+// are never taken from or returned to a pool.
 type Envelope struct {
 	From NodeID
 	To   NodeID
@@ -303,7 +342,9 @@ func AppendEnvelopeFrame(w *wire.Writer, e *Envelope) error {
 	return w.EndFrame(mark)
 }
 
-// DecodeEnvelope parses a transport frame into an Envelope.
+// DecodeEnvelope parses a transport frame into an Envelope whose Body and MAC
+// are views of b (see wire.Reader.Bytes32): the frame's buffer — the
+// transport's ingress chunk — is the one copy this hop makes.
 func DecodeEnvelope(b []byte) (*Envelope, error) {
 	r := wire.NewReader(b)
 	e := &Envelope{
@@ -325,17 +366,20 @@ func (e *Envelope) WireSize() int {
 	return 4 /*frame hdr*/ + 4 + 4 + 1 + wire.SizeBytes32(e.Body) + wire.SizeBytes32(e.MAC)
 }
 
-// Open decodes the envelope's body into a typed message.
+// Open decodes the envelope's body into a typed message. The message's byte
+// fields are views of Body (except for the kinds keptWhole names): they must
+// not be modified, and a handler that stores one copies it at that point.
 func (e *Envelope) Open() (Message, error) {
-	m, err := New(e.Kind)
+	body := e.Body
+	if e.Kind.keptWhole() {
+		body = bytes.Clone(body)
+	}
+	r := wire.NewReader(body)
+	m, err := decode(e.Kind, r)
+	if err == nil {
+		err = r.Finish()
+	}
 	if err != nil {
-		return nil, err
-	}
-	r := wire.NewReader(e.Body)
-	if err := m.UnmarshalWire(r); err != nil {
-		return nil, fmt.Errorf("open %s envelope: %w", e.Kind, err)
-	}
-	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("open %s envelope: %w", e.Kind, err)
 	}
 	return m, nil

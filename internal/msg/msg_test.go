@@ -38,6 +38,9 @@ func roundTrip(t *testing.T, m Message) Message {
 
 func TestRoundTripAllKinds(t *testing.T) {
 	req := sampleRequest()
+	// Taken from a second copy: a request carries its digest once computed,
+	// and the decoded messages compared below start without one.
+	reqDigest := (&OrderRequest{Origin: req.Origin, Client: req.Client, ClientSeq: req.ClientSeq, Flags: req.Flags, Op: req.Op}).Digest()
 	cases := []Message{
 		&ChannelData{ConnID: 9, Payload: []byte("ciphertext")},
 		&BFTRequest{Client: 1, ClientSeq: 2, Flags: FlagDirect, Op: []byte("op")},
@@ -48,7 +51,7 @@ func TestRoundTripAllKinds(t *testing.T) {
 		&Prepare{View: 1, Seq: 10, Batch: Batch{Reqs: []OrderRequest{req}}, Cert: sampleCert()},
 		&Commit{View: 1, Seq: 10, BatchDigest: (&Batch{Reqs: []OrderRequest{req}}).Digest(), Cert: sampleCert()},
 		&OrderedReply{Executor: 0, Seq: 10, Client: 77, ClientSeq: 1234,
-			ReqDigest: req.Digest(), Result: []byte("result"),
+			ReqDigest: reqDigest, Result: []byte("result"),
 			InvalidKeys: []string{"a", "b"}, TroxyTag: []byte("tag")},
 		&Checkpoint{Seq: 128, StateDigest: DigestOf([]byte("state"))},
 		&ViewChange{Replica: 1, NewView: 2, StableSeq: 128,
@@ -61,8 +64,8 @@ func TestRoundTripAllKinds(t *testing.T) {
 			{Replica: 1, NewView: 2, StableSeq: 128, Cert: sampleCert()},
 			{Replica: 2, NewView: 2, StableSeq: 128, Cert: sampleCert()},
 		}, Cert: sampleCert()},
-		&CacheQuery{From: 0, QueryID: 5, ReqDigest: req.Digest(), Tag: []byte("t")},
-		&CacheReply{From: 1, QueryID: 5, ReqDigest: req.Digest(), Found: true,
+		&CacheQuery{From: 0, QueryID: 5, ReqDigest: reqDigest, Tag: []byte("t")},
+		&CacheReply{From: 1, QueryID: 5, ReqDigest: reqDigest, Found: true,
 			ReplyDigest: DigestOf([]byte("reply")), Tag: []byte("t")},
 		&StateRequest{Seq: 128, Chunks: []uint32{0, 3, 7}},
 		&StateReply{Seq: 128, Manifest: []byte("manifest-bytes")},
@@ -81,7 +84,7 @@ func TestRoundTripAllKinds(t *testing.T) {
 		&NewViewRequest{View: 2},
 		&SpecReply{Executor: 1, View: 2, Seq: 10,
 			BatchDigest: (&Batch{Reqs: []OrderRequest{req}}).Digest(),
-			Client:      77, ClientSeq: 1234, ReqDigest: req.Digest(),
+			Client:      77, ClientSeq: 1234, ReqDigest: reqDigest,
 			Result: []byte("spec-result"), Cert: sampleCert(), TroxyTag: []byte("tag")},
 	}
 	for _, m := range cases {
@@ -114,8 +117,9 @@ func TestOrderRequestDigestStable(t *testing.T) {
 	if a.Digest() != b.Digest() {
 		t.Error("identical requests must have identical digests")
 	}
-	b.ClientSeq++
-	if a.Digest() == b.Digest() {
+	c := sampleRequest()
+	c.ClientSeq++
+	if a.Digest() == c.Digest() {
 		t.Error("different requests must have different digests")
 	}
 }
@@ -151,16 +155,23 @@ func TestEnvelopeOpenRejectsGarbageBody(t *testing.T) {
 	}
 }
 
+// tagInput returns the bytes a message's tag covers.
+func tagInput(m interface{ TagInput(*wire.Writer) }) []byte {
+	w := wire.NewWriter(64)
+	m.TagInput(w)
+	return w.Bytes()
+}
+
 func TestTagInputExcludesTag(t *testing.T) {
 	r := &OrderedReply{Executor: 1, Result: []byte("r"), TroxyTag: []byte("A")}
-	in1 := r.TagInput()
+	in1 := tagInput(r)
 	r.TroxyTag = []byte("B")
-	in2 := r.TagInput()
+	in2 := tagInput(r)
 	if !bytes.Equal(in1, in2) {
 		t.Error("TagInput must not cover the tag itself")
 	}
 	r.Result = []byte("other")
-	if bytes.Equal(in1, r.TagInput()) {
+	if bytes.Equal(in1, tagInput(r)) {
 		t.Error("TagInput must cover the result")
 	}
 }
@@ -168,18 +179,18 @@ func TestTagInputExcludesTag(t *testing.T) {
 func TestSpecReplyTagInputExcludesTag(t *testing.T) {
 	r := &SpecReply{Executor: 1, View: 2, Seq: 3, Result: []byte("r"),
 		Cert: sampleCert(), TroxyTag: []byte("A")}
-	in1 := r.TagInput()
+	in1 := tagInput(r)
 	r.TroxyTag = []byte("B")
-	if !bytes.Equal(in1, r.TagInput()) {
+	if !bytes.Equal(in1, tagInput(r)) {
 		t.Error("TagInput must not cover the tag itself")
 	}
 	r.Result = []byte("other")
-	if bytes.Equal(in1, r.TagInput()) {
+	if bytes.Equal(in1, tagInput(r)) {
 		t.Error("TagInput must cover the result")
 	}
 	r.Result = []byte("r")
 	r.Cert.Value++
-	if bytes.Equal(in1, r.TagInput()) {
+	if bytes.Equal(in1, tagInput(r)) {
 		t.Error("TagInput must cover the counter certificate")
 	}
 }
@@ -205,7 +216,7 @@ func TestChannelReplyStatusRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("status %d: %v", status, err)
 		}
-		if !reflect.DeepEqual(got, rep) {
+		if !reflect.DeepEqual(&got, rep) {
 			t.Errorf("status %d mismatch: %#v vs %#v", status, got, rep)
 		}
 	}
@@ -217,7 +228,7 @@ func TestChannelFrames(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeChannelRequest: %v", err)
 	}
-	if !reflect.DeepEqual(gotReq, req) {
+	if !reflect.DeepEqual(&gotReq, req) {
 		t.Errorf("request mismatch: %#v vs %#v", gotReq, req)
 	}
 
@@ -226,7 +237,7 @@ func TestChannelFrames(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeChannelReply: %v", err)
 	}
-	if !reflect.DeepEqual(gotRep, rep) {
+	if !reflect.DeepEqual(&gotRep, rep) {
 		t.Errorf("reply mismatch: %#v vs %#v", gotRep, rep)
 	}
 

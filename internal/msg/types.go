@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"bytes"
 	"fmt"
 
 	"github.com/troxy-bft/troxy/internal/wire"
@@ -43,6 +44,8 @@ type ChannelData struct {
 func (*ChannelData) Kind() Kind { return KindChannelData }
 
 // MarshalWire implements Message.
+//
+//troxy:hotpath
 func (m *ChannelData) MarshalWire(w *wire.Writer) {
 	w.U64(m.ConnID)
 	w.Bytes32(m.Payload)
@@ -135,9 +138,18 @@ type OrderRequest struct {
 	ClientSeq uint64
 	Flags     uint8
 	Op        []byte
+
+	// digest carries the request's digest once Digest has computed it, so a
+	// replica hashes a request it holds once, not at every stage that needs
+	// the digest (submission, proposal, execution, reply). It is never
+	// encoded and is copied along with the struct.
+	digest   Digest
+	digested bool
 }
 
 // MarshalWire encodes the request canonically.
+//
+//troxy:hotpath
 func (m *OrderRequest) MarshalWire(w *wire.Writer) {
 	w.U32(uint32(m.Origin))
 	w.U64(m.Client)
@@ -148,6 +160,7 @@ func (m *OrderRequest) MarshalWire(w *wire.Writer) {
 
 // UnmarshalWire decodes the request.
 func (m *OrderRequest) UnmarshalWire(r *wire.Reader) error {
+	m.digested = false
 	m.Origin = NodeID(int32(r.U32()))
 	m.Client = r.U64()
 	m.ClientSeq = r.U64()
@@ -164,12 +177,25 @@ func (m *OrderRequest) ReadOnly() bool { return m.Flags&FlagReadOnly != 0 }
 func (m *OrderRequest) FastCommit() bool { return m.Flags&FlagFastCommit != 0 }
 
 // Digest returns the SHA-256 digest of the canonical encoding. Replicas vote
-// and invalidate caches by this digest.
+// and invalidate caches by this digest. The first call computes it and the
+// request carries it from then on (copies of the struct included), so the
+// encoded fields must not change once the digest has been taken.
 func (m *OrderRequest) Digest() Digest {
-	w := wire.GetWriter()
-	defer wire.PutWriter(w)
-	m.MarshalWire(w)
-	return DigestOf(w.Bytes())
+	if !m.digested {
+		w := wire.GetWriter()
+		m.MarshalWire(w)
+		m.digest, m.digested = DigestOf(w.Bytes()), true
+		wire.PutWriter(w)
+	}
+	return m.digest
+}
+
+// Clone returns a copy of the request that owns its operation bytes, for a
+// holder that outlives the buffer the request was decoded from.
+func (m *OrderRequest) Clone() *OrderRequest {
+	c := *m
+	c.Op = bytes.Clone(m.Op)
+	return &c
 }
 
 // String implements fmt.Stringer for log lines.
@@ -191,6 +217,8 @@ type Batch struct {
 func (*Batch) Kind() Kind { return KindBatch }
 
 // MarshalWire implements Message.
+//
+//troxy:hotpath
 func (m *Batch) MarshalWire(w *wire.Writer) {
 	w.U32(uint32(len(m.Reqs)))
 	for i := range m.Reqs {
@@ -221,35 +249,41 @@ func (m *Batch) UnmarshalWire(r *wire.Reader) error {
 // Len returns the number of requests in the batch.
 func (m *Batch) Len() int { return len(m.Reqs) }
 
-// ReqDigests returns the digest of every request, in batch order.
-func (m *Batch) ReqDigests() []Digest {
-	if len(m.Reqs) == 0 {
-		return nil
-	}
-	out := make([]Digest, len(m.Reqs))
+// Clone returns a copy of the batch that owns its operation bytes — the one
+// copy a replica makes when it admits a decoded batch to its log. The
+// operations share a single allocation, each cap-limited to its own bytes.
+func (m *Batch) Clone() *Batch {
+	total := 0
 	for i := range m.Reqs {
-		out[i] = m.Reqs[i].Digest()
+		total += len(m.Reqs[i].Op)
 	}
-	return out
+	ops := make([]byte, 0, total)
+	c := &Batch{Reqs: make([]OrderRequest, len(m.Reqs))}
+	for i := range m.Reqs {
+		c.Reqs[i] = m.Reqs[i]
+		if n := len(m.Reqs[i].Op); n > 0 {
+			ops = append(ops, m.Reqs[i].Op...)
+			c.Reqs[i].Op = ops[len(ops)-n : len(ops) : len(ops)]
+		}
+	}
+	return c
 }
 
-// BatchDigestOf combines per-request digests into the digest that the batch's
-// PREPARE/COMMIT certificates bind. The "troxy-batch" marker and the request
-// count domain-separate it from single-request digests and from concatenation
+// Digest returns the digest that the batch's PREPARE/COMMIT certificates
+// bind: the per-request digests (which the requests carry from then on, see
+// OrderRequest.Digest) behind a "troxy-batch" marker and the request count,
+// which domain-separate it from single-request digests and from concatenation
 // ambiguities between adjacent batches.
-func BatchDigestOf(reqDigests []Digest) Digest {
+func (m *Batch) Digest() Digest {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	w.String("troxy-batch")
-	w.U32(uint32(len(reqDigests)))
-	for i := range reqDigests {
-		writeDigest(w, reqDigests[i])
+	w.U32(uint32(len(m.Reqs)))
+	for i := range m.Reqs {
+		writeDigest(w, m.Reqs[i].Digest())
 	}
 	return DigestOf(w.Bytes())
 }
-
-// Digest returns the combined batch digest (see BatchDigestOf).
-func (m *Batch) Digest() Digest { return BatchDigestOf(m.ReqDigests()) }
 
 // String implements fmt.Stringer for log lines.
 func (m *Batch) String() string { return fmt.Sprintf("batch{%d reqs}", len(m.Reqs)) }
@@ -266,11 +300,19 @@ type CounterCert struct {
 }
 
 // MarshalWire encodes the certificate.
+//
+//troxy:hotpath
 func (c *CounterCert) MarshalWire(w *wire.Writer) {
 	w.U32(uint32(c.Replica))
 	w.U32(c.Counter)
 	w.U64(c.Value)
 	w.Bytes32(c.MAC)
+}
+
+// Clone returns a copy of the certificate that owns its MAC.
+func (c CounterCert) Clone() CounterCert {
+	c.MAC = bytes.Clone(c.MAC)
+	return c
 }
 
 // UnmarshalWire decodes the certificate.
@@ -292,6 +334,8 @@ type Forward struct {
 func (*Forward) Kind() Kind { return KindForward }
 
 // MarshalWire implements Message.
+//
+//troxy:hotpath
 func (m *Forward) MarshalWire(w *wire.Writer) { m.Req.MarshalWire(w) }
 
 // UnmarshalWire implements Message.
@@ -312,6 +356,8 @@ type Prepare struct {
 func (*Prepare) Kind() Kind { return KindPrepare }
 
 // MarshalWire implements Message.
+//
+//troxy:hotpath
 func (m *Prepare) MarshalWire(w *wire.Writer) {
 	w.U64(m.View)
 	w.U64(m.Seq)
@@ -329,6 +375,13 @@ func (m *Prepare) UnmarshalWire(r *wire.Reader) error {
 	return m.Cert.UnmarshalWire(r)
 }
 
+// Clone returns a copy of the proposal that owns every byte it points to,
+// for a replica that has to hold a decoded PREPARE back (out of lane order,
+// or for a view it has not installed yet).
+func (m *Prepare) Clone() *Prepare {
+	return &Prepare{View: m.View, Seq: m.Seq, Batch: *m.Batch.Clone(), Cert: m.Cert.Clone()}
+}
+
 // Commit acknowledges a Prepare. It is certified by the sender's trusted
 // counter so a Byzantine replica cannot send conflicting commits.
 type Commit struct {
@@ -342,6 +395,8 @@ type Commit struct {
 func (*Commit) Kind() Kind { return KindCommit }
 
 // MarshalWire implements Message.
+//
+//troxy:hotpath
 func (m *Commit) MarshalWire(w *wire.Writer) {
 	w.U64(m.View)
 	w.U64(m.Seq)
@@ -355,6 +410,14 @@ func (m *Commit) UnmarshalWire(r *wire.Reader) error {
 	m.Seq = r.U64()
 	readDigest(r, &m.BatchDigest)
 	return m.Cert.UnmarshalWire(r)
+}
+
+// Clone returns a copy of the commit that owns its certificate, for a replica
+// that has to hold a decoded COMMIT back.
+func (m *Commit) Clone() *Commit {
+	c := *m
+	c.Cert = m.Cert.Clone()
+	return &c
 }
 
 // OrderedReply carries the result of an executed request from the executing
@@ -385,6 +448,8 @@ type OrderedReply struct {
 func (*OrderedReply) Kind() Kind { return KindOrderedReply }
 
 // MarshalWire implements Message.
+//
+//troxy:hotpath
 func (m *OrderedReply) MarshalWire(w *wire.Writer) {
 	m.marshalCore(w)
 	w.Bytes32(m.TroxyTag)
@@ -403,14 +468,10 @@ func (m *OrderedReply) marshalCore(w *wire.Writer) {
 	}
 }
 
-// TagInput returns the canonical bytes the TroxyTag authenticates.
-func (m *OrderedReply) TagInput() []byte {
-	w := wire.NewWriter(64 + len(m.Result))
-	m.marshalCore(w)
-	out := make([]byte, w.Len())
-	copy(out, w.Bytes())
-	return out
-}
+// TagInput appends the canonical bytes the TroxyTag authenticates.
+//
+//troxy:hotpath
+func (m *OrderedReply) TagInput(w *wire.Writer) { m.marshalCore(w) }
 
 // UnmarshalWire implements Message.
 func (m *OrderedReply) UnmarshalWire(r *wire.Reader) error {
@@ -485,14 +546,8 @@ func (m *SpecReply) marshalCore(w *wire.Writer) {
 	m.Cert.MarshalWire(w)
 }
 
-// TagInput returns the canonical bytes the TroxyTag authenticates.
-func (m *SpecReply) TagInput() []byte {
-	w := wire.NewWriter(160 + len(m.Result))
-	m.marshalCore(w)
-	out := make([]byte, w.Len())
-	copy(out, w.Bytes())
-	return out
-}
+// TagInput appends the canonical bytes the TroxyTag authenticates.
+func (m *SpecReply) TagInput(w *wire.Writer) { m.marshalCore(w) }
 
 // UnmarshalWire implements Message.
 func (m *SpecReply) UnmarshalWire(r *wire.Reader) error {
@@ -598,13 +653,13 @@ func (m *ViewChange) marshalCore(w *wire.Writer) {
 	}
 }
 
-// CertInput returns the canonical bytes the view-change certificate signs.
-func (m *ViewChange) CertInput() []byte {
-	w := wire.NewWriter(256)
+// CertDigest returns the digest of the canonical bytes the view-change
+// certificate signs.
+func (m *ViewChange) CertDigest() Digest {
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
 	m.marshalCore(w)
-	out := make([]byte, w.Len())
-	copy(out, w.Bytes())
-	return out
+	return DigestOf(w.Bytes())
 }
 
 // UnmarshalWire implements Message.
@@ -658,13 +713,13 @@ func (m *NewView) marshalCore(w *wire.Writer) {
 	}
 }
 
-// CertInput returns the canonical bytes the new-view certificate signs.
-func (m *NewView) CertInput() []byte {
-	w := wire.NewWriter(512)
+// CertDigest returns the digest of the canonical bytes the new-view
+// certificate signs.
+func (m *NewView) CertDigest() Digest {
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
 	m.marshalCore(w)
-	out := make([]byte, w.Len())
-	copy(out, w.Bytes())
-	return out
+	return DigestOf(w.Bytes())
 }
 
 // UnmarshalWire implements Message.
@@ -714,14 +769,10 @@ func (m *CacheQuery) marshalCore(w *wire.Writer) {
 	writeDigest(w, m.ReqDigest)
 }
 
-// TagInput returns the canonical bytes the query tag authenticates.
-func (m *CacheQuery) TagInput() []byte {
-	w := wire.NewWriter(48)
-	m.marshalCore(w)
-	out := make([]byte, w.Len())
-	copy(out, w.Bytes())
-	return out
-}
+// TagInput appends the canonical bytes the query tag authenticates.
+//
+//troxy:hotpath
+func (m *CacheQuery) TagInput(w *wire.Writer) { m.marshalCore(w) }
 
 // UnmarshalWire implements Message.
 func (m *CacheQuery) UnmarshalWire(r *wire.Reader) error {
@@ -767,14 +818,10 @@ func (m *CacheReply) marshalCore(w *wire.Writer) {
 	w.Bytes32(m.ReplyData)
 }
 
-// TagInput returns the canonical bytes the reply tag authenticates.
-func (m *CacheReply) TagInput() []byte {
-	w := wire.NewWriter(96)
-	m.marshalCore(w)
-	out := make([]byte, w.Len())
-	copy(out, w.Bytes())
-	return out
-}
+// TagInput appends the canonical bytes the reply tag authenticates.
+//
+//troxy:hotpath
+func (m *CacheReply) TagInput(w *wire.Writer) { m.marshalCore(w) }
 
 // UnmarshalWire implements Message.
 func (m *CacheReply) UnmarshalWire(r *wire.Reader) error {

@@ -20,6 +20,7 @@
 package prophecy
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"time"
 
@@ -346,7 +347,7 @@ func (m *Middlebox) onReply(env node.Env, e *msg.Envelope) {
 	env.Charge(node.ProfileJava, node.ChargeHash, len(rep.Result))
 	p.replies[rep.Executor] = h
 	if _, ok := p.results[h]; !ok {
-		p.results[h] = rep.Result
+		p.results[h] = bytes.Clone(rep.Result) // rep is a view of the envelope
 	}
 	matching := 0
 	for _, vh := range p.replies {

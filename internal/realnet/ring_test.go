@@ -79,6 +79,20 @@ func bridgePair(t *testing.T) (ra, rb *Router, ba *Bridge) {
 	return ra, rb, ba
 }
 
+// settled polls read until it reports want frames. A drainer counts a flush
+// once its write has returned, and the receiver can see the frames before
+// that: reading the counters the moment the last frame arrived is a race the
+// drainer usually, but not always, wins.
+func settled(read func() RingStats, want uint64) RingStats {
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		if s := read(); s.Frames >= want || time.Now().After(deadline) {
+			return s
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestRingTransportFlushStats(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	ra, rb, ba := bridgePair(t)
@@ -89,12 +103,13 @@ func TestRingTransportFlushStats(t *testing.T) {
 	ra.Attach(1, &senderNode{to: 2, n: sent})
 	waitCh(t, recv.done, "ring-bridged envelopes")
 
-	stats := ba.FlushStats()
-	var total RingStats
-	for _, s := range stats {
-		total.Flushes += s.Flushes
-		total.Frames += s.Frames
-	}
+	total := settled(func() (total RingStats) {
+		for _, s := range ba.FlushStats() {
+			total.Flushes += s.Flushes
+			total.Frames += s.Frames
+		}
+		return total
+	}, sent)
 	if total.Frames != sent {
 		t.Errorf("flushed frames = %d, want %d", total.Frames, sent)
 	}
@@ -242,7 +257,7 @@ func TestGatewayRingCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stats := g.FlushStats()
+	stats := settled(g.FlushStats, echoes)
 	if stats.Frames != echoes {
 		t.Errorf("gateway egress frames = %d, want %d", stats.Frames, echoes)
 	}

@@ -76,6 +76,7 @@ type Stats struct {
 var _ node.Handler = (*Replica)(nil)
 var _ hybster.Outbound = (*Replica)(nil)
 var _ hybster.SpecOutbound = (*Replica)(nil)
+var _ hybster.Broadcaster = (*Replica)(nil)
 
 // New creates a replica.
 func New(cfg Config) *Replica {
@@ -283,8 +284,14 @@ func (r *Replica) apply(env node.Env, acts troxy.Actions) {
 
 // sendAuthed seals, MACs and transmits a message.
 func (r *Replica) sendAuthed(env node.Env, to msg.NodeID, m msg.Message) {
-	e := msg.Seal(r.cfg.Self, to, m)
-	env.Charge(node.ProfileJava, node.ChargeMAC, len(e.Body))
+	r.sendBody(env, to, m.Kind(), msg.EncodeBody(m))
+}
+
+// sendBody MACs and transmits an already encoded message. body is immutable
+// from here on: the envelope (and any other recipient's) shares it.
+func (r *Replica) sendBody(env node.Env, to msg.NodeID, kind msg.Kind, body []byte) {
+	e := &msg.Envelope{From: r.cfg.Self, To: to, Kind: kind, Body: body}
+	env.Charge(node.ProfileJava, node.ChargeMAC, len(body))
 	r.auth.SealMAC(e)
 	env.Send(e)
 }
@@ -292,6 +299,17 @@ func (r *Replica) sendAuthed(env node.Env, to msg.NodeID, m msg.Message) {
 // Send implements hybster.Outbound.
 func (r *Replica) Send(env node.Env, to msg.NodeID, m msg.Message) {
 	r.sendAuthed(env, to, m)
+}
+
+// Broadcast implements hybster.Broadcaster: the message is marshalled once
+// and that one body is MACed for — and shared by — every recipient.
+func (r *Replica) Broadcast(env node.Env, m msg.Message) {
+	kind, body := m.Kind(), msg.EncodeBody(m)
+	for i := 0; i < r.cfg.N; i++ {
+		if to := msg.NodeID(i); to != r.cfg.Self {
+			r.sendBody(env, to, kind, body)
+		}
+	}
 }
 
 // Committed implements hybster.Outbound: every executed request produces a
@@ -329,7 +347,12 @@ func (r *Replica) Committed(env node.Env, seq uint64, req *msg.OrderRequest, res
 		Result:      result,
 		InvalidKeys: keys,
 	}
-	opHash := msg.DigestOf(req.Op)
+	// The operation digest keys the fast-read cache entry a read's reply
+	// installs; a write's reply has no use for it.
+	var opHash msg.Digest
+	if read {
+		opHash = msg.DigestOf(req.Op)
+	}
 	env.Charge(node.ProfileJava, node.ChargeHash, len(req.Op))
 	if err := r.proxy.AuthenticateReply(env, rep, read, fresh, opHash); err != nil {
 		env.Logf("troxy: authenticate reply: %v", err)

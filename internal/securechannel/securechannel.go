@@ -84,6 +84,10 @@ type Session struct {
 	recvAEAD cipher.AEAD
 	sendSeq  uint64
 	recvSeq  uint64
+
+	// One nonce per direction, kept here because what is handed to a
+	// cipher.AEAD leaves the stack: a local would be allocated per record.
+	sendNonce, recvNonce [12]byte
 }
 
 // Established reports whether the handshake completed.
@@ -94,12 +98,11 @@ func (s *Session) Seal(plaintext []byte) ([]byte, error) {
 	if !s.Established() {
 		return nil, ErrNotEstablished
 	}
-	var nonce [12]byte
-	putSeq(nonce[:], s.sendSeq)
+	putSeq(s.sendNonce[:], s.sendSeq)
 	s.sendSeq++
 	out := make([]byte, 1, 1+len(plaintext)+16)
 	out[0] = frameRecord
-	return s.sendAEAD.Seal(out, nonce[:], plaintext, out[:1]), nil
+	return s.sendAEAD.Seal(out, s.sendNonce[:], plaintext, out[:1]), nil
 }
 
 // SealFrames encrypts a whole flush of frames into one coalesced record:
@@ -130,12 +133,11 @@ func (s *Session) SealFrames(frames [][]byte) ([]byte, error) {
 		pt = binary.LittleEndian.AppendUint32(pt, uint32(len(f)))
 		pt = append(pt, f...) //lint:allow allocfree appends into the pre-sized plaintext buffer (cap == total), never grows
 	}
-	var nonce [12]byte
-	putSeq(nonce[:], s.sendSeq)
+	putSeq(s.sendNonce[:], s.sendSeq)
 	s.sendSeq++
 	out := make([]byte, 1, 1+total+16) //lint:allow allocfree one output record per flush, sized exactly for ciphertext plus tag
 	out[0] = frameCoalesced
-	return s.sendAEAD.Seal(out, nonce[:], pt, out[:1]), nil //lint:allow allocfree Seal writes into the pre-sized dst; stdlib GCM does not allocate when dst capacity suffices
+	return s.sendAEAD.Seal(out, s.sendNonce[:], pt, out[:1]), nil //lint:allow allocfree Seal writes into the pre-sized dst; stdlib GCM does not allocate when dst capacity suffices
 }
 
 // Open authenticates and decrypts one record. A record can be opened exactly
@@ -147,9 +149,8 @@ func (s *Session) Open(record []byte) ([]byte, error) {
 	if len(record) < Overhead || record[0] != frameRecord {
 		return nil, ErrRecord
 	}
-	var nonce [12]byte
-	putSeq(nonce[:], s.recvSeq)
-	pt, err := s.recvAEAD.Open(nil, nonce[:], record[1:], record[:1])
+	putSeq(s.recvNonce[:], s.recvSeq)
+	pt, err := s.recvAEAD.Open(nil, s.recvNonce[:], record[1:], record[:1])
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrRecord, err)
 	}
@@ -181,9 +182,8 @@ func (s *Session) OpenFrames(record []byte) ([][]byte, error) {
 	if typ != frameRecord && typ != frameCoalesced {
 		return nil, ErrRecord
 	}
-	var nonce [12]byte
-	putSeq(nonce[:], s.recvSeq)
-	pt, err := s.recvAEAD.Open(nil, nonce[:], record[1:], record[:1])
+	putSeq(s.recvNonce[:], s.recvSeq)
+	pt, err := s.recvAEAD.Open(nil, s.recvNonce[:], record[1:], record[:1])
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrRecord, err)
 	}

@@ -16,6 +16,7 @@ package tcounter
 import (
 	"crypto/hmac"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash"
@@ -94,6 +95,12 @@ type Subsystem struct {
 	mac      hash.Hash
 	counters map[uint32]uint64
 	certs    uint64
+
+	// Scratch for one MAC computation, under mu: what is handed to a
+	// hash.Hash leaves the stack, so a certificate's input and a
+	// verification's sum live here instead of being allocated per call.
+	input [certInputLen]byte
+	sum   [sha256.Size]byte
 }
 
 // NewSubsystem creates the (unprovisioned) subsystem for a replica.
@@ -124,14 +131,19 @@ func (s *Subsystem) SetKey(key []byte) {
 // Owner returns the replica this subsystem belongs to.
 func (s *Subsystem) Owner() msg.NodeID { return s.owner }
 
-func certInput(replica msg.NodeID, counter uint32, value uint64, digest msg.Digest) []byte {
-	w := wire.NewWriter(64)
-	w.String("tcounter-cert")
-	w.U32(uint32(replica))
-	w.U32(counter)
-	w.U64(value)
-	w.Raw(digest[:])
-	return w.Bytes()
+// certInputLen is the length of the byte string a certificate's MAC covers.
+const certInputLen = 4 + len("tcounter-cert") + 4 + 4 + 8 + sha256.Size
+
+// feed resets the subsystem's HMAC and writes the canonical byte string of a
+// certificate to it. The caller holds s.mu.
+func (s *Subsystem) feed(replica msg.NodeID, counter uint32, value uint64, digest msg.Digest) {
+	b := wire.AppendString(s.input[:0], "tcounter-cert")
+	b = binary.LittleEndian.AppendUint32(b, uint32(replica))
+	b = binary.LittleEndian.AppendUint32(b, counter)
+	b = binary.LittleEndian.AppendUint64(b, value)
+	b = append(b, digest[:]...)
+	s.mac.Reset()
+	s.mac.Write(b)
 }
 
 // Certify binds digest to the next value of the given counter. The value
@@ -156,13 +168,12 @@ func (s *Subsystem) Certify(counter uint32, value uint64, digest msg.Digest) (ms
 	s.counters[counter] = value
 	s.certs++
 
-	s.mac.Reset()
-	s.mac.Write(certInput(s.owner, counter, value, digest))
+	s.feed(s.owner, counter, value, digest)
 	return msg.CounterCert{
 		Replica: s.owner,
 		Counter: counter,
 		Value:   value,
-		MAC:     s.mac.Sum(nil),
+		MAC:     s.mac.Sum(make([]byte, 0, sha256.Size)),
 	}, nil
 }
 
@@ -174,9 +185,8 @@ func (s *Subsystem) Verify(cert msg.CounterCert, digest msg.Digest) bool {
 	if s.mac == nil || len(cert.MAC) != sha256.Size {
 		return false
 	}
-	s.mac.Reset()
-	s.mac.Write(certInput(cert.Replica, cert.Counter, cert.Value, digest))
-	return hmac.Equal(s.mac.Sum(nil), cert.MAC)
+	s.feed(cert.Replica, cert.Counter, cert.Value, digest)
+	return hmac.Equal(s.mac.Sum(s.sum[:0]), cert.MAC)
 }
 
 // Value returns the last certified value of a counter (0 if unused).
@@ -234,7 +244,9 @@ const (
 )
 
 // ECallHandlers returns the ecall table fragment for hosting s inside an
-// enclave; Troxy merges it into its own fixed ecall table.
+// enclave; Troxy merges it into its own fixed ecall table. Arguments are
+// decoded by view (the enclave owns its copy of them for the length of the
+// call) and nothing of them is kept.
 func ECallHandlers(s *Subsystem) map[string]func([]byte) ([]byte, error) {
 	return map[string]func([]byte) ([]byte, error){
 		ECallCertify: func(arg []byte) ([]byte, error) {
@@ -250,7 +262,7 @@ func ECallHandlers(s *Subsystem) map[string]func([]byte) ([]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			w := wire.NewWriter(64)
+			w := wire.NewWriter(20 + len(cert.MAC)) // the encoded size: one allocation, the result
 			cert.MarshalWire(w)
 			return w.Bytes(), nil
 		},
@@ -306,13 +318,15 @@ type EnclaveAuthority struct {
 	E *enclave.Enclave
 }
 
-// Certify implements Authority via the counter_certify ecall.
+// Certify implements Authority via the counter_certify ecall. The returned
+// certificate's MAC is a view of the ecall's result, which the boundary's
+// copy-out made the caller's own.
 func (a EnclaveAuthority) Certify(counter uint32, value uint64, digest msg.Digest) (msg.CounterCert, error) {
-	w := wire.NewWriter(48)
-	w.U32(counter)
-	w.U64(value)
-	w.Raw(digest[:])
-	out, err := a.E.ECall(ECallCertify, w.Bytes())
+	var arg [4 + 8 + sha256.Size]byte
+	b := binary.LittleEndian.AppendUint32(arg[:0], counter)
+	b = binary.LittleEndian.AppendUint64(b, value)
+	b = append(b, digest[:]...)
+	out, err := a.E.ECall(ECallCertify, b)
 	if err != nil {
 		return msg.CounterCert{}, err
 	}
@@ -329,7 +343,8 @@ func (a EnclaveAuthority) Certify(counter uint32, value uint64, digest msg.Diges
 
 // Verify implements Authority via the counter_verify ecall.
 func (a EnclaveAuthority) Verify(cert msg.CounterCert, digest msg.Digest) bool {
-	w := wire.NewWriter(96)
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
 	cert.MarshalWire(w)
 	w.Raw(digest[:])
 	out, err := a.E.ECall(ECallVerify, w.Bytes())

@@ -8,6 +8,7 @@ import (
 
 	"github.com/troxy-bft/troxy/internal/enclave"
 	"github.com/troxy-bft/troxy/internal/msg"
+	"github.com/troxy-bft/troxy/internal/testutil"
 )
 
 func provisioned(owner msg.NodeID) *Subsystem {
@@ -291,4 +292,27 @@ func TestDirectAuthority(t *testing.T) {
 	if !auth.Verify(cert, d) {
 		t.Error("direct verify failed")
 	}
+}
+
+// BenchmarkAllocGate: a certificate's MAC input is built in the subsystem's
+// scratch, so certifying allocates the certificate's MAC and nothing else,
+// and verifying allocates nothing.
+func BenchmarkAllocGate(b *testing.B) {
+	s := NewSubsystem(0)
+	s.SetKey([]byte("gate"))
+	digest := msg.DigestOf([]byte("statement"))
+	var cert msg.CounterCert
+	value := uint64(0)
+	testutil.AllocGate(b, "Certify", 1, func() {
+		value++
+		var err error
+		if cert, err = s.Certify(7, value, digest); err != nil {
+			b.Fatal(err)
+		}
+	})
+	testutil.AllocGate(b, "Verify", 0, func() {
+		if !s.Verify(cert, digest) {
+			b.Fatal("certificate rejected")
+		}
+	})
 }

@@ -1,6 +1,8 @@
 package troxy
 
 import (
+	"bytes"
+	"slices"
 	"time"
 
 	"github.com/troxy-bft/troxy/internal/msg"
@@ -82,15 +84,16 @@ func (c *Cache) Get(op msg.Digest) []byte {
 }
 
 // Put installs a voted read result. keys are the state parts the read
-// depends on.
+// depends on. The cache is where a reply is kept, so it copies what it is
+// given: callers pass views of buffers that do not outlive their call.
 func (c *Cache) Put(op msg.Digest, reply []byte, keys []string) {
 	if e, ok := c.entries[op]; ok {
 		c.remove(e)
 	}
 	e := &cacheEntry{
 		op:    op,
-		reply: reply,
-		keys:  keys,
+		reply: bytes.Clone(reply),
+		keys:  slices.Clone(keys),
 		size:  int64(len(reply)) + 64,
 	}
 	c.entries[op] = e

@@ -22,7 +22,6 @@ import (
 	"bytes"
 	"crypto/ed25519"
 	cryptorand "crypto/rand"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -34,6 +33,7 @@ import (
 	"github.com/troxy-bft/troxy/internal/httpfront"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/securechannel"
+	"github.com/troxy-bft/troxy/internal/wire"
 )
 
 // Secret names delivered during post-attestation provisioning.
@@ -393,7 +393,11 @@ func (c *Core) handleOperation(now time.Duration, sess *session, client, clientS
 	}
 
 	key := voteKey{client: client, clientSeq: clientSeq}
-	opHash := msg.DigestOf(op)
+	// The operation digest keys the fast-read cache, which only reads enter.
+	var opHash msg.Digest
+	if read {
+		opHash = msg.DigestOf(op)
+	}
 
 	// Fast path for reads (Figure 4): check the local cache, then confirm
 	// with f randomly chosen remote Troxies.
@@ -424,7 +428,10 @@ func (c *Core) pendingQueryFor(key voteKey) uint64 {
 
 // registerVote creates the voter state for an ordered request and returns
 // the BFT request to submit. Re-registration (client retransmission) keeps
-// the already-collected votes.
+// the already-collected votes. The returned request's Op is op itself — a
+// view of the record's plaintext, valid for this call: it leaves through
+// Actions, whose consumer copies it (the boundary's copy-out, or the ordering
+// core where it stores the request).
 func (c *Core) registerVote(sess *session, key voteKey, opHash msg.Digest, op []byte, read, fast bool) msg.OrderRequest {
 	flags := uint8(0)
 	if read {
@@ -471,17 +478,23 @@ func (c *Core) startFastRead(now time.Duration, sess *session, key voteKey, opHa
 		replyHash: msg.DigestOf(reply),
 		waiting:   make(map[msg.NodeID]struct{}, c.cfg.F),
 	}
+	// The fallback outlives this call (it is submitted when a remote cache
+	// disagrees or times out), so it owns its operation bytes.
 	qs.fallback = msg.OrderRequest{
 		Origin:    c.cfg.Self,
 		Client:    key.client,
 		ClientSeq: key.clientSeq,
 		Flags:     msg.FlagReadOnly,
-		Op:        op,
+		Op:        bytes.Clone(op),
 	}
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
 	for _, r := range c.chooseReplicas(c.cfg.F) {
 		qs.waiting[r] = struct{}{}
 		q := &msg.CacheQuery{From: c.cfg.Self, QueryID: id, ReqDigest: opHash}
-		q.Tag = c.tagger.Tag(c.cfg.Self, q.TagInput())
+		w.Reset()
+		q.TagInput(w)
+		q.Tag = c.tagger.Tag(c.cfg.Self, w.Bytes())
 		out.Queries = append(out.Queries, PeerCacheMsg{To: r, Query: q})
 	}
 	c.queries[id] = qs
@@ -554,7 +567,10 @@ func (c *Core) AuthenticateReply(rep *msg.OrderedReply, read, fresh bool, opHash
 			c.lastWriteSeq = rep.Seq
 		}
 	}
-	rep.TroxyTag = c.tagger.Tag(c.cfg.Self, rep.TagInput())
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
+	rep.TagInput(w)
+	rep.TroxyTag = c.tagger.Tag(c.cfg.Self, w.Bytes())
 	return nil
 }
 
@@ -562,13 +578,13 @@ func (c *Core) AuthenticateReply(rep *msg.OrderedReply, read, fresh bool, opHash
 // agree on. Including the keys prevents a faulty replica from matching the
 // result while lying about which cache entries to touch.
 func voteHash(rep *msg.OrderedReply) msg.Digest {
-	h := make([]byte, 0, len(rep.Result)+64)
-	h = append(h, rep.Result...)
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
+	w.Bytes32(rep.Result)
 	for _, k := range rep.InvalidKeys {
-		h = append(h, 0)
-		h = append(h, k...)
+		w.String(k)
 	}
-	return msg.DigestOf(h)
+	return msg.DigestOf(w.Bytes())
 }
 
 // HandleReply feeds one replica's reply into the voter (steps 4-5 of
@@ -586,7 +602,10 @@ func (c *Core) HandleReply(now time.Duration, rep *msg.OrderedReply) (Actions, e
 	// Only replies authenticated by the executor's Troxy count: this is the
 	// voter modification that forces faulty replicas through their trusted
 	// subsystem (Section IV-A, change 1).
-	if !c.tagger.Verify(rep.Executor, rep.TagInput(), rep.TroxyTag) {
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
+	rep.TagInput(w)
+	if !c.tagger.Verify(rep.Executor, w.Bytes(), rep.TroxyTag) {
 		c.stats.BadReplies++
 		return out, nil
 	}
@@ -606,7 +625,12 @@ func (c *Core) HandleReply(now time.Duration, rep *msg.OrderedReply) (Actions, e
 	h := voteHash(rep)
 	vs.votes[rep.Executor] = h
 	if _, dup := vs.results[h]; !dup {
-		vs.results[h] = rep
+		// The vote outlives this call and rep is a view of the caller's
+		// buffer: keep one owned copy per distinct result, without the tag
+		// (verified above, never needed again).
+		kept := *rep
+		kept.Result, kept.TroxyTag = bytes.Clone(rep.Result), nil
+		vs.results[h] = &kept
 	}
 	matching := 0
 	for _, vh := range vs.votes {
@@ -680,15 +704,13 @@ func (c *Core) HandleReply(now time.Duration, rep *msg.OrderedReply) (Actions, e
 // hold counter certificates for the same batch at the same position — the
 // crash-commit guarantee — not merely that they computed the same bytes.
 func specVoteHash(sr *msg.SpecReply) msg.Digest {
-	h := make([]byte, 0, len(sr.Result)+len(sr.BatchDigest)+16)
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], sr.View)
-	h = append(h, b[:]...)
-	binary.BigEndian.PutUint64(b[:], sr.Seq)
-	h = append(h, b[:]...)
-	h = append(h, sr.BatchDigest[:]...)
-	h = append(h, sr.Result...)
-	return msg.DigestOf(h)
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
+	w.U64(sr.View)
+	w.U64(sr.Seq)
+	w.Raw(sr.BatchDigest[:])
+	w.Raw(sr.Result)
+	return msg.DigestOf(w.Bytes())
 }
 
 // AuthenticateSpecReply tags an outgoing speculative reply with the group
@@ -700,7 +722,10 @@ func (c *Core) AuthenticateSpecReply(sr *msg.SpecReply) error {
 	if !c.Provisioned() {
 		return ErrNotProvisioned
 	}
-	sr.TroxyTag = c.tagger.Tag(c.cfg.Self, sr.TagInput())
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
+	sr.TagInput(w)
+	sr.TroxyTag = c.tagger.Tag(c.cfg.Self, w.Bytes())
 	return nil
 }
 
@@ -718,7 +743,10 @@ func (c *Core) HandleSpecReply(now time.Duration, sr *msg.SpecReply) (Actions, e
 		c.stats.BadReplies++
 		return out, nil
 	}
-	if !c.tagger.Verify(sr.Executor, sr.TagInput(), sr.TroxyTag) {
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
+	sr.TagInput(w)
+	if !c.tagger.Verify(sr.Executor, w.Bytes(), sr.TroxyTag) {
 		c.stats.BadReplies++
 		return out, nil
 	}
@@ -742,7 +770,7 @@ func (c *Core) HandleSpecReply(now time.Duration, sr *msg.SpecReply) (Actions, e
 	h := specVoteHash(sr)
 	vs.specVotes[sr.Executor] = h
 	if _, dup := vs.specResults[h]; !dup {
-		vs.specResults[h] = sr.Result
+		vs.specResults[h] = bytes.Clone(sr.Result) // kept past this call
 	}
 	matching := 0
 	for _, vh := range vs.specVotes {
@@ -804,11 +832,10 @@ func (c *Core) sealToClient(connID, clientSeq uint64, status uint8, result []byt
 	}
 	plaintext := result
 	if !c.cfg.HTTP {
-		plaintext = msg.EncodeChannelReply(&msg.ChannelReply{
-			Seq:    clientSeq,
-			Status: status,
-			Result: result,
-		})
+		w := wire.GetWriter()
+		defer wire.PutWriter(w) // Seal copies the plaintext into the record
+		(&msg.ChannelReply{Seq: clientSeq, Status: status, Result: result}).MarshalWire(w)
+		plaintext = w.Bytes()
 	}
 	record, err := sess.sc.Seal(plaintext)
 	if err != nil {
@@ -825,7 +852,10 @@ func (c *Core) HandleCacheQuery(q *msg.CacheQuery) (Actions, error) {
 	if !c.Provisioned() {
 		return out, ErrNotProvisioned
 	}
-	if q.From < 0 || int(q.From) >= c.cfg.N || !c.tagger.Verify(q.From, q.TagInput(), q.Tag) {
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
+	q.TagInput(w)
+	if q.From < 0 || int(q.From) >= c.cfg.N || !c.tagger.Verify(q.From, w.Bytes(), q.Tag) {
 		c.stats.BadQueries++
 		return out, nil
 	}
@@ -837,7 +867,9 @@ func (c *Core) HandleCacheQuery(q *msg.CacheQuery) (Actions, error) {
 			rep.ReplyData = cached
 		}
 	}
-	rep.Tag = c.tagger.Tag(c.cfg.Self, rep.TagInput())
+	w.Reset()
+	rep.TagInput(w)
+	rep.Tag = c.tagger.Tag(c.cfg.Self, w.Bytes())
 	out.Queries = append(out.Queries, PeerCacheMsg{To: q.From, Reply: rep})
 	return out, nil
 }
@@ -850,7 +882,10 @@ func (c *Core) HandleCacheReply(now time.Duration, r *msg.CacheReply) (Actions, 
 	if !c.Provisioned() {
 		return out, ErrNotProvisioned
 	}
-	if r.From < 0 || int(r.From) >= c.cfg.N || !c.tagger.Verify(r.From, r.TagInput(), r.Tag) {
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
+	r.TagInput(w)
+	if r.From < 0 || int(r.From) >= c.cfg.N || !c.tagger.Verify(r.From, w.Bytes(), r.Tag) {
 		c.stats.BadQueries++
 		return out, nil
 	}

@@ -11,6 +11,7 @@ import (
 	"github.com/troxy-bft/troxy/internal/authn"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/securechannel"
+	"github.com/troxy-bft/troxy/internal/wire"
 )
 
 // testSecrets builds a provisioning bundle and the matching verifier state.
@@ -114,6 +115,13 @@ func (cc *clientChannel) request(t *testing.T, core *Core, now time.Duration, op
 	return acts
 }
 
+// tagInput returns the bytes a message's group tag covers.
+func tagInput(m interface{ TagInput(*wire.Writer) }) []byte {
+	w := wire.NewWriter(128)
+	m.TagInput(w)
+	return w.Bytes()
+}
+
 // decode decrypts a reply record addressed to this channel.
 func (cc *clientChannel) decode(t *testing.T, rec ClientRecord) *msg.ChannelReply {
 	t.Helper()
@@ -125,7 +133,7 @@ func (cc *clientChannel) decode(t *testing.T, rec ClientRecord) *msg.ChannelRepl
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep
+	return &rep
 }
 
 // reply fabricates an authenticated OrderedReply from a given executor.
@@ -139,7 +147,7 @@ func makeReply(tagger *authn.GroupTagger, executor msg.NodeID, req msg.OrderRequ
 		Result:      []byte(result),
 		InvalidKeys: keys,
 	}
-	rep.TroxyTag = tagger.Tag(executor, rep.TagInput())
+	rep.TroxyTag = tagger.Tag(executor, tagInput(rep))
 	return rep
 }
 
@@ -307,7 +315,7 @@ func TestFastReadMismatchFallsBack(t *testing.T) {
 		From: acts.Queries[0].To, QueryID: q.QueryID, ReqDigest: q.ReqDigest,
 		Found: true, ReplyDigest: msg.DigestOf([]byte("different")),
 	}
-	mismatch.Tag = tagger.Tag(mismatch.From, mismatch.TagInput())
+	mismatch.Tag = tagger.Tag(mismatch.From, tagInput(mismatch))
 	out, err := core.HandleCacheReply(time.Millisecond, mismatch)
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +331,7 @@ func TestFastReadMismatchFallsBack(t *testing.T) {
 	acts = cc.request(t, core, 0, "GET k2", true)
 	q = acts.Queries[0].Query
 	notFound := &msg.CacheReply{From: acts.Queries[0].To, QueryID: q.QueryID, ReqDigest: q.ReqDigest}
-	notFound.Tag = tagger.Tag(notFound.From, notFound.TagInput())
+	notFound.Tag = tagger.Tag(notFound.From, tagInput(notFound))
 	out, _ = core.HandleCacheReply(time.Millisecond, notFound)
 	if len(out.Submits) != 1 {
 		t.Fatal("not-found did not fall back to ordering")
@@ -354,13 +362,13 @@ func TestForgedCacheMessagesRejected(t *testing.T) {
 	evil := authn.NewGroupTagger([]byte("wrong"))
 
 	q := &msg.CacheQuery{From: 1, QueryID: 9, ReqDigest: d("op")}
-	q.Tag = evil.Tag(1, q.TagInput())
+	q.Tag = evil.Tag(1, tagInput(q))
 	out, _ := core.HandleCacheQuery(q)
 	if len(out.Queries) != 0 {
 		t.Error("forged cache query answered")
 	}
 	r := &msg.CacheReply{From: 1, QueryID: 9, ReqDigest: d("op"), Found: true}
-	r.Tag = evil.Tag(1, r.TagInput())
+	r.Tag = evil.Tag(1, tagInput(r))
 	if out, _ := core.HandleCacheReply(0, r); len(out.Submits)+len(out.Client) != 0 {
 		t.Error("forged cache reply acted upon")
 	}
@@ -380,7 +388,7 @@ func TestAuthenticateReplyInvalidatesOnWriteCachesOnRead(t *testing.T) {
 	if err := core.AuthenticateReply(wrep, false, true, msg.DigestOf([]byte("PUT k v2"))); err != nil {
 		t.Fatal(err)
 	}
-	if !tagger.Verify(0, wrep.TagInput(), wrep.TroxyTag) {
+	if !tagger.Verify(0, tagInput(wrep), wrep.TroxyTag) {
 		t.Error("tag does not verify")
 	}
 	if core.cache.Get(opHash) != nil {
@@ -432,7 +440,7 @@ func TestReplayedReplyDoesNotRepoisonCache(t *testing.T) {
 	if err := core.AuthenticateReply(replay, true, false, opHash); err != nil {
 		t.Fatal(err)
 	}
-	if !tagger.Verify(0, replay.TagInput(), replay.TroxyTag) {
+	if !tagger.Verify(0, tagInput(replay), replay.TroxyTag) {
 		t.Error("replayed reply not tagged")
 	}
 	if core.cache.Get(opHash) != nil {
@@ -451,7 +459,7 @@ func TestReplayedReplyDoesNotRepoisonCache(t *testing.T) {
 	}
 	peer := *replay
 	peer.Executor = 1
-	peer.TroxyTag = tagger.Tag(1, peer.TagInput())
+	peer.TroxyTag = tagger.Tag(1, tagInput(&peer))
 	if _, err := core.HandleReply(0, replay); err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +501,7 @@ func TestFreshReadBehindAppliedWriteNotCached(t *testing.T) {
 	if err := core.AuthenticateReply(rrep, true, true, opHash); err != nil {
 		t.Fatal(err)
 	}
-	if !tagger.Verify(0, rrep.TagInput(), rrep.TroxyTag) {
+	if !tagger.Verify(0, tagInput(rrep), rrep.TroxyTag) {
 		t.Error("refused read reply not tagged")
 	}
 	if core.cache.Get(opHash) != nil {
@@ -621,7 +629,7 @@ func TestFullReplyCacheExchange(t *testing.T) {
 		Found: true, ReplyDigest: msg.DigestOf([]byte("VALUE v")),
 		ReplyData: []byte("VALUE x"),
 	}
-	evilRep.Tag = tagger.Tag(evilRep.From, evilRep.TagInput())
+	evilRep.Tag = tagger.Tag(evilRep.From, tagInput(evilRep))
 	out, err := core.HandleCacheReply(0, evilRep)
 	if err != nil {
 		t.Fatal(err)
@@ -638,7 +646,7 @@ func TestFullReplyCacheExchange(t *testing.T) {
 		Found: true, ReplyDigest: msg.DigestOf([]byte("VALUE v")),
 		ReplyData: []byte("VALUE v"),
 	}
-	goodRep.Tag = tagger.Tag(goodRep.From, goodRep.TagInput())
+	goodRep.Tag = tagger.Tag(goodRep.From, tagInput(goodRep))
 	out, err = core.HandleCacheReply(2*time.Millisecond, goodRep)
 	if err != nil || len(out.Client) != 1 {
 		t.Fatalf("full-reply fast read failed: %v / %+v", err, out)
@@ -647,7 +655,7 @@ func TestFullReplyCacheExchange(t *testing.T) {
 	// A remote serving the query includes the full entry.
 	racts, err := core.HandleCacheQuery(&msg.CacheQuery{
 		From: 1, QueryID: 9, ReqDigest: msg.DigestOf([]byte("GET k")),
-		Tag: tagger.Tag(1, (&msg.CacheQuery{From: 1, QueryID: 9, ReqDigest: msg.DigestOf([]byte("GET k"))}).TagInput()),
+		Tag: tagger.Tag(1, tagInput(&msg.CacheQuery{From: 1, QueryID: 9, ReqDigest: msg.DigestOf([]byte("GET k"))})),
 	})
 	if err != nil || len(racts.Queries) != 1 {
 		t.Fatalf("query handling: %v / %+v", err, racts)

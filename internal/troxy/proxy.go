@@ -202,6 +202,9 @@ func (p *DirectProxy) Stats() (Stats, error) { return p.core.Stats(), nil }
 // EnclaveProxy routes every call through the enclave's ecall interface
 // ("etroxy"). Arguments are serialized, defensively copied by the boundary,
 // and results decoded back — the full cost of the paper's trusted subsystem.
+// An argument is built in a pooled writer, released once the ecall returns
+// (the boundary took its own copy); a result is the boundary's copy-out,
+// owned by the caller, and is decoded by view.
 type EnclaveProxy struct {
 	enc     *enclave.Enclave
 	profile node.Profile
@@ -229,7 +232,8 @@ func (p *EnclaveProxy) call(env node.Env, name string, arg []byte) ([]byte, erro
 
 // AcceptConn implements Proxy.
 func (p *EnclaveProxy) AcceptConn(env node.Env, connID uint64, from msg.NodeID) {
-	w := wire.NewWriter(16)
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
 	w.U64(connID)
 	w.U32(uint32(from))
 	_, _ = p.call(env, ECallAccept, w.Bytes())
@@ -237,14 +241,16 @@ func (p *EnclaveProxy) AcceptConn(env node.Env, connID uint64, from msg.NodeID) 
 
 // CloseConn implements Proxy.
 func (p *EnclaveProxy) CloseConn(env node.Env, connID uint64) {
-	w := wire.NewWriter(8)
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
 	w.U64(connID)
 	_, _ = p.call(env, ECallClose, w.Bytes())
 }
 
 // HandleClientData implements Proxy.
 func (p *EnclaveProxy) HandleClientData(env node.Env, connID uint64, from msg.NodeID, payload []byte) (Actions, error) {
-	w := wire.NewWriter(32 + len(payload))
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
 	w.I64(int64(env.Now()))
 	w.U64(connID)
 	w.U32(uint32(from))
@@ -263,7 +269,8 @@ func (p *EnclaveProxy) HandleClientData(env node.Env, connID uint64, from msg.No
 
 // AuthenticateReply implements Proxy.
 func (p *EnclaveProxy) AuthenticateReply(env node.Env, rep *msg.OrderedReply, read, fresh bool, opHash msg.Digest) error {
-	w := wire.NewWriter(160 + len(rep.Result))
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
 	w.Bool(read)
 	w.Bool(fresh)
 	w.Raw(opHash[:])
@@ -280,7 +287,8 @@ func (p *EnclaveProxy) AuthenticateReply(env node.Env, rep *msg.OrderedReply, re
 
 // HandleReply implements Proxy.
 func (p *EnclaveProxy) HandleReply(env node.Env, rep *msg.OrderedReply) (Actions, error) {
-	w := wire.NewWriter(128 + len(rep.Result))
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
 	w.I64(int64(env.Now()))
 	rep.MarshalWire(w)
 	out, err := p.call(env, ECallHandleReply, w.Bytes())
@@ -300,7 +308,8 @@ func (p *EnclaveProxy) HandleReply(env node.Env, rep *msg.OrderedReply) (Actions
 
 // AuthenticateSpecReply implements Proxy.
 func (p *EnclaveProxy) AuthenticateSpecReply(env node.Env, sr *msg.SpecReply) error {
-	w := wire.NewWriter(192 + len(sr.Result))
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
 	sr.MarshalWire(w)
 	out, err := p.call(env, ECallAuthSpecReply, w.Bytes())
 	if err != nil {
@@ -314,7 +323,8 @@ func (p *EnclaveProxy) AuthenticateSpecReply(env node.Env, sr *msg.SpecReply) er
 
 // HandleSpecReply implements Proxy.
 func (p *EnclaveProxy) HandleSpecReply(env node.Env, sr *msg.SpecReply) (Actions, error) {
-	w := wire.NewWriter(192 + len(sr.Result))
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
 	w.I64(int64(env.Now()))
 	sr.MarshalWire(w)
 	out, err := p.call(env, ECallSpecReply, w.Bytes())
@@ -334,7 +344,8 @@ func (p *EnclaveProxy) HandleSpecReply(env node.Env, sr *msg.SpecReply) (Actions
 
 // HandleRetract implements Proxy.
 func (p *EnclaveProxy) HandleRetract(env node.Env, client, clientSeq, slotSeq, view uint64) (Actions, error) {
-	w := wire.NewWriter(32)
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
 	w.U64(client)
 	w.U64(clientSeq)
 	w.U64(slotSeq)
@@ -353,7 +364,8 @@ func (p *EnclaveProxy) HandleRetract(env node.Env, client, clientSeq, slotSeq, v
 
 // HandleCacheQuery implements Proxy.
 func (p *EnclaveProxy) HandleCacheQuery(env node.Env, q *msg.CacheQuery) (Actions, error) {
-	w := wire.NewWriter(96)
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
 	q.MarshalWire(w)
 	out, err := p.call(env, ECallCacheQuery, w.Bytes())
 	if err != nil {
@@ -370,7 +382,8 @@ func (p *EnclaveProxy) HandleCacheQuery(env node.Env, q *msg.CacheQuery) (Action
 
 // HandleCacheReply implements Proxy.
 func (p *EnclaveProxy) HandleCacheReply(env node.Env, r *msg.CacheReply) (Actions, error) {
-	w := wire.NewWriter(128)
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
 	w.I64(int64(env.Now()))
 	r.MarshalWire(w)
 	out, err := p.call(env, ECallCacheReply, w.Bytes())
@@ -388,7 +401,8 @@ func (p *EnclaveProxy) HandleCacheReply(env node.Env, r *msg.CacheReply) (Action
 
 // Tick implements Proxy.
 func (p *EnclaveProxy) Tick(env node.Env) (Actions, error) {
-	w := wire.NewWriter(8)
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
 	w.I64(int64(env.Now()))
 	out, err := p.call(env, ECallTick, w.Bytes())
 	if err != nil {

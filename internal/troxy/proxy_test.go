@@ -13,6 +13,7 @@ import (
 	"github.com/troxy-bft/troxy/internal/node"
 	"github.com/troxy-bft/troxy/internal/securechannel"
 	"github.com/troxy-bft/troxy/internal/tcounter"
+	"github.com/troxy-bft/troxy/internal/wire"
 )
 
 // nullEnv satisfies node.Env for proxy calls in tests.
@@ -149,7 +150,7 @@ func TestProxyBindingsEquivalent(t *testing.T) {
 			From: acts.Queries[0].To, QueryID: q.QueryID, ReqDigest: q.ReqDigest,
 			Found: true, ReplyDigest: msg.DigestOf([]byte("VALUE v")),
 		}
-		rep.Tag = tagger.Tag(rep.From, rep.TagInput())
+		rep.Tag = tagger.Tag(rep.From, tagInput(rep))
 		out, err := p.HandleCacheReply(env, rep)
 		if err != nil {
 			t.Fatal(err)
@@ -180,7 +181,14 @@ func TestProxyBindingsEquivalent(t *testing.T) {
 			t.Errorf("frame %d differs:\n direct  %q\n enclave %q", i, dFrames[i], eFrames[i])
 		}
 	}
-	if !reflect.DeepEqual(dSubmits, eSubmits) {
+	// Compared as encoded: the direct binding's requests carry the digest the
+	// Core computed, which does not cross the enclave boundary.
+	encoded := func(submits []msg.OrderRequest) []byte {
+		w := wire.NewWriter(256)
+		encodeActions(w, &Actions{Submits: submits})
+		return w.Bytes()
+	}
+	if !bytes.Equal(encoded(dSubmits), encoded(eSubmits)) {
 		t.Errorf("submits differ:\n direct  %+v\n enclave %+v", dSubmits, eSubmits)
 	}
 	if dStats != eStats {

@@ -40,7 +40,7 @@ func makeSpecReply(tagger *authn.GroupTagger, executor msg.NodeID, req msg.Order
 		ReqDigest: req.Digest(),
 		Result:    []byte(result),
 	}
-	sr.TroxyTag = tagger.Tag(executor, sr.TagInput())
+	sr.TroxyTag = tagger.Tag(executor, tagInput(sr))
 	return sr
 }
 
@@ -291,8 +291,8 @@ func TestSpecReplyValidation(t *testing.T) {
 		t.Fatal("out-of-range executor answered")
 	}
 	// Request digest mismatch: a vote bound to a different operation.
-	other := req
-	other.Op = []byte("PUT k other")
+	other := msg.OrderRequest{Origin: req.Origin, Client: req.Client, ClientSeq: req.ClientSeq,
+		Flags: req.Flags, Op: []byte("PUT k other")} // not a copy: req carries its digest
 	if out, _ := core.HandleSpecReply(0, makeSpecReply(tagger, 1, other, "OK")); len(out.Client) != 0 {
 		t.Fatal("mismatched request digest answered")
 	}

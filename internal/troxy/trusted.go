@@ -51,6 +51,12 @@ type Trusted struct {
 
 	// epcReported is the cache footprint last reported to the EPC account.
 	epcReported int64
+
+	// res holds the result of the ecall in progress. A handler's result is
+	// trusted memory the boundary copies out before the next ecall can enter
+	// (the enclave admits one thread), so the buffer is pooled: taken by
+	// result, returned when the next ecall starts.
+	res *wire.Writer
 }
 
 var _ enclave.Trusted = (*Trusted)(nil)
@@ -79,7 +85,22 @@ func (t *Trusted) Provision(secrets map[string][]byte) error {
 	return t.core.ProvisionSecrets(secrets)
 }
 
-// ECalls implements enclave.Trusted.
+// result returns the writer the ecall in progress encodes its result into.
+func (t *Trusted) result() *wire.Writer {
+	t.res = wire.GetWriter()
+	return t.res
+}
+
+// actions encodes acts as the ecall's result.
+func (t *Trusted) actions(acts *Actions) []byte {
+	w := t.result()
+	encodeActions(w, acts)
+	return w.Bytes()
+}
+
+// ECalls implements enclave.Trusted. Handlers decode their argument by view:
+// the boundary's copy-in belongs to the call, and whatever the Core keeps of
+// it the Core copies. A handler's result is valid until the next ecall.
 func (t *Trusted) ECalls() map[string]func([]byte) ([]byte, error) {
 	table := map[string]func([]byte) ([]byte, error){
 		ECallAccept: func(arg []byte) ([]byte, error) {
@@ -114,7 +135,7 @@ func (t *Trusted) ECalls() map[string]func([]byte) ([]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			return encodeActions(&acts), nil
+			return t.actions(&acts), nil
 		},
 		ECallAuthReply: func(arg []byte) ([]byte, error) {
 			r := wire.NewReader(arg)
@@ -132,7 +153,7 @@ func (t *Trusted) ECalls() map[string]func([]byte) ([]byte, error) {
 			if err := t.core.AuthenticateReply(&rep, read, fresh, opHash); err != nil {
 				return nil, err
 			}
-			w := wire.NewWriter(len(rep.TroxyTag) + 8)
+			w := t.result()
 			w.Bytes32(rep.TroxyTag)
 			return w.Bytes(), nil
 		},
@@ -150,7 +171,7 @@ func (t *Trusted) ECalls() map[string]func([]byte) ([]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			return encodeActions(&acts), nil
+			return t.actions(&acts), nil
 		},
 		ECallAuthSpecReply: func(arg []byte) ([]byte, error) {
 			r := wire.NewReader(arg)
@@ -164,7 +185,7 @@ func (t *Trusted) ECalls() map[string]func([]byte) ([]byte, error) {
 			if err := t.core.AuthenticateSpecReply(&sr); err != nil {
 				return nil, err
 			}
-			w := wire.NewWriter(len(sr.TroxyTag) + 8)
+			w := t.result()
 			w.Bytes32(sr.TroxyTag)
 			return w.Bytes(), nil
 		},
@@ -182,7 +203,7 @@ func (t *Trusted) ECalls() map[string]func([]byte) ([]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			return encodeActions(&acts), nil
+			return t.actions(&acts), nil
 		},
 		ECallRetract: func(arg []byte) ([]byte, error) {
 			r := wire.NewReader(arg)
@@ -197,7 +218,7 @@ func (t *Trusted) ECalls() map[string]func([]byte) ([]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			return encodeActions(&acts), nil
+			return t.actions(&acts), nil
 		},
 		ECallCacheQuery: func(arg []byte) ([]byte, error) {
 			r := wire.NewReader(arg)
@@ -212,7 +233,7 @@ func (t *Trusted) ECalls() map[string]func([]byte) ([]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			return encodeActions(&acts), nil
+			return t.actions(&acts), nil
 		},
 		ECallCacheReply: func(arg []byte) ([]byte, error) {
 			r := wire.NewReader(arg)
@@ -228,7 +249,7 @@ func (t *Trusted) ECalls() map[string]func([]byte) ([]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			return encodeActions(&acts), nil
+			return t.actions(&acts), nil
 		},
 		ECallTick: func(arg []byte) ([]byte, error) {
 			r := wire.NewReader(arg)
@@ -237,7 +258,7 @@ func (t *Trusted) ECalls() map[string]func([]byte) ([]byte, error) {
 				return nil, err
 			}
 			acts := t.core.Tick(now)
-			return encodeActions(&acts), nil
+			return t.actions(&acts), nil
 		},
 		ECallStats: func([]byte) ([]byte, error) {
 			return encodeStats(t.core.Stats()), nil
@@ -280,6 +301,8 @@ func (t *Trusted) ECalls() map[string]func([]byte) ([]byte, error) {
 	for name, fn := range table {
 		inner := fn
 		table[name] = func(arg []byte) ([]byte, error) {
+			wire.PutWriter(t.res) // the previous ecall's result has been copied out
+			t.res = nil
 			out, err := inner(arg)
 			t.syncEPC()
 			return out, err
@@ -308,8 +331,7 @@ func (t *Trusted) syncEPC() {
 
 // Actions and Stats codecs (boundary serialization).
 
-func encodeActions(a *Actions) []byte {
-	w := wire.NewWriter(256)
+func encodeActions(w *wire.Writer, a *Actions) {
 	w.U32(uint32(len(a.Client)))
 	for _, cr := range a.Client {
 		w.U64(cr.ConnID)
@@ -331,15 +353,17 @@ func encodeActions(a *Actions) []byte {
 			pm.Reply.MarshalWire(w)
 		}
 	}
-	out := make([]byte, w.Len())
-	copy(out, w.Bytes())
-	return out
 }
 
+// decodeActions decodes by view: frames, operations and tags alias b, which
+// on the host side is the boundary's copy-out and belongs to the caller.
 func decodeActions(b []byte) (Actions, error) {
 	var a Actions
 	r := wire.NewReader(b)
 	nc := r.SliceLen()
+	if nc > 0 {
+		a.Client = make([]ClientRecord, 0, min(nc, 64))
+	}
 	for i := 0; i < nc; i++ {
 		cr := ClientRecord{ConnID: r.U64(), Node: msg.NodeID(int32(r.U32())), Frame: r.Bytes32()}
 		if r.Err() != nil {
@@ -348,6 +372,9 @@ func decodeActions(b []byte) (Actions, error) {
 		a.Client = append(a.Client, cr)
 	}
 	ns := r.SliceLen()
+	if ns > 0 {
+		a.Submits = make([]msg.OrderRequest, 0, min(ns, 64))
+	}
 	for i := 0; i < ns; i++ {
 		var req msg.OrderRequest
 		if err := req.UnmarshalWire(r); err != nil {
@@ -356,6 +383,9 @@ func decodeActions(b []byte) (Actions, error) {
 		a.Submits = append(a.Submits, req)
 	}
 	nq := r.SliceLen()
+	if nq > 0 {
+		a.Queries = make([]PeerCacheMsg, 0, min(nq, 64))
+	}
 	for i := 0; i < nq; i++ {
 		to := msg.NodeID(int32(r.U32()))
 		kind := r.U8()

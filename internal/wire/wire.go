@@ -179,7 +179,7 @@ func (r *Reader) take(n int) []byte {
 		r.fail(ErrTruncated)
 		return nil
 	}
-	b := r.buf[r.off : r.off+n]
+	b := r.buf[r.off : r.off+n : r.off+n]
 	r.off += n
 	return b
 }
@@ -226,10 +226,13 @@ func (r *Reader) I64() int64 { return int64(r.U64()) }
 // Bool decodes a one-byte boolean; any nonzero byte is true.
 func (r *Reader) Bool() bool { return r.U8() != 0 }
 
-// Bytes32 decodes a length-prefixed byte string. The result is a copy and is
-// safe to retain: decoded messages from untrusted peers must never alias
-// network buffers (the enclave copies buffers across its boundary for the
-// same reason).
+// Bytes32 decodes a length-prefixed byte string as a view of the reader's
+// buffer: no copy is made, and the slice is cap-limited so that an append by
+// the caller reallocates and cannot write into the field behind it. The view
+// is valid as long as the buffer is, and shares its contents — it must be
+// neither modified in place nor stored in anything that outlives the buffer's
+// owner without copying first (DESIGN.md §5, "Buffer ownership on the
+// request path").
 func (r *Reader) Bytes32() []byte {
 	n := r.U32()
 	if r.err != nil || n == 0 {
@@ -239,13 +242,7 @@ func (r *Reader) Bytes32() []byte {
 		r.fail(ErrTooLarge)
 		return nil
 	}
-	b := r.take(int(n))
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
+	return r.take(int(n))
 }
 
 // String decodes a length-prefixed string.
@@ -262,16 +259,10 @@ func (r *Reader) String() string {
 	return string(b)
 }
 
-// FixedBytes decodes exactly n bytes with no length prefix, returning a copy.
-func (r *Reader) FixedBytes(n int) []byte {
-	b := r.take(n)
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
-}
+// FixedBytes decodes exactly n bytes with no length prefix, as a view of the
+// reader's buffer like Bytes32. Fixed-size fields (digests) are copied out of
+// it into their array by the caller.
+func (r *Reader) FixedBytes(n int) []byte { return r.take(n) }
 
 // SliceLen decodes and validates a slice length header.
 func (r *Reader) SliceLen() int {

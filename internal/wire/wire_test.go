@@ -62,15 +62,34 @@ func TestRoundTripBytesAndStrings(t *testing.T) {
 	}
 }
 
-func TestBytes32Copies(t *testing.T) {
-	w := NewWriter(16)
+// TestDecodedFieldsAreCapLimitedViews pins the reader's ownership rule: a
+// decoded byte field is a view of the input (no copy), and appending to it
+// reallocates instead of writing into the field that follows.
+func TestDecodedFieldsAreCapLimitedViews(t *testing.T) {
+	w := NewWriter(32)
 	w.Bytes32([]byte("hello"))
+	w.Raw([]byte("abc"))
+	w.Bytes32([]byte("world"))
 	buf := w.Bytes()
+	want := append([]byte(nil), buf...)
+
 	r := NewReader(buf)
-	got := r.Bytes32()
-	buf[4] = 'X' // mutate underlying buffer after decode
-	if string(got) != "hello" {
-		t.Errorf("decoded bytes alias input buffer: %q", got)
+	first, fixed, second := r.Bytes32(), r.FixedBytes(3), r.Bytes32()
+	if err := r.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if &first[0] != &buf[4] || &fixed[0] != &buf[9] {
+		t.Error("decoded fields were copied, want views of the input")
+	}
+	for _, f := range [][]byte{first, fixed, second} {
+		if cap(f) != len(f) {
+			t.Errorf("field %q has capacity %d beyond its length %d", f, cap(f), len(f))
+		}
+	}
+	_ = append(first, '!')
+	_ = append(fixed, '!')
+	if !bytes.Equal(buf, want) || string(second) != "world" {
+		t.Errorf("append to a decoded field wrote into its neighbour: %q", buf)
 	}
 }
 

@@ -1,0 +1,194 @@
+package troxy
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"github.com/troxy-bft/troxy/internal/app"
+	"github.com/troxy-bft/troxy/internal/faultplane"
+	"github.com/troxy-bft/troxy/internal/legacyclient"
+	"github.com/troxy-bft/troxy/internal/msg"
+	"github.com/troxy-bft/troxy/internal/node"
+	"github.com/troxy-bft/troxy/internal/simnet"
+	"github.com/troxy-bft/troxy/internal/workload"
+)
+
+// proposal is one PREPARE a replica sent, as the retention test compares
+// them: where it was proposed and what it bound.
+type proposal struct {
+	view, seq uint64
+	reqs      int
+	digest    msg.Digest
+}
+
+func (p proposal) String() string {
+	return fmt.Sprintf("v%d/s%d:%d×%s", p.view, p.seq, p.reqs, p.digest.Short())
+}
+
+// lentEnvelopes wraps a replica the way a transport that reuses its receive
+// buffers would: every envelope is delivered as a private copy whose body and
+// MAC are overwritten as soon as the handler returns (when poison is set). It
+// also records the PREPAREs the replica sends.
+type lentEnvelopes struct {
+	inner     node.Handler
+	poison    bool
+	proposals *[]proposal
+}
+
+type tapEnv struct {
+	node.Env
+	proposals *[]proposal
+}
+
+func (e tapEnv) Send(env *msg.Envelope) {
+	if env.Kind == msg.KindPrepare && env.To == (env.From+1)%3 { // one recipient's copy per broadcast
+		if m, err := faultplane.CloneEnvelope(env).Open(); err == nil {
+			p := m.(*msg.Prepare)
+			*e.proposals = append(*e.proposals, proposal{p.View, p.Seq, p.Batch.Len(), p.Batch.Digest()})
+		}
+	}
+	e.Env.Send(env)
+}
+
+func (l *lentEnvelopes) OnStart(env node.Env) { l.inner.OnStart(tapEnv{env, l.proposals}) }
+func (l *lentEnvelopes) OnTimer(env node.Env, key node.TimerKey) {
+	l.inner.OnTimer(tapEnv{env, l.proposals}, key)
+}
+func (l *lentEnvelopes) OnEnvelope(env node.Env, e *msg.Envelope) {
+	lent := faultplane.CloneEnvelope(e)
+	l.inner.OnEnvelope(tapEnv{env, l.proposals}, lent)
+	if l.poison {
+		for i := range lent.Body {
+			lent.Body[i] = 0xA5
+		}
+		for i := range lent.MAC {
+			lent.MAC[i] = 0xA5
+		}
+	}
+}
+
+// dropNthPrepare loses one whole PREPARE broadcast of the initial leader: the
+// batches behind it in the pipeline are accepted on their lanes but cannot
+// execute, ordering stalls, and the view change that follows has prepared
+// entries to carry over and re-propose.
+type dropNthPrepare struct{ nth, seen int }
+
+func (d *dropNthPrepare) Judge(_ time.Duration, from, _ msg.NodeID, kind msg.Kind) faultplane.Decision {
+	if kind != msg.KindPrepare || from != 0 {
+		return faultplane.Decision{}
+	}
+	d.seen++
+	return faultplane.Decision{Drop: (d.seen-1)/2 == d.nth}
+}
+
+// retentionRun drives writes and reads through a cluster whose replicas only
+// ever see lent envelopes, across a stalled pipeline, the view change it
+// forces and the client retransmissions it causes.
+func retentionRun(t *testing.T, mode Mode, poison bool) (proposals []proposal, state msg.Digest, hist []faultplane.Op) {
+	t.Helper()
+	cl, err := NewCluster(ClusterConfig{
+		Mode:               mode,
+		App:                app.NewStoreFactory(),
+		Classify:           storeClassifier(),
+		FastReads:          true,
+		Seed:               23,
+		CheckpointInterval: 1 << 20, // the log keeps every entry: nothing is settled by a checkpoint
+		ViewChangeTimeout:  400 * time.Millisecond,
+		TickInterval:       20 * time.Millisecond,
+		QueryTimeout:       150 * time.Millisecond,
+		BatchSize:          2,
+		BatchDelay:         time.Millisecond,
+		PipelineDepth:      4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := simnet.New(23, nil)
+	net.SetDefaultLink(simnet.FixedLatency(2 * time.Millisecond))
+	for i, r := range cl.Replicas {
+		net.Attach(msg.NodeID(i), &lentEnvelopes{inner: r, poison: poison, proposals: &proposals})
+	}
+	net.SetFault(&dropNthPrepare{nth: 3})
+
+	history := &faultplane.History{}
+	const machines, perMachine, opsPerClient = 2, 4, 6
+	var clients []*legacyclient.Machine
+	for i := 0; i < machines; i++ {
+		lc := legacyclient.New(legacyclient.Config{
+			Machine:       msg.NodeID(100 + i),
+			Clients:       perMachine,
+			FirstClientID: uint64(1000 * (i + 1)),
+			Replicas:      rotatedIDs(cl.ReplicaIDs(), i),
+			ServerPub:     cl.ServerPub,
+			Gen:           workload.KVGen{Keys: 4, ReadRatio: 0.3, ValueSize: 24},
+			MaxOps:        opsPerClient,
+			Timeout:       250 * time.Millisecond, // shorter than the view change: clients retransmit into it
+			Observe:       history.Observe,
+		})
+		clients = append(clients, lc)
+		net.Attach(msg.NodeID(100+i), lc)
+	}
+	net.Run(60 * time.Second)
+
+	for i, lc := range clients {
+		if got := lc.Done(); got != perMachine*opsPerClient {
+			t.Fatalf("machine %d completed %d/%d operations", i, got, perMachine*opsPerClient)
+		}
+	}
+	state = app.StateDigest(cl.App(0))
+	for i := range cl.Replicas {
+		if v := cl.Replicas[i].Core().View(); v == 0 {
+			t.Fatalf("replica %d never left view 0: the stall did not force a view change", i)
+		}
+		if d := app.StateDigest(cl.App(i)); d != state {
+			t.Errorf("replica %d state %s differs from replica 0's %s", i, d.Short(), state.Short())
+		}
+	}
+	return proposals, state, history.Ops()
+}
+
+// TestDeliveredEnvelopesAreNotRetained: a replica decodes what it is
+// delivered by view and copies what it keeps — log entries, queued requests,
+// buffered votes, the Troxy's vote state and cache. A transport that
+// overwrites every delivered envelope after its handler returns must
+// therefore change nothing: a batch re-proposed after a view change is, bit
+// for bit, the batch first proposed at that sequence number, the history
+// stays linearizable, and the whole run is the run without poisoning.
+func TestDeliveredEnvelopesAreNotRetained(t *testing.T) {
+	for _, mode := range []Mode{CTroxy, ETroxy} {
+		t.Run(mode.String(), func(t *testing.T) {
+			clean, cleanState, _ := retentionRun(t, mode, false)
+			lent, lentState, hist := retentionRun(t, mode, true)
+
+			if err := faultplane.CheckLinearizable(hist); err != nil {
+				t.Errorf("history over lent envelopes is not linearizable: %v", err)
+			}
+			if lentState != cleanState {
+				t.Errorf("final state %s, want the clean run's %s", lentState.Short(), cleanState.Short())
+			}
+
+			first := make(map[uint64]proposal) // the view-0 proposal of each sequence number
+			reproposed := 0
+			for _, p := range lent {
+				orig, seen := first[p.seq]
+				switch {
+				case p.view == 0:
+					first[p.seq] = p
+				case seen && p.reqs > 0:
+					reproposed++
+					if p.digest != orig.digest {
+						t.Errorf("seq %d re-proposed in view %d as batch %s, was %s in view 0",
+							p.seq, p.view, p.digest.Short(), orig.digest.Short())
+					}
+				}
+			}
+			if reproposed == 0 {
+				t.Error("no prepared batch was carried over the view change: the scenario lost its point")
+			}
+			if fmt.Sprint(lent) != fmt.Sprint(clean) {
+				t.Errorf("proposals differ from the clean run's:\n lent  %v\n clean %v", lent, clean)
+			}
+		})
+	}
+}
