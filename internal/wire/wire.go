@@ -68,8 +68,12 @@ func (w *Writer) CopyBytes() []byte {
 // framing, digests, MAC inputs) runs through a Writer; pooling the buffers
 // removes one allocation plus the append-growth garbage per encode. Writers
 // whose buffer grew beyond pooledWriterCap are dropped instead of pooled so
-// a rare giant message (e.g. a state-transfer snapshot) cannot pin memory.
-const pooledWriterCap = 64 << 10
+// a rare giant message (e.g. a multi-megabyte page) cannot pin memory. The
+// cap sits above the two largest messages that are routine — a full batch of
+// sixteen 4 KiB operations and a 64 KiB state chunk, each a little over
+// 64 KiB with its headers: at 64 KiB both fell just outside the pool and
+// regrew a writer from 512 bytes for every PREPARE.
+const pooledWriterCap = 128 << 10
 
 var writerPool = sync.Pool{
 	New: func() any { return &Writer{buf: make([]byte, 0, 512)} },
