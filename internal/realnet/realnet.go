@@ -67,6 +67,36 @@ type mailboxItem struct {
 	tmr bool
 }
 
+// nodeTimer is one wall-clock timer of a node, armed for key under generation
+// gen. The object and its callback are created once and re-armed with Reset:
+// a protocol that sets and clears a timer per request (hybster's progress
+// watch, the legacy client's retransmission timer) allocates nothing for it.
+// key and gen are guarded by the node's timerMu.
+type nodeTimer struct {
+	n   *realNode
+	t   *time.Timer
+	key node.TimerKey
+	gen uint64
+}
+
+// maxFreeTimers bounds the free list: timers beyond it are left to the
+// garbage collector.
+const maxFreeTimers = 64
+
+// fire is the timer's callback. It reads what the timer is armed for at the
+// time it runs, and says nothing if the node has dropped the object since (a
+// cancel or re-arm that came too late to stop this callback).
+func (tm *nodeTimer) fire() {
+	n := tm.n
+	n.timerMu.Lock()
+	key, gen := tm.key, tm.gen
+	live := n.timers[key] == tm
+	n.timerMu.Unlock()
+	if live {
+		n.enqueue(mailboxItem{tmr: true, key: key, gen: gen})
+	}
+}
+
 type realNode struct {
 	id      msg.NodeID
 	handler node.Handler
@@ -77,9 +107,16 @@ type realNode struct {
 	wake   chan struct{}
 	closed bool
 
-	timerMu  sync.Mutex
-	timerGen map[node.TimerKey]uint64
-	timers   map[node.TimerKey]*time.Timer
+	// timers holds the pending timer of each key. Every SetTimer draws a
+	// fresh generation from timerGen, so a fire that is already in the
+	// mailbox when its key is cancelled or re-armed no longer matches. A
+	// timer object is recycled through freeTimers only once its callback
+	// cannot run any more for the arming it was given: Stop returned true, or
+	// the fire it enqueued has been taken out of the mailbox.
+	timerMu    sync.Mutex
+	timerGen   uint64
+	timers     map[node.TimerKey]*nodeTimer
+	freeTimers []*nodeTimer
 
 	rng *rand.Rand
 }
@@ -93,13 +130,12 @@ func (r *Router) Attach(id msg.NodeID, h node.Handler) {
 		panic(fmt.Sprintf("realnet: duplicate node %d", id))
 	}
 	n := &realNode{
-		id:       id,
-		handler:  h,
-		router:   r,
-		wake:     make(chan struct{}, 1),
-		timerGen: make(map[node.TimerKey]uint64),
-		timers:   make(map[node.TimerKey]*time.Timer),
-		rng:      rand.New(rand.NewSource(r.seed + int64(id)*7919)),
+		id:      id,
+		handler: h,
+		router:  r,
+		wake:    make(chan struct{}, 1),
+		timers:  make(map[node.TimerKey]*nodeTimer),
+		rng:     rand.New(rand.NewSource(r.seed + int64(id)*7919)),
 	}
 	r.nodes[id] = n
 	r.wg.Add(1)
@@ -239,10 +275,11 @@ func (n *realNode) stop() {
 	n.mu.Unlock()
 
 	n.timerMu.Lock()
-	for _, t := range n.timers {
-		t.Stop()
+	for _, tm := range n.timers {
+		tm.t.Stop()
 	}
-	n.timers = make(map[node.TimerKey]*time.Timer)
+	clear(n.timers)
+	n.freeTimers = nil
 	n.timerMu.Unlock()
 
 	if !alreadyClosed {
@@ -278,10 +315,11 @@ func (n *realNode) run() {
 
 		if item.tmr {
 			n.timerMu.Lock()
-			live := n.timerGen[item.key] == item.gen
+			tm := n.timers[item.key]
+			live := tm != nil && tm.gen == item.gen
 			if live {
-				delete(n.timerGen, item.key)
-				delete(n.timers, item.key)
+				// The callback that enqueued this item is done with tm.
+				n.dropTimer(tm, true)
 			}
 			n.timerMu.Unlock()
 			if live {
@@ -314,25 +352,49 @@ func (e *realEnv) SetTimer(after time.Duration, key node.TimerKey) {
 	n := e.node
 	n.timerMu.Lock()
 	defer n.timerMu.Unlock()
-	if t, ok := n.timers[key]; ok {
-		t.Stop()
+	n.timerGen++
+	tm := n.timers[key]
+	if tm != nil && !tm.t.Stop() {
+		// Its callback has started: whatever it enqueues carries the old
+		// generation, and the object is not touched again.
+		n.dropTimer(tm, false)
+		tm = nil
 	}
-	n.timerGen[key]++
-	gen := n.timerGen[key]
-	n.timers[key] = time.AfterFunc(after, func() {
-		n.enqueue(mailboxItem{tmr: true, key: key, gen: gen})
-	})
+	if tm == nil {
+		if last := len(n.freeTimers) - 1; last >= 0 {
+			tm, n.freeTimers = n.freeTimers[last], n.freeTimers[:last]
+		} else {
+			tm = &nodeTimer{n: n}
+		}
+		tm.key = key
+		n.timers[key] = tm
+	}
+	tm.gen = n.timerGen
+	if tm.t == nil {
+		tm.t = time.AfterFunc(after, tm.fire)
+	} else {
+		tm.t.Reset(after)
+	}
 }
 
 func (e *realEnv) CancelTimer(key node.TimerKey) {
 	n := e.node
 	n.timerMu.Lock()
 	defer n.timerMu.Unlock()
-	if t, ok := n.timers[key]; ok {
-		t.Stop()
-		delete(n.timers, key)
+	if tm := n.timers[key]; tm != nil {
+		n.dropTimer(tm, tm.t.Stop())
 	}
-	n.timerGen[key]++
+}
+
+// dropTimer forgets tm's key and, when tm's callback is known not to run any
+// more for this arming, keeps the object for the next SetTimer. An object
+// whose callback may still be running is abandoned instead: re-armed under
+// another key it would fire for that key at once. Caller holds timerMu.
+func (n *realNode) dropTimer(tm *nodeTimer, quiet bool) {
+	delete(n.timers, tm.key)
+	if quiet && len(n.freeTimers) < maxFreeTimers {
+		n.freeTimers = append(n.freeTimers, tm)
+	}
 }
 
 func (e *realEnv) Rand() *rand.Rand { return e.node.rng }
