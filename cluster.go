@@ -169,6 +169,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.N != 2*cfg.F+1 {
 		return nil, fmt.Errorf("troxy: N=%d must equal 2F+1 (F=%d)", cfg.N, cfg.F)
 	}
+	if cfg.N > itroxy.MaxReplicas {
+		return nil, fmt.Errorf("troxy: N=%d exceeds the %d replicas a reply vote can count", cfg.N, itroxy.MaxReplicas)
+	}
 	if cfg.Mode == 0 {
 		cfg.Mode = ETroxy
 	}

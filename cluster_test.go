@@ -9,6 +9,7 @@ import (
 	"github.com/troxy-bft/troxy/internal/app"
 	"github.com/troxy-bft/troxy/internal/authn"
 	"github.com/troxy-bft/troxy/internal/bftclient"
+	"github.com/troxy-bft/troxy/internal/faultplane"
 	"github.com/troxy-bft/troxy/internal/legacyclient"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/node"
@@ -289,23 +290,33 @@ func TestLeaderCrashWithTroxy(t *testing.T) {
 	}
 }
 
-// corruptingEnv wraps node.Env and flips bytes in OrderedReply results: the
-// behaviour of a Byzantine untrusted replica part trying to deliver wrong
-// results. It re-seals the transport MAC after corrupting — the untrusted
-// part legitimately holds the pairwise transport keys, so only the Troxy's
-// group tag (computed inside the enclave, over the original content) can
-// expose the manipulation.
+// corruptingEnv wraps node.Env and flips a byte in the result of every
+// OrderedReply of every reply batch the replica sends: the behaviour of a
+// Byzantine untrusted replica part trying to deliver wrong results. It
+// re-seals the transport MAC after corrupting — the untrusted part
+// legitimately holds the pairwise transport keys, so only the Troxy's group
+// tag (computed inside the enclave, over the original content) can expose the
+// manipulation.
 type corruptingEnv struct {
 	node.Env
 	auth *authn.Authenticator
 }
 
 func (c corruptingEnv) Send(e *msg.Envelope) {
-	if e.Kind == msg.KindOrderedReply && len(e.Body) > 40 {
-		body := make([]byte, len(e.Body))
-		copy(body, e.Body)
-		body[30] ^= 0xff
-		e = &msg.Envelope{From: e.From, To: e.To, Kind: e.Kind, Body: body}
+	if e.Kind == msg.KindReplyBatch {
+		// The replies decode as views of the copy, so flipping a result
+		// byte rewrites the copy's body in place.
+		e = faultplane.CloneEnvelope(e)
+		batch := msg.ReplyBatch{Replies: e.Body}
+		var rep msg.OrderedReply
+		for it := batch.Iter(); ; {
+			if more, _ := it.Next(&rep); !more {
+				break
+			}
+			if len(rep.Result) > 0 {
+				rep.Result[0] ^= 0xff
+			}
+		}
 		c.auth.SealMAC(e)
 	}
 	c.Env.Send(e)

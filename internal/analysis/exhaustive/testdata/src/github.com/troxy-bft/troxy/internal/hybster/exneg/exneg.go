@@ -17,6 +17,8 @@ func allKinds(k msg.Kind) int {
 		return 4
 	case msg.KindSpecReply:
 		return 5
+	case msg.KindReplyBatch:
+		return 6
 	}
 	return 0
 }
@@ -48,6 +50,8 @@ func allTypes(m msg.Message) int {
 		return 6
 	case *msg.SpecReply:
 		return 7
+	case *msg.ReplyBatch:
+		return 8
 	case nil:
 		return -1
 	}

@@ -4,7 +4,7 @@ package expos
 import "github.com/troxy-bft/troxy/internal/msg"
 
 func dispatchKind(k msg.Kind) int {
-	switch k { // want "switch over msg.Kind is not exhaustive: missing KindBatch, KindChannelData, KindSpecReply, KindStateChunk, KindStatePrefix"
+	switch k { // want "switch over msg.Kind is not exhaustive: missing KindBatch, KindChannelData, KindReplyBatch, KindSpecReply, KindStateChunk, KindStatePrefix"
 	case msg.KindPrepare:
 		return 1
 	case msg.KindCommit:
@@ -14,7 +14,7 @@ func dispatchKind(k msg.Kind) int {
 }
 
 func singleCase(k msg.Kind) bool {
-	switch k { // want "switch over msg.Kind is not exhaustive: missing KindBatch, KindCommit, KindPrepare, KindSpecReply, KindStateChunk, KindStatePrefix"
+	switch k { // want "switch over msg.Kind is not exhaustive: missing KindBatch, KindCommit, KindPrepare, KindReplyBatch, KindSpecReply, KindStateChunk, KindStatePrefix"
 	case msg.KindChannelData:
 		return true
 	}
@@ -22,7 +22,7 @@ func singleCase(k msg.Kind) bool {
 }
 
 func dispatchType(m msg.Message) uint64 {
-	switch m := m.(type) { // want "type switch over msg.Message is not exhaustive: missing \\*msg.Batch, \\*msg.ChannelData, \\*msg.SpecReply, \\*msg.StateChunk, \\*msg.StatePrefix"
+	switch m := m.(type) { // want "type switch over msg.Message is not exhaustive: missing \\*msg.Batch, \\*msg.ChannelData, \\*msg.ReplyBatch, \\*msg.SpecReply, \\*msg.StateChunk, \\*msg.StatePrefix"
 	case *msg.Prepare:
 		return m.Seq
 	case *msg.Commit:

@@ -13,6 +13,7 @@ const (
 	KindStateChunk
 	KindStatePrefix
 	KindSpecReply
+	KindReplyBatch
 )
 
 // Message is one protocol message.
@@ -47,3 +48,7 @@ func (*StatePrefix) Kind() Kind { return KindStatePrefix }
 type SpecReply struct{ Seq uint64 }
 
 func (*SpecReply) Kind() Kind { return KindSpecReply }
+
+type ReplyBatch struct{ Replies []byte }
+
+func (*ReplyBatch) Kind() Kind { return KindReplyBatch }

@@ -162,10 +162,13 @@ func (g *GroupTagger) feed(instance msg.NodeID, input []byte) {
 	g.mac.Write(input)
 }
 
-// Tag computes the group tag of input as produced by the given instance.
-func (g *GroupTagger) Tag(instance msg.NodeID, input []byte) []byte {
+// Tag appends the group tag of input as produced by the given instance to dst
+// and returns the extended slice, the way hash.Hash.Sum does: a caller that
+// has somewhere to put the tag — a reply it reuses, an ecall's result buffer —
+// passes that and nothing is allocated; nil gets a tag of its own.
+func (g *GroupTagger) Tag(dst []byte, instance msg.NodeID, input []byte) []byte {
 	g.feed(instance, input)
-	return g.mac.Sum(make([]byte, 0, TagSize))
+	return g.mac.Sum(dst)
 }
 
 // Verify checks a group tag allegedly produced by instance over input.

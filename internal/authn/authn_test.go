@@ -7,6 +7,7 @@ import (
 
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/testutil"
+	"github.com/troxy-bft/troxy/internal/wire"
 )
 
 func newDir(t *testing.T) *Directory {
@@ -121,7 +122,7 @@ func TestGroupTagger(t *testing.T) {
 	verifier := NewGroupTagger(d.TroxyGroupKey())
 
 	input := []byte("reply-content")
-	tag := tagger.Tag(0, input)
+	tag := tagger.Tag(nil, 0, input)
 	if !verifier.Verify(0, input, tag) {
 		t.Fatal("valid group tag rejected")
 	}
@@ -141,7 +142,7 @@ func TestGroupTaggerDifferentKeysDisagree(t *testing.T) {
 	a := NewGroupTagger([]byte("key-a"))
 	b := NewGroupTagger([]byte("key-b"))
 	input := []byte("x")
-	if b.Verify(0, input, a.Tag(0, input)) {
+	if b.Verify(0, input, a.Tag(nil, 0, input)) {
 		t.Error("tag from different key accepted")
 	}
 }
@@ -200,10 +201,42 @@ func BenchmarkAllocGate(b *testing.B) {
 	})
 	tagger := NewGroupTagger(d.TroxyGroupKey())
 	input := make([]byte, 200)
-	tag := tagger.Tag(2, input)
+	tag := tagger.Tag(nil, 2, input)
 	testutil.AllocGate(b, "GroupTaggerVerify", 0, func() {
 		if !tagger.Verify(2, input, tag) {
 			b.Fatal("tag rejected")
+		}
+	})
+	// A tag lands in the buffer the caller brought.
+	into := make([]byte, 0, TagSize)
+	testutil.AllocGate(b, "GroupTaggerTagInto", 0, func() { into = tagger.Tag(into[:0], 2, input) })
+
+	// A reply batch costs its receiver one MAC check and, beyond the
+	// envelope it arrived in, one allocation — the message — however many
+	// replies it carries: they are walked into one reused OrderedReply.
+	w := wire.NewWriter(0)
+	rep := &msg.OrderedReply{Executor: 0, Seq: 9, Client: 100, ClientSeq: 3,
+		Result: make([]byte, 128), InvalidKeys: msg.KeysOf("key-0001"), TroxyTag: make([]byte, TagSize)}
+	for i := 0; i < 5; i++ {
+		rep.MarshalWire(w)
+	}
+	batch := msg.Seal(0, 1, &msg.ReplyBatch{Replies: w.Bytes()})
+	sender.SealMAC(batch)
+	var walked msg.OrderedReply
+	testutil.AllocGate(b, "VerifyOpenWalkReplyBatch5", 1, func() {
+		if !receiver.VerifyMAC(batch) {
+			b.Fatal("MAC rejected")
+		}
+		m, err := batch.Open()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for it := m.(*msg.ReplyBatch).Iter(); ; {
+			if more, err := it.Next(&walked); err != nil {
+				b.Fatal(err)
+			} else if !more {
+				break
+			}
 		}
 	})
 }

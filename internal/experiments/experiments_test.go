@@ -137,14 +137,19 @@ func TestCommitLevelFastTierBeatsDurable(t *testing.T) {
 	// Geo-replicated deterministic simulator: the leader's speculative
 	// reply leaves at propose time, one inter-replica hop before any
 	// durable reply exists, so with a pipelined window the fast tier's
-	// median latency must be strictly lower under the same seed and load.
+	// median latency must be strictly lower under the same seed and load —
+	// the experiment's load, short of saturation: at four times as many
+	// clients the outcome hangs on whether two origins' client cohorts reach
+	// the leader within one BatchDelay of each other, and flips with the
+	// client count (31, 33 and 34 a machine fail where 32 passes) and with
+	// anything that moves a reply by a fraction of a millisecond.
 	run := func(fast bool) microResult {
 		return runMicro(microConfig{
 			mode:           root.ETroxy,
 			readRatio:      0,
 			reqSize:        1024,
 			replySize:      10,
-			clientsPerMach: 32,
+			clientsPerMach: 8,
 			warmup:         100 * time.Millisecond,
 			measure:        400 * time.Millisecond,
 			seed:           7,

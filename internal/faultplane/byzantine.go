@@ -5,6 +5,7 @@ import (
 	"github.com/troxy-bft/troxy/internal/authn"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/node"
+	"github.com/troxy-bft/troxy/internal/wire"
 )
 
 // Behavior selects Byzantine misbehaviors for a wrapped replica host.
@@ -16,16 +17,18 @@ import (
 type Behavior uint8
 
 const (
-	// CorruptReplies tampers with the Result of outgoing ordered replies
-	// after the trusted part tagged them. The tag no longer matches, so the
-	// voting Troxy discards the reply (Stats.BadReplies) and completes the
-	// vote from the remaining correct executors.
+	// CorruptReplies tampers with the Result of every outgoing ordered reply
+	// — inside the reply batches they travel in — after the trusted part
+	// tagged them. The tag no longer matches, so the voting Troxy discards
+	// the reply (Stats.BadReplies) and completes the vote from the remaining
+	// correct executors.
 	CorruptReplies Behavior = 1 << iota
 
-	// ReplayStaleReplies re-sends each client's previous ordered reply next
-	// to the current one. The stale reply carries a valid tag for old
-	// content, so it passes tag verification and must be rejected by the
-	// voter's request-digest binding.
+	// ReplayStaleReplies re-sends each client's previous ordered reply ahead
+	// of the current one, in a batch of their own in front of the honest
+	// batch. The stale reply carries a valid tag for old content, so it
+	// passes tag verification and must be rejected by the voter's
+	// request-digest binding.
 	ReplayStaleReplies
 
 	// EquivocateCerts sends semantically mutated PREPARE/COMMIT messages
@@ -65,7 +68,7 @@ type Byzantine struct {
 
 	// lastReply remembers, per client, the previous outgoing ordered reply
 	// for ReplayStaleReplies.
-	lastReply map[uint64]*msg.OrderedReply
+	lastReply map[uint64]msg.OrderedReply
 }
 
 var _ node.Handler = (*Byzantine)(nil)
@@ -80,7 +83,7 @@ func NewByzantine(inner node.Handler, self msg.NodeID, dir *authn.Directory, mod
 		self:      self,
 		auth:      authn.NewAuthenticator(self, dir),
 		mode:      mode,
-		lastReply: make(map[uint64]*msg.OrderedReply),
+		lastReply: make(map[uint64]msg.OrderedReply),
 	}
 }
 
@@ -122,33 +125,62 @@ func openCopy(e *msg.Envelope) (msg.Message, error) {
 	return CloneEnvelope(e).Open()
 }
 
-func (b *Byzantine) send(raw node.Env, e *msg.Envelope) {
-	switch e.Kind {
-	case msg.KindOrderedReply:
-		if b.mode&(CorruptReplies|ReplayStaleReplies) == 0 {
-			break
-		}
-		m, err := openCopy(e)
-		if err != nil {
-			break
-		}
-		rep, ok := m.(*msg.OrderedReply)
-		if !ok {
+// sendReplies seals the given replies into one batch for to.
+func (b *Byzantine) sendReplies(raw node.Env, to msg.NodeID, replies []msg.OrderedReply) {
+	w := wire.NewWriter(0)
+	for i := range replies {
+		replies[i].MarshalWire(w)
+	}
+	b.sealSend(raw, to, &msg.ReplyBatch{Replies: w.Bytes()})
+}
+
+// tamperReplies applies the reply behaviors to an outgoing reply batch and
+// reports whether it sent a replacement for it.
+func (b *Byzantine) tamperReplies(raw node.Env, e *msg.Envelope) bool {
+	m, err := openCopy(e)
+	if err != nil {
+		return false
+	}
+	batch, ok := m.(*msg.ReplyBatch)
+	if !ok {
+		return false
+	}
+	// The replies are views of the private copy openCopy made, which nothing
+	// else refers to: they can be kept and mutated.
+	var current, stale []msg.OrderedReply
+	for it := batch.Iter(); ; {
+		var rep msg.OrderedReply
+		if more, _ := it.Next(&rep); !more {
 			break
 		}
 		if b.mode&ReplayStaleReplies != 0 {
-			if old := b.lastReply[rep.Client]; old != nil && old.ClientSeq < rep.ClientSeq {
-				b.sealSend(raw, e.To, old)
+			if old, ok := b.lastReply[rep.Client]; ok && old.ClientSeq < rep.ClientSeq {
+				stale = append(stale, old)
 			}
-			cp := *rep
-			b.lastReply[rep.Client] = &cp
+			b.lastReply[rep.Client] = rep
 		}
 		if b.mode&CorruptReplies != 0 {
 			// Mutate the result but keep the tag: the host cannot re-tag
 			// (the group secret lives inside the Troxy), so this is the
 			// strongest reply corruption available to it.
 			rep.Result = append(append([]byte(nil), rep.Result...), "#byz"...)
-			b.sealSend(raw, e.To, rep)
+		}
+		current = append(current, rep)
+	}
+	if len(stale) > 0 {
+		b.sendReplies(raw, e.To, stale)
+	}
+	if b.mode&CorruptReplies == 0 {
+		return false // the honest batch follows its stale shadow
+	}
+	b.sendReplies(raw, e.To, current)
+	return true
+}
+
+func (b *Byzantine) send(raw node.Env, e *msg.Envelope) {
+	switch e.Kind {
+	case msg.KindReplyBatch:
+		if b.mode&(CorruptReplies|ReplayStaleReplies) != 0 && b.tamperReplies(raw, e) {
 			return
 		}
 	case msg.KindPrepare:

@@ -8,7 +8,104 @@ import (
 	"github.com/troxy-bft/troxy/internal/faultplane"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/node"
+	"github.com/troxy-bft/troxy/internal/wire"
 )
+
+// replyBatch is the batch a replica would send for the given replies.
+func replyBatch(replies ...*msg.OrderedReply) *msg.ReplyBatch {
+	w := wire.NewWriter(0)
+	for _, rep := range replies {
+		rep.MarshalWire(w)
+	}
+	return &msg.ReplyBatch{Replies: w.Bytes()}
+}
+
+// repliesOf decodes the replies of a reply-batch envelope.
+func repliesOf(t *testing.T, e *msg.Envelope) []msg.OrderedReply {
+	t.Helper()
+	m, err := e.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []msg.OrderedReply
+	for it := m.(*msg.ReplyBatch).Iter(); ; {
+		var rep msg.OrderedReply
+		more, err := it.Next(&rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !more {
+			return out
+		}
+		out = append(out, rep)
+	}
+}
+
+// TestByzantineTampersInsideReplyBatches: replies travel in batches, and both
+// reply behaviors have to reach the replies inside them — every reply of a
+// corrupted batch is corrupted under its honest tag, and a client's previous
+// reply is replayed, in front of the honest batch, when its next one leaves.
+func TestByzantineTampersInsideReplyBatches(t *testing.T) {
+	dir, err := authn.NewDirectory([]byte("byz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tag := bytes.Repeat([]byte{1}, 32)
+	first := replyBatch(
+		&msg.OrderedReply{Client: 5, ClientSeq: 1, Result: []byte("OK"), TroxyTag: tag},
+		&msg.OrderedReply{Client: 6, ClientSeq: 1, Result: []byte("VALUE a"), TroxyTag: tag})
+	second := replyBatch(
+		&msg.OrderedReply{Client: 5, ClientSeq: 2, Result: []byte("VALUE b"), TroxyTag: tag},
+		&msg.OrderedReply{Client: 7, ClientSeq: 1, Result: []byte("OK"), TroxyTag: tag})
+
+	t.Run("CorruptReplies", func(t *testing.T) {
+		rec := &recordingEnv{}
+		faultplane.NewByzantine(sendOnStart{msg.Seal(2, 0, first)}, 2, dir, faultplane.CorruptReplies).OnStart(rec)
+		if len(rec.sent) != 1 || rec.sent[0].Kind != msg.KindReplyBatch {
+			t.Fatalf("sent %d envelopes, want one reply batch", len(rec.sent))
+		}
+		if !authn.NewAuthenticator(0, dir).VerifyMAC(rec.sent[0]) {
+			t.Error("the tampered batch was not re-MACed with the host's transport key")
+		}
+		got := repliesOf(t, rec.sent[0])
+		if len(got) != 2 {
+			t.Fatalf("tampered batch carries %d replies, want 2", len(got))
+		}
+		for i, want := range []string{"OK#byz", "VALUE a#byz"} {
+			if string(got[i].Result) != want || !bytes.Equal(got[i].TroxyTag, tag) {
+				t.Errorf("reply %d: result %q tag %x, want %q under the honest tag", i, got[i].Result, got[i].TroxyTag, want)
+			}
+		}
+	})
+
+	t.Run("ReplayStaleReplies", func(t *testing.T) {
+		rec := &recordingEnv{}
+		byz := faultplane.NewByzantine(echo{}, 2, dir, faultplane.ReplayStaleReplies)
+		byz.OnEnvelope(rec, msg.Seal(2, 0, first))
+		if len(rec.sent) != 1 || !bytes.Equal(rec.sent[0].Body, first.Replies) {
+			t.Fatalf("first batch: %d envelopes; a client's first reply has nothing to replay", len(rec.sent))
+		}
+		rec.sent = nil
+		byz.OnEnvelope(rec, msg.Seal(2, 0, second))
+		if len(rec.sent) != 2 {
+			t.Fatalf("second batch: %d envelopes, want the stale batch and the honest one", len(rec.sent))
+		}
+		stale := repliesOf(t, rec.sent[0])
+		if len(stale) != 1 || stale[0].Client != 5 || stale[0].ClientSeq != 1 || string(stale[0].Result) != "OK" {
+			t.Errorf("stale batch = %+v, want client 5's reply to sequence 1", stale)
+		}
+		if !bytes.Equal(rec.sent[1].Body, second.Replies) {
+			t.Error("the honest batch did not follow unmodified")
+		}
+	})
+}
+
+// echo is a replica stand-in that sends whatever it is delivered.
+type echo struct{}
+
+func (echo) OnStart(node.Env)                         {}
+func (echo) OnEnvelope(env node.Env, e *msg.Envelope) { env.Send(e) }
+func (echo) OnTimer(node.Env, node.TimerKey)          {}
 
 // sendOnStart is a replica stand-in whose only act is to send one envelope.
 type sendOnStart struct{ e *msg.Envelope }
@@ -41,10 +138,11 @@ func TestByzantineSendLeavesHonestEnvelopeIntact(t *testing.T) {
 		mode faultplane.Behavior
 		m    msg.Message
 	}{
-		{"CorruptReplies", faultplane.CorruptReplies,
-			&msg.OrderedReply{Client: 5, ClientSeq: 2, Result: []byte("VALUE v"), InvalidKeys: []string{"k"}, TroxyTag: bytes.Repeat([]byte{1}, 32)}},
-		{"ReplayStaleReplies", faultplane.ReplayStaleReplies,
-			&msg.OrderedReply{Client: 5, ClientSeq: 2, Result: []byte("VALUE v"), TroxyTag: bytes.Repeat([]byte{1}, 32)}},
+		{"CorruptReplies", faultplane.CorruptReplies, replyBatch(
+			&msg.OrderedReply{Client: 5, ClientSeq: 2, Result: []byte("VALUE v"), InvalidKeys: msg.KeysOf("k"), TroxyTag: bytes.Repeat([]byte{1}, 32)},
+			&msg.OrderedReply{Client: 6, ClientSeq: 9, Result: []byte("OK"), TroxyTag: bytes.Repeat([]byte{2}, 32)})},
+		{"ReplayStaleReplies", faultplane.ReplayStaleReplies, replyBatch(
+			&msg.OrderedReply{Client: 5, ClientSeq: 2, Result: []byte("VALUE v"), TroxyTag: bytes.Repeat([]byte{1}, 32)})},
 		{"EquivocateCerts/Prepare", faultplane.EquivocateCerts,
 			&msg.Prepare{View: 1, Seq: 7, Cert: cert, Batch: msg.Batch{Reqs: []msg.OrderRequest{{Origin: 0, Client: 5, ClientSeq: 2, Op: []byte("PUT k v")}}}}},
 		{"EquivocateCerts/Commit", faultplane.EquivocateCerts,

@@ -98,7 +98,7 @@ func BenchmarkAppendEnvelopeFrame(b *testing.B) {
 // message objects themselves — never a copy of a field.
 func BenchmarkAllocGate(b *testing.B) {
 	rep := &OrderedReply{Executor: 1, Seq: 9, Client: 100, ClientSeq: 3,
-		Result: make([]byte, 128), InvalidKeys: []string{"key-0001"}, TroxyTag: make([]byte, 32)}
+		Result: make([]byte, 128), InvalidKeys: KeysOf("key-0001"), TroxyTag: make([]byte, 32)}
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	testutil.AllocGate(b, "OrderedReplyMarshalAndTagInput", 0, func() {
@@ -108,8 +108,27 @@ func BenchmarkAllocGate(b *testing.B) {
 		rep.TagInput(w)
 	})
 
-	// Decoding allocates the envelope, the message, and for the reply its
-	// key list (one slice, one string): 4. The 16 operations and the
+	// A reply decodes into an OrderedReply the caller brought without
+	// allocating: result, key list and tag are views.
+	replyBody := EncodeBody(rep)
+	var into OrderedReply
+	testutil.AllocGate(b, "OrderedReplyUnmarshal", 0, func() {
+		if err := into.UnmarshalWire(wire.NewReader(replyBody)); err != nil {
+			b.Fatal(err)
+		}
+	})
+	keys := 0
+	testutil.AllocGate(b, "KeysIterate", 0, func() {
+		for it := into.InvalidKeys.Iter(); ; keys++ {
+			if _, ok := it.Next(); !ok {
+				break
+			}
+		}
+	})
+
+	// Decoding allocates the envelope and the message: 2, for a bare reply
+	// and for a batch of five alike — walking the batch's replies into one
+	// reused OrderedReply adds nothing. The 16 operations and the
 	// certificate of a PREPARE are views, so it takes 3: envelope, message,
 	// request slice.
 	sealed := func(m Message) []byte {
@@ -128,7 +147,29 @@ func BenchmarkAllocGate(b *testing.B) {
 			}
 		}
 	}
-	testutil.AllocGate(b, "DecodeOpenOrderedReply", 4, open(sealed(rep)))
+	testutil.AllocGate(b, "DecodeOpenOrderedReply", 2, open(sealed(rep)))
+	batchFrame := sealed(testBatch(rep, rep, rep, rep, rep))
+	testutil.AllocGate(b, "DecodeOpenWalkReplyBatch5", 2, func() {
+		e, err := DecodeEnvelope(batchFrame)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := e.Open()
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for it := m.(*ReplyBatch).Iter(); ; n++ {
+			if more, err := it.Next(&into); err != nil {
+				b.Fatal(err)
+			} else if !more {
+				break
+			}
+		}
+		if n != 5 {
+			b.Fatalf("walked %d replies", n)
+		}
+	})
 	testutil.AllocGate(b, "DecodeOpenPrepare16", 3, open(sealed(&Prepare{View: 1, Seq: 7, Batch: *benchBatch(16),
 		Cert: CounterCert{Replica: 0, Counter: 1, Value: 7, MAC: make([]byte, 32)}})))
 }

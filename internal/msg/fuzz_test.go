@@ -55,13 +55,52 @@ func checkView(t *testing.T, what string, decoded any, input, pristine []byte, e
 	}
 }
 
+// checkBatchViews walks a decoded reply batch the way a replica does — every
+// reply into one reused OrderedReply — and holds each reply to the view
+// properties. The replies that decode re-encode to exactly the bytes they
+// were walked from, and no walk yields more than MaxBatchReplies.
+func checkBatchViews(t *testing.T, batch *ReplyBatch, input, pristine []byte) {
+	t.Helper()
+	var rep OrderedReply
+	walked := 0
+	n := 0
+	for it := batch.Iter(); ; n++ {
+		more, _ := it.Next(&rep)
+		if !more {
+			break
+		}
+		enc := EncodeBody(&rep)
+		if !bytes.Equal(enc, batch.Replies[walked:walked+len(enc)]) {
+			t.Fatalf("reply %d of a batch does not re-encode to the bytes it was decoded from", n)
+		}
+		walked += len(enc)
+		keys := 0
+		for ki := rep.InvalidKeys.Iter(); ; keys++ {
+			if _, ok := ki.Next(); !ok {
+				break
+			}
+		}
+		if keys != rep.InvalidKeys.Len() {
+			t.Fatalf("reply %d announces %d keys and iterates %d", n, rep.InvalidKeys.Len(), keys)
+		}
+		checkView(t, "batched reply", &rep, input, pristine, func() []byte { return EncodeBody(&rep) })
+	}
+	if n > MaxBatchReplies {
+		t.Fatalf("a batch yielded %d replies, bound is %d", n, MaxBatchReplies)
+	}
+}
+
 func FuzzDecode(f *testing.F) {
 	f.Add(Encode(&Checkpoint{Seq: 1}))
 	f.Add(Encode(&Prepare{View: 1, Seq: 2,
 		Batch: Batch{Reqs: []OrderRequest{{Op: []byte("x")}}},
 		Cert:  CounterCert{MAC: []byte("m")}}))
 	f.Add(Encode(&Batch{Reqs: []OrderRequest{{Op: []byte("a")}, {Op: []byte("b")}}}))
-	f.Add(Encode(&OrderedReply{Result: []byte("r"), InvalidKeys: []string{"k"}}))
+	f.Add(Encode(&OrderedReply{Result: []byte("r"), InvalidKeys: KeysOf("k")}))
+	f.Add(Encode(testBatch(
+		&OrderedReply{Executor: 1, Seq: 2, Client: 7, ClientSeq: 9, Result: []byte("r"), InvalidKeys: KeysOf("k", "l"), TroxyTag: []byte("t")},
+		&OrderedReply{Executor: 1, Seq: 2, Client: 8, ClientSeq: 1, Result: []byte("OK")})))
+	f.Add(append(Encode(testBatch(&OrderedReply{Result: []byte("r"), InvalidKeys: KeysOf("k")})), 0xff, 0xff)) // a reply, then garbage
 	f.Add(Encode(&SpecReply{Executor: 1, View: 2, Seq: 3, Client: 7, ClientSeq: 9,
 		Result: []byte("r"), Cert: CounterCert{MAC: []byte("m")}, TroxyTag: []byte("t")}))
 	f.Add([]byte{})
@@ -73,6 +112,9 @@ func FuzzDecode(f *testing.F) {
 			return
 		}
 		checkView(t, m.Kind().String(), m, data, pristine, func() []byte { return Encode(m) })
+		if batch, ok := m.(*ReplyBatch); ok {
+			checkBatchViews(t, batch, data, pristine)
+		}
 		// Round-trip stability: re-encoding a decoded message and decoding
 		// again yields the same encoding.
 		re := Encode(m)
@@ -124,8 +166,11 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		Cert:  CounterCert{MAC: []byte("mac")}})
 	prep.MAC = []byte("transport-mac")
 	f.Add(EncodeEnvelope(prep))
-	f.Add(EncodeEnvelope(Seal(2, 0, &OrderedReply{Result: []byte("r"), InvalidKeys: []string{"k"}, TroxyTag: []byte("t")})))
+	f.Add(EncodeEnvelope(Seal(2, 0, &OrderedReply{Result: []byte("r"), InvalidKeys: KeysOf("k"), TroxyTag: []byte("t")})))
 	f.Add(EncodeEnvelope(Seal(2, 0, &StateChunk{Seq: 8, Index: 1, Data: []byte("chunk")})))
+	f.Add(EncodeEnvelope(Seal(2, 0, testBatch(
+		&OrderedReply{Executor: 2, Seq: 3, Client: 7, ClientSeq: 1, Result: []byte("r"), InvalidKeys: KeysOf("k"), TroxyTag: []byte("t")},
+		&OrderedReply{Executor: 2, Seq: 3, Client: 8, ClientSeq: 4, Result: []byte("OK"), TroxyTag: []byte("t")}))))
 	f.Add([]byte{1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pristine := bytes.Clone(data)
@@ -136,6 +181,9 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		checkView(t, "envelope", e, data, pristine, func() []byte { return EncodeEnvelope(e) })
 		if m, err := e.Open(); err == nil {
 			checkView(t, "opened "+e.Kind.String(), m, data, pristine, func() []byte { return EncodeBody(m) })
+			if batch, ok := m.(*ReplyBatch); ok {
+				checkBatchViews(t, batch, data, pristine)
+			}
 		}
 		re := EncodeEnvelope(e)
 		e2, err := DecodeEnvelope(re)

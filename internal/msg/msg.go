@@ -57,8 +57,10 @@ const (
 	// counter.
 	KindCommit
 
-	// KindOrderedReply carries an execution result from the executing
-	// replica to the replica whose Troxy votes for the client.
+	// KindOrderedReply is an execution result on its way from the executing
+	// replica to the replica whose Troxy votes for the client. Replicas send
+	// replies inside KindReplyBatch envelopes; a bare OrderedReply is the
+	// element of such a batch and the argument of the reply ecalls.
 	KindOrderedReply
 
 	// KindCheckpoint announces a state digest at a checkpoint interval.
@@ -114,6 +116,11 @@ const (
 	// durable OrderedReply for the same request follows once the batch
 	// commits in the Byzantine tier.
 	KindSpecReply
+
+	// KindReplyBatch carries the OrderedReplies a replica produced for one
+	// origin while handling one event — the way out mirrors the way in, where
+	// one PREPARE orders a batch of requests — under one transport MAC.
+	KindReplyBatch
 )
 
 var kindNames = map[Kind]string{
@@ -136,6 +143,7 @@ var kindNames = map[Kind]string{
 	KindStatePrefix:    "StatePrefix",
 	KindNewViewRequest: "NewViewRequest",
 	KindSpecReply:      "SpecReply",
+	KindReplyBatch:     "ReplyBatch",
 }
 
 // String returns the kind's protocol name.
@@ -275,6 +283,9 @@ func decode(k Kind, r *wire.Reader) (Message, error) {
 		return m, m.UnmarshalWire(r)
 	case KindSpecReply:
 		m := &SpecReply{}
+		return m, m.UnmarshalWire(r)
+	case KindReplyBatch:
+		m := &ReplyBatch{}
 		return m, m.UnmarshalWire(r)
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrUnknownKind, uint8(k))

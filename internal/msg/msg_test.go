@@ -52,7 +52,7 @@ func TestRoundTripAllKinds(t *testing.T) {
 		&Commit{View: 1, Seq: 10, BatchDigest: (&Batch{Reqs: []OrderRequest{req}}).Digest(), Cert: sampleCert()},
 		&OrderedReply{Executor: 0, Seq: 10, Client: 77, ClientSeq: 1234,
 			ReqDigest: reqDigest, Result: []byte("result"),
-			InvalidKeys: []string{"a", "b"}, TroxyTag: []byte("tag")},
+			InvalidKeys: KeysOf("a", "b"), TroxyTag: []byte("tag")},
 		&Checkpoint{Seq: 128, StateDigest: DigestOf([]byte("state"))},
 		&ViewChange{Replica: 1, NewView: 2, StableSeq: 128,
 			StableDigest: DigestOf([]byte("s")),
@@ -82,6 +82,10 @@ func TestRoundTripAllKinds(t *testing.T) {
 				{Replica: 2, NewView: 2, StableSeq: 128, Cert: sampleCert()},
 			}, Cert: sampleCert()}},
 		&NewViewRequest{View: 2},
+		testBatch(
+			&OrderedReply{Executor: 1, Seq: 10, Client: 77, ClientSeq: 1234, ReqDigest: reqDigest,
+				Result: []byte("result"), InvalidKeys: KeysOf("a", "b"), TroxyTag: []byte("tag")},
+			&OrderedReply{Executor: 1, Seq: 10, Client: 78, ClientSeq: 1, Result: []byte("OK"), TroxyTag: []byte("tag")}),
 		&SpecReply{Executor: 1, View: 2, Seq: 10,
 			BatchDigest: (&Batch{Reqs: []OrderRequest{req}}).Digest(),
 			Client:      77, ClientSeq: 1234, ReqDigest: reqDigest,
@@ -327,5 +331,138 @@ func TestAppendEnvelopeFrameZeroAlloc(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("pooled frame encode allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// testBatch is the reply batch a replica would send for the given replies.
+func testBatch(replies ...*OrderedReply) *ReplyBatch {
+	w := wire.NewWriter(0)
+	for _, rep := range replies {
+		rep.MarshalWire(w)
+	}
+	return &ReplyBatch{Replies: w.Bytes()}
+}
+
+func TestKeysListAndIterate(t *testing.T) {
+	for _, want := range [][]string{nil, {"k"}, {"a", "", "key-0001"}} {
+		keys := KeysOf(want...)
+		if keys.Len() != len(want) {
+			t.Errorf("KeysOf(%q).Len() = %d", want, keys.Len())
+		}
+		if got := keys.Strings(); !reflect.DeepEqual(got, want) {
+			t.Errorf("KeysOf(%q).Strings() = %q", want, got)
+		}
+		// The list is what an OrderedReply encodes and decodes to.
+		got := roundTrip(t, &OrderedReply{InvalidKeys: keys}).(*OrderedReply)
+		if !bytes.Equal(got.InvalidKeys, keys) {
+			t.Errorf("keys %q decoded as %x, encoded %x", want, got.InvalidKeys, keys)
+		}
+	}
+	// AppendKeys reuses the storage it is given.
+	scratch := make([]byte, 0, 64)
+	a := AppendKeys(scratch, []string{"first"})
+	b := AppendKeys(a, []string{"2nd"})
+	if &a[:1][0] != &b[:1][0] || b.Strings()[0] != "2nd" {
+		t.Error("AppendKeys did not encode into the storage it was handed")
+	}
+	if empty := AppendKeys(b, nil); len(empty) != 0 {
+		t.Errorf("empty list has length %d", len(empty))
+	}
+}
+
+// TestKeysIterStopsAtMalformedInput: a Keys value can be cast from anything;
+// the iterator must end, not panic, where the bytes stop being a list.
+func TestKeysIterStopsAtMalformedInput(t *testing.T) {
+	good := KeysOf("a", "bb")
+	for cut := 0; cut < len(good); cut++ {
+		n := 0
+		for it := Keys(good[:cut]).Iter(); ; n++ {
+			if _, ok := it.Next(); !ok {
+				break
+			}
+		}
+		if n > 2 {
+			t.Errorf("cut at %d: iterated %d keys out of a two-key list", cut, n)
+		}
+	}
+	huge := Keys{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 'x'}
+	it := huge.Iter()
+	if _, ok := it.Next(); ok {
+		t.Error("a key longer than the list was returned")
+	}
+}
+
+func TestOrderedReplyRejectsMalformedKeys(t *testing.T) {
+	enc := Encode(&OrderedReply{Result: []byte("r"), InvalidKeys: KeysOf("a", "b"), TroxyTag: []byte("t")})
+	for cut := 1; cut < len(enc); cut++ {
+		if _, err := Decode(enc[:cut]); err == nil {
+			t.Errorf("reply truncated to %d of %d bytes decoded", cut, len(enc))
+		}
+	}
+}
+
+func TestReplyBatchWalk(t *testing.T) {
+	replies := []*OrderedReply{
+		{Executor: 1, Seq: 4, Client: 7, ClientSeq: 1, Result: []byte("OK"), InvalidKeys: KeysOf("k"), TroxyTag: []byte("t1")},
+		{Executor: 1, Seq: 4, Client: 8, ClientSeq: 9, Result: []byte("VALUE v"), TroxyTag: []byte("t2")},
+		{Executor: 1, Seq: 5, Client: 7, ClientSeq: 2},
+	}
+	batch := testBatch(replies...)
+	// A batch of one is exactly as long as its reply.
+	if one := testBatch(replies[0]); !bytes.Equal(EncodeBody(one), EncodeBody(replies[0])) {
+		t.Error("a batch of one differs from the reply's own encoding")
+	}
+
+	var rep OrderedReply // one reply, decoded into again and again
+	i := 0
+	for it := batch.Iter(); ; i++ {
+		more, err := it.Next(&rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !more {
+			break
+		}
+		if !reflect.DeepEqual(&rep, replies[i]) {
+			t.Errorf("reply %d = %+v, want %+v", i, rep, *replies[i])
+		}
+	}
+	if i != len(replies) {
+		t.Errorf("walked %d replies, want %d", i, len(replies))
+	}
+
+	// A malformed reply ends the walk with an error after the good ones.
+	cut := &ReplyBatch{Replies: batch.Replies[:len(batch.Replies)-3]}
+	good := 0
+	for it := cut.Iter(); ; good++ {
+		more, err := it.Next(&rep)
+		if !more {
+			if err == nil {
+				t.Error("a truncated batch ended without an error")
+			}
+			break
+		}
+	}
+	if good != 2 {
+		t.Errorf("truncated batch yielded %d replies before the error, want 2", good)
+	}
+
+	// One reply more than the bound is an error, not a longer walk.
+	var many []*OrderedReply
+	for i := 0; i <= MaxBatchReplies; i++ {
+		many = append(many, &OrderedReply{Client: uint64(i)})
+	}
+	n := 0
+	for it := testBatch(many...).Iter(); ; n++ {
+		more, err := it.Next(&rep)
+		if !more {
+			if err != ErrBatchTooLong {
+				t.Errorf("over-long batch ended with %v", err)
+			}
+			break
+		}
+	}
+	if n != MaxBatchReplies {
+		t.Errorf("over-long batch yielded %d replies, bound is %d", n, MaxBatchReplies)
 	}
 }

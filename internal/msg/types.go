@@ -2,6 +2,7 @@ package msg
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 
 	"github.com/troxy-bft/troxy/internal/wire"
@@ -435,9 +436,10 @@ type OrderedReply struct {
 	ClientSeq uint64
 	ReqDigest Digest
 	Result    []byte
-	// InvalidKeys lists the state parts the request modified, so the voting
-	// Troxy can invalidate cache entries for reads of those parts.
-	InvalidKeys []string
+	// InvalidKeys lists the state parts the request touched, so the voting
+	// Troxy can invalidate cache entries for reads of those parts (and index
+	// a read's entry by them). It stays in wire form: see Keys.
+	InvalidKeys Keys
 	// TroxyTag is the HMAC computed inside the executor's trusted subsystem
 	// over the reply's canonical content with the Troxy group secret and the
 	// executor's instance ID.
@@ -462,10 +464,7 @@ func (m *OrderedReply) marshalCore(w *wire.Writer) {
 	w.U64(m.ClientSeq)
 	writeDigest(w, m.ReqDigest)
 	w.Bytes32(m.Result)
-	w.U32(uint32(len(m.InvalidKeys)))
-	for _, k := range m.InvalidKeys {
-		w.String(k)
-	}
+	m.InvalidKeys.marshal(w)
 }
 
 // TagInput appends the canonical bytes the TroxyTag authenticates.
@@ -473,7 +472,8 @@ func (m *OrderedReply) marshalCore(w *wire.Writer) {
 //troxy:hotpath
 func (m *OrderedReply) TagInput(w *wire.Writer) { m.marshalCore(w) }
 
-// UnmarshalWire implements Message.
+// UnmarshalWire implements Message. Every field is overwritten, so one
+// OrderedReply can be decoded into again and again.
 func (m *OrderedReply) UnmarshalWire(r *wire.Reader) error {
 	m.Executor = NodeID(int32(r.U32()))
 	m.Seq = r.U64()
@@ -481,19 +481,81 @@ func (m *OrderedReply) UnmarshalWire(r *wire.Reader) error {
 	m.ClientSeq = r.U64()
 	readDigest(r, &m.ReqDigest)
 	m.Result = r.Bytes32()
-	n := r.SliceLen()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	m.InvalidKeys = nil
-	if n > 0 {
-		m.InvalidKeys = make([]string, 0, min(n, 64))
-	}
-	for i := 0; i < n; i++ {
-		m.InvalidKeys = append(m.InvalidKeys, r.String())
-	}
+	m.InvalidKeys = readKeys(r)
 	m.TroxyTag = r.Bytes32()
 	return r.Err()
+}
+
+// Reply-batch limits.
+const (
+	// MaxBatchReplies bounds the replies one ReplyBatch envelope carries. A
+	// sender closes a batch that reaches it; a receiver takes no more than
+	// this many replies from one envelope.
+	MaxBatchReplies = 16
+
+	// BatchFlushBytes is the encoded size at which a sender closes a batch
+	// whatever its count. It bounds what a batch holds back, not what it
+	// carries: a single reply may be larger.
+	BatchFlushBytes = 64 << 10
+)
+
+// ErrBatchTooLong reports a ReplyBatch with more than MaxBatchReplies
+// replies.
+var ErrBatchTooLong = errors.New("msg: reply batch exceeds MaxBatchReplies")
+
+// ReplyBatch carries the OrderedReplies one replica produced for one origin
+// while it handled one event — typically the replies of one executed batch —
+// under a single transport MAC. Replies holds their encodings back to back
+// with no count in front, so a batch of one is exactly as long as the reply.
+// Each reply still carries its own Troxy tag and is voted on by itself; the
+// batch only amortizes the envelope.
+//
+// The replies are not decoded with the batch: the receiver walks them with
+// Iter into one OrderedReply it reuses, and a malformed reply costs the
+// sender the rest of that envelope, not the replies in front of it.
+type ReplyBatch struct {
+	Replies []byte
+}
+
+// Kind implements Message.
+func (*ReplyBatch) Kind() Kind { return KindReplyBatch }
+
+// MarshalWire implements Message.
+//
+//troxy:hotpath
+func (m *ReplyBatch) MarshalWire(w *wire.Writer) { w.Raw(m.Replies) }
+
+// UnmarshalWire implements Message: the batch is the rest of the input.
+func (m *ReplyBatch) UnmarshalWire(r *wire.Reader) error {
+	m.Replies = r.FixedBytes(r.Remaining())
+	return r.Err()
+}
+
+// ReplyIter walks the replies of a ReplyBatch.
+type ReplyIter struct {
+	r wire.Reader
+	n int
+}
+
+// Iter returns an iterator over the batch's replies.
+func (m *ReplyBatch) Iter() ReplyIter { return ReplyIter{r: *wire.NewReader(m.Replies)} }
+
+// Next decodes the next reply into rep, whose byte fields become views of the
+// batch. It returns false at the end of the batch, and an error — which also
+// ends the walk — for a reply that does not decode or that is one more than
+// MaxBatchReplies.
+func (it *ReplyIter) Next(rep *OrderedReply) (bool, error) {
+	if it.r.Err() != nil || it.r.Remaining() == 0 {
+		return false, it.r.Err()
+	}
+	if it.n == MaxBatchReplies {
+		return false, ErrBatchTooLong
+	}
+	it.n++
+	if err := rep.UnmarshalWire(&it.r); err != nil {
+		return false, fmt.Errorf("reply %d of batch: %w", it.n, err)
+	}
+	return true, nil
 }
 
 // SpecReply carries the speculative (crash-tolerant tier) result of a
@@ -1033,4 +1095,5 @@ var (
 	_ Message = (*StatePrefix)(nil)
 	_ Message = (*NewViewRequest)(nil)
 	_ Message = (*SpecReply)(nil)
+	_ Message = (*ReplyBatch)(nil)
 )

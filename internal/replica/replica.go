@@ -8,7 +8,9 @@
 //   - Troxy mode (Config.Proxy != nil): legacy clients connect over secure
 //     channels; the Troxy terminates them, votes over replies, and serves
 //     fast reads. Replies of executed requests travel replica→replica as
-//     OrderedReply messages authenticated by the executing replica's Troxy.
+//     OrderedReplies authenticated by the executing replica's Troxy, batched
+//     per origin: what one handler invocation produced for an origin leaves
+//     as one ReplyBatch envelope under one transport MAC.
 //   - Baseline mode (Config.Proxy == nil): BFT clients (internal/bftclient)
 //     talk the protocol themselves; replicas send them BFTReply messages and
 //     answer speculative direct reads (the PBFT-like read optimization).
@@ -22,6 +24,7 @@ import (
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/node"
 	"github.com/troxy-bft/troxy/internal/troxy"
+	"github.com/troxy-bft/troxy/internal/wire"
 )
 
 // Config parameterizes a replica.
@@ -56,7 +59,26 @@ type Replica struct {
 	core  *hybster.Core
 	proxy troxy.Proxy
 
+	// The reply path handles a reply as bytes in buffers the replica owns
+	// until the voter keeps it: Committed fills reply (its key list encoded
+	// into keys) and appends the authenticated encoding to the origin's
+	// outbox entry; a received batch is walked through inbound. No Proxy
+	// keeps a reply it is handed, so all three are reused.
+	reply   msg.OrderedReply
+	keys    msg.Keys
+	inbound msg.OrderedReply
+	outbox  []replyQueue // indexed by origin replica
+
 	stats Stats
+}
+
+// replyQueue collects the encoded replies bound for one origin until the
+// handler invocation that produced them ends (or the batch is full). led
+// says the invocation's first reply for the origin has left already.
+type replyQueue struct {
+	w   wire.Writer
+	n   int
+	led bool
 }
 
 // Stats counts transport-level events.
@@ -71,6 +93,10 @@ type Stats struct {
 	// handler for (client-side kinds like BFTReply, or transport-level
 	// kinds like Batch that never arrive as bare envelopes).
 	Unhandled uint64
+	// BadBatches counts authenticated reply batches cut short: a reply that
+	// did not decode, or one more than msg.MaxBatchReplies. The replies in
+	// front of it were handled; the rest of the envelope was dropped.
+	BadBatches uint64
 }
 
 var _ node.Handler = (*Replica)(nil)
@@ -80,7 +106,7 @@ var _ hybster.Broadcaster = (*Replica)(nil)
 
 // New creates a replica.
 func New(cfg Config) *Replica {
-	r := &Replica{cfg: cfg, proxy: cfg.Proxy}
+	r := &Replica{cfg: cfg, proxy: cfg.Proxy, outbox: make([]replyQueue, cfg.N)}
 	r.auth = authn.NewAuthenticator(cfg.Self, cfg.Directory)
 	hcfg := cfg.Hybster
 	hcfg.Self = cfg.Self
@@ -112,6 +138,11 @@ func (r *Replica) tickInterval() time.Duration {
 
 // OnTimer implements node.Handler.
 func (r *Replica) OnTimer(env node.Env, key node.TimerKey) {
+	r.onTimer(env, key)
+	r.flushReplies(env)
+}
+
+func (r *Replica) onTimer(env node.Env, key node.TimerKey) {
 	switch {
 	case hybster.OwnsTimer(key):
 		r.core.OnTimer(env, key)
@@ -127,6 +158,11 @@ func (r *Replica) OnTimer(env node.Env, key node.TimerKey) {
 
 // OnEnvelope implements node.Handler.
 func (r *Replica) OnEnvelope(env node.Env, e *msg.Envelope) {
+	r.onEnvelope(env, e)
+	r.flushReplies(env)
+}
+
+func (r *Replica) onEnvelope(env node.Env, e *msg.Envelope) {
 	if e.Kind == msg.KindChannelData {
 		r.onChannelData(env, e)
 		return
@@ -170,12 +206,8 @@ func (r *Replica) OnEnvelope(env node.Env, e *msg.Envelope) {
 		r.core.OnStatePrefix(env, e.From, m)
 	case *msg.NewViewRequest:
 		r.core.OnNewViewRequest(env, e.From, m)
-	case *msg.OrderedReply:
-		if r.proxy != nil {
-			if acts, err := r.proxy.HandleReply(env, m); err == nil {
-				r.apply(env, acts)
-			}
-		}
+	case *msg.ReplyBatch:
+		r.onReplyBatch(env, m)
 	case *msg.SpecReply:
 		// A peer's speculative reply for a request this replica originated.
 		// The counter certificate is checked by the protocol core (it knows
@@ -199,10 +231,34 @@ func (r *Replica) OnEnvelope(env node.Env, e *msg.Envelope) {
 			}
 		}
 	default:
-		// ChannelData is intercepted above; BFTReply is client-bound and
-		// Batch only travels inside PREPAREs. Count anything else so a new
-		// message kind that is wired here but not handled shows up.
+		// ChannelData is intercepted above; BFTReply is client-bound, Batch
+		// only travels inside PREPAREs and OrderedReply inside ReplyBatches.
+		// Count anything else so a new message kind that is wired here but
+		// not handled shows up.
 		r.stats.Unhandled++
+	}
+}
+
+// onReplyBatch feeds a peer's replies to the voter one by one, each decoded
+// into the same OrderedReply: the Troxy copies what it keeps of a reply. The
+// transport MAC covered the whole batch; every reply still has to pass its
+// own tag check inside the Troxy.
+func (r *Replica) onReplyBatch(env node.Env, b *msg.ReplyBatch) {
+	if r.proxy == nil {
+		r.stats.Unhandled++
+		return
+	}
+	for it := b.Iter(); ; {
+		more, err := it.Next(&r.inbound)
+		if err != nil {
+			r.stats.BadBatches++
+		}
+		if !more {
+			return
+		}
+		if acts, err := r.proxy.HandleReply(env, &r.inbound); err == nil {
+			r.apply(env, acts)
+		}
 	}
 }
 
@@ -338,15 +394,13 @@ func (r *Replica) Committed(env node.Env, seq uint64, req *msg.OrderRequest, res
 		return
 	}
 
-	rep := &msg.OrderedReply{
-		Executor:    r.cfg.Self,
-		Seq:         seq,
-		Client:      req.Client,
-		ClientSeq:   req.ClientSeq,
-		ReqDigest:   req.Digest(),
-		Result:      result,
-		InvalidKeys: keys,
-	}
+	rep := &r.reply
+	rep.Executor, rep.Seq = r.cfg.Self, seq
+	rep.Client, rep.ClientSeq = req.Client, req.ClientSeq
+	rep.ReqDigest, rep.Result = req.Digest(), result
+	r.keys = msg.AppendKeys(r.keys, keys)
+	rep.InvalidKeys = r.keys
+	rep.TroxyTag = rep.TroxyTag[:0] // untagged; the last tag's storage takes the next
 	// The operation digest keys the fast-read cache entry a read's reply
 	// installs; a write's reply has no use for it.
 	var opHash msg.Digest
@@ -365,7 +419,55 @@ func (r *Replica) Committed(env node.Env, seq uint64, req *msg.OrderRequest, res
 		}
 		return
 	}
-	r.sendAuthed(env, req.Origin, rep)
+	r.queueReply(env, req.Origin, rep)
+}
+
+// queueReply appends an authenticated reply to its origin's batch. The first
+// reply an invocation produces for an origin leaves at once, alone: it is the
+// one whose arrival restarts the origin's clients, and so the leader's next
+// batch, and an invocation that produces a single reply per origin (every
+// unbatched deployment) sends exactly what it sent before replies were
+// batched. The replies behind it leave together when the invocation ends —
+// or, so that a long batch's replies do not all wait for the authentication
+// of its last, as soon as the batch is full.
+func (r *Replica) queueReply(env node.Env, to msg.NodeID, rep *msg.OrderedReply) {
+	if to < 0 || int(to) >= len(r.outbox) {
+		// Not a replica, so no batch to join: a batch of one is the reply.
+		r.sendBody(env, to, msg.KindReplyBatch, msg.EncodeBody(rep))
+		return
+	}
+	q := &r.outbox[to]
+	rep.MarshalWire(&q.w)
+	q.n++
+	if !q.led || q.n >= msg.MaxBatchReplies || q.w.Len() >= msg.BatchFlushBytes {
+		q.led = true
+		r.flushTo(env, to)
+	}
+}
+
+// flushReplies sends every pending reply batch. It is the epilogue of each
+// handler invocation and uses that invocation's env.
+func (r *Replica) flushReplies(env node.Env) {
+	for to := range r.outbox {
+		r.flushTo(env, msg.NodeID(to))
+		r.outbox[to].led = false
+	}
+}
+
+// flushTo sends the batch pending for one origin, if any, as one envelope
+// that owns its body; the queue's buffer is kept for the next batch unless a
+// giant reply grew it.
+func (r *Replica) flushTo(env node.Env, to msg.NodeID) {
+	q := &r.outbox[to]
+	if q.n == 0 {
+		return
+	}
+	r.sendBody(env, to, msg.KindReplyBatch, q.w.CopyBytes())
+	if q.w.Len() > 2*msg.BatchFlushBytes {
+		q.w = wire.Writer{}
+	}
+	q.w.Reset()
+	q.n = 0
 }
 
 // Speculated implements hybster.SpecOutbound: a prepared-but-uncommitted

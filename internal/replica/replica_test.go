@@ -15,7 +15,7 @@ import (
 
 // newBaselineCluster wires three baseline-mode replicas directly (no Troxy),
 // exercising this package's transport authentication and dispatch.
-func newBaselineCluster(t *testing.T) ([]*Replica, *authn.Directory, *simnet.Network) {
+func newBaselineCluster(t testing.TB) ([]*Replica, *authn.Directory, *simnet.Network) {
 	t.Helper()
 	dir, err := authn.NewDirectory([]byte("replica-test"))
 	if err != nil {

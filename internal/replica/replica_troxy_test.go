@@ -21,7 +21,7 @@ import (
 
 // newTroxyCluster assembles three Troxy-mode replicas by hand (ctroxy
 // binding), without the root package's convenience wiring.
-func newTroxyCluster(t *testing.T) ([]*Replica, ed25519.PublicKey, *simnet.Network) {
+func newTroxyCluster(t testing.TB) ([]*Replica, ed25519.PublicKey, *simnet.Network) {
 	t.Helper()
 	dir, err := authn.NewDirectory([]byte("replica-troxy-test"))
 	if err != nil {

@@ -1,8 +1,6 @@
 package troxy
 
 import (
-	"bytes"
-	"slices"
 	"time"
 
 	"github.com/troxy-bft/troxy/internal/msg"
@@ -51,8 +49,8 @@ type CacheStats struct {
 
 type cacheEntry struct {
 	op    msg.Digest
-	reply []byte
-	keys  []string
+	reply []byte   // reply and keys are one allocation (ownReply)
+	keys  msg.Keys // the state parts the entry is indexed under
 	size  int64
 
 	prev, next *cacheEntry
@@ -83,25 +81,41 @@ func (c *Cache) Get(op msg.Digest) []byte {
 	return e.reply
 }
 
-// Put installs a voted read result. keys are the state parts the read
-// depends on. The cache is where a reply is kept, so it copies what it is
-// given: callers pass views of buffers that do not outlive their call.
+// ownReply copies a reply's result and key list — views of a buffer that
+// does not outlive the call — into one allocation for whoever keeps them.
+func ownReply(result []byte, keys msg.Keys) ([]byte, msg.Keys) {
+	slab := make([]byte, len(result)+len(keys))
+	n := copy(slab, result)
+	copy(slab[n:], keys)
+	return slab[:n:n], msg.Keys(slab[n:])
+}
+
+// Put installs a voted read result under the state parts the read depends
+// on, named as strings.
 func (c *Cache) Put(op msg.Digest, reply []byte, keys []string) {
+	c.PutKeys(op, reply, msg.KeysOf(keys...))
+}
+
+// PutKeys is Put for a key list in the wire form a reply carries it in. The
+// cache is where a reply is kept, so it copies what it is given: callers pass
+// views of buffers that do not outlive their call. A key costs a string of
+// its own only when it is new to the index.
+func (c *Cache) PutKeys(op msg.Digest, reply []byte, keys msg.Keys) {
 	if e, ok := c.entries[op]; ok {
 		c.remove(e)
 	}
-	e := &cacheEntry{
-		op:    op,
-		reply: bytes.Clone(reply),
-		keys:  slices.Clone(keys),
-		size:  int64(len(reply)) + 64,
-	}
+	e := &cacheEntry{op: op, size: int64(len(reply)) + 64}
+	e.reply, e.keys = ownReply(reply, keys)
 	c.entries[op] = e
-	for _, k := range keys {
-		set, ok := c.byKey[k]
+	for it := e.keys.Iter(); ; {
+		k, ok := it.Next()
+		if !ok {
+			break
+		}
+		set, ok := c.byKey[string(k)]
 		if !ok {
 			set = make(map[msg.Digest]struct{})
-			c.byKey[k] = set
+			c.byKey[string(k)] = set
 		}
 		set[op] = struct{}{}
 	}
@@ -113,11 +127,23 @@ func (c *Cache) Put(op msg.Digest, reply []byte, keys []string) {
 	}
 }
 
-// Invalidate drops every entry that depends on the given state part. It is
-// called while authenticating a write reply, before the write's effects can
-// become visible to any client.
-func (c *Cache) Invalidate(key string) {
-	set, ok := c.byKey[key]
+// InvalidateKeys drops every entry that depends on one of the given state
+// parts. It is called while authenticating a write reply, before the write's
+// effects can become visible to any client.
+func (c *Cache) InvalidateKeys(keys msg.Keys) {
+	for it := keys.Iter(); ; {
+		k, ok := it.Next()
+		if !ok {
+			return
+		}
+		c.Invalidate(k)
+	}
+}
+
+// Invalidate drops every entry that depends on the given state part; key is
+// only looked at.
+func (c *Cache) Invalidate(key []byte) {
+	set, ok := c.byKey[string(key)]
 	if !ok {
 		return
 	}
@@ -148,11 +174,15 @@ func (c *Cache) Stats() CacheStats {
 
 func (c *Cache) remove(e *cacheEntry) {
 	delete(c.entries, e.op)
-	for _, k := range e.keys {
-		if set, ok := c.byKey[k]; ok {
+	for it := e.keys.Iter(); ; {
+		k, ok := it.Next()
+		if !ok {
+			break
+		}
+		if set, ok := c.byKey[string(k)]; ok {
 			delete(set, e.op)
 			if len(set) == 0 {
-				delete(c.byKey, k)
+				delete(c.byKey, string(k))
 			}
 		}
 	}

@@ -24,7 +24,7 @@ func TestCachePutGetInvalidate(t *testing.T) {
 		t.Errorf("Get op1 = %q", got)
 	}
 	// Invalidating k1 must drop both dependent entries, not op3.
-	c.Invalidate("k1")
+	c.Invalidate([]byte("k1"))
 	if c.Get(d("op1")) != nil || c.Get(d("op2")) != nil {
 		t.Error("entries survived invalidation")
 	}
@@ -36,7 +36,7 @@ func TestCachePutGetInvalidate(t *testing.T) {
 		t.Errorf("invalidations = %d, want 2", st.Invalidations)
 	}
 	// Invalidating an unknown key is a no-op.
-	c.Invalidate("nope")
+	c.Invalidate([]byte("nope"))
 }
 
 func TestCacheReplace(t *testing.T) {
@@ -47,11 +47,11 @@ func TestCacheReplace(t *testing.T) {
 		t.Errorf("Get = %q", got)
 	}
 	// The old key index must be gone: invalidating "a" must not drop v2.
-	c.Invalidate("a")
+	c.Invalidate([]byte("a"))
 	if got := c.Get(d("op")); string(got) != "v2" {
 		t.Error("stale key index dropped replaced entry")
 	}
-	c.Invalidate("b")
+	c.Invalidate([]byte("b"))
 	if c.Get(d("op")) != nil {
 		t.Error("new key index missing")
 	}
@@ -118,7 +118,7 @@ func TestCacheQuickInvalidateDropsAllDependents(t *testing.T) {
 		for _, e := range entries {
 			c.Put(d(fmt.Sprintf("op%d", e)), []byte{e}, []string{fmt.Sprintf("k%d", e%4)})
 		}
-		c.Invalidate(key)
+		c.Invalidate([]byte(key))
 		for _, e := range entries {
 			if fmt.Sprintf("k%d", e%4) == key && c.Get(d(fmt.Sprintf("op%d", e))) != nil {
 				return false
@@ -195,5 +195,34 @@ func TestMonitorThresholdAboveOneNeverTrips(t *testing.T) {
 		if !m.Allow(now) {
 			t.Fatal("monitor with threshold > 1 tripped")
 		}
+	}
+}
+
+// TestCacheOwnsWhatItKeeps: Put's arguments are views of buffers the caller
+// reuses. The entry must survive their being overwritten — the reply it
+// serves, and the key list it is indexed and later unindexed by.
+func TestCacheOwnsWhatItKeeps(t *testing.T) {
+	c := NewCache(1 << 20)
+	reply := []byte("VALUE v")
+	keys := msg.KeysOf("k", "other")
+	c.PutKeys(d("GET k"), reply, keys)
+	for i := range reply {
+		reply[i] = 0xA5
+	}
+	for i := range keys {
+		keys[i] = 0xA5
+	}
+	if got := c.Get(d("GET k")); string(got) != "VALUE v" {
+		t.Fatalf("cached reply = %q after the caller's buffer was overwritten", got)
+	}
+	c.Invalidate([]byte("k"))
+	if c.Get(d("GET k")) != nil {
+		t.Error("entry survived the invalidation of a key it depends on")
+	}
+	if len(c.byKey) != 0 {
+		t.Errorf("%d keys still indexed after their only entry was removed: the entry's key list was not its own", len(c.byKey))
+	}
+	if st := c.Stats(); st.Entries != 0 || st.UsedBytes != 0 {
+		t.Errorf("cache not empty after invalidation: %+v", st)
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"time"
@@ -174,22 +175,76 @@ type voteKey struct {
 	clientSeq uint64
 }
 
+// MaxReplicas bounds N: a tally keeps who stands behind a result as one bit
+// per replica.
+const MaxReplicas = 64
+
+// ballot is one distinct result of a vote and the replicas behind it. The
+// first reply that carried the result is what the vote keeps of it — result
+// and keys in one allocation of the vote's own (the reply itself is a view of
+// the caller's buffer), without the tag: verified once, never needed again.
+type ballot struct {
+	hash   msg.Digest
+	voters uint64 // bit i: replica i's vote stands behind this result
+	seq    uint64
+	result []byte
+	keys   msg.Keys
+}
+
+// tally counts a vote's ballots. Each replica has one vote; voting again
+// moves it.
+type tally struct {
+	ballots []ballot
+}
+
+// cast records executor's vote for the result hashing to h. It returns the
+// result's ballot, whether this vote opened it (the caller then keeps the
+// result in it), and how many replicas now stand behind it.
+func (t *tally) cast(executor msg.NodeID, h msg.Digest) (b *ballot, opened bool, matching int) {
+	bit := uint64(1) << uint(executor)
+	for i := range t.ballots {
+		if t.ballots[i].hash == h {
+			b = &t.ballots[i]
+		} else {
+			t.ballots[i].voters &^= bit
+		}
+	}
+	if b == nil {
+		t.ballots = append(t.ballots, ballot{hash: h})
+		b, opened = &t.ballots[len(t.ballots)-1], true
+	}
+	b.voters |= bit
+	return b, opened, bits.OnesCount64(b.voters)
+}
+
+// find returns the ballot of the result hashing to h, or nil.
+func (t *tally) find(h msg.Digest) *ballot {
+	for i := range t.ballots {
+		if t.ballots[i].hash == h {
+			return &t.ballots[i]
+		}
+	}
+	return nil
+}
+
+// voteState is one pending vote, a single allocation: the durable tally
+// starts out in durableBuf, which holds the two results a vote sees at most
+// unless more than one replica lies.
 type voteState struct {
-	connID    uint64
-	reqDigest msg.Digest
-	opHash    msg.Digest
-	read      bool
-	votes     map[msg.NodeID]msg.Digest
-	results   map[msg.Digest]*msg.OrderedReply
+	connID     uint64
+	reqDigest  msg.Digest
+	opHash     msg.Digest
+	read       bool
+	durable    tally
+	durableBuf [2]ballot
 
 	// Speculative (crash-commit) tier. fast marks a request whose client
 	// opted into answers backed by f+1 PREPARE-round certificates. The vote
 	// state survives a speculative answer: the durable quorum must still
-	// arrive to confirm (StatusOK) or repair it, so specVotes/specResults
-	// live beside — never instead of — the durable voter.
+	// arrive to confirm (StatusOK) or repair it, so the spec tally lives
+	// beside — never instead of — the durable one.
 	fast         bool
-	specVotes    map[msg.NodeID]msg.Digest
-	specResults  map[msg.Digest][]byte
+	spec         tally
 	specAnswered bool
 	specResult   msg.Digest // winning spec vote hash, valid when specAnswered
 	retracted    bool       // a retraction frame was already sent for this answer
@@ -240,6 +295,9 @@ type Core struct {
 
 // NewCore creates an unprovisioned Troxy core.
 func NewCore(cfg Config) *Core {
+	if cfg.N > MaxReplicas {
+		panic(fmt.Sprintf("troxy: N=%d exceeds MaxReplicas=%d", cfg.N, MaxReplicas))
+	}
 	c := &Core{cfg: cfg}
 	c.Reset()
 	return c
@@ -451,15 +509,15 @@ func (c *Core) registerVote(sess *session, key voteKey, opHash msg.Digest, op []
 		vs.connID = sess.connID // reconnects move the reply route
 		return req
 	}
-	c.votes[key] = &voteState{
+	vs := &voteState{
 		connID:    sess.connID,
 		reqDigest: req.Digest(),
 		opHash:    opHash,
 		read:      read,
 		fast:      fast,
-		votes:     make(map[msg.NodeID]msg.Digest),
-		results:   make(map[msg.Digest]*msg.OrderedReply),
 	}
+	vs.durable.ballots = vs.durableBuf[:0]
+	c.votes[key] = vs
 	return req
 }
 
@@ -494,7 +552,7 @@ func (c *Core) startFastRead(now time.Duration, sess *session, key voteKey, opHa
 		q := &msg.CacheQuery{From: c.cfg.Self, QueryID: id, ReqDigest: opHash}
 		w.Reset()
 		q.TagInput(w)
-		q.Tag = c.tagger.Tag(c.cfg.Self, w.Bytes())
+		q.Tag = c.tagger.Tag(nil, c.cfg.Self, w.Bytes())
 		out.Queries = append(out.Queries, PeerCacheMsg{To: r, Query: q})
 	}
 	c.queries[id] = qs
@@ -537,7 +595,10 @@ func (c *Core) chooseReplicas(k int) []msg.NodeID {
 // execution, and re-inserting it would resurrect entries that writes
 // executed since have invalidated — turning a harmless retransmission into
 // a stale fast read.
-func (c *Core) AuthenticateReply(rep *msg.OrderedReply, read, fresh bool, opHash msg.Digest) error {
+//
+// The tag is written into tag's storage (tag[:0] onward; nil allocates), and
+// rep.TroxyTag is that storage afterwards.
+func (c *Core) AuthenticateReply(rep *msg.OrderedReply, read, fresh bool, opHash msg.Digest, tag []byte) error {
 	if !c.Provisioned() {
 		return ErrNotProvisioned
 	}
@@ -554,15 +615,13 @@ func (c *Core) AuthenticateReply(rep *msg.OrderedReply, read, fresh bool, opHash
 		// lastWriteSeq, and their results already reflect it.
 		if c.cfg.FastReads && fresh {
 			if rep.Seq >= c.lastWriteSeq {
-				c.cache.Put(opHash, rep.Result, rep.InvalidKeys)
+				c.cache.PutKeys(opHash, rep.Result, rep.InvalidKeys)
 			} else {
 				c.stats.StaleFreshRead++
 			}
 		}
 	} else {
-		for _, k := range rep.InvalidKeys {
-			c.cache.Invalidate(k)
-		}
+		c.cache.InvalidateKeys(rep.InvalidKeys)
 		if rep.Seq > c.lastWriteSeq {
 			c.lastWriteSeq = rep.Seq
 		}
@@ -570,7 +629,7 @@ func (c *Core) AuthenticateReply(rep *msg.OrderedReply, read, fresh bool, opHash
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	rep.TagInput(w)
-	rep.TroxyTag = c.tagger.Tag(c.cfg.Self, w.Bytes())
+	rep.TroxyTag = c.tagger.Tag(tag[:0], c.cfg.Self, w.Bytes())
 	return nil
 }
 
@@ -581,9 +640,7 @@ func voteHash(rep *msg.OrderedReply) msg.Digest {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	w.Bytes32(rep.Result)
-	for _, k := range rep.InvalidKeys {
-		w.String(k)
-	}
+	w.Raw(rep.InvalidKeys)
 	return msg.DigestOf(w.Bytes())
 }
 
@@ -622,28 +679,18 @@ func (c *Core) HandleReply(now time.Duration, rep *msg.OrderedReply) (Actions, e
 		return out, nil
 	}
 
-	h := voteHash(rep)
-	vs.votes[rep.Executor] = h
-	if _, dup := vs.results[h]; !dup {
+	winner, opened, matching := vs.durable.cast(rep.Executor, voteHash(rep))
+	if opened {
 		// The vote outlives this call and rep is a view of the caller's
-		// buffer: keep one owned copy per distinct result, without the tag
-		// (verified above, never needed again).
-		kept := *rep
-		kept.Result, kept.TroxyTag = bytes.Clone(rep.Result), nil
-		vs.results[h] = &kept
-	}
-	matching := 0
-	for _, vh := range vs.votes {
-		if vh == h {
-			matching++
-		}
+		// buffer: keep one owned copy per distinct result.
+		winner.seq = rep.Seq
+		winner.result, winner.keys = ownReply(rep.Result, rep.InvalidKeys)
 	}
 	if matching < c.cfg.Quorum() {
 		return out, nil
 	}
 
 	// Quorum reached: the result is correct.
-	winner := vs.results[h]
 	c.stats.VotesCompleted++
 	delete(c.votes, key)
 
@@ -652,13 +699,13 @@ func (c *Core) HandleReply(now time.Duration, rep *msg.OrderedReply) (Actions, e
 	// durable history dropped or reordered, so the client must see an
 	// explicit retraction before the authoritative result.
 	if vs.specAnswered {
-		if spec, ok := vs.specResults[vs.specResult]; ok && !bytes.Equal(spec, winner.Result) {
+		if spec := vs.spec.find(vs.specResult); spec != nil && !bytes.Equal(spec.result, winner.result) {
 			c.stats.SpecMismatches++
 			if !vs.retracted {
 				vs.retracted = true
 				c.stats.SpecRetracted++
 				if !c.cfg.HTTP {
-					attr := fmt.Sprintf("speculative result superseded by durable quorum at seq %d", winner.Seq)
+					attr := fmt.Sprintf("speculative result superseded by durable quorum at seq %d", winner.seq)
 					if rec, err := c.sealToClient(vs.connID, key.clientSeq, msg.StatusRetracted, []byte(attr)); err == nil {
 						out.Client = append(out.Client, rec)
 					}
@@ -676,13 +723,11 @@ func (c *Core) HandleReply(now time.Duration, rep *msg.OrderedReply) (Actions, e
 		// it only when it is at least as new as every write this replica has
 		// executed, or a retransmission would resurrect an invalidated
 		// entry and later fast reads would serve stale data.
-		if c.cfg.FastReads && winner.Seq > c.lastWriteSeq {
-			c.cache.Put(vs.opHash, winner.Result, winner.InvalidKeys)
+		if c.cfg.FastReads && winner.seq > c.lastWriteSeq {
+			c.cache.PutKeys(vs.opHash, winner.result, winner.keys)
 		}
 	} else {
-		for _, k := range winner.InvalidKeys {
-			c.cache.Invalidate(k)
-		}
+		c.cache.InvalidateKeys(winner.keys)
 	}
 
 	// HTTP streams carry exactly one response per request: a speculative
@@ -692,7 +737,7 @@ func (c *Core) HandleReply(now time.Duration, rep *msg.OrderedReply) (Actions, e
 	if vs.specAnswered && c.cfg.HTTP {
 		return out, nil
 	}
-	if rec, err := c.sealToClient(vs.connID, key.clientSeq, msg.StatusOK, winner.Result); err == nil {
+	if rec, err := c.sealToClient(vs.connID, key.clientSeq, msg.StatusOK, winner.result); err == nil {
 		out.Client = append(out.Client, rec)
 	}
 	return out, nil
@@ -725,7 +770,7 @@ func (c *Core) AuthenticateSpecReply(sr *msg.SpecReply) error {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	sr.TagInput(w)
-	sr.TroxyTag = c.tagger.Tag(c.cfg.Self, w.Bytes())
+	sr.TroxyTag = c.tagger.Tag(nil, c.cfg.Self, w.Bytes())
 	return nil
 }
 
@@ -763,27 +808,16 @@ func (c *Core) HandleSpecReply(now time.Duration, sr *msg.SpecReply) (Actions, e
 		return out, nil
 	}
 
-	if vs.specVotes == nil {
-		vs.specVotes = make(map[msg.NodeID]msg.Digest)
-		vs.specResults = make(map[msg.Digest][]byte)
-	}
-	h := specVoteHash(sr)
-	vs.specVotes[sr.Executor] = h
-	if _, dup := vs.specResults[h]; !dup {
-		vs.specResults[h] = bytes.Clone(sr.Result) // kept past this call
-	}
-	matching := 0
-	for _, vh := range vs.specVotes {
-		if vh == h {
-			matching++
-		}
+	b, opened, matching := vs.spec.cast(sr.Executor, specVoteHash(sr))
+	if opened {
+		b.result = bytes.Clone(sr.Result) // kept past this call
 	}
 	if matching < c.cfg.Quorum() {
 		return out, nil
 	}
 
 	vs.specAnswered = true
-	vs.specResult = h
+	vs.specResult = b.hash
 	c.stats.SpecAnswered++
 	if rec, err := c.sealToClient(vs.connID, key.clientSeq, msg.StatusSpeculative, sr.Result); err == nil {
 		out.Client = append(out.Client, rec)
@@ -869,7 +903,7 @@ func (c *Core) HandleCacheQuery(q *msg.CacheQuery) (Actions, error) {
 	}
 	w.Reset()
 	rep.TagInput(w)
-	rep.Tag = c.tagger.Tag(c.cfg.Self, w.Bytes())
+	rep.Tag = c.tagger.Tag(nil, c.cfg.Self, w.Bytes())
 	out.Queries = append(out.Queries, PeerCacheMsg{To: q.From, Reply: rep})
 	return out, nil
 }

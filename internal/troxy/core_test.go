@@ -15,7 +15,7 @@ import (
 )
 
 // testSecrets builds a provisioning bundle and the matching verifier state.
-func testSecrets(t *testing.T) (map[string][]byte, ed25519.PublicKey, *authn.GroupTagger) {
+func testSecrets(t testing.TB) (map[string][]byte, ed25519.PublicKey, *authn.GroupTagger) {
 	t.Helper()
 	seed := bytes.Repeat([]byte{7}, ed25519.SeedSize)
 	group := []byte("group-secret")
@@ -30,7 +30,7 @@ func testSecrets(t *testing.T) (map[string][]byte, ed25519.PublicKey, *authn.Gro
 
 func classifyKV(op []byte) bool { return strings.HasPrefix(string(op), "GET ") }
 
-func newTestCore(t *testing.T, fastReads bool) (*Core, ed25519.PublicKey, *authn.GroupTagger) {
+func newTestCore(t testing.TB, fastReads bool) (*Core, ed25519.PublicKey, *authn.GroupTagger) {
 	t.Helper()
 	core := NewCore(Config{
 		Self:         0,
@@ -57,7 +57,7 @@ type clientChannel struct {
 	seq    uint64
 }
 
-func openChannel(t *testing.T, core *Core, pub ed25519.PublicKey, connID, client uint64) *clientChannel {
+func openChannel(t testing.TB, core *Core, pub ed25519.PublicKey, connID, client uint64) *clientChannel {
 	t.Helper()
 	hs, hello, err := securechannel.NewClientHandshake(pub, deterministicRand(t))
 	if err != nil {
@@ -77,7 +77,7 @@ func openChannel(t *testing.T, core *Core, pub ed25519.PublicKey, connID, client
 	return &clientChannel{sess: sess, connID: connID, client: client}
 }
 
-func deterministicRand(t *testing.T) *bytesReader {
+func deterministicRand(t testing.TB) *bytesReader {
 	t.Helper()
 	return &bytesReader{}
 }
@@ -94,7 +94,7 @@ func (b *bytesReader) Read(p []byte) (int, error) {
 }
 
 // request encrypts a generic-protocol operation into channel bytes.
-func (cc *clientChannel) request(t *testing.T, core *Core, now time.Duration, op string, read bool) Actions {
+func (cc *clientChannel) request(t testing.TB, core *Core, now time.Duration, op string, read bool) Actions {
 	t.Helper()
 	cc.seq++
 	flags := uint8(0)
@@ -145,9 +145,9 @@ func makeReply(tagger *authn.GroupTagger, executor msg.NodeID, req msg.OrderRequ
 		ClientSeq:   req.ClientSeq,
 		ReqDigest:   req.Digest(),
 		Result:      []byte(result),
-		InvalidKeys: keys,
+		InvalidKeys: msg.KeysOf(keys...),
 	}
-	rep.TroxyTag = tagger.Tag(executor, tagInput(rep))
+	rep.TroxyTag = tagger.Tag(nil, executor, tagInput(rep))
 	return rep
 }
 
@@ -315,7 +315,7 @@ func TestFastReadMismatchFallsBack(t *testing.T) {
 		From: acts.Queries[0].To, QueryID: q.QueryID, ReqDigest: q.ReqDigest,
 		Found: true, ReplyDigest: msg.DigestOf([]byte("different")),
 	}
-	mismatch.Tag = tagger.Tag(mismatch.From, tagInput(mismatch))
+	mismatch.Tag = tagger.Tag(nil, mismatch.From, tagInput(mismatch))
 	out, err := core.HandleCacheReply(time.Millisecond, mismatch)
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +331,7 @@ func TestFastReadMismatchFallsBack(t *testing.T) {
 	acts = cc.request(t, core, 0, "GET k2", true)
 	q = acts.Queries[0].Query
 	notFound := &msg.CacheReply{From: acts.Queries[0].To, QueryID: q.QueryID, ReqDigest: q.ReqDigest}
-	notFound.Tag = tagger.Tag(notFound.From, tagInput(notFound))
+	notFound.Tag = tagger.Tag(nil, notFound.From, tagInput(notFound))
 	out, _ = core.HandleCacheReply(time.Millisecond, notFound)
 	if len(out.Submits) != 1 {
 		t.Fatal("not-found did not fall back to ordering")
@@ -362,13 +362,13 @@ func TestForgedCacheMessagesRejected(t *testing.T) {
 	evil := authn.NewGroupTagger([]byte("wrong"))
 
 	q := &msg.CacheQuery{From: 1, QueryID: 9, ReqDigest: d("op")}
-	q.Tag = evil.Tag(1, tagInput(q))
+	q.Tag = evil.Tag(nil, 1, tagInput(q))
 	out, _ := core.HandleCacheQuery(q)
 	if len(out.Queries) != 0 {
 		t.Error("forged cache query answered")
 	}
 	r := &msg.CacheReply{From: 1, QueryID: 9, ReqDigest: d("op"), Found: true}
-	r.Tag = evil.Tag(1, tagInput(r))
+	r.Tag = evil.Tag(nil, 1, tagInput(r))
 	if out, _ := core.HandleCacheReply(0, r); len(out.Submits)+len(out.Client) != 0 {
 		t.Error("forged cache reply acted upon")
 	}
@@ -384,8 +384,8 @@ func TestAuthenticateReplyInvalidatesOnWriteCachesOnRead(t *testing.T) {
 
 	// Write reply: invalidates before tagging.
 	wrep := &msg.OrderedReply{Executor: 0, Client: 1, ClientSeq: 1,
-		Result: []byte("OK"), InvalidKeys: []string{"k"}}
-	if err := core.AuthenticateReply(wrep, false, true, msg.DigestOf([]byte("PUT k v2"))); err != nil {
+		Result: []byte("OK"), InvalidKeys: msg.KeysOf("k")}
+	if err := core.AuthenticateReply(wrep, false, true, msg.DigestOf([]byte("PUT k v2")), nil); err != nil {
 		t.Fatal(err)
 	}
 	if !tagger.Verify(0, tagInput(wrep), wrep.TroxyTag) {
@@ -397,8 +397,8 @@ func TestAuthenticateReplyInvalidatesOnWriteCachesOnRead(t *testing.T) {
 
 	// Read reply: populates this replica's cache.
 	rrep := &msg.OrderedReply{Executor: 0, Client: 1, ClientSeq: 2,
-		Result: []byte("VALUE v2"), InvalidKeys: []string{"k"}}
-	if err := core.AuthenticateReply(rrep, true, true, opHash); err != nil {
+		Result: []byte("VALUE v2"), InvalidKeys: msg.KeysOf("k")}
+	if err := core.AuthenticateReply(rrep, true, true, opHash, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := core.cache.Get(opHash); string(got) != "VALUE v2" {
@@ -420,13 +420,13 @@ func TestReplayedReplyDoesNotRepoisonCache(t *testing.T) {
 
 	// Fresh read executed at seq 3 caches; write at seq 4 invalidates.
 	rrep := &msg.OrderedReply{Executor: 0, Seq: 3, Client: 1, ClientSeq: 1,
-		ReqDigest: d("req-read"), Result: []byte("VALUE v1"), InvalidKeys: []string{"k"}}
-	if err := core.AuthenticateReply(rrep, true, true, opHash); err != nil {
+		ReqDigest: d("req-read"), Result: []byte("VALUE v1"), InvalidKeys: msg.KeysOf("k")}
+	if err := core.AuthenticateReply(rrep, true, true, opHash, nil); err != nil {
 		t.Fatal(err)
 	}
 	wrep := &msg.OrderedReply{Executor: 0, Seq: 4, Client: 2, ClientSeq: 1,
-		Result: []byte("OK"), InvalidKeys: []string{"k"}}
-	if err := core.AuthenticateReply(wrep, false, true, msg.DigestOf([]byte("PUT k v2"))); err != nil {
+		Result: []byte("OK"), InvalidKeys: msg.KeysOf("k")}
+	if err := core.AuthenticateReply(wrep, false, true, msg.DigestOf([]byte("PUT k v2")), nil); err != nil {
 		t.Fatal(err)
 	}
 	if core.cache.Get(opHash) != nil {
@@ -436,8 +436,8 @@ func TestReplayedReplyDoesNotRepoisonCache(t *testing.T) {
 	// Executor side: the replayed read is tagged again but stays out of the
 	// cache.
 	replay := &msg.OrderedReply{Executor: 0, Seq: 3, Client: 1, ClientSeq: 1,
-		ReqDigest: d("req-read"), Result: []byte("VALUE v1"), InvalidKeys: []string{"k"}}
-	if err := core.AuthenticateReply(replay, true, false, opHash); err != nil {
+		ReqDigest: d("req-read"), Result: []byte("VALUE v1"), InvalidKeys: msg.KeysOf("k")}
+	if err := core.AuthenticateReply(replay, true, false, opHash, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !tagger.Verify(0, tagInput(replay), replay.TroxyTag) {
@@ -454,12 +454,10 @@ func TestReplayedReplyDoesNotRepoisonCache(t *testing.T) {
 		reqDigest: d("req-read"),
 		opHash:    opHash,
 		read:      true,
-		votes:     make(map[msg.NodeID]msg.Digest),
-		results:   make(map[msg.Digest]*msg.OrderedReply),
 	}
 	peer := *replay
 	peer.Executor = 1
-	peer.TroxyTag = tagger.Tag(1, tagInput(&peer))
+	peer.TroxyTag = tagger.Tag(nil, 1, tagInput(&peer))
 	if _, err := core.HandleReply(0, replay); err != nil {
 		t.Fatal(err)
 	}
@@ -489,16 +487,16 @@ func TestFreshReadBehindAppliedWriteNotCached(t *testing.T) {
 	opHash := msg.DigestOf([]byte("GET k"))
 
 	wrep := &msg.OrderedReply{Executor: 0, Seq: 5, Client: 2, ClientSeq: 1,
-		Result: []byte("OK"), InvalidKeys: []string{"k"}}
-	if err := core.AuthenticateReply(wrep, false, true, msg.DigestOf([]byte("PUT k v2"))); err != nil {
+		Result: []byte("OK"), InvalidKeys: msg.KeysOf("k")}
+	if err := core.AuthenticateReply(wrep, false, true, msg.DigestOf([]byte("PUT k v2")), nil); err != nil {
 		t.Fatal(err)
 	}
 
 	// A fresh read from behind the applied write must be tagged (the client
 	// still needs its reply) but refused by the cache.
 	rrep := &msg.OrderedReply{Executor: 0, Seq: 3, Client: 1, ClientSeq: 1,
-		ReqDigest: d("req-read"), Result: []byte("VALUE v1"), InvalidKeys: []string{"k"}}
-	if err := core.AuthenticateReply(rrep, true, true, opHash); err != nil {
+		ReqDigest: d("req-read"), Result: []byte("VALUE v1"), InvalidKeys: msg.KeysOf("k")}
+	if err := core.AuthenticateReply(rrep, true, true, opHash, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !tagger.Verify(0, tagInput(rrep), rrep.TroxyTag) {
@@ -514,8 +512,8 @@ func TestFreshReadBehindAppliedWriteNotCached(t *testing.T) {
 	// A read batched together with the write (same sequence number, fanned
 	// out after it) reflects the write and must still be cacheable.
 	sameBatch := &msg.OrderedReply{Executor: 0, Seq: 5, Client: 1, ClientSeq: 2,
-		ReqDigest: d("req-read-2"), Result: []byte("VALUE v2"), InvalidKeys: []string{"k"}}
-	if err := core.AuthenticateReply(sameBatch, true, true, opHash); err != nil {
+		ReqDigest: d("req-read-2"), Result: []byte("VALUE v2"), InvalidKeys: msg.KeysOf("k")}
+	if err := core.AuthenticateReply(sameBatch, true, true, opHash, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := core.cache.Get(opHash); string(got) != "VALUE v2" {
@@ -528,7 +526,7 @@ func TestUnprovisionedCoreRefuses(t *testing.T) {
 	if _, err := core.HandleClientData(0, 1, 9, []byte{1, 2, 3}); !errors.Is(err, ErrNotProvisioned) {
 		t.Errorf("HandleClientData: %v", err)
 	}
-	if err := core.AuthenticateReply(&msg.OrderedReply{}, false, true, msg.Digest{}); !errors.Is(err, ErrNotProvisioned) {
+	if err := core.AuthenticateReply(&msg.OrderedReply{}, false, true, msg.Digest{}, nil); !errors.Is(err, ErrNotProvisioned) {
 		t.Errorf("AuthenticateReply: %v", err)
 	}
 }
@@ -629,7 +627,7 @@ func TestFullReplyCacheExchange(t *testing.T) {
 		Found: true, ReplyDigest: msg.DigestOf([]byte("VALUE v")),
 		ReplyData: []byte("VALUE x"),
 	}
-	evilRep.Tag = tagger.Tag(evilRep.From, tagInput(evilRep))
+	evilRep.Tag = tagger.Tag(nil, evilRep.From, tagInput(evilRep))
 	out, err := core.HandleCacheReply(0, evilRep)
 	if err != nil {
 		t.Fatal(err)
@@ -646,7 +644,7 @@ func TestFullReplyCacheExchange(t *testing.T) {
 		Found: true, ReplyDigest: msg.DigestOf([]byte("VALUE v")),
 		ReplyData: []byte("VALUE v"),
 	}
-	goodRep.Tag = tagger.Tag(goodRep.From, tagInput(goodRep))
+	goodRep.Tag = tagger.Tag(nil, goodRep.From, tagInput(goodRep))
 	out, err = core.HandleCacheReply(2*time.Millisecond, goodRep)
 	if err != nil || len(out.Client) != 1 {
 		t.Fatalf("full-reply fast read failed: %v / %+v", err, out)
@@ -655,7 +653,7 @@ func TestFullReplyCacheExchange(t *testing.T) {
 	// A remote serving the query includes the full entry.
 	racts, err := core.HandleCacheQuery(&msg.CacheQuery{
 		From: 1, QueryID: 9, ReqDigest: msg.DigestOf([]byte("GET k")),
-		Tag: tagger.Tag(1, tagInput(&msg.CacheQuery{From: 1, QueryID: 9, ReqDigest: msg.DigestOf([]byte("GET k"))})),
+		Tag: tagger.Tag(nil, 1, tagInput(&msg.CacheQuery{From: 1, QueryID: 9, ReqDigest: msg.DigestOf([]byte("GET k"))})),
 	})
 	if err != nil || len(racts.Queries) != 1 {
 		t.Fatalf("query handling: %v / %+v", err, racts)

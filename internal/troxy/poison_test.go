@@ -15,8 +15,9 @@ import (
 // a write voted to completion with a retransmission in between, a read whose
 // local execution fills the cache, a peer's cache query, the read's vote, a
 // cached read confirmed remotely, one whose remote disagrees and falls back
-// to ordering, and a fast-commit write answered speculatively and then
-// confirmed — and returns every ecall's result, plus the plaintexts
+// to ordering, a fast-commit write answered speculatively and then
+// confirmed, and a write whose vote has to invalidate the cached read — and
+// returns every ecall's result, plus the plaintexts
 // the client decrypted. With poison set, the argument of every ecall is
 // overwritten as soon as the handler returns, which is what the host is free
 // to do with a buffer it lent for the call.
@@ -124,7 +125,7 @@ func ecallScript(t *testing.T, poison bool) (results [][]byte, replies []msg.Cha
 		own.MarshalWire(w)
 	})
 	query := &msg.CacheQuery{From: 1, QueryID: 40, ReqDigest: msg.DigestOf([]byte("GET k"))}
-	query.Tag = tagger.Tag(1, tagInput(query))
+	query.Tag = tagger.Tag(nil, 1, tagInput(query))
 	call(ECallCacheQuery, func(w *wire.Writer) { query.MarshalWire(w) })
 	deliver(handleReply(makeReply(tagger, 1, read, "VALUE v", []string{"k"})))
 	deliver(handleReply(makeReply(tagger, 2, read, "VALUE v", []string{"k"})))
@@ -142,7 +143,7 @@ func ecallScript(t *testing.T, poison bool) (results [][]byte, replies []msg.Cha
 		if found {
 			rep.ReplyDigest = msg.DigestOf([]byte("VALUE v"))
 		}
-		rep.Tag = tagger.Tag(rep.From, tagInput(rep))
+		rep.Tag = tagger.Tag(nil, rep.From, tagInput(rep))
 		return call(ECallCacheReply, func(w *wire.Writer) {
 			w.I64(int64(time.Millisecond))
 			rep.MarshalWire(w)
@@ -166,19 +167,32 @@ func ecallScript(t *testing.T, poison bool) (results [][]byte, replies []msg.Cha
 	}
 	deliver(handleReply(makeReply(tagger, 1, fast, "OK", []string{"s"})))
 	deliver(handleReply(makeReply(tagger, 2, fast, "OK", []string{"s"})))
+
+	// A write to the cached key, voted here: the vote keeps the first reply's
+	// key list across an ecall and invalidates by it when the second reply
+	// completes it. The read that follows must find the entry gone — a key
+	// list kept as a view of the first argument would have been overwritten,
+	// and the stale entry served.
+	over := send(6, "PUT k v2", 0).Submits[0]
+	deliver(handleReply(makeReply(tagger, 1, over, "OK", []string{"k"})))
+	deliver(handleReply(makeReply(tagger, 2, over, "OK", []string{"k"})))
+	if after := send(7, "GET k", msg.FlagReadOnly); len(after.Submits) != 1 || len(after.Queries) != 0 {
+		t.Fatalf("a read after the voted write produced %d submits and %d cache queries: the write's vote did not invalidate the entry",
+			len(after.Submits), len(after.Queries))
+	}
 	return results, replies
 }
 
 // TestECallArgumentsAreNotRetained: an ecall handler decodes its argument by
 // view, and everything the Troxy keeps past the call — a vote's first result,
-// a cache entry, a fast read's fallback — is its own copy. Overwriting every
+// and its key list, a cache entry, a fast read's fallback — is its own copy. Overwriting every
 // argument after its call must change nothing: not one result byte, and not
 // what the client reads.
 func TestECallArgumentsAreNotRetained(t *testing.T) {
 	clean, cleanReplies := ecallScript(t, false)
 	poisoned, poisonedReplies := ecallScript(t, true)
 
-	want := []string{"OK", "VALUE v", "VALUE v", "OK", "OK"}
+	want := []string{"OK", "VALUE v", "VALUE v", "OK", "OK", "OK"}
 	if len(cleanReplies) != len(want) {
 		t.Fatalf("the client got %d replies, want %d", len(cleanReplies), len(want))
 	}

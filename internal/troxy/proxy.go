@@ -29,6 +29,12 @@ type Proxy interface {
 	AcceptConn(env node.Env, connID uint64, from msg.NodeID)
 	CloseConn(env node.Env, connID uint64)
 	HandleClientData(env node.Env, connID uint64, from msg.NodeID, payload []byte) (Actions, error)
+	//
+	// rep is the caller's in both reply calls and may be one it reuses: no
+	// implementation keeps it or a view of its fields past the call.
+	// AuthenticateReply sets rep.TroxyTag and may write the tag into the
+	// storage of the tag rep came with, which therefore nothing else may
+	// refer to.
 	AuthenticateReply(env node.Env, rep *msg.OrderedReply, read, fresh bool, opHash msg.Digest) error
 	HandleReply(env node.Env, rep *msg.OrderedReply) (Actions, error)
 
@@ -115,7 +121,7 @@ func (p *DirectProxy) AuthenticateReply(env node.Env, rep *msg.OrderedReply, rea
 	n := len(rep.Result) + 64
 	chargeCommon(env, p.profile, n)
 	env.Charge(p.profile, node.ChargeMAC, n)
-	return p.core.AuthenticateReply(rep, read, fresh, opHash)
+	return p.core.AuthenticateReply(rep, read, fresh, opHash, rep.TroxyTag)
 }
 
 // HandleReply implements Proxy.

@@ -150,7 +150,7 @@ func TestProxyBindingsEquivalent(t *testing.T) {
 			From: acts.Queries[0].To, QueryID: q.QueryID, ReqDigest: q.ReqDigest,
 			Found: true, ReplyDigest: msg.DigestOf([]byte("VALUE v")),
 		}
-		rep.Tag = tagger.Tag(rep.From, tagInput(rep))
+		rep.Tag = tagger.Tag(nil, rep.From, tagInput(rep))
 		out, err := p.HandleCacheReply(env, rep)
 		if err != nil {
 			t.Fatal(err)
@@ -252,7 +252,7 @@ func TestCacheFootprintAccountedAgainstEPC(t *testing.T) {
 	// large read reply (executor-side caching).
 	rep := &msg.OrderedReply{
 		Executor: 0, Client: 9, ClientSeq: 1,
-		Result: make([]byte, 32<<10), InvalidKeys: []string{"k"},
+		Result: make([]byte, 32<<10), InvalidKeys: msg.KeysOf("k"),
 	}
 	if err := enclaved.AuthenticateReply(env, rep, true, true, msg.DigestOf([]byte("GET big"))); err != nil {
 		t.Fatal(err)
@@ -265,7 +265,7 @@ func TestCacheFootprintAccountedAgainstEPC(t *testing.T) {
 	// An invalidating write releases the trusted memory again.
 	wrep := &msg.OrderedReply{
 		Executor: 0, Client: 9, ClientSeq: 2,
-		Result: []byte("OK"), InvalidKeys: []string{"k"},
+		Result: []byte("OK"), InvalidKeys: msg.KeysOf("k"),
 	}
 	if err := enclaved.AuthenticateReply(env, wrep, false, true, msg.DigestOf([]byte("PUT big"))); err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/troxy-bft/troxy/internal/authn"
 	"github.com/troxy-bft/troxy/internal/enclave"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/tcounter"
@@ -57,6 +58,10 @@ type Trusted struct {
 	// (the enclave admits one thread), so the buffer is pooled: taken by
 	// result, returned when the next ecall starts.
 	res *wire.Writer
+
+	// tag is where the Core writes the tag of the reply being authenticated,
+	// on its way into res.
+	tag [authn.TagSize]byte
 }
 
 var _ enclave.Trusted = (*Trusted)(nil)
@@ -150,7 +155,7 @@ func (t *Trusted) ECalls() map[string]func([]byte) ([]byte, error) {
 			if err := r.Finish(); err != nil {
 				return nil, err
 			}
-			if err := t.core.AuthenticateReply(&rep, read, fresh, opHash); err != nil {
+			if err := t.core.AuthenticateReply(&rep, read, fresh, opHash, t.tag[:]); err != nil {
 				return nil, err
 			}
 			w := t.result()

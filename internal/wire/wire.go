@@ -158,6 +158,19 @@ func (r *Reader) Err() error { return r.err }
 // Remaining returns the number of undecoded bytes.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
 
+// Offset returns the number of bytes decoded so far. With Span it lets a
+// decoder keep a run of fields it has walked as one view, still encoded.
+func (r *Reader) Offset() int { return r.off }
+
+// Span returns the bytes decoded since the reader stood at offset from, as a
+// cap-limited view of the buffer like Bytes32 (nil after a decoding error).
+func (r *Reader) Span(from int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	return r.buf[from:r.off:r.off]
+}
+
 // Finish returns an error if decoding failed or bytes remain unconsumed.
 func (r *Reader) Finish() error {
 	if r.err != nil {
