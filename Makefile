@@ -70,9 +70,12 @@ bench:
 
 # bench-quick is the allocation gates (run in CI on every push/PR). The
 # request path's buffer discipline (DESIGN.md §5) is held function by function
-# by the BenchmarkAllocGate of internal/msg, authn, tcounter and app — each
-# sub-benchmark fails itself above its ceiling (encode into a pooled writer 0,
-# decode + open a 16-request PREPARE 3, VerifyMAC 0, Store.Keys 0, …) — beside
+# by the BenchmarkAllocGate of internal/msg, authn, tcounter, app, troxy and
+# replica — each sub-benchmark fails itself above its ceiling (encode into a
+# pooled writer 0, decode + open a 16-request PREPARE 3, a reply decoded into a
+# reused OrderedReply 0, MAC check + walk of a five-reply batch 1, a reply
+# built, tagged and queued for a remote origin 0, a vote over three replies 2
+# plus the client's record, VerifyMAC 0, Store.Keys 0, …) — beside
 # BenchmarkAppendEnvelopeFrame, which fails itself if the pooled frame-encode
 # path allocates at all, and end to end by TestWriteAllocBudget at the module
 # root (allocations per 128-byte write through a whole simulated cluster). In
@@ -84,7 +87,7 @@ bench:
 # assertions, not ns/op — timing numbers for the record live in EXPERIMENTS.md.
 bench-quick:
 	$(GO) test -run xxx -bench 'Encode|AppendEnvelopeFrame|BatchDigest|AllocGate' -benchmem -benchtime 1000x ./internal/msg/
-	$(GO) test -run xxx -bench 'AllocGate' -benchmem -benchtime 1000x ./internal/authn/ ./internal/tcounter/ ./internal/app/
+	$(GO) test -run xxx -bench 'AllocGate' -benchmem -benchtime 1000x ./internal/authn/ ./internal/tcounter/ ./internal/app/ ./internal/troxy/ ./internal/replica/
 	$(GO) test -run xxx -bench 'StoreCheckpoint|StoreFork' -benchmem -benchtime 20x ./internal/app/
 	$(GO) test -count=1 -run 'TestWriteAllocBudget' -v .
 

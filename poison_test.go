@@ -1,6 +1,7 @@
 package troxy
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -158,11 +159,25 @@ func retentionRun(t *testing.T, mode Mode, poison bool) (proposals []proposal, s
 func TestDeliveredEnvelopesAreNotRetained(t *testing.T) {
 	for _, mode := range []Mode{CTroxy, ETroxy} {
 		t.Run(mode.String(), func(t *testing.T) {
-			clean, cleanState, _ := retentionRun(t, mode, false)
+			clean, cleanState, cleanHist := retentionRun(t, mode, false)
 			lent, lentState, hist := retentionRun(t, mode, true)
 
 			if err := faultplane.CheckLinearizable(hist); err != nil {
 				t.Errorf("history over lent envelopes is not linearizable: %v", err)
+			}
+			// Every client read what it read in the clean run, at the same
+			// instant: a result or key list the voter kept as a view of a
+			// peer's reply batch would have been overwritten before its vote
+			// completed.
+			if len(hist) != len(cleanHist) {
+				t.Fatalf("%d operations observed, %d in the clean run", len(hist), len(cleanHist))
+			}
+			for i, op := range hist {
+				if want := cleanHist[i]; op.Client != want.Client || op.Seq != want.Seq || op.Respond != want.Respond ||
+					!bytes.Equal(op.Result, want.Result) {
+					t.Errorf("client %d op %d answered %q at %v, clean run %q at %v",
+						op.Client, op.Seq, op.Result, op.Respond, want.Result, want.Respond)
+				}
 			}
 			if lentState != cleanState {
 				t.Errorf("final state %s, want the clean run's %s", lentState.Short(), cleanState.Short())
