@@ -7,7 +7,6 @@ import (
 
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/testutil"
-	"github.com/troxy-bft/troxy/internal/wire"
 )
 
 func newDir(t *testing.T) *Directory {
@@ -214,13 +213,9 @@ func BenchmarkAllocGate(b *testing.B) {
 	// A reply batch costs its receiver one MAC check and, beyond the
 	// envelope it arrived in, one allocation — the message — however many
 	// replies it carries: they are walked into one reused OrderedReply.
-	w := wire.NewWriter(0)
 	rep := &msg.OrderedReply{Executor: 0, Seq: 9, Client: 100, ClientSeq: 3,
 		Result: make([]byte, 128), InvalidKeys: msg.KeysOf("key-0001"), TroxyTag: make([]byte, TagSize)}
-	for i := 0; i < 5; i++ {
-		rep.MarshalWire(w)
-	}
-	batch := msg.Seal(0, 1, &msg.ReplyBatch{Replies: w.Bytes()})
+	batch := msg.Seal(0, 1, msg.NewReplyBatch(rep, rep, rep, rep, rep))
 	sender.SealMAC(batch)
 	var walked msg.OrderedReply
 	testutil.AllocGate(b, "VerifyOpenWalkReplyBatch5", 1, func() {

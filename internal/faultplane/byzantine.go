@@ -5,7 +5,6 @@ import (
 	"github.com/troxy-bft/troxy/internal/authn"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/node"
-	"github.com/troxy-bft/troxy/internal/wire"
 )
 
 // Behavior selects Byzantine misbehaviors for a wrapped replica host.
@@ -68,7 +67,7 @@ type Byzantine struct {
 
 	// lastReply remembers, per client, the previous outgoing ordered reply
 	// for ReplayStaleReplies.
-	lastReply map[uint64]msg.OrderedReply
+	lastReply map[uint64]*msg.OrderedReply
 }
 
 var _ node.Handler = (*Byzantine)(nil)
@@ -83,7 +82,7 @@ func NewByzantine(inner node.Handler, self msg.NodeID, dir *authn.Directory, mod
 		self:      self,
 		auth:      authn.NewAuthenticator(self, dir),
 		mode:      mode,
-		lastReply: make(map[uint64]msg.OrderedReply),
+		lastReply: make(map[uint64]*msg.OrderedReply),
 	}
 }
 
@@ -125,15 +124,6 @@ func openCopy(e *msg.Envelope) (msg.Message, error) {
 	return CloneEnvelope(e).Open()
 }
 
-// sendReplies seals the given replies into one batch for to.
-func (b *Byzantine) sendReplies(raw node.Env, to msg.NodeID, replies []msg.OrderedReply) {
-	w := wire.NewWriter(0)
-	for i := range replies {
-		replies[i].MarshalWire(w)
-	}
-	b.sealSend(raw, to, &msg.ReplyBatch{Replies: w.Bytes()})
-}
-
 // tamperReplies applies the reply behaviors to an outgoing reply batch and
 // reports whether it sent a replacement for it.
 func (b *Byzantine) tamperReplies(raw node.Env, e *msg.Envelope) bool {
@@ -147,17 +137,18 @@ func (b *Byzantine) tamperReplies(raw node.Env, e *msg.Envelope) bool {
 	}
 	// The replies are views of the private copy openCopy made, which nothing
 	// else refers to: they can be kept and mutated.
-	var current, stale []msg.OrderedReply
+	var current, stale []*msg.OrderedReply
 	for it := batch.Iter(); ; {
-		var rep msg.OrderedReply
-		if more, _ := it.Next(&rep); !more {
+		rep := new(msg.OrderedReply)
+		if more, _ := it.Next(rep); !more {
 			break
 		}
 		if b.mode&ReplayStaleReplies != 0 {
 			if old, ok := b.lastReply[rep.Client]; ok && old.ClientSeq < rep.ClientSeq {
 				stale = append(stale, old)
 			}
-			b.lastReply[rep.Client] = rep
+			kept := *rep // the honest reply: rep may be corrupted below
+			b.lastReply[rep.Client] = &kept
 		}
 		if b.mode&CorruptReplies != 0 {
 			// Mutate the result but keep the tag: the host cannot re-tag
@@ -168,12 +159,12 @@ func (b *Byzantine) tamperReplies(raw node.Env, e *msg.Envelope) bool {
 		current = append(current, rep)
 	}
 	if len(stale) > 0 {
-		b.sendReplies(raw, e.To, stale)
+		b.sealSend(raw, e.To, msg.NewReplyBatch(stale...))
 	}
 	if b.mode&CorruptReplies == 0 {
 		return false // the honest batch follows its stale shadow
 	}
-	b.sendReplies(raw, e.To, current)
+	b.sealSend(raw, e.To, msg.NewReplyBatch(current...))
 	return true
 }
 

@@ -8,17 +8,7 @@ import (
 	"github.com/troxy-bft/troxy/internal/faultplane"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/node"
-	"github.com/troxy-bft/troxy/internal/wire"
 )
-
-// replyBatch is the batch a replica would send for the given replies.
-func replyBatch(replies ...*msg.OrderedReply) *msg.ReplyBatch {
-	w := wire.NewWriter(0)
-	for _, rep := range replies {
-		rep.MarshalWire(w)
-	}
-	return &msg.ReplyBatch{Replies: w.Bytes()}
-}
 
 // repliesOf decodes the replies of a reply-batch envelope.
 func repliesOf(t *testing.T, e *msg.Envelope) []msg.OrderedReply {
@@ -51,10 +41,10 @@ func TestByzantineTampersInsideReplyBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	tag := bytes.Repeat([]byte{1}, 32)
-	first := replyBatch(
+	first := msg.NewReplyBatch(
 		&msg.OrderedReply{Client: 5, ClientSeq: 1, Result: []byte("OK"), TroxyTag: tag},
 		&msg.OrderedReply{Client: 6, ClientSeq: 1, Result: []byte("VALUE a"), TroxyTag: tag})
-	second := replyBatch(
+	second := msg.NewReplyBatch(
 		&msg.OrderedReply{Client: 5, ClientSeq: 2, Result: []byte("VALUE b"), TroxyTag: tag},
 		&msg.OrderedReply{Client: 7, ClientSeq: 1, Result: []byte("OK"), TroxyTag: tag})
 
@@ -138,10 +128,10 @@ func TestByzantineSendLeavesHonestEnvelopeIntact(t *testing.T) {
 		mode faultplane.Behavior
 		m    msg.Message
 	}{
-		{"CorruptReplies", faultplane.CorruptReplies, replyBatch(
+		{"CorruptReplies", faultplane.CorruptReplies, msg.NewReplyBatch(
 			&msg.OrderedReply{Client: 5, ClientSeq: 2, Result: []byte("VALUE v"), InvalidKeys: msg.KeysOf("k"), TroxyTag: bytes.Repeat([]byte{1}, 32)},
 			&msg.OrderedReply{Client: 6, ClientSeq: 9, Result: []byte("OK"), TroxyTag: bytes.Repeat([]byte{2}, 32)})},
-		{"ReplayStaleReplies", faultplane.ReplayStaleReplies, replyBatch(
+		{"ReplayStaleReplies", faultplane.ReplayStaleReplies, msg.NewReplyBatch(
 			&msg.OrderedReply{Client: 5, ClientSeq: 2, Result: []byte("VALUE v"), TroxyTag: bytes.Repeat([]byte{1}, 32)})},
 		{"EquivocateCerts/Prepare", faultplane.EquivocateCerts,
 			&msg.Prepare{View: 1, Seq: 7, Cert: cert, Batch: msg.Batch{Reqs: []msg.OrderRequest{{Origin: 0, Client: 5, ClientSeq: 2, Op: []byte("PUT k v")}}}}},

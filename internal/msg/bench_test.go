@@ -119,10 +119,8 @@ func BenchmarkAllocGate(b *testing.B) {
 	})
 	keys := 0
 	testutil.AllocGate(b, "KeysIterate", 0, func() {
-		for it := into.InvalidKeys.Iter(); ; keys++ {
-			if _, ok := it.Next(); !ok {
-				break
-			}
+		for range into.InvalidKeys.All() {
+			keys++
 		}
 	})
 
@@ -148,7 +146,7 @@ func BenchmarkAllocGate(b *testing.B) {
 		}
 	}
 	testutil.AllocGate(b, "DecodeOpenOrderedReply", 2, open(sealed(rep)))
-	batchFrame := sealed(testBatch(rep, rep, rep, rep, rep))
+	batchFrame := sealed(NewReplyBatch(rep, rep, rep, rep, rep))
 	testutil.AllocGate(b, "DecodeOpenWalkReplyBatch5", 2, func() {
 		e, err := DecodeEnvelope(batchFrame)
 		if err != nil {

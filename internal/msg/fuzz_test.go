@@ -75,10 +75,8 @@ func checkBatchViews(t *testing.T, batch *ReplyBatch, input, pristine []byte) {
 		}
 		walked += len(enc)
 		keys := 0
-		for ki := rep.InvalidKeys.Iter(); ; keys++ {
-			if _, ok := ki.Next(); !ok {
-				break
-			}
+		for range rep.InvalidKeys.All() {
+			keys++
 		}
 		if keys != rep.InvalidKeys.Len() {
 			t.Fatalf("reply %d announces %d keys and iterates %d", n, rep.InvalidKeys.Len(), keys)
@@ -97,10 +95,10 @@ func FuzzDecode(f *testing.F) {
 		Cert:  CounterCert{MAC: []byte("m")}}))
 	f.Add(Encode(&Batch{Reqs: []OrderRequest{{Op: []byte("a")}, {Op: []byte("b")}}}))
 	f.Add(Encode(&OrderedReply{Result: []byte("r"), InvalidKeys: KeysOf("k")}))
-	f.Add(Encode(testBatch(
+	f.Add(Encode(NewReplyBatch(
 		&OrderedReply{Executor: 1, Seq: 2, Client: 7, ClientSeq: 9, Result: []byte("r"), InvalidKeys: KeysOf("k", "l"), TroxyTag: []byte("t")},
 		&OrderedReply{Executor: 1, Seq: 2, Client: 8, ClientSeq: 1, Result: []byte("OK")})))
-	f.Add(append(Encode(testBatch(&OrderedReply{Result: []byte("r"), InvalidKeys: KeysOf("k")})), 0xff, 0xff)) // a reply, then garbage
+	f.Add(append(Encode(NewReplyBatch(&OrderedReply{Result: []byte("r"), InvalidKeys: KeysOf("k")})), 0xff, 0xff)) // a reply, then garbage
 	f.Add(Encode(&SpecReply{Executor: 1, View: 2, Seq: 3, Client: 7, ClientSeq: 9,
 		Result: []byte("r"), Cert: CounterCert{MAC: []byte("m")}, TroxyTag: []byte("t")}))
 	f.Add([]byte{})
@@ -168,7 +166,7 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	f.Add(EncodeEnvelope(prep))
 	f.Add(EncodeEnvelope(Seal(2, 0, &OrderedReply{Result: []byte("r"), InvalidKeys: KeysOf("k"), TroxyTag: []byte("t")})))
 	f.Add(EncodeEnvelope(Seal(2, 0, &StateChunk{Seq: 8, Index: 1, Data: []byte("chunk")})))
-	f.Add(EncodeEnvelope(Seal(2, 0, testBatch(
+	f.Add(EncodeEnvelope(Seal(2, 0, NewReplyBatch(
 		&OrderedReply{Executor: 2, Seq: 3, Client: 7, ClientSeq: 1, Result: []byte("r"), InvalidKeys: KeysOf("k"), TroxyTag: []byte("t")},
 		&OrderedReply{Executor: 2, Seq: 3, Client: 8, ClientSeq: 4, Result: []byte("OK"), TroxyTag: []byte("t")}))))
 	f.Add([]byte{1, 2, 3})

@@ -2,6 +2,7 @@ package msg
 
 import (
 	"encoding/binary"
+	"iter"
 
 	"github.com/troxy-bft/troxy/internal/wire"
 )
@@ -40,56 +41,36 @@ func (k Keys) Len() int {
 	return int(binary.LittleEndian.Uint32(k))
 }
 
-// KeyIter walks a Keys list without allocating.
-type KeyIter struct {
-	rest []byte
-	left int
-}
-
-// Iter returns an iterator over the list:
+// All iterates over the keys, each a view of the list, without allocating:
 //
-//	for it := keys.Iter(); ; {
-//		key, ok := it.Next()
-//		if !ok { break }
-//		…
-//	}
-func (k Keys) Iter() KeyIter {
-	if len(k) < 4 {
-		return KeyIter{}
-	}
-	return KeyIter{rest: k[4:], left: k.Len()}
-}
-
-// Next returns the next key as a view of the list. A list that is not what
-// AppendKeys or a decoder produced simply ends where it stops making sense.
+//	for key := range keys.All() { … }
 //
-//troxy:hotpath
-func (it *KeyIter) Next() ([]byte, bool) {
-	if it.left == 0 || len(it.rest) < 4 {
-		return nil, false
+// A list that is not what AppendKeys or a decoder produced simply ends where
+// it stops making sense.
+func (k Keys) All() iter.Seq[[]byte] {
+	return func(yield func([]byte) bool) {
+		if len(k) < 4 {
+			return
+		}
+		rest := k[4:]
+		for left := k.Len(); left > 0 && len(rest) >= 4; left-- {
+			n := int(binary.LittleEndian.Uint32(rest))
+			if n > len(rest)-4 || !yield(rest[4:4+n:4+n]) {
+				return
+			}
+			rest = rest[4+n:]
+		}
 	}
-	n := int(binary.LittleEndian.Uint32(it.rest))
-	if n > len(it.rest)-4 {
-		it.left = 0
-		return nil, false
-	}
-	key := it.rest[4 : 4+n : 4+n]
-	it.rest = it.rest[4+n:]
-	it.left--
-	return key, true
 }
 
 // Strings returns the keys as strings (tests and diagnostics; the request
 // path iterates).
 func (k Keys) Strings() []string {
 	var out []string
-	for it := k.Iter(); ; {
-		key, ok := it.Next()
-		if !ok {
-			return out
-		}
+	for key := range k.All() {
 		out = append(out, string(key))
 	}
+	return out
 }
 
 // marshal appends the list's wire form.

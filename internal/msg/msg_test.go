@@ -82,7 +82,7 @@ func TestRoundTripAllKinds(t *testing.T) {
 				{Replica: 2, NewView: 2, StableSeq: 128, Cert: sampleCert()},
 			}, Cert: sampleCert()}},
 		&NewViewRequest{View: 2},
-		testBatch(
+		NewReplyBatch(
 			&OrderedReply{Executor: 1, Seq: 10, Client: 77, ClientSeq: 1234, ReqDigest: reqDigest,
 				Result: []byte("result"), InvalidKeys: KeysOf("a", "b"), TroxyTag: []byte("tag")},
 			&OrderedReply{Executor: 1, Seq: 10, Client: 78, ClientSeq: 1, Result: []byte("OK"), TroxyTag: []byte("tag")}),
@@ -334,15 +334,6 @@ func TestAppendEnvelopeFrameZeroAlloc(t *testing.T) {
 	}
 }
 
-// testBatch is the reply batch a replica would send for the given replies.
-func testBatch(replies ...*OrderedReply) *ReplyBatch {
-	w := wire.NewWriter(0)
-	for _, rep := range replies {
-		rep.MarshalWire(w)
-	}
-	return &ReplyBatch{Replies: w.Bytes()}
-}
-
 func TestKeysListAndIterate(t *testing.T) {
 	for _, want := range [][]string{nil, {"k"}, {"a", "", "key-0001"}} {
 		keys := KeysOf(want...)
@@ -376,18 +367,15 @@ func TestKeysIterStopsAtMalformedInput(t *testing.T) {
 	good := KeysOf("a", "bb")
 	for cut := 0; cut < len(good); cut++ {
 		n := 0
-		for it := Keys(good[:cut]).Iter(); ; n++ {
-			if _, ok := it.Next(); !ok {
-				break
-			}
+		for range Keys(good[:cut]).All() {
+			n++
 		}
 		if n > 2 {
 			t.Errorf("cut at %d: iterated %d keys out of a two-key list", cut, n)
 		}
 	}
 	huge := Keys{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 'x'}
-	it := huge.Iter()
-	if _, ok := it.Next(); ok {
+	for range huge.All() {
 		t.Error("a key longer than the list was returned")
 	}
 }
@@ -407,9 +395,9 @@ func TestReplyBatchWalk(t *testing.T) {
 		{Executor: 1, Seq: 4, Client: 8, ClientSeq: 9, Result: []byte("VALUE v"), TroxyTag: []byte("t2")},
 		{Executor: 1, Seq: 5, Client: 7, ClientSeq: 2},
 	}
-	batch := testBatch(replies...)
+	batch := NewReplyBatch(replies...)
 	// A batch of one is exactly as long as its reply.
-	if one := testBatch(replies[0]); !bytes.Equal(EncodeBody(one), EncodeBody(replies[0])) {
+	if one := NewReplyBatch(replies[0]); !bytes.Equal(EncodeBody(one), EncodeBody(replies[0])) {
 		t.Error("a batch of one differs from the reply's own encoding")
 	}
 
@@ -453,7 +441,7 @@ func TestReplyBatchWalk(t *testing.T) {
 		many = append(many, &OrderedReply{Client: uint64(i)})
 	}
 	n := 0
-	for it := testBatch(many...).Iter(); ; n++ {
+	for it := NewReplyBatch(many...).Iter(); ; n++ {
 		more, err := it.Next(&rep)
 		if !more {
 			if err != ErrBatchTooLong {

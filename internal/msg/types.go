@@ -517,6 +517,17 @@ type ReplyBatch struct {
 	Replies []byte
 }
 
+// NewReplyBatch returns the batch of the given replies. A replica builds its
+// batches in place (it appends each reply to its origin's queue); this is for
+// fault harnesses and tests.
+func NewReplyBatch(replies ...*OrderedReply) *ReplyBatch {
+	w := wire.NewWriter(0)
+	for _, rep := range replies {
+		rep.MarshalWire(w)
+	}
+	return &ReplyBatch{Replies: w.Bytes()}
+}
+
 // Kind implements Message.
 func (*ReplyBatch) Kind() Kind { return KindReplyBatch }
 

@@ -107,11 +107,7 @@ func (c *Cache) PutKeys(op msg.Digest, reply []byte, keys msg.Keys) {
 	e := &cacheEntry{op: op, size: int64(len(reply)) + 64}
 	e.reply, e.keys = ownReply(reply, keys)
 	c.entries[op] = e
-	for it := e.keys.Iter(); ; {
-		k, ok := it.Next()
-		if !ok {
-			break
-		}
+	for k := range e.keys.All() {
 		set, ok := c.byKey[string(k)]
 		if !ok {
 			set = make(map[msg.Digest]struct{})
@@ -131,11 +127,7 @@ func (c *Cache) PutKeys(op msg.Digest, reply []byte, keys msg.Keys) {
 // parts. It is called while authenticating a write reply, before the write's
 // effects can become visible to any client.
 func (c *Cache) InvalidateKeys(keys msg.Keys) {
-	for it := keys.Iter(); ; {
-		k, ok := it.Next()
-		if !ok {
-			return
-		}
+	for k := range keys.All() {
 		c.Invalidate(k)
 	}
 }
@@ -174,11 +166,7 @@ func (c *Cache) Stats() CacheStats {
 
 func (c *Cache) remove(e *cacheEntry) {
 	delete(c.entries, e.op)
-	for it := e.keys.Iter(); ; {
-		k, ok := it.Next()
-		if !ok {
-			break
-		}
+	for k := range e.keys.All() {
 		if set, ok := c.byKey[string(k)]; ok {
 			delete(set, e.op)
 			if len(set) == 0 {
