@@ -440,6 +440,9 @@ func TestNewClusterValidation(t *testing.T) {
 	if _, err := NewCluster(ClusterConfig{N: 4, F: 1, App: app.NewStoreFactory()}); err == nil {
 		t.Error("N != 2F+1 accepted")
 	}
+	if _, err := NewCluster(ClusterConfig{N: 65, F: 32, App: app.NewStoreFactory()}); err == nil {
+		t.Error("more replicas accepted than a reply vote can count")
+	}
 	if _, err := NewCluster(ClusterConfig{}); err == nil {
 		t.Error("missing app factory accepted")
 	}

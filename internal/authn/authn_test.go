@@ -214,7 +214,7 @@ func BenchmarkAllocGate(b *testing.B) {
 	// envelope it arrived in, one allocation — the message — however many
 	// replies it carries: they are walked into one reused OrderedReply.
 	rep := &msg.OrderedReply{Executor: 0, Seq: 9, Client: 100, ClientSeq: 3,
-		Result: make([]byte, 128), InvalidKeys: msg.KeysOf("key-0001"), TroxyTag: make([]byte, TagSize)}
+		Result: make([]byte, 128), InvalidKeys: msg.AppendKeys(nil, []string{"key-0001"}), TroxyTag: make([]byte, TagSize)}
 	batch := msg.Seal(0, 1, msg.NewReplyBatch(rep, rep, rep, rep, rep))
 	sender.SealMAC(batch)
 	var walked msg.OrderedReply

@@ -45,13 +45,10 @@ func CommitLevel(opt Options) []*Table {
 	// A latency experiment, not a saturation one: enough closed-loop depth
 	// to keep batches non-trivial, well short of saturating the replicas'
 	// simulated CPUs (where queueing swamps the hop the fast tier saves).
-	// Eight clients a machine at both scales: from about sixteen on, the
-	// speculative tier's extra execution and its two extra ecalls a request
-	// use up the replicas' headroom and the tiers' means meet; above that the
-	// fast tier wins or loses by which orbit the lock-stepped client cohorts
-	// fall into (EXPERIMENTS.md "Commit levels": at 32 a machine the gate
-	// below held at 32 and failed at 31, 33, 34, 36 and 40).
-	const clients = 8
+	clients := 32
+	if opt.Quick {
+		clients /= 4
+	}
 
 	t := &Table{
 		ID:      "commitlevel",

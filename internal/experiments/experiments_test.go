@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -137,44 +138,48 @@ func TestCommitLevelFastTierBeatsDurable(t *testing.T) {
 	// Geo-replicated deterministic simulator: the leader's speculative
 	// reply leaves at propose time, one inter-replica hop before any
 	// durable reply exists, so with a pipelined window the fast tier's
-	// median latency must be strictly lower under the same seed and load —
-	// the experiment's load, short of saturation: at four times as many
-	// clients the outcome hangs on whether two origins' client cohorts reach
-	// the leader within one BatchDelay of each other, and flips with the
-	// client count (31, 33 and 34 a machine fail where 32 passes) and with
-	// anything that moves a reply by a fraction of a millisecond.
-	run := func(fast bool) microResult {
-		return runMicro(microConfig{
-			mode:           root.ETroxy,
-			readRatio:      0,
-			reqSize:        1024,
-			replySize:      10,
-			clientsPerMach: 8,
-			warmup:         100 * time.Millisecond,
-			measure:        400 * time.Millisecond,
-			seed:           7,
-			batchSize:      64,
-			batchDelay:     time.Millisecond,
-			pipelineDepth:  4,
-			fastCommit:     fast,
-			interReplica:   commitGeoLatency,
+	// median latency must be strictly lower under the same seed and load.
+	// 32 clients a machine is the experiment's full-scale load; the loads
+	// below it are held as well since replies travel in batches, because
+	// from 16 on the fast tier's median depends on how the three origins'
+	// client cohorts line up at the leader (EXPERIMENTS.md "Commit levels")
+	// and a reply path that delays replies shifts that.
+	for _, clients := range []int{16, 20, 24, 28, 32} {
+		t.Run(fmt.Sprintf("clients=%d", clients), func(t *testing.T) {
+			run := func(fast bool) microResult {
+				return runMicro(microConfig{
+					mode:           root.ETroxy,
+					readRatio:      0,
+					reqSize:        1024,
+					replySize:      10,
+					clientsPerMach: clients,
+					warmup:         100 * time.Millisecond,
+					measure:        400 * time.Millisecond,
+					seed:           7,
+					batchSize:      64,
+					batchDelay:     time.Millisecond,
+					pipelineDepth:  4,
+					fastCommit:     fast,
+					interReplica:   commitGeoLatency,
+				})
+			}
+			durable, fast := run(false), run(true)
+			if durable.specAnswered != 0 {
+				t.Errorf("durable tier speculated %d times", durable.specAnswered)
+			}
+			if fast.specAnswered == 0 {
+				t.Fatalf("fast tier completed %d ops without speculating", fast.Count)
+			}
+			if fast.specRetracted != 0 {
+				t.Errorf("fault-free run retracted %d speculations", fast.specRetracted)
+			}
+			if fast.specConfirmed == 0 {
+				t.Error("no speculation was durably confirmed in the background")
+			}
+			if fast.P50 >= durable.P50 {
+				t.Errorf("fast-tier p50 %v not below durable p50 %v", fast.P50, durable.P50)
+			}
 		})
-	}
-	durable, fast := run(false), run(true)
-	if durable.specAnswered != 0 {
-		t.Errorf("durable tier speculated %d times", durable.specAnswered)
-	}
-	if fast.specAnswered == 0 {
-		t.Fatalf("fast tier completed %d ops without speculating", fast.Count)
-	}
-	if fast.specRetracted != 0 {
-		t.Errorf("fault-free run retracted %d speculations", fast.specRetracted)
-	}
-	if fast.specConfirmed == 0 {
-		t.Error("no speculation was durably confirmed in the background")
-	}
-	if fast.P50 >= durable.P50 {
-		t.Errorf("fast-tier p50 %v not below durable p50 %v", fast.P50, durable.P50)
 	}
 }
 

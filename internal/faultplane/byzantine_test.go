@@ -129,7 +129,7 @@ func TestByzantineSendLeavesHonestEnvelopeIntact(t *testing.T) {
 		m    msg.Message
 	}{
 		{"CorruptReplies", faultplane.CorruptReplies, msg.NewReplyBatch(
-			&msg.OrderedReply{Client: 5, ClientSeq: 2, Result: []byte("VALUE v"), InvalidKeys: msg.KeysOf("k"), TroxyTag: bytes.Repeat([]byte{1}, 32)},
+			&msg.OrderedReply{Client: 5, ClientSeq: 2, Result: []byte("VALUE v"), InvalidKeys: msg.AppendKeys(nil, []string{"k"}), TroxyTag: bytes.Repeat([]byte{1}, 32)},
 			&msg.OrderedReply{Client: 6, ClientSeq: 9, Result: []byte("OK"), TroxyTag: bytes.Repeat([]byte{2}, 32)})},
 		{"ReplayStaleReplies", faultplane.ReplayStaleReplies, msg.NewReplyBatch(
 			&msg.OrderedReply{Client: 5, ClientSeq: 2, Result: []byte("VALUE v"), TroxyTag: bytes.Repeat([]byte{1}, 32)})},

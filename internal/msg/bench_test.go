@@ -98,7 +98,7 @@ func BenchmarkAppendEnvelopeFrame(b *testing.B) {
 // message objects themselves — never a copy of a field.
 func BenchmarkAllocGate(b *testing.B) {
 	rep := &OrderedReply{Executor: 1, Seq: 9, Client: 100, ClientSeq: 3,
-		Result: make([]byte, 128), InvalidKeys: KeysOf("key-0001"), TroxyTag: make([]byte, 32)}
+		Result: make([]byte, 128), InvalidKeys: keysOf("key-0001"), TroxyTag: make([]byte, 32)}
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	testutil.AllocGate(b, "OrderedReplyMarshalAndTagInput", 0, func() {

@@ -73,6 +73,9 @@ func checkBatchViews(t *testing.T, batch *ReplyBatch, input, pristine []byte) {
 		if !bytes.Equal(enc, batch.Replies[walked:walked+len(enc)]) {
 			t.Fatalf("reply %d of a batch does not re-encode to the bytes it was decoded from", n)
 		}
+		if rep.WireSize() != len(enc) {
+			t.Fatalf("reply %d of a batch: WireSize = %d, encoding is %d bytes", n, rep.WireSize(), len(enc))
+		}
 		walked += len(enc)
 		keys := 0
 		for range rep.InvalidKeys.All() {
@@ -94,11 +97,11 @@ func FuzzDecode(f *testing.F) {
 		Batch: Batch{Reqs: []OrderRequest{{Op: []byte("x")}}},
 		Cert:  CounterCert{MAC: []byte("m")}}))
 	f.Add(Encode(&Batch{Reqs: []OrderRequest{{Op: []byte("a")}, {Op: []byte("b")}}}))
-	f.Add(Encode(&OrderedReply{Result: []byte("r"), InvalidKeys: KeysOf("k")}))
+	f.Add(Encode(&OrderedReply{Result: []byte("r"), InvalidKeys: keysOf("k")}))
 	f.Add(Encode(NewReplyBatch(
-		&OrderedReply{Executor: 1, Seq: 2, Client: 7, ClientSeq: 9, Result: []byte("r"), InvalidKeys: KeysOf("k", "l"), TroxyTag: []byte("t")},
+		&OrderedReply{Executor: 1, Seq: 2, Client: 7, ClientSeq: 9, Result: []byte("r"), InvalidKeys: keysOf("k", "l"), TroxyTag: []byte("t")},
 		&OrderedReply{Executor: 1, Seq: 2, Client: 8, ClientSeq: 1, Result: []byte("OK")})))
-	f.Add(append(Encode(NewReplyBatch(&OrderedReply{Result: []byte("r"), InvalidKeys: KeysOf("k")})), 0xff, 0xff)) // a reply, then garbage
+	f.Add(append(Encode(NewReplyBatch(&OrderedReply{Result: []byte("r"), InvalidKeys: keysOf("k")})), 0xff, 0xff)) // a reply, then garbage
 	f.Add(Encode(&SpecReply{Executor: 1, View: 2, Seq: 3, Client: 7, ClientSeq: 9,
 		Result: []byte("r"), Cert: CounterCert{MAC: []byte("m")}, TroxyTag: []byte("t")}))
 	f.Add([]byte{})
@@ -164,10 +167,10 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		Cert:  CounterCert{MAC: []byte("mac")}})
 	prep.MAC = []byte("transport-mac")
 	f.Add(EncodeEnvelope(prep))
-	f.Add(EncodeEnvelope(Seal(2, 0, &OrderedReply{Result: []byte("r"), InvalidKeys: KeysOf("k"), TroxyTag: []byte("t")})))
+	f.Add(EncodeEnvelope(Seal(2, 0, &OrderedReply{Result: []byte("r"), InvalidKeys: keysOf("k"), TroxyTag: []byte("t")})))
 	f.Add(EncodeEnvelope(Seal(2, 0, &StateChunk{Seq: 8, Index: 1, Data: []byte("chunk")})))
 	f.Add(EncodeEnvelope(Seal(2, 0, NewReplyBatch(
-		&OrderedReply{Executor: 2, Seq: 3, Client: 7, ClientSeq: 1, Result: []byte("r"), InvalidKeys: KeysOf("k"), TroxyTag: []byte("t")},
+		&OrderedReply{Executor: 2, Seq: 3, Client: 7, ClientSeq: 1, Result: []byte("r"), InvalidKeys: keysOf("k"), TroxyTag: []byte("t")},
 		&OrderedReply{Executor: 2, Seq: 3, Client: 8, ClientSeq: 4, Result: []byte("OK"), TroxyTag: []byte("t")}))))
 	f.Add([]byte{1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {

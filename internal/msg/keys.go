@@ -30,9 +30,6 @@ func AppendKeys(dst []byte, keys []string) Keys {
 	return dst
 }
 
-// KeysOf returns the list of the given keys in a buffer of its own.
-func KeysOf(keys ...string) Keys { return AppendKeys(nil, keys) }
-
 // Len returns the number of keys the list announces.
 func (k Keys) Len() int {
 	if len(k) < 4 {
@@ -61,16 +58,6 @@ func (k Keys) All() iter.Seq[[]byte] {
 			rest = rest[4+n:]
 		}
 	}
-}
-
-// Strings returns the keys as strings (tests and diagnostics; the request
-// path iterates).
-func (k Keys) Strings() []string {
-	var out []string
-	for key := range k.All() {
-		out = append(out, string(key))
-	}
-	return out
 }
 
 // marshal appends the list's wire form.

@@ -52,7 +52,7 @@ func TestRoundTripAllKinds(t *testing.T) {
 		&Commit{View: 1, Seq: 10, BatchDigest: (&Batch{Reqs: []OrderRequest{req}}).Digest(), Cert: sampleCert()},
 		&OrderedReply{Executor: 0, Seq: 10, Client: 77, ClientSeq: 1234,
 			ReqDigest: reqDigest, Result: []byte("result"),
-			InvalidKeys: KeysOf("a", "b"), TroxyTag: []byte("tag")},
+			InvalidKeys: keysOf("a", "b"), TroxyTag: []byte("tag")},
 		&Checkpoint{Seq: 128, StateDigest: DigestOf([]byte("state"))},
 		&ViewChange{Replica: 1, NewView: 2, StableSeq: 128,
 			StableDigest: DigestOf([]byte("s")),
@@ -84,7 +84,7 @@ func TestRoundTripAllKinds(t *testing.T) {
 		&NewViewRequest{View: 2},
 		NewReplyBatch(
 			&OrderedReply{Executor: 1, Seq: 10, Client: 77, ClientSeq: 1234, ReqDigest: reqDigest,
-				Result: []byte("result"), InvalidKeys: KeysOf("a", "b"), TroxyTag: []byte("tag")},
+				Result: []byte("result"), InvalidKeys: keysOf("a", "b"), TroxyTag: []byte("tag")},
 			&OrderedReply{Executor: 1, Seq: 10, Client: 78, ClientSeq: 1, Result: []byte("OK"), TroxyTag: []byte("tag")}),
 		&SpecReply{Executor: 1, View: 2, Seq: 10,
 			BatchDigest: (&Batch{Reqs: []OrderRequest{req}}).Digest(),
@@ -334,26 +334,41 @@ func TestAppendEnvelopeFrameZeroAlloc(t *testing.T) {
 	}
 }
 
+// keysOf and keyStrings convert between a key list and the strings it holds.
+func keysOf(keys ...string) Keys { return AppendKeys(nil, keys) }
+
+func keyStrings(k Keys) []string {
+	var out []string
+	for key := range k.All() {
+		out = append(out, string(key))
+	}
+	return out
+}
+
 func TestKeysListAndIterate(t *testing.T) {
 	for _, want := range [][]string{nil, {"k"}, {"a", "", "key-0001"}} {
-		keys := KeysOf(want...)
+		keys := keysOf(want...)
 		if keys.Len() != len(want) {
-			t.Errorf("KeysOf(%q).Len() = %d", want, keys.Len())
+			t.Errorf("keysOf(%q).Len() = %d", want, keys.Len())
 		}
-		if got := keys.Strings(); !reflect.DeepEqual(got, want) {
-			t.Errorf("KeysOf(%q).Strings() = %q", want, got)
+		if got := keyStrings(keys); !reflect.DeepEqual(got, want) {
+			t.Errorf("keys %q iterate as %q", want, got)
 		}
 		// The list is what an OrderedReply encodes and decodes to.
-		got := roundTrip(t, &OrderedReply{InvalidKeys: keys}).(*OrderedReply)
+		rep := &OrderedReply{Result: []byte("r"), InvalidKeys: keys, TroxyTag: []byte("tag")}
+		got := roundTrip(t, rep).(*OrderedReply)
 		if !bytes.Equal(got.InvalidKeys, keys) {
 			t.Errorf("keys %q decoded as %x, encoded %x", want, got.InvalidKeys, keys)
+		}
+		if n := len(EncodeBody(rep)); rep.WireSize() != n {
+			t.Errorf("keys %q: WireSize = %d, encoding is %d bytes", want, rep.WireSize(), n)
 		}
 	}
 	// AppendKeys reuses the storage it is given.
 	scratch := make([]byte, 0, 64)
 	a := AppendKeys(scratch, []string{"first"})
 	b := AppendKeys(a, []string{"2nd"})
-	if &a[:1][0] != &b[:1][0] || b.Strings()[0] != "2nd" {
+	if &a[:1][0] != &b[:1][0] || keyStrings(b)[0] != "2nd" {
 		t.Error("AppendKeys did not encode into the storage it was handed")
 	}
 	if empty := AppendKeys(b, nil); len(empty) != 0 {
@@ -364,7 +379,7 @@ func TestKeysListAndIterate(t *testing.T) {
 // TestKeysIterStopsAtMalformedInput: a Keys value can be cast from anything;
 // the iterator must end, not panic, where the bytes stop being a list.
 func TestKeysIterStopsAtMalformedInput(t *testing.T) {
-	good := KeysOf("a", "bb")
+	good := keysOf("a", "bb")
 	for cut := 0; cut < len(good); cut++ {
 		n := 0
 		for range Keys(good[:cut]).All() {
@@ -381,7 +396,7 @@ func TestKeysIterStopsAtMalformedInput(t *testing.T) {
 }
 
 func TestOrderedReplyRejectsMalformedKeys(t *testing.T) {
-	enc := Encode(&OrderedReply{Result: []byte("r"), InvalidKeys: KeysOf("a", "b"), TroxyTag: []byte("t")})
+	enc := Encode(&OrderedReply{Result: []byte("r"), InvalidKeys: keysOf("a", "b"), TroxyTag: []byte("t")})
 	for cut := 1; cut < len(enc); cut++ {
 		if _, err := Decode(enc[:cut]); err == nil {
 			t.Errorf("reply truncated to %d of %d bytes decoded", cut, len(enc))
@@ -391,7 +406,7 @@ func TestOrderedReplyRejectsMalformedKeys(t *testing.T) {
 
 func TestReplyBatchWalk(t *testing.T) {
 	replies := []*OrderedReply{
-		{Executor: 1, Seq: 4, Client: 7, ClientSeq: 1, Result: []byte("OK"), InvalidKeys: KeysOf("k"), TroxyTag: []byte("t1")},
+		{Executor: 1, Seq: 4, Client: 7, ClientSeq: 1, Result: []byte("OK"), InvalidKeys: keysOf("k"), TroxyTag: []byte("t1")},
 		{Executor: 1, Seq: 4, Client: 8, ClientSeq: 9, Result: []byte("VALUE v"), TroxyTag: []byte("t2")},
 		{Executor: 1, Seq: 5, Client: 7, ClientSeq: 2},
 	}

@@ -467,6 +467,16 @@ func (m *OrderedReply) marshalCore(w *wire.Writer) {
 	m.InvalidKeys.marshal(w)
 }
 
+// WireSize returns the length of the reply's encoding, so a sender can tell
+// whether the reply still fits a batch before appending it.
+func (m *OrderedReply) WireSize() int {
+	keys := len(m.InvalidKeys)
+	if keys == 0 {
+		keys = 4 // the empty list is its count
+	}
+	return 4 + 3*8 + len(m.ReqDigest) + 4 + len(m.Result) + keys + 4 + len(m.TroxyTag)
+}
+
 // TagInput appends the canonical bytes the TroxyTag authenticates.
 //
 //troxy:hotpath

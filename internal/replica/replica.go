@@ -73,13 +73,23 @@ type Replica struct {
 }
 
 // replyQueue collects the encoded replies bound for one origin until the
-// handler invocation that produced them ends (or the batch is full). led
-// says the invocation's first reply for the origin has left already.
+// handler invocation that produced them ends, the batch is full, or the
+// first of them has waited replyBatchWait. since is when that one joined.
 type replyQueue struct {
-	w   wire.Writer
-	n   int
-	led bool
+	w     wire.Writer
+	n     int
+	since time.Duration
 }
+
+// replyBatchWait bounds what batching adds to a reply's latency at the
+// sender: a queued reply waits no longer than this (plus the execution of
+// the request in progress) for the invocation to end. A batch executes in
+// well under it where a request costs a few microseconds, and then leaves
+// whole; where a request costs tens (the simulator's SGX-priced ecalls, 64
+// requests a batch) the replies leave a few at a time while the batch is
+// still executing, as they did when each was its own envelope. DESIGN.md
+// decision 13 has the sweep the value comes from.
+const replyBatchWait = 150 * time.Microsecond
 
 // Stats counts transport-level events.
 type Stats struct {
@@ -394,6 +404,15 @@ func (r *Replica) Committed(env node.Env, seq uint64, req *msg.OrderRequest, res
 		return
 	}
 
+	// Whatever this invocation queued long enough ago leaves before more work
+	// is done, whichever origin this request has.
+	now := env.Now()
+	for to := range r.outbox {
+		if q := &r.outbox[to]; q.n > 0 && now-q.since >= replyBatchWait {
+			r.flushTo(env, msg.NodeID(to))
+		}
+	}
+
 	rep := &r.reply
 	rep.Executor, rep.Seq = r.cfg.Self, seq
 	rep.Client, rep.ClientSeq = req.Client, req.ClientSeq
@@ -422,14 +441,12 @@ func (r *Replica) Committed(env node.Env, seq uint64, req *msg.OrderRequest, res
 	r.queueReply(env, req.Origin, rep)
 }
 
-// queueReply appends an authenticated reply to its origin's batch. The first
-// reply an invocation produces for an origin leaves at once, alone: it is the
-// one whose arrival restarts the origin's clients, and so the leader's next
-// batch, and an invocation that produces a single reply per origin (every
-// unbatched deployment) sends exactly what it sent before replies were
-// batched. The replies behind it leave together when the invocation ends —
-// or, so that a long batch's replies do not all wait for the authentication
-// of its last, as soon as the batch is full.
+// queueReply appends an authenticated reply to its origin's batch, which
+// leaves when the invocation ends (flushReplies), when its oldest reply has
+// waited replyBatchWait (Committed), or here, when it is full. A reply that
+// would take the batch past BatchFlushBytes goes into the next one, so only a
+// reply that is larger by itself makes a larger envelope — the one it made
+// when replies travelled alone.
 func (r *Replica) queueReply(env node.Env, to msg.NodeID, rep *msg.OrderedReply) {
 	if to < 0 || int(to) >= len(r.outbox) {
 		// Not a replica, so no batch to join: a batch of one is the reply.
@@ -437,10 +454,15 @@ func (r *Replica) queueReply(env node.Env, to msg.NodeID, rep *msg.OrderedReply)
 		return
 	}
 	q := &r.outbox[to]
+	if q.n > 0 && q.w.Len()+rep.WireSize() > msg.BatchFlushBytes {
+		r.flushTo(env, to)
+	}
+	if q.n == 0 {
+		q.since = env.Now()
+	}
 	rep.MarshalWire(&q.w)
 	q.n++
-	if !q.led || q.n >= msg.MaxBatchReplies || q.w.Len() >= msg.BatchFlushBytes {
-		q.led = true
+	if q.n >= msg.MaxBatchReplies || q.w.Len() >= msg.BatchFlushBytes {
 		r.flushTo(env, to)
 	}
 }
@@ -450,7 +472,6 @@ func (r *Replica) queueReply(env node.Env, to msg.NodeID, rep *msg.OrderedReply)
 func (r *Replica) flushReplies(env node.Env) {
 	for to := range r.outbox {
 		r.flushTo(env, msg.NodeID(to))
-		r.outbox[to].led = false
 	}
 }
 

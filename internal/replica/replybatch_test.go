@@ -13,14 +13,15 @@ import (
 )
 
 // tapEnv is a handler invocation's env reduced to what the reply path uses:
-// it records what is sent.
+// it records what is sent, and its clock is the test's to move.
 type tapEnv struct {
 	self msg.NodeID
+	now  time.Duration
 	sent []*msg.Envelope
 }
 
 func (e *tapEnv) Self() msg.NodeID                          { return e.self }
-func (e *tapEnv) Now() time.Duration                        { return 0 }
+func (e *tapEnv) Now() time.Duration                        { return e.now }
 func (e *tapEnv) Send(env *msg.Envelope)                    { e.sent = append(e.sent, env) }
 func (e *tapEnv) SetTimer(time.Duration, node.TimerKey)     {}
 func (e *tapEnv) CancelTimer(node.TimerKey)                 {}
@@ -57,11 +58,10 @@ func request(origin msg.NodeID, client, seq uint64) *msg.OrderRequest {
 	return &msg.OrderRequest{Origin: origin, Client: client, ClientSeq: seq, Op: []byte("PUT k v")}
 }
 
-// TestRepliesLeavePerInvocationAndOrigin: the first reply an invocation
-// produces for an origin leaves at once, alone; the rest of what it executes
-// for that origin leaves as one MAC'd envelope when the invocation ends.
-// Nothing leaves as a bare OrderedReply, and the replies inside are what
-// Committed was told, each under this replica's Troxy tag.
+// TestRepliesLeavePerInvocationAndOrigin: what one handler invocation
+// executes for an origin leaves as one MAC'd envelope when the invocation
+// ends. Nothing leaves as a bare OrderedReply, and the replies inside are
+// what Committed was told, each under this replica's Troxy tag.
 func TestRepliesLeavePerInvocationAndOrigin(t *testing.T) {
 	reps, _, _ := newTroxyCluster(t)
 	r, env := reps[0], &tapEnv{self: 0}
@@ -69,63 +69,117 @@ func TestRepliesLeavePerInvocationAndOrigin(t *testing.T) {
 		r.Committed(env, 7, request(1, 100+i, i), []byte("OK"), []string{"k"}, false, true)
 		r.Committed(env, 7, request(2, 200+i, i), []byte("OK"), []string{"k"}, false, true)
 	}
-	if len(env.sent) != 2 {
-		t.Fatalf("%d envelopes left before the invocation ended, want each origin's leading reply", len(env.sent))
+	if len(env.sent) != 0 {
+		t.Fatalf("%d envelopes left before the invocation ended", len(env.sent))
 	}
 	r.OnTimer(env, node.TimerKey{Kind: "nobody's"}) // any invocation's epilogue flushes
-	if len(env.sent) != 4 {
-		t.Fatalf("%d envelopes for two origins, want a leading reply and a batch each", len(env.sent))
+	if len(env.sent) != 2 {
+		t.Fatalf("%d envelopes for two origins, want one each", len(env.sent))
 	}
-	next := map[msg.NodeID]uint64{1: 1, 2: 1}
 	for i, e := range env.sent {
-		to := msg.NodeID(i%2 + 1)
+		to := msg.NodeID(i + 1)
 		if e.To != to || !authn.NewAuthenticator(to, r.cfg.Directory).VerifyMAC(e) {
 			t.Errorf("envelope %d: to %d, want %d under a valid MAC", i, e.To, to)
 		}
 		got := repliesIn(t, e)
-		if want := map[bool]int{true: 1, false: 3}[i < 2]; len(got) != want {
-			t.Fatalf("envelope %d for origin %d carries %d replies, want %d", i, to, len(got), want)
+		if len(got) != 4 {
+			t.Fatalf("origin %d got %d replies in its envelope, want 4", to, len(got))
 		}
-		for _, rep := range got {
-			j := next[to]
-			next[to]++
+		for j, rep := range got {
+			j := uint64(j + 1)
 			want := request(to, uint64(100*int(to))+j, j)
+			var keys []string
+			for k := range rep.InvalidKeys.All() {
+				keys = append(keys, string(k))
+			}
 			if rep.Client != want.Client || rep.ClientSeq != want.ClientSeq || rep.ReqDigest != want.Digest() ||
-				rep.Seq != 7 || string(rep.Result) != "OK" || rep.InvalidKeys.Strings()[0] != "k" || len(rep.TroxyTag) != authn.TagSize {
+				rep.Seq != 7 || string(rep.Result) != "OK" || len(keys) != 1 || keys[0] != "k" || len(rep.TroxyTag) != authn.TagSize {
 				t.Errorf("origin %d reply %d = %+v", to, j, rep)
 			}
 		}
 	}
-	// Nothing is left for the next invocation, whose first reply leads again.
+	// Nothing is left for the next invocation.
 	env.sent = nil
 	r.OnTimer(env, node.TimerKey{Kind: "nobody's"})
 	if len(env.sent) != 0 {
 		t.Errorf("an idle invocation sent %d envelopes", len(env.sent))
 	}
-	r.Committed(env, 8, request(1, 101, 9), []byte("OK"), nil, false, true)
+}
+
+// TestQueuedReplyWaitsNoLongerThanTheBound: an invocation that is still
+// executing when its oldest queued reply has waited replyBatchWait sends
+// that origin's batch before it goes on — whichever origin the request it
+// goes on with has, the replica's own included — and leaves younger queues
+// alone.
+func TestQueuedReplyWaitsNoLongerThanTheBound(t *testing.T) {
+	reps, _, _ := newTroxyCluster(t)
+	r, env := reps[0], &tapEnv{self: 0}
+	r.Committed(env, 7, request(1, 101, 1), []byte("OK"), nil, false, true)
+	env.now += replyBatchWait - 1
+	r.Committed(env, 7, request(1, 102, 1), []byte("OK"), nil, false, true)
+	r.Committed(env, 7, request(2, 201, 1), []byte("OK"), nil, false, true)
+	if len(env.sent) != 0 {
+		t.Fatalf("%d envelopes left inside the bound", len(env.sent))
+	}
+	env.now++ // origin 1's oldest reply is replyBatchWait old, origin 2's is not
+	r.Committed(env, 7, request(0, 1, 1), []byte("OK"), nil, false, true)
+	if len(env.sent) != 1 || env.sent[0].To != 1 || len(repliesIn(t, env.sent[0])) != 2 {
+		t.Fatalf("after the bound: %d envelopes, want origin 1's two replies", len(env.sent))
+	}
+	// The clock of a queue starts with the reply that opens it.
+	env.now += replyBatchWait - 2
+	r.Committed(env, 7, request(1, 103, 1), []byte("OK"), nil, false, true)
 	if len(env.sent) != 1 {
-		t.Errorf("the next invocation's first reply waited")
+		t.Fatalf("origin 2's reply left inside the bound")
+	}
+	env.now++
+	r.Committed(env, 7, request(1, 104, 1), []byte("OK"), nil, false, true)
+	if len(env.sent) != 2 || env.sent[1].To != 2 {
+		t.Fatalf("origin 2's reply is still queued after the bound")
+	}
+	r.OnTimer(env, node.TimerKey{Kind: "nobody's"})
+	if len(env.sent) != 3 || len(repliesIn(t, env.sent[2])) != 2 {
+		t.Fatalf("the epilogue did not send origin 1's second batch")
 	}
 }
 
 // TestFullReplyBatchLeavesAtOnce: a destination that reaches the cap does not
-// wait for the invocation to end.
+// wait for the invocation to end, and a reply that would take a batch past
+// BatchFlushBytes does not join it: only a reply that is larger by itself
+// makes a larger envelope.
 func TestFullReplyBatchLeavesAtOnce(t *testing.T) {
 	reps, _, _ := newTroxyCluster(t)
 	r, env := reps[0], &tapEnv{self: 0}
-	for i := uint64(0); i <= msg.MaxBatchReplies+2; i++ { // the leading reply, a full batch, two more
+	for i := uint64(0); i < msg.MaxBatchReplies+2; i++ { // a full batch, two more
 		r.Committed(env, 9, request(1, 100, i), []byte("OK"), nil, false, true)
 	}
-	if len(env.sent) != 2 || len(repliesIn(t, env.sent[1])) != msg.MaxBatchReplies {
-		t.Fatalf("%d envelopes after %d replies, want the leading reply and one full batch", len(env.sent), msg.MaxBatchReplies+3)
+	if len(env.sent) != 1 || len(repliesIn(t, env.sent[0])) != msg.MaxBatchReplies {
+		t.Fatalf("%d envelopes after %d replies, want one full batch", len(env.sent), msg.MaxBatchReplies+2)
 	}
-	big := make([]byte, msg.BatchFlushBytes)
-	r.Committed(env, 9, request(1, 100, 99), big, nil, false, true)
-	if len(env.sent) != 3 || len(repliesIn(t, env.sent[2])) != 3 {
-		t.Fatalf("a batch past %d bytes did not leave at once", msg.BatchFlushBytes)
+
+	// 60 KiB queued, then a large reply: the queue leaves first and the
+	// large reply travels alone, in the frame it fitted when every reply did
+	// (a frame holds MaxBytesLen and BatchFlushBytes more, not both twice).
+	r.Committed(env, 9, request(1, 100, 50), make([]byte, 60<<10), nil, false, true)
+	if len(env.sent) != 1 {
+		t.Fatalf("a batch of %d bytes left before it was full", r.outbox[1].w.Len())
+	}
+	r.Committed(env, 9, request(1, 100, 51), make([]byte, 1<<20), nil, false, true)
+	if len(env.sent) != 3 || len(repliesIn(t, env.sent[1])) != 3 || len(repliesIn(t, env.sent[2])) != 1 {
+		t.Fatalf("%d envelopes, want the 60 KiB queue and then the large reply alone", len(env.sent))
+	}
+	if n := len(env.sent[1].Body); n > msg.BatchFlushBytes {
+		t.Errorf("a batch of three replies is %d bytes, bound is %d", n, msg.BatchFlushBytes)
 	}
 	if r.outbox[1].w.Len() != 0 || r.outbox[1].n != 0 {
 		t.Error("the flushed queue was not reset")
+	}
+
+	// A batch that fills up exactly leaves too.
+	env.sent = nil
+	r.Committed(env, 9, request(1, 100, 60), make([]byte, msg.BatchFlushBytes), nil, false, true)
+	if len(env.sent) != 1 {
+		t.Fatalf("a batch past %d bytes did not leave at once", msg.BatchFlushBytes)
 	}
 }
 
@@ -208,7 +262,6 @@ func BenchmarkAllocGate(b *testing.B) {
 	r, env := reps[0], &tapEnv{self: 0}
 	req, result, keys := request(1, 100, 1), make([]byte, 128), []string{"key-0001"}
 	req.Digest()
-	r.Committed(env, 9, req, result, keys, false, true) // the invocation's leading reply: the rest queue
 	testutil.AllocGate(b, "CommittedRemoteOrigin", 0, func() {
 		r.Committed(env, 9, req, result, keys, false, true)
 		r.outbox[1].w.Reset() // stands for the flush, which is gated below

@@ -93,7 +93,7 @@ func ownReply(result []byte, keys msg.Keys) ([]byte, msg.Keys) {
 // Put installs a voted read result under the state parts the read depends
 // on, named as strings.
 func (c *Cache) Put(op msg.Digest, reply []byte, keys []string) {
-	c.PutKeys(op, reply, msg.KeysOf(keys...))
+	c.PutKeys(op, reply, msg.AppendKeys(nil, keys))
 }
 
 // PutKeys is Put for a key list in the wire form a reply carries it in. The

@@ -204,7 +204,7 @@ func TestMonitorThresholdAboveOneNeverTrips(t *testing.T) {
 func TestCacheOwnsWhatItKeeps(t *testing.T) {
 	c := NewCache(1 << 20)
 	reply := []byte("VALUE v")
-	keys := msg.KeysOf("k", "other")
+	keys := msg.AppendKeys(nil, []string{"k", "other"})
 	c.PutKeys(d("GET k"), reply, keys)
 	for i := range reply {
 		reply[i] = 0xA5

@@ -176,7 +176,7 @@ type voteKey struct {
 }
 
 // MaxReplicas bounds N: a tally keeps who stands behind a result as one bit
-// per replica.
+// per replica. NewCluster refuses a larger group.
 const MaxReplicas = 64
 
 // ballot is one distinct result of a vote and the replicas behind it. The
@@ -295,9 +295,6 @@ type Core struct {
 
 // NewCore creates an unprovisioned Troxy core.
 func NewCore(cfg Config) *Core {
-	if cfg.N > MaxReplicas {
-		panic(fmt.Sprintf("troxy: N=%d exceeds MaxReplicas=%d", cfg.N, MaxReplicas))
-	}
 	c := &Core{cfg: cfg}
 	c.Reset()
 	return c

@@ -145,7 +145,7 @@ func makeReply(tagger *authn.GroupTagger, executor msg.NodeID, req msg.OrderRequ
 		ClientSeq:   req.ClientSeq,
 		ReqDigest:   req.Digest(),
 		Result:      []byte(result),
-		InvalidKeys: msg.KeysOf(keys...),
+		InvalidKeys: msg.AppendKeys(nil, keys),
 	}
 	rep.TroxyTag = tagger.Tag(nil, executor, tagInput(rep))
 	return rep
@@ -384,7 +384,7 @@ func TestAuthenticateReplyInvalidatesOnWriteCachesOnRead(t *testing.T) {
 
 	// Write reply: invalidates before tagging.
 	wrep := &msg.OrderedReply{Executor: 0, Client: 1, ClientSeq: 1,
-		Result: []byte("OK"), InvalidKeys: msg.KeysOf("k")}
+		Result: []byte("OK"), InvalidKeys: msg.AppendKeys(nil, []string{"k"})}
 	if err := core.AuthenticateReply(wrep, false, true, msg.DigestOf([]byte("PUT k v2")), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestAuthenticateReplyInvalidatesOnWriteCachesOnRead(t *testing.T) {
 
 	// Read reply: populates this replica's cache.
 	rrep := &msg.OrderedReply{Executor: 0, Client: 1, ClientSeq: 2,
-		Result: []byte("VALUE v2"), InvalidKeys: msg.KeysOf("k")}
+		Result: []byte("VALUE v2"), InvalidKeys: msg.AppendKeys(nil, []string{"k"})}
 	if err := core.AuthenticateReply(rrep, true, true, opHash, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -420,12 +420,12 @@ func TestReplayedReplyDoesNotRepoisonCache(t *testing.T) {
 
 	// Fresh read executed at seq 3 caches; write at seq 4 invalidates.
 	rrep := &msg.OrderedReply{Executor: 0, Seq: 3, Client: 1, ClientSeq: 1,
-		ReqDigest: d("req-read"), Result: []byte("VALUE v1"), InvalidKeys: msg.KeysOf("k")}
+		ReqDigest: d("req-read"), Result: []byte("VALUE v1"), InvalidKeys: msg.AppendKeys(nil, []string{"k"})}
 	if err := core.AuthenticateReply(rrep, true, true, opHash, nil); err != nil {
 		t.Fatal(err)
 	}
 	wrep := &msg.OrderedReply{Executor: 0, Seq: 4, Client: 2, ClientSeq: 1,
-		Result: []byte("OK"), InvalidKeys: msg.KeysOf("k")}
+		Result: []byte("OK"), InvalidKeys: msg.AppendKeys(nil, []string{"k"})}
 	if err := core.AuthenticateReply(wrep, false, true, msg.DigestOf([]byte("PUT k v2")), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +436,7 @@ func TestReplayedReplyDoesNotRepoisonCache(t *testing.T) {
 	// Executor side: the replayed read is tagged again but stays out of the
 	// cache.
 	replay := &msg.OrderedReply{Executor: 0, Seq: 3, Client: 1, ClientSeq: 1,
-		ReqDigest: d("req-read"), Result: []byte("VALUE v1"), InvalidKeys: msg.KeysOf("k")}
+		ReqDigest: d("req-read"), Result: []byte("VALUE v1"), InvalidKeys: msg.AppendKeys(nil, []string{"k"})}
 	if err := core.AuthenticateReply(replay, true, false, opHash, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +487,7 @@ func TestFreshReadBehindAppliedWriteNotCached(t *testing.T) {
 	opHash := msg.DigestOf([]byte("GET k"))
 
 	wrep := &msg.OrderedReply{Executor: 0, Seq: 5, Client: 2, ClientSeq: 1,
-		Result: []byte("OK"), InvalidKeys: msg.KeysOf("k")}
+		Result: []byte("OK"), InvalidKeys: msg.AppendKeys(nil, []string{"k"})}
 	if err := core.AuthenticateReply(wrep, false, true, msg.DigestOf([]byte("PUT k v2")), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +495,7 @@ func TestFreshReadBehindAppliedWriteNotCached(t *testing.T) {
 	// A fresh read from behind the applied write must be tagged (the client
 	// still needs its reply) but refused by the cache.
 	rrep := &msg.OrderedReply{Executor: 0, Seq: 3, Client: 1, ClientSeq: 1,
-		ReqDigest: d("req-read"), Result: []byte("VALUE v1"), InvalidKeys: msg.KeysOf("k")}
+		ReqDigest: d("req-read"), Result: []byte("VALUE v1"), InvalidKeys: msg.AppendKeys(nil, []string{"k"})}
 	if err := core.AuthenticateReply(rrep, true, true, opHash, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +512,7 @@ func TestFreshReadBehindAppliedWriteNotCached(t *testing.T) {
 	// A read batched together with the write (same sequence number, fanned
 	// out after it) reflects the write and must still be cacheable.
 	sameBatch := &msg.OrderedReply{Executor: 0, Seq: 5, Client: 1, ClientSeq: 2,
-		ReqDigest: d("req-read-2"), Result: []byte("VALUE v2"), InvalidKeys: msg.KeysOf("k")}
+		ReqDigest: d("req-read-2"), Result: []byte("VALUE v2"), InvalidKeys: msg.AppendKeys(nil, []string{"k"})}
 	if err := core.AuthenticateReply(sameBatch, true, true, opHash, nil); err != nil {
 		t.Fatal(err)
 	}

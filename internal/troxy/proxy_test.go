@@ -252,7 +252,7 @@ func TestCacheFootprintAccountedAgainstEPC(t *testing.T) {
 	// large read reply (executor-side caching).
 	rep := &msg.OrderedReply{
 		Executor: 0, Client: 9, ClientSeq: 1,
-		Result: make([]byte, 32<<10), InvalidKeys: msg.KeysOf("k"),
+		Result: make([]byte, 32<<10), InvalidKeys: msg.AppendKeys(nil, []string{"k"}),
 	}
 	if err := enclaved.AuthenticateReply(env, rep, true, true, msg.DigestOf([]byte("GET big"))); err != nil {
 		t.Fatal(err)
@@ -265,7 +265,7 @@ func TestCacheFootprintAccountedAgainstEPC(t *testing.T) {
 	// An invalidating write releases the trusted memory again.
 	wrep := &msg.OrderedReply{
 		Executor: 0, Client: 9, ClientSeq: 2,
-		Result: []byte("OK"), InvalidKeys: msg.KeysOf("k"),
+		Result: []byte("OK"), InvalidKeys: msg.AppendKeys(nil, []string{"k"}),
 	}
 	if err := enclaved.AuthenticateReply(env, wrep, false, true, msg.DigestOf([]byte("PUT big"))); err != nil {
 		t.Fatal(err)
