@@ -504,8 +504,8 @@ const (
 	MaxBatchReplies = 16
 
 	// BatchFlushBytes is the encoded size at which a sender closes a batch
-	// whatever its count. It bounds what a batch holds back, not what it
-	// carries: a single reply may be larger.
+	// whatever its count. A batch of several replies stays within it; a
+	// single reply may be larger.
 	BatchFlushBytes = 64 << 10
 )
 
