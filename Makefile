@@ -70,12 +70,15 @@ bench:
 
 # bench-quick is the allocation gates (run in CI on every push/PR). The
 # request path's buffer discipline (DESIGN.md §5) is held function by function
-# by the BenchmarkAllocGate of internal/msg, authn, tcounter, app, troxy and
-# replica — each sub-benchmark fails itself above its ceiling (encode into a
-# pooled writer 0, decode + open a 16-request PREPARE 3, a reply decoded into a
-# reused OrderedReply 0, MAC check + walk of a five-reply batch 1, a reply
-# built, tagged and queued for a remote origin 0, a vote over three replies 2
-# plus the client's record, VerifyMAC 0, Store.Keys 0, …) — beside
+# by the BenchmarkAllocGate of internal/msg, authn, tcounter, app, troxy,
+# replica, enclave and securechannel — each sub-benchmark fails itself above
+# its ceiling (encode into a pooled writer 0, decode + open a 16-request
+# PREPARE 3, a reply decoded into a reused OrderedReply 0, MAC check + walk of
+# a five-reply batch 1, a reply built, tagged and queued for a remote origin 0,
+# a vote over three replies 2 plus the client's record, VerifyMAC 0,
+# Store.Keys 0, an ecall round trip into room the caller brought 0, a reply
+# tagged across the boundary 0, a record opened into a lent buffer and walked
+# 0, a ChannelData envelope sealed 2 and opened 0, …) — beside
 # BenchmarkAppendEnvelopeFrame, which fails itself if the pooled frame-encode
 # path allocates at all, and end to end by TestWriteAllocBudget at the module
 # root (allocations per 128-byte write through a whole simulated cluster). In
@@ -87,7 +90,7 @@ bench:
 # assertions, not ns/op — timing numbers for the record live in EXPERIMENTS.md.
 bench-quick:
 	$(GO) test -run xxx -bench 'Encode|AppendEnvelopeFrame|BatchDigest|AllocGate' -benchmem -benchtime 1000x ./internal/msg/
-	$(GO) test -run xxx -bench 'AllocGate' -benchmem -benchtime 1000x ./internal/authn/ ./internal/tcounter/ ./internal/app/ ./internal/troxy/ ./internal/replica/
+	$(GO) test -run xxx -bench 'AllocGate' -benchmem -benchtime 1000x ./internal/authn/ ./internal/tcounter/ ./internal/app/ ./internal/troxy/ ./internal/replica/ ./internal/enclave/ ./internal/securechannel/
 	$(GO) test -run xxx -bench 'StoreCheckpoint|StoreFork' -benchmem -benchtime 20x ./internal/app/
 	$(GO) test -count=1 -run 'TestWriteAllocBudget' -v .
 
@@ -97,6 +100,7 @@ bench-quick:
 # goes, without patching bench/ to get a profile. The test binary and the
 # profile land in bin/.
 allocs-top:
+	mkdir -p bin
 	$(GO) test -run xxx -bench EndToEndKV -benchtime 20000x -o bin/troxy.test -memprofile bin/allocs.prof -memprofilerate 1 .
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=20 bin/troxy.test bin/allocs.prof
 
@@ -112,13 +116,14 @@ bench-check:
 # module root plus the two most goroutine-heavy packages — the pipelined
 # ordering core (internal/hybster, out-of-order slots with a windowed
 # in-flight limit) and the TCP runtime (internal/realnet, per-peer send
-# rings) — at quick scale (-short trims the seed sets). `make check` still
+# rings) — and the ecall boundary (internal/enclave, whose copy-in buffers
+# are handed out per thread slot) at quick scale (-short trims the seed sets). `make check` still
 # races the whole tree; this target is the fast pre-push loop and a named
 # CI step, so a race in the hot packages fails a step that says which suite
 # tripped instead of disappearing into the full-tree run.
 race:
 	$(GO) test -race -count=1 -short -run 'TestChaos' .
-	$(GO) test -race -count=1 -short ./internal/hybster/ ./internal/realnet/
+	$(GO) test -race -count=1 -short ./internal/hybster/ ./internal/realnet/ ./internal/enclave/
 
 # Seeded fault-injection suite (see EXPERIMENTS.md "Chaos"): network fault
 # schedules and Byzantine replica harnesses under the race detector. -short
@@ -158,6 +163,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzServerHandshake$$' -fuzztime 10s ./internal/securechannel/
 	$(GO) test -run xxx -fuzz 'FuzzClientFinish$$' -fuzztime 10s ./internal/securechannel/
 	$(GO) test -run xxx -fuzz 'FuzzSessionOpen$$' -fuzztime 10s ./internal/securechannel/
+	$(GO) test -run xxx -fuzz 'FuzzOpenFrames$$' -fuzztime 10s ./internal/securechannel/
 	$(GO) test -run xxx -fuzz 'FuzzIsHandshakeFrame$$' -fuzztime 10s ./internal/securechannel/
 	$(GO) test -run xxx -fuzz 'FuzzManifestDecode$$' -fuzztime 10s ./internal/hybster/
 	$(GO) test -run xxx -fuzz 'FuzzSnapshotHead$$' -fuzztime 10s ./internal/hybster/

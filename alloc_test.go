@@ -40,10 +40,11 @@ func (g *putGen) Next(*rand.Rand) workload.Op {
 // writeAllocCeiling is the budget of TestWriteAllocBudget: heap allocations
 // per completed 128-byte PUT, everything included (three replicas, their
 // enclaves, the client machine and the simulator's own events — about ten of
-// them). The tree measures 64.1, the same on every run; the ceiling is 5 %
-// above that. The commit before replies were batched measured 100.9 on this
-// harness, the one before the copy-once request path 222.6.
-const writeAllocCeiling = 67
+// them). The tree measures 40.1, the same on every run; the ceiling is three
+// above that. The commit before crossings copied into memory their hop owns
+// measured 64.1 on this harness, the one before replies were batched 100.9,
+// the one before the copy-once request path 222.6.
+const writeAllocCeiling = 43
 
 // TestWriteAllocBudget is the deterministic end-to-end allocation budget of
 // the request path: the benchmark's write_small deployment (etroxy, batch

@@ -78,8 +78,12 @@ var allowedSymbols = map[string]map[string]bool{
 		// Coalesced-record siblings of Seal/Open: one AEAD pass per flushed
 		// batch. Same trust story — record protection is exactly what the
 		// client side of the channel is for.
+		// Frames is what OpenFrames returns: the opened record's plaintext,
+		// which is the client's own, as an iterable view.
 		"Session.SealFrames":      true,
 		"Session.OpenFrames":      true,
+		"Frames":                  true,
+		"Frames.*":                true,
 		"Session.Established":     true,
 		"Conn":                    true,
 		"Conn.*":                  true,

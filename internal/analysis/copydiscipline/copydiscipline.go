@@ -22,9 +22,15 @@
 //
 // Passing the buffer onward to a callee is permitted: the discipline is
 // compositional, and callees in trusted packages face the same analyzer.
-// The tracking is intra-procedural and syntactic by design — it is a lint
-// for a discipline the enclave runtime (internal/enclave.ECall) backstops
-// with real copies, not an escape analysis.
+// The tracking is intra-procedural and syntactic by design — it is a lint,
+// not an escape analysis. The enclave runtime (internal/enclave.ECallAppend)
+// still makes the real copies, one per direction on every crossing; what it
+// no longer does is allocate for them: the copy-in lands in a buffer the
+// enclave reuses for the next crossing. So the no-retention rule is no longer
+// only backstopped by the runtime, it is what makes the runtime's reuse safe —
+// a handler that kept its argument would read a later call's bytes in it
+// (enclave.TestRetainedArgumentIsOverwritten), and beyond the handlers this
+// analyzer sees, the Troxy's poison tests hold the state behind them to it.
 package copydiscipline
 
 import (

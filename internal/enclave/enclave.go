@@ -8,7 +8,12 @@
 //     fixed table of named entry points (ecalls). Argument buffers are
 //     defensively copied when crossing into the enclave so that the
 //     untrusted side cannot mutate them mid-call (TOCTOU/Iago hardening,
-//     Section V-A of the paper). Troxy registers a fixed table of 19 ecalls.
+//     Section V-A of the paper), and results are copied out so that the
+//     caller never holds trusted memory. Both copies land in memory their
+//     side already owns — the argument in a buffer the enclave keeps per
+//     thread slot, the result in room the caller brings — so a crossing
+//     copies but does not allocate. Troxy registers a fixed table of 19
+//     ecalls.
 //   - Transition accounting: every ecall increments transition counters and
 //     reports the copied byte volume to an optional hook. The discrete-event
 //     simulator charges the calibrated SGX transition cost through this hook,
@@ -105,9 +110,15 @@ type Definition struct {
 // nil. copiedBytes is the total volume defensively copied for the call.
 type TransitionHook func(ecall string, copiedBytes int)
 
-// Trusted is the code that runs inside an enclave. Implementations must not
-// retain references to buffers passed across the boundary (the boundary
-// copies them, but the discipline is part of the model).
+// Trusted is the code that runs inside an enclave. A handler's argument is
+// the boundary's copy of what the caller passed, in a buffer the enclave
+// reuses: it is the handler's for the length of the call and is overwritten
+// by a later crossing. Implementations therefore must not retain the
+// argument or a view of it past the call — whatever trusted state keeps, it
+// copies (copydiscipline checks the handlers, and the Troxy's poison tests
+// the state behind them). A handler's result may be memory it reuses as
+// well: the boundary has copied it out before the handler's thread slot
+// admits another call.
 type Trusted interface {
 	// ECalls returns the enclave interface table. It is read once at launch;
 	// the set of entry points is immutable afterwards, as in SGX where the
@@ -153,15 +164,30 @@ type Enclave struct {
 	trusted     Trusted
 	hook        TransitionHook
 
-	mu          sync.Mutex
-	ecalls      map[string]func([]byte) ([]byte, error)
-	active      int
+	mu     sync.Mutex
+	ecalls map[string]*entryPoint
+	active int
+	// argBufs are the copy-in buffers no ecall is using: one per thread slot
+	// at most, since a buffer is only made when every existing one is held by
+	// an active call.
+	argBufs     [][]byte
 	stopped     bool
 	provisioned bool
 	epcUsed     int64
 	epcPeak     int64
 	stats       Stats
 }
+
+// entryPoint is one row of the interface table: the handler and how often it
+// was crossed into. calls is guarded by Enclave.mu.
+type entryPoint struct {
+	fn    func([]byte) ([]byte, error)
+	calls uint64
+}
+
+// maxKeptArgBuf bounds what a copy-in buffer may pin between calls: one that
+// a giant argument grew past it is dropped after its call instead of kept.
+const maxKeptArgBuf = 128 << 10
 
 // Stats are the enclave's boundary-crossing and memory counters.
 type Stats struct {
@@ -223,7 +249,6 @@ func (p *Platform) Launch(def Definition, trusted Trusted, hook TransitionHook) 
 		epcLimit:    epcLimit,
 		trusted:     trusted,
 		hook:        hook,
-		stats:       Stats{ECalls: make(map[string]uint64)},
 	}
 
 	sealKey, err := hkdf.Key(sha256.New, p.hwKey, e.measurement[:], "seal", 32)
@@ -240,12 +265,12 @@ func (p *Platform) Launch(def Definition, trusted Trusted, hook TransitionHook) 
 	}
 
 	table := trusted.ECalls()
-	e.ecalls = make(map[string]func([]byte) ([]byte, error), len(table))
+	e.ecalls = make(map[string]*entryPoint, len(table))
 	for name, fn := range table {
 		if fn == nil {
 			return nil, fmt.Errorf("enclave: nil handler for ecall %q", name)
 		}
-		e.ecalls[name] = fn
+		e.ecalls[name] = &entryPoint{fn: fn}
 	}
 	trusted.OnStart(&Services{enc: e})
 	return e, nil
@@ -264,56 +289,74 @@ func (e *Enclave) Stats() Stats {
 	out := e.stats
 	out.EPCUsed = e.epcUsed
 	out.EPCPeak = e.epcPeak
-	out.ECalls = make(map[string]uint64, len(e.stats.ECalls))
-	for k, v := range e.stats.ECalls {
-		out.ECalls[k] = v
+	out.ECalls = make(map[string]uint64, len(e.ecalls))
+	for name, ep := range e.ecalls {
+		if ep.calls > 0 {
+			out.ECalls[name] = ep.calls
+		}
 	}
 	return out
 }
 
-// ECall crosses into the enclave: it validates the entry point, defensively
-// copies the argument buffer, runs the handler, and copies the result back
-// out. It is safe for concurrent use up to the enclave's thread budget.
+// ECall crosses into the enclave and returns the result in memory of its own;
+// it is ECallAppend without room for the result.
 func (e *Enclave) ECall(name string, arg []byte) ([]byte, error) {
+	return e.ECallAppend(nil, name, arg)
+}
+
+// ECallAppend crosses into the enclave: it validates the entry point,
+// defensively copies the argument buffer, runs the handler, and copies the
+// result out by appending it to dst, which it returns — so a result that fits
+// dst's spare capacity lands there, and a longer one (or any, with a nil dst)
+// in a new allocation, as append does. Nothing else of dst is written. When an
+// ecall is refused (stopped enclave, unknown entry point, thread budget) dst
+// comes back as it went in. It is safe for concurrent use up to the enclave's
+// thread budget.
+func (e *Enclave) ECallAppend(dst []byte, name string, arg []byte) ([]byte, error) {
 	e.mu.Lock()
 	if e.stopped {
 		e.mu.Unlock()
-		return nil, ErrStopped
+		return dst, ErrStopped
 	}
-	fn, ok := e.ecalls[name]
+	ep, ok := e.ecalls[name]
 	if !ok {
 		e.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrUnknownECall, name)
+		return dst, fmt.Errorf("%w: %q", ErrUnknownECall, name)
 	}
 	if e.active >= e.maxThreads {
 		e.mu.Unlock()
-		return nil, fmt.Errorf("%w: %d", ErrTooManyThreads, e.maxThreads)
+		return dst, fmt.Errorf("%w: %d", ErrTooManyThreads, e.maxThreads)
 	}
 	e.active++
+	// This call's thread slot: a buffer no other active ecall holds.
+	var buf []byte
+	if last := len(e.argBufs) - 1; last >= 0 {
+		buf, e.argBufs = e.argBufs[last], e.argBufs[:last]
+	}
 	e.mu.Unlock()
 
 	// Defensive copy in: the untrusted caller must not be able to mutate the
 	// argument while trusted code reads it.
 	var in []byte
 	if len(arg) > 0 {
-		in = make([]byte, len(arg))
-		copy(in, arg)
+		buf = append(buf[:0], arg...)
+		in = buf
 	}
 
-	res, err := fn(in)
+	res, err := ep.fn(in)
 
-	// Copy out: trusted buffers must not leak by alias to the caller.
-	var out []byte
-	if len(res) > 0 {
-		out = make([]byte, len(res))
-		copy(out, res)
-	}
+	// Copy out: trusted buffers must not leak by alias to the caller. This
+	// comes before the slot is given up — res may be the argument itself.
+	out := append(dst, res...)
 
 	copied := len(arg) + len(res)
 	e.mu.Lock()
 	e.active--
+	if buf != nil && cap(buf) <= maxKeptArgBuf {
+		e.argBufs = append(e.argBufs, buf)
+	}
 	e.stats.Transitions++
-	e.stats.ECalls[name]++
+	ep.calls++
 	e.stats.CopiedBytes += uint64(copied)
 	hook := e.hook
 	e.mu.Unlock()
@@ -367,6 +410,7 @@ func (e *Enclave) Restart() {
 	e.stopped = false
 	e.provisioned = false
 	e.epcUsed = 0
+	e.argBufs = nil
 	e.stats.Restarts++
 	e.mu.Unlock()
 	e.trusted.OnStart(&Services{enc: e})

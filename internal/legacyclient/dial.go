@@ -213,14 +213,15 @@ func (c *TCPClient) tryOnce(plaintext []byte) ([]byte, error) {
 			return nil, err
 		}
 		// Plain or coalesced record: a reply batched with stale replies from
-		// earlier attempts still arrives in one authenticated unit.
-		replies, err := c.sess.OpenFrames(frame)
+		// earlier attempts still arrives in one authenticated unit. The
+		// plaintext gets memory of its own: the result goes to the caller.
+		replies, err := c.sess.OpenFrames(nil, frame)
 		if err != nil {
 			// Tampered or out-of-order channel data: treat the channel as
 			// corrupted and fail over (Section III-D).
 			return nil, err
 		}
-		for _, replyPlain := range replies {
+		for replyPlain := range replies.All() {
 			reply, err := msg.DecodeChannelReply(replyPlain)
 			if err != nil {
 				return nil, err

@@ -131,6 +131,10 @@ type Machine struct {
 	clients []*clientState
 	byConn  map[uint64]*clientState
 
+	// plain is where an incoming record is decrypted: replies are views of it
+	// until the next record arrives (Observe's result among them).
+	plain []byte
+
 	stopped   atomic.Bool
 	completed atomic.Int64 // operations completed, all clients
 	unsettled atomic.Int64 // entries in the clients' specs maps
@@ -200,10 +204,7 @@ func (m *Machine) connect(env node.Env, cs *clientState) {
 }
 
 func (m *Machine) sendFrame(env node.Env, cs *clientState, frame []byte) {
-	env.Send(msg.Seal(m.cfg.Machine, m.replica(cs), &msg.ChannelData{
-		ConnID:  cs.connID,
-		Payload: frame,
-	}))
+	env.Send(msg.SealChannelData(m.cfg.Machine, m.replica(cs), cs.connID, frame))
 }
 
 // nextOp issues the next operation (or schedules it under pacing).
@@ -263,15 +264,8 @@ func (m *Machine) transmit(env node.Env, cs *clientState) {
 
 // OnEnvelope implements node.Handler.
 func (m *Machine) OnEnvelope(env node.Env, e *msg.Envelope) {
-	if e.Kind != msg.KindChannelData {
-		return
-	}
-	raw, err := e.Open()
+	cd, err := e.OpenChannelData()
 	if err != nil {
-		return
-	}
-	cd, ok := raw.(*msg.ChannelData)
-	if !ok {
 		return
 	}
 	cs, ok := m.byConn[cd.ConnID]
@@ -309,7 +303,7 @@ func (m *Machine) OnEnvelope(env node.Env, e *msg.Envelope) {
 
 	// Plain or coalesced record from the Troxy: every sub-frame verified
 	// before any of them is interpreted.
-	frames, err := cs.sess.OpenFrames(cd.Payload)
+	frames, err := cs.sess.OpenFrames(m.plain, cd.Payload)
 	if err != nil {
 		// Tampered or replayed data on the channel: reconnect (Section
 		// III-D fault handling).
@@ -317,14 +311,15 @@ func (m *Machine) OnEnvelope(env node.Env, e *msg.Envelope) {
 		m.failover(env, cs)
 		return
 	}
+	m.plain = frames.Scratch()
 	total := 0
-	for _, f := range frames {
+	for f := range frames.All() {
 		total += len(f)
 	}
 	env.Charge(node.ProfileJava, node.ChargeAEAD, total)
 
 	if m.cfg.HTTP {
-		for _, plaintext := range frames {
+		for plaintext := range frames.All() {
 			cs.respBuf = append(cs.respBuf, plaintext...)
 		}
 		resp, consumed, err := httpfront.ExtractResponse(cs.respBuf)
@@ -336,7 +331,7 @@ func (m *Machine) OnEnvelope(env node.Env, e *msg.Envelope) {
 		return
 	}
 
-	for _, plaintext := range frames {
+	for plaintext := range frames.All() {
 		reply, err := msg.DecodeChannelReply(plaintext)
 		if err != nil {
 			continue

@@ -170,4 +170,15 @@ func BenchmarkAllocGate(b *testing.B) {
 	})
 	testutil.AllocGate(b, "DecodeOpenPrepare16", 3, open(sealed(&Prepare{View: 1, Seq: 7, Batch: *benchBatch(16),
 		Cert: CounterCert{Replica: 0, Counter: 1, Value: 7, MAC: make([]byte, 32)}})))
+
+	// The client-bound hop has no message object in either direction: sealing
+	// allocates the envelope and its body, opening nothing.
+	record := make([]byte, 160)
+	var channel *Envelope
+	testutil.AllocGate(b, "SealChannelData", 2, func() { channel = SealChannelData(0, 100, 7, record) })
+	testutil.AllocGate(b, "OpenChannelData", 0, func() {
+		if cd, err := channel.OpenChannelData(); err != nil || cd.ConnID != 7 || len(cd.Payload) != len(record) {
+			b.Fatalf("%+v, %v", cd, err)
+		}
+	})
 }

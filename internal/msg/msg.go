@@ -401,3 +401,32 @@ func (e *Envelope) Open() (Message, error) {
 func Seal(from, to NodeID, m Message) *Envelope {
 	return &Envelope{From: from, To: to, Kind: m.Kind(), Body: EncodeBody(m)}
 }
+
+// SealChannelData is Seal for the one kind that crosses a hop per client
+// record in each direction: the ChannelData exists on this frame only, so the
+// envelope and its body are all that is allocated.
+func SealChannelData(from, to NodeID, connID uint64, payload []byte) *Envelope {
+	cd := ChannelData{ConnID: connID, Payload: payload}
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
+	cd.MarshalWire(w)
+	return &Envelope{From: from, To: to, Kind: KindChannelData, Body: w.CopyBytes()}
+}
+
+// OpenChannelData is Open for a ChannelData envelope, by value: any other
+// kind is an error, and the payload is a view of Body.
+func (e *Envelope) OpenChannelData() (ChannelData, error) {
+	var cd ChannelData
+	if e.Kind != KindChannelData {
+		return cd, fmt.Errorf("open %s envelope: not channel data", e.Kind)
+	}
+	r := wire.NewReader(e.Body)
+	err := cd.UnmarshalWire(r)
+	if err == nil {
+		err = r.Finish()
+	}
+	if err != nil {
+		return ChannelData{}, fmt.Errorf("open %s envelope: %w", e.Kind, err)
+	}
+	return cd, nil
+}

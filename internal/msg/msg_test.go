@@ -469,3 +469,55 @@ func TestReplyBatchWalk(t *testing.T) {
 		t.Errorf("over-long batch yielded %d replies, bound is %d", n, MaxBatchReplies)
 	}
 }
+
+// TestChannelDataWithoutMessageObject: SealChannelData and OpenChannelData
+// are Seal and Open for the one kind, byte for byte and error for error —
+// any other kind, a truncated body and trailing bytes are all refused, as Open
+// followed by the type assertion refused them.
+func TestChannelDataWithoutMessageObject(t *testing.T) {
+	payload := []byte("opaque record bytes")
+	want := Seal(3, 9, &ChannelData{ConnID: 77, Payload: payload})
+	got := SealChannelData(3, 9, 77, payload)
+	if got.From != want.From || got.To != want.To || got.Kind != want.Kind || !bytes.Equal(got.Body, want.Body) || got.MAC != nil {
+		t.Fatalf("SealChannelData = %+v, want %+v", got, want)
+	}
+	payload[0] = 'X'
+	if got.Body[12] != 'o' {
+		t.Error("the sealed body aliases the caller's payload")
+	}
+
+	cd, err := got.OpenChannelData()
+	if err != nil || cd.ConnID != 77 || string(cd.Payload) != "opaque record bytes" {
+		t.Fatalf("OpenChannelData = %+v, %v", cd, err)
+	}
+	if &cd.Payload[0] != &got.Body[12] || cap(cd.Payload) != len(cd.Payload) {
+		t.Error("the payload is not a cap-limited view of the body")
+	}
+	empty, err := SealChannelData(3, 9, 78, nil).OpenChannelData()
+	if err != nil || empty.ConnID != 78 || len(empty.Payload) != 0 {
+		t.Errorf("empty payload = %+v, %v", empty, err)
+	}
+
+	// Whatever Open + assertion refused, OpenChannelData refuses.
+	refused := map[string]*Envelope{
+		"truncated body": {Kind: KindChannelData, Body: got.Body[:len(got.Body)-1]},
+		"trailing bytes": {Kind: KindChannelData, Body: append(bytes.Clone(got.Body), 0)},
+		"no body":        {Kind: KindChannelData},
+		"unknown kind":   {Kind: Kind(200), Body: got.Body},
+	}
+	for k := KindChannelData + 1; k <= KindReplyBatch; k++ {
+		refused[k.String()] = &Envelope{Kind: k, Body: got.Body}
+	}
+	for name, e := range refused {
+		viaOpen := false
+		if m, err := e.Open(); err == nil {
+			_, viaOpen = m.(*ChannelData)
+		}
+		if viaOpen {
+			t.Errorf("%s: Open yields a ChannelData; the case tests nothing", name)
+		}
+		if cd, err := e.OpenChannelData(); err == nil {
+			t.Errorf("%s: OpenChannelData accepted it as %+v", name, cd)
+		}
+	}
+}

@@ -152,12 +152,8 @@ func (m *Middlebox) OnEnvelope(env node.Env, e *msg.Envelope) {
 }
 
 func (m *Middlebox) onChannelData(env node.Env, e *msg.Envelope) {
-	raw, err := e.Open()
+	cd, err := e.OpenChannelData()
 	if err != nil {
-		return
-	}
-	cd, ok := raw.(*msg.ChannelData)
-	if !ok {
 		return
 	}
 	sess, ok := m.sessions[cd.ConnID]
@@ -182,18 +178,18 @@ func (m *Middlebox) onChannelData(env node.Env, e *msg.Envelope) {
 	}
 	// Plain or coalesced record: one AEAD pass authenticates every sub-frame
 	// before any of them reach the cache.
-	frames, err := sess.sc.OpenFrames(cd.Payload)
+	frames, err := sess.sc.OpenFrames(nil, cd.Payload)
 	if err != nil {
 		return
 	}
 	total := 0
-	for _, f := range frames {
+	for f := range frames.All() {
 		total += len(f)
 	}
 	env.Charge(node.ProfileJava, node.ChargeAEAD, total)
 
 	if m.cfg.HTTP {
-		for _, plaintext := range frames {
+		for plaintext := range frames.All() {
 			sess.httpBuf = append(sess.httpBuf, plaintext...)
 		}
 		for {
@@ -207,7 +203,7 @@ func (m *Middlebox) onChannelData(env node.Env, e *msg.Envelope) {
 		}
 	}
 
-	for _, plaintext := range frames {
+	for plaintext := range frames.All() {
 		frame, err := msg.DecodeChannelRequest(plaintext)
 		if err != nil {
 			return
@@ -292,10 +288,7 @@ func (m *Middlebox) sendToReplica(env node.Env, to msg.NodeID, req *msg.BFTReque
 }
 
 func (m *Middlebox) sendToClient(env node.Env, sess *session, frame []byte) {
-	env.Send(msg.Seal(m.cfg.Self, sess.nodeID, &msg.ChannelData{
-		ConnID:  sess.connID,
-		Payload: frame,
-	}))
+	env.Send(msg.SealChannelData(m.cfg.Self, sess.nodeID, sess.connID, frame))
 }
 
 // onReply processes replica replies for both paths.

@@ -103,7 +103,8 @@ type realNode struct {
 	router  *Router
 
 	mu     sync.Mutex
-	queue  []mailboxItem
+	queue  []mailboxItem // the mailbox's backing array; head is the next item
+	head   int
 	wake   chan struct{}
 	closed bool
 
@@ -260,6 +261,13 @@ func (n *realNode) enqueue(item mailboxItem) {
 		n.mu.Unlock()
 		return
 	}
+	if len(n.queue) == cap(n.queue) && n.head > len(n.queue)/2 {
+		// A mailbox that is never quite empty: move what is pending to the
+		// front, over the delivered majority, instead of growing the array.
+		pending := copy(n.queue, n.queue[n.head:])
+		clear(n.queue[pending:])
+		n.queue, n.head = n.queue[:pending], 0
+	}
 	n.queue = append(n.queue, item)
 	n.mu.Unlock()
 	select {
@@ -296,17 +304,24 @@ func (n *realNode) run() {
 	n.handler.OnStart(env)
 	for {
 		n.mu.Lock()
-		for len(n.queue) == 0 && !n.closed {
+		for n.head == len(n.queue) && !n.closed {
 			n.mu.Unlock()
 			<-n.wake
 			n.mu.Lock()
 		}
-		if n.closed && len(n.queue) == 0 {
+		if n.closed && n.head == len(n.queue) {
 			n.mu.Unlock()
 			return
 		}
-		item := n.queue[0]
-		n.queue = n.queue[1:]
+		// The taken slot is zeroed, so the mailbox stops holding the envelope
+		// the moment it is delivered, and a drained mailbox starts over at the
+		// front of its array instead of growing a new one behind itself.
+		item := n.queue[n.head]
+		n.queue[n.head] = mailboxItem{}
+		n.head++
+		if n.head == len(n.queue) {
+			n.queue, n.head = n.queue[:0], 0
+		}
 		closed := n.closed
 		n.mu.Unlock()
 		if closed {

@@ -433,15 +433,8 @@ type gatewayHandler struct {
 func (gatewayHandler) OnStart(node.Env) {}
 
 func (h gatewayHandler) OnEnvelope(env node.Env, e *msg.Envelope) {
-	if e.Kind != msg.KindChannelData {
-		return
-	}
-	m, err := e.Open()
+	cd, err := e.OpenChannelData()
 	if err != nil {
-		return
-	}
-	cd, ok := m.(*msg.ChannelData)
-	if !ok {
 		return
 	}
 	w := wire.GetWriter()
@@ -514,10 +507,7 @@ func (g *Gateway) handle(conn net.Conn, id msg.NodeID) {
 		if err != nil {
 			return
 		}
-		g.router.Send(msg.Seal(id, g.replica, &msg.ChannelData{
-			ConnID:  uint64(id),
-			Payload: frame,
-		}))
+		g.router.Send(msg.SealChannelData(id, g.replica, uint64(id), frame))
 	}
 }
 

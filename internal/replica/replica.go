@@ -277,12 +277,8 @@ func (r *Replica) onChannelData(env node.Env, e *msg.Envelope) {
 	if r.proxy == nil {
 		return // baseline replicas have no legacy-client frontend
 	}
-	m, err := e.Open()
+	cd, err := e.OpenChannelData()
 	if err != nil {
-		return
-	}
-	cd, ok := m.(*msg.ChannelData)
-	if !ok {
 		return
 	}
 	acts, err := r.proxy.HandleClientData(env, cd.ConnID, e.From, cd.Payload)
@@ -325,17 +321,16 @@ func (r *Replica) onBFTRequest(env node.Env, from msg.NodeID, m *msg.BFTRequest)
 	})
 }
 
-// apply executes the Troxy's requested actions.
+// apply executes the Troxy's requested actions. A submit's operation may be a
+// view of a buffer the Troxy reuses for its next client record (troxy.Proxy):
+// Submit copies what ordering keeps, and nothing on the way there hands the
+// Troxy more client data.
 func (r *Replica) apply(env node.Env, acts troxy.Actions) {
 	for _, cr := range acts.Client {
-		env.Send(msg.Seal(r.cfg.Self, cr.Node, &msg.ChannelData{
-			ConnID:  cr.ConnID,
-			Payload: cr.Frame,
-		}))
+		env.Send(msg.SealChannelData(r.cfg.Self, cr.Node, cr.ConnID, cr.Frame))
 	}
 	for i := range acts.Submits {
-		req := acts.Submits[i]
-		r.core.Submit(env, &req)
+		r.core.Submit(env, &acts.Submits[i])
 	}
 	for _, pm := range acts.Queries {
 		var m msg.Message

@@ -38,8 +38,8 @@ type Conn struct {
 	raw net.Conn
 
 	readMu  sync.Mutex
-	readBuf []byte
-	readQ   [][]byte // decoded sub-frames not yet surfaced to Read
+	readBuf []byte // plaintext not yet surfaced to Read; lies in plain
+	plain   []byte // the buffer records are decrypted into, reused once readBuf is drained
 
 	// Write side: group-commit state, all guarded by wmu. wmu is never held
 	// across socket I/O — only across enqueueing and sealing.
@@ -104,10 +104,6 @@ func (c *Conn) Read(p []byte) (int, error) {
 	c.readMu.Lock()
 	defer c.readMu.Unlock()
 	for len(c.readBuf) == 0 {
-		if len(c.readQ) > 0 {
-			c.readBuf, c.readQ = c.readQ[0], c.readQ[1:]
-			continue
-		}
 		// readMu exists to serialize concurrent readers around exactly this
 		// blocking read: record boundaries would interleave otherwise. Only
 		// other Read calls contend on it, which is the semantics net.Conn
@@ -120,11 +116,20 @@ func (c *Conn) Read(p []byte) (int, error) {
 		// authenticates before any sub-frame is surfaced. Only this reader
 		// touches the session's receive direction, so no session lock is
 		// needed.
-		frames, err := c.sess.OpenFrames(record)
+		frames, err := c.sess.OpenFrames(c.plain, record)
 		if err != nil {
 			return 0, err
 		}
-		c.readQ = frames
+		// A byte stream has no use for the frame boundaries, so the frames are
+		// closed up over their headers where they lie: each moves to the end of
+		// the one before it, which is never past its own start, so no header
+		// still to be read is overwritten.
+		c.plain = frames.Scratch()
+		stream := c.plain
+		for f := range frames.All() {
+			stream = append(stream, f...)
+		}
+		c.readBuf = stream
 	}
 	n := copy(p, c.readBuf)
 	c.readBuf = c.readBuf[n:]

@@ -3,6 +3,7 @@ package securechannel
 import (
 	"bytes"
 	"crypto/ed25519"
+	"slices"
 	"testing"
 )
 
@@ -118,7 +119,8 @@ func FuzzClientFinish(f *testing.F) {
 
 // FuzzSessionOpen throws arbitrary records at an established session: only
 // genuine sealed records may open, tampering must error, and Open must
-// never panic regardless of framing.
+// never panic regardless of framing. OpenFrames, given the same record and a
+// buffer to decrypt into, agrees with Open on every plain record.
 func FuzzSessionOpen(f *testing.F) {
 	identity := fuzzIdentity(f)
 	pub := identity.Public().(ed25519.PublicKey)
@@ -163,7 +165,20 @@ func FuzzSessionOpen(f *testing.F) {
 		// Arbitrary record: must not panic, and anything a fresh session
 		// accepts must be a frame the client's deterministic session would
 		// genuinely seal from the recovered plaintext — i.e. no forgery.
+		viaFrames := *srvSess // the same receive state, for the other entry point
+		pristine := bytes.Clone(record)
 		pt, err := srvSess.Open(record)
+		frames, ferr := viaFrames.OpenFrames(make([]byte, 0, 64), record)
+		if !bytes.Equal(record, pristine) {
+			t.Fatal("opening a record changed it")
+		}
+		if len(record) > 0 && record[0] == frameRecord {
+			got := slices.Collect(frames.All())
+			if (err == nil) != (ferr == nil) || (err == nil && (len(got) != 1 || !bytes.Equal(got[0], pt))) {
+				t.Fatalf("Open = %q, %v but OpenFrames = %q, %v", pt, err, got, ferr)
+			}
+			checkFrameViews(t, frames)
+		}
 		if err != nil {
 			return
 		}
@@ -197,7 +212,10 @@ func FuzzIsHandshakeFrame(f *testing.F) {
 // FuzzOpenFrames throws arbitrary records at OpenFrames: plain records,
 // coalesced records, and garbage. It must never panic, never dispatch a
 // frame from a record the deterministic peer session would not produce, and
-// must reject structurally malformed coalesced plaintexts wholesale.
+// must reject structurally malformed coalesced plaintexts wholesale — no frame
+// yielded, the sequence number consumed all the same. What it accepts it hands
+// out as views: the record untouched, the frames inside the plaintext one
+// behind the other, the same whether or not the caller lent a buffer.
 func FuzzOpenFrames(f *testing.F) {
 	identity := fuzzIdentity(f)
 	pub := identity.Public().(ed25519.PublicKey)
@@ -232,6 +250,14 @@ func FuzzOpenFrames(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{frameCoalesced})
 	f.Add(bytes.Repeat([]byte{frameCoalesced}, RecordSize(64)))
+	for _, pt := range malformedCoalesced {
+		c, _, _ := NewClientHandshake(pub, zeroReader{})
+		sess, err := c.Finish(serverHello)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(sealRawCoalesced(f, sess, pt))
+	}
 
 	f.Fuzz(func(t *testing.T, record []byte) {
 		// Fresh deterministic sessions per execution: sequence numbers
@@ -249,26 +275,48 @@ func FuzzOpenFrames(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		frames, err := srvSess.OpenFrames(record)
+		unlent := *srvSess // the same receive state, opened without a buffer
+		pristine := bytes.Clone(record)
+		// Whether the record is one the peer's keys sealed, whatever is in it.
+		authentic := false
+		if len(record) >= Overhead && (record[0] == frameRecord || record[0] == frameCoalesced) {
+			var nonce [12]byte
+			_, aerr := srvSess.recvAEAD.Open(nil, nonce[:], record[1:], record[:1])
+			authentic = aerr == nil
+		}
+
+		opened, err := srvSess.OpenFrames(make([]byte, 0, 64), record)
+		frames := slices.Collect(opened.All())
+		if !bytes.Equal(record, pristine) {
+			t.Fatal("OpenFrames changed the record")
+		}
+		if (srvSess.recvSeq == 1) != authentic {
+			t.Fatalf("recvSeq = %d for a record with authentic = %v", srvSess.recvSeq, authentic)
+		}
+		want, werr := collect(&unlent, nil, record)
+		if (err == nil) != (werr == nil) || !slices.EqualFunc(frames, want, bytes.Equal) {
+			t.Fatalf("OpenFrames into a buffer = %q, %v; into none = %q, %v", frames, err, want, werr)
+		}
 		if err != nil {
-			if frames != nil {
-				t.Fatal("failed OpenFrames returned frames")
+			if len(frames) != 0 {
+				t.Fatal("failed OpenFrames yielded frames")
 			}
 			return
 		}
 		if len(frames) == 0 {
 			t.Fatal("OpenFrames accepted a record carrying no frames")
 		}
+		checkFrameViews(t, opened)
 		// Anything accepted must be exactly what the deterministic client
 		// session seals from the recovered frames — i.e. no forgery, and the
 		// sub-frame layout is canonical.
-		var want []byte
+		var resealed []byte
 		if record[0] == frameRecord {
-			want, err = cliSess.Seal(frames[0])
+			resealed, err = cliSess.Seal(frames[0])
 		} else {
-			want, err = cliSess.SealFrames(frames)
+			resealed, err = cliSess.SealFrames(frames)
 		}
-		if err != nil || !bytes.Equal(want, record) {
+		if err != nil || !bytes.Equal(resealed, record) {
 			t.Fatalf("server opened a record the client would not produce (err=%v)", err)
 		}
 	})

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"iter"
 )
 
 // Frame type bytes on the wire.
@@ -158,12 +159,63 @@ func (s *Session) Open(record []byte) ([]byte, error) {
 	return pt, nil
 }
 
-// OpenFrames authenticates and decrypts one record and returns the frames
-// it carries: a plain record yields its plaintext as a single frame, a
-// coalesced record yields each sub-frame in order. The entire record
-// authenticates in one AEAD operation *before* any frame is handed out, so
-// ingress verification cost amortizes over the flush exactly as sealing
-// did — no sub-frame from a tampered record is ever dispatched.
+// Frames is the plaintext of one opened record, seen as the frames it carries:
+// a plain record is its one frame, a coalesced record yields each sub-frame in
+// order. The frames are views of the buffer the record was decrypted into and
+// share its lifetime; only OpenFrames makes a Frames, after checking the
+// record's structure, so the walk itself has nothing left to refuse. The zero
+// Frames, which a rejected record leaves, has no frames.
+type Frames struct {
+	plaintext []byte
+	typ       byte // frameRecord or frameCoalesced
+}
+
+// All iterates over the frames in order. Each is a cap-limited view of the
+// plaintext, like a decoded field: read-only, and copied by whoever keeps it.
+func (f Frames) All() iter.Seq[[]byte] {
+	return func(yield func([]byte) bool) {
+		switch f.typ {
+		case frameRecord:
+			yield(f.plaintext[:len(f.plaintext):len(f.plaintext)])
+		case frameCoalesced:
+			for off := 0; off < len(f.plaintext); {
+				var frame []byte
+				frame, off = subFrame(f.plaintext, off)
+				if !yield(frame) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// Scratch returns the buffer the record was decrypted into, emptied, for the
+// caller to lend to its next OpenFrames — once it is done with these frames.
+// A buffer that a giant record grew past what a full coalesced flush needs is
+// not worth pinning and comes back nil.
+func (f Frames) Scratch() []byte {
+	if cap(f.plaintext) > 2*MaxCoalescedPlaintext {
+		return nil
+	}
+	return f.plaintext[:0]
+}
+
+// subFrame returns the sub-frame whose header starts at off in a coalesced
+// plaintext OpenFrames has validated, and the offset of the next header.
+//
+//troxy:hotpath
+func subFrame(pt []byte, off int) (frame []byte, next int) {
+	n := int(binary.LittleEndian.Uint32(pt[off:]))
+	off += 4
+	return pt[off : off+n : off+n], off + n
+}
+
+// OpenFrames authenticates and decrypts one record into dst's storage
+// (dst[:0] onward; nil, or too small a buffer, allocates) and returns the
+// frames it carries. The entire record authenticates in one AEAD operation
+// *before* any frame is handed out, so ingress verification cost amortizes
+// over the flush exactly as sealing did — no sub-frame from a tampered record
+// is ever dispatched. dst must not overlap record.
 //
 // The record type byte rides in the AEAD's additional data, so a plain
 // record cannot be replayed as a coalesced one or vice versa. A structurally
@@ -171,43 +223,41 @@ func (s *Session) Open(record []byte) ([]byte, error) {
 // holds the session keys and is broken or malicious; the record is rejected
 // wholesale (and the sequence number has advanced, poisoning the channel,
 // which is the correct response).
-func (s *Session) OpenFrames(record []byte) ([][]byte, error) {
+func (s *Session) OpenFrames(dst, record []byte) (Frames, error) {
 	if !s.Established() {
-		return nil, ErrNotEstablished
+		return Frames{}, ErrNotEstablished
 	}
 	if len(record) < Overhead {
-		return nil, ErrRecord
+		return Frames{}, ErrRecord
 	}
 	typ := record[0]
 	if typ != frameRecord && typ != frameCoalesced {
-		return nil, ErrRecord
+		return Frames{}, ErrRecord
 	}
 	putSeq(s.recvNonce[:], s.recvSeq)
-	pt, err := s.recvAEAD.Open(nil, s.recvNonce[:], record[1:], record[:1])
+	pt, err := s.recvAEAD.Open(dst[:0], s.recvNonce[:], record[1:], record[:1])
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrRecord, err)
+		return Frames{}, fmt.Errorf("%w: %v", ErrRecord, err)
 	}
 	s.recvSeq++
 	if typ == frameRecord {
-		return [][]byte{pt}, nil
+		return Frames{plaintext: pt, typ: typ}, nil
 	}
-	var frames [][]byte
+	if len(pt) == 0 {
+		return Frames{}, fmt.Errorf("%w: empty coalesced record", ErrRecord)
+	}
 	for off := 0; off < len(pt); {
 		if len(pt)-off < 4 {
-			return nil, fmt.Errorf("%w: truncated sub-frame header", ErrRecord)
+			return Frames{}, fmt.Errorf("%w: truncated sub-frame header", ErrRecord)
 		}
 		n := int(binary.LittleEndian.Uint32(pt[off:]))
 		off += 4
 		if n > len(pt)-off {
-			return nil, fmt.Errorf("%w: truncated sub-frame", ErrRecord)
+			return Frames{}, fmt.Errorf("%w: truncated sub-frame", ErrRecord)
 		}
-		frames = append(frames, pt[off:off+n:off+n])
 		off += n
 	}
-	if len(frames) == 0 {
-		return nil, fmt.Errorf("%w: empty coalesced record", ErrRecord)
-	}
-	return frames, nil
+	return Frames{plaintext: pt, typ: typ}, nil
 }
 
 func putSeq(nonce []byte, seq uint64) {

@@ -15,7 +15,7 @@ import (
 	"github.com/troxy-bft/troxy/internal/testutil"
 )
 
-func testIdentity(t *testing.T) (ed25519.PublicKey, ed25519.PrivateKey) {
+func testIdentity(t testing.TB) (ed25519.PublicKey, ed25519.PrivateKey) {
 	t.Helper()
 	pub, priv, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
@@ -24,7 +24,7 @@ func testIdentity(t *testing.T) (ed25519.PublicKey, ed25519.PrivateKey) {
 	return pub, priv
 }
 
-func handshake(t *testing.T) (client, server *Session) {
+func handshake(t testing.TB) (client, server *Session) {
 	t.Helper()
 	pub, priv := testIdentity(t)
 	hs, hello, err := NewClientHandshake(pub, rand.Reader)
@@ -313,7 +313,7 @@ func TestRecordSize(t *testing.T) {
 // arbitrary plaintext as a coalesced record. It models a peer that holds the
 // session keys but violates the sub-frame layout — the only way a malformed
 // coalesced record can ever authenticate.
-func sealRawCoalesced(t *testing.T, s *Session, pt []byte) []byte {
+func sealRawCoalesced(t testing.TB, s *Session, pt []byte) []byte {
 	t.Helper()
 	var nonce [12]byte
 	putSeq(nonce[:], s.sendSeq)
@@ -331,7 +331,7 @@ func TestCoalescedRoundTripBothDirections(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SealFrames: %v", err)
 	}
-	got, err := server.OpenFrames(rec)
+	got, err := collect(server, nil, rec)
 	if err != nil {
 		t.Fatalf("OpenFrames: %v", err)
 	}
@@ -348,7 +348,7 @@ func TestCoalescedRoundTripBothDirections(t *testing.T) {
 	if err != nil {
 		t.Fatalf("server SealFrames: %v", err)
 	}
-	got, err = client.OpenFrames(rec)
+	got, err = collect(client, nil, rec)
 	if err != nil {
 		t.Fatalf("client OpenFrames: %v", err)
 	}
@@ -369,15 +369,15 @@ func TestOpenFramesAcceptsPlainRecord(t *testing.T) {
 	}
 	r3, _ := client.Seal([]byte("plain-again"))
 
-	got, err := server.OpenFrames(r1)
+	got, err := collect(server, nil, r1)
 	if err != nil || len(got) != 1 || string(got[0]) != "plain" {
 		t.Fatalf("plain via OpenFrames = %q, %v", got, err)
 	}
-	got, err = server.OpenFrames(r2)
+	got, err = collect(server, nil, r2)
 	if err != nil || len(got) != 2 || string(got[1]) != "co-2" {
 		t.Fatalf("coalesced after plain = %q, %v", got, err)
 	}
-	if _, err := server.OpenFrames(r3); err != nil {
+	if _, err := collect(server, nil, r3); err != nil {
 		t.Fatalf("plain after coalesced: %v", err)
 	}
 }
@@ -407,7 +407,7 @@ func TestSealFramesMaxSizeFlush(t *testing.T) {
 	if err != nil {
 		t.Fatalf("max-size flush rejected: %v", err)
 	}
-	got, err := server.OpenFrames(rec)
+	got, err := collect(server, nil, rec)
 	if err != nil || len(got) != 1 || len(got[0]) != len(exact) {
 		t.Fatalf("max-size round trip: %d frames, %v", len(got), err)
 	}
@@ -435,7 +435,7 @@ func TestOpenFramesTruncatedSubFrame(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			client, server := handshake(t)
 			rec := sealRawCoalesced(t, client, tc.pt)
-			if _, err := server.OpenFrames(rec); !errors.Is(err, ErrRecord) {
+			if _, err := collect(server, nil, rec); !errors.Is(err, ErrRecord) {
 				t.Errorf("malformed coalesced plaintext %q error = %v", tc.pt, err)
 			}
 		})
@@ -449,7 +449,7 @@ func TestOpenFramesCrossTypeRejected(t *testing.T) {
 	client, server := handshake(t)
 	rec, _ := client.Seal([]byte("plain"))
 	rec[0] = frameCoalesced
-	if _, err := server.OpenFrames(rec); !errors.Is(err, ErrRecord) {
+	if _, err := collect(server, nil, rec); !errors.Is(err, ErrRecord) {
 		t.Errorf("plain-as-coalesced error = %v", err)
 	}
 
@@ -472,21 +472,21 @@ func TestCoalescedReplayAndTamperRejected(t *testing.T) {
 	}
 	tampered := append([]byte(nil), rec...)
 	tampered[len(tampered)-1] ^= 1
-	if _, err := server.OpenFrames(tampered); !errors.Is(err, ErrRecord) {
+	if _, err := collect(server, nil, tampered); !errors.Is(err, ErrRecord) {
 		t.Errorf("tampered coalesced record error = %v", err)
 	}
 	// The failed open must not advance recvSeq: the genuine record still opens.
-	if _, err := server.OpenFrames(rec); err != nil {
+	if _, err := collect(server, nil, rec); err != nil {
 		t.Fatalf("genuine record after tamper rejection: %v", err)
 	}
-	if _, err := server.OpenFrames(rec); !errors.Is(err, ErrRecord) {
+	if _, err := collect(server, nil, rec); !errors.Is(err, ErrRecord) {
 		t.Errorf("replayed coalesced record error = %v", err)
 	}
 }
 
 func TestOpenFramesNotEstablished(t *testing.T) {
 	var s *Session
-	if _, err := s.OpenFrames([]byte{frameCoalesced}); !errors.Is(err, ErrNotEstablished) {
+	if _, err := collect(s, nil, []byte{frameCoalesced}); !errors.Is(err, ErrNotEstablished) {
 		t.Errorf("nil session error = %v", err)
 	}
 	if _, err := (&Session{}).SealFrames([][]byte{[]byte("x")}); !errors.Is(err, ErrNotEstablished) {

@@ -66,15 +66,8 @@ func (s *Server) OnTimer(node.Env, node.TimerKey) {}
 
 // OnEnvelope implements node.Handler.
 func (s *Server) OnEnvelope(env node.Env, e *msg.Envelope) {
-	if e.Kind != msg.KindChannelData {
-		return
-	}
-	raw, err := e.Open()
+	cd, err := e.OpenChannelData()
 	if err != nil {
-		return
-	}
-	cd, ok := raw.(*msg.ChannelData)
-	if !ok {
 		return
 	}
 	sess, ok := s.sessions[cd.ConnID]
@@ -99,18 +92,18 @@ func (s *Server) OnEnvelope(env node.Env, e *msg.Envelope) {
 	}
 	// Plain or coalesced record: one AEAD pass authenticates every sub-frame
 	// before any of them execute.
-	frames, err := sess.sc.OpenFrames(cd.Payload)
+	frames, err := sess.sc.OpenFrames(nil, cd.Payload)
 	if err != nil {
 		return
 	}
 	total := 0
-	for _, f := range frames {
+	for f := range frames.All() {
 		total += len(f)
 	}
 	env.Charge(node.ProfileJava, node.ChargeAEAD, total)
 
 	if s.cfg.HTTP {
-		for _, plaintext := range frames {
+		for plaintext := range frames.All() {
 			sess.httpBuf = append(sess.httpBuf, plaintext...)
 		}
 		for {
@@ -123,7 +116,7 @@ func (s *Server) OnEnvelope(env node.Env, e *msg.Envelope) {
 		}
 	}
 
-	for _, plaintext := range frames {
+	for plaintext := range frames.All() {
 		frame, err := msg.DecodeChannelRequest(plaintext)
 		if err != nil {
 			return
@@ -154,8 +147,5 @@ func (s *Server) execute(env node.Env, sess *session, seq uint64, op []byte, htt
 }
 
 func (s *Server) reply(env node.Env, sess *session, frame []byte) {
-	env.Send(msg.Seal(s.cfg.Self, sess.nodeID, &msg.ChannelData{
-		ConnID:  sess.connID,
-		Payload: frame,
-	}))
+	env.Send(msg.SealChannelData(s.cfg.Self, sess.nodeID, sess.connID, frame))
 }

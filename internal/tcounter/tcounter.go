@@ -243,10 +243,20 @@ const (
 	ECallVerify  = "counter_verify"
 )
 
+// The two results of the verify ecall. The handler returns them as they are:
+// the boundary copies a result out, so no caller ever holds these arrays.
+var verifyPassed, verifyFailed = []byte{1}, []byte{0}
+
 // ECallHandlers returns the ecall table fragment for hosting s inside an
 // enclave; Troxy merges it into its own fixed ecall table. Arguments are
 // decoded by view (the enclave owns its copy of them for the length of the
 // call) and nothing of them is kept.
+//
+// Not inlined: the copies of the handlers that inlining makes in a caller are
+// compiled without inlining of their own, and wire.NewReader as a real call
+// returns a heap object — one allocation per crossing.
+//
+//go:noinline
 func ECallHandlers(s *Subsystem) map[string]func([]byte) ([]byte, error) {
 	return map[string]func([]byte) ([]byte, error){
 		ECallCertify: func(arg []byte) ([]byte, error) {
@@ -278,9 +288,9 @@ func ECallHandlers(s *Subsystem) map[string]func([]byte) ([]byte, error) {
 				return nil, fmt.Errorf("tcounter: verify args: %w", err)
 			}
 			if s.Verify(cert, digest) {
-				return []byte{1}, nil
+				return verifyPassed, nil
 			}
-			return []byte{0}, nil
+			return verifyFailed, nil
 		},
 	}
 }
@@ -341,13 +351,15 @@ func (a EnclaveAuthority) Certify(counter uint32, value uint64, digest msg.Diges
 	return cert, nil
 }
 
-// Verify implements Authority via the counter_verify ecall.
+// Verify implements Authority via the counter_verify ecall, whose one-byte
+// result is copied out onto this frame.
 func (a EnclaveAuthority) Verify(cert msg.CounterCert, digest msg.Digest) bool {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	cert.MarshalWire(w)
 	w.Raw(digest[:])
-	out, err := a.E.ECall(ECallVerify, w.Bytes())
+	var verdict [1]byte
+	out, err := a.E.ECallAppend(verdict[:0], ECallVerify, w.Bytes())
 	if err != nil {
 		return false
 	}

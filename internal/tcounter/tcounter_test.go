@@ -9,6 +9,7 @@ import (
 	"github.com/troxy-bft/troxy/internal/enclave"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/testutil"
+	"github.com/troxy-bft/troxy/internal/wire"
 )
 
 func provisioned(owner msg.NodeID) *Subsystem {
@@ -281,6 +282,41 @@ func TestEnclaveAuthority(t *testing.T) {
 	}
 }
 
+// TestVerifyResultIsNotTrustedMemory: the verify handler answers with one of
+// two arrays it never allocates again, which only works because the boundary
+// copies a result out — a caller that scribbles on what it got must not turn
+// the next rejection into an acceptance.
+func TestVerifyResultIsNotTrustedMemory(t *testing.T) {
+	platform := enclave.NewPlatformWithKey([]byte("hw"))
+	enc, err := platform.Launch(enclave.Definition{Name: "tc", CodeIdentity: "tc-v1"}, Hosted{S: NewSubsystem(0)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Provision(map[string][]byte{SecretName: []byte("k")}); err != nil {
+		t.Fatal(err)
+	}
+	auth := EnclaveAuthority{E: enc}
+	d, other := msg.DigestOf([]byte("x")), msg.DigestOf([]byte("y"))
+	cert, err := auth.Certify(5, 1, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := wire.NewWriter(128)
+	cert.MarshalWire(w)
+	w.Raw(other[:])
+	out, err := enc.ECall(ECallVerify, w.Bytes())
+	if err != nil || len(out) != 1 || out[0] != 0 {
+		t.Fatalf("verify of a wrong digest = %v, %v", out, err)
+	}
+	out[0] = 1
+	if auth.Verify(cert, other) {
+		t.Error("a caller's write to a verify result changed the next one")
+	}
+	if !auth.Verify(cert, d) {
+		t.Error("valid certificate rejected")
+	}
+}
+
 func TestDirectAuthority(t *testing.T) {
 	s := provisioned(1)
 	var auth Authority = Direct{S: s}
@@ -312,6 +348,24 @@ func BenchmarkAllocGate(b *testing.B) {
 	})
 	testutil.AllocGate(b, "Verify", 0, func() {
 		if !s.Verify(cert, digest) {
+			b.Fatal("certificate rejected")
+		}
+	})
+
+	// Across the boundary: the argument is copied into the enclave's buffer
+	// and the one-byte verdict out onto the caller's frame.
+	platform := enclave.NewPlatformWithKey([]byte("hw"))
+	enc, err := platform.Launch(enclave.Definition{Name: "tc", CodeIdentity: "tc-v1"}, &enclaveHost{s: s}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.SetKey([]byte("gate")) // launching reset the subsystem
+	auth := EnclaveAuthority{E: enc}
+	if cert, err = auth.Certify(7, 1, digest); err != nil {
+		b.Fatal(err)
+	}
+	testutil.AllocGate(b, "EnclaveAuthorityVerify", 0, func() {
+		if !auth.Verify(cert, digest) {
 			b.Fatal("certificate rejected")
 		}
 	})

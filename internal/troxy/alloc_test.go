@@ -3,8 +3,12 @@ package troxy
 import (
 	"testing"
 
+	"github.com/troxy-bft/troxy/internal/authn"
+	"github.com/troxy-bft/troxy/internal/enclave"
 	"github.com/troxy-bft/troxy/internal/msg"
+	"github.com/troxy-bft/troxy/internal/node"
 	"github.com/troxy-bft/troxy/internal/testutil"
+	"github.com/troxy-bft/troxy/internal/wire"
 )
 
 // BenchmarkAllocGate holds the voter to what it is allowed to allocate: one
@@ -51,6 +55,64 @@ func BenchmarkAllocGate(b *testing.B) {
 		}
 		if _, pending := core.votes[key]; pending {
 			b.Fatal("vote did not complete")
+		}
+	})
+}
+
+// cannedTrusted answers every ecall with a fixed result: what is left to
+// measure is the crossing itself and the host side of it.
+type cannedTrusted struct{ results map[string]*[]byte }
+
+func (c cannedTrusted) ECalls() map[string]func([]byte) ([]byte, error) {
+	table := make(map[string]func([]byte) ([]byte, error))
+	for name, res := range c.results {
+		table[name] = func([]byte) ([]byte, error) { return *res, nil }
+	}
+	return table
+}
+func (cannedTrusted) OnStart(*enclave.Services)         {}
+func (cannedTrusted) Provision(map[string][]byte) error { return nil }
+
+// BenchmarkAllocGateEnclaveProxy holds the host side of the ecall boundary to
+// its budget: a crossing whose result nothing keeps — a reply's tag, moved on
+// into the reply's own storage, or an Actions with nothing in it — allocates
+// nothing, and a result that carries a client record costs the copy-out and
+// the Actions' Client slice.
+func BenchmarkAllocGateEnclaveProxy(b *testing.B) {
+	_, _, tagger := testSecrets(b)
+	encode := func(acts Actions) []byte {
+		w := wire.NewWriter(256)
+		encodeActions(w, &acts)
+		return w.Bytes()
+	}
+	tagResult := wire.NewWriter(64)
+	tagResult.Bytes32(make([]byte, authn.TagSize))
+	tagBytes, handleReply := tagResult.Bytes(), encode(Actions{})
+	encl, err := enclave.NewPlatformWithKey([]byte("hw")).Launch(
+		enclave.Definition{Name: "canned", CodeIdentity: "canned-v1"},
+		cannedTrusted{results: map[string]*[]byte{ECallAuthReply: &tagBytes, ECallHandleReply: &handleReply}}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	proxy := NewEnclaveProxy(encl)
+	var env node.Env = nullEnv{}
+	rep := makeReply(tagger, 1, msg.OrderRequest{Client: 5, ClientSeq: 1, Op: []byte("PUT k v")}, "OK", []string{"k"})
+
+	testutil.AllocGate(b, "AuthenticateReplyIntoReusedReply", 0, func() {
+		rep.TroxyTag = rep.TroxyTag[:0]
+		if err := proxy.AuthenticateReply(env, rep, false, true, msg.Digest{}); err != nil || len(rep.TroxyTag) != authn.TagSize {
+			b.Fatalf("tag of %d bytes, %v", len(rep.TroxyTag), err)
+		}
+	})
+	testutil.AllocGate(b, "HandleReplyNoAction", 0, func() {
+		if acts, err := proxy.HandleReply(env, rep); err != nil || len(acts.Client) != 0 {
+			b.Fatalf("%+v, %v", acts, err)
+		}
+	})
+	handleReply = encode(Actions{Client: []ClientRecord{{ConnID: 1, Node: 90, Frame: make([]byte, 160)}}})
+	testutil.AllocGate(b, "HandleReplyOneClientRecord", 2, func() {
+		if acts, err := proxy.HandleReply(env, rep); err != nil || len(acts.Client) != 1 {
+			b.Fatalf("%+v, %v", acts, err)
 		}
 	})
 }

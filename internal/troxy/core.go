@@ -133,11 +133,19 @@ type PeerCacheMsg struct {
 	Reply *msg.CacheReply
 }
 
-// merge appends other's outputs.
+// merge appends other's outputs, which the caller gives up: where a has none
+// of a kind yet it takes other's slice as it is.
 func (a *Actions) merge(other Actions) {
-	a.Client = append(a.Client, other.Client...)
-	a.Submits = append(a.Submits, other.Submits...)
-	a.Queries = append(a.Queries, other.Queries...)
+	a.Client = mergeSlice(a.Client, other.Client)
+	a.Submits = mergeSlice(a.Submits, other.Submits)
+	a.Queries = mergeSlice(a.Queries, other.Queries)
+}
+
+func mergeSlice[T any](dst, src []T) []T {
+	if len(dst) == 0 {
+		return src
+	}
+	return append(dst, src...)
 }
 
 // Stats counts Troxy events.
@@ -257,7 +265,7 @@ type queryState struct {
 	opHash    msg.Digest
 	reply     []byte
 	replyHash msg.Digest
-	waiting   map[msg.NodeID]struct{}
+	waiting   uint64 // bit i: replica i's answer is still outstanding
 	fallback  msg.OrderRequest
 }
 
@@ -278,7 +286,14 @@ type Core struct {
 	sessions map[uint64]*session
 	votes    map[voteKey]*voteState
 	queries  map[uint64]*queryState
+	queryOf  map[voteKey]uint64 // the in-flight fast read of a request, kept in step with queries
 	queryCtr uint64
+
+	// plain is where a client record is decrypted: the operations of one
+	// HandleClientData are views of it until the next one overwrites it.
+	plain []byte
+	// others is chooseReplicas' shuffle space.
+	others []msg.NodeID
 
 	cache   *Cache
 	monitor *Monitor
@@ -316,6 +331,8 @@ func (c *Core) Reset() {
 	c.sessions = make(map[uint64]*session)
 	c.votes = make(map[voteKey]*voteState)
 	c.queries = make(map[uint64]*queryState)
+	c.queryOf = make(map[voteKey]uint64)
+	c.plain = nil
 	c.cache = NewCache(c.cfg.CacheCapacity)
 	c.monitor = NewMonitor(c.cfg.MonitorWindow, c.cfg.MonitorThreshold, c.cfg.ProbeInterval)
 	c.stats = Stats{}
@@ -360,7 +377,9 @@ func (c *Core) CloseConn(connID uint64) {
 // HandleClientData processes opaque bytes received on a client connection:
 // handshake frames establish the secure channel; records are decrypted and
 // parsed into operations, which either hit the fast-read path or are
-// submitted for ordering.
+// submitted for ordering. A record is decrypted into a buffer the Core reuses,
+// and the operations of the returned Submits are views of it: they are valid
+// until the next HandleClientData.
 func (c *Core) HandleClientData(now time.Duration, connID uint64, from msg.NodeID, payload []byte) (Actions, error) {
 	var out Actions
 	if !c.Provisioned() {
@@ -391,13 +410,14 @@ func (c *Core) HandleClientData(now time.Duration, connID uint64, from msg.NodeI
 	// A record may be plain or coalesced (a batch of sub-frames sealed under
 	// one AES-GCM pass by the specialized transport); either way the whole
 	// record authenticates before any sub-frame is processed.
-	frames, err := sess.sc.OpenFrames(payload)
+	frames, err := sess.sc.OpenFrames(c.plain, payload)
 	if err != nil {
 		return out, fmt.Errorf("%w: %v", ErrBadChannel, err)
 	}
+	c.plain = frames.Scratch()
 
 	if c.cfg.HTTP {
-		for _, plaintext := range frames {
+		for plaintext := range frames.All() {
 			sess.httpBuf = append(sess.httpBuf, plaintext...)
 		}
 		for {
@@ -420,7 +440,7 @@ func (c *Core) HandleClientData(now time.Duration, connID uint64, from msg.NodeI
 		return out, nil
 	}
 
-	for _, plaintext := range frames {
+	for plaintext := range frames.All() {
 		frame, err := msg.DecodeChannelRequest(plaintext)
 		if err != nil {
 			return out, fmt.Errorf("%w: %v", ErrBadChannel, err)
@@ -457,7 +477,9 @@ func (c *Core) handleOperation(now time.Duration, sess *session, client, clientS
 	// Fast path for reads (Figure 4): check the local cache, then confirm
 	// with f randomly chosen remote Troxies.
 	if read && c.cfg.FastReads && c.monitor.Allow(now) {
-		if _, pending := c.queries[c.pendingQueryFor(key)]; !pending {
+		// A fast read already in flight for this request makes this a client
+		// retransmission: it goes to ordering, and the round goes on.
+		if _, pending := c.queryOf[key]; !pending {
 			if reply := c.cache.Get(opHash); reply != nil {
 				return c.startFastRead(now, sess, key, opHash, op, reply)
 			}
@@ -468,17 +490,6 @@ func (c *Core) handleOperation(now time.Duration, sess *session, client, clientS
 
 	out.Submits = append(out.Submits, c.registerVote(sess, key, opHash, op, read, fast))
 	return out
-}
-
-// pendingQueryFor returns the ID of an in-flight fast read for a vote key
-// (0 if none); used to coalesce client retransmissions.
-func (c *Core) pendingQueryFor(key voteKey) uint64 {
-	for id, qs := range c.queries {
-		if qs.key == key {
-			return id
-		}
-	}
-	return 0
 }
 
 // registerVote creates the voter state for an ordered request and returns
@@ -531,7 +542,6 @@ func (c *Core) startFastRead(now time.Duration, sess *session, key voteKey, opHa
 		opHash:    opHash,
 		reply:     reply,
 		replyHash: msg.DigestOf(reply),
-		waiting:   make(map[msg.NodeID]struct{}, c.cfg.F),
 	}
 	// The fallback outlives this call (it is submitted when a remote cache
 	// disagrees or times out), so it owns its operation bytes.
@@ -545,7 +555,7 @@ func (c *Core) startFastRead(now time.Duration, sess *session, key voteKey, opHa
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	for _, r := range c.chooseReplicas(c.cfg.F) {
-		qs.waiting[r] = struct{}{}
+		qs.waiting |= 1 << uint(r)
 		q := &msg.CacheQuery{From: c.cfg.Self, QueryID: id, ReqDigest: opHash}
 		w.Reset()
 		q.TagInput(w)
@@ -553,19 +563,22 @@ func (c *Core) startFastRead(now time.Duration, sess *session, key voteKey, opHa
 		out.Queries = append(out.Queries, PeerCacheMsg{To: r, Query: q})
 	}
 	c.queries[id] = qs
+	c.queryOf[key] = id
 	return out
 }
 
 // chooseReplicas picks k distinct replicas other than self, uniformly at
 // random (Section IV-B: random selection blunts performance attacks by a
-// faulty replica that always reports mismatches).
+// faulty replica that always reports mismatches). The result is valid until
+// the next call.
 func (c *Core) chooseReplicas(k int) []msg.NodeID {
-	others := make([]msg.NodeID, 0, c.cfg.N-1)
+	others := c.others[:0]
 	for i := 0; i < c.cfg.N; i++ {
 		if id := msg.NodeID(i); id != c.cfg.Self {
 			others = append(others, id)
 		}
 	}
+	c.others = others
 	c.rng.Shuffle(len(others), func(i, j int) { others[i], others[j] = others[j], others[i] })
 	if k > len(others) {
 		k = len(others)
@@ -924,7 +937,8 @@ func (c *Core) HandleCacheReply(now time.Duration, r *msg.CacheReply) (Actions, 
 	if !ok {
 		return out, nil
 	}
-	if _, expected := qs.waiting[r.From]; !expected {
+	from := uint64(1) << uint(r.From)
+	if qs.waiting&from == 0 {
 		return out, nil
 	}
 
@@ -937,14 +951,14 @@ func (c *Core) HandleCacheReply(now time.Duration, r *msg.CacheReply) (Actions, 
 	if !match {
 		return c.fallbackQuery(now, r.QueryID, qs), nil
 	}
-	delete(qs.waiting, r.From)
-	if len(qs.waiting) > 0 {
+	qs.waiting &^= from
+	if qs.waiting != 0 {
 		return out, nil
 	}
 
 	// Fast read succeeded: local entry + f matching remote entries = f+1
 	// Troxies agree, and the write-invalidation quorum intersects this set.
-	delete(c.queries, r.QueryID)
+	c.forgetQuery(r.QueryID, qs)
 	c.stats.FastReadOK++
 	c.monitor.Record(now, false)
 	if rec, err := c.sealToClient(qs.connID, qs.key.clientSeq, msg.StatusOK, qs.reply); err == nil {
@@ -953,10 +967,16 @@ func (c *Core) HandleCacheReply(now time.Duration, r *msg.CacheReply) (Actions, 
 	return out, nil
 }
 
+// forgetQuery ends a fast-read round, however it went.
+func (c *Core) forgetQuery(id uint64, qs *queryState) {
+	delete(c.queries, id)
+	delete(c.queryOf, qs.key)
+}
+
 // fallbackQuery abandons a fast read and orders the request instead.
 func (c *Core) fallbackQuery(now time.Duration, id uint64, qs *queryState) Actions {
 	var out Actions
-	delete(c.queries, id)
+	c.forgetQuery(id, qs)
 	c.stats.FastReadFell++
 	c.monitor.Record(now, true)
 	sess, ok := c.sessions[qs.connID]

@@ -1,6 +1,7 @@
 package troxy
 
 import (
+	"github.com/troxy-bft/troxy/internal/authn"
 	"github.com/troxy-bft/troxy/internal/enclave"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/node"
@@ -28,6 +29,13 @@ type Proxy interface {
 	// Core methods; see internal/troxy.Core.
 	AcceptConn(env node.Env, connID uint64, from msg.NodeID)
 	CloseConn(env node.Env, connID uint64)
+	//
+	// The operations of the Submits HandleClientData returns may be views of
+	// a buffer the implementation reuses for the next record (the direct
+	// binding's are: the Core's plaintext scratch), so they are valid until
+	// the next HandleClientData on this Proxy; the caller submits them —
+	// ordering copies what it keeps — before it hands over more client data.
+	// Every other byte slice in an Actions is the caller's to keep.
 	HandleClientData(env node.Env, connID uint64, from msg.NodeID, payload []byte) (Actions, error)
 	//
 	// rep is the caller's in both reply calls and may be one it reuses: no
@@ -209,12 +217,25 @@ func (p *DirectProxy) Stats() (Stats, error) { return p.core.Stats(), nil }
 // ("etroxy"). Arguments are serialized, defensively copied by the boundary,
 // and results decoded back — the full cost of the paper's trusted subsystem.
 // An argument is built in a pooled writer, released once the ecall returns
-// (the boundary took its own copy); a result is the boundary's copy-out,
-// owned by the caller, and is decoded by view.
+// (the boundary took its own copy); a result is the boundary's copy-out and
+// is decoded by view. The proxy brings room for the two results nothing keeps
+// — a reply's tag, which moves on into the reply's own storage, and the
+// encoding of an empty Actions, which has no bytes to view; any other result
+// is longer than the room it is offered, so the copy-out allocates and the
+// decoded Actions own what they point to.
 type EnclaveProxy struct {
 	enc     *enclave.Enclave
 	profile node.Profile
+	room    [tagResultLen]byte // valid until the next call
 }
+
+const (
+	// tagResultLen is the encoded result of the two authenticate ecalls.
+	tagResultLen = 4 + authn.TagSize
+	// noActionsLen is the encoding of an Actions with nothing in it: three
+	// zero counts.
+	noActionsLen = 12
+)
 
 // NewEnclaveProxy wraps a launched Troxy enclave.
 func NewEnclaveProxy(enc *enclave.Enclave) *EnclaveProxy {
@@ -229,11 +250,28 @@ func (p *EnclaveProxy) Profile() node.Profile { return p.profile }
 // Enclave returns the underlying enclave (tests inspect its stats).
 func (p *EnclaveProxy) Enclave() *enclave.Enclave { return p.enc }
 
-func (p *EnclaveProxy) call(env node.Env, name string, arg []byte) ([]byte, error) {
+// call crosses into the enclave; the result is appended to room.
+func (p *EnclaveProxy) call(env node.Env, room []byte, name string, arg []byte) ([]byte, error) {
 	chargeCommon(env, p.profile, len(arg))
-	out, err := p.enc.ECall(name, arg)
+	out, err := p.enc.ECallAppend(room, name, arg)
 	env.Charge(p.profile, node.ChargeTransition, len(arg)+len(out))
 	return out, err
+}
+
+// actions is call for an ecall whose result is an Actions.
+func (p *EnclaveProxy) actions(env node.Env, name string, arg []byte) ([]byte, error) {
+	return p.call(env, p.room[:0:noActionsLen], name, arg)
+}
+
+// tag is call for the authenticate ecalls: it appends the result's tag to dst.
+func (p *EnclaveProxy) tag(env node.Env, dst []byte, name string, arg []byte) ([]byte, error) {
+	out, err := p.call(env, p.room[:0], name, arg)
+	if err != nil {
+		return dst, err
+	}
+	r := wire.NewReader(out)
+	dst = append(dst, r.Bytes32()...)
+	return dst, r.Finish()
 }
 
 // AcceptConn implements Proxy.
@@ -242,7 +280,7 @@ func (p *EnclaveProxy) AcceptConn(env node.Env, connID uint64, from msg.NodeID) 
 	defer wire.PutWriter(w)
 	w.U64(connID)
 	w.U32(uint32(from))
-	_, _ = p.call(env, ECallAccept, w.Bytes())
+	_, _ = p.call(env, nil, ECallAccept, w.Bytes())
 }
 
 // CloseConn implements Proxy.
@@ -250,7 +288,7 @@ func (p *EnclaveProxy) CloseConn(env node.Env, connID uint64) {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	w.U64(connID)
-	_, _ = p.call(env, ECallClose, w.Bytes())
+	_, _ = p.call(env, nil, ECallClose, w.Bytes())
 }
 
 // HandleClientData implements Proxy.
@@ -261,7 +299,7 @@ func (p *EnclaveProxy) HandleClientData(env node.Env, connID uint64, from msg.No
 	w.U64(connID)
 	w.U32(uint32(from))
 	w.Bytes32(payload)
-	out, err := p.call(env, ECallClientData, w.Bytes())
+	out, err := p.actions(env, ECallClientData, w.Bytes())
 	if err != nil {
 		return Actions{}, err
 	}
@@ -281,14 +319,13 @@ func (p *EnclaveProxy) AuthenticateReply(env node.Env, rep *msg.OrderedReply, re
 	w.Bool(fresh)
 	w.Raw(opHash[:])
 	rep.MarshalWire(w)
-	out, err := p.call(env, ECallAuthReply, w.Bytes())
+	tag, err := p.tag(env, rep.TroxyTag[:0], ECallAuthReply, w.Bytes())
 	if err != nil {
 		return err
 	}
 	env.Charge(p.profile, node.ChargeMAC, len(rep.Result)+64)
-	r := wire.NewReader(out)
-	rep.TroxyTag = r.Bytes32()
-	return r.Finish()
+	rep.TroxyTag = tag
+	return nil
 }
 
 // HandleReply implements Proxy.
@@ -297,7 +334,7 @@ func (p *EnclaveProxy) HandleReply(env node.Env, rep *msg.OrderedReply) (Actions
 	defer wire.PutWriter(w)
 	w.I64(int64(env.Now()))
 	rep.MarshalWire(w)
-	out, err := p.call(env, ECallHandleReply, w.Bytes())
+	out, err := p.actions(env, ECallHandleReply, w.Bytes())
 	if err != nil {
 		return Actions{}, err
 	}
@@ -317,14 +354,13 @@ func (p *EnclaveProxy) AuthenticateSpecReply(env node.Env, sr *msg.SpecReply) er
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	sr.MarshalWire(w)
-	out, err := p.call(env, ECallAuthSpecReply, w.Bytes())
+	tag, err := p.tag(env, sr.TroxyTag[:0], ECallAuthSpecReply, w.Bytes())
 	if err != nil {
 		return err
 	}
 	env.Charge(p.profile, node.ChargeMAC, len(sr.Result)+96)
-	r := wire.NewReader(out)
-	sr.TroxyTag = r.Bytes32()
-	return r.Finish()
+	sr.TroxyTag = tag
+	return nil
 }
 
 // HandleSpecReply implements Proxy.
@@ -333,7 +369,7 @@ func (p *EnclaveProxy) HandleSpecReply(env node.Env, sr *msg.SpecReply) (Actions
 	defer wire.PutWriter(w)
 	w.I64(int64(env.Now()))
 	sr.MarshalWire(w)
-	out, err := p.call(env, ECallSpecReply, w.Bytes())
+	out, err := p.actions(env, ECallSpecReply, w.Bytes())
 	if err != nil {
 		return Actions{}, err
 	}
@@ -356,7 +392,7 @@ func (p *EnclaveProxy) HandleRetract(env node.Env, client, clientSeq, slotSeq, v
 	w.U64(clientSeq)
 	w.U64(slotSeq)
 	w.U64(view)
-	out, err := p.call(env, ECallRetract, w.Bytes())
+	out, err := p.actions(env, ECallRetract, w.Bytes())
 	if err != nil {
 		return Actions{}, err
 	}
@@ -373,7 +409,7 @@ func (p *EnclaveProxy) HandleCacheQuery(env node.Env, q *msg.CacheQuery) (Action
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	q.MarshalWire(w)
-	out, err := p.call(env, ECallCacheQuery, w.Bytes())
+	out, err := p.actions(env, ECallCacheQuery, w.Bytes())
 	if err != nil {
 		return Actions{}, err
 	}
@@ -392,7 +428,7 @@ func (p *EnclaveProxy) HandleCacheReply(env node.Env, r *msg.CacheReply) (Action
 	defer wire.PutWriter(w)
 	w.I64(int64(env.Now()))
 	r.MarshalWire(w)
-	out, err := p.call(env, ECallCacheReply, w.Bytes())
+	out, err := p.actions(env, ECallCacheReply, w.Bytes())
 	if err != nil {
 		return Actions{}, err
 	}
@@ -410,7 +446,7 @@ func (p *EnclaveProxy) Tick(env node.Env) (Actions, error) {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	w.I64(int64(env.Now()))
-	out, err := p.call(env, ECallTick, w.Bytes())
+	out, err := p.actions(env, ECallTick, w.Bytes())
 	if err != nil {
 		return Actions{}, err
 	}

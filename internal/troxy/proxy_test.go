@@ -30,36 +30,42 @@ func (nullEnv) Logf(string, ...any)                       {}
 
 var _ node.Env = nullEnv{}
 
-func newProxyPair(t *testing.T) (direct Proxy, enclaved Proxy, encl *enclave.Enclave) {
+// binding is one Proxy implementation and the Core behind it.
+type binding struct {
+	p    Proxy
+	core *Core
+}
+
+// newBindings builds the two bindings over a Core each, provisioned alike:
+// the direct one, and one hosted in an enclave.
+func newBindings(t testing.TB, cfg Config) (direct, enclaved binding, encl *enclave.Enclave) {
 	t.Helper()
 	secrets, _, _ := testSecrets(t)
-	mkCfg := func() Config {
-		return Config{
-			Self: 0, N: 3, F: 1, Seed: 77,
-			Classify:  classifyKV,
-			FastReads: true,
-		}
-	}
-
-	dc := NewCore(mkCfg())
+	dc := NewCore(cfg)
 	if err := dc.ProvisionSecrets(secrets); err != nil {
 		t.Fatal(err)
 	}
-	direct = NewDirectProxy(dc)
-
-	platform := enclave.NewPlatformWithKey([]byte("hw"))
-	trusted := NewTrusted(NewCore(mkCfg()), tcounter.NewSubsystem(0))
-	encl, err := platform.Launch(enclave.Definition{
+	hosted := NewCore(cfg)
+	encl, err := enclave.NewPlatformWithKey([]byte("hw")).Launch(enclave.Definition{
 		Name: "troxy-test", CodeIdentity: CodeIdentity,
-	}, trusted, nil)
+	}, NewTrusted(hosted, tcounter.NewSubsystem(0)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := encl.Provision(secrets); err != nil {
 		t.Fatal(err)
 	}
-	enclaved = NewEnclaveProxy(encl)
-	return direct, enclaved, encl
+	return binding{NewDirectProxy(dc), dc}, binding{NewEnclaveProxy(encl), hosted}, encl
+}
+
+func newProxyPair(t *testing.T) (direct Proxy, enclaved Proxy, encl *enclave.Enclave) {
+	t.Helper()
+	d, e, encl := newBindings(t, Config{
+		Self: 0, N: 3, F: 1, Seed: 77,
+		Classify:  classifyKV,
+		FastReads: true,
+	})
+	return d.p, e.p, encl
 }
 
 // TestProxyBindingsEquivalent drives the SAME deterministic operation
@@ -72,7 +78,17 @@ func TestProxyBindingsEquivalent(t *testing.T) {
 	_ = secrets
 
 	env := nullEnv{}
-	run := func(p Proxy) (frames [][]byte, submits []msg.OrderRequest, stats Stats) {
+	// A step's submits are recorded as encoded, there and then: their
+	// operations are only valid until the next HandleClientData (the direct
+	// binding's are views of the Core's plaintext buffer), and the direct
+	// binding's requests carry the digest the Core computed, which does not
+	// cross the enclave boundary.
+	encoded := func(acts Actions) []byte {
+		w := wire.NewWriter(256)
+		encodeActions(w, &Actions{Submits: acts.Submits})
+		return w.Bytes()
+	}
+	run := func(p Proxy) (frames, submits [][]byte, stats Stats) {
 		// Deterministic handshake: the same reader stream on both sides.
 		hs, hello, err := securechannel.NewClientHandshake(pub, &bytesReader{})
 		if err != nil {
@@ -108,7 +124,7 @@ func TestProxyBindingsEquivalent(t *testing.T) {
 		// A write, its replies, then a read, its replies, then a repeated
 		// read that hits the cache.
 		acts = send(1, "PUT k v", false)
-		submits = append(submits, acts.Submits...)
+		submits = append(submits, encoded(acts))
 		req := acts.Submits[0]
 		for _, ex := range []msg.NodeID{1, 2} {
 			out, err := p.HandleReply(env, makeReply(tagger, ex, req, "OK", []string{"k"}))
@@ -124,7 +140,7 @@ func TestProxyBindingsEquivalent(t *testing.T) {
 			}
 		}
 		acts = send(2, "GET k", true)
-		submits = append(submits, acts.Submits...)
+		submits = append(submits, encoded(acts))
 		rreq := acts.Submits[0]
 		for _, ex := range []msg.NodeID{1, 2} {
 			out, err := p.HandleReply(env, makeReply(tagger, ex, rreq, "VALUE v", []string{"k"}))
@@ -140,7 +156,7 @@ func TestProxyBindingsEquivalent(t *testing.T) {
 			}
 		}
 		acts = send(3, "GET k", true)
-		submits = append(submits, acts.Submits...)
+		submits = append(submits, encoded(acts))
 		if len(acts.Queries) != 1 || acts.Queries[0].Query == nil {
 			t.Fatalf("expected a cache query on the repeated read, got %+v", acts.Queries)
 		}
@@ -181,15 +197,13 @@ func TestProxyBindingsEquivalent(t *testing.T) {
 			t.Errorf("frame %d differs:\n direct  %q\n enclave %q", i, dFrames[i], eFrames[i])
 		}
 	}
-	// Compared as encoded: the direct binding's requests carry the digest the
-	// Core computed, which does not cross the enclave boundary.
-	encoded := func(submits []msg.OrderRequest) []byte {
-		w := wire.NewWriter(256)
-		encodeActions(w, &Actions{Submits: submits})
-		return w.Bytes()
+	if len(dSubmits) != len(eSubmits) {
+		t.Fatalf("step counts differ: %d vs %d", len(dSubmits), len(eSubmits))
 	}
-	if !bytes.Equal(encoded(dSubmits), encoded(eSubmits)) {
-		t.Errorf("submits differ:\n direct  %+v\n enclave %+v", dSubmits, eSubmits)
+	for i := range dSubmits {
+		if !bytes.Equal(dSubmits[i], eSubmits[i]) {
+			t.Errorf("submits of step %d differ:\n direct  %x\n enclave %x", i, dSubmits[i], eSubmits[i])
+		}
 	}
 	if dStats != eStats {
 		t.Errorf("stats differ:\n direct  %+v\n enclave %+v", dStats, eStats)
@@ -319,5 +333,66 @@ func TestStatsCodecCoversEveryField(t *testing.T) {
 	}
 	if _, err := decodeStats(enc[:len(enc)-1]); err == nil {
 		t.Error("truncated stats decoded without error")
+	}
+}
+
+// TestEnclaveProxyResultsOutliveItsRoom: the enclave binding copies small
+// results into room it reuses, and nothing it returns may still point there:
+// an Actions keeps memory of its own however short it is, and a tag is moved
+// into the reply's storage, reused when the reply is.
+func TestEnclaveProxyResultsOutliveItsRoom(t *testing.T) {
+	_, enclaved, _ := newProxyPair(t)
+	_, pub, _ := testSecrets(t)
+	env := nullEnv{}
+
+	hs, hello, err := securechannel.NewClientHandshake(pub, &bytesReader{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	acts, err := enclaved.HandleClientData(env, 1, 90, hello)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := hs.Finish(acts.Client[0].Frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := sess.Seal(msg.EncodeChannelRequest(&msg.ChannelRequest{Client: 5, Seq: 1, Op: []byte("X")}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, err := enclaved.HandleClientData(env, 1, 90, rec)
+	if err != nil || len(held.Submits) != 1 {
+		t.Fatalf("submits = %+v, %v", held.Submits, err)
+	}
+
+	// Two tags and an empty Actions pass through the room meanwhile.
+	first := &msg.OrderedReply{Executor: 0, Client: 5, ClientSeq: 1, Result: []byte("one")}
+	second := &msg.OrderedReply{Executor: 0, Client: 5, ClientSeq: 2, Result: []byte("two")}
+	if err := enclaved.AuthenticateReply(env, first, false, true, msg.Digest{}); err != nil {
+		t.Fatal(err)
+	}
+	firstTag := bytes.Clone(first.TroxyTag)
+	if err := enclaved.AuthenticateReply(env, second, false, true, msg.Digest{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := enclaved.Tick(env); err != nil {
+		t.Fatal(err)
+	}
+	if string(held.Submits[0].Op) != "X" || held.Submits[0].Client != 5 {
+		t.Errorf("a held submit reads %+v after later calls", held.Submits[0])
+	}
+	if len(firstTag) == 0 || !bytes.Equal(first.TroxyTag, firstTag) || bytes.Equal(second.TroxyTag, firstTag) {
+		t.Errorf("tags after a second reply was authenticated: first %x (was %x), second %x", first.TroxyTag, firstTag, second.TroxyTag)
+	}
+
+	// A reused reply keeps its tag's storage.
+	storage := &first.TroxyTag[0]
+	first.Result, first.TroxyTag = []byte("three"), first.TroxyTag[:0]
+	if err := enclaved.AuthenticateReply(env, first, false, true, msg.Digest{}); err != nil {
+		t.Fatal(err)
+	}
+	if &first.TroxyTag[0] != storage || bytes.Equal(first.TroxyTag, firstTag) {
+		t.Errorf("re-authenticated reply: tag %x in new storage = %v", first.TroxyTag, &first.TroxyTag[0] != storage)
 	}
 }
