@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK := honnef.co/go/tools/cmd/staticcheck@2025.1
 GOVULNCHECK := golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: build test check lint staticcheck govulncheck bench bench-quick bench-check allocs-top fuzz chaos chaos-realnet race soak soak-quick
+.PHONY: build test check lint staticcheck govulncheck bench bench-quick bench-check allocs-top fuzz chaos chaos-realnet race soak soak-quick mutate
 
 build:
 	$(GO) build ./...
@@ -26,15 +26,11 @@ test:
 check: lint staticcheck govulncheck
 	$(GO) test -race ./...
 
-# lint runs go vet plus the repository's own analyzer suite:
-# boundarycheck, copydiscipline, determinism, senderr (syntactic), plus
-# secretflow, lockcheck, exhaustive, quorumcheck, certgate, boundedalloc,
-# allocfree (on the dataflow engine and the interproc call-graph/summary
-# layer) — see cmd/troxy-lint and DESIGN.md "Trust-boundary enforcement".
-# troxy-lint caches per-package results under bin/.lintcache keyed
-# by content (driver binary, export data, sources), so an unchanged tree
-# re-lints from the cache; TROXY_LINT_TIMING=1 prints per-analyzer wall time
-# and the cache hit/miss tally to stderr.
+# lint runs go vet plus the repository's own analyzer suite: boundarycheck,
+# determinism, senderr (syntactic), plus secretflow, lockcheck, allocfree (on
+# the dataflow engine and the interproc call-graph/summary layer) — the six
+# that `make mutate` showed to catch what no other gate catches; see
+# cmd/troxy-lint and DESIGN.md "Trust-boundary enforcement".
 # Any diagnostic fails the build. Suppressions use
 # `//lint:allow <analyzer> <reason>` on or above the offending line; a
 # suppression with an unknown analyzer name or a missing reason is itself
@@ -151,6 +147,15 @@ soak-quick:
 
 soak:
 	TROXY_SOAK_FULL=1 $(GO) test -count=1 -timeout 30m -run 'TestSoakLargeState' -v .
+
+# Score the safety net (see DESIGN.md §9.5): every mutant of internal/mutate
+# is applied to a temporary copy of this tree and run through build, troxy-lint,
+# vet and tier 1, survivors through bench-quick, chaos and soak-quick too; the
+# output is the kill matrix and, per analyzer, the mutants only it killed. A
+# manual target like soak (about 40 s a mutant, 40 minutes in all), for the PR
+# that adds or retires a gate; `go run ./cmd/troxy-mutate <id>...` runs a few.
+mutate:
+	$(GO) run ./cmd/troxy-mutate
 
 # Short fuzz smoke over the wire-facing decoders and the secure channel's
 # frame parsing. Interesting inputs found here are promoted into the

@@ -1,5 +1,5 @@
 // Package allocfree is the static half of the zero-allocation gate
-// (DESIGN.md §9.6): functions annotated `//troxy:hotpath` in their doc
+// (DESIGN.md §9.3): functions annotated `//troxy:hotpath` in their doc
 // comment — the envelope encode path, the realnet send-ring drain, the
 // securechannel seal loop — are certified transitively allocation-free, so
 // the 0 allocs/op claim the benchmarks gate (make bench-quick) holds by

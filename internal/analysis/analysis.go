@@ -7,7 +7,7 @@
 // One driver runs the analyzers (standalone.go, invoked as
 // `troxy-lint ./...`): it loads whole package patterns via
 // `go list -export -deps -json`, resolves imports from the build cache's gc
-// export data, and caches per-package results by content.
+// export data.
 //
 // Suppression: a diagnostic is dropped when the offending line, or the line
 // immediately above it, carries a comment of the form
@@ -23,9 +23,6 @@
 // taken, and stays attached to the code that owns the decision. Test files
 // (*_test.go) are never reported against; the analyzers guard production
 // code.
-//
-// Setting TROXY_LINT_TIMING=1 in the environment prints per-analyzer wall
-// time per package to stderr.
 package analysis
 
 import (
@@ -33,10 +30,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"os"
 	"sort"
 	"strings"
-	"time"
 )
 
 // ModulePath is the import path of this repository's module; the analyzers
@@ -51,17 +46,12 @@ const ModulePath = "github.com/troxy-bft/troxy"
 // the driver registers exactly this set, so the registry cannot drift from
 // cmd/troxy-lint.
 var KnownAnalyzerNames = map[string]bool{
-	"boundarycheck":  true,
-	"copydiscipline": true,
-	"determinism":    true,
-	"senderr":        true,
-	"secretflow":     true,
-	"lockcheck":      true,
-	"exhaustive":     true,
-	"quorumcheck":    true,
-	"certgate":       true,
-	"boundedalloc":   true,
-	"allocfree":      true,
+	"boundarycheck": true,
+	"determinism":   true,
+	"senderr":       true,
+	"secretflow":    true,
+	"lockcheck":     true,
+	"allocfree":     true,
 }
 
 // An Analyzer describes one static check of the suite.
@@ -85,14 +75,11 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// path is the normalized import path (test-variant decorations removed).
 	path   string
 	report func(Diagnostic)
 }
 
-// Path returns the package's import path, normalized for classification:
-// the vet test-variant suffix ("pkg [pkg.test]") and the external-test
-// "_test" suffix are stripped.
+// Path returns the package's import path.
 func (p *Pass) Path() string { return p.path }
 
 // Reportf records a diagnostic at pos.
@@ -122,18 +109,8 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 
-	// Path is the normalized import path (see NormalizePath).
+	// Path is the import path.
 	Path string
-}
-
-// NormalizePath strips the decorations cmd/go puts on test compilation
-// units: "pkg [pkg.test]" (in-package test variant) becomes "pkg", and the
-// external test package "pkg_test" becomes "pkg".
-func NormalizePath(importPath string) string {
-	if i := strings.Index(importPath, " ["); i >= 0 {
-		importPath = importPath[:i]
-	}
-	return strings.TrimSuffix(importPath, "_test")
 }
 
 // RelPath returns the path relative to ModulePath ("" for the module root,
@@ -159,7 +136,6 @@ func Under(rel, root string) bool {
 // in file/line order: findings in _test.go files and findings suppressed by
 // //lint:allow comments are dropped.
 func Analyze(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	timing := os.Getenv("TROXY_LINT_TIMING") != ""
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -171,16 +147,11 @@ func Analyze(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 			path:      pkg.Path,
 			report:    func(d Diagnostic) { diags = append(diags, d) },
 		}
-		start := time.Now()
 		if err := a.Run(pass); err != nil {
 			diags = append(diags, Diagnostic{
 				Analyzer: a.Name,
 				Message:  fmt.Sprintf("internal error: %v", err),
 			})
-		}
-		if timing {
-			fmt.Fprintf(os.Stderr, "troxy-lint timing: %-14s %-50s %8.2fms\n",
-				a.Name, pkg.Path, float64(time.Since(start).Microseconds())/1000)
 		}
 	}
 	sites := parseAllows(pkg)

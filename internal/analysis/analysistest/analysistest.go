@@ -66,7 +66,7 @@ func Run(t *testing.T, a *analysis.Analyzer, importPaths ...string) {
 			Files: lp.files,
 			Types: lp.types,
 			Info:  lp.info,
-			Path:  analysis.NormalizePath(path),
+			Path:  path,
 		}, []*analysis.Analyzer{a})
 		check(t, ld.fset, lp.files, diags)
 	}

@@ -28,14 +28,6 @@ import (
 	"github.com/troxy-bft/troxy/internal/analysis"
 )
 
-// Trusted substrate roots (module-relative).
-var trustedRoots = []string{
-	"internal/enclave",
-	"internal/tcounter",
-	"internal/troxy",
-	"internal/securechannel",
-}
-
 // Untrusted runtime roots (module-relative).
 var untrustedRoots = []string{
 	"internal/realnet",
@@ -127,7 +119,7 @@ func run(pass *analysis.Pass) error {
 	if !ok {
 		return nil
 	}
-	if root, ok := rootOf(rel, trustedRoots); ok {
+	if root, ok := rootOf(rel, analysis.TrustedRoots); ok {
 		checkTrusted(pass, root)
 	}
 	if root, ok := rootOf(rel, untrustedRoots); ok {
@@ -144,7 +136,7 @@ func checkTrusted(pass *analysis.Pass, selfRoot string) {
 			if err != nil {
 				continue
 			}
-			rel, ok := analysis.RelPath(analysis.NormalizePath(path))
+			rel, ok := analysis.RelPath(path)
 			if !ok {
 				continue
 			}
@@ -167,11 +159,11 @@ func checkUntrusted(pass *analysis.Pass, selfRoot string) {
 			if err != nil {
 				continue
 			}
-			rel, ok := analysis.RelPath(analysis.NormalizePath(path))
+			rel, ok := analysis.RelPath(path)
 			if !ok {
 				continue
 			}
-			if root, ok := rootOf(rel, trustedRoots); ok && !permitted[root] {
+			if root, ok := rootOf(rel, analysis.TrustedRoots); ok && !permitted[root] {
 				pass.Reportf(imp.Pos(),
 					"untrusted package %s must not import trusted package %s: the enclave is entered only through the declared ecall surface (see DESIGN.md, trust-boundary enforcement)",
 					selfRoot, root)
@@ -185,11 +177,11 @@ func checkUntrusted(pass *analysis.Pass, selfRoot string) {
 		if obj == nil || obj.Pkg() == nil || obj.Pkg() == pass.Pkg {
 			continue
 		}
-		rel, ok := analysis.RelPath(analysis.NormalizePath(obj.Pkg().Path()))
+		rel, ok := analysis.RelPath(obj.Pkg().Path())
 		if !ok {
 			continue
 		}
-		root, ok := rootOf(rel, trustedRoots)
+		root, ok := rootOf(rel, analysis.TrustedRoots)
 		if !ok {
 			continue
 		}

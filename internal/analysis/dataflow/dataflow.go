@@ -11,11 +11,6 @@
 //   - branches (if/switch/type switch/select) fork the state and join with
 //     set union; paths that end in return/break/continue do not flow into
 //     the join;
-//   - alongside the may-facts, the state carries path-sensitive conditional
-//     must-facts (VerifiedFact, BoundedFact) that join with set
-//     INTERSECTION: branch refinement on verify guards and integer bound
-//     guards establishes them on one side of an if, and a merge with a path
-//     that lacks the guard kills them (see Hooks.Validates / Hooks.Bound);
 //   - loops (for/range) iterate to a fixpoint: the loop-entry state is
 //     joined with the back-edge state until it stabilizes, which terminates
 //     because facts only accumulate under union;
@@ -48,43 +43,21 @@ import (
 // struct-valued lock key for lockcheck).
 type Fact any
 
-// VerifiedFact is the conditional must-fact "Obj passed a successful
-// verification on every path reaching here". It is established by branch
-// refinement on verify guards (see Hooks.Validates) and killed when Obj is
-// reassigned or mutated through a selector/index store.
-type VerifiedFact struct{ Obj types.Object }
-
-// BoundedFact is the conditional must-fact "Obj compared no greater than
-// the named bound constant on every path reaching here". Established by
-// branch refinement on integer comparison guards (see Hooks.Bound), killed
-// on reassignment or mutation of Obj.
-type BoundedFact struct {
-	Obj   types.Object
-	Bound string
-}
-
 // State is a set of facts plus a reachability flag. The zero State is not
-// usable; construct with NewState.
-//
-// The state holds two kinds of facts with opposite join semantics: the
-// original may-facts (taint, held locks — union at joins, a fact survives
-// if ANY incoming path carries it) and conditional must-facts
-// (VerifiedFact, BoundedFact — intersection at joins, a fact survives only
-// if EVERY incoming path established it; a branch that skipped the verify
-// kills the fact at the merge point).
+// usable; construct with NewState. Facts are may-facts (taint, held locks):
+// union at joins, a fact survives if any incoming path carries it.
 type State struct {
 	facts map[Fact]bool
-	must  map[Fact]bool
 	dead  bool // the path ending here cannot continue (return/break/...)
 }
 
 // NewState returns an empty, live state.
 func NewState() *State {
-	return &State{facts: make(map[Fact]bool), must: make(map[Fact]bool)}
+	return &State{facts: make(map[Fact]bool)}
 }
 
 func deadState() *State {
-	return &State{facts: make(map[Fact]bool), must: make(map[Fact]bool), dead: true}
+	return &State{facts: make(map[Fact]bool), dead: true}
 }
 
 // Has reports whether f is in the state.
@@ -107,56 +80,10 @@ func (s *State) Each(fn func(Fact)) {
 	}
 }
 
-// AddMust inserts the conditional must-fact f.
-func (s *State) AddMust(f Fact) { s.must[f] = true }
-
-// HasMust reports whether the must-fact f holds on every path reaching here.
-func (s *State) HasMust(f Fact) bool { return s.must[f] }
-
-// KillMust removes the must-fact f.
-func (s *State) KillMust(f Fact) { delete(s.must, f) }
-
-// Verified reports whether obj carries a VerifiedFact.
-func (s *State) Verified(obj types.Object) bool { return s.must[VerifiedFact{Obj: obj}] }
-
-// BoundOf returns the name of a bound constant obj is dominated by, if any.
-func (s *State) BoundOf(obj types.Object) (string, bool) {
-	for f := range s.must {
-		if b, ok := f.(BoundedFact); ok && b.Obj == obj {
-			return b.Bound, true
-		}
-	}
-	return "", false
-}
-
-// killMustObj removes every must-fact about obj: a reassignment or mutation
-// invalidates both verification and bounds.
-func (s *State) killMustObj(obj types.Object) {
-	for f := range s.must {
-		switch x := f.(type) {
-		case VerifiedFact:
-			if x.Obj == obj {
-				delete(s.must, f)
-			}
-		case BoundedFact:
-			if x.Obj == obj {
-				delete(s.must, f)
-			}
-		}
-	}
-}
-
 func (s *State) clone() *State {
-	c := &State{
-		facts: make(map[Fact]bool, len(s.facts)),
-		must:  make(map[Fact]bool, len(s.must)),
-		dead:  s.dead,
-	}
+	c := &State{facts: make(map[Fact]bool, len(s.facts)), dead: s.dead}
 	for f := range s.facts {
 		c.facts[f] = true
-	}
-	for f := range s.must {
-		c.must[f] = true
 	}
 	return c
 }
@@ -164,12 +91,11 @@ func (s *State) clone() *State {
 // become replaces s's contents with o's.
 func (s *State) become(o *State) {
 	s.facts = o.facts
-	s.must = o.must
 	s.dead = o.dead
 }
 
-// join merges o into s (dead states are the identity element) and reports
-// whether s changed: may-facts union, must-facts intersect.
+// join merges o into s by set union (dead states are the identity element)
+// and reports whether s changed.
 func (s *State) join(o *State) bool {
 	if o == nil || o.dead {
 		return false
@@ -181,22 +107,12 @@ func (s *State) join(o *State) bool {
 		for f := range o.facts {
 			s.facts[f] = true
 		}
-		s.must = make(map[Fact]bool, len(o.must))
-		for f := range o.must {
-			s.must[f] = true
-		}
 		return true
 	}
 	changed := false
 	for f := range o.facts {
 		if !s.facts[f] {
 			s.facts[f] = true
-			changed = true
-		}
-	}
-	for f := range s.must {
-		if !o.must[f] {
-			delete(s.must, f)
 			changed = true
 		}
 	}
@@ -248,22 +164,31 @@ type Hooks struct {
 	// OnReturn observes a return statement during the report pass, with the
 	// taint of each result expression in order. May be nil.
 	OnReturn func(ret *ast.ReturnStmt, tainted []bool, st *State)
+}
 
-	// Validates reports the objects a call verifies when it succeeds (a
-	// non-empty result marks the call as a validator). The engine then
-	// performs branch refinement: on the path where the call's bool result
-	// is true — or its error result is nil, including through an
-	// `err := VerifyX(m); if err != nil { return }` binding — a
-	// VerifiedFact is established for each reported object. May be nil.
-	Validates func(call *ast.CallExpr) []types.Object
-
-	// Bound recognizes a named bound expression (a Max* constant, possibly
-	// behind conversions or arithmetic) in an integer comparison guard and
-	// returns its display name. On the path where a variable compares no
-	// greater than the bound (`if n > MaxY { ... }` fallthrough,
-	// `if n <= MaxY` then-branch, and the mirrored orientations) the engine
-	// establishes a BoundedFact for the variable. May be nil.
-	Bound func(e ast.Expr) (string, bool)
+// FuncBodies returns the bodies of f an analyzer runs the engine on directly:
+// every function declaration, plus the outermost function literals in
+// package-level initializers. (Literals nested inside those bodies are
+// analyzed by the engine itself, with fresh state.)
+func FuncBodies(f *ast.File) []*ast.BlockStmt {
+	var out []*ast.BlockStmt
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Body != nil {
+				out = append(out, d.Body)
+			}
+		case *ast.GenDecl:
+			ast.Inspect(d, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.FuncLit); ok {
+					out = append(out, lit.Body)
+					return false
+				}
+				return true
+			})
+		}
+	}
+	return out
 }
 
 // Run analyzes one function body starting from an empty state. Nested
@@ -294,19 +219,6 @@ type engine struct {
 	h         *Hooks
 	reporting bool
 	loops     []*loopCtx
-
-	// bindings maps an identifier holding a validator call's success signal
-	// (the bool result, or the error result) to the objects that call
-	// validates, so a later `if err != nil { return }` or `if !ok { return }`
-	// guard refines the fallthrough path. The map is syntactic and function-
-	// wide; a rebinding overwrites, and any other store kills the entry.
-	bindings map[types.Object]*condBinding
-}
-
-// condBinding records what one bound success-signal identifier means.
-type condBinding struct {
-	objs   []types.Object
-	isBool bool // true: bool convention (true = verified); false: error (nil = verified)
 }
 
 func (e *engine) onNode(n ast.Node, st *State, deferred bool) {
@@ -364,10 +276,8 @@ func (e *engine) stmt(s ast.Stmt, st *State) {
 		e.stmt(s.Init, st)
 		e.expr(s.Cond, st)
 		then := st.clone()
-		e.refine(s.Cond, true, then)
 		e.block(s.Body, then)
 		els := st.clone()
-		e.refine(s.Cond, false, els)
 		if s.Else != nil {
 			e.stmt(s.Else, els)
 		}
@@ -492,9 +402,6 @@ func (e *engine) stmt(s ast.Stmt, st *State) {
 
 	case *ast.IncDecStmt:
 		e.expr(s.X, st)
-		if root := e.rootObj(s.X); root != nil {
-			st.killMustObj(root)
-		}
 
 	case *ast.EmptyStmt:
 	}
@@ -594,7 +501,6 @@ func (e *engine) switchClauses(body *ast.BlockStmt, st *State, seed func(*ast.Ca
 	}
 	if acc.dead && hasDefault {
 		st.facts = acc.facts
-		st.must = acc.must
 		st.dead = true
 		return
 	}
@@ -621,56 +527,6 @@ func (e *engine) assign(a *ast.AssignStmt, st *State) {
 		t := e.expr(rhs, st)
 		e.store(a.Lhs[i], t, st, compound)
 	}
-	e.recordCondBinding(a)
-}
-
-// recordCondBinding recognizes `err := VerifyX(m)` / `ok := VerifyX(m)` /
-// `v, err := VerifyX(m)` shapes and binds the success-signal identifier to
-// the objects the call validates, for later guard refinement. The error
-// result is preferred when both conventions appear among the targets.
-func (e *engine) recordCondBinding(a *ast.AssignStmt) {
-	if e.h.Validates == nil || len(a.Rhs) != 1 {
-		return
-	}
-	call, ok := ast.Unparen(a.Rhs[0]).(*ast.CallExpr)
-	if !ok {
-		return
-	}
-	objs := e.h.Validates(call)
-	if len(objs) == 0 {
-		return
-	}
-	var target types.Object
-	isBool := false
-	for _, lhs := range a.Lhs {
-		id, ok := ast.Unparen(lhs).(*ast.Ident)
-		if !ok || id.Name == "_" {
-			continue
-		}
-		obj := e.objOf(id)
-		if obj == nil {
-			continue
-		}
-		if e.errorTyped(obj) {
-			target, isBool = obj, false
-			break
-		}
-		if target == nil && isBoolTyped(obj.Type()) {
-			target, isBool = obj, true
-		}
-	}
-	if target == nil {
-		return
-	}
-	if e.bindings == nil {
-		e.bindings = make(map[types.Object]*condBinding)
-	}
-	e.bindings[target] = &condBinding{objs: objs, isBool: isBool}
-}
-
-func isBoolTyped(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsBoolean != 0
 }
 
 // store binds taint to an assignment target. Identifier stores are strong
@@ -686,22 +542,14 @@ func (e *engine) store(lhs ast.Expr, tainted bool, st *State, compound bool) {
 		if obj == nil {
 			return
 		}
-		// Any write invalidates conditional must-facts and bindings: the
-		// verified/bounded value is gone even under a compound assignment.
-		st.killMustObj(obj)
-		delete(e.bindings, obj)
 		if tainted && !e.errorTyped(obj) {
 			st.Add(obj)
 		} else if !compound {
 			st.Kill(obj)
 		}
 	case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr, *ast.SliceExpr:
-		// A store through the root mutates the verified/bounded value too.
-		if root := e.rootObj(lhs); root != nil {
-			st.killMustObj(root)
-			if tainted {
-				st.Add(root)
-			}
+		if root := e.rootObj(lhs); root != nil && tainted {
+			st.Add(root)
 		}
 	}
 }
@@ -714,8 +562,6 @@ func (e *engine) bindIdent(id *ast.Ident, tainted bool, st *State) {
 	if obj == nil {
 		return
 	}
-	st.killMustObj(obj)
-	delete(e.bindings, obj)
 	if tainted && !e.errorTyped(obj) {
 		st.Add(obj)
 	} else {
@@ -828,8 +674,8 @@ func (e *engine) call(call *ast.CallExpr, st *State) bool {
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if _, isBuiltin := e.h.Info.Uses[id].(*types.Builtin); isBuiltin {
 			t := e.builtin(id.Name, call, st)
-			// Builtins are observable too (boundedalloc checks make sizes);
-			// fires after argument evaluation, like user calls.
+			// Builtins are observable too; fires after argument evaluation,
+			// like user calls.
 			e.onNode(call, st, false)
 			return t
 		}
@@ -969,171 +815,6 @@ func (e *engine) funcLit(lit *ast.FuncLit) {
 	}
 	nested := &engine{h: e.h, reporting: true}
 	nested.stmts(lit.Body.List, NewState())
-}
-
-// refine sharpens st with the conditional must-facts implied by cond
-// evaluating to holds. It decomposes boolean structure (&&, ||, !, parens)
-// and recognizes three atomic guard shapes:
-//
-//   - a validator call in boolean position (`if c.Verify(m)`, `if !ok` with
-//     ok bound to a validator's bool result): VerifiedFacts on the success
-//     side;
-//   - an error-nil comparison (`if err != nil`, `if VerifyX(m) == nil`) with
-//     the error bound to — or returned directly by — a validator call:
-//     VerifiedFacts on the nil side;
-//   - an integer comparison against a recognized bound (`if n > MaxY`,
-//     `if MaxY >= n`, through conversions): a BoundedFact on the side where
-//     the variable is no greater than the bound.
-func (e *engine) refine(cond ast.Expr, holds bool, st *State) {
-	if e.h.Validates == nil && e.h.Bound == nil {
-		return
-	}
-	switch x := ast.Unparen(cond).(type) {
-	case *ast.UnaryExpr:
-		if x.Op.String() == "!" {
-			e.refine(x.X, !holds, st)
-		}
-	case *ast.BinaryExpr:
-		switch x.Op.String() {
-		case "&&":
-			// Both conjuncts hold on the true side; the false side learns
-			// nothing (either could have failed).
-			if holds {
-				e.refine(x.X, true, st)
-				e.refine(x.Y, true, st)
-			}
-		case "||":
-			if !holds {
-				e.refine(x.X, false, st)
-				e.refine(x.Y, false, st)
-			}
-		case "==", "!=":
-			e.refineNil(x, holds, st)
-		case "<", "<=", ">", ">=":
-			e.refineBound(x, holds, st)
-		}
-	case *ast.CallExpr:
-		if holds {
-			e.addVerified(x, st)
-		}
-	case *ast.Ident:
-		if obj := e.objOf(x); obj != nil {
-			if b := e.bindings[obj]; b != nil && b.isBool && holds {
-				addVerifiedObjs(b.objs, st)
-			}
-		}
-	}
-}
-
-// refineNil handles `X == nil` / `X != nil` where X is a validator call or
-// an identifier bound to a validator's error result.
-func (e *engine) refineNil(x *ast.BinaryExpr, holds bool, st *State) {
-	if e.h.Validates == nil {
-		return
-	}
-	operand, ok := nonNilOperand(x)
-	if !ok {
-		return
-	}
-	// The side where the error is nil: `== nil` true, `!= nil` false.
-	errNil := (x.Op.String() == "==") == holds
-	if !errNil {
-		return
-	}
-	switch o := ast.Unparen(operand).(type) {
-	case *ast.CallExpr:
-		e.addVerified(o, st)
-	case *ast.Ident:
-		obj := e.objOf(o)
-		if obj == nil {
-			return
-		}
-		if b := e.bindings[obj]; b != nil && !b.isBool {
-			addVerifiedObjs(b.objs, st)
-		}
-	}
-}
-
-// nonNilOperand returns the operand of a comparison whose other side is the
-// predeclared nil.
-func nonNilOperand(x *ast.BinaryExpr) (ast.Expr, bool) {
-	if isNilIdent(x.Y) {
-		return x.X, true
-	}
-	if isNilIdent(x.X) {
-		return x.Y, true
-	}
-	return nil, false
-}
-
-func isNilIdent(e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && id.Name == "nil"
-}
-
-// refineBound handles integer comparisons against a recognized bound in
-// either orientation; the bounded side gets a BoundedFact on the variable.
-func (e *engine) refineBound(x *ast.BinaryExpr, holds bool, st *State) {
-	if e.h.Bound == nil {
-		return
-	}
-	op := x.Op.String()
-	// n OP bound: n is bounded when `n < bound` / `n <= bound` holds, or
-	// `n > bound` / `n >= bound` does not.
-	if obj := e.comparandObj(x.X); obj != nil {
-		if name, ok := e.h.Bound(x.Y); ok {
-			if (holds && (op == "<" || op == "<=")) || (!holds && (op == ">" || op == ">=")) {
-				st.AddMust(BoundedFact{Obj: obj, Bound: name})
-			}
-		}
-	}
-	// bound OP n: mirrored.
-	if obj := e.comparandObj(x.Y); obj != nil {
-		if name, ok := e.h.Bound(x.X); ok {
-			if (holds && (op == ">" || op == ">=")) || (!holds && (op == "<" || op == "<=")) {
-				st.AddMust(BoundedFact{Obj: obj, Bound: name})
-			}
-		}
-	}
-}
-
-// comparandObj resolves the variable a comparison side tests, looking
-// through parens and value conversions (`uint64(n)` tests n).
-func (e *engine) comparandObj(x ast.Expr) types.Object {
-	for {
-		switch v := ast.Unparen(x).(type) {
-		case *ast.Ident:
-			obj := e.objOf(v)
-			if _, isVar := obj.(*types.Var); isVar {
-				return obj
-			}
-			return nil
-		case *ast.CallExpr:
-			// A conversion with one argument passes the test through.
-			if tv, ok := e.h.Info.Types[v.Fun]; ok && tv.IsType() && len(v.Args) == 1 {
-				x = v.Args[0]
-				continue
-			}
-			return nil
-		default:
-			return nil
-		}
-	}
-}
-
-func (e *engine) addVerified(call *ast.CallExpr, st *State) {
-	if e.h.Validates == nil {
-		return
-	}
-	addVerifiedObjs(e.h.Validates(call), st)
-}
-
-func addVerifiedObjs(objs []types.Object, st *State) {
-	for _, obj := range objs {
-		if obj != nil {
-			st.AddMust(VerifiedFact{Obj: obj})
-		}
-	}
 }
 
 func (e *engine) objOf(id *ast.Ident) types.Object {

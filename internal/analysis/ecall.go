@@ -2,11 +2,11 @@ package analysis
 
 import "go/types"
 
-// Shared type predicates for recognizing the ecall boundary surface. The
-// copydiscipline and secretflow analyzers both identify ecall handlers the
-// same way: function values of type func([]byte) ([]byte, error) registered
-// in a map[string]func([]byte) ([]byte, error) table (internal/enclave's
-// ECall dispatch shape).
+// Type predicates for recognizing the ecall boundary surface: secretflow
+// identifies ecall handlers as function values of type
+// func([]byte) ([]byte, error) registered in a
+// map[string]func([]byte) ([]byte, error) table (internal/enclave's ECall
+// dispatch shape).
 
 // TrustedRoots are the module-relative package roots whose code runs inside
 // the enclave (paper Fig. 3: the trusted Troxy subsystem). Everything else
@@ -42,22 +42,22 @@ func IsECallTableType(t types.Type) bool {
 	if b, ok := m.Key().Underlying().(*types.Basic); !ok || b.Kind() != types.String {
 		return false
 	}
-	return IsHandlerSig(m.Elem())
+	return isHandlerSig(m.Elem())
 }
 
-// IsHandlerSig reports whether t is func([]byte) ([]byte, error).
-func IsHandlerSig(t types.Type) bool {
+// isHandlerSig reports whether t is func([]byte) ([]byte, error).
+func isHandlerSig(t types.Type) bool {
 	sig, ok := t.Underlying().(*types.Signature)
 	if !ok || sig.Params().Len() != 1 || sig.Results().Len() != 2 {
 		return false
 	}
-	return IsByteSlice(sig.Params().At(0).Type()) &&
-		IsByteSlice(sig.Results().At(0).Type()) &&
-		IsErrorType(sig.Results().At(1).Type())
+	return isByteSlice(sig.Params().At(0).Type()) &&
+		isByteSlice(sig.Results().At(0).Type()) &&
+		isErrorType(sig.Results().At(1).Type())
 }
 
-// IsByteSlice reports whether t's underlying type is []byte.
-func IsByteSlice(t types.Type) bool {
+// isByteSlice reports whether t's underlying type is []byte.
+func isByteSlice(t types.Type) bool {
 	s, ok := t.Underlying().(*types.Slice)
 	if !ok {
 		return false
@@ -66,8 +66,8 @@ func IsByteSlice(t types.Type) bool {
 	return ok && b.Kind() == types.Byte
 }
 
-// IsErrorType reports whether t is the built-in error type.
-func IsErrorType(t types.Type) bool {
+// isErrorType reports whether t is the built-in error type.
+func isErrorType(t types.Type) bool {
 	named, ok := t.(*types.Named)
 	return ok && named.Obj().Pkg() == nil && named.Obj().Name() == "error"
 }

@@ -17,7 +17,7 @@
 //   - which receiver locks it acquires, transitively through same-receiver
 //     calls (RecvLocks — the callee side of the self-deadlock check).
 //
-// Call-graph resolution, and its soundness caveats (DESIGN.md §9.5):
+// Call-graph resolution, and its soundness caveats (DESIGN.md §9.3):
 //
 //   - static calls and method calls on concrete receivers resolve exactly
 //     (go/types Uses);
@@ -63,20 +63,7 @@ const (
 	EffectIO
 	// EffectECall is a trusted-subsystem transition (enclave.ECall).
 	EffectECall
-	// EffectAlloc is a transitive heap allocation on a non-failure path:
-	// make/new, slice or map literals, &composite escapes, append growth,
-	// string conversions/concatenation, closures, and goroutine spawns.
-	// Allocations inside cold failure blocks (a block ending in a
-	// `return ..., fmt.Errorf(...)`-shaped error exit or a panic) are
-	// exempt — they match the happy-path semantics of the 0 allocs/op
-	// benchmark gate. The allocfree analyzer consumes this bit.
-	EffectAlloc
 )
-
-// EffectBlocking masks the effects that can block the caller indefinitely;
-// lockcheck gates on this mask so the orthogonal EffectAlloc bit does not
-// turn every allocating helper into a held-lock finding.
-const EffectBlocking = EffectSend | EffectIO | EffectECall
 
 func (e Effect) String() string {
 	var parts []string
@@ -88,9 +75,6 @@ func (e Effect) String() string {
 	}
 	if e&EffectECall != 0 {
 		parts = append(parts, "ecall transition")
-	}
-	if e&EffectAlloc != 0 {
-		parts = append(parts, "heap allocation")
 	}
 	if len(parts) == 0 {
 		return "none"
@@ -139,29 +123,9 @@ type Summary struct {
 	// input — the function derives secret material internally.
 	ResultsTainted bool
 
-	// ValidatesRecv / ValidatesParams report that the function verifies its
-	// receiver / i-th declared parameter on every non-failure path: each
-	// success return (bool true, nil error, or a tail call into another
-	// validator) is dominated by a successful verification of that value.
-	// Computed by ComputeValidates; zero until then.
-	ValidatesRecv   bool
-	ValidatesParams []bool
-
 	// RecvLocks are the receiver locks acquired somewhere inside, including
 	// through same-receiver calls.
 	RecvLocks []LockUse
-}
-
-// ValidatesParam reports whether the function validates its i-th declared
-// argument, folding variadic overflow onto the last parameter.
-func (s *Summary) ValidatesParam(i int) bool {
-	if len(s.ValidatesParams) == 0 {
-		return false
-	}
-	if i >= len(s.ValidatesParams) {
-		i = len(s.ValidatesParams) - 1
-	}
-	return s.ValidatesParams[i]
 }
 
 // ArgFlow maps a call-argument index to the matching parameter flow,
@@ -262,7 +226,7 @@ const maxSCCIterations = 32
 // summaries bottom-up. spec may be nil to skip the taint half.
 func Build(files []*ast.File, info *types.Info, pkg *types.Package, spec *TaintSpec) *Graph {
 	g := &Graph{info: info, pkg: pkg, Nodes: make(map[*types.Func]*Node)}
-	nonBlocking := collectNonBlockingSends(files)
+	nonBlocking := NonBlockingSends(files)
 
 	var order []*Node // declaration order, for deterministic iteration
 	for _, f := range files {
@@ -520,7 +484,7 @@ func (g *Graph) computeEffects(nonBlocking map[ast.Node]bool) {
 					if e.Go {
 						continue
 					}
-					for _, bit := range []Effect{EffectSend, EffectIO, EffectECall, EffectAlloc} {
+					for _, bit := range []Effect{EffectSend, EffectIO, EffectECall} {
 						if e.Callee.Sum.Effects&bit == 0 || n.Sum.Effects&bit != 0 {
 							continue
 						}
@@ -537,24 +501,16 @@ func (g *Graph) computeEffects(nonBlocking map[ast.Node]bool) {
 	}
 }
 
-// directEffects records the blocking operations and allocation sites in n's
-// own body (function-literal bodies and go-spawned calls excluded; the
-// literal's own creation and the spawn itself are allocations).
+// directEffects records the blocking operations in n's own body
+// (function-literal bodies and go-spawned calls excluded).
 func (g *Graph) directEffects(n *Node, nonBlocking map[ast.Node]bool) {
-	cold := ColdRegions(g.info, n.Decl.Body)
 	goCalls := make(map[*ast.CallExpr]bool)
 	ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
-		if desc, ok := AllocSite(g.info, node); ok && !cold[node] {
-			n.addEffect(EffectAlloc, desc)
-		}
 		switch x := node.(type) {
 		case *ast.FuncLit:
 			return false
 		case *ast.GoStmt:
 			goCalls[x.Call] = true
-			if !cold[node] {
-				n.addEffect(EffectAlloc, "goroutine spawn")
-			}
 		case *ast.SendStmt:
 			if !nonBlocking[x] {
 				n.addEffect(EffectSend, "channel send")
@@ -802,9 +758,9 @@ func collectOwnReturns(body *ast.BlockStmt) map[*ast.ReturnStmt]bool {
 	return out
 }
 
-// collectNonBlockingSends returns the send statements that are comm clauses
-// of a select containing a default arm: non-blocking by construction.
-func collectNonBlockingSends(files []*ast.File) map[ast.Node]bool {
+// NonBlockingSends returns the send statements that are comm clauses of a
+// select containing a default arm: non-blocking by construction.
+func NonBlockingSends(files []*ast.File) map[ast.Node]bool {
 	out := make(map[ast.Node]bool)
 	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -832,248 +788,8 @@ func collectNonBlockingSends(files []*ast.File) map[ast.Node]bool {
 	return out
 }
 
-// ValidateSpec parameterizes the validates-param half of the summaries; the
-// analyzer that owns the verification vocabulary (certgate) provides it.
-type ValidateSpec struct {
-	// Validator reports whether fn is a base verification function: a
-	// successful call (true bool result or nil error result) establishes
-	// that the values rooted at its arguments — and at its receiver chain —
-	// were verified.
-	Validator func(fn *types.Func) bool
-}
-
-// ComputeValidates fills the ValidatesRecv/ValidatesParams halves of the
-// summaries, bottom-up with a per-SCC fixpoint: a function validates a
-// parameter when every non-failure return is dominated by a successful
-// verification of it (established by branch refinement against the base
-// vocabulary plus the callee summaries of the previous iteration) or is a
-// direct tail call into a validator covering it. Monotone — bits only turn
-// on — so the fixpoint terminates.
-func (g *Graph) ComputeValidates(spec *ValidateSpec) {
-	for _, scc := range g.SCCs {
-		for _, n := range scc {
-			if n.Sum.ValidatesParams == nil {
-				n.Sum.ValidatesParams = make([]bool, len(n.paramObjs)-n.paramStart)
-			}
-		}
-		for iter := 0; iter < maxSCCIterations; iter++ {
-			changed := false
-			for _, n := range scc {
-				if g.validatesOnce(n, spec) {
-					changed = true
-				}
-			}
-			if !changed {
-				break
-			}
-		}
-	}
-}
-
-// validateReturn is what one own-return statement looked like to the
-// validates pass.
-type validateReturn struct {
-	failure  bool                  // a recognizably failing exit (false, fmt.Errorf, ErrX)
-	tail     []types.Object        // objects a direct tail validator call covers
-	verified map[types.Object]bool // param objects holding a VerifiedFact here
-}
-
-// validatesOnce recomputes n's validates summary against current callee
-// summaries and reports whether it grew.
-func (g *Graph) validatesOnce(n *Node, spec *ValidateSpec) bool {
-	sig, _ := n.Fn.Type().(*types.Signature)
-	if sig == nil {
-		return false
-	}
-	res := sig.Results()
-	convError := res.Len() >= 1 && isErrorType(res.At(res.Len()-1).Type())
-	convBool := !convError && res.Len() == 1 && isBoolType(res.At(0).Type())
-	if !convError && !convBool {
-		return false // no recognizable success signal to summarize against
-	}
-
-	var rets []validateReturn
-	h := &dataflow.Hooks{
-		Info: g.info,
-		Validates: func(call *ast.CallExpr) []types.Object {
-			return g.ValidatedArgs(spec, call)
-		},
-		OnReturn: func(ret *ast.ReturnStmt, _ []bool, st *dataflow.State) {
-			if !n.ownReturns[ret] {
-				return
-			}
-			vr := validateReturn{verified: make(map[types.Object]bool)}
-			if len(ret.Results) > 0 {
-				last := ast.Unparen(ret.Results[len(ret.Results)-1])
-				switch {
-				case convBool && isIdentNamed(last, "false"),
-					convError && failureErrorExpr(g.info, last):
-					vr.failure = true
-				default:
-					if call, ok := last.(*ast.CallExpr); ok {
-						vr.tail = g.ValidatedArgs(spec, call)
-					} else if convError && !isIdentNamed(last, "nil") {
-						// `return err` with err's provenance unknown:
-						// conservative, counts as an unverified success path.
-					}
-				}
-			}
-			for _, obj := range n.paramObjs {
-				if obj != nil && st.Verified(obj) {
-					vr.verified[obj] = true
-				}
-			}
-			rets = append(rets, vr)
-		},
-	}
-	dataflow.Run(h, n.Decl.Body)
-
-	changed := false
-	for i, obj := range n.paramObjs {
-		if obj == nil {
-			continue
-		}
-		if !validatesObj(rets, obj) {
-			continue
-		}
-		if n.paramStart == 1 && i == 0 {
-			if !n.Sum.ValidatesRecv {
-				n.Sum.ValidatesRecv = true
-				changed = true
-			}
-		} else if !n.Sum.ValidatesParams[i-n.paramStart] {
-			n.Sum.ValidatesParams[i-n.paramStart] = true
-			changed = true
-		}
-	}
-	return changed
-}
-
-// validatesObj reports whether every non-failure return covers obj and at
-// least one such return exists.
-func validatesObj(rets []validateReturn, obj types.Object) bool {
-	success := 0
-	for _, vr := range rets {
-		if vr.failure {
-			continue
-		}
-		success++
-		if vr.verified[obj] {
-			continue
-		}
-		covered := false
-		for _, t := range vr.tail {
-			if t == obj {
-				covered = true
-				break
-			}
-		}
-		if !covered {
-			return false
-		}
-	}
-	return success > 0
-}
-
-// ValidatedArgs returns the objects a call verifies when it succeeds: the
-// roots of all arguments (and the receiver chain) for a base validator, and
-// the roots of summarized parameters for an in-package callee with a
-// validates-param summary. Empty when the call is not a validator. This is
-// the closure analyzers hand to dataflow.Hooks.Validates.
-func (g *Graph) ValidatedArgs(spec *ValidateSpec, call *ast.CallExpr) []types.Object {
-	fn := CalleeFunc(g.info, call)
-	if fn == nil {
-		return nil
-	}
-	base := spec != nil && spec.Validator != nil && spec.Validator(fn)
-	var node *Node
-	if !base {
-		node = g.Nodes[fn]
-		if node == nil || (!node.Sum.ValidatesRecv && !anyTrue(node.Sum.ValidatesParams)) {
-			return nil
-		}
-	}
-	var out []types.Object
-	add := func(e ast.Expr) {
-		if obj := RootObj(g.info, e); obj != nil {
-			out = append(out, obj)
-		}
-	}
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if base || node.Sum.ValidatesRecv {
-			add(sel.X)
-		}
-	}
-	for i, arg := range call.Args {
-		if base || node.Sum.ValidatesParam(i) {
-			add(arg)
-		}
-	}
-	return out
-}
-
-func anyTrue(bs []bool) bool {
-	for _, b := range bs {
-		if b {
-			return true
-		}
-	}
-	return false
-}
-
-// RootObj returns the object at the base of a selector/index/star/slice
-// chain, looking through parens, unary operators, type assertions, and
-// single-argument conversions (m.Cert.Value → m, (*T)(p).X → p).
-func RootObj(info *types.Info, e ast.Expr) types.Object {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			if obj := info.Uses[x]; obj != nil {
-				return obj
-			}
-			return info.Defs[x]
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.UnaryExpr:
-			e = x.X
-		case *ast.TypeAssertExpr:
-			e = x.X
-		case *ast.CallExpr:
-			if tv, ok := info.Types[x.Fun]; ok && tv.IsType() && len(x.Args) == 1 {
-				e = x.Args[0]
-				continue
-			}
-			return nil
-		default:
-			return nil
-		}
-	}
-}
-
-func isErrorType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Pkg() == nil && named.Obj().Name() == "error"
-}
-
-func isBoolType(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsBoolean != 0
-}
-
-func isIdentNamed(e ast.Expr, name string) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && id.Name == name
-}
-
 // AllocSite classifies one AST node as a direct heap allocation and returns
-// a short description. The vocabulary (shared by the EffectAlloc summary
-// bit and the allocfree analyzer's site-level reporting): make/new, append
+// a short description. The vocabulary of the allocfree analyzer: make/new, append
 // growth, string↔slice conversions, slice/map literals, &composite escapes,
 // string concatenation, and closures. Goroutine spawns are handled by the
 // walkers (the GoStmt, not a sub-expression, is the site). Plain struct
@@ -1155,7 +871,7 @@ func isByteOrRuneSlice(t types.Type) bool {
 // nested block whose last statement is a panic or a return carrying a
 // recognizable error construction (fmt.Errorf, errors.New/Join, &FooError{},
 // a package-level ErrX). Allocations there serve the failure path only —
-// fmt.Errorf in an oversize-frame branch — and are exempt from EffectAlloc,
+// fmt.Errorf in an oversize-frame branch — and are exempt from allocfree,
 // matching the happy-path semantics of the 0 allocs/op benchmark gates.
 // The function body itself never qualifies (a trailing `return err` is the
 // happy path, not a failure exit).
@@ -1178,6 +894,11 @@ func ColdRegions(info *types.Info, body *ast.BlockStmt) map[ast.Node]bool {
 		return false
 	})
 	return cold
+}
+
+func isIdentNamed(e ast.Expr, name string) bool {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	return ok && id.Name == name
 }
 
 // failureExit reports whether stmt is a recognizable failure-path exit.
@@ -1330,8 +1051,7 @@ func BlockingCall(info *types.Info, call *ast.CallExpr) (string, Effect) {
 		return "", 0
 	}
 	sel, _ := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	path := normalizePath(fn.Pkg().Path())
-	switch path {
+	switch fn.Pkg().Path() {
 	case "net":
 		switch fn.Name() {
 		case "Read", "Write", "Accept", "Close":
@@ -1368,13 +1088,6 @@ func BlockingCall(info *types.Info, call *ast.CallExpr) (string, Effect) {
 // package (which would be an import cycle once analysis grows helpers on
 // top of interproc); the constant is asserted equal in the unit tests.
 const modulePath = "github.com/troxy-bft/troxy"
-
-func normalizePath(importPath string) string {
-	if i := strings.Index(importPath, " ["); i >= 0 {
-		importPath = importPath[:i]
-	}
-	return strings.TrimSuffix(importPath, "_test")
-}
 
 // isConnLike reports whether e's type has the net.Conn core methods
 // (Read/Write/Close plus deadlines) without needing the net package loaded.

@@ -222,18 +222,9 @@ func (s *S) pingB() { s.pingA(); s.ch <- 1 }
 		t.Errorf("top send trace = %q, want %q", trace, "mid → send → channel send")
 	}
 	for _, name := range []string{"spawn", "trySend", "makeWork"} {
-		if e := effects(name) & EffectBlocking; e != 0 {
+		if e := effects(name); e != 0 {
 			t.Errorf("%s must have no blocking effects (go spawn / select-default / func literal), got %v", name, e)
 		}
-	}
-	// The spawn and the closure are allocations even though they do not
-	// block; the select with a default arm allocates nothing.
-	if effects("spawn")&EffectAlloc == 0 || effects("makeWork")&EffectAlloc == 0 {
-		t.Errorf("goroutine spawn / closure creation must carry EffectAlloc: spawn=%v makeWork=%v",
-			effects("spawn"), effects("makeWork"))
-	}
-	if effects("trySend")&EffectAlloc != 0 {
-		t.Errorf("trySend allocates nothing, got %v", effects("trySend"))
 	}
 	if effects("deferred")&EffectSend == 0 {
 		t.Errorf("deferred runs the send before returning; EffectSend missing")
@@ -304,85 +295,5 @@ func pong(v []byte, n int) {
 	// The int counter parameter never touches a sink.
 	if f := flow("ping", 1); f.Sinks != 0 {
 		t.Errorf("ping's counter parameter is clean; got %v", f.Sinks)
-	}
-}
-
-func TestValidatesSummaries(t *testing.T) {
-	g := build(t, `
-type M struct{ X int }
-type C struct{ m *M }
-type vError struct{}
-
-func (vError) Error() string { return "bad" }
-
-var ErrBad error = vError{}
-
-func baseVerify(m *M) bool { return m != nil }
-
-func checkTail(m *M) bool { return baseVerify(m) }
-
-func checkGuard(m *M) error {
-	if !baseVerify(m) {
-		return ErrBad
-	}
-	return nil
-}
-
-func leaky(m *M, ok bool) bool {
-	if ok {
-		return true
-	}
-	return baseVerify(m)
-}
-
-func (c *C) check() error {
-	if !baseVerify(c.m) {
-		return ErrBad
-	}
-	return nil
-}
-
-func checkA(m *M, d int) bool {
-	if d > 0 {
-		return checkB(m, d-1)
-	}
-	return baseVerify(m)
-}
-
-func checkB(m *M, d int) bool {
-	if !baseVerify(m) {
-		return false
-	}
-	return checkA(m, d)
-}
-`, nil)
-	g.ComputeValidates(&ValidateSpec{
-		Validator: func(fn *types.Func) bool { return fn.Name() == "baseVerify" },
-	})
-
-	validates := func(name string, i int) bool { return nodeByName(t, g, name).Sum.ValidatesParam(i) }
-
-	if !validates("checkTail", 0) {
-		t.Errorf("checkTail tail-calls the base validator; ValidatesParam(0) missing")
-	}
-	if !validates("checkGuard", 0) {
-		t.Errorf("checkGuard's only success return is verify-dominated; ValidatesParam(0) missing")
-	}
-	if validates("leaky", 0) {
-		t.Errorf("leaky has an unverified success return (return true); must not validate")
-	}
-	if !nodeByName(t, g, "check").Sum.ValidatesRecv {
-		t.Errorf("check verifies a field of its receiver on every success path; ValidatesRecv missing")
-	}
-	// Mutually recursive SCC: checkB validates via its own guard on the
-	// first iteration, which makes checkA's tail call into checkB covering
-	// on the next — the per-SCC fixpoint must converge with both set.
-	if !validates("checkB", 0) || !validates("checkA", 0) {
-		t.Errorf("validates-param lost through the checkA/checkB SCC: A=%v B=%v",
-			validates("checkA", 0), validates("checkB", 0))
-	}
-	// The depth counter is never verified anywhere in the cycle.
-	if validates("checkA", 1) || validates("checkB", 1) {
-		t.Errorf("depth counter must not be marked validated")
 	}
 }

@@ -40,7 +40,6 @@
 package lockcheck
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 	"sort"
@@ -80,50 +79,22 @@ func run(pass *analysis.Pass) error {
 	}
 
 	graph := interproc.Build(pass.Files, pass.TypesInfo, pass.Pkg, nil)
-	nonBlocking := collectNonBlockingSends(pass)
+	nonBlocking := interproc.NonBlockingSends(pass.Files)
 
 	for _, f := range pass.Files {
-		for _, fn := range functions(f) {
-			checkFunc(pass, fn, graph, nonBlocking)
+		for _, body := range dataflow.FuncBodies(f) {
+			checkFunc(pass, body, graph, nonBlocking)
 		}
 	}
 	return nil
 }
 
-// fnInfo is one function to analyze: its body plus the declaration (nil for
-// package-level literals).
-type fnInfo struct {
-	body *ast.BlockStmt
-}
-
-func functions(f *ast.File) []fnInfo {
-	var out []fnInfo
-	for _, decl := range f.Decls {
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			if d.Body != nil {
-				out = append(out, fnInfo{body: d.Body})
-			}
-		case *ast.GenDecl:
-			ast.Inspect(d, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					out = append(out, fnInfo{body: lit.Body})
-					return false
-				}
-				return true
-			})
-		}
-	}
-	return out
-}
-
-func checkFunc(pass *analysis.Pass, fn fnInfo, graph *interproc.Graph, nonBlocking map[ast.Node]bool) {
-	deferred := collectDeferredUnlocks(pass, fn.body)
+func checkFunc(pass *analysis.Pass, body *ast.BlockStmt, graph *interproc.Graph, nonBlocking map[ast.Node]bool) {
+	deferred := collectDeferredUnlocks(pass, body)
 
 	h := &dataflow.Hooks{
 		Info: pass.TypesInfo,
 		TransferCall: func(call *ast.CallExpr, info dataflow.CallInfo, st *dataflow.State) bool {
-			sel, _ := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 			if key, op, ok := lockOp(pass, call); ok {
 				switch op {
 				case "Lock", "RLock":
@@ -163,7 +134,7 @@ func checkFunc(pass *analysis.Pass, fn fnInfo, graph *interproc.Graph, nonBlocki
 			if st.Len() == 0 || info.Deferred {
 				return false
 			}
-			if why := blockingCall(pass, call, sel); why != "" {
+			if why, _ := interproc.BlockingCall(pass.TypesInfo, call); why != "" {
 				if info.Reporting {
 					pass.Reportf(call.Pos(),
 						"%s while holding %s; a stalled peer blocks every goroutine contending for the lock", why, heldList(st))
@@ -173,7 +144,7 @@ func checkFunc(pass *analysis.Pass, fn fnInfo, graph *interproc.Graph, nonBlocki
 			if reportTransitiveEffect(pass, call, st, graph, info.Reporting) {
 				return false
 			}
-			reportSelfDeadlock(pass, call, sel, st, graph, info.Reporting)
+			reportSelfDeadlock(pass, call, st, graph, info.Reporting)
 			return false
 		},
 		OnNode: func(n ast.Node, st *dataflow.State, deferredCall bool) {
@@ -200,146 +171,14 @@ func checkFunc(pass *analysis.Pass, fn fnInfo, graph *interproc.Graph, nonBlocki
 				"return while still holding %s with no deferred unlock; an early return leaks the lock", strings.Join(leaked, ", "))
 		},
 	}
-	dataflow.Run(h, fn.body)
+	dataflow.Run(h, body)
 }
 
-// lockOp recognizes a mutex method call and returns the lock key and the
-// operation name.
+// lockOp recognizes a mutex method call and returns the lock key (write mode)
+// and the operation name.
 func lockOp(pass *analysis.Pass, call *ast.CallExpr) (lockKey, string, bool) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return lockKey{}, "", false
-	}
-	op := sel.Sel.Name
-	switch op {
-	case "Lock", "Unlock", "RLock", "RUnlock":
-	default:
-		return lockKey{}, "", false
-	}
-	if !isMutexType(pass.TypesInfo.Types[sel.X].Type) {
-		return lockKey{}, "", false
-	}
-	key, ok := keyOf(pass, sel.X)
-	if !ok {
-		return lockKey{}, "", false
-	}
-	return key, op, true
-}
-
-// keyOf splits a lock expression into its root object and selector path
-// (c.state.mu -> root c, path ".state.mu").
-func keyOf(pass *analysis.Pass, e ast.Expr) (lockKey, bool) {
-	var parts []string
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			obj := pass.TypesInfo.Uses[x]
-			if obj == nil {
-				obj = pass.TypesInfo.Defs[x]
-			}
-			if obj == nil {
-				return lockKey{}, false
-			}
-			path := ""
-			for i := len(parts) - 1; i >= 0; i-- {
-				path += "." + parts[i]
-			}
-			return lockKey{root: obj, path: path}, true
-		case *ast.SelectorExpr:
-			parts = append(parts, x.Sel.Name)
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.UnaryExpr:
-			e = x.X
-		default:
-			return lockKey{}, false
-		}
-	}
-}
-
-func isMutexType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	if named.Obj().Pkg().Path() != "sync" {
-		return false
-	}
-	name := named.Obj().Name()
-	return name == "Mutex" || name == "RWMutex"
-}
-
-// blockingCall classifies call as a blocking operation, returning a short
-// description or "".
-func blockingCall(pass *analysis.Pass, call *ast.CallExpr, sel *ast.SelectorExpr) string {
-	fn := callee(pass, call)
-	if fn == nil || fn.Pkg() == nil {
-		return ""
-	}
-	path := analysis.NormalizePath(fn.Pkg().Path())
-	switch path {
-	case "net":
-		// Interface method calls on net.Conn and friends resolve to package
-		// net; only flag the potentially-blocking operations.
-		switch fn.Name() {
-		case "Read", "Write", "Accept", "Close":
-			return fmt.Sprintf("net %s call", fn.Name())
-		case "WriteTo":
-			// net.Buffers.WriteTo: the vectored write behind the ring
-			// transport's flush path.
-			return "net vectored write (Buffers.WriteTo)"
-		}
-		return ""
-	case analysis.ModulePath + "/internal/wire":
-		if fn.Name() == "ReadFrame" || fn.Name() == "WriteFrame" {
-			return fmt.Sprintf("frame I/O (wire.%s)", fn.Name())
-		}
-		return ""
-	case analysis.ModulePath + "/internal/enclave":
-		if fn.Name() == "ECall" {
-			return "ecall transition"
-		}
-		return ""
-	}
-	// Concrete Conn types: a Read/Write/Close method on a value that also
-	// implements net.Conn's shape is treated as conn I/O.
-	if sel != nil && isConnLike(pass, sel.X) {
-		switch fn.Name() {
-		case "Read", "Write", "Close":
-			return fmt.Sprintf("conn %s call", fn.Name())
-		}
-	}
-	return ""
-}
-
-// isConnLike reports whether e's type has the net.Conn core methods
-// (Read/Write/Close plus deadlines), without needing the net package loaded.
-func isConnLike(pass *analysis.Pass, e ast.Expr) bool {
-	t := pass.TypesInfo.Types[e].Type
-	if t == nil {
-		return false
-	}
-	need := map[string]bool{"Read": false, "Write": false, "Close": false, "SetDeadline": false}
-	ms := types.NewMethodSet(t)
-	for i := 0; i < ms.Len(); i++ {
-		name := ms.At(i).Obj().Name()
-		if _, ok := need[name]; ok {
-			need[name] = true
-		}
-	}
-	for _, have := range need {
-		if !have {
-			return false
-		}
-	}
-	return true
+	root, path, op, ok := interproc.MutexOp(pass.TypesInfo, call)
+	return lockKey{root: root, path: path}, op, ok
 }
 
 // reportTransitiveEffect flags a call into a same-package function whose
@@ -349,7 +188,7 @@ func isConnLike(pass *analysis.Pass, e ast.Expr) bool {
 // diagnostic applies at this call.
 func reportTransitiveEffect(pass *analysis.Pass, call *ast.CallExpr, st *dataflow.State, graph *interproc.Graph, reporting bool) bool {
 	node := graph.Lookup(interproc.CalleeFunc(pass.TypesInfo, call))
-	if node == nil || node.Sum.Effects&interproc.EffectBlocking == 0 {
+	if node == nil || node.Sum.Effects == 0 {
 		return false
 	}
 	if reporting {
@@ -370,26 +209,27 @@ func reportTransitiveEffect(pass *analysis.Pass, call *ast.CallExpr, st *dataflo
 // reportSelfDeadlock flags a call to a same-package method that acquires —
 // directly or through same-receiver helper calls — a receiver lock the
 // caller already holds on the same object.
-func reportSelfDeadlock(pass *analysis.Pass, call *ast.CallExpr, sel *ast.SelectorExpr, st *dataflow.State, graph *interproc.Graph, reporting bool) {
+func reportSelfDeadlock(pass *analysis.Pass, call *ast.CallExpr, st *dataflow.State, graph *interproc.Graph, reporting bool) {
+	sel, _ := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if sel == nil || !reporting {
 		return
 	}
-	node := graph.Lookup(callee(pass, call))
+	node := graph.Lookup(interproc.CalleeFunc(pass.TypesInfo, call))
 	if node == nil || len(node.Sum.RecvLocks) == 0 {
 		return
 	}
-	root, ok := keyOf(pass, sel.X)
+	root, _, ok := interproc.SplitLockExpr(pass.TypesInfo, sel.X)
 	if !ok {
 		return
 	}
 	for _, l := range node.Sum.RecvLocks {
-		held := lockKey{root.root, l.Path, false}
-		heldR := lockKey{root.root, l.Path, true}
+		held := lockKey{root, l.Path, false}
+		heldR := lockKey{root, l.Path, true}
 		// Write acquire conflicts with anything held; read acquire conflicts
 		// with a held write lock.
 		if st.Has(held) || (!l.Read && st.Has(heldR)) {
 			pass.Reportf(call.Pos(),
-				"call to %s.%s re-acquires %s already held here; self-deadlock", root.root.Name(), node.Fn.Name(), root.root.Name()+l.Path)
+				"call to %s.%s re-acquires %s already held here; self-deadlock", root.Name(), node.Fn.Name(), root.Name()+l.Path)
 			return
 		}
 	}
@@ -419,36 +259,6 @@ func collectDeferredUnlocks(pass *analysis.Pass, body *ast.BlockStmt) map[lockKe
 	return out
 }
 
-// collectNonBlockingSends returns the send statements that are comm clauses
-// of a select containing a default arm: non-blocking by construction.
-func collectNonBlockingSends(pass *analysis.Pass) map[ast.Node]bool {
-	out := make(map[ast.Node]bool)
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectStmt)
-			if !ok {
-				return true
-			}
-			hasDefault := false
-			for _, cl := range sel.Body.List {
-				if comm, ok := cl.(*ast.CommClause); ok && comm.Comm == nil {
-					hasDefault = true
-				}
-			}
-			if !hasDefault {
-				return true
-			}
-			for _, cl := range sel.Body.List {
-				if comm, ok := cl.(*ast.CommClause); ok && comm.Comm != nil {
-					out[comm.Comm] = true
-				}
-			}
-			return true
-		})
-	}
-	return out
-}
-
 func heldList(st *dataflow.State) string {
 	var names []string
 	st.Each(func(f dataflow.Fact) {
@@ -456,16 +266,4 @@ func heldList(st *dataflow.State) string {
 	})
 	sort.Strings(names)
 	return strings.Join(names, ", ")
-}
-
-func callee(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	switch f := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := pass.TypesInfo.Uses[f].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := pass.TypesInfo.Uses[f.Sel].(*types.Func)
-		return fn
-	}
-	return nil
 }

@@ -113,7 +113,7 @@ func run(pass *analysis.Pass) error {
 		if sinkPkgs[pkgPath] {
 			k |= interproc.SinkLog
 		}
-		if !trusted && analysis.NormalizePath(pkgPath) == wirePkg {
+		if !trusted && pkgPath == wirePkg {
 			k |= interproc.SinkWire
 		}
 		return k
@@ -128,7 +128,7 @@ func run(pass *analysis.Pass) error {
 		Info:   pass.TypesInfo,
 		Source: source,
 		TransferCall: func(call *ast.CallExpr, info dataflow.CallInfo, st *dataflow.State) bool {
-			fn := callee(pass, call)
+			fn := interproc.CalleeFunc(pass.TypesInfo, call)
 			if fn == nil || fn.Pkg() == nil {
 				return false
 			}
@@ -173,7 +173,7 @@ func run(pass *analysis.Pass) error {
 				pass.Reportf(call.Pos(),
 					"secret-tainted value reaches %s.%s; key material must never be formatted or logged", pkgBase(pkgPath), fn.Name())
 			}
-			if !trusted && analysis.NormalizePath(pkgPath) == wirePkg {
+			if !trusted && pkgPath == wirePkg {
 				pass.Reportf(call.Pos(),
 					"secret-tainted value written to the wire via %s.%s outside the enclave surface; only ciphertext may leave the trusted packages", pkgBase(pkgPath), fn.Name())
 			}
@@ -193,7 +193,7 @@ func run(pass *analysis.Pass) error {
 	}
 
 	for _, f := range pass.Files {
-		for _, body := range funcBodies(f) {
+		for _, body := range dataflow.FuncBodies(f) {
 			dataflow.Run(h, body)
 		}
 	}
@@ -317,31 +317,6 @@ func collectEnclosing(pass *analysis.Pass) map[*ast.ReturnStmt]ast.Node {
 	return out
 }
 
-// funcBodies returns the bodies the engine should be run on directly: every
-// function declaration, plus outermost function literals in package-level
-// initializers. (Literals nested inside those bodies are analyzed by the
-// engine itself, with fresh state.)
-func funcBodies(f *ast.File) []*ast.BlockStmt {
-	var out []*ast.BlockStmt
-	for _, decl := range f.Decls {
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			if d.Body != nil {
-				out = append(out, d.Body)
-			}
-		case *ast.GenDecl:
-			ast.Inspect(d, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					out = append(out, lit.Body)
-					return false
-				}
-				return true
-			})
-		}
-	}
-	return out
-}
-
 // isSecretType reports whether t is (a pointer to) a private-key type.
 func isSecretType(t types.Type) bool {
 	if t == nil {
@@ -376,18 +351,6 @@ func isDerivation(fn *types.Func) bool {
 		return fn.Name() == "ECDH"
 	}
 	return false
-}
-
-func callee(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	switch f := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := pass.TypesInfo.Uses[f].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := pass.TypesInfo.Uses[f.Sel].(*types.Func)
-		return fn
-	}
-	return nil
 }
 
 func identObj(pass *analysis.Pass, id *ast.Ident) types.Object {

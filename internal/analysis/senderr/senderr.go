@@ -139,7 +139,7 @@ func qualifies(pass *analysis.Pass, call *ast.CallExpr) (fn *types.Func, why str
 		return nil, ""
 	}
 
-	if rel, ok := analysis.RelPath(analysis.NormalizePath(fn.Pkg().Path())); ok && analysis.Under(rel, "internal/wire") {
+	if rel, ok := analysis.RelPath(fn.Pkg().Path()); ok && analysis.Under(rel, "internal/wire") {
 		return fn, "wire encode"
 	}
 	recv := recvName(sig)

@@ -19,9 +19,7 @@ import (
 
 // The driver loads whole package patterns in one process, resolving every
 // import from the gc export data that `go list -export` leaves in the build
-// cache, and memoizes per-package results under bin/.lintcache (see
-// lintcache.go) so an unchanged tree re-lints from the cache. `make lint` and
-// CI invoke it as `troxy-lint ./...`.
+// cache. `make lint` and CI invoke it as `troxy-lint ./...`.
 
 // Main is the entry point of cmd/troxy-lint: it checks the analyzer
 // registry, then analyzes the package patterns on the command line and
@@ -137,20 +135,8 @@ func Standalone(patterns []string, analyzers []*Analyzer) int {
 	}
 	imp := importer.ForCompiler(fset, "gc", lookup)
 
-	cache := newLintCache(analyzers, exports)
-	defer cache.report()
-
 	status := 0
 	for _, p := range targets {
-		if lines, ok := cache.get(p); ok {
-			for _, line := range lines {
-				fmt.Fprintln(os.Stderr, line)
-			}
-			if len(lines) > 0 {
-				status = 2
-			}
-			continue
-		}
 		var files []*ast.File
 		for _, name := range p.GoFiles {
 			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil,
@@ -170,14 +156,11 @@ func Standalone(patterns []string, analyzers []*Analyzer) int {
 		}
 		diags := Analyze(&Package{
 			Fset: fset, Files: files, Types: tpkg, Info: info,
-			Path: NormalizePath(p.ImportPath),
+			Path: p.ImportPath,
 		}, analyzers)
-		lines := make([]string, len(diags))
-		for i, d := range diags {
-			lines[i] = d.String()
-			fmt.Fprintln(os.Stderr, lines[i])
+		for _, d := range diags {
+			fmt.Fprintln(os.Stderr, d)
 		}
-		cache.put(p, lines)
 		if len(diags) > 0 {
 			status = 2
 		}

@@ -115,8 +115,9 @@ type TransitionHook func(ecall string, copiedBytes int)
 // reuses: it is the handler's for the length of the call and is overwritten
 // by a later crossing. Implementations therefore must not retain the
 // argument or a view of it past the call — whatever trusted state keeps, it
-// copies (copydiscipline checks the handlers, and the Troxy's poison tests
-// the state behind them). A handler's result may be memory it reuses as
+// copies (TestRetainedArgumentIsOverwritten shows what a handler that did
+// would read; the Troxy's poison tests hold the state behind the handlers to
+// it). A handler's result may be memory it reuses as
 // well: the boundary has copied it out before the handler's thread slot
 // admits another call.
 type Trusted interface {

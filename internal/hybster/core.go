@@ -126,7 +126,7 @@ type Config struct {
 // Quorum is the certificate size: f+1 distinct replicas suffice because
 // trusted counters remove equivocation (Section II — hybrid fault model
 // quorums, not PBFT's 2f+1). Every vote-count comparison goes through this
-// helper — quorumcheck rejects hand-rolled F-arithmetic.
+// helper.
 func (c Config) Quorum() int { return c.F + 1 }
 
 // Outbound receives the core's outputs. Implementations route messages

@@ -436,3 +436,132 @@ func TestPipelinedConcurrentSubmitRealnet(t *testing.T) {
 			lead.Batches, lead.Proposed)
 	}
 }
+
+// TestForgedCertificateIsRejected hands a core a certified message whose
+// certificate names the right replica, counter, value and digest but whose MAC
+// was minted under another key — what a Byzantine host can fabricate without
+// its trusted counter. The message must be counted against its sender and
+// change nothing: a forged PREPARE is neither admitted nor acknowledged, a
+// forged COMMIT is not a voucher and its slot does not execute, a forged
+// VIEW-CHANGE is neither recorded nor joined, a NEW-VIEW under a forged leader
+// certificate installs no view; the genuine message then does what it should.
+// (Every other test sends honest certificates or forges a field the plain
+// comparisons catch: before this one the Verify calls in OnCommit, OnViewChange
+// and OnNewView could each be deleted with every test green.)
+func TestForgedCertificateIsRejected(t *testing.T) {
+	const depth = 2
+	keyed := func(owner msg.NodeID, key string) *tcounter.Subsystem {
+		s := tcounter.NewSubsystem(owner)
+		s.SetKey([]byte(key))
+		return s
+	}
+	honest := func(owner msg.NodeID) *tcounter.Subsystem { return keyed(owner, "test-counter-key") }
+	forge := func(owner msg.NodeID) *tcounter.Subsystem { return keyed(owner, "not-the-counter-key") }
+	viewChange := func(sub *tcounter.Subsystem, newView uint64) *msg.ViewChange {
+		vc := &msg.ViewChange{Replica: sub.Owner(), NewView: newView}
+		cert, err := sub.Certify(tcounter.ViewChangeCounter, newView, vc.CertDigest())
+		if err != nil {
+			t.Fatal(err)
+		}
+		vc.Cert = cert
+		return vc
+	}
+	var env fakeEnv
+
+	t.Run("prepare", func(t *testing.T) {
+		r, leaderSub := pipelineFollower(t, depth)
+		r.core.OnPrepare(&env, 0, leaderPrepare(t, forge(0), depth, 1))
+		if got := r.core.RejectedCertsFrom(0); got != 1 {
+			t.Errorf("RejectedCertsFrom(leader) = %d after a forged PREPARE, want 1", got)
+		}
+		if e, ok := r.core.log[1]; ok && e.hasPrep {
+			t.Error("a forged PREPARE was admitted to the log")
+		}
+		if m := r.core.Metrics(); m.Committed != 0 || r.core.LastExecuted() != 0 {
+			t.Fatalf("slot 1 committed or executed on a forged PREPARE (committed %d, executed to %d)",
+				m.Committed, r.core.LastExecuted())
+		}
+		r.core.OnPrepare(&env, 0, leaderPrepare(t, leaderSub, depth, 1))
+		if got := r.core.LastExecuted(); got != 1 {
+			t.Errorf("executed up to %d after the genuine PREPARE, want 1", got)
+		}
+	})
+
+	t.Run("commit", func(t *testing.T) {
+		out := &prepareCollector{}
+		core := New(Config{
+			Self:               0,
+			N:                  3,
+			F:                  1,
+			CheckpointInterval: 1 << 30,
+			ViewChangeTimeout:  time.Minute,
+			Authority:          tcounter.Direct{S: honest(0)},
+			App:                app.NewStore(),
+			PipelineDepth:      depth,
+		}, out)
+		core.Submit(&env, &msg.OrderRequest{Origin: 3, Client: 7, ClientSeq: 1, Op: []byte("PUT k v")})
+		if len(out.preps) != 1 {
+			t.Fatalf("leader disseminated %d PREPAREs, want 1", len(out.preps))
+		}
+
+		core.OnCommit(&env, 1, followerCommit(t, forge(1), depth, out.preps[0]))
+		if got := core.RejectedCertsFrom(1); got != 1 {
+			t.Errorf("RejectedCertsFrom(follower) = %d after a forged COMMIT, want 1", got)
+		}
+		if _, vouched := core.log[1].vouchers[1]; vouched {
+			t.Error("a forged COMMIT made its sender a voucher")
+		}
+		if got := core.LastExecuted(); got != 0 {
+			t.Fatalf("slot 1 executed on the leader's own voucher and a forged COMMIT")
+		}
+		core.OnCommit(&env, 1, followerCommit(t, honest(1), depth, out.preps[0]))
+		if got := core.LastExecuted(); got != 1 {
+			t.Errorf("executed up to %d after the genuine COMMIT, want 1", got)
+		}
+	})
+
+	t.Run("view change", func(t *testing.T) {
+		r, _ := pipelineFollower(t, depth)
+		r.core.OnViewChange(&env, 2, viewChange(forge(2), 1))
+		if got := r.core.RejectedCertsFrom(2); got != 1 {
+			t.Errorf("RejectedCertsFrom(2) = %d after a forged VIEW-CHANGE, want 1", got)
+		}
+		if len(r.core.vcs[1]) != 0 || r.core.InViewChange() || r.core.View() != 0 {
+			t.Fatalf("a forged VIEW-CHANGE was recorded (%d votes) or joined (view %d)", len(r.core.vcs[1]), r.core.View())
+		}
+		// The genuine one is joined, and with this replica's own vote the
+		// replica, which leads view 1, installs it.
+		r.core.OnViewChange(&env, 2, viewChange(honest(2), 1))
+		if got := r.core.View(); got != 1 {
+			t.Errorf("view %d after the genuine VIEW-CHANGE, want 1", got)
+		}
+	})
+
+	t.Run("new view", func(t *testing.T) {
+		// Replica 1 leads view 1; replica 2 learns of it from a NEW-VIEW whose
+		// two VIEW-CHANGEs are genuine.
+		core := newStateCore(2, 64<<10, 16).core
+		newView := func(leaderSub *tcounter.Subsystem) *msg.NewView {
+			nv := &msg.NewView{Leader: 1, View: 1, ViewChanges: []msg.ViewChange{
+				*viewChange(honest(0), 1), *viewChange(honest(1), 1),
+			}}
+			cert, err := leaderSub.Certify(tcounter.NewViewCounter, 1, nv.CertDigest())
+			if err != nil {
+				t.Fatal(err)
+			}
+			nv.Cert = cert
+			return nv
+		}
+		core.OnNewView(&env, 1, newView(forge(1)))
+		if got := core.RejectedCertsFrom(1); got != 1 {
+			t.Errorf("RejectedCertsFrom(leader) = %d after a NEW-VIEW under a forged certificate, want 1", got)
+		}
+		if got := core.View(); got != 0 {
+			t.Fatalf("view %d installed from a NEW-VIEW under a forged certificate", got)
+		}
+		core.OnNewView(&env, 1, newView(honest(1)))
+		if got := core.View(); got != 1 {
+			t.Errorf("view %d after the genuine NEW-VIEW, want 1", got)
+		}
+	})
+}

@@ -298,6 +298,33 @@ func TestStateChunkVerification(t *testing.T) {
 	}
 }
 
+// TestLateStateReplyDoesNotRewind: a manifest that arrives after ordinary
+// execution passed the checkpoint ends the fetch instead of installing — the
+// install would put lastExec back below executed entries and wedge the commit
+// queue (the bug PR 4's pipeline tests found). A rewind transfer is the
+// exception: rolling a diverged replica back is what it is for.
+func TestLateStateReplyDoesNotRewind(t *testing.T) {
+	var env fakeEnv
+	srv := newStateCore(0, 64, 4)
+	srv.core.cfg.App.Execute([]byte("PUT k v"))
+	cs := srv.core.buildChunkedSnapshot()
+	for _, rewind := range []bool{false, true} {
+		fc := newStateCore(2, 64, 4).core
+		fc.fetch = &stateFetch{seq: 8, digest: cs.digest, rewind: rewind, peers: []msg.NodeID{0, 1}}
+		fc.lastExec = 9 // execution caught up while the reply was in flight
+		fc.OnStateReply(&env, 0, &msg.StateReply{Seq: 8, Manifest: cs.manifestBytes})
+		if installed := fc.fetch != nil && fc.fetch.manifest != nil; installed != rewind {
+			t.Errorf("rewind %v: manifest installed = %v", rewind, installed)
+		}
+		if !rewind && fc.fetch != nil {
+			t.Error("the overtaken fetch was not abandoned")
+		}
+		if got := fc.LastExecuted(); got != 9 {
+			t.Errorf("rewind %v: LastExecuted = %d after the reply alone, want 9", rewind, got)
+		}
+	}
+}
+
 // catchUp runs the crash/catch-up scenario the transfer tests share: replica 2
 // is cut off early, misses the first script, comes back and has to
 // state-transfer in while a second client runs the second script.

@@ -1,0 +1,385 @@
+package mutate
+
+// Catalogue is every mutant `make mutate` runs, grouped by where the fault
+// comes from. IDs are stable: DESIGN.md §9.5, ROADMAP and CHANGES.md cite them.
+var Catalogue = []Mutant{
+	// Bugs this repository had (CHANGES.md PRs 3, 4 and 8), reintroduced.
+	{
+		ID: "replay-repoisons-cache-at-executor", File: "internal/troxy/core.go",
+		Fault: "PR 3: a reply-cache replay repopulates the executor's fast-read cache",
+		Old:   "if c.cfg.FastReads && fresh {",
+		New:   "if c.cfg.FastReads {",
+	},
+	{
+		ID: "replay-repoisons-cache-at-voter", File: "internal/troxy/core.go",
+		Fault: "PR 3: a vote completed on replayed replies caches a result older than the last write",
+		Old:   "if c.cfg.FastReads && winner.seq > c.lastWriteSeq {",
+		New:   "if c.cfg.FastReads {",
+	},
+	{
+		ID: "late-statereply-rewinds", File: "internal/hybster/statesync.go",
+		Fault: "PR 4: a StateReply that arrives after execution caught up rewinds lastExec",
+		Old:   "if rep.Seq <= c.lastExec && !f.rewind {",
+		New:   "if false {",
+	},
+	{
+		ID: "redrive-loses-client-fifo", File: "internal/hybster/viewchange.go",
+		Fault: "PR 4: the view-change re-drive runs in digest order, a client's later request first",
+		Old: `		if pending[i].Client != pending[j].Client {
+			return pending[i].Client < pending[j].Client
+		}
+		return pending[i].ClientSeq < pending[j].ClientSeq`,
+		New: `		return false`,
+	},
+	{
+		ID: "statetransfer-drops-client-table", File: "internal/hybster/statesync.go",
+		Fault: "PR 4: a state transfer installs the application state without the client table",
+		Old:   "	c.clients = f.clients\n",
+		New:   "",
+	},
+	{
+		ID: "stateprefix-omits-newview", File: "internal/hybster/statesync.go",
+		Fault: "PR 8: the state-transfer prefix no longer carries the NEW-VIEW a sleeper missed",
+		Old:   "Entries: entries, NewView: c.curNewView,",
+		New:   "Entries: entries,",
+	},
+	{
+		ID: "future-view-not-solicited", File: "internal/hybster/core.go",
+		Fault: "PR 8: a replica deferring future-view traffic never asks for the NEW-VIEW",
+		Old:   "		c.out.Send(env, from, &msg.NewViewRequest{View: view})\n",
+		New:   "",
+	},
+
+	// The classics: a dropped check, f for f+1, a dropped copy.
+	{
+		ID: "troxy-reply-tag-unverified", File: "internal/troxy/core.go", Aims: []string{"certgate"},
+		Fault: "the reply voter counts replies whose Troxy tag was never checked",
+		Old:   "if !c.tagger.Verify(rep.Executor, w.Bytes(), rep.TroxyTag) {",
+		New:   "if false {",
+	},
+	{
+		ID: "hybster-commit-cert-unverified", File: "internal/hybster/core.go", Aims: []string{"certgate"},
+		Fault: "a COMMIT with a forged counter certificate becomes a voucher",
+		Old:   "if !c.cfg.Authority.Verify(com.Cert, commitDigest(com.View, com.Seq, com.BatchDigest)) {",
+		New:   "if false {",
+	},
+	{
+		ID: "hybster-prepare-cert-unverified", File: "internal/hybster/core.go", Aims: []string{"certgate"},
+		Fault: "a PREPARE with a forged counter certificate is accepted and acknowledged",
+		Old:   "if !c.cfg.Authority.Verify(prep.Cert, prepareDigest(prep.View, prep.Seq, batchDigest)) {",
+		New:   "if false {",
+	},
+	{
+		ID: "viewchange-cert-unverified", File: "internal/hybster/viewchange.go", Aims: []string{"certgate"},
+		Fault: "a VIEW-CHANGE is recorded, and joined, without its certificates being checked",
+		Old: `	if !c.verifyViewChange(env, vc) {
+		c.rejectCert(from)
+		return
+	}
+	c.recordViewChange(env, vc)`,
+		New: `	c.recordViewChange(env, vc)`,
+	},
+	{
+		ID: "newview-cert-unverified", File: "internal/hybster/viewchange.go", Aims: []string{"certgate"},
+		Fault: "a NEW-VIEW installs a view although the leader's certificate over it is forged",
+		Old:   "		!c.cfg.Authority.Verify(nv.Cert, digest) {\n		c.rejectCert(from)\n		return\n	}\n	c.chargeCounterOp(env)\n	seen :=",
+		New:   "		len(digest) == 0 {\n		c.rejectCert(from)\n		return\n	}\n	c.chargeCounterOp(env)\n	seen :=",
+	},
+	{
+		ID: "specreply-cert-unverified", File: "internal/hybster/spec.go", Aims: []string{"certgate"},
+		Fault: "a speculative reply counts toward the fast quorum on a forged certificate",
+		Old:   "if !c.cfg.Authority.Verify(sr.Cert, bound) {",
+		New:   "if len(bound) == 0 {",
+	},
+	{
+		ID: "replica-transport-mac-unchecked", File: "internal/replica/replica.go",
+		Fault: "envelopes are dispatched without their transport MAC being checked",
+		Old:   "if !r.auth.VerifyMAC(e) {",
+		New:   "if false {",
+	},
+	{
+		ID: "troxy-vote-quorum-f", File: "internal/troxy/core.go", Aims: []string{"quorumcheck"},
+		Fault: "the reply voter answers on f matching replies",
+		Old:   "	if matching < c.cfg.Quorum() {\n		return out, nil\n	}\n\n	// Quorum reached",
+		New:   "	if matching < c.cfg.F {\n		return out, nil\n	}\n\n	// Quorum reached",
+	},
+	{
+		ID: "troxy-vote-quorum-f-plus-1", File: "internal/troxy/core.go", Aims: []string{"quorumcheck"},
+		Equivalent: "Config.Quorum() returns c.F + 1: the same program, spelled out",
+		Fault:      "the reply voter hand-rolls f+1",
+		Old:        "	if matching < c.cfg.Quorum() {\n		return out, nil\n	}\n\n	// Quorum reached",
+		New:        "	if matching < c.cfg.F+1 {\n		return out, nil\n	}\n\n	// Quorum reached",
+	},
+	{
+		ID: "hybster-quorum-f", File: "internal/hybster/core.go",
+		Fault: "certificates, checkpoints and view changes need f votes",
+		Old:   "func (c Config) Quorum() int { return c.F + 1 }",
+		New:   "func (c Config) Quorum() int { return c.F }",
+	},
+	{
+		ID: "hybster-commit-quorum-skips-threshold", File: "internal/hybster/core.go", Aims: []string{"quorumcheck"},
+		Fault: "a batch commits on f+2 vouchers: one crashed replica stops the cluster",
+		Old:   "if !e.hasPrep || len(e.vouchers) < c.quorum() {\n		return",
+		New:   "if !e.hasPrep || len(e.vouchers) <= c.quorum() {\n		return",
+	},
+	{
+		ID: "checkpoint-quorum-majority-arith", File: "internal/hybster/core.go", Aims: []string{"quorumcheck"},
+		Fault: "a checkpoint is stable on N/2 = f matching votes",
+		Old:   "if matching < c.quorum() {",
+		New:   "if matching < c.cfg.N/2 {",
+	},
+	{
+		ID: "enclave-copy-in-dropped", File: "internal/enclave/enclave.go", Aims: []string{"copydiscipline"},
+		Fault: "the ecall boundary hands trusted code the caller's buffer, not a copy",
+		Old:   "		buf = append(buf[:0], arg...)\n		in = buf",
+		New:   "		in = arg",
+	},
+	{
+		ID: "troxy-fallback-op-not-cloned", File: "internal/troxy/core.go", Aims: []string{"copydiscipline"},
+		Fault: "a fast read keeps a view of the ecall argument for its fallback request",
+		Old:   "Op:        bytes.Clone(op),",
+		New:   "Op:        op,",
+	},
+	{
+		ID: "hybster-submit-not-cloned", File: "internal/hybster/core.go",
+		Fault: "the ordering core keeps the caller's request, whose operation is a reused buffer",
+		Old:   "		held = req.Clone()\n",
+		New:   "		held = req\n",
+	},
+	{
+		ID: "enclave-provision-copy-dropped", File: "internal/enclave/enclave.go", Aims: []string{"copydiscipline"},
+		Fault: "provisioning forwards the caller's secret buffers by reference",
+		Old:   "		c := make([]byte, len(v))\n		copy(c, v)\n		in[k] = c",
+		New:   "		in[k] = v",
+	},
+
+	// Untrusted lengths that size an allocation.
+	{
+		ID: "manifest-chunk-cap-dropped", File: "internal/hybster/snapshot.go", Aims: []string{"boundedalloc"},
+		Equivalent: "the next check ties n to the bytes present, so the table is at most 16/36 of a manifest that already arrived and passed the quorum digest; the inputs it newly admits (over 2^20 chunks) break no stated bound",
+		Fault:      "decodeManifest loses its maxManifestChunks guard",
+		Old: `	if n > maxManifestChunks {
+		return nil, fmt.Errorf("manifest claims %d chunks, cap %d", n, maxManifestChunks)
+	}
+`,
+		New: "",
+	},
+	{
+		ID: "manifest-chunk-bounds-dropped", File: "internal/hybster/snapshot.go", Aims: []string{"boundedalloc"},
+		Fault: "decodeManifest allocates whatever table a four-byte count claims",
+		Old: `	if n > maxManifestChunks {
+		return nil, fmt.Errorf("manifest claims %d chunks, cap %d", n, maxManifestChunks)
+	}
+	// Bound the table allocation by the bytes actually present: a short
+	// message claiming a huge table must fail before allocating it.
+	if uint64(n)*uint64(manifestEntryLen) != uint64(r.Remaining()) {
+		return nil, fmt.Errorf("manifest claims %d chunks with %d bytes left", n, r.Remaining())
+	}
+`,
+		New: "",
+	},
+	{
+		ID: "wire-readframe-cap-dropped", File: "internal/wire/wire.go", Aims: []string{"boundedalloc"},
+		Fault: "ReadFrame allocates the four GiB a hostile frame header claims",
+		Old: `	n := binary.LittleEndian.Uint32(hdr[:])
+	if n > MaxFrameLen {
+		return nil, fmt.Errorf("%w: frame of %d bytes", ErrTooLarge, n)
+	}
+`,
+		New: "	n := binary.LittleEndian.Uint32(hdr[:])\n",
+	},
+	{
+		ID: "wire-chunkreader-cap-dropped", File: "internal/wire/wire.go", Aims: []string{"boundedalloc"},
+		Fault: "the chunked ingress reader grows its buffer to whatever a frame header claims",
+		Old: `			n := int(binary.LittleEndian.Uint32(c.buf[c.off:]))
+			if n > MaxFrameLen {
+				return nil, fmt.Errorf("%w: frame of %d bytes", ErrTooLarge, n)
+			}
+`,
+		New: "			n := int(binary.LittleEndian.Uint32(c.buf[c.off:]))\n",
+	},
+	{
+		ID: "batch-decode-prealloc-unclamped", File: "internal/msg/types.go", Aims: []string{"boundedalloc"},
+		Fault: "a four-byte batch header preallocates up to 2^20 requests",
+		Old:   "m.Reqs = make([]OrderRequest, 0, min(n, 64))",
+		New:   "m.Reqs = make([]OrderRequest, 0, n)",
+	},
+
+	// Determinism of the replicated core and of the simulator per seed.
+	{
+		ID: "snapshot-head-unsorted", File: "internal/hybster/snapshot.go", Aims: []string{"determinism"},
+		Fault: "the client table is serialized in map order: replicas vote different checkpoint digests",
+		Old:   "sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })\n	w.U32(uint32(len(ids)))",
+		New:   "sort.Slice(ids, func(i, j int) bool { return false })\n	w.U32(uint32(len(ids)))",
+	},
+	{
+		ID: "fetch-jitter-global-rand", File: "internal/hybster/statesync.go", Import: "math/rand", Aims: []string{"determinism"},
+		Fault: "the state-fetch retry timer draws its jitter from the process-global source",
+		Old:   "time.Duration(env.Rand().Int63n(int64(d)))",
+		New:   "time.Duration(rand.Int63n(int64(d)))",
+	},
+	{
+		ID: "troxy-replica-choice-global-rand", File: "internal/troxy/core.go", Aims: []string{"determinism"},
+		Fault: "fast reads pick the replicas they confirm with from the process-global source",
+		Old:   "c.rng.Shuffle(len(others),",
+		New:   "rand.Shuffle(len(others),",
+	},
+	{
+		ID: "troxy-query-start-wall-clock", File: "internal/troxy/core.go", Aims: []string{"determinism"},
+		Fault: "a fast read is stamped with the wall clock and expired against the caller's time",
+		Old:   "		started:   now,\n",
+		New:   "		started:   time.Duration(time.Now().UnixNano()),\n",
+	},
+	{
+		ID: "spec-retractions-in-map-order", File: "internal/hybster/spec.go", Aims: []string{"determinism"},
+		Fault: "a rollback retracts outstanding speculations in map order",
+		Old:   "	for _, k := range keys {\n		rec := c.specOut[k]",
+		New:   "	for k := range c.specOut {\n		rec := c.specOut[k]",
+	},
+	{
+		ID: "troxy-tick-expiry-unsorted", File: "internal/troxy/core.go", Aims: []string{"determinism"},
+		Fault: "timed-out fast reads fall back to ordering in map order",
+		Old:   "sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })",
+		New:   "sort.Slice(expired, func(i, j int) bool { return false })",
+	},
+
+	// Locks, send errors, secrets, message kinds, the trust boundary.
+	{
+		ID: "conn-write-holds-lock", File: "internal/securechannel/conn.go", Aims: []string{"lockcheck"},
+		Fault: "the secure-channel writer holds wmu across the socket write: no writer can queue behind a flush",
+		Old: `		c.wmu.Unlock()
+		if err == nil {
+			_, err = bufs.WriteTo(c.raw)
+		}
+		c.wmu.Lock()
+`,
+		New: `		if err == nil {
+			_, err = bufs.WriteTo(c.raw)
+		}
+`,
+	},
+	{
+		ID: "gateway-close-holds-lock", File: "internal/realnet/tcp.go", Aims: []string{"lockcheck"},
+		Fault: "Gateway.Close closes client sockets under g.mu, which accept and teardown contend on",
+		Old: `	g.mu.Unlock()
+	for _, conn := range conns {
+		conn.Close()
+	}
+	if l != nil {`,
+		New: `	for _, conn := range conns {
+		conn.Close()
+	}
+	g.mu.Unlock()
+	if l != nil {`,
+	},
+	{
+		ID: "realnet-enqueue-leaks-lock", File: "internal/realnet/realnet.go", Aims: []string{"lockcheck"},
+		Fault: "a delivery to a stopped node returns with the mailbox lock held",
+		Old:   "	if n.closed {\n		n.mu.Unlock()\n		return\n	}\n	if len(n.queue) == cap(n.queue)",
+		New:   "	if n.closed {\n		return\n	}\n	if len(n.queue) == cap(n.queue)",
+	},
+	{
+		ID: "gateway-payload-error-dropped", File: "internal/realnet/tcp.go", Aims: []string{"senderr"},
+		Fault: "the gateway queues a client-bound frame whose encoding failed",
+		Old: `	if err := wire.AppendFramePayload(w, cd.Payload); err != nil {
+		wire.PutWriter(w)
+		h.gw.sendFailures.Add(1)
+		return
+	}
+`,
+		New: "	_ = wire.AppendFramePayload(w, cd.Payload)\n",
+	},
+	{
+		ID: "client-write-error-dropped", File: "internal/legacyclient/dial.go", Aims: []string{"senderr"},
+		Fault: "the TCP client waits out its deadline for a reply to a request it failed to send",
+		Old: `	if err := wire.WriteFrame(c.conn, record); err != nil {
+		return nil, err
+	}
+	for {`,
+		New: `	_ = wire.WriteFrame(c.conn, record)
+	for {`,
+	},
+	{
+		ID: "tcounter-error-leaks-key", File: "internal/tcounter/tcounter.go", Aims: []string{"secretflow"},
+		Fault: "a refused certification formats the counter key into an error the host logs",
+		Old:   `fmt.Errorf("%w: counter %d at %d, asked %d",` + "\n			ErrNotMonotonic, counter, last, value)",
+		New:   `fmt.Errorf("%w: counter %d at %d, asked %d (key %x)",` + "\n			ErrNotMonotonic, counter, last, value, s.key)",
+	},
+	{
+		ID: "troxy-handshake-error-leaks-identity", File: "internal/troxy/core.go", Aims: []string{"secretflow"},
+		Fault: "a failed handshake formats the service's private key into an error the host logs",
+		Old:   "			return out, fmt.Errorf(\"%w: %v\", ErrBadChannel, err)\n		}\n		sess.sc = sc",
+		New:   "			return out, fmt.Errorf(\"%w: %v (identity %x)\", ErrBadChannel, err, c.identity)\n		}\n		sess.sc = sc",
+	},
+	{
+		ID: "report-ecall-leaks-identity", File: "internal/troxy/trusted.go", Aims: []string{"secretflow"},
+		Fault: "the attestation-report ecall returns the service's private key to the host",
+		Old:   "			out = append(out, arg...)\n			return out, nil",
+		New:   "			out = append(out, arg...)\n			out = append(out, t.core.identity...)\n			return out, nil",
+	},
+	{
+		ID: "replica-drops-newviewrequest-case", File: "internal/replica/replica.go", Aims: []string{"exhaustive"},
+		Fault: "the replica's dispatch loses a message kind, which falls to the counting default",
+		Old:   "	case *msg.NewViewRequest:\n		r.core.OnNewViewRequest(env, e.From, m)\n",
+		New:   "",
+	},
+	{
+		ID: "replica-default-arm-dropped", File: "internal/replica/replica.go", Aims: []string{"exhaustive"},
+		Fault: "the replica's dispatch loses the default arm that counts the kinds it does not handle",
+		Old: `	default:
+		// ChannelData is intercepted above; BFTReply is client-bound, Batch
+		// only travels inside PREPAREs and OrderedReply inside ReplyBatches.
+		// Count anything else so a new message kind that is wired here but
+		// not handled shows up.
+		r.stats.Unhandled++
+`,
+		New: "",
+	},
+	{
+		ID: "deferred-replay-drops-commit", File: "internal/hybster/core.go", Aims: []string{"exhaustive"},
+		Fault: "COMMITs deferred to a future view are dropped when the view installs",
+		Old:   "		case *msg.Commit:\n			c.OnCommit(env, d.from, m)\n",
+		New:   "",
+	},
+	{
+		ID: "tcounter-certify-ocall", File: "internal/tcounter/tcounter.go", Import: "github.com/troxy-bft/troxy/internal/realnet",
+		Aims:  []string{"boundarycheck"},
+		Fault: "the trusted counter calls out to the untrusted TCP runtime with every statement it certifies",
+		Old:   "	s.counters[counter] = value\n	s.certs++\n",
+		New:   "	s.counters[counter] = value\n	s.certs++\n	realnet.NewRouter().Send(&msg.Envelope{From: s.owner, To: s.owner, Kind: msg.KindCheckpoint, Body: digest[:]})\n",
+	},
+	{
+		ID: "troxy-provision-ocall", File: "internal/troxy/core.go", Import: "github.com/troxy-bft/troxy/internal/realnet",
+		Aims:  []string{"boundarycheck"},
+		Fault: "the Troxy hands the group secret to the untrusted TCP runtime as it is provisioned",
+		Old:   "	c.tagger = authn.NewGroupTagger(group)\n",
+		New:   "	c.tagger = authn.NewGroupTagger(group)\n	realnet.NewRouter().Send(&msg.Envelope{From: c.cfg.Self, To: c.cfg.Self, Kind: msg.KindChannelData, Body: group})\n",
+	},
+	{
+		ID: "troxy-plaintext-ocall", File: "internal/troxy/core.go", Import: "github.com/troxy-bft/troxy/internal/realnet",
+		Aims:  []string{"boundarycheck"},
+		Fault: "the Troxy hands every client-bound plaintext to the untrusted TCP runtime before sealing it",
+		Old:   "	record, err := sess.sc.Seal(plaintext)\n",
+		New:   "	realnet.NewRouter().Send(&msg.Envelope{From: c.cfg.Self, To: sess.node, Kind: msg.KindChannelData, Body: plaintext})\n	record, err := sess.sc.Seal(plaintext)\n",
+	},
+
+	// Allocations on annotated hot paths.
+	{
+		ID: "commit-marshal-allocates", File: "internal/msg/types.go", Aims: []string{"allocfree"},
+		Fault: "encoding a COMMIT copies its digest through the heap",
+		Old:   "	writeDigest(w, m.BatchDigest)\n	m.Cert.MarshalWire(w)\n}",
+		New:   "	w.Raw(append([]byte(nil), m.BatchDigest[:]...))\n	m.Cert.MarshalWire(w)\n}",
+	},
+	{
+		ID: "envelope-frame-allocates", File: "internal/msg/msg.go", Aims: []string{"allocfree"},
+		Fault: "the ring transport's frame encoder copies every body before writing it",
+		Old:   "	w.Bytes32(e.Body)\n	w.Bytes32(e.MAC)\n	return w.EndFrame(mark)",
+		New:   "	w.Bytes32(append([]byte(nil), e.Body...))\n	w.Bytes32(e.MAC)\n	return w.EndFrame(mark)",
+	},
+	{
+		ID: "ring-take-allocates", File: "internal/realnet/ring.go", Aims: []string{"allocfree"},
+		Fault: "every drain of a send ring allocates the next slot array",
+		Old:   "	r.slots = r.spare[:0]\n",
+		New:   "	r.slots = make([]*wire.Writer, 0, ringCapacity)\n",
+	},
+}

@@ -251,6 +251,14 @@ func TestReplyBatchWithoutTroxyIsUnhandled(t *testing.T) {
 	if st := reps[0].Stats(); st.Unhandled != 1 || st.BadBatches != 0 || st.BadMACs != 0 {
 		t.Errorf("stats = %+v, want one unhandled message", st)
 	}
+	// Nor has any replica a handler for a client-bound kind: the dispatch's
+	// default arm counts it.
+	stray := msg.Seal(1, 0, &msg.BFTReply{Executor: 1, Client: 5, ClientSeq: 1})
+	authn.NewAuthenticator(1, dir).SealMAC(stray)
+	reps[0].OnEnvelope(&tapEnv{self: 0}, stray)
+	if st := reps[0].Stats(); st.Unhandled != 2 || st.BadMACs != 0 {
+		t.Errorf("stats = %+v, want a second unhandled message", st)
+	}
 }
 
 // BenchmarkAllocGate: a reply for a remote origin is built in the replica's

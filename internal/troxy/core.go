@@ -103,8 +103,7 @@ type Config struct {
 
 // Quorum is the reply-vote threshold: f+1 matching replies guarantee at
 // least one comes from a correct replica (Section III-C). Every vote-count
-// comparison goes through this helper — quorumcheck rejects hand-rolled
-// F-arithmetic.
+// comparison goes through this helper.
 func (c Config) Quorum() int { return c.F + 1 }
 
 // Actions is what the untrusted replica part must do after an ecall: send

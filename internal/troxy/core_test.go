@@ -446,6 +446,24 @@ func TestReplayedReplyDoesNotRepoisonCache(t *testing.T) {
 	if core.cache.Get(opHash) != nil {
 		t.Error("replayed read reply re-entered the executor cache")
 	}
+	// There the applied-order pin would have refused the replay by itself
+	// (3 < 4). It lets one through when the invalidating write shared the
+	// read's batch and followed it there — equal sequence numbers pass the
+	// pin — and only the fresh flag keeps that one out.
+	batched, _, _ := newTestCore(t, true)
+	first, write, again := *rrep, *wrep, *replay
+	write.Seq = 3
+	for _, step := range []struct {
+		rep         *msg.OrderedReply
+		read, fresh bool
+	}{{&first, true, true}, {&write, false, true}, {&again, true, false}} {
+		if err := batched.AuthenticateReply(step.rep, step.read, step.fresh, opHash, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if batched.cache.Get(opHash) != nil {
+		t.Error("replayed read re-entered the executor cache past a write of its own batch")
+	}
 
 	// Voter side: a quorum of replayed replies completes the vote (the
 	// client gets its answer) but the stale winner stays out of the cache.

@@ -151,8 +151,9 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestReadFrameRejectsHugeHeader(t *testing.T) {
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(MaxFrameLen+1))
-	if _, err := ReadFrame(bytes.NewReader(hdr[:])); err == nil {
-		t.Error("expected error for oversized frame header")
+	// ErrTooLarge, not the EOF that follows an allocation of what the header claims.
+	if _, err := ReadFrame(bytes.NewReader(hdr[:])); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("got %v, want ErrTooLarge", err)
 	}
 }
 
