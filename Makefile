@@ -71,7 +71,8 @@ bench:
 # its ceiling (encode into a pooled writer 0, decode + open a 16-request
 # PREPARE 3, a reply decoded into a reused OrderedReply 0, MAC check + walk of
 # a five-reply batch 1, a reply built, tagged and queued for a remote origin 0,
-# a vote over three replies 2 plus the client's record, VerifyMAC 0,
+# a vote over three replies 2 plus the client's record, VerifyMAC 0, a 16 x
+# 4 KiB PREPARE sealed for two peers 5 and opened and verified 2,
 # Store.Keys 0, an ecall round trip into room the caller brought 0, a reply
 # tagged across the boundary 0, a record opened into a lent buffer and walked
 # 0, a ChannelData envelope sealed 2 and opened 0, …) — beside
@@ -165,6 +166,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzBatch$$' -fuzztime 10s ./internal/msg/
 	$(GO) test -run xxx -fuzz 'FuzzDecodeEnvelope$$' -fuzztime 10s ./internal/msg/
 	$(GO) test -run xxx -fuzz 'FuzzDecodeChannelFrames$$' -fuzztime 10s ./internal/msg/
+	$(GO) test -run xxx -fuzz 'FuzzCoveredEncoding$$' -fuzztime 10s ./internal/msg/
 	$(GO) test -run xxx -fuzz 'FuzzServerHandshake$$' -fuzztime 10s ./internal/securechannel/
 	$(GO) test -run xxx -fuzz 'FuzzClientFinish$$' -fuzztime 10s ./internal/securechannel/
 	$(GO) test -run xxx -fuzz 'FuzzSessionOpen$$' -fuzztime 10s ./internal/securechannel/

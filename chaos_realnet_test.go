@@ -128,6 +128,23 @@ func TestChaosRealnetByzantine(t *testing.T) {
 	}
 }
 
+// TestChaosRealnetEquivocatingLeader: the view-0 leader's host tampers with
+// its PREPAREs alone (COMMITs honest) and re-seals them the way a replica
+// seals a PREPARE, across real TCP framing. The followers must let them
+// through transport — no bad MAC on a clean network — reject them on the
+// leader's counter certificate, depose it, and finish the workload.
+func TestChaosRealnetEquivocatingLeader(t *testing.T) {
+	res := runChaosRealnet(t, chaosRealnetOpts{
+		seed: 25,
+		byz:  map[msg.NodeID]faultplane.Behavior{0: faultplane.EquivocatePrepares},
+	})
+	rejected := res.cl.Replicas[1].Core().RejectedCertsFrom(0) + res.cl.Replicas[2].Core().RejectedCertsFrom(0)
+	if rejected == 0 {
+		t.Error("no follower rejected a certificate of the equivocating leader's PREPAREs")
+	}
+	expectNoBadMACs(t, res.cl, 1, 2)
+}
+
 func runChaosRealnet(t *testing.T, o chaosRealnetOpts) chaosRealnetResult {
 	seed, plan := o.seed, o.plan
 

@@ -315,7 +315,39 @@ func TestChaosByzantineReplica(t *testing.T) {
 		if rej := res.cl.Replicas[2].Core().RejectedCertsFrom(1); rej == 0 {
 			t.Error("replica 2 rejected no certificates from the equivocating replica")
 		}
+		expectNoBadMACs(t, res.cl, 0, 2)
 	})
+
+	t.Run("equivocate-prepares", func(t *testing.T) {
+		// The view-0 leader tampers with its PREPAREs alone, COMMITs left
+		// honest. A PREPARE's transport MAC covers request digests, and the
+		// compromised host seals the mutated proposal the way a replica does:
+		// the mutation has to get past transport and die on the leader's
+		// counter certificate — a follower that counted it as a bad MAC would
+		// never have exercised the check the trusted counters exist for.
+		res := runChaos(t, chaosOpts{
+			seed: 25,
+			byz:  map[msg.NodeID]faultplane.Behavior{0: faultplane.EquivocatePrepares},
+		})
+		rejected := res.cl.Replicas[1].Core().RejectedCertsFrom(0) + res.cl.Replicas[2].Core().RejectedCertsFrom(0)
+		if rejected == 0 {
+			t.Error("no follower rejected a certificate of the equivocating leader's PREPAREs")
+		}
+		expectNoBadMACs(t, res.cl, 1, 2)
+	})
+}
+
+// expectNoBadMACs: on a clean network a correct replica sees no envelope fail
+// transport authentication — a Byzantine host holds its own transport keys and
+// re-seals what it tampers with, so its mutations are for the checks behind
+// the MAC to catch.
+func expectNoBadMACs(t *testing.T, cl *Cluster, honest ...int) {
+	t.Helper()
+	for _, i := range honest {
+		if bad := cl.Replicas[i].Stats().BadMACs; bad != 0 {
+			t.Errorf("correct replica %d dropped %d envelopes as bad transport MACs", i, bad)
+		}
+	}
 }
 
 // TestChaosFastCommitSpeculationLoss runs fast-commit clients through a
@@ -384,6 +416,7 @@ func TestChaosByzantineLeaderFastEquivocation(t *testing.T) {
 	if rejected == 0 {
 		t.Error("no follower rejected a certificate from the equivocating leader")
 	}
+	expectNoBadMACs(t, res.cl, 1, 2)
 	bad := uint64(0)
 	for i := 0; i < 3; i++ {
 		bad += res.cl.TroxyStats(i).BadReplies

@@ -24,6 +24,7 @@ import (
 	"strconv"
 
 	"github.com/troxy-bft/troxy/internal/msg"
+	"github.com/troxy-bft/troxy/internal/wire"
 )
 
 // TagSize is the size of all authentication tags.
@@ -104,9 +105,9 @@ func NewAuthenticator(self msg.NodeID, dir *Directory) *Authenticator {
 
 // mac returns the cached keyed HMAC for a peer (creating one costs four
 // SHA-256 compressions; reusing via Reset costs none), fed with everything
-// a point-to-point MAC covers: the header (kind, from, to) and the body, as
-// two writes, so the body is hashed where it lies.
-func (a *Authenticator) mac(peer msg.NodeID, e *msg.Envelope) hash.Hash {
+// a point-to-point MAC covers: the header (kind, from, to) and the covered
+// bytes behind it, as two writes, so those are hashed where they lie.
+func (a *Authenticator) mac(peer msg.NodeID, e *msg.Envelope, covered []byte) hash.Hash {
 	m, ok := a.macs[peer]
 	if !ok {
 		m = hmac.New(sha256.New, a.dir.PairKey(a.self, peer))
@@ -117,24 +118,54 @@ func (a *Authenticator) mac(peer msg.NodeID, e *msg.Envelope) hash.Hash {
 		byte(e.From), byte(e.From >> 8), byte(e.From >> 16), byte(e.From >> 24),
 		byte(e.To), byte(e.To >> 8), byte(e.To >> 16), byte(e.To >> 24)}
 	m.Write(a.hdr[:])
-	m.Write(e.Body)
+	m.Write(covered)
 	return m
 }
 
-// SealMAC computes and attaches the point-to-point MAC for an outgoing
-// envelope. The envelope's From must be the authenticator's node. The tag is
-// the envelope's own allocation: it travels with it and is never reused.
+// SealMAC computes and attaches the point-to-point MAC over the header and the
+// whole body of an outgoing envelope. The envelope's From must be the
+// authenticator's node. The tag is the envelope's own allocation: it travels
+// with it and is never reused.
 func (a *Authenticator) SealMAC(e *msg.Envelope) {
-	e.MAC = a.mac(e.To, e).Sum(make([]byte, 0, TagSize))
+	e.MAC = a.mac(e.To, e, e.Body).Sum(make([]byte, 0, TagSize))
 }
 
-// VerifyMAC checks the point-to-point MAC of an incoming envelope. The
-// envelope's To must be the authenticator's node.
+// VerifyMAC checks a point-to-point MAC over the header and the whole body of
+// an incoming envelope. The envelope's To must be the authenticator's node.
 func (a *Authenticator) VerifyMAC(e *msg.Envelope) bool {
+	return a.verify(e, e.Body)
+}
+
+func (a *Authenticator) verify(e *msg.Envelope, covered []byte) bool {
 	if len(e.MAC) != TagSize {
 		return false
 	}
-	return hmac.Equal(a.mac(e.From, e).Sum(a.sum[:0]), e.MAC)
+	return hmac.Equal(a.mac(e.From, e, covered).Sum(a.sum[:0]), e.MAC)
+}
+
+// SealMessage attaches the point-to-point MAC a replica expects on an envelope
+// whose body is m's encoding: over the header and msg.Covered, which for the
+// kinds that order requests is their digests — memoised in m, so a sender that
+// has them hashes no operation — and for every other kind the body, as
+// SealMAC. It returns how many bytes behind the header the MAC covered, which
+// is what a runtime that prices MACs charges.
+func (a *Authenticator) SealMessage(e *msg.Envelope, m msg.Message) int {
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
+	covered := msg.Covered(w, m, e.Body)
+	e.MAC = a.mac(e.To, e, covered).Sum(make([]byte, 0, TagSize))
+	return len(covered)
+}
+
+// VerifyMessage checks the MAC SealMessage attaches, given the message m that
+// e.Body decoded to (completely: Envelope.Open rejects trailing bytes, so the
+// covered encoding binds every byte of the body). It returns the covered
+// length beside the verdict.
+func (a *Authenticator) VerifyMessage(e *msg.Envelope, m msg.Message) (bool, int) {
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
+	covered := msg.Covered(w, m, e.Body)
+	return a.verify(e, covered), len(covered)
 }
 
 // GroupTagger computes Troxy group tags. It lives inside the trusted

@@ -101,6 +101,60 @@ func TestSealVerifyMAC(t *testing.T) {
 	}
 }
 
+// TestSealVerifyMessage: SealMessage is SealMAC for a kind that orders no
+// request, and for a FORWARD or PREPARE a MAC over the header and the request
+// digests: the receiver verifies it against the message it decoded, a
+// whole-body check does not pass for it nor it for one, and a body that
+// decodes to other requests fails.
+func TestSealVerifyMessage(t *testing.T) {
+	d := newDir(t)
+	sender, receiver := NewAuthenticator(1, d), NewAuthenticator(2, d)
+	open := func(e *msg.Envelope) msg.Message {
+		t.Helper()
+		m, err := e.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+
+	cp := &msg.Checkpoint{Seq: 5}
+	whole, sealed := msg.Seal(1, 2, cp), msg.Seal(1, 2, cp)
+	sender.SealMAC(whole)
+	if n := sender.SealMessage(sealed, cp); n != len(sealed.Body) || !bytes.Equal(sealed.MAC, whole.MAC) {
+		t.Errorf("SealMessage of a CHECKPOINT covered %d of %d bytes, tag equal to SealMAC's: %v", n, len(sealed.Body), bytes.Equal(sealed.MAC, whole.MAC))
+	}
+	if ok, n := receiver.VerifyMessage(sealed, open(sealed)); !ok || n != len(sealed.Body) {
+		t.Errorf("VerifyMessage of a CHECKPOINT = %v over %d bytes", ok, n)
+	}
+
+	fwd := &msg.Forward{Req: msg.OrderRequest{Origin: 1, Client: 7, ClientSeq: 3, Op: make([]byte, 4096)}}
+	e := msg.Seal(1, 2, fwd)
+	if n := sender.SealMessage(e, fwd); n != len(msg.Digest{}) {
+		t.Errorf("SealMessage of a FORWARD covered %d bytes, want a digest", n)
+	}
+	if ok, n := receiver.VerifyMessage(e, open(e)); !ok || n != len(msg.Digest{}) {
+		t.Errorf("VerifyMessage of a FORWARD = %v over %d bytes", ok, n)
+	}
+	if receiver.VerifyMAC(e) {
+		t.Error("a FORWARD's tag passed as a whole-body MAC")
+	}
+	wholeFwd := msg.Seal(1, 2, fwd)
+	sender.SealMAC(wholeFwd)
+	if ok, _ := receiver.VerifyMessage(wholeFwd, open(wholeFwd)); ok {
+		t.Error("a whole-body MAC passed as a FORWARD's tag")
+	}
+	tampered := *e
+	tampered.Body = bytes.Clone(e.Body)
+	tampered.Body[len(tampered.Body)-1] ^= 1
+	if ok, _ := receiver.VerifyMessage(&tampered, open(&tampered)); ok {
+		t.Error("a FORWARD with another operation verified")
+	}
+	if ok, _ := NewAuthenticator(3, d).VerifyMessage(e, open(e)); ok {
+		t.Error("a FORWARD verified under another pair's key")
+	}
+}
+
 func TestVerifyMACRejectsShortTag(t *testing.T) {
 	d := newDir(t)
 	receiver := NewAuthenticator(2, d)
@@ -195,6 +249,17 @@ func BenchmarkAllocGate(b *testing.B) {
 	testutil.AllocGate(b, "SealMAC", 1, func() { sender.SealMAC(e) })
 	testutil.AllocGate(b, "VerifyMAC", 0, func() {
 		if !receiver.VerifyMAC(e) {
+			b.Fatal("MAC rejected")
+		}
+	})
+	// The MAC of its kind: the digest it covers goes through a pooled writer.
+	fwd, err := e.Open()
+	if err != nil {
+		b.Fatal(err)
+	}
+	testutil.AllocGate(b, "SealMessage", 1, func() { sender.SealMessage(e, fwd) })
+	testutil.AllocGate(b, "VerifyMessage", 0, func() {
+		if ok, _ := receiver.VerifyMessage(e, fwd); !ok {
 			b.Fatal("MAC rejected")
 		}
 	})

@@ -30,13 +30,18 @@ const (
 	// request-digest binding.
 	ReplayStaleReplies
 
-	// EquivocateCerts sends semantically mutated PREPARE/COMMIT messages
-	// (tampered batch payloads and digests, re-MACed so transport accepts
-	// them) to peers with higher IDs while staying honest toward the rest —
-	// the classic split the trusted counters exist to prevent. Correct
-	// receivers reject the stale-certified mutation (RejectedCertsFrom
-	// attributes it to this replica) and make progress on honest traffic.
-	EquivocateCerts
+	// EquivocatePrepares sends semantically mutated PREPARE messages (a
+	// tampered batch payload, re-MACed the way a replica MACs a PREPARE so
+	// transport accepts it) to peers with higher IDs while staying honest
+	// toward the rest — the classic split the trusted counters exist to
+	// prevent. Correct receivers reject the stale-certified mutation
+	// (RejectedCertsFrom attributes it to this replica) and make progress on
+	// honest traffic.
+	EquivocatePrepares
+
+	// EquivocateCommits does the same to COMMIT messages (a tampered batch
+	// digest).
+	EquivocateCommits
 
 	// CorruptStateChunks flips a byte in every outgoing state-transfer
 	// chunk. The chunk no longer hashes to the manifest's per-chunk digest,
@@ -54,6 +59,9 @@ const (
 	// verification (Stats.BadReplies) and the speculative quorum can only
 	// form on the honest answer.
 	EquivocateSpecReplies
+
+	// EquivocateCerts equivocates on both certified ordering messages.
+	EquivocateCerts = EquivocatePrepares | EquivocateCommits
 )
 
 // Byzantine wraps a replica's handler, impersonating the compromised
@@ -108,10 +116,12 @@ type byzEnv struct {
 func (e byzEnv) Send(env *msg.Envelope) { e.b.send(e.Env, env) }
 
 // sealSend re-encodes and re-MACs a (possibly mutated) message with the
-// host's own transport keys, then transmits it.
+// host's own transport keys — the way a replica does (authn.SealMessage), or
+// the mutation would die as a bad transport MAC and never reach the check it
+// is there to exercise — then transmits it.
 func (b *Byzantine) sealSend(raw node.Env, to msg.NodeID, m msg.Message) {
 	e := msg.Seal(b.self, to, m)
-	b.auth.SealMAC(e)
+	b.auth.SealMessage(e, m)
 	raw.Send(e)
 }
 
@@ -175,7 +185,7 @@ func (b *Byzantine) send(raw node.Env, e *msg.Envelope) {
 			return
 		}
 	case msg.KindPrepare:
-		if b.mode&EquivocateCerts == 0 || e.To <= b.self {
+		if b.mode&EquivocatePrepares == 0 || e.To <= b.self {
 			break
 		}
 		m, err := openCopy(e)
@@ -192,7 +202,7 @@ func (b *Byzantine) send(raw node.Env, e *msg.Envelope) {
 			return
 		}
 	case msg.KindCommit:
-		if b.mode&EquivocateCerts == 0 || e.To <= b.self {
+		if b.mode&EquivocateCommits == 0 || e.To <= b.self {
 			break
 		}
 		m, err := openCopy(e)

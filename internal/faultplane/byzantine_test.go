@@ -133,9 +133,9 @@ func TestByzantineSendLeavesHonestEnvelopeIntact(t *testing.T) {
 			&msg.OrderedReply{Client: 6, ClientSeq: 9, Result: []byte("OK"), TroxyTag: bytes.Repeat([]byte{2}, 32)})},
 		{"ReplayStaleReplies", faultplane.ReplayStaleReplies, msg.NewReplyBatch(
 			&msg.OrderedReply{Client: 5, ClientSeq: 2, Result: []byte("VALUE v"), TroxyTag: bytes.Repeat([]byte{1}, 32)})},
-		{"EquivocateCerts/Prepare", faultplane.EquivocateCerts,
+		{"EquivocateCerts/Prepare", faultplane.EquivocatePrepares,
 			&msg.Prepare{View: 1, Seq: 7, Cert: cert, Batch: msg.Batch{Reqs: []msg.OrderRequest{{Origin: 0, Client: 5, ClientSeq: 2, Op: []byte("PUT k v")}}}}},
-		{"EquivocateCerts/Commit", faultplane.EquivocateCerts,
+		{"EquivocateCerts/Commit", faultplane.EquivocateCommits,
 			&msg.Commit{View: 1, Seq: 7, BatchDigest: msg.DigestOf([]byte("b")), Cert: cert}},
 		{"EquivocateSpecReplies", faultplane.EquivocateSpecReplies,
 			&msg.SpecReply{View: 1, Seq: 7, Client: 5, ClientSeq: 2, Result: []byte("OK"), Cert: cert, TroxyTag: bytes.Repeat([]byte{1}, 32)}},
@@ -164,6 +164,15 @@ func TestByzantineSendLeavesHonestEnvelopeIntact(t *testing.T) {
 			for _, e := range rec.sent {
 				if bytes.Equal(e.Body, want.Body) {
 					t.Errorf("mode %s sent the honest body unmodified", tc.name)
+				}
+				// Re-sealed the way a replica seals that kind, so the receiver's
+				// transport lets the mutation through to the check it is for.
+				m, err := e.Open()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ok, _ := authn.NewAuthenticator(e.To, dir).VerifyMessage(e, m); !ok {
+					t.Errorf("mode %s: the receiver's transport would drop the tampered %s", tc.name, e.Kind)
 				}
 			}
 		})

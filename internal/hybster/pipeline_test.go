@@ -565,3 +565,51 @@ func TestForgedCertificateIsRejected(t *testing.T) {
 		}
 	})
 }
+
+// TestWrongSubmitDigestIsRejectedByTheFollowers: Submit takes the digest a
+// request carries — the host of a Troxy gets it from its own trusted subsystem
+// with the submit and does not hash the operation again. That is the one place
+// a replica trusts a digest it did not compute, and it trusts only itself: a
+// leader that proposes under a wrong one certifies a batch digest no other
+// replica arrives at, since a follower hashes the bytes it received. The
+// proposal dies on the follower's certificate check and executes nowhere.
+func TestWrongSubmitDigestIsRejectedByTheFollowers(t *testing.T) {
+	const depth = 2
+	var env fakeEnv
+	leaderSub := tcounter.NewSubsystem(0)
+	leaderSub.SetKey([]byte("test-counter-key"))
+	out := &prepareCollector{}
+	leader := New(Config{
+		Self:               0,
+		N:                  3,
+		F:                  1,
+		CheckpointInterval: 1 << 30,
+		ViewChangeTimeout:  time.Minute,
+		Authority:          tcounter.Direct{S: leaderSub},
+		App:                app.NewStore(),
+		PipelineDepth:      depth,
+	}, out)
+	req := &msg.OrderRequest{Origin: 3, Client: 7, ClientSeq: 1, Op: []byte("PUT k v")}
+	req.SetDigest(msg.DigestOf([]byte("some other request")))
+	leader.Submit(&env, req)
+	if len(out.preps) != 1 {
+		t.Fatalf("leader disseminated %d PREPAREs, want 1", len(out.preps))
+	}
+
+	// The follower gets the proposal's bytes, not the leader's memo.
+	m, err := msg.Decode(msg.Encode(out.preps[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _ := pipelineFollower(t, depth)
+	r.core.OnPrepare(&env, 0, m.(*msg.Prepare))
+	if got := r.core.RejectedCertsFrom(0); got != 1 {
+		t.Errorf("RejectedCertsFrom(leader) = %d after a PREPARE certified over a wrong request digest, want 1", got)
+	}
+	if e, ok := r.core.log[1]; ok && e.hasPrep {
+		t.Error("the PREPARE was admitted to the follower's log")
+	}
+	if r.core.LastExecuted() != 0 || leader.LastExecuted() != 0 {
+		t.Errorf("executed up to %d at the follower and %d at the leader, want nothing", r.core.LastExecuted(), leader.LastExecuted())
+	}
+}

@@ -308,8 +308,10 @@ func (k Kind) keptWhole() bool {
 }
 
 // Envelope is the transport unit exchanged between nodes. MAC, when present,
-// is a point-to-point HMAC over (From, To, Kind, Body) computed by the
-// untrusted replica part (or the BFT client library).
+// is a point-to-point HMAC over (Kind, From, To) and what Covered names for
+// the kind — the body, or for a FORWARD or PREPARE the body with its requests
+// replaced by their digests — computed by the untrusted replica part (or the
+// BFT client library).
 //
 // Body and MAC are immutable once the envelope has been handed to a
 // runtime's Send: the in-process router delivers the very same envelope to
@@ -396,8 +398,41 @@ func (e *Envelope) Open() (Message, error) {
 	return m, nil
 }
 
+// CoversDigests reports the kinds whose point-to-point MAC covers request
+// digests in place of request bytes (see Covered). Only the decoded message
+// has the digests, so a receiver opens these kinds before it checks the MAC.
+func (k Kind) CoversDigests() bool { return k == KindForward || k == KindPrepare }
+
+// Covered returns what the point-to-point MAC of an envelope carrying m covers
+// behind the envelope header: m's encoding with every OrderRequest it orders
+// replaced by that request's digest, appended to w — or body, m's encoding
+// itself, for every kind that orders no request. The view-change and
+// state-transfer kinds embed prepared batches and are covered whole all the
+// same: they are rare, and kept whole by their handlers anyway.
+//
+// The requests keep the digests computed here (OrderRequest.Digest), so a
+// sender that holds them hashes no operation, and a receiver hashes each once
+// for the MAC, the batch certificate and its log.
+func Covered(w *wire.Writer, m Message, body []byte) []byte {
+	switch m := m.(type) {
+	case *Forward:
+		writeDigest(w, m.Req.Digest())
+	case *Prepare:
+		w.U64(m.View)
+		w.U64(m.Seq)
+		w.U32(uint32(len(m.Batch.Reqs)))
+		for i := range m.Batch.Reqs {
+			writeDigest(w, m.Batch.Reqs[i].Digest())
+		}
+		m.Cert.MarshalWire(w)
+	default:
+		return body
+	}
+	return w.Bytes()
+}
+
 // Seal encodes m into an envelope from→to with no MAC. Callers that need
-// point-to-point authentication pass the envelope through authn.SealMAC.
+// point-to-point authentication pass the envelope through authn.SealMessage.
 func Seal(from, to NodeID, m Message) *Envelope {
 	return &Envelope{From: from, To: to, Kind: m.Kind(), Body: EncodeBody(m)}
 }

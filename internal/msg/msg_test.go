@@ -36,12 +36,13 @@ func roundTrip(t *testing.T, m Message) Message {
 	return got
 }
 
-func TestRoundTripAllKinds(t *testing.T) {
+// sampleMessages returns at least one message of every kind.
+func sampleMessages() []Message {
 	req := sampleRequest()
 	// Taken from a second copy: a request carries its digest once computed,
 	// and the decoded messages compared below start without one.
 	reqDigest := (&OrderRequest{Origin: req.Origin, Client: req.Client, ClientSeq: req.ClientSeq, Flags: req.Flags, Op: req.Op}).Digest()
-	cases := []Message{
+	return []Message{
 		&ChannelData{ConnID: 9, Payload: []byte("ciphertext")},
 		&BFTRequest{Client: 1, ClientSeq: 2, Flags: FlagDirect, Op: []byte("op")},
 		&BFTReply{Executor: 2, Client: 1, ClientSeq: 2, ReqDigest: DigestOf([]byte("r")),
@@ -91,7 +92,10 @@ func TestRoundTripAllKinds(t *testing.T) {
 			Client:      77, ClientSeq: 1234, ReqDigest: reqDigest,
 			Result: []byte("spec-result"), Cert: sampleCert(), TroxyTag: []byte("tag")},
 	}
-	for _, m := range cases {
+}
+
+func TestRoundTripAllKinds(t *testing.T) {
+	for _, m := range sampleMessages() {
 		got := roundTrip(t, m)
 		if !reflect.DeepEqual(got, m) {
 			t.Errorf("%s round trip mismatch:\n got  %#v\n want %#v", m.Kind(), got, m)

@@ -191,6 +191,13 @@ func (m *OrderRequest) Digest() Digest {
 	return m.digest
 }
 
+// SetDigest installs d as the request's digest, for the one decoder whose
+// input is not a peer's: the host reading a submit out of its own trusted
+// subsystem, which hashed the request when it registered the vote. No decoder
+// of wire input may call it — a replica that took a peer's word for a digest
+// would verify certificates against nothing.
+func (m *OrderRequest) SetDigest(d Digest) { m.digest, m.digested = d, true }
+
 // Clone returns a copy of the request that owns its operation bytes, for a
 // holder that outlives the buffer the request was decoded from.
 func (m *OrderRequest) Clone() *OrderRequest {
@@ -949,7 +956,7 @@ func (m *StateRequest) UnmarshalWire(r *wire.Reader) error {
 		return r.Err()
 	}
 	m.Chunks = make([]uint32, 0, min(n, 64))
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && r.Err() == nil; i++ {
 		m.Chunks = append(m.Chunks, r.U32())
 	}
 	return r.Err()

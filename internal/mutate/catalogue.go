@@ -98,6 +98,24 @@ var Catalogue = []Mutant{
 		New:   "if false {",
 	},
 	{
+		ID: "covered-kinds-dispatched-unverified", File: "internal/replica/replica.go",
+		Fault: "a FORWARD or PREPARE, decoded before its MAC is checked, is dispatched whatever the check says",
+		Old:   "		ok, n := r.auth.VerifyMessage(e, m)\n",
+		New:   "		_, n := r.auth.VerifyMessage(e, m)\n		ok := true\n",
+	},
+	{
+		ID: "prepare-covered-omits-cert", File: "internal/msg/msg.go",
+		Fault: "the MAC of a PREPARE covers view, sequence number and request digests, not the certificate",
+		Old:   "		m.Cert.MarshalWire(w)\n	default:",
+		New:   "	default:",
+	},
+	{
+		ID: "submit-digest-from-wire", File: "internal/msg/types.go",
+		Fault: "a request decoded over one that carried its digest keeps that digest: a MAC or certificate is checked against a digest the bytes did not produce",
+		Old:   "	m.digested = false\n	m.Origin = NodeID(int32(r.U32()))",
+		New:   "	m.Origin = NodeID(int32(r.U32()))",
+	},
+	{
 		ID: "troxy-vote-quorum-f", File: "internal/troxy/core.go", Aims: []string{"quorumcheck"},
 		Fault: "the reply voter answers on f matching replies",
 		Old:   "	if matching < c.cfg.Quorum() {\n		return out, nil\n	}\n\n	// Quorum reached",

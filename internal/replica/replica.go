@@ -179,13 +179,8 @@ func (r *Replica) onEnvelope(env node.Env, e *msg.Envelope) {
 	}
 
 	// Everything else travels with a transport MAC.
-	env.Charge(node.ProfileJava, node.ChargeMAC, len(e.Body))
-	if !r.auth.VerifyMAC(e) {
-		r.stats.BadMACs++
-		return
-	}
-	m, err := e.Open()
-	if err != nil {
+	m, ok := r.authenticate(env, e)
+	if !ok {
 		r.stats.BadMACs++
 		return
 	}
@@ -247,6 +242,30 @@ func (r *Replica) onEnvelope(env node.Env, e *msg.Envelope) {
 		// not handled shows up.
 		r.stats.Unhandled++
 	}
+}
+
+// authenticate checks e's transport MAC and decodes its body. A FORWARD's and a
+// PREPARE's MAC covers the digests of the requests it orders, not their bytes
+// (msg.Covered), so those two are opened first — by view, nothing is copied
+// or kept — and the digests computed for the check stay with the decoded
+// requests: the core's batch digest and log admission reuse them. Every other
+// kind is verified whole before it is decoded.
+func (r *Replica) authenticate(env node.Env, e *msg.Envelope) (msg.Message, bool) {
+	if e.Kind.CoversDigests() {
+		m, err := e.Open()
+		if err != nil {
+			return nil, false
+		}
+		ok, n := r.auth.VerifyMessage(e, m)
+		env.Charge(node.ProfileJava, node.ChargeMAC, n)
+		return m, ok
+	}
+	env.Charge(node.ProfileJava, node.ChargeMAC, len(e.Body))
+	if !r.auth.VerifyMAC(e) {
+		return nil, false
+	}
+	m, err := e.Open()
+	return m, err == nil
 }
 
 // onReplyBatch feeds a peer's replies to the voter one by one, each decoded
@@ -345,11 +364,20 @@ func (r *Replica) apply(env node.Env, acts troxy.Actions) {
 
 // sendAuthed seals, MACs and transmits a message.
 func (r *Replica) sendAuthed(env node.Env, to msg.NodeID, m msg.Message) {
-	r.sendBody(env, to, m.Kind(), msg.EncodeBody(m))
+	r.sendEncoded(env, to, m, msg.EncodeBody(m))
 }
 
-// sendBody MACs and transmits an already encoded message. body is immutable
-// from here on: the envelope (and any other recipient's) shares it.
+// sendEncoded MACs and transmits m, whose encoding is body, under the MAC of
+// its kind (authn.SealMessage). body is immutable from here on: the envelope
+// (and any other recipient's) shares it.
+func (r *Replica) sendEncoded(env node.Env, to msg.NodeID, m msg.Message, body []byte) {
+	e := &msg.Envelope{From: r.cfg.Self, To: to, Kind: m.Kind(), Body: body}
+	env.Charge(node.ProfileJava, node.ChargeMAC, r.auth.SealMessage(e, m))
+	env.Send(e)
+}
+
+// sendBody MACs and transmits a reply batch the replica built as bytes; there
+// is no request in it, so its MAC covers the body.
 func (r *Replica) sendBody(env node.Env, to msg.NodeID, kind msg.Kind, body []byte) {
 	e := &msg.Envelope{From: r.cfg.Self, To: to, Kind: kind, Body: body}
 	env.Charge(node.ProfileJava, node.ChargeMAC, len(body))
@@ -365,10 +393,10 @@ func (r *Replica) Send(env node.Env, to msg.NodeID, m msg.Message) {
 // Broadcast implements hybster.Broadcaster: the message is marshalled once
 // and that one body is MACed for — and shared by — every recipient.
 func (r *Replica) Broadcast(env node.Env, m msg.Message) {
-	kind, body := m.Kind(), msg.EncodeBody(m)
+	body := msg.EncodeBody(m)
 	for i := 0; i < r.cfg.N; i++ {
 		if to := msg.NodeID(i); to != r.cfg.Self {
-			r.sendBody(env, to, kind, body)
+			r.sendEncoded(env, to, m, body)
 		}
 	}
 }

@@ -13,6 +13,27 @@ import (
 	"github.com/troxy-bft/troxy/internal/tcounter"
 )
 
+// newBaselineReplica builds one baseline-mode replica (no Troxy) of a group of
+// three, with its own trusted counters under the directory's key.
+func newBaselineReplica(dir *authn.Directory, self msg.NodeID, batchSize int, batchDelay time.Duration) *Replica {
+	sub := tcounter.NewSubsystem(self)
+	sub.SetKey(dir.CounterKey())
+	return New(Config{
+		Self: self,
+		N:    3,
+		F:    1,
+		Hybster: hybster.Config{
+			Profile:           node.ProfileJava,
+			Authority:         tcounter.Direct{S: sub},
+			App:               app.NewStore(),
+			ViewChangeTimeout: 10 * time.Second,
+			BatchSize:         batchSize,
+			BatchDelay:        batchDelay,
+		},
+		Directory: dir,
+	})
+}
+
 // newBaselineCluster wires three baseline-mode replicas directly (no Troxy),
 // exercising this package's transport authentication and dispatch.
 func newBaselineCluster(t testing.TB) ([]*Replica, *authn.Directory, *simnet.Network) {
@@ -25,20 +46,7 @@ func newBaselineCluster(t testing.TB) ([]*Replica, *authn.Directory, *simnet.Net
 	net.SetDefaultLink(simnet.FixedLatency(time.Millisecond))
 	var reps []*Replica
 	for i := 0; i < 3; i++ {
-		sub := tcounter.NewSubsystem(msg.NodeID(i))
-		sub.SetKey(dir.CounterKey())
-		r := New(Config{
-			Self: msg.NodeID(i),
-			N:    3,
-			F:    1,
-			Hybster: hybster.Config{
-				Profile:           node.ProfileJava,
-				Authority:         tcounter.Direct{S: sub},
-				App:               app.NewStore(),
-				ViewChangeTimeout: 10 * time.Second,
-			},
-			Directory: dir,
-		})
+		r := newBaselineReplica(dir, msg.NodeID(i), 0, 0)
 		reps = append(reps, r)
 		net.Attach(msg.NodeID(i), r)
 	}

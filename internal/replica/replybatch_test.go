@@ -13,21 +13,28 @@ import (
 )
 
 // tapEnv is a handler invocation's env reduced to what the reply path uses:
-// it records what is sent, and its clock is the test's to move.
+// it records what is sent, how many timers are set and the length of every
+// MAC charged, and its clock is the test's to move.
 type tapEnv struct {
-	self msg.NodeID
-	now  time.Duration
-	sent []*msg.Envelope
+	self     msg.NodeID
+	now      time.Duration
+	sent     []*msg.Envelope
+	timers   int
+	macBytes []int
 }
 
-func (e *tapEnv) Self() msg.NodeID                          { return e.self }
-func (e *tapEnv) Now() time.Duration                        { return e.now }
-func (e *tapEnv) Send(env *msg.Envelope)                    { e.sent = append(e.sent, env) }
-func (e *tapEnv) SetTimer(time.Duration, node.TimerKey)     {}
-func (e *tapEnv) CancelTimer(node.TimerKey)                 {}
-func (e *tapEnv) Rand() *rand.Rand                          { return nil }
-func (e *tapEnv) Charge(node.Profile, node.ChargeKind, int) {}
-func (e *tapEnv) Logf(string, ...any)                       {}
+func (e *tapEnv) Self() msg.NodeID                      { return e.self }
+func (e *tapEnv) Now() time.Duration                    { return e.now }
+func (e *tapEnv) Send(env *msg.Envelope)                { e.sent = append(e.sent, env) }
+func (e *tapEnv) SetTimer(time.Duration, node.TimerKey) { e.timers++ }
+func (e *tapEnv) CancelTimer(node.TimerKey)             {}
+func (e *tapEnv) Rand() *rand.Rand                      { return nil }
+func (e *tapEnv) Logf(string, ...any)                   {}
+func (e *tapEnv) Charge(_ node.Profile, k node.ChargeKind, n int) {
+	if k == node.ChargeMAC {
+		e.macBytes = append(e.macBytes, n)
+	}
+}
 
 // repliesIn decodes the replies of a reply-batch envelope, each into a value
 // of its own.

@@ -80,13 +80,30 @@ func TestProxyBindingsEquivalent(t *testing.T) {
 	env := nullEnv{}
 	// A step's submits are recorded as encoded, there and then: their
 	// operations are only valid until the next HandleClientData (the direct
-	// binding's are views of the Core's plaintext buffer), and the direct
-	// binding's requests carry the digest the Core computed, which does not
-	// cross the enclave boundary.
+	// binding's are views of the Core's plaintext buffer). The encoding
+	// carries each request's digest, as the enclave boundary does.
 	encoded := func(acts Actions) []byte {
 		w := wire.NewWriter(256)
 		encodeActions(w, &Actions{Submits: acts.Submits})
 		return w.Bytes()
+	}
+	// Either binding hands hybster.Submit a request that carries the digest
+	// the Core registered the vote under, so the host does not hash the
+	// operation again: with another operation in its place the request still
+	// answers with the digest of the one it was submitted with. A
+	// retransmission registers nothing and hashes nothing inside; whichever
+	// side ends up computing its digest, it is the request's.
+	checkDigests := func(acts Actions, carried bool) {
+		t.Helper()
+		for _, s := range acts.Submits { // s is a copy: the binding's own request is left as it is
+			want := (&msg.OrderRequest{Origin: s.Origin, Client: s.Client, ClientSeq: s.ClientSeq, Flags: s.Flags, Op: s.Op}).Digest()
+			if carried {
+				s.Op = []byte("not the operation")
+			}
+			if s.Digest() != want {
+				t.Errorf("submit of client sequence %d (digest carried: %v) has the wrong digest", s.ClientSeq, carried)
+			}
+		}
 	}
 	run := func(p Proxy) (frames, submits [][]byte, stats Stats) {
 		// Deterministic handshake: the same reader stream on both sides.
@@ -124,8 +141,17 @@ func TestProxyBindingsEquivalent(t *testing.T) {
 		// A write, its replies, then a read, its replies, then a repeated
 		// read that hits the cache.
 		acts = send(1, "PUT k v", false)
+		checkDigests(acts, true)
 		submits = append(submits, encoded(acts))
 		req := acts.Submits[0]
+		// The client retransmits before any reply: the vote exists, the
+		// request is submitted again.
+		again := send(1, "PUT k v", false)
+		if len(again.Submits) != 1 {
+			t.Fatalf("a retransmission produced %d submits, want 1", len(again.Submits))
+		}
+		checkDigests(again, false)
+		submits = append(submits, encoded(again))
 		for _, ex := range []msg.NodeID{1, 2} {
 			out, err := p.HandleReply(env, makeReply(tagger, ex, req, "OK", []string{"k"}))
 			if err != nil {
@@ -140,6 +166,7 @@ func TestProxyBindingsEquivalent(t *testing.T) {
 			}
 		}
 		acts = send(2, "GET k", true)
+		checkDigests(acts, true)
 		submits = append(submits, encoded(acts))
 		rreq := acts.Submits[0]
 		for _, ex := range []msg.NodeID{1, 2} {

@@ -345,7 +345,12 @@ func encodeActions(w *wire.Writer, a *Actions) {
 	}
 	w.U32(uint32(len(a.Submits)))
 	for i := range a.Submits {
+		// The digest the vote was registered under crosses with the request
+		// (computed here for a retransmission, which registers nothing), so
+		// the host does not hash the operation a second time.
 		a.Submits[i].MarshalWire(w)
+		d := a.Submits[i].Digest()
+		w.Raw(d[:])
 	}
 	w.U32(uint32(len(a.Queries)))
 	for _, pm := range a.Queries {
@@ -361,7 +366,10 @@ func encodeActions(w *wire.Writer, a *Actions) {
 }
 
 // decodeActions decodes by view: frames, operations and tags alias b, which
-// on the host side is the boundary's copy-out and belongs to the caller.
+// on the host side is the boundary's copy-out and belongs to the caller. A
+// submit arrives with its digest: b is this replica's own trusted subsystem
+// speaking, and a wrong digest would only get this replica's proposals
+// rejected — every other replica computes its own from the bytes.
 func decodeActions(b []byte) (Actions, error) {
 	var a Actions
 	r := wire.NewReader(b)
@@ -385,6 +393,9 @@ func decodeActions(b []byte) (Actions, error) {
 		if err := req.UnmarshalWire(r); err != nil {
 			return a, err
 		}
+		var d msg.Digest
+		copy(d[:], r.FixedBytes(len(d))) // a short read fails the reader, and Finish below
+		req.SetDigest(d)
 		a.Submits = append(a.Submits, req)
 	}
 	nq := r.SliceLen()
