@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK := honnef.co/go/tools/cmd/staticcheck@2025.1
 GOVULNCHECK := golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: build test check lint staticcheck govulncheck bench bench-quick bench-check allocs-top fuzz chaos chaos-realnet race soak soak-quick mutate
+.PHONY: build test check lint staticcheck govulncheck bench bench-quick copy-gate bench-check allocs-top fuzz chaos chaos-realnet race soak soak-quick mutate
 
 build:
 	$(GO) build ./...
@@ -75,7 +75,9 @@ bench:
 # 4 KiB PREPARE sealed for two peers 5 and opened and verified 2,
 # Store.Keys 0, an ecall round trip into room the caller brought 0, a reply
 # tagged across the boundary 0, a record opened into a lent buffer and walked
-# 0, a ChannelData envelope sealed 2 and opened 0, …) — beside
+# 0, a ChannelData envelope sealed 2 and opened 0, a request hashed where it
+# lies 0, Submit at a follower 1 — the FORWARD, nothing for the request it
+# keeps — and a PREPARE of held requests admitted without a slab, …) — beside
 # BenchmarkAppendEnvelopeFrame, which fails itself if the pooled frame-encode
 # path allocates at all, and end to end by TestWriteAllocBudget at the module
 # root (allocations per 128-byte write through a whole simulated cluster). In
@@ -85,11 +87,25 @@ bench:
 # forking the store (the speculation shadow's re-anchor) allocates more than
 # 64 bytes an entry. The benchtimes are short because the gates are those
 # assertions, not ns/op — timing numbers for the record live in EXPERIMENTS.md.
-bench-quick:
+bench-quick: copy-gate
 	$(GO) test -run xxx -bench 'Encode|AppendEnvelopeFrame|BatchDigest|AllocGate' -benchmem -benchtime 1000x ./internal/msg/
-	$(GO) test -run xxx -bench 'AllocGate' -benchmem -benchtime 1000x ./internal/authn/ ./internal/tcounter/ ./internal/app/ ./internal/troxy/ ./internal/replica/ ./internal/enclave/ ./internal/securechannel/
+	$(GO) test -run xxx -bench 'AllocGate' -benchmem -benchtime 1000x ./internal/authn/ ./internal/tcounter/ ./internal/app/ ./internal/troxy/ ./internal/hybster/ ./internal/replica/ ./internal/enclave/ ./internal/securechannel/
 	$(GO) test -run xxx -bench 'StoreCheckpoint|StoreFork' -benchmem -benchtime 20x ./internal/app/
 	$(GO) test -count=1 -run 'TestWriteAllocBudget' -v .
+
+# copy-gate reads the compiler's output for wire.Writer.CopyBytes, which makes
+# every owned message body, envelope encoding and reply batch: make+copy is one
+# uncleared allocation and a memmove only while the compiler recognises the
+# pair, and it stops doing so — runtime.makeslice, which clears the buffer
+# first — when the source is a field again or a statement lands between the
+# two. No allocation count can see the difference; the assembly does.
+copy-gate:
+	@$(GO) build -gcflags=-S ./internal/wire 2>&1 | awk '\
+		/^[^ \t].* STEXT/ { in_fn = /\(\*Writer\)\.CopyBytes STEXT/; seen += in_fn } \
+		in_fn && /runtime\.makeslice/ { bad = 1 } \
+		END { if (!seen) { print "copy-gate: no assembly for wire.(*Writer).CopyBytes"; exit 1 } \
+		      if (bad) { print "copy-gate: wire.(*Writer).CopyBytes calls runtime.makeslice: its buffer is cleared before it is overwritten"; exit 1 } \
+		      print "copy-gate: wire.(*Writer).CopyBytes allocates without clearing" }'
 
 # allocs-top prints the twenty call sites that allocate most often on the
 # real path (gateway, secure channel, ecalls, ordering, execution, reply),

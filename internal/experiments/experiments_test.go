@@ -227,6 +227,23 @@ func TestRunMicroReproduciblePerSeed(t *testing.T) {
 	if first != second {
 		t.Errorf("two runs at seed %d differ:\n%+v\n%+v", cfg.seed, first, second)
 	}
+
+	// A second seed on the path the first never takes: with the replicas a
+	// cache-query round trip apart that outlasts the query timeout, every
+	// fast read expires, dozens in one Tick, and falls back to ordering in
+	// the order Tick hands them over.
+	slow := cfg
+	slow.seed = 7
+	slow.interReplica = 150 * time.Millisecond // round trip 300 ms, timeout 250 ms
+	slow.warmup = time.Second                  // first reads are ordered and fill the caches
+	slow.measure = 2 * time.Second
+	first, second = runMicro(slow), runMicro(slow)
+	if first.Count == 0 || first.fastFell == 0 {
+		t.Fatalf("no fast read timed out: %+v", first)
+	}
+	if first != second {
+		t.Errorf("two runs at seed %d differ:\n%+v\n%+v", slow.seed, first, second)
+	}
 }
 
 // The HTTP workload draws an index into the path list, so the list must not

@@ -30,9 +30,12 @@
 package hybster
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"iter"
+	"slices"
 	"time"
 
 	"github.com/troxy-bft/troxy/internal/app"
@@ -269,6 +272,53 @@ type clientRecord struct {
 	seq       uint64
 }
 
+// requestID is how a client names a request; the progress watch and the
+// outstanding speculations are kept by it.
+type requestID struct{ client, clientSeq uint64 }
+
+func idOf(req *msg.OrderRequest) requestID { return requestID{req.Client, req.ClientSeq} }
+
+// watched is the progress watch's entry for one requestID: the request
+// submitted under it, which the core owns. A client that reuses a sequence
+// number for a different operation has two requests pending under one ID, and
+// each is ordered, skipped or executed, and cleared for itself: more holds the
+// others.
+type watched struct {
+	req  *msg.OrderRequest
+	more []*msg.OrderRequest
+}
+
+// all yields every request watched under the ID.
+func (w watched) all() iter.Seq[*msg.OrderRequest] {
+	return func(yield func(*msg.OrderRequest) bool) {
+		if w.req == nil || !yield(w.req) {
+			return
+		}
+		for _, held := range w.more {
+			if !yield(held) {
+				return
+			}
+		}
+	}
+}
+
+// without returns w less the request with the given digest, and whether it
+// had one.
+func (w watched) without(digest msg.Digest) (watched, bool) {
+	if w.req != nil && w.req.Digest() == digest {
+		if len(w.more) == 0 {
+			return watched{}, true
+		}
+		return watched{req: w.more[0], more: w.more[1:]}, true
+	}
+	for i, held := range w.more {
+		if held.Digest() == digest {
+			return watched{req: w.req, more: slices.Delete(w.more, i, i+1)}, true
+		}
+	}
+	return w, false
+}
+
 type deferredMsg struct {
 	from msg.NodeID
 	view uint64
@@ -336,8 +386,10 @@ type Core struct {
 	pumping  bool
 
 	// Locally submitted requests not yet executed (leader-progress watch,
-	// and re-submission after a view change).
-	pendingLocal map[msg.Digest]*msg.OrderRequest
+	// and re-submission after a view change), by the name a client gives
+	// them: that is how a follower finds its own request in the leader's
+	// PREPARE without hashing it first (AdoptHeld).
+	pendingLocal map[requestID]watched
 
 	// In-flight proposals by request digest (leader-side retransmission
 	// dedup); cleared on execution and view change.
@@ -380,7 +432,7 @@ type Core struct {
 	specExec    uint64
 	specLog     map[uint64]msg.Digest
 	specClients map[uint64]uint64
-	specOut     map[specKey]*specRecord
+	specOut     map[requestID]*specRecord
 	specStale   bool
 
 	metrics Metrics
@@ -438,12 +490,12 @@ func New(cfg Config, out Outbound) *Core {
 		checkpoints:     make(map[uint64]map[msg.NodeID]msg.Digest),
 		ownCheckpoints:  make(map[uint64]*chunkedSnapshot),
 		clients:         make(map[uint64]*clientRecord),
-		pendingLocal:    make(map[msg.Digest]*msg.OrderRequest),
+		pendingLocal:    make(map[requestID]watched),
 		vcs:             make(map[uint64]map[msg.NodeID]*msg.ViewChange),
 		proposed:        make(map[msg.Digest]struct{}),
 		specLog:         make(map[uint64]msg.Digest),
 		specClients:     make(map[uint64]uint64),
-		specOut:         make(map[specKey]*specRecord),
+		specOut:         make(map[requestID]*specRecord),
 	}
 	if cfg.Speculate {
 		c.shadow = cfg.App.(app.Forker).Fork()
@@ -515,9 +567,12 @@ func (c *Core) chargeCounterOp(env node.Env) {
 
 // Submit hands a client request to the ordering protocol. Origin must be set
 // to the node that votes over the replies. Duplicate requests (same client,
-// same or older sequence number) are answered from the reply cache. req is
-// the caller's for the length of the call: its operation may be a view of a
-// buffer the caller reuses, so what the core keeps of it is a copy.
+// same or older sequence number) are answered from the reply cache. The core
+// keeps req — the progress watch, the batch accumulator and the log entry it
+// is ordered in share its operation bytes — so the caller gives it up: it owns
+// req's bytes when it calls (a copy-out of the ecall boundary does; an
+// operation decoded by view is copied by whoever submits it) and neither reads
+// nor writes req afterwards.
 func (c *Core) Submit(env node.Env, req *msg.OrderRequest) {
 	if rec, ok := c.clients[req.Client]; ok && req.ClientSeq <= rec.lastSeq {
 		if req.ClientSeq == rec.lastSeq {
@@ -530,20 +585,25 @@ func (c *Core) Submit(env node.Env, req *msg.OrderRequest) {
 		return
 	}
 	if c.inVC {
-		c.queued = append(c.queued, req.Clone())
+		c.queued = append(c.queued, req)
 		return
 	}
 	digest := req.Digest()
 	env.Charge(c.cfg.Profile, node.ChargeHash, len(req.Op))
-	// The progress watch keeps the one owned copy the core makes of a
-	// submitted request; on the leader the batch accumulator shares it. A
-	// retransmission finds that copy already there, and must not reset the
-	// suspicion deadline either — a dead leader would never be suspected
-	// while the client keeps retrying.
-	held, watched := c.pendingLocal[digest]
-	if !watched {
-		held = req.Clone()
-		c.watchProgress(env, digest, held)
+	// The progress watch holds the request; on the leader the batch
+	// accumulator shares it. A retransmission finds it already there, and
+	// must not reset the suspicion deadline either — a dead leader would
+	// never be suspected while the client keeps retrying.
+	var held *msg.OrderRequest
+	for h := range c.pendingLocal[idOf(req)].all() {
+		if h.Digest() == digest {
+			held = h
+			break
+		}
+	}
+	if held == nil {
+		held = req
+		c.watchProgress(env, held)
 	}
 	if c.IsLeader() {
 		c.enqueue(env, held, digest)
@@ -554,23 +614,72 @@ func (c *Core) Submit(env node.Env, req *msg.OrderRequest) {
 
 // watchProgress arms the leader-suspicion timer for a locally submitted
 // request, which it keeps (re-submission after a view change).
-func (c *Core) watchProgress(env node.Env, digest msg.Digest, req *msg.OrderRequest) {
-	c.pendingLocal[digest] = req
-	if len(c.pendingLocal) == 1 {
+func (c *Core) watchProgress(env node.Env, req *msg.OrderRequest) {
+	if len(c.pendingLocal) == 0 {
 		env.SetTimer(c.cfg.ViewChangeTimeout, node.TimerKey{Kind: timerProgress})
 	}
+	w := c.pendingLocal[idOf(req)]
+	if w.req == nil {
+		w.req = req
+	} else {
+		w.more = append(w.more, req)
+	}
+	c.pendingLocal[idOf(req)] = w
 }
 
-func (c *Core) clearProgress(env node.Env, digest msg.Digest) {
-	if _, ok := c.pendingLocal[digest]; !ok {
+// clearProgress takes an executed (or skipped) request off the progress watch,
+// if this replica submitted it.
+func (c *Core) clearProgress(env node.Env, req *msg.OrderRequest, digest msg.Digest) {
+	id := idOf(req)
+	w, found := c.pendingLocal[id].without(digest)
+	if !found {
 		return
 	}
-	delete(c.pendingLocal, digest)
+	if w.req == nil {
+		delete(c.pendingLocal, id)
+	} else {
+		c.pendingLocal[id] = w
+	}
 	if len(c.pendingLocal) == 0 {
 		env.CancelTimer(node.TimerKey{Kind: timerProgress})
 	} else {
 		env.SetTimer(c.cfg.ViewChangeTimeout, node.TimerKey{Kind: timerProgress})
 	}
+}
+
+// AdoptHeld lets a follower recognise its own requests in a PREPARE it has
+// decoded and not yet authenticated: a request of b that equals, field by
+// field and byte by byte, one this replica submitted and still watches becomes
+// that request — its digest, which the transport MAC, the batch digest and the
+// certificate check then run on without the operation being hashed again, and
+// its bytes, which the replica owns already and log admission therefore does
+// not copy. The digest is a function of exactly the fields compared, so every
+// check sees the value hashing would have produced; a request that differs in
+// one byte is a different request, hashed and admitted like a stranger's.
+func (c *Core) AdoptHeld(b *msg.Batch) {
+	if len(c.pendingLocal) == 0 {
+		return
+	}
+	for i := range b.Reqs {
+		req := &b.Reqs[i]
+		for held := range c.pendingLocal[idOf(req)].all() {
+			if held.Origin == req.Origin && held.Flags == req.Flags && bytes.Equal(held.Op, req.Op) {
+				*req = *held
+				break
+			}
+		}
+	}
+}
+
+// holds reports whether req's operation is, byte for byte in memory, that of a
+// request on the progress watch: AdoptHeld put it there.
+func (c *Core) holds(req *msg.OrderRequest) bool {
+	for held := range c.pendingLocal[idOf(req)].all() {
+		if n := len(req.Op); n > 0 && n == len(held.Op) && &held.Op[0] == &req.Op[0] {
+			return true
+		}
+	}
+	return false
 }
 
 // OnTimer must be called by the host for timers with the "hybster/" prefix.
@@ -953,8 +1062,9 @@ func (c *Core) drainPrepares(env node.Env) {
 }
 
 // acceptPrepare admits a verified, in-lane-order PREPARE to the log. prep is
-// a view of the delivered envelope; the entry gets its own copy of the batch
-// (with the request digests OnPrepare just computed) and of the certificate.
+// a view of the delivered envelope; the entry gets its own copy of the
+// certificate and of the batch (with the request digests OnPrepare just
+// computed), less the operations this replica submitted itself and holds.
 func (c *Core) acceptPrepare(env node.Env, prep *msg.Prepare, batchDigest msg.Digest) {
 	lane := tcounter.LaneOf(prep.Seq, c.cfg.PipelineDepth)
 	c.nextPrepareValue[lane] = prep.Cert.Value + uint64(c.lanes())
@@ -966,7 +1076,7 @@ func (c *Core) acceptPrepare(env node.Env, prep *msg.Prepare, batchDigest msg.Di
 
 	e := c.getEntry(prep.Seq)
 	e.view = prep.View
-	e.batch = prep.Batch.Clone()
+	e.batch = prep.Batch.CloneExcept(c.holds)
 	e.digest = batchDigest
 	e.hasPrep = true
 	e.prepCert = prep.Cert.Clone()
@@ -1135,7 +1245,7 @@ func (c *Core) execute(env node.Env, e *entry) {
 	for i := range e.batch.Reqs {
 		req := &e.batch.Reqs[i]
 		reqDigest := req.Digest() // carried since the batch was proposed or accepted
-		c.clearProgress(env, reqDigest)
+		c.clearProgress(env, req, reqDigest)
 		delete(c.proposed, reqDigest)
 
 		if req.Origin == msg.NoNode && len(req.Op) == 0 {

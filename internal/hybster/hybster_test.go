@@ -45,7 +45,7 @@ func (r *testReplica) OnEnvelope(env node.Env, e *msg.Envelope) {
 			Client:    m.Client,
 			ClientSeq: m.ClientSeq,
 			Flags:     m.Flags,
-			Op:        m.Op,
+			Op:        bytes.Clone(m.Op), // Submit keeps what it is given
 		})
 	case *msg.Forward:
 		r.core.OnForward(env, e.From, m)
@@ -428,9 +428,11 @@ func TestStateTransferCarriesClientTable(t *testing.T) {
 	}
 	r2 := cl.replicas[2].core
 	stalePending := func() bool {
-		for _, req := range r2.pendingLocal {
-			if string(req.Op) == "PUT marker stale" {
-				return true
+		for _, w := range r2.pendingLocal {
+			for req := range w.all() {
+				if string(req.Op) == "PUT marker stale" {
+					return true
+				}
 			}
 		}
 		return false

@@ -70,11 +70,6 @@ type SpecOutbound interface {
 	Retracted(env node.Env, seq uint64, req *msg.OrderRequest, view uint64)
 }
 
-type specKey struct {
-	client    uint64
-	clientSeq uint64
-}
-
 // specRecord is one outstanding speculation: a fast-flagged request answered
 // from the shadow and not yet settled by durable execution.
 type specRecord struct {
@@ -132,7 +127,7 @@ func (c *Core) speculate(env node.Env, e *entry) {
 			continue
 		}
 		c.metrics.Speculated++
-		c.specOut[specKey{req.Client, req.ClientSeq}] = &specRecord{
+		c.specOut[idOf(req)] = &specRecord{
 			seq: e.seq, view: e.view, result: result, req: req,
 		}
 		if hasOut {
@@ -175,7 +170,7 @@ func (c *Core) VerifySpecReply(env node.Env, from msg.NodeID, sr *msg.SpecReply)
 // confirms or repairs the client; the core only needs to stop tracking the
 // speculation so a later rollback does not retract an already-settled answer.
 func (c *Core) settleSpec(req *msg.OrderRequest) {
-	k := specKey{req.Client, req.ClientSeq}
+	k := idOf(req)
 	if _, ok := c.specOut[k]; ok {
 		delete(c.specOut, k)
 		c.metrics.SpecConfirmed++
@@ -197,7 +192,7 @@ func (c *Core) rollbackSpec(env node.Env) {
 	}
 	c.metrics.SpecRollbacks++
 	so, hasOut := c.out.(SpecOutbound)
-	keys := make([]specKey, 0, len(c.specOut))
+	keys := make([]requestID, 0, len(c.specOut))
 	for k := range c.specOut {
 		keys = append(keys, k)
 	}

@@ -2,6 +2,7 @@ package hybster
 
 import (
 	"bytes"
+	"slices"
 	"sort"
 
 	"github.com/troxy-bft/troxy/internal/msg"
@@ -312,18 +313,22 @@ func (c *Core) installView(env node.Env, nv *msg.NewView) {
 	// by the execution-time client table.
 	pending := c.queued
 	c.queued = nil
-	var missed []msg.Digest
-	for digest := range c.pendingLocal {
-		if _, ok := reproposed[digest]; ok {
-			continue
-		}
-		missed = append(missed, digest)
+	ids := make([]requestID, 0, len(c.pendingLocal))
+	for id := range c.pendingLocal {
+		ids = append(ids, id)
 	}
-	sort.Slice(missed, func(i, j int) bool {
-		return bytes.Compare(missed[i][:], missed[j][:]) < 0
+	var held []*msg.OrderRequest // in map order until the sort below
+	for _, id := range ids {
+		held = slices.AppendSeq(held, c.pendingLocal[id].all())
+	}
+	sort.Slice(held, func(i, j int) bool {
+		di, dj := held[i].Digest(), held[j].Digest()
+		return bytes.Compare(di[:], dj[:]) < 0
 	})
-	for _, digest := range missed {
-		pending = append(pending, c.pendingLocal[digest])
+	for _, req := range held {
+		if _, ok := reproposed[req.Digest()]; !ok {
+			pending = append(pending, req)
+		}
 	}
 	// Sort the whole re-drive set by (Client, ClientSeq): the re-drive order
 	// below is protocol-visible (enqueue/Forward order), and this order both

@@ -124,6 +124,16 @@ func BenchmarkAllocGate(b *testing.B) {
 		}
 	})
 
+	// A request is hashed where it lies: no encoding of it is built, nothing
+	// is allocated, whatever the operation's size.
+	op := make([]byte, 4096)
+	testutil.AllocGate(b, "RequestDigest4K", 0, func() {
+		req := OrderRequest{Origin: 1, Client: 100, ClientSeq: 3, Op: op}
+		if req.Digest() == (Digest{}) {
+			b.Fatal("zero digest")
+		}
+	})
+
 	// Decoding allocates the envelope and the message: 2, for a bare reply
 	// and for a batch of five alike — walking the batch's replies into one
 	// reused OrderedReply adds nothing. The 16 operations and the

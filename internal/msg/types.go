@@ -2,8 +2,12 @@ package msg
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
+	"sync"
 
 	"github.com/troxy-bft/troxy/internal/wire"
 )
@@ -183,12 +187,41 @@ func (m *OrderRequest) FastCommit() bool { return m.Flags&FlagFastCommit != 0 }
 // encoded fields must not change once the digest has been taken.
 func (m *OrderRequest) Digest() Digest {
 	if !m.digested {
-		w := wire.GetWriter()
-		m.MarshalWire(w)
-		m.digest, m.digested = DigestOf(w.Bytes()), true
-		wire.PutWriter(w)
+		h := requestHashers.Get().(*requestHasher)
+		m.digest, m.digested = h.sum(m), true
+		requestHashers.Put(h)
 	}
 	return m.digest
+}
+
+// requestHasher hashes a request where it lies: the fixed-size head of the
+// canonical encoding is laid out in hdr, the operation goes into the hash from
+// wherever it is. (Marshalling the request to hash the encoding would move the
+// operation once more, per digest.) hdr and out live here because what is
+// handed to a hash.Hash escapes.
+type requestHasher struct {
+	h   hash.Hash
+	hdr [orderRequestHeaderLen]byte
+	out Digest
+}
+
+// orderRequestHeaderLen is what MarshalWire writes in front of the operation's
+// bytes: origin, client, client sequence number, flags, operation length.
+const orderRequestHeaderLen = 4 + 8 + 8 + 1 + 4
+
+var requestHashers = sync.Pool{New: func() any { return &requestHasher{h: sha256.New()} }}
+
+func (h *requestHasher) sum(m *OrderRequest) Digest {
+	b := binary.LittleEndian.AppendUint32(h.hdr[:0], uint32(m.Origin))
+	b = binary.LittleEndian.AppendUint64(b, m.Client)
+	b = binary.LittleEndian.AppendUint64(b, m.ClientSeq)
+	b = append(b, m.Flags)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.Op)))
+	h.h.Reset()
+	h.h.Write(b)
+	h.h.Write(m.Op)
+	h.h.Sum(h.out[:0])
+	return h.out
 }
 
 // SetDigest installs d as the request's digest, for the one decoder whose
@@ -257,21 +290,32 @@ func (m *Batch) UnmarshalWire(r *wire.Reader) error {
 // Len returns the number of requests in the batch.
 func (m *Batch) Len() int { return len(m.Reqs) }
 
-// Clone returns a copy of the batch that owns its operation bytes — the one
-// copy a replica makes when it admits a decoded batch to its log. The
-// operations share a single allocation, each cap-limited to its own bytes.
-func (m *Batch) Clone() *Batch {
-	total := 0
-	for i := range m.Reqs {
-		total += len(m.Reqs[i].Op)
-	}
-	ops := make([]byte, 0, total)
+// Clone returns a copy of the batch that owns its operation bytes, for a
+// holder that outlives the buffer the batch was decoded from.
+func (m *Batch) Clone() *Batch { return m.CloneExcept(nil) }
+
+// CloneExcept is Clone for a holder that already owns some of the operations
+// — the one copy a replica makes when it admits a decoded batch to its log.
+// owned reports those requests (nil: none); the copy shares their bytes. The
+// operations it copies share a single allocation, each cap-limited to its own
+// bytes, and that allocation is written once: bytes.Join does not clear what
+// it is about to fill, make would.
+func (m *Batch) CloneExcept(owned func(*OrderRequest) bool) *Batch {
 	c := &Batch{Reqs: make([]OrderRequest, len(m.Reqs))}
-	for i := range m.Reqs {
-		c.Reqs[i] = m.Reqs[i]
-		if n := len(m.Reqs[i].Op); n > 0 {
-			ops = append(ops, m.Reqs[i].Op...)
-			c.Reqs[i].Op = ops[len(ops)-n : len(ops) : len(ops)]
+	copy(c.Reqs, m.Reqs)
+	var room [32][]byte // a batch of the usual size keeps the list on the stack
+	ops := room[:0]     // per request: the operation to copy, nil for one to share
+	for i := range c.Reqs {
+		var op []byte
+		if owned == nil || !owned(&c.Reqs[i]) {
+			op = c.Reqs[i].Op
+		}
+		ops = append(ops, op)
+	}
+	slab := bytes.Join(ops, nil)
+	for i, op := range ops {
+		if n := len(op); n > 0 {
+			c.Reqs[i].Op, slab = slab[:n:n], slab[n:]
 		}
 	}
 	return c

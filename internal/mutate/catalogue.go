@@ -159,10 +159,28 @@ var Catalogue = []Mutant{
 		New:   "Op:        op,",
 	},
 	{
-		ID: "hybster-submit-not-cloned", File: "internal/hybster/core.go",
-		Fault: "the ordering core keeps the caller's request, whose operation is a reused buffer",
-		Old:   "		held = req.Clone()\n",
-		New:   "		held = req\n",
+		ID: "bft-request-op-is-a-view", File: "internal/replica/replica.go",
+		Fault: "a baseline request is submitted over the envelope's bytes, which ordering keeps and the transport reuses",
+		Old:   "		Op:        append([]byte(nil), m.Op...),\n",
+		New:   "		Op:        m.Op,\n",
+	},
+	{
+		ID: "direct-proxy-submit-is-a-view", File: "internal/troxy/proxy.go",
+		Fault: "the direct binding's submits stay views of the Core's plaintext scratch, which ordering keeps and the next record overwrites",
+		Old:   "		acts.Submits[i].Op = append([]byte(nil), acts.Submits[i].Op...)\n",
+		New:   "		_ = i\n",
+	},
+	{
+		ID: "held-request-matched-by-id-only", File: "internal/hybster/core.go",
+		Fault: "a follower takes any request under a client and sequence number it watches for the one it submitted: the certificate is checked against the held digest, whatever bytes the PREPARE carries",
+		Old:   "bytes.Equal(held.Op, req.Op) {",
+		New:   "bytes.Equal(held.Op[:0], req.Op[:0]) {",
+	},
+	{
+		ID: "held-digest-with-wire-bytes", File: "internal/hybster/core.go",
+		Fault: "a recognised request takes the held digest and keeps the PREPARE's bytes: the origin copies its own request into the log again",
+		Old:   "				*req = *held\n",
+		New:   "				req.SetDigest(held.Digest())\n",
 	},
 	{
 		ID: "enclave-provision-copy-dropped", File: "internal/enclave/enclave.go", Aims: []string{"copydiscipline"},

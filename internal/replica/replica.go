@@ -248,13 +248,19 @@ func (r *Replica) onEnvelope(env node.Env, e *msg.Envelope) {
 // PREPARE's MAC covers the digests of the requests it orders, not their bytes
 // (msg.Covered), so those two are opened first — by view, nothing is copied
 // or kept — and the digests computed for the check stay with the decoded
-// requests: the core's batch digest and log admission reuse them. Every other
-// kind is verified whole before it is decoded.
+// requests: the core's batch digest and log admission reuse them. A request of
+// a PREPARE that this replica submitted itself is not even hashed: the core
+// finds the one it holds by comparison, and the check runs on that one's
+// digest (hybster.Core.AdoptHeld). Every other kind is verified whole before
+// it is decoded.
 func (r *Replica) authenticate(env node.Env, e *msg.Envelope) (msg.Message, bool) {
 	if e.Kind.CoversDigests() {
 		m, err := e.Open()
 		if err != nil {
 			return nil, false
+		}
+		if prep, ok := m.(*msg.Prepare); ok {
+			r.core.AdoptHeld(&prep.Batch)
 		}
 		ok, n := r.auth.VerifyMessage(e, m)
 		env.Charge(node.ProfileJava, node.ChargeMAC, n)
@@ -331,19 +337,20 @@ func (r *Replica) onBFTRequest(env node.Env, from msg.NodeID, m *msg.BFTRequest)
 		// and followers must not amplify it into Forwards.
 		return
 	}
+	// m is a view of the envelope and ordering keeps what it is submitted:
+	// this is where a baseline request gets bytes of its own.
 	r.core.Submit(env, &msg.OrderRequest{
 		Origin:    from,
 		Client:    m.Client,
 		ClientSeq: m.ClientSeq,
 		Flags:     m.Flags,
-		Op:        m.Op,
+		Op:        append([]byte(nil), m.Op...),
 	})
 }
 
-// apply executes the Troxy's requested actions. A submit's operation may be a
-// view of a buffer the Troxy reuses for its next client record (troxy.Proxy):
-// Submit copies what ordering keeps, and nothing on the way there hands the
-// Troxy more client data.
+// apply executes the Troxy's requested actions. Every byte slice in an Actions
+// is the caller's (troxy.Proxy), so a submit goes to ordering as it is: Submit
+// keeps it, and the request is not touched here again.
 func (r *Replica) apply(env node.Env, acts troxy.Actions) {
 	for _, cr := range acts.Client {
 		env.Send(msg.SealChannelData(r.cfg.Self, cr.Node, cr.ConnID, cr.Frame))

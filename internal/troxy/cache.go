@@ -53,6 +53,12 @@ type cacheEntry struct {
 	keys  msg.Keys // the state parts the entry is indexed under
 	size  int64
 
+	// replyDigest is the digest of reply once a fast read or a cache query
+	// has asked for it (GetDigest). An entry's reply never changes — a new
+	// result is a new entry — so it is hashed at most once.
+	replyDigest msg.Digest
+	digested    bool
+
 	prev, next *cacheEntry
 }
 
@@ -71,6 +77,27 @@ func NewCache(capacity int64) *Cache {
 
 // Get returns the cached reply for an operation digest, or nil.
 func (c *Cache) Get(op msg.Digest) []byte {
+	if e := c.hit(op); e != nil {
+		return e.reply
+	}
+	return nil
+}
+
+// GetDigest is Get for the fast-read protocol, which compares replies by
+// digest: it returns the reply's digest with it (zero on a miss).
+func (c *Cache) GetDigest(op msg.Digest) ([]byte, msg.Digest) {
+	e := c.hit(op)
+	if e == nil {
+		return nil, msg.Digest{}
+	}
+	if !e.digested {
+		e.replyDigest, e.digested = msg.DigestOf(e.reply), true
+	}
+	return e.reply, e.replyDigest
+}
+
+// hit looks op up, counts the outcome and marks a found entry used.
+func (c *Cache) hit(op msg.Digest) *cacheEntry {
 	e, ok := c.entries[op]
 	if !ok {
 		c.stats.Misses++
@@ -78,7 +105,7 @@ func (c *Cache) Get(op msg.Digest) []byte {
 	}
 	c.stats.Hits++
 	c.moveToFront(e)
-	return e.reply
+	return e
 }
 
 // ownReply copies a reply's result and key list — views of a buffer that

@@ -226,3 +226,41 @@ func TestCacheOwnsWhatItKeeps(t *testing.T) {
 		t.Errorf("cache not empty after invalidation: %+v", st)
 	}
 }
+
+// TestCachedReplyDigestFollowsTheReply: the cache hashes a reply the first
+// time a fast read or a cache query asks for its digest and hands out that
+// digest from then on. It is the digest of the entry's reply, so it follows a
+// replaced entry's new reply, dies with an invalidated entry, and is not
+// something a caller's buffer can change afterwards.
+func TestCachedReplyDigestFollowsTheReply(t *testing.T) {
+	c := NewCache(1 << 20)
+	reply := []byte("VALUE old")
+	c.Put(d("GET k"), reply, []string{"k"})
+	for i := range reply {
+		reply[i] = 0xA5
+	}
+	for range 2 { // computed, then remembered
+		got, digest := c.GetDigest(d("GET k"))
+		if string(got) != "VALUE old" || digest != msg.DigestOf([]byte("VALUE old")) {
+			t.Fatalf("GetDigest = %q, %s; want the reply and its digest", got, digest.Short())
+		}
+	}
+
+	c.Put(d("GET k"), []byte("VALUE new"), []string{"k"})
+	if got, digest := c.GetDigest(d("GET k")); string(got) != "VALUE new" || digest != msg.DigestOf(got) {
+		t.Errorf("after the entry was replaced GetDigest = %q, %s; want the new reply's digest %s",
+			got, digest.Short(), msg.DigestOf(got).Short())
+	}
+	if st := c.Stats(); st.Entries != 1 || st.UsedBytes != int64(len("VALUE new"))+64 {
+		t.Errorf("footprint after a replacement: %+v", st)
+	}
+
+	c.Invalidate([]byte("k"))
+	if got, digest := c.GetDigest(d("GET k")); got != nil || digest != (msg.Digest{}) {
+		t.Errorf("an invalidated entry still answers %q, %s", got, digest.Short())
+	}
+	c.Put(d("GET k"), []byte("VALUE newer"), []string{"k"})
+	if _, digest := c.GetDigest(d("GET k")); digest != msg.DigestOf([]byte("VALUE newer")) {
+		t.Error("an entry installed after an invalidation answers with an older reply's digest")
+	}
+}

@@ -479,8 +479,8 @@ func (c *Core) handleOperation(now time.Duration, sess *session, client, clientS
 		// A fast read already in flight for this request makes this a client
 		// retransmission: it goes to ordering, and the round goes on.
 		if _, pending := c.queryOf[key]; !pending {
-			if reply := c.cache.Get(opHash); reply != nil {
-				return c.startFastRead(now, sess, key, opHash, op, reply)
+			if reply, replyHash := c.cache.GetDigest(opHash); reply != nil {
+				return c.startFastRead(now, sess, key, opHash, op, reply, replyHash)
 			}
 			c.stats.CacheMisses++
 			c.monitor.Record(now, true)
@@ -495,8 +495,8 @@ func (c *Core) handleOperation(now time.Duration, sess *session, client, clientS
 // the BFT request to submit. Re-registration (client retransmission) keeps
 // the already-collected votes. The returned request's Op is op itself — a
 // view of the record's plaintext, valid for this call: it leaves through
-// Actions, whose consumer copies it (the boundary's copy-out, or the ordering
-// core where it stores the request).
+// Actions, which the binding copies on the way out (the boundary's copy-out,
+// or DirectProxy.HandleClientData).
 func (c *Core) registerVote(sess *session, key voteKey, opHash msg.Digest, op []byte, read, fast bool) msg.OrderRequest {
 	flags := uint8(0)
 	if read {
@@ -530,7 +530,7 @@ func (c *Core) registerVote(sess *session, key voteKey, opHash msg.Digest, op []
 
 // startFastRead begins the remote-confirmation round for a locally cached
 // read (check_cache in Figure 4).
-func (c *Core) startFastRead(now time.Duration, sess *session, key voteKey, opHash msg.Digest, op []byte, reply []byte) Actions {
+func (c *Core) startFastRead(now time.Duration, sess *session, key voteKey, opHash msg.Digest, op []byte, reply []byte, replyHash msg.Digest) Actions {
 	var out Actions
 	c.queryCtr++
 	id := c.queryCtr
@@ -540,7 +540,7 @@ func (c *Core) startFastRead(now time.Duration, sess *session, key voteKey, opHa
 		key:       key,
 		opHash:    opHash,
 		reply:     reply,
-		replyHash: msg.DigestOf(reply),
+		replyHash: replyHash,
 	}
 	// The fallback outlives this call (it is submitted when a remote cache
 	// disagrees or times out), so it owns its operation bytes.
@@ -903,9 +903,9 @@ func (c *Core) HandleCacheQuery(q *msg.CacheQuery) (Actions, error) {
 		return out, nil
 	}
 	rep := &msg.CacheReply{From: c.cfg.Self, QueryID: q.QueryID, ReqDigest: q.ReqDigest}
-	if cached := c.cache.Get(q.ReqDigest); cached != nil {
+	if cached, digest := c.cache.GetDigest(q.ReqDigest); cached != nil {
 		rep.Found = true
-		rep.ReplyDigest = msg.DigestOf(cached)
+		rep.ReplyDigest = digest
 		if c.cfg.FullCacheReplies {
 			rep.ReplyData = cached
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/ed25519"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -354,6 +355,36 @@ func TestFastReadTimeoutFallsBack(t *testing.T) {
 	out = core.Tick(150 * time.Millisecond)
 	if len(out.Submits) != 1 {
 		t.Fatal("timeout did not fall back to ordering")
+	}
+}
+
+// TestExpiredFastReadsFallBackInQueryOrder: the fast reads one Tick expires
+// are handed to ordering in the order they were started, whatever order the
+// map of pending queries yields them in. The order of Actions.Submits is the
+// order the requests are forwarded and proposed in, so a simulation is only
+// reproducible per seed — and a client's reads only stay in the order it sent
+// them — if it is fixed. (Eight queries, so map order passes for sorted once
+// in 40 320 runs.)
+func TestExpiredFastReadsFallBackInQueryOrder(t *testing.T) {
+	core, pub, _ := newTestCore(t, true)
+	cc := openChannel(t, core, pub, 1, 100)
+	const reads = 8
+	for i := 0; i < reads; i++ {
+		op := fmt.Sprintf("GET k%d", i)
+		core.cache.Put(msg.DigestOf([]byte(op)), []byte("v"), []string{op[4:]})
+		if acts := cc.request(t, core, 0, op, true); len(acts.Queries) != 1 {
+			t.Fatalf("read %d issued %d cache queries, want 1", i, len(acts.Queries))
+		}
+	}
+	out := core.Tick(150 * time.Millisecond)
+	if len(out.Submits) != reads {
+		t.Fatalf("%d of %d timed-out reads fell back to ordering", len(out.Submits), reads)
+	}
+	for i, req := range out.Submits {
+		if want := fmt.Sprintf("GET k%d", i); req.ClientSeq != uint64(i+1) || string(req.Op) != want {
+			t.Errorf("fallback %d is request %d %q, want request %d %q: expiry left query order",
+				i, req.ClientSeq, req.Op, i+1, want)
+		}
 	}
 }
 

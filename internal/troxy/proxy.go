@@ -30,12 +30,10 @@ type Proxy interface {
 	AcceptConn(env node.Env, connID uint64, from msg.NodeID)
 	CloseConn(env node.Env, connID uint64)
 	//
-	// The operations of the Submits HandleClientData returns may be views of
-	// a buffer the implementation reuses for the next record (the direct
-	// binding's are: the Core's plaintext scratch), so they are valid until
-	// the next HandleClientData on this Proxy; the caller submits them —
-	// ordering copies what it keeps — before it hands over more client data.
-	// Every other byte slice in an Actions is the caller's to keep.
+	// Every byte slice in an Actions, of this call and of every other, is the
+	// caller's to keep: the enclave binding's are views of the boundary's
+	// copy-out, the direct binding copies a submit's operation out of the
+	// Core's plaintext scratch. Ordering keeps a submit as it is handed over.
 	HandleClientData(env node.Env, connID uint64, from msg.NodeID, payload []byte) (Actions, error)
 	//
 	// rep is the caller's in both reply calls and may be one it reuses: no
@@ -119,6 +117,11 @@ func (p *DirectProxy) HandleClientData(env node.Env, connID uint64, from msg.Nod
 	acts, err := p.core.HandleClientData(env.Now(), connID, from, payload)
 	if err != nil {
 		return acts, err
+	}
+	// The Core's submits are views of its plaintext scratch; where there is no
+	// boundary to copy them out, this is the copy the caller is owed.
+	for i := range acts.Submits {
+		acts.Submits[i].Op = append([]byte(nil), acts.Submits[i].Op...)
 	}
 	chargeClientData(env, p.profile, payload, &acts)
 	return acts, nil

@@ -27,9 +27,9 @@ type scratchRun struct {
 }
 
 // took consumes a call's result: the actions are encoded on the spot (what
-// ordering's copy and the network's send amount to), client records are
-// decrypted, the plaintext buffer is poisoned, and the actions come back
-// decoded from that encoding, owning every byte.
+// the network's send amounts to), client records are decrypted, the plaintext
+// buffer is poisoned — which must not change the actions the caller holds —
+// and the actions come back decoded from that encoding, owning every byte.
 func (r *scratchRun) took(acts Actions, err error) Actions {
 	r.t.Helper()
 	if err != nil {
@@ -52,6 +52,15 @@ func (r *scratchRun) took(acts Actions, err error) Actions {
 		plain := r.core.plain[:cap(r.core.plain)]
 		for i := range plain {
 			plain[i] = 0xA5
+		}
+		// Every byte slice in an Actions is the caller's to keep, whichever
+		// binding returned it: ordering holds a submit as it is handed over,
+		// long after the Core has decrypted its next record.
+		again := wire.NewWriter(256)
+		encodeActions(again, &acts)
+		if !bytes.Equal(again.Bytes(), w.Bytes()) {
+			r.t.Errorf("call %d: the returned actions changed when the plaintext buffer was overwritten:\n got %x\nwant %x",
+				len(r.steps)-1, again.Bytes(), w.Bytes())
 		}
 	}
 	own, err := decodeActions(w.Bytes())
@@ -176,9 +185,9 @@ func httpScratchScript(r *scratchRun) {
 
 // TestPlaintextScratchIsNotRetained: the Core decrypts every client record
 // into one buffer. Overwriting that buffer after every call — through the
-// direct binding, whose Submits are views of it until then, and through the
-// enclave — must change nothing: not one action of any call, and not what the
-// client reads.
+// direct binding, which copies its Submits out of it, and through the enclave
+// — must change nothing: not one action of any call, while the caller holds it
+// or afterwards, and not what the client reads.
 func TestPlaintextScratchIsNotRetained(t *testing.T) {
 	generic := Config{Self: 0, N: 3, F: 1, Seed: 77, Classify: classifyKV, FastReads: true}
 	http := Config{Self: 0, N: 3, F: 1, Seed: 77, Classify: classifyKV, HTTP: true}

@@ -59,8 +59,12 @@ func (w *Writer) Reset() { w.buf = w.buf[:0] }
 // CopyBytes returns a copy of the encoded bytes, safe to retain after the
 // writer is reset or returned to the pool.
 func (w *Writer) CopyBytes() []byte {
-	out := make([]byte, len(w.buf))
-	copy(out, w.buf)
+	// The compiler fuses make+copy into one allocation that is not cleared
+	// first only when the source is a local, not a field: bound here, every
+	// owned body is written once (`make copy-gate` reads the assembly).
+	buf := w.buf
+	out := make([]byte, len(buf))
+	copy(out, buf)
 	return out
 }
 

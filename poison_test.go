@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/troxy-bft/troxy/internal/app"
+	"github.com/troxy-bft/troxy/internal/bftclient"
 	"github.com/troxy-bft/troxy/internal/faultplane"
 	"github.com/troxy-bft/troxy/internal/legacyclient"
 	"github.com/troxy-bft/troxy/internal/msg"
@@ -114,8 +115,26 @@ func retentionRun(t *testing.T, mode Mode, poison bool) (proposals []proposal, s
 
 	history := &faultplane.History{}
 	const machines, perMachine, opsPerClient = 2, 4, 6
-	var clients []*legacyclient.Machine
+	var clients []interface{ Done() int }
 	for i := 0; i < machines; i++ {
+		if mode == Baseline {
+			// BFT clients talk to the leader themselves: their requests reach
+			// ordering through replica.onBFTRequest, decoded by view.
+			bc := bftclient.New(bftclient.Config{
+				Machine:       msg.NodeID(100 + i),
+				Clients:       perMachine,
+				FirstClientID: uint64(1000 * (i + 1)),
+				N:             3,
+				F:             1,
+				Directory:     cl.Directory,
+				Gen:           workload.KVGen{Keys: 4, ReadRatio: 0.3, ValueSize: 24},
+				MaxOps:        opsPerClient,
+				Timeout:       250 * time.Millisecond,
+			})
+			clients = append(clients, bc)
+			net.Attach(msg.NodeID(100+i), bc)
+			continue
+		}
 		lc := legacyclient.New(legacyclient.Config{
 			Machine:       msg.NodeID(100 + i),
 			Clients:       perMachine,
@@ -151,13 +170,16 @@ func retentionRun(t *testing.T, mode Mode, poison bool) (proposals []proposal, s
 
 // TestDeliveredEnvelopesAreNotRetained: a replica decodes what it is
 // delivered by view and copies what it keeps — log entries, queued requests,
-// buffered votes, the Troxy's vote state and cache. A transport that
+// buffered votes, the Troxy's vote state and cache, and in the baseline the
+// operation of a client's request, which ordering keeps as it is submitted
+// (the baseline has no client-observed history here: its run is compared by
+// proposals and final state). A transport that
 // overwrites every delivered envelope after its handler returns must
 // therefore change nothing: a batch re-proposed after a view change is, bit
 // for bit, the batch first proposed at that sequence number, the history
 // stays linearizable, and the whole run is the run without poisoning.
 func TestDeliveredEnvelopesAreNotRetained(t *testing.T) {
-	for _, mode := range []Mode{CTroxy, ETroxy} {
+	for _, mode := range []Mode{Baseline, CTroxy, ETroxy} {
 		t.Run(mode.String(), func(t *testing.T) {
 			clean, cleanState, cleanHist := retentionRun(t, mode, false)
 			lent, lentState, hist := retentionRun(t, mode, true)
