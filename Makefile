@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK := honnef.co/go/tools/cmd/staticcheck@2025.1
 GOVULNCHECK := golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: build test check lint staticcheck govulncheck bench bench-quick copy-gate bench-check allocs-top fuzz chaos chaos-realnet race soak soak-quick mutate
+.PHONY: build test check lint staticcheck govulncheck bench bench-quick copy-gate bench-check bench-smoke allocs-top fuzz chaos chaos-realnet race soak soak-quick mutate
 
 build:
 	$(GO) build ./...
@@ -124,6 +124,24 @@ allocs-top:
 # pipeline. It writes nothing under bench/.
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
+
+# bench-smoke runs the wall-clock benchmark itself, briefly: every workload
+# for two seconds untraced and traced, on the real TCP runtime, where a body
+# handed to env.Send is written later by another goroutine — a buffer reused
+# too early corrupts a reply there, which the simulated tests can miss. It
+# fails unless each run's last line says "correct":true and "failed":0, and it
+# writes only .bench_build/ and bench/out/ (both gitignored).
+WORKLOADS := write_small write_bigstate read_fast mixed_zipf
+
+bench-smoke:
+	@for w in $(WORKLOADS); do for trace in 0 1; do \
+		out=$$(bash bench/run.sh --workload $$w --seconds 2 --trace $$trace) || exit 1; \
+		last=$$(printf '%s\n' "$$out" | tail -n 1); \
+		case "$$last" in \
+		*'"correct":true'*'"failed":0,'*) echo "bench-smoke: $$w --trace $$trace: correct, none failed";; \
+		*) echo "bench-smoke: $$w --trace $$trace: $$last"; exit 1;; \
+		esac; \
+	done; done
 
 # race is the focused race-detector gate: the seeded chaos schedules at the
 # module root plus the two most goroutine-heavy packages — the pipelined

@@ -40,12 +40,13 @@ func (g *putGen) Next(*rand.Rand) workload.Op {
 // writeAllocCeiling is the budget of TestWriteAllocBudget: heap allocations
 // per completed 128-byte PUT, everything included (three replicas, their
 // enclaves, the client machine and the simulator's own events — about ten of
-// them). The tree measures 38.1, the same on every run; the ceiling is two
-// above that. The commit before Submit kept the request it is given measured
-// 40.1 on this harness, the one before crossings copied into memory their hop
-// owns 64.1, the one before replies were batched 100.9, the one before the
-// copy-once request path 222.6.
-const writeAllocCeiling = 40
+// them). The tree measures 28.1, the same on every run; the ceiling is two
+// above that. The commit before a Troxy call left no garbage (and the store
+// shared its constant results) measured 38.1 on this harness, the one before
+// Submit kept the request it is given 40.1, the one before crossings copied
+// into memory their hop owns 64.1, the one before replies were batched 100.9,
+// the one before the copy-once request path 222.6.
+const writeAllocCeiling = 30
 
 // TestWriteAllocBudget is the deterministic end-to-end allocation budget of
 // the request path: the benchmark's write_small deployment (etroxy, batch

@@ -127,6 +127,50 @@ func TestCTroxyEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSharedResultsStayConstant: the store answers every write "OK" and every
+// miss "NOTFOUND" with one shared slice each (app.Application.Execute: callers
+// never modify a result). Writes, deletes and misses driven through a cluster
+// under either binding — executed on every replica, kept in its client table,
+// tagged, voted on, sealed for the client — must leave both as they were, and
+// the client must read them.
+func TestSharedResultsStayConstant(t *testing.T) {
+	probe := app.NewStore()
+	ok, notFound := probe.Execute([]byte("PUT k v")), probe.Execute([]byte("GET absent"))
+	if string(ok) != "OK" || string(notFound) != "NOTFOUND" || &ok[0] != &app.NewStore().Execute([]byte("PUT j w"))[0] {
+		t.Fatalf("the store's constant results are %q and %q, and not shared", ok, notFound)
+	}
+	if cap(ok) != len(ok) || cap(notFound) != len(notFound) {
+		t.Fatalf("shared results with spare capacity: an append would write behind them")
+	}
+	script := []string{"PUT a 1", "GET b", "DEL a", "GET a", "DEL a", "PUT b 2", "GET c"}
+	want := []string{"OK", "NOTFOUND", "OK", "NOTFOUND", "NOTFOUND", "OK", "NOTFOUND"}
+	for _, mode := range []Mode{ETroxy, CTroxy} {
+		cl, net := newTestCluster(t, mode, true)
+		var got []string
+		lc := legacyclient.New(legacyclient.Config{
+			Machine: 10, Clients: 1, FirstClientID: 1000,
+			Replicas: cl.ReplicaIDs(), ServerPub: cl.ServerPub,
+			Gen: &scriptGen{ops: kvOps(script...)}, MaxOps: len(script), Timeout: time.Second,
+			Observe: func(_, _ uint64, _ []byte, _ bool, _, _ time.Duration, result []byte) {
+				got = append(got, string(result))
+			},
+		})
+		net.Attach(10, lc)
+		net.Run(10 * time.Second)
+		if len(got) != len(want) {
+			t.Fatalf("%s: the client completed %d of %d operations", mode, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: %q answered %q, want %q", mode, script[i], got[i], want[i])
+			}
+		}
+	}
+	if string(ok) != "OK" || string(notFound) != "NOTFOUND" {
+		t.Errorf("the shared results read %q and %q after the runs", ok, notFound)
+	}
+}
+
 func TestBaselineEndToEnd(t *testing.T) {
 	cl, net := newTestCluster(t, Baseline, false)
 	rec := workload.NewRecorder()

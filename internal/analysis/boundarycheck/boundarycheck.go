@@ -66,6 +66,9 @@ var allowedSymbols = map[string]map[string]bool{
 		"ClientHandshake.*":  true,
 		"Session":            true,
 		"Session.Seal":       true,
+		// Seal into room the caller brings: a client seals a record straight
+		// into the body of the envelope that carries it.
+		"Session.AppendSeal": true,
 		"Session.Open":       true,
 		// Coalesced-record siblings of Seal/Open: one AEAD pass per flushed
 		// batch. Same trust story — record protection is exactly what the

@@ -27,8 +27,10 @@ type Application interface {
 	// Execute applies one operation and returns its result. Service-level
 	// failures are encoded in the result; Execute itself must be total.
 	// op belongs to the caller and is valid for the call only: state keeps
-	// a copy of what it needs of it, and the result — which becomes the
-	// caller's, who keeps it for retransmissions — never aliases it.
+	// a copy of what it needs of it, and the result — which the caller
+	// keeps for retransmissions — never aliases it. The result may be shared
+	// between calls (a constant answer such as "OK"): callers do not modify
+	// it.
 	Execute(op []byte) []byte
 
 	// IsRead reports whether op leaves the state unchanged. It must be

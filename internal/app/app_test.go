@@ -324,18 +324,19 @@ func TestQuickBenchSnapshotStability(t *testing.T) {
 
 // BenchmarkAllocGate: the store parses operations on bytes, so classifying
 // one and naming its key allocate nothing (for a key the store holds, Keys
-// hands out the entry's own slice), and a PUT allocates the value it stores
-// and its two-byte result.
+// hands out the entry's own slice), a PUT allocates the value it stores and
+// nothing for its result, which is shared, and neither does a miss.
 func BenchmarkAllocGate(b *testing.B) {
 	s := NewStore()
 	put := append([]byte("PUT key-0001 "), bytes.Repeat([]byte{'v'}, 128)...)
-	get := []byte("GET key-0001")
+	get, miss := []byte("GET key-0001"), []byte("GET key-0002")
 	s.Execute(put)
 	var read bool
 	var keys []string
 	testutil.AllocGate(b, "IsRead", 0, func() { read = s.IsRead(get) != s.IsRead(put) })
 	testutil.AllocGate(b, "Keys", 0, func() { keys = s.Keys(get); keys = s.Keys(put) })
-	testutil.AllocGate(b, "ExecutePut", 2, func() { s.Execute(put) })
+	testutil.AllocGate(b, "ExecutePut", 1, func() { s.Execute(put) })
+	testutil.AllocGate(b, "ExecuteMiss", 0, func() { s.Execute(miss) })
 	if !read || len(keys) != 1 || keys[0] != "key-0001" {
 		b.Fatalf("read=%v keys=%q", read, keys)
 	}

@@ -293,6 +293,14 @@ func parseStoreOp(op []byte) (verb storeVerb, key, value []byte) {
 	return verb, rest, nil
 }
 
+// The results that do not depend on the state are shared by every call that
+// returns them (Application.Execute: callers never modify a result), and
+// cap-limited, so an append to one reallocates instead of writing behind it.
+var (
+	resultOK       = []byte("OK")[:2:2]
+	resultNotFound = []byte("NOTFOUND")[:8:8]
+)
+
 // Execute implements Application.
 func (s *Store) Execute(op []byte) []byte {
 	verb, key, value := parseStoreOp(op)
@@ -300,17 +308,17 @@ func (s *Store) Execute(op []byte) []byte {
 	case verbGet:
 		e := s.lookup(key)
 		if e == nil {
-			return []byte("NOTFOUND")
+			return resultNotFound
 		}
 		return append(append(make([]byte, 0, len("VALUE ")+len(e.value)), "VALUE "...), e.value...)
 	case verbPut:
 		s.put(key, value)
-		return []byte("OK")
+		return resultOK
 	case verbDel:
 		if !s.del(key) {
-			return []byte("NOTFOUND")
+			return resultNotFound
 		}
-		return []byte("OK")
+		return resultOK
 	default:
 		return badOp(op)
 	}

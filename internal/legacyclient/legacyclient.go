@@ -249,17 +249,25 @@ func (m *Machine) transmit(env node.Env, cs *clientState) {
 			flags |= msg.FlagFastCommit
 		}
 		w := wire.GetWriter()
-		defer wire.PutWriter(w) // Seal copies the plaintext into the record
+		defer wire.PutWriter(w) // sealing copies the plaintext into the record
 		(&msg.ChannelRequest{Client: cs.identity, Seq: cs.seq, Flags: flags, Op: cs.op.Op}).MarshalWire(w)
 		plaintext = w.Bytes()
 	}
-	record, err := cs.sess.Seal(plaintext)
-	if err != nil {
+	if err := m.sendRecord(env, cs, plaintext); err != nil {
 		env.Logf("legacyclient %d: seal: %v", cs.identity, err)
-		return
+	}
+}
+
+// sendRecord seals plaintext straight into the body of the ChannelData
+// envelope that carries the record: the body is the record's only buffer.
+func (m *Machine) sendRecord(env node.Env, cs *clientState, plaintext []byte) error {
+	body, err := cs.sess.AppendSeal(msg.ChannelDataBody(cs.connID, securechannel.Overhead+len(plaintext)), plaintext)
+	if err != nil {
+		return err
 	}
 	env.Charge(node.ProfileJava, node.ChargeAEAD, len(plaintext))
-	m.sendFrame(env, cs, record)
+	env.Send(msg.ChannelDataEnvelope(m.cfg.Machine, m.replica(cs), body))
+	return nil
 }
 
 // OnEnvelope implements node.Handler.
@@ -442,13 +450,10 @@ func (m *Machine) retransmitRetained(env node.Env, cs *clientState, seq uint64, 
 		Flags:  flags,
 		Op:     rec.op.Op,
 	})
-	record, err := cs.sess.Seal(plaintext)
-	if err != nil {
+	if err := m.sendRecord(env, cs, plaintext); err != nil {
 		env.Logf("legacyclient %d: seal retained %d: %v", cs.identity, seq, err)
 		return
 	}
-	env.Charge(node.ProfileJava, node.ChargeAEAD, len(plaintext))
-	m.sendFrame(env, cs, record)
 	if m.cfg.Rec != nil {
 		m.cfg.Rec.RecordRetry()
 	}

@@ -16,6 +16,7 @@ package msg
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -441,11 +442,29 @@ func Seal(from, to NodeID, m Message) *Envelope {
 // record in each direction: the ChannelData exists on this frame only, so the
 // envelope and its body are all that is allocated.
 func SealChannelData(from, to NodeID, connID uint64, payload []byte) *Envelope {
-	cd := ChannelData{ConnID: connID, Payload: payload}
-	w := wire.GetWriter()
-	defer wire.PutWriter(w)
-	cd.MarshalWire(w)
-	return &Envelope{From: from, To: to, Kind: KindChannelData, Body: w.CopyBytes()}
+	return ChannelDataEnvelope(from, to, append(ChannelDataBody(connID, len(payload)), payload...))
+}
+
+// channelDataHead is the length of a ChannelData's encoding in front of its
+// payload: the connection ID and the payload's length prefix.
+const channelDataHead = 8 + 4
+
+// ChannelDataBody returns the body of a ChannelData envelope for connID whose
+// payload is n bytes, with the payload still to come: the head is written,
+// and there is room for exactly n bytes behind it, which complete the
+// encoding (ChannelData.MarshalWire's) when they are appended. A record
+// sealed straight into that room (securechannel.Session.AppendSeal) travels
+// without a copy of its own.
+func ChannelDataBody(connID uint64, n int) []byte {
+	body := make([]byte, 0, channelDataHead+n)
+	body = binary.LittleEndian.AppendUint64(body, connID)
+	return binary.LittleEndian.AppendUint32(body, uint32(n))
+}
+
+// ChannelDataEnvelope addresses a completed ChannelData body from→to. The body
+// is immutable from here on, like every envelope's.
+func ChannelDataEnvelope(from, to NodeID, body []byte) *Envelope {
+	return &Envelope{From: from, To: to, Kind: KindChannelData, Body: body}
 }
 
 // OpenChannelData is Open for a ChannelData envelope, by value: any other

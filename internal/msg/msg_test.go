@@ -474,8 +474,9 @@ func TestReplyBatchWalk(t *testing.T) {
 	}
 }
 
-// TestChannelDataWithoutMessageObject: SealChannelData and OpenChannelData
-// are Seal and Open for the one kind, byte for byte and error for error —
+// TestChannelDataWithoutMessageObject: SealChannelData (and ChannelDataBody,
+// which it is built on) and OpenChannelData are Seal and Open for the one
+// kind, byte for byte and error for error —
 // any other kind, a truncated body and trailing bytes are all refused, as Open
 // followed by the type assertion refused them.
 func TestChannelDataWithoutMessageObject(t *testing.T) {
@@ -484,6 +485,15 @@ func TestChannelDataWithoutMessageObject(t *testing.T) {
 	got := SealChannelData(3, 9, 77, payload)
 	if got.From != want.From || got.To != want.To || got.Kind != want.Kind || !bytes.Equal(got.Body, want.Body) || got.MAC != nil {
 		t.Fatalf("SealChannelData = %+v, want %+v", got, want)
+	}
+	// A body begun for a payload of n bytes has room for exactly those, and
+	// appending them there is the same encoding.
+	body := ChannelDataBody(77, len(payload))
+	if spare := cap(body) - len(body); spare != len(payload) {
+		t.Errorf("ChannelDataBody left room for %d bytes, want %d", spare, len(payload))
+	}
+	if whole := append(body, payload...); &whole[0] != &body[0] || !bytes.Equal(whole, want.Body) {
+		t.Errorf("head + payload = %x (in place: %v), want %x", whole, &whole[0] == &body[0], want.Body)
 	}
 	payload[0] = 'X'
 	if got.Body[12] != 'o' {

@@ -118,15 +118,15 @@ var Catalogue = []Mutant{
 	{
 		ID: "troxy-vote-quorum-f", File: "internal/troxy/core.go", Aims: []string{"quorumcheck"},
 		Fault: "the reply voter answers on f matching replies",
-		Old:   "	if matching < c.cfg.Quorum() {\n		return out, nil\n	}\n\n	// Quorum reached",
-		New:   "	if matching < c.cfg.F {\n		return out, nil\n	}\n\n	// Quorum reached",
+		Old:   "	if matching < c.cfg.Quorum() {\n		return c.out, nil\n	}\n\n	// Quorum reached",
+		New:   "	if matching < c.cfg.F {\n		return c.out, nil\n	}\n\n	// Quorum reached",
 	},
 	{
 		ID: "troxy-vote-quorum-f-plus-1", File: "internal/troxy/core.go", Aims: []string{"quorumcheck"},
 		Equivalent: "Config.Quorum() returns c.F + 1: the same program, spelled out",
 		Fault:      "the reply voter hand-rolls f+1",
-		Old:        "	if matching < c.cfg.Quorum() {\n		return out, nil\n	}\n\n	// Quorum reached",
-		New:        "	if matching < c.cfg.F+1 {\n		return out, nil\n	}\n\n	// Quorum reached",
+		Old:        "	if matching < c.cfg.Quorum() {\n		return c.out, nil\n	}\n\n	// Quorum reached",
+		New:        "	if matching < c.cfg.F+1 {\n		return c.out, nil\n	}\n\n	// Quorum reached",
 	},
 	{
 		ID: "hybster-quorum-f", File: "internal/hybster/core.go",
@@ -155,7 +155,7 @@ var Catalogue = []Mutant{
 	{
 		ID: "troxy-fallback-op-not-cloned", File: "internal/troxy/core.go", Aims: []string{"copydiscipline"},
 		Fault: "a fast read keeps a view of the ecall argument for its fallback request",
-		Old:   "Op:        bytes.Clone(op),",
+		Old:   "Op:        append(qs.fallback.Op[:0], op...),",
 		New:   "Op:        op,",
 	},
 	{
@@ -166,9 +166,9 @@ var Catalogue = []Mutant{
 	},
 	{
 		ID: "direct-proxy-submit-is-a-view", File: "internal/troxy/proxy.go",
-		Fault: "the direct binding's submits stay views of the Core's plaintext scratch, which ordering keeps and the next record overwrites",
-		Old:   "		acts.Submits[i].Op = append([]byte(nil), acts.Submits[i].Op...)\n",
-		New:   "		_ = i\n",
+		Fault: "the direct binding returns the Core's scratch (only each record's body built): submits stay views of the plaintext buffer, which ordering keeps and the next record overwrites, and cache messages of memory the next call reuses",
+		Old:   "	w := wire.GetWriter()\n	defer wire.PutWriter(w)\n	encodeActions(w, &acts)\n	return decodeActions(w.CopyBytes())\n",
+		New:   "	for i := range acts.Client {\n		acts.Client[i].Body = msg.SealChannelData(0, 0, acts.Client[i].ConnID, acts.Client[i].Frame).Body\n	}\n	return acts, nil\n",
 	},
 	{
 		ID: "held-request-matched-by-id-only", File: "internal/hybster/core.go",
@@ -181,6 +181,24 @@ var Catalogue = []Mutant{
 		Fault: "a recognised request takes the held digest and keeps the PREPARE's bytes: the origin copies its own request into the log again",
 		Old:   "				*req = *held\n",
 		New:   "				req.SetDigest(held.Digest())\n",
+	},
+	{
+		ID: "vote-recycled-before-answer", File: "internal/troxy/core.go",
+		Fault: "a completed vote is cleared and recycled before the client's answer is sealed from it",
+		Old:   "	if !vs.specAnswered || !c.cfg.HTTP {\n		c.sealToClient(vs.connID, key.clientSeq, msg.StatusOK, winner.result)\n	}\n	// The answer is sealed, so what the vote kept is needed no more.\n	c.recycleVote(vs)\n",
+		New:   "	c.recycleVote(vs)\n	if !vs.specAnswered || !c.cfg.HTTP {\n		c.sealToClient(vs.connID, key.clientSeq, msg.StatusOK, winner.result)\n	}\n",
+	},
+	{
+		ID: "query-recycled-while-pending", File: "internal/troxy/core.go",
+		Fault: "an ended fast read goes on the free list but stays in the pending queries: a Tick expires it, and a new fast read reusing it answers to two IDs",
+		Old:   "	delete(c.queries, id)\n	delete(c.queryOf, qs.key)\n",
+		New:   "	delete(c.queryOf, qs.key)\n",
+	},
+	{
+		ID: "client-record-body-misaligned", File: "internal/troxy/trusted.go",
+		Fault: "a client record crosses the boundary as connection, node and frame, so the span the host sends as its ChannelData body starts in the wrong place",
+		Old:   "		w.U32(uint32(cr.Node))\n		(&msg.ChannelData{ConnID: cr.ConnID, Payload: cr.Frame}).MarshalWire(w)\n",
+		New:   "		w.U64(cr.ConnID)\n		w.U32(uint32(cr.Node))\n		w.Bytes32(cr.Frame)\n",
 	},
 	{
 		ID: "enclave-provision-copy-dropped", File: "internal/enclave/enclave.go", Aims: []string{"copydiscipline"},
@@ -344,8 +362,8 @@ var Catalogue = []Mutant{
 	{
 		ID: "troxy-handshake-error-leaks-identity", File: "internal/troxy/core.go", Aims: []string{"secretflow"},
 		Fault: "a failed handshake formats the service's private key into an error the host logs",
-		Old:   "			return out, fmt.Errorf(\"%w: %v\", ErrBadChannel, err)\n		}\n		sess.sc = sc",
-		New:   "			return out, fmt.Errorf(\"%w: %v (identity %x)\", ErrBadChannel, err, c.identity)\n		}\n		sess.sc = sc",
+		Old:   "			return c.out, fmt.Errorf(\"%w: %v\", ErrBadChannel, err)\n		}\n		sess.sc = sc",
+		New:   "			return c.out, fmt.Errorf(\"%w: %v (identity %x)\", ErrBadChannel, err, c.identity)\n		}\n		sess.sc = sc",
 	},
 	{
 		ID: "report-ecall-leaks-identity", File: "internal/troxy/trusted.go", Aims: []string{"secretflow"},
@@ -395,8 +413,8 @@ var Catalogue = []Mutant{
 		ID: "troxy-plaintext-ocall", File: "internal/troxy/core.go", Import: "github.com/troxy-bft/troxy/internal/realnet",
 		Aims:  []string{"boundarycheck"},
 		Fault: "the Troxy hands every client-bound plaintext to the untrusted TCP runtime before sealing it",
-		Old:   "	record, err := sess.sc.Seal(plaintext)\n",
-		New:   "	realnet.NewRouter().Send(&msg.Envelope{From: c.cfg.Self, To: sess.node, Kind: msg.KindChannelData, Body: plaintext})\n	record, err := sess.sc.Seal(plaintext)\n",
+		Old:   "	sealed, err := sess.sc.AppendSeal(c.sealed, plaintext)\n",
+		New:   "	realnet.NewRouter().Send(&msg.Envelope{From: c.cfg.Self, To: sess.node, Kind: msg.KindChannelData, Body: plaintext})\n	sealed, err := sess.sc.AppendSeal(c.sealed, plaintext)\n",
 	},
 
 	// Allocations on annotated hot paths.

@@ -378,12 +378,13 @@ func (m *Middlebox) finish(env node.Env, key pendKey, p *pending, result []byte)
 			Result: result,
 		})
 	}
-	record, err := sess.sc.Seal(plaintext)
+	// The record is sealed straight into the body of the envelope it leaves in.
+	body, err := sess.sc.AppendSeal(msg.ChannelDataBody(sess.connID, securechannel.Overhead+len(plaintext)), plaintext)
 	if err != nil {
 		return
 	}
 	env.Charge(node.ProfileJava, node.ChargeAEAD, len(plaintext))
-	m.sendToClient(env, sess, record)
+	env.Send(msg.ChannelDataEnvelope(m.cfg.Self, sess.nodeID, body))
 }
 
 // OnTimer implements node.Handler: a stalled request is re-ordered.

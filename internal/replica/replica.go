@@ -349,11 +349,12 @@ func (r *Replica) onBFTRequest(env node.Env, from msg.NodeID, m *msg.BFTRequest)
 }
 
 // apply executes the Troxy's requested actions. Every byte slice in an Actions
-// is the caller's (troxy.Proxy), so a submit goes to ordering as it is: Submit
-// keeps it, and the request is not touched here again.
+// is the caller's (troxy.Proxy): a client record leaves in the body the
+// binding built for it, and a submit goes to ordering as it is — Submit keeps
+// it, and the request is not touched here again.
 func (r *Replica) apply(env node.Env, acts troxy.Actions) {
 	for _, cr := range acts.Client {
-		env.Send(msg.SealChannelData(r.cfg.Self, cr.Node, cr.ConnID, cr.Frame))
+		env.Send(msg.ChannelDataEnvelope(r.cfg.Self, cr.Node, cr.Body))
 	}
 	for i := range acts.Submits {
 		r.core.Submit(env, &acts.Submits[i])

@@ -96,6 +96,40 @@ func TestOpenFramesIntoScratch(t *testing.T) {
 	}
 }
 
+// TestAppendSealBehindAHead: a record appended behind bytes the caller wrote
+// first is the record Seal makes, leaves those bytes alone, lands in the
+// caller's room when there is enough of it, and opens; an unestablished
+// session hands dst back as it came.
+func TestAppendSealBehindAHead(t *testing.T) {
+	pt := []byte("a record behind an envelope head")
+	for _, room := range []int{0, Overhead + len(pt) - 1, Overhead + len(pt)} {
+		client, server := handshake(t)
+		reference := *client // the same send state, to seal the record a second time
+		want, err := reference.Seal(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		head := []byte("head")
+		dst := append(make([]byte, 0, len(head)+room), head...)
+		got, err := client.AppendSeal(dst, pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got[:len(head)], head) || !bytes.Equal(got[len(head):], want) {
+			t.Fatalf("room %d: appended %x behind %q, want %x", room, got[len(head):], got[:len(head)], want)
+		}
+		if inRoom := &got[0] == &dst[0]; inRoom != (room >= Overhead+len(pt)) {
+			t.Errorf("room %d: record in the caller's buffer = %v", room, inRoom)
+		}
+		if opened, err := server.Open(got[len(head):]); err != nil || !bytes.Equal(opened, pt) {
+			t.Errorf("room %d: opened %q, %v", room, opened, err)
+		}
+	}
+	if got, err := (&Session{}).AppendSeal([]byte("head"), pt); !errors.Is(err, ErrNotEstablished) || string(got) != "head" {
+		t.Errorf("unestablished AppendSeal = %q, %v", got, err)
+	}
+}
+
 // TestFramesScratchDropsGiantBuffer: the buffer a giant record grew is not
 // handed back for reuse.
 func TestFramesScratchDropsGiantBuffer(t *testing.T) {
@@ -203,6 +237,17 @@ func BenchmarkAllocGate(b *testing.B) {
 	}
 	testutil.AllocGate(b, "OpenFramesPlain", 0, open(0, plain, 128))
 	testutil.AllocGate(b, "OpenFramesCoalesced16", 0, open(1, coalesced, 16*128))
+
+	// A record sealed into room its caller brought — the Troxy's record
+	// buffer, a client's envelope body — allocates nothing.
+	pt := bytes.Repeat([]byte{2}, 128)
+	room := make([]byte, 0, 12+Overhead+len(pt))
+	testutil.AllocGate(b, "AppendSealIntoRoom", 0, func() {
+		var err error
+		if room, err = client.AppendSeal(room[:12], pt); err != nil || len(room) != 12+Overhead+len(pt) {
+			b.Fatalf("%d bytes, %v", len(room), err)
+		}
+	})
 }
 
 func plaintextBytes(frames Frames) (n int) {

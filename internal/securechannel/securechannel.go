@@ -94,16 +94,26 @@ type Session struct {
 // Established reports whether the handshake completed.
 func (s *Session) Established() bool { return s != nil && s.sendAEAD != nil }
 
-// Seal encrypts one plaintext frame into a record.
+// Seal encrypts one plaintext frame into a record of its own.
 func (s *Session) Seal(plaintext []byte) ([]byte, error) {
+	return s.AppendSeal(make([]byte, 0, Overhead+len(plaintext)), plaintext)
+}
+
+// AppendSeal encrypts one plaintext frame into a record appended to dst and
+// returns the extended slice, the way append does: a caller with Overhead +
+// len(plaintext) bytes of room behind dst's length — a buffer it reuses, the
+// body of the envelope the record travels in — gets the record there and
+// nothing is allocated. plaintext must not overlap dst's room. dst comes back
+// unchanged when the session is not established.
+func (s *Session) AppendSeal(dst, plaintext []byte) ([]byte, error) {
 	if !s.Established() {
-		return nil, ErrNotEstablished
+		return dst, ErrNotEstablished
 	}
 	putSeq(s.sendNonce[:], s.sendSeq)
 	s.sendSeq++
-	out := make([]byte, 1, 1+len(plaintext)+16)
-	out[0] = frameRecord
-	return s.sendAEAD.Seal(out, s.sendNonce[:], plaintext, out[:1]), nil
+	head := len(dst)
+	dst = append(dst, frameRecord)
+	return s.sendAEAD.Seal(dst, s.sendNonce[:], plaintext, dst[head:]), nil
 }
 
 // SealFrames encrypts a whole flush of frames into one coalesced record:

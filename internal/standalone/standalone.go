@@ -138,12 +138,13 @@ func (s *Server) execute(env node.Env, sess *session, seq uint64, op []byte, htt
 			Result: result,
 		})
 	}
-	record, err := sess.sc.Seal(plaintext)
+	// The record is sealed straight into the body of the envelope it leaves in.
+	body, err := sess.sc.AppendSeal(msg.ChannelDataBody(sess.connID, securechannel.Overhead+len(plaintext)), plaintext)
 	if err != nil {
 		return
 	}
 	env.Charge(node.ProfileJava, node.ChargeAEAD, len(plaintext))
-	s.reply(env, sess, record)
+	env.Send(msg.ChannelDataEnvelope(s.cfg.Self, sess.nodeID, body))
 }
 
 func (s *Server) reply(env node.Env, sess *session, frame []byte) {

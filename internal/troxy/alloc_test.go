@@ -7,14 +7,15 @@ import (
 	"github.com/troxy-bft/troxy/internal/enclave"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/node"
+	"github.com/troxy-bft/troxy/internal/securechannel"
 	"github.com/troxy-bft/troxy/internal/testutil"
 	"github.com/troxy-bft/troxy/internal/wire"
 )
 
 // BenchmarkAllocGate holds the voter to what it is allowed to allocate: one
-// object per pending vote, and per distinct result one slab for what the vote
-// keeps of the first reply that carried it. Everything else a completed vote
-// allocates is the client's record.
+// object per pending vote while no completed vote has been recycled, and
+// nothing at all once one has — the vote, the slab it keeps results in and
+// the client's record are all memory the Core reuses.
 func BenchmarkAllocGate(b *testing.B) {
 	core, pub, tagger := newTestCore(b, false)
 	cc := openChannel(b, core, pub, 1, 100)
@@ -33,20 +34,11 @@ func BenchmarkAllocGate(b *testing.B) {
 	for i := range replies {
 		replies[i] = makeReply(tagger, msg.NodeID(i), req, "OK", []string{"k"})
 	}
-	// What answering the client costs by itself: the sealed record and the
-	// Actions slice that carries it out.
-	answer := testing.AllocsPerRun(200, func() {
-		var out Actions
-		rec, err := core.sealToClient(cc.connID, key.clientSeq, msg.StatusOK, replies[0].Result)
-		if err != nil {
-			b.Fatal(err)
-		}
-		out.Client = append(out.Client, rec)
-	})
-	// A whole vote: registered, opened by the first reply (the slab),
-	// completed by the second (the answer), and the late third dropped after
-	// its tag check. Vote state + slab = 2, plus the answer.
-	testutil.AllocGate(b, "VoteOverThreeReplies", 2+answer, func() {
+	// A whole vote: registered (a vote from the free list), opened by the
+	// first reply (into the vote's slab), completed by the second (the answer,
+	// sealed into the Core's scratch) and recycled, and the late third dropped
+	// after its tag check.
+	testutil.AllocGate(b, "VoteOverThreeReplies", 0, func() {
 		core.registerVote(sess, key, msg.Digest{}, req.Op, false, false)
 		for _, rep := range replies {
 			if _, err := core.HandleReply(0, rep); err != nil {
@@ -55,6 +47,88 @@ func BenchmarkAllocGate(b *testing.B) {
 		}
 		if _, pending := core.votes[key]; pending {
 			b.Fatal("vote did not complete")
+		}
+	})
+
+	// Rounds through the enclave binding, the client sealing each request
+	// into a buffer it reuses. What a round costs is the host's side of the
+	// boundary — per result that carries anything, its copy-out and the
+	// decoded Actions' slice, and per decoded cache query its struct — and
+	// nothing inside the Troxy: a fast read is the query out and the answer
+	// back (3 + 2), a write the submit out and the answer back (2 + 2), its
+	// first reply adding nothing.
+	_, enclaved, _ := newBindings(b, Config{Self: 0, N: 3, F: 1, Seed: 77, Classify: classifyKV, FastReads: true})
+	p, env := enclaved.p, nullEnv{}
+	hs, hello, err := securechannel.NewClientHandshake(pub, &bytesReader{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	hsActs, err := p.HandleClientData(env, 1, 90, hello)
+	if err != nil {
+		b.Fatal(err)
+	}
+	client, err := hs.Finish(hsActs.Client[0].Frame)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var seq uint64
+	var record []byte
+	plain, tagIn := wire.NewWriter(64), wire.NewWriter(128)
+	send := func(op []byte, flags uint8) Actions {
+		seq++
+		plain.Reset()
+		(&msg.ChannelRequest{Client: 5, Seq: seq, Flags: flags, Op: op}).MarshalWire(plain)
+		if record, err = client.AppendSeal(record[:0], plain.Bytes()); err != nil {
+			b.Fatal(err)
+		}
+		acts, err := p.HandleClientData(env, 1, 90, record)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return acts
+	}
+
+	get, value := []byte("GET k"), []byte("VALUE v")
+	enclaved.core.cache.Put(msg.DigestOf(get), value, []string{"k"})
+	confirm := &msg.CacheReply{ReqDigest: msg.DigestOf(get), Found: true, ReplyDigest: msg.DigestOf(value)}
+	testutil.AllocGate(b, "EnclaveProxyFastReadRound", 3+2, func() {
+		acts := send(get, msg.FlagReadOnly)
+		if len(acts.Queries) != 1 || acts.Queries[0].Query == nil {
+			b.Fatalf("a cached read sent %+v", acts.Queries)
+		}
+		confirm.From, confirm.QueryID = acts.Queries[0].To, acts.Queries[0].Query.QueryID
+		tagIn.Reset()
+		confirm.TagInput(tagIn)
+		confirm.Tag = tagger.Tag(confirm.Tag[:0], confirm.From, tagIn.Bytes())
+		if out, err := p.HandleCacheReply(env, confirm); err != nil || len(out.Client) != 1 {
+			b.Fatalf("the confirmed fast read answered %d records, %v", len(out.Client), err)
+		}
+	})
+
+	put := []byte("PUT w v")
+	votes := [2]*msg.OrderedReply{
+		{Executor: 1, Client: 5, Result: []byte("OK"), InvalidKeys: msg.AppendKeys(nil, []string{"w"})},
+		{Executor: 2, Client: 5, Result: []byte("OK"), InvalidKeys: msg.AppendKeys(nil, []string{"w"})},
+	}
+	testutil.AllocGate(b, "EnclaveProxyWriteRound", 2+2, func() {
+		acts := send(put, 0)
+		if len(acts.Submits) != 1 {
+			b.Fatalf("a write submitted %d requests", len(acts.Submits))
+		}
+		answered := 0
+		for _, rep := range votes {
+			rep.ClientSeq, rep.ReqDigest = seq, acts.Submits[0].Digest()
+			tagIn.Reset()
+			rep.TagInput(tagIn)
+			rep.TroxyTag = tagger.Tag(rep.TroxyTag[:0], rep.Executor, tagIn.Bytes())
+			out, err := p.HandleReply(env, rep)
+			if err != nil {
+				b.Fatal(err)
+			}
+			answered += len(out.Client)
+		}
+		if answered != 1 {
+			b.Fatalf("the write's vote answered %d records", answered)
 		}
 	})
 }

@@ -251,6 +251,10 @@ type Monitor struct {
 	outcomes []bool // true = fallback (miss or conflict)
 	idx      int
 	filled   int
+	// fallbacks counts the true outcomes among the filled ones: the
+	// outcomes written since the window was last reset, which idx has not
+	// yet wrapped around to overwrite.
+	fallbacks int
 
 	disabledUntil time.Duration
 	switches      uint64
@@ -285,8 +289,17 @@ func (m *Monitor) Allow(now time.Duration) bool {
 
 // Record notes the outcome of a fast-read attempt; fallback is true when the
 // attempt missed the cache or failed remote matching.
+//
+// It is O(1): the count of fallbacks in the window follows the outcomes that
+// enter it and, once it is full, the ones the new outcomes overwrite.
 func (m *Monitor) Record(now time.Duration, fallback bool) {
+	if m.filled == m.window && m.outcomes[m.idx] {
+		m.fallbacks-- // the oldest outcome leaves the window
+	}
 	m.outcomes[m.idx] = fallback
+	if fallback {
+		m.fallbacks++
+	}
 	m.idx = (m.idx + 1) % m.window
 	if m.filled < m.window {
 		m.filled++
@@ -294,18 +307,13 @@ func (m *Monitor) Record(now time.Duration, fallback bool) {
 	if m.filled < m.window/4 || m.filled == 0 {
 		return // not enough signal yet
 	}
-	fallbacks := 0
-	for i := 0; i < m.filled; i++ {
-		if m.outcomes[i] {
-			fallbacks++
-		}
-	}
-	if float64(fallbacks)/float64(m.filled) >= m.threshold {
+	if float64(m.fallbacks)/float64(m.filled) >= m.threshold {
 		m.disabledUntil = now + m.probe
 		m.switches++
 		// Reset the window so the post-probe decision uses fresh data.
 		m.filled = 0
 		m.idx = 0
+		m.fallbacks = 0
 	}
 }
 

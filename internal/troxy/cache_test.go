@@ -2,6 +2,7 @@ package troxy
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -194,6 +195,69 @@ func TestMonitorThresholdAboveOneNeverTrips(t *testing.T) {
 		m.Record(now, true)
 		if !m.Allow(now) {
 			t.Fatal("monitor with threshold > 1 tripped")
+		}
+	}
+}
+
+// recountMonitor is the monitor as it was before Record kept a running count:
+// it recounts the window on every outcome. TestMonitorRunningCountIsARecount
+// holds the real one to it.
+type recountMonitor struct {
+	window, idx, filled int
+	threshold           float64
+	probe               time.Duration
+	outcomes            []bool
+	disabledUntil       time.Duration
+	switches            uint64
+}
+
+func (m *recountMonitor) record(now time.Duration, fallback bool) {
+	m.outcomes[m.idx] = fallback
+	m.idx = (m.idx + 1) % m.window
+	if m.filled < m.window {
+		m.filled++
+	}
+	if m.filled < m.window/4 || m.filled == 0 {
+		return
+	}
+	fallbacks := 0
+	for i := 0; i < m.filled; i++ {
+		if m.outcomes[i] {
+			fallbacks++
+		}
+	}
+	if float64(fallbacks)/float64(m.filled) >= m.threshold {
+		m.disabledUntil = now + m.probe
+		m.switches++
+		m.filled, m.idx = 0, 0
+	}
+}
+
+// TestMonitorRunningCountIsARecount drives random outcome sequences — runs of
+// successes and of fallbacks at varying rates, across windows that fill,
+// wrap and reset — through the monitor and through a recount of its window,
+// and requires the same Allow and Switches after every outcome.
+func TestMonitorRunningCountIsARecount(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for run := 0; run < 200; run++ {
+		window := 1 + rng.Intn(300)
+		threshold := []float64{0.1, 0.25, 0.5, 0.75, 1}[rng.Intn(5)]
+		m := NewMonitor(window, threshold, time.Millisecond)
+		ref := &recountMonitor{window: window, threshold: threshold, probe: time.Millisecond, outcomes: make([]bool, window)}
+		now := time.Duration(0)
+		rate := rng.Float64()
+		for i := 0; i < 2000; i++ {
+			if rng.Intn(100) == 0 {
+				rate = rng.Float64() // the conflict rate shifts
+			}
+			fallback := rng.Float64() < rate
+			m.Record(now, fallback)
+			ref.record(now, fallback)
+			now += time.Duration(rng.Intn(300)) * time.Microsecond
+			if m.Allow(now) != (now >= ref.disabledUntil) || m.Switches() != ref.switches {
+				t.Fatalf("run %d (window %d, threshold %.2f), outcome %d: Allow %v Switches %d, recount says %v and %d",
+					run, window, threshold, i, m.Allow(now), m.Switches(), now >= ref.disabledUntil, ref.switches)
+			}
 		}
 	}
 }

@@ -119,10 +119,16 @@ type Actions struct {
 // ClientRecord is one opaque frame for a client connection (a handshake
 // frame or an encrypted record). Node is the network destination hosting the
 // connection (a client machine may multiplex many logical clients).
+//
+// Body is the record's ChannelData encoding — ConnID, then Frame with its
+// length prefix — which Frame is a view of: the envelope body that carries the
+// record, built by the binding that hands the record to the host (the Core
+// leaves it nil).
 type ClientRecord struct {
 	ConnID uint64
 	Node   msg.NodeID
 	Frame  []byte
+	Body   []byte
 }
 
 // PeerCacheMsg is a fast-read protocol message for a peer replica's Troxy.
@@ -130,21 +136,6 @@ type PeerCacheMsg struct {
 	To    msg.NodeID
 	Query *msg.CacheQuery
 	Reply *msg.CacheReply
-}
-
-// merge appends other's outputs, which the caller gives up: where a has none
-// of a kind yet it takes other's slice as it is.
-func (a *Actions) merge(other Actions) {
-	a.Client = mergeSlice(a.Client, other.Client)
-	a.Submits = mergeSlice(a.Submits, other.Submits)
-	a.Queries = mergeSlice(a.Queries, other.Queries)
-}
-
-func mergeSlice[T any](dst, src []T) []T {
-	if len(dst) == 0 {
-		return src
-	}
-	return append(dst, src...)
 }
 
 // Stats counts Troxy events.
@@ -188,8 +179,8 @@ const MaxReplicas = 64
 
 // ballot is one distinct result of a vote and the replicas behind it. The
 // first reply that carried the result is what the vote keeps of it — result
-// and keys in one allocation of the vote's own (the reply itself is a view of
-// the caller's buffer), without the tag: verified once, never needed again.
+// and keys in the vote's own storage (the reply itself is a view of the
+// caller's buffer), without the tag: verified once, never needed again.
 type ballot struct {
 	hash   msg.Digest
 	voters uint64 // bit i: replica i's vote stands behind this result
@@ -236,7 +227,9 @@ func (t *tally) find(h msg.Digest) *ballot {
 
 // voteState is one pending vote, a single allocation: the durable tally
 // starts out in durableBuf, which holds the two results a vote sees at most
-// unless more than one replica lies.
+// unless more than one replica lies, and slab holds what the ballots keep of
+// their replies. A completed vote goes to the Core's free list with both
+// (recycleVote).
 type voteState struct {
 	connID     uint64
 	reqDigest  msg.Digest
@@ -244,6 +237,7 @@ type voteState struct {
 	read       bool
 	durable    tally
 	durableBuf [2]ballot
+	slab       []byte
 
 	// Speculative (crash-commit) tier. fast marks a request whose client
 	// opted into answers backed by f+1 PREPARE-round certificates. The vote
@@ -257,6 +251,20 @@ type voteState struct {
 	retracted    bool       // a retraction frame was already sent for this answer
 }
 
+// keep copies a reply's result and key list — views of a buffer that does not
+// outlive the call — into the vote's slab, for a ballot. A slab that has to
+// grow leaves what earlier ballots kept where it was.
+func (vs *voteState) keep(result []byte, keys msg.Keys) ([]byte, msg.Keys) {
+	start := len(vs.slab)
+	vs.slab = append(vs.slab, result...)
+	mid := len(vs.slab)
+	vs.slab = append(vs.slab, keys...)
+	end := len(vs.slab)
+	return vs.slab[start:mid:mid], msg.Keys(vs.slab[mid:end:end])
+}
+
+// queryState is one fast read in flight. fallback.Op is storage of the
+// query's own, which it keeps on the Core's free list (endQuery).
 type queryState struct {
 	started   time.Duration
 	connID    uint64
@@ -293,6 +301,21 @@ type Core struct {
 	plain []byte
 	// others is chooseReplicas' shuffle space.
 	others []msg.NodeID
+
+	// out is what the call in progress returns, and sealed (client records
+	// and group tags, one behind the other), queryMsgs and replyMsgs the
+	// memory it points into. Like plain they are reused: what a call returns
+	// is valid until the Core's next call, and the binding makes the copy
+	// the host keeps (the boundary's copy-out, or DirectProxy's).
+	out       Actions
+	sealed    []byte
+	queryMsgs []msg.CacheQuery
+	replyMsgs []msg.CacheReply
+
+	// freeVotes and freeQueries hold ended votes and fast reads, with their
+	// storage, for the next request: at most maxFree each.
+	freeVotes   []*voteState
+	freeQueries []*queryState
 
 	cache   *Cache
 	monitor *Monitor
@@ -332,6 +355,8 @@ func (c *Core) Reset() {
 	c.queries = make(map[uint64]*queryState)
 	c.queryOf = make(map[voteKey]uint64)
 	c.plain = nil
+	c.out, c.sealed, c.queryMsgs, c.replyMsgs = Actions{}, nil, nil, nil
+	c.freeVotes, c.freeQueries = nil, nil
 	c.cache = NewCache(c.cfg.CacheCapacity)
 	c.monitor = NewMonitor(c.cfg.MonitorWindow, c.cfg.MonitorThreshold, c.cfg.ProbeInterval)
 	c.stats = Stats{}
@@ -373,16 +398,92 @@ func (c *Core) CloseConn(connID uint64) {
 	delete(c.sessions, connID)
 }
 
+const (
+	// maxFree bounds each free list: more than the requests one replica's
+	// clients have in flight at once, and no more than that pinned after a
+	// burst.
+	maxFree = 64
+	// maxKeptStorage bounds what a vote or fast read takes onto its free
+	// list: a giant result or operation is not worth pinning.
+	maxKeptStorage = 16 << 10
+	// maxKeptSealed bounds the call scratch kept for the next call, like
+	// securechannel.Frames.Scratch does the plaintext buffer.
+	maxKeptSealed = 2 * securechannel.MaxCoalescedPlaintext
+)
+
+// begin starts a call that returns Actions: from here on, what the previous
+// call returned is overwritten.
+func (c *Core) begin() {
+	c.out = Actions{Client: c.out.Client[:0], Submits: c.out.Submits[:0], Queries: c.out.Queries[:0]}
+	c.sealed = c.sealed[:0]
+	if cap(c.sealed) > maxKeptSealed {
+		c.sealed = nil
+	}
+	c.queryMsgs, c.replyMsgs = c.queryMsgs[:0], c.replyMsgs[:0]
+}
+
+// tag computes this instance's group tag over input into the call's scratch.
+func (c *Core) tag(input []byte) []byte {
+	start := len(c.sealed)
+	c.sealed = c.tagger.Tag(c.sealed, c.cfg.Self, input)
+	return c.sealed[start:len(c.sealed):len(c.sealed)]
+}
+
+// take returns an element of a free list, or a new one.
+func take[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return new(T)
+	}
+	x := (*free)[n-1]
+	(*free)[n-1], *free = nil, (*free)[:n-1]
+	return x
+}
+
+// give puts a cleared element on a free list that has room for it.
+func give[T any](free *[]*T, x *T) {
+	if len(*free) < maxFree {
+		*free = append(*free, x)
+	}
+}
+
+// recycleVote clears a completed vote and puts it on the free list, its slab
+// and spec ballots kept. Nothing of the vote may be read after this: the
+// client's answer is sealed first.
+func (c *Core) recycleVote(vs *voteState) {
+	slab, spec := vs.slab[:0], vs.spec.ballots[:0]
+	if cap(slab) > maxKeptStorage {
+		slab = nil
+	}
+	*vs = voteState{slab: slab, spec: tally{ballots: spec}}
+	give(&c.freeVotes, vs)
+}
+
+// endQuery ends a fast read, however it went: it leaves the indexes and goes
+// on the free list, cleared, with its fallback's operation storage. Nothing of
+// it may be read after this but what the call already returns (a fallback's
+// operation, valid until the next call like all scratch).
+func (c *Core) endQuery(id uint64, qs *queryState) {
+	delete(c.queries, id)
+	delete(c.queryOf, qs.key)
+	op := qs.fallback.Op[:0]
+	if cap(op) > maxKeptStorage {
+		op = nil
+	}
+	*qs = queryState{fallback: msg.OrderRequest{Op: op}}
+	give(&c.freeQueries, qs)
+}
+
 // HandleClientData processes opaque bytes received on a client connection:
 // handshake frames establish the secure channel; records are decrypted and
 // parsed into operations, which either hit the fast-read path or are
 // submitted for ordering. A record is decrypted into a buffer the Core reuses,
-// and the operations of the returned Submits are views of it: they are valid
-// until the next HandleClientData.
+// and the operations of the returned Submits are views of it; like everything
+// a Core call returns, they are valid until the Core's next call.
 func (c *Core) HandleClientData(now time.Duration, connID uint64, from msg.NodeID, payload []byte) (Actions, error) {
-	var out Actions
+	c.begin()
 	if !c.Provisioned() {
-		return out, ErrNotProvisioned
+		return c.out, ErrNotProvisioned
 	}
 	sess, ok := c.sessions[connID]
 	if !ok {
@@ -394,24 +495,24 @@ func (c *Core) HandleClientData(now time.Duration, connID uint64, from msg.NodeI
 	if securechannel.IsHandshakeFrame(payload) {
 		sc, serverHello, err := securechannel.ServerHandshake(c.identity, payload, c.handshakeRand)
 		if err != nil {
-			return out, fmt.Errorf("%w: %v", ErrBadChannel, err)
+			return c.out, fmt.Errorf("%w: %v", ErrBadChannel, err)
 		}
 		sess.sc = sc
 		sess.httpBuf = nil
 		c.stats.Handshakes++
-		out.Client = append(out.Client, ClientRecord{ConnID: connID, Node: sess.node, Frame: serverHello})
-		return out, nil
+		c.out.Client = append(c.out.Client, ClientRecord{ConnID: connID, Node: sess.node, Frame: serverHello})
+		return c.out, nil
 	}
 
 	if !sess.sc.Established() {
-		return out, fmt.Errorf("%w: record before handshake", ErrBadChannel)
+		return c.out, fmt.Errorf("%w: record before handshake", ErrBadChannel)
 	}
 	// A record may be plain or coalesced (a batch of sub-frames sealed under
 	// one AES-GCM pass by the specialized transport); either way the whole
 	// record authenticates before any sub-frame is processed.
 	frames, err := sess.sc.OpenFrames(c.plain, payload)
 	if err != nil {
-		return out, fmt.Errorf("%w: %v", ErrBadChannel, err)
+		return c.out, fmt.Errorf("%w: %v", ErrBadChannel, err)
 	}
 	c.plain = frames.Scratch()
 
@@ -422,7 +523,7 @@ func (c *Core) HandleClientData(now time.Duration, connID uint64, from msg.NodeI
 		for {
 			op, consumed, err := httpfront.ExtractRequest(sess.httpBuf)
 			if err != nil {
-				return out, fmt.Errorf("%w: %v", ErrBadChannel, err)
+				return c.out, fmt.Errorf("%w: %v", ErrBadChannel, err)
 			}
 			if op == nil {
 				break
@@ -433,30 +534,28 @@ func (c *Core) HandleClientData(now time.Duration, connID uint64, from msg.NodeI
 			// connection ID serves as one (a reconnect is a new client, as
 			// it is for a plain web server). The commit level rides on a
 			// request header because there is no frame to flag.
-			acts := c.handleOperation(now, sess, connID, sess.nextSeq, op, httpfront.FastCommit(op))
-			out.merge(acts)
+			c.handleOperation(now, sess, connID, sess.nextSeq, op, httpfront.FastCommit(op))
 		}
-		return out, nil
+		return c.out, nil
 	}
 
 	for plaintext := range frames.All() {
 		frame, err := msg.DecodeChannelRequest(plaintext)
 		if err != nil {
-			return out, fmt.Errorf("%w: %v", ErrBadChannel, err)
+			return c.out, fmt.Errorf("%w: %v", ErrBadChannel, err)
 		}
-		out.merge(c.handleOperation(now, sess, frame.Client, frame.Seq, frame.Op,
-			frame.Flags&msg.FlagFastCommit != 0))
+		c.handleOperation(now, sess, frame.Client, frame.Seq, frame.Op, frame.Flags&msg.FlagFastCommit != 0)
 	}
-	return out, nil
+	return c.out, nil
 }
 
-// handleOperation routes one client operation. fast marks a request whose
-// client opted into the crash-tolerant commit tier; the flag only shapes how
-// the *ordered* path answers (a speculative reply ahead of the durable
-// quorum) — the fast-read cache path is untouched, since its answers are
-// already backed by durable execution.
-func (c *Core) handleOperation(now time.Duration, sess *session, client, clientSeq uint64, op []byte, fast bool) Actions {
-	var out Actions
+// handleOperation routes one client operation, adding what it takes to the
+// call's actions. fast marks a request whose client opted into the
+// crash-tolerant commit tier; the flag only shapes how the *ordered* path
+// answers (a speculative reply ahead of the durable quorum) — the fast-read
+// cache path is untouched, since its answers are already backed by durable
+// execution.
+func (c *Core) handleOperation(now time.Duration, sess *session, client, clientSeq uint64, op []byte, fast bool) {
 	c.stats.Requests++
 
 	read := c.cfg.Classify != nil && c.cfg.Classify(op)
@@ -480,23 +579,24 @@ func (c *Core) handleOperation(now time.Duration, sess *session, client, clientS
 		// retransmission: it goes to ordering, and the round goes on.
 		if _, pending := c.queryOf[key]; !pending {
 			if reply, replyHash := c.cache.GetDigest(opHash); reply != nil {
-				return c.startFastRead(now, sess, key, opHash, op, reply, replyHash)
+				c.startFastRead(now, sess, key, opHash, op, reply, replyHash)
+				return
 			}
 			c.stats.CacheMisses++
 			c.monitor.Record(now, true)
 		}
 	}
 
-	out.Submits = append(out.Submits, c.registerVote(sess, key, opHash, op, read, fast))
-	return out
+	c.out.Submits = append(c.out.Submits, c.registerVote(sess, key, opHash, op, read, fast))
 }
 
-// registerVote creates the voter state for an ordered request and returns
-// the BFT request to submit. Re-registration (client retransmission) keeps
-// the already-collected votes. The returned request's Op is op itself — a
-// view of the record's plaintext, valid for this call: it leaves through
+// registerVote creates the voter state for an ordered request — a vote from
+// the free list when there is one — and returns the BFT request to submit.
+// Re-registration (client retransmission) keeps the already-collected votes.
+// The returned request's Op is op itself — a view of the record's plaintext
+// or of a fast read's storage, valid for this call: it leaves through
 // Actions, which the binding copies on the way out (the boundary's copy-out,
-// or DirectProxy.HandleClientData).
+// or DirectProxy's).
 func (c *Core) registerVote(sess *session, key voteKey, opHash msg.Digest, op []byte, read, fast bool) msg.OrderRequest {
 	flags := uint8(0)
 	if read {
@@ -516,54 +616,57 @@ func (c *Core) registerVote(sess *session, key voteKey, opHash msg.Digest, op []
 		vs.connID = sess.connID // reconnects move the reply route
 		return req
 	}
-	vs := &voteState{
-		connID:    sess.connID,
-		reqDigest: req.Digest(),
-		opHash:    opHash,
-		read:      read,
-		fast:      fast,
-	}
+	vs := take(&c.freeVotes)
+	vs.connID = sess.connID
+	vs.reqDigest = req.Digest()
+	vs.opHash = opHash
+	vs.read = read
+	vs.fast = fast
 	vs.durable.ballots = vs.durableBuf[:0]
 	c.votes[key] = vs
 	return req
 }
 
 // startFastRead begins the remote-confirmation round for a locally cached
-// read (check_cache in Figure 4).
-func (c *Core) startFastRead(now time.Duration, sess *session, key voteKey, opHash msg.Digest, op []byte, reply []byte, replyHash msg.Digest) Actions {
-	var out Actions
+// read (check_cache in Figure 4): a fast read from the free list when there is
+// one, and its cache queries in the call's scratch.
+func (c *Core) startFastRead(now time.Duration, sess *session, key voteKey, opHash msg.Digest, op []byte, reply []byte, replyHash msg.Digest) {
 	c.queryCtr++
 	id := c.queryCtr
-	qs := &queryState{
+	qs := take(&c.freeQueries)
+	// The literal is built before it is assigned: it reads the fallback
+	// storage it then replaces.
+	*qs = queryState{
 		started:   now,
 		connID:    sess.connID,
 		key:       key,
 		opHash:    opHash,
 		reply:     reply,
 		replyHash: replyHash,
-	}
-	// The fallback outlives this call (it is submitted when a remote cache
-	// disagrees or times out), so it owns its operation bytes.
-	qs.fallback = msg.OrderRequest{
-		Origin:    c.cfg.Self,
-		Client:    key.client,
-		ClientSeq: key.clientSeq,
-		Flags:     msg.FlagReadOnly,
-		Op:        bytes.Clone(op),
+		// The fallback outlives this call (it is submitted when a remote
+		// cache disagrees or times out), so it owns its operation bytes: in
+		// storage the fast read keeps on the free list from round to round.
+		fallback: msg.OrderRequest{
+			Origin:    c.cfg.Self,
+			Client:    key.client,
+			ClientSeq: key.clientSeq,
+			Flags:     msg.FlagReadOnly,
+			Op:        append(qs.fallback.Op[:0], op...),
+		},
 	}
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	for _, r := range c.chooseReplicas(c.cfg.F) {
 		qs.waiting |= 1 << uint(r)
-		q := &msg.CacheQuery{From: c.cfg.Self, QueryID: id, ReqDigest: opHash}
+		c.queryMsgs = append(c.queryMsgs, msg.CacheQuery{From: c.cfg.Self, QueryID: id, ReqDigest: opHash})
+		q := &c.queryMsgs[len(c.queryMsgs)-1]
 		w.Reset()
 		q.TagInput(w)
-		q.Tag = c.tagger.Tag(nil, c.cfg.Self, w.Bytes())
-		out.Queries = append(out.Queries, PeerCacheMsg{To: r, Query: q})
+		q.Tag = c.tag(w.Bytes())
+		c.out.Queries = append(c.out.Queries, PeerCacheMsg{To: r, Query: q})
 	}
 	c.queries[id] = qs
 	c.queryOf[key] = id
-	return out
 }
 
 // chooseReplicas picks k distinct replicas other than self, uniformly at
@@ -657,13 +760,13 @@ func voteHash(rep *msg.OrderedReply) msg.Digest {
 // Figure 3). When f+1 distinct replicas delivered Troxy-authenticated,
 // matching replies, the result is encrypted for the client.
 func (c *Core) HandleReply(now time.Duration, rep *msg.OrderedReply) (Actions, error) {
-	var out Actions
+	c.begin()
 	if !c.Provisioned() {
-		return out, ErrNotProvisioned
+		return c.out, ErrNotProvisioned
 	}
 	if rep.Executor < 0 || int(rep.Executor) >= c.cfg.N {
 		c.stats.BadReplies++
-		return out, nil
+		return c.out, nil
 	}
 	// Only replies authenticated by the executor's Troxy count: this is the
 	// voter modification that forces faulty replicas through their trusted
@@ -673,7 +776,7 @@ func (c *Core) HandleReply(now time.Duration, rep *msg.OrderedReply) (Actions, e
 	rep.TagInput(w)
 	if !c.tagger.Verify(rep.Executor, w.Bytes(), rep.TroxyTag) {
 		c.stats.BadReplies++
-		return out, nil
+		return c.out, nil
 	}
 
 	// Defense in depth: a verified write reply always invalidates, even if
@@ -681,11 +784,11 @@ func (c *Core) HandleReply(now time.Duration, rep *msg.OrderedReply) (Actions, e
 	key := voteKey{client: rep.Client, clientSeq: rep.ClientSeq}
 	vs, ok := c.votes[key]
 	if !ok {
-		return out, nil
+		return c.out, nil
 	}
 	if rep.ReqDigest != vs.reqDigest {
 		c.stats.BadReplies++
-		return out, nil
+		return c.out, nil
 	}
 
 	winner, opened, matching := vs.durable.cast(rep.Executor, voteHash(rep))
@@ -693,10 +796,10 @@ func (c *Core) HandleReply(now time.Duration, rep *msg.OrderedReply) (Actions, e
 		// The vote outlives this call and rep is a view of the caller's
 		// buffer: keep one owned copy per distinct result.
 		winner.seq = rep.Seq
-		winner.result, winner.keys = ownReply(rep.Result, rep.InvalidKeys)
+		winner.result, winner.keys = vs.keep(rep.Result, rep.InvalidKeys)
 	}
 	if matching < c.cfg.Quorum() {
-		return out, nil
+		return c.out, nil
 	}
 
 	// Quorum reached: the result is correct.
@@ -715,9 +818,7 @@ func (c *Core) HandleReply(now time.Duration, rep *msg.OrderedReply) (Actions, e
 				c.stats.SpecRetracted++
 				if !c.cfg.HTTP {
 					attr := fmt.Sprintf("speculative result superseded by durable quorum at seq %d", winner.seq)
-					if rec, err := c.sealToClient(vs.connID, key.clientSeq, msg.StatusRetracted, []byte(attr)); err == nil {
-						out.Client = append(out.Client, rec)
-					}
+					c.sealToClient(vs.connID, key.clientSeq, msg.StatusRetracted, []byte(attr))
 				}
 			}
 		} else if !vs.retracted {
@@ -743,13 +844,12 @@ func (c *Core) HandleReply(now time.Duration, rep *msg.OrderedReply) (Actions, e
 	// answer already consumed it, so the durable confirmation is suppressed
 	// (which is why the HTTP fast tier is documented as crash-tolerance
 	// only — a lost speculation cannot be repaired in-band).
-	if vs.specAnswered && c.cfg.HTTP {
-		return out, nil
+	if !vs.specAnswered || !c.cfg.HTTP {
+		c.sealToClient(vs.connID, key.clientSeq, msg.StatusOK, winner.result)
 	}
-	if rec, err := c.sealToClient(vs.connID, key.clientSeq, msg.StatusOK, winner.result); err == nil {
-		out.Client = append(out.Client, rec)
-	}
-	return out, nil
+	// The answer is sealed, so what the vote kept is needed no more.
+	c.recycleVote(vs)
+	return c.out, nil
 }
 
 // specVoteHash folds a speculative reply's binding and result into the value
@@ -789,20 +889,20 @@ func (c *Core) AuthenticateSpecReply(sr *msg.SpecReply) error {
 // StatusSpeculative — and the vote state is kept open: the durable quorum
 // must still confirm (StatusOK) or repair the answer.
 func (c *Core) HandleSpecReply(now time.Duration, sr *msg.SpecReply) (Actions, error) {
-	var out Actions
+	c.begin()
 	if !c.Provisioned() {
-		return out, ErrNotProvisioned
+		return c.out, ErrNotProvisioned
 	}
 	if sr.Executor < 0 || int(sr.Executor) >= c.cfg.N {
 		c.stats.BadReplies++
-		return out, nil
+		return c.out, nil
 	}
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	sr.TagInput(w)
 	if !c.tagger.Verify(sr.Executor, w.Bytes(), sr.TroxyTag) {
 		c.stats.BadReplies++
-		return out, nil
+		return c.out, nil
 	}
 	key := voteKey{client: sr.Client, clientSeq: sr.ClientSeq}
 	vs, ok := c.votes[key]
@@ -810,28 +910,26 @@ func (c *Core) HandleSpecReply(now time.Duration, sr *msg.SpecReply) (Actions, e
 		// No pending vote, a client that did not opt in, or an already
 		// delivered speculation: nothing to do. Dropping late votes here is
 		// safe — only the first f+1 quorum answers.
-		return out, nil
+		return c.out, nil
 	}
 	if sr.ReqDigest != vs.reqDigest {
 		c.stats.BadReplies++
-		return out, nil
+		return c.out, nil
 	}
 
 	b, opened, matching := vs.spec.cast(sr.Executor, specVoteHash(sr))
 	if opened {
-		b.result = bytes.Clone(sr.Result) // kept past this call
+		b.result, _ = vs.keep(sr.Result, nil) // kept past this call
 	}
 	if matching < c.cfg.Quorum() {
-		return out, nil
+		return c.out, nil
 	}
 
 	vs.specAnswered = true
 	vs.specResult = b.hash
 	c.stats.SpecAnswered++
-	if rec, err := c.sealToClient(vs.connID, key.clientSeq, msg.StatusSpeculative, sr.Result); err == nil {
-		out.Client = append(out.Client, rec)
-	}
-	return out, nil
+	c.sealToClient(vs.connID, key.clientSeq, msg.StatusSpeculative, sr.Result)
+	return c.out, nil
 }
 
 // HandleRetract withdraws a speculative answer: the hosting replica's core
@@ -843,66 +941,68 @@ func (c *Core) HandleSpecReply(now time.Duration, sr *msg.SpecReply) (Actions, e
 // HTTP sessions cannot carry a retraction frame; for them the withdrawal is
 // silent, which is the documented weaker guarantee of the HTTP fast tier.
 func (c *Core) HandleRetract(client, clientSeq, slotSeq, view uint64) (Actions, error) {
-	var out Actions
+	c.begin()
 	if !c.Provisioned() {
-		return out, ErrNotProvisioned
+		return c.out, ErrNotProvisioned
 	}
 	key := voteKey{client: client, clientSeq: clientSeq}
 	vs, ok := c.votes[key]
 	if !ok || !vs.specAnswered || vs.retracted {
-		return out, nil
+		return c.out, nil
 	}
 	vs.retracted = true
 	c.stats.SpecRetracted++
 	if c.cfg.HTTP {
-		return out, nil
+		return c.out, nil
 	}
 	attr := fmt.Sprintf("speculation for slot %d lost in view change to view %d", slotSeq, view)
-	if rec, err := c.sealToClient(vs.connID, clientSeq, msg.StatusRetracted, []byte(attr)); err == nil {
-		out.Client = append(out.Client, rec)
-	}
-	return out, nil
+	c.sealToClient(vs.connID, clientSeq, msg.StatusRetracted, []byte(attr))
+	return c.out, nil
 }
 
-// sealToClient encrypts a result for the client connection. HTTP sessions
-// receive the raw result bytes (the status is a framing concept HTTP cannot
-// carry; callers suppress redundant frames instead); generic sessions a
-// ChannelReply frame carrying status.
-func (c *Core) sealToClient(connID, clientSeq uint64, status uint8, result []byte) (ClientRecord, error) {
+// sealToClient encrypts a result for the client connection, into the call's
+// scratch, and adds the record to the call's actions; a connection that is
+// gone gets nothing. HTTP sessions receive the raw result bytes (the status is
+// a framing concept HTTP cannot carry; callers suppress redundant frames
+// instead); generic sessions a ChannelReply frame carrying status.
+func (c *Core) sealToClient(connID, clientSeq uint64, status uint8, result []byte) {
 	sess, ok := c.sessions[connID]
 	if !ok || !sess.sc.Established() {
-		return ClientRecord{}, fmt.Errorf("%w: connection gone", ErrBadChannel)
+		return
 	}
 	plaintext := result
 	if !c.cfg.HTTP {
 		w := wire.GetWriter()
-		defer wire.PutWriter(w) // Seal copies the plaintext into the record
+		defer wire.PutWriter(w) // sealing copies the plaintext into the record
 		(&msg.ChannelReply{Seq: clientSeq, Status: status, Result: result}).MarshalWire(w)
 		plaintext = w.Bytes()
 	}
-	record, err := sess.sc.Seal(plaintext)
+	start := len(c.sealed)
+	sealed, err := sess.sc.AppendSeal(c.sealed, plaintext)
 	if err != nil {
-		return ClientRecord{}, err
+		return
 	}
-	return ClientRecord{ConnID: connID, Node: sess.node, Frame: record}, nil
+	c.sealed = sealed
+	c.out.Client = append(c.out.Client, ClientRecord{ConnID: connID, Node: sess.node, Frame: sealed[start:len(sealed):len(sealed)]})
 }
 
 // HandleCacheQuery answers a remote Troxy's fast-read confirmation request
 // (get_remote_cache_entry in Figure 4). Only the digest of the cached reply
 // travels back (the paper's hash optimization).
 func (c *Core) HandleCacheQuery(q *msg.CacheQuery) (Actions, error) {
-	var out Actions
+	c.begin()
 	if !c.Provisioned() {
-		return out, ErrNotProvisioned
+		return c.out, ErrNotProvisioned
 	}
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	q.TagInput(w)
 	if q.From < 0 || int(q.From) >= c.cfg.N || !c.tagger.Verify(q.From, w.Bytes(), q.Tag) {
 		c.stats.BadQueries++
-		return out, nil
+		return c.out, nil
 	}
-	rep := &msg.CacheReply{From: c.cfg.Self, QueryID: q.QueryID, ReqDigest: q.ReqDigest}
+	c.replyMsgs = append(c.replyMsgs, msg.CacheReply{From: c.cfg.Self, QueryID: q.QueryID, ReqDigest: q.ReqDigest})
+	rep := &c.replyMsgs[len(c.replyMsgs)-1]
 	if cached, digest := c.cache.GetDigest(q.ReqDigest); cached != nil {
 		rep.Found = true
 		rep.ReplyDigest = digest
@@ -912,33 +1012,33 @@ func (c *Core) HandleCacheQuery(q *msg.CacheQuery) (Actions, error) {
 	}
 	w.Reset()
 	rep.TagInput(w)
-	rep.Tag = c.tagger.Tag(nil, c.cfg.Self, w.Bytes())
-	out.Queries = append(out.Queries, PeerCacheMsg{To: q.From, Reply: rep})
-	return out, nil
+	rep.Tag = c.tag(w.Bytes())
+	c.out.Queries = append(c.out.Queries, PeerCacheMsg{To: q.From, Reply: rep})
+	return c.out, nil
 }
 
 // HandleCacheReply feeds a remote cache answer into a pending fast read. All
 // f remote entries must match the local one; any mismatch (concurrent
 // writes, stale replays by malicious replicas) falls back to ordering.
 func (c *Core) HandleCacheReply(now time.Duration, r *msg.CacheReply) (Actions, error) {
-	var out Actions
+	c.begin()
 	if !c.Provisioned() {
-		return out, ErrNotProvisioned
+		return c.out, ErrNotProvisioned
 	}
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	r.TagInput(w)
 	if r.From < 0 || int(r.From) >= c.cfg.N || !c.tagger.Verify(r.From, w.Bytes(), r.Tag) {
 		c.stats.BadQueries++
-		return out, nil
+		return c.out, nil
 	}
 	qs, ok := c.queries[r.QueryID]
 	if !ok {
-		return out, nil
+		return c.out, nil
 	}
 	from := uint64(1) << uint(r.From)
 	if qs.waiting&from == 0 {
-		return out, nil
+		return c.out, nil
 	}
 
 	match := r.Found && r.ReqDigest == qs.opHash && r.ReplyDigest == qs.replyHash
@@ -948,34 +1048,25 @@ func (c *Core) HandleCacheReply(now time.Duration, r *msg.CacheReply) (Actions, 
 		match = bytes.Equal(r.ReplyData, qs.reply)
 	}
 	if !match {
-		return c.fallbackQuery(now, r.QueryID, qs), nil
+		c.fallbackQuery(now, r.QueryID, qs)
+		return c.out, nil
 	}
 	qs.waiting &^= from
 	if qs.waiting != 0 {
-		return out, nil
+		return c.out, nil
 	}
 
 	// Fast read succeeded: local entry + f matching remote entries = f+1
 	// Troxies agree, and the write-invalidation quorum intersects this set.
-	c.forgetQuery(r.QueryID, qs)
 	c.stats.FastReadOK++
 	c.monitor.Record(now, false)
-	if rec, err := c.sealToClient(qs.connID, qs.key.clientSeq, msg.StatusOK, qs.reply); err == nil {
-		out.Client = append(out.Client, rec)
-	}
-	return out, nil
-}
-
-// forgetQuery ends a fast-read round, however it went.
-func (c *Core) forgetQuery(id uint64, qs *queryState) {
-	delete(c.queries, id)
-	delete(c.queryOf, qs.key)
+	c.sealToClient(qs.connID, qs.key.clientSeq, msg.StatusOK, qs.reply)
+	c.endQuery(r.QueryID, qs)
+	return c.out, nil
 }
 
 // fallbackQuery abandons a fast read and orders the request instead.
-func (c *Core) fallbackQuery(now time.Duration, id uint64, qs *queryState) Actions {
-	var out Actions
-	c.forgetQuery(id, qs)
+func (c *Core) fallbackQuery(now time.Duration, id uint64, qs *queryState) {
 	c.stats.FastReadFell++
 	c.monitor.Record(now, true)
 	sess, ok := c.sessions[qs.connID]
@@ -985,14 +1076,14 @@ func (c *Core) fallbackQuery(now time.Duration, id uint64, qs *queryState) Actio
 	// Fallbacks stay on the durable tier: the fast-read attempt already cost
 	// one round trip, and a read served from the cache machinery must never
 	// weaken into a speculative answer.
-	out.Submits = append(out.Submits, c.registerVote(sess, qs.key, qs.opHash, qs.fallback.Op, true, false))
-	return out
+	c.out.Submits = append(c.out.Submits, c.registerVote(sess, qs.key, qs.opHash, qs.fallback.Op, true, false))
+	c.endQuery(id, qs)
 }
 
 // Tick expires fast reads whose remote replicas stopped answering
 // ("timeouts might be used to detect unresponsive replicas", Section IV-A).
 func (c *Core) Tick(now time.Duration) Actions {
-	var out Actions
+	c.begin()
 	timeout := c.cfg.QueryTimeout
 	if timeout <= 0 {
 		timeout = 500 * time.Millisecond
@@ -1006,8 +1097,7 @@ func (c *Core) Tick(now time.Duration) Actions {
 	// Deterministic expiry order keeps simulations reproducible.
 	sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
 	for _, id := range expired {
-		qs := c.queries[id]
-		out.merge(c.fallbackQuery(now, id, qs))
+		c.fallbackQuery(now, id, c.queries[id])
 	}
-	return out
+	return c.out
 }

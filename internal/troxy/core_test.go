@@ -388,6 +388,68 @@ func TestExpiredFastReadsFallBackInQueryOrder(t *testing.T) {
 	}
 }
 
+// TestFreeListsStayWithinTheirCap: client churn — half again as many clients
+// as a free list holds, each with a write and a cached read in flight at once,
+// the writes voted to completion and the reads confirmed by their remote, and
+// all of it twice — never puts more than maxFree votes or fast reads on a free
+// list, and fills both. An ended fast read leaves nothing behind: no vote or
+// query stays indexed, and a Tick long after has nothing to expire.
+func TestFreeListsStayWithinTheirCap(t *testing.T) {
+	core, pub, tagger := newTestCore(t, true)
+	read := msg.DigestOf([]byte("GET k"))
+	core.cache.Put(read, []byte("VALUE v"), []string{"k"})
+	channels := make([]*clientChannel, 3*maxFree/2)
+	for i := range channels {
+		channels[i] = openChannel(t, core, pub, uint64(i+1), uint64(100+i))
+	}
+	within := func(round int, step string) {
+		t.Helper()
+		if len(core.freeVotes) > maxFree || len(core.freeQueries) > maxFree {
+			t.Fatalf("round %d, %s: %d votes and %d fast reads on the free lists, cap %d",
+				round, step, len(core.freeVotes), len(core.freeQueries), maxFree)
+		}
+	}
+	for round := 0; round < 2; round++ {
+		writes := make([]msg.OrderRequest, len(channels))
+		queries := make([]PeerCacheMsg, len(channels))
+		for i, cc := range channels {
+			writes[i] = cc.request(t, core, 0, fmt.Sprintf("PUT w%d v", i), false).Submits[0]
+			acts := cc.request(t, core, 0, "GET k", true)
+			if len(acts.Queries) != 1 {
+				t.Fatalf("round %d: client %d's read sent %d cache queries", round, i, len(acts.Queries))
+			}
+			queries[i] = PeerCacheMsg{To: acts.Queries[0].To, Query: new(msg.CacheQuery)}
+			*queries[i].Query = *acts.Queries[0].Query // the Core's scratch is overwritten by the next call
+		}
+		for i, w := range writes {
+			for _, executor := range []msg.NodeID{1, 2} {
+				if _, err := core.HandleReply(0, makeReply(tagger, executor, w, "OK", []string{fmt.Sprintf("w%d", i)})); err != nil {
+					t.Fatal(err)
+				}
+				within(round, "votes")
+			}
+		}
+		for _, q := range queries {
+			rep := &msg.CacheReply{From: q.To, QueryID: q.Query.QueryID, ReqDigest: read, Found: true, ReplyDigest: msg.DigestOf([]byte("VALUE v"))}
+			rep.Tag = tagger.Tag(nil, rep.From, tagInput(rep))
+			if out, err := core.HandleCacheReply(time.Millisecond, rep); err != nil || len(out.Client) != 1 {
+				t.Fatalf("round %d: a confirmed fast read answered %d records, %v", round, len(out.Client), err)
+			}
+			within(round, "fast reads")
+		}
+		if len(core.freeVotes) != maxFree || len(core.freeQueries) != maxFree {
+			t.Errorf("round %d: free lists hold %d votes and %d fast reads, want both full at %d",
+				round, len(core.freeVotes), len(core.freeQueries), maxFree)
+		}
+	}
+	if len(core.votes)+len(core.queries)+len(core.queryOf) != 0 {
+		t.Errorf("%d votes, %d queries and %d query index entries outlive their requests", len(core.votes), len(core.queries), len(core.queryOf))
+	}
+	if out := core.Tick(time.Hour); len(out.Submits)+len(out.Client)+len(out.Queries) != 0 {
+		t.Errorf("a Tick after every request ended acted: %+v", out)
+	}
+}
+
 func TestForgedCacheMessagesRejected(t *testing.T) {
 	core, _, _ := newTestCore(t, true)
 	evil := authn.NewGroupTagger([]byte("wrong"))

@@ -31,9 +31,13 @@ type Proxy interface {
 	CloseConn(env node.Env, connID uint64)
 	//
 	// Every byte slice in an Actions, of this call and of every other, is the
-	// caller's to keep: the enclave binding's are views of the boundary's
-	// copy-out, the direct binding copies a submit's operation out of the
-	// Core's plaintext scratch. Ordering keeps a submit as it is handed over.
+	// caller's to keep, and so is every message and slice an Actions holds:
+	// what a Core call returns lives in the Core's scratch until its next
+	// call, and both bindings copy it out once — the enclave binding's are
+	// views of the boundary's copy-out, the direct binding makes the same
+	// copy. Ordering keeps a submit as it is handed over, a client record's
+	// Body is the envelope body it leaves in, and a call can re-enter the
+	// proxy before the caller is done with the Actions of the last.
 	HandleClientData(env node.Env, connID uint64, from msg.NodeID, payload []byte) (Actions, error)
 	//
 	// rep is the caller's in both reply calls and may be one it reuses: no
@@ -89,6 +93,21 @@ type DirectProxy struct {
 	profile node.Profile
 }
 
+// own copies a Core call's actions out of the Core's scratch — where there is
+// no boundary to copy them out, this is the copy the caller is owed — the way
+// the enclave binding's copy-out does and through the same codec: one buffer
+// for every byte, each client record's Body built in it. A call that failed
+// or did nothing returns no actions.
+func own(acts Actions, err error) (Actions, error) {
+	if err != nil || len(acts.Client)+len(acts.Submits)+len(acts.Queries) == 0 {
+		return Actions{}, err
+	}
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
+	encodeActions(w, &acts)
+	return decodeActions(w.CopyBytes())
+}
+
 // NewDirectProxy wraps a core without an enclave boundary.
 func NewDirectProxy(core *Core) *DirectProxy {
 	return &DirectProxy{core: core, profile: node.ProfileCpp}
@@ -114,14 +133,9 @@ func (p *DirectProxy) CloseConn(env node.Env, connID uint64) {
 // HandleClientData implements Proxy.
 func (p *DirectProxy) HandleClientData(env node.Env, connID uint64, from msg.NodeID, payload []byte) (Actions, error) {
 	chargeCommon(env, p.profile, len(payload))
-	acts, err := p.core.HandleClientData(env.Now(), connID, from, payload)
+	acts, err := own(p.core.HandleClientData(env.Now(), connID, from, payload))
 	if err != nil {
 		return acts, err
-	}
-	// The Core's submits are views of its plaintext scratch; where there is no
-	// boundary to copy them out, this is the copy the caller is owed.
-	for i := range acts.Submits {
-		acts.Submits[i].Op = append([]byte(nil), acts.Submits[i].Op...)
 	}
 	chargeClientData(env, p.profile, payload, &acts)
 	return acts, nil
@@ -141,7 +155,7 @@ func (p *DirectProxy) HandleReply(env node.Env, rep *msg.OrderedReply) (Actions,
 	chargeCommon(env, p.profile, n)
 	env.Charge(p.profile, node.ChargeMAC, n)  // tag verification
 	env.Charge(p.profile, node.ChargeHash, n) // vote hash
-	acts, err := p.core.HandleReply(env.Now(), rep)
+	acts, err := own(p.core.HandleReply(env.Now(), rep))
 	if err != nil {
 		return acts, err
 	}
@@ -163,7 +177,7 @@ func (p *DirectProxy) HandleSpecReply(env node.Env, sr *msg.SpecReply) (Actions,
 	chargeCommon(env, p.profile, n)
 	env.Charge(p.profile, node.ChargeMAC, n)  // tag verification
 	env.Charge(p.profile, node.ChargeHash, n) // spec vote hash
-	acts, err := p.core.HandleSpecReply(env.Now(), sr)
+	acts, err := own(p.core.HandleSpecReply(env.Now(), sr))
 	if err != nil {
 		return acts, err
 	}
@@ -174,7 +188,7 @@ func (p *DirectProxy) HandleSpecReply(env node.Env, sr *msg.SpecReply) (Actions,
 // HandleRetract implements Proxy.
 func (p *DirectProxy) HandleRetract(env node.Env, client, clientSeq, slotSeq, view uint64) (Actions, error) {
 	chargeCommon(env, p.profile, 32)
-	acts, err := p.core.HandleRetract(client, clientSeq, slotSeq, view)
+	acts, err := own(p.core.HandleRetract(client, clientSeq, slotSeq, view))
 	if err != nil {
 		return acts, err
 	}
@@ -186,7 +200,7 @@ func (p *DirectProxy) HandleRetract(env node.Env, client, clientSeq, slotSeq, vi
 func (p *DirectProxy) HandleCacheQuery(env node.Env, q *msg.CacheQuery) (Actions, error) {
 	chargeCommon(env, p.profile, 64)
 	env.Charge(p.profile, node.ChargeMAC, 64) // tag verification
-	acts, err := p.core.HandleCacheQuery(q)
+	acts, err := own(p.core.HandleCacheQuery(q))
 	if err != nil {
 		return acts, err
 	}
@@ -198,7 +212,7 @@ func (p *DirectProxy) HandleCacheQuery(env node.Env, q *msg.CacheQuery) (Actions
 func (p *DirectProxy) HandleCacheReply(env node.Env, r *msg.CacheReply) (Actions, error) {
 	chargeCommon(env, p.profile, 96)
 	env.Charge(p.profile, node.ChargeMAC, 96)
-	acts, err := p.core.HandleCacheReply(env.Now(), r)
+	acts, err := own(p.core.HandleCacheReply(env.Now(), r))
 	if err != nil {
 		return acts, err
 	}
@@ -208,7 +222,10 @@ func (p *DirectProxy) HandleCacheReply(env node.Env, r *msg.CacheReply) (Actions
 
 // Tick implements Proxy.
 func (p *DirectProxy) Tick(env node.Env) (Actions, error) {
-	acts := p.core.Tick(env.Now())
+	acts, err := own(p.core.Tick(env.Now()), nil)
+	if err != nil {
+		return acts, err
+	}
 	chargeActions(env, p.profile, &acts)
 	return acts, nil
 }

@@ -240,6 +240,62 @@ func TestProxyBindingsEquivalent(t *testing.T) {
 	}
 }
 
+// TestClientRecordBodyIsItsChannelData: whichever binding hands a client
+// record to the host, its Body is exactly the body of the ChannelData
+// envelope that carries Frame to ConnID — what msg.SealChannelData would have
+// built — with Frame a view of it, and ConnID and Node are the connection's:
+// the replica sends Body as it is.
+func TestClientRecordBodyIsItsChannelData(t *testing.T) {
+	_, pub, tagger := testSecrets(t)
+	direct, enclaved, _ := newBindings(t, Config{Self: 0, N: 3, F: 1, Seed: 77, Classify: classifyKV})
+	for name, p := range map[string]Proxy{"direct": direct.p, "enclave": enclaved.p} {
+		var records []ClientRecord
+		hs, hello, err := securechannel.NewClientHandshake(pub, &bytesReader{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		acts, err := p.HandleClientData(nullEnv{}, 7, 90, hello)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records = append(records, acts.Client...)
+		sess, err := hs.Finish(acts.Client[0].Frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := sess.Seal(msg.EncodeChannelRequest(&msg.ChannelRequest{Client: 5, Seq: 1, Op: []byte("PUT k v")}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		acts, err = p.HandleClientData(nullEnv{}, 7, 90, rec)
+		if err != nil || len(acts.Submits) != 1 {
+			t.Fatalf("%s: %d submits, %v", name, len(acts.Submits), err)
+		}
+		req := acts.Submits[0]
+		for _, executor := range []msg.NodeID{1, 2} {
+			out, err := p.HandleReply(nullEnv{}, makeReply(tagger, executor, req, "OK", []string{"k"}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			records = append(records, out.Client...)
+		}
+		if len(records) != 2 {
+			t.Fatalf("%s: %d client records, want the server hello and the answer", name, len(records))
+		}
+		for i, cr := range records {
+			want := msg.SealChannelData(0, 90, 7, cr.Frame).Body
+			if cr.ConnID != 7 || cr.Node != 90 || !bytes.Equal(cr.Body, want) {
+				t.Errorf("%s: record %d to connection %d at node %d has body %x, want connection 7 at node 90 and body %x",
+					name, i, cr.ConnID, cr.Node, cr.Body, want)
+				continue
+			}
+			if &cr.Frame[0] != &cr.Body[len(cr.Body)-len(cr.Frame)] {
+				t.Errorf("%s: record %d's frame is not a view of its body", name, i)
+			}
+		}
+	}
+}
+
 func TestEnclaveProxyCountsTransitions(t *testing.T) {
 	_, enclaved, encl := newProxyPair(t)
 	env := nullEnv{}

@@ -12,9 +12,9 @@ import (
 
 // scratchRun drives a conversation through one Proxy binding the way the
 // replica does — whatever a call returns is consumed before the next call —
-// and, with poison set, overwrites the Core's plaintext buffer after every
-// call: the Core is then free to reuse it, so nothing the Troxy keeps and
-// nothing the host still holds may be a view of it.
+// and, with poison set, overwrites all of the Core's scratch after every call
+// (poisonScratch): the Core is then free to reuse it, so nothing the Troxy
+// keeps and nothing the host still holds may be a view of it.
 type scratchRun struct {
 	t      *testing.T
 	p      Proxy
@@ -27,8 +27,8 @@ type scratchRun struct {
 }
 
 // took consumes a call's result: the actions are encoded on the spot (what
-// the network's send amounts to), client records are decrypted, the plaintext
-// buffer is poisoned — which must not change the actions the caller holds —
+// the network's send amounts to), client records are decrypted, the Core's
+// scratch is poisoned — which must not change the actions the caller holds —
 // and the actions come back decoded from that encoding, owning every byte.
 func (r *scratchRun) took(acts Actions, err error) Actions {
 	r.t.Helper()
@@ -49,17 +49,14 @@ func (r *scratchRun) took(acts Actions, err error) Actions {
 		r.plaintexts = append(r.plaintexts, pt)
 	}
 	if r.poison {
-		plain := r.core.plain[:cap(r.core.plain)]
-		for i := range plain {
-			plain[i] = 0xA5
-		}
+		poisonScratch(r.core)
 		// Every byte slice in an Actions is the caller's to keep, whichever
 		// binding returned it: ordering holds a submit as it is handed over,
 		// long after the Core has decrypted its next record.
 		again := wire.NewWriter(256)
 		encodeActions(again, &acts)
 		if !bytes.Equal(again.Bytes(), w.Bytes()) {
-			r.t.Errorf("call %d: the returned actions changed when the plaintext buffer was overwritten:\n got %x\nwant %x",
+			r.t.Errorf("call %d: the returned actions changed when the Core's scratch was overwritten:\n got %x\nwant %x",
 				len(r.steps)-1, again.Bytes(), w.Bytes())
 		}
 	}
@@ -68,6 +65,39 @@ func (r *scratchRun) took(acts Actions, err error) Actions {
 		r.t.Fatal(err)
 	}
 	return own
+}
+
+// poisonScratch overwrites everything the Core reuses from call to call with
+// 0xA5 bytes and junk values: the plaintext buffer, the sealed records and
+// tags, the cache messages, the Actions slices, and the storage of the votes
+// and fast reads on its free lists.
+func poisonScratch(c *Core) {
+	junk := bytes.Repeat([]byte{0xA5}, 40)
+	var digest msg.Digest
+	copy(digest[:], junk)
+	fill(c.plain, 0xA5)
+	fill(c.sealed, 0xA5)
+	query := msg.CacheQuery{From: 0x5A5A5A5A, QueryID: 0xA5A5A5A5, ReqDigest: digest, Tag: junk}
+	fill(c.queryMsgs, query)
+	fill(c.replyMsgs, msg.CacheReply{From: 0x5A5A5A5A, QueryID: 0xA5A5A5A5, ReqDigest: digest, Found: true, ReplyDigest: digest, ReplyData: junk, Tag: junk})
+	fill(c.out.Client, ClientRecord{ConnID: 0xA5A5A5A5, Node: 0x5A5A5A5A, Frame: junk, Body: junk})
+	fill(c.out.Submits, msg.OrderRequest{Origin: 0x5A5A5A5A, Client: 0xA5A5A5A5, ClientSeq: 0xA5A5A5A5, Flags: 0xA5, Op: junk})
+	fill(c.out.Queries, PeerCacheMsg{To: 0x5A5A5A5A, Query: &query})
+	for _, vs := range c.freeVotes {
+		fill(vs.slab, 0xA5)
+		fill(vs.spec.ballots, ballot{hash: digest, voters: ^uint64(0), seq: 0xA5A5A5A5, result: junk, keys: junk})
+	}
+	for _, qs := range c.freeQueries {
+		fill(qs.fallback.Op, 0xA5)
+	}
+}
+
+// fill sets every element of s up to its capacity to v.
+func fill[T any](s []T, v T) {
+	s = s[:cap(s)]
+	for i := range s {
+		s[i] = v
+	}
 }
 
 func (r *scratchRun) handshake(pub []byte) {
@@ -184,10 +214,12 @@ func httpScratchScript(r *scratchRun) {
 }
 
 // TestPlaintextScratchIsNotRetained: the Core decrypts every client record
-// into one buffer. Overwriting that buffer after every call — through the
-// direct binding, which copies its Submits out of it, and through the enclave
-// — must change nothing: not one action of any call, while the caller holds it
-// or afterwards, and not what the client reads.
+// into one buffer, seals every client record and tag into another, builds its
+// cache messages and Actions in slices it reuses, and recycles ended votes
+// and fast reads with their storage. Overwriting all of that after every call
+// — through the direct binding, which copies the Actions out of it, and
+// through the enclave — must change nothing: not one action of any call, while
+// the caller holds it or afterwards, and not what the client reads.
 func TestPlaintextScratchIsNotRetained(t *testing.T) {
 	generic := Config{Self: 0, N: 3, F: 1, Seed: 77, Classify: classifyKV, FastReads: true}
 	http := Config{Self: 0, N: 3, F: 1, Seed: 77, Classify: classifyKV, HTTP: true}

@@ -339,9 +339,11 @@ func (t *Trusted) syncEPC() {
 func encodeActions(w *wire.Writer, a *Actions) {
 	w.U32(uint32(len(a.Client)))
 	for _, cr := range a.Client {
-		w.U64(cr.ConnID)
+		// A record crosses as its destination followed by the encoding of the
+		// ChannelData it leaves in, which decodeActions hands the host as its
+		// Body: the copy-out is the record's one copy on its way out.
 		w.U32(uint32(cr.Node))
-		w.Bytes32(cr.Frame)
+		(&msg.ChannelData{ConnID: cr.ConnID, Payload: cr.Frame}).MarshalWire(w)
 	}
 	w.U32(uint32(len(a.Submits)))
 	for i := range a.Submits {
@@ -365,11 +367,13 @@ func encodeActions(w *wire.Writer, a *Actions) {
 	}
 }
 
-// decodeActions decodes by view: frames, operations and tags alias b, which
-// on the host side is the boundary's copy-out and belongs to the caller. A
-// submit arrives with its digest: b is this replica's own trusted subsystem
-// speaking, and a wrong digest would only get this replica's proposals
-// rejected — every other replica computes its own from the bytes.
+// decodeActions decodes by view: frames, bodies, operations and tags alias b,
+// which on the host side is the boundary's copy-out (or DirectProxy's copy)
+// and belongs to the caller. A client record's Body is the span of its
+// ChannelData encoding, its Frame inside. A submit arrives with its digest: b
+// is this replica's own trusted subsystem speaking, and a wrong digest would
+// only get this replica's proposals rejected — every other replica computes
+// its own from the bytes.
 func decodeActions(b []byte) (Actions, error) {
 	var a Actions
 	r := wire.NewReader(b)
@@ -378,11 +382,13 @@ func decodeActions(b []byte) (Actions, error) {
 		a.Client = make([]ClientRecord, 0, min(nc, 64))
 	}
 	for i := 0; i < nc; i++ {
-		cr := ClientRecord{ConnID: r.U64(), Node: msg.NodeID(int32(r.U32())), Frame: r.Bytes32()}
-		if r.Err() != nil {
-			return a, r.Err()
+		node := msg.NodeID(int32(r.U32()))
+		from := r.Offset()
+		var cd msg.ChannelData
+		if err := cd.UnmarshalWire(r); err != nil {
+			return a, err
 		}
-		a.Client = append(a.Client, cr)
+		a.Client = append(a.Client, ClientRecord{ConnID: cd.ConnID, Node: node, Frame: cd.Payload, Body: r.Span(from)})
 	}
 	ns := r.SliceLen()
 	if ns > 0 {
