@@ -40,8 +40,9 @@ func (g *putGen) Next(*rand.Rand) workload.Op {
 // writeAllocCeiling is the budget of TestWriteAllocBudget: heap allocations
 // per completed 128-byte PUT, everything included (three replicas, their
 // enclaves, the client machine and the simulator's own events — about ten of
-// them). The tree measures 28.1, the same on every run; the ceiling is two
-// above that. The commit before a Troxy call left no garbage (and the store
+// them). The tree measures 27.7, the same on every run; the ceiling is two
+// above that, rounded up. The commit before reply batches went without a host
+// MAC measured 28.1, the one before a Troxy call left no garbage (and the store
 // shared its constant results) measured 38.1 on this harness, the one before
 // Submit kept the request it is given 40.1, the one before crossings copied
 // into memory their hop owns 64.1, the one before replies were batched 100.9,

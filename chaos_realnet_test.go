@@ -204,7 +204,7 @@ func runChaosRealnet(t *testing.T, o chaosRealnetOpts) chaosRealnetResult {
 	// message level, and everything it emits crosses the real transport.
 	attach := func(r *realnet.Router, id msg.NodeID) {
 		if mode, ok := o.byz[id]; ok {
-			r.Attach(id, faultplane.NewByzantine(cl.Replicas[id], id, cl.Directory, mode))
+			r.Attach(id, faultplane.NewByzantine(cl.Replicas[id], id, len(cl.Replicas), cl.Directory, mode))
 			return
 		}
 		r.Attach(id, cl.Replicas[id])

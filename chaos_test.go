@@ -97,7 +97,7 @@ func runChaos(t *testing.T, o chaosOpts) chaosResult {
 	for i, r := range cl.Replicas {
 		id := msg.NodeID(i)
 		if mode, ok := o.byz[id]; ok {
-			net.Attach(id, faultplane.NewByzantine(r, id, cl.Directory, mode))
+			net.Attach(id, faultplane.NewByzantine(r, id, len(cl.Replicas), cl.Directory, mode))
 		} else {
 			net.Attach(id, r)
 		}
@@ -301,6 +301,21 @@ func TestChaosByzantineReplica(t *testing.T) {
 			seed: 23,
 			byz:  map[msg.NodeID]faultplane.Behavior{1: faultplane.ReplayStaleReplies},
 		})
+	})
+
+	t.Run("misdirect-cache-messages", func(t *testing.T) {
+		// Replica 1's host copies every cache query and reply it sends to the
+		// replica it is not addressed to. The cache exchange has no transport
+		// MAC; the tags name the addressee, and the other Troxy must reject
+		// the copies rather than answer or count them.
+		res := runChaos(t, chaosOpts{
+			seed: 26,
+			byz:  map[msg.NodeID]faultplane.Behavior{1: faultplane.MisdirectCacheMessages},
+		})
+		if bad := res.cl.TroxyStats(0).BadQueries + res.cl.TroxyStats(2).BadQueries; bad == 0 {
+			t.Error("no misdirected cache message was rejected by a correct replica's Troxy")
+		}
+		expectNoBadMACs(t, res.cl, 0, 2)
 	})
 
 	t.Run("equivocate-certs", func(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/troxy-bft/troxy/internal/app"
-	"github.com/troxy-bft/troxy/internal/authn"
 	"github.com/troxy-bft/troxy/internal/bftclient"
 	"github.com/troxy-bft/troxy/internal/faultplane"
 	"github.com/troxy-bft/troxy/internal/legacyclient"
@@ -336,14 +335,12 @@ func TestLeaderCrashWithTroxy(t *testing.T) {
 
 // corruptingEnv wraps node.Env and flips a byte in the result of every
 // OrderedReply of every reply batch the replica sends: the behaviour of a
-// Byzantine untrusted replica part trying to deliver wrong results. It
-// re-seals the transport MAC after corrupting — the untrusted part
-// legitimately holds the pairwise transport keys, so only the Troxy's group
-// tag (computed inside the enclave, over the original content) can expose the
+// Byzantine untrusted replica part trying to deliver wrong results. A reply
+// batch has no transport MAC to re-seal, so only the Troxy's group tag
+// (computed inside the enclave, over the original content) can expose the
 // manipulation.
 type corruptingEnv struct {
 	node.Env
-	auth *authn.Authenticator
 }
 
 func (c corruptingEnv) Send(e *msg.Envelope) {
@@ -361,7 +358,6 @@ func (c corruptingEnv) Send(e *msg.Envelope) {
 				rep.Result[0] ^= 0xff
 			}
 		}
-		c.auth.SealMAC(e)
 	}
 	c.Env.Send(e)
 }
@@ -369,17 +365,16 @@ func (c corruptingEnv) Send(e *msg.Envelope) {
 // corruptingReplica wraps a replica handler with the corrupting env.
 type corruptingReplica struct {
 	inner node.Handler
-	auth  *authn.Authenticator
 }
 
 func (c *corruptingReplica) OnStart(env node.Env) {
-	c.inner.OnStart(corruptingEnv{env, c.auth})
+	c.inner.OnStart(corruptingEnv{env})
 }
 func (c *corruptingReplica) OnEnvelope(env node.Env, e *msg.Envelope) {
-	c.inner.OnEnvelope(corruptingEnv{env, c.auth}, e)
+	c.inner.OnEnvelope(corruptingEnv{env}, e)
 }
 func (c *corruptingReplica) OnTimer(env node.Env, key node.TimerKey) {
-	c.inner.OnTimer(corruptingEnv{env, c.auth}, key)
+	c.inner.OnTimer(corruptingEnv{env}, key)
 }
 
 func TestByzantineReplyOutvoted(t *testing.T) {
@@ -397,10 +392,7 @@ func TestByzantineReplyOutvoted(t *testing.T) {
 	net.SetDefaultLink(simnet.FixedLatency(2 * time.Millisecond))
 	for i, r := range cl.Replicas {
 		if i == 2 {
-			net.Attach(msg.NodeID(i), &corruptingReplica{
-				inner: r,
-				auth:  authn.NewAuthenticator(2, cl.Directory),
-			})
+			net.Attach(msg.NodeID(i), &corruptingReplica{inner: r})
 			continue
 		}
 		net.Attach(msg.NodeID(i), r)

@@ -171,12 +171,13 @@ func (a *Authenticator) VerifyMessage(e *msg.Envelope, m msg.Message) (bool, int
 // GroupTagger computes Troxy group tags. It lives inside the trusted
 // subsystem: the group key never leaves the enclave boundary. Tags are bound
 // to the producing Troxy's instance ID so a Troxy cannot impersonate another
-// one even though the group secret is shared. Like the Core that owns it, a
-// tagger is not safe for concurrent use.
+// one even though the group secret is shared, and to the kind of the message
+// they authenticate, so a tag made for one kind never verifies as another's.
+// Like the Core that owns it, a tagger is not safe for concurrent use.
 type GroupTagger struct {
 	mac hash.Hash
 	// Scratch, for the reason Authenticator has its own.
-	id  [4]byte
+	hdr [5]byte
 	sum [TagSize]byte
 }
 
@@ -185,28 +186,31 @@ func NewGroupTagger(groupKey []byte) *GroupTagger {
 	return &GroupTagger{mac: hmac.New(sha256.New, groupKey)}
 }
 
-// feed resets the HMAC and writes the instance ID and the input to it.
-func (g *GroupTagger) feed(instance msg.NodeID, input []byte) {
+// feed resets the HMAC and writes the kind, the instance ID and the input to
+// it.
+func (g *GroupTagger) feed(kind msg.Kind, instance msg.NodeID, input []byte) {
 	g.mac.Reset()
-	g.id = [4]byte{byte(instance), byte(instance >> 8), byte(instance >> 16), byte(instance >> 24)}
-	g.mac.Write(g.id[:])
+	g.hdr = [5]byte{byte(kind), byte(instance), byte(instance >> 8), byte(instance >> 16), byte(instance >> 24)}
+	g.mac.Write(g.hdr[:])
 	g.mac.Write(input)
 }
 
-// Tag appends the group tag of input as produced by the given instance to dst
-// and returns the extended slice, the way hash.Hash.Sum does: a caller that
-// has somewhere to put the tag — a reply it reuses, an ecall's result buffer —
-// passes that and nothing is allocated; nil gets a tag of its own.
-func (g *GroupTagger) Tag(dst []byte, instance msg.NodeID, input []byte) []byte {
-	g.feed(instance, input)
+// Tag appends the group tag of input, a message of the given kind produced by
+// the given instance, to dst and returns the extended slice, the way
+// hash.Hash.Sum does: a caller that has somewhere to put the tag — a reply it
+// reuses, an ecall's result buffer — passes that and nothing is allocated;
+// nil gets a tag of its own.
+func (g *GroupTagger) Tag(dst []byte, kind msg.Kind, instance msg.NodeID, input []byte) []byte {
+	g.feed(kind, instance, input)
 	return g.mac.Sum(dst)
 }
 
-// Verify checks a group tag allegedly produced by instance over input.
-func (g *GroupTagger) Verify(instance msg.NodeID, input, tag []byte) bool {
+// Verify checks a group tag allegedly produced by instance over input, a
+// message of the given kind.
+func (g *GroupTagger) Verify(kind msg.Kind, instance msg.NodeID, input, tag []byte) bool {
 	if len(tag) != TagSize {
 		return false
 	}
-	g.feed(instance, input)
+	g.feed(kind, instance, input)
 	return hmac.Equal(g.mac.Sum(g.sum[:0]), tag)
 }

@@ -175,19 +175,47 @@ func TestGroupTagger(t *testing.T) {
 	verifier := NewGroupTagger(d.TroxyGroupKey())
 
 	input := []byte("reply-content")
-	tag := tagger.Tag(nil, 0, input)
-	if !verifier.Verify(0, input, tag) {
+	tag := tagger.Tag(nil, msg.KindOrderedReply, 0, input)
+	if !verifier.Verify(msg.KindOrderedReply, 0, input, tag) {
 		t.Fatal("valid group tag rejected")
 	}
 	// A tag is bound to the producing instance.
-	if verifier.Verify(1, input, tag) {
+	if verifier.Verify(msg.KindOrderedReply, 1, input, tag) {
 		t.Error("tag accepted for wrong instance")
 	}
-	if verifier.Verify(0, []byte("other"), tag) {
+	if verifier.Verify(msg.KindOrderedReply, 0, []byte("other"), tag) {
 		t.Error("tag accepted for wrong input")
 	}
-	if verifier.Verify(0, input, tag[:10]) {
+	if verifier.Verify(msg.KindOrderedReply, 0, input, tag[:10]) {
 		t.Error("truncated tag accepted")
+	}
+}
+
+// TestGroupTagIsBoundToItsKind: the same bytes from the same instance tagged
+// as two kinds of message are two different tags, and neither verifies as the
+// other kind. A message only Troxies check travels without a host MAC, so
+// this is what keeps, say, a cache reply's tag from passing for a reply's over
+// bytes that happen to decode as both.
+func TestGroupTagIsBoundToItsKind(t *testing.T) {
+	tagger := NewGroupTagger(newDir(t).TroxyGroupKey())
+	kinds := []msg.Kind{msg.KindOrderedReply, msg.KindSpecReply, msg.KindCacheQuery, msg.KindCacheReply}
+	input := []byte("the same bytes")
+	for _, made := range kinds {
+		tag := tagger.Tag(nil, made, 1, input)
+		for _, other := range kinds {
+			if other == made {
+				continue
+			}
+			if bytes.Equal(tag, tagger.Tag(nil, other, 1, input)) {
+				t.Errorf("%s and %s tag the same bytes alike", made, other)
+			}
+			if tagger.Verify(other, 1, input, tag) {
+				t.Errorf("a %s tag verifies as a %s's", made, other)
+			}
+		}
+		if !tagger.Verify(made, 1, input, tag) {
+			t.Errorf("a %s tag does not verify as its own kind", made)
+		}
 	}
 }
 
@@ -195,7 +223,7 @@ func TestGroupTaggerDifferentKeysDisagree(t *testing.T) {
 	a := NewGroupTagger([]byte("key-a"))
 	b := NewGroupTagger([]byte("key-b"))
 	input := []byte("x")
-	if b.Verify(0, input, a.Tag(nil, 0, input)) {
+	if b.Verify(msg.KindCacheQuery, 0, input, a.Tag(nil, msg.KindCacheQuery, 0, input)) {
 		t.Error("tag from different key accepted")
 	}
 }
@@ -238,7 +266,9 @@ func TestQuickTamperDetected(t *testing.T) {
 
 // BenchmarkAllocGate: a transport MAC hashes header and body where they lie
 // and allocates only the tag it attaches; verification — transport or group —
-// sums into scratch and allocates nothing.
+// sums into scratch and allocates nothing. (A reply batch has no MAC to
+// check: what its receiver pays to open and walk it is msg's
+// DecodeOpenWalkReplyBatch5.)
 func BenchmarkAllocGate(b *testing.B) {
 	d, err := NewDirectory([]byte("gate"))
 	if err != nil {
@@ -265,38 +295,13 @@ func BenchmarkAllocGate(b *testing.B) {
 	})
 	tagger := NewGroupTagger(d.TroxyGroupKey())
 	input := make([]byte, 200)
-	tag := tagger.Tag(nil, 2, input)
+	tag := tagger.Tag(nil, msg.KindOrderedReply, 2, input)
 	testutil.AllocGate(b, "GroupTaggerVerify", 0, func() {
-		if !tagger.Verify(2, input, tag) {
+		if !tagger.Verify(msg.KindOrderedReply, 2, input, tag) {
 			b.Fatal("tag rejected")
 		}
 	})
 	// A tag lands in the buffer the caller brought.
 	into := make([]byte, 0, TagSize)
-	testutil.AllocGate(b, "GroupTaggerTagInto", 0, func() { into = tagger.Tag(into[:0], 2, input) })
-
-	// A reply batch costs its receiver one MAC check and, beyond the
-	// envelope it arrived in, one allocation — the message — however many
-	// replies it carries: they are walked into one reused OrderedReply.
-	rep := &msg.OrderedReply{Executor: 0, Seq: 9, Client: 100, ClientSeq: 3,
-		Result: make([]byte, 128), InvalidKeys: msg.AppendKeys(nil, []string{"key-0001"}), TroxyTag: make([]byte, TagSize)}
-	batch := msg.Seal(0, 1, msg.NewReplyBatch(rep, rep, rep, rep, rep))
-	sender.SealMAC(batch)
-	var walked msg.OrderedReply
-	testutil.AllocGate(b, "VerifyOpenWalkReplyBatch5", 1, func() {
-		if !receiver.VerifyMAC(batch) {
-			b.Fatal("MAC rejected")
-		}
-		m, err := batch.Open()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for it := m.(*msg.ReplyBatch).Iter(); ; {
-			if more, err := it.Next(&walked); err != nil {
-				b.Fatal(err)
-			} else if !more {
-				break
-			}
-		}
-	})
+	testutil.AllocGate(b, "GroupTaggerTagInto", 0, func() { into = tagger.Tag(into[:0], msg.KindOrderedReply, 2, input) })
 }

@@ -12,7 +12,8 @@ import (
 // compromised replica: full control of the untrusted part — including the
 // replica's own transport MAC keys, which it may use to re-seal mutated
 // envelopes — but no access to the trusted subsystems, so Troxy group tags
-// and counter certificates cannot be forged, only misused or withheld.
+// and counter certificates cannot be forged, only misused, misdirected or
+// withheld.
 type Behavior uint8
 
 const (
@@ -60,6 +61,15 @@ const (
 	// form on the honest answer.
 	EquivocateSpecReplies
 
+	// MisdirectCacheMessages sends a copy of every outgoing cache query and
+	// cache reply to each replica it is not addressed to as well. The copies
+	// carry valid tags — the host needs none of its own, the cache exchange
+	// has no transport MAC — but the tags name the addressee, so every other
+	// Troxy must reject them (Stats.BadQueries) instead of answering a query
+	// it was not asked or counting a reply toward a pending fast read of its
+	// own that happens to have the same query ID.
+	MisdirectCacheMessages
+
 	// EquivocateCerts equivocates on both certified ordering messages.
 	EquivocateCerts = EquivocatePrepares | EquivocateCommits
 )
@@ -76,21 +86,25 @@ type Byzantine struct {
 	// lastReply remembers, per client, the previous outgoing ordered reply
 	// for ReplayStaleReplies.
 	lastReply map[uint64]*msg.OrderedReply
+
+	// n is the group size: MisdirectCacheMessages copies to replicas 0..n-1.
+	n int
 }
 
 var _ node.Handler = (*Byzantine)(nil)
 
-// NewByzantine wraps inner (the replica with node ID self) with the given
-// behaviors. dir provides the deployment's key material; the wrapper derives
-// the replica's own transport authenticator from it, exactly what a
-// compromised host legitimately possesses.
-func NewByzantine(inner node.Handler, self msg.NodeID, dir *authn.Directory, mode Behavior) *Byzantine {
+// NewByzantine wraps inner (the replica with node ID self of a group of n)
+// with the given behaviors. dir provides the deployment's key material; the
+// wrapper derives the replica's own transport authenticator from it, exactly
+// what a compromised host legitimately possesses.
+func NewByzantine(inner node.Handler, self msg.NodeID, n int, dir *authn.Directory, mode Behavior) *Byzantine {
 	return &Byzantine{
 		inner:     inner,
 		self:      self,
 		auth:      authn.NewAuthenticator(self, dir),
 		mode:      mode,
 		lastReply: make(map[uint64]*msg.OrderedReply),
+		n:         n,
 	}
 }
 
@@ -118,10 +132,13 @@ func (e byzEnv) Send(env *msg.Envelope) { e.b.send(e.Env, env) }
 // sealSend re-encodes and re-MACs a (possibly mutated) message with the
 // host's own transport keys — the way a replica does (authn.SealMessage), or
 // the mutation would die as a bad transport MAC and never reach the check it
-// is there to exercise — then transmits it.
+// is there to exercise — then transmits it. A kind a Troxy tags goes without
+// a MAC, as a replica sends it.
 func (b *Byzantine) sealSend(raw node.Env, to msg.NodeID, m msg.Message) {
 	e := msg.Seal(b.self, to, m)
-	b.auth.SealMessage(e, m)
+	if !e.Kind.TroxyTagged() {
+		b.auth.SealMessage(e, m)
+	}
 	raw.Send(e)
 }
 
@@ -231,6 +248,15 @@ func (b *Byzantine) send(raw node.Env, e *msg.Envelope) {
 		sr.Result[0] ^= 0x01
 		b.sealSend(raw, e.To, sr)
 		return
+	case msg.KindCacheQuery, msg.KindCacheReply:
+		if b.mode&MisdirectCacheMessages == 0 {
+			break
+		}
+		for to := msg.NodeID(0); int(to) < b.n; to++ {
+			if to != e.To && to != b.self {
+				raw.Send(&msg.Envelope{From: e.From, To: to, Kind: e.Kind, Body: e.Body})
+			}
+		}
 	case msg.KindStateChunk:
 		if b.mode&CorruptStateChunks == 0 {
 			break
@@ -247,8 +273,8 @@ func (b *Byzantine) send(raw node.Env, e *msg.Envelope) {
 		b.sealSend(raw, e.To, ch)
 		return
 	default:
-		// The harness only tampers with replies and ordering certificates;
-		// every other kind passes through untouched below.
+		// The harness only tampers with replies, cache messages and ordering
+		// certificates; every other kind passes through untouched below.
 	}
 	raw.Send(e)
 }

@@ -50,12 +50,12 @@ func TestByzantineTampersInsideReplyBatches(t *testing.T) {
 
 	t.Run("CorruptReplies", func(t *testing.T) {
 		rec := &recordingEnv{}
-		faultplane.NewByzantine(sendOnStart{msg.Seal(2, 0, first)}, 2, dir, faultplane.CorruptReplies).OnStart(rec)
+		faultplane.NewByzantine(sendOnStart{msg.Seal(2, 0, first)}, 2, 3, dir, faultplane.CorruptReplies).OnStart(rec)
 		if len(rec.sent) != 1 || rec.sent[0].Kind != msg.KindReplyBatch {
 			t.Fatalf("sent %d envelopes, want one reply batch", len(rec.sent))
 		}
-		if !authn.NewAuthenticator(0, dir).VerifyMAC(rec.sent[0]) {
-			t.Error("the tampered batch was not re-MACed with the host's transport key")
+		if rec.sent[0].MAC != nil {
+			t.Error("the tampered batch carries a MAC: a replica sends reply batches without one")
 		}
 		got := repliesOf(t, rec.sent[0])
 		if len(got) != 2 {
@@ -70,7 +70,7 @@ func TestByzantineTampersInsideReplyBatches(t *testing.T) {
 
 	t.Run("ReplayStaleReplies", func(t *testing.T) {
 		rec := &recordingEnv{}
-		byz := faultplane.NewByzantine(echo{}, 2, dir, faultplane.ReplayStaleReplies)
+		byz := faultplane.NewByzantine(echo{}, 2, 3, dir, faultplane.ReplayStaleReplies)
 		byz.OnEnvelope(rec, msg.Seal(2, 0, first))
 		if len(rec.sent) != 1 || !bytes.Equal(rec.sent[0].Body, first.Replies) {
 			t.Fatalf("first batch: %d envelopes; a client's first reply has nothing to replay", len(rec.sent))
@@ -145,11 +145,13 @@ func TestByzantineSendLeavesHonestEnvelopeIntact(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			honest := msg.Seal(0, 1, tc.m) // to a higher ID: the equivocation target
-			authn.NewAuthenticator(0, dir).SealMAC(honest)
+			if !honest.Kind.TroxyTagged() {
+				authn.NewAuthenticator(0, dir).SealMAC(honest)
+			}
 			want := faultplane.CloneEnvelope(honest)
 
 			rec := &recordingEnv{}
-			faultplane.NewByzantine(sendOnStart{honest}, 0, dir, tc.mode).OnStart(rec)
+			faultplane.NewByzantine(sendOnStart{honest}, 0, 3, dir, tc.mode).OnStart(rec)
 
 			if !bytes.Equal(honest.Body, want.Body) || !bytes.Equal(honest.MAC, want.MAC) ||
 				honest.From != want.From || honest.To != want.To || honest.Kind != want.Kind {
@@ -171,10 +173,42 @@ func TestByzantineSendLeavesHonestEnvelopeIntact(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ok, _ := authn.NewAuthenticator(e.To, dir).VerifyMessage(e, m); !ok {
+				if e.Kind.TroxyTagged() {
+					if e.MAC != nil {
+						t.Errorf("mode %s: a %s went with a MAC a replica does not attach", tc.name, e.Kind)
+					}
+				} else if ok, _ := authn.NewAuthenticator(e.To, dir).VerifyMessage(e, m); !ok {
 					t.Errorf("mode %s: the receiver's transport would drop the tampered %s", tc.name, e.Kind)
 				}
 			}
 		})
+	}
+}
+
+// TestByzantineMisdirectsCacheMessages: a cache query or reply goes to its
+// addressee as the correct replica sent it, and the same envelope body to
+// every other replica of the group but the sender; anything else passes
+// through alone.
+func TestByzantineMisdirectsCacheMessages(t *testing.T) {
+	dir, err := authn.NewDirectory([]byte("byz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []msg.Message{
+		&msg.CacheQuery{From: 1, To: 0, QueryID: 3, Tag: bytes.Repeat([]byte{1}, 32)},
+		&msg.CacheReply{From: 1, To: 0, QueryID: 3, Found: true, Tag: bytes.Repeat([]byte{1}, 32)},
+	} {
+		honest := msg.Seal(1, 0, m)
+		rec := &recordingEnv{}
+		faultplane.NewByzantine(sendOnStart{honest}, 1, 3, dir, faultplane.MisdirectCacheMessages).OnStart(rec)
+		if len(rec.sent) != 2 || rec.sent[1] != honest || rec.sent[0].To != 2 || !bytes.Equal(rec.sent[0].Body, honest.Body) {
+			t.Errorf("%s: sent %d envelopes, want a copy to replica 2 and the honest one to 0", m.Kind(), len(rec.sent))
+		}
+	}
+	rec := &recordingEnv{}
+	batch := msg.Seal(1, 0, msg.NewReplyBatch(&msg.OrderedReply{Client: 5, Result: []byte("OK")}))
+	faultplane.NewByzantine(sendOnStart{batch}, 1, 3, dir, faultplane.MisdirectCacheMessages).OnStart(rec)
+	if len(rec.sent) != 1 || rec.sent[0] != batch {
+		t.Errorf("a reply batch was misdirected: %d envelopes", len(rec.sent))
 	}
 }

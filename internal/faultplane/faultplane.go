@@ -262,8 +262,9 @@ func CloneEnvelope(e *msg.Envelope) *msg.Envelope {
 
 // CorruptCopy returns a copy of e with one payload byte flipped. The flip is
 // deterministic so simulations stay reproducible. Receivers detect it: MACed
-// envelopes fail transport verification, secure-channel records fail AEAD
-// opening — corruption degrades to counted loss, never forged acceptance.
+// envelopes fail transport verification, the kinds a Troxy tags their tag
+// check, secure-channel records AEAD opening — corruption degrades to counted
+// loss, never forged acceptance.
 func CorruptCopy(e *msg.Envelope) *msg.Envelope {
 	c := CloneEnvelope(e)
 	switch {

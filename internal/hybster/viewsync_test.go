@@ -12,6 +12,7 @@ import (
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/node"
 	"github.com/troxy-bft/troxy/internal/simnet"
+	"github.com/troxy-bft/troxy/internal/tcounter"
 )
 
 // These tests pin the two view-synchronization paths for a replica that
@@ -271,5 +272,59 @@ func TestPrefixReplayAfterViewAdoption(t *testing.T) {
 	}
 	if !bytes.Equal(r2.core.cfg.App.(*app.Store).Snapshot(), r0.core.cfg.App.(*app.Store).Snapshot()) {
 		t.Error("replica 2 state diverged from the survivors")
+	}
+}
+
+// TestDeferredPrepareAndCommitReplayWhenTheViewInstalls: a follower still in
+// view 0 hears view 1's PREPARE and one COMMIT before the NEW-VIEW that
+// installs view 1, and defers both. Installing the view replays them, and the
+// entry commits and executes with no further message. With five replicas the
+// quorum is three vouchers — the leader's PREPARE, the follower's own COMMIT
+// and the deferred one — so the entry executes only if the deferred COMMIT is
+// replayed, not dropped.
+func TestDeferredPrepareAndCommitReplayWhenTheViewInstalls(t *testing.T) {
+	ids := []msg.NodeID{0, 1, 2, 3, 4}
+	net := &shuttleNet{ids: ids, replicas: map[msg.NodeID]*testReplica{}, envs: map[msg.NodeID]*captureEnv{}, live: map[msg.NodeID]bool{}}
+	for _, id := range ids {
+		sub := tcounter.NewSubsystem(id)
+		sub.SetKey([]byte("test-counter-key"))
+		r := &testReplica{id: id}
+		r.core = New(Config{Self: id, N: 5, F: 2, ViewChangeTimeout: time.Second, Profile: node.ProfileJava,
+			Authority: tcounter.Direct{S: sub}, App: app.NewStore()}, r)
+		net.replicas[id], net.envs[id], net.live[id] = r, &captureEnv{id: id}, true
+	}
+	net.live[4] = false
+	for _, id := range []msg.NodeID{0, 2, 3} {
+		net.replicas[id].core.startViewChange(net.envs[id], 1)
+	}
+	net.run()
+	net.replicas[1].core.Submit(net.envs[1], &msg.OrderRequest{Origin: -1, Client: 7, ClientSeq: 1, Op: []byte("PUT k v")})
+	net.run()
+	if v, done := net.replicas[0].core.View(), net.replicas[0].core.LastExecuted(); v != 1 || done != 1 {
+		t.Fatalf("the awake replicas are in view %d and executed to %d, want view 1 and entry 1", v, done)
+	}
+
+	first := map[msg.Kind]*msg.Envelope{}
+	for _, ev := range net.stash {
+		if _, seen := first[ev.Kind]; ev.To == 4 && !seen {
+			first[ev.Kind] = ev
+		}
+	}
+	r4, env := net.replicas[4], net.envs[4]
+	for _, k := range []msg.Kind{msg.KindPrepare, msg.KindCommit} {
+		if first[k] == nil {
+			t.Fatalf("no %s of view 1 was sent to replica 4", k)
+		}
+		r4.OnEnvelope(env, first[k])
+	}
+	if r4.core.View() != 0 || r4.core.LastExecuted() != 0 || len(r4.core.deferred) != 2 {
+		t.Fatalf("replica 4 in view %d, executed to %d, %d messages deferred: want view 0, nothing executed, 2 deferred",
+			r4.core.View(), r4.core.LastExecuted(), len(r4.core.deferred))
+	}
+	r4.OnEnvelope(env, first[msg.KindNewView])
+	m := r4.core.Metrics()
+	if r4.core.View() != 1 || r4.core.LastExecuted() != 1 || m.DroppedDeferred != 0 {
+		t.Errorf("after the NEW-VIEW replica 4 is in view %d and executed to %d, %d deferred messages dropped; want view 1, entry 1, none",
+			r4.core.View(), r4.core.LastExecuted(), m.DroppedDeferred)
 	}
 }

@@ -41,6 +41,18 @@ func TestCoveredIsTheBodyExceptForForwardAndPrepare(t *testing.T) {
 	}
 }
 
+// TestTroxyTaggedKindsAreTheCacheExchangeAndReplyBatches: the kinds that
+// travel without a point-to-point MAC are exactly the three a Troxy tags, and
+// none of them orders a request.
+func TestTroxyTaggedKindsAreTheCacheExchangeAndReplyBatches(t *testing.T) {
+	for k := range kindNames {
+		want := k == KindCacheQuery || k == KindCacheReply || k == KindReplyBatch
+		if k.TroxyTagged() != want || (want && k.CoversDigests()) {
+			t.Errorf("%s: TroxyTagged = %v, CoversDigests = %v", k, k.TroxyTagged(), k.CoversDigests())
+		}
+	}
+}
+
 // TestCoveredBindsEveryField: the covered encoding of a FORWARD is its
 // request's digest, that of a PREPARE its view, sequence number, request count,
 // request digests and certificate — so changing any field of either changes

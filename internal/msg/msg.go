@@ -120,7 +120,7 @@ const (
 
 	// KindReplyBatch carries the OrderedReplies a replica produced for one
 	// origin while handling one event — the way out mirrors the way in, where
-	// one PREPARE orders a batch of requests — under one transport MAC.
+	// one PREPARE orders a batch of requests — in one envelope.
 	KindReplyBatch
 )
 
@@ -403,6 +403,16 @@ func (e *Envelope) Open() (Message, error) {
 // digests in place of request bytes (see Covered). Only the decoded message
 // has the digests, so a receiver opens these kinds before it checks the MAC.
 func (k Kind) CoversDigests() bool { return k == KindForward || k == KindPrepare }
+
+// TroxyTagged reports the kinds a Troxy tags and only Troxies check: cache
+// queries, cache replies and reply batches (each of whose replies carries its
+// executor's tag). Their envelopes carry no point-to-point MAC — the tags
+// bind the sender (a cache message's From, a reply's Executor), the kind and,
+// for the cache exchange, the destination, which is all the MAC would add —
+// and the envelope's From names nobody: it is never used.
+func (k Kind) TroxyTagged() bool {
+	return k == KindCacheQuery || k == KindCacheReply || k == KindReplyBatch
+}
 
 // Covered returns what the point-to-point MAC of an envelope carrying m covers
 // behind the envelope header: m's encoding with every OrderRequest it orders

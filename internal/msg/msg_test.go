@@ -65,8 +65,8 @@ func sampleMessages() []Message {
 			{Replica: 1, NewView: 2, StableSeq: 128, Cert: sampleCert()},
 			{Replica: 2, NewView: 2, StableSeq: 128, Cert: sampleCert()},
 		}, Cert: sampleCert()},
-		&CacheQuery{From: 0, QueryID: 5, ReqDigest: reqDigest, Tag: []byte("t")},
-		&CacheReply{From: 1, QueryID: 5, ReqDigest: reqDigest, Found: true,
+		&CacheQuery{From: 0, To: 1, QueryID: 5, ReqDigest: reqDigest, Tag: []byte("t")},
+		&CacheReply{From: 1, To: 0, QueryID: 5, ReqDigest: reqDigest, Found: true,
 			ReplyDigest: DigestOf([]byte("reply")), Tag: []byte("t")},
 		&StateRequest{Seq: 128, Chunks: []uint32{0, 3, 7}},
 		&StateReply{Seq: 128, Manifest: []byte("manifest-bytes")},

@@ -566,10 +566,12 @@ var ErrBatchTooLong = errors.New("msg: reply batch exceeds MaxBatchReplies")
 
 // ReplyBatch carries the OrderedReplies one replica produced for one origin
 // while it handled one event — typically the replies of one executed batch —
-// under a single transport MAC. Replies holds their encodings back to back
-// with no count in front, so a batch of one is exactly as long as the reply.
-// Each reply still carries its own Troxy tag and is voted on by itself; the
-// batch only amortizes the envelope.
+// in one envelope. Replies holds their encodings back to back with no count
+// in front, so a batch of one is exactly as long as the reply. Each reply
+// carries its own Troxy tag and is voted on by itself; the batch only
+// amortizes the envelope, which has no host MAC (Kind.TroxyTagged). A reply
+// needs no destination in its tag: it binds its request's digest, and that
+// binds the request's origin.
 //
 // The replies are not decoded with the batch: the receiver walks them with
 // Iter into one OrderedReply it reuses, and a malformed reply costs the
@@ -880,9 +882,12 @@ func (m *NewView) UnmarshalWire(r *wire.Reader) error {
 
 // CacheQuery asks the Troxy of a remote replica whether its fast-read cache
 // holds an entry for the request identified by ReqDigest. Tag is the Troxy
-// group-secret HMAC computed inside the querying trusted subsystem.
+// group-secret HMAC computed inside the querying trusted subsystem. It binds
+// To, the replica whose Troxy is asked: the envelope carries no host MAC
+// (Kind.TroxyTagged), so the tag is what names the destination.
 type CacheQuery struct {
 	From      NodeID
+	To        NodeID
 	QueryID   uint64
 	ReqDigest Digest
 	Tag       []byte
@@ -899,6 +904,7 @@ func (m *CacheQuery) MarshalWire(w *wire.Writer) {
 
 func (m *CacheQuery) marshalCore(w *wire.Writer) {
 	w.U32(uint32(m.From))
+	w.U32(uint32(m.To))
 	w.U64(m.QueryID)
 	writeDigest(w, m.ReqDigest)
 }
@@ -911,6 +917,7 @@ func (m *CacheQuery) TagInput(w *wire.Writer) { m.marshalCore(w) }
 // UnmarshalWire implements Message.
 func (m *CacheQuery) UnmarshalWire(r *wire.Reader) error {
 	m.From = NodeID(int32(r.U32()))
+	m.To = NodeID(int32(r.U32()))
 	m.QueryID = r.U64()
 	readDigest(r, &m.ReqDigest)
 	m.Tag = r.Bytes32()
@@ -923,9 +930,12 @@ func (m *CacheQuery) UnmarshalWire(r *wire.Reader) error {
 // querying Troxy compares it against its own full entry. The base variant
 // the paper also describes returns the full entry in ReplyData (compare
 // Section IV-A: "the request and associated reply, both authenticated, are
-// returned"). Tag is computed inside the answering trusted subsystem.
+// returned"). Tag is computed inside the answering trusted subsystem and binds
+// To, the querier: QueryIDs are only unique per Troxy, so a reply that did not
+// name its querier could be redirected into another Troxy's pending query.
 type CacheReply struct {
 	From        NodeID
+	To          NodeID
 	QueryID     uint64
 	ReqDigest   Digest
 	Found       bool
@@ -945,6 +955,7 @@ func (m *CacheReply) MarshalWire(w *wire.Writer) {
 
 func (m *CacheReply) marshalCore(w *wire.Writer) {
 	w.U32(uint32(m.From))
+	w.U32(uint32(m.To))
 	w.U64(m.QueryID)
 	writeDigest(w, m.ReqDigest)
 	w.Bool(m.Found)
@@ -960,6 +971,7 @@ func (m *CacheReply) TagInput(w *wire.Writer) { m.marshalCore(w) }
 // UnmarshalWire implements Message.
 func (m *CacheReply) UnmarshalWire(r *wire.Reader) error {
 	m.From = NodeID(int32(r.U32()))
+	m.To = NodeID(int32(r.U32()))
 	m.QueryID = r.U64()
 	readDigest(r, &m.ReqDigest)
 	m.Found = r.Bool()

@@ -54,7 +54,7 @@ var Catalogue = []Mutant{
 	{
 		ID: "troxy-reply-tag-unverified", File: "internal/troxy/core.go", Aims: []string{"certgate"},
 		Fault: "the reply voter counts replies whose Troxy tag was never checked",
-		Old:   "if !c.tagger.Verify(rep.Executor, w.Bytes(), rep.TroxyTag) {",
+		Old:   "if !c.tagger.Verify(rep.Kind(), rep.Executor, w.Bytes(), rep.TroxyTag) {",
 		New:   "if false {",
 	},
 	{
@@ -163,6 +163,18 @@ var Catalogue = []Mutant{
 		Fault: "a baseline request is submitted over the envelope's bytes, which ordering keeps and the transport reuses",
 		Old:   "		Op:        append([]byte(nil), m.Op...),\n",
 		New:   "		Op:        m.Op,\n",
+	},
+	{
+		ID: "cache-reply-destination-unchecked", File: "internal/troxy/core.go",
+		Fault: "a cache reply addressed to another Troxy counts toward a pending fast read here that has the same query ID and operation",
+		Old:   "r.To != c.cfg.Self || ",
+		New:   "",
+	},
+	{
+		ID: "group-tag-kind-dropped", File: "internal/authn/authn.go",
+		Fault: "group tags no longer bind the message kind: a tag made for one kind of Troxy message verifies as another's over the same bytes",
+		Old:   "g.hdr = [5]byte{byte(kind), byte(instance),",
+		New:   "g.hdr = [5]byte{0, byte(instance),",
 	},
 	{
 		ID: "direct-proxy-submit-is-a-view", File: "internal/troxy/proxy.go",
@@ -381,10 +393,10 @@ var Catalogue = []Mutant{
 		ID: "replica-default-arm-dropped", File: "internal/replica/replica.go", Aims: []string{"exhaustive"},
 		Fault: "the replica's dispatch loses the default arm that counts the kinds it does not handle",
 		Old: `	default:
-		// ChannelData is intercepted above; BFTReply is client-bound, Batch
-		// only travels inside PREPAREs and OrderedReply inside ReplyBatches.
-		// Count anything else so a new message kind that is wired here but
-		// not handled shows up.
+		// ChannelData and the Troxy-tagged kinds are intercepted above;
+		// BFTReply is client-bound, Batch only travels inside PREPAREs and
+		// OrderedReply inside ReplyBatches. Count anything else so a new
+		// message kind that is wired here but not handled shows up.
 		r.stats.Unhandled++
 `,
 		New: "",

@@ -10,7 +10,9 @@
 //     fast reads. Replies of executed requests travel replica→replica as
 //     OrderedReplies authenticated by the executing replica's Troxy, batched
 //     per origin: what one handler invocation produced for an origin leaves
-//     as one ReplyBatch envelope under one transport MAC.
+//     as one ReplyBatch envelope. Like the fast-read cache exchange, a batch
+//     carries no transport MAC: only Troxies check what Troxies tag
+//     (msg.Kind's TroxyTagged).
 //   - Baseline mode (Config.Proxy == nil): BFT clients (internal/bftclient)
 //     talk the protocol themselves; replicas send them BFTReply messages and
 //     answer speculative direct reads (the PBFT-like read optimization).
@@ -95,7 +97,9 @@ const replyBatchWait = 150 * time.Microsecond
 type Stats struct {
 	// BadMACs counts envelopes dropped by transport authentication ("if a
 	// correct component receives a message it cannot verify, the component
-	// discards the message", Section III-B).
+	// discards the message", Section III-B): a transport MAC that does not
+	// verify, or a body that does not decode — for a kind a Troxy tags, which
+	// has no MAC, the one check its envelope meets outside the Troxy.
 	BadMACs uint64
 	// DirectReads counts speculative read executions (baseline mode).
 	DirectReads uint64
@@ -103,9 +107,9 @@ type Stats struct {
 	// handler for (client-side kinds like BFTReply, or transport-level
 	// kinds like Batch that never arrive as bare envelopes).
 	Unhandled uint64
-	// BadBatches counts authenticated reply batches cut short: a reply that
-	// did not decode, or one more than msg.MaxBatchReplies. The replies in
-	// front of it were handled; the rest of the envelope was dropped.
+	// BadBatches counts reply batches cut short: a reply that did not
+	// decode, or one more than msg.MaxBatchReplies. The replies in front of it
+	// were handled; the rest of the envelope was dropped.
 	BadBatches uint64
 }
 
@@ -173,8 +177,12 @@ func (r *Replica) OnEnvelope(env node.Env, e *msg.Envelope) {
 }
 
 func (r *Replica) onEnvelope(env node.Env, e *msg.Envelope) {
-	if e.Kind == msg.KindChannelData {
+	switch {
+	case e.Kind == msg.KindChannelData:
 		r.onChannelData(env, e)
+		return
+	case e.Kind.TroxyTagged():
+		r.onTroxyTagged(env, e)
 		return
 	}
 
@@ -211,8 +219,6 @@ func (r *Replica) onEnvelope(env node.Env, e *msg.Envelope) {
 		r.core.OnStatePrefix(env, e.From, m)
 	case *msg.NewViewRequest:
 		r.core.OnNewViewRequest(env, e.From, m)
-	case *msg.ReplyBatch:
-		r.onReplyBatch(env, m)
 	case *msg.SpecReply:
 		// A peer's speculative reply for a request this replica originated.
 		// The counter certificate is checked by the protocol core (it knows
@@ -223,24 +229,44 @@ func (r *Replica) onEnvelope(env node.Env, e *msg.Envelope) {
 				r.apply(env, acts)
 			}
 		}
-	case *msg.CacheQuery:
-		if r.proxy != nil {
-			if acts, err := r.proxy.HandleCacheQuery(env, m); err == nil {
-				r.apply(env, acts)
-			}
-		}
-	case *msg.CacheReply:
-		if r.proxy != nil {
-			if acts, err := r.proxy.HandleCacheReply(env, m); err == nil {
-				r.apply(env, acts)
-			}
-		}
 	default:
-		// ChannelData is intercepted above; BFTReply is client-bound, Batch
-		// only travels inside PREPAREs and OrderedReply inside ReplyBatches.
-		// Count anything else so a new message kind that is wired here but
-		// not handled shows up.
+		// ChannelData and the Troxy-tagged kinds are intercepted above;
+		// BFTReply is client-bound, Batch only travels inside PREPAREs and
+		// OrderedReply inside ReplyBatches. Count anything else so a new
+		// message kind that is wired here but not handled shows up.
 		r.stats.Unhandled++
+	}
+}
+
+// onTroxyTagged hands a message only Troxies check to this replica's Troxy,
+// with no transport MAC to verify: the tags inside bind sender, kind and, for
+// the cache exchange, destination, and the Troxy rejects what they do not
+// cover (DESIGN.md decision 16). The sender is who the tags name — a cache
+// message's From, each reply's Executor — never the envelope's From, which
+// nothing here reads.
+func (r *Replica) onTroxyTagged(env node.Env, e *msg.Envelope) {
+	env.Charge(node.ProfileJava, node.ChargeBase, 0)
+	if r.proxy == nil {
+		r.stats.Unhandled++ // a baseline replica has no Troxy
+		return
+	}
+	m, err := e.Open()
+	if err != nil {
+		r.stats.BadMACs++
+		return
+	}
+	var acts troxy.Actions
+	switch m := m.(type) {
+	case *msg.ReplyBatch:
+		r.onReplyBatch(env, m)
+		return
+	case *msg.CacheQuery:
+		acts, err = r.proxy.HandleCacheQuery(env, m)
+	case *msg.CacheReply:
+		acts, err = r.proxy.HandleCacheReply(env, m)
+	}
+	if err == nil {
+		r.apply(env, acts)
 	}
 }
 
@@ -275,14 +301,9 @@ func (r *Replica) authenticate(env node.Env, e *msg.Envelope) (msg.Message, bool
 }
 
 // onReplyBatch feeds a peer's replies to the voter one by one, each decoded
-// into the same OrderedReply: the Troxy copies what it keeps of a reply. The
-// transport MAC covered the whole batch; every reply still has to pass its
-// own tag check inside the Troxy.
+// into the same OrderedReply: the Troxy copies what it keeps of a reply. Each
+// reply is authenticated by its own tag check inside the Troxy.
 func (r *Replica) onReplyBatch(env node.Env, b *msg.ReplyBatch) {
-	if r.proxy == nil {
-		r.stats.Unhandled++
-		return
-	}
 	for it := b.Iter(); ; {
 		more, err := it.Next(&r.inbound)
 		if err != nil {
@@ -376,21 +397,20 @@ func (r *Replica) sendAuthed(env node.Env, to msg.NodeID, m msg.Message) {
 }
 
 // sendEncoded MACs and transmits m, whose encoding is body, under the MAC of
-// its kind (authn.SealMessage). body is immutable from here on: the envelope
-// (and any other recipient's) shares it.
+// its kind (authn.SealMessage) — or with no MAC, if a Troxy tagged it. body is
+// immutable from here on: the envelope (and any other recipient's) shares it.
 func (r *Replica) sendEncoded(env node.Env, to msg.NodeID, m msg.Message, body []byte) {
 	e := &msg.Envelope{From: r.cfg.Self, To: to, Kind: m.Kind(), Body: body}
-	env.Charge(node.ProfileJava, node.ChargeMAC, r.auth.SealMessage(e, m))
+	if !e.Kind.TroxyTagged() {
+		env.Charge(node.ProfileJava, node.ChargeMAC, r.auth.SealMessage(e, m))
+	}
 	env.Send(e)
 }
 
-// sendBody MACs and transmits a reply batch the replica built as bytes; there
-// is no request in it, so its MAC covers the body.
-func (r *Replica) sendBody(env node.Env, to msg.NodeID, kind msg.Kind, body []byte) {
-	e := &msg.Envelope{From: r.cfg.Self, To: to, Kind: kind, Body: body}
-	env.Charge(node.ProfileJava, node.ChargeMAC, len(body))
-	r.auth.SealMAC(e)
-	env.Send(e)
+// sendReplies transmits a reply batch the replica built as bytes. Its replies
+// carry their tags, and like every kind a Troxy tags it has no MAC.
+func (r *Replica) sendReplies(env node.Env, to msg.NodeID, body []byte) {
+	env.Send(&msg.Envelope{From: r.cfg.Self, To: to, Kind: msg.KindReplyBatch, Body: body})
 }
 
 // Send implements hybster.Outbound.
@@ -481,7 +501,7 @@ func (r *Replica) Committed(env node.Env, seq uint64, req *msg.OrderRequest, res
 func (r *Replica) queueReply(env node.Env, to msg.NodeID, rep *msg.OrderedReply) {
 	if to < 0 || int(to) >= len(r.outbox) {
 		// Not a replica, so no batch to join: a batch of one is the reply.
-		r.sendBody(env, to, msg.KindReplyBatch, msg.EncodeBody(rep))
+		r.sendReplies(env, to, msg.EncodeBody(rep))
 		return
 	}
 	q := &r.outbox[to]
@@ -514,7 +534,7 @@ func (r *Replica) flushTo(env node.Env, to msg.NodeID) {
 	if q.n == 0 {
 		return
 	}
-	r.sendBody(env, to, msg.KindReplyBatch, q.w.CopyBytes())
+	r.sendReplies(env, to, q.w.CopyBytes())
 	if q.w.Len() > 2*msg.BatchFlushBytes {
 		q.w = wire.Writer{}
 	}

@@ -67,14 +67,25 @@ func (s *sender) OnStart(env node.Env) {
 func (s *sender) OnEnvelope(node.Env, *msg.Envelope) {}
 func (s *sender) OnTimer(node.Env, node.TimerKey)    {}
 
+// TestUnauthenticatedEnvelopesDiscarded: an envelope of any kind that keeps
+// its transport MAC — every kind but the client hop's and the three a Troxy
+// tags — is dropped and counted when its MAC is bogus or missing, and the
+// request in it is never ordered.
 func TestUnauthenticatedEnvelopesDiscarded(t *testing.T) {
 	reps, _, net := newBaselineCluster(t)
-	e := msg.Seal(100, 0, &msg.BFTRequest{Client: 1, ClientSeq: 1, Op: []byte("PUT a 1")})
-	e.MAC = []byte("bogus")
-	net.Attach(100, &sender{send: []*msg.Envelope{e}})
+	body := msg.EncodeBody(&msg.BFTRequest{Client: 1, ClientSeq: 1, Op: []byte("PUT a 1")})
+	var send []*msg.Envelope
+	for k := msg.KindChannelData + 1; k <= msg.KindReplyBatch; k++ {
+		if !k.TroxyTagged() {
+			send = append(send,
+				&msg.Envelope{From: 100, To: 0, Kind: k, Body: body, MAC: []byte("bogus")},
+				&msg.Envelope{From: 100, To: 0, Kind: k, Body: body})
+		}
+	}
+	net.Attach(100, &sender{send: send})
 	net.Run(time.Second)
-	if reps[0].Stats().BadMACs == 0 {
-		t.Error("bogus MAC not counted")
+	if got := reps[0].Stats().BadMACs; got != uint64(len(send)) {
+		t.Errorf("%d of %d envelopes without a valid MAC counted", got, len(send))
 	}
 	if reps[0].Core().Metrics().Executed != 0 {
 		t.Error("unauthenticated request executed")

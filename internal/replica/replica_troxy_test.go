@@ -23,48 +23,63 @@ import (
 // binding), without the root package's convenience wiring.
 func newTroxyCluster(t testing.TB) ([]*Replica, ed25519.PublicKey, *simnet.Network) {
 	t.Helper()
-	dir, err := authn.NewDirectory([]byte("replica-troxy-test"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	identitySeed := dir.ServiceIdentitySeed()
-	pub := ed25519.NewKeyFromSeed(identitySeed).Public().(ed25519.PublicKey)
-	secrets := map[string][]byte{
-		itroxy.SecretIdentity: identitySeed,
-		itroxy.SecretGroup:    dir.TroxyGroupKey(),
-		tcounter.SecretName:   dir.CounterKey(),
-	}
-
+	dir := troxyDir(t)
 	net := simnet.New(4, nil)
 	net.SetDefaultLink(simnet.FixedLatency(time.Millisecond))
 	var reps []*Replica
 	for i := 0; i < 3; i++ {
-		sub := tcounter.NewSubsystem(msg.NodeID(i))
-		sub.SetKey(dir.CounterKey())
-		core := itroxy.NewCore(itroxy.Config{
-			Self: msg.NodeID(i), N: 3, F: 1, Seed: int64(i + 1),
-			Classify:  func(op []byte) bool { return strings.HasPrefix(string(op), "GET ") },
-			FastReads: true,
-		})
-		if err := core.ProvisionSecrets(secrets); err != nil {
-			t.Fatal(err)
-		}
-		r := New(Config{
-			Self: msg.NodeID(i), N: 3, F: 1,
-			Hybster: hybster.Config{
-				Profile:           node.ProfileJava,
-				Authority:         tcounter.Direct{S: sub},
-				App:               app.NewStore(),
-				ViewChangeTimeout: 10 * time.Second,
-			},
-			Directory:    dir,
-			Proxy:        itroxy.NewDirectProxy(core),
-			TickInterval: 20 * time.Millisecond,
-		})
+		r, _ := newTroxyReplica(t, dir, msg.NodeID(i))
 		reps = append(reps, r)
 		net.Attach(msg.NodeID(i), r)
 	}
-	return reps, pub, net
+	return reps, servicePub(dir), net
+}
+
+func troxyDir(t testing.TB) *authn.Directory {
+	t.Helper()
+	dir, err := authn.NewDirectory([]byte("replica-troxy-test"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// servicePub is the service identity a client of dir's Troxies checks.
+func servicePub(dir *authn.Directory) ed25519.PublicKey {
+	return ed25519.NewKeyFromSeed(dir.ServiceIdentitySeed()).Public().(ed25519.PublicKey)
+}
+
+// newTroxyReplica builds Troxy-mode replica self of a group of three, beside
+// the Core its DirectProxy drives.
+func newTroxyReplica(t testing.TB, dir *authn.Directory, self msg.NodeID) (*Replica, *itroxy.Core) {
+	t.Helper()
+	sub := tcounter.NewSubsystem(self)
+	sub.SetKey(dir.CounterKey())
+	core := itroxy.NewCore(itroxy.Config{
+		Self: self, N: 3, F: 1, Seed: int64(self + 1),
+		Classify:  func(op []byte) bool { return strings.HasPrefix(string(op), "GET ") },
+		FastReads: true,
+	})
+	if err := core.ProvisionSecrets(map[string][]byte{
+		itroxy.SecretIdentity: dir.ServiceIdentitySeed(),
+		itroxy.SecretGroup:    dir.TroxyGroupKey(),
+		tcounter.SecretName:   dir.CounterKey(),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	r := New(Config{
+		Self: self, N: 3, F: 1,
+		Hybster: hybster.Config{
+			Profile:           node.ProfileJava,
+			Authority:         tcounter.Direct{S: sub},
+			App:               app.NewStore(),
+			ViewChangeTimeout: 10 * time.Second,
+		},
+		Directory:    dir,
+		Proxy:        itroxy.NewDirectProxy(core),
+		TickInterval: 20 * time.Millisecond,
+	})
+	return r, core
 }
 
 func TestTroxyModeEndToEnd(t *testing.T) {

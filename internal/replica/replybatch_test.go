@@ -66,9 +66,10 @@ func request(origin msg.NodeID, client, seq uint64) *msg.OrderRequest {
 }
 
 // TestRepliesLeavePerInvocationAndOrigin: what one handler invocation
-// executes for an origin leaves as one MAC'd envelope when the invocation
-// ends. Nothing leaves as a bare OrderedReply, and the replies inside are
-// what Committed was told, each under this replica's Troxy tag.
+// executes for an origin leaves as one envelope when the invocation ends, with
+// no transport MAC and charged none. Nothing leaves as a bare OrderedReply,
+// and the replies inside are what Committed was told, each under this
+// replica's Troxy tag.
 func TestRepliesLeavePerInvocationAndOrigin(t *testing.T) {
 	reps, _, _ := newTroxyCluster(t)
 	r, env := reps[0], &tapEnv{self: 0}
@@ -79,14 +80,15 @@ func TestRepliesLeavePerInvocationAndOrigin(t *testing.T) {
 	if len(env.sent) != 0 {
 		t.Fatalf("%d envelopes left before the invocation ended", len(env.sent))
 	}
+	env.macBytes = nil // the Troxy's tags; what the flush charges is checked below
 	r.OnTimer(env, node.TimerKey{Kind: "nobody's"}) // any invocation's epilogue flushes
 	if len(env.sent) != 2 {
 		t.Fatalf("%d envelopes for two origins, want one each", len(env.sent))
 	}
 	for i, e := range env.sent {
 		to := msg.NodeID(i + 1)
-		if e.To != to || !authn.NewAuthenticator(to, r.cfg.Directory).VerifyMAC(e) {
-			t.Errorf("envelope %d: to %d, want %d under a valid MAC", i, e.To, to)
+		if e.To != to || e.MAC != nil {
+			t.Errorf("envelope %d: to %d with a %d-byte MAC, want %d with none", i, e.To, len(e.MAC), to)
 		}
 		got := repliesIn(t, e)
 		if len(got) != 4 {
@@ -104,6 +106,9 @@ func TestRepliesLeavePerInvocationAndOrigin(t *testing.T) {
 				t.Errorf("origin %d reply %d = %+v", to, j, rep)
 			}
 		}
+	}
+	if len(env.macBytes) != 0 {
+		t.Errorf("%d MACs charged for two reply batches, want none", len(env.macBytes))
 	}
 	// Nothing is left for the next invocation.
 	env.sent = nil
@@ -190,17 +195,16 @@ func TestFullReplyBatchLeavesAtOnce(t *testing.T) {
 	}
 }
 
-// batchTo seals the given reply encodings into one MAC'd batch from→to.
-func batchTo(dir *authn.Directory, from, to msg.NodeID, body []byte) *msg.Envelope {
-	e := msg.Seal(from, to, &msg.ReplyBatch{Replies: body})
-	authn.NewAuthenticator(from, dir).SealMAC(e)
-	return e
+// batchTo puts the given reply encodings into one batch from→to, as a replica
+// sends it: with no MAC.
+func batchTo(from, to msg.NodeID, body []byte) *msg.Envelope {
+	return msg.Seal(from, to, &msg.ReplyBatch{Replies: body})
 }
 
-// TestMalformedReplyCostsTheRestOfItsBatch: the transport MAC covers the
-// whole batch, so a reply that does not decode is the (authenticated)
-// sender's doing. The replies in front of it are handled, the rest of the
-// envelope is dropped, and the event is counted — not as a bad MAC.
+// TestMalformedReplyCostsTheRestOfItsBatch: a reply that does not decode ends
+// the walk of its batch. The replies in front of it are handled, each by its
+// own tag check, the rest of the envelope is dropped, and the event is
+// counted — not as a bad MAC.
 func TestMalformedReplyCostsTheRestOfItsBatch(t *testing.T) {
 	reps, _, _ := newTroxyCluster(t)
 	r, env := reps[0], &tapEnv{self: 0}
@@ -209,7 +213,7 @@ func TestMalformedReplyCostsTheRestOfItsBatch(t *testing.T) {
 	(&msg.OrderedReply{Executor: 1, Client: 6, ClientSeq: 1, Result: []byte("OK")}).MarshalWire(w)
 	good := w.Len()
 	w.Raw([]byte{1, 2, 3}) // not a reply
-	r.OnEnvelope(env, batchTo(r.cfg.Directory, 1, 0, w.Bytes()))
+	r.OnEnvelope(env, batchTo(1, 0, w.Bytes()))
 	st, ts := r.Stats(), mustStats(t, r)
 	if st.BadBatches != 1 || st.BadMACs != 0 {
 		t.Errorf("BadBatches = %d, BadMACs = %d, want 1 and 0", st.BadBatches, st.BadMACs)
@@ -219,7 +223,7 @@ func TestMalformedReplyCostsTheRestOfItsBatch(t *testing.T) {
 	if ts.BadReplies != 2 {
 		t.Errorf("the Troxy saw %d replies, want the 2 in front of the malformed one", ts.BadReplies)
 	}
-	r.OnEnvelope(env, batchTo(r.cfg.Directory, 1, 0, w.Bytes()[:good]))
+	r.OnEnvelope(env, batchTo(1, 0, w.Bytes()[:good]))
 	if st := r.Stats(); st.BadBatches != 1 {
 		t.Errorf("a well-formed batch raised BadBatches to %d", st.BadBatches)
 	}
@@ -230,7 +234,7 @@ func TestMalformedReplyCostsTheRestOfItsBatch(t *testing.T) {
 		(&msg.OrderedReply{Executor: 1, Client: uint64(10 + i), ClientSeq: 1}).MarshalWire(w)
 	}
 	before := mustStats(t, r).BadReplies
-	r.OnEnvelope(env, batchTo(r.cfg.Directory, 1, 0, w.Bytes()))
+	r.OnEnvelope(env, batchTo(1, 0, w.Bytes()))
 	if st := r.Stats(); st.BadBatches != 2 {
 		t.Errorf("BadBatches = %d after an over-long batch, want 2", st.BadBatches)
 	}
@@ -254,7 +258,7 @@ func TestReplyBatchWithoutTroxyIsUnhandled(t *testing.T) {
 	reps, dir, _ := newBaselineCluster(t)
 	w := wire.NewWriter(0)
 	(&msg.OrderedReply{Executor: 1, Client: 5, ClientSeq: 1}).MarshalWire(w)
-	reps[0].OnEnvelope(&tapEnv{self: 0}, batchTo(dir, 1, 0, w.Bytes()))
+	reps[0].OnEnvelope(&tapEnv{self: 0}, batchTo(1, 0, w.Bytes()))
 	if st := reps[0].Stats(); st.Unhandled != 1 || st.BadBatches != 0 || st.BadMACs != 0 {
 		t.Errorf("stats = %+v, want one unhandled message", st)
 	}
@@ -271,7 +275,7 @@ func TestReplyBatchWithoutTroxyIsUnhandled(t *testing.T) {
 // BenchmarkAllocGate: a reply for a remote origin is built in the replica's
 // reused reply, tagged into the storage of the last tag, and appended to the
 // origin's queue — no allocation once the buffers exist. The envelope that
-// carries a batch out costs three: its body, itself and its MAC.
+// carries a batch out costs two: its body and itself.
 func BenchmarkAllocGate(b *testing.B) {
 	reps, _, _ := newTroxyCluster(b)
 	r, env := reps[0], &tapEnv{self: 0}
@@ -282,7 +286,7 @@ func BenchmarkAllocGate(b *testing.B) {
 		r.outbox[1].w.Reset() // stands for the flush, which is gated below
 		r.outbox[1].n = 0
 	})
-	testutil.AllocGate(b, "FlushReplyBatch5", 3, func() {
+	testutil.AllocGate(b, "FlushReplyBatch5", 2, func() {
 		for i := 0; i < 5; i++ {
 			r.Committed(env, 9, req, result, keys, false, true)
 		}

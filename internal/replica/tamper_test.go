@@ -91,7 +91,10 @@ func tamperings(e *msg.Envelope) map[string]*msg.Envelope {
 	}
 	edit("MAC one byte longer", func(c *msg.Envelope) { c.MAC = append(c.MAC, 0) })
 	for k := msg.Kind(0); k <= msg.KindReplyBatch+1; k++ {
-		if k != e.Kind && k != msg.KindChannelData { // channel data is the client hop: never MAC'd, never the core's
+		// Channel data is the client hop, and the kinds a Troxy tags go to the
+		// Troxy: neither is MAC'd, neither is the core's (the Troxy's checks
+		// are held by troxytagged_test.go).
+		if k != e.Kind && k != msg.KindChannelData && !k.TroxyTagged() {
 			edit(fmt.Sprintf("kind %s", k), func(c *msg.Envelope) { c.Kind = k })
 		}
 	}
@@ -144,9 +147,9 @@ func TestTamperedForwardAndPrepareNeverReachTheCore(t *testing.T) {
 // TestPrepareTagIsBoundToItsKindAndEncoding: the covered bytes of a PREPARE
 // are not its body, so three tags over "the same message" exist — the one a
 // replica expects, a whole-body MAC of the body, and the MAC of another kind
-// of message whose body happens to be the PREPARE's covered bytes. Only the
-// first opens the PREPARE, and it opens nothing else: the kind is in the MAC'd
-// header, and each kind has one covered encoding.
+// of message (a COMMIT, covered whole) whose body is the PREPARE's covered
+// bytes. Only the first opens the PREPARE, and it opens nothing else: the kind
+// is in the MAC'd header, and each kind has one covered encoding.
 func TestPrepareTagIsBoundToItsKindAndEncoding(t *testing.T) {
 	dir := tamperDir(t)
 	prep, _ := sealedPrepare(t, dir, 24)
@@ -159,8 +162,7 @@ func TestPrepareTagIsBoundToItsKindAndEncoding(t *testing.T) {
 
 	wholeBody := &msg.Envelope{From: 0, To: 1, Kind: msg.KindPrepare, Body: prep.Body}
 	leader.SealMAC(wholeBody)
-	// A reply batch is any bytes; its MAC covers them whole, under its kind.
-	lookalike := &msg.Envelope{From: 0, To: 1, Kind: msg.KindReplyBatch, Body: covered}
+	lookalike := &msg.Envelope{From: 0, To: 1, Kind: msg.KindCommit, Body: covered}
 	leader.SealMAC(lookalike)
 	if bytes.Equal(wholeBody.MAC, prep.MAC) || bytes.Equal(lookalike.MAC, prep.MAC) {
 		t.Fatal("two different MAC inputs, one tag")
@@ -170,12 +172,12 @@ func TestPrepareTagIsBoundToItsKindAndEncoding(t *testing.T) {
 	clean := traceOf(follower, env, 0)
 	for name, e := range map[string]*msg.Envelope{
 		"a whole-body MAC of the body":                   wholeBody,
-		"the tag of a reply batch of the covered bytes":  {From: 0, To: 1, Kind: msg.KindPrepare, Body: prep.Body, MAC: lookalike.MAC},
+		"the tag of a COMMIT of the covered bytes":       {From: 0, To: 1, Kind: msg.KindPrepare, Body: prep.Body, MAC: lookalike.MAC},
 		"the PREPARE's tag on its covered bytes as body": {From: 0, To: 1, Kind: msg.KindPrepare, Body: covered, MAC: prep.MAC},
 		"the PREPARE's tag on a FORWARD of its body":     {From: 0, To: 1, Kind: msg.KindForward, Body: prep.Body, MAC: prep.MAC},
 		"the PREPARE's tag on a FORWARD of its covered":  {From: 0, To: 1, Kind: msg.KindForward, Body: covered, MAC: prep.MAC},
-		"the PREPARE's tag on a reply batch of its body": {From: 0, To: 1, Kind: msg.KindReplyBatch, Body: prep.Body, MAC: prep.MAC},
-		"the PREPARE's tag on the lookalike":             {From: 0, To: 1, Kind: msg.KindReplyBatch, Body: covered, MAC: prep.MAC},
+		"the PREPARE's tag on a COMMIT of its body":      {From: 0, To: 1, Kind: msg.KindCommit, Body: prep.Body, MAC: prep.MAC},
+		"the PREPARE's tag on the lookalike":             {From: 0, To: 1, Kind: msg.KindCommit, Body: covered, MAC: prep.MAC},
 	} {
 		before := follower.Stats()
 		follower.OnEnvelope(env, e)
@@ -186,12 +188,15 @@ func TestPrepareTagIsBoundToItsKindAndEncoding(t *testing.T) {
 			t.Fatalf("%s: reached the core", name)
 		}
 	}
-	// Each tag opens exactly the envelope it was made for (a baseline replica
-	// has no voter, so the authenticated reply batch ends as unhandled).
-	follower.OnEnvelope(env, lookalike)
+	// Each tag verifies exactly the envelope it was made for (the lookalike's
+	// body is no COMMIT, so it goes no further than its MAC).
+	if !authn.NewAuthenticator(1, dir).VerifyMAC(lookalike) {
+		t.Error("the lookalike's own MAC does not verify")
+	}
+	before := follower.Stats()
 	follower.OnEnvelope(env, prep)
-	if st := follower.Stats(); st.Unhandled != 1 || traceOf(follower, env, 0) == clean {
-		t.Errorf("the honest envelopes were not handled: %+v", st)
+	if st := follower.Stats(); st != before || traceOf(follower, env, 0) == clean {
+		t.Errorf("the honest PREPARE was not handled: %+v", st)
 	}
 }
 

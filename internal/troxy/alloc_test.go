@@ -99,7 +99,7 @@ func BenchmarkAllocGate(b *testing.B) {
 		confirm.From, confirm.QueryID = acts.Queries[0].To, acts.Queries[0].Query.QueryID
 		tagIn.Reset()
 		confirm.TagInput(tagIn)
-		confirm.Tag = tagger.Tag(confirm.Tag[:0], confirm.From, tagIn.Bytes())
+		confirm.Tag = tagger.Tag(confirm.Tag[:0], confirm.Kind(), confirm.From, tagIn.Bytes())
 		if out, err := p.HandleCacheReply(env, confirm); err != nil || len(out.Client) != 1 {
 			b.Fatalf("the confirmed fast read answered %d records, %v", len(out.Client), err)
 		}
@@ -120,7 +120,7 @@ func BenchmarkAllocGate(b *testing.B) {
 			rep.ClientSeq, rep.ReqDigest = seq, acts.Submits[0].Digest()
 			tagIn.Reset()
 			rep.TagInput(tagIn)
-			rep.TroxyTag = tagger.Tag(rep.TroxyTag[:0], rep.Executor, tagIn.Bytes())
+			rep.TroxyTag = tagger.Tag(rep.TroxyTag[:0], rep.Kind(), rep.Executor, tagIn.Bytes())
 			out, err := p.HandleReply(env, rep)
 			if err != nil {
 				b.Fatal(err)

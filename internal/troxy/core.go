@@ -292,8 +292,16 @@ type Core struct {
 
 	sessions map[uint64]*session
 	votes    map[voteKey]*voteState
+	// queries and queryOf index the fast reads in flight, by QueryID and by
+	// request, in step with each other. Their bound: one entry each per fast
+	// read in flight — a request has at most one (handleOperation) — and
+	// every fast read ends by f matching remote answers, by a fallback to
+	// ordering on the first that does not match, or, failing both, by the
+	// fallback of the first Tick at least QueryTimeout after it started.
+	// QueryIDs (queryCtr) are never reused while the Core lives, so an answer
+	// that arrives after its fast read ended finds nothing.
 	queries  map[uint64]*queryState
-	queryOf  map[voteKey]uint64 // the in-flight fast read of a request, kept in step with queries
+	queryOf  map[voteKey]uint64
 	queryCtr uint64
 
 	// plain is where a client record is decrypted: the operations of one
@@ -422,10 +430,11 @@ func (c *Core) begin() {
 	c.queryMsgs, c.replyMsgs = c.queryMsgs[:0], c.replyMsgs[:0]
 }
 
-// tag computes this instance's group tag over input into the call's scratch.
-func (c *Core) tag(input []byte) []byte {
+// tag computes this instance's group tag over input, a message of the given
+// kind, into the call's scratch.
+func (c *Core) tag(kind msg.Kind, input []byte) []byte {
 	start := len(c.sealed)
-	c.sealed = c.tagger.Tag(c.sealed, c.cfg.Self, input)
+	c.sealed = c.tagger.Tag(c.sealed, kind, c.cfg.Self, input)
 	return c.sealed[start:len(c.sealed):len(c.sealed)]
 }
 
@@ -658,11 +667,11 @@ func (c *Core) startFastRead(now time.Duration, sess *session, key voteKey, opHa
 	defer wire.PutWriter(w)
 	for _, r := range c.chooseReplicas(c.cfg.F) {
 		qs.waiting |= 1 << uint(r)
-		c.queryMsgs = append(c.queryMsgs, msg.CacheQuery{From: c.cfg.Self, QueryID: id, ReqDigest: opHash})
+		c.queryMsgs = append(c.queryMsgs, msg.CacheQuery{From: c.cfg.Self, To: r, QueryID: id, ReqDigest: opHash})
 		q := &c.queryMsgs[len(c.queryMsgs)-1]
 		w.Reset()
 		q.TagInput(w)
-		q.Tag = c.tag(w.Bytes())
+		q.Tag = c.tag(q.Kind(), w.Bytes())
 		c.out.Queries = append(c.out.Queries, PeerCacheMsg{To: r, Query: q})
 	}
 	c.queries[id] = qs
@@ -741,7 +750,7 @@ func (c *Core) AuthenticateReply(rep *msg.OrderedReply, read, fresh bool, opHash
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	rep.TagInput(w)
-	rep.TroxyTag = c.tagger.Tag(tag[:0], c.cfg.Self, w.Bytes())
+	rep.TroxyTag = c.tagger.Tag(tag[:0], rep.Kind(), c.cfg.Self, w.Bytes())
 	return nil
 }
 
@@ -774,13 +783,16 @@ func (c *Core) HandleReply(now time.Duration, rep *msg.OrderedReply) (Actions, e
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	rep.TagInput(w)
-	if !c.tagger.Verify(rep.Executor, w.Bytes(), rep.TroxyTag) {
+	if !c.tagger.Verify(rep.Kind(), rep.Executor, w.Bytes(), rep.TroxyTag) {
 		c.stats.BadReplies++
 		return c.out, nil
 	}
 
-	// Defense in depth: a verified write reply always invalidates, even if
-	// no vote is pending here.
+	// A reply for no pending vote ends here and touches no cache. The voter
+	// is not what invalidates f+1 caches when a write completes: every
+	// executor's AuthenticateReply invalidates before the reply's tag exists,
+	// so each of the f+1 matching replies a vote needs comes from a Troxy that
+	// already has.
 	key := voteKey{client: rep.Client, clientSeq: rep.ClientSeq}
 	vs, ok := c.votes[key]
 	if !ok {
@@ -879,7 +891,7 @@ func (c *Core) AuthenticateSpecReply(sr *msg.SpecReply) error {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	sr.TagInput(w)
-	sr.TroxyTag = c.tagger.Tag(nil, c.cfg.Self, w.Bytes())
+	sr.TroxyTag = c.tagger.Tag(nil, sr.Kind(), c.cfg.Self, w.Bytes())
 	return nil
 }
 
@@ -900,7 +912,7 @@ func (c *Core) HandleSpecReply(now time.Duration, sr *msg.SpecReply) (Actions, e
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	sr.TagInput(w)
-	if !c.tagger.Verify(sr.Executor, w.Bytes(), sr.TroxyTag) {
+	if !c.tagger.Verify(sr.Kind(), sr.Executor, w.Bytes(), sr.TroxyTag) {
 		c.stats.BadReplies++
 		return c.out, nil
 	}
@@ -988,7 +1000,12 @@ func (c *Core) sealToClient(connID, clientSeq uint64, status uint8, result []byt
 
 // HandleCacheQuery answers a remote Troxy's fast-read confirmation request
 // (get_remote_cache_entry in Figure 4). Only the digest of the cached reply
-// travels back (the paper's hash optimization).
+// travels back (the paper's hash optimization), addressed, under the reply's
+// tag, to the querier the query's tag names.
+//
+// A cache message reaches the Troxy with no host MAC checked (msg.Kind's
+// TroxyTagged), so this and HandleCacheReply are where one is authenticated:
+// its tag, from the Troxy it names, for this kind of message, addressed here.
 func (c *Core) HandleCacheQuery(q *msg.CacheQuery) (Actions, error) {
 	c.begin()
 	if !c.Provisioned() {
@@ -997,11 +1014,11 @@ func (c *Core) HandleCacheQuery(q *msg.CacheQuery) (Actions, error) {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	q.TagInput(w)
-	if q.From < 0 || int(q.From) >= c.cfg.N || !c.tagger.Verify(q.From, w.Bytes(), q.Tag) {
+	if q.From < 0 || int(q.From) >= c.cfg.N || q.To != c.cfg.Self || !c.tagger.Verify(q.Kind(), q.From, w.Bytes(), q.Tag) {
 		c.stats.BadQueries++
 		return c.out, nil
 	}
-	c.replyMsgs = append(c.replyMsgs, msg.CacheReply{From: c.cfg.Self, QueryID: q.QueryID, ReqDigest: q.ReqDigest})
+	c.replyMsgs = append(c.replyMsgs, msg.CacheReply{From: c.cfg.Self, To: q.From, QueryID: q.QueryID, ReqDigest: q.ReqDigest})
 	rep := &c.replyMsgs[len(c.replyMsgs)-1]
 	if cached, digest := c.cache.GetDigest(q.ReqDigest); cached != nil {
 		rep.Found = true
@@ -1012,14 +1029,18 @@ func (c *Core) HandleCacheQuery(q *msg.CacheQuery) (Actions, error) {
 	}
 	w.Reset()
 	rep.TagInput(w)
-	rep.Tag = c.tag(w.Bytes())
+	rep.Tag = c.tag(rep.Kind(), w.Bytes())
 	c.out.Queries = append(c.out.Queries, PeerCacheMsg{To: q.From, Reply: rep})
 	return c.out, nil
 }
 
 // HandleCacheReply feeds a remote cache answer into a pending fast read. All
 // f remote entries must match the local one; any mismatch (concurrent
-// writes, stale replays by malicious replicas) falls back to ordering.
+// writes, stale replays by malicious replicas) falls back to ordering. A reply
+// addressed to another Troxy is rejected whatever it says: QueryIDs are unique
+// per Troxy only, so another Troxy's answer could otherwise land in a pending
+// query of this one that has the same ID and operation, and confirm an entry
+// that a write this Troxy has not yet executed outdates.
 func (c *Core) HandleCacheReply(now time.Duration, r *msg.CacheReply) (Actions, error) {
 	c.begin()
 	if !c.Provisioned() {
@@ -1028,7 +1049,7 @@ func (c *Core) HandleCacheReply(now time.Duration, r *msg.CacheReply) (Actions, 
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	r.TagInput(w)
-	if r.From < 0 || int(r.From) >= c.cfg.N || !c.tagger.Verify(r.From, w.Bytes(), r.Tag) {
+	if r.From < 0 || int(r.From) >= c.cfg.N || r.To != c.cfg.Self || !c.tagger.Verify(r.Kind(), r.From, w.Bytes(), r.Tag) {
 		c.stats.BadQueries++
 		return c.out, nil
 	}

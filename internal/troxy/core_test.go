@@ -148,7 +148,7 @@ func makeReply(tagger *authn.GroupTagger, executor msg.NodeID, req msg.OrderRequ
 		Result:      []byte(result),
 		InvalidKeys: msg.AppendKeys(nil, keys),
 	}
-	rep.TroxyTag = tagger.Tag(nil, executor, tagInput(rep))
+	rep.TroxyTag = tagger.Tag(nil, rep.Kind(), executor, tagInput(rep))
 	return rep
 }
 
@@ -313,10 +313,10 @@ func TestFastReadMismatchFallsBack(t *testing.T) {
 	// The remote reports a different digest (e.g. a concurrent write or a
 	// malicious stale replay): the read must be ordered.
 	mismatch := &msg.CacheReply{
-		From: acts.Queries[0].To, QueryID: q.QueryID, ReqDigest: q.ReqDigest,
+		From: acts.Queries[0].To, To: q.From, QueryID: q.QueryID, ReqDigest: q.ReqDigest,
 		Found: true, ReplyDigest: msg.DigestOf([]byte("different")),
 	}
-	mismatch.Tag = tagger.Tag(nil, mismatch.From, tagInput(mismatch))
+	mismatch.Tag = tagger.Tag(nil, mismatch.Kind(), mismatch.From, tagInput(mismatch))
 	out, err := core.HandleCacheReply(time.Millisecond, mismatch)
 	if err != nil {
 		t.Fatal(err)
@@ -331,8 +331,8 @@ func TestFastReadMismatchFallsBack(t *testing.T) {
 	core.cache.Put(msg.DigestOf([]byte("GET k2")), []byte("v"), []string{"k2"})
 	acts = cc.request(t, core, 0, "GET k2", true)
 	q = acts.Queries[0].Query
-	notFound := &msg.CacheReply{From: acts.Queries[0].To, QueryID: q.QueryID, ReqDigest: q.ReqDigest}
-	notFound.Tag = tagger.Tag(nil, notFound.From, tagInput(notFound))
+	notFound := &msg.CacheReply{From: acts.Queries[0].To, To: q.From, QueryID: q.QueryID, ReqDigest: q.ReqDigest}
+	notFound.Tag = tagger.Tag(nil, notFound.Kind(), notFound.From, tagInput(notFound))
 	out, _ = core.HandleCacheReply(time.Millisecond, notFound)
 	if len(out.Submits) != 1 {
 		t.Fatal("not-found did not fall back to ordering")
@@ -430,8 +430,8 @@ func TestFreeListsStayWithinTheirCap(t *testing.T) {
 			}
 		}
 		for _, q := range queries {
-			rep := &msg.CacheReply{From: q.To, QueryID: q.Query.QueryID, ReqDigest: read, Found: true, ReplyDigest: msg.DigestOf([]byte("VALUE v"))}
-			rep.Tag = tagger.Tag(nil, rep.From, tagInput(rep))
+			rep := &msg.CacheReply{From: q.To, To: q.Query.From, QueryID: q.Query.QueryID, ReqDigest: read, Found: true, ReplyDigest: msg.DigestOf([]byte("VALUE v"))}
+			rep.Tag = tagger.Tag(nil, rep.Kind(), rep.From, tagInput(rep))
 			if out, err := core.HandleCacheReply(time.Millisecond, rep); err != nil || len(out.Client) != 1 {
 				t.Fatalf("round %d: a confirmed fast read answered %d records, %v", round, len(out.Client), err)
 			}
@@ -455,13 +455,13 @@ func TestForgedCacheMessagesRejected(t *testing.T) {
 	evil := authn.NewGroupTagger([]byte("wrong"))
 
 	q := &msg.CacheQuery{From: 1, QueryID: 9, ReqDigest: d("op")}
-	q.Tag = evil.Tag(nil, 1, tagInput(q))
+	q.Tag = evil.Tag(nil, q.Kind(), 1, tagInput(q))
 	out, _ := core.HandleCacheQuery(q)
 	if len(out.Queries) != 0 {
 		t.Error("forged cache query answered")
 	}
 	r := &msg.CacheReply{From: 1, QueryID: 9, ReqDigest: d("op"), Found: true}
-	r.Tag = evil.Tag(nil, 1, tagInput(r))
+	r.Tag = evil.Tag(nil, r.Kind(), 1, tagInput(r))
 	if out, _ := core.HandleCacheReply(0, r); len(out.Submits)+len(out.Client) != 0 {
 		t.Error("forged cache reply acted upon")
 	}
@@ -481,7 +481,7 @@ func TestAuthenticateReplyInvalidatesOnWriteCachesOnRead(t *testing.T) {
 	if err := core.AuthenticateReply(wrep, false, true, msg.DigestOf([]byte("PUT k v2")), nil); err != nil {
 		t.Fatal(err)
 	}
-	if !tagger.Verify(0, tagInput(wrep), wrep.TroxyTag) {
+	if !tagger.Verify(wrep.Kind(), 0, tagInput(wrep), wrep.TroxyTag) {
 		t.Error("tag does not verify")
 	}
 	if core.cache.Get(opHash) != nil {
@@ -533,7 +533,7 @@ func TestReplayedReplyDoesNotRepoisonCache(t *testing.T) {
 	if err := core.AuthenticateReply(replay, true, false, opHash, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !tagger.Verify(0, tagInput(replay), replay.TroxyTag) {
+	if !tagger.Verify(replay.Kind(), 0, tagInput(replay), replay.TroxyTag) {
 		t.Error("replayed reply not tagged")
 	}
 	if core.cache.Get(opHash) != nil {
@@ -568,7 +568,7 @@ func TestReplayedReplyDoesNotRepoisonCache(t *testing.T) {
 	}
 	peer := *replay
 	peer.Executor = 1
-	peer.TroxyTag = tagger.Tag(nil, 1, tagInput(&peer))
+	peer.TroxyTag = tagger.Tag(nil, peer.Kind(), 1, tagInput(&peer))
 	if _, err := core.HandleReply(0, replay); err != nil {
 		t.Fatal(err)
 	}
@@ -610,7 +610,7 @@ func TestFreshReadBehindAppliedWriteNotCached(t *testing.T) {
 	if err := core.AuthenticateReply(rrep, true, true, opHash, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !tagger.Verify(0, tagInput(rrep), rrep.TroxyTag) {
+	if !tagger.Verify(rrep.Kind(), 0, tagInput(rrep), rrep.TroxyTag) {
 		t.Error("refused read reply not tagged")
 	}
 	if core.cache.Get(opHash) != nil {
@@ -734,11 +734,11 @@ func TestFullReplyCacheExchange(t *testing.T) {
 	// this for SHA-256, but the byte comparison must reject trivially
 	// inconsistent replies).
 	evilRep := &msg.CacheReply{
-		From: acts.Queries[0].To, QueryID: q.QueryID, ReqDigest: q.ReqDigest,
+		From: acts.Queries[0].To, To: q.From, QueryID: q.QueryID, ReqDigest: q.ReqDigest,
 		Found: true, ReplyDigest: msg.DigestOf([]byte("VALUE v")),
 		ReplyData: []byte("VALUE x"),
 	}
-	evilRep.Tag = tagger.Tag(nil, evilRep.From, tagInput(evilRep))
+	evilRep.Tag = tagger.Tag(nil, evilRep.Kind(), evilRep.From, tagInput(evilRep))
 	out, err := core.HandleCacheReply(0, evilRep)
 	if err != nil {
 		t.Fatal(err)
@@ -751,21 +751,20 @@ func TestFullReplyCacheExchange(t *testing.T) {
 	acts = cc.request(t, core, time.Millisecond, "GET k", true)
 	q = acts.Queries[0].Query
 	goodRep := &msg.CacheReply{
-		From: acts.Queries[0].To, QueryID: q.QueryID, ReqDigest: q.ReqDigest,
+		From: acts.Queries[0].To, To: q.From, QueryID: q.QueryID, ReqDigest: q.ReqDigest,
 		Found: true, ReplyDigest: msg.DigestOf([]byte("VALUE v")),
 		ReplyData: []byte("VALUE v"),
 	}
-	goodRep.Tag = tagger.Tag(nil, goodRep.From, tagInput(goodRep))
+	goodRep.Tag = tagger.Tag(nil, goodRep.Kind(), goodRep.From, tagInput(goodRep))
 	out, err = core.HandleCacheReply(2*time.Millisecond, goodRep)
 	if err != nil || len(out.Client) != 1 {
 		t.Fatalf("full-reply fast read failed: %v / %+v", err, out)
 	}
 
 	// A remote serving the query includes the full entry.
-	racts, err := core.HandleCacheQuery(&msg.CacheQuery{
-		From: 1, QueryID: 9, ReqDigest: msg.DigestOf([]byte("GET k")),
-		Tag: tagger.Tag(nil, 1, tagInput(&msg.CacheQuery{From: 1, QueryID: 9, ReqDigest: msg.DigestOf([]byte("GET k"))})),
-	})
+	query := &msg.CacheQuery{From: 1, To: 0, QueryID: 9, ReqDigest: msg.DigestOf([]byte("GET k"))}
+	query.Tag = tagger.Tag(nil, query.Kind(), 1, tagInput(query))
+	racts, err := core.HandleCacheQuery(query)
 	if err != nil || len(racts.Queries) != 1 {
 		t.Fatalf("query handling: %v / %+v", err, racts)
 	}

@@ -124,8 +124,8 @@ func ecallScript(t *testing.T, poison bool) (results [][]byte, replies []msg.Cha
 		w.Raw(opHash[:])
 		own.MarshalWire(w)
 	})
-	query := &msg.CacheQuery{From: 1, QueryID: 40, ReqDigest: msg.DigestOf([]byte("GET k"))}
-	query.Tag = tagger.Tag(nil, 1, tagInput(query))
+	query := &msg.CacheQuery{From: 1, To: 0, QueryID: 40, ReqDigest: msg.DigestOf([]byte("GET k"))}
+	query.Tag = tagger.Tag(nil, query.Kind(), 1, tagInput(query))
 	call(ECallCacheQuery, func(w *wire.Writer) { query.MarshalWire(w) })
 	deliver(handleReply(makeReply(tagger, 1, read, "VALUE v", []string{"k"})))
 	deliver(handleReply(makeReply(tagger, 2, read, "VALUE v", []string{"k"})))
@@ -139,11 +139,11 @@ func ecallScript(t *testing.T, poison bool) (results [][]byte, replies []msg.Cha
 			t.Fatalf("a cached read sent %+v, want one cache query", acts.Queries)
 		}
 		q := acts.Queries[0]
-		rep := &msg.CacheReply{From: q.To, QueryID: q.Query.QueryID, ReqDigest: q.Query.ReqDigest, Found: found}
+		rep := &msg.CacheReply{From: q.To, To: q.Query.From, QueryID: q.Query.QueryID, ReqDigest: q.Query.ReqDigest, Found: found}
 		if found {
 			rep.ReplyDigest = msg.DigestOf([]byte("VALUE v"))
 		}
-		rep.Tag = tagger.Tag(nil, rep.From, tagInput(rep))
+		rep.Tag = tagger.Tag(nil, rep.Kind(), rep.From, tagInput(rep))
 		return call(ECallCacheReply, func(w *wire.Writer) {
 			w.I64(int64(time.Millisecond))
 			rep.MarshalWire(w)

@@ -190,10 +190,10 @@ func TestProxyBindingsEquivalent(t *testing.T) {
 		// Answer the remote-cache confirmation ourselves.
 		q := acts.Queries[0].Query
 		rep := &msg.CacheReply{
-			From: acts.Queries[0].To, QueryID: q.QueryID, ReqDigest: q.ReqDigest,
+			From: acts.Queries[0].To, To: q.From, QueryID: q.QueryID, ReqDigest: q.ReqDigest,
 			Found: true, ReplyDigest: msg.DigestOf([]byte("VALUE v")),
 		}
-		rep.Tag = tagger.Tag(nil, rep.From, tagInput(rep))
+		rep.Tag = tagger.Tag(nil, rep.Kind(), rep.From, tagInput(rep))
 		out, err := p.HandleCacheReply(env, rep)
 		if err != nil {
 			t.Fatal(err)

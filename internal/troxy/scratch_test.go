@@ -77,9 +77,9 @@ func poisonScratch(c *Core) {
 	copy(digest[:], junk)
 	fill(c.plain, 0xA5)
 	fill(c.sealed, 0xA5)
-	query := msg.CacheQuery{From: 0x5A5A5A5A, QueryID: 0xA5A5A5A5, ReqDigest: digest, Tag: junk}
+	query := msg.CacheQuery{From: 0x5A5A5A5A, To: 0x5A5A5A5A, QueryID: 0xA5A5A5A5, ReqDigest: digest, Tag: junk}
 	fill(c.queryMsgs, query)
-	fill(c.replyMsgs, msg.CacheReply{From: 0x5A5A5A5A, QueryID: 0xA5A5A5A5, ReqDigest: digest, Found: true, ReplyDigest: digest, ReplyData: junk, Tag: junk})
+	fill(c.replyMsgs, msg.CacheReply{From: 0x5A5A5A5A, To: 0x5A5A5A5A, QueryID: 0xA5A5A5A5, ReqDigest: digest, Found: true, ReplyDigest: digest, ReplyData: junk, Tag: junk})
 	fill(c.out.Client, ClientRecord{ConnID: 0xA5A5A5A5, Node: 0x5A5A5A5A, Frame: junk, Body: junk})
 	fill(c.out.Submits, msg.OrderRequest{Origin: 0x5A5A5A5A, Client: 0xA5A5A5A5, ClientSeq: 0xA5A5A5A5, Flags: 0xA5, Op: junk})
 	fill(c.out.Queries, PeerCacheMsg{To: 0x5A5A5A5A, Query: &query})
@@ -167,11 +167,11 @@ func scratchScript(r *scratchRun) {
 			t.Fatalf("a cached read sent %+v, want one cache query", acts.Queries)
 		}
 		q := acts.Queries[0]
-		rep := &msg.CacheReply{From: q.To, QueryID: q.Query.QueryID, ReqDigest: q.Query.ReqDigest, Found: found}
+		rep := &msg.CacheReply{From: q.To, To: q.Query.From, QueryID: q.Query.QueryID, ReqDigest: q.Query.ReqDigest, Found: found}
 		if found {
 			rep.ReplyDigest = msg.DigestOf([]byte("VALUE v"))
 		}
-		rep.Tag = tagger.Tag(nil, rep.From, tagInput(rep))
+		rep.Tag = tagger.Tag(nil, rep.Kind(), rep.From, tagInput(rep))
 		return r.took(r.p.HandleCacheReply(nullEnv{now: time.Millisecond}, rep))
 	}
 	answer(r.request(3, "GET k", msg.FlagReadOnly), true)

@@ -40,7 +40,7 @@ func makeSpecReply(tagger *authn.GroupTagger, executor msg.NodeID, req msg.Order
 		ReqDigest: req.Digest(),
 		Result:    []byte(result),
 	}
-	sr.TroxyTag = tagger.Tag(nil, executor, tagInput(sr))
+	sr.TroxyTag = tagger.Tag(nil, sr.Kind(), executor, tagInput(sr))
 	return sr
 }
 
