@@ -190,11 +190,6 @@ type Metrics struct {
 	WindowStalls       uint64
 	OutOfOrderPrepares uint64
 
-	// DroppedDeferred counts replayed deferred messages of a kind the
-	// defer path should never have parked (only PREPARE and COMMIT are
-	// deferred across views); nonzero means a protocol bug.
-	DroppedDeferred uint64
-
 	// Chunked state transfer (statesync.go). StateChunksServed counts
 	// chunks sent to fetching peers; StateChunksReceived counts chunks a
 	// fetch accepted; StateChunkRejects counts chunks refused (wrong
@@ -704,6 +699,39 @@ func OwnsTimer(key node.TimerKey) bool {
 	return len(key.Kind) >= 8 && key.Kind[:8] == "hybster/"
 }
 
+// OnMessage must be called by the host for every authenticated peer message it
+// does not handle itself. It reports whether m is of a kind the core handles
+// (ordering, checkpoints, state transfer, view change); any other changes nothing.
+func (c *Core) OnMessage(env node.Env, from msg.NodeID, m msg.Message) bool {
+	switch m := m.(type) {
+	case *msg.Forward:
+		c.OnForward(env, from, m)
+	case *msg.Prepare:
+		c.OnPrepare(env, from, m)
+	case *msg.Commit:
+		c.OnCommit(env, from, m)
+	case *msg.Checkpoint:
+		c.OnCheckpoint(env, from, m)
+	case *msg.ViewChange:
+		c.OnViewChange(env, from, m)
+	case *msg.NewView:
+		c.OnNewView(env, from, m)
+	case *msg.StateRequest:
+		c.OnStateRequest(env, from, m)
+	case *msg.StateReply:
+		c.OnStateReply(env, from, m)
+	case *msg.StateChunk:
+		c.OnStateChunk(env, from, m)
+	case *msg.StatePrefix:
+		c.OnStatePrefix(env, from, m)
+	case *msg.NewViewRequest:
+		c.OnNewViewRequest(env, from, m)
+	default:
+		return false
+	}
+	return true
+}
+
 // batchSize returns the effective batch-size limit (at least one).
 func (c *Core) batchSize() int {
 	if c.cfg.BatchSize < 1 {
@@ -972,7 +1000,8 @@ func (c *Core) OnNewViewRequest(env node.Env, from msg.NodeID, req *msg.NewViewR
 	c.out.Send(env, from, c.curNewView)
 }
 
-// replayDeferred re-dispatches messages parked for the now-current view.
+// replayDeferred re-dispatches messages parked for the now-current view: the
+// PREPAREs and COMMITs deferToView's two callers parked.
 func (c *Core) replayDeferred(env node.Env) {
 	pending := c.deferred
 	c.deferred = nil
@@ -984,16 +1013,7 @@ func (c *Core) replayDeferred(env node.Env) {
 		if d.view < c.view {
 			continue
 		}
-		switch m := d.m.(type) {
-		case *msg.Prepare:
-			c.OnPrepare(env, d.from, m)
-		case *msg.Commit:
-			c.OnCommit(env, d.from, m)
-		default:
-			// Only certified ordering messages are deferred (deferToView's
-			// callers); anything else parked here would be a protocol bug.
-			c.metrics.DroppedDeferred++
-		}
+		c.OnMessage(env, d.from, d.m)
 	}
 }
 

@@ -164,7 +164,7 @@ func FuzzChunkAssembly(f *testing.F) {
 			}
 			live := fc.fetch != nil && idx < n && idx >= fc.fetch.next && idx < fc.fetch.next+window
 			before := fc.RejectedCertsFrom(1)
-			fc.OnStateChunk(&env, 1, &msg.StateChunk{Seq: 8, Index: idx, Data: data})
+			fc.OnMessage(&env, 1, &msg.StateChunk{Seq: 8, Index: idx, Data: data})
 			if live && !honest && fc.RejectedCertsFrom(1) != before+1 {
 				t.Fatalf("forged chunk %d (mutation %d) not refused and attributed", idx, ops[i+1]%6)
 			}

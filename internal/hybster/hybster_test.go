@@ -14,9 +14,9 @@ import (
 	"github.com/troxy-bft/troxy/internal/tcounter"
 )
 
-// testReplica is a minimal host: it dispatches envelopes into the core and
-// sends BFTReply messages to request origins (the baseline frontend shape).
-// Transport authentication is omitted; these tests target ordering logic.
+// testReplica is a minimal host: it submits BFT requests, hands every other
+// message to Core.OnMessage as the replica does, and sends BFTReplies to
+// origins. Transport authentication is omitted; these tests target ordering.
 type testReplica struct {
 	core *Core
 	id   msg.NodeID
@@ -38,43 +38,46 @@ func (r *testReplica) OnEnvelope(env node.Env, e *msg.Envelope) {
 	if err != nil {
 		return
 	}
-	switch m := m.(type) {
-	case *msg.BFTRequest:
-		r.core.Submit(env, &msg.OrderRequest{
-			Origin:    e.From,
-			Client:    m.Client,
-			ClientSeq: m.ClientSeq,
-			Flags:     m.Flags,
-			Op:        bytes.Clone(m.Op), // Submit keeps what it is given
-		})
-	case *msg.Forward:
-		r.core.OnForward(env, e.From, m)
-	case *msg.Prepare:
-		r.core.OnPrepare(env, e.From, m)
-	case *msg.Commit:
-		r.core.OnCommit(env, e.From, m)
-	case *msg.Checkpoint:
-		r.core.OnCheckpoint(env, e.From, m)
-	case *msg.ViewChange:
-		r.core.OnViewChange(env, e.From, m)
-	case *msg.NewView:
-		r.core.OnNewView(env, e.From, m)
-	case *msg.StateRequest:
-		r.core.OnStateRequest(env, e.From, m)
-	case *msg.StateReply:
-		r.core.OnStateReply(env, e.From, m)
-	case *msg.StateChunk:
-		r.core.OnStateChunk(env, e.From, m)
-	case *msg.StatePrefix:
-		r.core.OnStatePrefix(env, e.From, m)
-	case *msg.NewViewRequest:
-		r.core.OnNewViewRequest(env, e.From, m)
+	req, ok := m.(*msg.BFTRequest)
+	if !ok {
+		r.core.OnMessage(env, e.From, m)
+		return
 	}
+	r.core.Submit(env, &msg.OrderRequest{
+		Origin:    e.From,
+		Client:    req.Client,
+		ClientSeq: req.ClientSeq,
+		Flags:     req.Flags,
+		Op:        bytes.Clone(req.Op), // Submit keeps what it is given
+	})
 }
 
 func (r *testReplica) OnTimer(env node.Env, key node.TimerKey) {
 	if OwnsTimer(key) {
 		r.core.OnTimer(env, key)
+	}
+}
+
+// TestOnMessageOwnsExactlyTheOrderingKinds: the core's dispatch takes the
+// eleven kinds it has handlers for and refuses every other, changing nothing.
+func TestOnMessageOwnsExactlyTheOrderingKinds(t *testing.T) {
+	const owned = 11 // the first ones
+	msgs := []msg.Message{&msg.Forward{}, &msg.Prepare{}, &msg.Commit{}, &msg.Checkpoint{}, &msg.ViewChange{}, &msg.NewView{},
+		&msg.StateRequest{}, &msg.StateReply{}, &msg.StateChunk{}, &msg.StatePrefix{}, &msg.NewViewRequest{},
+		&msg.ChannelData{}, &msg.BFTRequest{}, &msg.BFTReply{}, &msg.OrderedReply{}, &msg.CacheQuery{}, &msg.CacheReply{},
+		&msg.Batch{}, &msg.SpecReply{}, &msg.ReplyBatch{}}
+	c, seen := newStateCore(2, 16, 4).core, map[msg.Kind]bool{}
+	for i, m := range msgs {
+		seen[m.Kind()] = true
+		before, got := c.Metrics(), c.OnMessage(fakeEnv{}, 1, m)
+		if got != (i < owned) || !got && c.Metrics() != before {
+			t.Errorf("OnMessage(%s) = %v, metrics %+v then %+v", m.Kind(), got, before, c.Metrics())
+		}
+	}
+	for k := range 256 {
+		if k := msg.Kind(k); !seen[k] && k.String() != fmt.Sprintf("Kind(%d)", k) {
+			t.Errorf("no message of kind %s", k)
+		}
 	}
 }
 

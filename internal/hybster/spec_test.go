@@ -42,24 +42,16 @@ func (r *specTestReplica) Retracted(_ node.Env, seq uint64, req *msg.OrderReques
 	})
 }
 
-// specShuttle is the shuttleNet pattern over spec-enabled cores: captured
-// envelopes move between replicas in node-id order, traffic toward a
-// non-live node is stashed.
+// specShuttle is a shuttleNet over spec-enabled cores; spec holds its replicas
+// with what they speculated and retracted.
 type specShuttle struct {
-	ids      []msg.NodeID
-	replicas map[msg.NodeID]*specTestReplica
-	envs     map[msg.NodeID]*captureEnv
-	live     map[msg.NodeID]bool
-	stash    []*msg.Envelope
+	*shuttleNet
+	spec map[msg.NodeID]*specTestReplica
 }
 
 func newSpecShuttle(ids ...msg.NodeID) *specShuttle {
-	n := &specShuttle{
-		ids:      ids,
-		replicas: make(map[msg.NodeID]*specTestReplica),
-		envs:     make(map[msg.NodeID]*captureEnv),
-		live:     make(map[msg.NodeID]bool),
-	}
+	n := &specShuttle{spec: map[msg.NodeID]*specTestReplica{}, shuttleNet: &shuttleNet{ids: ids,
+		replicas: map[msg.NodeID]*testReplica{}, envs: map[msg.NodeID]*captureEnv{}, live: map[msg.NodeID]bool{}}}
 	for _, id := range ids {
 		sub := tcounter.NewSubsystem(id)
 		sub.SetKey([]byte("test-counter-key"))
@@ -77,34 +69,9 @@ func newSpecShuttle(ids ...msg.NodeID) *specShuttle {
 			SnapshotChunkSize:  32,
 			StateChunkWindow:   4,
 		}, r)
-		n.replicas[id] = r
-		n.envs[id] = &captureEnv{id: id}
-		n.live[id] = true
+		n.spec[id], n.replicas[id], n.envs[id], n.live[id] = r, r.testReplica, &captureEnv{id: id}, true
 	}
 	return n
-}
-
-func (n *specShuttle) run() {
-	for {
-		moved := false
-		for _, id := range n.ids {
-			pending := n.envs[id].out
-			n.envs[id].out = nil
-			for _, ev := range pending {
-				if !n.live[ev.To] {
-					n.stash = append(n.stash, ev)
-					continue
-				}
-				if r, ok := n.replicas[ev.To]; ok {
-					moved = true
-					r.OnEnvelope(n.envs[ev.To], ev)
-				}
-			}
-		}
-		if !moved {
-			return
-		}
-	}
 }
 
 func (r *specTestReplica) findSpec(client, clientSeq uint64) *specEvent {
@@ -144,7 +111,7 @@ func (r *specTestReplica) executions(client, clientSeq uint64) []execRecord {
 //     the shadow) converges.
 func TestSpeculationRollbackOnViewChange(t *testing.T) {
 	net := newSpecShuttle(0, 1, 2)
-	r0, r1, r2 := net.replicas[0], net.replicas[1], net.replicas[2]
+	r0, r1, r2 := net.spec[0], net.spec[1], net.spec[2]
 	env0, env1 := net.envs[0], net.envs[1]
 
 	// (1) Durable traffic plus one fast-commit request that settles normally.
@@ -168,7 +135,7 @@ func TestSpeculationRollbackOnViewChange(t *testing.T) {
 	// (vouching with its PREPARE certificate), the followers at PREPARE
 	// acceptance (vouching with their COMMIT certificates) — and the fast
 	// answer must never lag the durable one (SpecFrontier >= LastExecuted).
-	for id, r := range net.replicas {
+	for id, r := range net.spec {
 		ev := r.findSpec(7, 4)
 		if ev == nil {
 			t.Fatalf("replica %d never speculated the fast request", id)
@@ -298,7 +265,7 @@ func TestSpeculationRollbackOnViewChange(t *testing.T) {
 	})
 	net.run()
 
-	for id, r := range net.replicas {
+	for id, r := range net.spec {
 		if got := r.core.LastExecuted(); got != 6 {
 			t.Fatalf("replica %d executed to %d, want 6", id, got)
 		}

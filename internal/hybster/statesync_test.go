@@ -153,7 +153,7 @@ func newStateCore(id msg.NodeID, chunkSize, window int) *testReplica {
 	return r
 }
 
-// TestStateChunkVerification drives OnStateChunk directly through the
+// TestStateChunkVerification drives the chunk handler through the
 // verification table: a Byzantine peer serving tampered or malformed chunks
 // must be rejected (and attributed), stale and out-of-window traffic must be
 // bounded, and the fetch must still complete from another peer's correct
@@ -198,7 +198,7 @@ func TestStateChunkVerification(t *testing.T) {
 	}
 
 	// Stale seq: silently ignored, nothing counted.
-	fc.OnStateChunk(&env, 1, &msg.StateChunk{Seq: 4, Index: 0, Data: chunkData(0)})
+	fc.OnMessage(&env, 1, &msg.StateChunk{Seq: 4, Index: 0, Data: chunkData(0)})
 	if m := fc.Metrics(); m.StateChunksReceived != 0 || m.StateChunkRejects != 0 {
 		t.Fatalf("stale-seq chunk counted: %+v", m)
 	}
@@ -206,7 +206,7 @@ func TestStateChunkVerification(t *testing.T) {
 	// Tampered payload from the Byzantine peer 0: rejected and attributed.
 	bad := chunkData(0)
 	bad[0] ^= 0x01
-	fc.OnStateChunk(&env, 0, &msg.StateChunk{Seq: 8, Index: 0, Data: bad})
+	fc.OnMessage(&env, 0, &msg.StateChunk{Seq: 8, Index: 0, Data: bad})
 	if m := fc.Metrics(); m.StateChunkRejects != 1 || m.StateChunksReceived != 0 {
 		t.Fatalf("tampered chunk not rejected: %+v", m)
 	}
@@ -218,7 +218,7 @@ func TestStateChunkVerification(t *testing.T) {
 	}
 
 	// Wrong length: rejected and attributed before any hashing.
-	fc.OnStateChunk(&env, 0, &msg.StateChunk{Seq: 8, Index: 0, Data: chunkData(0)[:chunkSize-1]})
+	fc.OnMessage(&env, 0, &msg.StateChunk{Seq: 8, Index: 0, Data: chunkData(0)[:chunkSize-1]})
 	if m := fc.Metrics(); m.StateChunkRejects != 2 {
 		t.Fatalf("short chunk not rejected: %+v", m)
 	}
@@ -233,7 +233,7 @@ func TestStateChunkVerification(t *testing.T) {
 	for i, prefix := range []uint32{0xffffffff, chunkSize - 4 - 1} {
 		bad := chunkData(0)
 		binary.LittleEndian.PutUint32(bad, prefix)
-		fc.OnStateChunk(&env, 0, &msg.StateChunk{Seq: 8, Index: 0, Data: bad})
+		fc.OnMessage(&env, 0, &msg.StateChunk{Seq: 8, Index: 0, Data: bad})
 		if m := fc.Metrics(); m.StateChunkRejects != uint64(3+i) || m.StateChunksReceived != 0 {
 			t.Fatalf("mis-framed chunk (prefix %#x) not rejected: %+v", prefix, m)
 		}
@@ -247,7 +247,7 @@ func TestStateChunkVerification(t *testing.T) {
 
 	// Beyond the request window: refused (bounded buffering) but not
 	// attributed — it can be honest traffic racing a window slide.
-	fc.OnStateChunk(&env, 1, &msg.StateChunk{Seq: 8, Index: window, Data: chunkData(window)})
+	fc.OnMessage(&env, 1, &msg.StateChunk{Seq: 8, Index: window, Data: chunkData(window)})
 	if m := fc.Metrics(); m.StateChunkRejects != 5 {
 		t.Fatalf("out-of-window chunk not refused: %+v", m)
 	}
@@ -257,8 +257,8 @@ func TestStateChunkVerification(t *testing.T) {
 
 	// Correct out-of-order chunk from peer 1 buffers; a duplicate is dropped
 	// without growing the window.
-	fc.OnStateChunk(&env, 1, &msg.StateChunk{Seq: 8, Index: 2, Data: chunkData(2)})
-	fc.OnStateChunk(&env, 1, &msg.StateChunk{Seq: 8, Index: 2, Data: chunkData(2)})
+	fc.OnMessage(&env, 1, &msg.StateChunk{Seq: 8, Index: 2, Data: chunkData(2)})
+	fc.OnMessage(&env, 1, &msg.StateChunk{Seq: 8, Index: 2, Data: chunkData(2)})
 	if len(fc.fetch.window) != 1 || fc.fetch.buffered != len(chunkData(2)) {
 		t.Fatalf("duplicate buffered: window %d entries, %d bytes", len(fc.fetch.window), fc.fetch.buffered)
 	}
@@ -267,11 +267,11 @@ func TestStateChunkVerification(t *testing.T) {
 	}
 
 	// In-order chunks 0 and 1 apply; 1 drains the buffered 2 behind it.
-	fc.OnStateChunk(&env, 1, &msg.StateChunk{Seq: 8, Index: 0, Data: chunkData(0)})
+	fc.OnMessage(&env, 1, &msg.StateChunk{Seq: 8, Index: 0, Data: chunkData(0)})
 	if fc.fetch.next != 1 {
 		t.Fatalf("next = %d after chunk 0, want 1", fc.fetch.next)
 	}
-	fc.OnStateChunk(&env, 1, &msg.StateChunk{Seq: 8, Index: 1, Data: chunkData(1)})
+	fc.OnMessage(&env, 1, &msg.StateChunk{Seq: 8, Index: 1, Data: chunkData(1)})
 	if fc.fetch.next != 3 || len(fc.fetch.window) != 0 || fc.fetch.buffered != 0 {
 		t.Fatalf("buffered chunk did not drain: next %d, window %d, buffered %d",
 			fc.fetch.next, len(fc.fetch.window), fc.fetch.buffered)
@@ -280,7 +280,7 @@ func TestStateChunkVerification(t *testing.T) {
 	// The rest arrives in order from the correct peer; the transfer must
 	// complete despite peer 0's earlier tampering.
 	for i := uint32(3); i < n; i++ {
-		fc.OnStateChunk(&env, 1, &msg.StateChunk{Seq: 8, Index: i, Data: chunkData(i)})
+		fc.OnMessage(&env, 1, &msg.StateChunk{Seq: 8, Index: i, Data: chunkData(i)})
 	}
 	if fc.fetch != nil {
 		t.Fatalf("fetch still active after all %d chunks", n)
@@ -482,7 +482,7 @@ func TestRetainedCheckpointServesItsOwnState(t *testing.T) {
 		if !ok {
 			t.Fatalf("fetch still active after all %d chunks", i)
 		}
-		fc.OnStateChunk(&env, 0, &msg.StateChunk{Seq: 8, Index: i, Data: data})
+		fc.OnMessage(&env, 0, &msg.StateChunk{Seq: 8, Index: i, Data: data})
 	}
 	if m := fc.Metrics(); m.StateChunkRejects != 0 {
 		t.Fatalf("chunks of a retained checkpoint were rejected: %+v", m)

@@ -384,28 +384,22 @@ var Catalogue = []Mutant{
 		New:   "			out = append(out, arg...)\n			out = append(out, t.core.identity...)\n			return out, nil",
 	},
 	{
-		ID: "replica-drops-newviewrequest-case", File: "internal/replica/replica.go", Aims: []string{"exhaustive"},
-		Fault: "the replica's dispatch loses a message kind, which falls to the counting default",
-		Old:   "	case *msg.NewViewRequest:\n		r.core.OnNewViewRequest(env, e.From, m)\n",
+		ID: "core-drops-newviewrequest-case", File: "internal/hybster/core.go", Aims: []string{"exhaustive"},
+		Fault: "the core's dispatch loses a message kind, which it then refuses as not its own",
+		Old:   "	case *msg.NewViewRequest:\n		c.OnNewViewRequest(env, from, m)\n",
 		New:   "",
 	},
 	{
 		ID: "replica-default-arm-dropped", File: "internal/replica/replica.go", Aims: []string{"exhaustive"},
-		Fault: "the replica's dispatch loses the default arm that counts the kinds it does not handle",
-		Old: `	default:
-		// ChannelData and the Troxy-tagged kinds are intercepted above;
-		// BFTReply is client-bound, Batch only travels inside PREPAREs and
-		// OrderedReply inside ReplyBatches. Count anything else so a new
-		// message kind that is wired here but not handled shows up.
-		r.stats.Unhandled++
-`,
-		New: "",
+		Fault: "the replica's dispatch stops counting the kinds neither it nor the core handles",
+		Old:   "		if !r.core.OnMessage(env, e.From, m) {\n			r.stats.Unhandled++\n		}\n",
+		New:   "		r.core.OnMessage(env, e.From, m)\n",
 	},
 	{
 		ID: "deferred-replay-drops-commit", File: "internal/hybster/core.go", Aims: []string{"exhaustive"},
 		Fault: "COMMITs deferred to a future view are dropped when the view installs",
-		Old:   "		case *msg.Commit:\n			c.OnCommit(env, d.from, m)\n",
-		New:   "",
+		Old:   "		c.OnMessage(env, d.from, d.m)\n",
+		New:   "		if _, commit := d.m.(*msg.Commit); !commit {\n			c.OnMessage(env, d.from, d.m)\n		}\n",
 	},
 	{
 		ID: "tcounter-certify-ocall", File: "internal/tcounter/tcounter.go", Import: "github.com/troxy-bft/troxy/internal/realnet",

@@ -104,8 +104,9 @@ type Stats struct {
 	// DirectReads counts speculative read executions (baseline mode).
 	DirectReads uint64
 	// Unhandled counts authenticated messages of a kind the replica has no
-	// handler for (client-side kinds like BFTReply, or transport-level
-	// kinds like Batch that never arrive as bare envelopes).
+	// handler for (client-side kinds like BFTReply, transport-level kinds
+	// like Batch that never arrive as bare envelopes, and at a baseline
+	// replica the kinds only a Troxy handles).
 	Unhandled uint64
 	// BadBatches counts reply batches cut short: a reply that did not
 	// decode, or one more than msg.MaxBatchReplies. The replies in front of it
@@ -197,44 +198,27 @@ func (r *Replica) onEnvelope(env node.Env, e *msg.Envelope) {
 	switch m := m.(type) {
 	case *msg.BFTRequest:
 		r.onBFTRequest(env, e.From, m)
-	case *msg.Forward:
-		r.core.OnForward(env, e.From, m)
-	case *msg.Prepare:
-		r.core.OnPrepare(env, e.From, m)
-	case *msg.Commit:
-		r.core.OnCommit(env, e.From, m)
-	case *msg.Checkpoint:
-		r.core.OnCheckpoint(env, e.From, m)
-	case *msg.ViewChange:
-		r.core.OnViewChange(env, e.From, m)
-	case *msg.NewView:
-		r.core.OnNewView(env, e.From, m)
-	case *msg.StateRequest:
-		r.core.OnStateRequest(env, e.From, m)
-	case *msg.StateReply:
-		r.core.OnStateReply(env, e.From, m)
-	case *msg.StateChunk:
-		r.core.OnStateChunk(env, e.From, m)
-	case *msg.StatePrefix:
-		r.core.OnStatePrefix(env, e.From, m)
-	case *msg.NewViewRequest:
-		r.core.OnNewViewRequest(env, e.From, m)
 	case *msg.SpecReply:
 		// A peer's speculative reply for a request this replica originated.
 		// The counter certificate is checked by the protocol core (it knows
 		// the lane layout and leader schedule) before the Troxy tallies the
 		// vote; a bad certificate is counted against the sender.
-		if r.proxy != nil && r.core.VerifySpecReply(env, e.From, m) {
+		if r.proxy == nil {
+			r.stats.Unhandled++ // a baseline replica has no voter
+		} else if r.core.VerifySpecReply(env, e.From, m) {
 			if acts, err := r.proxy.HandleSpecReply(env, m); err == nil {
 				r.apply(env, acts)
 			}
 		}
 	default:
-		// ChannelData and the Troxy-tagged kinds are intercepted above;
-		// BFTReply is client-bound, Batch only travels inside PREPAREs and
-		// OrderedReply inside ReplyBatches. Count anything else so a new
-		// message kind that is wired here but not handled shows up.
-		r.stats.Unhandled++
+		// The protocol core owns the ordering kinds. ChannelData and the
+		// Troxy-tagged kinds are intercepted above; BFTReply is client-bound,
+		// Batch only travels inside PREPAREs and OrderedReply inside
+		// ReplyBatches. Count anything else so a new message kind that is
+		// wired here but not handled shows up.
+		if !r.core.OnMessage(env, e.From, m) {
+			r.stats.Unhandled++
+		}
 	}
 }
 

@@ -80,7 +80,7 @@ func TestRepliesLeavePerInvocationAndOrigin(t *testing.T) {
 	if len(env.sent) != 0 {
 		t.Fatalf("%d envelopes left before the invocation ended", len(env.sent))
 	}
-	env.macBytes = nil // the Troxy's tags; what the flush charges is checked below
+	env.macBytes = nil                              // the Troxy's tags; what the flush charges is checked below
 	r.OnTimer(env, node.TimerKey{Kind: "nobody's"}) // any invocation's epilogue flushes
 	if len(env.sent) != 2 {
 		t.Fatalf("%d envelopes for two origins, want one each", len(env.sent))
@@ -195,6 +195,44 @@ func TestFullReplyBatchLeavesAtOnce(t *testing.T) {
 	}
 }
 
+// TestReplyOutboxIsBoundedByTheGroup: the outbox holds one queue per replica
+// whatever origins replies are committed for; a reply for an origin that is
+// not a replica leaves at once as a batch of one; and after any Committed no
+// queue, and no batch that left, holds more than a batch's count of replies,
+// nor more than its bytes unless a single reply is larger by itself.
+func TestReplyOutboxIsBoundedByTheGroup(t *testing.T) {
+	reps, _, _ := newTroxyCluster(t)
+	r, env := reps[0], &tapEnv{self: 0}
+	rng := rand.New(rand.NewSource(1))
+	origins := []msg.NodeID{0, 1, 2, 3, 7, 1 << 20, -2}
+	sizes := []int{0, 100, 100, 100, 1 << 10, 1 << 10, 20 << 10, 2 * msg.BatchFlushBytes}
+	for i := uint64(1); i <= 2000; i++ {
+		origin := origins[rng.Intn(len(origins))]
+		r.Committed(env, i, request(origin, 100, i), make([]byte, sizes[rng.Intn(len(sizes))]), nil, false, true)
+		if len(r.outbox) != 3 {
+			t.Fatalf("%d queues in the outbox of a group of 3", len(r.outbox))
+		}
+		if outside := origin < 0 || origin >= 3; outside &&
+			(len(env.sent) != 1 || env.sent[0].To != origin || len(repliesIn(t, env.sent[0])) != 1) {
+			t.Fatalf("a reply for origin %d left in %d envelopes, want one batch of one", origin, len(env.sent))
+		}
+		for to := range r.outbox {
+			if q := &r.outbox[to]; q.n > msg.MaxBatchReplies || (q.n > 1 && q.w.Len() > msg.BatchFlushBytes) {
+				t.Fatalf("queue %d holds %d replies in %d bytes after Committed", to, q.n, q.w.Len())
+			}
+		}
+		if rng.Intn(64) == 0 {
+			r.OnTimer(env, node.TimerKey{Kind: "nobody's"}) // an invocation ends
+		}
+		for _, e := range env.sent {
+			if n := len(repliesIn(t, e)); n > msg.MaxBatchReplies || (n > 1 && len(e.Body) > msg.BatchFlushBytes) {
+				t.Fatalf("a batch of %d replies in %d bytes left", n, len(e.Body))
+			}
+		}
+		env.sent = env.sent[:0]
+	}
+}
+
 // batchTo puts the given reply encodings into one batch from→to, as a replica
 // sends it: with no MAC.
 func batchTo(from, to msg.NodeID, body []byte) *msg.Envelope {
@@ -262,13 +300,19 @@ func TestReplyBatchWithoutTroxyIsUnhandled(t *testing.T) {
 	if st := reps[0].Stats(); st.Unhandled != 1 || st.BadBatches != 0 || st.BadMACs != 0 {
 		t.Errorf("stats = %+v, want one unhandled message", st)
 	}
-	// Nor has any replica a handler for a client-bound kind: the dispatch's
-	// default arm counts it.
-	stray := msg.Seal(1, 0, &msg.BFTReply{Executor: 1, Client: 5, ClientSeq: 1})
-	authn.NewAuthenticator(1, dir).SealMAC(stray)
-	reps[0].OnEnvelope(&tapEnv{self: 0}, stray)
-	if st := reps[0].Stats(); st.Unhandled != 2 || st.BadMACs != 0 {
-		t.Errorf("stats = %+v, want a second unhandled message", st)
+	// Nor has any replica a handler for a client-bound kind, which neither
+	// the dispatch nor the core owns, and a baseline replica has no voter for
+	// a speculative reply: each is counted.
+	for i, m := range []msg.Message{
+		&msg.BFTReply{Executor: 1, Client: 5, ClientSeq: 1},
+		&msg.SpecReply{Executor: 1, Client: 5, ClientSeq: 1},
+	} {
+		stray := msg.Seal(1, 0, m)
+		authn.NewAuthenticator(1, dir).SealMAC(stray)
+		reps[0].OnEnvelope(&tapEnv{self: 0}, stray)
+		if st := reps[0].Stats(); st.Unhandled != uint64(2+i) || st.BadMACs != 0 {
+			t.Errorf("after a stray %s: stats = %+v, want %d unhandled messages", m.Kind(), st, 2+i)
+		}
 	}
 }
 
