@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK := honnef.co/go/tools/cmd/staticcheck@2025.1
 GOVULNCHECK := golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: build test check lint staticcheck govulncheck bench bench-quick copy-gate bench-check bench-smoke allocs-top fuzz chaos chaos-realnet race soak soak-quick mutate
+.PHONY: build test check lint staticcheck govulncheck bench bench-quick copy-gate bench-check bench-smoke examples allocs-top fuzz chaos chaos-realnet race soak soak-quick mutate
 
 build:
 	$(GO) build ./...
@@ -142,6 +142,18 @@ bench-smoke:
 		*) echo "bench-smoke: $$w --trace $$trace: $$last"; exit 1;; \
 		esac; \
 	done; done
+
+# examples runs each program under examples/ to completion. Each checks what
+# it demonstrates and exits non-zero when a check fails; attestation is the one
+# end-to-end walk of the enclave lifecycle (launch, quote, provision, restart).
+# A failing example prints its output.
+EXAMPLES := attestation failover httpservice quickstart wanreads
+
+examples:
+	@for e in $(EXAMPLES); do \
+		out=$$($(GO) run ./examples/$$e 2>&1) || { printf '%s\n' "$$out"; echo "examples: $$e failed"; exit 1; }; \
+		echo "examples: $$e ok"; \
+	done
 
 # race is the focused race-detector gate: the seeded chaos schedules at the
 # module root plus the two most goroutine-heavy packages — the pipelined

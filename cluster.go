@@ -241,7 +241,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			authority = tcounter.EnclaveAuthority{E: enc}
 
 		case CTroxy:
-			// The Troxy library runs natively; the counters stay in SGX.
+			// The Troxy library runs natively, in process; the counters stay in SGX.
 			core := itroxy.NewCore(troxyCfg)
 			if err := core.ProvisionSecrets(secrets); err != nil {
 				return nil, fmt.Errorf("troxy: provision ctroxy %d: %w", i, err)
@@ -261,7 +261,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 
 		case ETroxy:
 			// One enclave hosts the Troxy and the counter subsystem behind
-			// the 19-ecall interface.
+			// the 14-ecall interface.
 			trusted := itroxy.NewTrusted(itroxy.NewCore(troxyCfg), counters)
 			enc, err = platform.Launch(enclave.Definition{
 				Name:         fmt.Sprintf("troxy-%d", i),

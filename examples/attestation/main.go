@@ -28,7 +28,7 @@ func run() error {
 	// Each replica machine is an SGX platform with its own hardware key.
 	platform := enclave.NewPlatform()
 
-	// Launch the Troxy enclave: its 19-ecall interface is fixed at launch
+	// Launch the Troxy enclave: its 14-ecall interface is fixed at launch
 	// and its code identity yields the measurement a verifier will expect.
 	core := itroxy.NewCore(itroxy.Config{Self: 0, N: 3, F: 1, FastReads: true})
 	trusted := itroxy.NewTrusted(core, tcounter.NewSubsystem(0))

@@ -61,7 +61,7 @@ const (
 	// vectored writes, internal/wire frame I/O, or concrete conn-shaped
 	// Read/Write/Close calls.
 	EffectIO
-	// EffectECall is a trusted-subsystem transition (enclave.ECall).
+	// EffectECall is a trusted-subsystem transition (enclave.ECall, ECallAppend).
 	EffectECall
 )
 
@@ -1068,7 +1068,8 @@ func BlockingCall(info *types.Info, call *ast.CallExpr) (string, Effect) {
 		}
 		return "", 0
 	case modulePath + "/internal/enclave":
-		if fn.Name() == "ECall" {
+		switch fn.Name() {
+		case "ECall", "ECallAppend":
 			return "ecall transition", EffectECall
 		}
 		return "", 0

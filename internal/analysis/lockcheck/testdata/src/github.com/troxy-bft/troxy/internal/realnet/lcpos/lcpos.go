@@ -44,6 +44,12 @@ func (b *B) ecallUnderLock(arg []byte) {
 	b.enc.ECall("op", arg) // want "ecall transition while holding b.mu"
 }
 
+func (b *B) ecallAppendUnderLock(room, arg []byte) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.enc.ECallAppend(room, "op", arg) // want "ecall transition while holding b.mu"
+}
+
 func (b *B) unlockUnheld() {
 	b.n++
 	b.mu.Unlock() // want "Unlock of b.mu which is not held"

@@ -12,7 +12,7 @@
 //     caller never holds trusted memory. Both copies land in memory their
 //     side already owns — the argument in a buffer the enclave keeps per
 //     thread slot, the result in room the caller brings — so a crossing
-//     copies but does not allocate. Troxy registers a fixed table of 19
+//     copies but does not allocate. Troxy registers a fixed table of 14
 //     ecalls.
 //   - Transition accounting: every ecall increments transition counters and
 //     reports the copied byte volume to an optional hook. The discrete-event

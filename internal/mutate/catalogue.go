@@ -178,9 +178,9 @@ var Catalogue = []Mutant{
 	},
 	{
 		ID: "direct-proxy-submit-is-a-view", File: "internal/troxy/proxy.go",
-		Fault: "the direct binding returns the Core's scratch (only each record's body built): submits stay views of the plaintext buffer, which ordering keeps and the next record overwrites, and cache messages of memory the next call reuses",
-		Old:   "	w := wire.GetWriter()\n	defer wire.PutWriter(w)\n	encodeActions(w, &acts)\n	return decodeActions(w.CopyBytes())\n",
-		New:   "	for i := range acts.Client {\n		acts.Client[i].Body = msg.SealChannelData(0, 0, acts.Client[i].ConnID, acts.Client[i].Frame).Body\n	}\n	return acts, nil\n",
+		Fault: "the in-process crossing returns the handler's pooled result instead of copying it out: submits, client records and cache messages stay views of a writer the next call releases and reuses",
+		Old:   "		res, err := p.ecalls[name](arg)\n		return append(room, res...), err\n",
+		New:   "		return p.ecalls[name](arg)\n",
 	},
 	{
 		ID: "held-request-matched-by-id-only", File: "internal/hybster/core.go",
@@ -378,10 +378,10 @@ var Catalogue = []Mutant{
 		New:   "			return c.out, fmt.Errorf(\"%w: %v (identity %x)\", ErrBadChannel, err, c.identity)\n		}\n		sess.sc = sc",
 	},
 	{
-		ID: "report-ecall-leaks-identity", File: "internal/troxy/trusted.go", Aims: []string{"secretflow"},
-		Fault: "the attestation-report ecall returns the service's private key to the host",
-		Old:   "			out = append(out, arg...)\n			return out, nil",
-		New:   "			out = append(out, arg...)\n			out = append(out, t.core.identity...)\n			return out, nil",
+		ID: "stats-ecall-leaks-identity", File: "internal/troxy/trusted.go", Aims: []string{"secretflow"},
+		Fault: "the stats ecall returns the service's private key to the host after the counters",
+		Old:   "			return encodeStats(t.core.Stats()), nil\n",
+		New:   "			return append(encodeStats(t.core.Stats()), t.core.identity...), nil\n",
 	},
 	{
 		ID: "core-drops-newviewrequest-case", File: "internal/hybster/core.go", Aims: []string{"exhaustive"},

@@ -50,7 +50,7 @@ func servicePub(dir *authn.Directory) ed25519.PublicKey {
 }
 
 // newTroxyReplica builds Troxy-mode replica self of a group of three, beside
-// the Core its DirectProxy drives.
+// the Core its in-process binding drives.
 func newTroxyReplica(t testing.TB, dir *authn.Directory, self msg.NodeID) (*Replica, *itroxy.Core) {
 	t.Helper()
 	sub := tcounter.NewSubsystem(self)

@@ -11,11 +11,11 @@
 //     methods are pure state-machine transitions returning Actions — the
 //     messages the *untrusted* part must transmit (the Troxy performs no
 //     network I/O itself; the paper's design has no ocalls).
-//   - trusted.go wraps Core behind the fixed 19-entry ecall interface of an
+//   - trusted.go wraps Core behind the fixed 14-entry ecall interface of an
 //     enclave (internal/enclave), serializing arguments across the boundary.
-//   - proxy.go provides the two host-side bindings the evaluation compares:
-//     DirectProxy (ctroxy: native code outside SGX) and EnclaveProxy
-//     (etroxy: every call crosses the enclave boundary).
+//   - proxy.go provides the one host-side binding for both configurations
+//     the evaluation compares: ctroxy calls the same handlers in process,
+//     outside SGX; etroxy crosses the enclave boundary on every call.
 package troxy
 
 import (
@@ -314,7 +314,7 @@ type Core struct {
 	// and group tags, one behind the other), queryMsgs and replyMsgs the
 	// memory it points into. Like plain they are reused: what a call returns
 	// is valid until the Core's next call, and the binding makes the copy
-	// the host keeps (the boundary's copy-out, or DirectProxy's).
+	// the host keeps (the boundary's copy-out, or the same append in process).
 	out       Actions
 	sealed    []byte
 	queryMsgs []msg.CacheQuery
@@ -604,8 +604,7 @@ func (c *Core) handleOperation(now time.Duration, sess *session, client, clientS
 // Re-registration (client retransmission) keeps the already-collected votes.
 // The returned request's Op is op itself — a view of the record's plaintext
 // or of a fast read's storage, valid for this call: it leaves through
-// Actions, which the binding copies on the way out (the boundary's copy-out,
-// or DirectProxy's).
+// Actions, which the binding copies on the way out.
 func (c *Core) registerVote(sess *session, key voteKey, opHash msg.Digest, op []byte, read, fast bool) msg.OrderRequest {
 	flags := uint8(0)
 	if read {

@@ -8,12 +8,15 @@ import (
 	"github.com/troxy-bft/troxy/internal/wire"
 )
 
-// Proxy is how the untrusted replica part uses its Troxy. Two bindings
-// exist, matching the evaluation's configurations:
+// Proxy is how the untrusted replica part uses its Troxy: two
+// configurations, one binding (Binding). Every call encodes its argument,
+// crosses into one of the entry points Trusted hosts and decodes what comes
+// back; the configurations of the evaluation differ only in the crossing:
 //
-//   - DirectProxy ("ctroxy"): the native Troxy library invoked directly,
-//     outside SGX. It pays JNI crossing costs but no enclave transitions.
-//   - EnclaveProxy ("etroxy"): every call is an ecall into the enclave
+//   - ctroxy (NewDirectProxy): the native Troxy library, outside SGX, its
+//     entry points called in process. It pays JNI crossing costs but no
+//     enclave transitions.
+//   - etroxy (NewEnclaveProxy): every call is an ecall into the enclave
 //     hosting the Troxy, paying JNI plus transition costs and copying all
 //     buffers across the boundary.
 //
@@ -33,11 +36,11 @@ type Proxy interface {
 	// Every byte slice in an Actions, of this call and of every other, is the
 	// caller's to keep, and so is every message and slice an Actions holds:
 	// what a Core call returns lives in the Core's scratch until its next
-	// call, and both bindings copy it out once — the enclave binding's are
-	// views of the boundary's copy-out, the direct binding makes the same
-	// copy. Ordering keeps a submit as it is handed over, a client record's
-	// Body is the envelope body it leaves in, and a call can re-enter the
-	// proxy before the caller is done with the Actions of the last.
+	// call, and the binding copies it out once — the enclave's copy-out, or in
+	// process the same append — and decodes views of that copy. Ordering
+	// keeps a submit as it is handed over, a client record's Body is the
+	// envelope body it leaves in, and a call can re-enter the proxy before the
+	// caller is done with the Actions of the last.
 	HandleClientData(env node.Env, connID uint64, from msg.NodeID, payload []byte) (Actions, error)
 	//
 	// rep is the caller's in both reply calls and may be one it reuses: no
@@ -62,19 +65,7 @@ type Proxy interface {
 	Stats() (Stats, error)
 }
 
-// chargeCommon prices the work every binding performs for a call: the JNI
-// crossing from the Java replica host into native code.
-func chargeCommon(env node.Env, p node.Profile, bytes int) {
-	env.Charge(p, node.ChargeJNI, bytes)
-}
-
-// chargeClientData prices secure-channel record processing and per-action
-// output work, shared by both bindings.
-func chargeClientData(env node.Env, p node.Profile, payload []byte, acts *Actions) {
-	env.Charge(p, node.ChargeAEAD, len(payload))
-	chargeActions(env, p, acts)
-}
-
+// chargeActions prices the per-action output work of a call.
 func chargeActions(env node.Env, p node.Profile, acts *Actions) {
 	for _, cr := range acts.Client {
 		env.Charge(p, node.ChargeAEAD, len(cr.Frame))
@@ -87,164 +78,19 @@ func chargeActions(env node.Env, p node.Profile, acts *Actions) {
 	}
 }
 
-// DirectProxy invokes the Core in-process ("ctroxy").
-type DirectProxy struct {
-	core    *Core
-	profile node.Profile
-}
-
-// own copies a Core call's actions out of the Core's scratch — where there is
-// no boundary to copy them out, this is the copy the caller is owed — the way
-// the enclave binding's copy-out does and through the same codec: one buffer
-// for every byte, each client record's Body built in it. A call that failed
-// or did nothing returns no actions.
-func own(acts Actions, err error) (Actions, error) {
-	if err != nil || len(acts.Client)+len(acts.Submits)+len(acts.Queries) == 0 {
-		return Actions{}, err
-	}
-	w := wire.GetWriter()
-	defer wire.PutWriter(w)
-	encodeActions(w, &acts)
-	return decodeActions(w.CopyBytes())
-}
-
-// NewDirectProxy wraps a core without an enclave boundary.
-func NewDirectProxy(core *Core) *DirectProxy {
-	return &DirectProxy{core: core, profile: node.ProfileCpp}
-}
-
-var _ Proxy = (*DirectProxy)(nil)
-
-// Profile implements Proxy.
-func (p *DirectProxy) Profile() node.Profile { return p.profile }
-
-// AcceptConn implements Proxy.
-func (p *DirectProxy) AcceptConn(env node.Env, connID uint64, from msg.NodeID) {
-	chargeCommon(env, p.profile, 16)
-	p.core.AcceptConn(connID, from)
-}
-
-// CloseConn implements Proxy.
-func (p *DirectProxy) CloseConn(env node.Env, connID uint64) {
-	chargeCommon(env, p.profile, 8)
-	p.core.CloseConn(connID)
-}
-
-// HandleClientData implements Proxy.
-func (p *DirectProxy) HandleClientData(env node.Env, connID uint64, from msg.NodeID, payload []byte) (Actions, error) {
-	chargeCommon(env, p.profile, len(payload))
-	acts, err := own(p.core.HandleClientData(env.Now(), connID, from, payload))
-	if err != nil {
-		return acts, err
-	}
-	chargeClientData(env, p.profile, payload, &acts)
-	return acts, nil
-}
-
-// AuthenticateReply implements Proxy.
-func (p *DirectProxy) AuthenticateReply(env node.Env, rep *msg.OrderedReply, read, fresh bool, opHash msg.Digest) error {
-	n := len(rep.Result) + 64
-	chargeCommon(env, p.profile, n)
-	env.Charge(p.profile, node.ChargeMAC, n)
-	return p.core.AuthenticateReply(rep, read, fresh, opHash, rep.TroxyTag)
-}
-
-// HandleReply implements Proxy.
-func (p *DirectProxy) HandleReply(env node.Env, rep *msg.OrderedReply) (Actions, error) {
-	n := len(rep.Result) + 64
-	chargeCommon(env, p.profile, n)
-	env.Charge(p.profile, node.ChargeMAC, n)  // tag verification
-	env.Charge(p.profile, node.ChargeHash, n) // vote hash
-	acts, err := own(p.core.HandleReply(env.Now(), rep))
-	if err != nil {
-		return acts, err
-	}
-	chargeActions(env, p.profile, &acts)
-	return acts, nil
-}
-
-// AuthenticateSpecReply implements Proxy.
-func (p *DirectProxy) AuthenticateSpecReply(env node.Env, sr *msg.SpecReply) error {
-	n := len(sr.Result) + 96
-	chargeCommon(env, p.profile, n)
-	env.Charge(p.profile, node.ChargeMAC, n)
-	return p.core.AuthenticateSpecReply(sr)
-}
-
-// HandleSpecReply implements Proxy.
-func (p *DirectProxy) HandleSpecReply(env node.Env, sr *msg.SpecReply) (Actions, error) {
-	n := len(sr.Result) + 96
-	chargeCommon(env, p.profile, n)
-	env.Charge(p.profile, node.ChargeMAC, n)  // tag verification
-	env.Charge(p.profile, node.ChargeHash, n) // spec vote hash
-	acts, err := own(p.core.HandleSpecReply(env.Now(), sr))
-	if err != nil {
-		return acts, err
-	}
-	chargeActions(env, p.profile, &acts)
-	return acts, nil
-}
-
-// HandleRetract implements Proxy.
-func (p *DirectProxy) HandleRetract(env node.Env, client, clientSeq, slotSeq, view uint64) (Actions, error) {
-	chargeCommon(env, p.profile, 32)
-	acts, err := own(p.core.HandleRetract(client, clientSeq, slotSeq, view))
-	if err != nil {
-		return acts, err
-	}
-	chargeActions(env, p.profile, &acts)
-	return acts, nil
-}
-
-// HandleCacheQuery implements Proxy.
-func (p *DirectProxy) HandleCacheQuery(env node.Env, q *msg.CacheQuery) (Actions, error) {
-	chargeCommon(env, p.profile, 64)
-	env.Charge(p.profile, node.ChargeMAC, 64) // tag verification
-	acts, err := own(p.core.HandleCacheQuery(q))
-	if err != nil {
-		return acts, err
-	}
-	chargeActions(env, p.profile, &acts)
-	return acts, nil
-}
-
-// HandleCacheReply implements Proxy.
-func (p *DirectProxy) HandleCacheReply(env node.Env, r *msg.CacheReply) (Actions, error) {
-	chargeCommon(env, p.profile, 96)
-	env.Charge(p.profile, node.ChargeMAC, 96)
-	acts, err := own(p.core.HandleCacheReply(env.Now(), r))
-	if err != nil {
-		return acts, err
-	}
-	chargeActions(env, p.profile, &acts)
-	return acts, nil
-}
-
-// Tick implements Proxy.
-func (p *DirectProxy) Tick(env node.Env) (Actions, error) {
-	acts, err := own(p.core.Tick(env.Now()), nil)
-	if err != nil {
-		return acts, err
-	}
-	chargeActions(env, p.profile, &acts)
-	return acts, nil
-}
-
-// Stats implements Proxy.
-func (p *DirectProxy) Stats() (Stats, error) { return p.core.Stats(), nil }
-
-// EnclaveProxy routes every call through the enclave's ecall interface
-// ("etroxy"). Arguments are serialized, defensively copied by the boundary,
-// and results decoded back — the full cost of the paper's trusted subsystem.
-// An argument is built in a pooled writer, released once the ecall returns
-// (the boundary took its own copy); a result is the boundary's copy-out and
-// is decoded by view. The proxy brings room for the two results nothing keeps
-// — a reply's tag, which moves on into the reply's own storage, and the
-// encoding of an empty Actions, which has no bytes to view; any other result
-// is longer than the room it is offered, so the copy-out allocates and the
-// decoded Actions own what they point to.
-type EnclaveProxy struct {
+// Binding is the one Proxy. An argument is built in a pooled writer, released
+// once the call returns (the callee took what it keeps); a result is copied
+// out of the handler's pooled writer — by the enclave boundary, or in process
+// by the same append — and decoded by view. The binding brings room for the
+// two results nothing keeps — a reply's tag, which moves on into the reply's
+// own storage, and the encoding of an empty Actions, which has no bytes to
+// view; any other result is longer than the room it is offered, so the
+// copy-out allocates and the decoded Actions own what they point to.
+type Binding struct {
+	// enc is the enclave hosting the Troxy (etroxy); without one, ecalls is
+	// the Troxy's half of the interface, called in process (ctroxy).
 	enc     *enclave.Enclave
+	ecalls  map[string]func([]byte) ([]byte, error)
 	profile node.Profile
 	room    [tagResultLen]byte // valid until the next call
 }
@@ -257,34 +103,63 @@ const (
 	noActionsLen = 12
 )
 
-// NewEnclaveProxy wraps a launched Troxy enclave.
-func NewEnclaveProxy(enc *enclave.Enclave) *EnclaveProxy {
-	return &EnclaveProxy{enc: enc, profile: node.ProfileEnclave}
+// NewDirectProxy binds a provisioned core in process, without an enclave
+// boundary: the Troxy's entry points, and no counter subsystem behind them.
+func NewDirectProxy(core *Core) *Binding {
+	t := &Trusted{core: core}
+	return &Binding{ecalls: t.accounted(t.troxyECalls()), profile: node.ProfileCpp}
 }
 
-var _ Proxy = (*EnclaveProxy)(nil)
+// NewEnclaveProxy binds a launched Troxy enclave.
+func NewEnclaveProxy(enc *enclave.Enclave) *Binding {
+	return &Binding{enc: enc, profile: node.ProfileEnclave}
+}
+
+var _ Proxy = (*Binding)(nil)
 
 // Profile implements Proxy.
-func (p *EnclaveProxy) Profile() node.Profile { return p.profile }
+func (p *Binding) Profile() node.Profile { return p.profile }
 
-// Enclave returns the underlying enclave (tests inspect its stats).
-func (p *EnclaveProxy) Enclave() *enclave.Enclave { return p.enc }
-
-// call crosses into the enclave; the result is appended to room.
-func (p *EnclaveProxy) call(env node.Env, room []byte, name string, arg []byte) ([]byte, error) {
-	chargeCommon(env, p.profile, len(arg))
+// call crosses into the Troxy — the JNI crossing from the Java replica host
+// into native code, then the ecall or the same handler in process — and
+// appends the result to room.
+func (p *Binding) call(env node.Env, room []byte, name string, arg []byte) ([]byte, error) {
+	env.Charge(p.profile, node.ChargeJNI, len(arg))
+	if p.enc == nil {
+		res, err := p.ecalls[name](arg)
+		return append(room, res...), err
+	}
 	out, err := p.enc.ECallAppend(room, name, arg)
 	env.Charge(p.profile, node.ChargeTransition, len(arg)+len(out))
 	return out, err
 }
 
-// actions is call for an ecall whose result is an Actions.
-func (p *EnclaveProxy) actions(env node.Env, name string, arg []byte) ([]byte, error) {
-	return p.call(env, p.room[:0:noActionsLen], name, arg)
+// actions is call for an entry point whose result is an Actions. Once the
+// Troxy has answered it charges the tag check of what it was handed (mac
+// bytes) and the vote's hash (hash bytes), either skipped at zero, then the
+// Actions' output work.
+func (p *Binding) actions(env node.Env, name string, arg []byte, mac, hash int) (Actions, error) {
+	out, err := p.call(env, p.room[:0:noActionsLen], name, arg)
+	if err != nil {
+		return Actions{}, err
+	}
+	if mac > 0 {
+		env.Charge(p.profile, node.ChargeMAC, mac)
+	}
+	if hash > 0 {
+		env.Charge(p.profile, node.ChargeHash, hash)
+	}
+	acts, err := decodeActions(out)
+	if err != nil {
+		return Actions{}, err
+	}
+	chargeActions(env, p.profile, &acts)
+	return acts, nil
 }
 
-// tag is call for the authenticate ecalls: it appends the result's tag to dst.
-func (p *EnclaveProxy) tag(env node.Env, dst []byte, name string, arg []byte) ([]byte, error) {
+// tag is call for the authenticate entry points: it appends the result's tag
+// to dst.
+func (p *Binding) tag(env node.Env, dst []byte, name string, arg []byte) ([]byte, error) {
 	out, err := p.call(env, p.room[:0], name, arg)
 	if err != nil {
 		return dst, err
@@ -295,7 +170,7 @@ func (p *EnclaveProxy) tag(env node.Env, dst []byte, name string, arg []byte) ([
 }
 
 // AcceptConn implements Proxy.
-func (p *EnclaveProxy) AcceptConn(env node.Env, connID uint64, from msg.NodeID) {
+func (p *Binding) AcceptConn(env node.Env, connID uint64, from msg.NodeID) {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	w.U64(connID)
@@ -304,35 +179,31 @@ func (p *EnclaveProxy) AcceptConn(env node.Env, connID uint64, from msg.NodeID) 
 }
 
 // CloseConn implements Proxy.
-func (p *EnclaveProxy) CloseConn(env node.Env, connID uint64) {
+func (p *Binding) CloseConn(env node.Env, connID uint64) {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	w.U64(connID)
 	_, _ = p.call(env, nil, ECallClose, w.Bytes())
 }
 
-// HandleClientData implements Proxy.
-func (p *EnclaveProxy) HandleClientData(env node.Env, connID uint64, from msg.NodeID, payload []byte) (Actions, error) {
+// HandleClientData implements Proxy. Besides the actions it charges the
+// secure-channel record's AEAD.
+func (p *Binding) HandleClientData(env node.Env, connID uint64, from msg.NodeID, payload []byte) (Actions, error) {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	w.I64(int64(env.Now()))
 	w.U64(connID)
 	w.U32(uint32(from))
 	w.Bytes32(payload)
-	out, err := p.actions(env, ECallClientData, w.Bytes())
-	if err != nil {
-		return Actions{}, err
+	acts, err := p.actions(env, ECallClientData, w.Bytes(), 0, 0)
+	if err == nil {
+		env.Charge(p.profile, node.ChargeAEAD, len(payload))
 	}
-	acts, err := decodeActions(out)
-	if err != nil {
-		return Actions{}, err
-	}
-	chargeClientData(env, p.profile, payload, &acts)
-	return acts, nil
+	return acts, err
 }
 
 // AuthenticateReply implements Proxy.
-func (p *EnclaveProxy) AuthenticateReply(env node.Env, rep *msg.OrderedReply, read, fresh bool, opHash msg.Digest) error {
+func (p *Binding) AuthenticateReply(env node.Env, rep *msg.OrderedReply, read, fresh bool, opHash msg.Digest) error {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	w.Bool(read)
@@ -349,28 +220,17 @@ func (p *EnclaveProxy) AuthenticateReply(env node.Env, rep *msg.OrderedReply, re
 }
 
 // HandleReply implements Proxy.
-func (p *EnclaveProxy) HandleReply(env node.Env, rep *msg.OrderedReply) (Actions, error) {
+func (p *Binding) HandleReply(env node.Env, rep *msg.OrderedReply) (Actions, error) {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	w.I64(int64(env.Now()))
 	rep.MarshalWire(w)
-	out, err := p.actions(env, ECallHandleReply, w.Bytes())
-	if err != nil {
-		return Actions{}, err
-	}
 	n := len(rep.Result) + 64
-	env.Charge(p.profile, node.ChargeMAC, n)
-	env.Charge(p.profile, node.ChargeHash, n)
-	acts, err := decodeActions(out)
-	if err != nil {
-		return Actions{}, err
-	}
-	chargeActions(env, p.profile, &acts)
-	return acts, nil
+	return p.actions(env, ECallHandleReply, w.Bytes(), n, n)
 }
 
 // AuthenticateSpecReply implements Proxy.
-func (p *EnclaveProxy) AuthenticateSpecReply(env node.Env, sr *msg.SpecReply) error {
+func (p *Binding) AuthenticateSpecReply(env node.Env, sr *msg.SpecReply) error {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	sr.MarshalWire(w)
@@ -384,103 +244,60 @@ func (p *EnclaveProxy) AuthenticateSpecReply(env node.Env, sr *msg.SpecReply) er
 }
 
 // HandleSpecReply implements Proxy.
-func (p *EnclaveProxy) HandleSpecReply(env node.Env, sr *msg.SpecReply) (Actions, error) {
+func (p *Binding) HandleSpecReply(env node.Env, sr *msg.SpecReply) (Actions, error) {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	w.I64(int64(env.Now()))
 	sr.MarshalWire(w)
-	out, err := p.actions(env, ECallSpecReply, w.Bytes())
-	if err != nil {
-		return Actions{}, err
-	}
 	n := len(sr.Result) + 96
-	env.Charge(p.profile, node.ChargeMAC, n)
-	env.Charge(p.profile, node.ChargeHash, n)
-	acts, err := decodeActions(out)
-	if err != nil {
-		return Actions{}, err
-	}
-	chargeActions(env, p.profile, &acts)
-	return acts, nil
+	return p.actions(env, ECallSpecReply, w.Bytes(), n, n)
 }
 
 // HandleRetract implements Proxy.
-func (p *EnclaveProxy) HandleRetract(env node.Env, client, clientSeq, slotSeq, view uint64) (Actions, error) {
+func (p *Binding) HandleRetract(env node.Env, client, clientSeq, slotSeq, view uint64) (Actions, error) {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	w.U64(client)
 	w.U64(clientSeq)
 	w.U64(slotSeq)
 	w.U64(view)
-	out, err := p.actions(env, ECallRetract, w.Bytes())
-	if err != nil {
-		return Actions{}, err
-	}
-	acts, err := decodeActions(out)
-	if err != nil {
-		return Actions{}, err
-	}
-	chargeActions(env, p.profile, &acts)
-	return acts, nil
+	return p.actions(env, ECallRetract, w.Bytes(), 0, 0)
 }
 
 // HandleCacheQuery implements Proxy.
-func (p *EnclaveProxy) HandleCacheQuery(env node.Env, q *msg.CacheQuery) (Actions, error) {
+func (p *Binding) HandleCacheQuery(env node.Env, q *msg.CacheQuery) (Actions, error) {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	q.MarshalWire(w)
-	out, err := p.actions(env, ECallCacheQuery, w.Bytes())
-	if err != nil {
-		return Actions{}, err
-	}
-	env.Charge(p.profile, node.ChargeMAC, 64)
-	acts, err := decodeActions(out)
-	if err != nil {
-		return Actions{}, err
-	}
-	chargeActions(env, p.profile, &acts)
-	return acts, nil
+	return p.actions(env, ECallCacheQuery, w.Bytes(), 64, 0)
 }
 
 // HandleCacheReply implements Proxy.
-func (p *EnclaveProxy) HandleCacheReply(env node.Env, r *msg.CacheReply) (Actions, error) {
+func (p *Binding) HandleCacheReply(env node.Env, r *msg.CacheReply) (Actions, error) {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	w.I64(int64(env.Now()))
 	r.MarshalWire(w)
-	out, err := p.actions(env, ECallCacheReply, w.Bytes())
-	if err != nil {
-		return Actions{}, err
-	}
-	env.Charge(p.profile, node.ChargeMAC, 96)
-	acts, err := decodeActions(out)
-	if err != nil {
-		return Actions{}, err
-	}
-	chargeActions(env, p.profile, &acts)
-	return acts, nil
+	return p.actions(env, ECallCacheReply, w.Bytes(), 96, 0)
 }
 
 // Tick implements Proxy.
-func (p *EnclaveProxy) Tick(env node.Env) (Actions, error) {
+func (p *Binding) Tick(env node.Env) (Actions, error) {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	w.I64(int64(env.Now()))
-	out, err := p.actions(env, ECallTick, w.Bytes())
-	if err != nil {
-		return Actions{}, err
-	}
-	acts, err := decodeActions(out)
-	if err != nil {
-		return Actions{}, err
-	}
-	chargeActions(env, p.profile, &acts)
-	return acts, nil
+	return p.actions(env, ECallTick, w.Bytes(), 0, 0)
 }
 
 // Stats implements Proxy.
-func (p *EnclaveProxy) Stats() (Stats, error) {
-	out, err := p.enc.ECall(ECallStats, nil)
+func (p *Binding) Stats() (Stats, error) {
+	var out []byte
+	var err error
+	if p.enc == nil {
+		out, err = p.ecalls[ECallStats](nil)
+	} else {
+		out, err = p.enc.ECall(ECallStats, nil)
+	}
 	if err != nil {
 		return Stats{}, err
 	}

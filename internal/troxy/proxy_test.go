@@ -3,8 +3,10 @@ package troxy
 import (
 	"bytes"
 	"encoding/binary"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -78,10 +80,8 @@ func TestProxyBindingsEquivalent(t *testing.T) {
 	_ = secrets
 
 	env := nullEnv{}
-	// A step's submits are recorded as encoded, there and then: their
-	// operations are only valid until the next HandleClientData (the direct
-	// binding's are views of the Core's plaintext buffer). The encoding
-	// carries each request's digest, as the enclave boundary does.
+	// A step's submits are recorded as encoded, there and then. The encoding
+	// carries each request's digest, as the boundary does.
 	encoded := func(acts Actions) []byte {
 		w := wire.NewWriter(256)
 		encodeActions(w, &Actions{Submits: acts.Submits})
@@ -313,20 +313,24 @@ func TestEnclaveProxyCountsTransitions(t *testing.T) {
 	}
 }
 
-func TestTrustedInterfaceIsExactlyNineteenECalls(t *testing.T) {
-	trusted := NewTrusted(NewCore(Config{Self: 0, N: 3, F: 1, Seed: 1}), tcounter.NewSubsystem(0))
-	table := trusted.ECalls()
-	if len(table) != 19 {
-		t.Fatalf("enclave interface has %d entry points, want 19 (the paper's 16 plus the speculative tier's 3)", len(table))
+// TestTrustedInterfaceIsExactlyTheseECalls pins the enclave interface by name
+// — the Troxy's twelve entry points and the counter subsystem's two, nothing
+// the host does not call — and the table a binding without an enclave calls
+// in process: the same Troxy entry points, and no counter entry point.
+func TestTrustedInterfaceIsExactlyTheseECalls(t *testing.T) {
+	troxyCalls := []string{ // sorted
+		"troxy_accept_connection", "troxy_authenticate_reply", "troxy_authenticate_spec_reply",
+		"troxy_close_connection", "troxy_get_stats", "troxy_handle_cache_query",
+		"troxy_handle_cache_reply", "troxy_handle_client_data", "troxy_handle_reply",
+		"troxy_handle_retract", "troxy_handle_spec_reply", "troxy_tick",
 	}
-	for _, name := range []string{
-		ECallClientData, ECallAuthReply, ECallHandleReply,
-		ECallAuthSpecReply, ECallSpecReply, ECallRetract,
-		tcounter.ECallCertify, tcounter.ECallVerify,
-	} {
-		if table[name] == nil {
-			t.Errorf("missing ecall %q", name)
-		}
+	want := append([]string{"counter_certify", "counter_verify"}, troxyCalls...)
+	core := NewCore(Config{Self: 0, N: 3, F: 1, Seed: 1})
+	if got := slices.Sorted(maps.Keys(NewTrusted(core, tcounter.NewSubsystem(0)).ECalls())); !slices.Equal(got, want) {
+		t.Errorf("enclave interface = %q,\nwant %q", got, want)
+	}
+	if got := slices.Sorted(maps.Keys(NewDirectProxy(core).ecalls)); !slices.Equal(got, troxyCalls) {
+		t.Errorf("in-process table = %q,\nwant %q", got, troxyCalls)
 	}
 }
 

@@ -217,7 +217,7 @@ func httpScratchScript(r *scratchRun) {
 // into one buffer, seals every client record and tag into another, builds its
 // cache messages and Actions in slices it reuses, and recycles ended votes
 // and fast reads with their storage. Overwriting all of that after every call
-// — through the direct binding, which copies the Actions out of it, and
+// — through the binding in process, which copies the Actions out of it, and
 // through the enclave — must change nothing: not one action of any call, while
 // the caller holds it or afterwards, and not what the client reads.
 func TestPlaintextScratchIsNotRetained(t *testing.T) {

@@ -13,11 +13,11 @@ import (
 )
 
 // The enclave interface. The paper's prototype "defines only 16 ecalls and
-// no ocalls" (Section V-A); the tunable-commit-level extension grows that to
-// 19 while keeping the no-ocall property: thirteen Troxy entry points (the
-// paper's ten plus three for the speculative tier), two trusted-counter
-// entry points (the Hybster subsystem co-located in the same enclave), and
-// four lifecycle/attestation entry points.
+// no ocalls" (Section V-A); here it is 14 and still no ocall: twelve Troxy
+// entry points (three of them the speculative tier's) and the two of the
+// trusted-counter subsystem co-located in the same enclave
+// (tcounter.ECallCertify and tcounter.ECallVerify). Nothing the host does not
+// call is an entry point.
 const (
 	ECallAccept        = "troxy_accept_connection"
 	ECallClose         = "troxy_close_connection"
@@ -31,12 +31,6 @@ const (
 	ECallCacheReply    = "troxy_handle_cache_reply"
 	ECallTick          = "troxy_tick"
 	ECallStats         = "troxy_get_stats"
-	ECallReset         = "troxy_reset"
-	ECallSeal          = "troxy_seal_state"
-	ECallUnseal        = "troxy_unseal_state"
-	ECallReport        = "troxy_attest_report"
-	ECallProbeEnabled  = "troxy_fast_reads_enabled"
-	// plus tcounter.ECallCertify and tcounter.ECallVerify = 19 entry points.
 )
 
 // CodeIdentity is the enclave measurement input for the Troxy enclave.
@@ -44,7 +38,8 @@ const CodeIdentity = "troxy-enclave-v1"
 
 // Trusted hosts a Core and a trusted-counter subsystem behind the enclave
 // boundary, serializing every argument and result (the enclave copies both
-// directions; see internal/enclave).
+// directions; see internal/enclave). A binding without an enclave calls the
+// Core's half of the same handlers in process (NewDirectProxy).
 type Trusted struct {
 	core     *Core
 	counters *tcounter.Subsystem
@@ -54,7 +49,7 @@ type Trusted struct {
 	epcReported int64
 
 	// res holds the result of the ecall in progress. A handler's result is
-	// trusted memory the boundary copies out before the next ecall can enter
+	// trusted memory the binding copies out before it makes its next call
 	// (the enclave admits one thread), so the buffer is pooled: taken by
 	// result, returned when the next ecall starts.
 	res *wire.Writer
@@ -103,11 +98,25 @@ func (t *Trusted) actions(acts *Actions) []byte {
 	return w.Bytes()
 }
 
-// ECalls implements enclave.Trusted. Handlers decode their argument by view:
-// the boundary's copy-in belongs to the call, and whatever the Core keeps of
-// it the Core copies. A handler's result is valid until the next ecall.
+// ECalls implements enclave.Trusted: the Troxy's entry points and the
+// counter subsystem's.
 func (t *Trusted) ECalls() map[string]func([]byte) ([]byte, error) {
-	table := map[string]func([]byte) ([]byte, error){
+	table := t.troxyECalls()
+	for name, fn := range tcounter.ECallHandlers(t.counters) {
+		table[name] = fn
+	}
+	if len(table) != 14 {
+		panic(fmt.Sprintf("troxy: enclave interface has %d entry points, want 14", len(table)))
+	}
+	return t.accounted(table)
+}
+
+// troxyECalls is the Troxy's half of the interface, which is all a binding
+// without an enclave calls. Handlers decode their argument by view: the
+// boundary's copy-in belongs to the call, and whatever the Core keeps of it
+// the Core copies. A handler's result is valid until the next call.
+func (t *Trusted) troxyECalls() map[string]func([]byte) ([]byte, error) {
+	return map[string]func([]byte) ([]byte, error){
 		ECallAccept: func(arg []byte) ([]byte, error) {
 			r := wire.NewReader(arg)
 			connID := r.U64()
@@ -268,45 +277,19 @@ func (t *Trusted) ECalls() map[string]func([]byte) ([]byte, error) {
 		ECallStats: func([]byte) ([]byte, error) {
 			return encodeStats(t.core.Stats()), nil
 		},
-		ECallReset: func([]byte) ([]byte, error) {
-			t.core.Reset()
-			return nil, nil
-		},
-		ECallSeal: func(arg []byte) ([]byte, error) {
-			return t.sv.Seal(arg)
-		},
-		ECallUnseal: func(arg []byte) ([]byte, error) {
-			return t.sv.Unseal(arg)
-		},
-		ECallReport: func(arg []byte) ([]byte, error) {
-			// Report data for attestation: callers bind a challenge to the
-			// enclave identity (the platform quotes it; see enclave.QuoteFor).
-			m := enclave.MeasureCode(CodeIdentity)
-			out := make([]byte, 0, len(m)+len(arg))
-			out = append(out, m[:]...)
-			out = append(out, arg...)
-			return out, nil
-		},
-		ECallProbeEnabled: func([]byte) ([]byte, error) {
-			if t.core.cfg.FastReads {
-				return []byte{1}, nil
-			}
-			return []byte{0}, nil
-		},
 	}
-	for name, fn := range tcounter.ECallHandlers(t.counters) {
-		table[name] = fn
-	}
-	if len(table) != 19 {
-		panic(fmt.Sprintf("troxy: enclave interface has %d entry points, want 19", len(table)))
-	}
-	// Account the fast-read cache's trusted memory against the EPC budget
-	// after every boundary crossing: the prototype keeps its footprint small
-	// precisely because EPC overflow means paging (Section V-A).
+}
+
+// accounted wraps every handler of table for the crossing: the previous
+// call's result is released first (its caller has copied it out), and the
+// fast-read cache's trusted memory is accounted against the EPC budget after
+// the handler — the prototype keeps its footprint small precisely because
+// EPC overflow means paging (Section V-A).
+func (t *Trusted) accounted(table map[string]func([]byte) ([]byte, error)) map[string]func([]byte) ([]byte, error) {
 	for name, fn := range table {
 		inner := fn
 		table[name] = func(arg []byte) ([]byte, error) {
-			wire.PutWriter(t.res) // the previous ecall's result has been copied out
+			wire.PutWriter(t.res)
 			t.res = nil
 			out, err := inner(arg)
 			t.syncEPC()
@@ -368,12 +351,11 @@ func encodeActions(w *wire.Writer, a *Actions) {
 }
 
 // decodeActions decodes by view: frames, bodies, operations and tags alias b,
-// which on the host side is the boundary's copy-out (or DirectProxy's copy)
-// and belongs to the caller. A client record's Body is the span of its
-// ChannelData encoding, its Frame inside. A submit arrives with its digest: b
-// is this replica's own trusted subsystem speaking, and a wrong digest would
-// only get this replica's proposals rejected — every other replica computes
-// its own from the bytes.
+// which on the host side is the binding's copy-out and belongs to the caller.
+// A client record's Body is the span of its ChannelData encoding, its Frame
+// inside. A submit arrives with its digest: b is this replica's own trusted
+// subsystem speaking, and a wrong digest would only get this replica's
+// proposals rejected — every other replica computes its own from the bytes.
 func decodeActions(b []byte) (Actions, error) {
 	var a Actions
 	r := wire.NewReader(b)
