@@ -149,7 +149,6 @@ type Cluster struct {
 	Config    ClusterConfig
 	Replicas  []*replica.Replica
 	Enclaves  []*enclave.Enclave
-	Platforms []*enclave.Platform
 	Directory *authn.Directory
 
 	// ServerPub is the service identity legacy clients pin.
@@ -157,11 +156,10 @@ type Cluster struct {
 
 	apps    []app.Application
 	proxies []itroxy.Proxy
+	secrets map[string][]byte // what every enclave is provisioned with
 }
 
-// NewCluster builds a cluster: per replica it launches the enclave(s),
-// verifies a quote (remote attestation), provisions the secrets, and wires
-// the protocol core with the configured frontend.
+// NewCluster builds a cluster of cfg.N replicas, each with newReplica.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.N == 0 {
 		cfg.N, cfg.F = 3, 1
@@ -175,6 +173,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Mode == 0 {
 		cfg.Mode = ETroxy
 	}
+	if cfg.Mode > ETroxy {
+		return nil, fmt.Errorf("troxy: unknown mode %d", cfg.Mode)
+	}
 	if cfg.App == nil {
 		return nil, fmt.Errorf("troxy: missing application factory")
 	}
@@ -187,29 +188,42 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		return nil, err
 	}
 
-	cl := &Cluster{Config: cfg, Directory: dir}
 	identitySeed := dir.ServiceIdentitySeed()
-	cl.ServerPub = ed25519.NewKeyFromSeed(identitySeed).Public().(ed25519.PublicKey)
-
-	secrets := map[string][]byte{
-		tcounter.SecretName:   dir.CounterKey(),
-		itroxy.SecretIdentity: identitySeed,
-		itroxy.SecretGroup:    dir.TroxyGroupKey(),
+	cl := &Cluster{
+		Config:    cfg,
+		Replicas:  make([]*replica.Replica, cfg.N),
+		Enclaves:  make([]*enclave.Enclave, cfg.N),
+		Directory: dir,
+		ServerPub: ed25519.NewKeyFromSeed(identitySeed).Public().(ed25519.PublicKey),
+		apps:      make([]app.Application, cfg.N),
+		proxies:   make([]itroxy.Proxy, cfg.N),
+		secrets: map[string][]byte{
+			tcounter.SecretName:   dir.CounterKey(),
+			itroxy.SecretIdentity: identitySeed,
+			itroxy.SecretGroup:    dir.TroxyGroupKey(),
+		},
 	}
-
 	for i := 0; i < cfg.N; i++ {
-		self := msg.NodeID(i)
-		platform := enclave.NewPlatform()
-		cl.Platforms = append(cl.Platforms, platform)
-		counters := tcounter.NewSubsystem(self)
+		if err := cl.newReplica(i); err != nil {
+			return nil, err
+		}
+	}
+	return cl, nil
+}
 
-		var (
-			proxy     itroxy.Proxy
-			enc       *enclave.Enclave
-			authority tcounter.Authority
-		)
-
-		troxyCfg := itroxy.Config{
+// newReplica builds replica i from nothing — a fresh platform and enclave,
+// counters at zero, an empty application and a new Troxy core — and installs
+// it at index i; on error nothing at i changes. Every mode launches one
+// enclave, verifies its quote (remote attestation) and only then provisions
+// it. The modes differ in what it hosts (the counters, and in ETroxy the Troxy
+// beside them) and in the proxy: none, the library in process, or ecalls.
+func (c *Cluster) newReplica(i int) error {
+	cfg := c.Config
+	self := msg.NodeID(i)
+	counters := tcounter.NewSubsystem(self)
+	var core *itroxy.Core
+	if cfg.Mode != Baseline {
+		core = itroxy.NewCore(itroxy.Config{
 			Self:             self,
 			N:                cfg.N,
 			F:                cfg.F,
@@ -223,110 +237,66 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			QueryTimeout:     cfg.QueryTimeout,
 			FullCacheReplies: cfg.FullCacheReplies,
 			HTTP:             cfg.HTTP,
-		}
-
-		switch cfg.Mode {
-		case Baseline:
-			// Only the counter subsystem runs inside SGX.
-			enc, err = platform.Launch(enclave.Definition{
-				Name:         fmt.Sprintf("hybster-counters-%d", i),
-				CodeIdentity: "hybster-counters-v1",
-			}, tcounter.Hosted{S: counters}, nil)
-			if err != nil {
-				return nil, fmt.Errorf("troxy: launch counter enclave %d: %w", i, err)
-			}
-			if err := attestAndProvision(platform, enc, "hybster-counters-v1", secrets); err != nil {
-				return nil, err
-			}
-			authority = tcounter.EnclaveAuthority{E: enc}
-
-		case CTroxy:
-			// The Troxy library runs natively, in process; the counters stay in SGX.
-			core := itroxy.NewCore(troxyCfg)
-			if err := core.ProvisionSecrets(secrets); err != nil {
-				return nil, fmt.Errorf("troxy: provision ctroxy %d: %w", i, err)
-			}
-			proxy = itroxy.NewDirectProxy(core)
-			enc, err = platform.Launch(enclave.Definition{
-				Name:         fmt.Sprintf("hybster-counters-%d", i),
-				CodeIdentity: "hybster-counters-v1",
-			}, tcounter.Hosted{S: counters}, nil)
-			if err != nil {
-				return nil, fmt.Errorf("troxy: launch counter enclave %d: %w", i, err)
-			}
-			if err := attestAndProvision(platform, enc, "hybster-counters-v1", secrets); err != nil {
-				return nil, err
-			}
-			authority = tcounter.EnclaveAuthority{E: enc}
-
-		case ETroxy:
-			// One enclave hosts the Troxy and the counter subsystem behind
-			// the 14-ecall interface.
-			trusted := itroxy.NewTrusted(itroxy.NewCore(troxyCfg), counters)
-			enc, err = platform.Launch(enclave.Definition{
-				Name:         fmt.Sprintf("troxy-%d", i),
-				CodeIdentity: itroxy.CodeIdentity,
-			}, trusted, nil)
-			if err != nil {
-				return nil, fmt.Errorf("troxy: launch enclave %d: %w", i, err)
-			}
-			if err := attestAndProvision(platform, enc, itroxy.CodeIdentity, secrets); err != nil {
-				return nil, err
-			}
-			proxy = itroxy.NewEnclaveProxy(enc)
-			authority = tcounter.EnclaveAuthority{E: enc}
-
-		default:
-			return nil, fmt.Errorf("troxy: unknown mode %d", cfg.Mode)
-		}
-
-		application := cfg.App()
-		cl.apps = append(cl.apps, application)
-		speculate := cfg.CommitLevels && cfg.Mode != Baseline
-		if _, ok := application.(app.Forker); speculate && !ok {
-			return nil, fmt.Errorf("troxy: CommitLevels needs an application that implements app.Forker, not %T", application)
-		}
-		rep := replica.New(replica.Config{
-			Self: self,
-			N:    cfg.N,
-			F:    cfg.F,
-			Hybster: hybster.Config{
-				CheckpointInterval: cfg.CheckpointInterval,
-				ViewChangeTimeout:  cfg.ViewChangeTimeout,
-				BatchSize:          cfg.BatchSize,
-				BatchDelay:         cfg.BatchDelay,
-				PipelineDepth:      cfg.PipelineDepth,
-				SnapshotChunkSize:  cfg.SnapshotChunkSize,
-				StateChunkWindow:   cfg.StateChunkWindow,
-				StateFetchTimeout:  cfg.StateFetchTimeout,
-				Profile:            node.ProfileJava,
-				Authority:          authority,
-				App:                application,
-				Speculate:          speculate,
-			},
-			Directory:    dir,
-			Proxy:        proxy,
-			TickInterval: cfg.TickInterval,
 		})
-		cl.Replicas = append(cl.Replicas, rep)
-		cl.Enclaves = append(cl.Enclaves, enc)
-		cl.proxies = append(cl.proxies, proxy)
 	}
-	return cl, nil
-}
+	def := enclave.Definition{Name: fmt.Sprintf("hybster-counters-%d", i), CodeIdentity: "hybster-counters-v1"}
+	var hosted enclave.Trusted = tcounter.Hosted{S: counters}
+	if cfg.Mode == ETroxy {
+		def = enclave.Definition{Name: fmt.Sprintf("troxy-%d", i), CodeIdentity: itroxy.CodeIdentity}
+		hosted = itroxy.NewTrusted(core, counters)
+	}
 
-// attestAndProvision performs the remote-attestation + provisioning step:
-// the verifier (IAS role) checks the platform's quote over the expected
-// measurement before any secret is released to the enclave.
-func attestAndProvision(p *enclave.Platform, e *enclave.Enclave, codeIdentity string, secrets map[string][]byte) error {
-	verifier := enclave.NewVerifier(p)
-	quote := p.QuoteFor(e, nil)
-	if err := verifier.Verify(quote, enclave.MeasureCode(codeIdentity)); err != nil {
-		return fmt.Errorf("troxy: attestation failed for %s: %w", e.Name(), err)
+	platform := enclave.NewPlatform()
+	enc, err := platform.Launch(def, hosted, nil)
+	if err != nil {
+		return fmt.Errorf("troxy: launch enclave %s: %w", def.Name, err)
 	}
-	if err := e.Provision(secrets); err != nil {
-		return fmt.Errorf("troxy: provision %s: %w", e.Name(), err)
+	if err := enclave.NewVerifier(platform).Verify(platform.QuoteFor(enc, nil), enclave.MeasureCode(def.CodeIdentity)); err != nil {
+		return fmt.Errorf("troxy: attestation failed for %s: %w", def.Name, err)
 	}
+	if err := enc.Provision(c.secrets); err != nil {
+		return fmt.Errorf("troxy: provision %s: %w", def.Name, err)
+	}
+
+	var proxy itroxy.Proxy
+	switch cfg.Mode {
+	case CTroxy:
+		if err := core.ProvisionSecrets(c.secrets); err != nil {
+			return fmt.Errorf("troxy: provision ctroxy %d: %w", i, err)
+		}
+		proxy = itroxy.NewDirectProxy(core)
+	case ETroxy:
+		proxy = itroxy.NewEnclaveProxy(enc)
+	}
+
+	application := cfg.App()
+	speculate := cfg.CommitLevels && cfg.Mode != Baseline
+	if _, ok := application.(app.Forker); speculate && !ok {
+		return fmt.Errorf("troxy: CommitLevels needs an application that implements app.Forker, not %T", application)
+	}
+	rep := replica.New(replica.Config{
+		Self: self,
+		N:    cfg.N,
+		F:    cfg.F,
+		Hybster: hybster.Config{
+			CheckpointInterval: cfg.CheckpointInterval,
+			ViewChangeTimeout:  cfg.ViewChangeTimeout,
+			BatchSize:          cfg.BatchSize,
+			BatchDelay:         cfg.BatchDelay,
+			PipelineDepth:      cfg.PipelineDepth,
+			SnapshotChunkSize:  cfg.SnapshotChunkSize,
+			StateChunkWindow:   cfg.StateChunkWindow,
+			StateFetchTimeout:  cfg.StateFetchTimeout,
+			Profile:            node.ProfileJava,
+			Authority:          tcounter.EnclaveAuthority{E: enc},
+			App:                application,
+			Speculate:          speculate,
+		},
+		Directory:    c.Directory,
+		Proxy:        proxy,
+		TickInterval: cfg.TickInterval,
+	})
+	c.Replicas[i], c.Enclaves[i], c.apps[i], c.proxies[i] = rep, enc, application, proxy
 	return nil
 }
 
@@ -344,6 +314,18 @@ func (c *Cluster) Attach(rt node.Runtime) {
 	for i, r := range c.Replicas {
 		rt.Attach(msg.NodeID(i), r)
 	}
+}
+
+// Reincarnate replaces replica i on rt with one newReplica builds, which
+// catches up from its peers: a restart that loses all state, where a runtime's
+// Crash/Restore is a pause. An error leaves the old replica attached.
+func (c *Cluster) Reincarnate(rt node.Runtime, i int) error {
+	if err := c.newReplica(i); err != nil {
+		return err
+	}
+	rt.Detach(msg.NodeID(i))
+	rt.Attach(msg.NodeID(i), c.Replicas[i])
+	return nil
 }
 
 // App returns replica i's application instance (tests compare state

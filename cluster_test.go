@@ -2,6 +2,7 @@ package troxy
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -441,11 +442,7 @@ func TestEnclaveRestartLosesCacheButStaysSafe(t *testing.T) {
 	// afterwards; the system keeps answering via ordering (the client's
 	// channel to replica 1 dies, but this client is connected to 0).
 	cl.Enclaves[1].Restart()
-	if err := cl.Enclaves[1].Provision(map[string][]byte{
-		"counter-key":    cl.Directory.CounterKey(),
-		"troxy-identity": cl.Directory.ServiceIdentitySeed(),
-		"troxy-group":    cl.Directory.TroxyGroupKey(),
-	}); err != nil {
+	if err := cl.Enclaves[1].Provision(cl.secrets); err != nil {
 		t.Fatal(err)
 	}
 	if got := cl.TroxyStats(1).Cache.Entries; got != 0 {
@@ -463,6 +460,61 @@ func TestEnclaveRestartLosesCacheButStaysSafe(t *testing.T) {
 	net.Run(30 * time.Second)
 	if lc2.Done() != 2 {
 		t.Fatalf("post-restart client completed %d/2", lc2.Done())
+	}
+}
+
+// TestReincarnatedFollowerCatchesUp replaces replica 2 mid-run with one built
+// from nothing — new enclave, counters at zero, empty application, new core —
+// and holds that it catches up through state transfer to replica 0's state
+// while the client finishes, in every mode.
+func TestReincarnatedFollowerCatchesUp(t *testing.T) {
+	const ops = 120
+	script := make([]string, ops)
+	for i := range script {
+		script[i] = fmt.Sprintf("PUT k%d v%d", i%40, i)
+	}
+	for _, mode := range []Mode{Baseline, CTroxy, ETroxy} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cl, net := newTestCluster(t, mode, false)
+			gen := &scriptGen{ops: kvOps(script...)}
+			var done func() int
+			if mode == Baseline {
+				bc := bftclient.New(bftclient.Config{
+					Machine: 10, Clients: 1, FirstClientID: 1000, N: 3, F: 1,
+					Directory: cl.Directory, Gen: gen, MaxOps: ops, Timeout: time.Second,
+				})
+				net.Attach(10, bc)
+				done = bc.Done
+			} else {
+				lc := legacyclient.New(legacyclient.Config{
+					Machine: 10, Clients: 1, FirstClientID: 1000,
+					Replicas: cl.ReplicaIDs(), ServerPub: cl.ServerPub,
+					Gen: gen, MaxOps: ops, Timeout: time.Second,
+				})
+				net.Attach(10, lc)
+				done = lc.Done
+			}
+			old := cl.Enclaves[2]
+			net.At(300*time.Millisecond, func() {
+				if err := cl.Reincarnate(net, 2); err != nil {
+					t.Errorf("reincarnate: %v", err)
+				}
+			})
+			net.Run(30 * time.Second)
+
+			if cl.Enclaves[2] == old {
+				t.Fatal("replica 2 kept its enclave")
+			}
+			if got := done(); got != ops {
+				t.Fatalf("client completed %d/%d ops", got, ops)
+			}
+			if m := cl.Replicas[2].Core().Metrics(); m.StateChunksReceived == 0 {
+				t.Errorf("the reincarnated replica received no state chunks (lastExec %d)", cl.Replicas[2].Core().LastExecuted())
+			}
+			if app.StateDigest(cl.App(2)) != app.StateDigest(cl.App(0)) {
+				t.Error("the reincarnated replica's state differs from replica 0's")
+			}
+		})
 	}
 }
 

@@ -218,6 +218,12 @@ var Catalogue = []Mutant{
 		Old:   "		c := make([]byte, len(v))\n		copy(c, v)\n		in[k] = c",
 		New:   "		in[k] = v",
 	},
+	{
+		ID: "simnet-timer-outlives-incarnation", File: "internal/simnet/simnet.go",
+		Fault: "an event is no longer bound to the incarnation that owned it: a node attached again under a detached ID receives the old one's pending timer, under the generation its own first timer draws, and the deliveries queued at the old one's NIC",
+		Old:   "sn.crashed || e.node != nil && e.node != sn {",
+		New:   "sn.crashed {",
+	},
 
 	// Untrusted lengths that size an allocation.
 	{

@@ -134,4 +134,8 @@ type Runtime interface {
 	// Attach registers a handler under an ID. It must be called before the
 	// runtime starts delivering events to that node.
 	Attach(id msg.NodeID, h Handler)
+
+	// Detach removes the node under an ID, ending a crash of it. A handler
+	// attached under the ID later gets none of its timers or queued deliveries.
+	Detach(id msg.NodeID)
 }

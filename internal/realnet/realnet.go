@@ -145,12 +145,13 @@ func (r *Router) Attach(id msg.NodeID, h node.Handler) {
 	go n.run()
 }
 
-// Detach removes a node, stopping its goroutine. Pending messages to it are
-// dropped. It models a full replica crash in tests.
+// Detach removes a node, stopping its goroutine and ending a crash of it;
+// its pending messages and timers are dropped. It models a full replica crash.
 func (r *Router) Detach(id msg.NodeID) {
 	r.mu.Lock()
 	n := r.nodes[id]
 	delete(r.nodes, id)
+	delete(r.crashed, id)
 	r.mu.Unlock()
 	if n != nil {
 		n.stop()

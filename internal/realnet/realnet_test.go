@@ -135,6 +135,51 @@ func TestCrashAndRestore(t *testing.T) {
 	waitCh(t, recv.done, "post-restore delivery")
 }
 
+// TestDetachEndsTheCrashAndTheIncarnation crashes a node with a timer
+// pending, detaches it and attaches a new handler under its ID: the new one
+// starts, receives what is sent to the ID (the crash mark went with the
+// node), and the first timer it sees is its own, set to fire after the old
+// one's deadline.
+func TestDetachEndsTheCrashAndTheIncarnation(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	r := NewRouter()
+	defer r.Close()
+	h1 := newCollector(1)
+	armed := make(chan struct{})
+	h1.onGo = func(env node.Env) {
+		env.SetTimer(30*time.Millisecond, node.TimerKey{Kind: "old"})
+		close(armed)
+	}
+	r.Attach(2, h1)
+	waitCh(t, armed, "the first handler's timer")
+	r.Crash(2)
+	r.Detach(2)
+
+	h2 := newCollector(0) // done signals timers only
+	started, delivered := make(chan struct{}), make(chan struct{})
+	h2.onGo = func(env node.Env) {
+		env.SetTimer(80*time.Millisecond, node.TimerKey{Kind: "own"})
+		close(started)
+	}
+	h2.onEnv = func(node.Env, *msg.Envelope) { close(delivered) }
+	r.Attach(2, h2)
+	waitCh(t, started, "the new handler's OnStart")
+	r.Attach(1, &senderNode{to: 2, n: 1})
+	waitCh(t, delivered, "a delivery to the new handler")
+	waitCh(t, h2.done, "the new handler's first timer")
+
+	h2.mu.Lock()
+	defer h2.mu.Unlock()
+	if len(h2.timers) != 1 || h2.timers[0].Kind != "own" {
+		t.Errorf("the new handler's timers are %v, want only its own", h2.timers)
+	}
+	h1.mu.Lock()
+	defer h1.mu.Unlock()
+	if len(h1.timers) != 0 {
+		t.Errorf("the detached handler saw timers %v", h1.timers)
+	}
+}
+
 func TestCloseIsIdempotentAndStopsNodes(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	r := NewRouter()

@@ -5,10 +5,10 @@
 // latency distributions — including the simulated wide-area network of the
 // evaluation, Normal(100 ms, 20 ms) on the client links.
 //
-// Determinism: given the same seed and the same sequence of Attach/SetLink
-// calls, a simulation produces bit-identical results. Handler randomness
-// comes from per-node seeded sources; latency sampling from a dedicated
-// source. Nothing reads the wall clock.
+// Determinism: given the same seed and the same sequence of
+// Attach/Detach/SetLink calls, a simulation produces bit-identical results.
+// Handler randomness comes from per-node seeded sources; latency sampling
+// from a dedicated source. Nothing reads the wall clock.
 package simnet
 
 import (
@@ -91,9 +91,9 @@ type event struct {
 	seq  uint64
 	kind eventKind
 
-	to      msg.NodeID
-	env     *msg.Envelope
-	arrived bool // ingress NIC serialization already applied
+	to   msg.NodeID
+	env  *msg.Envelope
+	node *simNode // the incarnation that set the timer or took the delivery into its NIC
 
 	key node.TimerKey
 	gen uint64
@@ -208,6 +208,10 @@ func (n *Network) AttachConfig(id msg.NodeID, h node.Handler, cfg NodeConfig) {
 	n.invoke(sn, n.now, func(env node.Env) { h.OnStart(env) })
 }
 
+// Detach removes a node and its crash mark. Its pending timers and the
+// deliveries in its ingress NIC die with it, unseen by a later incarnation.
+func (n *Network) Detach(id msg.NodeID) { delete(n.nodes, id) }
+
 // SetFault installs a fault judge consulted on every transmission (nil
 // disables). The judge sees virtual time, so decisions — and therefore the
 // whole simulation — stay deterministic for a given seed and schedule.
@@ -290,19 +294,24 @@ func (n *Network) RunUntilIdle() {
 }
 
 func (n *Network) dispatch(e *event) {
-	switch e.kind {
-	case evFunc:
+	if e.kind == evFunc {
 		e.fn()
-	case evDeliver:
-		sn, ok := n.nodes[e.to]
-		if !ok || sn.crashed {
+		return
+	}
+	sn := n.nodes[e.to]
+	if sn == nil || sn.crashed || e.node != nil && e.node != sn {
+		// Detached, crashed, or owned by an earlier incarnation.
+		if e.kind == evDeliver {
 			n.stats.Dropped++
-			return
 		}
-		if !e.arrived {
+		return
+	}
+	switch e.kind {
+	case evDeliver:
+		if e.node == nil {
 			// The message just reached the receiver's NIC; serialize it
 			// through the ingress link before handing it to the CPU.
-			e.arrived = true
+			e.node = sn
 			if sn.cfg.IngressBps > 0 {
 				deliver := e.at
 				if sn.ingressFree > deliver {
@@ -322,10 +331,6 @@ func (n *Network) dispatch(e *event) {
 		n.stats.Bytes += uint64(e.env.WireSize())
 		n.invoke(sn, e.at, func(env node.Env) { sn.handler.OnEnvelope(env, e.env) })
 	case evTimer:
-		sn, ok := n.nodes[e.to]
-		if !ok || sn.crashed {
-			return
-		}
 		if sn.timerGen[e.key] != e.gen {
 			return // canceled or replaced
 		}
@@ -380,6 +385,7 @@ func (e *simEnv) SetTimer(after time.Duration, key node.TimerKey) {
 		at:   e.Now() + after,
 		kind: evTimer,
 		to:   sn.id,
+		node: sn,
 		key:  key,
 		gen:  sn.timerGen[key],
 	})

@@ -313,3 +313,74 @@ func TestDefaultCostModelOrdering(t *testing.T) {
 		t.Error("enclave profile must pay transition costs")
 	}
 }
+
+// lateSender sends three envelopes on connection 1 when it starts and one on
+// connection 2 when its timer fires.
+type lateSender struct{ to msg.NodeID }
+
+func (s *lateSender) OnStart(env node.Env) {
+	for i := 0; i < 3; i++ {
+		env.Send(msg.SealChannelData(env.Self(), s.to, 1, []byte("queued")))
+	}
+	env.SetTimer(10*time.Millisecond, node.TimerKey{Kind: "late"})
+}
+func (s *lateSender) OnEnvelope(node.Env, *msg.Envelope) {}
+func (s *lateSender) OnTimer(env node.Env, _ node.TimerKey) {
+	env.Send(msg.SealChannelData(env.Self(), s.to, 2, []byte("fresh")))
+}
+
+// incarnation arms one timer when it starts and records what it receives.
+type incarnation struct {
+	after time.Duration
+	conns []uint64
+	fired []time.Duration
+}
+
+func (in *incarnation) OnStart(env node.Env) {
+	env.SetTimer(in.after, node.TimerKey{Kind: "watch"})
+}
+func (in *incarnation) OnEnvelope(_ node.Env, e *msg.Envelope) {
+	cd, _ := e.OpenChannelData()
+	in.conns = append(in.conns, cd.ConnID)
+}
+func (in *incarnation) OnTimer(env node.Env, _ node.TimerKey) {
+	in.fired = append(in.fired, env.Now())
+}
+
+// TestDetachEndsTheIncarnation detaches a node while its timer is pending and
+// deliveries wait behind its slow ingress NIC, then attaches a new handler
+// under the same ID. The new incarnation sees neither the old timer nor the
+// queued deliveries; the timer it arms under the same key — drawing the same
+// generation the old one had — fires exactly once, at its own deadline; and
+// what is sent to the ID afterwards reaches it.
+func TestDetachEndsTheIncarnation(t *testing.T) {
+	n := New(1, nil)
+	n.SetDefaultLink(FixedLatency(time.Millisecond))
+	old := &incarnation{after: 20 * time.Millisecond}
+	// About 3 ms of ingress serialization per envelope: at 1 ms all three
+	// have reached the NIC, the first leaves it at about 4 ms.
+	n.AttachConfig(2, old, NodeConfig{IngressBps: 1e4})
+	n.AttachConfig(1, &lateSender{to: 2}, NodeConfig{})
+	n.Run(2 * time.Millisecond)
+	if len(old.conns) != 0 {
+		t.Fatalf("the first incarnation received %v before the slow NIC let anything through", old.conns)
+	}
+
+	n.Detach(2)
+	next := &incarnation{after: 40 * time.Millisecond}
+	n.AttachConfig(2, next, NodeConfig{})
+	n.Run(time.Second)
+
+	if len(old.conns) != 0 || len(old.fired) != 0 {
+		t.Errorf("the detached incarnation received %v and timers at %v", old.conns, old.fired)
+	}
+	if len(next.conns) != 1 || next.conns[0] != 2 {
+		t.Errorf("the new incarnation received connections %v, want only the later send [2]", next.conns)
+	}
+	if want := 42 * time.Millisecond; len(next.fired) != 1 || next.fired[0] != want {
+		t.Errorf("the new incarnation's timer fired at %v, want once at %v", next.fired, want)
+	}
+	if s := n.Stats(); s.Dropped != 3 {
+		t.Errorf("dropped %d deliveries, want the 3 queued for the old incarnation", s.Dropped)
+	}
+}
