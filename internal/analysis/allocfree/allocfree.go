@@ -61,7 +61,7 @@ const hotPathMarker = "troxy:hotpath"
 // allocates a fresh writer, so the acquisition site documents itself with
 // an allow.
 var cleanWire = map[string]bool{
-	"U8": true, "U16": true, "U32": true, "U64": true, "I64": true,
+	"U8": true, "U32": true, "U64": true, "I64": true,
 	"Bool": true, "Bytes32": true, "String": true, "Raw": true,
 	"BeginFrame": true, "EndFrame": true, "Len": true, "Bytes": true,
 	"Reset": true, "CopyBytes": true, "PutWriter": true,

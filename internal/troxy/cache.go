@@ -174,15 +174,6 @@ func (c *Cache) Invalidate(key []byte) {
 	}
 }
 
-// Clear wipes the cache (enclave restart / rollback: the cache loses its
-// entire state and queries fall back to ordered execution).
-func (c *Cache) Clear() {
-	c.entries = make(map[msg.Digest]*cacheEntry)
-	c.byKey = make(map[string]map[msg.Digest]struct{})
-	c.head, c.tail = nil, nil
-	c.used = 0
-}
-
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() CacheStats {
 	s := c.stats

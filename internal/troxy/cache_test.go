@@ -81,18 +81,6 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestCacheClear(t *testing.T) {
-	c := NewCache(1 << 20)
-	c.Put(d("op"), []byte("v"), []string{"k"})
-	c.Clear()
-	if c.Get(d("op")) != nil {
-		t.Error("entry survived Clear (rollback must wipe the cache)")
-	}
-	if c.Stats().UsedBytes != 0 || c.Stats().Entries != 0 {
-		t.Errorf("stats after clear: %+v", c.Stats())
-	}
-}
-
 func TestCacheQuickNeverExceedsCapacity(t *testing.T) {
 	f := func(ops []uint8) bool {
 		c := NewCache(2000)

@@ -105,9 +105,6 @@ func (w *Writer) Len() int { return len(w.buf) }
 // U8 appends a single byte.
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
 
-// U16 appends a little-endian uint16.
-func (w *Writer) U16(v uint16) { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
-
 // U32 appends a little-endian uint32.
 func (w *Writer) U32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
 
@@ -212,15 +209,6 @@ func (r *Reader) U8() uint8 {
 		return 0
 	}
 	return b[0]
-}
-
-// U16 decodes a little-endian uint16.
-func (r *Reader) U16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
 }
 
 // U32 decodes a little-endian uint32.
@@ -458,45 +446,5 @@ func (c *ChunkReader) fill(need int) error {
 	return nil
 }
 
-// PutU64 encodes v into an 8-byte little-endian slice. It is a convenience
-// for building MAC inputs.
-func PutU64(v uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return b[:]
-}
-
-// CheckLen validates that an announced length n fits the remaining input and
-// the global limit; it exists for decoders that slice manually.
-func CheckLen(n, remaining int) error {
-	if n < 0 || n > MaxBytesLen {
-		return ErrTooLarge
-	}
-	if n > remaining {
-		return ErrTruncated
-	}
-	return nil
-}
-
-// Uvarint support for compact encodings inside cache digests.
-
-// AppendUvarint appends v in unsigned varint encoding.
-func AppendUvarint(b []byte, v uint64) []byte {
-	return binary.AppendUvarint(b, v)
-}
-
-// Uvarint decodes an unsigned varint from b, returning the value and the
-// number of bytes consumed, or an error.
-func Uvarint(b []byte) (uint64, int, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, 0, ErrTruncated
-	}
-	return v, n, nil
-}
-
 // SizeBytes32 returns the encoded size of a Bytes32 field.
 func SizeBytes32(b []byte) int { return 4 + len(b) }
-
-// SizeString returns the encoded size of a String field.
-func SizeString(s string) int { return 4 + len(s) }

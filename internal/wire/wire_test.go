@@ -12,7 +12,6 @@ import (
 func TestRoundTripScalars(t *testing.T) {
 	w := NewWriter(64)
 	w.U8(0xab)
-	w.U16(0xbeef)
 	w.U32(0xdeadbeef)
 	w.U64(0x0123456789abcdef)
 	w.I64(-42)
@@ -22,9 +21,6 @@ func TestRoundTripScalars(t *testing.T) {
 	r := NewReader(w.Bytes())
 	if got := r.U8(); got != 0xab {
 		t.Errorf("U8 = %#x, want 0xab", got)
-	}
-	if got := r.U16(); got != 0xbeef {
-		t.Errorf("U16 = %#x, want 0xbeef", got)
 	}
 	if got := r.U32(); got != 0xdeadbeef {
 		t.Errorf("U32 = %#x, want 0xdeadbeef", got)
@@ -157,19 +153,6 @@ func TestReadFrameRejectsHugeHeader(t *testing.T) {
 	}
 }
 
-func TestUvarint(t *testing.T) {
-	for _, v := range []uint64{0, 1, 127, 128, 1 << 20, 1<<63 - 1} {
-		b := AppendUvarint(nil, v)
-		got, n, err := Uvarint(b)
-		if err != nil || got != v || n != len(b) {
-			t.Errorf("Uvarint(%d): got %d, n=%d, err=%v", v, got, n, err)
-		}
-	}
-	if _, _, err := Uvarint(nil); err == nil {
-		t.Error("Uvarint(nil) should fail")
-	}
-}
-
 func TestQuickBytesRoundTrip(t *testing.T) {
 	f := func(a, b []byte, s string, x uint64) bool {
 		w := NewWriter(0)
@@ -210,31 +193,6 @@ func TestQuickReaderNeverPanics(t *testing.T) {
 func TestSizeHelpers(t *testing.T) {
 	if got := SizeBytes32([]byte("abc")); got != 7 {
 		t.Errorf("SizeBytes32 = %d, want 7", got)
-	}
-	if got := SizeString("abcd"); got != 8 {
-		t.Errorf("SizeString = %d, want 8", got)
-	}
-}
-
-func TestPutU64(t *testing.T) {
-	b := PutU64(0x0102030405060708)
-	if len(b) != 8 || b[0] != 0x08 || b[7] != 0x01 {
-		t.Errorf("PutU64 = %v", b)
-	}
-}
-
-func TestCheckLen(t *testing.T) {
-	if err := CheckLen(10, 20); err != nil {
-		t.Errorf("valid length rejected: %v", err)
-	}
-	if err := CheckLen(-1, 20); err == nil {
-		t.Error("negative length accepted")
-	}
-	if err := CheckLen(MaxBytesLen+1, MaxBytesLen*2); err == nil {
-		t.Error("oversized length accepted")
-	}
-	if err := CheckLen(30, 20); err == nil {
-		t.Error("length beyond remaining accepted")
 	}
 }
 
