@@ -28,7 +28,7 @@ check: lint staticcheck govulncheck
 
 # lint runs go vet plus the repository's own analyzer suite: boundarycheck,
 # determinism, senderr (syntactic), plus secretflow, lockcheck, allocfree (on
-# the dataflow engine and the interproc call-graph/summary layer) — the six
+# the dataflow engine, following same-package calls where asked) — the six
 # that `make mutate` showed to catch what no other gate catches; see
 # cmd/troxy-lint and DESIGN.md "Trust-boundary enforcement".
 # Any diagnostic fails the build. Suppressions use

@@ -8,19 +8,19 @@
 //	determinism    no wall clocks, global randomness, or protocol-visible
 //	               map iteration in the replicated core
 //	senderr        no silently dropped errors on wire encode/send paths
-//	secretflow     secret key material never reaches logs, host-side wire
-//	               encoders, or the ecall return path — including through
-//	               same-package helper calls, via inter-procedural summaries
+//	secretflow     secret key material never reaches logs or host-side wire
+//	               encoders — including through same-package helper calls,
+//	               which it follows into the callee
 //	lockcheck      no locks held across blocking operations (direct or
-//	               transitive through same-package calls), re-acquired
-//	               through helper chains, or leaked past a return
+//	               reached through same-package calls), locked twice,
+//	               released unheld, or leaked past a return
 //	allocfree      //troxy:hotpath functions are transitively
 //	               allocation-free outside cold failure blocks, with a
 //	               call-path trace on violation
 //
-// secretflow, lockcheck and allocfree share the internal/analysis/interproc
-// call-graph and summary engine; their cross-function findings are reported
-// at the call site (put the //lint:allow there).
+// secretflow, lockcheck and allocfree follow same-package calls into the
+// callee where a check asks for it; their cross-function findings are
+// reported at the call site (put the //lint:allow there).
 //
 // Malformed //lint:allow comments (stale analyzer name, missing reason) are
 // reported by the unsuppressable "allowaudit" pass built into the driver.

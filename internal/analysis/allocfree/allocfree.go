@@ -6,22 +6,22 @@
 // construction instead of by whichever inputs the benchmark happened to
 // exercise.
 //
-// From each annotated root the analyzer walks the package call graph
-// (internal/analysis/interproc) breadth-first and reports, with the
-// shortest call path from the root in the message:
+// From each annotated root the analyzer walks the static same-package calls
+// breadth-first and reports, with the shortest call path from the root in
+// the message:
 //
-//   - every heap-allocation site (interproc.AllocSite: make/new, slice and
+//   - every heap-allocation site (allocSite: make/new, slice and
 //     map literals, &composite escapes, append, string conversions and
 //     concatenation, closures) outside a cold failure block;
 //   - goroutine spawns — a spawn allocates a stack, and the spawned work
 //     is off the hot path by definition;
 //   - calls through func values and dynamic interface calls, which the
-//     graph cannot resolve and so cannot certify;
+//     walk cannot resolve and so cannot certify;
 //   - calls into other packages not in the allocation-free vocabulary
 //     below.
 //
 // Cold failure blocks (a nested block ending in panic or in a return
-// carrying a constructed error — interproc.ColdRegions) are exempt: the
+// carrying a constructed error — coldRegions) are exempt: the
 // benchmark gate measures the steady state, and error exits may allocate
 // their diagnostics.
 //
@@ -39,11 +39,11 @@ package allocfree
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 
 	"github.com/troxy-bft/troxy/internal/analysis"
-	"github.com/troxy-bft/troxy/internal/analysis/interproc"
 )
 
 // Analyzer is the allocfree analyzer.
@@ -94,30 +94,27 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 
-	g := interproc.Build(pass.Files, pass.TypesInfo, pass.Pkg, nil)
+	decls := analysis.FuncDecls(pass.Files, pass.TypesInfo)
 
 	// Breadth-first from the roots: the first path to reach a function is
 	// a shortest one, and each function is certified once.
 	type visit struct {
-		node *interproc.Node
+		fd   *ast.FuncDecl
 		path string
 	}
 	var queue []visit
-	seen := make(map[*interproc.Node]bool)
+	seen := make(map[*ast.FuncDecl]bool)
 	for _, fd := range roots {
-		fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-		if node := g.Lookup(fn); node != nil && !seen[node] {
-			seen[node] = true
-			queue = append(queue, visit{node, fd.Name.Name})
-		}
+		seen[fd] = true
+		queue = append(queue, visit{fd, fd.Name.Name})
 	}
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		for _, callee := range checkBody(pass, g, v.node, v.path) {
+		for _, callee := range checkBody(pass, decls, v.fd, v.path) {
 			if !seen[callee] {
 				seen[callee] = true
-				queue = append(queue, visit{callee, v.path + " → " + callee.Fn.Name()})
+				queue = append(queue, visit{callee, v.path + " → " + callee.Name.Name})
 			}
 		}
 	}
@@ -139,10 +136,10 @@ func isHotPath(fd *ast.FuncDecl) bool {
 
 // checkBody reports every allocation obligation in one function reached
 // via path and returns the in-package callees to certify next.
-func checkBody(pass *analysis.Pass, g *interproc.Graph, n *interproc.Node, path string) []*interproc.Node {
+func checkBody(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, fd *ast.FuncDecl, path string) []*ast.FuncDecl {
 	info := pass.TypesInfo
-	cold := interproc.ColdRegions(info, n.Decl.Body)
-	var callees []*interproc.Node
+	cold := coldRegions(info, fd.Body)
+	var callees []*ast.FuncDecl
 
 	var walk func(node ast.Node) bool
 	walk = func(node ast.Node) bool {
@@ -152,7 +149,7 @@ func checkBody(pass *analysis.Pass, g *interproc.Graph, n *interproc.Node, path 
 		if cold[node] {
 			return false // error exits may allocate their diagnostics
 		}
-		if desc, ok := interproc.AllocSite(info, node); ok {
+		if desc, ok := allocSite(info, node); ok {
 			pass.Reportf(node.Pos(), "allocation on hot path (%s): %s", path, desc)
 			// A closure's body runs elsewhere; reporting its creation is
 			// the whole finding.
@@ -167,22 +164,22 @@ func checkBody(pass *analysis.Pass, g *interproc.Graph, n *interproc.Node, path 
 			pass.Reportf(x.Pos(), "goroutine spawn on hot path (%s): a spawn allocates its stack and the work leaves the hot path", path)
 			return false
 		case *ast.CallExpr:
-			if callee := checkCall(pass, g, x, path); callee != nil {
+			if callee := checkCall(pass, decls, x, path); callee != nil {
 				callees = append(callees, callee)
 			}
 		}
 		return true
 	}
-	ast.Inspect(n.Decl.Body, walk)
+	ast.Inspect(fd.Body, walk)
 	return callees
 }
 
 // checkCall certifies one call site: in-package callees are returned for
 // traversal, out-of-package callees must be in the clean vocabulary, and
 // unresolvable calls are reported outright.
-func checkCall(pass *analysis.Pass, g *interproc.Graph, call *ast.CallExpr, path string) *interproc.Node {
+func checkCall(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, call *ast.CallExpr, path string) *ast.FuncDecl {
 	info := pass.TypesInfo
-	// Conversions and builtins are covered by AllocSite (string
+	// Conversions and builtins are covered by allocSite (string
 	// conversions, make/new/append); the rest of them are free.
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 		return nil
@@ -192,16 +189,16 @@ func checkCall(pass *analysis.Pass, g *interproc.Graph, call *ast.CallExpr, path
 			return nil
 		}
 	}
-	fn := interproc.CalleeFunc(info, call)
+	fn := analysis.CalleeFunc(info, call)
 	if fn == nil {
 		pass.Reportf(call.Pos(), "unresolvable call on hot path (%s): a func-value target cannot be certified allocation-free", path)
 		return nil
 	}
-	if node := g.Lookup(fn); node != nil {
-		return node
+	if fd := decls[fn]; fd != nil {
+		return fd
 	}
 	if fn.Pkg() == pass.Pkg {
-		// Declared in this package but absent from the graph: a dynamic
+		// Declared in this package but with no body to follow: a dynamic
 		// interface method — the concrete target is unknowable here.
 		pass.Reportf(call.Pos(), "dynamic interface call %s on hot path (%s): the concrete target cannot be certified allocation-free", fn.Name(), path)
 		return nil
@@ -251,4 +248,169 @@ func calleeLabel(fn *types.Func) string {
 		}
 	}
 	return pkg + fn.Name()
+}
+
+// allocSite classifies one AST node as a direct heap allocation and returns
+// a short description. The analyzer's vocabulary: make/new, append
+// growth, string↔slice conversions, slice/map literals, &composite escapes,
+// string concatenation, and closures. Goroutine spawns are handled by the
+// walkers (the GoStmt, not a sub-expression, is the site). Plain struct
+// composites by value are not flagged (usually stack-allocated), and
+// interface conversions are a documented under-approximation.
+func allocSite(info *types.Info, node ast.Node) (string, bool) {
+	switch x := node.(type) {
+	case *ast.CallExpr:
+		if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok {
+			if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
+				switch id.Name {
+				case "make":
+					return "make", true
+				case "new":
+					return "new", true
+				case "append":
+					return "append (may grow its backing array)", true
+				}
+				return "", false
+			}
+		}
+		if tv, ok := info.Types[x.Fun]; ok && tv.IsType() && len(x.Args) == 1 {
+			if isStringSliceConv(tv.Type, typeOf(info, x.Args[0])) {
+				return "string conversion (copies)", true
+			}
+		}
+	case *ast.CompositeLit:
+		switch typeOf(info, x).Underlying().(type) {
+		case *types.Slice:
+			return "slice literal", true
+		case *types.Map:
+			return "map literal", true
+		}
+	case *ast.UnaryExpr:
+		if x.Op == token.AND {
+			if _, ok := ast.Unparen(x.X).(*ast.CompositeLit); ok {
+				return "&composite literal (escapes to heap)", true
+			}
+		}
+	case *ast.FuncLit:
+		return "function literal (closure)", true
+	case *ast.BinaryExpr:
+		if x.Op == token.ADD {
+			if b, ok := typeOf(info, x).Underlying().(*types.Basic); ok && b.Info()&types.IsString != 0 {
+				return "string concatenation", true
+			}
+		}
+	}
+	return "", false
+}
+
+func typeOf(info *types.Info, e ast.Expr) types.Type {
+	if t := info.Types[e].Type; t != nil {
+		return t
+	}
+	return types.Typ[types.Invalid]
+}
+
+func isStringSliceConv(to, from types.Type) bool {
+	return (isStringy(to) && isByteOrRuneSlice(from)) || (isByteOrRuneSlice(to) && isStringy(from))
+}
+
+func isStringy(t types.Type) bool {
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsString != 0
+}
+
+func isByteOrRuneSlice(t types.Type) bool {
+	s, ok := t.Underlying().(*types.Slice)
+	if !ok {
+		return false
+	}
+	b, ok := s.Elem().Underlying().(*types.Basic)
+	return ok && (b.Kind() == types.Byte || b.Kind() == types.Rune ||
+		b.Kind() == types.Uint8 || b.Kind() == types.Int32)
+}
+
+// coldRegions marks every node inside a cold failure block of body: a
+// nested block whose last statement is a panic or a return carrying a
+// recognizable error construction (fmt.Errorf, errors.New/Join, &FooError{},
+// a package-level ErrX). Allocations there serve the failure path only —
+// fmt.Errorf in an oversize-frame branch — and are exempt,
+// matching the happy-path semantics of the 0 allocs/op benchmark gates.
+// The function body itself never qualifies (a trailing `return err` is the
+// happy path, not a failure exit).
+func coldRegions(info *types.Info, body *ast.BlockStmt) map[ast.Node]bool {
+	cold := make(map[ast.Node]bool)
+	ast.Inspect(body, func(nd ast.Node) bool {
+		b, ok := nd.(*ast.BlockStmt)
+		if !ok || b == body || len(b.List) == 0 {
+			return true
+		}
+		if !failureExit(info, b.List[len(b.List)-1]) {
+			return true
+		}
+		ast.Inspect(b, func(m ast.Node) bool {
+			if m != nil {
+				cold[m] = true
+			}
+			return true
+		})
+		return false
+	})
+	return cold
+}
+
+func isIdentNamed(e ast.Expr, name string) bool {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	return ok && id.Name == name
+}
+
+// failureExit reports whether stmt is a recognizable failure-path exit.
+func failureExit(info *types.Info, stmt ast.Stmt) bool {
+	switch s := stmt.(type) {
+	case *ast.ExprStmt:
+		call, ok := ast.Unparen(s.X).(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		return isIdentNamed(call.Fun, "panic")
+	case *ast.ReturnStmt:
+		for _, r := range s.Results {
+			if failureErrorExpr(info, r) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// failureErrorExpr recognizes an error-construction expression marking a
+// failure return: fmt.Errorf(...), errors.New/Join(...), &FooError{...},
+// or a package-level ErrX sentinel.
+func failureErrorExpr(info *types.Info, e ast.Expr) bool {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.CallExpr:
+		fn := analysis.CalleeFunc(info, x)
+		if fn == nil || fn.Pkg() == nil {
+			return false
+		}
+		switch fn.Pkg().Path() {
+		case "fmt":
+			return fn.Name() == "Errorf"
+		case "errors":
+			return fn.Name() == "New" || fn.Name() == "Join"
+		}
+	case *ast.UnaryExpr:
+		if x.Op != token.AND {
+			return false
+		}
+		cl, ok := ast.Unparen(x.X).(*ast.CompositeLit)
+		if !ok {
+			return false
+		}
+		if named, ok := typeOf(info, cl).(*types.Named); ok {
+			return strings.HasSuffix(named.Obj().Name(), "Error")
+		}
+	case *ast.Ident:
+		return strings.HasPrefix(x.Name, "Err")
+	}
+	return false
 }

@@ -304,3 +304,33 @@ func NewInfo() *types.Info {
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
 }
+
+// CalleeFunc resolves a call expression's static callee (nil for func
+// values and unresolvable calls).
+func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch f := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		fn, _ := info.Uses[f].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		fn, _ := info.Uses[f.Sel].(*types.Func)
+		return fn
+	}
+	return nil
+}
+
+// FuncDecls indexes the package's declared functions and methods that have a
+// body: the callees an analyzer can follow a same-package call into.
+func FuncDecls(files []*ast.File, info *types.Info) map[*types.Func]*ast.FuncDecl {
+	out := make(map[*types.Func]*ast.FuncDecl)
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				if fn, ok := info.Defs[fd.Name].(*types.Func); ok {
+					out[fn] = fd
+				}
+			}
+		}
+	}
+	return out
+}

@@ -18,25 +18,22 @@
 // the test if any expectation goes unmatched or any unexpected diagnostic
 // is reported. Fixture imports resolve first against testdata/src (from
 // source, recursively), then against the standard library via the build
-// cache's export data (one `go list -export` per package, cached).
+// cache's export data (one `go list -export` over every such import the
+// fixtures make).
 package analysistest
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"io"
+	"io/fs"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
 	"github.com/troxy-bft/troxy/internal/analysis"
@@ -54,6 +51,9 @@ func Run(t *testing.T, a *analysis.Analyzer, importPaths ...string) {
 		srcRoot: srcRoot,
 		fset:    token.NewFileSet(),
 		pkgs:    make(map[string]*loadedPackage),
+	}
+	if ld.std, err = ld.stdImporter(); err != nil {
+		t.Fatal(err)
 	}
 	for _, path := range importPaths {
 		lp, err := ld.load(path)
@@ -154,6 +154,39 @@ type loader struct {
 	srcRoot string
 	fset    *token.FileSet
 	pkgs    map[string]*loadedPackage
+	std     types.Importer
+}
+
+// isFixture reports whether path names a package under testdata/src.
+func (l *loader) isFixture(path string) bool {
+	_, err := os.Stat(filepath.Join(l.srcRoot, filepath.FromSlash(path)))
+	return err == nil
+}
+
+// stdImporter lists every import the fixtures make outside testdata/src and
+// returns an importer over their export data.
+func (l *loader) stdImporter() (types.Importer, error) {
+	var paths []string
+	err := filepath.WalkDir(l.srcRoot, func(file string, d fs.DirEntry, err error) error {
+		if err != nil || !strings.HasSuffix(file, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, spec := range f.Imports {
+			if path, _ := strconv.Unquote(spec.Path.Value); path != "unsafe" && !l.isFixture(path) {
+				paths = append(paths, path)
+			}
+		}
+		return nil
+	})
+	if err != nil || len(paths) == 0 {
+		return nil, err
+	}
+	_, imp, err := analysis.Exports(l.fset, paths...)
+	return imp, err
 }
 
 func (l *loader) load(path string) (*loadedPackage, error) {
@@ -198,70 +231,15 @@ func (i *fixtureImporter) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
-	if _, err := os.Stat(filepath.Join(i.l.srcRoot, filepath.FromSlash(path))); err == nil {
+	if i.l.isFixture(path) {
 		lp, err := i.l.load(path)
 		if err != nil {
 			return nil, err
 		}
 		return lp.types, nil
 	}
-	return stdImport(i.l.fset, path)
-}
-
-// Standard-library imports go through the gc importer, fed by export data
-// located with `go list -export -deps` (cached process-wide per path).
-var stdMu sync.Mutex
-var stdExports = map[string]string{}
-var stdImporters = map[*token.FileSet]types.Importer{}
-
-func stdImport(fset *token.FileSet, path string) (*types.Package, error) {
-	stdMu.Lock()
-	imp, ok := stdImporters[fset]
-	if !ok {
-		imp = importer.ForCompiler(fset, "gc", func(p string) (io.ReadCloser, error) {
-			stdMu.Lock()
-			file, ok := stdExports[p]
-			stdMu.Unlock()
-			if !ok {
-				return nil, fmt.Errorf("no export data for %q", p)
-			}
-			return os.Open(file)
-		})
-		stdImporters[fset] = imp
+	if i.l.std == nil {
+		return nil, fmt.Errorf("no export data for %q", path)
 	}
-	_, have := stdExports[path]
-	stdMu.Unlock()
-
-	if !have {
-		if err := listExports(path); err != nil {
-			return nil, err
-		}
-	}
-	return imp.Import(path)
-}
-
-func listExports(path string) error {
-	out, err := exec.Command("go", "list", "-e", "-export", "-deps",
-		"-json=ImportPath,Export", path).Output()
-	if err != nil {
-		return fmt.Errorf("go list -export %s: %v", path, err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(out))
-	stdMu.Lock()
-	defer stdMu.Unlock()
-	for {
-		var p struct{ ImportPath, Export string }
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return err
-		}
-		if p.Export != "" {
-			stdExports[p.ImportPath] = p.Export
-		}
-	}
-	if _, ok := stdExports[path]; !ok {
-		return fmt.Errorf("no export data produced for %q", path)
-	}
-	return nil
+	return i.l.std.Import(path)
 }

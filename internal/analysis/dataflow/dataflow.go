@@ -126,9 +126,9 @@ type CallInfo struct {
 	// RecvTainted is true when the call is a method call (or selector-based
 	// call) whose base expression evaluated tainted.
 	RecvTainted bool
-	// ArgsTainted holds the per-argument taint, in source order, for
-	// summary-based inter-procedural transfer. Nil when the engine had no
-	// arguments to evaluate.
+	// ArgsTainted holds the per-argument taint, in source order, for an
+	// analyzer that follows the call into its callee. Nil when the engine
+	// had no arguments to evaluate.
 	ArgsTainted []bool
 	// Deferred is true for the call expression of a defer statement. Its
 	// arguments are evaluated here (Go semantics) but the callee runs at

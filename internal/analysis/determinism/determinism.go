@@ -98,7 +98,7 @@ func run(pass *analysis.Pass) error {
 }
 
 func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
-	fn := callee(pass, call)
+	fn := analysis.CalleeFunc(pass.TypesInfo, call)
 	if fn == nil || fn.Pkg() == nil {
 		return
 	}
@@ -168,7 +168,7 @@ func checkMapRange(pass *analysis.Pass, rng *ast.RangeStmt) {
 				return false
 			}
 		}
-		fn := callee(pass, call)
+		fn := analysis.CalleeFunc(pass.TypesInfo, call)
 		if fn == nil {
 			return true
 		}
@@ -209,20 +209,6 @@ func isNodeEnv(t types.Type) bool {
 	}
 	rel, ok := analysis.RelPath(obj.Pkg().Path())
 	return ok && rel == "internal/node"
-}
-
-// callee resolves the static callee of a call, if it is a known function or
-// method.
-func callee(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := pass.TypesInfo.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := pass.TypesInfo.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
 }
 
 func rangeVarObj(pass *analysis.Pass, e ast.Expr) types.Object {

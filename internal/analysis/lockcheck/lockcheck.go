@@ -14,32 +14,29 @@
 //     (internal/wire ReadFrame/WriteFrame), or an ecall transition
 //     (internal/enclave ECall) — each can block indefinitely on a peer
 //     while every other goroutine piles up on the held lock;
-//   - a call into a same-package function whose *transitive* may-effect
-//     summary (internal/analysis/interproc: call graph + bottom-up SCC
-//     fixpoint) includes a blocking channel send, socket/frame I/O, or an
-//     ecall — closing the helper-function blind spot: wrapping
-//     wire.WriteFrame in flushAll() no longer hides it from the lock scope;
-//   - a call back into a same-package function that acquires a lock this
-//     function already holds (the self-deadlock shape), using the
-//     inter-procedural receiver-lock summaries, which propagate through
-//     same-receiver helper chains;
+//   - a call, while holding a lock, into a same-package function from which
+//     a blocking operation is reachable: the callee's static same-package
+//     calls are walked breadth-first to the nearest one, and the report names
+//     the call path to it — wrapping wire.WriteFrame in flushAll() does not
+//     hide it from the lock scope;
+//   - Lock/RLock of a lock this function already holds (self-deadlock);
 //   - Unlock/RUnlock of a lock not held on any path reaching it;
 //   - a return while a manually-managed lock is still held: an early return
 //     that skips the unlock leaks the lock; locks covered by a defer'd
 //     unlock anywhere in the function are exempt.
 //
-// Known limits, by design: the summaries stop at the package boundary — a
-// helper that locks in one function and unlocks in another (a lock handoff)
-// is reported at the return and needs a //lint:allow with its protocol
-// documented; reports for transitive effects are placed at the call site
-// inside the lock scope (the natural allow position). Calls through func
-// values and interface implementations outside the package are invisible to
-// the summaries. sync.Locker values passed as interfaces are not tracked;
-// RLock/RLock recursion (deadlock-prone only with a pending writer) is
-// accepted.
+// Known limits, by design: the walk stops at the package boundary and at
+// calls through func values and interfaces; calls under go, function-literal
+// bodies and select-with-default sends add nothing to it, deferred calls do.
+// A lock acquired again one call away is not seen. A helper that locks in one
+// function and unlocks in another (a lock handoff) is reported at the return
+// and needs a //lint:allow with its protocol documented. sync.Locker values
+// passed as interfaces are not tracked; RLock/RLock recursion
+// (deadlock-prone only with a pending writer) is accepted.
 package lockcheck
 
 import (
+	"fmt"
 	"go/ast"
 	"go/types"
 	"sort"
@@ -47,13 +44,12 @@ import (
 
 	"github.com/troxy-bft/troxy/internal/analysis"
 	"github.com/troxy-bft/troxy/internal/analysis/dataflow"
-	"github.com/troxy-bft/troxy/internal/analysis/interproc"
 )
 
 // Analyzer is the lockcheck analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockcheck",
-	Doc:  "locks must not be held across blocking operations, re-acquired through same-package calls, released unheld, or leaked past a return",
+	Doc:  "locks must not be held across blocking operations, direct or reached through same-package calls, re-acquired, released unheld, or leaked past a return",
 	Run:  run,
 }
 
@@ -73,23 +69,47 @@ func (k lockKey) display() string {
 	return k.root.Name() + k.path + mode
 }
 
+// Kinds of blocking operation, as the transitive report names them.
+const (
+	kindSend  = "channel send"
+	kindIO    = "socket/frame I/O"
+	kindECall = "ecall transition"
+)
+
+// checker is one package's run: the callees calls can be followed into, the
+// sends that cannot block, and the blocking operation reachable from each
+// callee asked about so far.
+type checker struct {
+	pass        *analysis.Pass
+	decls       map[*types.Func]*ast.FuncDecl
+	nonBlocking map[ast.Node]bool
+	reach       map[*ast.FuncDecl]blocking
+}
+
+// blocking is the nearest blocking operation reachable from a function: its
+// kind ("" for none) and the call path to it.
+type blocking struct{ kind, via string }
+
 func run(pass *analysis.Pass) error {
 	if _, ok := analysis.RelPath(pass.Path()); !ok {
 		return nil
 	}
-
-	graph := interproc.Build(pass.Files, pass.TypesInfo, pass.Pkg, nil)
-	nonBlocking := interproc.NonBlockingSends(pass.Files)
-
+	c := &checker{
+		pass:        pass,
+		decls:       analysis.FuncDecls(pass.Files, pass.TypesInfo),
+		nonBlocking: nonBlockingSends(pass.Files),
+		reach:       make(map[*ast.FuncDecl]blocking),
+	}
 	for _, f := range pass.Files {
 		for _, body := range dataflow.FuncBodies(f) {
-			checkFunc(pass, body, graph, nonBlocking)
+			c.checkFunc(body)
 		}
 	}
 	return nil
 }
 
-func checkFunc(pass *analysis.Pass, body *ast.BlockStmt, graph *interproc.Graph, nonBlocking map[ast.Node]bool) {
+func (c *checker) checkFunc(body *ast.BlockStmt) {
+	pass := c.pass
 	deferred := collectDeferredUnlocks(pass, body)
 
 	h := &dataflow.Hooks{
@@ -131,25 +151,26 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt, graph *interproc.Graph,
 				return false
 			}
 
-			if st.Len() == 0 || info.Deferred {
+			if st.Len() == 0 || info.Deferred || !info.Reporting {
 				return false
 			}
-			if why, _ := interproc.BlockingCall(pass.TypesInfo, call); why != "" {
-				if info.Reporting {
+			if why, _ := blockingCall(pass.TypesInfo, call); why != "" {
+				pass.Reportf(call.Pos(),
+					"%s while holding %s; a stalled peer blocks every goroutine contending for the lock", why, heldList(st))
+				return false
+			}
+			if fd := c.decls[analysis.CalleeFunc(pass.TypesInfo, call)]; fd != nil {
+				if b := c.reachable(fd); b.kind != "" {
 					pass.Reportf(call.Pos(),
-						"%s while holding %s; a stalled peer blocks every goroutine contending for the lock", why, heldList(st))
+						"call to %s (transitively: %s, via %s) while holding %s; a stalled peer blocks every goroutine contending for the lock",
+						fd.Name.Name, b.kind, b.via, heldList(st))
 				}
-				return false
 			}
-			if reportTransitiveEffect(pass, call, st, graph, info.Reporting) {
-				return false
-			}
-			reportSelfDeadlock(pass, call, st, graph, info.Reporting)
 			return false
 		},
 		OnNode: func(n ast.Node, st *dataflow.State, deferredCall bool) {
 			send, ok := n.(*ast.SendStmt)
-			if !ok || st.Len() == 0 || nonBlocking[send] {
+			if !ok || st.Len() == 0 || c.nonBlocking[send] {
 				return
 			}
 			pass.Reportf(send.Pos(),
@@ -174,65 +195,76 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt, graph *interproc.Graph,
 	dataflow.Run(h, body)
 }
 
+// reachable walks fd's static same-package calls breadth-first to the
+// nearest blocking operation, so the call path it reports ("flushAll → frame
+// I/O (wire.WriteFrame)") is a shortest one.
+func (c *checker) reachable(fd *ast.FuncDecl) blocking {
+	if b, ok := c.reach[fd]; ok {
+		return b
+	}
+	type visit struct {
+		fd   *ast.FuncDecl
+		path string
+	}
+	queue := []visit{{fd, ""}}
+	seen := map[*ast.FuncDecl]bool{fd: true}
+	var found blocking
+	for len(queue) > 0 && found.kind == "" {
+		v := queue[0]
+		queue = queue[1:]
+		kind, why, callees := c.scan(v.fd)
+		if kind != "" {
+			found = blocking{kind, v.path + why}
+		}
+		for _, callee := range callees {
+			if !seen[callee] {
+				seen[callee] = true
+				queue = append(queue, visit{callee, v.path + callee.Name.Name + " → "})
+			}
+		}
+	}
+	c.reach[fd] = found
+	return found
+}
+
+// scan returns the first blocking operation in fd's own body, or else the
+// same-package functions it calls. Calls under go and function-literal
+// bodies are skipped: neither runs before fd returns. Deferred calls do.
+func (c *checker) scan(fd *ast.FuncDecl) (kind, why string, callees []*ast.FuncDecl) {
+	spawned := make(map[*ast.CallExpr]bool)
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if kind != "" {
+			return false
+		}
+		switch x := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.GoStmt:
+			spawned[x.Call] = true
+		case *ast.SendStmt:
+			if !c.nonBlocking[x] {
+				kind, why = kindSend, kindSend
+			}
+		case *ast.CallExpr:
+			if spawned[x] {
+				return true
+			}
+			if why, kind = blockingCall(c.pass.TypesInfo, x); kind == "" {
+				if callee := c.decls[analysis.CalleeFunc(c.pass.TypesInfo, x)]; callee != nil {
+					callees = append(callees, callee)
+				}
+			}
+		}
+		return true
+	})
+	return kind, why, callees
+}
+
 // lockOp recognizes a mutex method call and returns the lock key (write mode)
 // and the operation name.
 func lockOp(pass *analysis.Pass, call *ast.CallExpr) (lockKey, string, bool) {
-	root, path, op, ok := interproc.MutexOp(pass.TypesInfo, call)
+	root, path, op, ok := mutexOp(pass.TypesInfo, call)
 	return lockKey{root: root, path: path}, op, ok
-}
-
-// reportTransitiveEffect flags a call into a same-package function whose
-// transitive summary includes a blocking effect, while a lock is held. The
-// report is placed at the call site — the line a //lint:allow must cover —
-// with the call path to the operation in the message. Reports whether a
-// diagnostic applies at this call.
-func reportTransitiveEffect(pass *analysis.Pass, call *ast.CallExpr, st *dataflow.State, graph *interproc.Graph, reporting bool) bool {
-	node := graph.Lookup(interproc.CalleeFunc(pass.TypesInfo, call))
-	if node == nil || node.Sum.Effects == 0 {
-		return false
-	}
-	if reporting {
-		bit := interproc.EffectSend
-		for _, b := range []interproc.Effect{interproc.EffectIO, interproc.EffectECall, interproc.EffectSend} {
-			if node.Sum.Effects&b != 0 {
-				bit = b
-				break
-			}
-		}
-		pass.Reportf(call.Pos(),
-			"call to %s (transitively: %s, via %s) while holding %s; a stalled peer blocks every goroutine contending for the lock",
-			node.Fn.Name(), bit, node.EffectTrace(bit), heldList(st))
-	}
-	return true
-}
-
-// reportSelfDeadlock flags a call to a same-package method that acquires —
-// directly or through same-receiver helper calls — a receiver lock the
-// caller already holds on the same object.
-func reportSelfDeadlock(pass *analysis.Pass, call *ast.CallExpr, st *dataflow.State, graph *interproc.Graph, reporting bool) {
-	sel, _ := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if sel == nil || !reporting {
-		return
-	}
-	node := graph.Lookup(interproc.CalleeFunc(pass.TypesInfo, call))
-	if node == nil || len(node.Sum.RecvLocks) == 0 {
-		return
-	}
-	root, _, ok := interproc.SplitLockExpr(pass.TypesInfo, sel.X)
-	if !ok {
-		return
-	}
-	for _, l := range node.Sum.RecvLocks {
-		held := lockKey{root, l.Path, false}
-		heldR := lockKey{root, l.Path, true}
-		// Write acquire conflicts with anything held; read acquire conflicts
-		// with a held write lock.
-		if st.Has(held) || (!l.Read && st.Has(heldR)) {
-			pass.Reportf(call.Pos(),
-				"call to %s.%s re-acquires %s already held here; self-deadlock", root.Name(), node.Fn.Name(), root.Name()+l.Path)
-			return
-		}
-	}
 }
 
 // collectDeferredUnlocks gathers the locks released by defer statements
@@ -266,4 +298,174 @@ func heldList(st *dataflow.State) string {
 	})
 	sort.Strings(names)
 	return strings.Join(names, ", ")
+}
+
+// nonBlockingSends returns the send statements that are comm clauses of a
+// select containing a default arm: non-blocking by construction.
+func nonBlockingSends(files []*ast.File) map[ast.Node]bool {
+	out := make(map[ast.Node]bool)
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectStmt)
+			if !ok {
+				return true
+			}
+			hasDefault := false
+			for _, cl := range sel.Body.List {
+				if comm, ok := cl.(*ast.CommClause); ok && comm.Comm == nil {
+					hasDefault = true
+				}
+			}
+			if !hasDefault {
+				return true
+			}
+			for _, cl := range sel.Body.List {
+				if comm, ok := cl.(*ast.CommClause); ok && comm.Comm != nil {
+					out[comm.Comm] = true
+				}
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// mutexOp recognizes a sync.Mutex / sync.RWMutex method call and returns
+// the lock's root object, the selector path from the root to the mutex
+// (".state.mu" for c.state.mu), and the operation name.
+func mutexOp(info *types.Info, call *ast.CallExpr) (root types.Object, path, op string, ok bool) {
+	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !isSel {
+		return nil, "", "", false
+	}
+	op = sel.Sel.Name
+	switch op {
+	case "Lock", "Unlock", "RLock", "RUnlock":
+	default:
+		return nil, "", "", false
+	}
+	if !isMutexType(info.Types[sel.X].Type) {
+		return nil, "", "", false
+	}
+	root, path, ok = splitLockExpr(info, sel.X)
+	if !ok {
+		return nil, "", "", false
+	}
+	return root, path, op, true
+}
+
+// splitLockExpr splits a lock expression into its root object and selector
+// path (c.state.mu -> root c, path ".state.mu").
+func splitLockExpr(info *types.Info, e ast.Expr) (types.Object, string, bool) {
+	var parts []string
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			obj := info.Uses[x]
+			if obj == nil {
+				obj = info.Defs[x]
+			}
+			if obj == nil {
+				return nil, "", false
+			}
+			path := ""
+			for i := len(parts) - 1; i >= 0; i-- {
+				path += "." + parts[i]
+			}
+			return obj, path, true
+		case *ast.SelectorExpr:
+			parts = append(parts, x.Sel.Name)
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.UnaryExpr:
+			e = x.X
+		default:
+			return nil, "", false
+		}
+	}
+}
+
+func isMutexType(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return false
+	}
+	if named.Obj().Pkg().Path() != "sync" {
+		return false
+	}
+	name := named.Obj().Name()
+	return name == "Mutex" || name == "RWMutex"
+}
+
+// blockingCall classifies a call as a potentially indefinitely blocking
+// operation, returning a short description and its kind ("" if not
+// blocking). The vocabulary: net.Conn-shaped I/O, net.Buffers vectored
+// writes, internal/wire frame I/O, and enclave ecall transitions.
+func blockingCall(info *types.Info, call *ast.CallExpr) (why, kind string) {
+	fn := analysis.CalleeFunc(info, call)
+	if fn == nil || fn.Pkg() == nil {
+		return "", ""
+	}
+	switch fn.Pkg().Path() {
+	case "net":
+		switch fn.Name() {
+		case "Read", "Write", "Accept", "Close":
+			return fmt.Sprintf("net %s call", fn.Name()), kindIO
+		case "WriteTo":
+			// net.Buffers.WriteTo: the vectored write behind the ring
+			// transport's flush.
+			return "net vectored write (Buffers.WriteTo)", kindIO
+		}
+		return "", ""
+	case analysis.ModulePath + "/internal/wire":
+		if fn.Name() == "ReadFrame" || fn.Name() == "WriteFrame" {
+			return fmt.Sprintf("frame I/O (wire.%s)", fn.Name()), kindIO
+		}
+		return "", ""
+	case analysis.ModulePath + "/internal/enclave":
+		switch fn.Name() {
+		case "ECall", "ECallAppend":
+			return "ecall transition", kindECall
+		}
+		return "", ""
+	}
+	// Concrete Conn types: a Read/Write/Close method on a value with
+	// net.Conn's core shape is treated as conn I/O.
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && isConnLike(info, sel.X) {
+		switch fn.Name() {
+		case "Read", "Write", "Close":
+			return fmt.Sprintf("conn %s call", fn.Name()), kindIO
+		}
+	}
+	return "", ""
+}
+
+// isConnLike reports whether e's type has the net.Conn core methods
+// (Read/Write/Close plus deadlines) without needing the net package loaded.
+func isConnLike(info *types.Info, e ast.Expr) bool {
+	t := info.Types[e].Type
+	if t == nil {
+		return false
+	}
+	need := map[string]bool{"Read": false, "Write": false, "Close": false, "SetDeadline": false}
+	ms := types.NewMethodSet(t)
+	for i := 0; i < ms.Len(); i++ {
+		name := ms.At(i).Obj().Name()
+		if _, ok := need[name]; ok {
+			need[name] = true
+		}
+	}
+	for _, have := range need {
+		if !have {
+			return false
+		}
+	}
+	return true
 }

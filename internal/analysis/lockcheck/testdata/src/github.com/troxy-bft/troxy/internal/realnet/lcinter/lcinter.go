@@ -53,8 +53,8 @@ func (g *G) lockedNotify() {
 	g.mu.Unlock()
 }
 
-// drainA / drainB are mutually recursive; the send effect only reaches
-// drainA through the SCC fixpoint.
+// drainA / drainB are mutually recursive; the send is reported from either
+// member.
 func (g *G) drainA(n int) {
 	if n > 0 {
 		g.drainB(n - 1)
@@ -72,21 +72,35 @@ func (g *G) lockedDrain() {
 	g.drainA(3) // want "call to drainA \\(transitively: channel send"
 }
 
-// bumpLocked takes the receiver lock; bumpViaHelper launders the acquire
-// through a second method. The transitive receiver-lock summary still sees
-// it.
-func (g *G) bumpLocked() {
+func (g *G) lockedDrainB() {
 	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.drainB(3) // want "call to drainB \\(transitively: channel send"
+}
+
+// notifyOnExit's send runs in a deferred call, before it returns.
+func (g *G) notifyOnExit() {
+	defer g.notify()
 	g.n++
+}
+
+func (g *G) lockedNotifyOnExit() {
+	g.mu.Lock()
+	g.notifyOnExit() // want "call to notifyOnExit \\(transitively: channel send, via notify → channel send"
 	g.mu.Unlock()
 }
 
-func (g *G) bumpViaHelper() {
-	g.bumpLocked()
+// relay reaches the send three hops down; the trace names each one.
+func (g *G) relay() {
+	g.relayMid()
 }
 
-func (g *G) lockedBump() {
+func (g *G) relayMid() {
+	g.notify()
+}
+
+func (g *G) lockedRelay() {
 	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.bumpViaHelper() // want "call to g.bumpViaHelper re-acquires g.mu already held here; self-deadlock"
+	g.relay() // want "call to relay \\(transitively: channel send, via relayMid → notify → channel send\\)"
+	g.mu.Unlock()
 }

@@ -1,6 +1,6 @@
 // Package lcinterneg must stay silent: each helper call under a lock is one
-// the transitive-effect summaries must NOT flag — non-blocking sends,
-// go-spawned work, function-literal bodies, and pure computation.
+// the callee walk must NOT flag — non-blocking sends, go-spawned work,
+// function-literal bodies, and pure computation.
 package lcinterneg
 
 import (
@@ -39,7 +39,7 @@ func (g *G) flush(p []byte) {
 }
 
 // ...but spawnFlush only spawns it: the go statement cannot block the
-// spawner, so no effect propagates across the edge.
+// spawner, so the walk does not follow it.
 func (g *G) spawnFlush(p []byte) {
 	go g.flush(p)
 }
@@ -74,17 +74,4 @@ func (g *G) lockedTally() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.tally(1)
-}
-
-// bumpOther locks a *different* receiver's mutex: no self-deadlock on g.
-func (g *G) bumpOther(o *G) {
-	o.mu.Lock()
-	o.n++
-	o.mu.Unlock()
-}
-
-func (g *G) lockedBumpOther(o *G) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.bumpOther(o)
 }

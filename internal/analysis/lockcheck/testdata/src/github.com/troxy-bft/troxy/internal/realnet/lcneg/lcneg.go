@@ -73,39 +73,11 @@ func (b *B) writeAfterSnapshot(p []byte) error {
 	return wire.WriteFrame(b.conn, buf)
 }
 
-// bump locks the receiver; callers below release before calling it.
-func (b *B) bump() {
-	b.mu.Lock()
-	b.n++
-	b.mu.Unlock()
-}
-
-func (b *B) callAfterUnlock() {
-	b.mu.Lock()
-	b.n = 0
-	b.mu.Unlock()
-	b.bump()
-}
-
-// readers may stack: an RLock-taking helper under a held RLock is fine.
-func (b *B) readCount() int {
-	b.rw.RLock()
-	defer b.rw.RUnlock()
-	return b.n
-}
-
+// read locks released by defer.
 func (b *B) sumUnderRead() int {
 	b.rw.RLock()
 	defer b.rw.RUnlock()
 	return b.n + 1
-}
-
-// nestedRead calls an RLock-taking helper under a held read lock — accepted
-// (deadlock-prone only with a pending writer; see package doc).
-func (b *B) nestedRead() int {
-	b.rw.RLock()
-	defer b.rw.RUnlock()
-	return b.n + b.readCount()
 }
 
 // distinctLocks: holding mu while taking rw is not a self-deadlock.

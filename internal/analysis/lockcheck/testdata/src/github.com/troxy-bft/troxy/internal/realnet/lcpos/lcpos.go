@@ -71,19 +71,6 @@ func (b *B) doubleLock() {
 	b.mu.Unlock()
 }
 
-// bump locks the receiver; calling it with the lock held self-deadlocks.
-func (b *B) bump() {
-	b.mu.Lock()
-	b.n++
-	b.mu.Unlock()
-}
-
-func (b *B) callLockingMethod() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.bump() // want "call to b.bump re-acquires b.mu already held here; self-deadlock"
-}
-
 // readCount takes the read lock; a write acquire under it still deadlocks.
 func (b *B) readCount() int {
 	b.rw.RLock()

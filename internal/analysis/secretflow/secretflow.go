@@ -24,46 +24,44 @@
 //   - wire encoders outside the enclave surface: calls into internal/wire
 //     (Writer methods, WriteFrame) with a tainted argument from a package
 //     outside the trusted roots — trusted code may frame secrets because
-//     it encrypts or seals them first, host code may not;
-//   - the ecall return path: an ecall handler (the func([]byte) ([]byte,
-//     error) values registered in an ECall table) returning a tainted
-//     value — enclave.ECall copies results into untrusted memory, so
-//     returning secret material is a leak regardless of copying.
+//     it encrypts or seals them first, host code may not.
 //
-// Taint also propagates *through* same-package calls, via the
-// inter-procedural summaries of internal/analysis/interproc: a tainted
-// argument to a helper whose summary says the parameter reaches a log/wire
-// sink is reported at the call site; a helper whose summary says the
-// parameter flows to a result (an identity or copying helper) taints the
-// call's results; and a helper that derives key material internally and
-// returns it (the laundering shape) yields tainted results with no tainted
-// input at all. The summaries are computed bottom-up over the call graph's
-// SCCs with a fixpoint, so mutual recursion converges.
+// Taint also follows same-package calls, on demand: at a call with tainted
+// arguments the analyzer runs the same hooks over the callee's body with the
+// matching parameters seeded, and reports at the call site the sinks they
+// reach there (or in anything the callee calls in turn); when they reach a
+// result, the call's results are tainted. A second run over the callee with
+// no seeds and the sources active says whether it returns secret material
+// of its own (the laundering shape, `func key() []byte { return hkdf.Key(...) }`).
+// Runs are memoized per callee and argument mask; a callee already on the
+// stack counts as clean, and a result computed under that assumption is kept
+// only while the callee it assumed clean is still running.
 //
-// Known limits, by design: summaries stop at the package boundary — an
+// Known limits, by design: the walk stops at the package boundary — an
 // out-of-package call with tainted arguments still declassifies by default
 // (Seal, Encrypt, Sign, mac.Sum legitimately transform secrets into
 // publishable bytes), and the discipline stays compositional: the other
 // package's bodies face the same analyzer. Calls through func values and
-// interface implementations outside the package are invisible to the
-// summaries. Error values never carry taint: errors are built for display,
-// and wrapping one that came out of a derivation call is not a leak.
+// interfaces are not followed, and recursion is cut where it closes. Error
+// values never carry taint: errors are built for display, and wrapping one
+// that came out of a derivation call is not a leak.
 package secretflow
 
 import (
 	"go/ast"
 	"go/types"
+	"math"
+	"slices"
 	"strings"
 
 	"github.com/troxy-bft/troxy/internal/analysis"
 	"github.com/troxy-bft/troxy/internal/analysis/dataflow"
-	"github.com/troxy-bft/troxy/internal/analysis/interproc"
 )
 
 // Analyzer is the secretflow analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "secretflow",
-	Doc:  "secret key material must not reach logs, host-side wire encoders, or the ecall return path",
+	Doc:  "secret key material must not reach logs or host-side wire encoders, directly or through same-package calls",
 	Run:  run,
 }
 
@@ -78,126 +76,277 @@ var sinkPkgs = map[string]bool{
 
 const wirePkg = analysis.ModulePath + "/internal/wire"
 
+// sinkKind is a set of sinks tainted values reach.
+type sinkKind uint8
+
+const (
+	sinkLog sinkKind = 1 << iota
+	sinkWire
+)
+
+// flow is what one run over a callee found: the sinks its seeded
+// parameters reach, and whether taint reaches a result.
+type flow struct {
+	sinks  sinkKind
+	result bool
+}
+
+// runKey names one run over a callee: mask is the set of seeded parameters
+// (bit 0 the receiver, bit i+1 parameter i), zero for the intrinsic run.
+type runKey struct {
+	fd   *ast.FuncDecl
+	mask uint64
+}
+
+// memoEntry is a finished run. assumed is the depth of the shallowest run in
+// progress it took to be clean (math.MaxInt for none): the entry is dropped
+// when that run ends.
+type memoEntry struct {
+	f       flow
+	assumed int
+}
+
+// checker is one package's run. It owns the one definition of what a source
+// and a sink are, for the package's own bodies and for the callee runs.
+type checker struct {
+	pass      *analysis.Pass
+	trusted   bool
+	annotated map[types.Object]bool
+	decls     map[*types.Func]*ast.FuncDecl
+
+	memo    map[runKey]memoEntry
+	onStack map[runKey]int // depth of each run in progress
+	// assumedAt lists, per depth of a run in progress, the memo entries
+	// that assumed it clean.
+	assumedAt [][]runKey
+	// cut is the shallowest depth of a run in progress that the innermost
+	// one has so far relied on being clean.
+	cut int
+
+	returns map[*ast.FuncDecl]map[*ast.ReturnStmt]bool
+}
+
 func run(pass *analysis.Pass) error {
 	rel, ok := analysis.RelPath(pass.Path())
 	if !ok {
 		return nil
 	}
-	trusted := analysis.Trusted(rel)
-
-	annotated := collectAnnotated(pass)
-	handlers := collectHandlers(pass)
-	enclosing := collectEnclosing(pass)
-
-	source := func(e ast.Expr) bool {
-		switch x := e.(type) {
-		case *ast.Ident:
-			if obj := identObj(pass, x); obj != nil && annotated[obj] {
-				return true
-			}
-		case *ast.SelectorExpr:
-			if obj := pass.TypesInfo.Uses[x.Sel]; obj != nil && annotated[obj] {
-				return true
-			}
-		}
-		if tv, ok := pass.TypesInfo.Types[e]; ok && tv.IsValue() && isSecretType(tv.Type) {
-			return true
-		}
-		return false
+	c := &checker{
+		pass:      pass,
+		trusted:   analysis.Trusted(rel),
+		annotated: collectAnnotated(pass),
+		decls:     analysis.FuncDecls(pass.Files, pass.TypesInfo),
+		memo:      make(map[runKey]memoEntry),
+		onStack:   make(map[runKey]int),
+		cut:       math.MaxInt,
+		returns:   make(map[*ast.FuncDecl]map[*ast.ReturnStmt]bool),
 	}
-	// callSink classifies an out-of-package callee as a sink for the summary
-	// engine (and mirrors the direct reporting below).
-	callSink := func(fn *types.Func) interproc.SinkKind {
-		pkgPath := fn.Pkg().Path()
-		var k interproc.SinkKind
-		if sinkPkgs[pkgPath] {
-			k |= interproc.SinkLog
-		}
-		if !trusted && pkgPath == wirePkg {
-			k |= interproc.SinkWire
-		}
-		return k
-	}
-	graph := interproc.Build(pass.Files, pass.TypesInfo, pass.Pkg, &interproc.TaintSpec{
-		Source:     source,
-		Derivation: isDerivation,
-		CallSink:   callSink,
-	})
-
 	h := &dataflow.Hooks{
 		Info:   pass.TypesInfo,
-		Source: source,
+		Source: c.source,
 		TransferCall: func(call *ast.CallExpr, info dataflow.CallInfo, st *dataflow.State) bool {
-			fn := interproc.CalleeFunc(pass.TypesInfo, call)
-			if fn == nil || fn.Pkg() == nil {
-				return false
-			}
-			if isDerivation(fn) {
-				return true
-			}
-			if node := graph.Lookup(fn); node != nil {
-				// Same-package call: apply the callee's summary — sinks its
-				// body (transitively) feeds from tainted inputs, reported at
-				// this call site, plus result taint.
-				res := node.Sum.ResultsTainted
-				var sinks interproc.SinkKind
-				if info.RecvTainted {
-					sinks |= node.Sum.RecvFlow.Sinks
-					res = res || node.Sum.RecvFlow.ToResult
-				}
-				for i, t := range info.ArgsTainted {
-					if !t {
-						continue
-					}
-					f := node.Sum.ArgFlow(i)
-					sinks |= f.Sinks
-					res = res || f.ToResult
-				}
+			return c.transfer(call, info, true, func(fn *types.Func, k sinkKind, inCallee bool) {
 				if info.Reporting {
-					if sinks&interproc.SinkLog != 0 {
-						pass.Reportf(call.Pos(),
-							"secret-tainted argument to %s reaches a formatting/logging sink inside the callee; key material must never be formatted or logged", fn.Name())
-					}
-					if sinks&interproc.SinkWire != 0 {
-						pass.Reportf(call.Pos(),
-							"secret-tainted argument to %s reaches a wire encoder inside the callee; only ciphertext may leave the trusted packages", fn.Name())
-					}
+					c.report(call, fn, k, inCallee)
 				}
-				return res
-			}
-			if !info.ArgTainted || !info.Reporting {
-				return false
-			}
-			pkgPath := fn.Pkg().Path()
-			if sinkPkgs[pkgPath] {
-				pass.Reportf(call.Pos(),
-					"secret-tainted value reaches %s.%s; key material must never be formatted or logged", pkgBase(pkgPath), fn.Name())
-			}
-			if !trusted && pkgPath == wirePkg {
-				pass.Reportf(call.Pos(),
-					"secret-tainted value written to the wire via %s.%s outside the enclave surface; only ciphertext may leave the trusted packages", pkgBase(pkgPath), fn.Name())
-			}
-			return false
-		},
-		OnReturn: func(ret *ast.ReturnStmt, tainted []bool, st *dataflow.State) {
-			if !handlers[enclosing[ret]] {
-				return
-			}
-			for i, t := range tainted {
-				if t {
-					pass.Reportf(ret.Results[i].Pos(),
-						"ecall handler returns a secret-tainted value; results are copied into untrusted memory by the ecall runtime")
-				}
-			}
+			})
 		},
 	}
-
 	for _, f := range pass.Files {
 		for _, body := range dataflow.FuncBodies(f) {
 			dataflow.Run(h, body)
 		}
 	}
 	return nil
+}
+
+// source reports whether evaluating e introduces taint by itself.
+func (c *checker) source(e ast.Expr) bool {
+	switch x := e.(type) {
+	case *ast.Ident:
+		if obj := identObj(c.pass, x); obj != nil && c.annotated[obj] {
+			return true
+		}
+	case *ast.SelectorExpr:
+		if obj := c.pass.TypesInfo.Uses[x.Sel]; obj != nil && c.annotated[obj] {
+			return true
+		}
+	}
+	tv, ok := c.pass.TypesInfo.Types[e]
+	return ok && tv.IsValue() && isSecretType(tv.Type)
+}
+
+// transfer decides a call's result taint and hands sink each sink its
+// tainted arguments reach: directly for an out-of-package callee, inside the
+// callee (inCallee) for a same-package one. sources is false in a seeded
+// run, where only the parameters' taint counts.
+func (c *checker) transfer(call *ast.CallExpr, info dataflow.CallInfo, sources bool, sink func(fn *types.Func, k sinkKind, inCallee bool)) bool {
+	fn := analysis.CalleeFunc(c.pass.TypesInfo, call)
+	if fn == nil || fn.Pkg() == nil {
+		return false
+	}
+	if isDerivation(fn) {
+		return sources || info.ArgTainted
+	}
+	if fd := c.decls[fn]; fd != nil {
+		res := sources && c.run(fd, 0).result
+		if mask := argMask(info); mask != 0 {
+			f := c.run(fd, mask)
+			if f.sinks != 0 {
+				sink(fn, f.sinks, true)
+			}
+			res = res || f.result
+		}
+		return res
+	}
+	if !info.ArgTainted {
+		return false
+	}
+	var k sinkKind
+	if sinkPkgs[fn.Pkg().Path()] {
+		k |= sinkLog
+	}
+	if !c.trusted && fn.Pkg().Path() == wirePkg {
+		k |= sinkWire
+	}
+	if k != 0 {
+		sink(fn, k, false)
+	}
+	return false
+}
+
+func (c *checker) report(call *ast.CallExpr, fn *types.Func, k sinkKind, inCallee bool) {
+	pass := c.pass
+	switch {
+	case inCallee && k&sinkLog != 0:
+		pass.Reportf(call.Pos(),
+			"secret-tainted argument to %s reaches a formatting/logging sink inside the callee; key material must never be formatted or logged", fn.Name())
+	case k&sinkLog != 0:
+		pass.Reportf(call.Pos(),
+			"secret-tainted value reaches %s.%s; key material must never be formatted or logged", pkgBase(fn.Pkg().Path()), fn.Name())
+	}
+	switch {
+	case inCallee && k&sinkWire != 0:
+		pass.Reportf(call.Pos(),
+			"secret-tainted argument to %s reaches a wire encoder inside the callee; only ciphertext may leave the trusted packages", fn.Name())
+	case k&sinkWire != 0:
+		pass.Reportf(call.Pos(),
+			"secret-tainted value written to the wire via %s.%s outside the enclave surface; only ciphertext may leave the trusted packages", pkgBase(fn.Pkg().Path()), fn.Name())
+	}
+}
+
+// argMask is the set of a call's tainted arguments, as runKey numbers them.
+// Variadic overflow folds onto the last parameter when the callee is run.
+func argMask(info dataflow.CallInfo) uint64 {
+	var mask uint64
+	if info.RecvTainted {
+		mask = 1
+	}
+	for i, t := range info.ArgsTainted {
+		if t {
+			mask |= 1 << min(i+1, 63)
+		}
+	}
+	return mask
+}
+
+// run runs the hooks over fd's body: with the parameters in mask seeded and
+// no sources, or (mask zero) with no seeds and the sources active.
+func (c *checker) run(fd *ast.FuncDecl, mask uint64) flow {
+	key := runKey{fd, mask}
+	if e, ok := c.memo[key]; ok {
+		c.cut = min(c.cut, e.assumed)
+		return e.f
+	}
+	if depth, ok := c.onStack[key]; ok {
+		c.cut = min(c.cut, depth)
+		return flow{}
+	}
+	depth := len(c.onStack)
+	c.onStack[key] = depth
+	c.assumedAt = append(c.assumedAt, nil)
+	outer := c.cut
+	c.cut = math.MaxInt
+
+	var f flow
+	own := c.ownReturns(fd)
+	h := &dataflow.Hooks{
+		Info: c.pass.TypesInfo,
+		TransferCall: func(call *ast.CallExpr, info dataflow.CallInfo, st *dataflow.State) bool {
+			return c.transfer(call, info, mask == 0, func(_ *types.Func, k sinkKind, _ bool) { f.sinks |= k })
+		},
+		OnReturn: func(ret *ast.ReturnStmt, tainted []bool, st *dataflow.State) {
+			if own[ret] && slices.Contains(tainted, true) {
+				f.result = true
+			}
+		},
+	}
+	init := dataflow.NewState()
+	if mask == 0 {
+		h.Source = c.source
+	}
+	params := paramObjs(c.pass.TypesInfo, fd)
+	for i, obj := range params {
+		if obj != nil && mask&(1<<i) != 0 {
+			init.Add(obj)
+		}
+	}
+	if last := len(params) - 1; last > 0 && params[last] != nil && mask>>last != 0 {
+		init.Add(params[last]) // variadic overflow
+	}
+	dataflow.RunFrom(h, fd.Body, init)
+
+	delete(c.onStack, key)
+	for _, k := range c.assumedAt[depth] {
+		delete(c.memo, k)
+	}
+	c.assumedAt = c.assumedAt[:depth]
+	if c.cut >= depth {
+		c.cut = math.MaxInt // what it assumed of itself ends with it
+	} else {
+		c.assumedAt[c.cut] = append(c.assumedAt[c.cut], key)
+	}
+	c.memo[key] = memoEntry{f, c.cut}
+	c.cut = min(outer, c.cut)
+	return f
+}
+
+// paramObjs lists fd's receiver (nil for a function or an unnamed receiver)
+// and then its parameters (nil where unnamed), in runKey's numbering.
+func paramObjs(info *types.Info, fd *ast.FuncDecl) []types.Object {
+	objs := []types.Object{nil}
+	if fd.Recv != nil && len(fd.Recv.List[0].Names) == 1 {
+		objs[0] = info.Defs[fd.Recv.List[0].Names[0]]
+	}
+	for _, field := range fd.Type.Params.List {
+		if len(field.Names) == 0 {
+			objs = append(objs, nil)
+		}
+		for _, name := range field.Names {
+			objs = append(objs, info.Defs[name])
+		}
+	}
+	return objs
+}
+
+// ownReturns gathers the return statements of fd itself, not those of the
+// function literals inside it.
+func (c *checker) ownReturns(fd *ast.FuncDecl) map[*ast.ReturnStmt]bool {
+	if out, ok := c.returns[fd]; ok {
+		return out
+	}
+	out := make(map[*ast.ReturnStmt]bool)
+	c.returns[fd] = out
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.ReturnStmt:
+			out[x] = true
+		}
+		return true
+	})
+	return out
 }
 
 // collectAnnotated gathers the objects declared with a `// troxy:secret`
@@ -249,72 +398,6 @@ func hasSecretMark(cg *ast.CommentGroup) bool {
 		}
 	}
 	return false
-}
-
-// collectHandlers returns the set of function literals registered as ecall
-// handlers (values of an ECall-table composite literal or index assignment).
-func collectHandlers(pass *analysis.Pass) map[ast.Node]bool {
-	out := make(map[ast.Node]bool)
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CompositeLit:
-				if analysis.IsECallTableType(pass.TypesInfo.Types[n].Type) {
-					for _, elt := range n.Elts {
-						if kv, ok := elt.(*ast.KeyValueExpr); ok {
-							if lit, ok := kv.Value.(*ast.FuncLit); ok {
-								out[lit] = true
-							}
-						}
-					}
-				}
-			case *ast.AssignStmt:
-				for i, rhs := range n.Rhs {
-					lit, ok := rhs.(*ast.FuncLit)
-					if !ok || i >= len(n.Lhs) {
-						continue
-					}
-					if idx, ok := n.Lhs[i].(*ast.IndexExpr); ok &&
-						analysis.IsECallTableType(pass.TypesInfo.Types[idx.X].Type) {
-						out[lit] = true
-					}
-				}
-			}
-			return true
-		})
-	}
-	return out
-}
-
-// collectEnclosing maps every return statement to its innermost enclosing
-// function node (FuncDecl or FuncLit).
-func collectEnclosing(pass *analysis.Pass) map[*ast.ReturnStmt]ast.Node {
-	out := make(map[*ast.ReturnStmt]ast.Node)
-	for _, f := range pass.Files {
-		var stack []ast.Node
-		var funcs []ast.Node
-		ast.Inspect(f, func(n ast.Node) bool {
-			if n == nil {
-				top := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				if len(funcs) > 0 && funcs[len(funcs)-1] == top {
-					funcs = funcs[:len(funcs)-1]
-				}
-				return true
-			}
-			stack = append(stack, n)
-			switch n := n.(type) {
-			case *ast.FuncDecl, *ast.FuncLit:
-				funcs = append(funcs, n)
-			case *ast.ReturnStmt:
-				if len(funcs) > 0 {
-					out[n] = funcs[len(funcs)-1]
-				}
-			}
-			return true
-		})
-	}
-	return out
 }
 
 // isSecretType reports whether t is (a pointer to) a private-key type.

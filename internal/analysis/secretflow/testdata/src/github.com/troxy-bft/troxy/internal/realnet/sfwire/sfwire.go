@@ -21,18 +21,26 @@ func leakFrame(dst *bytes.Buffer) error {
 	return wire.WriteFrame(dst, sessionTicket) // want "secret-tainted value written to the wire via wire.WriteFrame outside the enclave surface"
 }
 
-// forwardCopied is the cross-function case the intra-procedural engine
-// provably missed (it treated any call as declassifying): the in-package
-// copy helper's summary says its parameter flows to its result, so the
-// "ciphertext" still carries the secret bytes.
+// forwardCopied is a cross-function case: the in-package copy helper's
+// parameter flows to its result, so the "ciphertext" still carries the
+// secret bytes.
 func forwardCopied(w *wire.Writer) {
 	ct := copyBytes(sessionTicket)
 	w.Raw(ct) // want "secret-tainted value written to the wire via wire.Raw outside the enclave surface"
 }
 
+// ship frames copyBytes' result: its parameter reaches the wire encoder through
+// a helper that returns it.
+func ship(w *wire.Writer, v []byte) {
+	w.Raw(copyBytes(v))
+}
+
+func forwardShipped(w *wire.Writer) {
+	ship(w, sessionTicket) // want "secret-tainted argument to ship reaches a wire encoder inside the callee"
+}
+
 // forwardCiphertext is clean: the seal stub's result does not derive from
-// its input (a real seal returns fresh ciphertext bytes), and the summary
-// proves it.
+// its input (a real seal returns fresh ciphertext bytes).
 func forwardCiphertext(w *wire.Writer) {
 	ct := seal(sessionTicket)
 	w.Raw(ct)

@@ -12,8 +12,6 @@ import (
 	"github.com/troxy-bft/troxy/internal/wire"
 )
 
-type handlers = map[string]func(arg []byte) ([]byte, error)
-
 // S holds trusted key material.
 type S struct {
 	// troxy:secret
@@ -46,15 +44,3 @@ func (s *S) sign(msg []byte) []byte {
 func (s *S) frame(w *wire.Writer) {
 	w.Bytes32(s.key)
 }
-
-// ECalls returns only sealed (call-declassified) bytes across the boundary.
-func (s *S) ECalls() handlers {
-	return handlers{
-		"seal-key": func(arg []byte) ([]byte, error) {
-			sealed := seal(s.key, arg)
-			return sealed, nil
-		},
-	}
-}
-
-func seal(key, aad []byte) []byte { return append([]byte(nil), aad...) }

@@ -1,5 +1,5 @@
 // Package sfpos must trigger secretflow: annotated and type-seeded secrets
-// reaching format/log sinks and the ecall return path.
+// reaching format/log sinks.
 package sfpos
 
 import (
@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"log"
 )
-
-type handlers = map[string]func(arg []byte) ([]byte, error)
 
 // S holds trusted key material.
 type S struct {
@@ -47,15 +45,4 @@ func (s *S) aliasFlow() {
 	k := s.key
 	buf := append([]byte("key="), k...)
 	fmt.Println(buf) // want "secret-tainted value reaches fmt.Println"
-}
-
-// ECalls registers a handler that leaks the key across the return path.
-func (s *S) ECalls() handlers {
-	return handlers{
-		"export-key": func(arg []byte) ([]byte, error) {
-			out := make([]byte, len(s.key))
-			copy(out, s.key)
-			return out, nil // want "ecall handler returns a secret-tainted value"
-		},
-	}
 }

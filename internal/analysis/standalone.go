@@ -90,50 +90,61 @@ type listPackage struct {
 	Error      *struct{ Err string }
 }
 
-// Standalone analyzes the packages matched by patterns. Exit status: 0
-// clean, 1 operational error, 2 findings.
-func Standalone(patterns []string, analyzers []*Analyzer) int {
+// Exports runs `go list -e -export -deps` over patterns and returns the
+// listed packages, with an importer that resolves any of them from the gc
+// export data the listing left in the build cache.
+func Exports(fset *token.FileSet, patterns ...string) ([]listPackage, types.Importer, error) {
 	args := append([]string{"list", "-e", "-export", "-deps", "-json=ImportPath,Dir,Export,Standard,DepOnly,GoFiles,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
 	if err != nil {
-		log.Printf("go list: %v", err)
-		return 1
+		return nil, nil, fmt.Errorf("go list: %v", err)
 	}
-
+	var pkgs []listPackage
 	exports := make(map[string]string) // import path -> export data file
-	var targets []*listPackage
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
 		var p listPackage
 		if err := dec.Decode(&p); err == io.EOF {
 			break
 		} else if err != nil {
-			log.Printf("go list output: %v", err)
-			return 1
-		}
-		if p.Error != nil {
-			log.Printf("%s: %s", p.ImportPath, p.Error.Err)
-			return 1
+			return nil, nil, fmt.Errorf("go list output: %v", err)
 		}
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
-		if _, ok := RelPath(p.ImportPath); ok && !p.DepOnly && !p.Standard {
-			targets = append(targets, &p)
-		}
+		pkgs = append(pkgs, p)
 	}
-
-	fset := token.NewFileSet()
-	lookup := func(path string) (io.ReadCloser, error) {
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		file, ok := exports[path]
 		if !ok {
 			return nil, fmt.Errorf("no export data for %q", path)
 		}
 		return os.Open(file)
+	})
+	return pkgs, imp, nil
+}
+
+// Standalone analyzes the packages matched by patterns. Exit status: 0
+// clean, 1 operational error, 2 findings.
+func Standalone(patterns []string, analyzers []*Analyzer) int {
+	fset := token.NewFileSet()
+	pkgs, imp, err := Exports(fset, patterns...)
+	if err != nil {
+		log.Print(err)
+		return 1
 	}
-	imp := importer.ForCompiler(fset, "gc", lookup)
+	var targets []listPackage
+	for _, p := range pkgs {
+		if p.Error != nil {
+			log.Printf("%s: %s", p.ImportPath, p.Error.Err)
+			return 1
+		}
+		if _, ok := RelPath(p.ImportPath); ok && !p.DepOnly && !p.Standard {
+			targets = append(targets, p)
+		}
+	}
 
 	status := 0
 	for _, p := range targets {

@@ -345,6 +345,18 @@ var Catalogue = []Mutant{
 	if l != nil {`,
 	},
 	{
+		ID: "conn-seal-writes-under-lock", File: "internal/securechannel/conn.go", Aims: []string{"lockcheck"},
+		Fault: "the secure-channel writer's seal helper writes the records to the socket itself, with wmu still held",
+		Old:   "	return bufs, nil\n}",
+		New:   "	_, err := bufs.WriteTo(c.raw)\n	return nil, err\n}",
+	},
+	{
+		ID: "tcounter-certify-reenters-lock", File: "internal/tcounter/tcounter.go", Aims: []string{"lockcheck"},
+		Fault: "Certify reads the last value through Value, which locks the mutex Certify already holds",
+		Old:   "	last, used := s.counters[counter]\n",
+		New:   "	last := s.Value(counter)\n	used := last > 0\n",
+	},
+	{
 		ID: "realnet-enqueue-leaks-lock", File: "internal/realnet/realnet.go", Aims: []string{"lockcheck"},
 		Fault: "a delivery to a stopped node returns with the mailbox lock held",
 		Old:   "	if n.closed {\n		n.mu.Unlock()\n		return\n	}\n	if len(n.queue) == cap(n.queue)",
@@ -382,6 +394,12 @@ var Catalogue = []Mutant{
 		Fault: "a failed handshake formats the service's private key into an error the host logs",
 		Old:   "			return c.out, fmt.Errorf(\"%w: %v\", ErrBadChannel, err)\n		}\n		sess.sc = sc",
 		New:   "			return c.out, fmt.Errorf(\"%w: %v (identity %x)\", ErrBadChannel, err, c.identity)\n		}\n		sess.sc = sc",
+	},
+	{
+		ID: "aead-error-leaks-session-key", File: "internal/securechannel/securechannel.go", Aims: []string{"secretflow"},
+		Fault: "a refused cipher key is formatted into the handshake error, three calls from where the session keys are derived",
+		Old:   `fmt.Errorf("securechannel: cipher: %w", err)`,
+		New:   `fmt.Errorf("securechannel: cipher for key %x: %w", key, err)`,
 	},
 	{
 		ID: "stats-ecall-leaks-identity", File: "internal/troxy/trusted.go", Aims: []string{"secretflow"},

@@ -2,6 +2,7 @@ package mutate
 
 import (
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -57,5 +58,69 @@ func TestEveryAnalyzerIsAimedAt(t *testing.T) {
 		if aimed[name] < 2 {
 			t.Errorf("analyzer %s is aimed at by %d behavioural mutants, want at least 2", name, aimed[name])
 		}
+	}
+}
+
+// lintOnly is the lint half of DESIGN.md §9.5's matrix: each mutant whose
+// only killer there is one analyzer, and that analyzer.
+var lintOnly = map[string]string{
+	"fetch-jitter-global-rand":             "determinism",
+	"spec-retractions-in-map-order":        "determinism",
+	"conn-write-holds-lock":                "lockcheck",
+	"conn-seal-writes-under-lock":          "lockcheck",
+	"gateway-close-holds-lock":             "lockcheck",
+	"realnet-enqueue-leaks-lock":           "lockcheck",
+	"gateway-payload-error-dropped":        "senderr",
+	"client-write-error-dropped":           "senderr",
+	"tcounter-error-leaks-key":             "secretflow",
+	"troxy-handshake-error-leaks-identity": "secretflow",
+	"aead-error-leaks-session-key":         "secretflow",
+	"troxy-provision-ocall":                "boundarycheck",
+	"commit-marshal-allocates":             "allocfree",
+	"ring-take-allocates":                  "allocfree",
+}
+
+// Each of those mutants, applied to a copy of the tree, still draws its
+// analyzer's report: a rewrite of an analyzer that drops a kill fails here,
+// not in the next full `make mutate`.
+func TestLintOnlyMutantsAreReported(t *testing.T) {
+	tmp := t.TempDir()
+	if err := CopyTree(filepath.Join("..", ".."), tmp); err != nil {
+		t.Fatal(err)
+	}
+	lint := filepath.Join(tmp, "bin", "troxy-lint")
+	run := func(name string, args ...string) (string, error) {
+		cmd := exec.Command(name, args...)
+		cmd.Dir = tmp
+		out, err := cmd.CombinedOutput()
+		return string(out), err
+	}
+	if out, err := run("go", "build", "-o", lint, "./cmd/troxy-lint"); err != nil {
+		t.Fatalf("build troxy-lint: %v\n%s", err, out)
+	}
+	if out, err := run(lint, "./..."); err != nil {
+		t.Fatalf("the unmutated tree does not pass troxy-lint: %v\n%s", err, out)
+	}
+	found := 0
+	for _, m := range Catalogue {
+		analyzer, ok := lintOnly[m.ID]
+		if !ok {
+			continue
+		}
+		found++
+		restore, err := m.Apply(tmp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _ := run(lint, "./...")
+		if err := restore(); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out, "["+analyzer+"]") {
+			t.Errorf("%s: %s does not report it; troxy-lint said:\n%s", m.ID, analyzer, out)
+		}
+	}
+	if found != len(lintOnly) {
+		t.Errorf("%d of the %d lint-only mutants are in the catalogue", found, len(lintOnly))
 	}
 }

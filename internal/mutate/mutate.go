@@ -8,6 +8,7 @@ package mutate
 
 import (
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -69,4 +70,33 @@ func (m Mutant) Apply(root string) (restore func() error, err error) {
 		return nil, err
 	}
 	return func() error { return os.WriteFile(path, orig, 0o644) }, nil
+}
+
+// CopyTree copies the tree rooted at src to dst, leaving out version control
+// and what building, testing and benchmarking leave behind.
+func CopyTree(src, dst string) error {
+	skip := map[string]bool{".git": true, "bin": true, ".bench_build": true, filepath.Join("bench", "out"): true}
+	return filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if skip[rel] {
+			return filepath.SkipDir
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		if !d.Type().IsRegular() {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
 }
