@@ -77,7 +77,9 @@ bench:
 # tagged across the boundary 0, a record opened into a lent buffer and walked
 # 0, a ChannelData envelope sealed 2 and opened 0, a request hashed where it
 # lies 0, Submit at a follower 1 — the FORWARD, nothing for the request it
-# keeps — and a PREPARE of held requests admitted without a slab, …) — beside
+# keeps — a PREPARE of held requests admitted without a slab, and the
+# fast-read cache's CacheReinstallSameResult 0, CacheInvalidateThenReinstall 1
+# and CacheEvictAndInstall 1, the reply's slab, …) — beside
 # BenchmarkAppendEnvelopeFrame, which fails itself if the pooled frame-encode
 # path allocates at all, and end to end by TestWriteAllocBudget at the module
 # root (allocations per 128-byte write through a whole simulated cluster). In
@@ -214,9 +216,10 @@ soak:
 mutate:
 	$(GO) run ./cmd/troxy-mutate
 
-# Short fuzz smoke over the wire-facing decoders and the secure channel's
-# frame parsing. Interesting inputs found here are promoted into the
-# packages' testdata/fuzz corpora, which every `go test` run replays.
+# Short fuzz smoke over the wire-facing decoders, the secure channel's frame
+# parsing and the fast-read cache against its reference. Interesting inputs
+# found here are promoted into the packages' testdata/fuzz corpora, which
+# every `go test` run replays.
 fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzDecode$$' -fuzztime 10s ./internal/msg/
 	$(GO) test -run xxx -fuzz 'FuzzBatch$$' -fuzztime 10s ./internal/msg/
@@ -233,3 +236,4 @@ fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzChunkAssembly$$' -fuzztime 10s ./internal/hybster/
 	$(GO) test -run xxx -fuzz 'FuzzRestoreSink$$' -fuzztime 10s ./internal/app/
 	$(GO) test -run xxx -fuzz 'FuzzSnapshotIter$$' -fuzztime 10s ./internal/app/
+	$(GO) test -run xxx -fuzz 'FuzzCacheMatchesReference$$' -fuzztime 10s ./internal/troxy/

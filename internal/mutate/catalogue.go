@@ -207,6 +207,18 @@ var Catalogue = []Mutant{
 		New:   "	delete(c.queryOf, qs.key)\n",
 	},
 	{
+		ID: "cache-touch-ignores-keys", File: "internal/troxy/cache.go",
+		Fault: "a result installed again under other keys counts as the one cached: the entry stays indexed under its old keys, and a write to a new one leaves it in place",
+		Old:   "bytes.Equal(e.reply, reply) && bytes.Equal(e.keys, keys)",
+		New:   "bytes.Equal(e.reply, reply)",
+	},
+	{
+		ID: "cache-invalidate-drops-head-only", File: "internal/troxy/cache.go",
+		Fault: "invalidating a state part drops only the first entry in its list: the other reads that depend on it stay cached",
+		Old:   "l != nil; l = c.byKey[string(key)] {",
+		New:   "l != nil; l = nil {",
+	},
+	{
 		ID: "client-record-body-misaligned", File: "internal/troxy/trusted.go",
 		Fault: "a client record crosses the boundary as connection, node and frame, so the span the host sends as its ChannelData body starts in the wrong place",
 		Old:   "		w.U32(uint32(cr.Node))\n		(&msg.ChannelData{ConnID: cr.ConnID, Payload: cr.Frame}).MarshalWire(w)\n",

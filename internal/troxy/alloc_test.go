@@ -1,6 +1,7 @@
 package troxy
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/troxy-bft/troxy/internal/authn"
@@ -24,6 +25,42 @@ func BenchmarkAllocGate(b *testing.B) {
 	key := voteKey{client: req.Client, clientSeq: req.ClientSeq}
 	sess := core.sessions[cc.connID]
 	delete(core.votes, key)
+
+	// The fast-read cache under churn: a result installed again is a touch, and
+	// an install into an entry the cache removed — invalidated or evicted —
+	// costs the reply's slab and nothing else, its index links and key
+	// strings being the removed entry's.
+	cache, reply := NewCache(0), []byte("VALUE v")
+	keys := msg.AppendKeys(nil, []string{"k", "other"})
+	cache.PutKeys(d("GET k"), reply, keys)
+	testutil.AllocGate(b, "CacheReinstallSameResult", 0, func() {
+		cache.PutKeys(d("GET k"), reply, keys)
+	})
+	testutil.AllocGate(b, "CacheInvalidateThenReinstall", 1, func() {
+		cache.Invalidate([]byte("k"))
+		cache.PutKeys(d("GET k"), reply, keys)
+	})
+	var ops [8]msg.Digest
+	var opKeys [len(ops)]msg.Keys
+	for i := range ops {
+		ops[i], opKeys[i] = d(fmt.Sprintf("GET k%d", i)), msg.AppendKeys(nil, []string{fmt.Sprintf("k%d", i)})
+	}
+	full := NewCache(int64(len(ops)-1) * (int64(len(reply)) + 64)) // one entry short
+	next := 0
+	install := func() {
+		full.PutKeys(ops[next], reply, opKeys[next])
+		next = (next + 1) % len(ops)
+	}
+	for range ops {
+		install()
+	}
+	testutil.AllocGate(b, "CacheEvictAndInstall", 1, func() {
+		evictions := full.Stats().Evictions
+		install()
+		if full.Stats().Evictions != evictions+1 {
+			b.Fatal("an install into a full cache evicted no entry")
+		}
+	})
 
 	testutil.AllocGate(b, "RegisterVote", 1, func() {
 		core.registerVote(sess, key, msg.Digest{}, req.Op, false, false)

@@ -1,6 +1,7 @@
 package troxy
 
 import (
+	"bytes"
 	"time"
 
 	"github.com/troxy-bft/troxy/internal/msg"
@@ -13,9 +14,12 @@ import (
 //
 // Two invariants keep the cache linearizable (Section IV-B):
 //
-//   - Entries are installed only from voted results (f+1 matching replies of
-//     an ordered execution), never from single-replica replies, so a faulty
-//     replica cannot pollute the cache.
+//   - An entry is a result a Troxy vouches for: its own replica's read
+//     result, installed while authenticating the reply (AuthenticateReply),
+//     or a voted result (f+1 matching replies of an ordered execution) at the
+//     Troxy that voted. A fast read answers only when f remote Troxies hold
+//     a matching entry, so a faulty replica, which can poison no entry but
+//     its own Troxy's, makes fast reads fall back but never answer wrongly.
 //   - Writes invalidate but never update: invalidation happens inside
 //     AuthenticateReply, i.e. before the executing replica's reply can count
 //     toward the write's quorum, so by the time a write completes, f+1
@@ -23,16 +27,24 @@ import (
 //
 // The cache tracks its memory footprint and evicts least-recently-used
 // entries beyond its byte budget: the prototype keeps allocations small to
-// avoid EPC paging (Section V-A).
+// avoid EPC paging (Section V-A). So churn allocates nothing but the reply a
+// new result needs: a removed entry — invalidated, evicted or replaced — goes
+// onto a free list with its index links and their key strings, and installing
+// a result the cache already holds byte for byte only marks it used.
 type Cache struct {
 	capacity int64
 	used     int64
 
 	entries map[msg.Digest]*cacheEntry
-	byKey   map[string]map[msg.Digest]struct{}
+	// byKey holds, for each state part some entry depends on, the first link
+	// of that part's list: one link per key of each such entry. A part is
+	// indexed exactly while its list is not empty.
+	byKey map[string]*keyLink
 
 	// LRU list.
 	head, tail *cacheEntry
+
+	free []*cacheEntry // removed entries, at most maxFree
 
 	stats CacheStats
 }
@@ -55,11 +67,23 @@ type cacheEntry struct {
 
 	// replyDigest is the digest of reply once a fast read or a cache query
 	// has asked for it (GetDigest). An entry's reply never changes — a new
-	// result is a new entry — so it is hashed at most once.
+	// result is a new slab — so it is hashed at most once.
 	replyDigest msg.Digest
 	digested    bool
 
+	// links are the entry's places in byKey's lists, one per key in keys'
+	// order. They outlive the entry on the free list, key strings included,
+	// for the next entry installed in it.
+	links []keyLink
+
 	prev, next *cacheEntry
+}
+
+// keyLink is one entry's link in the list of the entries that depend on key.
+type keyLink struct {
+	key        string
+	entry      *cacheEntry
+	prev, next *keyLink
 }
 
 // NewCache creates a cache with the given byte capacity (≤0 means 64 MiB,
@@ -71,7 +95,7 @@ func NewCache(capacity int64) *Cache {
 	return &Cache{
 		capacity: capacity,
 		entries:  make(map[msg.Digest]*cacheEntry),
-		byKey:    make(map[string]map[msg.Digest]struct{}),
+		byKey:    make(map[string]*keyLink),
 	}
 }
 
@@ -117,36 +141,68 @@ func ownReply(result []byte, keys msg.Keys) ([]byte, msg.Keys) {
 	return slab[:n:n], msg.Keys(slab[n:])
 }
 
-// Put installs a voted read result under the state parts the read depends
-// on, named as strings.
+// Put installs a read result under the state parts the read depends on,
+// named as strings.
 func (c *Cache) Put(op msg.Digest, reply []byte, keys []string) {
 	c.PutKeys(op, reply, msg.AppendKeys(nil, keys))
 }
 
 // PutKeys is Put for a key list in the wire form a reply carries it in. The
 // cache is where a reply is kept, so it copies what it is given: callers pass
-// views of buffers that do not outlive their call. A key costs a string of
-// its own only when it is new to the index.
+// views of buffers that do not outlive their call. The copy is a slab of its
+// own, never a removed entry's: a fast read holds its reply across calls
+// (startFastRead). Installing the reply and key list an entry already holds
+// only marks it used.
 func (c *Cache) PutKeys(op msg.Digest, reply []byte, keys msg.Keys) {
 	if e, ok := c.entries[op]; ok {
+		if bytes.Equal(e.reply, reply) && bytes.Equal(e.keys, keys) {
+			c.moveToFront(e)
+			return
+		}
 		c.remove(e)
 	}
-	e := &cacheEntry{op: op, size: int64(len(reply)) + 64}
+	e := take(&c.free)
+	e.op, e.size = op, int64(len(reply))+64
 	e.reply, e.keys = ownReply(reply, keys)
 	c.entries[op] = e
-	for k := range e.keys.All() {
-		set, ok := c.byKey[string(k)]
-		if !ok {
-			set = make(map[msg.Digest]struct{})
-			c.byKey[string(k)] = set
-		}
-		set[op] = struct{}{}
-	}
+	c.index(e)
 	c.pushFront(e)
 	c.used += e.size
 	for c.used > c.capacity && c.tail != nil {
 		c.stats.Evictions++
 		c.remove(c.tail)
+	}
+}
+
+// index puts e at the front of the list of each of its keys. A link's key
+// string is the one it kept from an earlier entry when the bytes match, else
+// the one the index already holds, and only for a key new to both a string
+// of its own.
+func (c *Cache) index(e *cacheEntry) {
+	n := 0 // what the list holds: Len is only what a host-supplied list claims
+	for range e.keys.All() {
+		n++
+	}
+	if cap(e.links) < n {
+		e.links = make([]keyLink, n)
+	}
+	e.links = e.links[:n]
+	i := 0
+	for k := range e.keys.All() {
+		l, first := &e.links[i], c.byKey[string(k)]
+		i++
+		switch {
+		case l.key == string(k):
+		case first != nil:
+			l.key = first.key
+		default:
+			l.key = string(k)
+		}
+		l.entry, l.prev, l.next = e, nil, first
+		if first != nil {
+			first.prev = l
+		}
+		c.byKey[l.key] = l
 	}
 }
 
@@ -162,15 +218,9 @@ func (c *Cache) InvalidateKeys(keys msg.Keys) {
 // Invalidate drops every entry that depends on the given state part; key is
 // only looked at.
 func (c *Cache) Invalidate(key []byte) {
-	set, ok := c.byKey[string(key)]
-	if !ok {
-		return
-	}
-	for op := range set {
-		if e, ok := c.entries[op]; ok {
-			c.stats.Invalidations++
-			c.remove(e)
-		}
+	for l := c.byKey[string(key)]; l != nil; l = c.byKey[string(key)] {
+		c.stats.Invalidations++
+		c.remove(l.entry)
 	}
 }
 
@@ -182,18 +232,34 @@ func (c *Cache) Stats() CacheStats {
 	return s
 }
 
+// remove drops e from the cache and puts it on the free list. Its slab is
+// dropped, not kept: a fast read may still hold the reply in it.
 func (c *Cache) remove(e *cacheEntry) {
 	delete(c.entries, e.op)
-	for k := range e.keys.All() {
-		if set, ok := c.byKey[string(k)]; ok {
-			delete(set, e.op)
-			if len(set) == 0 {
-				delete(c.byKey, string(k))
-			}
-		}
+	for i := range e.links {
+		c.unindex(&e.links[i])
 	}
 	c.unlink(e)
 	c.used -= e.size
+	e.reply, e.keys, e.digested = nil, nil, false
+	give(&c.free, e)
+}
+
+// unindex takes l out of its key's list, and the key out of the index with
+// its last link.
+func (c *Cache) unindex(l *keyLink) {
+	if l.next != nil {
+		l.next.prev = l.prev
+	}
+	switch {
+	case l.prev != nil:
+		l.prev.next = l.next
+	case l.next != nil:
+		c.byKey[l.key] = l.next
+	default:
+		delete(c.byKey, l.key)
+	}
+	l.entry, l.prev, l.next = nil, nil, nil
 }
 
 func (c *Cache) unlink(e *cacheEntry) {

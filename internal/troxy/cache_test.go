@@ -1,8 +1,11 @@
 package troxy
 
 import (
+	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -55,6 +58,15 @@ func TestCacheReplace(t *testing.T) {
 	c.Invalidate([]byte("b"))
 	if c.Get(d("op")) != nil {
 		t.Error("new key index missing")
+	}
+
+	// The same reply under another key is a new result, not the one cached:
+	// the entry must follow its new key list.
+	c.Put(d("op"), []byte("v"), []string{"a"})
+	c.Put(d("op"), []byte("v"), []string{"b"})
+	c.Invalidate([]byte("b"))
+	if c.Get(d("op")) != nil {
+		t.Error("a reply re-installed under a new key survived that key's invalidation")
 	}
 }
 
@@ -315,4 +327,322 @@ func TestCachedReplyDigestFollowsTheReply(t *testing.T) {
 	if _, digest := c.GetDigest(d("GET k")); digest != msg.DigestOf([]byte("VALUE newer")) {
 		t.Error("an entry installed after an invalidation answers with an older reply's digest")
 	}
+}
+
+// TestCachedReplyViewOutlivesItsEntry: a fast read holds the reply GetDigest
+// returned across calls (startFastRead) while the entry behind it may be
+// invalidated and its storage recycled for another result. The view must go
+// on reading the bytes it was handed.
+func TestCachedReplyViewOutlivesItsEntry(t *testing.T) {
+	c := NewCache(1 << 20)
+	c.Put(d("GET k"), []byte("VALUE v"), []string{"k"})
+	view, digest := c.GetDigest(d("GET k"))
+	recycled := c.entries[d("GET k")]
+	c.Invalidate([]byte("k"))
+	for i := 0; ; i++ {
+		op := d(fmt.Sprintf("GET %d", i))
+		c.Put(op, []byte("VALUE w"), []string{"k"})
+		if c.entries[op] == recycled {
+			break
+		}
+		if i == maxFree {
+			t.Fatal("no install reused the invalidated entry")
+		}
+	}
+	if string(view) != "VALUE v" || msg.DigestOf(view) != digest {
+		t.Errorf("the view of an invalidated entry reads %q after its entry was reused", view)
+	}
+}
+
+// refCache is the cache as it was before entries and their index links were
+// recycled: a map of operation digests per key, and a new entry per install.
+// FuzzCacheMatchesReference holds the real one to it.
+type refCache struct {
+	capacity int64
+	used     int64
+
+	entries map[msg.Digest]*refEntry
+	byKey   map[string]map[msg.Digest]struct{}
+
+	// LRU list.
+	head, tail *refEntry
+
+	stats CacheStats
+}
+
+type refEntry struct {
+	op    msg.Digest
+	reply []byte   // reply and keys are one allocation (ownReply)
+	keys  msg.Keys // the state parts the entry is indexed under
+	size  int64
+
+	// replyDigest is the digest of reply once a fast read or a cache query
+	// has asked for it (GetDigest). An entry's reply never changes — a new
+	// result is a new entry — so it is hashed at most once.
+	replyDigest msg.Digest
+	digested    bool
+
+	prev, next *refEntry
+}
+
+// newRefCache creates a cache with the given byte capacity (≤0 means 64 MiB,
+// half the EPC of the paper's hardware).
+func newRefCache(capacity int64) *refCache {
+	if capacity <= 0 {
+		capacity = 64 << 20
+	}
+	return &refCache{
+		capacity: capacity,
+		entries:  make(map[msg.Digest]*refEntry),
+		byKey:    make(map[string]map[msg.Digest]struct{}),
+	}
+}
+
+// Get returns the cached reply for an operation digest, or nil.
+func (c *refCache) Get(op msg.Digest) []byte {
+	if e := c.hit(op); e != nil {
+		return e.reply
+	}
+	return nil
+}
+
+// GetDigest is Get for the fast-read protocol, which compares replies by
+// digest: it returns the reply's digest with it (zero on a miss).
+func (c *refCache) GetDigest(op msg.Digest) ([]byte, msg.Digest) {
+	e := c.hit(op)
+	if e == nil {
+		return nil, msg.Digest{}
+	}
+	if !e.digested {
+		e.replyDigest, e.digested = msg.DigestOf(e.reply), true
+	}
+	return e.reply, e.replyDigest
+}
+
+// hit looks op up, counts the outcome and marks a found entry used.
+func (c *refCache) hit(op msg.Digest) *refEntry {
+	e, ok := c.entries[op]
+	if !ok {
+		c.stats.Misses++
+		return nil
+	}
+	c.stats.Hits++
+	c.moveToFront(e)
+	return e
+}
+
+// Put installs a voted read result under the state parts the read depends
+// on, named as strings.
+func (c *refCache) Put(op msg.Digest, reply []byte, keys []string) {
+	c.PutKeys(op, reply, msg.AppendKeys(nil, keys))
+}
+
+// PutKeys is Put for a key list in the wire form a reply carries it in. The
+// cache is where a reply is kept, so it copies what it is given: callers pass
+// views of buffers that do not outlive their call. A key costs a string of
+// its own only when it is new to the index.
+func (c *refCache) PutKeys(op msg.Digest, reply []byte, keys msg.Keys) {
+	if e, ok := c.entries[op]; ok {
+		c.remove(e)
+	}
+	e := &refEntry{op: op, size: int64(len(reply)) + 64}
+	e.reply, e.keys = ownReply(reply, keys)
+	c.entries[op] = e
+	for k := range e.keys.All() {
+		set, ok := c.byKey[string(k)]
+		if !ok {
+			set = make(map[msg.Digest]struct{})
+			c.byKey[string(k)] = set
+		}
+		set[op] = struct{}{}
+	}
+	c.pushFront(e)
+	c.used += e.size
+	for c.used > c.capacity && c.tail != nil {
+		c.stats.Evictions++
+		c.remove(c.tail)
+	}
+}
+
+// InvalidateKeys drops every entry that depends on one of the given state
+// parts. It is called while authenticating a write reply, before the write's
+// effects can become visible to any client.
+func (c *refCache) InvalidateKeys(keys msg.Keys) {
+	for k := range keys.All() {
+		c.Invalidate(k)
+	}
+}
+
+// Invalidate drops every entry that depends on the given state part; key is
+// only looked at.
+func (c *refCache) Invalidate(key []byte) {
+	set, ok := c.byKey[string(key)]
+	if !ok {
+		return
+	}
+	for op := range set {
+		if e, ok := c.entries[op]; ok {
+			c.stats.Invalidations++
+			c.remove(e)
+		}
+	}
+}
+
+// Stats returns a snapshot of the counters.
+func (c *refCache) Stats() CacheStats {
+	s := c.stats
+	s.Entries = len(c.entries)
+	s.UsedBytes = c.used
+	return s
+}
+
+func (c *refCache) remove(e *refEntry) {
+	delete(c.entries, e.op)
+	for k := range e.keys.All() {
+		if set, ok := c.byKey[string(k)]; ok {
+			delete(set, e.op)
+			if len(set) == 0 {
+				delete(c.byKey, string(k))
+			}
+		}
+	}
+	c.unlink(e)
+	c.used -= e.size
+}
+
+func (c *refCache) unlink(e *refEntry) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else if c.head == e {
+		c.head = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else if c.tail == e {
+		c.tail = e.prev
+	}
+	e.prev, e.next = nil, nil
+}
+
+func (c *refCache) pushFront(e *refEntry) {
+	e.next = c.head
+	if c.head != nil {
+		c.head.prev = e
+	}
+	c.head = e
+	if c.tail == nil {
+		c.tail = e
+	}
+}
+
+func (c *refCache) moveToFront(e *refEntry) {
+	if c.head == e {
+		return
+	}
+	c.unlink(e)
+	c.pushFront(e)
+}
+
+// FuzzCacheMatchesReference decodes its input into Put, PutKeys, Get,
+// GetDigest, Invalidate and InvalidateKeys calls over a few operations, keys
+// and replies — key lists with several keys and with the same key twice, a
+// capacity a handful of entries overflow, a reply larger than the whole
+// cache — and makes each call on the cache and on refCache. After every step
+// the results, Stats, the LRU order and the entries indexed under each key
+// must agree, and every reply handed out must still read what it read then.
+func FuzzCacheMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		keys := []string{"a", "bb", "ccc", "a-longer-key"}
+		replies := [][]byte{nil, []byte("VALUE 1"), bytes.Repeat([]byte("v"), 60), bytes.Repeat([]byte("w"), 130), make([]byte, 400)}
+		const capacity = 400
+		c, ref := NewCache(capacity), newRefCache(capacity)
+		var keyBuf, replyBuf []byte
+		type view struct{ got, want []byte }
+		var views []view
+		keyList := func(b byte) []string {
+			list := make([]string, b&3)
+			for i := range list {
+				list[i] = keys[b>>(2+2*i)&3]
+			}
+			return list
+		}
+		for step := 0; len(data) >= 3; step, data = step+1, data[3:] {
+			kind, op := data[0]&7, d(fmt.Sprintf("op%d", data[0]>>3%6))
+			reply, list := replies[int(data[1])%len(replies)], keyList(data[2])
+			switch kind {
+			case 0:
+				c.Put(op, reply, list)
+				ref.Put(op, reply, list)
+			case 1, 2:
+				// Views of buffers the caller overwrites after the call.
+				replyBuf = append(replyBuf[:0], reply...)
+				keyBuf = msg.AppendKeys(keyBuf, list)
+				c.PutKeys(op, replyBuf, keyBuf)
+				ref.PutKeys(op, replyBuf, keyBuf)
+				for i := range replyBuf {
+					replyBuf[i] ^= 0xA5
+				}
+				for i := range keyBuf {
+					keyBuf[i] ^= 0xA5
+				}
+			case 3:
+				got, want := c.Get(op), ref.Get(op)
+				if !bytes.Equal(got, want) || (got == nil) != (want == nil) {
+					t.Fatalf("step %d: Get = %q, reference %q", step, got, want)
+				}
+				views = append(views, view{got, bytes.Clone(got)})
+			case 4:
+				got, gotDigest := c.GetDigest(op)
+				want, wantDigest := ref.GetDigest(op)
+				if !bytes.Equal(got, want) || (got == nil) != (want == nil) || gotDigest != wantDigest {
+					t.Fatalf("step %d: GetDigest = %q %s, reference %q %s", step, got, gotDigest.Short(), want, wantDigest.Short())
+				}
+				views = append(views, view{got, bytes.Clone(got)})
+			case 5:
+				key := []byte(append(keys, "absent")[int(data[1])%(len(keys)+1)])
+				c.Invalidate(key)
+				ref.Invalidate(key)
+			default:
+				keyBuf = msg.AppendKeys(keyBuf, list)
+				c.InvalidateKeys(keyBuf)
+				ref.InvalidateKeys(keyBuf)
+			}
+			if got, want := c.Stats(), ref.Stats(); got != want {
+				t.Fatalf("step %d: Stats = %+v, reference %+v", step, got, want)
+			}
+			if len(c.free) > maxFree {
+				t.Fatalf("step %d: %d entries on the free list, cap %d", step, len(c.free), maxFree)
+			}
+			var order, refOrder []msg.Digest
+			for e := c.head; e != nil; e = e.next {
+				order = append(order, e.op)
+			}
+			for e := ref.head; e != nil; e = e.next {
+				refOrder = append(refOrder, e.op)
+			}
+			if !slices.Equal(order, refOrder) {
+				t.Fatalf("step %d: LRU order differs from the reference's", step)
+			}
+			if len(c.byKey) != len(ref.byKey) {
+				t.Fatalf("step %d: %d keys indexed, reference %d", step, len(c.byKey), len(ref.byKey))
+			}
+			for key, ops := range ref.byKey {
+				listed := make(map[msg.Digest]struct{})
+				for l := c.byKey[key]; l != nil; l = l.next {
+					if l.key != key || c.entries[l.entry.op] != l.entry {
+						t.Fatalf("step %d: key %q lists a link of key %q or of an entry not cached", step, key, l.key)
+					}
+					listed[l.entry.op] = struct{}{}
+				}
+				if !maps.Equal(listed, ops) {
+					t.Fatalf("step %d: key %q lists %d entries, reference %d", step, key, len(listed), len(ops))
+				}
+			}
+		}
+		for i, v := range views {
+			if !bytes.Equal(v.got, v.want) {
+				t.Fatalf("reply %d handed out reads %q, was %q", i, v.got, v.want)
+			}
+		}
+	})
 }
