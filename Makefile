@@ -26,10 +26,10 @@ test:
 check: lint staticcheck govulncheck
 	$(GO) test -race ./...
 
-# lint runs go vet plus the repository's own analyzer suite: boundarycheck,
-# determinism, senderr (syntactic), plus secretflow, lockcheck, allocfree (on
-# the dataflow engine, following same-package calls where asked) — the six
-# that `make mutate` showed to catch what no other gate catches; see
+# lint runs go vet plus the repository's own analyzer suite: determinism,
+# senderr (syntactic), plus secretflow, lockcheck, allocfree (on the dataflow
+# engine, following same-package calls where asked) — the five that
+# `make mutate` showed to catch what no other gate catches; see
 # cmd/troxy-lint and DESIGN.md "Trust-boundary enforcement".
 # Any diagnostic fails the build. Suppressions use
 # `//lint:allow <analyzer> <reason>` on or above the offending line; a
@@ -217,7 +217,8 @@ mutate:
 	$(GO) run ./cmd/troxy-mutate
 
 # Short fuzz smoke over the wire-facing decoders, the secure channel's frame
-# parsing and the fast-read cache against its reference. Interesting inputs
+# parsing, the HTTP request framing and the fast-read cache against its
+# reference. Interesting inputs
 # found here are promoted into the packages' testdata/fuzz corpora, which
 # every `go test` run replays.
 fuzz:
@@ -237,3 +238,4 @@ fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzRestoreSink$$' -fuzztime 10s ./internal/app/
 	$(GO) test -run xxx -fuzz 'FuzzSnapshotIter$$' -fuzztime 10s ./internal/app/
 	$(GO) test -run xxx -fuzz 'FuzzCacheMatchesReference$$' -fuzztime 10s ./internal/troxy/
+	$(GO) test -run xxx -fuzz 'FuzzExtractRequest$$' -fuzztime 10s ./internal/httpfront/

@@ -3,8 +3,6 @@
 // mutant of the tree breaks with every other gate green (DESIGN.md §9.5 has
 // the measurement that chose them):
 //
-//	boundarycheck  untrusted code enters the enclave only via the declared
-//	               ecall surface; trusted code performs no ocalls
 //	determinism    no wall clocks, global randomness, or protocol-visible
 //	               map iteration in the replicated core
 //	senderr        no silently dropped errors on wire encode/send paths
@@ -17,6 +15,10 @@
 //	allocfree      //troxy:hotpath functions are transitively
 //	               allocation-free outside cold failure blocks, with a
 //	               call-path trace on violation
+//
+// The trust boundary's import graph is a test's, not an analyzer's:
+// TestTrustedComputingBase in internal/troxy pins the packages compiled into
+// the enclave, so an ocall into a host runtime fails `go test ./...`.
 //
 // secretflow, lockcheck and allocfree follow same-package calls into the
 // callee where a check asks for it; their cross-function findings are
@@ -34,7 +36,6 @@ package main
 import (
 	"github.com/troxy-bft/troxy/internal/analysis"
 	"github.com/troxy-bft/troxy/internal/analysis/allocfree"
-	"github.com/troxy-bft/troxy/internal/analysis/boundarycheck"
 	"github.com/troxy-bft/troxy/internal/analysis/determinism"
 	"github.com/troxy-bft/troxy/internal/analysis/lockcheck"
 	"github.com/troxy-bft/troxy/internal/analysis/secretflow"
@@ -43,7 +44,6 @@ import (
 
 func main() {
 	analysis.Main(
-		boundarycheck.Analyzer,
 		determinism.Analyzer,
 		senderr.Analyzer,
 		secretflow.Analyzer,

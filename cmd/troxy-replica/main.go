@@ -83,7 +83,7 @@ func run() error {
 		cfg.App = app.NewStoreFactory()
 		cfg.Classify = app.NewStore().IsRead
 	case "http":
-		cfg.App = httpfront.NewAppFactory(map[string][]byte{
+		cfg.App = app.NewHTTPAppFactory(map[string][]byte{
 			"/index.html": []byte("<h1>Troxy-backed page service</h1>\n"),
 		})
 		cfg.Classify = httpfront.IsRead

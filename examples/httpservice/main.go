@@ -22,6 +22,7 @@ import (
 	"time"
 
 	troxy "github.com/troxy-bft/troxy"
+	"github.com/troxy-bft/troxy/internal/app"
 	"github.com/troxy-bft/troxy/internal/httpfront"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/realnet"
@@ -37,7 +38,7 @@ func main() {
 func run() error {
 	cluster, err := troxy.NewCluster(troxy.ClusterConfig{
 		Mode: troxy.ETroxy,
-		App: httpfront.NewAppFactory(map[string][]byte{
+		App: app.NewHTTPAppFactory(map[string][]byte{
 			"/index.html": []byte("<h1>BFT pages</h1>\n"),
 		}),
 		Classify:  httpfront.IsRead,

@@ -46,12 +46,11 @@ const ModulePath = "github.com/troxy-bft/troxy"
 // the driver registers exactly this set, so the registry cannot drift from
 // cmd/troxy-lint.
 var KnownAnalyzerNames = map[string]bool{
-	"boundarycheck": true,
-	"determinism":   true,
-	"senderr":       true,
-	"secretflow":    true,
-	"lockcheck":     true,
-	"allocfree":     true,
+	"determinism": true,
+	"senderr":     true,
+	"secretflow":  true,
+	"lockcheck":   true,
+	"allocfree":   true,
 }
 
 // An Analyzer describes one static check of the suite.

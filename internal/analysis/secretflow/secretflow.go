@@ -1,9 +1,10 @@
 // Package secretflow tracks where secret values flow (paper Section V: the
 // trusted Troxy subsystem keeps client session keys, counter-certification
 // keys, and sealed state inside the enclave; the untrusted host only ever
-// sees ciphertext). boundarycheck pins down *who may call what* across the
-// trust boundary; secretflow pins down *where the secret bytes go* within
-// each function, using the intra-procedural dataflow engine.
+// sees ciphertext). TestTrustedComputingBase in internal/troxy pins down
+// *which packages* are compiled into the enclave; secretflow pins down *where
+// the secret bytes go* within each function, using the intra-procedural
+// dataflow engine.
 //
 // Taint sources:
 //

@@ -5,7 +5,8 @@
 //   - Store: a key-value store (quickstart and failover examples),
 //   - Bench: the paper's microbenchmark service (configurable request and
 //     reply sizes, reads and writes distinguishable by operation type), and
-//   - Pages: the HTTP page service behind the Fig. 11 experiment.
+//   - Pages: the page service behind the Fig. 11 experiment, which HTTPApp
+//     serves to raw HTTP/1.1 requests.
 //
 // Applications must be deterministic: executing the same operations in the
 // same order from the same snapshot yields identical results and identical

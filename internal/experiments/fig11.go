@@ -7,6 +7,7 @@ import (
 	"time"
 
 	root "github.com/troxy-bft/troxy"
+	"github.com/troxy-bft/troxy/internal/app"
 	"github.com/troxy-bft/troxy/internal/bftclient"
 	"github.com/troxy-bft/troxy/internal/httpfront"
 	"github.com/troxy-bft/troxy/internal/legacyclient"
@@ -138,7 +139,7 @@ func runHTTP(opt Options, sys httpSystem, wan bool) workload.Result {
 		var err error
 		cluster, err = root.NewCluster(root.ClusterConfig{
 			Mode:              mode,
-			App:               httpfront.NewAppFactory(pages),
+			App:               app.NewHTTPAppFactory(pages),
 			Classify:          httpfront.IsRead,
 			FastReads:         fastReads,
 			HTTP:              true,
@@ -161,7 +162,7 @@ func runHTTP(opt Options, sys httpSystem, wan bool) workload.Result {
 		srv := standalone.New(standalone.Config{
 			Self:         standaloneID,
 			IdentitySeed: seed,
-			App:          httpfront.NewAppFactory(pages)(),
+			App:          app.NewHTTPAppFactory(pages)(),
 			HTTP:         true,
 		})
 		net.Attach(standaloneID, srv)

@@ -6,10 +6,12 @@
 //     requests, it only delimits them so each complete request becomes the
 //     payload of one BFT request ("it is sufficient for the Troxy to
 //     identify request boundaries").
-//   - App adapts the replicated page store (internal/app.Pages) to raw
-//     HTTP/1.1 operations: Execute parses a full request, applies GET/POST
-//     to the store, and renders a complete HTTP response. Requests are
-//     classified read/write by their method.
+//   - IsRead classifies a request as read or write by its method, and
+//     ParseRequest splits a complete request for the service that executes
+//     it (internal/app's HTTP page service).
+//
+// The package imports only the standard library: it is compiled into the
+// enclave image, and the application behind it is not.
 package httpfront
 
 import (
@@ -18,8 +20,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-
-	"github.com/troxy-bft/troxy/internal/app"
 )
 
 // MaxRequestSize bounds a single HTTP request (head plus body).
@@ -61,10 +61,12 @@ func ExtractRequest(buf []byte) (req []byte, consumed int, err error) {
 			contentLength = n
 		}
 	}
-	total := bodyStart + contentLength
-	if total > MaxRequestSize {
+	// Bounded before the sum: a Content-Length near the int maximum would
+	// overflow it and reach make as a negative length.
+	if contentLength > MaxRequestSize-bodyStart {
 		return nil, 0, ErrRequestTooLarge
 	}
+	total := bodyStart + contentLength
 	if len(buf) < total {
 		return nil, 0, nil
 	}
@@ -85,7 +87,7 @@ func ExtractResponse(buf []byte) (resp []byte, consumed int, err error) {
 // IsRead classifies a raw HTTP request as read-only by its method. This is
 // the service-specific classifier handed to the Troxy.
 func IsRead(rawRequest []byte) bool {
-	method, _, _, _, err := parseRequest(rawRequest)
+	method, _, _, _, err := ParseRequest(rawRequest)
 	if err != nil {
 		return false
 	}
@@ -104,15 +106,16 @@ const ConsistencyHeader = "X-Troxy-Consistency"
 // FastCommit reports whether a raw HTTP request opts into the crash-tolerant
 // commit tier via the X-Troxy-Consistency header.
 func FastCommit(rawRequest []byte) bool {
-	_, _, headers, _, err := parseRequest(rawRequest)
+	_, _, headers, _, err := ParseRequest(rawRequest)
 	if err != nil {
 		return false
 	}
 	return strings.EqualFold(headers[strings.ToLower(ConsistencyHeader)], "fast")
 }
 
-// parseRequest splits a raw request into method, path, headers and body.
-func parseRequest(raw []byte) (method, path string, headers map[string]string, body []byte, err error) {
+// ParseRequest splits a complete raw request into its method, path, headers
+// (names lower-cased) and body.
+func ParseRequest(raw []byte) (method, path string, headers map[string]string, body []byte, err error) {
 	headEnd := bytes.Index(raw, []byte("\r\n\r\n"))
 	if headEnd < 0 {
 		return "", "", nil, nil, ErrMalformed
@@ -133,81 +136,3 @@ func parseRequest(raw []byte) (method, path string, headers map[string]string, b
 	}
 	return method, path, headers, raw[headEnd+4:], nil
 }
-
-// App adapts the replicated page store to raw HTTP/1.1 operations.
-type App struct {
-	pages *app.Pages
-}
-
-// NewApp creates an HTTP application over an existing page store.
-func NewApp(pages *app.Pages) *App { return &App{pages: pages} }
-
-// NewAppFactory returns a factory producing HTTP applications over page
-// stores pre-populated with initial.
-func NewAppFactory(initial map[string][]byte) app.Factory {
-	inner := app.NewPagesFactory(initial)
-	return func() app.Application { return NewApp(inner().(*app.Pages)) }
-}
-
-var _ app.Application = (*App)(nil)
-var _ app.Forker = (*App)(nil)
-
-// Execute implements app.Application: it serves one raw HTTP request.
-func (a *App) Execute(op []byte) []byte {
-	method, path, _, body, err := parseRequest(op)
-	if err != nil {
-		return renderResponse(400, "Bad Request", []byte("malformed request\n"))
-	}
-	switch method {
-	case "GET", "HEAD":
-		res := a.pages.Execute(app.PageGet(path))
-		if len(res) == 0 || res[0] != app.PageOK {
-			return renderResponse(404, "Not Found", []byte("no such page\n"))
-		}
-		content := res[1:]
-		if method == "HEAD" {
-			content = nil
-		}
-		return renderResponse(200, "OK", content)
-	case "POST", "PUT":
-		res := a.pages.Execute(app.PagePost(path, body))
-		if len(res) == 0 || res[0] != app.PageOK {
-			return renderResponse(500, "Internal Server Error", nil)
-		}
-		return renderResponse(200, "OK", res[1:])
-	default:
-		return renderResponse(405, "Method Not Allowed", nil)
-	}
-}
-
-func renderResponse(code int, reason string, body []byte) []byte {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "HTTP/1.1 %d %s\r\n", code, reason)
-	fmt.Fprintf(&b, "Content-Length: %d\r\n", len(body))
-	b.WriteString("Content-Type: text/html\r\n")
-	b.WriteString("Connection: keep-alive\r\n")
-	b.WriteString("\r\n")
-	b.Write(body)
-	return b.Bytes()
-}
-
-// IsRead implements app.Application.
-func (a *App) IsRead(op []byte) bool { return IsRead(op) }
-
-// Keys implements app.Application.
-func (a *App) Keys(op []byte) []string {
-	_, path, _, _, err := parseRequest(op)
-	if err != nil {
-		return nil
-	}
-	return a.pages.Keys(app.PageGet(path))
-}
-
-// Snapshot implements app.Application.
-func (a *App) Snapshot() []byte { return a.pages.Snapshot() }
-
-// Restore implements app.Application.
-func (a *App) Restore(snapshot []byte) error { return a.pages.Restore(snapshot) }
-
-// Fork implements app.Forker.
-func (a *App) Fork() app.Application { return NewApp(a.pages.Fork().(*app.Pages)) }

@@ -288,6 +288,20 @@ var Catalogue = []Mutant{
 		Old:   "m.Reqs = make([]OrderRequest, 0, min(n, 64))",
 		New:   "m.Reqs = make([]OrderRequest, 0, n)",
 	},
+	{
+		ID: "http-content-length-overflows", File: "internal/httpfront/httpfront.go", Aims: []string{"boundedalloc"},
+		Fault: "a client's Content-Length near the int maximum overflows the request's length and panics the Troxy in make",
+		Old: `	if contentLength > MaxRequestSize-bodyStart {
+		return nil, 0, ErrRequestTooLarge
+	}
+	total := bodyStart + contentLength
+`,
+		New: `	total := bodyStart + contentLength
+	if total > MaxRequestSize {
+		return nil, 0, ErrRequestTooLarge
+	}
+`,
+	},
 
 	// Determinism of the replicated core and of the simulator per seed.
 	{

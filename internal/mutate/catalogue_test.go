@@ -75,7 +75,6 @@ var lintOnly = map[string]string{
 	"tcounter-error-leaks-key":             "secretflow",
 	"troxy-handshake-error-leaks-identity": "secretflow",
 	"aead-error-leaks-session-key":         "secretflow",
-	"troxy-provision-ocall":                "boundarycheck",
 	"commit-marshal-allocates":             "allocfree",
 	"ring-take-allocates":                  "allocfree",
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/troxy-bft/troxy/internal/app"
-	"github.com/troxy-bft/troxy/internal/httpfront"
 	"github.com/troxy-bft/troxy/internal/legacyclient"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/node"
@@ -69,7 +68,7 @@ func TestStandaloneHTTP(t *testing.T) {
 	srv := New(Config{
 		Self:         60,
 		IdentitySeed: seed,
-		App:          httpfront.NewAppFactory(map[string][]byte{"/x": []byte("body")})(),
+		App:          app.NewHTTPAppFactory(map[string][]byte{"/x": []byte("body")})(),
 		HTTP:         true,
 	})
 	net := simnet.New(1, nil)

@@ -5,11 +5,16 @@ import (
 	"encoding/binary"
 	"maps"
 	"math/rand"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/troxy-bft/troxy/internal/analysis"
 	"github.com/troxy-bft/troxy/internal/enclave"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/node"
@@ -332,6 +337,59 @@ func TestTrustedInterfaceIsExactlyTheseECalls(t *testing.T) {
 	if got := slices.Sorted(maps.Keys(NewDirectProxy(core).ecalls)); !slices.Equal(got, troxyCalls) {
 		t.Errorf("in-process table = %q,\nwant %q", got, troxyCalls)
 	}
+}
+
+// enclaveImage is the package set compiled into the enclave: the trusted
+// roots and every package of this module they import, module-relative and
+// sorted.
+var enclaveImage = []string{
+	"internal/authn", "internal/enclave", "internal/httpfront", "internal/msg", "internal/node",
+	"internal/securechannel", "internal/tcounter", "internal/troxy", "internal/wire",
+}
+
+// maxEnclaveLines is the ceiling on the non-test lines of enclaveImage. It
+// only moves down.
+const maxEnclaveLines = 6681
+
+// TestTrustedComputingBase pins the enclave image by its import closure: the
+// trusted roots (analysis.TrustedRoots, which secretflow reads too) may
+// import no package of this module beyond enclaveImage, so an ocall into a
+// host runtime such as realnet, or an application compiled in, fails here.
+// It also counts the image's lines. The count holds two parts that run on
+// the host but share the image's packages: proxy.go (305 lines), the
+// bindings that cross into the enclave, and internal/node (141 lines), the
+// environment interfaces a Core is handed.
+func TestTrustedComputingBase(t *testing.T) {
+	args := []string{"list", "-deps", "-f", "{{if not .Standard}}{{.ImportPath}}\t{{.Dir}}\t{{join .GoFiles \"\\t\"}}{{end}}"}
+	for _, root := range analysis.TrustedRoots {
+		args = append(args, analysis.ModulePath+"/"+root)
+	}
+	out, err := exec.Command("go", args...).Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	var pkgs []string
+	lines := 0
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		fields := strings.Split(line, "\t")
+		rel, _ := analysis.RelPath(fields[0])
+		pkgs = append(pkgs, rel)
+		for _, file := range fields[2:] {
+			src, err := os.ReadFile(filepath.Join(fields[1], file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines += bytes.Count(src, []byte("\n"))
+		}
+	}
+	slices.Sort(pkgs)
+	if !slices.Equal(pkgs, enclaveImage) {
+		t.Errorf("the enclave image is %q,\nwant %q", pkgs, enclaveImage)
+	}
+	if lines > maxEnclaveLines {
+		t.Errorf("the enclave image has %d non-test lines, above the ceiling of %d", lines, maxEnclaveLines)
+	}
+	t.Logf("the enclave image has %d non-test lines in %d packages", lines, len(pkgs))
 }
 
 func TestEnclaveRestartDropsTroxyState(t *testing.T) {

@@ -2,6 +2,7 @@ package troxy
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -190,7 +191,8 @@ func scratchScript(r *scratchRun) {
 
 // httpScratchScript is the HTTP conversation: a request that arrives in two
 // records, so its head waits in the session's stream buffer across a call,
-// followed by two requests in one record.
+// followed by two requests in one record, and one whose Content-Length
+// overflows.
 func httpScratchScript(r *scratchRun) {
 	t := r.t
 	_, pub, tagger := testSecrets(t)
@@ -210,6 +212,16 @@ func httpScratchScript(r *scratchRun) {
 	pair := r.send([]byte(get + get))
 	if len(pair.Submits) != 2 || string(pair.Submits[1].Op) != get {
 		t.Fatalf("two requests in one record were submitted as %+v", pair.Submits)
+	}
+
+	// A Content-Length that overflows once the head is added is bad data
+	// from the client, not an allocation.
+	rec, err := r.sess.Seal([]byte("POST / HTTP/1.1\r\nContent-Length: 9223372036854775807\r\n\r\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.p.HandleClientData(nullEnv{}, 1, 90, rec); !errors.Is(err, ErrBadChannel) {
+		t.Errorf("an overflowing Content-Length: err = %v, want ErrBadChannel", err)
 	}
 }
 
