@@ -71,7 +71,8 @@ bench:
 # its ceiling (encode into a pooled writer 0, decode + open a 16-request
 # PREPARE 3, a reply decoded into a reused OrderedReply 0, MAC check + walk of
 # a five-reply batch 1, a reply built, tagged and queued for a remote origin 0,
-# a vote over three replies 2 plus the client's record, VerifyMAC 0, a 16 x
+# a vote over three replies 2 plus the client's record, VerifyMAC 0, a Troxy
+# group tag verified or made into the caller's buffer 0 (troxy's), a 16 x
 # 4 KiB PREPARE sealed for two peers 5 and opened and verified 2,
 # Store.Keys 0, an ecall round trip into room the caller brought 0, a reply
 # tagged across the boundary 0, a record opened into a lent buffer and walked
@@ -79,7 +80,8 @@ bench:
 # lies 0, Submit at a follower 1 — the FORWARD, nothing for the request it
 # keeps — a PREPARE of held requests admitted without a slab, and the
 # fast-read cache's CacheReinstallSameResult 0, CacheInvalidateThenReinstall 1
-# and CacheEvictAndInstall 1, the reply's slab, …) — beside
+# and CacheEvictAndInstall 1, the reply's slab, …) — beside msg's encode
+# benchmarks, which time EncodeBody, the replica's encoder, and
 # BenchmarkAppendEnvelopeFrame, which fails itself if the pooled frame-encode
 # path allocates at all, and end to end by TestWriteAllocBudget at the module
 # root (allocations per 128-byte write through a whole simulated cluster). In
@@ -216,9 +218,9 @@ soak:
 mutate:
 	$(GO) run ./cmd/troxy-mutate
 
-# Short fuzz smoke over the wire-facing decoders, the secure channel's frame
-# parsing, the HTTP request framing and the fast-read cache against its
-# reference. Interesting inputs
+# Short fuzz smoke over the wire-facing decoders (hybster.Open's recovery
+# messages among them), the secure channel's frame parsing, the HTTP request
+# framing and the fast-read cache against its reference. Interesting inputs
 # found here are promoted into the packages' testdata/fuzz corpora, which
 # every `go test` run replays.
 fuzz:
@@ -235,6 +237,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzManifestDecode$$' -fuzztime 10s ./internal/hybster/
 	$(GO) test -run xxx -fuzz 'FuzzSnapshotHead$$' -fuzztime 10s ./internal/hybster/
 	$(GO) test -run xxx -fuzz 'FuzzChunkAssembly$$' -fuzztime 10s ./internal/hybster/
+	$(GO) test -run xxx -fuzz 'FuzzOpen$$' -fuzztime 10s ./internal/hybster/
 	$(GO) test -run xxx -fuzz 'FuzzRestoreSink$$' -fuzztime 10s ./internal/app/
 	$(GO) test -run xxx -fuzz 'FuzzSnapshotIter$$' -fuzztime 10s ./internal/app/
 	$(GO) test -run xxx -fuzz 'FuzzCacheMatchesReference$$' -fuzztime 10s ./internal/troxy/

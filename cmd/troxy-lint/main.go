@@ -18,7 +18,8 @@
 //
 // The trust boundary's import graph is a test's, not an analyzer's:
 // TestTrustedComputingBase in internal/troxy pins the packages compiled into
-// the enclave, so an ocall into a host runtime fails `go test ./...`.
+// the enclave and forbids them net, os and syscall, so an ocall into a host
+// runtime or through the standard library fails `go test ./...`.
 //
 // secretflow, lockcheck and allocfree follow same-package calls into the
 // callee where a check asks for it; their cross-function findings are

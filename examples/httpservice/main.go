@@ -24,9 +24,9 @@ import (
 	troxy "github.com/troxy-bft/troxy"
 	"github.com/troxy-bft/troxy/internal/app"
 	"github.com/troxy-bft/troxy/internal/httpfront"
+	"github.com/troxy-bft/troxy/internal/legacyclient"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/realnet"
-	"github.com/troxy-bft/troxy/internal/securechannel"
 )
 
 func main() {
@@ -74,7 +74,7 @@ func run() error {
 				if err != nil {
 					return nil, err
 				}
-				return securechannel.ClientConn(raw, cluster.ServerPub)
+				return legacyclient.ClientConn(raw, cluster.ServerPub)
 			},
 			// One request per connection keeps the example simple.
 			DisableKeepAlives: false,

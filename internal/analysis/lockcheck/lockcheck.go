@@ -1,5 +1,5 @@
 // Package lockcheck enforces mutex discipline in the packages the pipelined
-// ordering core made concurrent (tcounter, realnet, securechannel,
+// ordering core made concurrent (tcounter, realnet, legacyclient,
 // faultplane): the race detector only catches schedules a test happens to
 // run; lockcheck rejects the deadlock- and leak-shaped patterns statically.
 //

@@ -11,7 +11,7 @@
 //   - *bufio.Writer's buffered-output methods (Flush, Write, WriteByte,
 //     WriteString, WriteRune, ReadFrom), and
 //   - Write/Read/SetDeadline/SetReadDeadline/SetWriteDeadline on any type
-//     named Conn (net.Conn, tls.Conn, securechannel.Conn).
+//     named Conn (net.Conn, tls.Conn, legacyclient.Conn).
 //
 // Close is deliberately out of scope: dropping a close error during
 // teardown is idiomatic. An error is "dropped" when the call appears as a

@@ -1,12 +1,9 @@
-// Package authn implements the message-authentication primitives of a
-// Troxy-backed system:
-//
-//   - a pairwise HMAC-SHA256 authenticator matrix for replica↔replica and
-//     client↔replica messages (the "common message certificates" of BFT
-//     systems), used by the untrusted replica parts; and
-//   - the Troxy group authenticator, an HMAC keyed with a secret shared only
-//     among the trusted subsystems, bound to each Troxy's instance ID
-//     (Section IV-A of the paper).
+// Package authn implements the transport authentication of a Troxy-backed
+// system: a pairwise HMAC-SHA256 authenticator matrix for replica↔replica and
+// client↔replica messages (the "common message certificates" of BFT
+// systems), used by the untrusted replica parts, and what each kind's MAC
+// covers (Covered). It runs on the host: the Troxy group tags are
+// troxy.GroupTagger's, inside the enclave.
 //
 // Keys are derived from a deployment master secret with HKDF so that tests
 // and deployments can provision a whole cluster from a single secret. In a
@@ -144,7 +141,7 @@ func (a *Authenticator) verify(e *msg.Envelope, covered []byte) bool {
 }
 
 // SealMessage attaches the point-to-point MAC a replica expects on an envelope
-// whose body is m's encoding: over the header and msg.Covered, which for the
+// whose body is m's encoding: over the header and Covered, which for the
 // kinds that order requests is their digests — memoised in m, so a sender that
 // has them hashes no operation — and for every other kind the body, as
 // SealMAC. It returns how many bytes behind the header the MAC covered, which
@@ -152,7 +149,7 @@ func (a *Authenticator) verify(e *msg.Envelope, covered []byte) bool {
 func (a *Authenticator) SealMessage(e *msg.Envelope, m msg.Message) int {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
-	covered := msg.Covered(w, m, e.Body)
+	covered := Covered(w, m, e.Body)
 	e.MAC = a.mac(e.To, e, covered).Sum(make([]byte, 0, TagSize))
 	return len(covered)
 }
@@ -164,53 +161,41 @@ func (a *Authenticator) SealMessage(e *msg.Envelope, m msg.Message) int {
 func (a *Authenticator) VerifyMessage(e *msg.Envelope, m msg.Message) (bool, int) {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
-	covered := msg.Covered(w, m, e.Body)
+	covered := Covered(w, m, e.Body)
 	return a.verify(e, covered), len(covered)
 }
 
-// GroupTagger computes Troxy group tags. It lives inside the trusted
-// subsystem: the group key never leaves the enclave boundary. Tags are bound
-// to the producing Troxy's instance ID so a Troxy cannot impersonate another
-// one even though the group secret is shared, and to the kind of the message
-// they authenticate, so a tag made for one kind never verifies as another's.
-// Like the Core that owns it, a tagger is not safe for concurrent use.
-type GroupTagger struct {
-	mac hash.Hash
-	// Scratch, for the reason Authenticator has its own.
-	hdr [5]byte
-	sum [TagSize]byte
-}
+// CoversDigests reports the kinds whose point-to-point MAC covers request
+// digests in place of request bytes (see Covered). Only the decoded message
+// has the digests, so a receiver opens these kinds before it checks the MAC.
+func CoversDigests(k msg.Kind) bool { return k == msg.KindForward || k == msg.KindPrepare }
 
-// NewGroupTagger creates a tagger over the Troxy group secret.
-func NewGroupTagger(groupKey []byte) *GroupTagger {
-	return &GroupTagger{mac: hmac.New(sha256.New, groupKey)}
-}
-
-// feed resets the HMAC and writes the kind, the instance ID and the input to
-// it.
-func (g *GroupTagger) feed(kind msg.Kind, instance msg.NodeID, input []byte) {
-	g.mac.Reset()
-	g.hdr = [5]byte{byte(kind), byte(instance), byte(instance >> 8), byte(instance >> 16), byte(instance >> 24)}
-	g.mac.Write(g.hdr[:])
-	g.mac.Write(input)
-}
-
-// Tag appends the group tag of input, a message of the given kind produced by
-// the given instance, to dst and returns the extended slice, the way
-// hash.Hash.Sum does: a caller that has somewhere to put the tag — a reply it
-// reuses, an ecall's result buffer — passes that and nothing is allocated;
-// nil gets a tag of its own.
-func (g *GroupTagger) Tag(dst []byte, kind msg.Kind, instance msg.NodeID, input []byte) []byte {
-	g.feed(kind, instance, input)
-	return g.mac.Sum(dst)
-}
-
-// Verify checks a group tag allegedly produced by instance over input, a
-// message of the given kind.
-func (g *GroupTagger) Verify(kind msg.Kind, instance msg.NodeID, input, tag []byte) bool {
-	if len(tag) != TagSize {
-		return false
+// Covered returns what the point-to-point MAC of an envelope carrying m covers
+// behind the envelope header: m's encoding with every OrderRequest it orders
+// replaced by that request's digest, appended to w — or body, m's encoding
+// itself, for every kind that orders no request. The view-change and
+// state-transfer kinds embed prepared batches and are covered whole all the
+// same: they are rare, and their handlers keep them whole anyway.
+//
+// The requests keep the digests computed here (msg.OrderRequest.Digest), so a
+// sender that holds them hashes no operation, and a receiver hashes each once
+// for the MAC, the batch certificate and its log.
+func Covered(w *wire.Writer, m msg.Message, body []byte) []byte {
+	switch m := m.(type) {
+	case *msg.Forward:
+		d := m.Req.Digest()
+		w.Raw(d[:])
+	case *msg.Prepare:
+		w.U64(m.View)
+		w.U64(m.Seq)
+		w.U32(uint32(len(m.Batch.Reqs)))
+		for i := range m.Batch.Reqs {
+			d := m.Batch.Reqs[i].Digest()
+			w.Raw(d[:])
+		}
+		m.Cert.MarshalWire(w)
+	default:
+		return body
 	}
-	g.feed(kind, instance, input)
-	return hmac.Equal(g.mac.Sum(g.sum[:0]), tag)
+	return w.Bytes()
 }

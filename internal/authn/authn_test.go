@@ -169,65 +169,6 @@ func TestVerifyMACRejectsShortTag(t *testing.T) {
 	}
 }
 
-func TestGroupTagger(t *testing.T) {
-	d := newDir(t)
-	tagger := NewGroupTagger(d.TroxyGroupKey())
-	verifier := NewGroupTagger(d.TroxyGroupKey())
-
-	input := []byte("reply-content")
-	tag := tagger.Tag(nil, msg.KindOrderedReply, 0, input)
-	if !verifier.Verify(msg.KindOrderedReply, 0, input, tag) {
-		t.Fatal("valid group tag rejected")
-	}
-	// A tag is bound to the producing instance.
-	if verifier.Verify(msg.KindOrderedReply, 1, input, tag) {
-		t.Error("tag accepted for wrong instance")
-	}
-	if verifier.Verify(msg.KindOrderedReply, 0, []byte("other"), tag) {
-		t.Error("tag accepted for wrong input")
-	}
-	if verifier.Verify(msg.KindOrderedReply, 0, input, tag[:10]) {
-		t.Error("truncated tag accepted")
-	}
-}
-
-// TestGroupTagIsBoundToItsKind: the same bytes from the same instance tagged
-// as two kinds of message are two different tags, and neither verifies as the
-// other kind. A message only Troxies check travels without a host MAC, so
-// this is what keeps, say, a cache reply's tag from passing for a reply's over
-// bytes that happen to decode as both.
-func TestGroupTagIsBoundToItsKind(t *testing.T) {
-	tagger := NewGroupTagger(newDir(t).TroxyGroupKey())
-	kinds := []msg.Kind{msg.KindOrderedReply, msg.KindSpecReply, msg.KindCacheQuery, msg.KindCacheReply}
-	input := []byte("the same bytes")
-	for _, made := range kinds {
-		tag := tagger.Tag(nil, made, 1, input)
-		for _, other := range kinds {
-			if other == made {
-				continue
-			}
-			if bytes.Equal(tag, tagger.Tag(nil, other, 1, input)) {
-				t.Errorf("%s and %s tag the same bytes alike", made, other)
-			}
-			if tagger.Verify(other, 1, input, tag) {
-				t.Errorf("a %s tag verifies as a %s's", made, other)
-			}
-		}
-		if !tagger.Verify(made, 1, input, tag) {
-			t.Errorf("a %s tag does not verify as its own kind", made)
-		}
-	}
-}
-
-func TestGroupTaggerDifferentKeysDisagree(t *testing.T) {
-	a := NewGroupTagger([]byte("key-a"))
-	b := NewGroupTagger([]byte("key-b"))
-	input := []byte("x")
-	if b.Verify(msg.KindCacheQuery, 0, input, a.Tag(nil, msg.KindCacheQuery, 0, input)) {
-		t.Error("tag from different key accepted")
-	}
-}
-
 func TestQuickMACRoundTrip(t *testing.T) {
 	d := newDir(t)
 	f := func(body []byte, fromRaw, toRaw uint8) bool {
@@ -265,8 +206,8 @@ func TestQuickTamperDetected(t *testing.T) {
 }
 
 // BenchmarkAllocGate: a transport MAC hashes header and body where they lie
-// and allocates only the tag it attaches; verification — transport or group —
-// sums into scratch and allocates nothing. (A reply batch has no MAC to
+// and allocates only the tag it attaches; verification sums into scratch and
+// allocates nothing. (A reply batch has no MAC to
 // check: what its receiver pays to open and walk it is msg's
 // DecodeOpenWalkReplyBatch5.)
 func BenchmarkAllocGate(b *testing.B) {
@@ -293,15 +234,4 @@ func BenchmarkAllocGate(b *testing.B) {
 			b.Fatal("MAC rejected")
 		}
 	})
-	tagger := NewGroupTagger(d.TroxyGroupKey())
-	input := make([]byte, 200)
-	tag := tagger.Tag(nil, msg.KindOrderedReply, 2, input)
-	testutil.AllocGate(b, "GroupTaggerVerify", 0, func() {
-		if !tagger.Verify(msg.KindOrderedReply, 2, input, tag) {
-			b.Fatal("tag rejected")
-		}
-	})
-	// A tag lands in the buffer the caller brought.
-	into := make([]byte, 0, TagSize)
-	testutil.AllocGate(b, "GroupTaggerTagInto", 0, func() { into = tagger.Tag(into[:0], msg.KindOrderedReply, 2, input) })
 }

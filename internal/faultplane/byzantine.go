@@ -258,19 +258,16 @@ func (b *Byzantine) send(raw node.Env, e *msg.Envelope) {
 			}
 		}
 	case msg.KindStateChunk:
-		if b.mode&CorruptStateChunks == 0 {
+		if b.mode&CorruptStateChunks == 0 || len(e.Body) == 0 {
 			break
 		}
-		m, err := openCopy(e)
-		if err != nil {
-			break
-		}
-		ch, ok := m.(*msg.StateChunk)
-		if !ok || len(ch.Data) == 0 {
-			break
-		}
-		ch.Data[0] ^= 0x01
-		b.sealSend(raw, e.To, ch)
+		// The chunk's data is the last field of its encoding, so flipping
+		// the body's last byte corrupts the data and nothing else. The MAC
+		// of a state chunk covers the body, as SealMAC's does.
+		bad := CloneEnvelope(e)
+		bad.Body[len(bad.Body)-1] ^= 0x01
+		b.auth.SealMAC(bad)
+		raw.Send(bad)
 		return
 	default:
 		// The harness only tampers with replies, cache messages and ordering

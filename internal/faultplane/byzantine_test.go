@@ -6,6 +6,7 @@ import (
 
 	"github.com/troxy-bft/troxy/internal/authn"
 	"github.com/troxy-bft/troxy/internal/faultplane"
+	"github.com/troxy-bft/troxy/internal/hybster"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/node"
 )
@@ -140,7 +141,7 @@ func TestByzantineSendLeavesHonestEnvelopeIntact(t *testing.T) {
 		{"EquivocateSpecReplies", faultplane.EquivocateSpecReplies,
 			&msg.SpecReply{View: 1, Seq: 7, Client: 5, ClientSeq: 2, Result: []byte("OK"), Cert: cert, TroxyTag: bytes.Repeat([]byte{1}, 32)}},
 		{"CorruptStateChunks", faultplane.CorruptStateChunks,
-			&msg.StateChunk{Seq: 128, Index: 3, Data: []byte("chunk-bytes")}},
+			&hybster.StateChunk{Seq: 128, Index: 3, Data: []byte("chunk-bytes")}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -169,7 +170,7 @@ func TestByzantineSendLeavesHonestEnvelopeIntact(t *testing.T) {
 				}
 				// Re-sealed the way a replica seals that kind, so the receiver's
 				// transport lets the mutation through to the check it is for.
-				m, err := e.Open()
+				m, err := hybster.Open(e)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -392,7 +392,7 @@ type Core struct {
 
 	// View change state. vcVoted is the highest view this replica has
 	// certified a VIEW-CHANGE for.
-	vcs     map[uint64]map[msg.NodeID]*msg.ViewChange
+	vcs     map[uint64]map[msg.NodeID]*ViewChange
 	vcVoted uint64
 
 	// curNewView retains the NEW-VIEW that installed the current view (nil
@@ -402,7 +402,7 @@ type Core struct {
 	// the highest view this replica has solicited evidence for;
 	// deferSinceSolicit counts deferrals since, so a lost solicitation is
 	// eventually retried while higher-view traffic keeps arriving.
-	curNewView        *msg.NewView
+	curNewView        *NewView
 	vcSolicited       uint64
 	deferSinceSolicit int
 
@@ -486,7 +486,7 @@ func New(cfg Config, out Outbound) *Core {
 		ownCheckpoints:  make(map[uint64]*chunkedSnapshot),
 		clients:         make(map[uint64]*clientRecord),
 		pendingLocal:    make(map[requestID]watched),
-		vcs:             make(map[uint64]map[msg.NodeID]*msg.ViewChange),
+		vcs:             make(map[uint64]map[msg.NodeID]*ViewChange),
 		proposed:        make(map[msg.Digest]struct{}),
 		specLog:         make(map[uint64]msg.Digest),
 		specClients:     make(map[uint64]uint64),
@@ -712,19 +712,19 @@ func (c *Core) OnMessage(env node.Env, from msg.NodeID, m msg.Message) bool {
 		c.OnCommit(env, from, m)
 	case *msg.Checkpoint:
 		c.OnCheckpoint(env, from, m)
-	case *msg.ViewChange:
+	case *ViewChange:
 		c.OnViewChange(env, from, m)
-	case *msg.NewView:
+	case *NewView:
 		c.OnNewView(env, from, m)
-	case *msg.StateRequest:
+	case *StateRequest:
 		c.OnStateRequest(env, from, m)
-	case *msg.StateReply:
+	case *StateReply:
 		c.OnStateReply(env, from, m)
-	case *msg.StateChunk:
+	case *StateChunk:
 		c.OnStateChunk(env, from, m)
-	case *msg.StatePrefix:
+	case *StatePrefix:
 		c.OnStatePrefix(env, from, m)
-	case *msg.NewViewRequest:
+	case *NewViewRequest:
 		c.OnNewViewRequest(env, from, m)
 	default:
 		return false
@@ -984,7 +984,7 @@ func (c *Core) deferToView(env node.Env, from msg.NodeID, view uint64, m msg.Mes
 		c.vcSolicited = view
 		c.deferSinceSolicit = 0
 		c.metrics.ViewSolicits++
-		c.out.Send(env, from, &msg.NewViewRequest{View: view})
+		c.out.Send(env, from, &NewViewRequest{View: view})
 	}
 }
 
@@ -992,7 +992,7 @@ func (c *Core) deferToView(env node.Env, from msg.NodeID, view uint64, m msg.Mes
 // that installed our current view. Anything at or above the requested view
 // un-wedges the requester (it verifies and adopts whatever it receives), so
 // the comparison is against what we hold, not equality.
-func (c *Core) OnNewViewRequest(env node.Env, from msg.NodeID, req *msg.NewViewRequest) {
+func (c *Core) OnNewViewRequest(env node.Env, from msg.NodeID, req *NewViewRequest) {
 	if c.curNewView == nil || c.curNewView.View < req.View {
 		return
 	}

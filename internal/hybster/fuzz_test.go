@@ -141,7 +141,7 @@ func FuzzChunkAssembly(f *testing.F) {
 		var env fakeEnv
 		fc := newStateCore(2, chunkSize, window).core
 		fc.fetch = &stateFetch{seq: 8, digest: cs.digest, peers: []msg.NodeID{0, 1}}
-		fc.OnStateReply(&env, 0, &msg.StateReply{Seq: 8, Manifest: cs.manifestBytes})
+		fc.OnStateReply(&env, 0, &StateReply{Seq: 8, Manifest: cs.manifestBytes})
 		for i := 0; i+1 < len(ops); i += 2 {
 			idx := uint32(ops[i]) % (n + 3) // includes out-of-range indices
 			data, ok := cs.chunk(idx % n)   // encoded afresh, ours to mutate
@@ -164,7 +164,7 @@ func FuzzChunkAssembly(f *testing.F) {
 			}
 			live := fc.fetch != nil && idx < n && idx >= fc.fetch.next && idx < fc.fetch.next+window
 			before := fc.RejectedCertsFrom(1)
-			fc.OnMessage(&env, 1, &msg.StateChunk{Seq: 8, Index: idx, Data: data})
+			fc.OnMessage(&env, 1, &StateChunk{Seq: 8, Index: idx, Data: data})
 			if live && !honest && fc.RejectedCertsFrom(1) != before+1 {
 				t.Fatalf("forged chunk %d (mutation %d) not refused and attributed", idx, ops[i+1]%6)
 			}

@@ -209,7 +209,7 @@ func TestTamperedOwnRequestIsNotRecognised(t *testing.T) {
 			h.core.Submit(&env, own)
 
 			genuine := proposal(t, leader, 1, wireCopy(own))
-			m, err := msg.Decode(append([]byte{byte(msg.KindPrepare)}, genuine...))
+			m, err := (&msg.Envelope{Kind: msg.KindPrepare, Body: genuine}).Open()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -330,7 +330,7 @@ func TestViewChangeRedrivesTheRequestsSubmitKept(t *testing.T) {
 
 	peer := tcounter.NewSubsystem(2)
 	peer.SetKey([]byte("test-counter-key"))
-	vc := &msg.ViewChange{Replica: 2, NewView: 1}
+	vc := &ViewChange{Replica: 2, NewView: 1}
 	cert, err := peer.Certify(tcounter.ViewChangeCounter, 1, vc.CertDigest())
 	if err != nil {
 		t.Fatal(err)

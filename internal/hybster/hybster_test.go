@@ -34,7 +34,7 @@ type execRecord struct {
 func (r *testReplica) OnStart(node.Env) {}
 
 func (r *testReplica) OnEnvelope(env node.Env, e *msg.Envelope) {
-	m, err := e.Open()
+	m, err := Open(e)
 	if err != nil {
 		return
 	}
@@ -62,8 +62,8 @@ func (r *testReplica) OnTimer(env node.Env, key node.TimerKey) {
 // eleven kinds it has handlers for and refuses every other, changing nothing.
 func TestOnMessageOwnsExactlyTheOrderingKinds(t *testing.T) {
 	const owned = 11 // the first ones
-	msgs := []msg.Message{&msg.Forward{}, &msg.Prepare{}, &msg.Commit{}, &msg.Checkpoint{}, &msg.ViewChange{}, &msg.NewView{},
-		&msg.StateRequest{}, &msg.StateReply{}, &msg.StateChunk{}, &msg.StatePrefix{}, &msg.NewViewRequest{},
+	msgs := []msg.Message{&msg.Forward{}, &msg.Prepare{}, &msg.Commit{}, &msg.Checkpoint{}, &ViewChange{}, &NewView{},
+		&StateRequest{}, &StateReply{}, &StateChunk{}, &StatePrefix{}, &NewViewRequest{},
 		&msg.ChannelData{}, &msg.BFTRequest{}, &msg.BFTReply{}, &msg.OrderedReply{}, &msg.CacheQuery{}, &msg.CacheReply{},
 		&msg.Batch{}, &msg.SpecReply{}, &msg.ReplyBatch{}}
 	c, seen := newStateCore(2, 16, 4).core, map[msg.Kind]bool{}

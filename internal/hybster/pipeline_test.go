@@ -457,8 +457,8 @@ func TestForgedCertificateIsRejected(t *testing.T) {
 	}
 	honest := func(owner msg.NodeID) *tcounter.Subsystem { return keyed(owner, "test-counter-key") }
 	forge := func(owner msg.NodeID) *tcounter.Subsystem { return keyed(owner, "not-the-counter-key") }
-	viewChange := func(sub *tcounter.Subsystem, newView uint64) *msg.ViewChange {
-		vc := &msg.ViewChange{Replica: sub.Owner(), NewView: newView}
+	viewChange := func(sub *tcounter.Subsystem, newView uint64) *ViewChange {
+		vc := &ViewChange{Replica: sub.Owner(), NewView: newView}
 		cert, err := sub.Certify(tcounter.ViewChangeCounter, newView, vc.CertDigest())
 		if err != nil {
 			t.Fatal(err)
@@ -541,8 +541,8 @@ func TestForgedCertificateIsRejected(t *testing.T) {
 		// Replica 1 leads view 1; replica 2 learns of it from a NEW-VIEW whose
 		// two VIEW-CHANGEs are genuine.
 		core := newStateCore(2, 64<<10, 16).core
-		newView := func(leaderSub *tcounter.Subsystem) *msg.NewView {
-			nv := &msg.NewView{Leader: 1, View: 1, ViewChanges: []msg.ViewChange{
+		newView := func(leaderSub *tcounter.Subsystem) *NewView {
+			nv := &NewView{Leader: 1, View: 1, ViewChanges: []ViewChange{
 				*viewChange(honest(0), 1), *viewChange(honest(1), 1),
 			}}
 			cert, err := leaderSub.Certify(tcounter.NewViewCounter, 1, nv.CertDigest())
@@ -597,7 +597,7 @@ func TestWrongSubmitDigestIsRejectedByTheFollowers(t *testing.T) {
 	}
 
 	// The follower gets the proposal's bytes, not the leader's memo.
-	m, err := msg.Decode(msg.Encode(out.preps[0]))
+	m, err := msg.Seal(0, 1, out.preps[0]).Open()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,7 @@ type stateFetch struct {
 	clients map[uint64]*clientRecord // decoded client table
 	sink    app.RestoreSink          // streaming application restore
 
-	prefix     *msg.StatePrefix
+	prefix     *StatePrefix
 	prefixFrom msg.NodeID
 }
 
@@ -124,7 +124,7 @@ func (c *Core) cancelFetch(env node.Env) {
 func (c *Core) sendFetchRound(env node.Env) {
 	f := c.fetch
 	if f.manifest == nil {
-		c.out.Send(env, f.peers[f.peerIdx], &msg.StateRequest{Seq: f.seq})
+		c.out.Send(env, f.peers[f.peerIdx], &StateRequest{Seq: f.seq})
 		return
 	}
 	c.requestChunks(env, f.next)
@@ -148,7 +148,7 @@ func (c *Core) requestChunks(env node.Env, from uint32) {
 	if len(want) == 0 {
 		return
 	}
-	c.out.Send(env, f.peers[f.peerIdx], &msg.StateRequest{Seq: f.seq, Chunks: want})
+	c.out.Send(env, f.peers[f.peerIdx], &StateRequest{Seq: f.seq, Chunks: want})
 }
 
 // armFetchTimer schedules the fetch retry with exponential backoff and
@@ -184,13 +184,13 @@ func (c *Core) onFetchTimer(env node.Env) {
 // OnStateRequest serves state-transfer data from the stable checkpoint.
 // Without a chunk list the reply is the manifest plus the certified prefix
 // of in-flight prepared entries; with one, the listed chunks.
-func (c *Core) OnStateRequest(env node.Env, from msg.NodeID, req *msg.StateRequest) {
+func (c *Core) OnStateRequest(env node.Env, from msg.NodeID, req *StateRequest) {
 	if req.Seq != c.stableSeq || c.stableChunks == nil {
 		return
 	}
 	cs := c.stableChunks
 	if len(req.Chunks) == 0 {
-		c.out.Send(env, from, &msg.StateReply{Seq: req.Seq, Manifest: cs.manifestBytes})
+		c.out.Send(env, from, &StateReply{Seq: req.Seq, Manifest: cs.manifestBytes})
 		entries := c.preparedAbove(req.Seq)
 		if len(entries) > maxPrefixEntries {
 			entries = entries[:maxPrefixEntries]
@@ -199,7 +199,7 @@ func (c *Core) OnStateRequest(env node.Env, from msg.NodeID, req *msg.StateReque
 		// 0): a fetcher that slept through the view change needs it to adopt
 		// the view, or every prefix entry would be skipped as wrong-view and
 		// the cluster's live traffic deferred indefinitely.
-		c.out.Send(env, from, &msg.StatePrefix{
+		c.out.Send(env, from, &StatePrefix{
 			Seq: req.Seq, LastExec: c.lastExec, Entries: entries, NewView: c.curNewView,
 		})
 		return
@@ -213,7 +213,7 @@ func (c *Core) OnStateRequest(env node.Env, from msg.NodeID, req *msg.StateReque
 		if !ok {
 			continue
 		}
-		c.out.Send(env, from, &msg.StateChunk{Seq: req.Seq, Index: idx, Data: data})
+		c.out.Send(env, from, &StateChunk{Seq: req.Seq, Index: idx, Data: data})
 		c.metrics.StateChunksServed++
 		served++
 	}
@@ -221,7 +221,7 @@ func (c *Core) OnStateRequest(env node.Env, from msg.NodeID, req *msg.StateReque
 
 // OnStateReply installs a fetched manifest after verifying it against the
 // agreed checkpoint digest, then starts pulling chunks.
-func (c *Core) OnStateReply(env node.Env, from msg.NodeID, rep *msg.StateReply) {
+func (c *Core) OnStateReply(env node.Env, from msg.NodeID, rep *StateReply) {
 	f := c.fetch
 	if f == nil || rep.Seq != f.seq || f.manifest != nil {
 		return
@@ -263,7 +263,7 @@ func (c *Core) OnStateReply(env node.Env, from msg.NodeID, rep *msg.StateReply) 
 // OnStatePrefix stores the certified prefix accompanying a manifest reply.
 // It is held until the snapshot install completes; verification happens at
 // replay time (applyPrefix), against the leader's counter certificates.
-func (c *Core) OnStatePrefix(env node.Env, from msg.NodeID, pfx *msg.StatePrefix) {
+func (c *Core) OnStatePrefix(env node.Env, from msg.NodeID, pfx *StatePrefix) {
 	f := c.fetch
 	if f == nil || pfx.Seq != f.seq || f.prefix != nil {
 		return
@@ -279,7 +279,7 @@ func (c *Core) OnStatePrefix(env node.Env, from msg.NodeID, pfx *msg.StatePrefix
 // to the assembler: in-order chunks apply immediately (draining any buffered
 // successors), out-of-order chunks within the window buffer, anything else
 // is rejected.
-func (c *Core) OnStateChunk(env node.Env, from msg.NodeID, ch *msg.StateChunk) {
+func (c *Core) OnStateChunk(env node.Env, from msg.NodeID, ch *StateChunk) {
 	f := c.fetch
 	if f == nil || f.manifest == nil || ch.Seq != f.seq {
 		return
@@ -448,7 +448,7 @@ func (c *Core) finishFetch(env node.Env) {
 // pre-checkpoint entries. A bad certificate is the *server's* fabrication
 // (it vouched for the entry), so rejection is attributed to it, not to the
 // leader.
-func (c *Core) applyPrefix(env node.Env, from msg.NodeID, pfx *msg.StatePrefix) {
+func (c *Core) applyPrefix(env node.Env, from msg.NodeID, pfx *StatePrefix) {
 	installed := false
 	for i := range pfx.Entries {
 		pe := &pfx.Entries[i]

@@ -184,7 +184,7 @@ func TestStateChunkVerification(t *testing.T) {
 	// real handler, verified against the agreed digest.
 	fc := newStateCore(2, chunkSize, window).core
 	fc.fetch = &stateFetch{seq: 8, digest: cs.digest, peers: []msg.NodeID{0, 1}}
-	fc.OnStateReply(&env, 0, &msg.StateReply{Seq: 8, Manifest: cs.manifestBytes})
+	fc.OnStateReply(&env, 0, &StateReply{Seq: 8, Manifest: cs.manifestBytes})
 	if fc.fetch == nil || fc.fetch.manifest == nil {
 		t.Fatal("manifest did not install from a digest-correct StateReply")
 	}
@@ -198,7 +198,7 @@ func TestStateChunkVerification(t *testing.T) {
 	}
 
 	// Stale seq: silently ignored, nothing counted.
-	fc.OnMessage(&env, 1, &msg.StateChunk{Seq: 4, Index: 0, Data: chunkData(0)})
+	fc.OnMessage(&env, 1, &StateChunk{Seq: 4, Index: 0, Data: chunkData(0)})
 	if m := fc.Metrics(); m.StateChunksReceived != 0 || m.StateChunkRejects != 0 {
 		t.Fatalf("stale-seq chunk counted: %+v", m)
 	}
@@ -206,7 +206,7 @@ func TestStateChunkVerification(t *testing.T) {
 	// Tampered payload from the Byzantine peer 0: rejected and attributed.
 	bad := chunkData(0)
 	bad[0] ^= 0x01
-	fc.OnMessage(&env, 0, &msg.StateChunk{Seq: 8, Index: 0, Data: bad})
+	fc.OnMessage(&env, 0, &StateChunk{Seq: 8, Index: 0, Data: bad})
 	if m := fc.Metrics(); m.StateChunkRejects != 1 || m.StateChunksReceived != 0 {
 		t.Fatalf("tampered chunk not rejected: %+v", m)
 	}
@@ -218,7 +218,7 @@ func TestStateChunkVerification(t *testing.T) {
 	}
 
 	// Wrong length: rejected and attributed before any hashing.
-	fc.OnMessage(&env, 0, &msg.StateChunk{Seq: 8, Index: 0, Data: chunkData(0)[:chunkSize-1]})
+	fc.OnMessage(&env, 0, &StateChunk{Seq: 8, Index: 0, Data: chunkData(0)[:chunkSize-1]})
 	if m := fc.Metrics(); m.StateChunkRejects != 2 {
 		t.Fatalf("short chunk not rejected: %+v", m)
 	}
@@ -233,7 +233,7 @@ func TestStateChunkVerification(t *testing.T) {
 	for i, prefix := range []uint32{0xffffffff, chunkSize - 4 - 1} {
 		bad := chunkData(0)
 		binary.LittleEndian.PutUint32(bad, prefix)
-		fc.OnMessage(&env, 0, &msg.StateChunk{Seq: 8, Index: 0, Data: bad})
+		fc.OnMessage(&env, 0, &StateChunk{Seq: 8, Index: 0, Data: bad})
 		if m := fc.Metrics(); m.StateChunkRejects != uint64(3+i) || m.StateChunksReceived != 0 {
 			t.Fatalf("mis-framed chunk (prefix %#x) not rejected: %+v", prefix, m)
 		}
@@ -247,7 +247,7 @@ func TestStateChunkVerification(t *testing.T) {
 
 	// Beyond the request window: refused (bounded buffering) but not
 	// attributed — it can be honest traffic racing a window slide.
-	fc.OnMessage(&env, 1, &msg.StateChunk{Seq: 8, Index: window, Data: chunkData(window)})
+	fc.OnMessage(&env, 1, &StateChunk{Seq: 8, Index: window, Data: chunkData(window)})
 	if m := fc.Metrics(); m.StateChunkRejects != 5 {
 		t.Fatalf("out-of-window chunk not refused: %+v", m)
 	}
@@ -257,8 +257,8 @@ func TestStateChunkVerification(t *testing.T) {
 
 	// Correct out-of-order chunk from peer 1 buffers; a duplicate is dropped
 	// without growing the window.
-	fc.OnMessage(&env, 1, &msg.StateChunk{Seq: 8, Index: 2, Data: chunkData(2)})
-	fc.OnMessage(&env, 1, &msg.StateChunk{Seq: 8, Index: 2, Data: chunkData(2)})
+	fc.OnMessage(&env, 1, &StateChunk{Seq: 8, Index: 2, Data: chunkData(2)})
+	fc.OnMessage(&env, 1, &StateChunk{Seq: 8, Index: 2, Data: chunkData(2)})
 	if len(fc.fetch.window) != 1 || fc.fetch.buffered != len(chunkData(2)) {
 		t.Fatalf("duplicate buffered: window %d entries, %d bytes", len(fc.fetch.window), fc.fetch.buffered)
 	}
@@ -267,11 +267,11 @@ func TestStateChunkVerification(t *testing.T) {
 	}
 
 	// In-order chunks 0 and 1 apply; 1 drains the buffered 2 behind it.
-	fc.OnMessage(&env, 1, &msg.StateChunk{Seq: 8, Index: 0, Data: chunkData(0)})
+	fc.OnMessage(&env, 1, &StateChunk{Seq: 8, Index: 0, Data: chunkData(0)})
 	if fc.fetch.next != 1 {
 		t.Fatalf("next = %d after chunk 0, want 1", fc.fetch.next)
 	}
-	fc.OnMessage(&env, 1, &msg.StateChunk{Seq: 8, Index: 1, Data: chunkData(1)})
+	fc.OnMessage(&env, 1, &StateChunk{Seq: 8, Index: 1, Data: chunkData(1)})
 	if fc.fetch.next != 3 || len(fc.fetch.window) != 0 || fc.fetch.buffered != 0 {
 		t.Fatalf("buffered chunk did not drain: next %d, window %d, buffered %d",
 			fc.fetch.next, len(fc.fetch.window), fc.fetch.buffered)
@@ -280,7 +280,7 @@ func TestStateChunkVerification(t *testing.T) {
 	// The rest arrives in order from the correct peer; the transfer must
 	// complete despite peer 0's earlier tampering.
 	for i := uint32(3); i < n; i++ {
-		fc.OnMessage(&env, 1, &msg.StateChunk{Seq: 8, Index: i, Data: chunkData(i)})
+		fc.OnMessage(&env, 1, &StateChunk{Seq: 8, Index: i, Data: chunkData(i)})
 	}
 	if fc.fetch != nil {
 		t.Fatalf("fetch still active after all %d chunks", n)
@@ -312,7 +312,7 @@ func TestLateStateReplyDoesNotRewind(t *testing.T) {
 		fc := newStateCore(2, 64, 4).core
 		fc.fetch = &stateFetch{seq: 8, digest: cs.digest, rewind: rewind, peers: []msg.NodeID{0, 1}}
 		fc.lastExec = 9 // execution caught up while the reply was in flight
-		fc.OnStateReply(&env, 0, &msg.StateReply{Seq: 8, Manifest: cs.manifestBytes})
+		fc.OnStateReply(&env, 0, &StateReply{Seq: 8, Manifest: cs.manifestBytes})
 		if installed := fc.fetch != nil && fc.fetch.manifest != nil; installed != rewind {
 			t.Errorf("rewind %v: manifest installed = %v", rewind, installed)
 		}
@@ -476,13 +476,13 @@ func TestRetainedCheckpointServesItsOwnState(t *testing.T) {
 
 	fc := newStateCore(2, chunkSize, window).core
 	fc.fetch = &stateFetch{seq: 8, digest: cs.digest, peers: []msg.NodeID{0, 1}}
-	fc.OnStateReply(&env, 0, &msg.StateReply{Seq: 8, Manifest: cs.manifestBytes})
+	fc.OnStateReply(&env, 0, &StateReply{Seq: 8, Manifest: cs.manifestBytes})
 	for i := uint32(0); fc.fetch != nil; i++ {
 		data, ok := cs.chunk(i)
 		if !ok {
 			t.Fatalf("fetch still active after all %d chunks", i)
 		}
-		fc.OnMessage(&env, 0, &msg.StateChunk{Seq: 8, Index: i, Data: data})
+		fc.OnMessage(&env, 0, &StateChunk{Seq: 8, Index: i, Data: data})
 	}
 	if m := fc.Metrics(); m.StateChunkRejects != 0 {
 		t.Fatalf("chunks of a retained checkpoint were rejected: %+v", m)

@@ -27,7 +27,7 @@ func (c *Core) startViewChange(env node.Env, newView uint64) {
 	// view change will carry them; requeue them for the new view's leader.
 	c.flushBatchBuf(env)
 
-	vc := &msg.ViewChange{
+	vc := &ViewChange{
 		Replica:      c.cfg.Self,
 		NewView:      newView,
 		StableSeq:    c.stableSeq,
@@ -51,7 +51,7 @@ func (c *Core) startViewChange(env node.Env, newView uint64) {
 
 // preparedAbove collects this replica's prepared entries above seq, in
 // sequence order.
-func (c *Core) preparedAbove(seq uint64) []msg.PreparedEntry {
+func (c *Core) preparedAbove(seq uint64) []PreparedEntry {
 	var seqs []uint64
 	for s, e := range c.log {
 		if s > seq && e.hasPrep {
@@ -59,10 +59,10 @@ func (c *Core) preparedAbove(seq uint64) []msg.PreparedEntry {
 		}
 	}
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	out := make([]msg.PreparedEntry, 0, len(seqs))
+	out := make([]PreparedEntry, 0, len(seqs))
 	for _, s := range seqs {
 		e := c.log[s]
-		out = append(out, msg.PreparedEntry{
+		out = append(out, PreparedEntry{
 			View:        e.view,
 			Seq:         s,
 			Batch:       *e.batch,
@@ -74,7 +74,7 @@ func (c *Core) preparedAbove(seq uint64) []msg.PreparedEntry {
 
 // verifyViewChange checks a VIEW-CHANGE message's certificate and the
 // prepare certificates of every entry it carries.
-func (c *Core) verifyViewChange(env node.Env, vc *msg.ViewChange) bool {
+func (c *Core) verifyViewChange(env node.Env, vc *ViewChange) bool {
 	digest := vc.CertDigest()
 	if vc.Cert.Replica != vc.Replica ||
 		vc.Cert.Counter != tcounter.ViewChangeCounter ||
@@ -98,7 +98,7 @@ func (c *Core) verifyViewChange(env node.Env, vc *msg.ViewChange) bool {
 }
 
 // OnViewChange handles a peer's VIEW-CHANGE.
-func (c *Core) OnViewChange(env node.Env, from msg.NodeID, vc *msg.ViewChange) {
+func (c *Core) OnViewChange(env node.Env, from msg.NodeID, vc *ViewChange) {
 	if vc.Replica != from || vc.NewView <= c.view {
 		return
 	}
@@ -116,10 +116,10 @@ func (c *Core) OnViewChange(env node.Env, from msg.NodeID, vc *msg.ViewChange) {
 	}
 }
 
-func (c *Core) recordViewChange(env node.Env, vc *msg.ViewChange) {
+func (c *Core) recordViewChange(env node.Env, vc *ViewChange) {
 	votes, ok := c.vcs[vc.NewView]
 	if !ok {
-		votes = make(map[msg.NodeID]*msg.ViewChange)
+		votes = make(map[msg.NodeID]*ViewChange)
 		c.vcs[vc.NewView] = votes
 	}
 	votes[vc.Replica] = vc
@@ -141,7 +141,7 @@ func (c *Core) maybeInstall(env node.Env, newView uint64) {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	nv := &msg.NewView{Leader: c.cfg.Self, View: newView}
+	nv := &NewView{Leader: c.cfg.Self, View: newView}
 	for _, id := range ids[:c.quorum()] {
 		nv.ViewChanges = append(nv.ViewChanges, *votes[id])
 	}
@@ -163,7 +163,7 @@ func (c *Core) maybeInstall(env node.Env, newView uint64) {
 // authorship regardless of who delivered the message, so a relay needs no
 // authority of its own; a message that fails verification is blamed on the
 // sender (the transport MAC authenticated it), relay or not.
-func (c *Core) OnNewView(env node.Env, from msg.NodeID, nv *msg.NewView) {
+func (c *Core) OnNewView(env node.Env, from msg.NodeID, nv *NewView) {
 	if nv.View <= c.view {
 		return
 	}
@@ -206,9 +206,9 @@ func (c *Core) OnNewView(env node.Env, from msg.NodeID, nv *msg.NewView) {
 // installView switches to the view described by a verified NEW-VIEW,
 // re-proposing (as leader) or expecting re-proposals for (as follower) every
 // prepared entry above the maximum stable checkpoint among the view changes.
-func (c *Core) installView(env node.Env, nv *msg.NewView) {
+func (c *Core) installView(env node.Env, nv *NewView) {
 	var maxStable uint64
-	reproposals := make(map[uint64]msg.PreparedEntry)
+	reproposals := make(map[uint64]PreparedEntry)
 	var maxPrepared uint64
 	for i := range nv.ViewChanges {
 		vc := &nv.ViewChanges[i]

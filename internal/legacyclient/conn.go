@@ -1,26 +1,26 @@
-package securechannel
+package legacyclient
 
 import (
 	"crypto/ed25519"
-	"crypto/rand"
 	"encoding/binary"
-	"fmt"
 	"net"
 	"sync"
 	"time"
 
+	"github.com/troxy-bft/troxy/internal/securechannel"
 	"github.com/troxy-bft/troxy/internal/wire"
 )
 
 // maxRecordPlaintext bounds the plaintext carried by a single sub-frame on
-// byte-stream transports. It is smaller than MaxCoalescedPlaintext so a
-// group-committed flush can still coalesce several writers' chunks into one
-// record.
+// byte-stream transports. It is smaller than
+// securechannel.MaxCoalescedPlaintext so a group-committed flush can still
+// coalesce several writers' chunks into one record.
 const maxRecordPlaintext = 16 * 1024
 
-// Conn adapts a Session to net.Conn over a byte-stream transport, so that
-// completely unmodified legacy clients (e.g. net/http with a custom dialer)
-// can talk to a Troxy. Records are length-prefixed on the underlying stream.
+// Conn adapts a secure-channel session to net.Conn over a byte-stream
+// transport, so that completely unmodified legacy clients (e.g. net/http with
+// a custom dialer) can talk to a Troxy. Records are length-prefixed on the
+// underlying stream.
 //
 // The write side is a group-commit flusher: writers enqueue plaintext chunks
 // under a short mutex and one writer at a time becomes the flusher, sealing
@@ -51,10 +51,10 @@ type Conn struct {
 	flushing bool     // a flusher is sealing or writing; at most one at a time
 	flushErr error    // sticky: a failed flush poisons the conn
 
-	sess *Session
+	sess *securechannel.Session
 }
 
-func newConn(raw net.Conn, sess *Session) *Conn {
+func newConn(raw net.Conn, sess *securechannel.Session) *Conn {
 	c := &Conn{raw: raw, sess: sess}
 	c.wcond = sync.NewCond(&c.wmu)
 	return c
@@ -63,38 +63,9 @@ func newConn(raw net.Conn, sess *Session) *Conn {
 // ClientConn performs the client side of the handshake over raw and returns
 // the secured connection. serverPub pins the service identity.
 func ClientConn(raw net.Conn, serverPub ed25519.PublicKey) (*Conn, error) {
-	hs, hello, err := NewClientHandshake(serverPub, rand.Reader)
+	sess, err := handshake(raw, serverPub)
 	if err != nil {
 		return nil, err
-	}
-	if err := wire.WriteFrame(raw, hello); err != nil {
-		return nil, fmt.Errorf("securechannel: send client hello: %w", err)
-	}
-	serverHello, err := wire.ReadFrame(raw)
-	if err != nil {
-		return nil, fmt.Errorf("securechannel: read server hello: %w", err)
-	}
-	sess, err := hs.Finish(serverHello)
-	if err != nil {
-		return nil, err
-	}
-	return newConn(raw, sess), nil
-}
-
-// ServerConn performs the server side of the handshake over raw. identity is
-// the service's Ed25519 private key (inside the enclave in a Troxy replica;
-// this adapter is also used by the standalone and Prophecy services).
-func ServerConn(raw net.Conn, identity ed25519.PrivateKey) (*Conn, error) {
-	clientHello, err := wire.ReadFrame(raw)
-	if err != nil {
-		return nil, fmt.Errorf("securechannel: read client hello: %w", err)
-	}
-	sess, serverHello, err := ServerHandshake(identity, clientHello, rand.Reader)
-	if err != nil {
-		return nil, err
-	}
-	if err := wire.WriteFrame(raw, serverHello); err != nil {
-		return nil, fmt.Errorf("securechannel: send server hello: %w", err)
 	}
 	return newConn(raw, sess), nil
 }
@@ -198,9 +169,9 @@ func (c *Conn) Write(p []byte) (int, error) {
 }
 
 // sealBatch seals a drained queue into length-prefixed coalesced records,
-// greedily packing chunks up to MaxCoalescedPlaintext per record — one
-// AES-GCM pass per record however many writers contributed. Called with wmu
-// held; it performs no I/O and takes no locks.
+// greedily packing chunks up to securechannel.MaxCoalescedPlaintext per
+// record — one AES-GCM pass per record however many writers contributed.
+// Called with wmu held; it performs no I/O and takes no locks.
 func (c *Conn) sealBatch(batch [][]byte) (net.Buffers, error) {
 	var bufs net.Buffers
 	appendRecord := func(frames [][]byte) error {
@@ -216,7 +187,7 @@ func (c *Conn) sealBatch(batch [][]byte) (net.Buffers, error) {
 	var group [][]byte
 	groupBytes := 0
 	for _, chunk := range batch {
-		if groupBytes+4+len(chunk) > MaxCoalescedPlaintext && len(group) > 0 {
+		if groupBytes+4+len(chunk) > securechannel.MaxCoalescedPlaintext && len(group) > 0 {
 			if err := appendRecord(group); err != nil {
 				return nil, err
 			}

@@ -90,7 +90,7 @@ func (c *TCPClient) reconnect() error {
 			lastErr = err
 			continue
 		}
-		sess, err := c.handshake(conn)
+		sess, err := handshake(conn, c.serverPub)
 		if err != nil {
 			conn.Close()
 			lastErr = err
@@ -108,17 +108,20 @@ func (c *TCPClient) reconnect() error {
 	return fmt.Errorf("%w: %v", ErrExhausted, lastErr)
 }
 
-func (c *TCPClient) handshake(conn net.Conn) (*securechannel.Session, error) {
-	hs, hello, err := securechannel.NewClientHandshake(c.serverPub, rand.Reader)
+// handshake runs the client side of the secure-channel handshake over raw:
+// the hello out, the server's hello back, the session it finishes.
+// serverPub pins the service identity.
+func handshake(raw net.Conn, serverPub ed25519.PublicKey) (*securechannel.Session, error) {
+	hs, hello, err := securechannel.NewClientHandshake(serverPub, rand.Reader)
 	if err != nil {
 		return nil, err
 	}
-	if err := wire.WriteFrame(conn, hello); err != nil {
-		return nil, err
+	if err := wire.WriteFrame(raw, hello); err != nil {
+		return nil, fmt.Errorf("legacyclient: send client hello: %w", err)
 	}
-	serverHello, err := wire.ReadFrame(conn)
+	serverHello, err := wire.ReadFrame(raw)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("legacyclient: read server hello: %w", err)
 	}
 	return hs.Finish(serverHello)
 }

@@ -63,7 +63,7 @@ func TestBatchDigest(t *testing.T) {
 
 func TestBatchDecodeRejectsGarbage(t *testing.T) {
 	// A length header promising more requests than the buffer holds.
-	if _, err := Decode([]byte{byte(KindBatch), 0xff, 0xff, 0xff, 0x00}); err == nil {
+	if _, err := openFramed([]byte{byte(KindBatch), 0xff, 0xff, 0xff, 0x00}); err == nil {
 		t.Error("expected error for truncated batch")
 	}
 }

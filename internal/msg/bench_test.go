@@ -30,7 +30,7 @@ func BenchmarkEncodeForward(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Encode(fwd)
+		EncodeBody(fwd)
 	}
 }
 
@@ -40,7 +40,7 @@ func BenchmarkEncodePrepareBatch16(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Encode(prep)
+		EncodeBody(prep)
 	}
 }
 

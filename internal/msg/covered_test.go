@@ -1,42 +1,91 @@
-package msg
+package msg_test
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"testing"
 
+	"github.com/troxy-bft/troxy/internal/authn"
+	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/wire"
 )
 
+// What a point-to-point MAC covers of each kind of this package
+// (authn.Covered), held to the encodings defined here.
+
+func request() msg.OrderRequest {
+	return msg.OrderRequest{Origin: 2, Client: 77, ClientSeq: 1234, Flags: msg.FlagReadOnly, Op: []byte("GET key-17")}
+}
+
+func cert() msg.CounterCert {
+	return msg.CounterCert{Replica: 1, Counter: 3, Value: 42, MAC: []byte("macmacmac")}
+}
+
+func batch(n int) msg.Batch {
+	b := msg.Batch{Reqs: make([]msg.OrderRequest, n)}
+	for i := range b.Reqs {
+		b.Reqs[i] = msg.OrderRequest{
+			Origin:    msg.NodeID(i % 3),
+			Client:    uint64(100 + i),
+			ClientSeq: uint64(i + 1),
+			Op:        []byte(fmt.Sprintf("PUT key-%d value-%d", i, i)),
+		}
+	}
+	return b
+}
+
+// samples returns a message of every kind Envelope.Open decodes.
+func samples() []msg.Message {
+	req := request()
+	return []msg.Message{
+		&msg.ChannelData{ConnID: 9, Payload: []byte("ciphertext")},
+		&msg.BFTRequest{Client: 1, ClientSeq: 2, Flags: msg.FlagDirect, Op: []byte("op")},
+		&msg.BFTReply{Executor: 2, Client: 1, ClientSeq: 2, Result: []byte("res")},
+		&msg.Forward{Req: req},
+		&msg.Batch{Reqs: []msg.OrderRequest{req}},
+		&msg.Prepare{View: 1, Seq: 10, Batch: batch(2), Cert: cert()},
+		&msg.Commit{View: 1, Seq: 10, Cert: cert()},
+		&msg.OrderedReply{Executor: 0, Seq: 10, Client: 77, ClientSeq: 1234, Result: []byte("result"), TroxyTag: []byte("tag")},
+		&msg.Checkpoint{Seq: 128},
+		&msg.CacheQuery{From: 0, To: 1, QueryID: 5, Tag: []byte("t")},
+		&msg.CacheReply{From: 1, To: 0, QueryID: 5, Found: true, Tag: []byte("t")},
+		msg.NewReplyBatch(&msg.OrderedReply{Executor: 1, Client: 78, ClientSeq: 1, Result: []byte("OK"), TroxyTag: []byte("tag")}),
+		&msg.SpecReply{Executor: 1, View: 2, Seq: 10, Result: []byte("spec-result"), Cert: cert(), TroxyTag: []byte("tag")},
+	}
+}
+
 // covered returns a copy of what a point-to-point MAC covers of m.
-func covered(m Message) []byte {
+func covered(m msg.Message) []byte {
 	w := wire.NewWriter(0)
-	return bytes.Clone(Covered(w, m, EncodeBody(m)))
+	return bytes.Clone(authn.Covered(w, m, msg.EncodeBody(m)))
 }
 
 // TestCoveredIsTheBodyExceptForForwardAndPrepare: a kind that orders no
 // request is covered byte for byte — Covered hands back the very body — and
-// CoversDigests names exactly the kinds that are not.
+// CoversDigests names exactly the kinds that are not. The kinds this package
+// does not decode are hybster's recovery messages, which order no request.
 func TestCoveredIsTheBodyExceptForForwardAndPrepare(t *testing.T) {
-	seen := map[Kind]bool{}
-	for _, m := range sampleMessages() {
+	seen := map[msg.Kind]bool{}
+	for _, m := range samples() {
 		seen[m.Kind()] = true
-		body := EncodeBody(m)
+		body := msg.EncodeBody(m)
 		w := wire.NewWriter(0)
-		got := Covered(w, m, body)
+		got := authn.Covered(w, m, body)
 		whole := len(got) == len(body) && (len(body) == 0 || &got[0] == &body[0])
-		if whole == m.Kind().CoversDigests() {
-			t.Errorf("%s: covered whole = %v, CoversDigests = %v", m.Kind(), whole, m.Kind().CoversDigests())
+		if whole == authn.CoversDigests(m.Kind()) {
+			t.Errorf("%s: covered whole = %v, CoversDigests = %v", m.Kind(), whole, authn.CoversDigests(m.Kind()))
 		}
 		if whole && w.Len() != 0 {
 			t.Errorf("%s: %d bytes written for a kind covered whole", m.Kind(), w.Len())
 		}
 	}
-	for k := range kindNames {
-		if !seen[k] {
+	for k := msg.KindChannelData; k <= msg.KindReplyBatch; k++ {
+		if _, err := (&msg.Envelope{Kind: k}).Open(); !seen[k] && !errors.Is(err, msg.ErrUnknownKind) {
 			t.Errorf("no sample message of kind %s", k)
 		}
-		if k.CoversDigests() != (k == KindForward || k == KindPrepare) {
-			t.Errorf("%s: CoversDigests = %v", k, k.CoversDigests())
+		if authn.CoversDigests(k) != (k == msg.KindForward || k == msg.KindPrepare) {
+			t.Errorf("%s: CoversDigests = %v", k, authn.CoversDigests(k))
 		}
 	}
 }
@@ -45,10 +94,10 @@ func TestCoveredIsTheBodyExceptForForwardAndPrepare(t *testing.T) {
 // travel without a point-to-point MAC are exactly the three a Troxy tags, and
 // none of them orders a request.
 func TestTroxyTaggedKindsAreTheCacheExchangeAndReplyBatches(t *testing.T) {
-	for k := range kindNames {
-		want := k == KindCacheQuery || k == KindCacheReply || k == KindReplyBatch
-		if k.TroxyTagged() != want || (want && k.CoversDigests()) {
-			t.Errorf("%s: TroxyTagged = %v, CoversDigests = %v", k, k.TroxyTagged(), k.CoversDigests())
+	for k := msg.KindChannelData; k <= msg.KindReplyBatch; k++ {
+		want := k == msg.KindCacheQuery || k == msg.KindCacheReply || k == msg.KindReplyBatch
+		if k.TroxyTagged() != want || (want && authn.CoversDigests(k)) {
+			t.Errorf("%s: TroxyTagged = %v, CoversDigests = %v", k, k.TroxyTagged(), authn.CoversDigests(k))
 		}
 	}
 }
@@ -58,43 +107,43 @@ func TestTroxyTaggedKindsAreTheCacheExchangeAndReplyBatches(t *testing.T) {
 // request digests and certificate — so changing any field of either changes
 // it, and its length does not depend on the size of the operations.
 func TestCoveredBindsEveryField(t *testing.T) {
-	req := sampleRequest()
+	req := request()
 	digest := req.Digest()
-	if got := covered(&Forward{Req: sampleRequest()}); !bytes.Equal(got, digest[:]) {
+	if got := covered(&msg.Forward{Req: request()}); !bytes.Equal(got, digest[:]) {
 		t.Errorf("covered FORWARD = %x, want the request digest %x", got, digest)
 	}
 
-	prepare := func(mutate func(*Prepare)) []byte {
-		p := &Prepare{View: 3, Seq: 9, Batch: *benchBatch(4), Cert: sampleCert()}
+	prepare := func(mutate func(*msg.Prepare)) []byte {
+		p := &msg.Prepare{View: 3, Seq: 9, Batch: batch(4), Cert: cert()}
 		mutate(p)
 		return covered(p)
 	}
-	base := prepare(func(*Prepare) {})
-	if want := 8 + 8 + 4 + 4*len(digest) + 4 + 4 + 8 + 4 + len(sampleCert().MAC); len(base) != want {
+	base := prepare(func(*msg.Prepare) {})
+	if want := 8 + 8 + 4 + 4*len(digest) + 4 + 4 + 8 + 4 + len(cert().MAC); len(base) != want {
 		t.Errorf("covered PREPARE of four requests is %d bytes, want %d", len(base), want)
 	}
-	for name, mutate := range map[string]func(*Prepare){
-		"view":         func(p *Prepare) { p.View++ },
-		"seq":          func(p *Prepare) { p.Seq++ },
-		"count":        func(p *Prepare) { p.Batch.Reqs = p.Batch.Reqs[:3] },
-		"order":        func(p *Prepare) { p.Batch.Reqs[0], p.Batch.Reqs[1] = p.Batch.Reqs[1], p.Batch.Reqs[0] },
-		"origin":       func(p *Prepare) { p.Batch.Reqs[2].Origin++ },
-		"client":       func(p *Prepare) { p.Batch.Reqs[2].Client++ },
-		"client seq":   func(p *Prepare) { p.Batch.Reqs[2].ClientSeq++ },
-		"flags":        func(p *Prepare) { p.Batch.Reqs[2].Flags ^= FlagFastCommit },
-		"op":           func(p *Prepare) { p.Batch.Reqs[3].Op[0] ^= 1 },
-		"op length":    func(p *Prepare) { p.Batch.Reqs[3].Op = p.Batch.Reqs[3].Op[:4] },
-		"cert replica": func(p *Prepare) { p.Cert.Replica++ },
-		"cert counter": func(p *Prepare) { p.Cert.Counter++ },
-		"cert value":   func(p *Prepare) { p.Cert.Value++ },
-		"cert mac":     func(p *Prepare) { p.Cert.MAC = bytes.Clone(p.Cert.MAC); p.Cert.MAC[0] ^= 1 },
-		"cert mac len": func(p *Prepare) { p.Cert.MAC = p.Cert.MAC[:4] },
+	for name, mutate := range map[string]func(*msg.Prepare){
+		"view":         func(p *msg.Prepare) { p.View++ },
+		"seq":          func(p *msg.Prepare) { p.Seq++ },
+		"count":        func(p *msg.Prepare) { p.Batch.Reqs = p.Batch.Reqs[:3] },
+		"order":        func(p *msg.Prepare) { p.Batch.Reqs[0], p.Batch.Reqs[1] = p.Batch.Reqs[1], p.Batch.Reqs[0] },
+		"origin":       func(p *msg.Prepare) { p.Batch.Reqs[2].Origin++ },
+		"client":       func(p *msg.Prepare) { p.Batch.Reqs[2].Client++ },
+		"client seq":   func(p *msg.Prepare) { p.Batch.Reqs[2].ClientSeq++ },
+		"flags":        func(p *msg.Prepare) { p.Batch.Reqs[2].Flags ^= msg.FlagFastCommit },
+		"op":           func(p *msg.Prepare) { p.Batch.Reqs[3].Op[0] ^= 1 },
+		"op length":    func(p *msg.Prepare) { p.Batch.Reqs[3].Op = p.Batch.Reqs[3].Op[:4] },
+		"cert replica": func(p *msg.Prepare) { p.Cert.Replica++ },
+		"cert counter": func(p *msg.Prepare) { p.Cert.Counter++ },
+		"cert value":   func(p *msg.Prepare) { p.Cert.Value++ },
+		"cert mac":     func(p *msg.Prepare) { p.Cert.MAC = bytes.Clone(p.Cert.MAC); p.Cert.MAC[0] ^= 1 },
+		"cert mac len": func(p *msg.Prepare) { p.Cert.MAC = p.Cert.MAC[:4] },
 	} {
 		if bytes.Equal(prepare(mutate), base) {
 			t.Errorf("a PREPARE with another %s has the same covered encoding", name)
 		}
 	}
-	big := prepare(func(p *Prepare) {
+	big := prepare(func(p *msg.Prepare) {
 		for i := range p.Batch.Reqs {
 			p.Batch.Reqs[i].Op = make([]byte, 4096)
 		}
@@ -104,97 +153,14 @@ func TestCoveredBindsEveryField(t *testing.T) {
 	}
 }
 
-// TestDecodedRequestHasNoDigestUntilComputed: no wire decoder installs a
-// request digest, and decoding into a request that carried one forgets it — a
-// replica checks certificates and MACs against digests of the bytes it
-// received, never against a digest that came with them. SetDigest is for the
-// one decoder whose input is this replica's own trusted subsystem.
-func TestDecodedRequestHasNoDigestUntilComputed(t *testing.T) {
-	first, second := sampleRequest(), sampleRequest()
-	second.Op = []byte("PUT key-17 other")
-	want := second.Digest()
-
-	into := first
-	if into.Digest() == want {
-		t.Fatal("two different requests with one digest")
-	}
-	if err := into.UnmarshalWire(wire.NewReader(marshalOwned(&second))); err != nil {
-		t.Fatal(err)
-	}
-	if into.Digest() != want {
-		t.Error("a request decoded over another kept the other's digest")
-	}
-
-	lied := sampleRequest()
-	lied.SetDigest(want)
-	if lied.Digest() != want {
-		t.Error("SetDigest did not install the digest")
-	}
-	fwd := &Forward{}
-	if err := fwd.UnmarshalWire(wire.NewReader(EncodeBody(&Forward{Req: lied}))); err != nil {
-		t.Fatal(err)
-	}
-	if fwd.Req.Digest() != first.Digest() {
-		t.Error("an installed digest survived the wire")
-	}
-}
-
-// TestFailedDecodePreallocatesWithinBounds: a slice header is four bytes a
-// peer chose, and the decoders reserve room before the first element has
-// decoded. Whatever a header claims — up to wire.MaxSliceLen — a decode that
-// fails on the first element leaves no more than a small constant behind,
-// for every preallocating decoder of the package.
-func TestFailedDecodePreallocatesWithinBounds(t *testing.T) {
-	hostile := func(prefix int) *wire.Reader {
-		w := wire.NewWriter(0)
-		w.Raw(make([]byte, prefix))
-		w.U32(wire.MaxSliceLen)
-		return wire.NewReader(w.Bytes())
-	}
-	var (
-		batch  Batch
-		vc     ViewChange
-		nv     NewView
-		sreq   StateRequest
-		prefix StatePrefix
-	)
-	cases := []struct {
-		name   string
-		decode func() error
-		cap    func() int
-		bound  int
-	}{
-		{"Batch.Reqs", func() error { return batch.UnmarshalWire(hostile(0)) }, func() int { return cap(batch.Reqs) }, 64},
-		{"ViewChange.Prepared", func() error { return vc.UnmarshalWire(hostile(4 + 8 + 8 + 32)) }, func() int { return cap(vc.Prepared) }, 64},
-		{"NewView.ViewChanges", func() error { return nv.UnmarshalWire(hostile(4 + 8)) }, func() int { return cap(nv.ViewChanges) }, 16},
-		{"StateRequest.Chunks", func() error { return sreq.UnmarshalWire(hostile(8)) }, func() int { return cap(sreq.Chunks) }, 64},
-		{"StatePrefix.Entries", func() error { return prefix.UnmarshalWire(hostile(8 + 8)) }, func() int { return cap(prefix.Entries) }, 64},
-	}
-	for _, tc := range cases {
-		if err := tc.decode(); err == nil {
-			t.Errorf("%s: a header of %d elements and no element decoded", tc.name, wire.MaxSliceLen)
-		}
-		if got := tc.cap(); got > tc.bound {
-			t.Errorf("%s: a failed decode left room for %d elements, bound is %d", tc.name, got, tc.bound)
-		}
-	}
-	// One past the limit reserves nothing at all.
-	w := wire.NewWriter(0)
-	w.U32(wire.MaxSliceLen + 1)
-	var fresh Batch
-	if err := fresh.UnmarshalWire(wire.NewReader(w.Bytes())); err == nil || cap(fresh.Reqs) != 0 {
-		t.Errorf("a header past MaxSliceLen: err = %v, room for %d", err, cap(fresh.Reqs))
-	}
-}
-
 // FuzzCoveredEncoding: the MAC of a FORWARD or PREPARE covers the covered
 // encoding, not the body, so the covered encoding has to bind the body — two
 // bodies of one kind that both decode and are covered alike are the same
 // bytes. (The encoding is fixed-width integers and length-prefixed strings,
 // Open rejects trailing bytes, and the requests enter by SHA-256.)
 func FuzzCoveredEncoding(f *testing.F) {
-	prep := &Prepare{View: 1, Seq: 2, Batch: *benchBatch(2), Cert: sampleCert()}
-	body := EncodeBody(prep)
+	prep := &msg.Prepare{View: 1, Seq: 2, Batch: batch(2), Cert: cert()}
+	body := msg.EncodeBody(prep)
 	f.Add(body, body, true)
 	for _, at := range []int{0, 8, 16, 20, 30, len(body) - 40, len(body) - 1} {
 		other := bytes.Clone(body)
@@ -203,7 +169,7 @@ func FuzzCoveredEncoding(f *testing.F) {
 	}
 	f.Add(body, body[:len(body)-1], true)
 	f.Add(body, append(bytes.Clone(body), 0), true)
-	fwd := EncodeBody(&Forward{Req: sampleRequest()})
+	fwd := msg.EncodeBody(&msg.Forward{Req: request()})
 	f.Add(fwd, fwd, false)
 	for _, at := range []int{0, 4, 12, 20, 21, len(fwd) - 1} {
 		other := bytes.Clone(fwd)
@@ -212,25 +178,25 @@ func FuzzCoveredEncoding(f *testing.F) {
 	}
 	f.Add(fwd, body, false)
 	f.Fuzz(func(t *testing.T, a, b []byte, prepare bool) {
-		kind := KindForward
+		kind := msg.KindForward
 		if prepare {
-			kind = KindPrepare
+			kind = msg.KindPrepare
 		}
-		ma, err := (&Envelope{Kind: kind, Body: a}).Open()
+		ma, err := (&msg.Envelope{Kind: kind, Body: a}).Open()
 		if err != nil {
 			return
 		}
 		wa := wire.NewWriter(0)
-		ca := Covered(wa, ma, a)
-		if !bytes.Equal(a, EncodeBody(ma)) {
+		ca := authn.Covered(wa, ma, a)
+		if !bytes.Equal(a, msg.EncodeBody(ma)) {
 			t.Fatalf("a %s body that decodes does not re-encode to itself", kind)
 		}
-		mb, err := (&Envelope{Kind: kind, Body: b}).Open()
+		mb, err := (&msg.Envelope{Kind: kind, Body: b}).Open()
 		if err != nil {
 			return
 		}
 		wb := wire.NewWriter(0)
-		if alike, same := bytes.Equal(ca, Covered(wb, mb, b)), bytes.Equal(a, b); alike != same {
+		if alike, same := bytes.Equal(ca, authn.Covered(wb, mb, b)), bytes.Equal(a, b); alike != same {
 			t.Fatalf("two %s bodies, equal = %v, covered alike = %v", kind, same, alike)
 		}
 	})

@@ -1,10 +1,11 @@
-// Package msg defines every wire message exchanged in a Troxy-backed system:
-// client secure-channel records, Hybster agreement messages (PREPARE/COMMIT
-// with trusted-counter certificates), checkpoint and view-change messages,
-// Troxy-to-Troxy fast-read cache messages, and the baseline BFT client
-// messages. All messages marshal to a canonical binary form; digests and MACs
-// are always computed over that canonical form, never over in-memory
-// representations.
+// Package msg defines the wire kinds of a Troxy-backed system and the
+// messages the Troxy reads or writes: client secure-channel records, Hybster
+// agreement messages (PREPARE/COMMIT with trusted-counter certificates),
+// checkpoints, Troxy-to-Troxy fast-read cache messages, replies, and the
+// baseline BFT client messages. The view-change and state-transfer messages
+// only replicas speak are internal/hybster's (hybster.Open). All messages
+// marshal to a canonical binary form; digests and MACs are always computed
+// over that canonical form, never over in-memory representations.
 //
 // Messages travel inside an Envelope carrying source, destination, and an
 // optional point-to-point HMAC appended by the untrusted replica part.
@@ -14,7 +15,6 @@
 package msg
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -193,35 +193,9 @@ func marshalOwned(m interface{ MarshalWire(*wire.Writer) }) []byte {
 	return w.CopyBytes()
 }
 
-// Encode marshals m with its kind prefix.
-func Encode(m Message) []byte {
-	w := wire.GetWriter()
-	defer wire.PutWriter(w)
-	w.U8(uint8(m.Kind()))
-	m.MarshalWire(w)
-	return w.CopyBytes()
-}
-
 // EncodeBody marshals m without the kind prefix. MACs and digests are
 // computed over this form together with the kind passed separately.
 func EncodeBody(m Message) []byte { return marshalOwned(m) }
-
-// Decode parses a message encoded by Encode. Like Envelope.Open it decodes
-// by view: the message's byte fields alias b.
-func Decode(b []byte) (Message, error) {
-	if len(b) == 0 {
-		return nil, wire.ErrTruncated
-	}
-	r := wire.NewReader(b[1:])
-	m, err := decode(Kind(b[0]), r)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
 
 // decode unmarshals a fresh message of the given kind from r. The calls are
 // on concrete types rather than through Message so that the reader never
@@ -252,35 +226,14 @@ func decode(k Kind, r *wire.Reader) (Message, error) {
 	case KindCheckpoint:
 		m := &Checkpoint{}
 		return m, m.UnmarshalWire(r)
-	case KindViewChange:
-		m := &ViewChange{}
-		return m, m.UnmarshalWire(r)
-	case KindNewView:
-		m := &NewView{}
-		return m, m.UnmarshalWire(r)
 	case KindCacheQuery:
 		m := &CacheQuery{}
 		return m, m.UnmarshalWire(r)
 	case KindCacheReply:
 		m := &CacheReply{}
 		return m, m.UnmarshalWire(r)
-	case KindStateRequest:
-		m := &StateRequest{}
-		return m, m.UnmarshalWire(r)
-	case KindStateReply:
-		m := &StateReply{}
-		return m, m.UnmarshalWire(r)
 	case KindBatch:
 		m := &Batch{}
-		return m, m.UnmarshalWire(r)
-	case KindStateChunk:
-		m := &StateChunk{}
-		return m, m.UnmarshalWire(r)
-	case KindStatePrefix:
-		m := &StatePrefix{}
-		return m, m.UnmarshalWire(r)
-	case KindNewViewRequest:
-		m := &NewViewRequest{}
 		return m, m.UnmarshalWire(r)
 	case KindSpecReply:
 		m := &SpecReply{}
@@ -293,23 +246,8 @@ func decode(k Kind, r *wire.Reader) (Message, error) {
 	}
 }
 
-// keptWhole reports the kinds whose handler keeps the decoded message as it
-// is — view-change evidence (held until the view installs, relayed to stale
-// replicas, re-proposed from) and state-transfer pieces (buffered out of
-// order until their turn). Open decodes those from a copy of the body it
-// makes once, so the message owns every byte it points to; every other kind
-// is a view of the envelope and its handler copies what it stores.
-func (k Kind) keptWhole() bool {
-	switch k {
-	case KindViewChange, KindNewView, KindStateReply, KindStateChunk, KindStatePrefix:
-		return true
-	default:
-		return false
-	}
-}
-
 // Envelope is the transport unit exchanged between nodes. MAC, when present,
-// is a point-to-point HMAC over (Kind, From, To) and what Covered names for
+// is a point-to-point HMAC over (Kind, From, To) and what authn.Covered names for
 // the kind — the body, or for a FORWARD or PREPARE the body with its requests
 // replaced by their digests — computed by the untrusted replica part (or the
 // BFT client library).
@@ -381,14 +319,12 @@ func (e *Envelope) WireSize() int {
 }
 
 // Open decodes the envelope's body into a typed message. The message's byte
-// fields are views of Body (except for the kinds keptWhole names): they must
-// not be modified, and a handler that stores one copies it at that point.
+// fields are views of Body: they must not be modified, and a handler that
+// stores one copies it at that point. The recovery kinds (view change, state
+// transfer) are not this package's: hybster.Open decodes those, and Open
+// returns ErrUnknownKind for them.
 func (e *Envelope) Open() (Message, error) {
-	body := e.Body
-	if e.Kind.keptWhole() {
-		body = bytes.Clone(body)
-	}
-	r := wire.NewReader(body)
+	r := wire.NewReader(e.Body)
 	m, err := decode(e.Kind, r)
 	if err == nil {
 		err = r.Finish()
@@ -399,11 +335,6 @@ func (e *Envelope) Open() (Message, error) {
 	return m, nil
 }
 
-// CoversDigests reports the kinds whose point-to-point MAC covers request
-// digests in place of request bytes (see Covered). Only the decoded message
-// has the digests, so a receiver opens these kinds before it checks the MAC.
-func (k Kind) CoversDigests() bool { return k == KindForward || k == KindPrepare }
-
 // TroxyTagged reports the kinds a Troxy tags and only Troxies check: cache
 // queries, cache replies and reply batches (each of whose replies carries its
 // executor's tag). Their envelopes carry no point-to-point MAC — the tags
@@ -412,34 +343,6 @@ func (k Kind) CoversDigests() bool { return k == KindForward || k == KindPrepare
 // and the envelope's From names nobody: it is never used.
 func (k Kind) TroxyTagged() bool {
 	return k == KindCacheQuery || k == KindCacheReply || k == KindReplyBatch
-}
-
-// Covered returns what the point-to-point MAC of an envelope carrying m covers
-// behind the envelope header: m's encoding with every OrderRequest it orders
-// replaced by that request's digest, appended to w — or body, m's encoding
-// itself, for every kind that orders no request. The view-change and
-// state-transfer kinds embed prepared batches and are covered whole all the
-// same: they are rare, and kept whole by their handlers anyway.
-//
-// The requests keep the digests computed here (OrderRequest.Digest), so a
-// sender that holds them hashes no operation, and a receiver hashes each once
-// for the MAC, the batch certificate and its log.
-func Covered(w *wire.Writer, m Message, body []byte) []byte {
-	switch m := m.(type) {
-	case *Forward:
-		writeDigest(w, m.Req.Digest())
-	case *Prepare:
-		w.U64(m.View)
-		w.U64(m.Seq)
-		w.U32(uint32(len(m.Batch.Reqs)))
-		for i := range m.Batch.Reqs {
-			writeDigest(w, m.Batch.Reqs[i].Digest())
-		}
-		m.Cert.MarshalWire(w)
-	default:
-		return body
-	}
-	return w.Bytes()
 }
 
 // Seal encodes m into an envelope from→to with no MAC. Callers that need

@@ -2,6 +2,7 @@ package msg
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -25,10 +26,9 @@ func sampleCert() CounterCert {
 
 func roundTrip(t *testing.T, m Message) Message {
 	t.Helper()
-	b := Encode(m)
-	got, err := Decode(b)
+	got, err := Seal(0, 1, m).Open()
 	if err != nil {
-		t.Fatalf("Decode(%s): %v", m.Kind(), err)
+		t.Fatalf("Open(%s): %v", m.Kind(), err)
 	}
 	if got.Kind() != m.Kind() {
 		t.Fatalf("kind mismatch: got %s, want %s", got.Kind(), m.Kind())
@@ -36,7 +36,20 @@ func roundTrip(t *testing.T, m Message) Message {
 	return got
 }
 
-// sampleMessages returns at least one message of every kind.
+// framed is m's encoding behind a kind byte, the form the fuzz corpora hold.
+func framed(m Message) []byte { return append([]byte{byte(m.Kind())}, EncodeBody(m)...) }
+
+// openFramed opens what framed encoded: data[0] is the kind, data[1:] the
+// body.
+func openFramed(data []byte) (Message, error) {
+	if len(data) == 0 {
+		return nil, wire.ErrTruncated
+	}
+	return (&Envelope{Kind: Kind(data[0]), Body: data[1:]}).Open()
+}
+
+// sampleMessages returns at least one message of every kind Envelope.Open
+// decodes.
 func sampleMessages() []Message {
 	req := sampleRequest()
 	// Taken from a second copy: a request carries its digest once computed,
@@ -55,34 +68,9 @@ func sampleMessages() []Message {
 			ReqDigest: reqDigest, Result: []byte("result"),
 			InvalidKeys: keysOf("a", "b"), TroxyTag: []byte("tag")},
 		&Checkpoint{Seq: 128, StateDigest: DigestOf([]byte("state"))},
-		&ViewChange{Replica: 1, NewView: 2, StableSeq: 128,
-			StableDigest: DigestOf([]byte("s")),
-			Prepared: []PreparedEntry{
-				{View: 1, Seq: 129, Batch: Batch{Reqs: []OrderRequest{req}}, PrepareCert: sampleCert()},
-			},
-			Cert: sampleCert()},
-		&NewView{Leader: 2, View: 2, ViewChanges: []ViewChange{
-			{Replica: 1, NewView: 2, StableSeq: 128, Cert: sampleCert()},
-			{Replica: 2, NewView: 2, StableSeq: 128, Cert: sampleCert()},
-		}, Cert: sampleCert()},
 		&CacheQuery{From: 0, To: 1, QueryID: 5, ReqDigest: reqDigest, Tag: []byte("t")},
 		&CacheReply{From: 1, To: 0, QueryID: 5, ReqDigest: reqDigest, Found: true,
 			ReplyDigest: DigestOf([]byte("reply")), Tag: []byte("t")},
-		&StateRequest{Seq: 128, Chunks: []uint32{0, 3, 7}},
-		&StateReply{Seq: 128, Manifest: []byte("manifest-bytes")},
-		&StateChunk{Seq: 128, Index: 3, Data: []byte("chunk-bytes")},
-		&StatePrefix{Seq: 128, LastExec: 131, Entries: []PreparedEntry{
-			{View: 2, Seq: 129, Batch: Batch{Reqs: []OrderRequest{req}}, PrepareCert: sampleCert()},
-		}},
-		&StatePrefix{Seq: 128, LastExec: 131,
-			Entries: []PreparedEntry{
-				{View: 2, Seq: 129, Batch: Batch{Reqs: []OrderRequest{req}}, PrepareCert: sampleCert()},
-			},
-			NewView: &NewView{Leader: 2, View: 2, ViewChanges: []ViewChange{
-				{Replica: 1, NewView: 2, StableSeq: 128, Cert: sampleCert()},
-				{Replica: 2, NewView: 2, StableSeq: 128, Cert: sampleCert()},
-			}, Cert: sampleCert()}},
-		&NewViewRequest{View: 2},
 		NewReplyBatch(
 			&OrderedReply{Executor: 1, Seq: 10, Client: 77, ClientSeq: 1234, ReqDigest: reqDigest,
 				Result: []byte("result"), InvalidKeys: keysOf("a", "b"), TroxyTag: []byte("tag")},
@@ -104,18 +92,21 @@ func TestRoundTripAllKinds(t *testing.T) {
 }
 
 func TestDecodeRejectsUnknownKind(t *testing.T) {
-	if _, err := Decode([]byte{0xff, 1, 2, 3}); err == nil {
-		t.Error("expected error for unknown kind")
+	// Unknown here are the recovery kinds too: hybster decodes those.
+	for _, k := range []Kind{0, 0xff, KindViewChange, KindStateChunk} {
+		if _, err := (&Envelope{Kind: k, Body: []byte{1, 2, 3}}).Open(); !errors.Is(err, ErrUnknownKind) {
+			t.Errorf("%s: Open error = %v, want ErrUnknownKind", k, err)
+		}
 	}
-	if _, err := Decode(nil); err == nil {
+	if _, err := openFramed(nil); err == nil {
 		t.Error("expected error for empty input")
 	}
 }
 
 func TestDecodeRejectsTrailing(t *testing.T) {
-	b := Encode(&Checkpoint{Seq: 1})
-	b = append(b, 0xee)
-	if _, err := Decode(b); err == nil {
+	e := Seal(0, 1, &Checkpoint{Seq: 1})
+	e.Body = append(e.Body, 0xee)
+	if _, err := e.Open(); err == nil {
 		t.Error("expected error for trailing bytes")
 	}
 }
@@ -259,7 +250,7 @@ func TestChannelFrames(t *testing.T) {
 
 func TestQuickDecodeNeverPanics(t *testing.T) {
 	f := func(b []byte) bool {
-		_, _ = Decode(b)         // must not panic
+		_, _ = openFramed(b)     // must not panic
 		_, _ = DecodeEnvelope(b) // must not panic
 		return true
 	}
@@ -400,9 +391,9 @@ func TestKeysIterStopsAtMalformedInput(t *testing.T) {
 }
 
 func TestOrderedReplyRejectsMalformedKeys(t *testing.T) {
-	enc := Encode(&OrderedReply{Result: []byte("r"), InvalidKeys: keysOf("a", "b"), TroxyTag: []byte("t")})
-	for cut := 1; cut < len(enc); cut++ {
-		if _, err := Decode(enc[:cut]); err == nil {
+	enc := EncodeBody(&OrderedReply{Result: []byte("r"), InvalidKeys: keysOf("a", "b"), TroxyTag: []byte("t")})
+	for cut := 0; cut < len(enc); cut++ {
+		if _, err := (&Envelope{Kind: KindOrderedReply, Body: enc[:cut]}).Open(); err == nil {
 			t.Errorf("reply truncated to %d of %d bytes decoded", cut, len(enc))
 		}
 	}
@@ -532,6 +523,61 @@ func TestChannelDataWithoutMessageObject(t *testing.T) {
 		}
 		if cd, err := e.OpenChannelData(); err == nil {
 			t.Errorf("%s: OpenChannelData accepted it as %+v", name, cd)
+		}
+	}
+}
+
+// TestDecodedRequestHasNoDigestUntilComputed: no wire decoder installs a
+// request digest, and decoding into a request that carried one forgets it — a
+// replica checks certificates and MACs against digests of the bytes it
+// received, never against a digest that came with them. SetDigest is for the
+// one decoder whose input is this replica's own trusted subsystem.
+func TestDecodedRequestHasNoDigestUntilComputed(t *testing.T) {
+	first, second := sampleRequest(), sampleRequest()
+	second.Op = []byte("PUT key-17 other")
+	want := second.Digest()
+
+	into := first
+	if into.Digest() == want {
+		t.Fatal("two different requests with one digest")
+	}
+	if err := into.UnmarshalWire(wire.NewReader(marshalOwned(&second))); err != nil {
+		t.Fatal(err)
+	}
+	if into.Digest() != want {
+		t.Error("a request decoded over another kept the other's digest")
+	}
+
+	lied := sampleRequest()
+	lied.SetDigest(want)
+	if lied.Digest() != want {
+		t.Error("SetDigest did not install the digest")
+	}
+	fwd := &Forward{}
+	if err := fwd.UnmarshalWire(wire.NewReader(EncodeBody(&Forward{Req: lied}))); err != nil {
+		t.Fatal(err)
+	}
+	if fwd.Req.Digest() != first.Digest() {
+		t.Error("an installed digest survived the wire")
+	}
+}
+
+// TestFailedDecodePreallocatesWithinBounds: a slice header is four bytes a
+// peer chose, and a batch reserves room before its first request has
+// decoded. Whatever the header claims — up to wire.MaxSliceLen — a decode
+// that fails on the first request leaves no more than a small constant
+// behind. (hybster's recovery messages have a test of their own.)
+func TestFailedDecodePreallocatesWithinBounds(t *testing.T) {
+	// One past the limit reserves nothing at all.
+	for n, bound := range map[uint32]int{wire.MaxSliceLen: 64, wire.MaxSliceLen + 1: 0} {
+		w := wire.NewWriter(0)
+		w.U32(n)
+		var batch Batch
+		if err := batch.UnmarshalWire(wire.NewReader(w.Bytes())); err == nil {
+			t.Errorf("a header of %d requests and no request decoded", n)
+		}
+		if cap(batch.Reqs) > bound {
+			t.Errorf("a header of %d requests: a failed decode left room for %d, bound is %d", n, cap(batch.Reqs), bound)
 		}
 	}
 }

@@ -726,160 +726,6 @@ func (m *Checkpoint) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
-// PreparedEntry is a batch a replica has prepared (verified the leader's
-// Prepare for) but that may not yet be stable. View changes carry these so
-// the new leader can re-propose them and no in-flight batch is lost.
-type PreparedEntry struct {
-	View  uint64
-	Seq   uint64
-	Batch Batch
-	// PrepareCert is the certificate from the original Prepare, proving the
-	// old leader proposed this batch at this sequence number.
-	PrepareCert CounterCert
-}
-
-// MarshalWire encodes the entry.
-func (m *PreparedEntry) MarshalWire(w *wire.Writer) {
-	w.U64(m.View)
-	w.U64(m.Seq)
-	m.Batch.MarshalWire(w)
-	m.PrepareCert.MarshalWire(w)
-}
-
-// UnmarshalWire decodes the entry.
-func (m *PreparedEntry) UnmarshalWire(r *wire.Reader) error {
-	m.View = r.U64()
-	m.Seq = r.U64()
-	if err := m.Batch.UnmarshalWire(r); err != nil {
-		return err
-	}
-	return m.PrepareCert.UnmarshalWire(r)
-}
-
-// ViewChange announces that the sender wants to move to view NewView. It
-// carries the sender's stable checkpoint and everything prepared above it,
-// certified by the sender's trusted counter (so a replica cannot send two
-// different view-change messages for the same view).
-type ViewChange struct {
-	Replica      NodeID
-	NewView      uint64
-	StableSeq    uint64
-	StableDigest Digest
-	Prepared     []PreparedEntry
-	Cert         CounterCert
-}
-
-// Kind implements Message.
-func (*ViewChange) Kind() Kind { return KindViewChange }
-
-// MarshalWire implements Message.
-func (m *ViewChange) MarshalWire(w *wire.Writer) {
-	m.marshalCore(w)
-	m.Cert.MarshalWire(w)
-}
-
-func (m *ViewChange) marshalCore(w *wire.Writer) {
-	w.U32(uint32(m.Replica))
-	w.U64(m.NewView)
-	w.U64(m.StableSeq)
-	writeDigest(w, m.StableDigest)
-	w.U32(uint32(len(m.Prepared)))
-	for i := range m.Prepared {
-		m.Prepared[i].MarshalWire(w)
-	}
-}
-
-// CertDigest returns the digest of the canonical bytes the view-change
-// certificate signs.
-func (m *ViewChange) CertDigest() Digest {
-	w := wire.GetWriter()
-	defer wire.PutWriter(w)
-	m.marshalCore(w)
-	return DigestOf(w.Bytes())
-}
-
-// UnmarshalWire implements Message.
-func (m *ViewChange) UnmarshalWire(r *wire.Reader) error {
-	m.Replica = NodeID(int32(r.U32()))
-	m.NewView = r.U64()
-	m.StableSeq = r.U64()
-	readDigest(r, &m.StableDigest)
-	n := r.SliceLen()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	m.Prepared = nil
-	if n > 0 {
-		m.Prepared = make([]PreparedEntry, 0, min(n, 64))
-	}
-	for i := 0; i < n; i++ {
-		var e PreparedEntry
-		if err := e.UnmarshalWire(r); err != nil {
-			return err
-		}
-		m.Prepared = append(m.Prepared, e)
-	}
-	return m.Cert.UnmarshalWire(r)
-}
-
-// NewView installs view View. It carries the f+1 view-change messages that
-// justify the switch and is certified by the new leader's counter.
-type NewView struct {
-	Leader      NodeID
-	View        uint64
-	ViewChanges []ViewChange
-	Cert        CounterCert
-}
-
-// Kind implements Message.
-func (*NewView) Kind() Kind { return KindNewView }
-
-// MarshalWire implements Message.
-func (m *NewView) MarshalWire(w *wire.Writer) {
-	m.marshalCore(w)
-	m.Cert.MarshalWire(w)
-}
-
-func (m *NewView) marshalCore(w *wire.Writer) {
-	w.U32(uint32(m.Leader))
-	w.U64(m.View)
-	w.U32(uint32(len(m.ViewChanges)))
-	for i := range m.ViewChanges {
-		m.ViewChanges[i].MarshalWire(w)
-	}
-}
-
-// CertDigest returns the digest of the canonical bytes the new-view
-// certificate signs.
-func (m *NewView) CertDigest() Digest {
-	w := wire.GetWriter()
-	defer wire.PutWriter(w)
-	m.marshalCore(w)
-	return DigestOf(w.Bytes())
-}
-
-// UnmarshalWire implements Message.
-func (m *NewView) UnmarshalWire(r *wire.Reader) error {
-	m.Leader = NodeID(int32(r.U32()))
-	m.View = r.U64()
-	n := r.SliceLen()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	m.ViewChanges = nil
-	if n > 0 {
-		m.ViewChanges = make([]ViewChange, 0, min(n, 16))
-	}
-	for i := 0; i < n; i++ {
-		var vc ViewChange
-		if err := vc.UnmarshalWire(r); err != nil {
-			return err
-		}
-		m.ViewChanges = append(m.ViewChanges, vc)
-	}
-	return m.Cert.UnmarshalWire(r)
-}
-
 // CacheQuery asks the Troxy of a remote replica whether its fast-read cache
 // holds an entry for the request identified by ReqDigest. Tag is the Troxy
 // group-secret HMAC computed inside the querying trusted subsystem. It binds
@@ -981,183 +827,6 @@ func (m *CacheReply) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
-// StateRequest asks a peer for state-transfer data at the stable checkpoint
-// Seq. The requester has already agreed on the checkpoint digest (f+1
-// matching Checkpoint messages) and verifies everything it receives against
-// it. An empty Chunks slice asks for the chunk manifest (and the certified
-// prefix of in-flight prepared entries); a non-empty one asks for the listed
-// chunk indices of the manifest the requester already holds.
-type StateRequest struct {
-	Seq    uint64
-	Chunks []uint32
-}
-
-// Kind implements Message.
-func (*StateRequest) Kind() Kind { return KindStateRequest }
-
-// MarshalWire implements Message.
-func (m *StateRequest) MarshalWire(w *wire.Writer) {
-	w.U64(m.Seq)
-	w.U32(uint32(len(m.Chunks)))
-	for _, idx := range m.Chunks {
-		w.U32(idx)
-	}
-}
-
-// UnmarshalWire implements Message.
-func (m *StateRequest) UnmarshalWire(r *wire.Reader) error {
-	m.Seq = r.U64()
-	n := r.SliceLen()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	m.Chunks = make([]uint32, 0, min(n, 64))
-	for i := 0; i < n && r.Err() == nil; i++ {
-		m.Chunks = append(m.Chunks, r.U32())
-	}
-	return r.Err()
-}
-
-// StateReply answers a manifest-requesting StateRequest with the chunk
-// manifest of the snapshot at Seq (per-chunk digests plus layout — see
-// internal/hybster/snapshot.go). The manifest needs no authentication beyond
-// the transport MAC: its hash is exactly the digest the requester agreed on
-// through f+1 matching CHECKPOINT votes, and each later chunk is verified
-// against the per-chunk digest inside it.
-type StateReply struct {
-	Seq      uint64
-	Manifest []byte
-}
-
-// Kind implements Message.
-func (*StateReply) Kind() Kind { return KindStateReply }
-
-// MarshalWire implements Message.
-func (m *StateReply) MarshalWire(w *wire.Writer) {
-	w.U64(m.Seq)
-	w.Bytes32(m.Manifest)
-}
-
-// UnmarshalWire implements Message.
-func (m *StateReply) UnmarshalWire(r *wire.Reader) error {
-	m.Seq = r.U64()
-	m.Manifest = r.Bytes32()
-	return r.Err()
-}
-
-// StateChunk carries one piece of the chunked snapshot at checkpoint Seq.
-// Data must hash to the manifest's digest for Index (and match its declared
-// length), so a tampered chunk is rejected without trusting the server.
-type StateChunk struct {
-	Seq   uint64
-	Index uint32
-	Data  []byte
-}
-
-// Kind implements Message.
-func (*StateChunk) Kind() Kind { return KindStateChunk }
-
-// MarshalWire implements Message.
-func (m *StateChunk) MarshalWire(w *wire.Writer) {
-	w.U64(m.Seq)
-	w.U32(m.Index)
-	w.Bytes32(m.Data)
-}
-
-// UnmarshalWire implements Message.
-func (m *StateChunk) UnmarshalWire(r *wire.Reader) error {
-	m.Seq = r.U64()
-	m.Index = r.U32()
-	m.Data = r.Bytes32()
-	return r.Err()
-}
-
-// StatePrefix hands a state-transferring replica the serving peer's
-// in-flight prepared entries above checkpoint Seq. Every entry carries the
-// original leader's counter certificate (the same evidence view changes
-// carry), so the joiner verifies each entry independently of the server's
-// honesty and can resume ordering mid-window instead of replaying from the
-// checkpoint or waiting for the next one. LastExec is the server's executed
-// high mark, advisory only.
-//
-// NewView, when present, is the NEW-VIEW message that installed the server's
-// current view. A joiner that slept through a view change would otherwise
-// skip every prefix entry (wrong view) and defer the cluster's live traffic
-// indefinitely; carrying the installing evidence lets it adopt the view —
-// after full certificate verification — atomically with the snapshot. Nil
-// when the server is still in the initial view.
-type StatePrefix struct {
-	Seq      uint64
-	LastExec uint64
-	Entries  []PreparedEntry
-	NewView  *NewView
-}
-
-// Kind implements Message.
-func (*StatePrefix) Kind() Kind { return KindStatePrefix }
-
-// MarshalWire implements Message.
-func (m *StatePrefix) MarshalWire(w *wire.Writer) {
-	w.U64(m.Seq)
-	w.U64(m.LastExec)
-	w.U32(uint32(len(m.Entries)))
-	for i := range m.Entries {
-		m.Entries[i].MarshalWire(w)
-	}
-	w.Bool(m.NewView != nil)
-	if m.NewView != nil {
-		m.NewView.MarshalWire(w)
-	}
-}
-
-// UnmarshalWire implements Message.
-func (m *StatePrefix) UnmarshalWire(r *wire.Reader) error {
-	m.Seq = r.U64()
-	m.LastExec = r.U64()
-	n := r.SliceLen()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	m.Entries = make([]PreparedEntry, 0, min(n, 64))
-	for i := 0; i < n; i++ {
-		var e PreparedEntry
-		if err := e.UnmarshalWire(r); err != nil {
-			return err
-		}
-		m.Entries = append(m.Entries, e)
-	}
-	m.NewView = nil
-	if r.Bool() {
-		m.NewView = &NewView{}
-		if err := m.NewView.UnmarshalWire(r); err != nil {
-			return err
-		}
-	}
-	return r.Err()
-}
-
-// NewViewRequest solicits the NEW-VIEW that installed the receiver's current
-// view (or any later one it holds). View is the lowest view the requester
-// needs evidence for — the view of the certified message whose deferral
-// triggered the solicitation.
-type NewViewRequest struct {
-	View uint64
-}
-
-// Kind implements Message.
-func (*NewViewRequest) Kind() Kind { return KindNewViewRequest }
-
-// MarshalWire implements Message.
-func (m *NewViewRequest) MarshalWire(w *wire.Writer) {
-	w.U64(m.View)
-}
-
-// UnmarshalWire implements Message.
-func (m *NewViewRequest) UnmarshalWire(r *wire.Reader) error {
-	m.View = r.U64()
-	return r.Err()
-}
-
 // Interface compliance checks.
 var (
 	_ Message = (*ChannelData)(nil)
@@ -1168,16 +837,9 @@ var (
 	_ Message = (*Commit)(nil)
 	_ Message = (*OrderedReply)(nil)
 	_ Message = (*Checkpoint)(nil)
-	_ Message = (*ViewChange)(nil)
-	_ Message = (*NewView)(nil)
 	_ Message = (*CacheQuery)(nil)
 	_ Message = (*CacheReply)(nil)
-	_ Message = (*StateRequest)(nil)
-	_ Message = (*StateReply)(nil)
 	_ Message = (*Batch)(nil)
-	_ Message = (*StateChunk)(nil)
-	_ Message = (*StatePrefix)(nil)
-	_ Message = (*NewViewRequest)(nil)
 	_ Message = (*SpecReply)(nil)
 	_ Message = (*ReplyBatch)(nil)
 )

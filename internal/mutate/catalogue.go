@@ -46,7 +46,7 @@ var Catalogue = []Mutant{
 	{
 		ID: "future-view-not-solicited", File: "internal/hybster/core.go",
 		Fault: "PR 8: a replica deferring future-view traffic never asks for the NEW-VIEW",
-		Old:   "		c.out.Send(env, from, &msg.NewViewRequest{View: view})\n",
+		Old:   "		c.out.Send(env, from, &NewViewRequest{View: view})\n",
 		New:   "",
 	},
 
@@ -104,7 +104,7 @@ var Catalogue = []Mutant{
 		New:   "		_, n := r.auth.VerifyMessage(e, m)\n		ok := true\n",
 	},
 	{
-		ID: "prepare-covered-omits-cert", File: "internal/msg/msg.go",
+		ID: "prepare-covered-omits-cert", File: "internal/authn/authn.go",
 		Fault: "the MAC of a PREPARE covers view, sequence number and request digests, not the certificate",
 		Old:   "		m.Cert.MarshalWire(w)\n	default:",
 		New:   "	default:",
@@ -171,7 +171,7 @@ var Catalogue = []Mutant{
 		New:   "",
 	},
 	{
-		ID: "group-tag-kind-dropped", File: "internal/authn/authn.go",
+		ID: "group-tag-kind-dropped", File: "internal/troxy/grouptag.go",
 		Fault: "group tags no longer bind the message kind: a tag made for one kind of Troxy message verifies as another's over the same bytes",
 		Old:   "g.hdr = [5]byte{byte(kind), byte(instance),",
 		New:   "g.hdr = [5]byte{0, byte(instance),",
@@ -235,6 +235,12 @@ var Catalogue = []Mutant{
 		Fault: "an event is no longer bound to the incarnation that owned it: a node attached again under a detached ID receives the old one's pending timer, under the generation its own first timer draws, and the deliveries queued at the old one's NIC",
 		Old:   "sn.crashed || e.node != nil && e.node != sn {",
 		New:   "sn.crashed {",
+	},
+	{
+		ID: "recovery-open-aliases-body", File: "internal/hybster/messages.go",
+		Fault: "a view-change or state-transfer message is decoded as a view of the envelope body its handler keeps it beside, so the transport's next write over that body rewrites held evidence",
+		Old:   "	r := wire.NewReader(append([]byte(nil), e.Body...))\n",
+		New:   "	r := wire.NewReader(e.Body)\n",
 	},
 
 	// Untrusted lengths that size an allocation.
@@ -343,8 +349,8 @@ var Catalogue = []Mutant{
 
 	// Locks, send errors, secrets, message kinds, the trust boundary.
 	{
-		ID: "conn-write-holds-lock", File: "internal/securechannel/conn.go", Aims: []string{"lockcheck"},
-		Fault: "the secure-channel writer holds wmu across the socket write: no writer can queue behind a flush",
+		ID: "conn-write-holds-lock", File: "internal/legacyclient/conn.go", Aims: []string{"lockcheck"},
+		Fault: "the legacy client's secure-channel writer holds wmu across the socket write: no writer can queue behind a flush",
 		Old: `		c.wmu.Unlock()
 		if err == nil {
 			_, err = bufs.WriteTo(c.raw)
@@ -371,8 +377,8 @@ var Catalogue = []Mutant{
 	if l != nil {`,
 	},
 	{
-		ID: "conn-seal-writes-under-lock", File: "internal/securechannel/conn.go", Aims: []string{"lockcheck"},
-		Fault: "the secure-channel writer's seal helper writes the records to the socket itself, with wmu still held",
+		ID: "conn-seal-writes-under-lock", File: "internal/legacyclient/conn.go", Aims: []string{"lockcheck"},
+		Fault: "the legacy client's secure-channel writer's seal helper writes the records to the socket itself, with wmu still held",
 		Old:   "	return bufs, nil\n}",
 		New:   "	_, err := bufs.WriteTo(c.raw)\n	return nil, err\n}",
 	},
@@ -436,7 +442,7 @@ var Catalogue = []Mutant{
 	{
 		ID: "core-drops-newviewrequest-case", File: "internal/hybster/core.go", Aims: []string{"exhaustive"},
 		Fault: "the core's dispatch loses a message kind, which it then refuses as not its own",
-		Old:   "	case *msg.NewViewRequest:\n		c.OnNewViewRequest(env, from, m)\n",
+		Old:   "	case *NewViewRequest:\n		c.OnNewViewRequest(env, from, m)\n",
 		New:   "",
 	},
 	{
@@ -462,8 +468,8 @@ var Catalogue = []Mutant{
 		ID: "troxy-provision-ocall", File: "internal/troxy/core.go", Import: "github.com/troxy-bft/troxy/internal/realnet",
 		Aims:  []string{"boundarycheck"},
 		Fault: "the Troxy hands the group secret to the untrusted TCP runtime as it is provisioned",
-		Old:   "	c.tagger = authn.NewGroupTagger(group)\n",
-		New:   "	c.tagger = authn.NewGroupTagger(group)\n	realnet.NewRouter().Send(&msg.Envelope{From: c.cfg.Self, To: c.cfg.Self, Kind: msg.KindChannelData, Body: group})\n",
+		Old:   "	c.tagger = NewGroupTagger(group)\n",
+		New:   "	c.tagger = NewGroupTagger(group)\n	realnet.NewRouter().Send(&msg.Envelope{From: c.cfg.Self, To: c.cfg.Self, Kind: msg.KindChannelData, Body: group})\n",
 	},
 	{
 		ID: "troxy-plaintext-ocall", File: "internal/troxy/core.go", Import: "github.com/troxy-bft/troxy/internal/realnet",
@@ -471,6 +477,12 @@ var Catalogue = []Mutant{
 		Fault: "the Troxy hands every client-bound plaintext to the untrusted TCP runtime before sealing it",
 		Old:   "	sealed, err := sess.sc.AppendSeal(c.sealed, plaintext)\n",
 		New:   "	realnet.NewRouter().Send(&msg.Envelope{From: c.cfg.Self, To: sess.node, Kind: msg.KindChannelData, Body: plaintext})\n	sealed, err := sess.sc.AppendSeal(c.sealed, plaintext)\n",
+	},
+	{
+		ID: "troxy-plaintext-netcall", File: "internal/troxy/core.go", Import: "net",
+		Fault: "the Troxy sends every HTTP request's plaintext out of the enclave through the standard library's UDP socket, checking the write's error",
+		Old:   "			sess.httpBuf = append(sess.httpBuf, plaintext...)\n",
+		New:   "			sess.httpBuf = append(sess.httpBuf, plaintext...)\n			if conn, err := net.Dial(\"udp\", \"127.0.0.1:9\"); err == nil {\n				_, err = conn.Write(plaintext)\n				conn.Close()\n				if err != nil {\n					return c.out, err\n				}\n			}\n",
 	},
 
 	// Allocations on annotated hot paths.

@@ -256,15 +256,16 @@ func (r *Replica) onTroxyTagged(env node.Env, e *msg.Envelope) {
 
 // authenticate checks e's transport MAC and decodes its body. A FORWARD's and a
 // PREPARE's MAC covers the digests of the requests it orders, not their bytes
-// (msg.Covered), so those two are opened first — by view, nothing is copied
+// (authn.Covered), so those two are opened first — by view, nothing is copied
 // or kept — and the digests computed for the check stay with the decoded
 // requests: the core's batch digest and log admission reuse them. A request of
 // a PREPARE that this replica submitted itself is not even hashed: the core
 // finds the one it holds by comparison, and the check runs on that one's
 // digest (hybster.Core.AdoptHeld). Every other kind is verified whole before
-// it is decoded.
+// it is decoded, and a recovery kind, which hybster.Open decodes from a clone
+// of the body, is cloned only once its MAC has passed.
 func (r *Replica) authenticate(env node.Env, e *msg.Envelope) (msg.Message, bool) {
-	if e.Kind.CoversDigests() {
+	if authn.CoversDigests(e.Kind) {
 		m, err := e.Open()
 		if err != nil {
 			return nil, false
@@ -280,7 +281,7 @@ func (r *Replica) authenticate(env node.Env, e *msg.Envelope) (msg.Message, bool
 	if !r.auth.VerifyMAC(e) {
 		return nil, false
 	}
-	m, err := e.Open()
+	m, err := hybster.Open(e)
 	return m, err == nil
 }
 

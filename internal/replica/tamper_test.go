@@ -158,7 +158,7 @@ func TestPrepareTagIsBoundToItsKindAndEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	covered := bytes.Clone(msg.Covered(wire.NewWriter(0), m, prep.Body))
+	covered := bytes.Clone(authn.Covered(wire.NewWriter(0), m, prep.Body))
 
 	wholeBody := &msg.Envelope{From: 0, To: 1, Kind: msg.KindPrepare, Body: prep.Body}
 	leader.SealMAC(wholeBody)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"github.com/troxy-bft/troxy/internal/authn"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/securechannel"
 	itroxy "github.com/troxy-bft/troxy/internal/troxy"
@@ -23,7 +22,7 @@ type troxyHost struct {
 	r      *Replica
 	core   *itroxy.Core
 	env    *tapEnv
-	tagger *authn.GroupTagger
+	tagger *itroxy.GroupTagger
 	client *securechannel.Session
 	seq    uint64
 }
@@ -46,7 +45,7 @@ func newTroxyHost(t testing.TB) *troxyHost {
 	t.Helper()
 	dir := troxyDir(t)
 	r, core := newTroxyReplica(t, dir, 0)
-	h := &troxyHost{r: r, core: core, env: &tapEnv{self: 0}, tagger: authn.NewGroupTagger(dir.TroxyGroupKey())}
+	h := &troxyHost{r: r, core: core, env: &tapEnv{self: 0}, tagger: itroxy.NewGroupTagger(dir.TroxyGroupKey())}
 	hs, hello, err := securechannel.NewClientHandshake(servicePub(dir), &keyStream{})
 	if err != nil {
 		t.Fatal(err)

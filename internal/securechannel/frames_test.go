@@ -174,40 +174,6 @@ var malformedCoalesced = map[string][]byte{
 	"length beyond the plaintext": {0xff, 0xff, 0xff, 0x7f},
 }
 
-// TestConnCoalescedRecordAcrossReads: one record carrying several frames is
-// surfaced as one byte stream however the reader cuts it, and the buffer it
-// was decrypted into takes the next record only once it has been read dry.
-func TestConnCoalescedRecordAcrossReads(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	client, server := connPair(t, nil)
-
-	first := make([]byte, 2*maxRecordPlaintext+5000) // three frames in one record
-	for i := range first {
-		first[i] = byte(i * 7)
-	}
-	second := bytes.Repeat([]byte("next record "), 100)
-	go func() {
-		for _, p := range [][]byte{first, second} {
-			if _, err := client.Write(p); err != nil {
-				t.Errorf("client write: %v", err)
-			}
-		}
-	}()
-
-	var got []byte
-	buf := make([]byte, 4099) // cuts across the frame boundaries
-	for len(got) < len(first)+len(second) {
-		n, err := server.Read(buf)
-		if err != nil {
-			t.Fatalf("server read after %d bytes: %v", len(got), err)
-		}
-		got = append(got, buf[:n]...)
-	}
-	if !bytes.Equal(got, append(bytes.Clone(first), second...)) {
-		t.Error("stream corrupted across reads of a coalesced record")
-	}
-}
-
 // BenchmarkAllocGate: opening a record into a lent buffer and walking its
 // frames allocates nothing, plain or coalesced.
 func BenchmarkAllocGate(b *testing.B) {

@@ -79,7 +79,7 @@ const MaxCoalescedPlaintext = 64 * 1024
 // independent: Seal/SealFrames touch only the send state and
 // Open/OpenFrames only the receive state, so one writer and one reader may
 // run concurrently — but concurrent writers (or concurrent readers) must
-// serialize, as the Troxy state machine and the net.Conn adapter both do.
+// serialize, as the Troxy state machine and legacyclient.Conn both do.
 type Session struct {
 	sendAEAD cipher.AEAD
 	recvAEAD cipher.AEAD

@@ -6,13 +6,8 @@ import (
 	"crypto/rand"
 	"errors"
 	"io"
-	"net"
-	"sync"
 	"testing"
 	"testing/quick"
-	"time"
-
-	"github.com/troxy-bft/troxy/internal/testutil"
 )
 
 func testIdentity(t testing.TB) (ed25519.PublicKey, ed25519.PrivateKey) {
@@ -240,64 +235,6 @@ func TestQuickSealOpen(t *testing.T) {
 	}
 }
 
-func TestConnAdapter(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	pub, priv := testIdentity(t)
-	clientRaw, serverRaw := net.Pipe()
-	t.Cleanup(func() {
-		clientRaw.Close()
-		serverRaw.Close()
-	})
-
-	type res struct {
-		conn *Conn
-		err  error
-	}
-	serverCh := make(chan res, 1)
-	go func() {
-		c, err := ServerConn(serverRaw, priv)
-		serverCh <- res{c, err}
-	}()
-	client, err := ClientConn(clientRaw, pub)
-	if err != nil {
-		t.Fatalf("ClientConn: %v", err)
-	}
-	sr := <-serverCh
-	if sr.err != nil {
-		t.Fatalf("ServerConn: %v", sr.err)
-	}
-	server := sr.conn
-
-	// Big payload exercises record chunking.
-	payload := bytes.Repeat([]byte("0123456789abcdef"), 4096) // 64 KiB
-	go func() {
-		if _, err := client.Write(payload); err != nil {
-			t.Errorf("client write: %v", err)
-		}
-	}()
-	got := make([]byte, len(payload))
-	if _, err := io.ReadFull(server, got); err != nil {
-		t.Fatalf("server read: %v", err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Error("payload corrupted through Conn")
-	}
-
-	// And the reverse direction.
-	go func() {
-		if _, err := server.Write([]byte("reply")); err != nil {
-			t.Errorf("server write: %v", err)
-		}
-	}()
-	buf := make([]byte, 5)
-	if _, err := io.ReadFull(client, buf); err != nil {
-		t.Fatalf("client read: %v", err)
-	}
-	if string(buf) != "reply" {
-		t.Errorf("reply = %q", buf)
-	}
-}
-
 func TestRecordSize(t *testing.T) {
 	client, _ := handshake(t)
 	rec, err := client.Seal(make([]byte, 100))
@@ -491,125 +428,5 @@ func TestOpenFramesNotEstablished(t *testing.T) {
 	}
 	if _, err := (&Session{}).SealFrames([][]byte{[]byte("x")}); !errors.Is(err, ErrNotEstablished) {
 		t.Errorf("zero session error = %v", err)
-	}
-}
-
-// dribbleConn delivers reads a few bytes at a time, so a record's length
-// prefix and body arrive split across many TCP reads.
-type dribbleConn struct {
-	net.Conn
-	chunk int
-}
-
-func (d *dribbleConn) Read(p []byte) (int, error) {
-	if len(p) > d.chunk {
-		p = p[:d.chunk]
-	}
-	return d.Conn.Read(p)
-}
-
-func connPair(t *testing.T, wrapServer func(net.Conn) net.Conn) (client, server *Conn) {
-	t.Helper()
-	pub, priv := testIdentity(t)
-	clientRaw, serverRaw := net.Pipe()
-	t.Cleanup(func() {
-		clientRaw.Close()
-		serverRaw.Close()
-	})
-	raw := net.Conn(serverRaw)
-	if wrapServer != nil {
-		raw = wrapServer(raw)
-	}
-	type res struct {
-		conn *Conn
-		err  error
-	}
-	serverCh := make(chan res, 1)
-	go func() {
-		c, err := ServerConn(raw, priv)
-		serverCh <- res{c, err}
-	}()
-	cli, err := ClientConn(clientRaw, pub)
-	if err != nil {
-		t.Fatalf("ClientConn: %v", err)
-	}
-	sr := <-serverCh
-	if sr.err != nil {
-		t.Fatalf("ServerConn: %v", sr.err)
-	}
-	return cli, sr.conn
-}
-
-func TestConnCoalescedRecordSplitAcrossReads(t *testing.T) {
-	// A coalesced record split across many small TCP reads must reassemble:
-	// the frame reader buffers until the whole record arrived, then the
-	// record authenticates as a unit.
-	testutil.CheckGoroutines(t)
-	client, server := connPair(t, func(raw net.Conn) net.Conn {
-		return &dribbleConn{Conn: raw, chunk: 3}
-	})
-
-	payload := bytes.Repeat([]byte("split me "), 128)
-	go func() {
-		if _, err := client.Write(payload); err != nil {
-			t.Errorf("client write: %v", err)
-		}
-	}()
-	got := make([]byte, len(payload))
-	if _, err := io.ReadFull(server, got); err != nil {
-		t.Fatalf("server read: %v", err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Error("payload corrupted across dribbled reads")
-	}
-}
-
-func TestConnConcurrentWritersGroupCommit(t *testing.T) {
-	// Concurrent writers ride each other's flushes; every byte must arrive
-	// exactly once and each writer's payload must stay contiguous enough to
-	// be recovered (we use fixed-size cells so reassembly is order-free).
-	testutil.CheckGoroutines(t)
-	client, server := connPair(t, nil)
-
-	const writers, cell = 8, 512
-	var wg sync.WaitGroup
-	for i := 0; i < writers; i++ {
-		wg.Add(1)
-		go func(id byte) {
-			defer wg.Done()
-			buf := bytes.Repeat([]byte{id}, cell)
-			if _, err := client.Write(buf); err != nil {
-				t.Errorf("writer %d: %v", id, err)
-			}
-		}(byte(i + 1))
-	}
-
-	got := make([]byte, writers*cell)
-	if _, err := io.ReadFull(server, got); err != nil {
-		t.Fatalf("server read: %v", err)
-	}
-	wg.Wait()
-	counts := make(map[byte]int)
-	for _, b := range got {
-		counts[b]++
-	}
-	for i := 1; i <= writers; i++ {
-		if counts[byte(i)] != cell {
-			t.Errorf("writer %d delivered %d bytes, want %d", i, counts[byte(i)], cell)
-		}
-	}
-}
-
-func TestConnWriteAfterPeerClose(t *testing.T) {
-	// A failed flush poisons the conn: the sticky error surfaces on every
-	// later Write instead of silently desynchronizing record sequence state.
-	client, server := connPair(t, nil)
-	server.Close()
-	client.SetWriteDeadline(time.Now().Add(50 * time.Millisecond))
-	if _, err := client.Write([]byte("doomed")); err == nil {
-		t.Fatal("write to closed peer succeeded")
-	}
-	if _, err := client.Write([]byte("still doomed")); err == nil {
-		t.Fatal("sticky flush error not surfaced")
 	}
 }

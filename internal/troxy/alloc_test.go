@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"github.com/troxy-bft/troxy/internal/authn"
 	"github.com/troxy-bft/troxy/internal/enclave"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/node"
@@ -66,6 +65,18 @@ func BenchmarkAllocGate(b *testing.B) {
 		core.registerVote(sess, key, msg.Digest{}, req.Op, false, false)
 		delete(core.votes, key)
 	})
+
+	// A tag check sums into the tagger's scratch, and a tag lands in the
+	// buffer the caller brought.
+	input := make([]byte, 200)
+	tag := tagger.Tag(nil, msg.KindOrderedReply, 2, input)
+	testutil.AllocGate(b, "GroupTaggerVerify", 0, func() {
+		if !tagger.Verify(msg.KindOrderedReply, 2, input, tag) {
+			b.Fatal("tag rejected")
+		}
+	})
+	into := make([]byte, 0, tagSize)
+	testutil.AllocGate(b, "GroupTaggerTagInto", 0, func() { into = tagger.Tag(into[:0], msg.KindOrderedReply, 2, input) })
 
 	var replies [3]*msg.OrderedReply
 	for i := range replies {
@@ -197,7 +208,7 @@ func BenchmarkAllocGateEnclaveProxy(b *testing.B) {
 		return w.Bytes()
 	}
 	tagResult := wire.NewWriter(64)
-	tagResult.Bytes32(make([]byte, authn.TagSize))
+	tagResult.Bytes32(make([]byte, tagSize))
 	tagBytes, handleReply := tagResult.Bytes(), encode(Actions{})
 	encl, err := enclave.NewPlatformWithKey([]byte("hw")).Launch(
 		enclave.Definition{Name: "canned", CodeIdentity: "canned-v1"},
@@ -211,7 +222,7 @@ func BenchmarkAllocGateEnclaveProxy(b *testing.B) {
 
 	testutil.AllocGate(b, "AuthenticateReplyIntoReusedReply", 0, func() {
 		rep.TroxyTag = rep.TroxyTag[:0]
-		if err := proxy.AuthenticateReply(env, rep, false, true, msg.Digest{}); err != nil || len(rep.TroxyTag) != authn.TagSize {
+		if err := proxy.AuthenticateReply(env, rep, false, true, msg.Digest{}); err != nil || len(rep.TroxyTag) != tagSize {
 			b.Fatalf("tag of %d bytes, %v", len(rep.TroxyTag), err)
 		}
 	})

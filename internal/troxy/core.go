@@ -30,7 +30,6 @@ import (
 	"sort"
 	"time"
 
-	"github.com/troxy-bft/troxy/internal/authn"
 	"github.com/troxy-bft/troxy/internal/httpfront"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/securechannel"
@@ -288,7 +287,7 @@ type Core struct {
 	handshakeRand io.Reader
 
 	identity ed25519.PrivateKey
-	tagger   *authn.GroupTagger
+	tagger   *GroupTagger
 
 	sessions map[uint64]*session
 	votes    map[voteKey]*voteState
@@ -381,7 +380,7 @@ func (c *Core) ProvisionSecrets(secrets map[string][]byte) error {
 		return fmt.Errorf("%w: missing %s", ErrNotProvisioned, SecretGroup)
 	}
 	c.identity = ed25519.NewKeyFromSeed(seed)
-	c.tagger = authn.NewGroupTagger(group)
+	c.tagger = NewGroupTagger(group)
 	return nil
 }
 

@@ -9,14 +9,13 @@ import (
 	"testing"
 	"time"
 
-	"github.com/troxy-bft/troxy/internal/authn"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/securechannel"
 	"github.com/troxy-bft/troxy/internal/wire"
 )
 
 // testSecrets builds a provisioning bundle and the matching verifier state.
-func testSecrets(t testing.TB) (map[string][]byte, ed25519.PublicKey, *authn.GroupTagger) {
+func testSecrets(t testing.TB) (map[string][]byte, ed25519.PublicKey, *GroupTagger) {
 	t.Helper()
 	seed := bytes.Repeat([]byte{7}, ed25519.SeedSize)
 	group := []byte("group-secret")
@@ -26,12 +25,12 @@ func testSecrets(t testing.TB) (map[string][]byte, ed25519.PublicKey, *authn.Gro
 		"counter-key":  []byte("ck"),
 	}
 	pub := ed25519.NewKeyFromSeed(seed).Public().(ed25519.PublicKey)
-	return secrets, pub, authn.NewGroupTagger(group)
+	return secrets, pub, NewGroupTagger(group)
 }
 
 func classifyKV(op []byte) bool { return strings.HasPrefix(string(op), "GET ") }
 
-func newTestCore(t testing.TB, fastReads bool) (*Core, ed25519.PublicKey, *authn.GroupTagger) {
+func newTestCore(t testing.TB, fastReads bool) (*Core, ed25519.PublicKey, *GroupTagger) {
 	t.Helper()
 	core := NewCore(Config{
 		Self:         0,
@@ -138,7 +137,7 @@ func (cc *clientChannel) decode(t *testing.T, rec ClientRecord) *msg.ChannelRepl
 }
 
 // reply fabricates an authenticated OrderedReply from a given executor.
-func makeReply(tagger *authn.GroupTagger, executor msg.NodeID, req msg.OrderRequest, result string, keys []string) *msg.OrderedReply {
+func makeReply(tagger *GroupTagger, executor msg.NodeID, req msg.OrderRequest, result string, keys []string) *msg.OrderedReply {
 	rep := &msg.OrderedReply{
 		Executor:    executor,
 		Seq:         1,
@@ -208,7 +207,7 @@ func TestForgedTagRejected(t *testing.T) {
 	cc := openChannel(t, core, pub, 1, 100)
 	req := cc.request(t, core, 0, "PUT k v", false).Submits[0]
 
-	evil := authn.NewGroupTagger([]byte("wrong-secret"))
+	evil := NewGroupTagger([]byte("wrong-secret"))
 	out, _ := core.HandleReply(0, makeReply(evil, 1, req, "EVIL", nil))
 	if len(out.Client) != 0 {
 		t.Fatal("forged reply produced client output")
@@ -452,7 +451,7 @@ func TestFreeListsStayWithinTheirCap(t *testing.T) {
 
 func TestForgedCacheMessagesRejected(t *testing.T) {
 	core, _, _ := newTestCore(t, true)
-	evil := authn.NewGroupTagger([]byte("wrong"))
+	evil := NewGroupTagger([]byte("wrong"))
 
 	q := &msg.CacheQuery{From: 1, QueryID: 9, ReqDigest: d("op")}
 	q.Tag = evil.Tag(nil, q.Kind(), 1, tagInput(q))

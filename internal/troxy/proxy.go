@@ -1,7 +1,6 @@
 package troxy
 
 import (
-	"github.com/troxy-bft/troxy/internal/authn"
 	"github.com/troxy-bft/troxy/internal/enclave"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/node"
@@ -97,7 +96,7 @@ type Binding struct {
 
 const (
 	// tagResultLen is the encoded result of the two authenticate ecalls.
-	tagResultLen = 4 + authn.TagSize
+	tagResultLen = 4 + tagSize
 	// noActionsLen is the encoding of an Actions with nothing in it: three
 	// zero counts.
 	noActionsLen = 12

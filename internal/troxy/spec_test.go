@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/troxy-bft/troxy/internal/authn"
 	"github.com/troxy-bft/troxy/internal/msg"
 )
 
@@ -30,7 +29,7 @@ func (cc *clientChannel) requestFlags(t *testing.T, core *Core, now time.Duratio
 
 // makeSpecReply fabricates an authenticated speculative reply from a given
 // executor for the slot (view 0, seq 4).
-func makeSpecReply(tagger *authn.GroupTagger, executor msg.NodeID, req msg.OrderRequest, result string) *msg.SpecReply {
+func makeSpecReply(tagger *GroupTagger, executor msg.NodeID, req msg.OrderRequest, result string) *msg.SpecReply {
 	sr := &msg.SpecReply{
 		Executor:  executor,
 		View:      0,

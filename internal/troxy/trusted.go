@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/troxy-bft/troxy/internal/authn"
 	"github.com/troxy-bft/troxy/internal/enclave"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/tcounter"
@@ -56,7 +55,7 @@ type Trusted struct {
 
 	// tag is where the Core writes the tag of the reply being authenticated,
 	// on its way into res.
-	tag [authn.TagSize]byte
+	tag [tagSize]byte
 }
 
 var _ enclave.Trusted = (*Trusted)(nil)
