@@ -73,8 +73,8 @@ bench:
 # a five-reply batch 1, a reply built, tagged and queued for a remote origin 0,
 # a vote over three replies 2 plus the client's record, VerifyMAC 0, a Troxy
 # group tag verified or made into the caller's buffer 0 (troxy's), a 16 x
-# 4 KiB PREPARE sealed for two peers 5 and opened and verified 2,
-# Store.Keys 0, an ecall round trip into room the caller brought 0, a reply
+# 4 KiB PREPARE broadcast to two peers 3 — its encoding and two envelopes: it
+# carries no MAC, so no tag —, Store.Keys 0, an ecall round trip into room the caller brought 0, a reply
 # tagged across the boundary 0, a record opened into a lent buffer and walked
 # 0, a ChannelData envelope sealed 2 and opened 0, a request hashed where it
 # lies 0, Submit at a follower 1 — the FORWARD, nothing for the request it
@@ -84,7 +84,10 @@ bench:
 # benchmarks, which time EncodeBody, the replica's encoder, and
 # BenchmarkAppendEnvelopeFrame, which fails itself if the pooled frame-encode
 # path allocates at all, and end to end by TestWriteAllocBudget at the module
-# root (allocations per 128-byte write through a whole simulated cluster). In
+# root (allocations per 128-byte write through a whole simulated cluster),
+# beside TestWriteMACBudget on the same deployment (MACs charged per write:
+# host MACs, Troxy tags and counter certificates, so a MAC that comes back on
+# a message something else authenticates fails it). In
 # internal/app BenchmarkStoreCheckpoint fails itself if a checkpoint interval
 # at a fixed dirty set allocates in proportion to the state or costs more than
 # twice as much on 256 MiB of state as on 1 MiB, and BenchmarkStoreFork if
@@ -95,7 +98,7 @@ bench-quick: copy-gate
 	$(GO) test -run xxx -bench 'Encode|AppendEnvelopeFrame|BatchDigest|AllocGate' -benchmem -benchtime 1000x ./internal/msg/
 	$(GO) test -run xxx -bench 'AllocGate' -benchmem -benchtime 1000x ./internal/authn/ ./internal/tcounter/ ./internal/app/ ./internal/troxy/ ./internal/hybster/ ./internal/replica/ ./internal/enclave/ ./internal/securechannel/
 	$(GO) test -run xxx -bench 'StoreCheckpoint|StoreFork' -benchmem -benchtime 20x ./internal/app/
-	$(GO) test -count=1 -run 'TestWriteAllocBudget' -v .
+	$(GO) test -count=1 -run 'TestWriteAllocBudget|TestWriteMACBudget' -v .
 
 # copy-gate reads the compiler's output for wire.Writer.CopyBytes, which makes
 # every owned message body, envelope encoding and reply batch: make+copy is one

@@ -129,19 +129,17 @@ func TestChaosRealnetByzantine(t *testing.T) {
 }
 
 // TestChaosRealnetEquivocatingLeader: the view-0 leader's host tampers with
-// its PREPAREs alone (COMMITs honest) and re-seals them the way a replica
-// seals a PREPARE, across real TCP framing. The followers must let them
-// through transport — no bad MAC on a clean network — reject them on the
-// leader's counter certificate, depose it, and finish the workload.
+// its PREPAREs alone (COMMITs honest) and sends them the way a replica sends
+// a PREPARE, without a MAC, across real TCP framing. The followers must let
+// them through transport — no bad MAC on a clean network — drop them on the
+// leader's counter certificate as unverified, blaming nobody, and finish the
+// workload.
 func TestChaosRealnetEquivocatingLeader(t *testing.T) {
 	res := runChaosRealnet(t, chaosRealnetOpts{
 		seed: 25,
 		byz:  map[msg.NodeID]faultplane.Behavior{0: faultplane.EquivocatePrepares},
 	})
-	rejected := res.cl.Replicas[1].Core().RejectedCertsFrom(0) + res.cl.Replicas[2].Core().RejectedCertsFrom(0)
-	if rejected == 0 {
-		t.Error("no follower rejected a certificate of the equivocating leader's PREPAREs")
-	}
+	expectUnverifiedOnlyAt(t, res.cl, 0, 1, 2)
 	expectNoBadMACs(t, res.cl, 1, 2)
 }
 
@@ -374,6 +372,11 @@ func runChaosRealnet(t *testing.T, o chaosRealnetOpts) chaosRealnetResult {
 				fail("replica %d rejected %d certificates from correct replica %d", i, rej, j)
 			}
 		}
+	}
+	// (e) No Byzantine replica and no corrupting link: every certificate
+	// verifies.
+	if len(o.byz) == 0 && !corrupts(plan) {
+		expectNoUnverifiedCerts(t, fail, cl)
 	}
 	return chaosRealnetResult{cl, hist, tier}
 }

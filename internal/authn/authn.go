@@ -1,9 +1,9 @@
 // Package authn implements the transport authentication of a Troxy-backed
 // system: a pairwise HMAC-SHA256 authenticator matrix for replica↔replica and
 // client↔replica messages (the "common message certificates" of BFT
-// systems), used by the untrusted replica parts, and what each kind's MAC
-// covers (Covered). It runs on the host: the Troxy group tags are
-// troxy.GroupTagger's, inside the enclave.
+// systems), used by the untrusted replica parts, which kinds carry one
+// (HostMACed) and what each kind's MAC covers (Covered). It runs on the host:
+// the Troxy group tags are troxy.GroupTagger's, inside the enclave.
 //
 // Keys are derived from a deployment master secret with HKDF so that tests
 // and deployments can provision a whole cluster from a single secret. In a
@@ -81,8 +81,11 @@ func (d *Directory) ServiceIdentitySeed() []byte { return d.derive("service-iden
 func (d *Directory) CounterKey() []byte { return d.derive("trusted-counter") }
 
 // Authenticator computes and verifies point-to-point HMACs for one node. It
-// lazily derives pairwise keys from the directory. Authenticator is not safe
-// for concurrent use; each protocol state machine owns one.
+// derives pairwise keys from the directory on first use and caches the keyed
+// HMAC of each peer it seals for and of each peer whose MAC has verified: a
+// frame's From is not known to be a peer before that, so a stream of forged
+// senders costs a derivation each and leaves nothing behind. Authenticator is
+// not safe for concurrent use; each protocol state machine owns one.
 type Authenticator struct {
 	self msg.NodeID
 	dir  *Directory
@@ -100,16 +103,20 @@ func NewAuthenticator(self msg.NodeID, dir *Directory) *Authenticator {
 	return &Authenticator{self: self, dir: dir, macs: make(map[msg.NodeID]hash.Hash)}
 }
 
-// mac returns the cached keyed HMAC for a peer (creating one costs four
-// SHA-256 compressions; reusing via Reset costs none), fed with everything
-// a point-to-point MAC covers: the header (kind, from, to) and the covered
-// bytes behind it, as two writes, so those are hashed where they lie.
-func (a *Authenticator) mac(peer msg.NodeID, e *msg.Envelope, covered []byte) hash.Hash {
-	m, ok := a.macs[peer]
-	if !ok {
-		m = hmac.New(sha256.New, a.dir.PairKey(a.self, peer))
-		a.macs[peer] = m
+// keyed returns the keyed HMAC for a peer and whether it is cached: creating
+// one costs a key derivation and four SHA-256 compressions, reusing one via
+// Reset costs none.
+func (a *Authenticator) keyed(peer msg.NodeID) (hash.Hash, bool) {
+	if m, ok := a.macs[peer]; ok {
+		return m, true
 	}
+	return hmac.New(sha256.New, a.dir.PairKey(a.self, peer)), false
+}
+
+// mac feeds m with everything a point-to-point MAC covers: the header (kind,
+// from, to) and the covered bytes behind it, as two writes, so those are
+// hashed where they lie.
+func (a *Authenticator) mac(m hash.Hash, e *msg.Envelope, covered []byte) hash.Hash {
 	m.Reset()
 	a.hdr = [9]byte{byte(e.Kind),
 		byte(e.From), byte(e.From >> 8), byte(e.From >> 16), byte(e.From >> 24),
@@ -124,7 +131,17 @@ func (a *Authenticator) mac(peer msg.NodeID, e *msg.Envelope, covered []byte) ha
 // authenticator's node. The tag is the envelope's own allocation: it travels
 // with it and is never reused.
 func (a *Authenticator) SealMAC(e *msg.Envelope) {
-	e.MAC = a.mac(e.To, e, e.Body).Sum(make([]byte, 0, TagSize))
+	a.seal(e, e.Body)
+}
+
+// seal attaches e's MAC over covered under the key shared with e.To, which it
+// caches: a node chooses its own destinations.
+func (a *Authenticator) seal(e *msg.Envelope, covered []byte) {
+	m, cached := a.keyed(e.To)
+	if !cached {
+		a.macs[e.To] = m
+	}
+	e.MAC = a.mac(m, e, covered).Sum(make([]byte, 0, TagSize))
 }
 
 // VerifyMAC checks a point-to-point MAC over the header and the whole body of
@@ -133,24 +150,34 @@ func (a *Authenticator) VerifyMAC(e *msg.Envelope) bool {
 	return a.verify(e, e.Body)
 }
 
+// verify checks e's MAC over covered under the key e.From claims. The keyed
+// HMAC of a sender not seen before joins the cache only once a MAC under it
+// has verified.
 func (a *Authenticator) verify(e *msg.Envelope, covered []byte) bool {
 	if len(e.MAC) != TagSize {
 		return false
 	}
-	return hmac.Equal(a.mac(e.From, e, covered).Sum(a.sum[:0]), e.MAC)
+	m, cached := a.keyed(e.From)
+	if !hmac.Equal(a.mac(m, e, covered).Sum(a.sum[:0]), e.MAC) {
+		return false
+	}
+	if !cached {
+		a.macs[e.From] = m
+	}
+	return true
 }
 
 // SealMessage attaches the point-to-point MAC a replica expects on an envelope
-// whose body is m's encoding: over the header and Covered, which for the
-// kinds that order requests is their digests — memoised in m, so a sender that
-// has them hashes no operation — and for every other kind the body, as
-// SealMAC. It returns how many bytes behind the header the MAC covered, which
-// is what a runtime that prices MACs charges.
+// whose body is m's encoding: over the header and Covered, which for a
+// FORWARD is its request's digest — memoised in m, so a sender that has it
+// hashes no operation — and for every other kind the body, as SealMAC. It
+// returns how many bytes behind the header the MAC covered, which is what a
+// runtime that prices MACs charges.
 func (a *Authenticator) SealMessage(e *msg.Envelope, m msg.Message) int {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	covered := Covered(w, m, e.Body)
-	e.MAC = a.mac(e.To, e, covered).Sum(make([]byte, 0, TagSize))
+	a.seal(e, covered)
 	return len(covered)
 }
 
@@ -165,37 +192,40 @@ func (a *Authenticator) VerifyMessage(e *msg.Envelope, m msg.Message) (bool, int
 	return a.verify(e, covered), len(covered)
 }
 
+// HostMACed reports the kinds whose envelopes carry a point-to-point MAC. It
+// is the one place that decides it: a replica seals (Replica.sendEncoded) and
+// checks (Replica.onEnvelope) a MAC on exactly these kinds, and so does the
+// Byzantine harness. The kinds without one are authenticated by what they
+// carry: a client's channel data by the secure channel's AEAD, the kinds a
+// Troxy tags by their group tags (DESIGN.md decision 16), and a PREPARE and a
+// COMMIT by the counter certificate each carries, which binds the sending
+// replica's trusted subsystem to the view, the sequence number and the batch
+// digest, and which every receiver verifies anyway (decision 17).
+func HostMACed(k msg.Kind) bool {
+	return k != msg.KindChannelData && !k.TroxyTagged() && k != msg.KindPrepare && k != msg.KindCommit
+}
+
 // CoversDigests reports the kinds whose point-to-point MAC covers request
-// digests in place of request bytes (see Covered). Only the decoded message
-// has the digests, so a receiver opens these kinds before it checks the MAC.
-func CoversDigests(k msg.Kind) bool { return k == msg.KindForward || k == msg.KindPrepare }
+// digests in place of request bytes (see Covered): a FORWARD. Only the decoded
+// message has the digest, so a receiver opens it before it checks the MAC.
+func CoversDigests(k msg.Kind) bool { return k == msg.KindForward }
 
 // Covered returns what the point-to-point MAC of an envelope carrying m covers
-// behind the envelope header: m's encoding with every OrderRequest it orders
-// replaced by that request's digest, appended to w — or body, m's encoding
-// itself, for every kind that orders no request. The view-change and
-// state-transfer kinds embed prepared batches and are covered whole all the
-// same: they are rare, and their handlers keep them whole anyway.
+// behind the envelope header: for a FORWARD the digest of the request it
+// orders, appended to w, and for every other kind body, m's encoding itself.
+// The view-change and state-transfer kinds embed prepared batches and are
+// covered whole all the same: they are rare, and their handlers keep them
+// whole anyway.
 //
-// The requests keep the digests computed here (msg.OrderRequest.Digest), so a
-// sender that holds them hashes no operation, and a receiver hashes each once
-// for the MAC, the batch certificate and its log.
+// The request keeps the digest computed here (msg.OrderRequest.Digest), so a
+// sender that holds it hashes no operation, and a receiver hashes it once for
+// the MAC and for the leader's batch.
 func Covered(w *wire.Writer, m msg.Message, body []byte) []byte {
-	switch m := m.(type) {
-	case *msg.Forward:
-		d := m.Req.Digest()
-		w.Raw(d[:])
-	case *msg.Prepare:
-		w.U64(m.View)
-		w.U64(m.Seq)
-		w.U32(uint32(len(m.Batch.Reqs)))
-		for i := range m.Batch.Reqs {
-			d := m.Batch.Reqs[i].Digest()
-			w.Raw(d[:])
-		}
-		m.Cert.MarshalWire(w)
-	default:
+	fwd, ok := m.(*msg.Forward)
+	if !ok {
 		return body
 	}
+	d := fwd.Req.Digest()
+	w.Raw(d[:])
 	return w.Bytes()
 }

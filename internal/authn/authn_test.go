@@ -102,8 +102,8 @@ func TestSealVerifyMAC(t *testing.T) {
 }
 
 // TestSealVerifyMessage: SealMessage is SealMAC for a kind that orders no
-// request, and for a FORWARD or PREPARE a MAC over the header and the request
-// digests: the receiver verifies it against the message it decoded, a
+// request, and for a FORWARD a MAC over the header and the request's
+// digest: the receiver verifies it against the message it decoded, a
 // whole-body check does not pass for it nor it for one, and a body that
 // decodes to other requests fails.
 func TestSealVerifyMessage(t *testing.T) {
@@ -166,6 +166,40 @@ func TestVerifyMACRejectsShortTag(t *testing.T) {
 	e.MAC = nil
 	if receiver.VerifyMAC(e) {
 		t.Error("missing MAC accepted")
+	}
+}
+
+// TestForgedSendersLeaveNoKeyCached: a frame's From is only a claim until its
+// MAC verifies, so frames from ever new senders, none of whose MACs verifies,
+// cache no key, and one valid frame caches exactly its sender's. Sealing
+// caches the destination's key: a node picks its own destinations.
+func TestForgedSendersLeaveNoKeyCached(t *testing.T) {
+	d := newDir(t)
+	receiver := NewAuthenticator(0, d)
+	body := msg.EncodeBody(&msg.Checkpoint{Seq: 5})
+	for from := msg.NodeID(1); from <= 2000; from++ {
+		e := &msg.Envelope{From: from, To: 0, Kind: msg.KindCheckpoint, Body: body, MAC: make([]byte, TagSize)}
+		if receiver.VerifyMAC(e) {
+			t.Fatalf("a zero tag from %d verified", from)
+		}
+		if ok, _ := receiver.VerifyMessage(e, &msg.Checkpoint{Seq: 5}); ok {
+			t.Fatalf("a zero tag from %d verified as a message", from)
+		}
+	}
+	if n := len(receiver.macs); n != 0 {
+		t.Fatalf("%d keys cached after forged frames from 2000 senders, want none", n)
+	}
+	e := msg.Seal(7, 0, &msg.Checkpoint{Seq: 5})
+	NewAuthenticator(7, d).SealMAC(e)
+	if !receiver.VerifyMAC(e) {
+		t.Fatal("valid MAC rejected")
+	}
+	if _, ok := receiver.macs[7]; !ok || len(receiver.macs) != 1 {
+		t.Fatalf("%d keys cached after one valid frame from 7, want its one", len(receiver.macs))
+	}
+	receiver.SealMAC(msg.Seal(0, 3, &msg.Checkpoint{Seq: 5}))
+	if len(receiver.macs) != 2 {
+		t.Fatalf("%d keys cached after sealing for a new destination, want 2", len(receiver.macs))
 	}
 }
 

@@ -32,12 +32,13 @@ const (
 	ReplayStaleReplies
 
 	// EquivocatePrepares sends semantically mutated PREPARE messages (a
-	// tampered batch payload, re-MACed the way a replica MACs a PREPARE so
-	// transport accepts it) to peers with higher IDs while staying honest
-	// toward the rest — the classic split the trusted counters exist to
-	// prevent. Correct receivers reject the stale-certified mutation
-	// (RejectedCertsFrom attributes it to this replica) and make progress on
-	// honest traffic.
+	// tampered batch payload, sent without a MAC as a replica sends a
+	// PREPARE) to peers with higher IDs while staying honest toward the rest
+	// — the classic split the trusted counters exist to prevent. The
+	// certificate no longer verifies over the mutated batch, so correct
+	// receivers drop the mutation (hybster.Metrics.UnverifiedCerts: a
+	// certificate that does not verify names no sender) and make progress
+	// on honest traffic.
 	EquivocatePrepares
 
 	// EquivocateCommits does the same to COMMIT messages (a tampered batch
@@ -129,14 +130,14 @@ type byzEnv struct {
 
 func (e byzEnv) Send(env *msg.Envelope) { e.b.send(e.Env, env) }
 
-// sealSend re-encodes and re-MACs a (possibly mutated) message with the
-// host's own transport keys — the way a replica does (authn.SealMessage), or
-// the mutation would die as a bad transport MAC and never reach the check it
-// is there to exercise — then transmits it. A kind a Troxy tags goes without
-// a MAC, as a replica sends it.
+// sealSend re-encodes a (possibly mutated) message and seals it the way a
+// replica does — with the host's own transport keys under the MAC of its
+// kind (authn.SealMessage), or the mutation would die as a bad transport MAC
+// and never reach the check it is there to exercise, and with no MAC for a
+// kind that carries none (authn.HostMACed) — then transmits it.
 func (b *Byzantine) sealSend(raw node.Env, to msg.NodeID, m msg.Message) {
 	e := msg.Seal(b.self, to, m)
-	if !e.Kind.TroxyTagged() {
+	if authn.HostMACed(e.Kind) {
 		b.auth.SealMessage(e, m)
 	}
 	raw.Send(e)

@@ -146,7 +146,7 @@ func TestByzantineSendLeavesHonestEnvelopeIntact(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			honest := msg.Seal(0, 1, tc.m) // to a higher ID: the equivocation target
-			if !honest.Kind.TroxyTagged() {
+			if authn.HostMACed(honest.Kind) {
 				authn.NewAuthenticator(0, dir).SealMAC(honest)
 			}
 			want := faultplane.CloneEnvelope(honest)
@@ -174,7 +174,7 @@ func TestByzantineSendLeavesHonestEnvelopeIntact(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if e.Kind.TroxyTagged() {
+				if !authn.HostMACed(e.Kind) {
 					if e.MAC != nil {
 						t.Errorf("mode %s: a %s went with a MAC a replica does not attach", tc.name, e.Kind)
 					}

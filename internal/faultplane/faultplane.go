@@ -42,9 +42,10 @@ type Decision struct {
 	// Duplicate delivers a second, undelayed copy of the message.
 	Duplicate bool
 
-	// Corrupt flips a payload byte before delivery. Transport MACs and
-	// secure-channel records catch the mutation, so corruption manifests as
-	// loss plus a detection counter, never as forged acceptance.
+	// Corrupt flips a payload byte before delivery. Transport MACs, Troxy
+	// tags, counter certificates and secure-channel records catch the
+	// mutation, so corruption manifests as loss plus a detection counter,
+	// never as forged acceptance.
 	Corrupt bool
 }
 
@@ -263,8 +264,9 @@ func CloneEnvelope(e *msg.Envelope) *msg.Envelope {
 // CorruptCopy returns a copy of e with one payload byte flipped. The flip is
 // deterministic so simulations stay reproducible. Receivers detect it: MACed
 // envelopes fail transport verification, the kinds a Troxy tags their tag
-// check, secure-channel records AEAD opening — corruption degrades to counted
-// loss, never forged acceptance.
+// check, PREPAREs and COMMITs their certificate check (a corrupted one blames
+// nobody), secure-channel records AEAD opening — corruption degrades to
+// counted loss, never forged acceptance.
 func CorruptCopy(e *msg.Envelope) *msg.Envelope {
 	c := CloneEnvelope(e)
 	switch {

@@ -183,6 +183,15 @@ type Metrics struct {
 	StateTransfers uint64
 	RejectedCerts  uint64
 
+	// UnverifiedCerts counts PREPAREs and COMMITs dropped because their
+	// certificate proves nothing about who sent them: it does not verify over
+	// the message's own view, sequence number and batch digest, or it names
+	// another replica than the envelope's sender. These kinds carry no host
+	// MAC (DESIGN.md decision 17), so such a message blames nobody — a frame
+	// corrupted on the wire looks the same as a forgery — and RejectedCerts
+	// does not count it.
+	UnverifiedCerts uint64
+
 	// WindowStalls counts the times the leader had a due batch but the
 	// in-flight window was full; OutOfOrderPrepares counts PREPAREs a
 	// follower accepted below the highest sequence number it had already
@@ -517,8 +526,9 @@ func (c *Core) LastExecuted() uint64 { return c.lastExec }
 // Metrics returns a copy of the protocol counters.
 func (c *Core) Metrics() Metrics { return c.metrics }
 
-// rejectCert counts a rejected certificate and attributes it to the claimed
-// source of the carrying message.
+// rejectCert counts a rejected certificate and attributes it to the source of
+// the carrying message: the sender a host MAC authenticated, or for a PREPARE
+// or COMMIT the replica its verified certificate names, which it misused.
 func (c *Core) rejectCert(from msg.NodeID) {
 	c.metrics.RejectedCerts++
 	if c.rejectedBy == nil {
@@ -527,8 +537,8 @@ func (c *Core) rejectCert(from msg.NodeID) {
 	c.rejectedBy[from]++
 }
 
-// RejectedCertsFrom returns how many certificates carried by messages
-// claiming to come from source were rejected.
+// RejectedCertsFrom returns how many certificates carried by messages from
+// source were rejected (see rejectCert).
 func (c *Core) RejectedCertsFrom(source msg.NodeID) uint64 { return c.rejectedBy[source] }
 
 // quorum is the certificate size, delegated to the canonical Config helper.
@@ -967,14 +977,15 @@ func (c *Core) OnForward(env node.Env, from msg.NodeID, fwd *msg.Forward) {
 }
 
 // deferToView parks a message for a view that has not been installed yet —
-// and solicits the missing NEW-VIEW. A certified message from a future view
-// is proof its sender installed a view this replica never saw; the NEW-VIEW
-// broadcast is not retransmitted, so a replica that was crashed or cut off at
-// that moment would otherwise defer the cluster's live traffic forever and
-// silently stop contributing to quorums. One solicitation per view suffices
-// in the common case; while deferral persists it is refreshed periodically in
-// case the request or its answer was itself lost. The parked message outlives
-// the call, so m owns its bytes (the callers pass a Clone).
+// and solicits the missing NEW-VIEW. A certified message from a future view,
+// its certificate verified and naming from, is proof its sender installed a
+// view this replica never saw; the NEW-VIEW broadcast is not retransmitted,
+// so a replica that was crashed or cut off at that moment would otherwise
+// defer the cluster's live traffic forever and silently stop contributing to
+// quorums. One solicitation per view suffices in the common case; while
+// deferral persists it is refreshed periodically in case the request or its
+// answer was itself lost. The parked message outlives the call, so m owns its
+// bytes (the callers pass a Clone).
 func (c *Core) deferToView(env node.Env, from msg.NodeID, view uint64, m msg.Message) {
 	if len(c.deferred) < maxDeferred {
 		c.deferred = append(c.deferred, deferredMsg{from: from, view: view, m: m})
@@ -1017,17 +1028,18 @@ func (c *Core) replayDeferred(env node.Env) {
 	}
 }
 
-// OnPrepare handles the leader's ordering proposal.
+// OnPrepare handles the leader's ordering proposal. A PREPARE carries no host
+// MAC: its certificate is what says who sent it, so before anything of it is
+// kept, parked or answered, the certificate must name the envelope's sender
+// and verify over the message's own view, sequence number and batch — and
+// one that does not blames nobody (UnverifiedCerts). A replica sends itself
+// no PREPARE: one that claims to is a replay of its own.
 func (c *Core) OnPrepare(env node.Env, from msg.NodeID, prep *msg.Prepare) {
-	if prep.View > c.view {
-		c.deferToView(env, from, prep.View, prep.Clone())
+	if prep.View < c.view || prep.View == c.view && c.inVC {
 		return
 	}
-	if prep.View != c.view || c.inVC {
-		return
-	}
-	if from != c.Leader(c.view) || prep.Cert.Replica != from {
-		c.rejectCert(from)
+	if prep.Cert.Replica != from || from == c.cfg.Self {
+		c.metrics.UnverifiedCerts++
 		return
 	}
 	batchDigest := prep.Batch.Digest()
@@ -1038,19 +1050,30 @@ func (c *Core) OnPrepare(env node.Env, from msg.NodeID, prep *msg.Prepare) {
 		env.Charge(c.cfg.Profile, node.ChargeMAC, opLen)
 	}
 	if !c.cfg.Authority.Verify(prep.Cert, prepareDigest(prep.View, prep.Seq, batchDigest)) {
-		c.rejectCert(from)
+		c.metrics.UnverifiedCerts++
 		return
 	}
 	c.chargeCounterOp(env)
-	if prep.Cert.Counter != c.laneCounter(c.view, prep.Seq) || prep.Cert.Value != prep.Seq {
+	if prep.View > c.view {
+		c.deferToView(env, from, prep.View, prep.Clone())
+		return
+	}
+	// The certificate is from's: a PREPARE it had no business certifying is
+	// its fault.
+	if from != c.Leader(c.view) || prep.Cert.Counter != c.laneCounter(c.view, prep.Seq) || prep.Cert.Value != prep.Seq {
 		c.rejectCert(from)
 		return
 	}
-	// Continuity: process prepares in per-lane counter order so the leader
-	// cannot leave holes. Prepares ahead of their lane wait; sequence
-	// numbers on *different* lanes are accepted in any arrival order, which
-	// is what lets votes for the whole in-flight window proceed while an
-	// earlier batch is still in transit.
+	c.admitPrepare(env, prep, batchDigest)
+}
+
+// admitPrepare takes a PREPARE of the current view whose certificate passed
+// every check into the log in per-lane counter order, so the leader cannot
+// leave holes. Prepares ahead of their lane wait; sequence numbers on
+// *different* lanes are accepted in any arrival order, which is what lets
+// votes for the whole in-flight window proceed while an earlier batch is
+// still in transit.
+func (c *Core) admitPrepare(env node.Env, prep *msg.Prepare, batchDigest msg.Digest) {
 	lane := tcounter.LaneOf(prep.Seq, c.cfg.PipelineDepth)
 	if prep.Cert.Value > c.nextPrepareValue[lane] {
 		c.pendingPrepares[prep.Cert.Value] = prep.Clone() // held past this call
@@ -1124,24 +1147,27 @@ func (c *Core) acceptPrepare(env node.Env, prep *msg.Prepare, batchDigest msg.Di
 	c.tryCommit(env, e)
 }
 
-// OnCommit handles a commit acknowledgment.
+// OnCommit handles a commit acknowledgment. Like a PREPARE, a COMMIT carries
+// no host MAC, and nothing of it is kept, parked or answered before its
+// certificate names the envelope's sender and verifies over the message's
+// own view, sequence number and batch digest.
 func (c *Core) OnCommit(env node.Env, from msg.NodeID, com *msg.Commit) {
+	if com.View < c.view || com.View == c.view && c.inVC {
+		return
+	}
+	if com.Cert.Replica != from || from == c.cfg.Self {
+		c.metrics.UnverifiedCerts++
+		return
+	}
+	if !c.cfg.Authority.Verify(com.Cert, commitDigest(com.View, com.Seq, com.BatchDigest)) {
+		c.metrics.UnverifiedCerts++
+		return
+	}
+	c.chargeCounterOp(env)
 	if com.View > c.view {
 		c.deferToView(env, from, com.View, com.Clone())
 		return
 	}
-	if com.View != c.view || c.inVC {
-		return
-	}
-	if com.Cert.Replica != from || from == c.cfg.Self {
-		c.rejectCert(from)
-		return
-	}
-	if !c.cfg.Authority.Verify(com.Cert, commitDigest(com.View, com.Seq, com.BatchDigest)) {
-		c.rejectCert(from)
-		return
-	}
-	c.chargeCounterOp(env)
 	if com.Cert.Counter != c.laneCounter(c.view, com.Seq) || com.Cert.Value != com.Seq {
 		c.rejectCert(from)
 		return

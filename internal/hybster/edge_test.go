@@ -14,7 +14,9 @@ import (
 
 // TestCertKindConfusionRejected checks that a certificate produced for one
 // statement kind (commit) cannot be replayed as another (prepare): the
-// certified digests are domain-separated.
+// certified digests are domain-separated. The PREPARE names its leader as the
+// sender, so the domain is all that fails — and a certificate that does not
+// verify blames nobody: it proves nothing about who sent it.
 func TestCertKindConfusionRejected(t *testing.T) {
 	cl := newCluster(t, 3, nil)
 	sub := tcounter.NewSubsystem(0)
@@ -27,15 +29,19 @@ func TestCertKindConfusionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ...presented inside a Prepare.
-	evil := &msg.Prepare{View: 0, Seq: 1, Batch: batch, Cert: cert}
-	cl.net.AttachConfig(50, &injector{to: 1, m: evil}, simnet.NodeConfig{})
+	// ...presented inside a Prepare from the leader.
+	follower := cl.replicas[1].core
+	follower.OnPrepare(fakeEnv{}, 0, &msg.Prepare{View: 0, Seq: 1, Batch: batch, Cert: cert})
 	cl.net.Run(time.Second)
-	if cl.replicas[1].core.LastExecuted() != 0 {
+	if follower.LastExecuted() != 0 {
 		t.Error("commit certificate accepted as prepare certificate")
 	}
-	if cl.replicas[1].core.Metrics().RejectedCerts == 0 {
-		t.Error("confused certificate not rejected")
+	if e, ok := follower.log[1]; ok && e.hasPrep {
+		t.Error("a PREPARE under a commit certificate was admitted to the log")
+	}
+	if m := follower.Metrics(); m.UnverifiedCerts != 1 || m.RejectedCerts != 0 || follower.RejectedCertsFrom(0) != 0 {
+		t.Errorf("confused certificate: UnverifiedCerts %d, RejectedCerts %d (%d from the leader), want 1, 0, 0",
+			m.UnverifiedCerts, m.RejectedCerts, follower.RejectedCertsFrom(0))
 	}
 }
 

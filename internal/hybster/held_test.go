@@ -190,8 +190,9 @@ func TestOriginFollowerAdmitsItsOwnRequestWithoutCopying(t *testing.T) {
 // operation, the flags, the origin. The follower must not take it for the one
 // it holds: the request is hashed as received, the batch digest differs from
 // the certified one, and the PREPARE dies on the certificate check, counted
-// against the leader — what TestForgedCertificateIsRejected demands of a
-// forged certificate, demanded of a genuine certificate over other bytes.
+// as unverified and blaming nobody — what TestForgedCertificateIsRejected
+// demands of a forged certificate, demanded of a genuine certificate over
+// other bytes.
 // (Matching by client and sequence number alone would verify the certificate
 // against the held request's digest and acknowledge a PREPARE that does not
 // carry what was certified.)
@@ -218,8 +219,9 @@ func TestTamperedOwnRequestIsNotRecognised(t *testing.T) {
 			tamper(&tampered.Batch.Reqs[0]) // … over a request that is not the certified one
 			deliver(t, h.core, &env, msg.EncodeBody(tampered))
 
-			if got := h.core.RejectedCertsFrom(0); got != 1 {
-				t.Errorf("RejectedCertsFrom(leader) = %d after a PREPARE whose request was tampered with, want 1", got)
+			if m := h.core.Metrics(); m.UnverifiedCerts != 1 || h.core.RejectedCertsFrom(0) != 0 {
+				t.Errorf("after a PREPARE whose request was tampered with: UnverifiedCerts %d, RejectedCertsFrom(leader) %d, want 1 and 0",
+					m.UnverifiedCerts, h.core.RejectedCertsFrom(0))
 			}
 			if e, ok := h.core.log[1]; ok && e.hasPrep {
 				t.Fatal("the tampered PREPARE was admitted to the log")

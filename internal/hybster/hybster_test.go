@@ -504,8 +504,11 @@ func TestForgedPrepareRejected(t *testing.T) {
 	follower := cl.replicas[1]
 	cl.net.AttachConfig(50, &injector{to: 1, from: 0, m: forged}, simnet.NodeConfig{})
 	cl.net.Run(time.Second)
-	if follower.core.Metrics().RejectedCerts == 0 {
-		t.Error("forged certificate not rejected")
+	// The certificate names replica 0 and the envelope comes from 50: the
+	// PREPARE proves nothing about its sender, so it is dropped and blames
+	// nobody.
+	if m := follower.core.Metrics(); m.UnverifiedCerts != 1 || m.RejectedCerts != 0 {
+		t.Errorf("forged certificate: UnverifiedCerts %d, RejectedCerts %d, want 1 and 0", m.UnverifiedCerts, m.RejectedCerts)
 	}
 	if follower.core.LastExecuted() != 0 {
 		t.Error("forged prepare led to execution")

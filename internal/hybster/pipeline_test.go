@@ -440,8 +440,10 @@ func TestPipelinedConcurrentSubmitRealnet(t *testing.T) {
 // TestForgedCertificateIsRejected hands a core a certified message whose
 // certificate names the right replica, counter, value and digest but whose MAC
 // was minted under another key — what a Byzantine host can fabricate without
-// its trusted counter. The message must be counted against its sender and
-// change nothing: a forged PREPARE is neither admitted nor acknowledged, a
+// its trusted counter. A VIEW-CHANGE or NEW-VIEW, whose host MAC authenticates
+// its sender, must be counted against that sender; a PREPARE or COMMIT, which
+// carries no host MAC, proves nothing about who sent it and is counted as
+// unverified, blaming nobody. Either must change nothing: a forged PREPARE is neither admitted nor acknowledged, a
 // forged COMMIT is not a voucher and its slot does not execute, a forged
 // VIEW-CHANGE is neither recorded nor joined, a NEW-VIEW under a forged leader
 // certificate installs no view; the genuine message then does what it should.
@@ -471,8 +473,9 @@ func TestForgedCertificateIsRejected(t *testing.T) {
 	t.Run("prepare", func(t *testing.T) {
 		r, leaderSub := pipelineFollower(t, depth)
 		r.core.OnPrepare(&env, 0, leaderPrepare(t, forge(0), depth, 1))
-		if got := r.core.RejectedCertsFrom(0); got != 1 {
-			t.Errorf("RejectedCertsFrom(leader) = %d after a forged PREPARE, want 1", got)
+		if m := r.core.Metrics(); m.UnverifiedCerts != 1 || r.core.RejectedCertsFrom(0) != 0 {
+			t.Errorf("after a forged PREPARE: UnverifiedCerts %d, RejectedCertsFrom(leader) %d, want 1 and 0",
+				m.UnverifiedCerts, r.core.RejectedCertsFrom(0))
 		}
 		if e, ok := r.core.log[1]; ok && e.hasPrep {
 			t.Error("a forged PREPARE was admitted to the log")
@@ -505,8 +508,9 @@ func TestForgedCertificateIsRejected(t *testing.T) {
 		}
 
 		core.OnCommit(&env, 1, followerCommit(t, forge(1), depth, out.preps[0]))
-		if got := core.RejectedCertsFrom(1); got != 1 {
-			t.Errorf("RejectedCertsFrom(follower) = %d after a forged COMMIT, want 1", got)
+		if m := core.Metrics(); m.UnverifiedCerts != 1 || core.RejectedCertsFrom(1) != 0 {
+			t.Errorf("after a forged COMMIT: UnverifiedCerts %d, RejectedCertsFrom(follower) %d, want 1 and 0",
+				m.UnverifiedCerts, core.RejectedCertsFrom(1))
 		}
 		if _, vouched := core.log[1].vouchers[1]; vouched {
 			t.Error("a forged COMMIT made its sender a voucher")
@@ -572,7 +576,9 @@ func TestForgedCertificateIsRejected(t *testing.T) {
 // a replica trusts a digest it did not compute, and it trusts only itself: a
 // leader that proposes under a wrong one certifies a batch digest no other
 // replica arrives at, since a follower hashes the bytes it received. The
-// proposal dies on the follower's certificate check and executes nowhere.
+// proposal dies on the follower's certificate check and executes nowhere —
+// counted as unverified: a certificate that does not verify over what the
+// PREPARE carries cannot tell a faulty leader from a corrupted frame.
 func TestWrongSubmitDigestIsRejectedByTheFollowers(t *testing.T) {
 	const depth = 2
 	var env fakeEnv
@@ -603,8 +609,9 @@ func TestWrongSubmitDigestIsRejectedByTheFollowers(t *testing.T) {
 	}
 	r, _ := pipelineFollower(t, depth)
 	r.core.OnPrepare(&env, 0, m.(*msg.Prepare))
-	if got := r.core.RejectedCertsFrom(0); got != 1 {
-		t.Errorf("RejectedCertsFrom(leader) = %d after a PREPARE certified over a wrong request digest, want 1", got)
+	if got := r.core.Metrics(); got.UnverifiedCerts != 1 || r.core.RejectedCertsFrom(0) != 0 {
+		t.Errorf("after a PREPARE certified over a wrong request digest: UnverifiedCerts %d, RejectedCertsFrom(leader) %d, want 1 and 0",
+			got.UnverifiedCerts, r.core.RejectedCertsFrom(0))
 	}
 	if e, ok := r.core.log[1]; ok && e.hasPrep {
 		t.Error("the PREPARE was admitted to the follower's log")

@@ -443,11 +443,10 @@ func (c *Core) finishFetch(env node.Env) {
 // applyPrefix replays the certified prefix after an install: every in-flight
 // prepared entry the server handed over is verified against the leader's
 // counter certificate — exactly the checks a view change applies to carried
-// entries — and fed through the ordinary PREPARE path, so the joiner
-// certifies its own commits and resumes mid-window without replaying
-// pre-checkpoint entries. A bad certificate is the *server's* fabrication
-// (it vouched for the entry), so rejection is attributed to it, not to the
-// leader.
+// entries — and admitted the way a PREPARE is, so the joiner certifies its
+// own commits and resumes mid-window without replaying pre-checkpoint
+// entries. A bad certificate is the *server's* fabrication (it vouched for
+// the entry), so rejection is attributed to it, not to the leader.
 func (c *Core) applyPrefix(env node.Env, from msg.NodeID, pfx *StatePrefix) {
 	installed := false
 	for i := range pfx.Entries {
@@ -466,8 +465,9 @@ func (c *Core) applyPrefix(env node.Env, from msg.NodeID, pfx *StatePrefix) {
 		c.chargeCounterOp(env)
 		c.metrics.PrefixEntriesInstalled++
 		installed = true
-		batch := pe.Batch
-		c.OnPrepare(env, leader, &msg.Prepare{View: pe.View, Seq: pe.Seq, Batch: batch, Cert: pe.PrepareCert})
+		if !c.inVC {
+			c.admitPrepare(env, &msg.Prepare{View: pe.View, Seq: pe.Seq, Batch: pe.Batch, Cert: pe.PrepareCert}, pe.Batch.Digest())
+		}
 	}
 	if installed {
 		c.metrics.PrefixResumes++

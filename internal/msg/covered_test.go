@@ -63,8 +63,10 @@ func covered(m msg.Message) []byte {
 
 // TestCoveredIsTheBodyExceptForForwardAndPrepare: a kind that orders no
 // request is covered byte for byte — Covered hands back the very body — and
-// CoversDigests names exactly the kinds that are not. The kinds this package
-// does not decode are hybster's recovery messages, which order no request.
+// so, since its certificate took over from its MAC, is a PREPARE, which no
+// longer carries one (authn.HostMACed); CoversDigests names exactly the kind
+// that is not, a FORWARD. The kinds this package does not decode are
+// hybster's recovery messages, which order no request.
 func TestCoveredIsTheBodyExceptForForwardAndPrepare(t *testing.T) {
 	seen := map[msg.Kind]bool{}
 	for _, m := range samples() {
@@ -84,80 +86,89 @@ func TestCoveredIsTheBodyExceptForForwardAndPrepare(t *testing.T) {
 		if _, err := (&msg.Envelope{Kind: k}).Open(); !seen[k] && !errors.Is(err, msg.ErrUnknownKind) {
 			t.Errorf("no sample message of kind %s", k)
 		}
-		if authn.CoversDigests(k) != (k == msg.KindForward || k == msg.KindPrepare) {
+		if authn.CoversDigests(k) != (k == msg.KindForward) {
 			t.Errorf("%s: CoversDigests = %v", k, authn.CoversDigests(k))
 		}
 	}
 }
 
-// TestTroxyTaggedKindsAreTheCacheExchangeAndReplyBatches: the kinds that
-// travel without a point-to-point MAC are exactly the three a Troxy tags, and
-// none of them orders a request.
+// TestTroxyTaggedKindsAreTheCacheExchangeAndReplyBatches: the kinds a Troxy
+// tags are exactly the cache exchange and reply batches, none of them orders
+// a request, and none carries a point-to-point MAC.
 func TestTroxyTaggedKindsAreTheCacheExchangeAndReplyBatches(t *testing.T) {
 	for k := msg.KindChannelData; k <= msg.KindReplyBatch; k++ {
 		want := k == msg.KindCacheQuery || k == msg.KindCacheReply || k == msg.KindReplyBatch
-		if k.TroxyTagged() != want || (want && authn.CoversDigests(k)) {
-			t.Errorf("%s: TroxyTagged = %v, CoversDigests = %v", k, k.TroxyTagged(), authn.CoversDigests(k))
+		if k.TroxyTagged() != want || (want && (authn.CoversDigests(k) || authn.HostMACed(k))) {
+			t.Errorf("%s: TroxyTagged = %v, CoversDigests = %v, HostMACed = %v", k, k.TroxyTagged(), authn.CoversDigests(k), authn.HostMACed(k))
+		}
+	}
+}
+
+// TestHostMACedKinds: the kinds that travel without a point-to-point MAC are
+// the client hop's channel data (the secure channel's), the three a Troxy
+// tags (their tags'), and PREPARE and COMMIT (their counter certificates');
+// every other kind carries one, the recovery kinds hybster decodes included.
+func TestHostMACedKinds(t *testing.T) {
+	for k := range 256 {
+		k := msg.Kind(k)
+		want := !k.TroxyTagged() && k != msg.KindChannelData && k != msg.KindPrepare && k != msg.KindCommit
+		if authn.HostMACed(k) != want {
+			t.Errorf("%s: HostMACed = %v", k, authn.HostMACed(k))
+		}
+	}
+	for _, k := range []msg.Kind{msg.KindForward, msg.KindCheckpoint, msg.KindSpecReply, msg.KindBFTRequest, msg.KindBFTReply, msg.KindViewChange, msg.KindNewView, msg.KindStateChunk} {
+		if !authn.HostMACed(k) {
+			t.Errorf("%s travels without a MAC", k)
 		}
 	}
 }
 
 // TestCoveredBindsEveryField: the covered encoding of a FORWARD is its
-// request's digest, that of a PREPARE its view, sequence number, request count,
-// request digests and certificate — so changing any field of either changes
-// it, and its length does not depend on the size of the operations.
+// request's digest — so changing any field of the request changes it, and its
+// length does not depend on the size of the operation — and a PREPARE, which
+// carries no MAC, is covered whole like every kind but a FORWARD.
 func TestCoveredBindsEveryField(t *testing.T) {
+	forward := func(mutate func(*msg.OrderRequest)) []byte {
+		req := request()
+		mutate(&req)
+		return covered(&msg.Forward{Req: req})
+	}
 	req := request()
 	digest := req.Digest()
-	if got := covered(&msg.Forward{Req: request()}); !bytes.Equal(got, digest[:]) {
-		t.Errorf("covered FORWARD = %x, want the request digest %x", got, digest)
+	base := forward(func(*msg.OrderRequest) {})
+	if !bytes.Equal(base, digest[:]) {
+		t.Errorf("covered FORWARD = %x, want the request digest %x", base, digest)
 	}
-
-	prepare := func(mutate func(*msg.Prepare)) []byte {
-		p := &msg.Prepare{View: 3, Seq: 9, Batch: batch(4), Cert: cert()}
-		mutate(p)
-		return covered(p)
-	}
-	base := prepare(func(*msg.Prepare) {})
-	if want := 8 + 8 + 4 + 4*len(digest) + 4 + 4 + 8 + 4 + len(cert().MAC); len(base) != want {
-		t.Errorf("covered PREPARE of four requests is %d bytes, want %d", len(base), want)
-	}
-	for name, mutate := range map[string]func(*msg.Prepare){
-		"view":         func(p *msg.Prepare) { p.View++ },
-		"seq":          func(p *msg.Prepare) { p.Seq++ },
-		"count":        func(p *msg.Prepare) { p.Batch.Reqs = p.Batch.Reqs[:3] },
-		"order":        func(p *msg.Prepare) { p.Batch.Reqs[0], p.Batch.Reqs[1] = p.Batch.Reqs[1], p.Batch.Reqs[0] },
-		"origin":       func(p *msg.Prepare) { p.Batch.Reqs[2].Origin++ },
-		"client":       func(p *msg.Prepare) { p.Batch.Reqs[2].Client++ },
-		"client seq":   func(p *msg.Prepare) { p.Batch.Reqs[2].ClientSeq++ },
-		"flags":        func(p *msg.Prepare) { p.Batch.Reqs[2].Flags ^= msg.FlagFastCommit },
-		"op":           func(p *msg.Prepare) { p.Batch.Reqs[3].Op[0] ^= 1 },
-		"op length":    func(p *msg.Prepare) { p.Batch.Reqs[3].Op = p.Batch.Reqs[3].Op[:4] },
-		"cert replica": func(p *msg.Prepare) { p.Cert.Replica++ },
-		"cert counter": func(p *msg.Prepare) { p.Cert.Counter++ },
-		"cert value":   func(p *msg.Prepare) { p.Cert.Value++ },
-		"cert mac":     func(p *msg.Prepare) { p.Cert.MAC = bytes.Clone(p.Cert.MAC); p.Cert.MAC[0] ^= 1 },
-		"cert mac len": func(p *msg.Prepare) { p.Cert.MAC = p.Cert.MAC[:4] },
+	for name, mutate := range map[string]func(*msg.OrderRequest){
+		"origin":     func(r *msg.OrderRequest) { r.Origin++ },
+		"client":     func(r *msg.OrderRequest) { r.Client++ },
+		"client seq": func(r *msg.OrderRequest) { r.ClientSeq++ },
+		"flags":      func(r *msg.OrderRequest) { r.Flags ^= msg.FlagFastCommit },
+		"op":         func(r *msg.OrderRequest) { r.Op = bytes.Clone(r.Op); r.Op[0] ^= 1 },
+		"op length":  func(r *msg.OrderRequest) { r.Op = r.Op[:4] },
 	} {
-		if bytes.Equal(prepare(mutate), base) {
-			t.Errorf("a PREPARE with another %s has the same covered encoding", name)
+		if bytes.Equal(forward(mutate), base) {
+			t.Errorf("a FORWARD with another %s has the same covered encoding", name)
 		}
 	}
-	big := prepare(func(p *msg.Prepare) {
-		for i := range p.Batch.Reqs {
-			p.Batch.Reqs[i].Op = make([]byte, 4096)
-		}
-	})
-	if len(big) != len(base) {
-		t.Errorf("covered PREPARE grew from %d to %d bytes with 4 KiB operations", len(base), len(big))
+	if big := forward(func(r *msg.OrderRequest) { r.Op = make([]byte, 4096) }); len(big) != len(base) {
+		t.Errorf("covered FORWARD grew from %d to %d bytes with a 4 KiB operation", len(base), len(big))
+	}
+	p := &msg.Prepare{View: 3, Seq: 9, Batch: batch(4), Cert: cert()}
+	if body := msg.EncodeBody(p); !bytes.Equal(covered(p), body) {
+		t.Errorf("covered PREPARE is %d bytes, not its %d-byte body", len(covered(p)), len(body))
 	}
 }
 
-// FuzzCoveredEncoding: the MAC of a FORWARD or PREPARE covers the covered
-// encoding, not the body, so the covered encoding has to bind the body — two
-// bodies of one kind that both decode and are covered alike are the same
-// bytes. (The encoding is fixed-width integers and length-prefixed strings,
-// Open rejects trailing bytes, and the requests enter by SHA-256.)
+// FuzzCoveredEncoding: the MAC of a FORWARD covers the covered encoding, not
+// the body, so the covered encoding has to bind the body — two bodies of one
+// kind that both decode and are covered alike are the same bytes. (The
+// encoding is fixed-width integers and length-prefixed strings, Open rejects
+// trailing bytes, and the request enters by SHA-256.) A PREPARE, covered
+// whole, holds it trivially; what the fuzzer still asks of it is that a body
+// that decodes re-encodes to itself, so two PREPAREs that differ in a byte
+// differ in a field — the field its certificate, which binds view, sequence
+// number and batch digest, or the receiver's lane check then sees.
 func FuzzCoveredEncoding(f *testing.F) {
 	prep := &msg.Prepare{View: 1, Seq: 2, Batch: batch(2), Cert: cert()}
 	body := msg.EncodeBody(prep)

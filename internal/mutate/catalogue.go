@@ -99,15 +99,33 @@ var Catalogue = []Mutant{
 	},
 	{
 		ID: "covered-kinds-dispatched-unverified", File: "internal/replica/replica.go",
-		Fault: "a FORWARD or PREPARE, decoded before its MAC is checked, is dispatched whatever the check says",
+		Fault: "a FORWARD, decoded before its MAC is checked, is dispatched whatever the check says",
 		Old:   "		ok, n := r.auth.VerifyMessage(e, m)\n",
 		New:   "		_, n := r.auth.VerifyMessage(e, m)\n		ok := true\n",
 	},
 	{
-		ID: "prepare-covered-omits-cert", File: "internal/authn/authn.go",
-		Fault: "the MAC of a PREPARE covers view, sequence number and request digests, not the certificate",
-		Old:   "		m.Cert.MarshalWire(w)\n	default:",
-		New:   "	default:",
+		ID: "prepare-resealed", File: "internal/replica/replica.go",
+		Fault: "every PREPARE is sealed with a host MAC nobody checks: its certificate already authenticates it",
+		Old:   "	if authn.HostMACed(e.Kind) {\n		env.Charge(node.ProfileJava, node.ChargeMAC, r.auth.SealMessage(e, m))",
+		New:   "	if authn.HostMACed(e.Kind) || e.Kind == msg.KindPrepare {\n		env.Charge(node.ProfileJava, node.ChargeMAC, r.auth.SealMessage(e, m))",
+	},
+	{
+		ID: "future-view-parked-unverified", File: "internal/hybster/core.go",
+		Fault: "a PREPARE of a future view is parked, and a NEW-VIEW solicited, before its certificate is checked: anyone can fill the deferral queue",
+		Old:   "	if prep.Cert.Replica != from || from == c.cfg.Self {\n",
+		New:   "	if prep.View > c.view {\n		c.deferToView(env, from, prep.View, prep.Clone())\n		return\n	}\n	if prep.Cert.Replica != from || from == c.cfg.Self {\n",
+	},
+	{
+		ID: "unverified-cert-blamed-on-sender", File: "internal/hybster/core.go",
+		Fault: "a PREPARE whose certificate does not verify is blamed on the sender its envelope claims, which no MAC authenticates",
+		Old:   "prepareDigest(prep.View, prep.Seq, batchDigest)) {\n		c.metrics.UnverifiedCerts++\n",
+		New:   "prepareDigest(prep.View, prep.Seq, batchDigest)) {\n		c.rejectCert(from)\n",
+	},
+	{
+		ID: "authn-caches-unverified-peer", File: "internal/authn/authn.go",
+		Fault: "the key of every sender a frame claims is cached before its MAC is checked: forged senders grow the cache without bound",
+		Old:   "	m, cached := a.keyed(e.From)\n",
+		New:   "	m, cached := a.keyed(e.From)\n	a.macs[e.From] = m\n",
 	},
 	{
 		ID: "submit-digest-from-wire", File: "internal/msg/types.go",

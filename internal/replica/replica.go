@@ -16,6 +16,9 @@
 //   - Baseline mode (Config.Proxy == nil): BFT clients (internal/bftclient)
 //     talk the protocol themselves; replicas send them BFTReply messages and
 //     answer speculative direct reads (the PBFT-like read optimization).
+//
+// In both modes a PREPARE and a COMMIT travel without a transport MAC too:
+// the counter certificate each carries authenticates it (authn.HostMACed).
 package replica
 
 import (
@@ -98,8 +101,9 @@ type Stats struct {
 	// BadMACs counts envelopes dropped by transport authentication ("if a
 	// correct component receives a message it cannot verify, the component
 	// discards the message", Section III-B): a transport MAC that does not
-	// verify, or a body that does not decode — for a kind a Troxy tags, which
-	// has no MAC, the one check its envelope meets outside the Troxy.
+	// verify, or a body that does not decode — for a kind with no MAC (one a
+	// Troxy tags, a PREPARE, a COMMIT) the one check its envelope meets before
+	// the Troxy's tags or the core's certificate check.
 	BadMACs uint64
 	// DirectReads counts speculative read executions (baseline mode).
 	DirectReads uint64
@@ -185,6 +189,9 @@ func (r *Replica) onEnvelope(env node.Env, e *msg.Envelope) {
 	case e.Kind.TroxyTagged():
 		r.onTroxyTagged(env, e)
 		return
+	case !authn.HostMACed(e.Kind):
+		r.onCertified(env, e)
+		return
 	}
 
 	// Everything else travels with a transport MAC.
@@ -254,24 +261,42 @@ func (r *Replica) onTroxyTagged(env node.Env, e *msg.Envelope) {
 	}
 }
 
-// authenticate checks e's transport MAC and decodes its body. A FORWARD's and a
-// PREPARE's MAC covers the digests of the requests it orders, not their bytes
-// (authn.Covered), so those two are opened first — by view, nothing is copied
-// or kept — and the digests computed for the check stay with the decoded
-// requests: the core's batch digest and log admission reuse them. A request of
-// a PREPARE that this replica submitted itself is not even hashed: the core
-// finds the one it holds by comparison, and the check runs on that one's
-// digest (hybster.Core.AdoptHeld). Every other kind is verified whole before
-// it is decoded, and a recovery kind, which hybster.Open decodes from a clone
-// of the body, is cloned only once its MAC has passed.
+// onCertified hands a PREPARE or a COMMIT to the protocol core with no
+// transport MAC to verify: the counter certificate each carries binds its
+// sender's trusted subsystem to the view, the sequence number and the batch
+// digest, and the core verifies it — against the envelope's From — before it
+// keeps, parks or answers anything (DESIGN.md decision 17). The body is
+// opened by view, nothing is copied or kept, and the requests of a PREPARE
+// that this replica submitted itself are matched against the ones it holds
+// before the core hashes anything (hybster.Core.AdoptHeld). A body that does
+// not decode is counted as a bad MAC, as for the kinds a Troxy tags.
+func (r *Replica) onCertified(env node.Env, e *msg.Envelope) {
+	m, err := e.Open()
+	if err != nil {
+		r.stats.BadMACs++
+		return
+	}
+	env.Charge(node.ProfileJava, node.ChargeBase, 0)
+	if prep, ok := m.(*msg.Prepare); ok {
+		r.core.AdoptHeld(&prep.Batch)
+	}
+	if !r.core.OnMessage(env, e.From, m) {
+		r.stats.Unhandled++
+	}
+}
+
+// authenticate checks e's transport MAC and decodes its body. A FORWARD's MAC
+// covers the digest of the request it orders, not its bytes (authn.Covered),
+// so a FORWARD is opened first — by view, nothing is copied or kept — and the
+// digest computed for the check stays with the decoded request: the leader's
+// batch digest and log admission reuse it. Every other kind is verified whole
+// before it is decoded, and a recovery kind, which hybster.Open decodes from a
+// clone of the body, is cloned only once its MAC has passed.
 func (r *Replica) authenticate(env node.Env, e *msg.Envelope) (msg.Message, bool) {
 	if authn.CoversDigests(e.Kind) {
 		m, err := e.Open()
 		if err != nil {
 			return nil, false
-		}
-		if prep, ok := m.(*msg.Prepare); ok {
-			r.core.AdoptHeld(&prep.Batch)
 		}
 		ok, n := r.auth.VerifyMessage(e, m)
 		env.Charge(node.ProfileJava, node.ChargeMAC, n)
@@ -382,11 +407,13 @@ func (r *Replica) sendAuthed(env node.Env, to msg.NodeID, m msg.Message) {
 }
 
 // sendEncoded MACs and transmits m, whose encoding is body, under the MAC of
-// its kind (authn.SealMessage) — or with no MAC, if a Troxy tagged it. body is
-// immutable from here on: the envelope (and any other recipient's) shares it.
+// its kind (authn.SealMessage) — or with no MAC, if its kind carries none
+// (authn.HostMACed): a Troxy tagged it, or it is a PREPARE or a COMMIT, which
+// its counter certificate authenticates. body is immutable from here on: the
+// envelope (and any other recipient's) shares it.
 func (r *Replica) sendEncoded(env node.Env, to msg.NodeID, m msg.Message, body []byte) {
 	e := &msg.Envelope{From: r.cfg.Self, To: to, Kind: m.Kind(), Body: body}
-	if !e.Kind.TroxyTagged() {
+	if authn.HostMACed(e.Kind) {
 		env.Charge(node.ProfileJava, node.ChargeMAC, r.auth.SealMessage(e, m))
 	}
 	env.Send(e)
@@ -404,7 +431,8 @@ func (r *Replica) Send(env node.Env, to msg.NodeID, m msg.Message) {
 }
 
 // Broadcast implements hybster.Broadcaster: the message is marshalled once
-// and that one body is MACed for — and shared by — every recipient.
+// and that one body is shared by — and, if its kind carries a MAC, MACed for —
+// every recipient.
 func (r *Replica) Broadcast(env node.Env, m msg.Message) {
 	body := msg.EncodeBody(m)
 	for i := 0; i < r.cfg.N; i++ {

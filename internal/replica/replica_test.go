@@ -68,15 +68,14 @@ func (s *sender) OnEnvelope(node.Env, *msg.Envelope) {}
 func (s *sender) OnTimer(node.Env, node.TimerKey)    {}
 
 // TestUnauthenticatedEnvelopesDiscarded: an envelope of any kind that keeps
-// its transport MAC — every kind but the client hop's and the three a Troxy
-// tags — is dropped and counted when its MAC is bogus or missing, and the
-// request in it is never ordered.
+// its transport MAC (authn.HostMACed) is dropped and counted when its MAC is
+// bogus or missing, and the request in it is never ordered.
 func TestUnauthenticatedEnvelopesDiscarded(t *testing.T) {
 	reps, _, net := newBaselineCluster(t)
 	body := msg.EncodeBody(&msg.BFTRequest{Client: 1, ClientSeq: 1, Op: []byte("PUT a 1")})
 	var send []*msg.Envelope
-	for k := msg.KindChannelData + 1; k <= msg.KindReplyBatch; k++ {
-		if !k.TroxyTagged() {
+	for k := msg.KindChannelData; k <= msg.KindReplyBatch; k++ {
+		if authn.HostMACed(k) {
 			send = append(send,
 				&msg.Envelope{From: 100, To: 0, Kind: k, Body: body, MAC: []byte("bogus")},
 				&msg.Envelope{From: 100, To: 0, Kind: k, Body: body})

@@ -345,6 +345,9 @@ func TestSoakLargeState(t *testing.T) {
 			}
 		}
 	}
+	// Nothing corrupts a message and every replica is correct: every
+	// certificate verifies.
+	expectNoUnverifiedCerts(t, t.Errorf, cl)
 
 	// Flat memory: after GC, every cycle-end heap stays under the baseline
 	// plus one transferred state (the restore sink legitimately holds the
