@@ -26,9 +26,9 @@ test:
 check: lint staticcheck govulncheck
 	$(GO) test -race ./...
 
-# lint runs go vet plus the repository's own analyzer suite: determinism,
-# senderr (syntactic), plus secretflow, lockcheck, allocfree (on the dataflow
-# engine, following same-package calls where asked) — the five that
+# lint runs go vet plus the repository's own analyzer suite: senderr
+# (syntactic), plus secretflow, lockcheck, allocfree (on the dataflow
+# engine, following same-package calls where asked) — the four that
 # `make mutate` showed to catch what no other gate catches; see
 # cmd/troxy-lint and DESIGN.md "Trust-boundary enforcement".
 # Any diagnostic fails the build. Suppressions use

@@ -15,6 +15,7 @@ package troxy
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -270,16 +271,16 @@ func TestChaosNetworkFaults(t *testing.T) {
 	if testing.Short() {
 		seeds = seeds[:3]
 	}
-	ids := []msg.NodeID{0, 1, 2}
-	clients := []msg.NodeID{100, 101}
 	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runChaos(t, chaosOpts{
-				seed: seed,
-				plan: faultplane.RandomPlan(seed, ids, clients, 2*time.Second),
-			})
+			runChaos(t, chaosOpts{seed: seed, plan: networkFaultsPlan(seed)})
 		})
 	}
+}
+
+// networkFaultsPlan is TestChaosNetworkFaults' schedule for seed.
+func networkFaultsPlan(seed int64) faultplane.Plan {
+	return faultplane.RandomPlan(seed, []msg.NodeID{0, 1, 2}, []msg.NodeID{100, 101}, 2*time.Second)
 }
 
 // TestChaosByzantineReplica arms one faulty replica (f=1) with each harness
@@ -426,16 +427,7 @@ func TestChaosFastCommitSpeculationLoss(t *testing.T) {
 			res := runChaos(t, chaosOpts{
 				seed: seed,
 				fast: true,
-				plan: faultplane.Plan{
-					Partitions: []faultplane.Partition{{
-						Start: 300 * time.Millisecond, Heal: 1400 * time.Millisecond,
-						A: []msg.NodeID{0}, B: []msg.NodeID{1, 2},
-						OneWay: true,
-					}},
-					Crashes: []faultplane.CrashEvent{
-						{Node: 1, At: 1600 * time.Millisecond, RestartAt: 2 * time.Second},
-					},
-				},
+				plan: speculationLossPlan,
 			})
 			specs, retracted := res.tier.Speculated()
 			if specs == 0 {
@@ -449,6 +441,42 @@ func TestChaosFastCommitSpeculationLoss(t *testing.T) {
 				t.Error("no Troxy reported a speculative answer")
 			}
 			t.Logf("speculative completions: %d (retracted and repaired: %d)", specs, retracted)
+		})
+	}
+}
+
+// speculationLossPlan is TestChaosFastCommitSpeculationLoss' schedule: a
+// one-way partition of the leader, then a follower crash and restart.
+var speculationLossPlan = faultplane.Plan{
+	Partitions: []faultplane.Partition{{
+		Start: 300 * time.Millisecond, Heal: 1400 * time.Millisecond,
+		A: []msg.NodeID{0}, B: []msg.NodeID{1, 2},
+		OneWay: true,
+	}},
+	Crashes: []faultplane.CrashEvent{
+		{Node: 1, At: 1600 * time.Millisecond, RestartAt: 2 * time.Second},
+	},
+}
+
+// TestChaosSeedsReplay holds "one seed, one run" across the whole ETroxy
+// path under faults: a network-fault plan and a speculation-loss plan each
+// run twice, and the two runs must observe the same history, operation for
+// operation, to the nanosecond of virtual time.
+func TestChaosSeedsReplay(t *testing.T) {
+	for _, o := range []chaosOpts{
+		{seed: 11, plan: networkFaultsPlan(11)},
+		{seed: 41, fast: true, plan: speculationLossPlan},
+	} {
+		t.Run(fmt.Sprintf("seed=%d", o.seed), func(t *testing.T) {
+			ops := func(res chaosResult) any {
+				if res.tier != nil {
+					return res.tier.TierOps()
+				}
+				return res.hist.Ops()
+			}
+			if first, second := ops(runChaos(t, o)), ops(runChaos(t, o)); !reflect.DeepEqual(first, second) {
+				t.Fatal("two runs of one plan observed different histories")
+			}
 		})
 	}
 }

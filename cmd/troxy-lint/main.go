@@ -3,8 +3,6 @@
 // mutant of the tree breaks with every other gate green (DESIGN.md §9.5 has
 // the measurement that chose them):
 //
-//	determinism    no wall clocks, global randomness, or protocol-visible
-//	               map iteration in the replicated core
 //	senderr        no silently dropped errors on wire encode/send paths
 //	secretflow     secret key material never reaches logs or host-side wire
 //	               encoders — including through same-package helper calls,
@@ -37,7 +35,6 @@ package main
 import (
 	"github.com/troxy-bft/troxy/internal/analysis"
 	"github.com/troxy-bft/troxy/internal/analysis/allocfree"
-	"github.com/troxy-bft/troxy/internal/analysis/determinism"
 	"github.com/troxy-bft/troxy/internal/analysis/lockcheck"
 	"github.com/troxy-bft/troxy/internal/analysis/secretflow"
 	"github.com/troxy-bft/troxy/internal/analysis/senderr"
@@ -45,7 +42,6 @@ import (
 
 func main() {
 	analysis.Main(
-		determinism.Analyzer,
 		senderr.Analyzer,
 		secretflow.Analyzer,
 		lockcheck.Analyzer,

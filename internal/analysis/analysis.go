@@ -5,9 +5,9 @@
 // third-party code.
 //
 // One driver runs the analyzers (standalone.go, invoked as
-// `troxy-lint ./...`): it loads whole package patterns via
-// `go list -export -deps -json`, resolves imports from the build cache's gc
-// export data.
+// `troxy-lint ./...`), and one loader feeds it and the analyzers' fixture
+// tests: Load lists package patterns via `go list -export -deps -json` and
+// typechecks them against the build cache's gc export data.
 //
 // Suppression: a diagnostic is dropped when the offending line, or the line
 // immediately above it, carries a comment of the form
@@ -16,7 +16,7 @@
 //
 // The reason is mandatory by convention (reviewed, not machine-checked):
 // every allow marks a deliberate, documented exception to a trust-boundary
-// or determinism invariant. Inter-procedural findings (a tainted argument
+// invariant. Inter-procedural findings (a tainted argument
 // reaching a sink inside a callee, a lock held across a call that
 // transitively blocks) are reported at the *call site*, never inside the
 // callee — so the allow goes on the call, where the exception is actually
@@ -46,11 +46,10 @@ const ModulePath = "github.com/troxy-bft/troxy"
 // the driver registers exactly this set, so the registry cannot drift from
 // cmd/troxy-lint.
 var KnownAnalyzerNames = map[string]bool{
-	"determinism": true,
-	"senderr":     true,
-	"secretflow":  true,
-	"lockcheck":   true,
-	"allocfree":   true,
+	"senderr":    true,
+	"secretflow": true,
+	"lockcheck":  true,
+	"allocfree":  true,
 }
 
 // An Analyzer describes one static check of the suite.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -17,9 +16,8 @@ import (
 	"strings"
 )
 
-// The driver loads whole package patterns in one process, resolving every
-// import from the gc export data that `go list -export` leaves in the build
-// cache. `make lint` and CI invoke it as `troxy-lint ./...`.
+// The driver loads whole package patterns in one process through Load.
+// `make lint` and CI invoke it as `troxy-lint ./...`.
 
 // Main is the entry point of cmd/troxy-lint: it checks the analyzer
 // registry, then analyzes the package patterns on the command line and
@@ -66,7 +64,7 @@ func checkRegistry(analyzers []*Analyzer) error {
 }
 
 func usage(analyzers []*Analyzer) {
-	fmt.Fprintf(os.Stderr, "troxy-lint: static enforcement of Troxy's trust boundary and protocol determinism\n\n")
+	fmt.Fprintf(os.Stderr, "troxy-lint: static enforcement of Troxy's trust boundary\n\n")
 	fmt.Fprintf(os.Stderr, "usage:\n")
 	fmt.Fprintf(os.Stderr, "  troxy-lint <packages>          analyze package patterns (e.g. ./...)\n\n")
 	fmt.Fprintf(os.Stderr, "analyzers:\n")
@@ -79,7 +77,7 @@ func usage(analyzers []*Analyzer) {
 	}
 }
 
-// listPackage is the subset of `go list -json` output the driver consumes.
+// listPackage is the subset of `go list -json` output the loader consumes.
 type listPackage struct {
 	ImportPath string
 	Dir        string
@@ -90,18 +88,21 @@ type listPackage struct {
 	Error      *struct{ Err string }
 }
 
-// Exports runs `go list -e -export -deps` over patterns and returns the
-// listed packages, with an importer that resolves any of them from the gc
-// export data the listing left in the build cache.
-func Exports(fset *token.FileSet, patterns ...string) ([]listPackage, types.Importer, error) {
+// Load runs `go list -e -export -deps` over patterns in dir ("" for the
+// current directory) and returns the module's packages among those the
+// patterns match, parsed and type-checked, with every import resolved from
+// the gc export data the listing left in the build cache. Dependencies and
+// packages outside ModulePath are listed but not returned.
+func Load(dir string, patterns ...string) ([]*Package, error) {
 	args := append([]string{"list", "-e", "-export", "-deps", "-json=ImportPath,Dir,Export,Standard,DepOnly,GoFiles,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, nil, fmt.Errorf("go list: %v", err)
+		return nil, fmt.Errorf("go list: %v", err)
 	}
-	var pkgs []listPackage
+	var targets []listPackage
 	exports := make(map[string]string) // import path -> export data file
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
@@ -109,13 +110,20 @@ func Exports(fset *token.FileSet, patterns ...string) ([]listPackage, types.Impo
 		if err := dec.Decode(&p); err == io.EOF {
 			break
 		} else if err != nil {
-			return nil, nil, fmt.Errorf("go list output: %v", err)
+			return nil, fmt.Errorf("go list output: %v", err)
+		}
+		if p.Error != nil {
+			return nil, fmt.Errorf("%s: %s", p.ImportPath, p.Error.Err)
 		}
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
-		pkgs = append(pkgs, p)
+		if _, ok := RelPath(p.ImportPath); ok && !p.DepOnly && !p.Standard {
+			targets = append(targets, p)
+		}
 	}
+
+	fset := token.NewFileSet()
 	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		file, ok := exports[path]
 		if !ok {
@@ -123,52 +131,37 @@ func Exports(fset *token.FileSet, patterns ...string) ([]listPackage, types.Impo
 		}
 		return os.Open(file)
 	})
-	return pkgs, imp, nil
+	pkgs := make([]*Package, 0, len(targets))
+	for _, p := range targets {
+		pkg := &Package{Fset: fset, Info: NewInfo(), Path: p.ImportPath}
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil,
+				parser.ParseComments|parser.SkipObjectResolution)
+			if err != nil {
+				return nil, fmt.Errorf("parse: %v", err)
+			}
+			pkg.Files = append(pkg.Files, f)
+		}
+		tcfg := types.Config{Importer: imp}
+		if pkg.Types, err = tcfg.Check(p.ImportPath, fset, pkg.Files, pkg.Info); err != nil {
+			return nil, fmt.Errorf("typecheck %s: %v", p.ImportPath, err)
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	return pkgs, nil
 }
 
 // Standalone analyzes the packages matched by patterns. Exit status: 0
 // clean, 1 operational error, 2 findings.
 func Standalone(patterns []string, analyzers []*Analyzer) int {
-	fset := token.NewFileSet()
-	pkgs, imp, err := Exports(fset, patterns...)
+	pkgs, err := Load("", patterns...)
 	if err != nil {
 		log.Print(err)
 		return 1
 	}
-	var targets []listPackage
-	for _, p := range pkgs {
-		if p.Error != nil {
-			log.Printf("%s: %s", p.ImportPath, p.Error.Err)
-			return 1
-		}
-		if _, ok := RelPath(p.ImportPath); ok && !p.DepOnly && !p.Standard {
-			targets = append(targets, p)
-		}
-	}
-
 	status := 0
-	for _, p := range targets {
-		var files []*ast.File
-		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil,
-				parser.ParseComments|parser.SkipObjectResolution)
-			if err != nil {
-				log.Printf("parse: %v", err)
-				return 1
-			}
-			files = append(files, f)
-		}
-		tcfg := types.Config{Importer: imp}
-		info := NewInfo()
-		tpkg, err := tcfg.Check(p.ImportPath, fset, files, info)
-		if err != nil {
-			log.Printf("typecheck %s: %v", p.ImportPath, err)
-			return 1
-		}
-		diags := Analyze(&Package{
-			Fset: fset, Files: files, Types: tpkg, Info: info,
-			Path: p.ImportPath,
-		}, analyzers)
+	for _, p := range pkgs {
+		diags := Analyze(p, analyzers)
 		for _, d := range diags {
 			fmt.Fprintln(os.Stderr, d)
 		}

@@ -74,6 +74,30 @@ func newSpecShuttle(ids ...msg.NodeID) *specShuttle {
 	return n
 }
 
+// changeViewWithoutLeader has followers 1 and 2 install view 1 while the
+// view-0 leader sleeps, then wakes the leader on the NEW-VIEW alone and
+// returns the rest of what it slept through.
+func (n *specShuttle) changeViewWithoutLeader(t *testing.T) []*msg.Envelope {
+	t.Helper()
+	n.live[0] = false
+	n.live[1], n.live[2] = true, true
+	n.spec[1].core.startViewChange(n.envs[1], 1)
+	n.spec[2].core.startViewChange(n.envs[2], 1)
+	n.run()
+	if v1, v2 := n.spec[1].core.View(), n.spec[2].core.View(); v1 != 1 || v2 != 1 {
+		t.Fatalf("view change did not install at the followers: views %d, %d", v1, v2)
+	}
+	n.live[0] = true
+	backlog := n.stash
+	n.stash = nil
+	for _, ev := range backlog {
+		if ev.To == 0 && ev.Kind == msg.KindNewView {
+			n.spec[0].OnEnvelope(n.envs[0], ev)
+		}
+	}
+	return backlog
+}
+
 func (r *specTestReplica) findSpec(client, clientSeq uint64) *specEvent {
 	for i := range r.specs {
 		if r.specs[i].client == client && r.specs[i].clientSeq == clientSeq {
@@ -201,29 +225,13 @@ func TestSpeculationRollbackOnViewChange(t *testing.T) {
 	// (3) The followers change view while the leader sleeps: view 1's
 	// certified prefix is built from their VIEW-CHANGE messages alone and
 	// cannot contain slot 5.
-	net.live[0] = false
-	net.live[1], net.live[2] = true, true
-	r1.core.startViewChange(env1, 1)
-	r2.core.startViewChange(net.envs[2], 1)
-	net.run()
-	if v1, v2 := r1.core.View(), r2.core.View(); v1 != 1 || v2 != 1 {
-		t.Fatalf("view change did not install at the followers: views %d, %d", v1, v2)
-	}
-
+	//
 	// (4) The leader wakes on the NEW-VIEW and must adopt it, roll back, and
 	// retract exactly the lost speculation. The rest of its sleep backlog
 	// (view-1 re-proposal PREPAREs and COMMITs) is replayed afterwards: the
 	// retraction must come from the NEW-VIEW adoption itself, not from
 	// comparing re-proposals.
-	net.live[0] = true
-	backlog := net.stash
-	net.stash = nil
-	for _, ev := range backlog {
-		if ev.To == 0 && ev.Kind == msg.KindNewView {
-			r0.OnEnvelope(env0, ev)
-		}
-	}
-
+	backlog := net.changeViewWithoutLeader(t)
 	if got := r0.core.View(); got != 1 {
 		t.Fatalf("old leader in view %d after NEW-VIEW, want 1", got)
 	}
@@ -286,6 +294,44 @@ func TestSpeculationRollbackOnViewChange(t *testing.T) {
 		}
 		if !bytes.Equal(r.core.shadow.Snapshot(), r.core.cfg.App.(*app.Store).Snapshot()) {
 			t.Errorf("replica %d shadow diverged from its durable state", id)
+		}
+	}
+}
+
+// TestSpeculationRollbackRetractsInClientOrder dooms the leader's fast
+// answers to sixteen clients at once: the rollback must retract them in
+// (client, clientSeq) order, the one order every replica agrees on, whatever
+// order they were submitted in.
+func TestSpeculationRollbackRetractsInClientOrder(t *testing.T) {
+	net := newSpecShuttle(0, 1, 2)
+	r0, env0 := net.spec[0], net.envs[0]
+	const doomed = 16
+
+	// The followers sleep, so every PREPARE exists only at the leader.
+	net.live[1], net.live[2] = false, false
+	for i := uint64(0); i < doomed; i++ {
+		r0.core.Submit(env0, &msg.OrderRequest{
+			Origin: 0, Client: 100 + i*7%doomed, ClientSeq: 1, Flags: msg.FlagFastCommit,
+			Op: []byte(fmt.Sprintf("PUT key-%02d value-%02d", i, i)),
+		})
+	}
+	net.run()
+	if len(r0.specs) != doomed {
+		t.Fatalf("leader speculated %d requests, want %d", len(r0.specs), doomed)
+	}
+	net.stash = nil // the PREPAREs are lost for good
+
+	net.changeViewWithoutLeader(t)
+	if got := r0.core.View(); got != 1 {
+		t.Fatalf("old leader in view %d after NEW-VIEW, want 1", got)
+	}
+	if len(r0.retracts) != doomed {
+		t.Fatalf("retractions = %d, want %d: %+v", len(r0.retracts), doomed, r0.retracts)
+	}
+	for i, ret := range r0.retracts {
+		if ret.client != 100+uint64(i) || ret.clientSeq != 1 {
+			t.Fatalf("retraction %d is (client %d, seq %d), want (client %d, seq 1): %+v",
+				i, ret.client, ret.clientSeq, 100+i, r0.retracts)
 		}
 	}
 }

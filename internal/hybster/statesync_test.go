@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -81,14 +82,36 @@ func TestStateFetchRetryAfterDroppedReply(t *testing.T) {
 	}
 }
 
+// judged is one message the fault judge saw.
+type judged struct {
+	now      time.Duration
+	from, to msg.NodeID
+	kind     msg.Kind
+}
+
 // TestStateFetchRotatesOnUnresponsivePeer starves the fetcher's first-choice
 // server: replica 0 never answers replica 2's state-transfer traffic (its
 // replies and chunks are dropped). The retry timer must rotate the fetch to
-// replica 1 — the other digest voter — and complete from there.
+// replica 1 — the other digest voter — and complete from there. The scenario
+// runs twice at one seed, and both runs must put the same messages on the
+// wire at the same times: the retry timer's jitter comes from the node's
+// seeded source, not from the process.
 func TestStateFetchRotatesOnUnresponsivePeer(t *testing.T) {
+	if first, second := rotateOnUnresponsivePeer(t), rotateOnUnresponsivePeer(t); !slices.Equal(first, second) {
+		t.Fatalf("two runs at one seed judged different traffic (%d and %d messages)", len(first), len(second))
+	}
+}
+
+// rotateOnUnresponsivePeer runs the scenario of
+// TestStateFetchRotatesOnUnresponsivePeer and returns every message its
+// judge saw.
+func rotateOnUnresponsivePeer(t *testing.T) []judged {
+	t.Helper()
 	cl := newCluster(t, 3, nil, opScript(40)...)
+	var trace []judged
 	dropped := 0
-	cl.net.SetFault(judgeFunc(func(_ time.Duration, from, to msg.NodeID, kind msg.Kind) faultplane.Decision {
+	cl.net.SetFault(judgeFunc(func(now time.Duration, from, to msg.NodeID, kind msg.Kind) faultplane.Decision {
+		trace = append(trace, judged{now, from, to, kind})
 		if from == 0 && to == 2 && (kind == msg.KindStateReply || kind == msg.KindStateChunk || kind == msg.KindStatePrefix) {
 			dropped++
 			return faultplane.Decision{Drop: true}
@@ -129,6 +152,7 @@ func TestStateFetchRotatesOnUnresponsivePeer(t *testing.T) {
 	if !bytes.Equal(cl.apps[1].Snapshot(), cl.apps[2].Snapshot()) {
 		t.Error("replica 2 state diverged after catch-up")
 	}
+	return trace
 }
 
 // newStateCore builds a standalone core (no simnet) with a small chunk size,

@@ -64,8 +64,6 @@ func TestEveryAnalyzerIsAimedAt(t *testing.T) {
 // lintOnly is the lint half of DESIGN.md §9.5's matrix: each mutant whose
 // only killer there is one analyzer, and that analyzer.
 var lintOnly = map[string]string{
-	"fetch-jitter-global-rand":             "determinism",
-	"spec-retractions-in-map-order":        "determinism",
 	"conn-write-holds-lock":                "lockcheck",
 	"conn-seal-writes-under-lock":          "lockcheck",
 	"gateway-close-holds-lock":             "lockcheck",

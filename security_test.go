@@ -1,14 +1,17 @@
 package troxy
 
 // Tests binding the paper's security analysis (Section VI-B) to code:
-// performance attacks on the fast-read cache, and the bypass attack where
-// the untrusted replica part talks to clients directly.
+// performance attacks on the fast-read cache, the bypass attack where the
+// untrusted replica part talks to clients directly, and a client claiming
+// another client's identity.
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"github.com/troxy-bft/troxy/internal/app"
+	"github.com/troxy-bft/troxy/internal/faultplane"
 	"github.com/troxy-bft/troxy/internal/legacyclient"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/node"
@@ -149,4 +152,60 @@ func (b *bypassAttacker) OnTimer(env node.Env, key node.TimerKey) {
 		Payload: []byte{3, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9},
 	}))
 	env.SetTimer(5*time.Millisecond, key)
+}
+
+// TestClientIdentityTakeover: clients are Byzantine too (DESIGN.md §6), so
+// a machine that claims a live client's identity through another Troxy must
+// not change what that client observes. The attacker writes x through
+// replica 0 under identity 1000; the victim, the honest owner of 1000,
+// then writes and reads x through replica 1. The victim's own history has to
+// be linearizable, and it has to finish.
+//
+// Skipped: a Troxy takes the client identity from the client's frames, so
+// the victim's write is answered from the attacker's cached reply and its
+// read returns the attacker's value (one attacker write), or it stalls
+// behind the attacker's sequence numbers (three). The fix, Troxys naming
+// the BFT clients themselves, is ROADMAP.md direction 7 (b).
+func TestClientIdentityTakeover(t *testing.T) {
+	t.Skip("a client's identity is whatever its frames claim; ROADMAP.md direction 7 (b)")
+	for _, attacks := range []int{1, 3} {
+		t.Run(fmt.Sprintf("attacker-writes=%d", attacks), func(t *testing.T) {
+			cl, net := newTestCluster(t, ETroxy, false)
+			var evil []workload.Op
+			for i := 0; i < attacks; i++ {
+				evil = append(evil, kvOps("PUT x evil")...)
+			}
+			attacker := legacyclient.New(legacyclient.Config{
+				Machine: 11, Clients: 1, FirstClientID: 1000,
+				Replicas:  []msg.NodeID{0},
+				ServerPub: cl.ServerPub,
+				Gen:       &scriptGen{ops: evil},
+				MaxOps:    len(evil), Timeout: time.Second,
+			})
+			net.Attach(11, attacker)
+			net.Run(10 * time.Second)
+			if attacker.Done() != len(evil) {
+				t.Fatalf("attacker completed %d/%d", attacker.Done(), len(evil))
+			}
+
+			hist := &faultplane.History{}
+			ops := kvOps("PUT x good", "GET x")
+			victim := legacyclient.New(legacyclient.Config{
+				Machine: 10, Clients: 1, FirstClientID: 1000,
+				Replicas:  []msg.NodeID{1},
+				ServerPub: cl.ServerPub,
+				Gen:       &scriptGen{ops: ops},
+				MaxOps:    len(ops), Timeout: time.Second,
+				Observe: hist.Observe,
+			})
+			net.Attach(10, victim)
+			net.Run(20 * time.Second)
+			if victim.Done() != len(ops) {
+				t.Fatalf("victim completed %d/%d", victim.Done(), len(ops))
+			}
+			if err := faultplane.CheckLinearizable(hist.Ops()); err != nil {
+				t.Fatalf("the victim's history is not linearizable: %v", err)
+			}
+		})
+	}
 }
