@@ -103,9 +103,10 @@ type ClusterConfig struct {
 
 	// PipelineDepth bounds how many batches the leader keeps in flight at
 	// once and lets followers vote on the whole window out of order; commit
-	// application stays in sequence order. Zero disables pipelining (one
-	// batch in flight semantics of the unpipelined protocol). All replicas
-	// must use the same value.
+	// application stays in sequence order. Zero disables pipelining: one
+	// ordering counter, strictly in-order dissemination and no in-flight
+	// limit (hybster.Config.PipelineDepth). All replicas must use the same
+	// value.
 	PipelineDepth int
 
 	// SnapshotChunkSize, StateChunkWindow and StateFetchTimeout tune

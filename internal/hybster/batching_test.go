@@ -20,6 +20,20 @@ type discardOut struct{}
 func (discardOut) Send(node.Env, msg.NodeID, msg.Message)                                      {}
 func (discardOut) Committed(node.Env, uint64, *msg.OrderRequest, []byte, []string, bool, bool) {}
 
+// countingAuthority counts the certifications that succeed through it.
+type countingAuthority struct {
+	tcounter.Authority
+	certs uint64
+}
+
+func (a *countingAuthority) Certify(counter uint32, value uint64, digest msg.Digest) (msg.CounterCert, error) {
+	cert, err := a.Authority.Certify(counter, value, digest)
+	if err == nil {
+		a.certs++
+	}
+	return cert, err
+}
+
 // certificationsWithBatchSize drives nReqs distinct client requests into a
 // stand-alone leader core and reports how many trusted-counter certifications
 // they cost, plus the core's metrics.
@@ -27,13 +41,14 @@ func certificationsWithBatchSize(t *testing.T, batchSize, nReqs int) (uint64, Me
 	t.Helper()
 	sub := tcounter.NewSubsystem(0)
 	sub.SetKey([]byte("test-counter-key"))
+	counting := &countingAuthority{Authority: tcounter.Direct{S: sub}}
 	core := New(Config{
 		Self:               0,
 		N:                  3,
 		F:                  1,
 		CheckpointInterval: 1 << 30,
 		ViewChangeTimeout:  time.Minute,
-		Authority:          tcounter.Direct{S: sub},
+		Authority:          counting,
 		App:                app.NewStore(),
 		BatchSize:          batchSize,
 		// A long delay isolates the size-based cut policy: with fakeEnv the
@@ -49,7 +64,7 @@ func certificationsWithBatchSize(t *testing.T, batchSize, nReqs int) (uint64, Me
 			Op:        []byte(fmt.Sprintf("PUT key-%d %d", i, i)),
 		})
 	}
-	return sub.Certifications(), core.Metrics()
+	return counting.certs, core.Metrics()
 }
 
 // TestBatchCertificationAmortization is the headline property of the batched

@@ -459,8 +459,8 @@ func TestForgedCertificateIsRejected(t *testing.T) {
 	}
 	honest := func(owner msg.NodeID) *tcounter.Subsystem { return keyed(owner, "test-counter-key") }
 	forge := func(owner msg.NodeID) *tcounter.Subsystem { return keyed(owner, "not-the-counter-key") }
-	viewChange := func(sub *tcounter.Subsystem, newView uint64) *ViewChange {
-		vc := &ViewChange{Replica: sub.Owner(), NewView: newView}
+	viewChange := func(owner msg.NodeID, sub *tcounter.Subsystem, newView uint64) *ViewChange {
+		vc := &ViewChange{Replica: owner, NewView: newView}
 		cert, err := sub.Certify(tcounter.ViewChangeCounter, newView, vc.CertDigest())
 		if err != nil {
 			t.Fatal(err)
@@ -526,7 +526,7 @@ func TestForgedCertificateIsRejected(t *testing.T) {
 
 	t.Run("view change", func(t *testing.T) {
 		r, _ := pipelineFollower(t, depth)
-		r.core.OnViewChange(&env, 2, viewChange(forge(2), 1))
+		r.core.OnViewChange(&env, 2, viewChange(2, forge(2), 1))
 		if got := r.core.RejectedCertsFrom(2); got != 1 {
 			t.Errorf("RejectedCertsFrom(2) = %d after a forged VIEW-CHANGE, want 1", got)
 		}
@@ -535,7 +535,7 @@ func TestForgedCertificateIsRejected(t *testing.T) {
 		}
 		// The genuine one is joined, and with this replica's own vote the
 		// replica, which leads view 1, installs it.
-		r.core.OnViewChange(&env, 2, viewChange(honest(2), 1))
+		r.core.OnViewChange(&env, 2, viewChange(2, honest(2), 1))
 		if got := r.core.View(); got != 1 {
 			t.Errorf("view %d after the genuine VIEW-CHANGE, want 1", got)
 		}
@@ -547,7 +547,7 @@ func TestForgedCertificateIsRejected(t *testing.T) {
 		core := newStateCore(2, 64<<10, 16).core
 		newView := func(leaderSub *tcounter.Subsystem) *NewView {
 			nv := &NewView{Leader: 1, View: 1, ViewChanges: []ViewChange{
-				*viewChange(honest(0), 1), *viewChange(honest(1), 1),
+				*viewChange(0, honest(0), 1), *viewChange(1, honest(1), 1),
 			}}
 			cert, err := leaderSub.Certify(tcounter.NewViewCounter, 1, nv.CertDigest())
 			if err != nil {

@@ -90,7 +90,9 @@ func connectMachine(t *testing.T, cfg Config) (*Machine, *fakeService) {
 }
 
 func channelReply(seq uint64, status uint8, result string) []byte {
-	return msg.EncodeChannelReply(&msg.ChannelReply{Seq: seq, Status: status, Result: []byte(result)})
+	w := wire.NewWriter(64)
+	(&msg.ChannelReply{Seq: seq, Status: status, Result: []byte(result)}).MarshalWire(w)
+	return w.Bytes()
 }
 
 // TestMachineConsumesCoalescedReplies: the machine decrypts every record into

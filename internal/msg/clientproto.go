@@ -82,9 +82,6 @@ func DecodeChannelRequest(b []byte) (ChannelRequest, error) {
 	return m, nil
 }
 
-// EncodeChannelReply marshals the reply frame into a buffer of its own.
-func EncodeChannelReply(m *ChannelReply) []byte { return marshalOwned(m) }
-
 // MarshalWire appends the reply frame.
 //
 //troxy:hotpath

@@ -201,7 +201,7 @@ func FuzzDecodeEnvelope(f *testing.F) {
 
 func FuzzDecodeChannelFrames(f *testing.F) {
 	f.Add(EncodeChannelRequest(&ChannelRequest{Client: 1, Seq: 2, Op: []byte("GET k")}))
-	f.Add(EncodeChannelReply(&ChannelReply{Seq: 2, Status: StatusOK, Result: []byte("v")}))
+	f.Add(marshalOwned(&ChannelReply{Seq: 2, Status: StatusOK, Result: []byte("v")}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pristine := bytes.Clone(data)
 		if req, err := DecodeChannelRequest(data); err == nil {
@@ -211,10 +211,10 @@ func FuzzDecodeChannelFrames(f *testing.F) {
 			checkView(t, "channel request", &req, data, pristine, func() []byte { return EncodeChannelRequest(&req) })
 		}
 		if rep, err := DecodeChannelReply(data); err == nil {
-			if !bytes.Equal(EncodeChannelReply(&rep), data) {
+			if !bytes.Equal(marshalOwned(&rep), data) {
 				t.Fatal("reply decode/encode mismatch")
 			}
-			checkView(t, "channel reply", &rep, data, pristine, func() []byte { return EncodeChannelReply(&rep) })
+			checkView(t, "channel reply", &rep, data, pristine, func() []byte { return marshalOwned(&rep) })
 		}
 	})
 }

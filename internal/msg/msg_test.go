@@ -211,7 +211,7 @@ func TestFastCommitFlagShapesDigest(t *testing.T) {
 func TestChannelReplyStatusRoundTrip(t *testing.T) {
 	for _, status := range []uint8{StatusOK, StatusError, StatusSpeculative, StatusRetracted} {
 		rep := &ChannelReply{Seq: 4, Status: status, Result: []byte("r")}
-		got, err := DecodeChannelReply(EncodeChannelReply(rep))
+		got, err := DecodeChannelReply(marshalOwned(rep))
 		if err != nil {
 			t.Fatalf("status %d: %v", status, err)
 		}
@@ -232,7 +232,7 @@ func TestChannelFrames(t *testing.T) {
 	}
 
 	rep := &ChannelReply{Seq: 9, Status: StatusOK, Result: []byte("v")}
-	gotRep, err := DecodeChannelReply(EncodeChannelReply(rep))
+	gotRep, err := DecodeChannelReply(marshalOwned(rep))
 	if err != nil {
 		t.Fatalf("DecodeChannelReply: %v", err)
 	}

@@ -174,9 +174,6 @@ func (m *OrderRequest) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
-// ReadOnly reports whether the read-only flag is set.
-func (m *OrderRequest) ReadOnly() bool { return m.Flags&FlagReadOnly != 0 }
-
 // FastCommit reports whether the request accepts the crash-tolerant commit
 // level (speculative PREPARE-time replies).
 func (m *OrderRequest) FastCommit() bool { return m.Flags&FlagFastCommit != 0 }

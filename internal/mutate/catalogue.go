@@ -183,6 +183,18 @@ var Catalogue = []Mutant{
 		New:   "		Op:        m.Op,\n",
 	},
 	{
+		ID: "prophecy-pending-op-is-a-view", File: "internal/prophecy/prophecy.go",
+		Fault: "the middlebox keeps a pending request's operation as a view of the record it came in, which the next record on the connection overwrites: a re-ordered request goes out with another's bytes",
+		Old:   "op:      bytes.Clone(op), // a view of the record, which the next one overwrites",
+		New:   "op:      op,",
+	},
+	{
+		ID: "handshake-failure-drops-session", File: "internal/troxy/channels.go",
+		Fault: "a failed handshake installs its nil session before the error is checked: one garbage handshake frame cuts an established connection off",
+		Old:   "		if err != nil {\n			return nil, -1, fmt.Errorf(\"%w: %v\", ErrBadChannel, err)\n		}\n		sess.sc, sess.httpBuf",
+		New:   "		if sess.sc = sc; err != nil {\n			return nil, -1, fmt.Errorf(\"%w: %v\", ErrBadChannel, err)\n		}\n		sess.sc, sess.httpBuf",
+	},
+	{
 		ID: "cache-reply-destination-unchecked", File: "internal/troxy/core.go",
 		Fault: "a cache reply addressed to another Troxy counts toward a pending fast read here that has the same query ID and operation",
 		Old:   "r.To != c.cfg.Self || ",
@@ -440,10 +452,10 @@ var Catalogue = []Mutant{
 		New:   `fmt.Errorf("%w: counter %d at %d, asked %d (key %x)",` + "\n			ErrNotMonotonic, counter, last, value, s.key)",
 	},
 	{
-		ID: "troxy-handshake-error-leaks-identity", File: "internal/troxy/core.go", Aims: []string{"secretflow"},
+		ID: "troxy-handshake-error-leaks-identity", File: "internal/troxy/channels.go", Aims: []string{"secretflow"},
 		Fault: "a failed handshake formats the service's private key into an error the host logs",
-		Old:   "			return c.out, fmt.Errorf(\"%w: %v\", ErrBadChannel, err)\n		}\n		sess.sc = sc",
-		New:   "			return c.out, fmt.Errorf(\"%w: %v (identity %x)\", ErrBadChannel, err, c.identity)\n		}\n		sess.sc = sc",
+		Old:   "			return nil, -1, fmt.Errorf(\"%w: %v\", ErrBadChannel, err)\n		}\n		sess.sc, sess.httpBuf = sc, nil",
+		New:   "			return nil, -1, fmt.Errorf(\"%w: %v (identity %x)\", ErrBadChannel, err, c.identity)\n		}\n		sess.sc, sess.httpBuf = sc, nil",
 	},
 	{
 		ID: "aead-error-leaks-session-key", File: "internal/securechannel/securechannel.go", Aims: []string{"secretflow"},
@@ -455,7 +467,7 @@ var Catalogue = []Mutant{
 		ID: "stats-ecall-leaks-identity", File: "internal/troxy/trusted.go", Aims: []string{"secretflow"},
 		Fault: "the stats ecall returns the service's private key to the host after the counters",
 		Old:   "			return encodeStats(t.core.Stats()), nil\n",
-		New:   "			return append(encodeStats(t.core.Stats()), t.core.identity...), nil\n",
+		New:   "			return append(encodeStats(t.core.Stats()), t.core.channels.identity...), nil\n",
 	},
 	{
 		ID: "core-drops-newviewrequest-case", File: "internal/hybster/core.go", Aims: []string{"exhaustive"},
@@ -479,8 +491,8 @@ var Catalogue = []Mutant{
 		ID: "tcounter-certify-ocall", File: "internal/tcounter/tcounter.go", Import: "github.com/troxy-bft/troxy/internal/realnet",
 		Aims:  []string{"boundarycheck"},
 		Fault: "the trusted counter calls out to the untrusted TCP runtime with every statement it certifies",
-		Old:   "	s.counters[counter] = value\n	s.certs++\n",
-		New:   "	s.counters[counter] = value\n	s.certs++\n	realnet.NewRouter().Send(&msg.Envelope{From: s.owner, To: s.owner, Kind: msg.KindCheckpoint, Body: digest[:]})\n",
+		Old:   "	s.counters[counter] = value\n",
+		New:   "	s.counters[counter] = value; realnet.NewRouter().Send(&msg.Envelope{From: s.owner, To: s.owner, Kind: msg.KindCheckpoint, Body: digest[:]})\n",
 	},
 	{
 		ID: "troxy-provision-ocall", File: "internal/troxy/core.go", Import: "github.com/troxy-bft/troxy/internal/realnet",
@@ -490,17 +502,17 @@ var Catalogue = []Mutant{
 		New:   "	c.tagger = NewGroupTagger(group)\n	realnet.NewRouter().Send(&msg.Envelope{From: c.cfg.Self, To: c.cfg.Self, Kind: msg.KindChannelData, Body: group})\n",
 	},
 	{
-		ID: "troxy-plaintext-ocall", File: "internal/troxy/core.go", Import: "github.com/troxy-bft/troxy/internal/realnet",
+		ID: "troxy-plaintext-ocall", File: "internal/troxy/channels.go", Import: "github.com/troxy-bft/troxy/internal/realnet",
 		Aims:  []string{"boundarycheck"},
 		Fault: "the Troxy hands every client-bound plaintext to the untrusted TCP runtime before sealing it",
-		Old:   "	sealed, err := sess.sc.AppendSeal(c.sealed, plaintext)\n",
-		New:   "	realnet.NewRouter().Send(&msg.Envelope{From: c.cfg.Self, To: sess.node, Kind: msg.KindChannelData, Body: plaintext})\n	sealed, err := sess.sc.AppendSeal(c.sealed, plaintext)\n",
+		Old:   "	dst, err := sess.sc.AppendSeal(dst, plaintext)\n",
+		New:   "	realnet.NewRouter().Send(&msg.Envelope{From: sess.node, To: sess.node, Kind: msg.KindChannelData, Body: plaintext}); dst, err := sess.sc.AppendSeal(dst, plaintext)\n",
 	},
 	{
-		ID: "troxy-plaintext-netcall", File: "internal/troxy/core.go", Import: "net",
+		ID: "troxy-plaintext-netcall", File: "internal/troxy/channels.go", Import: "net",
 		Fault: "the Troxy sends every HTTP request's plaintext out of the enclave through the standard library's UDP socket, checking the write's error",
 		Old:   "			sess.httpBuf = append(sess.httpBuf, plaintext...)\n",
-		New:   "			sess.httpBuf = append(sess.httpBuf, plaintext...)\n			if conn, err := net.Dial(\"udp\", \"127.0.0.1:9\"); err == nil {\n				_, err = conn.Write(plaintext)\n				conn.Close()\n				if err != nil {\n					return c.out, err\n				}\n			}\n",
+		New:   "			sess.httpBuf = append(sess.httpBuf, plaintext...); if conn, err := net.Dial(\"udp\", \"127.0.0.1:9\"); err == nil { _, err = conn.Write(plaintext); conn.Close(); if err != nil { return nil, opened, err } }\n",
 	},
 
 	// Allocations on annotated hot paths.

@@ -25,10 +25,10 @@ import (
 	"time"
 
 	"github.com/troxy-bft/troxy/internal/authn"
-	"github.com/troxy-bft/troxy/internal/httpfront"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/node"
 	"github.com/troxy-bft/troxy/internal/securechannel"
+	"github.com/troxy-bft/troxy/internal/troxy"
 )
 
 // Config parameterizes the middlebox.
@@ -69,14 +69,6 @@ type Stats struct {
 	Unhandled  uint64 // envelopes of a kind the middlebox does not speak
 }
 
-type session struct {
-	connID  uint64
-	nodeID  msg.NodeID
-	sc      *securechannel.Session
-	httpBuf []byte
-	nextSeq uint64
-}
-
 type pendKey struct {
 	client uint64
 	seq    uint64
@@ -100,10 +92,9 @@ const (
 // Middlebox is the Prophecy proxy node.
 type Middlebox struct {
 	cfg      Config
-	identity ed25519.PrivateKey
+	channels *troxy.Channels
 	auth     *authn.Authenticator
 
-	sessions map[uint64]*session
 	sketches map[msg.Digest]msg.Digest
 	pending  map[pendKey]*pending
 
@@ -122,9 +113,8 @@ func New(cfg Config) *Middlebox {
 	}
 	return &Middlebox{
 		cfg:      cfg,
-		identity: ed25519.NewKeyFromSeed(cfg.IdentitySeed),
+		channels: troxy.NewChannels(ed25519.NewKeyFromSeed(cfg.IdentitySeed), cfg.HTTP),
 		auth:     authn.NewAuthenticator(cfg.Self, cfg.Directory),
-		sessions: make(map[uint64]*session),
 		sketches: make(map[msg.Digest]msg.Digest),
 		pending:  make(map[pendKey]*pending),
 	}
@@ -156,64 +146,26 @@ func (m *Middlebox) onChannelData(env node.Env, e *msg.Envelope) {
 	if err != nil {
 		return
 	}
-	sess, ok := m.sessions[cd.ConnID]
-	if !ok {
-		sess = &session{connID: cd.ConnID, nodeID: e.From}
-		m.sessions[cd.ConnID] = sess
+	// The record's AEAD open is charged before its operations are routed; a
+	// frame the channel refuses is dropped, with no one to report it to.
+	var ops []msg.ChannelRequest
+	hello, opened, _ := m.channels.Receive(cd.ConnID, e.From, cd.Payload, env.Rand(), func(client, seq uint64, op []byte, _ bool) {
+		ops = append(ops, msg.ChannelRequest{Client: client, Seq: seq, Op: op})
+	})
+	if hello != nil {
+		env.Send(msg.SealChannelData(m.cfg.Self, e.From, cd.ConnID, hello))
 	}
-	sess.nodeID = e.From
-
-	if securechannel.IsHandshakeFrame(cd.Payload) {
-		sc, hello, err := securechannel.ServerHandshake(m.identity, cd.Payload, env.Rand())
-		if err != nil {
-			return
-		}
-		sess.sc = sc
-		sess.httpBuf = nil
-		m.sendToClient(env, sess, hello)
+	if opened < 0 {
 		return
 	}
-	if !sess.sc.Established() {
-		return
-	}
-	// Plain or coalesced record: one AEAD pass authenticates every sub-frame
-	// before any of them reach the cache.
-	frames, err := sess.sc.OpenFrames(nil, cd.Payload)
-	if err != nil {
-		return
-	}
-	total := 0
-	for f := range frames.All() {
-		total += len(f)
-	}
-	env.Charge(node.ProfileJava, node.ChargeAEAD, total)
-
-	if m.cfg.HTTP {
-		for plaintext := range frames.All() {
-			sess.httpBuf = append(sess.httpBuf, plaintext...)
-		}
-		for {
-			op, consumed, err := httpfront.ExtractRequest(sess.httpBuf)
-			if err != nil || op == nil {
-				return
-			}
-			sess.httpBuf = sess.httpBuf[consumed:]
-			sess.nextSeq++
-			m.handleOp(env, sess, cd.ConnID, sess.nextSeq, op)
-		}
-	}
-
-	for plaintext := range frames.All() {
-		frame, err := msg.DecodeChannelRequest(plaintext)
-		if err != nil {
-			return
-		}
-		m.handleOp(env, sess, frame.Client, frame.Seq, frame.Op)
+	env.Charge(node.ProfileJava, node.ChargeAEAD, opened)
+	for _, req := range ops {
+		m.handleOp(env, cd.ConnID, req.Client, req.Seq, req.Op)
 	}
 }
 
 // handleOp routes one client operation through the sketch cache.
-func (m *Middlebox) handleOp(env node.Env, sess *session, client, seq uint64, op []byte) {
+func (m *Middlebox) handleOp(env node.Env, connID, client, seq uint64, op []byte) {
 	m.stats.Requests++
 	read := m.cfg.Classify != nil && m.cfg.Classify(op)
 	opHash := msg.DigestOf(op)
@@ -224,9 +176,9 @@ func (m *Middlebox) handleOp(env node.Env, sess *session, client, seq uint64, op
 		return // retransmission of an in-flight request
 	}
 	p := &pending{
-		connID:  sess.connID,
+		connID:  connID,
 		opHash:  opHash,
-		op:      op,
+		op:      bytes.Clone(op), // a view of the record, which the next one overwrites
 		read:    read,
 		replies: make(map[msg.NodeID]msg.Digest),
 		results: make(map[msg.Digest][]byte),
@@ -285,10 +237,6 @@ func (m *Middlebox) sendToReplica(env node.Env, to msg.NodeID, req *msg.BFTReque
 	env.Charge(node.ProfileJava, node.ChargeMAC, len(e.Body))
 	m.auth.SealMAC(e)
 	env.Send(e)
-}
-
-func (m *Middlebox) sendToClient(env node.Env, sess *session, frame []byte) {
-	env.Send(msg.SealChannelData(m.cfg.Self, sess.nodeID, sess.connID, frame))
 }
 
 // onReply processes replica replies for both paths.
@@ -366,25 +314,17 @@ func (m *Middlebox) onReply(env node.Env, e *msg.Envelope) {
 func (m *Middlebox) finish(env node.Env, key pendKey, p *pending, result []byte) {
 	delete(m.pending, key)
 	env.CancelTimer(m.timerKey(key))
-	sess, ok := m.sessions[p.connID]
-	if !ok || !sess.sc.Established() {
-		return
-	}
-	plaintext := result
+	n := len(result)
 	if !m.cfg.HTTP {
-		plaintext = msg.EncodeChannelReply(&msg.ChannelReply{
-			Seq:    key.seq,
-			Status: msg.StatusOK,
-			Result: result,
-		})
+		n += 8 + 1 + 4 // a ChannelReply's Seq, Status and Result length
 	}
 	// The record is sealed straight into the body of the envelope it leaves in.
-	body, err := sess.sc.AppendSeal(msg.ChannelDataBody(sess.connID, securechannel.Overhead+len(plaintext)), plaintext)
-	if err != nil {
+	body, to, ok := m.channels.Seal(msg.ChannelDataBody(p.connID, securechannel.Overhead+n), p.connID, key.seq, msg.StatusOK, result)
+	if !ok {
 		return
 	}
-	env.Charge(node.ProfileJava, node.ChargeAEAD, len(plaintext))
-	env.Send(msg.ChannelDataEnvelope(m.cfg.Self, sess.nodeID, body))
+	env.Charge(node.ProfileJava, node.ChargeAEAD, n)
+	env.Send(msg.ChannelDataEnvelope(m.cfg.Self, to, body))
 }
 
 // OnTimer implements node.Handler: a stalled request is re-ordered.

@@ -1,6 +1,7 @@
 package prophecy
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"github.com/troxy-bft/troxy/internal/legacyclient"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/node"
+	"github.com/troxy-bft/troxy/internal/securechannel"
 	"github.com/troxy-bft/troxy/internal/simnet"
 	"github.com/troxy-bft/troxy/internal/workload"
 )
@@ -155,3 +157,77 @@ func (b *badReplySender) OnStart(env node.Env) {
 
 func (b *badReplySender) OnEnvelope(node.Env, *msg.Envelope) {}
 func (b *badReplySender) OnTimer(node.Env, node.TimerKey)    {}
+
+// recordingEnv is a node.Env that keeps what the middlebox sends and the
+// timers it sets.
+type recordingEnv struct {
+	sent   []*msg.Envelope
+	timers []node.TimerKey
+}
+
+func (e *recordingEnv) Self() msg.NodeID                          { return middleboxID }
+func (e *recordingEnv) Now() time.Duration                        { return 0 }
+func (e *recordingEnv) Send(m *msg.Envelope)                      { e.sent = append(e.sent, m) }
+func (e *recordingEnv) SetTimer(_ time.Duration, k node.TimerKey) { e.timers = append(e.timers, k) }
+func (e *recordingEnv) CancelTimer(node.TimerKey)                 {}
+func (e *recordingEnv) Rand() *rand.Rand                          { return rand.New(rand.NewSource(1)) }
+func (e *recordingEnv) Charge(node.Profile, node.ChargeKind, int) {}
+func (e *recordingEnv) Logf(string, ...any)                       {}
+
+// The middlebox owns the operations it keeps pending. An ordered request stays
+// pending while later records arrive on its connection, which the channel
+// decrypts into the buffer the first came in; when its timer fires it is
+// ordered again, with its own bytes.
+func TestPendingRequestKeepsItsOperation(t *testing.T) {
+	cluster, err := troxy.NewCluster(troxy.ClusterConfig{Mode: troxy.Baseline, App: app.NewBenchFactory(128), Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb := New(Config{
+		Self: middleboxID, N: 3, F: 1, Directory: cluster.Directory,
+		IdentitySeed: cluster.Directory.ServiceIdentitySeed(), Classify: benchClassifier,
+	})
+	env := &recordingEnv{}
+	deliver := func(payload []byte) {
+		mb.OnEnvelope(env, msg.Seal(100, middleboxID, &msg.ChannelData{ConnID: 1, Payload: payload}))
+	}
+	hs, hello, err := securechannel.NewClientHandshake(cluster.ServerPub, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deliver(hello)
+	cd, err := env.sent[0].OpenChannelData()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := hs.Finish(cd.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := app.BenchWrite(1, 16), app.BenchWrite(2, 16)
+	for seq, op := range [][]byte{first, second} {
+		record, err := sess.Seal(msg.EncodeChannelRequest(&msg.ChannelRequest{Client: 7, Seq: uint64(seq + 1), Op: op}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		deliver(record)
+	}
+	if len(env.timers) != 2 {
+		t.Fatalf("%d requests ordered, want 2", len(env.timers))
+	}
+
+	env.sent = nil
+	mb.OnTimer(env, env.timers[0])
+	if len(env.sent) != 3 {
+		t.Fatalf("the timeout re-sent %d requests, want one per replica", len(env.sent))
+	}
+	for _, e := range env.sent {
+		m, err := e.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if req := m.(*msg.BFTRequest); req.ClientSeq != 1 || !bytes.Equal(req.Op, first) {
+			t.Errorf("re-ordered request %d carries %q, want %q", req.ClientSeq, req.Op, first)
+		}
+	}
+}

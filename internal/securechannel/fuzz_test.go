@@ -144,7 +144,7 @@ func FuzzSessionOpen(f *testing.F) {
 	f.Add(genuine)
 	f.Add([]byte{})
 	f.Add([]byte{frameRecord, 0, 0, 0})
-	f.Add(bytes.Repeat([]byte{0xa5}, RecordSize(16)))
+	f.Add(bytes.Repeat([]byte{0xa5}, 4+16+Overhead))
 
 	f.Fuzz(func(t *testing.T, record []byte) {
 		// Fresh sessions per execution: sequence numbers advance on use,
@@ -249,7 +249,7 @@ func FuzzOpenFrames(f *testing.F) {
 	f.Add(multi)
 	f.Add([]byte{})
 	f.Add([]byte{frameCoalesced})
-	f.Add(bytes.Repeat([]byte{frameCoalesced}, RecordSize(64)))
+	f.Add(bytes.Repeat([]byte{frameCoalesced}, 4+64+Overhead))
 	for _, pt := range malformedCoalesced {
 		c, _, _ := NewClientHandshake(pub, zeroReader{})
 		sess, err := c.Finish(serverHello)

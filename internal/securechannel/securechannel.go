@@ -447,7 +447,3 @@ func newServerSession(c2s, s2c []byte) (*Session, error) {
 func IsHandshakeFrame(b []byte) bool {
 	return len(b) > 0 && (b[0] == frameClientHello || b[0] == frameServerHello)
 }
-
-// RecordSize returns the wire size of a record carrying n plaintext bytes,
-// including the transport length prefix.
-func RecordSize(n int) int { return 4 + n + Overhead }

@@ -235,17 +235,6 @@ func TestQuickSealOpen(t *testing.T) {
 	}
 }
 
-func TestRecordSize(t *testing.T) {
-	client, _ := handshake(t)
-	rec, err := client.Seal(make([]byte, 100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if RecordSize(100) != 4+len(rec) {
-		t.Errorf("RecordSize(100) = %d, want %d", RecordSize(100), 4+len(rec))
-	}
-}
-
 // sealRawCoalesced bypasses SealFrames' structural checks and seals an
 // arbitrary plaintext as a coalesced record. It models a peer that holds the
 // session keys but violates the sub-frame layout — the only way a malformed

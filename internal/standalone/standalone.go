@@ -8,10 +8,10 @@ import (
 	"crypto/ed25519"
 
 	"github.com/troxy-bft/troxy/internal/app"
-	"github.com/troxy-bft/troxy/internal/httpfront"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/node"
 	"github.com/troxy-bft/troxy/internal/securechannel"
+	"github.com/troxy-bft/troxy/internal/troxy"
 )
 
 // Config parameterizes the standalone server.
@@ -29,18 +29,10 @@ type Config struct {
 	HTTP bool
 }
 
-type session struct {
-	connID  uint64
-	nodeID  msg.NodeID
-	sc      *securechannel.Session
-	httpBuf []byte
-}
-
 // Server is the standalone service node.
 type Server struct {
 	cfg      Config
-	identity ed25519.PrivateKey
-	sessions map[uint64]*session
+	channels *troxy.Channels
 	executed uint64
 }
 
@@ -50,8 +42,7 @@ var _ node.Handler = (*Server)(nil)
 func New(cfg Config) *Server {
 	return &Server{
 		cfg:      cfg,
-		identity: ed25519.NewKeyFromSeed(cfg.IdentitySeed),
-		sessions: make(map[uint64]*session),
+		channels: troxy.NewChannels(ed25519.NewKeyFromSeed(cfg.IdentitySeed), cfg.HTTP),
 	}
 }
 
@@ -70,83 +61,38 @@ func (s *Server) OnEnvelope(env node.Env, e *msg.Envelope) {
 	if err != nil {
 		return
 	}
-	sess, ok := s.sessions[cd.ConnID]
-	if !ok {
-		sess = &session{connID: cd.ConnID, nodeID: e.From}
-		s.sessions[cd.ConnID] = sess
+	// The record's AEAD open is charged before its operations run; a frame
+	// the channel refuses is dropped, with no one to report it to.
+	var ops []msg.ChannelRequest
+	hello, opened, _ := s.channels.Receive(cd.ConnID, e.From, cd.Payload, env.Rand(), func(client, seq uint64, op []byte, _ bool) {
+		ops = append(ops, msg.ChannelRequest{Seq: seq, Op: op})
+	})
+	if hello != nil {
+		env.Send(msg.SealChannelData(s.cfg.Self, e.From, cd.ConnID, hello))
 	}
-	sess.nodeID = e.From
-
-	if securechannel.IsHandshakeFrame(cd.Payload) {
-		sc, hello, err := securechannel.ServerHandshake(s.identity, cd.Payload, env.Rand())
-		if err != nil {
-			return
-		}
-		sess.sc = sc
-		sess.httpBuf = nil
-		s.reply(env, sess, hello)
+	if opened < 0 {
 		return
 	}
-	if !sess.sc.Established() {
-		return
-	}
-	// Plain or coalesced record: one AEAD pass authenticates every sub-frame
-	// before any of them execute.
-	frames, err := sess.sc.OpenFrames(nil, cd.Payload)
-	if err != nil {
-		return
-	}
-	total := 0
-	for f := range frames.All() {
-		total += len(f)
-	}
-	env.Charge(node.ProfileJava, node.ChargeAEAD, total)
-
-	if s.cfg.HTTP {
-		for plaintext := range frames.All() {
-			sess.httpBuf = append(sess.httpBuf, plaintext...)
-		}
-		for {
-			op, consumed, err := httpfront.ExtractRequest(sess.httpBuf)
-			if err != nil || op == nil {
-				return
-			}
-			sess.httpBuf = sess.httpBuf[consumed:]
-			s.execute(env, sess, 0, op, true)
-		}
-	}
-
-	for plaintext := range frames.All() {
-		frame, err := msg.DecodeChannelRequest(plaintext)
-		if err != nil {
-			return
-		}
-		s.execute(env, sess, frame.Seq, frame.Op, false)
+	env.Charge(node.ProfileJava, node.ChargeAEAD, opened)
+	for _, req := range ops {
+		s.execute(env, cd.ConnID, req.Seq, req.Op)
 	}
 }
 
-func (s *Server) execute(env node.Env, sess *session, seq uint64, op []byte, http bool) {
+func (s *Server) execute(env node.Env, connID, seq uint64, op []byte) {
 	result := s.cfg.App.Execute(op)
 	env.Charge(node.ProfileJava, node.ChargeExec, len(op)+len(result))
 	s.executed++
 
-	plaintext := result
-	if !http {
-		plaintext = msg.EncodeChannelReply(&msg.ChannelReply{
-			Seq:    seq,
-			Status: msg.StatusOK,
-			Result: result,
-		})
+	n := len(result)
+	if !s.cfg.HTTP {
+		n += 8 + 1 + 4 // a ChannelReply's Seq, Status and Result length
 	}
 	// The record is sealed straight into the body of the envelope it leaves in.
-	body, err := sess.sc.AppendSeal(msg.ChannelDataBody(sess.connID, securechannel.Overhead+len(plaintext)), plaintext)
-	if err != nil {
+	body, to, ok := s.channels.Seal(msg.ChannelDataBody(connID, securechannel.Overhead+n), connID, seq, msg.StatusOK, result)
+	if !ok {
 		return
 	}
-	env.Charge(node.ProfileJava, node.ChargeAEAD, len(plaintext))
-	env.Send(msg.ChannelDataEnvelope(s.cfg.Self, sess.nodeID, body))
-}
-
-func (s *Server) reply(env node.Env, sess *session, frame []byte) {
-	env.Send(msg.SealChannelData(s.cfg.Self, sess.nodeID, sess.connID, frame))
+	env.Charge(node.ProfileJava, node.ChargeAEAD, n)
+	env.Send(msg.ChannelDataEnvelope(s.cfg.Self, to, body))
 }

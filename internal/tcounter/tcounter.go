@@ -94,7 +94,6 @@ type Subsystem struct {
 	key      []byte // troxy:secret certification key shared among the deployment's trusted counters
 	mac      hash.Hash
 	counters map[uint32]uint64
-	certs    uint64
 
 	// Scratch for one MAC computation, under mu: what is handed to a
 	// hash.Hash leaves the stack, so a certificate's input and a
@@ -115,7 +114,6 @@ func (s *Subsystem) Reset() {
 	s.key = nil
 	s.mac = nil
 	s.counters = make(map[uint32]uint64)
-	s.certs = 0
 }
 
 // SetKey installs the certification secret (from provisioning).
@@ -127,9 +125,6 @@ func (s *Subsystem) SetKey(key []byte) {
 	s.key = k
 	s.mac = hmac.New(sha256.New, k)
 }
-
-// Owner returns the replica this subsystem belongs to.
-func (s *Subsystem) Owner() msg.NodeID { return s.owner }
 
 // certInputLen is the length of the byte string a certificate's MAC covers.
 const certInputLen = 4 + len("tcounter-cert") + 4 + 4 + 8 + sha256.Size
@@ -166,7 +161,6 @@ func (s *Subsystem) Certify(counter uint32, value uint64, digest msg.Digest) (ms
 		return msg.CounterCert{}, fmt.Errorf("%w: first value must be positive", ErrNotMonotonic)
 	}
 	s.counters[counter] = value
-	s.certs++
 
 	s.feed(s.owner, counter, value, digest)
 	return msg.CounterCert{
@@ -194,15 +188,6 @@ func (s *Subsystem) Value(counter uint32) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.counters[counter]
-}
-
-// Certifications returns the number of successful Certify calls since the
-// last Reset. Batching tests assert amortization against this counter: one
-// certification must cover a whole batch.
-func (s *Subsystem) Certifications() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.certs
 }
 
 // Authority is the interface through which protocol code (which runs in the

@@ -22,7 +22,6 @@ func BenchmarkAllocGate(b *testing.B) {
 	req := cc.request(b, core, 0, "PUT k v", false).Submits[0]
 	req.Op = append([]byte(nil), req.Op...) // a view of the record it came in
 	key := voteKey{client: req.Client, clientSeq: req.ClientSeq}
-	sess := core.sessions[cc.connID]
 	delete(core.votes, key)
 
 	// The fast-read cache under churn: a result installed again is a touch, and
@@ -62,7 +61,7 @@ func BenchmarkAllocGate(b *testing.B) {
 	})
 
 	testutil.AllocGate(b, "RegisterVote", 1, func() {
-		core.registerVote(sess, key, msg.Digest{}, req.Op, false, false)
+		core.registerVote(cc.connID, key, msg.Digest{}, req.Op, false, false)
 		delete(core.votes, key)
 	})
 
@@ -87,7 +86,7 @@ func BenchmarkAllocGate(b *testing.B) {
 	// sealed into the Core's scratch) and recycled, and the late third dropped
 	// after its tag check.
 	testutil.AllocGate(b, "VoteOverThreeReplies", 0, func() {
-		core.registerVote(sess, key, msg.Digest{}, req.Op, false, false)
+		core.registerVote(cc.connID, key, msg.Digest{}, req.Op, false, false)
 		for _, rep := range replies {
 			if _, err := core.HandleReply(0, rep); err != nil {
 				b.Fatal(err)

@@ -30,7 +30,6 @@ import (
 	"sort"
 	"time"
 
-	"github.com/troxy-bft/troxy/internal/httpfront"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/securechannel"
 	"github.com/troxy-bft/troxy/internal/wire"
@@ -158,15 +157,6 @@ type Stats struct {
 	Cache          CacheStats
 }
 
-type session struct {
-	connID uint64
-	// node is where frames for this connection are sent.
-	node    msg.NodeID
-	sc      *securechannel.Session
-	httpBuf []byte
-	nextSeq uint64
-}
-
 type voteKey struct {
 	client    uint64
 	clientSeq uint64
@@ -286,11 +276,10 @@ type Core struct {
 	rng           *rand.Rand
 	handshakeRand io.Reader
 
-	identity ed25519.PrivateKey
+	channels *Channels
 	tagger   *GroupTagger
 
-	sessions map[uint64]*session
-	votes    map[voteKey]*voteState
+	votes map[voteKey]*voteState
 	// queries and queryOf index the fast reads in flight, by QueryID and by
 	// request, in step with each other. Their bound: one entry each per fast
 	// read in flight — a request has at most one (handleOperation) — and
@@ -303,17 +292,14 @@ type Core struct {
 	queryOf  map[voteKey]uint64
 	queryCtr uint64
 
-	// plain is where a client record is decrypted: the operations of one
-	// HandleClientData are views of it until the next one overwrites it.
-	plain []byte
 	// others is chooseReplicas' shuffle space.
 	others []msg.NodeID
 
 	// out is what the call in progress returns, and sealed (client records
 	// and group tags, one behind the other), queryMsgs and replyMsgs the
-	// memory it points into. Like plain they are reused: what a call returns
-	// is valid until the Core's next call, and the binding makes the copy
-	// the host keeps (the boundary's copy-out, or the same append in process).
+	// memory it points into. Like the record plaintext they are reused: what
+	// a call returns is valid until the Core's next call, and the binding makes
+	// the copy the host keeps (the boundary's copy-out, or in process append).
 	out       Actions
 	sealed    []byte
 	queryMsgs []msg.CacheQuery
@@ -355,13 +341,11 @@ func (c *Core) Reset() {
 	} else {
 		c.handshakeRand = rand.New(rand.NewSource(c.cfg.Seed ^ 0x7477726f7879)) // "troxy"
 	}
-	c.identity = nil
+	c.channels = NewChannels(nil, c.cfg.HTTP)
 	c.tagger = nil
-	c.sessions = make(map[uint64]*session)
 	c.votes = make(map[voteKey]*voteState)
 	c.queries = make(map[uint64]*queryState)
 	c.queryOf = make(map[voteKey]uint64)
-	c.plain = nil
 	c.out, c.sealed, c.queryMsgs, c.replyMsgs = Actions{}, nil, nil, nil
 	c.freeVotes, c.freeQueries = nil, nil
 	c.cache = NewCache(c.cfg.CacheCapacity)
@@ -379,13 +363,13 @@ func (c *Core) ProvisionSecrets(secrets map[string][]byte) error {
 	if !ok || len(group) == 0 {
 		return fmt.Errorf("%w: missing %s", ErrNotProvisioned, SecretGroup)
 	}
-	c.identity = ed25519.NewKeyFromSeed(seed)
+	c.channels.identity = ed25519.NewKeyFromSeed(seed)
 	c.tagger = NewGroupTagger(group)
 	return nil
 }
 
 // Provisioned reports whether secrets are installed.
-func (c *Core) Provisioned() bool { return c.identity != nil && c.tagger != nil }
+func (c *Core) Provisioned() bool { return c.channels.identity != nil && c.tagger != nil }
 
 // Stats returns a snapshot of the counters.
 func (c *Core) Stats() Stats {
@@ -397,12 +381,12 @@ func (c *Core) Stats() Stats {
 
 // AcceptConn registers a client connection handled by this replica.
 func (c *Core) AcceptConn(connID uint64, node msg.NodeID) {
-	c.sessions[connID] = &session{connID: connID, node: node}
+	c.channels.sessions[connID] = &session{node: node}
 }
 
 // CloseConn drops a client connection's session state.
 func (c *Core) CloseConn(connID uint64) {
-	delete(c.sessions, connID)
+	delete(c.channels.sessions, connID)
 }
 
 const (
@@ -482,79 +466,23 @@ func (c *Core) endQuery(id uint64, qs *queryState) {
 	give(&c.freeQueries, qs)
 }
 
-// HandleClientData processes opaque bytes received on a client connection:
-// handshake frames establish the secure channel; records are decrypted and
-// parsed into operations, which either hit the fast-read path or are
-// submitted for ordering. A record is decrypted into a buffer the Core reuses,
-// and the operations of the returned Submits are views of it; like everything
-// a Core call returns, they are valid until the Core's next call.
+// HandleClientData processes bytes received on a client connection
+// (Channels.Receive): each operation of a record hits the fast-read path or is
+// submitted for ordering. The operations of the returned Submits are views of
+// the channels' plaintext: like all a Core call returns, valid until its next.
 func (c *Core) HandleClientData(now time.Duration, connID uint64, from msg.NodeID, payload []byte) (Actions, error) {
 	c.begin()
 	if !c.Provisioned() {
 		return c.out, ErrNotProvisioned
 	}
-	sess, ok := c.sessions[connID]
-	if !ok {
-		sess = &session{connID: connID, node: from}
-		c.sessions[connID] = sess
-	}
-	sess.node = from
-
-	if securechannel.IsHandshakeFrame(payload) {
-		sc, serverHello, err := securechannel.ServerHandshake(c.identity, payload, c.handshakeRand)
-		if err != nil {
-			return c.out, fmt.Errorf("%w: %v", ErrBadChannel, err)
-		}
-		sess.sc = sc
-		sess.httpBuf = nil
+	hello, _, err := c.channels.Receive(connID, from, payload, c.handshakeRand, func(client, seq uint64, op []byte, fast bool) {
+		c.handleOperation(now, connID, client, seq, op, fast)
+	})
+	if hello != nil {
 		c.stats.Handshakes++
-		c.out.Client = append(c.out.Client, ClientRecord{ConnID: connID, Node: sess.node, Frame: serverHello})
-		return c.out, nil
+		c.out.Client = append(c.out.Client, ClientRecord{ConnID: connID, Node: from, Frame: hello})
 	}
-
-	if !sess.sc.Established() {
-		return c.out, fmt.Errorf("%w: record before handshake", ErrBadChannel)
-	}
-	// A record may be plain or coalesced (a batch of sub-frames sealed under
-	// one AES-GCM pass by the specialized transport); either way the whole
-	// record authenticates before any sub-frame is processed.
-	frames, err := sess.sc.OpenFrames(c.plain, payload)
-	if err != nil {
-		return c.out, fmt.Errorf("%w: %v", ErrBadChannel, err)
-	}
-	c.plain = frames.Scratch()
-
-	if c.cfg.HTTP {
-		for plaintext := range frames.All() {
-			sess.httpBuf = append(sess.httpBuf, plaintext...)
-		}
-		for {
-			op, consumed, err := httpfront.ExtractRequest(sess.httpBuf)
-			if err != nil {
-				return c.out, fmt.Errorf("%w: %v", ErrBadChannel, err)
-			}
-			if op == nil {
-				break
-			}
-			sess.httpBuf = sess.httpBuf[consumed:]
-			sess.nextSeq++
-			// HTTP connections have no protocol-level client identity; the
-			// connection ID serves as one (a reconnect is a new client, as
-			// it is for a plain web server). The commit level rides on a
-			// request header because there is no frame to flag.
-			c.handleOperation(now, sess, connID, sess.nextSeq, op, httpfront.FastCommit(op))
-		}
-		return c.out, nil
-	}
-
-	for plaintext := range frames.All() {
-		frame, err := msg.DecodeChannelRequest(plaintext)
-		if err != nil {
-			return c.out, fmt.Errorf("%w: %v", ErrBadChannel, err)
-		}
-		c.handleOperation(now, sess, frame.Client, frame.Seq, frame.Op, frame.Flags&msg.FlagFastCommit != 0)
-	}
-	return c.out, nil
+	return c.out, err
 }
 
 // handleOperation routes one client operation, adding what it takes to the
@@ -563,7 +491,7 @@ func (c *Core) HandleClientData(now time.Duration, connID uint64, from msg.NodeI
 // answers (a speculative reply ahead of the durable quorum) — the fast-read
 // cache path is untouched, since its answers are already backed by durable
 // execution.
-func (c *Core) handleOperation(now time.Duration, sess *session, client, clientSeq uint64, op []byte, fast bool) {
+func (c *Core) handleOperation(now time.Duration, connID, client, clientSeq uint64, op []byte, fast bool) {
 	c.stats.Requests++
 
 	read := c.cfg.Classify != nil && c.cfg.Classify(op)
@@ -587,7 +515,7 @@ func (c *Core) handleOperation(now time.Duration, sess *session, client, clientS
 		// retransmission: it goes to ordering, and the round goes on.
 		if _, pending := c.queryOf[key]; !pending {
 			if reply, replyHash := c.cache.GetDigest(opHash); reply != nil {
-				c.startFastRead(now, sess, key, opHash, op, reply, replyHash)
+				c.startFastRead(now, connID, key, opHash, op, reply, replyHash)
 				return
 			}
 			c.stats.CacheMisses++
@@ -595,7 +523,7 @@ func (c *Core) handleOperation(now time.Duration, sess *session, client, clientS
 		}
 	}
 
-	c.out.Submits = append(c.out.Submits, c.registerVote(sess, key, opHash, op, read, fast))
+	c.out.Submits = append(c.out.Submits, c.registerVote(connID, key, opHash, op, read, fast))
 }
 
 // registerVote creates the voter state for an ordered request — a vote from
@@ -604,7 +532,7 @@ func (c *Core) handleOperation(now time.Duration, sess *session, client, clientS
 // The returned request's Op is op itself — a view of the record's plaintext
 // or of a fast read's storage, valid for this call: it leaves through
 // Actions, which the binding copies on the way out.
-func (c *Core) registerVote(sess *session, key voteKey, opHash msg.Digest, op []byte, read, fast bool) msg.OrderRequest {
+func (c *Core) registerVote(connID uint64, key voteKey, opHash msg.Digest, op []byte, read, fast bool) msg.OrderRequest {
 	flags := uint8(0)
 	if read {
 		flags = msg.FlagReadOnly
@@ -620,11 +548,11 @@ func (c *Core) registerVote(sess *session, key voteKey, opHash msg.Digest, op []
 		Op:        op,
 	}
 	if vs, ok := c.votes[key]; ok {
-		vs.connID = sess.connID // reconnects move the reply route
+		vs.connID = connID // reconnects move the reply route
 		return req
 	}
 	vs := take(&c.freeVotes)
-	vs.connID = sess.connID
+	vs.connID = connID
 	vs.reqDigest = req.Digest()
 	vs.opHash = opHash
 	vs.read = read
@@ -637,7 +565,7 @@ func (c *Core) registerVote(sess *session, key voteKey, opHash msg.Digest, op []
 // startFastRead begins the remote-confirmation round for a locally cached
 // read (check_cache in Figure 4): a fast read from the free list when there is
 // one, and its cache queries in the call's scratch.
-func (c *Core) startFastRead(now time.Duration, sess *session, key voteKey, opHash msg.Digest, op []byte, reply []byte, replyHash msg.Digest) {
+func (c *Core) startFastRead(now time.Duration, connID uint64, key voteKey, opHash msg.Digest, op []byte, reply []byte, replyHash msg.Digest) {
 	c.queryCtr++
 	id := c.queryCtr
 	qs := take(&c.freeQueries)
@@ -645,7 +573,7 @@ func (c *Core) startFastRead(now time.Duration, sess *session, key voteKey, opHa
 	// storage it then replaces.
 	*qs = queryState{
 		started:   now,
-		connID:    sess.connID,
+		connID:    connID,
 		key:       key,
 		opHash:    opHash,
 		reply:     reply,
@@ -970,30 +898,16 @@ func (c *Core) HandleRetract(client, clientSeq, slotSeq, view uint64) (Actions, 
 	return c.out, nil
 }
 
-// sealToClient encrypts a result for the client connection, into the call's
-// scratch, and adds the record to the call's actions; a connection that is
-// gone gets nothing. HTTP sessions receive the raw result bytes (the status is
-// a framing concept HTTP cannot carry; callers suppress redundant frames
-// instead); generic sessions a ChannelReply frame carrying status.
+// sealToClient seals a reply into the call's scratch and adds the record to
+// the call's actions (Channels.Seal; HTTP callers suppress redundant frames).
 func (c *Core) sealToClient(connID, clientSeq uint64, status uint8, result []byte) {
-	sess, ok := c.sessions[connID]
-	if !ok || !sess.sc.Established() {
-		return
-	}
-	plaintext := result
-	if !c.cfg.HTTP {
-		w := wire.GetWriter()
-		defer wire.PutWriter(w) // sealing copies the plaintext into the record
-		(&msg.ChannelReply{Seq: clientSeq, Status: status, Result: result}).MarshalWire(w)
-		plaintext = w.Bytes()
-	}
 	start := len(c.sealed)
-	sealed, err := sess.sc.AppendSeal(c.sealed, plaintext)
-	if err != nil {
+	sealed, node, ok := c.channels.Seal(c.sealed, connID, clientSeq, status, result)
+	if !ok {
 		return
 	}
 	c.sealed = sealed
-	c.out.Client = append(c.out.Client, ClientRecord{ConnID: connID, Node: sess.node, Frame: sealed[start:len(sealed):len(sealed)]})
+	c.out.Client = append(c.out.Client, ClientRecord{ConnID: connID, Node: node, Frame: sealed[start:len(sealed):len(sealed)]})
 }
 
 // HandleCacheQuery answers a remote Troxy's fast-read confirmation request
@@ -1088,14 +1002,10 @@ func (c *Core) HandleCacheReply(now time.Duration, r *msg.CacheReply) (Actions, 
 func (c *Core) fallbackQuery(now time.Duration, id uint64, qs *queryState) {
 	c.stats.FastReadFell++
 	c.monitor.Record(now, true)
-	sess, ok := c.sessions[qs.connID]
-	if !ok {
-		sess = &session{connID: qs.connID}
-	}
 	// Fallbacks stay on the durable tier: the fast-read attempt already cost
 	// one round trip, and a read served from the cache machinery must never
 	// weaken into a speculative answer.
-	c.out.Submits = append(c.out.Submits, c.registerVote(sess, qs.key, qs.opHash, qs.fallback.Op, true, false))
+	c.out.Submits = append(c.out.Submits, c.registerVote(qs.connID, qs.key, qs.opHash, qs.fallback.Op, true, false))
 	c.endQuery(id, qs)
 }
 

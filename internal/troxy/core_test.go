@@ -159,7 +159,7 @@ func TestWriteVoteCompletesAtQuorum(t *testing.T) {
 		t.Fatalf("submits = %d", len(acts.Submits))
 	}
 	req := acts.Submits[0]
-	if req.ReadOnly() {
+	if req.Flags&msg.FlagReadOnly != 0 {
 		t.Error("write classified read-only")
 	}
 
@@ -651,8 +651,23 @@ func TestResetWipesEverything(t *testing.T) {
 	if core.Provisioned() {
 		t.Error("reset core still provisioned")
 	}
-	if len(core.sessions) != 0 || len(core.votes) != 0 || core.cache.Stats().Entries != 0 {
+	if len(core.channels.sessions) != 0 || len(core.votes) != 0 || core.cache.Stats().Entries != 0 {
 		t.Error("reset left volatile state behind")
+	}
+}
+
+// A handshake frame that fails leaves the connection's session as it was: one
+// garbage frame on an established connection must not cut it off. The Troxy,
+// the standalone server and the Prophecy middlebox all terminate channels
+// through Channels, so all three keep this rule.
+func TestFailedHandshakeKeepsSession(t *testing.T) {
+	core, pub, _ := newTestCore(t, false)
+	cc := openChannel(t, core, pub, 1, 100)
+	if _, err := core.HandleClientData(0, cc.connID, 90, []byte{1, 2, 3}); !errors.Is(err, ErrBadChannel) {
+		t.Fatalf("garbage handshake frame: %v, want ErrBadChannel", err)
+	}
+	if acts := cc.request(t, core, 0, "PUT k v", false); len(acts.Submits) != 1 {
+		t.Fatalf("the next record produced %d submits, want 1", len(acts.Submits))
 	}
 }
 
@@ -700,7 +715,7 @@ func TestMaliciousClientCannotPoisonCacheViaFlags(t *testing.T) {
 		t.Fatal("lying request not ordered")
 	}
 	req := acts.Submits[0]
-	if req.ReadOnly() {
+	if req.Flags&msg.FlagReadOnly != 0 {
 		t.Fatal("Troxy trusted the client's read-only flag")
 	}
 	core.HandleReply(0, makeReply(tagger, 1, req, "OK", []string{"k"}))

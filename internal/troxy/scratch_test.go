@@ -76,7 +76,7 @@ func poisonScratch(c *Core) {
 	junk := bytes.Repeat([]byte{0xA5}, 40)
 	var digest msg.Digest
 	copy(digest[:], junk)
-	fill(c.plain, 0xA5)
+	fill(c.channels.plain, 0xA5)
 	fill(c.sealed, 0xA5)
 	query := msg.CacheQuery{From: 0x5A5A5A5A, To: 0x5A5A5A5A, QueryID: 0xA5A5A5A5, ReqDigest: digest, Tag: junk}
 	fill(c.queryMsgs, query)
