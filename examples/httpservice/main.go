@@ -27,6 +27,7 @@ import (
 	"github.com/troxy-bft/troxy/internal/legacyclient"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/realnet"
+	itroxy "github.com/troxy-bft/troxy/internal/troxy"
 )
 
 func main() {
@@ -110,7 +111,18 @@ func run() error {
 	}
 
 	// The POST above was ordered and executed by all replicas: their page
-	// stores hold identical state.
+	// stores hold identical state. A reply needs only f+1 of them, so wait
+	// for the last to execute as many requests (each costs its Troxy one
+	// authenticate-reply ecall; enclave counters are safe to read while it
+	// runs), then stop the router: a replica's application belongs to its
+	// handler goroutine while the router runs.
+	executed := func(i int) uint64 { return cluster.Enclaves[i].Stats().ECalls[itroxy.ECallAuthReply] }
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if executed(0) == executed(1) && executed(1) == executed(2) {
+			break
+		}
+	}
+	router.Close()
 	fmt.Println()
 	probe := []byte("GET /notes.html HTTP/1.1\r\nHost: probe\r\n\r\n")
 	for i := 0; i < 3; i++ {

@@ -15,10 +15,10 @@
 //     copies but does not allocate. Troxy registers a fixed table of 14
 //     ecalls.
 //   - Transition accounting: every ecall increments transition counters and
-//     reports the copied byte volume to an optional hook. The discrete-event
-//     simulator charges the calibrated SGX transition cost through this hook,
-//     which is what makes the ctroxy (no enclave) versus etroxy (enclave)
-//     distinction of the evaluation reproducible.
+//     reports the copied byte volume to an optional hook. The caller charges
+//     the calibrated SGX transition cost (troxy.Binding: node.ChargeTransition
+//     per ecall), which is what makes the ctroxy (no enclave) versus etroxy
+//     (enclave) distinction of the evaluation reproducible.
 //   - EPC accounting: the Enclave Page Cache is limited (128 MiB on the
 //     paper's hardware); allocations are tracked and usage beyond the limit
 //     reports paging pressure that the simulator translates into latency.
@@ -105,9 +105,9 @@ type Definition struct {
 	EPCLimit int64
 }
 
-// TransitionHook observes enclave boundary crossings. The simulator installs
-// one to charge transition and buffer-copy costs; the real runtime leaves it
-// nil. copiedBytes is the total volume defensively copied for the call.
+// TransitionHook observes enclave boundary crossings; copiedBytes is the
+// volume defensively copied for the call. Both runtimes launch with none: the
+// ecall's caller charges the transition cost (troxy.Binding.call).
 type TransitionHook func(ecall string, copiedBytes int)
 
 // Trusted is the code that runs inside an enclave. A handler's argument is

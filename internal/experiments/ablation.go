@@ -80,7 +80,7 @@ func Ablation(opt Options) []*Table {
 			label = "broadcast requests (x N uplink)"
 		}
 		opt.progress("ablation: BL %s ...", label)
-		res := runMicroBaselineBroadcast(microConfig{
+		res := runMicro(microConfig{
 			mode:           root.Baseline,
 			readRatio:      0,
 			reqSize:        4096,
@@ -90,20 +90,9 @@ func Ablation(opt Options) []*Table {
 			warmup:         warmup,
 			measure:        measure,
 			seed:           opt.seed(),
-		}, broadcast)
+			broadcast:      broadcast,
+		})
 		bcastTable.AddRow(label, kops(res.OpsPerSec), ms(res.Mean))
 	}
 	return []*Table{cacheTable, bcastTable}
 }
-
-// runMicroBaselineBroadcast is runMicro with the baseline client's broadcast
-// flag exposed; kept separate so the main harness stays paper-faithful.
-func runMicroBaselineBroadcast(cfg microConfig, broadcast bool) microResult {
-	prev := benchBroadcast
-	benchBroadcast = broadcast
-	defer func() { benchBroadcast = prev }()
-	return runMicro(cfg)
-}
-
-// benchBroadcast is consulted by runMicro when building baseline clients.
-var benchBroadcast = false

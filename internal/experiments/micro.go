@@ -27,6 +27,7 @@ type microConfig struct {
 	monitorOff     bool // disable the conflict monitor (fig10 "fast read" bar)
 	fullReplies    bool // base cache-exchange variant (full entries, no hash opt)
 	readOpt        bool // baseline: PBFT-like direct reads
+	broadcast      bool // baseline: clients send each request to every replica
 	clientsPerMach int
 	warmup         time.Duration
 	measure        time.Duration
@@ -178,7 +179,7 @@ func runMicro(cfg microConfig) microResult {
 				Gen:           gen,
 				Rec:           rec,
 				ReadOpt:       cfg.readOpt,
-				Broadcast:     benchBroadcast,
+				Broadcast:     cfg.broadcast,
 				Timeout:       10 * time.Second,
 			})
 			bcms = append(bcms, bc)

@@ -147,7 +147,7 @@ func TestSimnetFaultHook(t *testing.T) {
 		recv := &echoNode{}
 		net.Attach(2, recv)
 		net.Attach(1, &burstNode{to: 2, n: 10})
-		net.RunUntilIdle()
+		net.Run(time.Hour)
 		return net.Stats()
 	}
 

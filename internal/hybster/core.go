@@ -517,9 +517,6 @@ func (c *Core) Leader(view uint64) msg.NodeID { return msg.NodeID(view % uint64(
 // IsLeader reports whether this replica leads the current view.
 func (c *Core) IsLeader() bool { return c.Leader(c.view) == c.cfg.Self }
 
-// InViewChange reports whether a view change is in progress.
-func (c *Core) InViewChange() bool { return c.inVC }
-
 // LastExecuted returns the highest executed sequence number.
 func (c *Core) LastExecuted() uint64 { return c.lastExec }
 

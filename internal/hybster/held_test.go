@@ -322,7 +322,7 @@ func TestViewChangeRedrivesTheRequestsSubmitKept(t *testing.T) {
 
 	h.core.Submit(&env, watchedReq) // forwarded to replica 0, which never answers
 	h.core.startViewChange(&env, 1)
-	if !h.core.InViewChange() {
+	if !h.core.inVC {
 		t.Fatal("the replica did not join the view change")
 	}
 	h.core.Submit(&env, queuedReq)

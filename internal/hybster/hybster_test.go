@@ -328,7 +328,7 @@ func TestViewChangeOnLeaderCrash(t *testing.T) {
 		if v := cl.replicas[i].core.View(); v == 0 {
 			t.Errorf("replica %d still in view 0", i)
 		}
-		if cl.replicas[i].core.InViewChange() {
+		if cl.replicas[i].core.inVC {
 			t.Errorf("replica %d stuck in view change", i)
 		}
 	}

@@ -530,7 +530,7 @@ func TestForgedCertificateIsRejected(t *testing.T) {
 		if got := r.core.RejectedCertsFrom(2); got != 1 {
 			t.Errorf("RejectedCertsFrom(2) = %d after a forged VIEW-CHANGE, want 1", got)
 		}
-		if len(r.core.vcs[1]) != 0 || r.core.InViewChange() || r.core.View() != 0 {
+		if len(r.core.vcs[1]) != 0 || r.core.inVC || r.core.View() != 0 {
 			t.Fatalf("a forged VIEW-CHANGE was recorded (%d votes) or joined (view %d)", len(r.core.vcs[1]), r.core.View())
 		}
 		// The genuine one is joined, and with this replica's own vote the

@@ -79,11 +79,6 @@ type specRecord struct {
 	req    *msg.OrderRequest
 }
 
-// SpecFrontier returns the highest sequence number executed against the
-// shadow (>= LastExecuted; equal when speculation is disabled or fully
-// rolled back).
-func (c *Core) SpecFrontier() uint64 { return c.specExec }
-
 // advanceSpec runs the contiguous prepared prefix above the speculation
 // frontier through the shadow. Called after every point that can extend the
 // prefix (PREPARE acceptance, leader proposal, rollback re-anchoring) and

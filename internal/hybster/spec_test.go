@@ -158,7 +158,7 @@ func TestSpeculationRollbackOnViewChange(t *testing.T) {
 	// Every replica speculated the fast request: the leader at proposal time
 	// (vouching with its PREPARE certificate), the followers at PREPARE
 	// acceptance (vouching with their COMMIT certificates) — and the fast
-	// answer must never lag the durable one (SpecFrontier >= LastExecuted).
+	// answer must never lag the durable one (specExec >= LastExecuted).
 	for id, r := range net.spec {
 		ev := r.findSpec(7, 4)
 		if ev == nil {
@@ -171,9 +171,9 @@ func TestSpeculationRollbackOnViewChange(t *testing.T) {
 		if m.SpecConfirmed != 1 || m.SpecRetractions != 0 {
 			t.Fatalf("replica %d settle metrics: %+v", id, m)
 		}
-		if r.core.SpecFrontier() < r.core.LastExecuted() {
+		if r.core.specExec < r.core.LastExecuted() {
 			t.Fatalf("replica %d spec frontier %d behind durable %d",
-				id, r.core.SpecFrontier(), r.core.LastExecuted())
+				id, r.core.specExec, r.core.LastExecuted())
 		}
 	}
 
@@ -217,7 +217,7 @@ func TestSpeculationRollbackOnViewChange(t *testing.T) {
 	if ev := r0.findSpec(7, 5); ev == nil {
 		t.Fatal("leader did not speculate the doomed request")
 	}
-	if f, d := r0.core.SpecFrontier(), r0.core.LastExecuted(); f != 5 || d != 4 {
+	if f, d := r0.core.specExec, r0.core.LastExecuted(); f != 5 || d != 4 {
 		t.Fatalf("leader frontier/durable = %d/%d, want 5/4", f, d)
 	}
 	net.stash = nil // the PREPAREs are lost for good
@@ -252,7 +252,7 @@ func TestSpeculationRollbackOnViewChange(t *testing.T) {
 	if m.SpecDivergences != 0 {
 		t.Errorf("SpecDivergences = %d, want 0 (rollback is not divergence)", m.SpecDivergences)
 	}
-	if f, d := r0.core.SpecFrontier(), r0.core.LastExecuted(); f != d || d != 4 {
+	if f, d := r0.core.specExec, r0.core.LastExecuted(); f != d || d != 4 {
 		t.Fatalf("shadow not rewound to the certified prefix: frontier/durable = %d/%d, want 4/4", f, d)
 	}
 

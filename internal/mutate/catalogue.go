@@ -394,17 +394,23 @@ var Catalogue = []Mutant{
 	},
 	{
 		ID: "gateway-close-holds-lock", File: "internal/realnet/tcp.go", Aims: []string{"lockcheck"},
-		Fault: "Gateway.Close closes client sockets under g.mu, which accept and teardown contend on",
-		Old: `	g.mu.Unlock()
+		Fault: "the Bridge and Gateway teardown closes live sockets under mu, which accept and teardown contend on",
+		Old: `	s.mu.Unlock()
+	for _, l := range listeners {
+		l.Close()
+	}
 	for _, conn := range conns {
 		conn.Close()
 	}
-	if l != nil {`,
+`,
 		New: `	for _, conn := range conns {
 		conn.Close()
 	}
-	g.mu.Unlock()
-	if l != nil {`,
+	s.mu.Unlock()
+	for _, l := range listeners {
+		l.Close()
+	}
+`,
 	},
 	{
 		ID: "conn-seal-writes-under-lock", File: "internal/legacyclient/conn.go", Aims: []string{"lockcheck"},
@@ -429,7 +435,7 @@ var Catalogue = []Mutant{
 		Fault: "the gateway queues a client-bound frame whose encoding failed",
 		Old: `	if err := wire.AppendFramePayload(w, cd.Payload); err != nil {
 		wire.PutWriter(w)
-		h.gw.sendFailures.Add(1)
+		h.ring.stats.drops.Add(1)
 		return
 	}
 `,

@@ -27,7 +27,7 @@ import (
 	"github.com/troxy-bft/troxy/internal/authn"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/node"
-	"github.com/troxy-bft/troxy/internal/securechannel"
+	"github.com/troxy-bft/troxy/internal/standalone"
 	"github.com/troxy-bft/troxy/internal/troxy"
 )
 
@@ -54,9 +54,6 @@ type Config struct {
 	// Timeout bounds ordered requests and speculative reads before
 	// retransmission (zero: 1s).
 	Timeout time.Duration
-
-	// MaxSketches bounds the sketch cache (zero: 1<<20 entries).
-	MaxSketches int
 }
 
 // Stats counts middlebox events.
@@ -87,6 +84,9 @@ type pending struct {
 
 const (
 	timerOp = "prophecy/op"
+
+	// maxSketches bounds the sketch cache.
+	maxSketches = 1 << 20
 )
 
 // Middlebox is the Prophecy proxy node.
@@ -107,9 +107,6 @@ var _ node.Handler = (*Middlebox)(nil)
 func New(cfg Config) *Middlebox {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = time.Second
-	}
-	if cfg.MaxSketches <= 0 {
-		cfg.MaxSketches = 1 << 20
 	}
 	return &Middlebox{
 		cfg:      cfg,
@@ -302,7 +299,7 @@ func (m *Middlebox) onReply(env node.Env, e *msg.Envelope) {
 	// Voted: update the sketch (Prophecy caches the result of ordered
 	// reads) and answer the client.
 	if p.read {
-		if len(m.sketches) >= m.cfg.MaxSketches {
+		if len(m.sketches) >= maxSketches {
 			m.sketches = make(map[msg.Digest]msg.Digest) // crude reset
 		}
 		m.sketches[p.opHash] = h
@@ -314,17 +311,7 @@ func (m *Middlebox) onReply(env node.Env, e *msg.Envelope) {
 func (m *Middlebox) finish(env node.Env, key pendKey, p *pending, result []byte) {
 	delete(m.pending, key)
 	env.CancelTimer(m.timerKey(key))
-	n := len(result)
-	if !m.cfg.HTTP {
-		n += 8 + 1 + 4 // a ChannelReply's Seq, Status and Result length
-	}
-	// The record is sealed straight into the body of the envelope it leaves in.
-	body, to, ok := m.channels.Seal(msg.ChannelDataBody(p.connID, securechannel.Overhead+n), p.connID, key.seq, msg.StatusOK, result)
-	if !ok {
-		return
-	}
-	env.Charge(node.ProfileJava, node.ChargeAEAD, n)
-	env.Send(msg.ChannelDataEnvelope(m.cfg.Self, to, body))
+	standalone.Reply(env, m.channels, m.cfg.Self, m.cfg.HTTP, p.connID, key.seq, result)
 }
 
 // OnTimer implements node.Handler: a stalled request is re-ordered.

@@ -28,20 +28,24 @@ const (
 	ringFlushFrames = 64
 )
 
-// RingStats are the per-peer flush counters of a send ring, exported
-// next to the drop counters so operators can see the coalescing factor
-// (FramesPerFlush) the writev path actually achieves.
+// RingStats are a send ring's flush counters, exported next to the drop
+// counters so operators can see the coalescing factor (Frames/Flushes) the
+// writev path actually achieves.
 type RingStats struct {
 	Flushes uint64 // vectored writes issued
 	Frames  uint64 // frames carried by those writes
 }
 
-// FramesPerFlush is the achieved coalescing factor.
-func (s RingStats) FramesPerFlush() float64 {
-	if s.Flushes == 0 {
-		return 0
-	}
-	return float64(s.Frames) / float64(s.Flushes)
+// ringCounters are the counters a send ring keeps. A Bridge gives each peer's
+// ring its own; all of one Gateway's client rings share one set.
+type ringCounters struct {
+	flushes atomic.Uint64
+	frames  atomic.Uint64
+	drops   atomic.Uint64 // frames lost: ring overflow, failed encoding, failed write
+}
+
+func (c *ringCounters) load() RingStats {
+	return RingStats{Flushes: c.flushes.Load(), Frames: c.frames.Load()}
 }
 
 // sendRing is a bounded multi-producer ring of pooled, pre-encoded frames.
@@ -57,17 +61,18 @@ type sendRing struct {
 	spare  []*wire.Writer // drained slice, handed back for reuse
 
 	wake chan struct{} // cap 1: nudges the drainer when the first frame lands
+	done chan struct{} // closed with the ring: stops the drainer
 
-	drops   atomic.Uint64
-	flushes atomic.Uint64
-	frames  atomic.Uint64
+	stats *ringCounters
 }
 
-func newSendRing() *sendRing {
+func newSendRing(stats *ringCounters) *sendRing {
 	return &sendRing{
 		slots: make([]*wire.Writer, 0, ringCapacity),
 		spare: make([]*wire.Writer, 0, ringCapacity),
 		wake:  make(chan struct{}, 1),
+		done:  make(chan struct{}),
+		stats: stats,
 	}
 }
 
@@ -83,7 +88,7 @@ func (r *sendRing) push(w *wire.Writer) bool {
 		r.mu.Unlock()
 		wire.PutWriter(w)
 		if !closed {
-			r.drops.Add(1)
+			r.stats.drops.Add(1)
 		}
 		return false
 	}
@@ -130,8 +135,9 @@ func (r *sendRing) accumulate() {
 	runtime.Gosched()
 }
 
-// close marks the ring closed. Frames still in slots are released; frames
-// pushed afterwards are rejected.
+// close marks the ring closed and stops its drainer; its owner calls it
+// once. Frames still in slots are released; frames pushed afterwards are
+// rejected.
 func (r *sendRing) close() {
 	r.mu.Lock()
 	r.closed = true
@@ -139,8 +145,52 @@ func (r *sendRing) close() {
 	r.slots = nil
 	r.spare = nil
 	r.mu.Unlock()
-	for _, w := range batch {
-		wire.PutWriter(w)
+	close(r.done)
+	releaseBatch(batch)
+}
+
+// drain is the ring's writer until the ring closes: woken when the first
+// frame of a burst lands, it yields one scheduler quantum so the burst's
+// producers can finish (unless the size trigger is already met), swaps the
+// whole ring out, and pushes it to the socket in one vectored write. The
+// socket comes from connect, which returns nil to give up (the ring closed
+// while it waited); frames wait in the ring meanwhile. A write error costs
+// the in-flight batch (counted as drops: the network is unreliable by
+// assumption) and closes the socket, so the next batch asks connect again.
+func (r *sendRing) drain(connect func() net.Conn) {
+	var conn net.Conn
+	var iov [][]byte
+	defer func() {
+		if conn != nil {
+			conn.Close()
+		}
+	}()
+	for {
+		select {
+		case <-r.done:
+			// Closing released the ring's frames; nothing left to flush.
+			return
+		case <-r.wake:
+		}
+		r.accumulate()
+		for batch := r.take(); len(batch) > 0; batch = r.take() {
+			if conn == nil {
+				if conn = connect(); conn == nil {
+					releaseBatch(batch)
+					return
+				}
+			}
+			var err error
+			iov, err = flushBatch(conn, iov, batch)
+			r.stats.flushes.Add(1)
+			r.stats.frames.Add(uint64(len(batch)))
+			if err != nil {
+				r.stats.drops.Add(uint64(len(batch)))
+				conn.Close()
+				conn = nil
+			}
+			releaseBatch(batch)
+		}
 	}
 }
 

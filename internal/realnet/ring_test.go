@@ -12,7 +12,7 @@ import (
 )
 
 func TestSendRingOverflowAndClose(t *testing.T) {
-	r := newSendRing()
+	r := newSendRing(new(ringCounters))
 	// No drainer attached: fill to capacity, then overflow.
 	for i := 0; i < ringCapacity; i++ {
 		w := wire.GetWriter()
@@ -25,7 +25,7 @@ func TestSendRingOverflowAndClose(t *testing.T) {
 	if r.push(w) {
 		t.Fatal("push beyond capacity accepted")
 	}
-	if got := r.drops.Load(); got != 1 {
+	if got := r.stats.drops.Load(); got != 1 {
 		t.Fatalf("drops = %d, want 1", got)
 	}
 	if got := r.pendingLen(); got != ringCapacity {
@@ -39,13 +39,13 @@ func TestSendRingOverflowAndClose(t *testing.T) {
 	if r.push(wire.GetWriter()) {
 		t.Fatal("push after close accepted")
 	}
-	if got := r.drops.Load(); got != 1 {
+	if got := r.stats.drops.Load(); got != 1 {
 		t.Fatalf("drops after close = %d, want 1", got)
 	}
 }
 
 func TestSendRingTakeDoubleBuffers(t *testing.T) {
-	r := newSendRing()
+	r := newSendRing(new(ringCounters))
 	for i := 0; i < 3; i++ {
 		r.push(wire.GetWriter())
 	}
@@ -116,9 +116,6 @@ func TestRingTransportFlushStats(t *testing.T) {
 	if total.Flushes == 0 || total.Flushes > sent {
 		t.Errorf("flushes = %d, want 1..%d", total.Flushes, sent)
 	}
-	if total.FramesPerFlush() < 1 {
-		t.Errorf("frames per flush = %.2f, want >= 1", total.FramesPerFlush())
-	}
 	for addr, n := range ba.Drops() {
 		if n != 0 {
 			t.Errorf("ring dropped %d frames to %s; want 0", n, addr)
@@ -150,7 +147,7 @@ func TestBridgeUnreachablePeerCountsEveryDrop(t *testing.T) {
 
 	drops := ba.Drops()[addr]
 	ba.mu.Lock()
-	pending := ba.conns[addr].ring.pendingLen()
+	pending := ba.rings[addr].pendingLen()
 	ba.mu.Unlock()
 	inFlight := sent - int(drops) - pending
 	if inFlight < 0 || inFlight > ringCapacity {
@@ -264,7 +261,101 @@ func TestGatewayRingCounters(t *testing.T) {
 	if stats.Flushes == 0 || stats.Flushes > echoes {
 		t.Errorf("gateway egress flushes = %d, want 1..%d", stats.Flushes, echoes)
 	}
-	if got := g.SendFailures(); got != 0 {
-		t.Errorf("send failures = %d, want 0", got)
+	if got := g.stats.drops.Load(); got != 0 {
+		t.Errorf("dropped client-bound frames = %d, want 0", got)
 	}
+}
+
+// returnsPromptly fails t unless fn returns within a second.
+func returnsPromptly(t *testing.T, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatalf("%s did not return", what)
+	}
+}
+
+// TestCloseOrdering pins the shared lifecycle's close ordering: a Bridge or
+// Gateway closed before it is given a listener closes that listener instead
+// of accepting on it forever, one closed right after Listen stops the accept
+// loop Listen started, and Close stops every listener a Gateway serves.
+func TestCloseOrdering(t *testing.T) {
+	t.Run("Close then Serve", func(t *testing.T) {
+		testutil.CheckGoroutines(t)
+		r := NewRouter()
+		defer r.Close()
+		g := NewGateway(r, 0, 1000)
+		g.Close()
+		l, err := listen(t)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		returnsPromptly(t, "Serve after Close", func() { g.Serve(l) })
+		if _, err := l.Accept(); err == nil {
+			t.Error("Serve after Close left its listener open")
+		}
+	})
+	t.Run("Close then Listen", func(t *testing.T) {
+		testutil.CheckGoroutines(t)
+		r := NewRouter()
+		defer r.Close()
+		b := NewBridge(r, nil)
+		b.Close()
+		returnsPromptly(t, "Listen after Close", func() {
+			if err := b.Listen("127.0.0.1:0"); err == nil {
+				t.Error("Listen after Close succeeded")
+			}
+		})
+		if a := b.Addr(); a != nil {
+			t.Errorf("closed bridge listens on %v", a)
+		}
+	})
+	t.Run("Listen then Close", func(t *testing.T) {
+		testutil.CheckGoroutines(t)
+		r := NewRouter()
+		defer r.Close()
+		b := NewBridge(r, nil)
+		if err := b.Listen("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		returnsPromptly(t, "Close right after Listen", b.Close)
+	})
+	t.Run("Serve twice then Close", func(t *testing.T) {
+		testutil.CheckGoroutines(t)
+		r := NewRouter()
+		defer r.Close()
+		g := NewGateway(r, 0, 1000)
+		served := make(chan struct{}, 2)
+		for i := 0; i < 2; i++ {
+			l, err := listen(t)
+			if err != nil {
+				t.Fatal(err)
+			}
+			go func() {
+				g.Serve(l)
+				served <- struct{}{}
+			}()
+		}
+		for deadline := time.Now().Add(time.Second); ; time.Sleep(time.Millisecond) {
+			g.mu.Lock()
+			n := len(g.listeners)
+			g.mu.Unlock()
+			if n == 2 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("serving %d listeners, want 2", n)
+			}
+		}
+		returnsPromptly(t, "Close of a gateway serving two listeners", g.Close)
+		<-served
+		<-served
+	})
 }

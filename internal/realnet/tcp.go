@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/troxy-bft/troxy/internal/msg"
@@ -34,121 +33,37 @@ import (
 // frames a flush coalesces.
 type Bridge struct {
 	router *Router
-
-	mu       sync.Mutex
-	addrs    map[msg.NodeID]string
-	conns    map[string]*bridgeConn
-	inbound  map[net.Conn]struct{}
-	listener net.Listener
-	closed   bool
-
-	wg sync.WaitGroup
+	addrs  map[msg.NodeID]string // fixed at construction
+	server
+	rings map[string]*sendRing // per peer address, guarded by mu
 }
 
 // Dial backoff bounds: a failed dial is retried with jittered exponential
 // backoff while the frames that triggered it wait in the ring, instead of
-// being dropped silently. The ring bounds memory; only overflow drops
-// frames, and those are counted.
+// being dropped silently. The ring bounds memory; overflow drops frames,
+// and those are counted.
 const (
 	bridgeBackoffMin = 25 * time.Millisecond
 	bridgeBackoffMax = 2 * time.Second
 )
 
-// bridgeConn is one outbound peer connection: a send ring and the drainer
-// goroutine that owns the socket.
-type bridgeConn struct {
-	ring *sendRing
-	done chan struct{} // closed with the conn; interrupts dial backoff
-}
-
-// close is called once, by Bridge.Close, after the conn left b.conns.
-func (bc *bridgeConn) close() {
-	bc.ring.close()
-	close(bc.done)
-}
-
-// sleepOrDone waits for d or until done closes; it reports whether the
-// caller should keep going.
-func sleepOrDone(d time.Duration, done <-chan struct{}) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-done:
-		return false
-	}
-}
-
-func (bc *bridgeConn) sleep(d time.Duration) bool { return sleepOrDone(d, bc.done) }
-
-// dial establishes the peer connection with jittered exponential backoff,
-// keeping queued frames while the peer is unreachable. It returns nil when
-// the bridge closed first.
-func (bc *bridgeConn) dial(addr string, rng *rand.Rand) net.Conn {
-	backoff := time.Duration(0)
-	for {
-		c, err := net.DialTimeout("tcp", addr, 3*time.Second)
-		if err == nil {
-			return c
-		}
-		if backoff == 0 {
-			backoff = bridgeBackoffMin
-		} else if backoff < bridgeBackoffMax {
-			backoff *= 2
-			if backoff > bridgeBackoffMax {
-				backoff = bridgeBackoffMax
-			}
-		}
-		wait := backoff/2 + time.Duration(rng.Int63n(int64(backoff)/2+1))
-		if !bc.sleep(wait) {
-			return nil // bridge closed while the peer was unreachable
-		}
-	}
-}
-
-// drainLoop is the connection's writer: woken when the first frame of a
-// burst lands, it yields one scheduler quantum so the burst's producers can
-// finish (unless the size trigger is already met), swaps the whole ring out,
-// and pushes it to the socket in one vectored write. Frames survive dial backoff
-// in the batch; a write error costs the in-flight batch (the network is
-// unreliable by assumption) and forces a redial.
-func (bc *bridgeConn) drainLoop(addr string) {
-	var conn net.Conn
-	var iov [][]byte
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	defer func() {
-		if conn != nil {
-			conn.Close()
-		}
-	}()
-	for {
-		select {
-		case <-bc.done:
-			// Closing released the ring's frames; nothing left to flush.
-			return
-		case <-bc.ring.wake:
-		}
-		bc.ring.accumulate()
+// dialer returns the connect function of the ring to addr: it dials with
+// jittered exponential backoff and gives up (nil) when the ring closes first.
+func dialer(addr string, r *sendRing) func() net.Conn {
+	return func() net.Conn {
+		backoff := time.Duration(0)
 		for {
-			batch := bc.ring.take()
-			if len(batch) == 0 {
-				break
+			c, err := net.DialTimeout("tcp", addr, 3*time.Second)
+			if err == nil {
+				return c
 			}
-			if conn == nil {
-				if conn = bc.dial(addr, rng); conn == nil {
-					releaseBatch(batch)
-					return
-				}
-			}
-			var err error
-			iov, err = flushBatch(conn, iov, batch)
-			bc.ring.flushes.Add(1)
-			bc.ring.frames.Add(uint64(len(batch)))
-			releaseBatch(batch)
-			if err != nil {
-				conn.Close()
-				conn = nil
+			backoff = min(max(2*backoff, bridgeBackoffMin), bridgeBackoffMax)
+			t := time.NewTimer(backoff/2 + time.Duration(rand.Int63n(int64(backoff)/2+1)))
+			select {
+			case <-t.C:
+			case <-r.done:
+				t.Stop()
+				return nil // bridge closed while the peer was unreachable
 			}
 		}
 	}
@@ -158,10 +73,10 @@ func (bc *bridgeConn) drainLoop(addr string) {
 // installs itself as the router's remote sender.
 func NewBridge(router *Router, addrs map[msg.NodeID]string) *Bridge {
 	b := &Bridge{
-		router:  router,
-		addrs:   make(map[msg.NodeID]string, len(addrs)),
-		conns:   make(map[string]*bridgeConn),
-		inbound: make(map[net.Conn]struct{}),
+		router: router,
+		addrs:  make(map[msg.NodeID]string, len(addrs)),
+		server: newServer(),
+		rings:  make(map[string]*sendRing),
 	}
 	for id, a := range addrs {
 		b.addrs[id] = a
@@ -177,49 +92,11 @@ func (b *Bridge) Listen(addr string) error {
 	if err != nil {
 		return fmt.Errorf("realnet: bridge listen: %w", err)
 	}
-	b.mu.Lock()
-	b.listener = l
-	b.mu.Unlock()
-
-	b.wg.Add(1)
-	go func() {
-		defer b.wg.Done()
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return // listener closed
-			}
-			b.mu.Lock()
-			if b.closed {
-				b.mu.Unlock()
-				conn.Close()
-				return
-			}
-			b.inbound[conn] = struct{}{}
-			b.mu.Unlock()
-			b.wg.Add(1)
-			go func() {
-				defer b.wg.Done()
-				defer func() {
-					b.mu.Lock()
-					delete(b.inbound, conn)
-					b.mu.Unlock()
-				}()
-				b.readLoop(conn)
-			}()
-		}
-	}()
-	return nil
-}
-
-// Addr returns the bridge's listen address (nil before Listen).
-func (b *Bridge) Addr() net.Addr {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.listener == nil {
-		return nil
+	if !b.listen(l) {
+		return fmt.Errorf("realnet: bridge listen: %w", net.ErrClosed)
 	}
-	return b.listener.Addr()
+	go b.accept(l, b.readLoop)
+	return nil
 }
 
 // readLoop injects frames from an accepted peer connection into the router.
@@ -227,7 +104,6 @@ func (b *Bridge) Addr() net.Addr {
 // consumes a coalesced burst at one read syscall and one chunk allocation
 // instead of two syscalls and an allocation per frame.
 func (b *Bridge) readLoop(conn net.Conn) {
-	defer conn.Close()
 	cr := wire.NewChunkReader(conn)
 	for {
 		frame, err := cr.ReadFrame()
@@ -245,25 +121,20 @@ func (b *Bridge) readLoop(conn net.Conn) {
 // send transmits an envelope to the peer process hosting e.To. Transmission
 // failures drop the envelope (the network is unreliable by assumption).
 func (b *Bridge) send(e *msg.Envelope) {
+	addr, ok := b.addrs[e.To]
+	if !ok {
+		return
+	}
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
 		return
 	}
-	addr, ok := b.addrs[e.To]
+	r, ok := b.rings[addr]
 	if !ok {
-		b.mu.Unlock()
-		return
-	}
-	bc, ok := b.conns[addr]
-	if !ok {
-		bc = &bridgeConn{ring: newSendRing(), done: make(chan struct{})}
-		b.conns[addr] = bc
-		b.wg.Add(1)
-		go func() {
-			defer b.wg.Done()
-			bc.drainLoop(addr)
-		}()
+		r = newSendRing(new(ringCounters))
+		b.rings[addr] = r
+		b.spawn(func() { r.drain(dialer(addr, r)) })
 	}
 	b.mu.Unlock()
 
@@ -273,20 +144,21 @@ func (b *Bridge) send(e *msg.Envelope) {
 	w := wire.GetWriter()
 	if err := msg.AppendEnvelopeFrame(w, e); err != nil {
 		wire.PutWriter(w)
-		bc.ring.drops.Add(1)
+		r.stats.drops.Add(1)
 		return
 	}
-	bc.ring.push(w)
+	r.push(w)
 }
 
-// Drops returns, per peer address, how many outbound frames were dropped on
-// ring overflow (the peer was unreachable long enough to fill it).
+// Drops returns, per peer address, how many outbound frames were dropped:
+// on ring overflow (the peer was unreachable long enough to fill it), or
+// with a failed write.
 func (b *Bridge) Drops() map[string]uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	out := make(map[string]uint64, len(b.conns))
-	for addr, bc := range b.conns {
-		out[addr] = bc.ring.drops.Load()
+	out := make(map[string]uint64, len(b.rings))
+	for addr, r := range b.rings {
+		out[addr] = r.stats.drops.Load()
 	}
 	return out
 }
@@ -295,45 +167,21 @@ func (b *Bridge) Drops() map[string]uint64 {
 func (b *Bridge) FlushStats() map[string]RingStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	out := make(map[string]RingStats, len(b.conns))
-	for addr, bc := range b.conns {
-		out[addr] = RingStats{
-			Flushes: bc.ring.flushes.Load(),
-			Frames:  bc.ring.frames.Load(),
-		}
+	out := make(map[string]RingStats, len(b.rings))
+	for addr, r := range b.rings {
+		out[addr] = r.stats.load()
 	}
 	return out
 }
 
-// Close shuts the bridge down and waits for its goroutines.
+// Close shuts the bridge down and waits for its goroutines. Closing the
+// rings stops their drainers, mid-backoff too.
 func (b *Bridge) Close() {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return
-	}
-	b.closed = true
-	l := b.listener
-	conns := b.conns
-	b.conns = make(map[string]*bridgeConn)
-	inbound := make([]net.Conn, 0, len(b.inbound))
-	for conn := range b.inbound {
-		inbound = append(inbound, conn)
-	}
-	b.mu.Unlock()
-
-	if l != nil {
-		l.Close()
-	}
-	for _, bc := range conns {
-		bc.close()
-	}
-	// Tear down accepted peer connections too: their read loops would
-	// otherwise keep Close waiting until the remote side hangs up.
-	for _, conn := range inbound {
-		conn.Close()
-	}
-	b.wg.Wait()
+	b.shutdown(func() {
+		for _, r := range b.rings { // final: send adds rings only while open
+			r.close()
+		}
+	})
 }
 
 // Gateway bridges raw legacy-client TCP connections into the envelope
@@ -349,33 +197,13 @@ func (b *Bridge) Close() {
 type Gateway struct {
 	router  *Router
 	replica msg.NodeID
-
-	mu     sync.Mutex
-	nextID msg.NodeID
-	closed bool
-	active map[net.Conn]struct{}
-
-	// sendFailures counts replies that could not be written back to a client
-	// socket (write error or egress-ring overflow). They used to be dropped
-	// silently; now every drop is counted and logged so a misbehaving client
-	// or a saturated link is visible.
-	sendFailures atomic.Uint64
-
-	// flushes/frames aggregate the per-connection egress rings.
-	flushes atomic.Uint64
-	frames  atomic.Uint64
-
-	wg       sync.WaitGroup
-	listener net.Listener
+	server
+	nextID msg.NodeID   // guarded by mu
+	stats  ringCounters // shared by every client connection's egress ring
 }
-
-// SendFailures returns how many client-bound frames failed to send.
-func (g *Gateway) SendFailures() uint64 { return g.sendFailures.Load() }
 
 // FlushStats returns the aggregated egress-ring flush counters.
-func (g *Gateway) FlushStats() RingStats {
-	return RingStats{Flushes: g.flushes.Load(), Frames: g.frames.Load()}
-}
+func (g *Gateway) FlushStats() RingStats { return g.stats.load() }
 
 // NewGateway creates a gateway that forwards client connections to replica,
 // assigning synthetic node IDs starting at firstClientID.
@@ -383,41 +211,16 @@ func NewGateway(router *Router, replica, firstClientID msg.NodeID) *Gateway {
 	return &Gateway{
 		router:  router,
 		replica: replica,
+		server:  newServer(),
 		nextID:  firstClientID,
-		active:  make(map[net.Conn]struct{}),
 	}
 }
 
-// Serve accepts connections on l until the gateway is closed.
+// Serve accepts connections on l until the gateway is closed. Serving a
+// closed gateway closes l and returns at once.
 func (g *Gateway) Serve(l net.Listener) {
-	g.mu.Lock()
-	g.listener = l
-	g.mu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		g.mu.Lock()
-		if g.closed {
-			g.mu.Unlock()
-			conn.Close()
-			return
-		}
-		id := g.nextID
-		g.nextID++
-		g.active[conn] = struct{}{}
-		g.mu.Unlock()
-		g.wg.Add(1)
-		go func() {
-			defer g.wg.Done()
-			defer func() {
-				g.mu.Lock()
-				delete(g.active, conn)
-				g.mu.Unlock()
-			}()
-			g.handle(conn, id)
-		}()
+	if g.listen(l) {
+		g.accept(l, g.handle)
 	}
 }
 
@@ -427,7 +230,6 @@ func (g *Gateway) Serve(l net.Listener) {
 type gatewayHandler struct {
 	conn net.Conn
 	ring *sendRing
-	gw   *Gateway
 }
 
 func (gatewayHandler) OnStart(node.Env) {}
@@ -440,13 +242,12 @@ func (h gatewayHandler) OnEnvelope(env node.Env, e *msg.Envelope) {
 	w := wire.GetWriter()
 	if err := wire.AppendFramePayload(w, cd.Payload); err != nil {
 		wire.PutWriter(w)
-		h.gw.sendFailures.Add(1)
+		h.ring.stats.drops.Add(1)
 		return
 	}
 	if !h.ring.push(w) {
-		n := h.gw.sendFailures.Add(1)
 		env.Logf("realnet: gateway egress ring to %v full (%d dropped total)",
-			h.conn.RemoteAddr(), n)
+			h.conn.RemoteAddr(), h.ring.stats.drops.Load())
 	}
 }
 
@@ -454,49 +255,19 @@ func (gatewayHandler) OnTimer(node.Env, node.TimerKey) {}
 
 var _ node.Handler = gatewayHandler{}
 
-// drainClient flushes a client connection's egress ring until done closes.
-// Write errors drop the in-flight batch (counted); the connection's read
-// loop notices the broken socket and tears the node down.
-func (g *Gateway) drainClient(conn net.Conn, ring *sendRing, done <-chan struct{}) {
-	var iov [][]byte
-	for {
-		select {
-		case <-done:
-			return
-		case <-ring.wake:
-		}
-		ring.accumulate()
-		for {
-			batch := ring.take()
-			if len(batch) == 0 {
-				break
-			}
-			var err error
-			iov, err = flushBatch(conn, iov, batch)
-			g.flushes.Add(1)
-			g.frames.Add(uint64(len(batch)))
-			if err != nil {
-				g.sendFailures.Add(uint64(len(batch)))
-			}
-			releaseBatch(batch)
-		}
-	}
-}
-
-func (g *Gateway) handle(conn net.Conn, id msg.NodeID) {
-	defer conn.Close()
-	ring := newSendRing()
-	done := make(chan struct{})
-	g.wg.Add(1)
-	go func() {
-		defer g.wg.Done()
-		g.drainClient(conn, ring, done)
-	}()
-	defer func() {
-		close(done)
-		ring.close()
-	}()
-	g.router.Attach(id, gatewayHandler{conn: conn, ring: ring, gw: g})
+// handle serves one client connection: a synthetic node relays replies to
+// the connection's egress ring, whose drainer writes them to the socket
+// (failed writes are counted and close it), and frames read from the socket
+// go to the replica until it breaks.
+func (g *Gateway) handle(conn net.Conn) {
+	g.mu.Lock()
+	id := g.nextID
+	g.nextID++
+	g.mu.Unlock()
+	ring := newSendRing(&g.stats)
+	g.spawn(func() { ring.drain(func() net.Conn { return conn }) })
+	defer ring.close()
+	g.router.Attach(id, gatewayHandler{conn: conn, ring: ring})
 	defer g.router.Detach(id)
 
 	// Ingress mirrors egress: batched chunk reads instead of per-frame
@@ -512,22 +283,113 @@ func (g *Gateway) handle(conn net.Conn, id msg.NodeID) {
 }
 
 // Close stops the gateway, tearing down active client connections.
-func (g *Gateway) Close() {
-	g.mu.Lock()
-	g.closed = true
-	l := g.listener
-	// Snapshot under the lock, close outside it: Close on a wedged conn may
-	// block, and accept/teardown paths contend on g.mu.
-	conns := make([]net.Conn, 0, len(g.active))
-	for conn := range g.active {
+func (g *Gateway) Close() { g.shutdown(nil) }
+
+// server is the connection lifecycle a Bridge and a Gateway share: the
+// listeners, the connections accepted on them, and a count of every
+// goroutine accepting, serving a connection or draining a ring.
+type server struct {
+	mu        sync.Mutex
+	closed    bool
+	listeners []net.Listener
+	live      map[net.Conn]struct{}
+	wg        sync.WaitGroup
+}
+
+func newServer() server { return server{live: make(map[net.Conn]struct{})} }
+
+// Addr returns the first listen address (nil before Listen or Serve).
+func (s *server) Addr() net.Addr {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.listeners) == 0 {
+		return nil
+	}
+	return s.listeners[0].Addr()
+}
+
+// listen adds l to the listeners and counts the accept loop that must
+// follow. It is synchronous so that Addr and Close see l as soon as it
+// returns. A closed server closes l instead and reports false.
+func (s *server) listen(l net.Listener) bool {
+	s.mu.Lock()
+	ok := !s.closed
+	if ok {
+		s.listeners = append(s.listeners, l)
+		s.wg.Add(1)
+	}
+	s.mu.Unlock()
+	if !ok {
+		l.Close()
+	}
+	return ok
+}
+
+// accept is the accept loop listen counted: until l closes, it tracks each
+// connection and serves it with handle on a goroutine of its own, which
+// closes it afterwards.
+func (s *server) accept(l net.Listener, handle func(net.Conn)) {
+	defer s.wg.Done()
+	for {
+		conn, err := l.Accept()
+		if err != nil {
+			return // listener closed
+		}
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			conn.Close()
+			return
+		}
+		s.live[conn] = struct{}{}
+		s.spawn(func() {
+			handle(conn)
+			conn.Close()
+			s.mu.Lock()
+			delete(s.live, conn)
+			s.mu.Unlock()
+		})
+		s.mu.Unlock()
+	}
+}
+
+// spawn runs f on a goroutine Close waits for. Callers hold mu with the
+// server open, or run on a goroutine already counted, so the count never
+// rises from zero while Close waits.
+func (s *server) spawn(f func()) {
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		f()
+	}()
+}
+
+// shutdown is the one teardown: once, it marks the server closed, closes
+// the listeners and every live connection, runs stop, and waits for every
+// counted goroutine. Connections are snapshot under the lock and closed
+// outside it: Close on a wedged conn may block, and accept and teardown
+// contend on mu.
+func (s *server) shutdown(stop func()) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return
+	}
+	s.closed = true
+	listeners := s.listeners
+	conns := make([]net.Conn, 0, len(s.live))
+	for conn := range s.live {
 		conns = append(conns, conn)
 	}
-	g.mu.Unlock()
+	s.mu.Unlock()
+	for _, l := range listeners {
+		l.Close()
+	}
 	for _, conn := range conns {
 		conn.Close()
 	}
-	if l != nil {
-		l.Close()
+	if stop != nil {
+		stop()
 	}
-	g.wg.Wait()
+	s.wg.Wait()
 }

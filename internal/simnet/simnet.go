@@ -287,12 +287,6 @@ func (n *Network) Run(until time.Duration) {
 	}
 }
 
-// RunUntilIdle processes events until none remain or the virtual clock
-// advances past the safety horizon (an hour of virtual time).
-func (n *Network) RunUntilIdle() {
-	n.Run(n.now + time.Hour)
-}
-
 func (n *Network) dispatch(e *event) {
 	if e.kind == evFunc {
 		e.fn()

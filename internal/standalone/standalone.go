@@ -83,16 +83,26 @@ func (s *Server) execute(env node.Env, connID, seq uint64, op []byte) {
 	result := s.cfg.App.Execute(op)
 	env.Charge(node.ProfileJava, node.ChargeExec, len(op)+len(result))
 	s.executed++
+	Reply(env, s.channels, s.cfg.Self, s.cfg.HTTP, connID, seq, result)
+}
 
+// replyHead is the encoded length of a ChannelReply before its Result:
+// Seq, Status and Result's length.
+const replyHead = 8 + 1 + 4
+
+// Reply answers request seq on connID with result over ch, from self: the
+// reply path of both Fig. 11 front ends, this server and Prophecy's
+// middlebox. The record is sealed straight into the body of the envelope it
+// leaves in, and its AEAD seal is charged.
+func Reply(env node.Env, ch *troxy.Channels, self msg.NodeID, http bool, connID, seq uint64, result []byte) {
 	n := len(result)
-	if !s.cfg.HTTP {
-		n += 8 + 1 + 4 // a ChannelReply's Seq, Status and Result length
+	if !http {
+		n += replyHead
 	}
-	// The record is sealed straight into the body of the envelope it leaves in.
-	body, to, ok := s.channels.Seal(msg.ChannelDataBody(connID, securechannel.Overhead+n), connID, seq, msg.StatusOK, result)
+	body, to, ok := ch.Seal(msg.ChannelDataBody(connID, securechannel.Overhead+n), connID, seq, msg.StatusOK, result)
 	if !ok {
 		return
 	}
 	env.Charge(node.ProfileJava, node.ChargeAEAD, n)
-	env.Send(msg.ChannelDataEnvelope(s.cfg.Self, to, body))
+	env.Send(msg.ChannelDataEnvelope(self, to, body))
 }

@@ -12,8 +12,20 @@ import (
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/node"
 	"github.com/troxy-bft/troxy/internal/simnet"
+	"github.com/troxy-bft/troxy/internal/wire"
 	"github.com/troxy-bft/troxy/internal/workload"
 )
+
+// TestReplyHead pins the head Reply sizes a sealed reply by: a ChannelReply
+// with an empty result encodes to the head alone.
+func TestReplyHead(t *testing.T) {
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
+	(&msg.ChannelReply{Seq: 1, Status: msg.StatusOK}).MarshalWire(w)
+	if got := len(w.Bytes()); got != replyHead {
+		t.Errorf("empty-result ChannelReply encodes to %d bytes, replyHead = %d", got, replyHead)
+	}
+}
 
 func identity() ([]byte, ed25519.PublicKey) {
 	seed := bytes.Repeat([]byte{9}, ed25519.SeedSize)
