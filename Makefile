@@ -71,6 +71,7 @@ bench:
 # its ceiling (encode into a pooled writer 0, decode + open a 16-request
 # PREPARE 3, a reply decoded into a reused OrderedReply 0, MAC check + walk of
 # a five-reply batch 1, a reply built, tagged and queued for a remote origin 0,
+# a peer's cache query opened and answered 3 (copy-out, Queries slice, envelope),
 # a vote over three replies 2 plus the client's record, VerifyMAC 0, a Troxy
 # group tag verified or made into the caller's buffer 0 (troxy's), a 16 x
 # 4 KiB PREPARE broadcast to two peers 3 — its encoding and two envelopes: it
@@ -227,7 +228,8 @@ mutate:
 
 # Short fuzz smoke over the wire-facing decoders (hybster.Open's recovery
 # messages among them), the secure channel's frame parsing, the HTTP request
-# framing and the fast-read cache against its reference. Interesting inputs
+# framing, the fast-read cache against its reference and the host's decoder
+# of what a Troxy call returns (troxy.decodeActions). Interesting inputs
 # found here are promoted into the packages' testdata/fuzz corpora, which
 # every `go test` run replays.
 fuzz:
@@ -248,4 +250,5 @@ fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzRestoreSink$$' -fuzztime 10s ./internal/app/
 	$(GO) test -run xxx -fuzz 'FuzzSnapshotIter$$' -fuzztime 10s ./internal/app/
 	$(GO) test -run xxx -fuzz 'FuzzCacheMatchesReference$$' -fuzztime 10s ./internal/troxy/
+	$(GO) test -run xxx -fuzz 'FuzzDecodeActions$$' -fuzztime 10s ./internal/troxy/
 	$(GO) test -run xxx -fuzz 'FuzzExtractRequest$$' -fuzztime 10s ./internal/httpfront/

@@ -67,11 +67,15 @@ type Replica struct {
 	// The reply path handles a reply as bytes in buffers the replica owns
 	// until the voter keeps it: Committed fills reply (its key list encoded
 	// into keys) and appends the authenticated encoding to the origin's
-	// outbox entry; a received batch is walked through inbound. No Proxy
-	// keeps a reply it is handed, so all three are reused.
+	// outbox entry; a received batch is opened into batch and walked through
+	// inbound, and a received cache message is opened into query or answer.
+	// No Proxy keeps a message it is handed, so all of them are reused.
 	reply   msg.OrderedReply
 	keys    msg.Keys
 	inbound msg.OrderedReply
+	batch   msg.ReplyBatch
+	query   msg.CacheQuery
+	answer  msg.CacheReply
 	outbox  []replyQueue // indexed by origin replica
 
 	stats Stats
@@ -234,27 +238,40 @@ func (r *Replica) onEnvelope(env node.Env, e *msg.Envelope) {
 // the cache exchange, destination, and the Troxy rejects what they do not
 // cover (DESIGN.md decision 16). The sender is who the tags name — a cache
 // message's From, each reply's Executor — never the envelope's From, which
-// nothing here reads.
+// nothing here reads. The body is opened by value, into the replica's scratch
+// for its kind, and its byte fields stay views of it.
 func (r *Replica) onTroxyTagged(env node.Env, e *msg.Envelope) {
 	env.Charge(node.ProfileJava, node.ChargeBase, 0)
 	if r.proxy == nil {
 		r.stats.Unhandled++ // a baseline replica has no Troxy
 		return
 	}
-	m, err := e.Open()
+	rd := wire.NewReader(e.Body)
+	var err error
+	switch e.Kind {
+	case msg.KindReplyBatch:
+		err = r.batch.UnmarshalWire(rd)
+	case msg.KindCacheQuery:
+		err = r.query.UnmarshalWire(rd)
+	default:
+		err = r.answer.UnmarshalWire(rd)
+	}
+	if err == nil {
+		err = rd.Finish()
+	}
 	if err != nil {
 		r.stats.BadMACs++
 		return
 	}
 	var acts troxy.Actions
-	switch m := m.(type) {
-	case *msg.ReplyBatch:
-		r.onReplyBatch(env, m)
+	switch e.Kind {
+	case msg.KindReplyBatch:
+		r.onReplyBatch(env, &r.batch)
 		return
-	case *msg.CacheQuery:
-		acts, err = r.proxy.HandleCacheQuery(env, m)
-	case *msg.CacheReply:
-		acts, err = r.proxy.HandleCacheReply(env, m)
+	case msg.KindCacheQuery:
+		acts, err = r.proxy.HandleCacheQuery(env, &r.query)
+	default:
+		acts, err = r.proxy.HandleCacheReply(env, &r.answer)
 	}
 	if err == nil {
 		r.apply(env, acts)
@@ -391,13 +408,7 @@ func (r *Replica) apply(env node.Env, acts troxy.Actions) {
 		r.core.Submit(env, &acts.Submits[i])
 	}
 	for _, pm := range acts.Queries {
-		var m msg.Message
-		if pm.Query != nil {
-			m = pm.Query
-		} else {
-			m = pm.Reply
-		}
-		r.sendAuthed(env, pm.To, m)
+		r.sendTagged(env, pm.To, pm.Kind, pm.Body)
 	}
 }
 
@@ -419,10 +430,11 @@ func (r *Replica) sendEncoded(env node.Env, to msg.NodeID, m msg.Message, body [
 	env.Send(e)
 }
 
-// sendReplies transmits a reply batch the replica built as bytes. Its replies
-// carry their tags, and like every kind a Troxy tags it has no MAC.
-func (r *Replica) sendReplies(env node.Env, to msg.NodeID, body []byte) {
-	env.Send(&msg.Envelope{From: r.cfg.Self, To: to, Kind: msg.KindReplyBatch, Body: body})
+// sendTagged transmits body, the encoding of a message of a kind a Troxy tags
+// (a reply batch the replica built, a cache message its Troxy encoded), as it
+// is: the tags inside authenticate it, and it carries no MAC.
+func (r *Replica) sendTagged(env node.Env, to msg.NodeID, kind msg.Kind, body []byte) {
+	env.Send(&msg.Envelope{From: r.cfg.Self, To: to, Kind: kind, Body: body})
 }
 
 // Send implements hybster.Outbound.
@@ -514,7 +526,7 @@ func (r *Replica) Committed(env node.Env, seq uint64, req *msg.OrderRequest, res
 func (r *Replica) queueReply(env node.Env, to msg.NodeID, rep *msg.OrderedReply) {
 	if to < 0 || int(to) >= len(r.outbox) {
 		// Not a replica, so no batch to join: a batch of one is the reply.
-		r.sendReplies(env, to, msg.EncodeBody(rep))
+		r.sendTagged(env, to, msg.KindReplyBatch, msg.EncodeBody(rep))
 		return
 	}
 	q := &r.outbox[to]
@@ -547,7 +559,7 @@ func (r *Replica) flushTo(env node.Env, to msg.NodeID) {
 	if q.n == 0 {
 		return
 	}
-	r.sendReplies(env, to, q.w.CopyBytes())
+	r.sendTagged(env, to, msg.KindReplyBatch, q.w.CopyBytes())
 	if q.w.Len() > 2*msg.BatchFlushBytes {
 		q.w = wire.Writer{}
 	}

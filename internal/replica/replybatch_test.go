@@ -9,6 +9,7 @@ import (
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/node"
 	"github.com/troxy-bft/troxy/internal/testutil"
+	itroxy "github.com/troxy-bft/troxy/internal/troxy"
 	"github.com/troxy-bft/troxy/internal/wire"
 )
 
@@ -319,7 +320,10 @@ func TestReplyBatchWithoutTroxyIsUnhandled(t *testing.T) {
 // BenchmarkAllocGate: a reply for a remote origin is built in the replica's
 // reused reply, tagged into the storage of the last tag, and appended to the
 // origin's queue — no allocation once the buffers exist. The envelope that
-// carries a batch out costs two: its body and itself.
+// carries a batch out costs two: its body and itself. A peer's cache query is
+// opened into the replica's scratch and answered with the body its Troxy
+// encoded: the binding's copy-out, the Actions' Queries slice and the
+// envelope.
 func BenchmarkAllocGate(b *testing.B) {
 	reps, _, _ := newTroxyCluster(b)
 	r, env := reps[0], &tapEnv{self: 0}
@@ -336,5 +340,17 @@ func BenchmarkAllocGate(b *testing.B) {
 		}
 		r.flushTo(env, 1)
 		env.sent = env.sent[:0]
+	})
+
+	tagger := itroxy.NewGroupTagger(troxyDir(b).TroxyGroupKey())
+	q := &msg.CacheQuery{From: 1, To: 0, QueryID: 7, ReqDigest: msg.DigestOf([]byte("GET k"))}
+	q.Tag = tagger.Tag(nil, q.Kind(), q.From, tagInputOf(q))
+	query := &msg.Envelope{From: 1, To: 0, Kind: msg.KindCacheQuery, Body: msg.EncodeBody(q)}
+	testutil.AllocGate(b, "CacheQueryInReplyOut", 3, func() {
+		r.OnEnvelope(env, query)
+		if len(env.sent) != 1 || env.sent[0].Kind != msg.KindCacheReply || env.sent[0].To != 1 || env.sent[0].MAC != nil {
+			b.Fatalf("a cache query was answered with %d envelopes", len(env.sent))
+		}
+		env.sent, env.macBytes = env.sent[:0], env.macBytes[:0]
 	})
 }

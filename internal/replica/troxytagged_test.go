@@ -121,10 +121,14 @@ func (h *troxyHost) cachedRead(t testing.TB) (msg.CacheQuery, *msg.CacheReply) {
 		t.Fatal(err)
 	}
 	acts := h.request(t, "GET k")
-	if len(acts.Queries) != 1 || acts.Queries[0].Query == nil {
+	if len(acts.Queries) != 1 || acts.Queries[0].Kind != msg.KindCacheQuery {
 		t.Fatalf("a cached read sent %+v, want one cache query", acts.Queries)
 	}
-	q := *acts.Queries[0].Query
+	// Decoded from a copy of its Body: the Core's scratch is its next call's.
+	var q msg.CacheQuery
+	if err := q.UnmarshalWire(wire.NewReader(bytes.Clone(acts.Queries[0].Body))); err != nil {
+		t.Fatal(err)
+	}
 	rep := &msg.CacheReply{From: q.To, To: q.From, QueryID: q.QueryID, ReqDigest: q.ReqDigest,
 		Found: true, ReplyDigest: msg.DigestOf([]byte("VALUE v"))}
 	rep.Tag = h.tagger.Tag(nil, rep.Kind(), rep.From, tagInputOf(rep))

@@ -100,9 +100,9 @@ func BenchmarkAllocGate(b *testing.B) {
 	// Rounds through the enclave binding, the client sealing each request
 	// into a buffer it reuses. What a round costs is the host's side of the
 	// boundary — per result that carries anything, its copy-out and the
-	// decoded Actions' slice, and per decoded cache query its struct — and
+	// decoded Actions' slice, a cache query being a view of the copy-out — and
 	// nothing inside the Troxy: a fast read is the query out and the answer
-	// back (3 + 2), a write the submit out and the answer back (2 + 2), its
+	// back (2 + 2), a write the submit out and the answer back (2 + 2), its
 	// first reply adding nothing.
 	_, enclaved, _ := newBindings(b, Config{Self: 0, N: 3, F: 1, Seed: 77, Classify: classifyKV, FastReads: true})
 	p, env := enclaved.p, nullEnv{}
@@ -138,12 +138,16 @@ func BenchmarkAllocGate(b *testing.B) {
 	get, value := []byte("GET k"), []byte("VALUE v")
 	enclaved.core.cache.Put(msg.DigestOf(get), value, []string{"k"})
 	confirm := &msg.CacheReply{ReqDigest: msg.DigestOf(get), Found: true, ReplyDigest: msg.DigestOf(value)}
-	testutil.AllocGate(b, "EnclaveProxyFastReadRound", 3+2, func() {
+	var query msg.CacheQuery
+	testutil.AllocGate(b, "EnclaveProxyFastReadRound", 2+2, func() {
 		acts := send(get, msg.FlagReadOnly)
-		if len(acts.Queries) != 1 || acts.Queries[0].Query == nil {
+		if len(acts.Queries) != 1 || acts.Queries[0].Kind != msg.KindCacheQuery {
 			b.Fatalf("a cached read sent %+v", acts.Queries)
 		}
-		confirm.From, confirm.QueryID = acts.Queries[0].To, acts.Queries[0].Query.QueryID
+		if err := query.UnmarshalWire(wire.NewReader(acts.Queries[0].Body)); err != nil {
+			b.Fatal(err)
+		}
+		confirm.From, confirm.QueryID = acts.Queries[0].To, query.QueryID
 		tagIn.Reset()
 		confirm.TagInput(tagIn)
 		confirm.Tag = tagger.Tag(confirm.Tag[:0], confirm.Kind(), confirm.From, tagIn.Bytes())

@@ -135,11 +135,11 @@ func ecallScript(t *testing.T, poison bool) (results [][]byte, replies []msg.Cha
 	// the query kept.
 	answer := func(acts Actions, found bool) Actions {
 		t.Helper()
-		if len(acts.Queries) != 1 || acts.Queries[0].Query == nil {
+		if len(acts.Queries) != 1 || acts.Queries[0].Kind != msg.KindCacheQuery {
 			t.Fatalf("a cached read sent %+v, want one cache query", acts.Queries)
 		}
-		q := acts.Queries[0]
-		rep := &msg.CacheReply{From: q.To, To: q.Query.From, QueryID: q.Query.QueryID, ReqDigest: q.Query.ReqDigest, Found: found}
+		q := openPeer[*msg.CacheQuery](t, acts.Queries[0])
+		rep := &msg.CacheReply{From: q.To, To: q.From, QueryID: q.QueryID, ReqDigest: q.ReqDigest, Found: found}
 		if found {
 			rep.ReplyDigest = msg.DigestOf([]byte("VALUE v"))
 		}

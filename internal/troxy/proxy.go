@@ -37,9 +37,10 @@ type Proxy interface {
 	// what a Core call returns lives in the Core's scratch until its next
 	// call, and the binding copies it out once — the enclave's copy-out, or in
 	// process the same append — and decodes views of that copy. Ordering
-	// keeps a submit as it is handed over, a client record's Body is the
-	// envelope body it leaves in, and a call can re-enter the proxy before the
-	// caller is done with the Actions of the last.
+	// keeps a submit as it is handed over, a client record's Body and a cache
+	// message's Body are the envelope bodies they leave in, and a call can
+	// re-enter the proxy before the caller is done with the Actions of the
+	// last.
 	HandleClientData(env node.Env, connID uint64, from msg.NodeID, payload []byte) (Actions, error)
 	//
 	// rep is the caller's in both reply calls and may be one it reuses: no
@@ -56,6 +57,7 @@ type Proxy interface {
 	HandleSpecReply(env node.Env, sr *msg.SpecReply) (Actions, error)
 	HandleRetract(env node.Env, client, clientSeq, slotSeq, view uint64) (Actions, error)
 
+	// q and r, like rep, are the caller's and may be ones it reuses.
 	HandleCacheQuery(env node.Env, q *msg.CacheQuery) (Actions, error)
 	HandleCacheReply(env node.Env, r *msg.CacheReply) (Actions, error)
 	Tick(env node.Env) (Actions, error)

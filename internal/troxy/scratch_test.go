@@ -78,12 +78,10 @@ func poisonScratch(c *Core) {
 	copy(digest[:], junk)
 	fill(c.channels.plain, 0xA5)
 	fill(c.sealed, 0xA5)
-	query := msg.CacheQuery{From: 0x5A5A5A5A, To: 0x5A5A5A5A, QueryID: 0xA5A5A5A5, ReqDigest: digest, Tag: junk}
-	fill(c.queryMsgs, query)
-	fill(c.replyMsgs, msg.CacheReply{From: 0x5A5A5A5A, To: 0x5A5A5A5A, QueryID: 0xA5A5A5A5, ReqDigest: digest, Found: true, ReplyDigest: digest, ReplyData: junk, Tag: junk})
+	fill(c.peer.Bytes(), 0xA5)
 	fill(c.out.Client, ClientRecord{ConnID: 0xA5A5A5A5, Node: 0x5A5A5A5A, Frame: junk, Body: junk})
 	fill(c.out.Submits, msg.OrderRequest{Origin: 0x5A5A5A5A, Client: 0xA5A5A5A5, ClientSeq: 0xA5A5A5A5, Flags: 0xA5, Op: junk})
-	fill(c.out.Queries, PeerCacheMsg{To: 0x5A5A5A5A, Query: &query})
+	fill(c.out.Queries, PeerCacheMsg{To: 0x5A5A5A5A, Kind: 0xA5, Body: junk})
 	for _, vs := range c.freeVotes {
 		fill(vs.slab, 0xA5)
 		fill(vs.spec.ballots, ballot{hash: digest, voters: ^uint64(0), seq: 0xA5A5A5A5, result: junk, keys: junk})
@@ -164,11 +162,11 @@ func scratchScript(r *scratchRun) {
 
 	answer := func(acts Actions, found bool) Actions {
 		t.Helper()
-		if len(acts.Queries) != 1 || acts.Queries[0].Query == nil {
+		if len(acts.Queries) != 1 || acts.Queries[0].Kind != msg.KindCacheQuery {
 			t.Fatalf("a cached read sent %+v, want one cache query", acts.Queries)
 		}
-		q := acts.Queries[0]
-		rep := &msg.CacheReply{From: q.To, To: q.Query.From, QueryID: q.Query.QueryID, ReqDigest: q.Query.ReqDigest, Found: found}
+		q := openPeer[*msg.CacheQuery](t, acts.Queries[0])
+		rep := &msg.CacheReply{From: q.To, To: q.From, QueryID: q.QueryID, ReqDigest: q.ReqDigest, Found: found}
 		if found {
 			rep.ReplyDigest = msg.DigestOf([]byte("VALUE v"))
 		}

@@ -10,7 +10,7 @@ import (
 
 // fastReadCore returns a provisioned core of a group of three whose cache
 // holds "GET k" → "VALUE v".
-func fastReadCore(t *testing.T, self msg.NodeID, seed int64) *Core {
+func fastReadCore(t testing.TB, self msg.NodeID, seed int64) *Core {
 	t.Helper()
 	core := NewCore(Config{Self: self, N: 3, F: 1, Seed: seed, Classify: classifyKV, FastReads: true,
 		QueryTimeout: 100 * time.Millisecond})
@@ -40,7 +40,7 @@ func TestCacheMessageForAnotherTroxyIsRejected(t *testing.T) {
 		if len(acts.Queries) != 1 || acts.Queries[0].To != 1 {
 			t.Fatalf("Troxy %d's fast read sent %+v, want one query to replica 1", c.cfg.Self, acts.Queries)
 		}
-		return *acts.Queries[0].Query // a copy: the Core's scratch is its next call's
+		return *openPeer[*msg.CacheQuery](t, acts.Queries[0]) // from a copy: the Core's scratch is its next call's
 	}
 	q, stranger := start(querier), start(victim)
 	if q.QueryID != stranger.QueryID || q.ReqDigest != stranger.ReqDigest {
@@ -50,7 +50,7 @@ func TestCacheMessageForAnotherTroxyIsRejected(t *testing.T) {
 	if err != nil || len(acts.Queries) != 1 || acts.Queries[0].To != 0 {
 		t.Fatalf("replica 1 answered %+v, %v: want one reply to replica 0", acts.Queries, err)
 	}
-	reply := *acts.Queries[0].Reply
+	reply := *openPeer[*msg.CacheReply](t, acts.Queries[0])
 
 	out, err := victim.HandleCacheReply(time.Millisecond, &reply)
 	if err != nil || len(out.Client)+len(out.Submits)+len(out.Queries) != 0 {
@@ -88,7 +88,7 @@ func TestFastReadsInFlightEndAtTheQueryTimeout(t *testing.T) {
 		if len(acts.Queries) != 1 {
 			t.Fatalf("read %d sent %d cache queries, want 1", i, len(acts.Queries))
 		}
-		q := acts.Queries[0].Query
+		q := openPeer[*msg.CacheQuery](t, acts.Queries[0])
 		late = append(late, msg.CacheReply{From: acts.Queries[0].To, To: q.From, QueryID: q.QueryID,
 			ReqDigest: q.ReqDigest, Found: true, ReplyDigest: msg.DigestOf([]byte("v"))})
 	}
