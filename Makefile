@@ -67,15 +67,18 @@ bench:
 # bench-quick is the allocation gates (run in CI on every push/PR). The
 # request path's buffer discipline (DESIGN.md §5) is held function by function
 # by the BenchmarkAllocGate of internal/msg, authn, tcounter, app, troxy,
-# replica, enclave and securechannel — each sub-benchmark fails itself above
-# its ceiling (encode into a pooled writer 0, decode + open a 16-request
+# replica, enclave, securechannel and realnet — each sub-benchmark fails
+# itself above its ceiling (encode into a pooled writer 0, decode + open a 16-request
 # PREPARE 3, a reply decoded into a reused OrderedReply 0, MAC check + walk of
 # a five-reply batch 1, a reply built, tagged and queued for a remote origin 0,
-# a peer's cache query opened and answered 3 (copy-out, Queries slice, envelope),
+# a peer's cache query opened and answered 2 (copy-out, Queries slice: the
+# envelope's header is the replica's own, which Send copies),
 # a vote over three replies 2 plus the client's record, VerifyMAC 0, a Troxy
 # group tag verified or made into the caller's buffer 0 (troxy's), a 16 x
-# 4 KiB PREPARE broadcast to two peers 3 — its encoding and two envelopes: it
-# carries no MAC, so no tag —, Store.Keys 0, an ecall round trip into room the caller brought 0, a reply
+# 4 KiB PREPARE broadcast to two peers 1 — its encoding: it carries no MAC,
+# so no tag —, a local Router.Send through to delivery 0 and a bridge frame
+# decoded and delivered 0 (realnet's), Store.Keys 0, an ecall round trip
+# into room the caller brought 0, a reply
 # tagged across the boundary 0, a record opened into a lent buffer and walked
 # 0, a ChannelData envelope sealed 2 and opened 0, a request hashed where it
 # lies 0, Submit at a follower 1 — the FORWARD, nothing for the request it
@@ -97,7 +100,7 @@ bench:
 # assertions, not ns/op — timing numbers for the record live in EXPERIMENTS.md.
 bench-quick: copy-gate
 	$(GO) test -run xxx -bench 'Encode|AppendEnvelopeFrame|BatchDigest|AllocGate' -benchmem -benchtime 1000x ./internal/msg/
-	$(GO) test -run xxx -bench 'AllocGate' -benchmem -benchtime 1000x ./internal/authn/ ./internal/tcounter/ ./internal/app/ ./internal/troxy/ ./internal/hybster/ ./internal/replica/ ./internal/enclave/ ./internal/securechannel/
+	$(GO) test -run xxx -bench 'AllocGate' -benchmem -benchtime 1000x ./internal/authn/ ./internal/tcounter/ ./internal/app/ ./internal/troxy/ ./internal/hybster/ ./internal/replica/ ./internal/enclave/ ./internal/securechannel/ ./internal/realnet/
 	$(GO) test -run xxx -bench 'StoreCheckpoint|StoreFork' -benchmem -benchtime 20x ./internal/app/
 	$(GO) test -count=1 -run 'TestWriteAllocBudget|TestWriteMACBudget' -v .
 

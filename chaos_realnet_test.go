@@ -24,6 +24,7 @@ import (
 	"github.com/troxy-bft/troxy/internal/faultplane"
 	"github.com/troxy-bft/troxy/internal/legacyclient"
 	"github.com/troxy-bft/troxy/internal/msg"
+	"github.com/troxy-bft/troxy/internal/node"
 	"github.com/troxy-bft/troxy/internal/realnet"
 	"github.com/troxy-bft/troxy/internal/workload"
 )
@@ -78,6 +79,17 @@ type chaosRealnetOpts struct {
 	// fast opts both client machines into the crash-commit tier over the
 	// real transport; invariant (a) switches to the two-tier checker.
 	fast bool
+	// lendSends overwrites every envelope a node sends once Send returns
+	// (lentSends).
+	lendSends bool
+}
+
+// host is what a router attaches for h: h itself, or h lending its sends.
+func (o chaosRealnetOpts) host(h node.Handler) node.Handler {
+	if o.lendSends {
+		return lentSends{h}
+	}
+	return h
 }
 
 // chaosRealnetResult hands the cluster back for behavior-specific assertions.
@@ -202,10 +214,10 @@ func runChaosRealnet(t *testing.T, o chaosRealnetOpts) chaosRealnetResult {
 	// message level, and everything it emits crosses the real transport.
 	attach := func(r *realnet.Router, id msg.NodeID) {
 		if mode, ok := o.byz[id]; ok {
-			r.Attach(id, faultplane.NewByzantine(cl.Replicas[id], id, len(cl.Replicas), cl.Directory, mode))
+			r.Attach(id, o.host(faultplane.NewByzantine(cl.Replicas[id], id, len(cl.Replicas), cl.Directory, mode)))
 			return
 		}
-		r.Attach(id, cl.Replicas[id])
+		r.Attach(id, o.host(cl.Replicas[id]))
 	}
 	attach(routerA, 0)
 	attach(routerA, 1)
@@ -240,7 +252,7 @@ func runChaosRealnet(t *testing.T, o chaosRealnetOpts) chaosRealnetResult {
 		}
 		lc := legacyclient.New(mc)
 		machines = append(machines, lc)
-		routerA.Attach(msg.NodeID(100+i), lc)
+		routerA.Attach(msg.NodeID(100+i), o.host(lc))
 	}
 
 	// Late listen: replica 2 is unreachable until now, so bridge A's dials
@@ -305,7 +317,7 @@ func runChaosRealnet(t *testing.T, o chaosRealnetOpts) chaosRealnetResult {
 		sc.Observe = tier.ObserveFunc(false)
 	}
 	settle := legacyclient.New(sc)
-	routerA.Attach(102, settle)
+	routerA.Attach(102, o.host(settle))
 	waitFor("settling workload completion", 30*time.Second, func() bool {
 		return observed() >= mainOps+2*settleOps
 	})

@@ -12,7 +12,7 @@ import (
 )
 
 // repliesOf decodes the replies of a reply-batch envelope.
-func repliesOf(t *testing.T, e *msg.Envelope) []msg.OrderedReply {
+func repliesOf(t *testing.T, e msg.Envelope) []msg.OrderedReply {
 	t.Helper()
 	m, err := e.Open()
 	if err != nil {
@@ -105,18 +105,26 @@ func (s sendOnStart) OnStart(env node.Env)             { env.Send(s.e) }
 func (sendOnStart) OnEnvelope(node.Env, *msg.Envelope) {}
 func (sendOnStart) OnTimer(node.Env, node.TimerKey)    {}
 
-// recordingEnv keeps what reaches the network.
+// recordingEnv keeps what reaches the network, by value: Send copies the
+// header it is handed.
 type recordingEnv struct {
 	node.Env
-	sent []*msg.Envelope
+	sent []msg.Envelope
 }
 
-func (r *recordingEnv) Send(e *msg.Envelope) { r.sent = append(r.sent, e) }
+func (r *recordingEnv) Send(e *msg.Envelope) { r.sent = append(r.sent, *e) }
 
-// TestByzantineSendLeavesHonestEnvelopeIntact: the envelope the correct core
-// hands to Send is shared — with the other recipients of a broadcast and,
-// under the in-process router, with the receiver — so every tampering mode
-// must work on a copy. Decoding is by view, so mutating a decoded message in
+// passedThrough reports whether e is h sent on as it is: h's header over h's
+// very body and MAC, not a re-encoding of them.
+func passedThrough(e msg.Envelope, h *msg.Envelope) bool {
+	same := func(a, b []byte) bool { return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) }
+	return e.From == h.From && e.To == h.To && e.Kind == h.Kind && same(e.Body, h.Body) && same(e.MAC, h.MAC)
+}
+
+// TestByzantineSendLeavesHonestEnvelopeIntact: the body of the envelope the
+// correct core hands to Send is shared — with the other recipients of a
+// broadcast and, under the in-process router, with the receiver — so every
+// tampering mode must work on a copy. Decoding is by view, so mutating a decoded message in
 // place would rewrite the honest envelope's body.
 func TestByzantineSendLeavesHonestEnvelopeIntact(t *testing.T) {
 	dir, err := authn.NewDirectory([]byte("byz"))
@@ -170,7 +178,7 @@ func TestByzantineSendLeavesHonestEnvelopeIntact(t *testing.T) {
 				}
 				// Re-sealed the way a replica seals that kind, so the receiver's
 				// transport lets the mutation through to the check it is for.
-				m, err := hybster.Open(e)
+				m, err := hybster.Open(&e)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -178,7 +186,7 @@ func TestByzantineSendLeavesHonestEnvelopeIntact(t *testing.T) {
 					if e.MAC != nil {
 						t.Errorf("mode %s: a %s went with a MAC a replica does not attach", tc.name, e.Kind)
 					}
-				} else if ok, _ := authn.NewAuthenticator(e.To, dir).VerifyMessage(e, m); !ok {
+				} else if ok, _ := authn.NewAuthenticator(e.To, dir).VerifyMessage(&e, m); !ok {
 					t.Errorf("mode %s: the receiver's transport would drop the tampered %s", tc.name, e.Kind)
 				}
 			}
@@ -202,14 +210,14 @@ func TestByzantineMisdirectsCacheMessages(t *testing.T) {
 		honest := msg.Seal(1, 0, m)
 		rec := &recordingEnv{}
 		faultplane.NewByzantine(sendOnStart{honest}, 1, 3, dir, faultplane.MisdirectCacheMessages).OnStart(rec)
-		if len(rec.sent) != 2 || rec.sent[1] != honest || rec.sent[0].To != 2 || !bytes.Equal(rec.sent[0].Body, honest.Body) {
+		if len(rec.sent) != 2 || !passedThrough(rec.sent[1], honest) || rec.sent[0].To != 2 || !bytes.Equal(rec.sent[0].Body, honest.Body) {
 			t.Errorf("%s: sent %d envelopes, want a copy to replica 2 and the honest one to 0", m.Kind(), len(rec.sent))
 		}
 	}
 	rec := &recordingEnv{}
 	batch := msg.Seal(1, 0, msg.NewReplyBatch(&msg.OrderedReply{Client: 5, Result: []byte("OK")}))
 	faultplane.NewByzantine(sendOnStart{batch}, 1, 3, dir, faultplane.MisdirectCacheMessages).OnStart(rec)
-	if len(rec.sent) != 1 || rec.sent[0] != batch {
+	if len(rec.sent) != 1 || !passedThrough(rec.sent[0], batch) {
 		t.Errorf("a reply batch was misdirected: %d envelopes", len(rec.sent))
 	}
 }

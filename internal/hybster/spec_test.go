@@ -77,7 +77,7 @@ func newSpecShuttle(ids ...msg.NodeID) *specShuttle {
 // changeViewWithoutLeader has followers 1 and 2 install view 1 while the
 // view-0 leader sleeps, then wakes the leader on the NEW-VIEW alone and
 // returns the rest of what it slept through.
-func (n *specShuttle) changeViewWithoutLeader(t *testing.T) []*msg.Envelope {
+func (n *specShuttle) changeViewWithoutLeader(t *testing.T) []msg.Envelope {
 	t.Helper()
 	n.live[0] = false
 	n.live[1], n.live[2] = true, true
@@ -92,7 +92,7 @@ func (n *specShuttle) changeViewWithoutLeader(t *testing.T) []*msg.Envelope {
 	n.stash = nil
 	for _, ev := range backlog {
 		if ev.To == 0 && ev.Kind == msg.KindNewView {
-			n.spec[0].OnEnvelope(n.envs[0], ev)
+			n.spec[0].OnEnvelope(n.envs[0], &ev)
 		}
 	}
 	return backlog
@@ -263,7 +263,7 @@ func TestSpeculationRollbackOnViewChange(t *testing.T) {
 	// the repaired write.
 	for _, ev := range backlog {
 		if ev.To == 0 && ev.Kind != msg.KindNewView {
-			r0.OnEnvelope(env0, ev)
+			r0.OnEnvelope(env0, &ev)
 		}
 	}
 	net.run()

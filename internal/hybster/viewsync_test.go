@@ -140,17 +140,18 @@ func TestStaleReplicaSolicitsNewView(t *testing.T) {
 	}
 }
 
-// captureEnv satisfies node.Env and records outbound envelopes for manual
-// delivery, so the exact interleaving around a replica that sleeps through a
-// view change can be scripted without a simulated network.
+// captureEnv satisfies node.Env and records outbound envelopes, by value as
+// Send copies them, for manual delivery, so the exact interleaving around a
+// replica that sleeps through a view change can be scripted without a
+// simulated network.
 type captureEnv struct {
 	id  msg.NodeID
-	out []*msg.Envelope
+	out []msg.Envelope
 }
 
 func (e *captureEnv) Self() msg.NodeID                          { return e.id }
 func (e *captureEnv) Now() time.Duration                        { return 0 }
-func (e *captureEnv) Send(ev *msg.Envelope)                     { e.out = append(e.out, ev) }
+func (e *captureEnv) Send(ev *msg.Envelope)                     { e.out = append(e.out, *ev) }
 func (e *captureEnv) SetTimer(time.Duration, node.TimerKey)     {}
 func (e *captureEnv) CancelTimer(node.TimerKey)                 {}
 func (e *captureEnv) Rand() *rand.Rand                          { return rand.New(rand.NewSource(1)) }
@@ -165,7 +166,7 @@ type shuttleNet struct {
 	replicas map[msg.NodeID]*testReplica
 	envs     map[msg.NodeID]*captureEnv
 	live     map[msg.NodeID]bool
-	stash    []*msg.Envelope
+	stash    []msg.Envelope
 }
 
 func newShuttleNet(chunkSize, window int, ids ...msg.NodeID) *shuttleNet {
@@ -196,7 +197,7 @@ func (n *shuttleNet) run() {
 				}
 				if r, ok := n.replicas[ev.To]; ok {
 					moved = true
-					r.OnEnvelope(n.envs[ev.To], ev)
+					r.OnEnvelope(n.envs[ev.To], &ev)
 				}
 			}
 		}
@@ -250,7 +251,7 @@ func TestPrefixReplayAfterViewAdoption(t *testing.T) {
 	net.live[2] = true
 	for _, ev := range net.stash {
 		if ev.To == 2 && ev.Kind == msg.KindCheckpoint {
-			r2.OnEnvelope(net.envs[2], ev)
+			r2.OnEnvelope(net.envs[2], &ev)
 		}
 	}
 	net.stash = nil
@@ -305,9 +306,9 @@ func TestDeferredPrepareAndCommitReplayWhenTheViewInstalls(t *testing.T) {
 	}
 
 	first := map[msg.Kind]*msg.Envelope{}
-	for _, ev := range net.stash {
+	for i, ev := range net.stash {
 		if _, seen := first[ev.Kind]; ev.To == 4 && !seen {
-			first[ev.Kind] = ev
+			first[ev.Kind] = &net.stash[i]
 		}
 	}
 	r4, env := net.replicas[4], net.envs[4]

@@ -18,17 +18,17 @@ import (
 // fakeService is the other end of one client's channel, driven by hand: it
 // plays the Troxy's side of the handshake and seals whatever records the test
 // wants the client machine to receive. As the machine's node.Env it collects
-// what the machine sends.
+// what the machine sends, by value as Send copies it.
 type fakeService struct {
 	t    *testing.T
 	sess *securechannel.Session
-	sent []*msg.Envelope
+	sent []msg.Envelope
 	rng  *rand.Rand
 }
 
 func (f *fakeService) Self() msg.NodeID                          { return 100 }
 func (f *fakeService) Now() time.Duration                        { return 0 }
-func (f *fakeService) Send(e *msg.Envelope)                      { f.sent = append(f.sent, e) }
+func (f *fakeService) Send(e *msg.Envelope)                      { f.sent = append(f.sent, *e) }
 func (f *fakeService) SetTimer(time.Duration, node.TimerKey)     {}
 func (f *fakeService) CancelTimer(node.TimerKey)                 {}
 func (f *fakeService) Rand() *rand.Rand                          { return f.rng }

@@ -135,6 +135,9 @@ type Machine struct {
 	// until the next record arrives (Observe's result among them).
 	plain []byte
 
+	// out is the envelope a record is sent in; env.Send copies it.
+	out msg.Envelope
+
 	stopped   atomic.Bool
 	completed atomic.Int64 // operations completed, all clients
 	unsettled atomic.Int64 // entries in the clients' specs maps
@@ -259,14 +262,16 @@ func (m *Machine) transmit(env node.Env, cs *clientState) {
 }
 
 // sendRecord seals plaintext straight into the body of the ChannelData
-// envelope that carries the record: the body is the record's only buffer.
+// envelope that carries the record: the body is the record's only buffer,
+// and the envelope is the machine's.
 func (m *Machine) sendRecord(env node.Env, cs *clientState, plaintext []byte) error {
 	body, err := cs.sess.AppendSeal(msg.ChannelDataBody(cs.connID, securechannel.Overhead+len(plaintext)), plaintext)
 	if err != nil {
 		return err
 	}
 	env.Charge(node.ProfileJava, node.ChargeAEAD, len(plaintext))
-	env.Send(msg.ChannelDataEnvelope(m.cfg.Machine, m.replica(cs), body))
+	m.out = msg.Envelope{From: m.cfg.Machine, To: m.replica(cs), Kind: msg.KindChannelData, Body: body}
+	env.Send(&m.out)
 	return nil
 }
 

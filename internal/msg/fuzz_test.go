@@ -196,6 +196,12 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		if !bytes.Equal(re, EncodeEnvelope(e2)) {
 			t.Fatal("envelope encoding not a fixed point")
 		}
+		// A transport decodes every frame of a connection into one envelope:
+		// nothing the previous frame left in it may show through.
+		reused := Envelope{From: 9, To: 9, Kind: KindCommit, Body: []byte("stale"), MAC: []byte("stale")}
+		if err := reused.Decode(re); err != nil || !bytes.Equal(EncodeEnvelope(&reused), re) {
+			t.Fatalf("decoding into a used envelope: %+v, %v", reused, err)
+		}
 	})
 }
 

@@ -252,10 +252,10 @@ func decode(k Kind, r *wire.Reader) (Message, error) {
 // replaced by their digests — computed by the untrusted replica part (or the
 // BFT client library).
 //
-// Body and MAC are immutable once the envelope has been handed to a
-// runtime's Send: the in-process router delivers the very same envelope to
-// the receiver, and a broadcast shares one Body among its recipients. They
-// are never taken from or returned to a pool.
+// The header is a value: a runtime's Send copies it. Body and MAC are
+// immutable once handed to Send: the in-process router delivers the same
+// body, and a broadcast shares one among its recipients. They are never
+// taken from or returned to a pool.
 type Envelope struct {
 	From NodeID
 	To   NodeID
@@ -294,22 +294,25 @@ func AppendEnvelopeFrame(w *wire.Writer, e *Envelope) error {
 	return w.EndFrame(mark)
 }
 
-// DecodeEnvelope parses a transport frame into an Envelope whose Body and MAC
-// are views of b (see wire.Reader.Bytes32): the frame's buffer — the
-// transport's ingress chunk — is the one copy this hop makes.
+// DecodeEnvelope parses a transport frame into a new Envelope (Decode).
 func DecodeEnvelope(b []byte) (*Envelope, error) {
-	r := wire.NewReader(b)
-	e := &Envelope{
-		From: NodeID(int32(r.U32())),
-		To:   NodeID(int32(r.U32())),
-		Kind: Kind(r.U8()),
-		Body: r.Bytes32(),
-		MAC:  r.Bytes32(),
-	}
-	if err := r.Finish(); err != nil {
-		return nil, fmt.Errorf("decode envelope: %w", err)
+	e := new(Envelope)
+	if err := e.Decode(b); err != nil {
+		return nil, err
 	}
 	return e, nil
+}
+
+// Decode parses a transport frame into e. Body and MAC are views of b: the
+// frame's buffer, the transport's ingress chunk, is the one copy this hop makes.
+func (e *Envelope) Decode(b []byte) error {
+	r := wire.NewReader(b)
+	*e = Envelope{From: NodeID(int32(r.U32())), To: NodeID(int32(r.U32())), Kind: Kind(r.U8())}
+	e.Body, e.MAC = r.Bytes32(), r.Bytes32()
+	if err := r.Finish(); err != nil {
+		return fmt.Errorf("decode envelope: %w", err)
+	}
+	return nil
 }
 
 // WireSize returns the number of bytes e occupies on the wire (including the
@@ -355,7 +358,7 @@ func Seal(from, to NodeID, m Message) *Envelope {
 // record in each direction: the ChannelData exists on this frame only, so the
 // envelope and its body are all that is allocated.
 func SealChannelData(from, to NodeID, connID uint64, payload []byte) *Envelope {
-	return ChannelDataEnvelope(from, to, append(ChannelDataBody(connID, len(payload)), payload...))
+	return &Envelope{From: from, To: to, Kind: KindChannelData, Body: append(ChannelDataBody(connID, len(payload)), payload...)}
 }
 
 // channelDataHead is the length of a ChannelData's encoding in front of its
@@ -372,12 +375,6 @@ func ChannelDataBody(connID uint64, n int) []byte {
 	body := make([]byte, 0, channelDataHead+n)
 	body = binary.LittleEndian.AppendUint64(body, connID)
 	return binary.LittleEndian.AppendUint32(body, uint32(n))
-}
-
-// ChannelDataEnvelope addresses a completed ChannelData body from→to. The body
-// is immutable from here on, like every envelope's.
-func ChannelDataEnvelope(from, to NodeID, body []byte) *Envelope {
-	return &Envelope{From: from, To: to, Kind: KindChannelData, Body: body}
 }
 
 // OpenChannelData is Open for a ChannelData envelope, by value: any other

@@ -213,6 +213,12 @@ var Catalogue = []Mutant{
 		New:   "for _, r := range c.chooseReplicas(c.cfg.F - 1) {",
 	},
 	{
+		ID: "router-delay-keeps-sender-envelope", File: "internal/realnet/realnet.go",
+		Fault: "a delayed delivery keeps the sender's envelope instead of a copy of its header, and delivers whatever the sender has put there since",
+		Old:   "		delayed := *e\n		time.AfterFunc(d.Delay, func() { r.deliver(&delayed) })\n",
+		New:   "		time.AfterFunc(d.Delay, func() { r.deliver(e) })\n",
+	},
+	{
 		ID: "group-tag-kind-dropped", File: "internal/troxy/grouptag.go",
 		Fault: "group tags no longer bind the message kind: a tag made for one kind of Troxy message verifies as another's over the same bytes",
 		Old:   "g.hdr = [5]byte{byte(kind), byte(instance),",

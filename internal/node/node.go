@@ -89,9 +89,9 @@ type Env interface {
 	// under simulation, wall-clock time otherwise).
 	Now() time.Duration
 
-	// Send transmits an envelope. The envelope's From must equal Self.
-	// Delivery is asynchronous and, to Byzantine-faulty or crashed peers,
-	// may silently fail.
+	// Send transmits an envelope whose From must equal Self, copying *e before
+	// it returns (Body and MAC stay shared: msg.Envelope). Delivery is
+	// asynchronous and, to faulty or crashed peers, may silently fail.
 	Send(e *msg.Envelope)
 
 	// SetTimer schedules (or reschedules) a timer.
@@ -120,8 +120,8 @@ type Handler interface {
 	// OnStart initializes the node.
 	OnStart(env Env)
 
-	// OnEnvelope delivers a received envelope. Handlers must treat the
-	// envelope as untrusted input.
+	// OnEnvelope delivers a received envelope, which is untrusted input and
+	// valid only for this invocation: a handler copies what it keeps.
 	OnEnvelope(env Env, e *msg.Envelope)
 
 	// OnTimer delivers a timer expiry.

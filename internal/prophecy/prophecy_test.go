@@ -158,16 +158,16 @@ func (b *badReplySender) OnStart(env node.Env) {
 func (b *badReplySender) OnEnvelope(node.Env, *msg.Envelope) {}
 func (b *badReplySender) OnTimer(node.Env, node.TimerKey)    {}
 
-// recordingEnv is a node.Env that keeps what the middlebox sends and the
-// timers it sets.
+// recordingEnv is a node.Env that keeps what the middlebox sends (by value,
+// as Send copies it) and the timers it sets.
 type recordingEnv struct {
-	sent   []*msg.Envelope
+	sent   []msg.Envelope
 	timers []node.TimerKey
 }
 
 func (e *recordingEnv) Self() msg.NodeID                          { return middleboxID }
 func (e *recordingEnv) Now() time.Duration                        { return 0 }
-func (e *recordingEnv) Send(m *msg.Envelope)                      { e.sent = append(e.sent, m) }
+func (e *recordingEnv) Send(m *msg.Envelope)                      { e.sent = append(e.sent, *m) }
 func (e *recordingEnv) SetTimer(_ time.Duration, k node.TimerKey) { e.timers = append(e.timers, k) }
 func (e *recordingEnv) CancelTimer(node.TimerKey)                 {}
 func (e *recordingEnv) Rand() *rand.Rand                          { return rand.New(rand.NewSource(1)) }

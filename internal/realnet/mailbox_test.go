@@ -63,18 +63,19 @@ func TestMailboxReusesItsArray(t *testing.T) {
 	}
 }
 
-// sendWithFinalizer sends an envelope nobody else refers to and reports when
-// the collector has reclaimed it. It is its own function so that no reference
-// lingers on the test's stack.
+// sendWithFinalizer sends an envelope whose body nobody else refers to and
+// reports when the collector has reclaimed that body: the mailbox holds the
+// header by value, the body by reference. It is its own function so that no
+// reference lingers on the test's stack.
 //
 //go:noinline
 func sendWithFinalizer(r *Router, collected chan struct{}) {
 	e := msg.SealChannelData(2, 1, 0, []byte("the first of a burst"))
-	runtime.SetFinalizer(e, func(*msg.Envelope) { close(collected) })
+	runtime.SetFinalizer(&e.Body[0], func(*byte) { close(collected) })
 	r.Send(e)
 }
 
-// TestMailboxLetsGoOfDeliveredEnvelopes: an envelope is the garbage
+// TestMailboxLetsGoOfDeliveredEnvelopes: an envelope's body is the garbage
 // collector's as soon as its delivery has returned, however much traffic is
 // still queued behind it in the same array.
 func TestMailboxLetsGoOfDeliveredEnvelopes(t *testing.T) {

@@ -53,15 +53,19 @@ func (r *Router) SetLogOutput(w io.Writer) {
 }
 
 // SetRemoteSender installs the fallback used for envelopes addressed to
-// nodes not attached locally (e.g. a TCP bridge).
+// nodes not attached locally (e.g. a TCP bridge). The envelope send is handed
+// is the caller's, valid only for the call: send copies or encodes what it
+// keeps.
 func (r *Router) SetRemoteSender(send func(*msg.Envelope)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.remote = send
 }
 
+// mailboxItem is a delivery or a timer fire. A delivery holds its envelope by
+// value: Send copies the header in, so the sender may reuse its own at once.
 type mailboxItem struct {
-	env *msg.Envelope
+	env msg.Envelope
 	key node.TimerKey
 	gen uint64
 	tmr bool
@@ -184,50 +188,68 @@ func (r *Router) SetFault(j faultplane.Judge) {
 
 // Send routes an envelope to a local node or through the remote sender.
 // Unroutable envelopes are dropped silently (the network is asynchronous and
-// unreliable; protocols own their retransmissions).
+// unreliable; protocols own their retransmissions). With no fault judge, one
+// critical section decides where the envelope goes.
 func (r *Router) Send(e *msg.Envelope) {
 	r.mu.Lock()
 	fault := r.fault
+	if fault == nil {
+		n, remote := r.route(e.To)
+		r.mu.Unlock()
+		dispatch(n, remote, e)
+		return
+	}
 	blocked := r.closed || r.crashed[e.To]
 	r.mu.Unlock()
 	if blocked {
 		return
 	}
 
-	if fault != nil {
-		d := fault.Judge(time.Since(r.start), e.From, e.To, e.Kind)
-		if d.Drop {
-			return
-		}
-		if d.Corrupt {
-			e = faultplane.CorruptCopy(e)
-		}
-		if d.Duplicate {
-			r.deliver(faultplane.CloneEnvelope(e))
-		}
-		if d.Delay > 0 {
-			// Deliver later without judging again; deliver re-checks
-			// closed/crashed at fire time.
-			delayed := e
-			time.AfterFunc(d.Delay, func() { r.deliver(delayed) })
-			return
-		}
+	d := fault.Judge(time.Since(r.start), e.From, e.To, e.Kind)
+	if d.Drop {
+		return
+	}
+	if d.Corrupt {
+		e = faultplane.CorruptCopy(e)
+	}
+	if d.Duplicate {
+		r.deliver(faultplane.CloneEnvelope(e))
+	}
+	if d.Delay > 0 {
+		// Deliver later without judging again; deliver re-checks
+		// closed/crashed at fire time. The closure keeps a copy of the
+		// header: e is the sender's.
+		delayed := *e
+		time.AfterFunc(d.Delay, func() { r.deliver(&delayed) })
+		return
 	}
 	r.deliver(e)
 }
 
 func (r *Router) deliver(e *msg.Envelope) {
 	r.mu.Lock()
-	if r.closed || r.crashed[e.To] {
-		r.mu.Unlock()
-		return
-	}
-	n, ok := r.nodes[e.To]
-	remote := r.remote
+	n, remote := r.route(e.To)
 	r.mu.Unlock()
+	dispatch(n, remote, e)
+}
 
-	if ok {
-		n.enqueue(mailboxItem{env: e})
+// route says where an envelope to id goes: its local node, else the remote
+// sender; neither when the router is closed or id crashed. Caller holds mu.
+func (r *Router) route(id msg.NodeID) (*realNode, func(*msg.Envelope)) {
+	if r.closed || r.crashed[id] {
+		return nil, nil
+	}
+	if n, ok := r.nodes[id]; ok {
+		return n, nil
+	}
+	return nil, r.remote
+}
+
+// dispatch hands e to where route sent it: a copy of its header into n's
+// mailbox, or e itself to the remote sender, which keeps nothing of it.
+func dispatch(n *realNode, remote func(*msg.Envelope), e *msg.Envelope) {
+	if n != nil {
+		n.enqueue(mailboxItem{env: *e})
 		return
 	}
 	if remote != nil {
@@ -302,6 +324,9 @@ func (n *realNode) stop() {
 func (n *realNode) run() {
 	defer n.router.wg.Done()
 	env := &realEnv{node: n}
+	// cur is the one slot every delivery is made from: a handler is handed
+	// its address, valid for that invocation, and it is cleared afterwards.
+	var cur msg.Envelope
 	n.handler.OnStart(env)
 	for {
 		n.mu.Lock()
@@ -343,7 +368,9 @@ func (n *realNode) run() {
 			}
 			continue
 		}
-		n.handler.OnEnvelope(env, item.env)
+		cur = item.env
+		n.handler.OnEnvelope(env, &cur)
+		cur = msg.Envelope{}
 	}
 }
 

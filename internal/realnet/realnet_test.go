@@ -11,11 +11,12 @@ import (
 	"github.com/troxy-bft/troxy/internal/wire"
 )
 
-// collector records envelopes and timer fires; it is the realnet analogue of
-// the simnet test nodes.
+// collector records envelopes (by value: a delivered envelope is valid only
+// for its invocation) and timer fires; it is the realnet analogue of the
+// simnet test nodes.
 type collector struct {
 	mu     sync.Mutex
-	envs   []*msg.Envelope
+	envs   []msg.Envelope
 	timers []node.TimerKey
 	onEnv  func(env node.Env, e *msg.Envelope)
 	onTmr  func(env node.Env, key node.TimerKey)
@@ -36,7 +37,7 @@ func (c *collector) OnStart(env node.Env) {
 
 func (c *collector) OnEnvelope(env node.Env, e *msg.Envelope) {
 	c.mu.Lock()
-	c.envs = append(c.envs, e)
+	c.envs = append(c.envs, *e)
 	n := len(c.envs)
 	c.mu.Unlock()
 	if c.onEnv != nil {

@@ -102,18 +102,24 @@ func (b *Bridge) Listen(addr string) error {
 // readLoop injects frames from an accepted peer connection into the router.
 // Ingress is batched to match the peer's vectored egress: a ChunkReader
 // consumes a coalesced burst at one read syscall and one chunk allocation
-// instead of two syscalls and an allocation per frame.
+// instead of two syscalls and an allocation per frame. Every frame is decoded
+// into the same envelope, whose header the router copies.
 func (b *Bridge) readLoop(conn net.Conn) {
 	cr := wire.NewChunkReader(conn)
+	var env msg.Envelope
 	for {
 		frame, err := cr.ReadFrame()
 		if err != nil {
 			return
 		}
-		env, err := msg.DecodeEnvelope(frame)
-		if err != nil {
-			continue // garbage from an untrusted peer: discard
-		}
+		b.inject(&env, frame)
+	}
+}
+
+// inject decodes frame into env and routes it. A frame that does not decode
+// is garbage from an untrusted peer and is discarded.
+func (b *Bridge) inject(env *msg.Envelope, frame []byte) {
+	if env.Decode(frame) == nil {
 		b.router.Send(env)
 	}
 }
@@ -271,14 +277,17 @@ func (g *Gateway) handle(conn net.Conn) {
 	defer g.router.Detach(id)
 
 	// Ingress mirrors egress: batched chunk reads instead of per-frame
-	// syscalls and allocations.
+	// syscalls and allocations. Each frame gets a ChannelData body of its own
+	// and travels in the connection's one envelope.
 	cr := wire.NewChunkReader(conn)
+	env := msg.Envelope{From: id, To: g.replica, Kind: msg.KindChannelData}
 	for {
 		frame, err := cr.ReadFrame()
 		if err != nil {
 			return
 		}
-		g.router.Send(msg.SealChannelData(id, g.replica, uint64(id), frame))
+		env.Body = append(msg.ChannelDataBody(uint64(id), len(frame)), frame...)
+		g.router.Send(&env)
 	}
 }
 

@@ -52,7 +52,7 @@ func certifiedFields(m msg.Message) string {
 }
 
 // sentSummary lists the kind and destination of each envelope sent.
-func sentSummary(sent []*msg.Envelope) string {
+func sentSummary(sent []msg.Envelope) string {
 	var b bytes.Buffer
 	for _, e := range sent {
 		fmt.Fprintf(&b, "%s→%d ", e.Kind, e.To)
@@ -156,7 +156,7 @@ func proposingLeader(t testing.TB, dir *authn.Directory, opSize int) (*Replica, 
 func TestCertifiedBodyFlipsAreRejectedOrInert(t *testing.T) {
 	dir := tamperDir(t)
 	_, proposed := proposingLeader(t, dir, 24)
-	prep := proposed.sent[0]
+	prep := &proposed.sent[0]
 	follower := func() (*Replica, *tapEnv) { return newBaselineReplica(dir, 1, 16, time.Hour), &tapEnv{self: 1} }
 
 	t.Run("Prepare", func(t *testing.T) {
@@ -167,9 +167,9 @@ func TestCertifiedBodyFlipsAreRejectedOrInert(t *testing.T) {
 		r, env := follower()
 		r.OnEnvelope(env, prep)
 		var com *msg.Envelope
-		for _, e := range env.sent {
+		for i, e := range env.sent {
 			if e.Kind == msg.KindCommit && e.To == 0 {
-				com = e
+				com = &env.sent[i]
 			}
 		}
 		if com == nil {

@@ -78,6 +78,10 @@ type Replica struct {
 	answer  msg.CacheReply
 	outbox  []replyQueue // indexed by origin replica
 
+	// out is the envelope every hot send fills and hands to env.Send, which
+	// copies it: nothing between the fill and the Send can send again.
+	out msg.Envelope
+
 	stats Stats
 }
 
@@ -402,7 +406,8 @@ func (r *Replica) onBFTRequest(env node.Env, from msg.NodeID, m *msg.BFTRequest)
 // it, and the request is not touched here again.
 func (r *Replica) apply(env node.Env, acts troxy.Actions) {
 	for _, cr := range acts.Client {
-		env.Send(msg.ChannelDataEnvelope(r.cfg.Self, cr.Node, cr.Body))
+		r.out = msg.Envelope{From: r.cfg.Self, To: cr.Node, Kind: msg.KindChannelData, Body: cr.Body}
+		env.Send(&r.out)
 	}
 	for i := range acts.Submits {
 		r.core.Submit(env, &acts.Submits[i])
@@ -423,7 +428,8 @@ func (r *Replica) sendAuthed(env node.Env, to msg.NodeID, m msg.Message) {
 // its counter certificate authenticates. body is immutable from here on: the
 // envelope (and any other recipient's) shares it.
 func (r *Replica) sendEncoded(env node.Env, to msg.NodeID, m msg.Message, body []byte) {
-	e := &msg.Envelope{From: r.cfg.Self, To: to, Kind: m.Kind(), Body: body}
+	e := &r.out
+	*e = msg.Envelope{From: r.cfg.Self, To: to, Kind: m.Kind(), Body: body}
 	if authn.HostMACed(e.Kind) {
 		env.Charge(node.ProfileJava, node.ChargeMAC, r.auth.SealMessage(e, m))
 	}
@@ -434,7 +440,8 @@ func (r *Replica) sendEncoded(env node.Env, to msg.NodeID, m msg.Message, body [
 // (a reply batch the replica built, a cache message its Troxy encoded), as it
 // is: the tags inside authenticate it, and it carries no MAC.
 func (r *Replica) sendTagged(env node.Env, to msg.NodeID, kind msg.Kind, body []byte) {
-	env.Send(&msg.Envelope{From: r.cfg.Self, To: to, Kind: kind, Body: body})
+	r.out = msg.Envelope{From: r.cfg.Self, To: to, Kind: kind, Body: body}
+	env.Send(&r.out)
 }
 
 // Send implements hybster.Outbound.

@@ -117,8 +117,9 @@ func TestTamperedForwardAndPrepareNeverReachTheCore(t *testing.T) {
 }
 
 // BenchmarkAllocGatePrepare: a 16 × 4 KiB PREPARE is broadcast to two peers
-// at the cost of its encoding and, per peer, an envelope: it carries no MAC,
-// so no tag is allocated and nothing is hashed for one.
+// at the cost of its encoding, which both envelopes share; each envelope's
+// header is the replica's own, which Send copies. It carries no MAC, so no
+// tag is allocated and nothing is hashed for one.
 func BenchmarkAllocGatePrepare(b *testing.B) {
 	dir := tamperDir(b)
 	_, proposed := proposingLeader(b, dir, 4096)
@@ -131,7 +132,7 @@ func BenchmarkAllocGatePrepare(b *testing.B) {
 		prep.Batch.Reqs[i].Digest() // a leader proposes what Submit and OnForward hashed
 	}
 	leader, env := newBaselineReplica(dir, 0, 16, time.Hour), &tapEnv{self: 0}
-	testutil.AllocGate(b, "BroadcastPrepare16x4K", 1+2, func() {
+	testutil.AllocGate(b, "BroadcastPrepare16x4K", 1, func() {
 		leader.Broadcast(env, prep)
 		if len(env.macBytes) != 0 {
 			b.Fatal("a PREPARE was MACed")

@@ -92,8 +92,8 @@ type event struct {
 	kind eventKind
 
 	to   msg.NodeID
-	env  *msg.Envelope
-	node *simNode // the incarnation that set the timer or took the delivery into its NIC
+	env  msg.Envelope // by value: Send copies the sender's header
+	node *simNode     // the incarnation that set the timer or took the delivery into its NIC
 
 	key node.TimerKey
 	gen uint64
@@ -323,7 +323,7 @@ func (n *Network) dispatch(e *event) {
 		}
 		n.stats.Delivered++
 		n.stats.Bytes += uint64(e.env.WireSize())
-		n.invoke(sn, e.at, func(env node.Env) { sn.handler.OnEnvelope(env, e.env) })
+		n.invoke(sn, e.at, func(env node.Env) { sn.handler.OnEnvelope(env, &e.env) })
 	case evTimer:
 		if sn.timerGen[e.key] != e.gen {
 			return // canceled or replaced
@@ -445,14 +445,14 @@ func (n *Network) transmit(from *simNode, env *msg.Envelope, t time.Duration) {
 			// The copy arrives undelayed, so a delayed original also yields
 			// a reordered pair.
 			n.stats.Duplicated++
-			n.push(&event{at: arrive, kind: evDeliver, to: env.To, env: faultplane.CloneEnvelope(env)})
+			n.push(&event{at: arrive, kind: evDeliver, to: env.To, env: *faultplane.CloneEnvelope(env)})
 		}
 		// Extra delay is applied after the FIFO point above and not written
 		// back to fifoLast: later messages on the link can overtake, which
 		// is exactly the reordering fault.
 		arrive += d.Delay
 	}
-	n.push(&event{at: arrive, kind: evDeliver, to: env.To, env: env})
+	n.push(&event{at: arrive, kind: evDeliver, to: env.To, env: *env})
 }
 
 func (n *Network) linkLatency(a, b msg.NodeID) LatencyModel {

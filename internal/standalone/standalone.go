@@ -104,5 +104,5 @@ func Reply(env node.Env, ch *troxy.Channels, self msg.NodeID, http bool, connID,
 		return
 	}
 	env.Charge(node.ProfileJava, node.ChargeAEAD, n)
-	env.Send(msg.ChannelDataEnvelope(self, to, body))
+	env.Send(&msg.Envelope{From: self, To: to, Kind: msg.KindChannelData, Body: body})
 }

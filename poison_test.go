@@ -28,10 +28,21 @@ func (p proposal) String() string {
 	return fmt.Sprintf("v%d/s%d:%d×%s", p.view, p.seq, p.reqs, p.digest.Short())
 }
 
+// lending says what a retention run overwrites behind a node's back.
+type lending struct {
+	// delivered: every envelope a replica is handed is a private copy whose
+	// body, MAC and header are overwritten as soon as the handler returns
+	// (lentEnvelopes).
+	delivered bool
+	// sent: every envelope a node hands to Send has its header overwritten
+	// as soon as Send returns (lentSends).
+	sent bool
+}
+
 // lentEnvelopes wraps a replica the way a transport that reuses its receive
-// buffers would: every envelope is delivered as a private copy whose body and
-// MAC are overwritten as soon as the handler returns (when poison is set). It
-// also records the PREPAREs the replica sends.
+// buffers would: every envelope is delivered as a private copy whose body,
+// MAC and header are overwritten as soon as the handler returns (when poison
+// is set). It also records the PREPAREs the replica sends.
 type lentEnvelopes struct {
 	inner     node.Handler
 	poison    bool
@@ -67,27 +78,75 @@ func (l *lentEnvelopes) OnEnvelope(env node.Env, e *msg.Envelope) {
 		for i := range lent.MAC {
 			lent.MAC[i] = 0xA5
 		}
+		// The header is the handler's for the invocation only, too.
+		*lent = msg.Envelope{From: msg.NoNode, To: msg.NoNode, Kind: msg.Kind(0xA5), Body: lent.Body, MAC: lent.MAC}
 	}
+}
+
+// lentSends wraps a node the way a sender that reuses its envelope would:
+// the header of every envelope the node hands to Send is overwritten as soon
+// as Send returns. The destination and kind stay, so a runtime that kept the
+// sender's envelope rather than a copy would deliver it, but the body and MAC
+// it would deliver are 0x5A bytes no receiver's check accepts. The bytes it
+// was sent with are left alone: they stay shared.
+type lentSends struct{ inner node.Handler }
+
+type overwritingEnv struct{ node.Env }
+
+func (e overwritingEnv) Send(env *msg.Envelope) {
+	e.Env.Send(env)
+	junk := func(b []byte) []byte {
+		if b == nil {
+			return nil
+		}
+		return bytes.Repeat([]byte{0x5A}, len(b))
+	}
+	*env = msg.Envelope{From: env.From, To: env.To, Kind: env.Kind, Body: junk(env.Body), MAC: junk(env.MAC)}
+}
+
+func (l lentSends) OnStart(env node.Env) { l.inner.OnStart(overwritingEnv{env}) }
+func (l lentSends) OnEnvelope(env node.Env, e *msg.Envelope) {
+	l.inner.OnEnvelope(overwritingEnv{env}, e)
+}
+func (l lentSends) OnTimer(env node.Env, key node.TimerKey) {
+	l.inner.OnTimer(overwritingEnv{env}, key)
 }
 
 // dropNthPrepare loses one whole PREPARE broadcast of the initial leader: the
 // batches behind it in the pipeline are accepted on their lanes but cannot
 // execute, ordering stalls, and the view change that follows has prepared
-// entries to carry over and re-propose.
-type dropNthPrepare struct{ nth, seen int }
-
-func (d *dropNthPrepare) Judge(_ time.Duration, from, _ msg.NodeID, kind msg.Kind) faultplane.Decision {
-	if kind != msg.KindPrepare || from != 0 {
-		return faultplane.Decision{}
-	}
-	d.seen++
-	return faultplane.Decision{Drop: (d.seen-1)/2 == d.nth}
+// entries to carry over and re-propose. Every envelope it does not drop it
+// hands to then, if set.
+type dropNthPrepare struct {
+	nth, seen int
+	then      faultplane.Judge
 }
 
-// retentionRun drives writes and reads through a cluster whose replicas only
-// ever see lent envelopes, across a stalled pipeline, the view change it
-// forces and the client retransmissions it causes.
-func retentionRun(t *testing.T, mode Mode, poison bool) (proposals []proposal, state msg.Digest, hist []faultplane.Op) {
+func (d *dropNthPrepare) Judge(now time.Duration, from, to msg.NodeID, kind msg.Kind) faultplane.Decision {
+	if kind == msg.KindPrepare && from == 0 {
+		d.seen++
+		if (d.seen-1)/2 == d.nth {
+			return faultplane.Decision{Drop: true}
+		}
+	}
+	if d.then == nil {
+		return faultplane.Decision{}
+	}
+	return d.then.Judge(now, from, to, kind)
+}
+
+// delayAndDuplicate delays every envelope by up to 3 ms, which reorders them,
+// and duplicates one in ten: what makes a runtime hold an envelope after its
+// Send has returned.
+var delayAndDuplicate = faultplane.Plan{Links: []faultplane.LinkFault{{
+	From: faultplane.Wildcard, To: faultplane.Wildcard, DupP: 0.1, Jitter: 3 * time.Millisecond,
+}}}
+
+// retentionRun drives writes and reads through a cluster whose replicas see
+// and send envelopes lent as lend says, across a stalled pipeline, the view
+// change it forces and the client retransmissions it causes. then judges
+// every envelope the stall does not drop (nil: none is touched).
+func retentionRun(t *testing.T, mode Mode, lend lending, then faultplane.Judge) (proposals []proposal, state msg.Digest, hist []faultplane.Op) {
 	t.Helper()
 	cl, err := NewCluster(ClusterConfig{
 		Mode:               mode,
@@ -108,10 +167,16 @@ func retentionRun(t *testing.T, mode Mode, poison bool) (proposals []proposal, s
 	}
 	net := simnet.New(23, nil)
 	net.SetDefaultLink(simnet.FixedLatency(2 * time.Millisecond))
-	for i, r := range cl.Replicas {
-		net.Attach(msg.NodeID(i), &lentEnvelopes{inner: r, poison: poison, proposals: &proposals})
+	attach := func(id msg.NodeID, h node.Handler) {
+		if lend.sent {
+			h = lentSends{h}
+		}
+		net.Attach(id, h)
 	}
-	net.SetFault(&dropNthPrepare{nth: 3})
+	for i, r := range cl.Replicas {
+		attach(msg.NodeID(i), &lentEnvelopes{inner: r, poison: lend.delivered, proposals: &proposals})
+	}
+	net.SetFault(&dropNthPrepare{nth: 3, then: then})
 
 	history := &faultplane.History{}
 	const machines, perMachine, opsPerClient = 2, 4, 6
@@ -132,7 +197,7 @@ func retentionRun(t *testing.T, mode Mode, poison bool) (proposals []proposal, s
 				Timeout:       250 * time.Millisecond,
 			})
 			clients = append(clients, bc)
-			net.Attach(msg.NodeID(100+i), bc)
+			attach(msg.NodeID(100+i), bc)
 			continue
 		}
 		lc := legacyclient.New(legacyclient.Config{
@@ -147,7 +212,7 @@ func retentionRun(t *testing.T, mode Mode, poison bool) (proposals []proposal, s
 			Observe:       history.Observe,
 		})
 		clients = append(clients, lc)
-		net.Attach(msg.NodeID(100+i), lc)
+		attach(msg.NodeID(100+i), lc)
 	}
 	net.Run(60 * time.Second)
 
@@ -174,15 +239,15 @@ func retentionRun(t *testing.T, mode Mode, poison bool) (proposals []proposal, s
 // operation of a client's request, which ordering keeps as it is submitted
 // (the baseline has no client-observed history here: its run is compared by
 // proposals and final state). A transport that
-// overwrites every delivered envelope after its handler returns must
-// therefore change nothing: a batch re-proposed after a view change is, bit
+// overwrites every delivered envelope, header and bytes, after its handler
+// returns must therefore change nothing: a batch re-proposed after a view change is, bit
 // for bit, the batch first proposed at that sequence number, the history
 // stays linearizable, and the whole run is the run without poisoning.
 func TestDeliveredEnvelopesAreNotRetained(t *testing.T) {
 	for _, mode := range []Mode{Baseline, CTroxy, ETroxy} {
 		t.Run(mode.String(), func(t *testing.T) {
-			clean, cleanState, cleanHist := retentionRun(t, mode, false)
-			lent, lentState, hist := retentionRun(t, mode, true)
+			clean, cleanState, cleanHist := retentionRun(t, mode, lending{}, nil)
+			lent, lentState, hist := retentionRun(t, mode, lending{delivered: true}, nil)
 
 			if err := faultplane.CheckLinearizable(hist); err != nil {
 				t.Errorf("history over lent envelopes is not linearizable: %v", err)
@@ -228,4 +293,39 @@ func TestDeliveredEnvelopesAreNotRetained(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSentEnvelopesAreNotRetained is the send-side twin: Send copies the
+// header it is handed, so a node may reuse its envelope the moment Send
+// returns (the replica and the client machine do), and a runtime that kept
+// the sender's envelope instead — in a queued delivery, a delayed one or a
+// duplicate — would deliver whatever the sender put there next. Every node's
+// sent envelopes are overwritten once Send returns (lentSends), under a
+// judge that delays and duplicates. In the simulator the run is the run
+// without overwriting, bit for bit; across the TCP bridge of the wall-clock
+// chaos topology the history is linearizable, the replicas converge and none
+// of them drops an envelope as a bad MAC.
+func TestSentEnvelopesAreNotRetained(t *testing.T) {
+	for _, mode := range []Mode{Baseline, CTroxy, ETroxy} {
+		t.Run("simnet/"+mode.String(), func(t *testing.T) {
+			clean, cleanState, cleanHist := retentionRun(t, mode, lending{}, faultplane.NewInjector(31, delayAndDuplicate))
+			lent, lentState, hist := retentionRun(t, mode, lending{sent: true}, faultplane.NewInjector(31, delayAndDuplicate))
+			if err := faultplane.CheckLinearizable(hist); err != nil {
+				t.Errorf("history over lent sends is not linearizable: %v", err)
+			}
+			if lentState != cleanState {
+				t.Errorf("final state %s, want the clean run's %s", lentState.Short(), cleanState.Short())
+			}
+			if fmt.Sprint(hist) != fmt.Sprint(cleanHist) {
+				t.Errorf("history differs from the clean run's:\n lent  %v\n clean %v", hist, cleanHist)
+			}
+			if fmt.Sprint(lent) != fmt.Sprint(clean) {
+				t.Errorf("proposals differ from the clean run's:\n lent  %v\n clean %v", lent, clean)
+			}
+		})
+	}
+	t.Run("bridge", func(t *testing.T) {
+		res := runChaosRealnet(t, chaosRealnetOpts{seed: 31, plan: delayAndDuplicate, lendSends: true})
+		expectNoBadMACs(t, res.cl, 0, 1, 2)
+	})
 }
