@@ -77,18 +77,23 @@ bench:
 # group tag verified or made into the caller's buffer 0 (troxy's), a 16 x
 # 4 KiB PREPARE broadcast to two peers 1 — its encoding: it carries no MAC,
 # so no tag —, a local Router.Send through to delivery 0 and a bridge frame
-# decoded and delivered 0 (realnet's), Store.Keys 0, an ecall round trip
+# decoded and delivered 0 and a send ring's vectored flush 0 (realnet's),
+# Store.Keys 0, an ecall round trip
 # into room the caller brought 0, a reply
 # tagged across the boundary 0, a record opened into a lent buffer and walked
 # 0, a ChannelData envelope sealed 2 and opened 0, a request hashed where it
-# lies 0, Submit at a follower 1 — the FORWARD, nothing for the request it
-# keeps — a PREPARE of held requests admitted without a slab, and the
+# lies 0, Submit at a follower 0 — the core's one FORWARD, nothing for the
+# request it keeps — a PREPARE of held requests decoded into a reused struct
+# and admitted without a slab 1, a batch-of-one round on three cores 21, a
+# certificate across the boundary 1 (its copy-out), and the
 # fast-read cache's CacheReinstallSameResult 0, CacheInvalidateThenReinstall 1
 # and CacheEvictAndInstall 1, the reply's slab, …) — beside msg's encode
 # benchmarks, which time EncodeBody, the replica's encoder, and
 # BenchmarkAppendEnvelopeFrame, which fails itself if the pooled frame-encode
 # path allocates at all, and end to end by TestWriteAllocBudget at the module
-# root (allocations per 128-byte write through a whole simulated cluster),
+# root (allocations per 128-byte write through a whole simulated cluster, 32
+# clients) and TestLoneWriteAllocBudget (the same with one client: a batch of
+# one a sequence number),
 # beside TestWriteMACBudget on the same deployment (MACs charged per write:
 # host MACs, Troxy tags and counter certificates, so a MAC that comes back on
 # a message something else authenticates fails it). In
@@ -102,7 +107,7 @@ bench-quick: copy-gate
 	$(GO) test -run xxx -bench 'Encode|AppendEnvelopeFrame|BatchDigest|AllocGate' -benchmem -benchtime 1000x ./internal/msg/
 	$(GO) test -run xxx -bench 'AllocGate' -benchmem -benchtime 1000x ./internal/authn/ ./internal/tcounter/ ./internal/app/ ./internal/troxy/ ./internal/hybster/ ./internal/replica/ ./internal/enclave/ ./internal/securechannel/ ./internal/realnet/
 	$(GO) test -run xxx -bench 'StoreCheckpoint|StoreFork' -benchmem -benchtime 20x ./internal/app/
-	$(GO) test -count=1 -run 'TestWriteAllocBudget|TestWriteMACBudget' -v .
+	$(GO) test -count=1 -run 'TestWriteAllocBudget|TestLoneWriteAllocBudget|TestWriteMACBudget' -v .
 
 # copy-gate reads the compiler's output for wire.Writer.CopyBytes, which makes
 # every owned message body, envelope encoding and reply batch: make+copy is one

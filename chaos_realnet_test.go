@@ -26,6 +26,7 @@ import (
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/node"
 	"github.com/troxy-bft/troxy/internal/realnet"
+	"github.com/troxy-bft/troxy/internal/replica"
 	"github.com/troxy-bft/troxy/internal/workload"
 )
 
@@ -82,10 +83,17 @@ type chaosRealnetOpts struct {
 	// lendSends overwrites every envelope a node sends once Send returns
 	// (lentSends).
 	lendSends bool
+	// poisonDecodes overwrites the structs each replica decodes ordering
+	// messages into once a delivery returns (poisonedDecodes).
+	poisonDecodes bool
 }
 
-// host is what a router attaches for h: h itself, or h lending its sends.
+// host is what a router attaches for h: h itself, h with its decodes
+// poisoned, or h lending its sends.
 func (o chaosRealnetOpts) host(h node.Handler) node.Handler {
+	if r, ok := h.(*replica.Replica); ok && o.poisonDecodes {
+		h = poisonedDecodes{r}
+	}
 	if o.lendSends {
 		return lentSends{h}
 	}
@@ -386,9 +394,13 @@ func runChaosRealnet(t *testing.T, o chaosRealnetOpts) chaosRealnetResult {
 		}
 	}
 	// (e) No Byzantine replica and no corrupting link: every certificate
-	// verifies.
+	// verifies, and every envelope passes transport authentication and
+	// decodes — a runtime that delivered a body other than the one sent
+	// (another envelope's, or one overwritten since) fails here even where
+	// the history survives it.
 	if len(o.byz) == 0 && !corrupts(plan) {
 		expectNoUnverifiedCerts(t, fail, cl)
+		expectCleanTransport(fail, cl)
 	}
 	return chaosRealnetResult{cl, hist, tier}
 }

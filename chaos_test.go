@@ -394,6 +394,18 @@ func expectUnverifiedOnlyAt(t *testing.T, cl *Cluster, byz msg.NodeID, targets .
 	}
 }
 
+// expectCleanTransport fails a run in which a replica dropped an envelope as a
+// bad MAC or cut a reply batch short: with no Byzantine replica and no
+// corrupting link, everything a replica is delivered was sent as it arrives.
+func expectCleanTransport(fail func(string, ...any), cl *Cluster) {
+	for i := 0; i < cl.Config.N; i++ {
+		if s := cl.Replicas[i].Stats(); s.BadMACs != 0 || s.BadBatches != 0 {
+			fail("replica %d dropped %d envelopes as bad MACs and cut %d reply batches short on a run that corrupts nothing",
+				i, s.BadMACs, s.BadBatches)
+		}
+	}
+}
+
 // expectNoBadMACs: on a clean network a correct replica sees no envelope fail
 // transport authentication — a Byzantine host holds its own transport keys and
 // seals what it tampers with as a replica does, so its mutations are for the

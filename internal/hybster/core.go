@@ -35,6 +35,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"iter"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -136,7 +137,10 @@ func (c Config) Quorum() int { return c.F + 1 }
 // through the replica's authenticated transport and deliver execution
 // results to the reply path (Troxy voter or BFT client).
 type Outbound interface {
-	// Send transmits a protocol message to a peer replica.
+	// Send transmits a protocol message to a peer replica. m is valid for the
+	// call only where it is a FORWARD: the core sends every FORWARD from one
+	// value it owns, so an implementation that keeps what it is sent beyond
+	// the call keeps a copy of a FORWARD.
 	Send(env node.Env, to msg.NodeID, m msg.Message)
 
 	// Committed reports the execution of a request. keys lists the state
@@ -252,11 +256,14 @@ type Metrics struct {
 type entry struct {
 	view     uint64
 	seq      uint64
-	batch    *msg.Batch // owned by the log; its requests carry their digests
+	batch    msg.Batch  // owned by the log; its requests carry their digests
 	digest   msg.Digest // combined batch digest
 	hasPrep  bool
 	prepCert msg.CounterCert
-	vouchers map[msg.NodeID]struct{}
+	// prepMAC is where prepCert's MAC lies when the certificate came in a
+	// PREPARE, whose bytes are the transport's: the entry owns the copy.
+	prepMAC  [sha256.Size]byte
+	vouchers uint64 // bit i: replica i certified the batch at this slot
 	executed bool
 
 	// specCert is the certificate a SpecReply for this batch carries: the
@@ -332,6 +339,32 @@ type deferredMsg struct {
 // maxDeferred bounds the future-view holdback buffer.
 const maxDeferred = 4096
 
+// maxReplicas bounds N: an entry keeps the replicas that vouched for it as one
+// bit each (entry.vouchers). troxy.MaxReplicas is the same bound, for the
+// same reason, on the reply voter's side.
+const maxReplicas = 64
+
+// vouch records that replica id certified the entry's batch. An id that is
+// no replica of the group sets no bit.
+func (e *entry) vouch(id msg.NodeID, n int) {
+	if id >= 0 && int(id) < n {
+		e.vouchers |= 1 << uint(id)
+	}
+}
+
+// vouched is the number of replicas that certified the entry's batch.
+func (e *entry) vouched() int { return bits.OnesCount64(e.vouchers) }
+
+// keepPrepCert makes cert the entry's prepare certificate, its MAC copied into
+// prepMAC: cert is a view of the PREPARE that brought it. A certificate that
+// verified has a MAC of exactly that size (tcounter.Subsystem.Verify). The
+// array is overwritten when the slot is prepared again in a later view, so
+// whoever hands prepCert out of the entry clones it (preparedAbove).
+func (e *entry) keepPrepCert(cert msg.CounterCert) {
+	e.prepCert = cert
+	e.prepCert.MAC = e.prepMAC[:copy(e.prepMAC[:], cert.MAC)]
+}
+
 // Core is the protocol state machine of one replica. It is not safe for
 // concurrent use; the hosting node.Handler serializes access.
 type Core struct {
@@ -379,8 +412,14 @@ type Core struct {
 	// Requests queued while a view change is in progress.
 	queued []*msg.OrderRequest
 
+	// fwd is the FORWARD every Submit sends: Outbound.Send is done with it
+	// when it returns.
+	fwd msg.Forward
+
 	// batchBuf accumulates requests on the leader until the batch is cut
-	// (full, or the BatchDelay timer fires). The hosting node.Handler
+	// (full, or the BatchDelay timer fires); each batch cut from it keeps its
+	// part of the array as the log entry's request slice, so the accumulator
+	// is allocated a batch's worth at a time. The hosting node.Handler
 	// serializes access, so no locking is needed. batchDue marks the
 	// accumulator as ready to propose: the pump drains it in batch-size
 	// chunks as the in-flight window frees up. pumping breaks the
@@ -467,6 +506,9 @@ const (
 func New(cfg Config, out Outbound) *Core {
 	if cfg.N != 2*cfg.F+1 {
 		panic(fmt.Sprintf("hybster: N=%d must equal 2F+1 (F=%d)", cfg.N, cfg.F))
+	}
+	if cfg.N > maxReplicas {
+		panic(fmt.Sprintf("hybster: N=%d exceeds %d replicas", cfg.N, maxReplicas))
 	}
 	if cfg.CheckpointInterval == 0 {
 		cfg.CheckpointInterval = defaultCheckpointInterval
@@ -582,7 +624,8 @@ func (c *Core) Submit(env node.Env, req *msg.OrderRequest) {
 			// peers replay theirs too — the origin's voter needs f+1 fresh
 			// replies, not just ours.
 			c.out.Committed(env, rec.seq, req, rec.result, rec.keys, rec.read, false)
-			c.broadcast(env, &msg.Forward{Req: *req})
+			c.fwd.Req = *req
+			c.broadcast(env, &c.fwd)
 		}
 		return
 	}
@@ -611,7 +654,8 @@ func (c *Core) Submit(env node.Env, req *msg.OrderRequest) {
 		c.enqueue(env, held, digest)
 		return
 	}
-	c.out.Send(env, c.Leader(c.view), &msg.Forward{Req: *held})
+	c.fwd.Req = *held
+	c.out.Send(env, c.Leader(c.view), &c.fwd)
 }
 
 // watchProgress arms the leader-suspicion timer for a locally submitted
@@ -834,6 +878,9 @@ func (c *Core) enqueue(env node.Env, req *msg.OrderRequest, digest msg.Digest) {
 		}
 		c.proposed[digest] = struct{}{}
 	}
+	if len(c.batchBuf) == cap(c.batchBuf) {
+		c.batchBuf = slices.Grow(c.batchBuf, c.batchSize())
+	}
 	c.batchBuf = append(c.batchBuf, *req)
 	if len(c.batchBuf) >= c.batchSize() || c.cfg.BatchDelay <= 0 {
 		c.cutBatch(env)
@@ -878,7 +925,7 @@ func (c *Core) pump(env node.Env) {
 		}
 		chunk := c.batchBuf[:n:n]
 		c.batchBuf = c.batchBuf[n:]
-		c.proposeBatch(env, &msg.Batch{Reqs: chunk})
+		c.proposeBatch(env, msg.Batch{Reqs: chunk})
 	}
 	if len(c.batchBuf) == 0 {
 		c.batchBuf = nil
@@ -905,8 +952,8 @@ func (c *Core) flushBatchBuf(env node.Env) {
 // proposeBatch assigns the next sequence number to a batch (leader only):
 // one trusted-counter certification and one PREPARE covers every request in
 // it. An empty batch is a view-change gap filler. The log entry keeps batch,
-// which therefore owns its operation bytes.
-func (c *Core) proposeBatch(env node.Env, batch *msg.Batch) {
+// which therefore owns its request slice and operation bytes.
+func (c *Core) proposeBatch(env node.Env, batch msg.Batch) {
 	seq := c.seqNext
 	c.seqNext++
 	digest := batch.Digest() // the requests carry theirs from Submit/OnForward
@@ -921,7 +968,7 @@ func (c *Core) proposeBatch(env node.Env, batch *msg.Batch) {
 			c.proposed[batch.Reqs[i].Digest()] = struct{}{}
 		}
 	}
-	prep := &msg.Prepare{View: c.view, Seq: seq, Batch: *batch, Cert: cert}
+	prep := &msg.Prepare{View: c.view, Seq: seq, Batch: batch, Cert: cert}
 	e := c.getEntry(seq)
 	e.view = c.view
 	e.batch = batch
@@ -931,7 +978,7 @@ func (c *Core) proposeBatch(env node.Env, batch *msg.Batch) {
 	// The leader's spec replies ride on its prepare certificate.
 	e.specCert = cert
 	e.hasSpecCert = true
-	e.vouchers[c.cfg.Self] = struct{}{}
+	e.vouch(c.cfg.Self, c.cfg.N)
 	c.metrics.Proposed += uint64(batch.Len())
 	c.metrics.Batches++
 	c.broadcast(env, prep)
@@ -944,14 +991,15 @@ func (c *Core) proposeBatch(env node.Env, batch *msg.Batch) {
 func (c *Core) getEntry(seq uint64) *entry {
 	e, ok := c.log[seq]
 	if !ok {
-		e = &entry{seq: seq, vouchers: make(map[msg.NodeID]struct{})}
+		e = &entry{seq: seq}
 		c.log[seq] = e
 	}
 	return e
 }
 
 // OnForward handles a request forwarded by a follower. fwd is a view of the
-// delivered envelope: the request is copied where it is kept.
+// delivered envelope, valid for the call: the request is copied where it is
+// kept.
 func (c *Core) OnForward(env node.Env, from msg.NodeID, fwd *msg.Forward) {
 	req := &fwd.Req
 	if rec, ok := c.clients[req.Client]; ok && req.ClientSeq <= rec.lastSeq {
@@ -1102,9 +1150,9 @@ func (c *Core) drainPrepares(env node.Env) {
 }
 
 // acceptPrepare admits a verified, in-lane-order PREPARE to the log. prep is
-// a view of the delivered envelope; the entry gets its own copy of the
-// certificate and of the batch (with the request digests OnPrepare just
-// computed), less the operations this replica submitted itself and holds.
+// a view of the delivered envelope, valid for the call; the entry gets its own
+// copy of the certificate and of the batch (with the request digests OnPrepare
+// just computed), less the operations this replica submitted itself and holds.
 func (c *Core) acceptPrepare(env node.Env, prep *msg.Prepare, batchDigest msg.Digest) {
 	lane := tcounter.LaneOf(prep.Seq, c.cfg.PipelineDepth)
 	c.nextPrepareValue[lane] = prep.Cert.Value + uint64(c.lanes())
@@ -1119,8 +1167,8 @@ func (c *Core) acceptPrepare(env node.Env, prep *msg.Prepare, batchDigest msg.Di
 	e.batch = prep.Batch.CloneExcept(c.holds)
 	e.digest = batchDigest
 	e.hasPrep = true
-	e.prepCert = prep.Cert.Clone()
-	e.vouchers[prep.Cert.Replica] = struct{}{}
+	e.keepPrepCert(prep.Cert)
+	e.vouch(prep.Cert.Replica, c.cfg.N)
 
 	// Certify and broadcast our commit: one certification acknowledges the
 	// whole batch.
@@ -1137,7 +1185,7 @@ func (c *Core) acceptPrepare(env node.Env, prep *msg.Prepare, batchDigest msg.Di
 	e.specCert = cert
 	e.hasSpecCert = true
 	c.broadcast(env, com)
-	e.vouchers[c.cfg.Self] = struct{}{}
+	e.vouch(c.cfg.Self, c.cfg.N)
 	// Speculate before attempting the durable commit, so the fast answer for
 	// this batch is emitted no later than its durable one.
 	c.advanceSpec(env)
@@ -1146,13 +1194,13 @@ func (c *Core) acceptPrepare(env node.Env, prep *msg.Prepare, batchDigest msg.Di
 
 // OnCommit handles a commit acknowledgment. Like a PREPARE, a COMMIT carries
 // no host MAC, and nothing of it is kept, parked or answered before its
-// certificate names the envelope's sender and verifies over the message's
-// own view, sequence number and batch digest.
+// certificate names the envelope's sender — a replica of the group — and
+// verifies over the message's own view, sequence number and batch digest.
 func (c *Core) OnCommit(env node.Env, from msg.NodeID, com *msg.Commit) {
 	if com.View < c.view || com.View == c.view && c.inVC {
 		return
 	}
-	if com.Cert.Replica != from || from == c.cfg.Self {
+	if com.Cert.Replica != from || from == c.cfg.Self || from < 0 || int(from) >= c.cfg.N {
 		c.metrics.UnverifiedCerts++
 		return
 	}
@@ -1226,13 +1274,13 @@ func (c *Core) acceptCommit(env node.Env, from msg.NodeID, com *msg.Commit) {
 		c.rejectCert(from)
 		return
 	}
-	e.vouchers[from] = struct{}{}
+	e.vouch(from, c.cfg.N)
 	c.tryCommit(env, e)
 }
 
 // tryCommit executes the log prefix that has become committed.
 func (c *Core) tryCommit(env node.Env, e *entry) {
-	if !e.hasPrep || len(e.vouchers) < c.quorum() {
+	if !e.hasPrep || e.vouched() < c.quorum() {
 		return
 	}
 	c.metrics.Committed++
@@ -1246,7 +1294,7 @@ func (c *Core) executeReady(env node.Env) {
 	executed := false
 	for {
 		e, ok := c.log[c.lastExec+1]
-		if !ok || !e.hasPrep || e.executed || len(e.vouchers) < c.quorum() {
+		if !ok || !e.hasPrep || e.executed || e.vouched() < c.quorum() {
 			break
 		}
 		c.execute(env, e)

@@ -127,7 +127,7 @@ func TestCheckpointIntervalRespected(t *testing.T) {
 // re-propose it at the same sequence number.
 func inFlightBatchAt(c *Core) []msg.OrderRequest {
 	for seq, e := range c.log {
-		if seq > c.stableSeq && e.hasPrep && e.batch != nil && e.batch.Len() >= 2 {
+		if seq > c.stableSeq && e.hasPrep && e.batch.Len() >= 2 {
 			return append([]msg.OrderRequest(nil), e.batch.Reqs...)
 		}
 	}

@@ -11,13 +11,16 @@ import (
 	"github.com/troxy-bft/troxy/internal/node"
 	"github.com/troxy-bft/troxy/internal/tcounter"
 	"github.com/troxy-bft/troxy/internal/testutil"
+	"github.com/troxy-bft/troxy/internal/wire"
 )
 
 // heldHost is the host of a stand-alone core in the tests of what Submit
-// keeps: it records what the core sends and executes.
+// keeps: it records what the core sends and executes. A FORWARD is valid for
+// the Send only (the core sends every one from the same value), so it keeps a
+// copy of the message: the request's bytes are still the ones sent.
 type heldHost struct {
 	core     *Core
-	forwards []*msg.Forward
+	forwards []msg.Forward
 	preps    []*msg.Prepare
 	executed []uint64 // client sequence numbers, in execution order
 }
@@ -25,7 +28,7 @@ type heldHost struct {
 func (h *heldHost) Send(_ node.Env, to msg.NodeID, m msg.Message) {
 	switch m := m.(type) {
 	case *msg.Forward:
-		h.forwards = append(h.forwards, m)
+		h.forwards = append(h.forwards, *m)
 	case *msg.Prepare:
 		if to == (h.core.cfg.Self+1)%3 { // one recipient's copy per broadcast
 			h.preps = append(h.preps, m)
@@ -366,19 +369,118 @@ func TestViewChangeRedrivesTheRequestsSubmitKept(t *testing.T) {
 	}
 }
 
-// BenchmarkAllocGate holds the two steps that make the origin's copy the only
-// one. Submit keeps the request it is given: at a follower it allocates the
-// FORWARD it sends and nothing for the request — the progress watch's entry is
-// a map slot. And a PREPARE that brings held requests back is matched and
-// admitted without hashing or copying them: decoded by view, a batch of four
-// held 4 KiB requests costs the log its batch and request slice, no slab.
+// roundNet is three cores that hand each other what they send the way
+// replica.Replica does: encoded once per broadcast, and decoded by view into
+// the PREPARE, COMMIT or FORWARD the receiving host owns, on the caller's
+// goroutine until nothing is in flight.
+type roundNet struct {
+	hosts    []*roundHost
+	queue    []roundMsg
+	executed int
+}
+
+type roundMsg struct {
+	from, to msg.NodeID
+	kind     msg.Kind
+	body     []byte
+}
+
+// roundHost is one core's Outbound and Broadcaster, and the structs its
+// deliveries are decoded into.
+type roundHost struct {
+	net  *roundNet
+	core *Core
+	self msg.NodeID
+	prep msg.Prepare
+	com  msg.Commit
+	fwd  msg.Forward
+}
+
+func (h *roundHost) Send(_ node.Env, to msg.NodeID, m msg.Message) {
+	h.net.queue = append(h.net.queue, roundMsg{h.self, to, m.Kind(), msg.EncodeBody(m)})
+}
+
+func (h *roundHost) Broadcast(_ node.Env, m msg.Message) {
+	body := msg.EncodeBody(m)
+	for to := range h.net.hosts {
+		if msg.NodeID(to) != h.self {
+			h.net.queue = append(h.net.queue, roundMsg{h.self, msg.NodeID(to), m.Kind(), body})
+		}
+	}
+}
+
+func (h *roundHost) Committed(node.Env, uint64, *msg.OrderRequest, []byte, []string, bool, bool) {
+	h.net.executed++
+}
+
+func newRoundNet(batch int) *roundNet {
+	n := &roundNet{}
+	for i := range 3 {
+		sub := tcounter.NewSubsystem(msg.NodeID(i))
+		sub.SetKey([]byte("test-counter-key"))
+		h := &roundHost{net: n, self: msg.NodeID(i)}
+		h.core = New(Config{
+			Self: msg.NodeID(i), N: 3, F: 1,
+			CheckpointInterval: 1 << 30,
+			ViewChangeTimeout:  time.Minute,
+			BatchSize:          batch,
+			BatchDelay:         time.Hour, // a batch is cut when full
+			PipelineDepth:      4,
+			Authority:          tcounter.Direct{S: sub},
+			App:                app.NewStore(),
+		}, h)
+		n.hosts = append(n.hosts, h)
+	}
+	return n
+}
+
+// deliver moves messages until none is in flight.
+func (n *roundNet) deliver(tb testing.TB, env node.Env) {
+	for i := 0; i < len(n.queue); i++ {
+		d := n.queue[i]
+		h := n.hosts[d.to]
+		rd := wire.NewReader(d.body)
+		var err error
+		switch d.kind {
+		case msg.KindPrepare:
+			if err = h.prep.UnmarshalWire(rd); err == nil {
+				h.core.AdoptHeld(&h.prep.Batch)
+				h.core.OnPrepare(env, d.from, &h.prep)
+			}
+		case msg.KindCommit:
+			if err = h.com.UnmarshalWire(rd); err == nil {
+				h.core.OnCommit(env, d.from, &h.com)
+			}
+		case msg.KindForward:
+			if err = h.fwd.UnmarshalWire(rd); err == nil {
+				h.core.OnForward(env, d.from, &h.fwd)
+			}
+		default:
+			tb.Fatalf("a round sent a %s", d.kind)
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	n.queue = n.queue[:0]
+}
+
+// BenchmarkAllocGate holds the steps that make the origin's copy the only
+// one, and what a sequence number costs. Submit keeps the request it is given:
+// at a follower it sends the core's one FORWARD and allocates nothing — the
+// progress watch's entry is a map slot. A PREPARE that brings held requests
+// back is decoded into a struct its host reuses, matched and admitted without
+// hashing or copying them: a batch of four held 4 KiB requests costs the log
+// its request slice, and no slab. And one round of a batch of one across three
+// cores — submitted at the leader, certified, encoded, decoded, committed and
+// executed everywhere — is held at what it measures.
 func BenchmarkAllocGate(b *testing.B) {
 	var env fakeEnv
 	h, leader := heldCore(1)
 
 	req, seq := new(msg.OrderRequest), uint64(1<<32)
 	op := bigPut("own")
-	testutil.AllocGate(b, "SubmitKeepsWhatItIsGiven", 1, func() {
+	testutil.AllocGate(b, "SubmitKeepsWhatItIsGiven", 0, func() {
 		seq++
 		*req = msg.OrderRequest{Origin: 1, Client: 7, ClientSeq: seq, Op: op}
 		h.core.Submit(&env, req)
@@ -390,23 +492,35 @@ func BenchmarkAllocGate(b *testing.B) {
 	})
 
 	held := make([]msg.OrderRequest, 4)
-	wire := make([]msg.OrderRequest, len(held))
+	onWire := make([]msg.OrderRequest, len(held))
 	for i := range held {
 		held[i] = msg.OrderRequest{Origin: 1, Client: 7, ClientSeq: uint64(i + 1), Op: bigPut("own")}
 		h.core.Submit(&env, &held[i])
-		wire[i] = wireCopy(&held[i])
+		onWire[i] = wireCopy(&held[i])
 	}
-	body := proposal(b, leader, 1, wire...)
-	testutil.AllocGate(b, "AdmitPrepareWithHeldRequest", 2+2, func() {
-		m, err := (&msg.Envelope{Kind: msg.KindPrepare, Body: body}).Open() // message, request slice
-		if err != nil {
+	body := proposal(b, leader, 1, onWire...)
+	var prep msg.Prepare
+	testutil.AllocGate(b, "AdmitPrepareWithHeldRequest", 1, func() {
+		if err := prep.UnmarshalWire(wire.NewReader(body)); err != nil {
 			b.Fatal(err)
 		}
-		batch := &m.(*msg.Prepare).Batch
-		h.core.AdoptHeld(batch)
-		kept := batch.CloneExcept(h.core.holds) // batch, request slice
-		if &kept.Reqs[3].Op[0] != &held[3].Op[0] || kept.Digest() != batch.Digest() {
+		h.core.AdoptHeld(&prep.Batch)
+		kept := prep.Batch.CloneExcept(h.core.holds) // request slice
+		if &kept.Reqs[3].Op[0] != &held[3].Op[0] || kept.Digest() != prep.Batch.Digest() {
 			b.Fatal("the held requests were not adopted")
+		}
+	})
+
+	n := newRoundNet(1)
+	put := append([]byte("PUT k "), bytes.Repeat([]byte{'v'}, 128)...)
+	round := uint64(0)
+	testutil.AllocGate(b, "RoundOfOneOnThreeCores", 21, func() {
+		round++
+		want := n.executed + 3
+		n.hosts[0].core.Submit(&env, &msg.OrderRequest{Origin: 0, Client: 1, ClientSeq: round, Op: put})
+		n.deliver(b, &env)
+		if n.executed != want {
+			b.Fatalf("round %d executed %d of 3", round, n.executed-want+3)
 		}
 	})
 }

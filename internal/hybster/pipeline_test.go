@@ -119,6 +119,61 @@ func TestPrepareAheadOfLaneWaits(t *testing.T) {
 	}
 }
 
+// TestVouchersAreBoundedByTheGroup: an entry keeps its vouchers as one bit a
+// replica, so a core refuses a group of more than 64, and a COMMIT from a
+// node that is no replica of the group — its certificate genuine, made by a
+// counter subsystem under the group's key — is unverified and vouches for
+// nothing.
+func TestVouchersAreBoundedByTheGroup(t *testing.T) {
+	t.Run("group of 65", func(t *testing.T) {
+		defer func() {
+			if recover() == nil {
+				t.Error("New accepted a group of 65 replicas")
+			}
+		}()
+		New(Config{N: 65, F: 32, Authority: tcounter.Direct{S: tcounter.NewSubsystem(0)}, App: app.NewStore()}, &prepareCollector{})
+	})
+	t.Run("commit from beyond the group", func(t *testing.T) {
+		const depth = 2
+		var env fakeEnv
+		key := func(owner msg.NodeID) *tcounter.Subsystem {
+			s := tcounter.NewSubsystem(owner)
+			s.SetKey([]byte("test-counter-key"))
+			return s
+		}
+		out := &prepareCollector{}
+		core := New(Config{
+			Self: 0, N: 3, F: 1,
+			CheckpointInterval: 1 << 30,
+			ViewChangeTimeout:  time.Minute,
+			Authority:          tcounter.Direct{S: key(0)},
+			App:                app.NewStore(),
+			PipelineDepth:      depth,
+		}, out)
+		core.Submit(&env, &msg.OrderRequest{Origin: 3, Client: 7, ClientSeq: 1, Op: []byte("PUT k v")})
+		if len(out.preps) != 1 {
+			t.Fatalf("leader disseminated %d PREPAREs, want 1", len(out.preps))
+		}
+		for _, from := range []msg.NodeID{3, 64} {
+			core.OnCommit(&env, from, followerCommit(t, key(from), depth, out.preps[0]))
+		}
+		if m := core.Metrics(); m.UnverifiedCerts != 2 || m.RejectedCerts != 0 {
+			t.Errorf("after COMMITs from nodes 3 and 64: UnverifiedCerts %d, RejectedCerts %d, want 2 and 0",
+				m.UnverifiedCerts, m.RejectedCerts)
+		}
+		if e := core.log[1]; e.vouchers != 1 || core.LastExecuted() != 0 {
+			t.Errorf("vouchers %b, executed to %d: want the leader's bit alone, and nothing executed", e.vouchers, core.LastExecuted())
+		}
+		e := core.log[1]
+		e.vouch(3, 3)
+		e.vouch(64, 3)
+		e.vouch(-1, 3)
+		if e.vouchers != 1 {
+			t.Errorf("vouching for nodes 3, 64 and -1 of a group of 3 set bits %b", e.vouchers)
+		}
+	})
+}
+
 // followerCommit certifies a COMMIT for the given prepare from follower
 // replica 1, as acceptPrepare would.
 func followerCommit(t *testing.T, sub *tcounter.Subsystem, depth int, prep *msg.Prepare) *msg.Commit {
@@ -512,7 +567,7 @@ func TestForgedCertificateIsRejected(t *testing.T) {
 			t.Errorf("after a forged COMMIT: UnverifiedCerts %d, RejectedCertsFrom(follower) %d, want 1 and 0",
 				m.UnverifiedCerts, core.RejectedCertsFrom(1))
 		}
-		if _, vouched := core.log[1].vouchers[1]; vouched {
+		if core.log[1].vouchers&(1<<1) != 0 {
 			t.Error("a forged COMMIT made its sender a voucher")
 		}
 		if got := core.LastExecuted(); got != 0 {

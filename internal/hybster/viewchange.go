@@ -65,8 +65,8 @@ func (c *Core) preparedAbove(seq uint64) []PreparedEntry {
 		out = append(out, PreparedEntry{
 			View:        e.view,
 			Seq:         s,
-			Batch:       *e.batch,
-			PrepareCert: e.prepCert,
+			Batch:       e.batch,
+			PrepareCert: e.prepCert.Clone(), // prepMAC is the entry's, and reused
 		})
 	}
 	return out
@@ -287,11 +287,11 @@ func (c *Core) installView(env node.Env, nv *NewView) {
 				for i := range batch.Reqs {
 					reproposed[batch.Reqs[i].Digest()] = struct{}{}
 				}
-				c.proposeBatch(env, &batch)
+				c.proposeBatch(env, batch)
 				continue
 			}
 			// Fill the hole with an empty batch so counter continuity holds.
-			c.proposeBatch(env, &msg.Batch{})
+			c.proposeBatch(env, msg.Batch{})
 		}
 	} else {
 		seqs := make([]uint64, 0, len(reproposals))

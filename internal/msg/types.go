@@ -264,22 +264,21 @@ func (m *Batch) MarshalWire(w *wire.Writer) {
 	}
 }
 
-// UnmarshalWire implements Message.
+// UnmarshalWire implements Message. It reuses the request slice's capacity.
 func (m *Batch) UnmarshalWire(r *wire.Reader) error {
 	n := r.SliceLen()
 	if r.Err() != nil {
 		return r.Err()
 	}
-	m.Reqs = nil
-	if n > 0 {
+	m.Reqs = m.Reqs[:0]
+	if n > cap(m.Reqs) {
 		m.Reqs = make([]OrderRequest, 0, min(n, 64))
 	}
 	for i := 0; i < n; i++ {
-		var req OrderRequest
-		if err := req.UnmarshalWire(r); err != nil {
+		m.Reqs = append(m.Reqs, OrderRequest{})
+		if err := m.Reqs[i].UnmarshalWire(r); err != nil {
 			return err
 		}
-		m.Reqs = append(m.Reqs, req)
 	}
 	return r.Err()
 }
@@ -287,18 +286,16 @@ func (m *Batch) UnmarshalWire(r *wire.Reader) error {
 // Len returns the number of requests in the batch.
 func (m *Batch) Len() int { return len(m.Reqs) }
 
-// Clone returns a copy of the batch that owns its operation bytes, for a
-// holder that outlives the buffer the batch was decoded from.
-func (m *Batch) Clone() *Batch { return m.CloneExcept(nil) }
-
-// CloneExcept is Clone for a holder that already owns some of the operations
-// — the one copy a replica makes when it admits a decoded batch to its log.
-// owned reports those requests (nil: none); the copy shares their bytes. The
+// CloneExcept returns a copy of the batch that owns its operation bytes, for a
+// holder that outlives the buffer the batch was decoded from and already owns
+// some of the operations — the one copy a replica makes when it admits a
+// decoded batch to its log. owned reports those requests (nil: none); the
+// copy shares their bytes. The
 // operations it copies share a single allocation, each cap-limited to its own
 // bytes, and that allocation is written once: bytes.Join does not clear what
 // it is about to fill, make would.
-func (m *Batch) CloneExcept(owned func(*OrderRequest) bool) *Batch {
-	c := &Batch{Reqs: make([]OrderRequest, len(m.Reqs))}
+func (m *Batch) CloneExcept(owned func(*OrderRequest) bool) Batch {
+	c := Batch{Reqs: make([]OrderRequest, len(m.Reqs))}
 	copy(c.Reqs, m.Reqs)
 	var room [32][]byte // a batch of the usual size keeps the list on the stack
 	ops := room[:0]     // per request: the operation to copy, nil for one to share
@@ -428,7 +425,7 @@ func (m *Prepare) UnmarshalWire(r *wire.Reader) error {
 // for a replica that has to hold a decoded PREPARE back (out of lane order,
 // or for a view it has not installed yet).
 func (m *Prepare) Clone() *Prepare {
-	return &Prepare{View: m.View, Seq: m.Seq, Batch: *m.Batch.Clone(), Cert: m.Cert.Clone()}
+	return &Prepare{View: m.View, Seq: m.Seq, Batch: m.Batch.CloneExcept(nil), Cert: m.Cert.Clone()}
 }
 
 // Commit acknowledges a Prepare. It is certified by the sender's trusted

@@ -155,8 +155,8 @@ var Catalogue = []Mutant{
 	{
 		ID: "hybster-commit-quorum-skips-threshold", File: "internal/hybster/core.go", Aims: []string{"quorumcheck"},
 		Fault: "a batch commits on f+2 vouchers: one crashed replica stops the cluster",
-		Old:   "if !e.hasPrep || len(e.vouchers) < c.quorum() {\n		return",
-		New:   "if !e.hasPrep || len(e.vouchers) <= c.quorum() {\n		return",
+		Old:   "if !e.hasPrep || e.vouched() < c.quorum() {\n		return",
+		New:   "if !e.hasPrep || e.vouched() <= c.quorum() {\n		return",
 	},
 	{
 		ID: "checkpoint-quorum-majority-arith", File: "internal/hybster/core.go", Aims: []string{"quorumcheck"},
@@ -229,6 +229,12 @@ var Catalogue = []Mutant{
 		Fault: "the in-process crossing returns the handler's pooled result instead of copying it out: submits, client records and cache messages stay views of a writer the next call releases and reuses",
 		Old:   "		res, err := p.ecalls[name](arg)\n		return append(room, res...), err\n",
 		New:   "		return p.ecalls[name](arg)\n",
+	},
+	{
+		ID: "admit-prepare-parks-view", File: "internal/hybster/core.go",
+		Fault: "a PREPARE ahead of its lane is parked as the struct it was decoded into, which the replica decodes the next PREPARE over: the parked proposal is whatever came last",
+		Old:   "c.pendingPrepares[prep.Cert.Value] = prep.Clone() // held past this call",
+		New:   "c.pendingPrepares[prep.Cert.Value] = prep // held past this call",
 	},
 	{
 		ID: "held-request-matched-by-id-only", File: "internal/hybster/core.go",

@@ -159,7 +159,11 @@ func (r *sendRing) close() {
 // assumption) and closes the socket, so the next batch asks connect again.
 func (r *sendRing) drain(connect func() net.Conn) {
 	var conn net.Conn
+	// The iovec's backing array, and the header WriteTo consumes: its receiver
+	// escapes, so a header declared per flush would be a heap object per
+	// flush, and this one is one for the drainer's life.
 	var iov [][]byte
+	var bufs net.Buffers
 	defer func() {
 		if conn != nil {
 			conn.Close()
@@ -181,7 +185,7 @@ func (r *sendRing) drain(connect func() net.Conn) {
 				}
 			}
 			var err error
-			iov, err = flushBatch(conn, iov, batch)
+			iov, err = flushBatch(conn, &bufs, iov, batch)
 			r.stats.flushes.Add(1)
 			r.stats.frames.Add(uint64(len(batch)))
 			if err != nil {
@@ -204,17 +208,18 @@ func releaseBatch(batch []*wire.Writer) {
 }
 
 // flushBatch writes a drained batch to conn as one vectored write. iov is
-// the caller's reusable iovec backing array; WriteTo consumes a separate
-// slice header over it, so the array survives for the next flush. On
-// platforms with writev support the whole ring goes out in one syscall.
+// the caller's reusable iovec backing array; WriteTo consumes bufs, the
+// caller's separate slice header over it, so the array survives for the next
+// flush. On platforms with writev support the whole ring goes out in one
+// syscall.
 //
 //troxy:hotpath
-func flushBatch(conn net.Conn, iov [][]byte, batch []*wire.Writer) ([][]byte, error) {
+func flushBatch(conn net.Conn, bufs *net.Buffers, iov [][]byte, batch []*wire.Writer) ([][]byte, error) {
 	iov = iov[:0]
 	for _, w := range batch {
 		iov = append(iov, w.Bytes()) //lint:allow allocfree appends into the caller-reused iovec backing array; steady state never grows
 	}
-	bufs := net.Buffers(iov)
+	*bufs = iov
 	_, err := bufs.WriteTo(conn)
 	return iov, err
 }

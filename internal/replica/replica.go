@@ -78,6 +78,14 @@ type Replica struct {
 	answer  msg.CacheReply
 	outbox  []replyQueue // indexed by origin replica
 
+	// The ordering kinds are opened into these, one each, and handed to the
+	// protocol core, which copies what it keeps of them (hybster.Core's
+	// OnPrepare, OnCommit and OnForward). prep keeps its request slice from
+	// one PREPARE to the next.
+	prep msg.Prepare
+	com  msg.Commit
+	fwd  msg.Forward
+
 	// out is the envelope every hot send fills and hands to env.Send, which
 	// copies it: nothing between the fill and the Send can send again.
 	out msg.Envelope
@@ -287,35 +295,50 @@ func (r *Replica) onTroxyTagged(env node.Env, e *msg.Envelope) {
 // sender's trusted subsystem to the view, the sequence number and the batch
 // digest, and the core verifies it — against the envelope's From — before it
 // keeps, parks or answers anything (DESIGN.md decision 17). The body is
-// opened by view, nothing is copied or kept, and the requests of a PREPARE
-// that this replica submitted itself are matched against the ones it holds
-// before the core hashes anything (hybster.Core.AdoptHeld). A body that does
-// not decode is counted as a bad MAC, as for the kinds a Troxy tags.
+// opened by view into the replica's prep or com, nothing is copied or kept,
+// and the requests of a PREPARE that this replica submitted itself are matched
+// against the ones it holds before the core hashes anything
+// (hybster.Core.AdoptHeld). A body that does not decode is counted as a bad
+// MAC, as for the kinds a Troxy tags.
 func (r *Replica) onCertified(env node.Env, e *msg.Envelope) {
-	m, err := e.Open()
+	rd := wire.NewReader(e.Body)
+	var err error
+	if e.Kind == msg.KindPrepare {
+		err = r.prep.UnmarshalWire(rd)
+	} else {
+		err = r.com.UnmarshalWire(rd)
+	}
+	if err == nil {
+		err = rd.Finish()
+	}
 	if err != nil {
 		r.stats.BadMACs++
 		return
 	}
 	env.Charge(node.ProfileJava, node.ChargeBase, 0)
-	if prep, ok := m.(*msg.Prepare); ok {
-		r.core.AdoptHeld(&prep.Batch)
-	}
-	if !r.core.OnMessage(env, e.From, m) {
-		r.stats.Unhandled++
+	if e.Kind == msg.KindPrepare {
+		r.core.AdoptHeld(&r.prep.Batch)
+		r.core.OnPrepare(env, e.From, &r.prep)
+	} else {
+		r.core.OnCommit(env, e.From, &r.com)
 	}
 }
 
 // authenticate checks e's transport MAC and decodes its body. A FORWARD's MAC
 // covers the digest of the request it orders, not its bytes (authn.Covered),
-// so a FORWARD is opened first — by view, nothing is copied or kept — and the
-// digest computed for the check stays with the decoded request: the leader's
-// batch digest and log admission reuse it. Every other kind is verified whole
-// before it is decoded, and a recovery kind, which hybster.Open decodes from a
-// clone of the body, is cloned only once its MAC has passed.
+// so a FORWARD is opened first — by view into the replica's fwd, nothing is
+// copied or kept — and the digest computed for the check stays with the
+// decoded request: the leader's batch digest and log admission reuse it. Every
+// other kind is verified whole before it is decoded, and a recovery kind,
+// which hybster.Open decodes from a clone of the body, is cloned only once its
+// MAC has passed.
 func (r *Replica) authenticate(env node.Env, e *msg.Envelope) (msg.Message, bool) {
 	if authn.CoversDigests(e.Kind) {
-		m, err := e.Open()
+		m, rd := &r.fwd, wire.NewReader(e.Body)
+		err := m.UnmarshalWire(rd)
+		if err == nil {
+			err = rd.Finish()
+		}
 		if err != nil {
 			return nil, false
 		}

@@ -145,30 +145,41 @@ func (s *Subsystem) feed(replica msg.NodeID, counter uint32, value uint64, diges
 // must be strictly greater than the last certified value; the first
 // certified value of a counter may be arbitrary (>0), which lets a new
 // leader start its ordering counter at the sequence number where the
-// previous view ended.
+// previous view ended. The certificate's MAC is the caller's.
 func (s *Subsystem) Certify(counter uint32, value uint64, digest msg.Digest) (msg.CounterCert, error) {
+	enc, err := s.certify(make([]byte, 0, certLen), counter, value, digest)
+	if err != nil {
+		return msg.CounterCert{}, err
+	}
+	return msg.CounterCert{Replica: s.owner, Counter: counter, Value: value, MAC: enc[certLen-sha256.Size:]}, nil
+}
+
+const certLen = 4 + 4 + 8 + 4 + sha256.Size // a certificate's encoding (msg.CounterCert.MarshalWire)
+
+// certify is Certify appending the certificate's encoding to dst, which has
+// room for it: the MAC is summed straight into it.
+func (s *Subsystem) certify(dst []byte, counter uint32, value uint64, digest msg.Digest) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.key == nil {
-		return msg.CounterCert{}, ErrNotProvisioned
+		return nil, ErrNotProvisioned
 	}
 	last, used := s.counters[counter]
 	if used && value <= last {
-		return msg.CounterCert{}, fmt.Errorf("%w: counter %d at %d, asked %d",
+		return nil, fmt.Errorf("%w: counter %d at %d, asked %d",
 			ErrNotMonotonic, counter, last, value)
 	}
 	if !used && value == 0 {
-		return msg.CounterCert{}, fmt.Errorf("%w: first value must be positive", ErrNotMonotonic)
+		return nil, fmt.Errorf("%w: first value must be positive", ErrNotMonotonic)
 	}
 	s.counters[counter] = value
 
 	s.feed(s.owner, counter, value, digest)
-	return msg.CounterCert{
-		Replica: s.owner,
-		Counter: counter,
-		Value:   value,
-		MAC:     s.mac.Sum(make([]byte, 0, sha256.Size)),
-	}, nil
+	b := binary.LittleEndian.AppendUint32(dst, uint32(s.owner))
+	b = binary.LittleEndian.AppendUint32(b, counter)
+	b = binary.LittleEndian.AppendUint64(b, value)
+	b = binary.LittleEndian.AppendUint32(b, sha256.Size)
+	return s.mac.Sum(b), nil
 }
 
 // Verify checks a certificate produced by any replica's subsystem against
@@ -235,7 +246,8 @@ var verifyPassed, verifyFailed = []byte{1}, []byte{0}
 // ECallHandlers returns the ecall table fragment for hosting s inside an
 // enclave; Troxy merges it into its own fixed ecall table. Arguments are
 // decoded by view (the enclave owns its copy of them for the length of the
-// call) and nothing of them is kept.
+// call) and nothing of them is kept. A certificate is encoded into the table's
+// scratch, which the boundary copies out before its next call (one thread).
 //
 // Not inlined: the copies of the handlers that inlining makes in a caller are
 // compiled without inlining of their own, and wire.NewReader as a real call
@@ -243,6 +255,7 @@ var verifyPassed, verifyFailed = []byte{1}, []byte{0}
 //
 //go:noinline
 func ECallHandlers(s *Subsystem) map[string]func([]byte) ([]byte, error) {
+	var certified [certLen]byte
 	return map[string]func([]byte) ([]byte, error){
 		ECallCertify: func(arg []byte) ([]byte, error) {
 			r := wire.NewReader(arg)
@@ -253,20 +266,12 @@ func ECallHandlers(s *Subsystem) map[string]func([]byte) ([]byte, error) {
 			if err := r.Finish(); err != nil {
 				return nil, fmt.Errorf("tcounter: certify args: %w", err)
 			}
-			cert, err := s.Certify(counter, value, digest)
-			if err != nil {
-				return nil, err
-			}
-			w := wire.NewWriter(20 + len(cert.MAC)) // the encoded size: one allocation, the result
-			cert.MarshalWire(w)
-			return w.Bytes(), nil
+			return s.certify(certified[:0], counter, value, digest)
 		},
 		ECallVerify: func(arg []byte) ([]byte, error) {
 			r := wire.NewReader(arg)
 			var cert msg.CounterCert
-			if err := cert.UnmarshalWire(r); err != nil {
-				return nil, fmt.Errorf("tcounter: verify args: %w", err)
-			}
+			_ = cert.UnmarshalWire(r) // the reader keeps its error for Finish
 			var digest msg.Digest
 			copy(digest[:], r.FixedBytes(len(digest)))
 			if err := r.Finish(); err != nil {
@@ -327,9 +332,7 @@ func (a EnclaveAuthority) Certify(counter uint32, value uint64, digest msg.Diges
 	}
 	r := wire.NewReader(out)
 	var cert msg.CounterCert
-	if err := cert.UnmarshalWire(r); err != nil {
-		return msg.CounterCert{}, fmt.Errorf("tcounter: certify result: %w", err)
-	}
+	_ = cert.UnmarshalWire(r) // the reader keeps its error for Finish
 	if err := r.Finish(); err != nil {
 		return msg.CounterCert{}, fmt.Errorf("tcounter: certify result: %w", err)
 	}

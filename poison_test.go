@@ -3,8 +3,10 @@ package troxy
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/troxy-bft/troxy/internal/app"
 	"github.com/troxy-bft/troxy/internal/bftclient"
@@ -12,6 +14,7 @@ import (
 	"github.com/troxy-bft/troxy/internal/legacyclient"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/node"
+	"github.com/troxy-bft/troxy/internal/replica"
 	"github.com/troxy-bft/troxy/internal/simnet"
 	"github.com/troxy-bft/troxy/internal/workload"
 )
@@ -37,6 +40,9 @@ type lending struct {
 	// sent: every envelope a node hands to Send has its header overwritten
 	// as soon as Send returns (lentSends).
 	sent bool
+	// decoded: the structs a replica decodes ordering messages into are
+	// overwritten as soon as its handler returns (poisonedDecodes).
+	decoded bool
 }
 
 // lentEnvelopes wraps a replica the way a transport that reuses its receive
@@ -112,6 +118,34 @@ func (l lentSends) OnTimer(env node.Env, key node.TimerKey) {
 	l.inner.OnTimer(overwritingEnv{env}, key)
 }
 
+// poisonedDecodes wraps a replica and overwrites the PREPARE, COMMIT and
+// FORWARD it decodes ordering messages into (its prep, com and fwd, reached
+// by reflection: they are the replica's own) as soon as each delivery returns:
+// junk views, sequence numbers, digests and certificates, and a junk request
+// in every slot of the PREPARE's request array, which the next PREPARE is
+// decoded into. The core copies what it keeps of a delivered ordering message,
+// so none of it may show.
+type poisonedDecodes struct{ *replica.Replica }
+
+func (p poisonedDecodes) OnEnvelope(env node.Env, e *msg.Envelope) {
+	p.Replica.OnEnvelope(env, e)
+	v := reflect.ValueOf(p.Replica).Elem()
+	field := func(name string) any {
+		f := v.FieldByName(name)
+		return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Interface()
+	}
+	prep, com, fwd := field("prep").(*msg.Prepare), field("com").(*msg.Commit), field("fwd").(*msg.Forward)
+	cert := msg.CounterCert{Replica: 1, Counter: 0xA5A5, Value: 0xA5A5, MAC: bytes.Repeat([]byte{0xA5}, 32)}
+	junk := msg.OrderRequest{Origin: 1, Client: 0xA5A5, ClientSeq: 0xA5A5, Flags: 0xA5, Op: []byte("PUT junk junk")}
+	reqs := prep.Batch.Reqs[:cap(prep.Batch.Reqs)]
+	for i := range reqs {
+		reqs[i] = junk
+	}
+	prep.View, prep.Seq, prep.Cert = 0xA5A5, 0xA5A5, cert
+	*com = msg.Commit{View: 0xA5A5, Seq: 0xA5A5, BatchDigest: msg.DigestOf([]byte("junk")), Cert: cert}
+	fwd.Req = junk
+}
+
 // dropNthPrepare loses one whole PREPARE broadcast of the initial leader: the
 // batches behind it in the pipeline are accepted on their lanes but cannot
 // execute, ordering stalls, and the view change that follows has prepared
@@ -141,6 +175,14 @@ func (d *dropNthPrepare) Judge(now time.Duration, from, to msg.NodeID, kind msg.
 var delayAndDuplicate = faultplane.Plan{Links: []faultplane.LinkFault{{
 	From: faultplane.Wildcard, To: faultplane.Wildcard, DupP: 0.1, Jitter: 3 * time.Millisecond,
 }}}
+
+// delayAndOvertake is delayAndDuplicate with the links from the first two
+// leaders to replica 2 slower by up to 20 ms more: there a PREPARE overtakes
+// the one before it on its lane and is parked until that one arrives.
+var delayAndOvertake = faultplane.Plan{Links: append([]faultplane.LinkFault{
+	{From: 0, To: 2, Jitter: 20 * time.Millisecond},
+	{From: 1, To: 2, Jitter: 20 * time.Millisecond},
+}, delayAndDuplicate.Links...)}
 
 // retentionRun drives writes and reads through a cluster whose replicas see
 // and send envelopes lent as lend says, across a stalled pipeline, the view
@@ -174,7 +216,11 @@ func retentionRun(t *testing.T, mode Mode, lend lending, then faultplane.Judge) 
 		net.Attach(id, h)
 	}
 	for i, r := range cl.Replicas {
-		attach(msg.NodeID(i), &lentEnvelopes{inner: r, poison: lend.delivered, proposals: &proposals})
+		var h node.Handler = r
+		if lend.decoded {
+			h = poisonedDecodes{r}
+		}
+		attach(msg.NodeID(i), &lentEnvelopes{inner: h, poison: lend.delivered, proposals: &proposals})
 	}
 	net.SetFault(&dropNthPrepare{nth: 3, then: then})
 
@@ -326,6 +372,42 @@ func TestSentEnvelopesAreNotRetained(t *testing.T) {
 	}
 	t.Run("bridge", func(t *testing.T) {
 		res := runChaosRealnet(t, chaosRealnetOpts{seed: 31, plan: delayAndDuplicate, lendSends: true})
+		expectNoBadMACs(t, res.cl, 0, 1, 2)
+	})
+}
+
+// TestDecodedOrderingMessagesAreNotRetained: a replica decodes every PREPARE,
+// COMMIT and FORWARD into one struct of each kind that it owns and reuses, and
+// the core copies what it keeps of them — a PREPARE or COMMIT parked out of
+// lane order or for a later view, a request queued through a view change, a
+// log entry's batch and certificate. Overwriting those structs, every request
+// slot of the PREPARE's included, once each delivery returns (poisonedDecodes)
+// must therefore change nothing: in the simulator, under a judge that delays,
+// reorders and duplicates (and makes PREPAREs overtake each other on their
+// lanes), the run is the unpoisoned run bit for bit; across
+// the TCP bridge of the wall-clock chaos topology the history is linearizable,
+// the replicas converge and none of them drops an envelope as a bad MAC.
+func TestDecodedOrderingMessagesAreNotRetained(t *testing.T) {
+	for _, mode := range []Mode{Baseline, CTroxy, ETroxy} {
+		t.Run("simnet/"+mode.String(), func(t *testing.T) {
+			clean, cleanState, cleanHist := retentionRun(t, mode, lending{}, faultplane.NewInjector(31, delayAndOvertake))
+			poisoned, state, hist := retentionRun(t, mode, lending{decoded: true}, faultplane.NewInjector(31, delayAndOvertake))
+			if err := faultplane.CheckLinearizable(hist); err != nil {
+				t.Errorf("history over poisoned decodes is not linearizable: %v", err)
+			}
+			if state != cleanState {
+				t.Errorf("final state %s, want the clean run's %s", state.Short(), cleanState.Short())
+			}
+			if fmt.Sprint(hist) != fmt.Sprint(cleanHist) {
+				t.Errorf("history differs from the clean run's:\n poisoned %v\n clean    %v", hist, cleanHist)
+			}
+			if fmt.Sprint(poisoned) != fmt.Sprint(clean) {
+				t.Errorf("proposals differ from the clean run's:\n poisoned %v\n clean    %v", poisoned, clean)
+			}
+		})
+	}
+	t.Run("bridge", func(t *testing.T) {
+		res := runChaosRealnet(t, chaosRealnetOpts{seed: 31, plan: delayAndOvertake, poisonDecodes: true})
 		expectNoBadMACs(t, res.cl, 0, 1, 2)
 	})
 }
