@@ -26,11 +26,10 @@ test:
 check: lint staticcheck govulncheck
 	$(GO) test -race ./...
 
-# lint runs go vet plus the repository's own analyzer suite: senderr
-# (syntactic), plus secretflow, lockcheck, allocfree (on the dataflow
-# engine, following same-package calls where asked) — the four that
-# `make mutate` showed to catch what no other gate catches; see
-# cmd/troxy-lint and DESIGN.md "Trust-boundary enforcement".
+# lint runs go vet plus the repository's own analyzer suite: secretflow and
+# lockcheck (on the dataflow engine, following same-package calls where
+# asked) — the two that `make mutate` showed to catch what no other gate
+# catches; see cmd/troxy-lint and DESIGN.md "Trust-boundary enforcement".
 # Any diagnostic fails the build. Suppressions use
 # `//lint:allow <analyzer> <reason>` on or above the offending line; a
 # suppression with an unknown analyzer name or a missing reason is itself
@@ -68,8 +67,10 @@ bench:
 # request path's buffer discipline (DESIGN.md §5) is held function by function
 # by the BenchmarkAllocGate of internal/msg, authn, tcounter, app, troxy,
 # replica, enclave, securechannel and realnet — each sub-benchmark fails
-# itself above its ceiling (encode into a pooled writer 0, decode + open a 16-request
-# PREPARE 3, a reply decoded into a reused OrderedReply 0, MAC check + walk of
+# itself above its ceiling (each message encoder on the request path into a
+# warm writer 0, one row per function, the ring transport's frame encoder 0,
+# an owned body or envelope encoding 1, a 16-request batch digested 0,
+# decode + open a 16-request PREPARE 3, a reply decoded into a reused OrderedReply 0, MAC check + walk of
 # a five-reply batch 1, a reply built, tagged and queued for a remote origin 0,
 # a peer's cache query opened and answered 2 (copy-out, Queries slice: the
 # envelope's header is the replica's own, which Send copies),
@@ -77,8 +78,9 @@ bench:
 # group tag verified or made into the caller's buffer 0 (troxy's), a 16 x
 # 4 KiB PREPARE broadcast to two peers 1 — its encoding: it carries no MAC,
 # so no tag —, a local Router.Send through to delivery 0 and a bridge frame
-# decoded and delivered 0 and a send ring's vectored flush 0 (realnet's),
-# Store.Keys 0, an ecall round trip
+# decoded and delivered 0, a send ring's push, take and release 0 and its
+# vectored flush 0 (realnet's), a 16-frame coalesced seal 2 (its plaintext and
+# its record), Store.Keys 0, an ecall round trip
 # into room the caller brought 0, a reply
 # tagged across the boundary 0, a record opened into a lent buffer and walked
 # 0, a ChannelData envelope sealed 2 and opened 0, a request hashed where it
@@ -87,12 +89,9 @@ bench:
 # and admitted without a slab 1, a batch-of-one round on three cores 21, a
 # certificate across the boundary 1 (its copy-out), and the
 # fast-read cache's CacheReinstallSameResult 0, CacheInvalidateThenReinstall 1
-# and CacheEvictAndInstall 1, the reply's slab, …) — beside msg's encode
-# benchmarks, which time EncodeBody, the replica's encoder, and
-# BenchmarkAppendEnvelopeFrame, which fails itself if the pooled frame-encode
-# path allocates at all, and end to end by TestWriteAllocBudget at the module
-# root (allocations per 128-byte write through a whole simulated cluster, 32
-# clients) and TestLoneWriteAllocBudget (the same with one client: a batch of
+# and CacheEvictAndInstall 1, the reply's slab, …), and end to end by
+# TestWriteAllocBudget at the module root (allocations per 128-byte write
+# through a whole simulated cluster, 32 clients) and TestLoneWriteAllocBudget (the same with one client: a batch of
 # one a sequence number),
 # beside TestWriteMACBudget on the same deployment (MACs charged per write:
 # host MACs, Troxy tags and counter certificates, so a MAC that comes back on
@@ -104,8 +103,7 @@ bench:
 # 64 bytes an entry. The benchtimes are short because the gates are those
 # assertions, not ns/op — timing numbers for the record live in EXPERIMENTS.md.
 bench-quick: copy-gate
-	$(GO) test -run xxx -bench 'Encode|AppendEnvelopeFrame|BatchDigest|AllocGate' -benchmem -benchtime 1000x ./internal/msg/
-	$(GO) test -run xxx -bench 'AllocGate' -benchmem -benchtime 1000x ./internal/authn/ ./internal/tcounter/ ./internal/app/ ./internal/troxy/ ./internal/hybster/ ./internal/replica/ ./internal/enclave/ ./internal/securechannel/ ./internal/realnet/
+	$(GO) test -run xxx -bench 'AllocGate' -benchmem -benchtime 1000x ./internal/msg/ ./internal/authn/ ./internal/tcounter/ ./internal/app/ ./internal/troxy/ ./internal/hybster/ ./internal/replica/ ./internal/enclave/ ./internal/securechannel/ ./internal/realnet/
 	$(GO) test -run xxx -bench 'StoreCheckpoint|StoreFork' -benchmem -benchtime 20x ./internal/app/
 	$(GO) test -count=1 -run 'TestWriteAllocBudget|TestLoneWriteAllocBudget|TestWriteMACBudget' -v .
 

@@ -131,9 +131,9 @@ func writeAllocBudget(t *testing.T, clients, minOps, ceiling int) {
 		t.Fatalf("only %d operations completed in the measured window", ops)
 	}
 	perOp := float64(after.Mallocs-before.Mallocs) / float64(ops)
-	t.Logf("%.1f allocations per 128-byte write over %d operations of %d client(s) (ceiling %d)", perOp, ops, clients, ceiling)
+	t.Logf("%.2f allocations per 128-byte write over %d operations of %d client(s) (ceiling %d)", perOp, ops, clients, ceiling)
 	if perOp > float64(ceiling) {
-		t.Errorf("%.1f allocations per write, budget is %d", perOp, ceiling)
+		t.Errorf("%.2f allocations per write, budget is %d", perOp, ceiling)
 	}
 }
 

@@ -3,25 +3,24 @@
 // mutant of the tree breaks with every other gate green (DESIGN.md §9.5 has
 // the measurement that chose them):
 //
-//	senderr        no silently dropped errors on wire encode/send paths
 //	secretflow     secret key material never reaches logs or host-side wire
 //	               encoders — including through same-package helper calls,
 //	               which it follows into the callee
 //	lockcheck      no locks held across blocking operations (direct or
 //	               reached through same-package calls), locked twice,
 //	               released unheld, or leaked past a return
-//	allocfree      //troxy:hotpath functions are transitively
-//	               allocation-free outside cold failure blocks, with a
-//	               call-path trace on violation
 //
-// The trust boundary's import graph is a test's, not an analyzer's:
-// TestTrustedComputingBase in internal/troxy pins the packages compiled into
-// the enclave and forbids them net, os and syscall, so an ocall into a host
-// runtime or through the standard library fails `go test ./...`.
+// Both run on the dataflow engine of internal/analysis/dataflow. What the
+// tests can observe is theirs: TestTrustedComputingBase in internal/troxy
+// pins the packages compiled into the enclave and forbids them net, os and
+// syscall, so an ocall fails `go test ./...`; the allocation gates of
+// `make bench-quick` (BenchmarkAllocGate) hold the request path's encoders,
+// send ring and seal loop at their allocation counts; and a client that
+// waits on a request it failed to send fails a legacyclient test.
 //
-// secretflow, lockcheck and allocfree follow same-package calls into the
-// callee where a check asks for it; their cross-function findings are
-// reported at the call site (put the //lint:allow there).
+// Both analyzers follow same-package calls into the callee where a check
+// asks for it; their cross-function findings are reported at the call site
+// (put the //lint:allow there).
 //
 // Malformed //lint:allow comments (stale analyzer name, missing reason) are
 // reported by the unsuppressable "allowaudit" pass built into the driver.
@@ -34,17 +33,13 @@ package main
 
 import (
 	"github.com/troxy-bft/troxy/internal/analysis"
-	"github.com/troxy-bft/troxy/internal/analysis/allocfree"
 	"github.com/troxy-bft/troxy/internal/analysis/lockcheck"
 	"github.com/troxy-bft/troxy/internal/analysis/secretflow"
-	"github.com/troxy-bft/troxy/internal/analysis/senderr"
 )
 
 func main() {
 	analysis.Main(
-		senderr.Analyzer,
 		secretflow.Analyzer,
 		lockcheck.Analyzer,
-		allocfree.Analyzer,
 	)
 }

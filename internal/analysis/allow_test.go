@@ -46,7 +46,7 @@ func TestAllowAudit(t *testing.T) {
 			src: `package fixture
 
 func f() {
-	_ = 1 //lint:allow senderr teardown flush has no caller to report to
+	_ = 1 //lint:allow lockcheck readMu serializes readers around this frame read
 }
 `,
 			want: nil,
@@ -57,10 +57,10 @@ func f() {
 			src: `package fixture
 
 func f() {
-	_ = 1 //lint:allow sendeer teardown flush has no caller to report to
+	_ = 1 //lint:allow lockchek readMu serializes readers around this frame read
 }
 `,
-			want: []string{`unknown analyzer "sendeer"`},
+			want: []string{`unknown analyzer "lockchek"`},
 		},
 		{
 			name:     "missing reason fails",
@@ -68,7 +68,7 @@ func f() {
 			src: `package fixture
 
 func f() {
-	_ = 1 //lint:allow senderr
+	_ = 1 //lint:allow lockcheck
 }
 `,
 			want: []string{"has no reason"},
@@ -90,7 +90,7 @@ func f() {
 			src: `package fixture
 
 func f() {
-	_ = 1 //lint:allow senderr,lockcheck serialized flush; see DESIGN.md
+	_ = 1 //lint:allow lockcheck,secretflow serialized read; see DESIGN.md
 }
 `,
 			want: nil,
@@ -101,7 +101,7 @@ func f() {
 			src: `package fixture
 
 func f() {
-	_ = 1 //lint:allow senderr,oldcheck serialized flush
+	_ = 1 //lint:allow lockcheck,oldcheck serialized read
 }
 `,
 			want: []string{`unknown analyzer "oldcheck"`},
@@ -112,7 +112,7 @@ func f() {
 			src: `package fixture
 
 func f() {
-	_ = 1 //lint:allow senderr never reported here anyway
+	_ = 1 //lint:allow lockcheck never reported here anyway
 }
 `,
 			want: []string{"in a test file is dead"},
@@ -145,7 +145,7 @@ func TestAuditUnsuppressable(t *testing.T) {
 
 func f() {
 	//lint:allow allowaudit trying to silence the auditor
-	_ = 1 //lint:allow sendeer stale name
+	_ = 1 //lint:allow lockchek stale name
 }
 `)
 	diags := Analyze(pkg, nil)
@@ -154,7 +154,7 @@ func f() {
 		msgs = append(msgs, d.Message)
 	}
 	joined := strings.Join(msgs, "\n")
-	if !strings.Contains(joined, `unknown analyzer "sendeer"`) {
+	if !strings.Contains(joined, `unknown analyzer "lockchek"`) {
 		t.Errorf("stale-name diagnostic was suppressed: %v", msgs)
 	}
 	if !strings.Contains(joined, `unknown analyzer "allowaudit"`) {

@@ -46,10 +46,8 @@ const ModulePath = "github.com/troxy-bft/troxy"
 // the driver registers exactly this set, so the registry cannot drift from
 // cmd/troxy-lint.
 var KnownAnalyzerNames = map[string]bool{
-	"senderr":    true,
 	"secretflow": true,
 	"lockcheck":  true,
-	"allocfree":  true,
 }
 
 // An Analyzer describes one static check of the suite.
@@ -122,12 +120,6 @@ func RelPath(path string) (string, bool) {
 		return rest, true
 	}
 	return "", false
-}
-
-// Under reports whether rel (a module-relative path) equals root or lies in
-// a subdirectory of it.
-func Under(rel, root string) bool {
-	return rel == root || strings.HasPrefix(rel, root+"/")
 }
 
 // Analyze runs the analyzers over pkg and returns the surviving diagnostics

@@ -1,5 +1,7 @@
 package analysis
 
+import "strings"
+
 // TrustedRoots are the module-relative package roots whose code runs inside
 // the enclave (paper Fig. 3: the trusted Troxy subsystem). The packages they
 // import are compiled into the enclave image with them;
@@ -16,7 +18,7 @@ var TrustedRoots = []string{
 // the trusted roots.
 func Trusted(rel string) bool {
 	for _, r := range TrustedRoots {
-		if Under(rel, r) {
+		if rel == r || strings.HasPrefix(rel, r+"/") {
 			return true
 		}
 	}

@@ -265,8 +265,6 @@ func cutSpace(b []byte) (before, after []byte, found bool) {
 // parseStoreOp splits an operation into views of op: it runs several times
 // per request on every replica (classification, execution, key extraction)
 // and allocates nothing.
-//
-//troxy:hotpath
 func parseStoreOp(op []byte) (verb storeVerb, key, value []byte) {
 	name, rest, _ := cutSpace(op)
 	if len(name) != 3 {
@@ -325,8 +323,6 @@ func (s *Store) Execute(op []byte) []byte {
 }
 
 // IsRead implements Application.
-//
-//troxy:hotpath
 func (s *Store) IsRead(op []byte) bool {
 	verb, _, _ := parseStoreOp(op)
 	return verb == verbGet

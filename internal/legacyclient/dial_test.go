@@ -1,10 +1,15 @@
 package legacyclient
 
 import (
+	"crypto/ed25519"
+	"crypto/rand"
 	"errors"
 	mrand "math/rand"
+	"net"
 	"testing"
 	"time"
+
+	"github.com/troxy-bft/troxy/internal/securechannel"
 )
 
 // TestRequestBackoffGrows drives Request against dead addresses and checks
@@ -55,5 +60,52 @@ func TestRequestBackoffGrows(t *testing.T) {
 		if d > dialBackoffMax {
 			t.Errorf("sleep %v exceeds cap %v", d, dialBackoffMax)
 		}
+	}
+}
+
+// failingConn refuses every write with errWrite and every read with errRead,
+// and counts the reads: a client that reads after a failed write returns the
+// wrong error at once instead of waiting out a deadline.
+type failingConn struct {
+	net.Conn
+	reads int
+}
+
+var (
+	errWrite = errors.New("write refused")
+	errRead  = errors.New("read after a failed write")
+)
+
+func (c *failingConn) Write([]byte) (int, error)   { return 0, errWrite }
+func (c *failingConn) Read([]byte) (int, error)    { c.reads++; return 0, errRead }
+func (c *failingConn) SetDeadline(time.Time) error { return nil }
+
+// TestRequestWriteErrorIsReturned: a request the client failed to send is
+// not waited on; the attempt ends with the write's error and never reads, so
+// Request fails over to the next replica at once.
+func TestRequestWriteErrorIsReturned(t *testing.T) {
+	pub, priv, err := ed25519.GenerateKey(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, hello, err := securechannel.NewClientHandshake(pub, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, serverHello, err := securechannel.ServerHandshake(priv, hello, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := h.Finish(serverHello)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := &failingConn{}
+	c := &TCPClient{conn: conn, sess: sess, timeout: time.Minute}
+	if _, err := c.tryOnce([]byte("PUT k v")); !errors.Is(err, errWrite) {
+		t.Errorf("tryOnce = %v, want the write's error", err)
+	}
+	if conn.reads != 0 {
+		t.Errorf("the client read %d times after its write failed", conn.reads)
 	}
 }

@@ -8,10 +8,6 @@ import (
 	"github.com/troxy-bft/troxy/internal/wire"
 )
 
-// Allocation benchmarks for the encode hot path. The pooled writers in
-// internal/wire should keep steady-state encoding at one allocation per call
-// (the returned copy); run with -benchmem to see it.
-
 func benchBatch(n int) *Batch {
 	b := &Batch{Reqs: make([]OrderRequest, n)}
 	for i := range b.Reqs {
@@ -25,73 +21,6 @@ func benchBatch(n int) *Batch {
 	return b
 }
 
-func BenchmarkEncodeForward(b *testing.B) {
-	fwd := &Forward{Req: benchBatch(1).Reqs[0]}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		EncodeBody(fwd)
-	}
-}
-
-func BenchmarkEncodePrepareBatch16(b *testing.B) {
-	prep := &Prepare{View: 1, Seq: 7, Batch: *benchBatch(16),
-		Cert: CounterCert{Replica: 0, Counter: 1, Value: 7, MAC: make([]byte, 32)}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		EncodeBody(prep)
-	}
-}
-
-func BenchmarkEncodeEnvelope(b *testing.B) {
-	env := Seal(0, 1, &Commit{View: 1, Seq: 7,
-		Cert: CounterCert{Replica: 1, Counter: 1, Value: 7, MAC: make([]byte, 32)}})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		EncodeEnvelope(env)
-	}
-}
-
-func BenchmarkBatchDigest16(b *testing.B) {
-	batch := benchBatch(16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		batch.Digest()
-	}
-}
-
-// BenchmarkAppendEnvelopeFrame measures the specialized transport's encode
-// path: frame header plus envelope appended into a pooled writer that
-// becomes a ring slot, with no intermediate copy. The benchmark gates, not
-// just reports: any allocation per op fails it (`make bench-quick` runs it
-// in CI), because one stray alloc here multiplies by every frame the
-// transport sends.
-func BenchmarkAppendEnvelopeFrame(b *testing.B) {
-	env := Seal(0, 1, &Commit{View: 1, Seq: 7,
-		Cert: CounterCert{Replica: 1, Counter: 1, Value: 7, MAC: make([]byte, 32)}})
-	w := wire.GetWriter()
-	defer wire.PutWriter(w)
-	if allocs := testing.AllocsPerRun(1000, func() {
-		w.Reset()
-		if err := AppendEnvelopeFrame(w, env); err != nil {
-			b.Fatal(err)
-		}
-	}); allocs != 0 {
-		b.Fatalf("pooled frame encode allocates %.1f/op, want 0", allocs)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Reset()
-		if err := AppendEnvelopeFrame(w, env); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAllocGate holds the codec side of the request path's buffer
 // discipline (DESIGN.md §5): encoding appends into a writer the caller
 // brought, decoding returns views, and what is left to allocate is the
@@ -99,14 +28,61 @@ func BenchmarkAppendEnvelopeFrame(b *testing.B) {
 func BenchmarkAllocGate(b *testing.B) {
 	rep := &OrderedReply{Executor: 1, Seq: 9, Client: 100, ClientSeq: 3,
 		Result: make([]byte, 128), InvalidKeys: keysOf("key-0001"), TroxyTag: make([]byte, 32)}
+	cert := CounterCert{Replica: 1, Counter: 1, Value: 7, MAC: make([]byte, 32)}
+	batch := benchBatch(16)
+	prep := &Prepare{View: 1, Seq: 7, Batch: *batch, Cert: cert}
+	commit := &Commit{View: 1, Seq: 7, Cert: cert}
+	fwd := &Forward{Req: batch.Reqs[0]}
+	query := &CacheQuery{From: 1, To: 2, QueryID: 5, Tag: make([]byte, 32)}
+	answer := &CacheReply{From: 2, To: 1, QueryID: 5, Found: true, ReplyData: make([]byte, 128), Tag: make([]byte, 32)}
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
-	testutil.AllocGate(b, "OrderedReplyMarshalAndTagInput", 0, func() {
+
+	// Every encoder of a message on the request path appends into a warm
+	// writer and allocates nothing; a row that fails names the function
+	// that began to.
+	for _, enc := range []struct {
+		name string
+		fn   func(*wire.Writer)
+	}{
+		{"ChannelData.MarshalWire", (&ChannelData{ConnID: 7, Payload: make([]byte, 160)}).MarshalWire},
+		{"OrderRequest.MarshalWire", fwd.Req.MarshalWire},
+		{"Batch.MarshalWire", batch.MarshalWire},
+		{"CounterCert.MarshalWire", cert.MarshalWire},
+		{"Forward.MarshalWire", fwd.MarshalWire},
+		{"Prepare.MarshalWire", prep.MarshalWire},
+		{"Commit.MarshalWire", commit.MarshalWire},
+		{"OrderedReply.MarshalWire", rep.MarshalWire},
+		{"OrderedReply.TagInput", rep.TagInput},
+		{"ReplyBatch.MarshalWire", NewReplyBatch(rep, rep, rep).MarshalWire},
+		{"CacheQuery.TagInput", query.TagInput},
+		{"CacheReply.TagInput", answer.TagInput},
+		{"ChannelRequest.MarshalWire", (&ChannelRequest{Client: 100, Seq: 3, Op: make([]byte, 128)}).MarshalWire},
+		{"ChannelReply.MarshalWire", (&ChannelReply{Seq: 3, Status: StatusOK, Result: make([]byte, 128)}).MarshalWire},
+	} {
+		testutil.AllocGate(b, enc.name, 0, func() {
+			w.Reset()
+			enc.fn(w)
+		})
+	}
+
+	// The ring transport's frame encoder writes header and envelope into the
+	// pooled writer that becomes a ring slot, with no intermediate copy: one
+	// stray allocation here multiplies by every frame the transport sends.
+	env := Seal(0, 1, commit)
+	testutil.AllocGate(b, "AppendEnvelopeFrame", 0, func() {
 		w.Reset()
-		rep.MarshalWire(w)
-		w.Reset()
-		rep.TagInput(w)
+		if err := AppendEnvelopeFrame(w, env); err != nil {
+			b.Fatal(err)
+		}
 	})
+
+	// An owned encoding is the one allocation of EncodeBody and
+	// EncodeEnvelope, and a batch is digested where it lies.
+	testutil.AllocGate(b, "EncodeForward", 1, func() { EncodeBody(fwd) })
+	testutil.AllocGate(b, "EncodePrepareBatch16", 1, func() { EncodeBody(prep) })
+	testutil.AllocGate(b, "EncodeEnvelope", 1, func() { EncodeEnvelope(env) })
+	testutil.AllocGate(b, "BatchDigest16", 0, func() { batch.Digest() })
 
 	// A reply decodes into an OrderedReply the caller brought without
 	// allocating: result, key list and tag are views.
@@ -178,8 +154,7 @@ func BenchmarkAllocGate(b *testing.B) {
 			b.Fatalf("walked %d replies", n)
 		}
 	})
-	testutil.AllocGate(b, "DecodeOpenPrepare16", 3, open(sealed(&Prepare{View: 1, Seq: 7, Batch: *benchBatch(16),
-		Cert: CounterCert{Replica: 0, Counter: 1, Value: 7, MAC: make([]byte, 32)}})))
+	testutil.AllocGate(b, "DecodeOpenPrepare16", 3, open(sealed(prep)))
 
 	// The client-bound hop has no message object in either direction: sealing
 	// allocates the envelope and its body, opening nothing.

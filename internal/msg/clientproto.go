@@ -58,8 +58,6 @@ var ErrBadChannelFrame = errors.New("msg: malformed channel frame")
 func EncodeChannelRequest(m *ChannelRequest) []byte { return marshalOwned(m) }
 
 // MarshalWire appends the request frame.
-//
-//troxy:hotpath
 func (m *ChannelRequest) MarshalWire(w *wire.Writer) {
 	w.U64(m.Client)
 	w.U64(m.Seq)
@@ -83,8 +81,6 @@ func DecodeChannelRequest(b []byte) (ChannelRequest, error) {
 }
 
 // MarshalWire appends the reply frame.
-//
-//troxy:hotpath
 func (m *ChannelReply) MarshalWire(w *wire.Writer) {
 	w.U64(m.Seq)
 	w.U8(m.Status)

@@ -61,8 +61,6 @@ func (k Keys) All() iter.Seq[[]byte] {
 }
 
 // marshal appends the list's wire form.
-//
-//troxy:hotpath
 func (k Keys) marshal(w *wire.Writer) {
 	if len(k) == 0 {
 		w.U32(0)

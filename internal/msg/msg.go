@@ -282,8 +282,6 @@ func EncodeEnvelope(e *Envelope) []byte {
 // ring slot and its buffer a single iovec entry of the vectored write, so no
 // intermediate copy is made. The error mirrors wire.WriteFrame's oversize
 // check.
-//
-//troxy:hotpath
 func AppendEnvelopeFrame(w *wire.Writer, e *Envelope) error {
 	mark := w.BeginFrame()
 	w.U32(uint32(e.From))

@@ -314,9 +314,9 @@ func TestAppendEnvelopeFrameMatchesEncodeEnvelope(t *testing.T) {
 }
 
 func TestAppendEnvelopeFrameZeroAlloc(t *testing.T) {
-	// Hard allocation gate for the pooled frame path (the benchmark variant
-	// in bench_test.go gates the same property under -bench): encoding into
-	// a warm caller-held writer must not allocate at all.
+	// Hard allocation gate for the pooled frame path (the AppendEnvelopeFrame
+	// row of BenchmarkAllocGate holds the same property under -bench):
+	// encoding into a warm caller-held writer must not allocate at all.
 	e := Seal(0, 1, &ChannelData{ConnID: 9, Payload: bytes.Repeat([]byte{0xab}, 1024)})
 	w := wire.NewWriter(4096)
 	if allocs := testing.AllocsPerRun(1000, func() {

@@ -49,8 +49,6 @@ type ChannelData struct {
 func (*ChannelData) Kind() Kind { return KindChannelData }
 
 // MarshalWire implements Message.
-//
-//troxy:hotpath
 func (m *ChannelData) MarshalWire(w *wire.Writer) {
 	w.U64(m.ConnID)
 	w.Bytes32(m.Payload)
@@ -153,8 +151,6 @@ type OrderRequest struct {
 }
 
 // MarshalWire encodes the request canonically.
-//
-//troxy:hotpath
 func (m *OrderRequest) MarshalWire(w *wire.Writer) {
 	w.U32(uint32(m.Origin))
 	w.U64(m.Client)
@@ -255,8 +251,6 @@ type Batch struct {
 func (*Batch) Kind() Kind { return KindBatch }
 
 // MarshalWire implements Message.
-//
-//troxy:hotpath
 func (m *Batch) MarshalWire(w *wire.Writer) {
 	w.U32(uint32(len(m.Reqs)))
 	for i := range m.Reqs {
@@ -346,8 +340,6 @@ type CounterCert struct {
 }
 
 // MarshalWire encodes the certificate.
-//
-//troxy:hotpath
 func (c *CounterCert) MarshalWire(w *wire.Writer) {
 	w.U32(uint32(c.Replica))
 	w.U32(c.Counter)
@@ -380,8 +372,6 @@ type Forward struct {
 func (*Forward) Kind() Kind { return KindForward }
 
 // MarshalWire implements Message.
-//
-//troxy:hotpath
 func (m *Forward) MarshalWire(w *wire.Writer) { m.Req.MarshalWire(w) }
 
 // UnmarshalWire implements Message.
@@ -402,8 +392,6 @@ type Prepare struct {
 func (*Prepare) Kind() Kind { return KindPrepare }
 
 // MarshalWire implements Message.
-//
-//troxy:hotpath
 func (m *Prepare) MarshalWire(w *wire.Writer) {
 	w.U64(m.View)
 	w.U64(m.Seq)
@@ -441,8 +429,6 @@ type Commit struct {
 func (*Commit) Kind() Kind { return KindCommit }
 
 // MarshalWire implements Message.
-//
-//troxy:hotpath
 func (m *Commit) MarshalWire(w *wire.Writer) {
 	w.U64(m.View)
 	w.U64(m.Seq)
@@ -495,8 +481,6 @@ type OrderedReply struct {
 func (*OrderedReply) Kind() Kind { return KindOrderedReply }
 
 // MarshalWire implements Message.
-//
-//troxy:hotpath
 func (m *OrderedReply) MarshalWire(w *wire.Writer) {
 	m.marshalCore(w)
 	w.Bytes32(m.TroxyTag)
@@ -523,8 +507,6 @@ func (m *OrderedReply) WireSize() int {
 }
 
 // TagInput appends the canonical bytes the TroxyTag authenticates.
-//
-//troxy:hotpath
 func (m *OrderedReply) TagInput(w *wire.Writer) { m.marshalCore(w) }
 
 // UnmarshalWire implements Message. Every field is overwritten, so one
@@ -589,8 +571,6 @@ func NewReplyBatch(replies ...*OrderedReply) *ReplyBatch {
 func (*ReplyBatch) Kind() Kind { return KindReplyBatch }
 
 // MarshalWire implements Message.
-//
-//troxy:hotpath
 func (m *ReplyBatch) MarshalWire(w *wire.Writer) { w.Raw(m.Replies) }
 
 // UnmarshalWire implements Message: the batch is the rest of the input.
@@ -750,8 +730,6 @@ func (m *CacheQuery) marshalCore(w *wire.Writer) {
 }
 
 // TagInput appends the canonical bytes the query tag authenticates.
-//
-//troxy:hotpath
 func (m *CacheQuery) TagInput(w *wire.Writer) { m.marshalCore(w) }
 
 // UnmarshalWire implements Message.
@@ -804,8 +782,6 @@ func (m *CacheReply) marshalCore(w *wire.Writer) {
 }
 
 // TagInput appends the canonical bytes the reply tag authenticates.
-//
-//troxy:hotpath
 func (m *CacheReply) TagInput(w *wire.Writer) { m.marshalCore(w) }
 
 // UnmarshalWire implements Message.

@@ -456,7 +456,8 @@ var Catalogue = []Mutant{
 	},
 	{
 		ID: "gateway-payload-error-dropped", File: "internal/realnet/tcp.go", Aims: []string{"senderr"},
-		Fault: "the gateway queues a client-bound frame whose encoding failed",
+		Equivalent: "OpenChannelData refuses a payload over wire.MaxBytesLen and a frame holds wire.MaxFrameLen, 64 KiB more, so the frame encode whose error it drops cannot fail (TestGatewayNeverFramesAnOversizedPayload holds both bounds)",
+		Fault:      "the gateway queues a client-bound frame whose encoding failed",
 		Old: `	if err := wire.AppendFramePayload(w, cd.Payload); err != nil {
 		wire.PutWriter(w)
 		h.ring.stats.drops.Add(1)

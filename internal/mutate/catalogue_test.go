@@ -68,13 +68,9 @@ var lintOnly = map[string]string{
 	"conn-seal-writes-under-lock":          "lockcheck",
 	"gateway-close-holds-lock":             "lockcheck",
 	"realnet-enqueue-leaks-lock":           "lockcheck",
-	"gateway-payload-error-dropped":        "senderr",
-	"client-write-error-dropped":           "senderr",
 	"tcounter-error-leaks-key":             "secretflow",
 	"troxy-handshake-error-leaks-identity": "secretflow",
 	"aead-error-leaks-session-key":         "secretflow",
-	"commit-marshal-allocates":             "allocfree",
-	"ring-take-allocates":                  "allocfree",
 }
 
 // Each of those mutants, applied to a copy of the tree, still draws its

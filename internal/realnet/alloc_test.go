@@ -16,8 +16,25 @@ import (
 // connection's one envelope and delivered the same way. Neither allocates:
 // the ingress chunk a frame lies in is the transport's, read per burst. And a
 // send ring's flush hands a drained batch to the socket as one vectored write
-// over the iovec and the net.Buffers header its drainer keeps: nothing either.
+// over the iovec and the net.Buffers header its drainer keeps: nothing either,
+// and nor does the cycle that feeds it — a frame pushed, the drainer's yield,
+// the ring taken and its writers released — which moves pooled writers
+// between the two slot arrays the ring made once.
 func BenchmarkAllocGate(b *testing.B) {
+	ring := newSendRing(new(ringCounters)) // no drainer: the row runs the cycle
+	defer ring.close()
+	testutil.AllocGate(b, "RingPushTakeRelease", 0, func() {
+		if !ring.push(wire.GetWriter()) {
+			b.Fatal("push refused")
+		}
+		ring.accumulate()
+		batch := ring.take()
+		if len(batch) != 1 {
+			b.Fatalf("took %d frames, want 1", len(batch))
+		}
+		releaseBatch(batch)
+	})
+
 	r := NewRouter()
 	defer r.Close()
 	recv := &gatedNode{seen: make(chan uint64)}

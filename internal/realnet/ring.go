@@ -79,8 +79,6 @@ func newSendRing(stats *ringCounters) *sendRing {
 // push hands an encoded frame (a pooled writer) to the ring. On overflow or
 // after close the writer is returned to the pool and the frame is dropped
 // (counted). It reports whether the frame was accepted.
-//
-//troxy:hotpath
 func (r *sendRing) push(w *wire.Writer) bool {
 	r.mu.Lock()
 	if r.closed || len(r.slots) >= ringCapacity {
@@ -92,7 +90,7 @@ func (r *sendRing) push(w *wire.Writer) bool {
 		}
 		return false
 	}
-	r.slots = append(r.slots, w) //lint:allow allocfree bounded by the capacity check above; the ring arrays are allocated once at construction
+	r.slots = append(r.slots, w)
 	r.mu.Unlock()
 	select {
 	case r.wake <- struct{}{}:
@@ -103,8 +101,6 @@ func (r *sendRing) push(w *wire.Writer) bool {
 
 // take swaps out every pending frame. The returned slice belongs to the
 // caller until the next take (it becomes the spare on the call after).
-//
-//troxy:hotpath
 func (r *sendRing) take() []*wire.Writer {
 	r.mu.Lock()
 	batch := r.slots
@@ -126,8 +122,6 @@ func (r *sendRing) pendingLen() int {
 // the size trigger it yields the processor once so producers mid-burst can
 // finish enqueueing, then returns for an immediate flush. A lone frame costs
 // one scheduler quantum, not a timer sleep.
-//
-//troxy:hotpath
 func (r *sendRing) accumulate() {
 	if r.pendingLen() >= ringFlushFrames {
 		return
@@ -199,8 +193,6 @@ func (r *sendRing) drain(connect func() net.Conn) {
 }
 
 // release returns a drained batch's writers to the pool.
-//
-//troxy:hotpath
 func releaseBatch(batch []*wire.Writer) {
 	for _, w := range batch {
 		wire.PutWriter(w)
@@ -212,12 +204,10 @@ func releaseBatch(batch []*wire.Writer) {
 // caller's separate slice header over it, so the array survives for the next
 // flush. On platforms with writev support the whole ring goes out in one
 // syscall.
-//
-//troxy:hotpath
 func flushBatch(conn net.Conn, bufs *net.Buffers, iov [][]byte, batch []*wire.Writer) ([][]byte, error) {
 	iov = iov[:0]
 	for _, w := range batch {
-		iov = append(iov, w.Bytes()) //lint:allow allocfree appends into the caller-reused iovec backing array; steady state never grows
+		iov = append(iov, w.Bytes())
 	}
 	*bufs = iov
 	_, err := bufs.WriteTo(conn)

@@ -1,6 +1,7 @@
 package realnet
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -41,6 +42,26 @@ func TestSendRingOverflowAndClose(t *testing.T) {
 	}
 	if got := r.stats.drops.Load(); got != 1 {
 		t.Fatalf("drops after close = %d, want 1", got)
+	}
+}
+
+// TestGatewayNeverFramesAnOversizedPayload: the gateway frames a client-bound
+// payload as it decoded, and ChannelData's decoder refuses a payload longer
+// than wire.MaxBytesLen, which is below wire.MaxFrameLen; so a payload too big
+// for a frame is refused before the gateway encodes anything, and the frame
+// encode that follows a decode cannot fail (DESIGN.md §9.5).
+func TestGatewayNeverFramesAnOversizedPayload(t *testing.T) {
+	if wire.MaxBytesLen > wire.MaxFrameLen {
+		t.Fatalf("a decoded payload may be %d bytes, a frame only %d", wire.MaxBytesLen, wire.MaxFrameLen)
+	}
+	ring := newSendRing(new(ringCounters)) // no drainer: whatever is queued stays
+	defer ring.close()
+	// A ChannelData head claiming one byte more than a frame holds; the
+	// decoder refuses the length before it looks for the bytes.
+	head := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint64(nil, 7), wire.MaxFrameLen+1)
+	gatewayHandler{ring: ring}.OnEnvelope(nil, &msg.Envelope{From: 0, To: 1, Kind: msg.KindChannelData, Body: head})
+	if got := ring.pendingLen(); got != 0 {
+		t.Errorf("%d frames queued, want none", got)
 	}
 }
 

@@ -175,7 +175,8 @@ var malformedCoalesced = map[string][]byte{
 }
 
 // BenchmarkAllocGate: opening a record into a lent buffer and walking its
-// frames allocates nothing, plain or coalesced.
+// frames allocates nothing, plain or coalesced; sealing a flush of frames
+// into one coalesced record allocates twice, whatever the frame count.
 func BenchmarkAllocGate(b *testing.B) {
 	client, server := handshake(b)
 	plain, err := client.Seal(bytes.Repeat([]byte{1}, 128))
@@ -212,6 +213,14 @@ func BenchmarkAllocGate(b *testing.B) {
 		var err error
 		if room, err = client.AppendSeal(room[:12], pt); err != nil || len(room) != 12+Overhead+len(pt) {
 			b.Fatalf("%d bytes, %v", len(room), err)
+		}
+	})
+
+	// The two are the plaintext SealFrames stages and the record it returns,
+	// each sized exactly up front, so neither append nor Seal grows one.
+	testutil.AllocGate(b, "SealFrames16", 2, func() {
+		if _, err := client.SealFrames(batch); err != nil {
+			b.Fatal(err)
 		}
 	})
 }

@@ -123,8 +123,6 @@ func (s *Session) AppendSeal(dst, plaintext []byte) ([]byte, error) {
 // and errors rather than emitting a record that burns a sequence number for
 // nothing; a flush whose total exceeds MaxCoalescedPlaintext must be split
 // by the caller (the Conn flusher does).
-//
-//troxy:hotpath
 func (s *Session) SealFrames(frames [][]byte) ([]byte, error) {
 	if !s.Established() {
 		return nil, ErrNotEstablished
@@ -139,16 +137,16 @@ func (s *Session) SealFrames(frames [][]byte) ([]byte, error) {
 	if total > MaxCoalescedPlaintext {
 		return nil, fmt.Errorf("%w: coalesced flush of %d bytes", ErrRecord, total)
 	}
-	pt := make([]byte, 0, total) //lint:allow allocfree one coalesced plaintext buffer per flush, amortized over every frame in it
+	pt := make([]byte, 0, total)
 	for _, f := range frames {
 		pt = binary.LittleEndian.AppendUint32(pt, uint32(len(f)))
-		pt = append(pt, f...) //lint:allow allocfree appends into the pre-sized plaintext buffer (cap == total), never grows
+		pt = append(pt, f...)
 	}
 	putSeq(s.sendNonce[:], s.sendSeq)
 	s.sendSeq++
-	out := make([]byte, 1, 1+total+16) //lint:allow allocfree one output record per flush, sized exactly for ciphertext plus tag
+	out := make([]byte, 1, 1+total+16)
 	out[0] = frameCoalesced
-	return s.sendAEAD.Seal(out, s.sendNonce[:], pt, out[:1]), nil //lint:allow allocfree Seal writes into the pre-sized dst; stdlib GCM does not allocate when dst capacity suffices
+	return s.sendAEAD.Seal(out, s.sendNonce[:], pt, out[:1]), nil
 }
 
 // Open authenticates and decrypts one record. A record can be opened exactly
@@ -212,8 +210,6 @@ func (f Frames) Scratch() []byte {
 
 // subFrame returns the sub-frame whose header starts at off in a coalesced
 // plaintext OpenFrames has validated, and the offset of the next header.
-//
-//troxy:hotpath
 func subFrame(pt []byte, off int) (frame []byte, next int) {
 	n := int(binary.LittleEndian.Uint32(pt[off:]))
 	off += 4
