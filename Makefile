@@ -72,9 +72,11 @@ bench:
 # an owned body or envelope encoding 1, a 16-request batch digested 0,
 # decode + open a 16-request PREPARE 3, a reply decoded into a reused OrderedReply 0, MAC check + walk of
 # a five-reply batch 1, a reply built, tagged and queued for a remote origin 0,
-# a peer's cache query opened and answered 2 (copy-out, Queries slice: the
-# envelope's header is the replica's own, which Send copies),
-# a vote over three replies 2 plus the client's record, VerifyMAC 0, a Troxy
+# a peer's cache query opened and answered 1 (the copy-out: the Queries slice
+# is the binding's, and the envelope's header the replica's own, which Send
+# copies), a FORWARD sent 1 (its body, the MAC summed into room behind it),
+# a vote over three replies 2 plus the client's record, SealMessage 1 (0 into
+# room the sender lends), VerifyMAC 0, a Troxy
 # group tag verified or made into the caller's buffer 0 (troxy's), a 16 x
 # 4 KiB PREPARE broadcast to two peers 1 — its encoding: it carries no MAC,
 # so no tag —, a local Router.Send through to delivery 0 and a bridge frame
@@ -91,8 +93,8 @@ bench:
 # fast-read cache's CacheReinstallSameResult 0, CacheInvalidateThenReinstall 1
 # and CacheEvictAndInstall 1, the reply's slab, …), and end to end by
 # TestWriteAllocBudget at the module root (allocations per 128-byte write
-# through a whole simulated cluster, 32 clients) and TestLoneWriteAllocBudget (the same with one client: a batch of
-# one a sequence number),
+# through a whole simulated cluster, 32 clients), TestLoneWriteAllocBudget (the same with one client: a batch of
+# one a sequence number) and TestFastReadAllocBudget (per 128-byte fast read),
 # beside TestWriteMACBudget on the same deployment (MACs charged per write:
 # host MACs, Troxy tags and counter certificates, so a MAC that comes back on
 # a message something else authenticates fails it). In
@@ -105,7 +107,7 @@ bench:
 bench-quick: copy-gate
 	$(GO) test -run xxx -bench 'AllocGate' -benchmem -benchtime 1000x ./internal/msg/ ./internal/authn/ ./internal/tcounter/ ./internal/app/ ./internal/troxy/ ./internal/hybster/ ./internal/replica/ ./internal/enclave/ ./internal/securechannel/ ./internal/realnet/
 	$(GO) test -run xxx -bench 'StoreCheckpoint|StoreFork' -benchmem -benchtime 20x ./internal/app/
-	$(GO) test -count=1 -run 'TestWriteAllocBudget|TestLoneWriteAllocBudget|TestWriteMACBudget' -v .
+	$(GO) test -count=1 -run 'TestWriteAllocBudget|TestLoneWriteAllocBudget|TestFastReadAllocBudget|TestWriteMACBudget' -v .
 
 # copy-gate reads the compiler's output for wire.Writer.CopyBytes, which makes
 # every owned message body, envelope encoding and reply batch: make+copy is one
@@ -124,11 +126,15 @@ copy-gate:
 # allocs-top prints the twenty call sites that allocate most often on the
 # real path (gateway, secure channel, ecalls, ordering, execution, reply),
 # every allocation sampled: where the next round of the allocation budget
-# goes, without patching bench/ to get a profile. The test binary and the
-# profile land in bin/.
+# goes, without patching bench/ to get a profile. ALLOCS_BENCH picks the
+# benchmark: EndToEndKV (the default) is a lone client's PUTs, EndToEndKVRead
+# its GETs of one key, which are fast reads (`make allocs-top
+# ALLOCS_BENCH=EndToEndKVRead`). The test binary and the profile land in bin/.
+ALLOCS_BENCH := EndToEndKV
+
 allocs-top:
 	mkdir -p bin
-	$(GO) test -run xxx -bench EndToEndKV -benchtime 20000x -o bin/troxy.test -memprofile bin/allocs.prof -memprofilerate 1 .
+	$(GO) test -run xxx -bench '^Benchmark$(ALLOCS_BENCH)$$' -benchtime 20000x -o bin/troxy.test -memprofile bin/allocs.prof -memprofilerate 1 .
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=20 bin/troxy.test bin/allocs.prof
 
 # bench-check compiles and unit-tests the wall-clock benchmark, which is its

@@ -128,8 +128,10 @@ func (a *Authenticator) mac(m hash.Hash, e *msg.Envelope, covered []byte) hash.H
 
 // SealMAC computes and attaches the point-to-point MAC over the header and the
 // whole body of an outgoing envelope. The envelope's From must be the
-// authenticator's node. The tag is the envelope's own allocation: it travels
-// with it and is never reused.
+// authenticator's node. The tag travels with the envelope and is never
+// reused: it is summed into the room the sender lent in e.MAC — no bytes and
+// a capacity of exactly TagSize, such as spare room behind the body in the
+// body's own allocation — or else into an allocation of its own.
 func (a *Authenticator) SealMAC(e *msg.Envelope) {
 	a.seal(e, e.Body)
 }
@@ -141,7 +143,11 @@ func (a *Authenticator) seal(e *msg.Envelope, covered []byte) {
 	if !cached {
 		a.macs[e.To] = m
 	}
-	e.MAC = a.mac(m, e, covered).Sum(make([]byte, 0, TagSize))
+	room := e.MAC
+	if len(room) != 0 || cap(room) != TagSize {
+		room = make([]byte, 0, TagSize)
+	}
+	e.MAC = a.mac(m, e, covered).Sum(room)
 }
 
 // VerifyMAC checks a point-to-point MAC over the header and the whole body of
@@ -170,9 +176,9 @@ func (a *Authenticator) verify(e *msg.Envelope, covered []byte) bool {
 // SealMessage attaches the point-to-point MAC a replica expects on an envelope
 // whose body is m's encoding: over the header and Covered, which for a
 // FORWARD is its request's digest — memoised in m, so a sender that has it
-// hashes no operation — and for every other kind the body, as SealMAC. It
-// returns how many bytes behind the header the MAC covered, which is what a
-// runtime that prices MACs charges.
+// hashes no operation — and for every other kind the body, as SealMAC, into
+// the room SealMAC takes. It returns how many bytes behind the header the MAC
+// covered, which is what a runtime that prices MACs charges.
 func (a *Authenticator) SealMessage(e *msg.Envelope, m msg.Message) int {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)

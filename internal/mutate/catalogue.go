@@ -104,10 +104,16 @@ var Catalogue = []Mutant{
 		New:   "		_, n := r.auth.VerifyMessage(e, m)\n		ok := true\n",
 	},
 	{
+		ID: "actions-lend-submits", File: "internal/troxy/trusted.go",
+		Fault: "the submits of a Troxy call are decoded into the binding's lent storage, which ordering keeps a pointer into and the next call overwrites",
+		Old:   "	if ns > 0 {\n		a.Submits = make([]msg.OrderRequest, 0, min(ns, 64))\n	}\n",
+		New:   "	a.Submits = lent.Submits[:0]\n",
+	},
+	{
 		ID: "prepare-resealed", File: "internal/replica/replica.go",
 		Fault: "every PREPARE is sealed with a host MAC nobody checks: its certificate already authenticates it",
-		Old:   "	if authn.HostMACed(e.Kind) {\n		env.Charge(node.ProfileJava, node.ChargeMAC, r.auth.SealMessage(e, m))",
-		New:   "	if authn.HostMACed(e.Kind) || e.Kind == msg.KindPrepare {\n		env.Charge(node.ProfileJava, node.ChargeMAC, r.auth.SealMessage(e, m))",
+		Old:   "	if authn.HostMACed(e.Kind) {\n		e.MAC = room\n",
+		New:   "	if authn.HostMACed(e.Kind) || e.Kind == msg.KindPrepare {\n		e.MAC = room\n",
 	},
 	{
 		ID: "future-view-parked-unverified", File: "internal/hybster/core.go",

@@ -424,36 +424,48 @@ func (r *Replica) onBFTRequest(env node.Env, from msg.NodeID, m *msg.BFTRequest)
 }
 
 // apply executes the Troxy's requested actions. Every byte slice in an Actions
-// is the caller's (troxy.Proxy): a client record leaves in the body the
-// binding built for it, and a submit goes to ordering as it is — Submit keeps
-// it, and the request is not touched here again.
+// is the caller's (troxy.Proxy): a client record and a cache message leave in
+// the bodies the binding built for them, and a submit goes to ordering as it
+// is — Submit keeps it, and the request is not touched here again. The Client
+// and Queries slices are lent until the next proxy call, and Submit is the
+// one action that can make one (a retransmitted request that has executed
+// has its reply replayed, and voted here), so the submits go last.
 func (r *Replica) apply(env node.Env, acts troxy.Actions) {
 	for _, cr := range acts.Client {
 		r.out = msg.Envelope{From: r.cfg.Self, To: cr.Node, Kind: msg.KindChannelData, Body: cr.Body}
 		env.Send(&r.out)
 	}
-	for i := range acts.Submits {
-		r.core.Submit(env, &acts.Submits[i])
-	}
 	for _, pm := range acts.Queries {
 		r.sendTagged(env, pm.To, pm.Kind, pm.Body)
 	}
+	for i := range acts.Submits {
+		r.core.Submit(env, &acts.Submits[i])
+	}
 }
 
-// sendAuthed seals, MACs and transmits a message.
+// sendAuthed seals, MACs and transmits a message to one peer. The body is
+// encoded with the MAC's room behind it, so body and MAC are one allocation.
 func (r *Replica) sendAuthed(env node.Env, to msg.NodeID, m msg.Message) {
-	r.sendEncoded(env, to, m, msg.EncodeBody(m))
+	w := wire.GetWriter()
+	m.MarshalWire(w)
+	n := w.Len()
+	buf := make([]byte, n+authn.TagSize)
+	copy(buf, w.Bytes())
+	wire.PutWriter(w)
+	r.sendEncoded(env, to, m, buf[:n:n], buf[n:n:n+authn.TagSize])
 }
 
 // sendEncoded MACs and transmits m, whose encoding is body, under the MAC of
-// its kind (authn.SealMessage) — or with no MAC, if its kind carries none
-// (authn.HostMACed): a Troxy tagged it, or it is a PREPARE or a COMMIT, which
-// its counter certificate authenticates. body is immutable from here on: the
-// envelope (and any other recipient's) shares it.
-func (r *Replica) sendEncoded(env node.Env, to msg.NodeID, m msg.Message, body []byte) {
+// its kind (authn.SealMessage), summed into room if it is lent some — or with
+// no MAC, if its kind carries none (authn.HostMACed): a Troxy tagged it, or it
+// is a PREPARE or a COMMIT, which its counter certificate authenticates. body
+// is immutable from here on: the envelope (and any other recipient's) shares
+// it.
+func (r *Replica) sendEncoded(env node.Env, to msg.NodeID, m msg.Message, body, room []byte) {
 	e := &r.out
 	*e = msg.Envelope{From: r.cfg.Self, To: to, Kind: m.Kind(), Body: body}
 	if authn.HostMACed(e.Kind) {
+		e.MAC = room
 		env.Charge(node.ProfileJava, node.ChargeMAC, r.auth.SealMessage(e, m))
 	}
 	env.Send(e)
@@ -479,7 +491,7 @@ func (r *Replica) Broadcast(env node.Env, m msg.Message) {
 	body := msg.EncodeBody(m)
 	for i := 0; i < r.cfg.N; i++ {
 		if to := msg.NodeID(i); to != r.cfg.Self {
-			r.sendEncoded(env, to, m, body)
+			r.sendEncoded(env, to, m, body, nil)
 		}
 	}
 }

@@ -323,8 +323,9 @@ func TestReplyBatchWithoutTroxyIsUnhandled(t *testing.T) {
 // origin's queue — no allocation once the buffers exist. The envelope that
 // carries a batch out costs its body: the header is the replica's own, which
 // Send copies. A peer's cache query is opened into the replica's scratch and
-// answered with the body its Troxy encoded: the binding's copy-out and the
-// Actions' Queries slice.
+// answered with the body its Troxy encoded: the binding's copy-out, the
+// Queries slice being the binding's own. A FORWARD sent to the leader is its
+// body, with the MAC summed into room behind it in the same allocation.
 func BenchmarkAllocGate(b *testing.B) {
 	reps, _, _ := newTroxyCluster(b)
 	r, env := reps[0], &tapEnv{self: 0}
@@ -347,10 +348,19 @@ func BenchmarkAllocGate(b *testing.B) {
 	q := &msg.CacheQuery{From: 1, To: 0, QueryID: 7, ReqDigest: msg.DigestOf([]byte("GET k"))}
 	q.Tag = tagger.Tag(nil, q.Kind(), q.From, tagInputOf(q))
 	query := &msg.Envelope{From: 1, To: 0, Kind: msg.KindCacheQuery, Body: msg.EncodeBody(q)}
-	testutil.AllocGate(b, "CacheQueryInReplyOut", 2, func() {
+	testutil.AllocGate(b, "CacheQueryInReplyOut", 1, func() {
 		r.OnEnvelope(env, query)
 		if len(env.sent) != 1 || env.sent[0].Kind != msg.KindCacheReply || env.sent[0].To != 1 || env.sent[0].MAC != nil {
 			b.Fatalf("a cache query was answered with %d envelopes", len(env.sent))
+		}
+		env.sent, env.macBytes = env.sent[:0], env.macBytes[:0]
+	})
+
+	fwd := &msg.Forward{Req: *req}
+	testutil.AllocGate(b, "SendForward", 1, func() {
+		r.Send(env, 1, fwd)
+		if len(env.sent) != 1 || len(env.sent[0].MAC) != authn.TagSize {
+			b.Fatalf("a FORWARD left as %d envelopes", len(env.sent))
 		}
 		env.sent, env.macBytes = env.sent[:0], env.macBytes[:0]
 	})

@@ -50,7 +50,7 @@ func FuzzDecodeActions(f *testing.F) {
 	seed(must(peer.HandleCacheQuery(openPeer[*msg.CacheQuery](f, read.Queries[0]))))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		acts, err := decodeActions(b)
+		acts, err := decodeActions(b, &Actions{})
 		if err != nil {
 			return
 		}

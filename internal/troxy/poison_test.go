@@ -53,7 +53,7 @@ func ecallScript(t *testing.T, poison bool) (results [][]byte, replies []msg.Cha
 		if name == ECallAuthReply {
 			return Actions{}
 		}
-		acts, err := decodeActions(out)
+		acts, err := decodeActions(out, &Actions{})
 		if err != nil {
 			t.Fatalf("%s: decode result: %v", name, err)
 		}

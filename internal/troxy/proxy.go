@@ -33,14 +33,14 @@ type Proxy interface {
 	CloseConn(env node.Env, connID uint64)
 	//
 	// Every byte slice in an Actions, of this call and of every other, is the
-	// caller's to keep, and so is every message and slice an Actions holds:
-	// what a Core call returns lives in the Core's scratch until its next
-	// call, and the binding copies it out once — the enclave's copy-out, or in
-	// process the same append — and decodes views of that copy. Ordering
-	// keeps a submit as it is handed over, a client record's Body and a cache
-	// message's Body are the envelope bodies they leave in, and a call can
-	// re-enter the proxy before the caller is done with the Actions of the
-	// last.
+	// caller's to keep, and so are Submits and its requests: a Core's result
+	// lives in its scratch until its next call, and the binding copies it out
+	// once — the enclave's copy-out, or in process the same append — and
+	// decodes views of that copy. Ordering keeps a submit as it is handed
+	// over; a client record's or cache message's Body is the envelope body it
+	// leaves in. The Client and Queries slices are lent: valid until the next
+	// call into the proxy, which a submit can make (its reply is voted here),
+	// so the caller uses them before it submits (Replica.apply).
 	HandleClientData(env node.Env, connID uint64, from msg.NodeID, payload []byte) (Actions, error)
 	//
 	// rep is the caller's in both reply calls and may be one it reuses: no
@@ -94,6 +94,7 @@ type Binding struct {
 	ecalls  map[string]func([]byte) ([]byte, error)
 	profile node.Profile
 	room    [tagResultLen]byte // valid until the next call
+	lent    Actions            // the last result, whose Client and Queries the next reuses
 }
 
 const (
@@ -150,10 +151,11 @@ func (p *Binding) actions(env node.Env, name string, arg []byte, mac, hash int) 
 	if hash > 0 {
 		env.Charge(p.profile, node.ChargeHash, hash)
 	}
-	acts, err := decodeActions(out)
+	acts, err := decodeActions(out, &p.lent)
 	if err != nil {
 		return Actions{}, err
 	}
+	p.lent = acts
 	chargeActions(env, p.profile, &acts)
 	return acts, nil
 }

@@ -349,7 +349,7 @@ var enclaveImage = []string{
 
 // maxEnclaveLines is the ceiling on the non-test lines of enclaveImage. It
 // only moves down.
-const maxEnclaveLines = 5790
+const maxEnclaveLines = 5788
 
 // hostOnly are the standard-library packages, with their subpackages, that
 // reach the operating system. The enclave makes no ocalls (Section V-A of the
@@ -363,7 +363,7 @@ var hostOnly = []string{"net", "os", "syscall"}
 // and no image package may import a hostOnly package directly, so an ocall
 // through the standard library fails here too. It also counts the image's
 // lines. The count holds two parts that run on the host but share the
-// image's packages: proxy.go (306 lines), the bindings that cross into the
+// image's packages: proxy.go (308 lines), the bindings that cross into the
 // enclave, and internal/node (141 lines), the environment interfaces a Core
 // is handed.
 func TestTrustedComputingBase(t *testing.T) {

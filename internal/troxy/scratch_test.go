@@ -61,7 +61,7 @@ func (r *scratchRun) took(acts Actions, err error) Actions {
 				len(r.steps)-1, again.Bytes(), w.Bytes())
 		}
 	}
-	own, err := decodeActions(w.Bytes())
+	own, err := decodeActions(w.Bytes(), &Actions{})
 	if err != nil {
 		r.t.Fatal(err)
 	}

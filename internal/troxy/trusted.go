@@ -350,16 +350,15 @@ func encodeActions(w *wire.Writer, a *Actions) {
 // which on the host side is the binding's copy-out and belongs to the caller.
 // A client record's Body is the span of its ChannelData encoding, its Frame
 // inside, and a cache message's Body the span of its CacheQuery or CacheReply
-// encoding, decoded here only to find where it ends. A submit arrives with its digest: b is this replica's own
-// trusted subsystem speaking, and a wrong digest would only get this
-// replica's proposals rejected — every other replica computes its own.
-func decodeActions(b []byte) (Actions, error) {
-	var a Actions
+// encoding, decoded here only to find where it ends. Both are appended to
+// lent's slices; the submits, which ordering keeps, get a slice of their own.
+// A submit arrives with its digest: b is this replica's own trusted subsystem
+// speaking, and a wrong digest would only get this replica's proposals
+// rejected — every other replica computes its own.
+func decodeActions(b []byte, lent *Actions) (Actions, error) {
+	a := Actions{Client: lent.Client[:0], Queries: lent.Queries[:0]}
 	r := wire.NewReader(b)
 	nc := r.SliceLen()
-	if nc > 0 {
-		a.Client = make([]ClientRecord, 0, min(nc, 64))
-	}
 	for i := 0; i < nc; i++ {
 		node := msg.NodeID(int32(r.U32()))
 		from := r.Offset()
@@ -384,9 +383,6 @@ func decodeActions(b []byte) (Actions, error) {
 		a.Submits = append(a.Submits, req)
 	}
 	nq := r.SliceLen()
-	if nq > 0 {
-		a.Queries = make([]PeerCacheMsg, 0, min(nq, 64))
-	}
 	for i := 0; i < nq; i++ {
 		to, kind := msg.NodeID(int32(r.U32())), msg.Kind(r.U8())
 		from := r.Offset()
