@@ -227,7 +227,7 @@ func (c *burstClient) send(env node.Env) {
 	if c.step == len(c.steps) {
 		return
 	}
-	if c.pending == nil || len(c.pending) == 0 {
+	if len(c.pending) == 0 {
 		c.pending = make(map[uint64]bool)
 		for _, req := range c.steps[c.step] {
 			c.pending[req.Seq] = true
