@@ -18,7 +18,7 @@
 // One line per mutant goes to standard output, then for every analyzer the
 // behavioural mutants it alone killed: DESIGN.md §9.5 is that output, and the
 // rule it feeds is there too. `make mutate` runs the whole catalogue (about
-// 35 s a mutant); arguments select mutants by ID.
+// 70 s a mutant on two vCPUs); arguments select mutants by ID.
 package main
 
 import (

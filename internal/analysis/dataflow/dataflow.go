@@ -1,11 +1,10 @@
 // Package dataflow is the intra-procedural dataflow engine underneath the
-// secretflow and lockcheck analyzers. It performs a forward abstract
-// interpretation of one function body over go/ast + go/types (standard
-// library only, like the rest of the analysis framework):
+// secretflow analyzer. It performs a forward abstract interpretation of one
+// function body over go/ast + go/types (standard library only, like the rest
+// of the analysis framework):
 //
-//   - the abstract state is a set of facts (comparable keys: tainted
-//     variables for secretflow, held locks for lockcheck);
-//   - assignments propagate expression-level taint and kill facts on
+//   - the abstract state is the set of tainted variables;
+//   - assignments propagate expression-level taint and kill taint on
 //     overwrite; stores through selectors, indexes, and pointers are weak
 //     updates (the container is tainted, nothing is killed);
 //   - branches (if/switch/type switch/select) fork the state and join with
@@ -13,24 +12,25 @@
 //     the join;
 //   - loops (for/range) iterate to a fixpoint: the loop-entry state is
 //     joined with the back-edge state until it stabilizes, which terminates
-//     because facts only accumulate under union;
+//     because taint only accumulates under union;
 //   - function literals are analyzed separately with a fresh state (a
-//     goroutine or deferred closure does not inherit the spawner's locks,
+//     goroutine or deferred closure does not inherit the spawner's taint,
 //     and captured secrets are re-seeded by the Source hook).
 //
 // Analyzers customize the walk through Hooks: Source seeds taint on
-// expressions, TransferCall applies call effects (lock/unlock, derivation
-// functions) and decides result taint, and OnNode observes every statement
-// and call with the state in execution order. OnNode fires only during the
-// report pass — loop fixpoint iterations run silently, then the body is
-// walked once more with the stabilized entry state — so an analyzer may
-// report at a node without seeing the same node twice per loop level.
+// expressions, TransferCall decides a call's result taint (and is where an
+// analyzer reports a sink), and OnReturn observes each return statement.
+// Loop fixpoint iterations run silently, then the body is walked once more
+// with the stabilized entry state — the report pass, the only one in which
+// CallInfo.Reporting is true and OnReturn fires — so an analyzer reports at
+// a node once per loop level.
 //
 // Known limits, by design (the engine is intra-procedural): taint does not
 // flow through calls unless TransferCall says so, error-typed results are
 // never tainted (errors are built for display; deriving a secret from one
-// is out of model), goto is ignored, and a callee mutating memory through a
-// pointer argument is invisible.
+// is out of model), goto is ignored, a deferred call is evaluated where the
+// defer stands, and a callee mutating memory through a pointer argument is
+// invisible.
 package dataflow
 
 import (
@@ -38,50 +38,30 @@ import (
 	"go/types"
 )
 
-// A Fact is one element of the abstract state. Keys must be comparable;
-// analyzers choose their own fact type (types.Object for taint, a
-// struct-valued lock key for lockcheck).
-type Fact any
-
-// State is a set of facts plus a reachability flag. The zero State is not
-// usable; construct with NewState. Facts are may-facts (taint, held locks):
-// union at joins, a fact survives if any incoming path carries it.
-type State struct {
-	facts map[Fact]bool
+// state is the set of tainted variables plus a reachability flag. Taint is
+// a may-fact: union at joins, a variable stays tainted if any incoming path
+// taints it.
+type state struct {
+	facts map[types.Object]bool
 	dead  bool // the path ending here cannot continue (return/break/...)
 }
 
-// NewState returns an empty, live state.
-func NewState() *State {
-	return &State{facts: make(map[Fact]bool)}
+func newState() *state {
+	return &state{facts: make(map[types.Object]bool)}
 }
 
-func deadState() *State {
-	return &State{facts: make(map[Fact]bool), dead: true}
+func deadState() *state {
+	return &state{facts: make(map[types.Object]bool), dead: true}
 }
 
-// Has reports whether f is in the state.
-func (s *State) Has(f Fact) bool { return s.facts[f] }
+func (s *state) has(obj types.Object) bool { return s.facts[obj] }
 
-// Add inserts f.
-func (s *State) Add(f Fact) { s.facts[f] = true }
+func (s *state) add(obj types.Object) { s.facts[obj] = true }
 
-// Kill removes f.
-func (s *State) Kill(f Fact) { delete(s.facts, f) }
+func (s *state) kill(obj types.Object) { delete(s.facts, obj) }
 
-// Len returns the number of facts held.
-func (s *State) Len() int { return len(s.facts) }
-
-// Each calls fn for every fact in the state (iteration order is undefined;
-// analyzers sort their rendered diagnostics).
-func (s *State) Each(fn func(Fact)) {
-	for f := range s.facts {
-		fn(f)
-	}
-}
-
-func (s *State) clone() *State {
-	c := &State{facts: make(map[Fact]bool, len(s.facts)), dead: s.dead}
+func (s *state) clone() *state {
+	c := &state{facts: make(map[types.Object]bool, len(s.facts)), dead: s.dead}
 	for f := range s.facts {
 		c.facts[f] = true
 	}
@@ -89,21 +69,21 @@ func (s *State) clone() *State {
 }
 
 // become replaces s's contents with o's.
-func (s *State) become(o *State) {
+func (s *state) become(o *state) {
 	s.facts = o.facts
 	s.dead = o.dead
 }
 
 // join merges o into s by set union (dead states are the identity element)
 // and reports whether s changed.
-func (s *State) join(o *State) bool {
+func (s *state) join(o *state) bool {
 	if o == nil || o.dead {
 		return false
 	}
 	if s.dead {
 		// A dead path contributes nothing: adopt o wholesale.
 		s.dead = false
-		s.facts = make(map[Fact]bool, len(o.facts))
+		s.facts = make(map[types.Object]bool, len(o.facts))
 		for f := range o.facts {
 			s.facts[f] = true
 		}
@@ -130,11 +110,6 @@ type CallInfo struct {
 	// analyzer that follows the call into its callee. Nil when the engine
 	// had no arguments to evaluate.
 	ArgsTainted []bool
-	// Deferred is true for the call expression of a defer statement. Its
-	// arguments are evaluated here (Go semantics) but the callee runs at
-	// return, which the engine does not model — analyzers should report at
-	// deferred sinks but not apply state effects (e.g. a deferred Unlock).
-	Deferred bool
 	// Reporting is true during the single report pass; silent fixpoint
 	// iterations over loops run with Reporting false. Analyzers must gate
 	// diagnostics on it or they fire once per iteration.
@@ -151,19 +126,14 @@ type Hooks struct {
 	// derivation call). May be nil.
 	Source func(e ast.Expr) bool
 
-	// TransferCall applies the effects of a call to the state and reports
-	// whether the call's results are tainted. May be nil, in which case
-	// calls have no effect and untainted results.
-	TransferCall func(call *ast.CallExpr, info CallInfo, st *State) bool
-
-	// OnNode observes a statement or call expression with the state in
-	// effect immediately before its own transfer, during the report pass
-	// only. deferred is true for the call of a defer statement. May be nil.
-	OnNode func(n ast.Node, st *State, deferred bool)
+	// TransferCall sees each call, after its arguments are evaluated, and
+	// reports whether the call's results are tainted. May be nil, in which
+	// case results are untainted.
+	TransferCall func(call *ast.CallExpr, info CallInfo) bool
 
 	// OnReturn observes a return statement during the report pass, with the
 	// taint of each result expression in order. May be nil.
-	OnReturn func(ret *ast.ReturnStmt, tainted []bool, st *State)
+	OnReturn func(ret *ast.ReturnStmt, tainted []bool)
 }
 
 // FuncBodies returns the bodies of f an analyzer runs the engine on directly:
@@ -191,19 +161,18 @@ func FuncBodies(f *ast.File) []*ast.BlockStmt {
 	return out
 }
 
-// Run analyzes one function body starting from an empty state. Nested
-// function literals are analyzed with their own fresh state.
-func Run(h *Hooks, body *ast.BlockStmt) {
-	RunFrom(h, body, NewState())
-}
-
-// RunFrom analyzes one function body starting from init (which is consumed).
-func RunFrom(h *Hooks, body *ast.BlockStmt, init *State) {
+// Run analyzes one function body with the variables in tainted tainted on
+// entry. Nested function literals are analyzed with their own fresh state.
+func Run(h *Hooks, body *ast.BlockStmt, tainted ...types.Object) {
 	if body == nil {
 		return
 	}
+	st := newState()
+	for _, obj := range tainted {
+		st.add(obj)
+	}
 	e := &engine{h: h, reporting: true}
-	e.stmts(body.List, init)
+	e.stmts(body.List, st)
 }
 
 // maxLoopIterations caps fixpoint iteration as a defensive backstop; union
@@ -211,8 +180,8 @@ func RunFrom(h *Hooks, body *ast.BlockStmt, init *State) {
 const maxLoopIterations = 64
 
 type loopCtx struct {
-	brk  *State // states flowing out through break
-	cont *State // states flowing to the next iteration through continue
+	brk  *state // states flowing out through break
+	cont *state // states flowing to the next iteration through continue
 }
 
 type engine struct {
@@ -221,23 +190,16 @@ type engine struct {
 	loops     []*loopCtx
 }
 
-func (e *engine) onNode(n ast.Node, st *State, deferred bool) {
-	if e.reporting && e.h.OnNode != nil {
-		e.h.OnNode(n, st, deferred)
-	}
-}
-
-func (e *engine) stmts(list []ast.Stmt, st *State) {
+func (e *engine) stmts(list []ast.Stmt, st *state) {
 	for _, s := range list {
 		e.stmt(s, st)
 	}
 }
 
-func (e *engine) stmt(s ast.Stmt, st *State) {
+func (e *engine) stmt(s ast.Stmt, st *state) {
 	if s == nil || st.dead {
 		return
 	}
-	e.onNode(s, st, false)
 	switch s := s.(type) {
 	case *ast.ExprStmt:
 		e.expr(s.X, st)
@@ -292,7 +254,7 @@ func (e *engine) stmt(s ast.Stmt, st *State) {
 
 	case *ast.ForStmt:
 		e.stmt(s.Init, st)
-		e.loop(st, s.Cond == nil, func(it *State) {
+		e.loop(st, s.Cond == nil, func(it *state) {
 			if s.Cond != nil {
 				e.expr(s.Cond, it)
 			}
@@ -301,7 +263,7 @@ func (e *engine) stmt(s ast.Stmt, st *State) {
 
 	case *ast.RangeStmt:
 		xT := e.expr(s.X, st)
-		e.loop(st, false, func(it *State) {
+		e.loop(st, false, func(it *state) {
 			e.bindRangeVars(s, xT, it)
 			e.block(s.Body, it)
 		}, nil)
@@ -311,7 +273,7 @@ func (e *engine) stmt(s ast.Stmt, st *State) {
 		if s.Tag != nil {
 			e.expr(s.Tag, st)
 		}
-		e.switchClauses(s.Body, st, func(cc *ast.CaseClause, cst *State) {
+		e.switchClauses(s.Body, st, func(cc *ast.CaseClause, cst *state) {
 			for _, x := range cc.List {
 				e.expr(x, cst)
 			}
@@ -329,10 +291,10 @@ func (e *engine) stmt(s ast.Stmt, st *State) {
 				operandTainted = e.expr(g.Rhs[0], st)
 			}
 		}
-		e.switchClauses(s.Body, st, func(cc *ast.CaseClause, cst *State) {
+		e.switchClauses(s.Body, st, func(cc *ast.CaseClause, cst *state) {
 			if operandTainted {
 				if obj := e.h.Info.Implicits[cc]; obj != nil {
-					cst.Add(obj)
+					cst.add(obj)
 				}
 			}
 		})
@@ -368,7 +330,7 @@ func (e *engine) stmt(s ast.Stmt, st *State) {
 			tainted[i] = e.expr(r, st)
 		}
 		if e.reporting && e.h.OnReturn != nil {
-			e.h.OnReturn(s, tainted, st)
+			e.h.OnReturn(s, tainted)
 		}
 		st.dead = true
 
@@ -390,7 +352,7 @@ func (e *engine) stmt(s ast.Stmt, st *State) {
 		}
 
 	case *ast.DeferStmt:
-		e.deferredCall(s.Call, st)
+		e.call(s.Call, st)
 
 	case *ast.GoStmt:
 		// Arguments are evaluated at the go statement; the spawned body runs
@@ -409,7 +371,7 @@ func (e *engine) stmt(s ast.Stmt, st *State) {
 
 // block walks a block in a fresh syntactic scope (state is shared; Go
 // shadowing yields distinct objects, so no extra scoping is needed).
-func (e *engine) block(b *ast.BlockStmt, st *State) {
+func (e *engine) block(b *ast.BlockStmt, st *state) {
 	if b != nil {
 		e.stmts(b.List, st)
 	}
@@ -418,7 +380,7 @@ func (e *engine) block(b *ast.BlockStmt, st *State) {
 // loop runs a fixpoint over body (cond+body+post combined into iterate and
 // post), then one reporting pass, and leaves the exit state in st.
 // noNaturalExit marks `for {}` loops that only exit through break.
-func (e *engine) loop(st *State, noNaturalExit bool, iterate func(*State), post ast.Stmt) {
+func (e *engine) loop(st *state, noNaturalExit bool, iterate func(*state), post ast.Stmt) {
 	lc := &loopCtx{brk: deadState(), cont: deadState()}
 	entry := st.clone()
 
@@ -469,10 +431,10 @@ func (e *engine) topLoop() *loopCtx {
 // switchClauses forks st per case clause (seeding each via seed), carries
 // fallthrough chains, and joins the results; a missing default keeps the
 // no-match path alive.
-func (e *engine) switchClauses(body *ast.BlockStmt, st *State, seed func(*ast.CaseClause, *State)) {
+func (e *engine) switchClauses(body *ast.BlockStmt, st *state, seed func(*ast.CaseClause, *state)) {
 	acc := deadState()
 	hasDefault := false
-	var fall *State
+	var fall *state
 	for _, cl := range body.List {
 		cc, ok := cl.(*ast.CaseClause)
 		if !ok {
@@ -508,7 +470,7 @@ func (e *engine) switchClauses(body *ast.BlockStmt, st *State, seed func(*ast.Ca
 }
 
 // assign applies one assignment statement.
-func (e *engine) assign(a *ast.AssignStmt, st *State) {
+func (e *engine) assign(a *ast.AssignStmt, st *state) {
 	compound := a.Tok.String() != "=" && a.Tok.String() != ":="
 	if len(a.Rhs) == 1 && len(a.Lhs) > 1 {
 		// x, y := f()  /  v, ok := m[k]: one taint decision for all LHS.
@@ -532,7 +494,7 @@ func (e *engine) assign(a *ast.AssignStmt, st *State) {
 // store binds taint to an assignment target. Identifier stores are strong
 // (untainted kills); selector/index/pointer stores weakly taint the root
 // container. compound (+=) never kills.
-func (e *engine) store(lhs ast.Expr, tainted bool, st *State, compound bool) {
+func (e *engine) store(lhs ast.Expr, tainted bool, st *state, compound bool) {
 	switch l := ast.Unparen(lhs).(type) {
 	case *ast.Ident:
 		if l.Name == "_" {
@@ -543,18 +505,18 @@ func (e *engine) store(lhs ast.Expr, tainted bool, st *State, compound bool) {
 			return
 		}
 		if tainted && !e.errorTyped(obj) {
-			st.Add(obj)
+			st.add(obj)
 		} else if !compound {
-			st.Kill(obj)
+			st.kill(obj)
 		}
 	case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr, *ast.SliceExpr:
 		if root := e.rootObj(lhs); root != nil && tainted {
-			st.Add(root)
+			st.add(root)
 		}
 	}
 }
 
-func (e *engine) bindIdent(id *ast.Ident, tainted bool, st *State) {
+func (e *engine) bindIdent(id *ast.Ident, tainted bool, st *state) {
 	if id == nil || id.Name == "_" {
 		return
 	}
@@ -563,13 +525,13 @@ func (e *engine) bindIdent(id *ast.Ident, tainted bool, st *State) {
 		return
 	}
 	if tainted && !e.errorTyped(obj) {
-		st.Add(obj)
+		st.add(obj)
 	} else {
-		st.Kill(obj)
+		st.kill(obj)
 	}
 }
 
-func (e *engine) bindRangeVars(s *ast.RangeStmt, xTainted bool, st *State) {
+func (e *engine) bindRangeVars(s *ast.RangeStmt, xTainted bool, st *state) {
 	for _, v := range []ast.Expr{s.Key, s.Value} {
 		if v == nil {
 			continue
@@ -582,9 +544,8 @@ func (e *engine) bindRangeVars(s *ast.RangeStmt, xTainted bool, st *State) {
 	}
 }
 
-// expr evaluates the taint of an expression, firing OnNode for calls and
-// applying TransferCall effects.
-func (e *engine) expr(x ast.Expr, st *State) bool {
+// expr evaluates the taint of an expression, handing calls to TransferCall.
+func (e *engine) expr(x ast.Expr, st *state) bool {
 	if x == nil {
 		return false
 	}
@@ -598,13 +559,13 @@ func (e *engine) expr(x ast.Expr, st *State) bool {
 	switch x := x.(type) {
 	case *ast.Ident:
 		obj := e.objOf(x)
-		return obj != nil && st.Has(obj)
+		return obj != nil && st.has(obj)
 	case *ast.SelectorExpr:
 		// Field read or method value: tainted if the base is. A qualified
 		// package identifier (pkg.Var) resolves through the selection.
 		if obj := e.h.Info.Uses[x.Sel]; obj != nil {
 			if _, isPkgName := e.h.Info.Uses[baseIdent(x.X)].(*types.PkgName); isPkgName {
-				return st.Has(obj)
+				return st.has(obj)
 			}
 		}
 		return e.expr(x.X, st)
@@ -660,7 +621,7 @@ func (e *engine) expr(x ast.Expr, st *State) bool {
 
 // call evaluates a call expression: conversions and builtins inline, user
 // calls through TransferCall.
-func (e *engine) call(call *ast.CallExpr, st *State) bool {
+func (e *engine) call(call *ast.CallExpr, st *state) bool {
 	// Type conversions pass taint through.
 	if tv, ok := e.h.Info.Types[call.Fun]; ok && tv.IsType() {
 		t := false
@@ -673,11 +634,7 @@ func (e *engine) call(call *ast.CallExpr, st *State) bool {
 	}
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if _, isBuiltin := e.h.Info.Uses[id].(*types.Builtin); isBuiltin {
-			t := e.builtin(id.Name, call, st)
-			// Builtins are observable too; fires after argument evaluation,
-			// like user calls.
-			e.onNode(call, st, false)
-			return t
+			return e.builtin(id.Name, call, st)
 		}
 	}
 
@@ -703,19 +660,18 @@ func (e *engine) call(call *ast.CallExpr, st *State) bool {
 		}
 	}
 
-	e.onNode(call, st, false)
 	if e.h.TransferCall != nil {
 		return e.h.TransferCall(call, CallInfo{
 			ArgTainted:  argTainted,
 			RecvTainted: recvTainted,
 			ArgsTainted: argsTainted,
 			Reporting:   e.reporting,
-		}, st)
+		})
 	}
 	return false
 }
 
-func (e *engine) builtin(name string, call *ast.CallExpr, st *State) bool {
+func (e *engine) builtin(name string, call *ast.CallExpr, st *state) bool {
 	switch name {
 	case "append":
 		t := false
@@ -731,7 +687,7 @@ func (e *engine) builtin(name string, call *ast.CallExpr, st *State) bool {
 			dstT := e.expr(call.Args[0], st)
 			if e.expr(call.Args[1], st) {
 				if root := e.rootObj(call.Args[0]); root != nil {
-					st.Add(root)
+					st.add(root)
 				}
 				return true
 			}
@@ -756,47 +712,9 @@ func (e *engine) builtin(name string, call *ast.CallExpr, st *State) bool {
 	return false
 }
 
-// deferredCall evaluates a defer's arguments now without applying the
-// callee's state effects (they happen at return, which the engine does not
-// model; lockcheck pre-scans defers syntactically instead).
-func (e *engine) deferredCall(call *ast.CallExpr, st *State) {
-	argTainted := false
-	recvTainted := false
-	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		e.funcLit(lit)
-	} else if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if e.expr(sel.X, st) {
-			argTainted = true
-			recvTainted = true
-		}
-	} else if e.expr(call.Fun, st) {
-		argTainted = true
-	}
-	var argsTainted []bool
-	if len(call.Args) > 0 {
-		argsTainted = make([]bool, len(call.Args))
-	}
-	for i, a := range call.Args {
-		if e.expr(a, st) {
-			argTainted = true
-			argsTainted[i] = true
-		}
-	}
-	e.onNode(call, st, true)
-	if e.h.TransferCall != nil {
-		e.h.TransferCall(call, CallInfo{
-			ArgTainted:  argTainted,
-			RecvTainted: recvTainted,
-			ArgsTainted: argsTainted,
-			Deferred:    true,
-			Reporting:   e.reporting,
-		}, st)
-	}
-}
-
 // callAtDistance evaluates a go statement's call: arguments now, body (for
 // a literal) in its own world, no state effects, no result.
-func (e *engine) callAtDistance(call *ast.CallExpr, st *State) {
+func (e *engine) callAtDistance(call *ast.CallExpr, st *state) {
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		e.funcLit(lit)
 	} else {
@@ -814,7 +732,7 @@ func (e *engine) funcLit(lit *ast.FuncLit) {
 		return
 	}
 	nested := &engine{h: e.h, reporting: true}
-	nested.stmts(lit.Body.List, NewState())
+	nested.stmts(lit.Body.List, newState())
 }
 
 func (e *engine) objOf(id *ast.Ident) types.Object {

@@ -87,7 +87,7 @@ func taintedSinkLines(t *testing.T, body string) []int {
 	}
 	h := &Hooks{
 		Info: info,
-		TransferCall: func(call *ast.CallExpr, info CallInfo, st *State) bool {
+		TransferCall: func(call *ast.CallExpr, info CallInfo) bool {
 			switch calleeName(call) {
 			case "source":
 				return true
@@ -469,7 +469,7 @@ func f() {
 	var hits []int
 	h := &Hooks{
 		Info: info,
-		TransferCall: func(call *ast.CallExpr, info CallInfo, st *State) bool {
+		TransferCall: func(call *ast.CallExpr, info CallInfo) bool {
 			id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 			if !ok {
 				return false
@@ -496,69 +496,78 @@ func f() {
 	}
 }
 
-// TestOnNodeReportPass checks that OnNode fires exactly once per statement
-// even under loop fixpointing, and that deferred calls are flagged.
-func TestOnNodeReportPass(t *testing.T) {
-	body := `func f(n int) {
+// TestReportPassOnce checks that TransferCall sees each call exactly once
+// with Reporting set, loop fixpointing and defer included, and that OnReturn
+// fires only in that pass.
+func TestReportPassOnce(t *testing.T) {
+	body := `func f(n int) int {
 	s := source()
 	for i := 0; i < n; i++ {
 		sink(s)
+		for j := 0; j < n; j++ {
+			if j == i {
+				return 0
+			}
+		}
 	}
 	defer sink(s)
+	return 1
 }`
 	file, info, fset := compile(t, body)
 	counts := make(map[int]int)
-	deferredLines := make(map[int]bool)
+	returns := 0
 	h := &Hooks{
 		Info: info,
-		TransferCall: func(call *ast.CallExpr, info CallInfo, st *State) bool {
+		TransferCall: func(call *ast.CallExpr, info CallInfo) bool {
+			if info.Reporting {
+				counts[fset.Position(call.Pos()).Line]++
+			}
 			id, _ := ast.Unparen(call.Fun).(*ast.Ident)
 			return id != nil && id.Name == "source"
 		},
-		OnNode: func(n ast.Node, st *State, deferred bool) {
-			if call, ok := n.(*ast.CallExpr); ok {
-				line := fset.Position(call.Pos()).Line
-				counts[line]++
-				if deferred {
-					deferredLines[line] = true
-				}
-			}
-		},
+		OnReturn: func(*ast.ReturnStmt, []bool) { returns++ },
 	}
 	for _, decl := range file.Decls {
 		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.Name == "f" {
 			Run(h, fd.Body)
 		}
 	}
+	if len(counts) != 3 {
+		t.Errorf("reported calls on %d lines, want 3 (source, sink in the loop, deferred sink)", len(counts))
+	}
 	for line, c := range counts {
 		if c != 1 {
-			t.Errorf("OnNode fired %d times for call at line %d, want exactly 1", c, line)
+			t.Errorf("call at line %d seen %d times in the report pass, want exactly 1", line, c)
 		}
 	}
-	if len(deferredLines) != 1 {
-		t.Errorf("deferred call lines = %v, want exactly one", deferredLines)
+	if returns != 2 {
+		t.Errorf("OnReturn fired %d times, want 2", returns)
 	}
 }
 
 // TestStateOps covers the set semantics directly.
 func TestStateOps(t *testing.T) {
-	s := NewState()
-	if s.Has("a") {
+	a := types.NewVar(0, nil, "a", types.Typ[types.Int])
+	b := types.NewVar(0, nil, "b", types.Typ[types.Int])
+	s := newState()
+	if s.has(a) {
 		t.Fatal("fresh state has facts")
 	}
-	s.Add("a")
-	s.Add("b")
-	if !s.Has("a") || !s.Has("b") || s.Len() != 2 {
-		t.Fatalf("add failed: len=%d", s.Len())
+	s.add(a)
+	s.add(b)
+	if !s.has(a) || !s.has(b) {
+		t.Fatal("add failed")
 	}
-	s.Kill("a")
-	if s.Has("a") || s.Len() != 1 {
+	s.kill(a)
+	if s.has(a) || !s.has(b) {
 		t.Fatal("kill failed")
 	}
-	var seen []string
-	s.Each(func(f Fact) { seen = append(seen, f.(string)) })
-	if len(seen) != 1 || seen[0] != "b" {
-		t.Fatalf("each = %v", seen)
+	d := deadState()
+	if d.join(s); d.dead || !d.has(b) || d.has(a) {
+		t.Fatal("a live state joined into a dead one is not adopted")
+	}
+	if s.join(deadState()) {
+		t.Fatal("joining a dead state changed a live one")
 	}
 }
 

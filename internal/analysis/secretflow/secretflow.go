@@ -145,7 +145,7 @@ func run(pass *analysis.Pass) error {
 	h := &dataflow.Hooks{
 		Info:   pass.TypesInfo,
 		Source: c.source,
-		TransferCall: func(call *ast.CallExpr, info dataflow.CallInfo, st *dataflow.State) bool {
+		TransferCall: func(call *ast.CallExpr, info dataflow.CallInfo) bool {
 			return c.transfer(call, info, true, func(fn *types.Func, k sinkKind, inCallee bool) {
 				if info.Reporting {
 					c.report(call, fn, k, inCallee)
@@ -273,29 +273,29 @@ func (c *checker) run(fd *ast.FuncDecl, mask uint64) flow {
 	own := c.ownReturns(fd)
 	h := &dataflow.Hooks{
 		Info: c.pass.TypesInfo,
-		TransferCall: func(call *ast.CallExpr, info dataflow.CallInfo, st *dataflow.State) bool {
+		TransferCall: func(call *ast.CallExpr, info dataflow.CallInfo) bool {
 			return c.transfer(call, info, mask == 0, func(_ *types.Func, k sinkKind, _ bool) { f.sinks |= k })
 		},
-		OnReturn: func(ret *ast.ReturnStmt, tainted []bool, st *dataflow.State) {
+		OnReturn: func(ret *ast.ReturnStmt, tainted []bool) {
 			if own[ret] && slices.Contains(tainted, true) {
 				f.result = true
 			}
 		},
 	}
-	init := dataflow.NewState()
 	if mask == 0 {
 		h.Source = c.source
 	}
+	var seeds []types.Object
 	params := paramObjs(c.pass.TypesInfo, fd)
 	for i, obj := range params {
 		if obj != nil && mask&(1<<i) != 0 {
-			init.Add(obj)
+			seeds = append(seeds, obj)
 		}
 	}
 	if last := len(params) - 1; last > 0 && params[last] != nil && mask>>last != 0 {
-		init.Add(params[last]) // variadic overflow
+		seeds = append(seeds, params[last]) // variadic overflow
 	}
-	dataflow.RunFrom(h, fd.Body, init)
+	dataflow.Run(h, fd.Body, seeds...)
 
 	delete(c.onStack, key)
 	for _, k := range c.assumedAt[depth] {

@@ -19,15 +19,11 @@ import (
 // The driver loads whole package patterns in one process through Load.
 // `make lint` and CI invoke it as `troxy-lint ./...`.
 
-// Main is the entry point of cmd/troxy-lint: it checks the analyzer
-// registry, then analyzes the package patterns on the command line and
-// exits with Standalone's status.
+// Main is the entry point of cmd/troxy-lint: it analyzes the package
+// patterns on the command line and exits with Standalone's status.
 func Main(analyzers ...*Analyzer) {
 	log.SetFlags(0)
 	log.SetPrefix("troxy-lint: ")
-	if err := checkRegistry(analyzers); err != nil {
-		log.Fatal(err)
-	}
 	args := os.Args[1:]
 	for _, a := range args {
 		if a == "-help" || a == "--help" || a == "-h" {
@@ -40,27 +36,6 @@ func Main(analyzers ...*Analyzer) {
 		os.Exit(2)
 	}
 	os.Exit(Standalone(args, analyzers))
-}
-
-// checkRegistry verifies the driver registers exactly the analyzers in
-// KnownAnalyzerNames: a new analyzer must be added to both the registry (so
-// //lint:allow can reference it) and cmd/troxy-lint (so it actually runs),
-// and this check makes forgetting either a startup failure instead of a
-// silent gap.
-func checkRegistry(analyzers []*Analyzer) error {
-	registered := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		if !KnownAnalyzerNames[a.Name] {
-			return fmt.Errorf("analyzer %q is not in KnownAnalyzerNames; add it to the registry in internal/analysis", a.Name)
-		}
-		registered[a.Name] = true
-	}
-	for name := range KnownAnalyzerNames {
-		if !registered[name] {
-			return fmt.Errorf("analyzer %q is in KnownAnalyzerNames but not registered with the driver; add it in cmd/troxy-lint", name)
-		}
-	}
-	return nil
 }
 
 func usage(analyzers []*Analyzer) {

@@ -75,11 +75,12 @@ func (c *Conn) Read(p []byte) (int, error) {
 	c.readMu.Lock()
 	defer c.readMu.Unlock()
 	for len(c.readBuf) == 0 {
-		// readMu exists to serialize concurrent readers around exactly this
-		// blocking read: record boundaries would interleave otherwise. Only
-		// other Read calls contend on it, which is the semantics net.Conn
-		// promises, and Close on the raw conn unblocks it.
-		record, err := wire.ReadFrame(c.raw) //lint:allow lockcheck readMu is the read-serialization lock; holding it across the frame read is its purpose
+		// readMu is the read-serialization lock: holding it across this
+		// blocking frame read is its purpose, since record boundaries would
+		// interleave otherwise. Only other Read calls contend on it, which is
+		// the semantics net.Conn promises, and Close on the raw conn unblocks
+		// it.
+		record, err := wire.ReadFrame(c.raw)
 		if err != nil {
 			return 0, err
 		}

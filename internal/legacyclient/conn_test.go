@@ -223,3 +223,52 @@ func TestConnCoalescedRecordAcrossReads(t *testing.T) {
 		t.Error("stream corrupted across reads of a coalesced record")
 	}
 }
+
+// enteredConn reports, once, that a Write has been entered: from then on the
+// writer is in the socket write, and over a net.Pipe whose peer does not
+// read it stays there.
+type enteredConn struct {
+	net.Conn
+	once    sync.Once
+	entered chan struct{}
+}
+
+func (e *enteredConn) Write(p []byte) (int, error) {
+	e.once.Do(func() { close(e.entered) })
+	return e.Conn.Write(p)
+}
+
+// TestConnFlushWritesWithoutLock: the flusher releases wmu before the socket
+// write, so while that write is stuck on a peer that does not read, another
+// writer can still take wmu to queue behind it, and the sealed records are
+// handed to the socket by the flusher, never by the seal under wmu.
+func TestConnFlushWritesWithoutLock(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	client, server := connPair(t, nil)
+	raw := &enteredConn{Conn: client.raw, entered: make(chan struct{})}
+	client.raw = raw
+
+	payload := []byte("blocked until the peer reads")
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := client.Write(payload)
+		wrote <- err
+	}()
+	<-raw.entered
+	if !client.wmu.TryLock() {
+		t.Error("wmu is held while the flusher is blocked in the socket write")
+	} else {
+		client.wmu.Unlock()
+	}
+
+	got := make([]byte, len(payload))
+	if _, err := io.ReadFull(server, got); err != nil {
+		t.Fatalf("server read: %v", err)
+	}
+	if err := <-wrote; err != nil {
+		t.Fatalf("client write: %v", err)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Errorf("server read %q, want %q", got, payload)
+	}
+}

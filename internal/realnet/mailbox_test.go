@@ -150,3 +150,17 @@ func TestMailboxNeverQuiteEmpty(t *testing.T) {
 		t.Errorf("the mailbox array grew to %d slots for at most two pending envelopes", size)
 	}
 }
+
+// TestEnqueueToStoppedNodeUnlocks: a delivery to a stopped node is dropped
+// and leaves the mailbox lock free, so the next sender is not stuck on it.
+func TestEnqueueToStoppedNodeUnlocks(t *testing.T) {
+	n := &realNode{closed: true}
+	n.enqueue(mailboxItem{})
+	if !n.mu.TryLock() {
+		t.Fatal("enqueue to a stopped node returned with its mailbox lock held")
+	}
+	n.mu.Unlock()
+	if len(n.queue) != 0 {
+		t.Errorf("a stopped node queued %d items", len(n.queue))
+	}
+}

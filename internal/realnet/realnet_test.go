@@ -1,6 +1,7 @@
 package realnet
 
 import (
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -190,6 +191,41 @@ func TestCloseIsIdempotentAndStopsNodes(t *testing.T) {
 	r.Close()
 	// Sends after close are dropped, not panics.
 	r.Send(msg.Seal(5, 1, &msg.ChannelData{}))
+}
+
+// closeGate is a connection whose Close reports that it was entered and then
+// blocks until the test releases it: a wedged socket.
+type closeGate struct {
+	net.Conn
+	entered, release chan struct{}
+}
+
+func (c *closeGate) Close() error {
+	close(c.entered)
+	<-c.release
+	return nil
+}
+
+// TestShutdownClosesConnectionsWithoutLock: teardown closes the live
+// connections after it has let go of mu, so a Close that blocks does not
+// keep accept and Addr, which take mu, waiting behind it.
+func TestShutdownClosesConnectionsWithoutLock(t *testing.T) {
+	s := newServer()
+	conn := &closeGate{entered: make(chan struct{}), release: make(chan struct{})}
+	s.live[conn] = struct{}{}
+	done := make(chan struct{})
+	go func() {
+		s.shutdown(nil)
+		close(done)
+	}()
+	<-conn.entered
+	if !s.mu.TryLock() {
+		t.Error("mu is held while shutdown is blocked in a connection's Close")
+	} else {
+		s.mu.Unlock()
+	}
+	close(conn.release)
+	<-done
 }
 
 func TestBridgeBetweenRouters(t *testing.T) {
