@@ -68,15 +68,17 @@ bench:
 # warm writer 0, one row per function, the ring transport's frame encoder 0,
 # an owned body or envelope encoding 1, a 16-request batch digested 0,
 # decode + open a 16-request PREPARE 3, a reply decoded into a reused OrderedReply 0, MAC check + walk of
-# a five-reply batch 1, a reply built, tagged and queued for a remote origin 0,
-# a peer's cache query opened and answered 1 (the copy-out: the Queries slice
-# is the binding's, and the envelope's header the replica's own, which Send
-# copies), a FORWARD sent 1 (its body, the MAC summed into room behind it),
-# a vote over three replies 2 plus the client's record, SealMessage 1 (0 into
-# room the sender lends), VerifyMAC 0, a Troxy
+# a five-reply batch 1, a reply built, tagged and queued for a remote origin 0
+# and its batch flushed 0 (the queue's buffer, which Send copies), a peer's
+# cache query opened and answered 0 (a view of the binding's result buffer,
+# which Send copies), a FORWARD sent 0 (a pooled writer, the MAC in the
+# authenticator's scratch), a vote over three replies 2 plus the client's
+# record, a fast read's round through the enclave binding 0 and a write's 2
+# (what ordering keeps of a submit: its slice and its operations' slab), an
+# ecall answering one client record 0, SealMessage 0, VerifyMAC 0, a Troxy
 # group tag verified or made into the caller's buffer 0 (troxy's), a 16 x
-# 4 KiB PREPARE broadcast to two peers 1 — its encoding: it carries no MAC,
-# so no tag —, a local Router.Send through to delivery 0 and a bridge frame
+# 4 KiB PREPARE broadcast to two peers 0 — a pooled writer: it carries no
+# MAC, so no tag —, a local Router.Send through to delivery 0 and a bridge frame
 # decoded and delivered 0, a send ring's push, take and release 0 and its
 # vectored flush 0 (realnet's), a 16-frame coalesced seal 2 (its plaintext and
 # its record), Store.Keys 0, an ecall round trip
@@ -107,7 +109,8 @@ bench-quick: copy-gate
 	$(GO) test -count=1 -run 'TestWriteAllocBudget|TestLoneWriteAllocBudget|TestFastReadAllocBudget|TestWriteMACBudget' -v .
 
 # copy-gate reads the compiler's output for wire.Writer.CopyBytes, which makes
-# every owned message body, envelope encoding and reply batch: make+copy is one
+# every owned message body and envelope encoding — on the request path a BFT
+# client's request and the TCP client's channel request: make+copy is one
 # uncleared allocation and a memmove only while the compiler recognises the
 # pair, and it stops doing so — runtime.makeslice, which clears the buffer
 # first — when the source is a field again or a statement lands between the
@@ -176,8 +179,10 @@ examples:
 		echo "examples: $$e ok$${flags:+ ($$flags)}"; \
 	done
 
-# race is the focused race-detector gate: the seeded chaos schedules at the
-# module root plus the two most goroutine-heavy packages — the pipelined
+# race is the focused race-detector gate: the seeded chaos schedules and the
+# two envelope-retention tests at the module root (a delivery's pooled writer
+# is filled by the sending goroutine and put back by the receiving node's)
+# plus the two most goroutine-heavy packages — the pipelined
 # ordering core (internal/hybster, out-of-order slots with a windowed
 # in-flight limit) and the TCP runtime (internal/realnet, per-peer send
 # rings) — the ecall boundary (internal/enclave, whose copy-in buffers
@@ -188,7 +193,7 @@ examples:
 # CI step, so a race in the hot packages fails a step that says which suite
 # tripped instead of disappearing into the full-tree run.
 race:
-	$(GO) test -race -count=1 -short -run 'TestChaos' .
+	$(GO) test -race -count=1 -short -run 'TestChaos|TestSentEnvelopesAreNotRetained|TestDeliveredEnvelopesAreNotRetained' .
 	$(GO) test -race -count=1 -short ./internal/hybster/ ./internal/realnet/ ./internal/enclave/ ./internal/legacyclient/
 
 # Seeded fault-injection suite (see EXPERIMENTS.md "Chaos"): network fault

@@ -92,10 +92,11 @@ type Authenticator struct {
 	macs map[msg.NodeID]hash.Hash
 
 	// Scratch for one MAC computation: what is handed to a hash.Hash leaves
-	// the stack, so the header and a verification's sum live here instead of
-	// being allocated per call.
+	// the stack, so the header, a verification's sum and SealMessage's tag
+	// live here instead of being allocated per call.
 	hdr [9]byte
 	sum [TagSize]byte
+	tag [TagSize]byte
 }
 
 // NewAuthenticator creates the authenticator for node self.
@@ -128,26 +129,20 @@ func (a *Authenticator) mac(m hash.Hash, e *msg.Envelope, covered []byte) hash.H
 
 // SealMAC computes and attaches the point-to-point MAC over the header and the
 // whole body of an outgoing envelope. The envelope's From must be the
-// authenticator's node. The tag travels with the envelope and is never
-// reused: it is summed into the room the sender lent in e.MAC — no bytes and
-// a capacity of exactly TagSize, such as spare room behind the body in the
-// body's own allocation — or else into an allocation of its own.
+// authenticator's node. The tag is an allocation of its own: it travels with
+// the envelope and is never reused.
 func (a *Authenticator) SealMAC(e *msg.Envelope) {
-	a.seal(e, e.Body)
+	a.seal(e, e.Body, make([]byte, 0, TagSize))
 }
 
-// seal attaches e's MAC over covered under the key shared with e.To, which it
-// caches: a node chooses its own destinations.
-func (a *Authenticator) seal(e *msg.Envelope, covered []byte) {
+// seal attaches e's MAC over covered, summed into dst, under the key shared
+// with e.To, which it caches: a node chooses its own destinations.
+func (a *Authenticator) seal(e *msg.Envelope, covered, dst []byte) {
 	m, cached := a.keyed(e.To)
 	if !cached {
 		a.macs[e.To] = m
 	}
-	room := e.MAC
-	if len(room) != 0 || cap(room) != TagSize {
-		room = make([]byte, 0, TagSize)
-	}
-	e.MAC = a.mac(m, e, covered).Sum(room)
+	e.MAC = a.mac(m, e, covered).Sum(dst)
 }
 
 // VerifyMAC checks a point-to-point MAC over the header and the whole body of
@@ -176,14 +171,16 @@ func (a *Authenticator) verify(e *msg.Envelope, covered []byte) bool {
 // SealMessage attaches the point-to-point MAC a replica expects on an envelope
 // whose body is m's encoding: over the header and Covered, which for a
 // FORWARD is its request's digest — memoised in m, so a sender that has it
-// hashes no operation — and for every other kind the body, as SealMAC, into
-// the room SealMAC takes. It returns how many bytes behind the header the MAC
-// covered, which is what a runtime that prices MACs charges.
+// hashes no operation — and for every other kind the body, as SealMAC. The
+// tag is the authenticator's scratch, lent until its next seal: the envelope
+// is one to hand to Send, which copies it. It returns how many bytes behind
+// the header the MAC covered, which is what a runtime that prices MACs
+// charges.
 func (a *Authenticator) SealMessage(e *msg.Envelope, m msg.Message) int {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	covered := Covered(w, m, e.Body)
-	a.seal(e, covered)
+	a.seal(e, covered, a.tag[:0])
 	return len(covered)
 }
 

@@ -240,8 +240,9 @@ func TestQuickTamperDetected(t *testing.T) {
 }
 
 // BenchmarkAllocGate: a transport MAC hashes header and body where they lie
-// and allocates only the tag it attaches, and not that when the sender lends
-// room for it; verification sums into scratch and allocates nothing. (A reply batch has no MAC to
+// and allocates only the tag SealMAC attaches — SealMessage sums its tag into
+// the authenticator's scratch; verification sums into scratch and allocates
+// nothing. (A reply batch has no MAC to
 // check: what its receiver pays to open and walk it is msg's
 // DecodeOpenWalkReplyBatch5.)
 func BenchmarkAllocGate(b *testing.B) {
@@ -262,12 +263,7 @@ func BenchmarkAllocGate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	testutil.AllocGate(b, "SealMessage", 1, func() { sender.SealMessage(e, fwd) })
-	room := make([]byte, TagSize)
-	testutil.AllocGate(b, "SealMessageIntoLentRoom", 0, func() {
-		e.MAC = room[:0]
-		sender.SealMessage(e, fwd)
-	})
+	testutil.AllocGate(b, "SealMessage", 0, func() { sender.SealMessage(e, fwd) })
 	testutil.AllocGate(b, "VerifyMessage", 0, func() {
 		if ok, _ := receiver.VerifyMessage(e, fwd); !ok {
 			b.Fatal("MAC rejected")
@@ -275,32 +271,36 @@ func BenchmarkAllocGate(b *testing.B) {
 	})
 }
 
-// TestSealSumsIntoLentRoomOnly: a tag is summed into e.MAC only when it is
-// empty room of exactly TagSize; the tag of an envelope sealed before is
-// left as it was, whoever still holds it.
-func TestSealSumsIntoLentRoomOnly(t *testing.T) {
+// TestSealMessageLendsItsTag: SealMessage sums a tag into the
+// authenticator's scratch, which its next seal overwrites — the envelope is
+// one to hand to Send, which copies it — while SealMAC's tag is an allocation
+// of its own, left as it was by every later seal, whoever still holds it.
+func TestSealMessageLendsItsTag(t *testing.T) {
 	d, err := NewDirectory([]byte("room"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sender, receiver := NewAuthenticator(0, d), NewAuthenticator(1, d)
-	e := msg.Seal(0, 1, &msg.Forward{Req: msg.OrderRequest{Op: []byte("PUT k v")}})
-	buf := make([]byte, TagSize+1)
-	e.MAC = buf[:0:TagSize]
-	sender.SealMAC(e)
-	if &e.MAC[0] != &buf[0] || !receiver.VerifyMAC(e) {
-		t.Fatal("the tag was not summed into the room lent for it, or does not verify")
+	fwd := &msg.Forward{Req: msg.OrderRequest{Op: []byte("PUT k v")}}
+	e := msg.Seal(0, 1, fwd)
+	sender.SealMessage(e, fwd)
+	if ok, _ := receiver.VerifyMessage(e, fwd); !ok {
+		t.Fatal("the lent tag does not verify")
 	}
-	first := e.MAC
-	held := bytes.Clone(first)
-	e.To = 2 // another recipient, another tag
-	sender.SealMAC(e)
-	if &e.MAC[0] == &first[0] || !bytes.Equal(first, held) {
-		t.Error("a second seal of the envelope overwrote the tag it already carried")
+	lent := e.MAC
+	other := msg.Seal(0, 2, fwd)
+	sender.SealMessage(other, fwd)
+	if &other.MAC[0] != &lent[0] {
+		t.Error("a second SealMessage did not sum into the scratch the first lent")
 	}
-	e.MAC = buf[:0] // room, but not exactly a tag's: the rest may be anyone's
-	sender.SealMAC(e)
-	if &e.MAC[0] == &buf[0] {
-		t.Error("the tag was summed into room whose capacity is not TagSize")
+
+	cp := msg.Seal(0, 1, &msg.Checkpoint{Seq: 5})
+	sender.SealMAC(cp)
+	owned, held := cp.MAC, bytes.Clone(cp.MAC)
+	sender.SealMessage(e, fwd)
+	cp.To = 2 // another recipient, another tag
+	sender.SealMAC(cp)
+	if &cp.MAC[0] == &owned[0] || &owned[0] == &lent[0] || !bytes.Equal(owned, held) {
+		t.Error("a later seal overwrote a tag SealMAC attached")
 	}
 }

@@ -144,10 +144,10 @@ func (b *Byzantine) sealSend(raw node.Env, to msg.NodeID, m msg.Message) {
 }
 
 // openCopy decodes e from a private copy of its body. Decoded messages are
-// views of the bytes they were decoded from, and e.Body is shared with the
-// honest envelope's other holders (every recipient of a broadcast and, under
-// the in-process router, the receiver itself): tampering with a view of it
-// would rewrite what the correct replica sent.
+// views of the bytes they were decoded from, and e.Body is the correct
+// replica's, lent for the call — a buffer it may send again, as a broadcast
+// does to its next recipient: tampering with a view of it would rewrite what
+// the correct replica sends.
 func openCopy(e *msg.Envelope) (msg.Message, error) {
 	return CloneEnvelope(e).Open()
 }

@@ -105,25 +105,24 @@ func (s sendOnStart) OnStart(env node.Env)             { env.Send(s.e) }
 func (sendOnStart) OnEnvelope(node.Env, *msg.Envelope) {}
 func (sendOnStart) OnTimer(node.Env, node.TimerKey)    {}
 
-// recordingEnv keeps what reaches the network, by value: Send copies the
-// header it is handed.
+// recordingEnv keeps what reaches the network as a copy, header and bytes, as
+// a runtime's Send does.
 type recordingEnv struct {
 	node.Env
 	sent []msg.Envelope
 }
 
-func (r *recordingEnv) Send(e *msg.Envelope) { r.sent = append(r.sent, *e) }
+func (r *recordingEnv) Send(e *msg.Envelope) { r.sent = append(r.sent, *faultplane.CloneEnvelope(e)) }
 
-// passedThrough reports whether e is h sent on as it is: h's header over h's
-// very body and MAC, not a re-encoding of them.
+// passedThrough reports whether e is h sent on as it is: h's header, body and
+// MAC.
 func passedThrough(e msg.Envelope, h *msg.Envelope) bool {
-	same := func(a, b []byte) bool { return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) }
-	return e.From == h.From && e.To == h.To && e.Kind == h.Kind && same(e.Body, h.Body) && same(e.MAC, h.MAC)
+	return e.From == h.From && e.To == h.To && e.Kind == h.Kind && bytes.Equal(e.Body, h.Body) && bytes.Equal(e.MAC, h.MAC)
 }
 
 // TestByzantineSendLeavesHonestEnvelopeIntact: the body of the envelope the
-// correct core hands to Send is shared — with the other recipients of a
-// broadcast and, under the in-process router, with the receiver — so every
+// correct core hands to Send is the replica's, lent for the call — a buffer it
+// reuses, and one the other recipients of a broadcast are sent from — so every
 // tampering mode must work on a copy. Decoding is by view, so mutating a decoded message in
 // place would rewrite the honest envelope's body.
 func TestByzantineSendLeavesHonestEnvelopeIntact(t *testing.T) {

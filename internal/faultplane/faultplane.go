@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"github.com/troxy-bft/troxy/internal/msg"
+	"github.com/troxy-bft/troxy/internal/wire"
 )
 
 // Wildcard matches any node in a LinkFault endpoint. It aliases msg.NoNode:
@@ -259,6 +260,24 @@ func CloneEnvelope(e *msg.Envelope) *msg.Envelope {
 		c.MAC = append([]byte(nil), e.MAC...)
 	}
 	return c
+}
+
+// CopyEnvelope is CloneEnvelope into w: it appends e's body and MAC to w and
+// points e at the copies, which share no byte with what e pointed at before.
+// A runtime's Send keeps what it delivers this way, in a writer it takes from
+// wire.GetWriter and puts back once the delivery is done. A nil Body or MAC
+// stays nil.
+func CopyEnvelope(w *wire.Writer, e *msg.Envelope) {
+	start, nb := w.Len(), len(e.Body)
+	w.Raw(e.Body)
+	w.Raw(e.MAC)
+	buf := w.Bytes()
+	if e.Body != nil {
+		e.Body = buf[start : start+nb : start+nb]
+	}
+	if e.MAC != nil {
+		e.MAC = buf[start+nb:]
+	}
 }
 
 // CorruptCopy returns a copy of e with one payload byte flipped. The flip is

@@ -12,6 +12,7 @@ import (
 	"github.com/troxy-bft/troxy/internal/node"
 	"github.com/troxy-bft/troxy/internal/simnet"
 	"github.com/troxy-bft/troxy/internal/testutil"
+	"github.com/troxy-bft/troxy/internal/wire"
 )
 
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
@@ -268,5 +269,30 @@ func TestWrongExecFork(t *testing.T) {
 	fork.Execute([]byte("PUT k fork"))
 	if got := string(w.Execute([]byte("GET k"))); got != "VALUE original!" {
 		t.Errorf("original read %q after a write to the fork", got)
+	}
+}
+
+// TestCopyEnvelope: CopyEnvelope leaves the envelope pointing at copies
+// behind what the writer held — the same bytes, none shared with the sender's,
+// the body cap-limited so nothing appended to it reaches the MAC — and keeps
+// a missing body or MAC missing.
+func TestCopyEnvelope(t *testing.T) {
+	body, mac := []byte("the body"), []byte("the mac")
+	e := &msg.Envelope{From: 1, To: 2, Kind: msg.KindCommit, Body: body, MAC: mac}
+	w := wire.NewWriter(0) // too small: the copy grows it
+	w.Raw([]byte("held"))
+	faultplane.CopyEnvelope(w, e)
+	copy(body, "XXXXXXXX")
+	copy(mac, "YYYYYYY")
+	if string(e.Body) != "the body" || string(e.MAC) != "the mac" || cap(e.Body) != len(e.Body) {
+		t.Errorf("copied envelope body %q (cap %d), MAC %q", e.Body, cap(e.Body), e.MAC)
+	}
+	if string(w.Bytes()) != "heldthe bodythe mac" {
+		t.Errorf("writer holds %q", w.Bytes())
+	}
+	bare := &msg.Envelope{Kind: msg.KindCommit}
+	faultplane.CopyEnvelope(w, bare)
+	if bare.Body != nil || bare.MAC != nil {
+		t.Errorf("an envelope without body or MAC came back with %q, %q", bare.Body, bare.MAC)
 	}
 }

@@ -151,7 +151,7 @@ type captureEnv struct {
 
 func (e *captureEnv) Self() msg.NodeID                          { return e.id }
 func (e *captureEnv) Now() time.Duration                        { return 0 }
-func (e *captureEnv) Send(ev *msg.Envelope)                     { e.out = append(e.out, *ev) }
+func (e *captureEnv) Send(ev *msg.Envelope)                     { e.out = append(e.out, *faultplane.CloneEnvelope(ev)) }
 func (e *captureEnv) SetTimer(time.Duration, node.TimerKey)     {}
 func (e *captureEnv) CancelTimer(node.TimerKey)                 {}
 func (e *captureEnv) Rand() *rand.Rand                          { return rand.New(rand.NewSource(1)) }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/troxy-bft/troxy/internal/faultplane"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/node"
 	"github.com/troxy-bft/troxy/internal/securechannel"
@@ -28,7 +29,7 @@ type fakeService struct {
 
 func (f *fakeService) Self() msg.NodeID                          { return 100 }
 func (f *fakeService) Now() time.Duration                        { return 0 }
-func (f *fakeService) Send(e *msg.Envelope)                      { f.sent = append(f.sent, *e) }
+func (f *fakeService) Send(e *msg.Envelope)                      { f.sent = append(f.sent, *faultplane.CloneEnvelope(e)) }
 func (f *fakeService) SetTimer(time.Duration, node.TimerKey)     {}
 func (f *fakeService) CancelTimer(node.TimerKey)                 {}
 func (f *fakeService) Rand() *rand.Rand                          { return f.rng }

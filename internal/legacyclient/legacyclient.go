@@ -135,8 +135,10 @@ type Machine struct {
 	// until the next record arrives (Observe's result among them).
 	plain []byte
 
-	// out is the envelope a record is sent in; env.Send copies it.
-	out msg.Envelope
+	// out is the envelope a record is sent in, and seal the buffer the record
+	// is sealed into, behind its ChannelData head: env.Send copies both.
+	out  msg.Envelope
+	seal []byte
 
 	stopped   atomic.Bool
 	completed atomic.Int64 // operations completed, all clients
@@ -206,8 +208,11 @@ func (m *Machine) connect(env node.Env, cs *clientState) {
 	env.SetTimer(m.cfg.Timeout, node.TimerKey{Kind: timerOp, ID: uint64(cs.idx)})
 }
 
+// sendFrame sends a handshake frame in the machine's envelope and seal buffer.
 func (m *Machine) sendFrame(env node.Env, cs *clientState, frame []byte) {
-	env.Send(msg.SealChannelData(m.cfg.Machine, m.replica(cs), cs.connID, frame))
+	m.seal = append(msg.AppendChannelDataHead(m.seal[:0], cs.connID, len(frame)), frame...)
+	m.out = msg.Envelope{From: m.cfg.Machine, To: m.replica(cs), Kind: msg.KindChannelData, Body: m.seal}
+	env.Send(&m.out)
 }
 
 // nextOp issues the next operation (or schedules it under pacing).
@@ -262,13 +267,14 @@ func (m *Machine) transmit(env node.Env, cs *clientState) {
 }
 
 // sendRecord seals plaintext straight into the body of the ChannelData
-// envelope that carries the record: the body is the record's only buffer,
-// and the envelope is the machine's.
+// envelope that carries the record: the body is the machine's seal buffer,
+// reused for every record, and the envelope is the machine's too.
 func (m *Machine) sendRecord(env node.Env, cs *clientState, plaintext []byte) error {
-	body, err := cs.sess.AppendSeal(msg.ChannelDataBody(cs.connID, securechannel.Overhead+len(plaintext)), plaintext)
+	body, err := cs.sess.AppendSeal(msg.AppendChannelDataHead(m.seal[:0], cs.connID, securechannel.Overhead+len(plaintext)), plaintext)
 	if err != nil {
 		return err
 	}
+	m.seal = body
 	env.Charge(node.ProfileJava, node.ChargeAEAD, len(plaintext))
 	m.out = msg.Envelope{From: m.cfg.Machine, To: m.replica(cs), Kind: msg.KindChannelData, Body: body}
 	env.Send(&m.out)

@@ -252,10 +252,10 @@ func decode(k Kind, r *wire.Reader) (Message, error) {
 // replaced by their digests — computed by the untrusted replica part (or the
 // BFT client library).
 //
-// The header is a value: a runtime's Send copies it. Body and MAC are
-// immutable once handed to Send: the in-process router delivers the same
-// body, and a broadcast shares one among its recipients. They are never
-// taken from or returned to a pool.
+// A sender lends an envelope to Send, header, Body and MAC alike: the runtime
+// copies all of it before Send returns, so the sender may reuse every byte at
+// once, and owns the copy it delivers, which it recycles once the receiving
+// handler has returned (node.Env's Send, node.Handler's OnEnvelope).
 type Envelope struct {
 	From NodeID
 	To   NodeID
@@ -301,8 +301,8 @@ func DecodeEnvelope(b []byte) (*Envelope, error) {
 	return e, nil
 }
 
-// Decode parses a transport frame into e. Body and MAC are views of b: the
-// frame's buffer, the transport's ingress chunk, is the one copy this hop makes.
+// Decode parses a transport frame into e. Body and MAC are views of b, the
+// transport's ingress chunk: the router's Send makes this hop's one copy.
 func (e *Envelope) Decode(b []byte) error {
 	r := wire.NewReader(b)
 	*e = Envelope{From: NodeID(int32(r.U32())), To: NodeID(int32(r.U32())), Kind: Kind(r.U8())}
@@ -356,23 +356,22 @@ func Seal(from, to NodeID, m Message) *Envelope {
 // record in each direction: the ChannelData exists on this frame only, so the
 // envelope and its body are all that is allocated.
 func SealChannelData(from, to NodeID, connID uint64, payload []byte) *Envelope {
-	return &Envelope{From: from, To: to, Kind: KindChannelData, Body: append(ChannelDataBody(connID, len(payload)), payload...)}
+	body := AppendChannelDataHead(make([]byte, 0, channelDataHead+len(payload)), connID, len(payload))
+	return &Envelope{From: from, To: to, Kind: KindChannelData, Body: append(body, payload...)}
 }
 
 // channelDataHead is the length of a ChannelData's encoding in front of its
 // payload: the connection ID and the payload's length prefix.
 const channelDataHead = 8 + 4
 
-// ChannelDataBody returns the body of a ChannelData envelope for connID whose
-// payload is n bytes, with the payload still to come: the head is written,
-// and there is room for exactly n bytes behind it, which complete the
-// encoding (ChannelData.MarshalWire's) when they are appended. A record
-// sealed straight into that room (securechannel.Session.AppendSeal) travels
-// without a copy of its own.
-func ChannelDataBody(connID uint64, n int) []byte {
-	body := make([]byte, 0, channelDataHead+n)
-	body = binary.LittleEndian.AppendUint64(body, connID)
-	return binary.LittleEndian.AppendUint32(body, uint32(n))
+// AppendChannelDataHead appends to dst the head of a ChannelData for connID
+// whose payload is n bytes: the n bytes appended behind it complete the
+// encoding (ChannelData.MarshalWire's). A record sealed straight behind it
+// (securechannel.Session.AppendSeal) travels without a copy of its own, and a
+// sender that appends into a buffer it reuses allocates nothing.
+func AppendChannelDataHead(dst []byte, connID uint64, n int) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, connID)
+	return binary.LittleEndian.AppendUint32(dst, uint32(n))
 }
 
 // OpenChannelData is Open for a ChannelData envelope, by value: any other

@@ -112,8 +112,8 @@ var Catalogue = []Mutant{
 	{
 		ID: "prepare-resealed", File: "internal/replica/replica.go",
 		Fault: "every PREPARE is sealed with a host MAC nobody checks: its certificate already authenticates it",
-		Old:   "	if authn.HostMACed(e.Kind) {\n		e.MAC = room\n",
-		New:   "	if authn.HostMACed(e.Kind) || e.Kind == msg.KindPrepare {\n		e.MAC = room\n",
+		Old:   "	if authn.HostMACed(e.Kind) {\n		env.Charge(node.ProfileJava, node.ChargeMAC, r.auth.SealMessage(e, m))\n",
+		New:   "	if authn.HostMACed(e.Kind) || e.Kind == msg.KindPrepare {\n		env.Charge(node.ProfileJava, node.ChargeMAC, r.auth.SealMessage(e, m))\n",
 	},
 	{
 		ID: "future-view-parked-unverified", File: "internal/hybster/core.go",
@@ -220,21 +220,33 @@ var Catalogue = []Mutant{
 	},
 	{
 		ID: "router-delay-keeps-sender-envelope", File: "internal/realnet/realnet.go",
-		Fault: "a delayed delivery keeps the sender's envelope instead of a copy of its header, and delivers whatever the sender has put there since",
-		Old:   "		delayed := *e\n		time.AfterFunc(d.Delay, func() { r.deliver(&delayed) })\n",
+		Fault: "a delayed delivery keeps the sender's envelope instead of a copy of its header and bytes, and delivers whatever the sender has put there since",
+		Old:   "		w := wire.GetWriter()\n		delayed := *e\n		faultplane.CopyEnvelope(w, &delayed)\n		time.AfterFunc(d.Delay, func() {\n			r.deliver(&delayed)\n			wire.PutWriter(w)\n		})\n",
 		New:   "		time.AfterFunc(d.Delay, func() { r.deliver(e) })\n",
+	},
+	{
+		ID: "submit-op-is-a-view", File: "internal/troxy/trusted.go",
+		Fault: "the operations of a Troxy call's submits stay views of its result, which ordering keeps and the binding's next call overwrites",
+		Old:   "		slab = append(slab, a.Submits[i].Op...)\n		a.Submits[i].Op = slab[len(slab)-len(a.Submits[i].Op) : len(slab) : len(slab)]\n",
+		New:   "		slab = append(slab, a.Submits[i].Op...)\n",
+	},
+	{
+		ID: "realnet-local-delivery-shares-body", File: "internal/realnet/realnet.go",
+		Fault: "a local delivery's mailbox item copies the sender's header but keeps its body and MAC, which the sender reuses the moment Send returns",
+		Old:   "		item := mailboxItem{env: *e, buf: wire.GetWriter()}\n		faultplane.CopyEnvelope(item.buf, &item.env)\n",
+		New:   "		item := mailboxItem{env: *e}\n",
+	},
+	{
+		ID: "simnet-send-shares-body", File: "internal/simnet/simnet.go",
+		Fault: "a queued simulated delivery copies the sender's header but keeps its body and MAC, which the sender reuses the moment Send returns",
+		Old:   "	ev := &event{at: at, kind: evDeliver, to: env.To, env: *env, buf: wire.GetWriter()}\n	faultplane.CopyEnvelope(ev.buf, &ev.env)\n",
+		New:   "	ev := &event{at: at, kind: evDeliver, to: env.To, env: *env}\n",
 	},
 	{
 		ID: "group-tag-kind-dropped", File: "internal/troxy/grouptag.go",
 		Fault: "group tags no longer bind the message kind: a tag made for one kind of Troxy message verifies as another's over the same bytes",
 		Old:   "g.hdr = [5]byte{byte(kind), byte(instance),",
 		New:   "g.hdr = [5]byte{0, byte(instance),",
-	},
-	{
-		ID: "direct-proxy-submit-is-a-view", File: "internal/troxy/proxy.go",
-		Fault: "the in-process crossing returns the handler's pooled result instead of copying it out: submits, client records and cache messages stay views of a writer the next call releases and reuses",
-		Old:   "		res, err := p.ecalls[name](arg)\n		return append(room, res...), err\n",
-		New:   "		return p.ecalls[name](arg)\n",
 	},
 	{
 		ID: "admit-prepare-parks-view", File: "internal/hybster/core.go",

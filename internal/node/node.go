@@ -89,8 +89,9 @@ type Env interface {
 	// under simulation, wall-clock time otherwise).
 	Now() time.Duration
 
-	// Send transmits an envelope whose From must equal Self, copying *e before
-	// it returns (Body and MAC stay shared: msg.Envelope). Delivery is
+	// Send transmits an envelope whose From must equal Self. The sender lends
+	// it: Send copies header, body and MAC before it returns, and the runtime
+	// recycles its copy once the receiver's handler returns. Delivery is
 	// asynchronous and, to faulty or crashed peers, may silently fail.
 	Send(e *msg.Envelope)
 
@@ -120,8 +121,8 @@ type Handler interface {
 	// OnStart initializes the node.
 	OnStart(env Env)
 
-	// OnEnvelope delivers a received envelope, which is untrusted input and
-	// valid only for this invocation: a handler copies what it keeps.
+	// OnEnvelope delivers a received envelope, untrusted input whose bytes
+	// the runtime reuses once it returns: a handler copies what it keeps.
 	OnEnvelope(env Env, e *msg.Envelope)
 
 	// OnTimer delivers a timer expiry.

@@ -8,6 +8,7 @@ import (
 
 	troxy "github.com/troxy-bft/troxy"
 	"github.com/troxy-bft/troxy/internal/app"
+	"github.com/troxy-bft/troxy/internal/faultplane"
 	"github.com/troxy-bft/troxy/internal/legacyclient"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/node"
@@ -167,7 +168,7 @@ type recordingEnv struct {
 
 func (e *recordingEnv) Self() msg.NodeID                          { return middleboxID }
 func (e *recordingEnv) Now() time.Duration                        { return 0 }
-func (e *recordingEnv) Send(m *msg.Envelope)                      { e.sent = append(e.sent, *m) }
+func (e *recordingEnv) Send(m *msg.Envelope)                      { e.sent = append(e.sent, *faultplane.CloneEnvelope(m)) }
 func (e *recordingEnv) SetTimer(_ time.Duration, k node.TimerKey) { e.timers = append(e.timers, k) }
 func (e *recordingEnv) CancelTimer(node.TimerKey)                 {}
 func (e *recordingEnv) Rand() *rand.Rand                          { return rand.New(rand.NewSource(1)) }

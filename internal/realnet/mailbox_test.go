@@ -64,9 +64,9 @@ func TestMailboxReusesItsArray(t *testing.T) {
 }
 
 // sendWithFinalizer sends an envelope whose body nobody else refers to and
-// reports when the collector has reclaimed that body: the mailbox holds the
-// header by value, the body by reference. It is its own function so that no
-// reference lingers on the test's stack.
+// reports when the collector has reclaimed that body: the mailbox holds a
+// copy of header and bytes, so nothing of the sender's. It is its own
+// function so that no reference lingers on the test's stack.
 //
 //go:noinline
 func sendWithFinalizer(r *Router, collected chan struct{}) {
@@ -75,9 +75,9 @@ func sendWithFinalizer(r *Router, collected chan struct{}) {
 	r.Send(e)
 }
 
-// TestMailboxLetsGoOfDeliveredEnvelopes: an envelope's body is the garbage
-// collector's as soon as its delivery has returned, however much traffic is
-// still queued behind it in the same array.
+// TestMailboxLetsGoOfDeliveredEnvelopes: a sent envelope's body is the
+// garbage collector's by the time its delivery has returned, however much
+// traffic is still queued behind it in the same array.
 func TestMailboxLetsGoOfDeliveredEnvelopes(t *testing.T) {
 	r := NewRouter()
 	defer r.Close()

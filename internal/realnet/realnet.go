@@ -16,6 +16,7 @@ import (
 	"github.com/troxy-bft/troxy/internal/faultplane"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/node"
+	"github.com/troxy-bft/troxy/internal/wire"
 )
 
 // Router delivers envelopes between attached nodes and, when a remote sender
@@ -54,8 +55,8 @@ func (r *Router) SetLogOutput(w io.Writer) {
 
 // SetRemoteSender installs the fallback used for envelopes addressed to
 // nodes not attached locally (e.g. a TCP bridge). The envelope send is handed
-// is the caller's, valid only for the call: send copies or encodes what it
-// keeps.
+// is the caller's, header and bytes, valid only for the call: send copies or
+// encodes what it keeps.
 func (r *Router) SetRemoteSender(send func(*msg.Envelope)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -63,9 +64,12 @@ func (r *Router) SetRemoteSender(send func(*msg.Envelope)) {
 }
 
 // mailboxItem is a delivery or a timer fire. A delivery holds its envelope by
-// value: Send copies the header in, so the sender may reuse its own at once.
+// value and its body and MAC in buf, a pooled writer they were copied into
+// (faultplane.CopyEnvelope), so the sender may reuse its own at once; the node
+// puts buf back once its handler has returned.
 type mailboxItem struct {
 	env msg.Envelope
+	buf *wire.Writer
 	key node.TimerKey
 	gen uint64
 	tmr bool
@@ -213,14 +217,19 @@ func (r *Router) Send(e *msg.Envelope) {
 		e = faultplane.CorruptCopy(e)
 	}
 	if d.Duplicate {
-		r.deliver(faultplane.CloneEnvelope(e))
+		r.deliver(e) // a delivery copies what it delivers, so e delivers again
 	}
 	if d.Delay > 0 {
 		// Deliver later without judging again; deliver re-checks
 		// closed/crashed at fire time. The closure keeps a copy of the
-		// header: e is the sender's.
+		// header and the bytes: e is the sender's.
+		w := wire.GetWriter()
 		delayed := *e
-		time.AfterFunc(d.Delay, func() { r.deliver(&delayed) })
+		faultplane.CopyEnvelope(w, &delayed)
+		time.AfterFunc(d.Delay, func() {
+			r.deliver(&delayed)
+			wire.PutWriter(w)
+		})
 		return
 	}
 	r.deliver(e)
@@ -245,11 +254,14 @@ func (r *Router) route(id msg.NodeID) (*realNode, func(*msg.Envelope)) {
 	return nil, r.remote
 }
 
-// dispatch hands e to where route sent it: a copy of its header into n's
-// mailbox, or e itself to the remote sender, which keeps nothing of it.
+// dispatch hands e to where route sent it: a copy of it, header and bytes,
+// into n's mailbox, or e itself to the remote sender, which keeps nothing of
+// it (Bridge.send copies it into a ring slot).
 func dispatch(n *realNode, remote func(*msg.Envelope), e *msg.Envelope) {
 	if n != nil {
-		n.enqueue(mailboxItem{env: *e})
+		item := mailboxItem{env: *e, buf: wire.GetWriter()}
+		faultplane.CopyEnvelope(item.buf, &item.env)
+		n.enqueue(item)
 		return
 	}
 	if remote != nil {
@@ -325,7 +337,8 @@ func (n *realNode) run() {
 	defer n.router.wg.Done()
 	env := &realEnv{node: n}
 	// cur is the one slot every delivery is made from: a handler is handed
-	// its address, valid for that invocation, and it is cleared afterwards.
+	// its address, valid for that invocation, and it is cleared afterwards,
+	// when the delivery's bytes go back to the pool.
 	var cur msg.Envelope
 	n.handler.OnStart(env)
 	for {
@@ -371,6 +384,7 @@ func (n *realNode) run() {
 		cur = item.env
 		n.handler.OnEnvelope(env, &cur)
 		cur = msg.Envelope{}
+		wire.PutWriter(item.buf)
 	}
 }
 

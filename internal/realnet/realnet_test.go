@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/troxy-bft/troxy/internal/faultplane"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/node"
 	"github.com/troxy-bft/troxy/internal/testutil"
@@ -38,7 +39,7 @@ func (c *collector) OnStart(env node.Env) {
 
 func (c *collector) OnEnvelope(env node.Env, e *msg.Envelope) {
 	c.mu.Lock()
-	c.envs = append(c.envs, *e)
+	c.envs = append(c.envs, *faultplane.CloneEnvelope(e)) // e's bytes are recycled once this returns
 	n := len(c.envs)
 	c.mu.Unlock()
 	if c.onEnv != nil {

@@ -23,9 +23,9 @@ import (
 // Egress: senders encode each envelope into a pooled frame and push it onto
 // a bounded per-peer ring; a drainer goroutine flushes the whole ring in one
 // vectored write, on a size trigger or after yielding one scheduler quantum
-// to stragglers. Ingress reads are chunked to match: one syscall and one
-// allocation consume a whole coalesced burst. Encoding allocates nothing in
-// steady state.
+// to stragglers. Ingress reads are chunked to match: one syscall consumes a
+// whole coalesced burst, into a chunk the connection reuses. Encoding and
+// decoding allocate nothing in steady state.
 //
 // Fault injection happens in Router.Send, above this layer: the fault judge
 // sees every envelope individually before it is encoded into a ring, so
@@ -101,9 +101,10 @@ func (b *Bridge) Listen(addr string) error {
 
 // readLoop injects frames from an accepted peer connection into the router.
 // Ingress is batched to match the peer's vectored egress: a ChunkReader
-// consumes a coalesced burst at one read syscall and one chunk allocation
+// consumes a coalesced burst at one read syscall, into the chunk it reuses,
 // instead of two syscalls and an allocation per frame. Every frame is decoded
-// into the same envelope, whose header the router copies.
+// into the same envelope, which the router copies, header and bytes, before
+// the next frame is read over it.
 func (b *Bridge) readLoop(conn net.Conn) {
 	cr := wire.NewChunkReader(conn)
 	var env msg.Envelope
@@ -277,16 +278,19 @@ func (g *Gateway) handle(conn net.Conn) {
 	defer g.router.Detach(id)
 
 	// Ingress mirrors egress: batched chunk reads instead of per-frame
-	// syscalls and allocations. Each frame gets a ChannelData body of its own
-	// and travels in the connection's one envelope.
+	// syscalls and allocations. Each frame's ChannelData body is built in the
+	// connection's one buffer and travels in its one envelope: the router
+	// copies both before the next frame overwrites them.
 	cr := wire.NewChunkReader(conn)
 	env := msg.Envelope{From: id, To: g.replica, Kind: msg.KindChannelData}
+	var body []byte
 	for {
 		frame, err := cr.ReadFrame()
 		if err != nil {
 			return
 		}
-		env.Body = append(msg.ChannelDataBody(uint64(id), len(frame)), frame...)
+		body = append(msg.AppendChannelDataHead(body[:0], uint64(id), len(frame)), frame...)
+		env.Body = body
 		g.router.Send(&env)
 	}
 }

@@ -87,7 +87,8 @@ type Replica struct {
 	fwd  msg.Forward
 
 	// out is the envelope every hot send fills and hands to env.Send, which
-	// copies it: nothing between the fill and the Send can send again.
+	// copies it, header and bytes: nothing between the fill and the Send can
+	// send again.
 	out msg.Envelope
 
 	stats Stats
@@ -423,13 +424,13 @@ func (r *Replica) onBFTRequest(env node.Env, from msg.NodeID, m *msg.BFTRequest)
 	})
 }
 
-// apply executes the Troxy's requested actions. Every byte slice in an Actions
-// is the caller's (troxy.Proxy): a client record and a cache message leave in
-// the bodies the binding built for them, and a submit goes to ordering as it
-// is — Submit keeps it, and the request is not touched here again. The Client
-// and Queries slices are lent until the next proxy call, and Submit is the
-// one action that can make one (a retransmitted request that has executed
-// has its reply replayed, and voted here), so the submits go last.
+// apply executes the Troxy's requested actions. A client record and a cache
+// message leave in the bodies the binding decoded them as, which Send copies,
+// and a submit goes to ordering as it is — Submit keeps it, and the request is
+// not touched here again (troxy.Proxy). The Client and Queries slices and
+// their bytes are lent until the next proxy call, and Submit is the one action
+// that can make one (a retransmitted request that has executed has its reply
+// replayed, and voted here), so the submits go last.
 func (r *Replica) apply(env node.Env, acts troxy.Actions) {
 	for _, cr := range acts.Client {
 		r.out = msg.Envelope{From: r.cfg.Self, To: cr.Node, Kind: msg.KindChannelData, Body: cr.Body}
@@ -443,29 +444,23 @@ func (r *Replica) apply(env node.Env, acts troxy.Actions) {
 	}
 }
 
-// sendAuthed seals, MACs and transmits a message to one peer. The body is
-// encoded with the MAC's room behind it, so body and MAC are one allocation.
+// sendAuthed seals, MACs and transmits a message to one peer: the body is
+// encoded into a pooled writer, which goes back once Send has copied it.
 func (r *Replica) sendAuthed(env node.Env, to msg.NodeID, m msg.Message) {
 	w := wire.GetWriter()
 	m.MarshalWire(w)
-	n := w.Len()
-	buf := make([]byte, n+authn.TagSize)
-	copy(buf, w.Bytes())
+	r.sendEncoded(env, to, m, w.Bytes())
 	wire.PutWriter(w)
-	r.sendEncoded(env, to, m, buf[:n:n], buf[n:n:n+authn.TagSize])
 }
 
 // sendEncoded MACs and transmits m, whose encoding is body, under the MAC of
-// its kind (authn.SealMessage), summed into room if it is lent some — or with
-// no MAC, if its kind carries none (authn.HostMACed): a Troxy tagged it, or it
-// is a PREPARE or a COMMIT, which its counter certificate authenticates. body
-// is immutable from here on: the envelope (and any other recipient's) shares
-// it.
-func (r *Replica) sendEncoded(env node.Env, to msg.NodeID, m msg.Message, body, room []byte) {
+// its kind (authn.SealMessage) — or with no MAC, if its kind carries none
+// (authn.HostMACed): a Troxy tagged it, or it is a PREPARE or a COMMIT, which
+// its counter certificate authenticates.
+func (r *Replica) sendEncoded(env node.Env, to msg.NodeID, m msg.Message, body []byte) {
 	e := &r.out
 	*e = msg.Envelope{From: r.cfg.Self, To: to, Kind: m.Kind(), Body: body}
 	if authn.HostMACed(e.Kind) {
-		e.MAC = room
 		env.Charge(node.ProfileJava, node.ChargeMAC, r.auth.SealMessage(e, m))
 	}
 	env.Send(e)
@@ -484,16 +479,18 @@ func (r *Replica) Send(env node.Env, to msg.NodeID, m msg.Message) {
 	r.sendAuthed(env, to, m)
 }
 
-// Broadcast implements hybster.Broadcaster: the message is marshalled once
-// and that one body is shared by — and, if its kind carries a MAC, MACed for —
-// every recipient.
+// Broadcast implements hybster.Broadcaster: the message is marshalled once,
+// into a pooled writer, and that one body is sent to — and, if its kind
+// carries a MAC, MACed for — every recipient.
 func (r *Replica) Broadcast(env node.Env, m msg.Message) {
-	body := msg.EncodeBody(m)
+	w := wire.GetWriter()
+	m.MarshalWire(w)
 	for i := 0; i < r.cfg.N; i++ {
 		if to := msg.NodeID(i); to != r.cfg.Self {
-			r.sendEncoded(env, to, m, body, nil)
+			r.sendEncoded(env, to, m, w.Bytes())
 		}
 	}
+	wire.PutWriter(w)
 }
 
 // Committed implements hybster.Outbound: every executed request produces a
@@ -568,7 +565,10 @@ func (r *Replica) Committed(env node.Env, seq uint64, req *msg.OrderRequest, res
 func (r *Replica) queueReply(env node.Env, to msg.NodeID, rep *msg.OrderedReply) {
 	if to < 0 || int(to) >= len(r.outbox) {
 		// Not a replica, so no batch to join: a batch of one is the reply.
-		r.sendTagged(env, to, msg.KindReplyBatch, msg.EncodeBody(rep))
+		w := wire.GetWriter()
+		rep.MarshalWire(w)
+		r.sendTagged(env, to, msg.KindReplyBatch, w.Bytes())
+		wire.PutWriter(w)
 		return
 	}
 	q := &r.outbox[to]
@@ -594,14 +594,14 @@ func (r *Replica) flushReplies(env node.Env) {
 }
 
 // flushTo sends the batch pending for one origin, if any, as one envelope
-// that owns its body; the queue's buffer is kept for the next batch unless a
-// giant reply grew it.
+// whose body is the queue's buffer, which Send copies; the buffer is kept for
+// the next batch unless a giant reply grew it.
 func (r *Replica) flushTo(env node.Env, to msg.NodeID) {
 	q := &r.outbox[to]
 	if q.n == 0 {
 		return
 	}
-	r.sendTagged(env, to, msg.KindReplyBatch, q.w.CopyBytes())
+	r.sendTagged(env, to, msg.KindReplyBatch, q.w.Bytes())
 	if q.w.Len() > 2*msg.BatchFlushBytes {
 		q.w = wire.Writer{}
 	}

@@ -21,6 +21,7 @@ import (
 	"github.com/troxy-bft/troxy/internal/faultplane"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/node"
+	"github.com/troxy-bft/troxy/internal/wire"
 )
 
 // NodeConfig models one machine's hardware.
@@ -93,6 +94,7 @@ type event struct {
 
 	to   msg.NodeID
 	env  msg.Envelope // by value: Send copies the sender's header
+	buf  *wire.Writer // env's body and MAC: Send copies the sender's bytes
 	node *simNode     // the incarnation that set the timer or took the delivery into its NIC
 
 	key node.TimerKey
@@ -297,6 +299,7 @@ func (n *Network) dispatch(e *event) {
 		// Detached, crashed, or owned by an earlier incarnation.
 		if e.kind == evDeliver {
 			n.stats.Dropped++
+			wire.PutWriter(e.buf)
 		}
 		return
 	}
@@ -324,6 +327,7 @@ func (n *Network) dispatch(e *event) {
 		n.stats.Delivered++
 		n.stats.Bytes += uint64(e.env.WireSize())
 		n.invoke(sn, e.at, func(env node.Env) { sn.handler.OnEnvelope(env, &e.env) })
+		wire.PutWriter(e.buf) // the handler has returned: the bytes are free
 	case evTimer:
 		if sn.timerGen[e.key] != e.gen {
 			return // canceled or replaced
@@ -445,14 +449,23 @@ func (n *Network) transmit(from *simNode, env *msg.Envelope, t time.Duration) {
 			// The copy arrives undelayed, so a delayed original also yields
 			// a reordered pair.
 			n.stats.Duplicated++
-			n.push(&event{at: arrive, kind: evDeliver, to: env.To, env: *faultplane.CloneEnvelope(env)})
+			n.deliverAt(arrive, env)
 		}
 		// Extra delay is applied after the FIFO point above and not written
 		// back to fifoLast: later messages on the link can overtake, which
 		// is exactly the reordering fault.
 		arrive += d.Delay
 	}
-	n.push(&event{at: arrive, kind: evDeliver, to: env.To, env: *env})
+	n.deliverAt(arrive, env)
+}
+
+// deliverAt queues env's delivery at its receiver's NIC at time at, as a copy
+// of it, header and bytes: the sender may reuse its own once Send returns.
+// The bytes live in a pooled writer until the delivery is done or dropped.
+func (n *Network) deliverAt(at time.Duration, env *msg.Envelope) {
+	ev := &event{at: at, kind: evDeliver, to: env.To, env: *env, buf: wire.GetWriter()}
+	faultplane.CopyEnvelope(ev.buf, &ev.env)
+	n.push(ev)
 }
 
 func (n *Network) linkLatency(a, b msg.NodeID) LatencyModel {

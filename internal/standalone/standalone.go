@@ -99,7 +99,7 @@ func Reply(env node.Env, ch *troxy.Channels, self msg.NodeID, http bool, connID,
 	if !http {
 		n += replyHead
 	}
-	body, to, ok := ch.Seal(msg.ChannelDataBody(connID, securechannel.Overhead+n), connID, seq, msg.StatusOK, result)
+	body, to, ok := ch.Seal(msg.AppendChannelDataHead(nil, connID, securechannel.Overhead+n), connID, seq, msg.StatusOK, result)
 	if !ok {
 		return
 	}

@@ -98,12 +98,12 @@ func BenchmarkAllocGate(b *testing.B) {
 	})
 
 	// Rounds through the enclave binding, the client sealing each request
-	// into a buffer it reuses. What a round costs is the host's side of the
-	// boundary — per result that carries anything, its copy-out, a cache
-	// query or a client record being a view of it in the binding's lent
-	// Actions storage, and a submit the Submits slice ordering keeps — and
-	// nothing inside the Troxy: a fast read is the query out and the answer
-	// back (1 + 1), a write the submit out (2) and the answer back (1), its
+	// into a buffer it reuses. What a round costs is what ordering keeps of a
+	// submit — the Submits slice and one slab of its operations — and nothing
+	// else on either side of the boundary: every result is copied out into the
+	// binding's one result buffer, a cache query or a client record being a
+	// view of it in the binding's lent Actions storage. A fast read is
+	// nothing (0 + 0), a write the submit out (2) and the answer back (0), its
 	// first reply adding nothing.
 	_, enclaved, _ := newBindings(b, Config{Self: 0, N: 3, F: 1, Seed: 77, Classify: classifyKV, FastReads: true})
 	p, env := enclaved.p, nullEnv{}
@@ -140,7 +140,7 @@ func BenchmarkAllocGate(b *testing.B) {
 	enclaved.core.cache.Put(msg.DigestOf(get), value, []string{"k"})
 	confirm := &msg.CacheReply{ReqDigest: msg.DigestOf(get), Found: true, ReplyDigest: msg.DigestOf(value)}
 	var query msg.CacheQuery
-	testutil.AllocGate(b, "EnclaveProxyFastReadRound", 1+1, func() {
+	testutil.AllocGate(b, "EnclaveProxyFastReadRound", 0+0, func() {
 		acts := send(get, msg.FlagReadOnly)
 		if len(acts.Queries) != 1 || acts.Queries[0].Kind != msg.KindCacheQuery {
 			b.Fatalf("a cached read sent %+v", acts.Queries)
@@ -162,7 +162,7 @@ func BenchmarkAllocGate(b *testing.B) {
 		{Executor: 1, Client: 5, Result: []byte("OK"), InvalidKeys: msg.AppendKeys(nil, []string{"w"})},
 		{Executor: 2, Client: 5, Result: []byte("OK"), InvalidKeys: msg.AppendKeys(nil, []string{"w"})},
 	}
-	testutil.AllocGate(b, "EnclaveProxyWriteRound", 2+1, func() {
+	testutil.AllocGate(b, "EnclaveProxyWriteRound", 2+0, func() {
 		acts := send(put, 0)
 		if len(acts.Submits) != 1 {
 			b.Fatalf("a write submitted %d requests", len(acts.Submits))
@@ -200,10 +200,11 @@ func (cannedTrusted) OnStart(*enclave.Services)         {}
 func (cannedTrusted) Provision(map[string][]byte) error { return nil }
 
 // BenchmarkAllocGateEnclaveProxy holds the host side of the ecall boundary to
-// its budget: a crossing whose result nothing keeps — a reply's tag, moved on
-// into the reply's own storage, or an Actions with nothing in it — allocates
-// nothing, and a result that carries a client record costs the copy-out: the
-// Client slice is the binding's, lent until its next call.
+// its budget: every result is copied out into the binding's one result
+// buffer, so a crossing allocates nothing — whether its result is a reply's
+// tag, moved on into the reply's own storage, an Actions with nothing in it,
+// or one that carries a client record, lent with the Client slice until the
+// binding's next call.
 func BenchmarkAllocGateEnclaveProxy(b *testing.B) {
 	_, _, tagger := testSecrets(b)
 	encode := func(acts Actions) []byte {
@@ -236,7 +237,7 @@ func BenchmarkAllocGateEnclaveProxy(b *testing.B) {
 		}
 	})
 	handleReply = encode(Actions{Client: []ClientRecord{{ConnID: 1, Node: 90, Frame: make([]byte, 160)}}})
-	testutil.AllocGate(b, "HandleReplyOneClientRecord", 1, func() {
+	testutil.AllocGate(b, "HandleReplyOneClientRecord", 0, func() {
 		if acts, err := proxy.HandleReply(env, rep); err != nil || len(acts.Client) != 1 {
 			b.Fatalf("%+v, %v", acts, err)
 		}

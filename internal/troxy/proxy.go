@@ -32,15 +32,14 @@ type Proxy interface {
 	AcceptConn(env node.Env, connID uint64, from msg.NodeID)
 	CloseConn(env node.Env, connID uint64)
 	//
-	// Every byte slice in an Actions, of this call and of every other, is the
-	// caller's to keep, and so are Submits and its requests: a Core's result
-	// lives in its scratch until its next call, and the binding copies it out
-	// once — the enclave's copy-out, or in process the same append — and
-	// decodes views of that copy. Ordering keeps a submit as it is handed
-	// over; a client record's or cache message's Body is the envelope body it
-	// leaves in. The Client and Queries slices are lent: valid until the next
+	// Submits and its requests, operations included, are the caller's to
+	// keep: ordering keeps a submit as it is handed over. Everything else in
+	// an Actions, of this call and of every other, is lent: the Client and
+	// Queries slices and every byte they point to are valid until the next
 	// call into the proxy, which a submit can make (its reply is voted here),
-	// so the caller uses them before it submits (Replica.apply).
+	// so the caller uses them before it submits (Replica.apply). A client
+	// record's or cache message's Body is the envelope body it leaves in,
+	// which Send copies.
 	HandleClientData(env node.Env, connID uint64, from msg.NodeID, payload []byte) (Actions, error)
 	//
 	// rep is the caller's in both reply calls and may be one it reuses: no
@@ -80,30 +79,22 @@ func chargeActions(env node.Env, p node.Profile, acts *Actions) {
 }
 
 // Binding is the one Proxy. An argument is built in a pooled writer, released
-// once the call returns (the callee took what it keeps); a result is copied
-// out of the handler's pooled writer — by the enclave boundary, or in process
-// by the same append — and decoded by view. The binding brings room for the
-// two results nothing keeps — a reply's tag, which moves on into the reply's
-// own storage, and the encoding of an empty Actions, which has no bytes to
-// view; any other result is longer than the room it is offered, so the
-// copy-out allocates and the decoded Actions own what they point to.
+// once the call returns (the callee took what it keeps); a result is decoded
+// by view of where it lies until the next call — the binding's result buffer,
+// which the enclave boundary copies it out into, or in process the handler's
+// pooled writer, which the handler releases at its next call. A reply's tag
+// moves on into the reply's own storage; the operations of the submits, which
+// ordering keeps, are copied into one slab of their own; everything else a
+// result points to is lent until the next call.
 type Binding struct {
 	// enc is the enclave hosting the Troxy (etroxy); without one, ecalls is
 	// the Troxy's half of the interface, called in process (ctroxy).
 	enc     *enclave.Enclave
 	ecalls  map[string]func([]byte) ([]byte, error)
 	profile node.Profile
-	room    [tagResultLen]byte // valid until the next call
-	lent    Actions            // the last result, whose Client and Queries the next reuses
+	out     []byte  // the last copy-out of the enclave, valid until the next call
+	lent    Actions // the last result decoded, whose Client and Queries the next reuses
 }
-
-const (
-	// tagResultLen is the encoded result of the two authenticate ecalls.
-	tagResultLen = 4 + tagSize
-	// noActionsLen is the encoding of an Actions with nothing in it: three
-	// zero counts.
-	noActionsLen = 12
-)
 
 // NewDirectProxy binds a provisioned core in process, without an enclave
 // boundary: the Troxy's entry points, and no counter subsystem behind them.
@@ -123,17 +114,18 @@ var _ Proxy = (*Binding)(nil)
 func (p *Binding) Profile() node.Profile { return p.profile }
 
 // call crosses into the Troxy — the JNI crossing from the Java replica host
-// into native code, then the ecall or the same handler in process — and
-// appends the result to room.
-func (p *Binding) call(env node.Env, room []byte, name string, arg []byte) ([]byte, error) {
+// into native code, then the ecall, whose copy-out lands in the binding's
+// result buffer over the last one, or the same handler in process, whose
+// result needs no copy: it lives as long as what the binding lends.
+func (p *Binding) call(env node.Env, name string, arg []byte) ([]byte, error) {
 	env.Charge(p.profile, node.ChargeJNI, len(arg))
 	if p.enc == nil {
-		res, err := p.ecalls[name](arg)
-		return append(room, res...), err
+		return p.ecalls[name](arg)
 	}
-	out, err := p.enc.ECallAppend(room, name, arg)
-	env.Charge(p.profile, node.ChargeTransition, len(arg)+len(out))
-	return out, err
+	var err error
+	p.out, err = p.enc.ECallAppend(p.out[:0], name, arg)
+	env.Charge(p.profile, node.ChargeTransition, len(arg)+len(p.out))
+	return p.out, err
 }
 
 // actions is call for an entry point whose result is an Actions. Once the
@@ -141,7 +133,7 @@ func (p *Binding) call(env node.Env, room []byte, name string, arg []byte) ([]by
 // bytes) and the vote's hash (hash bytes), either skipped at zero, then the
 // Actions' output work.
 func (p *Binding) actions(env node.Env, name string, arg []byte, mac, hash int) (Actions, error) {
-	out, err := p.call(env, p.room[:0:noActionsLen], name, arg)
+	out, err := p.call(env, name, arg)
 	if err != nil {
 		return Actions{}, err
 	}
@@ -163,7 +155,7 @@ func (p *Binding) actions(env node.Env, name string, arg []byte, mac, hash int) 
 // tag is call for the authenticate entry points: it appends the result's tag
 // to dst.
 func (p *Binding) tag(env node.Env, dst []byte, name string, arg []byte) ([]byte, error) {
-	out, err := p.call(env, p.room[:0], name, arg)
+	out, err := p.call(env, name, arg)
 	if err != nil {
 		return dst, err
 	}
@@ -178,7 +170,7 @@ func (p *Binding) AcceptConn(env node.Env, connID uint64, from msg.NodeID) {
 	defer wire.PutWriter(w)
 	w.U64(connID)
 	w.U32(uint32(from))
-	_, _ = p.call(env, nil, ECallAccept, w.Bytes())
+	_, _ = p.call(env, ECallAccept, w.Bytes())
 }
 
 // CloseConn implements Proxy.
@@ -186,7 +178,7 @@ func (p *Binding) CloseConn(env node.Env, connID uint64) {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	w.U64(connID)
-	_, _ = p.call(env, nil, ECallClose, w.Bytes())
+	_, _ = p.call(env, ECallClose, w.Bytes())
 }
 
 // HandleClientData implements Proxy. Besides the actions it charges the

@@ -363,17 +363,17 @@ func AppendFramePayload(w *Writer, payload []byte) error {
 // allocation per frame; a ChunkReader instead drains whatever the socket has
 // buffered into a large chunk with a single read syscall and slices frames
 // out of it, so a coalesced burst arriving from a vectored write is consumed
-// at one syscall and one allocation per chunk rather than per frame.
+// at one syscall rather than two per frame, into a chunk the reader reuses.
 
-// chunkSize is the ingress chunk allocation unit. Frames larger than a chunk
-// get a dedicated allocation of their exact size.
+// chunkSize is the ingress chunk's size. A frame larger than a chunk grows it
+// to the frame's size, and the reader keeps the larger chunk.
 const chunkSize = 64 << 10
 
 // ChunkReader reads length-prefixed frames from r in batched chunks.
 // It is not safe for concurrent use.
 type ChunkReader struct {
 	r   io.Reader
-	buf []byte // current chunk; never reused once frames alias it
+	buf []byte // the chunk, reused: a frame is valid until the next ReadFrame
 	off int    // consumed bytes
 	end int    // filled bytes
 }
@@ -384,10 +384,10 @@ func NewChunkReader(r io.Reader) *ChunkReader {
 }
 
 // ReadFrame returns the next frame's payload. The slice aliases the reader's
-// current chunk and stays valid indefinitely: chunks are never recycled, so
-// the garbage collector reclaims one when every frame sliced from it is dead.
-// Errors match ReadFrame's: a clean close at a frame boundary surfaces as a
-// header read error wrapping io.EOF.
+// chunk and is valid only until the next ReadFrame, which may read over it:
+// a caller copies what it keeps (the runtimes' Send does). Errors match
+// ReadFrame's: a clean close at a frame boundary surfaces as a header read
+// error wrapping io.EOF.
 func (c *ChunkReader) ReadFrame() ([]byte, error) {
 	for {
 		if c.end-c.off >= 4 {
@@ -411,17 +411,16 @@ func (c *ChunkReader) ReadFrame() ([]byte, error) {
 	}
 }
 
-// fill grows the buffered window to at least need bytes, starting a fresh
-// chunk when the current one's tail cannot hold them. Pending bytes are
-// copied to the new chunk, never compacted in place: frames already returned
-// still alias the old one.
+// fill grows the buffered window to at least need bytes. When the chunk's
+// tail cannot hold them, the pending bytes move to its front — every frame
+// returned before is dead by now — and only a need larger than the chunk
+// allocates one of that size.
 func (c *ChunkReader) fill(need int) error {
 	if len(c.buf)-c.off < need {
-		size := chunkSize
-		if need > size {
-			size = need
+		buf := c.buf
+		if len(buf) < need {
+			buf = make([]byte, max(need, chunkSize))
 		}
-		buf := make([]byte, size)
 		copy(buf, c.buf[c.off:c.end])
 		c.end -= c.off
 		c.off = 0

@@ -340,9 +340,8 @@ func TestChunkReaderRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("step %d: ReadFrame: %v", step, err)
 			}
-			got = append(got, p)
+			got = append(got, bytes.Clone(p)) // valid until the next ReadFrame
 		}
-		// Earlier frames must survive later reads: chunks are never recycled.
 		for i, p := range payloads {
 			if !bytes.Equal(got[i], p) {
 				t.Errorf("step %d: frame %d mismatch: got %d bytes, want %d", step, i, len(got[i]), len(p))
@@ -351,6 +350,54 @@ func TestChunkReaderRoundTrip(t *testing.T) {
 		if _, err := cr.ReadFrame(); !errors.Is(err, io.EOF) {
 			t.Errorf("step %d: at stream end got %v, want io.EOF", step, err)
 		}
+	}
+}
+
+// TestChunkReaderReusesItsChunk: a frame whose head arrived at the end of the
+// chunk survives the compaction that makes room for its tail, and it is read
+// into the bytes the frame before it was returned in — the chunk is reused,
+// and a steady stream of frames allocates nothing.
+func TestChunkReaderReusesItsChunk(t *testing.T) {
+	first := bytes.Repeat([]byte{1}, chunkSize-100)
+	second := make([]byte, 1000)
+	for i := range second {
+		second[i] = byte(i)
+	}
+	var buf bytes.Buffer
+	for _, p := range [][]byte{first, second, []byte("third")} {
+		if err := WriteFrame(&buf, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cr := NewChunkReader(&chunkingReader{data: buf.Bytes(), n: 1 << 20})
+	a, err := cr.ReadFrame()
+	if err != nil || !bytes.Equal(a, first) {
+		t.Fatalf("first frame: %d bytes, %v", len(a), err)
+	}
+	b, err := cr.ReadFrame() // its first 92 bytes came with the first read
+	if err != nil || !bytes.Equal(b, second) {
+		t.Fatalf("the frame split across the compaction came back as %d bytes, %v", len(b), err)
+	}
+	if &b[0] != &a[0] || a[1] != second[1] {
+		t.Error("the second frame was not read into the bytes the first was returned in")
+	}
+
+	var stream bytes.Buffer
+	for i := 0; i < 1000; i++ {
+		if err := WriteFrame(&stream, second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cr = NewChunkReader(&chunkingReader{data: stream.Bytes(), n: 4096})
+	if _, err := cr.ReadFrame(); err != nil { // allocates the chunk
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(500, func() {
+		if _, err := cr.ReadFrame(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("ReadFrame allocates %.2f times a frame once its chunk exists", allocs)
 	}
 }
 

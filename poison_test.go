@@ -33,22 +33,23 @@ func (p proposal) String() string {
 
 // lending says what a retention run overwrites behind a node's back.
 type lending struct {
-	// delivered: every envelope a replica is handed is a private copy whose
-	// body, MAC and header are overwritten as soon as the handler returns
-	// (lentEnvelopes).
+	// delivered: every envelope a node is handed — replica or client
+	// machine — is a private copy whose body, MAC and header are overwritten
+	// as soon as the handler returns (lentEnvelopes).
 	delivered bool
-	// sent: every envelope a node hands to Send has its header overwritten
-	// as soon as Send returns (lentSends).
+	// sent: every envelope a node hands to Send reaches the runtime as a
+	// private copy whose body and MAC are overwritten as soon as Send returns
+	// (lentSends).
 	sent bool
 	// decoded: the structs a replica decodes ordering messages into are
 	// overwritten as soon as its handler returns (poisonedDecodes).
 	decoded bool
 }
 
-// lentEnvelopes wraps a replica the way a transport that reuses its receive
-// buffers would: every envelope is delivered as a private copy whose body,
-// MAC and header are overwritten as soon as the handler returns (when poison
-// is set). It also records the PREPAREs the replica sends.
+// lentEnvelopes wraps a node the way a runtime that recycles what it delivers
+// does: every envelope is delivered as a private copy whose body, MAC and
+// header are overwritten as soon as the handler returns (when poison is set).
+// It also records the PREPAREs a replica sends.
 type lentEnvelopes struct {
 	inner     node.Handler
 	poison    bool
@@ -89,25 +90,25 @@ func (l *lentEnvelopes) OnEnvelope(env node.Env, e *msg.Envelope) {
 	}
 }
 
-// lentSends wraps a node the way a sender that reuses its envelope would:
-// the header of every envelope the node hands to Send is overwritten as soon
-// as Send returns. The destination and kind stay, so a runtime that kept the
-// sender's envelope rather than a copy would deliver it, but the body and MAC
-// it would deliver are 0x5A bytes no receiver's check accepts. The bytes it
-// was sent with are left alone: they stay shared.
+// lentSends wraps a node the way a sender that reuses its envelope and its
+// buffers at once would: every envelope the node hands to Send goes to the
+// runtime as a private copy whose body and MAC bytes are overwritten as soon
+// as Send returns (the node's own stay as they are: it may send them again,
+// as a broadcast does). The header stays, so a runtime that kept the copy or
+// its bytes rather than copying them would deliver it, but the body and MAC
+// it would deliver are 0x5A bytes no receiver's check accepts.
 type lentSends struct{ inner node.Handler }
 
 type overwritingEnv struct{ node.Env }
 
 func (e overwritingEnv) Send(env *msg.Envelope) {
-	e.Env.Send(env)
-	junk := func(b []byte) []byte {
-		if b == nil {
-			return nil
+	lent := faultplane.CloneEnvelope(env)
+	e.Env.Send(lent)
+	for _, b := range [][]byte{lent.Body, lent.MAC} {
+		for i := range b {
+			b[i] = 0x5A
 		}
-		return bytes.Repeat([]byte{0x5A}, len(b))
 	}
-	*env = msg.Envelope{From: env.From, To: env.To, Kind: env.Kind, Body: junk(env.Body), MAC: junk(env.MAC)}
 }
 
 func (l lentSends) OnStart(env node.Env) { l.inner.OnStart(overwritingEnv{env}) }
@@ -243,7 +244,7 @@ func retentionRun(t *testing.T, mode Mode, lend lending, then faultplane.Judge) 
 				Timeout:       250 * time.Millisecond,
 			})
 			clients = append(clients, bc)
-			attach(msg.NodeID(100+i), bc)
+			attach(msg.NodeID(100+i), &lentEnvelopes{inner: bc, poison: lend.delivered, proposals: &proposals})
 			continue
 		}
 		lc := legacyclient.New(legacyclient.Config{
@@ -258,7 +259,7 @@ func retentionRun(t *testing.T, mode Mode, lend lending, then faultplane.Judge) 
 			Observe:       history.Observe,
 		})
 		clients = append(clients, lc)
-		attach(msg.NodeID(100+i), lc)
+		attach(msg.NodeID(100+i), &lentEnvelopes{inner: lc, poison: lend.delivered, proposals: &proposals})
 	}
 	net.Run(60 * time.Second)
 
@@ -342,12 +343,12 @@ func TestDeliveredEnvelopesAreNotRetained(t *testing.T) {
 }
 
 // TestSentEnvelopesAreNotRetained is the send-side twin: Send copies the
-// header it is handed, so a node may reuse its envelope the moment Send
-// returns (the replica and the client machine do), and a runtime that kept
-// the sender's envelope instead — in a queued delivery, a delayed one or a
-// duplicate — would deliver whatever the sender put there next. Every node's
-// sent envelopes are overwritten once Send returns (lentSends), under a
-// judge that delays and duplicates. In the simulator the run is the run
+// header, body and MAC it is handed, so a node may reuse its envelope and its
+// buffers the moment Send returns (the replica and the client machine do),
+// and a runtime that kept the sender's envelope or bytes instead — in a queued
+// delivery, a delayed one or a duplicate — would deliver whatever the sender
+// put there next. Every body and MAC handed to Send is overwritten once Send
+// returns (lentSends), under a judge that delays and duplicates. In the simulator the run is the run
 // without overwriting, bit for bit; across the TCP bridge of the wall-clock
 // chaos topology the history is linearizable, the replicas converge and none
 // of them drops an envelope as a bad MAC.
