@@ -203,10 +203,11 @@ race:
 chaos:
 	$(GO) test -race -count=1 -short -run 'TestChaos' -v .
 
-# Wall-clock chaos variant: the simulator's seeded plans replayed on the
+# Wall-clock chaos variant: the simulator's seeded plans replayed by the same
+# driver (runChaos) and judged by the same checks (checkRun) on the
 # goroutine/TCP runtime — two routers joined by a TCP bridge whose listener
-# comes up late (exercising the bridge's dial backoff), with sloppy-deadline
-# liveness/convergence checkers instead of virtual-time assertions. Covers
+# comes up late (exercising the bridge's dial backoff), each phase polled
+# with a 30 s deadline instead of run for a span of virtual time. Covers
 # both the network-fault seeds and the Byzantine host wrapper. A wall-clock
 # failure may not repeat, so the whole `go test -v` output is kept in
 # chaos-realnet.log (gitignored): a failed run prints its tail and leaves the

@@ -3,15 +3,23 @@ package troxy
 // Chaos suite: each seed draws a fault schedule (link drop/duplication/
 // corruption/jitter, partitions with scheduled heal, crash/restart) and/or
 // arms Byzantine replica harnesses, drives mixed read/write traffic through
-// both the fast-read-cache and ordered paths, and checks four invariants:
+// both the fast-read-cache and ordered paths, and checks five invariants:
 //
 //   (a) the observed client history is linearizable — including fast reads,
 //   (b) replica states converge once the faults heal,
 //   (c) every client operation completes after the network quiesces,
-//   (d) no correct replica's certificate is rejected by a correct peer.
+//   (d) no correct replica's certificate is rejected by a correct peer,
+//   (e) with no Byzantine replica and no corrupting link, every certificate
+//       verifies, every envelope passes transport authentication and no
+//       reply batch is cut short.
 //
-// Every failure message carries the seed and the drawn plan; rerunning the
-// named subtest reproduces the schedule exactly.
+// One driver, runChaos, runs a plan on either runtime: the simulator
+// (newSimRuntime) or goroutines and TCP (newWallRuntime,
+// chaos_realnet_test.go). checkRun judges (a), (b), (d) and (e), for the
+// driver, TestSoakLargeState and TestRandomizedConvergence alike.
+//
+// Every failure message carries the seed and the drawn plan; on the
+// simulator, rerunning the named subtest reproduces the schedule exactly.
 
 import (
 	"fmt"
@@ -24,6 +32,8 @@ import (
 	"github.com/troxy-bft/troxy/internal/faultplane"
 	"github.com/troxy-bft/troxy/internal/legacyclient"
 	"github.com/troxy-bft/troxy/internal/msg"
+	"github.com/troxy-bft/troxy/internal/node"
+	"github.com/troxy-bft/troxy/internal/replica"
 	"github.com/troxy-bft/troxy/internal/simnet"
 	"github.com/troxy-bft/troxy/internal/workload"
 )
@@ -47,17 +57,95 @@ type chaosOpts struct {
 	// settling machine stays on the durable tier, and invariant (a) is
 	// judged by the two-tier checker instead of the flat one.
 	fast bool
+	// lendSends overwrites every envelope a node sends once Send returns
+	// (lentSends).
+	lendSends bool
+	// poisonDecodes overwrites the structs each replica decodes ordering
+	// messages into once a delivery returns (poisonedDecodes).
+	poisonDecodes bool
 }
 
-// chaosResult hands the cluster back for behavior-specific assertions.
+// host is what the runtime attaches for h: h itself, h with its decodes
+// poisoned, or h lending its sends.
+func (o chaosOpts) host(h node.Handler) node.Handler {
+	if r, ok := h.(*replica.Replica); ok && o.poisonDecodes {
+		h = poisonedDecodes{r}
+	}
+	if o.lendSends {
+		return lentSends{h}
+	}
+	return h
+}
+
+// chaosResult is a finished run: what checkRun judges, and what a test
+// makes its behavior-specific assertions on.
 type chaosResult struct {
+	seed int64
+	plan faultplane.Plan
+	byz  map[msg.NodeID]faultplane.Behavior
 	cl   *Cluster
 	hist *faultplane.History
 	// tier is the annotated history of a fast-commit run (nil otherwise).
 	tier *faultplane.TieredHistory
 }
 
-func runChaos(t *testing.T, o chaosOpts) chaosResult {
+// fail ends the test with a message that names the seed and the plan.
+func (r chaosResult) fail(t *testing.T, format string, args ...any) {
+	t.Helper()
+	t.Fatalf("%s\n  seed=%d plan=%s", fmt.Sprintf(format, args...), r.seed, r.plan)
+}
+
+// chaosRuntime is what runChaos drives a cluster on.
+type chaosRuntime interface {
+	// attach starts h as node id.
+	attach(id msg.NodeID, h node.Handler)
+	// start installs the plan's fault injector and schedules its crashes.
+	start(plan faultplane.Plan)
+	// await runs the cluster until cond holds, or until the runtime gives
+	// up, and reports whether it holds.
+	await(cond func() bool) bool
+	// quiesce runs the cluster to the instant until after start.
+	quiesce(until time.Duration)
+	// stop ends the run: the replicas may be read after it.
+	stop()
+}
+
+// simRuntime is one simulated network: an await is 90 s of virtual time.
+type simRuntime struct {
+	net  *simnet.Network
+	seed int64
+}
+
+func newSimRuntime(_ *testing.T, seed int64) chaosRuntime {
+	net := simnet.New(seed, nil)
+	net.SetDefaultLink(simnet.NormalLatency{
+		Mean: 2 * time.Millisecond, Stddev: time.Millisecond, Min: 100 * time.Microsecond,
+	})
+	return simRuntime{net, seed}
+}
+
+func (s simRuntime) attach(id msg.NodeID, h node.Handler) { s.net.Attach(id, h) }
+
+func (s simRuntime) start(plan faultplane.Plan) {
+	s.net.SetFault(faultplane.NewInjector(s.seed, plan))
+	faultplane.ScheduleCrashes(s.net, s.net, plan)
+}
+
+func (s simRuntime) await(cond func() bool) bool {
+	s.net.Run(s.net.Now() + 90*time.Second)
+	return cond()
+}
+
+func (s simRuntime) quiesce(until time.Duration) { s.net.Run(until) }
+
+func (s simRuntime) stop() {}
+
+// runChaos runs one plan on the runtime newRuntime makes: two client
+// machines of four clients run their workload through the faults, then,
+// once the plan has quiesced, a settling machine's fresh traffic lets a
+// restarted or cut-off replica reach a new stable checkpoint and
+// state-transfer back in before the run is judged.
+func runChaos(t *testing.T, newRuntime func(*testing.T, int64) chaosRuntime, o chaosOpts) chaosResult {
 	t.Helper()
 
 	factory := app.NewStoreFactory()
@@ -92,103 +180,122 @@ func runChaos(t *testing.T, o chaosOpts) chaosResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := simnet.New(o.seed, nil)
-	net.SetDefaultLink(simnet.NormalLatency{
-		Mean: 2 * time.Millisecond, Stddev: time.Millisecond, Min: 100 * time.Microsecond,
-	})
+	res := chaosResult{seed: o.seed, plan: o.plan, byz: o.byz, cl: cl, hist: &faultplane.History{}}
+	observed := res.hist.Len // the one signal polled while a wall-clock run's goroutines are live
+	if o.fast {
+		res.tier = &faultplane.TieredHistory{}
+		observed = res.tier.Len
+	}
+
+	rt := newRuntime(t, o.seed)
 	for i, r := range cl.Replicas {
 		id := msg.NodeID(i)
+		var h node.Handler = r
 		if mode, ok := o.byz[id]; ok {
-			net.Attach(id, faultplane.NewByzantine(r, id, len(cl.Replicas), cl.Directory, mode))
-		} else {
-			net.Attach(id, r)
+			// The wrapper impersonates the compromised replica at message
+			// level; everything it emits crosses the runtime's transport.
+			h = faultplane.NewByzantine(r, id, len(cl.Replicas), cl.Directory, mode)
 		}
+		rt.attach(id, o.host(h))
 	}
-	net.SetFault(faultplane.NewInjector(o.seed, o.plan))
-	faultplane.ScheduleCrashes(net, net, o.plan)
+	rt.start(o.plan)
 
-	hist := &faultplane.History{}
-	var tier *faultplane.TieredHistory
-	if o.fast {
-		tier = &faultplane.TieredHistory{}
+	// machine attaches client machine 100+i. A fast machine of a
+	// fast-commit run takes speculative answers; the rest stay durable.
+	machine := func(i int, mc legacyclient.Config, fast bool) *legacyclient.Machine {
+		mc.Machine, mc.ServerPub, mc.Timeout, mc.Observe = msg.NodeID(100+i), cl.ServerPub, time.Second, res.hist.Observe
+		if o.fast {
+			mc.FastCommit, mc.Observe = fast, res.tier.ObserveFunc(fast)
+			if fast {
+				mc.ObserveTier = res.tier.ObserveTier
+			}
+		}
+		m := legacyclient.New(mc)
+		rt.attach(mc.Machine, o.host(m))
+		return m
 	}
-	const perMachine = 4
-	const opsPerClient = 8
+	const perMachine, opsPerClient = 4, 8
 	var machines []*legacyclient.Machine
 	for i := 0; i < 2; i++ {
-		mc := legacyclient.Config{
-			Machine:       msg.NodeID(100 + i),
+		machines = append(machines, machine(i, legacyclient.Config{
 			Clients:       perMachine,
 			FirstClientID: uint64(1000 * (i + 1)),
 			Replicas:      rotatedIDs(cl.ReplicaIDs(), i),
-			ServerPub:     cl.ServerPub,
 			Gen:           workload.KVGen{Keys: 5, ReadRatio: 0.6, ValueSize: 16},
 			MaxOps:        opsPerClient,
-			Timeout:       time.Second,
-			Observe:       hist.Observe,
-		}
-		if o.fast {
-			mc.FastCommit = true
-			mc.Observe = tier.ObserveFunc(true)
-			mc.ObserveTier = tier.ObserveTier
-		}
-		lc := legacyclient.New(mc)
-		machines = append(machines, lc)
-		net.Attach(msg.NodeID(100+i), lc)
+		}, true))
 	}
 
-	// Main phase: the workload runs through the fault schedule and well past
-	// its end (plans quiesce within ~2s of virtual time).
-	net.Run(90 * time.Second)
-
-	fail := func(format string, args ...any) {
-		t.Helper()
-		t.Fatalf("%s\n  seed=%d plan=%s",
-			fmt.Sprintf(format, args...), o.seed, o.plan)
+	// (c) Liveness: every operation completes once the faults stop.
+	mainOps := len(machines) * perMachine * opsPerClient
+	if !rt.await(func() bool { return observed() >= mainOps }) {
+		res.fail(t, "main workload: %d/%d operations observed", observed(), mainOps)
 	}
 
-	// (c) Liveness: every operation completed once the faults stopped.
-	for i, m := range machines {
-		if got, want := m.Done(), perMachine*opsPerClient; got != want {
-			fail("machine %d completed %d/%d operations", i, got, want)
-		}
-	}
-
-	// Settling phase: fresh traffic after the schedule ended lets a
-	// restarted replica reach a new stable checkpoint and state-transfer
-	// back in before convergence is judged.
-	sc := legacyclient.Config{
-		Machine:       102,
-		Clients:       2,
+	// A client can finish before the plan quiesces: replicas 0 and 1 alone
+	// form the f+1 reply quorum, so on the wall clock every operation can
+	// complete while a link still eats replica 2's commits. The settling
+	// traffic must run on a clean network, so that the checkpoints it
+	// generates, and the state transfer they trigger, reach a replica that
+	// was cut off mid-stream. It crosses a checkpoint boundary (interval 8)
+	// in ordered writes, so the generator is write-heavy: a lagging replica
+	// only catches up past entries whose commits it lost via a checkpoint
+	// that covers them. The settling machine stays on the durable tier: in
+	// a fast-commit run its reads cross tiers, durable clients observing
+	// fast-tier writes and repaired retractions, which is what the two-tier
+	// checker must validate.
+	rt.quiesce(o.plan.End() + 250*time.Millisecond)
+	const settleClients, settleOps = 2, 12
+	settle := machine(2, legacyclient.Config{
+		Clients:       settleClients,
 		FirstClientID: 9000,
 		Replicas:      cl.ReplicaIDs(),
-		ServerPub:     cl.ServerPub,
-		Gen:           workload.KVGen{Keys: 5, ReadRatio: 0.4, ValueSize: 16},
-		MaxOps:        10,
-		Timeout:       time.Second,
-		Observe:       hist.Observe,
+		Gen:           workload.KVGen{Keys: 5, ReadRatio: 0.2, ValueSize: 16},
+		MaxOps:        settleOps,
+	}, false)
+	if !rt.await(func() bool { return observed() >= mainOps+settleClients*settleOps }) {
+		res.fail(t, "settling workload: %d/%d operations observed", observed(), mainOps+settleClients*settleOps)
 	}
-	if o.fast {
-		// The settling machine stays on the durable tier, so the merged
-		// history exercises cross-tier reads: durable clients observing
-		// fast-tier writes (and repaired retractions) is exactly what the
-		// two-tier checker must validate.
-		sc.Observe = tier.ObserveFunc(false)
+	rt.stop()
+
+	for i, m := range machines {
+		if got, want := m.Done(), perMachine*opsPerClient; got != want {
+			res.fail(t, "machine %d completed %d/%d operations", i, got, want)
+		}
+		// Every speculative answer settled, confirmed or retracted and
+		// repaired: one still open means the durable tier never caught up.
+		if u := m.Unsettled(); u != 0 {
+			res.fail(t, "machine %d still holds %d unsettled speculative answers", i, u)
+		}
 	}
-	settle := legacyclient.New(sc)
-	net.Attach(102, settle)
-	net.Run(150 * time.Second)
-	if got, want := settle.Done(), 2*10; got != want {
-		fail("settling machine completed %d/%d operations", got, want)
+	if got, want := settle.Done(), settleClients*settleOps; got != want {
+		res.fail(t, "settling machine completed %d/%d operations", got, want)
 	}
-	if o.fast {
-		// Every speculative answer must have settled — confirmed or
-		// retracted-and-repaired — once the network quiesced; a retained
-		// speculation left open means the durable tier never caught up.
-		for i, m := range machines {
-			if u := m.Unsettled(); u != 0 {
-				fail("machine %d still holds %d unsettled speculative answers", i, u)
-			}
+
+	if o.expectViolation {
+		if err := faultplane.CheckLinearizable(res.hist.Ops()); err == nil {
+			res.fail(t, "collusion above f went undetected: %d-op history passed the linearizability check", res.hist.Len())
+		} else {
+			t.Logf("violation detected as required: %v", err)
+		}
+		return res
+	}
+	checkRun(t, res)
+	return res
+}
+
+// checkRun judges a finished run by invariants (a), (b), (d) and (e) of the
+// chaos suite. A replica the plan crashes and never restarts is left out of
+// (b), (d) and (e): it stopped where it crashed.
+func checkRun(t *testing.T, r chaosResult) {
+	t.Helper()
+	cl := r.cl
+	var live []int
+	for i := 0; i < cl.Config.N; i++ {
+		if !slices.ContainsFunc(r.plan.Crashes, func(c faultplane.CrashEvent) bool {
+			return c.Node == msg.NodeID(i) && c.RestartAt == 0
+		}) {
+			live = append(live, i)
 		}
 	}
 
@@ -196,69 +303,59 @@ func runChaos(t *testing.T, o chaosOpts) chaosResult {
 	// runs use the two-tier checker: retractions attributed and repaired,
 	// confirmed speculations ratified by identical durable results, and the
 	// merged cross-tier history linearizable at speculative response times.
-	if o.fast {
-		if err := faultplane.CheckTiered(tier.TierOps()); err != nil {
-			fail("two-tier history check failed: %v", err)
+	if r.tier != nil {
+		if err := faultplane.CheckTiered(r.tier.TierOps()); err != nil {
+			r.fail(t, "two-tier history check failed: %v", err)
 		}
-	} else {
-		err = faultplane.CheckLinearizable(hist.Ops())
-		if o.expectViolation {
-			if err == nil {
-				fail("collusion above f went undetected: %d-op history passed the linearizability check", hist.Len())
-			}
-			t.Logf("violation detected as required: %v", err)
-			return chaosResult{cl, hist, tier}
-		}
-		if err != nil {
-			fail("history not linearizable: %v", err)
-		}
+	} else if err := faultplane.CheckLinearizable(r.hist.Ops()); err != nil {
+		r.fail(t, "history not linearizable: %v", err)
 	}
 
-	// (b) Convergence: every replica ends at the same application state
-	// (crashed replicas restarted before quiesce and must have caught up).
-	digest0 := app.StateDigest(cl.App(0))
-	for i := 1; i < cl.Config.N; i++ {
-		if app.StateDigest(cl.App(i)) != digest0 {
-			fail("replica %d state diverged from replica 0 after heal", i)
+	// (b) Convergence: every live replica ends at the same application
+	// state (a replica crashed and restarted must have caught up).
+	want := app.StateDigest(cl.App(live[0]))
+	for _, i := range live[1:] {
+		if app.StateDigest(cl.App(i)) != want {
+			for _, j := range live {
+				c := cl.Replicas[j].Core()
+				t.Logf("replica %d: exec=%d metrics=%+v", j, c.LastExecuted(), c.Metrics())
+			}
+			r.fail(t, "replica %d state diverged from replica %d after heal", i, live[0])
 		}
 	}
 
 	// (d) No correct-peer certificate rejected: rejections may only be
 	// attributed to Byzantine replicas.
-	for i := 0; i < cl.Config.N; i++ {
-		if _, bad := o.byz[msg.NodeID(i)]; bad {
+	for _, i := range live {
+		if _, bad := r.byz[msg.NodeID(i)]; bad {
 			continue
 		}
 		for j := 0; j < cl.Config.N; j++ {
-			if _, bad := o.byz[msg.NodeID(j)]; bad || i == j {
+			if _, bad := r.byz[msg.NodeID(j)]; bad || i == j {
 				continue
 			}
 			if rej := cl.Replicas[i].Core().RejectedCertsFrom(msg.NodeID(j)); rej != 0 {
-				fail("replica %d rejected %d certificates from correct replica %d", i, rej, j)
+				r.fail(t, "replica %d rejected %d certificates from correct replica %d", i, rej, j)
 			}
 		}
 	}
-	// (e) On a run with no Byzantine replica and no corrupting link, every
-	// certificate a replica receives verifies: an unverified one there is a
-	// correct replica certifying something other than what it sent.
-	if len(o.byz) == 0 && !corrupts(o.plan) {
-		expectNoUnverifiedCerts(t, fail, cl)
+
+	// (e) No Byzantine replica and no corrupting link: every certificate
+	// verifies — an unverified one is a correct replica certifying
+	// something other than what it sent — and every envelope passes
+	// transport authentication and decodes: a runtime that delivered a body
+	// other than the one sent (another envelope's, or one overwritten since)
+	// fails here even where the history survives it.
+	if len(r.byz) > 0 || slices.ContainsFunc(r.plan.Links, func(lf faultplane.LinkFault) bool { return lf.CorruptP > 0 }) {
+		return
 	}
-	return chaosResult{cl, hist, tier}
-}
-
-// corrupts reports whether any link of plan may corrupt a message.
-func corrupts(plan faultplane.Plan) bool {
-	return slices.ContainsFunc(plan.Links, func(lf faultplane.LinkFault) bool { return lf.CorruptP > 0 })
-}
-
-// expectNoUnverifiedCerts fails unless every replica of cl verified every
-// PREPARE and COMMIT certificate it received.
-func expectNoUnverifiedCerts(t *testing.T, fail func(string, ...any), cl *Cluster) {
-	t.Helper()
-	for i := 0; i < cl.Config.N; i++ {
+	for _, i := range live {
 		if n := cl.Replicas[i].Core().Metrics().UnverifiedCerts; n != 0 {
-			fail("replica %d dropped %d unverified certificates on a run that corrupts nothing", i, n)
+			r.fail(t, "replica %d dropped %d unverified certificates on a run that corrupts nothing", i, n)
+		}
+		if s := cl.Replicas[i].Stats(); s.BadMACs != 0 || s.BadBatches != 0 {
+			r.fail(t, "replica %d dropped %d envelopes as bad MACs and cut %d reply batches short on a run that corrupts nothing",
+				i, s.BadMACs, s.BadBatches)
 		}
 	}
 }
@@ -273,7 +370,7 @@ func TestChaosNetworkFaults(t *testing.T) {
 	}
 	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runChaos(t, chaosOpts{seed: seed, plan: networkFaultsPlan(seed)})
+			runChaos(t, newSimRuntime, chaosOpts{seed: seed, plan: networkFaultsPlan(seed)})
 		})
 	}
 }
@@ -291,7 +388,7 @@ func TestChaosByzantineReplica(t *testing.T) {
 		// Replica 1 executes every request incorrectly; its own Troxy tags
 		// the wrong results, so they pass tag verification and must be
 		// outvoted by the f+1 matching-reply rule.
-		res := runChaos(t, chaosOpts{seed: 21, wrongExec: map[int]string{1: "#byz"}})
+		res := runChaos(t, newSimRuntime, chaosOpts{seed: 21, wrongExec: map[int]string{1: "#byz"}})
 		votes := uint64(0)
 		for i := 0; i < 3; i++ {
 			votes += res.cl.TroxyStats(i).VotesCompleted
@@ -304,7 +401,7 @@ func TestChaosByzantineReplica(t *testing.T) {
 	t.Run("corrupt-replies", func(t *testing.T) {
 		// Replica 1's host tampers with ordered replies after tagging; the
 		// voting Troxys must drop them on tag verification.
-		res := runChaos(t, chaosOpts{
+		res := runChaos(t, newSimRuntime, chaosOpts{
 			seed: 22,
 			byz:  map[msg.NodeID]faultplane.Behavior{1: faultplane.CorruptReplies},
 		})
@@ -321,7 +418,7 @@ func TestChaosByzantineReplica(t *testing.T) {
 		// Replica 1 re-sends each client's previous (authentically tagged)
 		// reply alongside the current one; the voter's request-digest
 		// binding must keep stale results out of the history.
-		runChaos(t, chaosOpts{
+		runChaos(t, newSimRuntime, chaosOpts{
 			seed: 23,
 			byz:  map[msg.NodeID]faultplane.Behavior{1: faultplane.ReplayStaleReplies},
 		})
@@ -332,7 +429,7 @@ func TestChaosByzantineReplica(t *testing.T) {
 		// replica it is not addressed to. The cache exchange has no transport
 		// MAC; the tags name the addressee, and the other Troxy must reject
 		// the copies rather than answer or count them.
-		res := runChaos(t, chaosOpts{
+		res := runChaos(t, newSimRuntime, chaosOpts{
 			seed: 26,
 			byz:  map[msg.NodeID]faultplane.Behavior{1: faultplane.MisdirectCacheMessages},
 		})
@@ -347,7 +444,7 @@ func TestChaosByzantineReplica(t *testing.T) {
 		// while staying honest toward the rest; replica 2 must drop the
 		// mutations, whose certificates no longer verify and so name nobody,
 		// and the protocol must stay live on honest traffic.
-		res := runChaos(t, chaosOpts{
+		res := runChaos(t, newSimRuntime, chaosOpts{
 			seed: 24,
 			byz:  map[msg.NodeID]faultplane.Behavior{1: faultplane.EquivocateCerts},
 		})
@@ -361,7 +458,7 @@ func TestChaosByzantineReplica(t *testing.T) {
 		// the followers' check of the leader's counter certificate and dies
 		// there — counted as unverified, blaming nobody — and no follower
 		// counts a bad MAC on the clean network.
-		res := runChaos(t, chaosOpts{
+		res := runChaos(t, newSimRuntime, chaosOpts{
 			seed: 25,
 			byz:  map[msg.NodeID]faultplane.Behavior{0: faultplane.EquivocatePrepares},
 		})
@@ -390,18 +487,6 @@ func expectUnverifiedOnlyAt(t *testing.T, cl *Cluster, byz msg.NodeID, targets .
 			if rej := cl.Replicas[i].Core().RejectedCertsFrom(msg.NodeID(j)); rej != 0 {
 				t.Errorf("replica %d blamed replica %d for %d certificates", i, j, rej)
 			}
-		}
-	}
-}
-
-// expectCleanTransport fails a run in which a replica dropped an envelope as a
-// bad MAC or cut a reply batch short: with no Byzantine replica and no
-// corrupting link, everything a replica is delivered was sent as it arrives.
-func expectCleanTransport(fail func(string, ...any), cl *Cluster) {
-	for i := 0; i < cl.Config.N; i++ {
-		if s := cl.Replicas[i].Stats(); s.BadMACs != 0 || s.BadBatches != 0 {
-			fail("replica %d dropped %d envelopes as bad MACs and cut %d reply batches short on a run that corrupts nothing",
-				i, s.BadMACs, s.BadBatches)
 		}
 	}
 }
@@ -436,7 +521,7 @@ func TestChaosFastCommitSpeculationLoss(t *testing.T) {
 	}
 	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			res := runChaos(t, chaosOpts{
+			res := runChaos(t, newSimRuntime, chaosOpts{
 				seed: seed,
 				fast: true,
 				plan: speculationLossPlan,
@@ -486,7 +571,7 @@ func TestChaosSeedsReplay(t *testing.T) {
 				}
 				return res.hist.Ops()
 			}
-			if first, second := ops(runChaos(t, o)), ops(runChaos(t, o)); !reflect.DeepEqual(first, second) {
+			if first, second := ops(runChaos(t, newSimRuntime, o)), ops(runChaos(t, newSimRuntime, o)); !reflect.DeepEqual(first, second) {
 				t.Fatal("two runs of one plan observed different histories")
 			}
 		})
@@ -501,7 +586,7 @@ func TestChaosSeedsReplay(t *testing.T) {
 // blaming nobody), the mutated speculative replies on tag verification, and
 // the two-tier history must still check out.
 func TestChaosByzantineLeaderFastEquivocation(t *testing.T) {
-	res := runChaos(t, chaosOpts{
+	res := runChaos(t, newSimRuntime, chaosOpts{
 		seed: 43,
 		fast: true,
 		byz: map[msg.NodeID]faultplane.Behavior{
@@ -530,7 +615,7 @@ func TestChaosByzantineLeaderFastEquivocation(t *testing.T) {
 // prevent that — and the linearizability checker MUST catch it. A checker
 // that passes here would be vacuous.
 func TestChaosCollusionBeyondFDetected(t *testing.T) {
-	runChaos(t, chaosOpts{
+	runChaos(t, newSimRuntime, chaosOpts{
 		seed:            31,
 		wrongExec:       map[int]string{1: "#byz", 2: "#byz"},
 		expectViolation: true,

@@ -7,7 +7,8 @@
 //	go build ./...        a mutant that does not compile is a catalogue error
 //	troxy-lint ./...      every analyzer that reports is recorded
 //	go vet ./...
-//	go test ./...         every failing test is recorded (tier 1), except
+//	go test ./...         every failing test is recorded (tier 1), and its
+//	                      last 15 output lines logged, except
 //	                      internal/mutate's own, which hold the catalogue
 //	                      to the unmutated tree
 //
@@ -24,6 +25,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"log"
@@ -45,17 +47,11 @@ func main() {
 }
 
 func run(ids []string) error {
-	mutants := mutate.Catalogue
-	if len(ids) > 0 {
-		mutants = nil
-		for _, m := range mutate.Catalogue {
-			if slices.Contains(ids, m.ID) {
-				mutants = append(mutants, m)
-			}
-		}
-		if len(mutants) != len(ids) {
-			return fmt.Errorf("unknown mutant among %v", ids)
-		}
+	mutants := slices.DeleteFunc(slices.Clone(mutate.Catalogue), func(m mutate.Mutant) bool {
+		return len(ids) > 0 && !slices.Contains(ids, m.ID)
+	})
+	if len(ids) > 0 && len(mutants) != len(ids) {
+		return fmt.Errorf("unknown mutant among %v", ids)
 	}
 
 	tmp, err := os.MkdirTemp("", "troxy-mutate-")
@@ -75,8 +71,9 @@ func run(ids []string) error {
 	}
 
 	soleKills := make(map[string][]string) // analyzer -> behavioural mutants only it killed
-	var broken []string
+	var broken, analyzers []string         // analyzers: every one a mutant aims at or that killed one alone
 	for _, m := range mutants {
+		analyzers = append(analyzers, m.Aims...)
 		restore, err := m.Apply(tmp)
 		if err != nil {
 			return err
@@ -95,29 +92,18 @@ func run(ids []string) error {
 		}
 		if m.Equivalent == "" && len(res.lint) == 1 && !res.vet && len(res.tests) == 0 && len(res.late) == 0 {
 			soleKills[res.lint[0]] = append(soleKills[res.lint[0]], m.ID)
+			analyzers = append(analyzers, res.lint[0])
 		}
 	}
 	fmt.Println()
-	for _, a := range analyzers(mutants, soleKills) {
+	slices.Sort(analyzers)
+	for _, a := range slices.Compact(analyzers) {
 		fmt.Printf("%s | sole killer of: %s\n", a, list(soleKills[a]))
 	}
 	if len(broken) > 0 {
 		return fmt.Errorf("catalogue entries that no gate could judge: %s", list(broken))
 	}
 	return nil
-}
-
-// analyzers is every analyzer a mutant aims at or that killed one alone.
-func analyzers(mutants []mutate.Mutant, soleKills map[string][]string) []string {
-	var names []string
-	for _, m := range mutants {
-		names = append(names, m.Aims...)
-	}
-	for a := range soleKills {
-		names = append(names, a)
-	}
-	slices.Sort(names)
-	return slices.Compact(names)
 }
 
 func list(s []string) string {
@@ -198,7 +184,11 @@ func (t *tree) gates(baseline bool) result {
 	}
 	pkgs := slices.DeleteFunc(strings.Fields(string(out)), func(p string) bool { return strings.HasSuffix(p, "/internal/mutate") })
 	out, _ = t.run("go", append([]string{"test", "-json", "-timeout", "5m"}, pkgs...)...)
-	r.tests = failedTests(out)
+	var said map[string][]string
+	r.tests, said = failedTests(out)
+	for _, name := range r.tests {
+		log.Printf("%s:\n%s", name, strings.Join(said[name], ""))
+	}
 
 	if baseline || (!r.vet && len(r.tests) == 0) {
 		for _, target := range []string{"bench-quick", "chaos", "soak-quick"} {
@@ -219,39 +209,46 @@ func (t *tree) fails(target string) bool {
 		return false
 	}
 	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
-	log.Printf("make %s: %v\n%s", target, err, strings.Join(lines[max(0, len(lines)-15):], "\n"))
+	log.Printf("make %s: %v\n%s", target, err, strings.Join(tail(lines), "\n"))
 	return true
 }
 
+// tail is the last 15 of lines: what a failure said last.
+func tail(lines []string) []string { return lines[max(0, len(lines)-15):] }
+
 // failedTests extracts the failing tests from `go test -json` output: the
 // top-level test names, and the package alone where it failed outside any test
-// (a panic, a timeout, a build failure of the test binary).
-func failedTests(out []byte) []string {
-	var names []string
+// (a panic, a timeout, a build failure of the test binary). said holds, for
+// each, the last lines it printed, its subtests' included.
+func failedTests(out []byte) (names []string, said map[string][]string) {
+	printed := make(map[string][]string)
 	inPkg := make(map[string]bool)
 	sc := bufio.NewScanner(bytes.NewReader(out))
 	sc.Buffer(nil, 1<<24)
 	for sc.Scan() {
-		var ev struct{ Action, Package, Test string }
-		if json.Unmarshal(sc.Bytes(), &ev) != nil || ev.Action != "fail" {
+		var ev struct{ Action, Package, Test, Output string }
+		if json.Unmarshal(sc.Bytes(), &ev) != nil {
 			continue
 		}
-		pkg := strings.TrimPrefix(ev.Package, "github.com/troxy-bft/troxy")
-		if pkg = strings.TrimPrefix(pkg, "/"); pkg == "" {
-			pkg = "."
-		}
+		pkg := cmp.Or(strings.TrimPrefix(strings.TrimPrefix(ev.Package, "github.com/troxy-bft/troxy"), "/"), ".")
+		top, _, _ := strings.Cut(cmp.Or(ev.Test, "(package)"), "/")
+		name := pkg + ":" + top
 		switch {
-		case ev.Test == "":
-			if !inPkg[pkg] {
-				names = append(names, pkg+":(package)")
-			}
-		case !strings.Contains(ev.Test, "/"):
-			names = append(names, pkg+":"+ev.Test)
+		case ev.Action == "output":
+			printed[name] = append(printed[name], ev.Output)
+		case ev.Action == "fail" && ev.Test != "": // a subtest's failure names its top-level test
+			names = append(names, name)
 			inPkg[pkg] = true
+		case ev.Action == "fail" && !inPkg[pkg]:
+			names = append(names, name)
 		}
 	}
 	slices.Sort(names)
-	return slices.Compact(names)
+	said = make(map[string][]string)
+	for _, name := range names {
+		said[name] = tail(printed[name])
+	}
+	return slices.Compact(names), said
 }
 
 func firstLine(b []byte) string {

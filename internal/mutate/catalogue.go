@@ -237,6 +237,12 @@ var Catalogue = []Mutant{
 		New:   "		item := mailboxItem{env: *e}\n",
 	},
 	{
+		ID: "realnet-mailbox-keeps-delivered-slot", File: "internal/realnet/realnet.go",
+		Fault: "the mailbox leaves a delivered item in its slot, so the array keeps the pooled writer, back in the pool and refilled by the next delivery, until the slot is reused",
+		Old:   "		n.queue[n.head] = mailboxItem{}\n",
+		New:   "",
+	},
+	{
 		ID: "simnet-send-shares-body", File: "internal/simnet/simnet.go",
 		Fault: "a queued simulated delivery copies the sender's header but keeps its body and MAC, which the sender reuses the moment Send returns",
 		Old:   "	ev := &event{at: at, kind: evDeliver, to: env.To, env: *env, buf: wire.GetWriter()}\n	faultplane.CopyEnvelope(ev.buf, &ev.env)\n",

@@ -77,7 +77,8 @@ func sendWithFinalizer(r *Router, collected chan struct{}) {
 
 // TestMailboxLetsGoOfDeliveredEnvelopes: a sent envelope's body is the
 // garbage collector's by the time its delivery has returned, however much
-// traffic is still queued behind it in the same array.
+// traffic is still queued behind it in the same array, and the mailbox slot
+// it was delivered from holds nothing of the copy the mailbox made.
 func TestMailboxLetsGoOfDeliveredEnvelopes(t *testing.T) {
 	r := NewRouter()
 	defer r.Close()
@@ -97,7 +98,19 @@ func TestMailboxLetsGoOfDeliveredEnvelopes(t *testing.T) {
 	if id := <-recv.seen; id != 1 {
 		t.Fatalf("second delivery is envelope %d", id)
 	}
-	// The second envelope is being delivered and sixty-two wait behind it.
+	// The second envelope is being delivered and sixty-two wait behind it:
+	// the slots of the two taken out hold neither a pooled writer nor the
+	// bytes in it.
+	r.mu.Lock()
+	n := r.nodes[1]
+	r.mu.Unlock()
+	n.mu.Lock()
+	for i, item := range n.queue[:n.head] {
+		if item.buf != nil || item.env.Body != nil {
+			t.Errorf("mailbox slot %d still holds the envelope delivered from it", i)
+		}
+	}
+	n.mu.Unlock()
 	reclaimed := false
 	for i := 0; i < 200 && !reclaimed; i++ {
 		runtime.GC()

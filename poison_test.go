@@ -372,7 +372,7 @@ func TestSentEnvelopesAreNotRetained(t *testing.T) {
 		})
 	}
 	t.Run("bridge", func(t *testing.T) {
-		res := runChaosRealnet(t, chaosRealnetOpts{seed: 31, plan: delayAndDuplicate, lendSends: true})
+		res := runChaos(t, newWallRuntime, chaosOpts{seed: 31, plan: delayAndDuplicate, lendSends: true})
 		expectNoBadMACs(t, res.cl, 0, 1, 2)
 	})
 }
@@ -408,7 +408,7 @@ func TestDecodedOrderingMessagesAreNotRetained(t *testing.T) {
 		})
 	}
 	t.Run("bridge", func(t *testing.T) {
-		res := runChaosRealnet(t, chaosRealnetOpts{seed: 31, plan: delayAndOvertake, poisonDecodes: true})
+		res := runChaos(t, newWallRuntime, chaosOpts{seed: 31, plan: delayAndOvertake, poisonDecodes: true})
 		expectNoBadMACs(t, res.cl, 0, 1, 2)
 	})
 }
