@@ -127,9 +127,12 @@ copy-gate:
 # real path (gateway, secure channel, ecalls, ordering, execution, reply),
 # every allocation sampled: where the next round of the allocation budget
 # goes, without patching bench/ to get a profile. ALLOCS_BENCH picks the
-# benchmark: EndToEndKV (the default) is a lone client's PUTs, EndToEndKVRead
-# its GETs of one key, which are fast reads (`make allocs-top
-# ALLOCS_BENCH=EndToEndKVRead`). The test binary and the profile land in bin/.
+# benchmark: EndToEndKV (the default) is a lone client's PUTs, each of which
+# cuts its own batch; EndToEndKVRead its GETs of one key, which are fast
+# reads; EndToEndKVBatched is write_small's shape — 32 clients on one machine
+# writing 128 bytes, batch 16 / 1 ms, depth 4 — whose writes share batches
+# (`make allocs-top ALLOCS_BENCH=EndToEndKVBatched`). The test binary and the
+# profile land in bin/.
 ALLOCS_BENCH := EndToEndKV
 
 allocs-top:

@@ -68,10 +68,12 @@ func (g *readGen) Next(r *rand.Rand) workload.Op {
 // writeAllocCeiling is the budget of TestWriteAllocBudget: heap allocations
 // per completed 128-byte PUT, everything included (three replicas, their
 // enclaves, the client machine and the simulator's own events — about ten of
-// them). The tree measures 15.55, the same on every run; the ceiling is the
+// them). The tree measures 12.70, the same on every run; the ceiling is the
 // least integer above that, so one more allocation a write fails it. The
-// commit before Send copied the bytes it is lent (and senders stopped
-// allocating bodies) measured 18.77 (ceiling 19), the one before an ecall
+// commit before ordering copied what it keeps into one slab per core (and an
+// ecall lent its submits) measured 15.55 (ceiling 16), the one before Send
+// copied the bytes it is lent (and senders stopped allocating bodies) 18.77
+// (ceiling 19), the one before an ecall
 // lent its client records and a host MAC shared its body's allocation
 // measured 20.43 (ceiling 23), the one before ordering
 // decoded into structs the replica owns (and the log entry held its batch,
@@ -84,17 +86,18 @@ func (g *readGen) Next(r *rand.Rand) workload.Op {
 // Submit kept the request it is given 40.1, the one before crossings copied
 // into memory their hop owns 64.1, the one before replies were batched 100.9,
 // the one before the copy-once request path 222.6.
-const writeAllocCeiling = 16.0
+const writeAllocCeiling = 13.0
 
 // loneWriteAllocCeiling is the budget of TestLoneWriteAllocBudget: the same
 // count with one client, so every batch holds one request and nothing of a
-// sequence number's cost is shared. The tree measures 55.00 (55.06 when a
-// collection empties a writer pool mid-window), and the ceiling sits half an
-// allocation above that (the commit before Send copied the bytes it is lent
-// measured 62.04, ceiling 63; the one before an ecall lent its client records
-// 63.04, ceiling 65; the one before ordering decoded into structs the replica
-// owns 88.1).
-const loneWriteAllocCeiling = 55.5
+// sequence number's cost is shared. The tree measures 49.04, and the ceiling
+// sits half an allocation above that (the commit before ordering copied what
+// it keeps into one slab per core measured 55.00, 55.06 when a collection
+// emptied a writer pool mid-window, ceiling 55.5; the one before Send copied
+// the bytes it is lent 62.04, ceiling 63; the one before an ecall lent its
+// client records 63.04, ceiling 65; the one before ordering decoded into
+// structs the replica owns 88.1).
+const loneWriteAllocCeiling = 49.5
 
 // fastReadAllocCeiling is the budget of TestFastReadAllocBudget: heap
 // allocations per completed 128-byte fast read, counted as the write budgets

@@ -10,8 +10,11 @@ package troxy_test
 //	go run ./cmd/troxy-bench all        # full-scale reproduction
 
 import (
+	"fmt"
 	"io"
+	"math/rand"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,6 +24,7 @@ import (
 	"github.com/troxy-bft/troxy/internal/legacyclient"
 	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/realnet"
+	"github.com/troxy-bft/troxy/internal/workload"
 )
 
 // benchExperiment runs one evaluation experiment per iteration and dumps its
@@ -133,3 +137,67 @@ func endToEndKV(b *testing.B, op []byte, read bool) {
 }
 
 func netListen() (net.Listener, error) { return net.Listen("tcp", "127.0.0.1:0") }
+
+// BenchmarkEndToEndKVBatched is the wall-clock benchmark's write_small shape
+// on the real runtime: 32 logical clients on one client machine write 128-byte
+// values over 1024 keys to a cluster that cuts a batch at 16 requests or
+// 1 ms, four batches in flight, so writes share batches as they do there —
+// what a profile of a lone client's writes (BenchmarkEndToEndKV), each of
+// which cuts its own batch, cannot show. b.N operations are spread over the
+// clients. `make allocs-top ALLOCS_BENCH=EndToEndKVBatched` profiles it.
+func BenchmarkEndToEndKVBatched(b *testing.B) {
+	const clients = 32
+	cluster, err := troxy.NewCluster(troxy.ClusterConfig{
+		Mode:          troxy.ETroxy,
+		App:           app.NewStoreFactory(),
+		Classify:      app.NewStore().IsRead,
+		FastReads:     true,
+		BatchSize:     16,
+		BatchDelay:    time.Millisecond,
+		PipelineDepth: 4,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	router := realnet.NewRouter()
+	defer router.Close()
+	cluster.Attach(router)
+
+	perClient := (b.N + clients - 1) / clients
+	m := legacyclient.New(legacyclient.Config{
+		Machine: 100, Clients: clients, FirstClientID: 1000,
+		Replicas: cluster.ReplicaIDs(), ServerPub: cluster.ServerPub,
+		Gen: newCyclicPuts(1024, 128), Timeout: 10 * time.Second, MaxOps: perClient,
+	})
+	b.ResetTimer()
+	router.Attach(100, m)
+	deadline := time.Now().Add(time.Minute + time.Duration(b.N)*time.Millisecond)
+	for m.Done() < clients*perClient {
+		if time.Now().After(deadline) {
+			b.Fatalf("%d of %d operations completed", m.Done(), clients*perClient)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// cyclicPuts hands out prebuilt PUTs of its keys in turn, so the generator
+// itself allocates nothing while a benchmark runs.
+type cyclicPuts struct {
+	ops  []workload.Op
+	next int
+}
+
+func newCyclicPuts(keys, valueSize int) *cyclicPuts {
+	g := &cyclicPuts{}
+	value := strings.Repeat("v", valueSize)
+	for k := range keys {
+		g.ops = append(g.ops, workload.Op{Op: []byte(fmt.Sprintf("PUT key-%04d %s", k, value))})
+	}
+	return g
+}
+
+func (g *cyclicPuts) Next(*rand.Rand) workload.Op {
+	op := g.ops[g.next%len(g.ops)]
+	g.next++
+	return op
+}

@@ -185,7 +185,9 @@ func (t *tree) gates(baseline bool) result {
 	pkgs := slices.DeleteFunc(strings.Fields(string(out)), func(p string) bool { return strings.HasSuffix(p, "/internal/mutate") })
 	out, _ = t.run("go", append([]string{"test", "-json", "-timeout", "5m"}, pkgs...)...)
 	var said map[string][]string
-	r.tests, said = failedTests(out)
+	if r.tests, said, err = failedTests(out); err != nil {
+		return result{broken: true, note: "tier-1: " + err.Error()}
+	}
 	for _, name := range r.tests {
 		log.Printf("%s:\n%s", name, strings.Join(said[name], ""))
 	}
@@ -219,8 +221,10 @@ func tail(lines []string) []string { return lines[max(0, len(lines)-15):] }
 // failedTests extracts the failing tests from `go test -json` output: the
 // top-level test names, and the package alone where it failed outside any test
 // (a panic, a timeout, a build failure of the test binary). said holds, for
-// each, the last lines it printed, its subtests' included.
-func failedTests(out []byte) (names []string, said map[string][]string) {
+// each, the last lines it printed, its subtests' included. Output it cannot
+// read to the end (a line longer than its buffer) is an error, not a shorter
+// list: the failures after that line would go unnamed.
+func failedTests(out []byte) (names []string, said map[string][]string, err error) {
 	printed := make(map[string][]string)
 	inPkg := make(map[string]bool)
 	sc := bufio.NewScanner(bytes.NewReader(out))
@@ -243,12 +247,15 @@ func failedTests(out []byte) (names []string, said map[string][]string) {
 			names = append(names, name)
 		}
 	}
+	if err := sc.Err(); err != nil {
+		return nil, nil, fmt.Errorf("reading go test -json: %w", err)
+	}
 	slices.Sort(names)
 	said = make(map[string][]string)
 	for _, name := range names {
 		said[name] = tail(printed[name])
 	}
-	return slices.Compact(names), said
+	return slices.Compact(names), said, nil
 }
 
 func firstLine(b []byte) string {

@@ -57,7 +57,10 @@ func TestFailedTestsKeepWhatTheySaid(t *testing.T) {
 		[4]string{"fail", "", "TestSoakLargeState", ""},
 	)
 	out := append(jsonStream(t, events...), "not json\n"...)
-	names, said := failedTests(out)
+	names, said, err := failedTests(out)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if w := []string{".:TestSoakLargeState", "internal/a:TestChaos", "internal/b:(package)"}; !reflect.DeepEqual(names, w) {
 		t.Fatalf("failing tests %q, want %q", names, w)
 	}
@@ -67,5 +70,22 @@ func TestFailedTestsKeepWhatTheySaid(t *testing.T) {
 	}
 	if got := said["internal/b:(package)"]; !reflect.DeepEqual(got, []string{"panic: boom\n"}) {
 		t.Errorf("the package failure said %q, want its panic", got)
+	}
+}
+
+// TestFailedTestsReportsWhatItCannotRead: a line longer than the scanner's
+// buffer ends the scan; the failures after it must not be dropped without a
+// word, so the stream is reported unreadable instead of its failures listed
+// short.
+func TestFailedTestsReportsWhatItCannotRead(t *testing.T) {
+	out := jsonStream(t, [4]string{"fail", "internal/a", "TestBefore", ""})
+	out = append(out, strings.Repeat("x", 1<<24+1)+"\n"...)
+	out = append(out, jsonStream(t, [4]string{"fail", "internal/b", "TestAfter", ""})...)
+	names, _, err := failedTests(out)
+	if err == nil {
+		t.Fatalf("an over-long line went unreported; the failing tests read %q", names)
+	}
+	if !strings.Contains(err.Error(), "too long") {
+		t.Errorf("the error %q does not say the line was too long", err)
 	}
 }

@@ -413,8 +413,13 @@ type Core struct {
 	queued []*msg.OrderRequest
 
 	// fwd is the FORWARD every Submit sends: Outbound.Send is done with it
-	// when it returns.
-	fwd msg.Forward
+	// when it returns. fwdOp holds the operation of one that re-sends an
+	// executed request, which the core keeps nowhere else.
+	fwd   msg.Forward
+	fwdOp []byte
+
+	// slab is where the requests ordering keeps are copied to (keep).
+	slab slab
 
 	// batchBuf accumulates requests on the leader until the batch is cut
 	// (full, or the BatchDelay timer fires); each batch cut from it keeps its
@@ -611,34 +616,38 @@ func (c *Core) chargeCounterOp(env node.Env) {
 
 // Submit hands a client request to the ordering protocol. Origin must be set
 // to the node that votes over the replies. Duplicate requests (same client,
-// same or older sequence number) are answered from the reply cache. The core
-// keeps req — the progress watch, the batch accumulator and the log entry it
-// is ordered in share its operation bytes — so the caller gives it up: it owns
-// req's bytes when it calls (a copy-out of the ecall boundary does; an
-// operation decoded by view is copied by whoever submits it) and neither reads
-// nor writes req afterwards.
+// same or older sequence number) are answered from the reply cache. Submit
+// copies what it keeps into the slab (keep) — the progress watch, the batch
+// accumulator and the log entry the request is ordered in then share the
+// copy — so req stays the caller's: it may be a view of memory the caller
+// reuses once Submit returns (a Troxy call's result, a delivered envelope).
+// Submit reads req only before the first Outbound call it makes, which may
+// reuse that memory (a replayed reply is voted in the caller's Troxy).
 func (c *Core) Submit(env node.Env, req *msg.OrderRequest) {
 	if rec, ok := c.clients[req.Client]; ok && req.ClientSeq <= rec.lastSeq {
 		if req.ClientSeq == rec.lastSeq {
 			// Retransmission: replay the cached reply locally, and let the
 			// peers replay theirs too — the origin's voter needs f+1 fresh
-			// replies, not just ours.
-			c.out.Committed(env, rec.seq, req, rec.result, rec.keys, rec.read, false)
+			// replies, not just ours. Both go out from the FORWARD, which
+			// the core owns: the replay's vote calls the caller's Troxy.
 			c.fwd.Req = *req
+			c.fwdOp = append(c.fwdOp[:0], req.Op...)
+			c.fwd.Req.Op = c.fwdOp
+			c.out.Committed(env, rec.seq, &c.fwd.Req, rec.result, rec.keys, rec.read, false)
 			c.broadcast(env, &c.fwd)
 		}
 		return
 	}
 	if c.inVC {
-		c.queued = append(c.queued, req)
+		c.queued = append(c.queued, c.keep(req))
 		return
 	}
 	digest := req.Digest()
 	env.Charge(c.cfg.Profile, node.ChargeHash, len(req.Op))
 	// The progress watch holds the request; on the leader the batch
-	// accumulator shares it. A retransmission finds it already there, and
-	// must not reset the suspicion deadline either — a dead leader would
-	// never be suspected while the client keeps retrying.
+	// accumulator shares it. A retransmission finds it already there — not
+	// to be copied again, nor to reset the suspicion deadline: a dead leader
+	// would never be suspected while the client keeps retrying.
 	var held *msg.OrderRequest
 	for h := range c.pendingLocal[idOf(req)].all() {
 		if h.Digest() == digest {
@@ -647,7 +656,7 @@ func (c *Core) Submit(env node.Env, req *msg.OrderRequest) {
 		}
 	}
 	if held == nil {
-		held = req
+		held = c.keep(req)
 		c.watchProgress(env, held)
 	}
 	if c.IsLeader() {
@@ -998,8 +1007,9 @@ func (c *Core) getEntry(seq uint64) *entry {
 }
 
 // OnForward handles a request forwarded by a follower. fwd is a view of the
-// delivered envelope, valid for the call: the request is copied where it is
-// kept.
+// delivered envelope, valid for the call: what is kept of it is copied into
+// the slab — the request (keep), or, where the batch accumulator keeps it by
+// value, its operation.
 func (c *Core) OnForward(env node.Env, from msg.NodeID, fwd *msg.Forward) {
 	req := &fwd.Req
 	if rec, ok := c.clients[req.Client]; ok && req.ClientSeq <= rec.lastSeq {
@@ -1009,7 +1019,7 @@ func (c *Core) OnForward(env node.Env, from msg.NodeID, fwd *msg.Forward) {
 		return
 	}
 	if c.inVC {
-		c.queued = append(c.queued, req.Clone())
+		c.queued = append(c.queued, c.keep(req))
 		return
 	}
 	if !c.IsLeader() {
@@ -1018,7 +1028,9 @@ func (c *Core) OnForward(env node.Env, from msg.NodeID, fwd *msg.Forward) {
 		return
 	}
 	env.Charge(c.cfg.Profile, node.ChargeHash, len(req.Op))
-	c.enqueue(env, req.Clone(), req.Digest())
+	kept := *req
+	kept.Op = c.slab.op(req.Op)
+	c.enqueue(env, &kept, kept.Digest())
 }
 
 // deferToView parks a message for a view that has not been installed yet —
@@ -1151,8 +1163,9 @@ func (c *Core) drainPrepares(env node.Env) {
 
 // acceptPrepare admits a verified, in-lane-order PREPARE to the log. prep is
 // a view of the delivered envelope, valid for the call; the entry gets its own
-// copy of the certificate and of the batch (with the request digests OnPrepare
-// just computed), less the operations this replica submitted itself and holds.
+// copy of the certificate and of the batch (keepBatch: with the request
+// digests OnPrepare just computed, sharing the operations this replica
+// submitted itself and holds).
 func (c *Core) acceptPrepare(env node.Env, prep *msg.Prepare, batchDigest msg.Digest) {
 	lane := tcounter.LaneOf(prep.Seq, c.cfg.PipelineDepth)
 	c.nextPrepareValue[lane] = prep.Cert.Value + uint64(c.lanes())
@@ -1164,7 +1177,7 @@ func (c *Core) acceptPrepare(env node.Env, prep *msg.Prepare, batchDigest msg.Di
 
 	e := c.getEntry(prep.Seq)
 	e.view = prep.View
-	e.batch = prep.Batch.CloneExcept(c.holds)
+	e.batch = c.keepBatch(&prep.Batch)
 	e.digest = batchDigest
 	e.hasPrep = true
 	e.keepPrepCert(prep.Cert)

@@ -2,7 +2,6 @@ package hybster
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
 	"time"
 
@@ -126,73 +125,97 @@ func bigPut(key string) []byte {
 	return append([]byte("PUT "+key+" "), bytes.Repeat([]byte{'v'}, 4096-5-len(key))...)
 }
 
-// allocated returns the bytes fn allocates.
-func allocated(fn func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	fn()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
+// uncarved is a PUT too long to be carved from an operation chunk.
+func uncarved(key string) []byte {
+	return append([]byte("PUT "+key+" "), bytes.Repeat([]byte{'v'}, slabOps/4)...)
+}
+
+// kept returns the request Submit keeps on the progress watch for req's
+// client and sequence number: a copy of req, in the core's slab.
+func kept(t testing.TB, c *Core, req *msg.OrderRequest) *msg.OrderRequest {
+	t.Helper()
+	held := c.pendingLocal[idOf(req)].req
+	if held == nil || !bytes.Equal(held.Op, req.Op) || held.Digest() != req.Digest() {
+		t.Fatalf("the progress watch does not hold %v", req)
+	}
+	if &held.Op[0] == &req.Op[0] {
+		t.Fatal("Submit kept the caller's bytes instead of a copy")
+	}
+	return held
+}
+
+// admissionAllocs is what a follower allocates to admit body's batch to its
+// log — decoded into a PREPARE it reuses, matched against what it holds and
+// kept — per admission, counted by testing.AllocsPerRun: the core's harness
+// starts no goroutine, so every allocation counted is the admission's.
+func admissionAllocs(c *Core, body []byte) float64 {
+	var prep msg.Prepare
+	return testing.AllocsPerRun(100, func() {
+		if err := prep.UnmarshalWire(wire.NewReader(body)); err != nil {
+			panic(err)
+		}
+		c.AdoptHeld(&prep.Batch)
+		c.keepBatch(&prep.Batch)
+	})
 }
 
 // TestOriginFollowerAdmitsItsOwnRequestWithoutCopying: a follower that
-// submitted a request holds its bytes and its digest. When the leader's
-// PREPARE brings the request back, the follower finds it by comparison: the
-// log entry shares the held request's bytes instead of copying them out of the
-// envelope, a stranger's request in the same batch is copied as ever, and the
-// admission allocates one operation less than it does for two strangers.
-//
-// TotalAlloc counts every goroutine of the test binary, so an allocation
-// elsewhere during a delivery adds to what it measures and nothing takes
-// away from it: each side is the least of five deliveries, each to a fresh
-// follower of a fresh body.
+// submitted a request holds a copy of its bytes and its digest. When the
+// leader's PREPARE brings the request back, the follower finds it by
+// comparison: the log entry shares the held request's bytes instead of
+// copying them out of the envelope, and a stranger's request in the same
+// batch is copied as ever — into the core's slab, which advances by the
+// stranger's operation alone, or, for an operation too long to be carved,
+// into an allocation of its own: admitting the held request allocates one
+// operation less than admitting a stranger's in its place.
 func TestOriginFollowerAdmitsItsOwnRequestWithoutCopying(t *testing.T) {
 	var env fakeEnv
-	foreign := msg.OrderRequest{Origin: 2, Client: 8, ClientSeq: 1, Op: bigPut("foreign")}
-	stranger := msg.OrderRequest{Origin: 2, Client: 9, ClientSeq: 1, Op: bigPut("own")}
-	withOwn, withStranger := ^uint64(0), ^uint64(0)
-	var own *msg.OrderRequest
-	for range 5 {
-		own = &msg.OrderRequest{Origin: 1, Client: 7, ClientSeq: 1, Op: bigPut("own")}
-		h, leader := heldCore(1)
-		h.core.Submit(&env, own)
-		if len(h.forwards) != 1 || &h.forwards[0].Req.Op[0] != &own.Op[0] {
-			t.Fatalf("the request was forwarded %d times, or not from the bytes it was submitted in", len(h.forwards))
-		}
-		body := proposal(t, leader, 1, wireCopy(own), wireCopy(&foreign))
-		withOwn = min(withOwn, allocated(func() { deliver(t, h.core, &env, body) }))
-
-		e := h.core.log[1]
-		if e == nil || !e.hasPrep || !e.executed {
-			t.Fatalf("the PREPARE was not admitted and executed: %+v", e)
-		}
-		if got := e.batch.Reqs[0].Op; &got[0] != &own.Op[0] {
-			t.Fatal("the log entry copied the request this replica submitted and held")
-		}
-		if got := e.batch.Reqs[1].Op; !bytes.Equal(got, foreign.Op) {
-			t.Fatalf("the stranger's request was kept as a view of the overwritten envelope: %q…", got[:16])
-		}
-		if e.batch.Reqs[0].Digest() != own.Digest() || e.batch.Digest() != e.digest {
-			t.Fatal("the admitted batch does not carry the digests hashing would have produced")
-		}
-		if len(h.core.pendingLocal) != 0 {
-			t.Fatal("the executed request is still on the progress watch")
-		}
-
-		// The same batch from two strangers, at a follower that holds neither.
-		h2, leader2 := heldCore(1)
-		body2 := proposal(t, leader2, 1, wireCopy(&stranger), wireCopy(&foreign))
-		withStranger = min(withStranger, allocated(func() { deliver(t, h2.core, &env, body2) }))
-		if e := h2.core.log[1]; e == nil || !e.executed {
-			t.Fatal("the strangers' PREPARE was not admitted and executed")
-		}
+	foreign := msg.OrderRequest{Origin: 2, Client: 8, ClientSeq: 1, Op: []byte("PUT foreign 1")}
+	own := &msg.OrderRequest{Origin: 1, Client: 7, ClientSeq: 1, Op: []byte("PUT own 1")}
+	h, leader := heldCore(1)
+	h.core.Submit(&env, own)
+	held := kept(t, h.core, own)
+	if len(h.forwards) != 1 || &h.forwards[0].Req.Op[0] != &held.Op[0] {
+		t.Fatalf("the request was forwarded %d times, or not from the bytes Submit kept", len(h.forwards))
 	}
-	// (Not under the race detector, whose sync.Pool drops a share of what is
-	// put back: a pooled writer allocated anew on one side is noise the size
-	// of the signal.)
-	if saved := int64(withStranger) - int64(withOwn); !testutil.RaceEnabled() && saved < int64(len(own.Op)) {
-		t.Errorf("admitting the held request allocated %d bytes, a stranger's in its place %d: saved %d, want the operation's %d",
-			withOwn, withStranger, saved, len(own.Op))
+	body := proposal(t, leader, 1, wireCopy(own), wireCopy(&foreign))
+	free := len(h.core.slab.ops)
+	deliver(t, h.core, &env, body)
+
+	e := h.core.log[1]
+	if e == nil || !e.hasPrep || !e.executed {
+		t.Fatalf("the PREPARE was not admitted and executed: %+v", e)
+	}
+	if got := e.batch.Reqs[0].Op; &got[0] != &held.Op[0] {
+		t.Fatal("the log entry copied the request this replica submitted and held")
+	}
+	if got := e.batch.Reqs[1].Op; !bytes.Equal(got, foreign.Op) {
+		t.Fatalf("the stranger's request was kept as a view of the overwritten envelope: %q", got)
+	}
+	if e.batch.Reqs[0].Digest() != own.Digest() || e.batch.Digest() != e.digest {
+		t.Fatal("the admitted batch does not carry the digests hashing would have produced")
+	}
+	if used := free - len(h.core.slab.ops); used != len(foreign.Op) {
+		t.Errorf("admitting the batch carved %d bytes of operations, want the stranger's %d", used, len(foreign.Op))
+	}
+	if len(h.core.pendingLocal) != 0 {
+		t.Fatal("the executed request is still on the progress watch")
+	}
+
+	// Operations too long for the slab, each copied into an allocation of
+	// its own, make the saving countable.
+	if testutil.RaceEnabled() {
+		return // the race detector's sync.Pool drops what is put back: noise the size of the signal
+	}
+	bigOwn := &msg.OrderRequest{Origin: 1, Client: 7, ClientSeq: 2, Op: uncarved("own")}
+	bigForeign := msg.OrderRequest{Origin: 2, Client: 8, ClientSeq: 2, Op: uncarved("foreign")}
+	stranger := msg.OrderRequest{Origin: 2, Client: 9, ClientSeq: 1, Op: uncarved("own")}
+	h.core.Submit(&env, bigOwn)
+	withOwn := admissionAllocs(h.core, proposal(t, leader, 2, wireCopy(bigOwn), wireCopy(&bigForeign)))
+	withStranger := admissionAllocs(h.core, proposal(t, leader, 4, wireCopy(&stranger), wireCopy(&bigForeign)))
+	if withOwn != 1 || withStranger != 2 {
+		t.Errorf("admitting the held request with a stranger's allocated %v times, two strangers' %v; want 1 and 2",
+			withOwn, withStranger)
 	}
 }
 
@@ -219,6 +242,7 @@ func TestTamperedOwnRequestIsNotRecognised(t *testing.T) {
 			own := &msg.OrderRequest{Origin: 1, Client: 7, ClientSeq: 1, Op: []byte("PUT k genuine")}
 			h, leader := heldCore(1)
 			h.core.Submit(&env, own)
+			held := kept(t, h.core, own)
 
 			genuine := proposal(t, leader, 1, wireCopy(own))
 			m, err := (&msg.Envelope{Kind: msg.KindPrepare, Body: genuine}).Open()
@@ -242,7 +266,7 @@ func TestTamperedOwnRequestIsNotRecognised(t *testing.T) {
 			}
 
 			deliver(t, h.core, &env, genuine)
-			if len(h.executed) != 1 || &h.core.log[1].batch.Reqs[0].Op[0] != &own.Op[0] {
+			if len(h.executed) != 1 || &h.core.log[1].batch.Reqs[0].Op[0] != &held.Op[0] {
 				t.Errorf("the genuine PREPARE executed %d requests, or was not admitted from the held bytes", len(h.executed))
 			}
 		})
@@ -250,16 +274,21 @@ func TestTamperedOwnRequestIsNotRecognised(t *testing.T) {
 }
 
 // TestRetransmissionFindsTheRequestHeld: a client retransmission reaches
-// Submit as a second request equal to the first. The core goes on holding the
-// first — one watch entry, the suspicion deadline not reset — forwards it
-// again, and keeps nothing of the second.
+// Submit as a second request equal to the first. The core goes on holding its
+// copy of the first — one watch entry, the suspicion deadline not reset —
+// forwards it again, and copies nothing of the second.
 func TestRetransmissionFindsTheRequestHeld(t *testing.T) {
 	env := &timerEnv{}
 	h, leader := heldCore(1)
 	first := &msg.OrderRequest{Origin: 1, Client: 7, ClientSeq: 1, Op: []byte("PUT k v")}
 	again := wireCopy(first)
 	h.core.Submit(env, first)
+	held := kept(t, h.core, first)
+	free := len(h.core.slab.ops)
 	h.core.Submit(env, &again)
+	if len(h.core.slab.ops) != free {
+		t.Error("the retransmission was copied")
+	}
 	for i := range again.Op {
 		again.Op[i] = 0xA5 // nothing may depend on the retransmission's bytes
 	}
@@ -268,7 +297,7 @@ func TestRetransmissionFindsTheRequestHeld(t *testing.T) {
 		t.Fatalf("%d requests watched and the timer armed %d times after a retransmission, want 1 and 1",
 			len(h.core.pendingLocal), env.armed)
 	}
-	if len(h.forwards) != 2 || &h.forwards[1].Req.Op[0] != &first.Op[0] {
+	if len(h.forwards) != 2 || &h.forwards[1].Req.Op[0] != &held.Op[0] {
 		t.Fatalf("%d forwards, or the retransmission was not forwarded from the held request", len(h.forwards))
 	}
 	deliver(t, h.core, env, proposal(t, leader, 1, wireCopy(first)))
@@ -293,21 +322,23 @@ func TestTwoSubmitsUnderOneIDAreWatchedEachForItself(t *testing.T) {
 	if len(h.forwards) != 2 || env.armed != 1 {
 		t.Fatalf("%d forwards, timer armed %d times; want 2 and 1", len(h.forwards), env.armed)
 	}
+	w := h.core.pendingLocal[idOf(a)]
+	heldA, heldB := w.req, w.more[0]
 
 	deliver(t, h.core, env, proposal(t, leader, 1, wireCopy(b)))
-	if got := h.core.log[1].batch.Reqs[0].Op; &got[0] != &b.Op[0] {
+	if got := h.core.log[1].batch.Reqs[0].Op; &got[0] != &heldB.Op[0] {
 		t.Error("the second request under the ID was not recognised by its bytes")
 	}
 	if len(h.executed) != 1 || len(h.core.pendingLocal) != 1 || env.cancelled != 0 {
 		t.Fatalf("after one of the two: executed %d, IDs watched %d, timer cancelled %d; want 1, 1, 0",
 			len(h.executed), len(h.core.pendingLocal), env.cancelled)
 	}
-	if h.core.pendingLocal[idOf(a)].req != a {
+	if h.core.pendingLocal[idOf(a)].req != heldA {
 		t.Fatal("executing one request cleared the other")
 	}
 
 	deliver(t, h.core, env, proposal(t, leader, 2, wireCopy(a)))
-	if got := h.core.log[2].batch.Reqs[0].Op; &got[0] != &a.Op[0] {
+	if got := h.core.log[2].batch.Reqs[0].Op; &got[0] != &heldA.Op[0] {
 		t.Error("the first request under the ID was not recognised by its bytes")
 	}
 	if len(h.executed) != 1 || len(h.core.pendingLocal) != 0 || env.cancelled != 1 {
@@ -321,9 +352,10 @@ func TestTwoSubmitsUnderOneIDAreWatchedEachForItself(t *testing.T) {
 
 // TestViewChangeRedrivesTheRequestsSubmitKept: what a replica re-drives after
 // a view change — the requests on its progress watch, and those queued while
-// the change was under way — are the requests Submit was handed, not copies.
-// The replica that becomes leader proposes them from those bytes, under the
-// digests they were submitted with.
+// the change was under way — are the copies Submit kept, not copies of them,
+// and not the caller's memory, which it reuses. The replica that becomes
+// leader proposes them from those bytes, under the digests they were
+// submitted with.
 func TestViewChangeRedrivesTheRequestsSubmitKept(t *testing.T) {
 	var env fakeEnv
 	h, _ := heldCore(1) // leads view 1
@@ -332,13 +364,20 @@ func TestViewChangeRedrivesTheRequestsSubmitKept(t *testing.T) {
 	want := (&msg.Batch{Reqs: []msg.OrderRequest{wireCopy(watchedReq), wireCopy(queuedReq)}}).Digest()
 
 	h.core.Submit(&env, watchedReq) // forwarded to replica 0, which never answers
+	watchedKept := kept(t, h.core, watchedReq)
 	h.core.startViewChange(&env, 1)
 	if !h.core.inVC {
 		t.Fatal("the replica did not join the view change")
 	}
 	h.core.Submit(&env, queuedReq)
-	if len(h.core.queued) != 1 || h.core.queued[0] != queuedReq {
-		t.Fatal("a request submitted during the view change is not queued as it was handed over")
+	if len(h.core.queued) != 1 || !bytes.Equal(h.core.queued[0].Op, queuedReq.Op) || &h.core.queued[0].Op[0] == &queuedReq.Op[0] {
+		t.Fatal("a request submitted during the view change is not queued as a copy of what was handed over")
+	}
+	queuedKept := h.core.queued[0]
+	for _, req := range []*msg.OrderRequest{watchedReq, queuedReq} {
+		for i := range req.Op {
+			req.Op[i] = 0xA5 // the caller reuses its memory
+		}
 	}
 
 	peer := tcounter.NewSubsystem(2)
@@ -361,7 +400,7 @@ func TestViewChangeRedrivesTheRequestsSubmitKept(t *testing.T) {
 	if len(proposed) != 2 {
 		t.Fatalf("the new leader proposed %d requests, want the two it was responsible for", len(proposed))
 	}
-	if &proposed[0].Op[0] != &watchedReq.Op[0] || &proposed[1].Op[0] != &queuedReq.Op[0] {
+	if &proposed[0].Op[0] != &watchedKept.Op[0] || &proposed[1].Op[0] != &queuedKept.Op[0] {
 		t.Error("the re-driven requests were proposed from copies, or out of client order")
 	}
 	if got := (&msg.Batch{Reqs: proposed}).Digest(); got != want {
@@ -466,26 +505,29 @@ func (n *roundNet) deliver(tb testing.TB, env node.Env) {
 }
 
 // BenchmarkAllocGate holds the steps that make the origin's copy the only
-// one, and what a sequence number costs. Submit keeps the request it is given:
-// at a follower it sends the core's one FORWARD and allocates nothing — the
-// progress watch's entry is a map slot. A PREPARE that brings held requests
-// back is decoded into a struct its host reuses, matched and admitted without
-// hashing or copying them: a batch of four held 4 KiB requests costs the log
-// its request slice, and no slab. And one round of a batch of one across three
-// cores — submitted at the leader, certified, encoded, decoded, committed and
-// executed everywhere — is held at what it measures.
+// one, and what a sequence number costs. Submit copies the request it is
+// given into the core's slab: at a follower it sends the core's one FORWARD
+// from the copy and allocates nothing per request — the progress watch's
+// entry is a map slot, the copy a carve of a chunk. A PREPARE that brings held
+// requests back is decoded into a struct its host reuses, matched and
+// admitted without hashing or copying them: a batch of four held 4 KiB
+// requests costs the log four request slots of the slab, and no operation.
+// And one round of a batch of one across three cores — submitted at the
+// leader, certified, encoded, decoded, committed and executed everywhere — is
+// held at what it measures.
 func BenchmarkAllocGate(b *testing.B) {
 	var env fakeEnv
 	h, leader := heldCore(1)
 
 	req, seq := new(msg.OrderRequest), uint64(1<<32)
-	op := bigPut("own")
-	testutil.AllocGate(b, "SubmitKeepsWhatItIsGiven", 0, func() {
+	op := append([]byte("PUT own "), bytes.Repeat([]byte{'v'}, 120)...)
+	testutil.AllocGate(b, "SubmitCopiesIntoTheSlab", 0, func() {
 		seq++
 		*req = msg.OrderRequest{Origin: 1, Client: 7, ClientSeq: seq, Op: op}
 		h.core.Submit(&env, req)
-		if h.core.pendingLocal[idOf(req)].req != req || &h.forwards[0].Req.Op[0] != &op[0] {
-			b.Fatal("Submit did not keep the request it was given")
+		held := h.core.pendingLocal[idOf(req)].req
+		if held == req || &held.Op[0] == &op[0] || &h.forwards[0].Req.Op[0] != &held.Op[0] {
+			b.Fatal("Submit did not keep a copy of the request it was given, or forwarded another")
 		}
 		h.core.clearProgress(&env, req, req.Digest()) // as its execution would
 		h.forwards = h.forwards[:0]
@@ -500,13 +542,14 @@ func BenchmarkAllocGate(b *testing.B) {
 	}
 	body := proposal(b, leader, 1, onWire...)
 	var prep msg.Prepare
-	testutil.AllocGate(b, "AdmitPrepareWithHeldRequest", 1, func() {
+	testutil.AllocGate(b, "AdmitPrepareWithHeldRequest", 0, func() {
 		if err := prep.UnmarshalWire(wire.NewReader(body)); err != nil {
 			b.Fatal(err)
 		}
 		h.core.AdoptHeld(&prep.Batch)
-		kept := prep.Batch.CloneExcept(h.core.holds) // request slice
-		if &kept.Reqs[3].Op[0] != &held[3].Op[0] || kept.Digest() != prep.Batch.Digest() {
+		kept := h.core.keepBatch(&prep.Batch) // four slots of the slab
+		if kept.Reqs[3].Op == nil || &kept.Reqs[3].Op[0] != &h.core.pendingLocal[idOf(&held[3])].req.Op[0] ||
+			kept.Digest() != prep.Batch.Digest() {
 			b.Fatal("the held requests were not adopted")
 		}
 	})
@@ -514,7 +557,7 @@ func BenchmarkAllocGate(b *testing.B) {
 	n := newRoundNet(1)
 	put := append([]byte("PUT k "), bytes.Repeat([]byte{'v'}, 128)...)
 	round := uint64(0)
-	testutil.AllocGate(b, "RoundOfOneOnThreeCores", 21, func() {
+	testutil.AllocGate(b, "RoundOfOneOnThreeCores", 16, func() {
 		round++
 		want := n.executed + 3
 		n.hosts[0].core.Submit(&env, &msg.OrderRequest{Origin: 0, Client: 1, ClientSeq: round, Op: put})

@@ -224,14 +224,6 @@ func (h *requestHasher) sum(m *OrderRequest) Digest {
 // would verify certificates against nothing.
 func (m *OrderRequest) SetDigest(d Digest) { m.digest, m.digested = d, true }
 
-// Clone returns a copy of the request that owns its operation bytes, for a
-// holder that outlives the buffer the request was decoded from.
-func (m *OrderRequest) Clone() *OrderRequest {
-	c := *m
-	c.Op = bytes.Clone(m.Op)
-	return &c
-}
-
 // String implements fmt.Stringer for log lines.
 func (m *OrderRequest) String() string {
 	return fmt.Sprintf("req{c=%d s=%d origin=%d flags=%#x op=%dB}",
@@ -280,25 +272,18 @@ func (m *Batch) UnmarshalWire(r *wire.Reader) error {
 // Len returns the number of requests in the batch.
 func (m *Batch) Len() int { return len(m.Reqs) }
 
-// CloneExcept returns a copy of the batch that owns its operation bytes, for a
-// holder that outlives the buffer the batch was decoded from and already owns
-// some of the operations — the one copy a replica makes when it admits a
-// decoded batch to its log. owned reports those requests (nil: none); the
-// copy shares their bytes. The
-// operations it copies share a single allocation, each cap-limited to its own
-// bytes, and that allocation is written once: bytes.Join does not clear what
-// it is about to fill, make would.
-func (m *Batch) CloneExcept(owned func(*OrderRequest) bool) Batch {
+// Clone returns a copy of the batch that owns its operation bytes, for a
+// holder that outlives the buffer the batch was decoded from (a PREPARE held
+// back). The operations share a single allocation, each cap-limited to its
+// own bytes, and that allocation is written once: bytes.Join does not clear
+// what it is about to fill, make would.
+func (m *Batch) Clone() Batch {
 	c := Batch{Reqs: make([]OrderRequest, len(m.Reqs))}
 	copy(c.Reqs, m.Reqs)
 	var room [32][]byte // a batch of the usual size keeps the list on the stack
-	ops := room[:0]     // per request: the operation to copy, nil for one to share
+	ops := room[:0]
 	for i := range c.Reqs {
-		var op []byte
-		if owned == nil || !owned(&c.Reqs[i]) {
-			op = c.Reqs[i].Op
-		}
-		ops = append(ops, op)
+		ops = append(ops, c.Reqs[i].Op)
 	}
 	slab := bytes.Join(ops, nil)
 	for i, op := range ops {
@@ -413,7 +398,7 @@ func (m *Prepare) UnmarshalWire(r *wire.Reader) error {
 // for a replica that has to hold a decoded PREPARE back (out of lane order,
 // or for a view it has not installed yet).
 func (m *Prepare) Clone() *Prepare {
-	return &Prepare{View: m.View, Seq: m.Seq, Batch: m.Batch.CloneExcept(nil), Cert: m.Cert.Clone()}
+	return &Prepare{View: m.View, Seq: m.Seq, Batch: m.Batch.Clone(), Cert: m.Cert.Clone()}
 }
 
 // Commit acknowledges a Prepare. It is certified by the sender's trusted

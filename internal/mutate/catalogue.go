@@ -104,12 +104,6 @@ var Catalogue = []Mutant{
 		New:   "		_, n := r.auth.VerifyMessage(e, m)\n		ok := true\n",
 	},
 	{
-		ID: "actions-lend-submits", File: "internal/troxy/trusted.go",
-		Fault: "the submits of a Troxy call are decoded into the binding's lent storage, which ordering keeps a pointer into and the next call overwrites",
-		Old:   "	if ns > 0 {\n		a.Submits = make([]msg.OrderRequest, 0, min(ns, 64))\n	}\n",
-		New:   "	a.Submits = lent.Submits[:0]\n",
-	},
-	{
 		ID: "prepare-resealed", File: "internal/replica/replica.go",
 		Fault: "every PREPARE is sealed with a host MAC nobody checks: its certificate already authenticates it",
 		Old:   "	if authn.HostMACed(e.Kind) {\n		env.Charge(node.ProfileJava, node.ChargeMAC, r.auth.SealMessage(e, m))\n",
@@ -183,12 +177,6 @@ var Catalogue = []Mutant{
 		New:   "Op:        op,",
 	},
 	{
-		ID: "bft-request-op-is-a-view", File: "internal/replica/replica.go",
-		Fault: "a baseline request is submitted over the envelope's bytes, which ordering keeps and the transport reuses",
-		Old:   "		Op:        append([]byte(nil), m.Op...),\n",
-		New:   "		Op:        m.Op,\n",
-	},
-	{
 		ID: "prophecy-pending-op-is-a-view", File: "internal/prophecy/prophecy.go",
 		Fault: "the middlebox keeps a pending request's operation as a view of the record it came in, which the next record on the connection overwrites: a re-ordered request goes out with another's bytes",
 		Old:   "op:      bytes.Clone(op), // a view of the record, which the next one overwrites",
@@ -225,12 +213,6 @@ var Catalogue = []Mutant{
 		New:   "		time.AfterFunc(d.Delay, func() { r.deliver(e) })\n",
 	},
 	{
-		ID: "submit-op-is-a-view", File: "internal/troxy/trusted.go",
-		Fault: "the operations of a Troxy call's submits stay views of its result, which ordering keeps and the binding's next call overwrites",
-		Old:   "		slab = append(slab, a.Submits[i].Op...)\n		a.Submits[i].Op = slab[len(slab)-len(a.Submits[i].Op) : len(slab) : len(slab)]\n",
-		New:   "		slab = append(slab, a.Submits[i].Op...)\n",
-	},
-	{
 		ID: "realnet-local-delivery-shares-body", File: "internal/realnet/realnet.go",
 		Fault: "a local delivery's mailbox item copies the sender's header but keeps its body and MAC, which the sender reuses the moment Send returns",
 		Old:   "		item := mailboxItem{env: *e, buf: wire.GetWriter()}\n		faultplane.CopyEnvelope(item.buf, &item.env)\n",
@@ -259,6 +241,18 @@ var Catalogue = []Mutant{
 		Fault: "a PREPARE ahead of its lane is parked as the struct it was decoded into, which the replica decodes the next PREPARE over: the parked proposal is whatever came last",
 		Old:   "c.pendingPrepares[prep.Cert.Value] = prep.Clone() // held past this call",
 		New:   "c.pendingPrepares[prep.Cert.Value] = prep // held past this call",
+	},
+	{
+		ID: "submit-keeps-the-callers-request", File: "internal/hybster/core.go",
+		Fault: "Submit keeps the request it is handed instead of a copy: the progress watch, the batch and the log hold a view of the Troxy call's result, which the binding's next call overwrites",
+		Old:   "		held = c.keep(req)\n",
+		New:   "		held = req\n",
+	},
+	{
+		ID: "slab-carve-shares-capacity", File: "internal/hybster/slab.go",
+		Fault: "an operation carved from the slab keeps the chunk's spare capacity: an append to one kept operation writes into the next",
+		Old:   "	kept := s.ops[:n:n]\n",
+		New:   "	kept := s.ops[:n]\n",
 	},
 	{
 		ID: "held-request-matched-by-id-only", File: "internal/hybster/core.go",

@@ -91,6 +91,13 @@ type Replica struct {
 	// send again.
 	out msg.Envelope
 
+	// staged and stagedOps hold the submits of an Actions that has more than
+	// one, copied out of the proxy's lent memory before the first of them is
+	// submitted (apply). An apply inside a Submit stages above the enclosing
+	// one's, and each takes back only what it staged.
+	staged    []msg.OrderRequest
+	stagedOps []byte
+
 	stats Stats
 }
 
@@ -413,24 +420,24 @@ func (r *Replica) onBFTRequest(env node.Env, from msg.NodeID, m *msg.BFTRequest)
 		// and followers must not amplify it into Forwards.
 		return
 	}
-	// m is a view of the envelope and ordering keeps what it is submitted:
-	// this is where a baseline request gets bytes of its own.
+	// m is a view of the envelope: Submit copies what it keeps of it.
 	r.core.Submit(env, &msg.OrderRequest{
 		Origin:    from,
 		Client:    m.Client,
 		ClientSeq: m.ClientSeq,
 		Flags:     m.Flags,
-		Op:        append([]byte(nil), m.Op...),
+		Op:        m.Op,
 	})
 }
 
 // apply executes the Troxy's requested actions. A client record and a cache
 // message leave in the bodies the binding decoded them as, which Send copies,
-// and a submit goes to ordering as it is — Submit keeps it, and the request is
-// not touched here again (troxy.Proxy). The Client and Queries slices and
-// their bytes are lent until the next proxy call, and Submit is the one action
-// that can make one (a retransmitted request that has executed has its reply
-// replayed, and voted here), so the submits go last.
+// and a submit goes to ordering as it is: Submit copies what it keeps. All of
+// an Actions is lent until the next proxy call (troxy.Proxy), and Submit is
+// the one action that can make one (a retransmitted request that has executed
+// has its reply replayed and voted here, a proposal is speculated on), so the
+// submits go last, and when there are several they are first staged in memory
+// of the replica's own: the first one's call would overwrite the others.
 func (r *Replica) apply(env node.Env, acts troxy.Actions) {
 	for _, cr := range acts.Client {
 		r.out = msg.Envelope{From: r.cfg.Self, To: cr.Node, Kind: msg.KindChannelData, Body: cr.Body}
@@ -439,9 +446,32 @@ func (r *Replica) apply(env node.Env, acts troxy.Actions) {
 	for _, pm := range acts.Queries {
 		r.sendTagged(env, pm.To, pm.Kind, pm.Body)
 	}
-	for i := range acts.Submits {
-		r.core.Submit(env, &acts.Submits[i])
+	subs := acts.Submits
+	reqs, ops := len(r.staged), len(r.stagedOps)
+	if len(subs) > 1 {
+		subs = r.stage(subs)
 	}
+	for i := range subs {
+		r.core.Submit(env, &subs[i])
+	}
+	r.staged, r.stagedOps = r.staged[:reqs], r.stagedOps[:ops]
+}
+
+// stage copies reqs above what is staged already and returns the copy. An
+// apply nested inside one of its Submits stages above it in turn: where that
+// append reallocates, the copy returned here keeps the old array.
+func (r *Replica) stage(reqs []msg.OrderRequest) []msg.OrderRequest {
+	from, at := len(r.stagedOps), len(r.staged)
+	for i := range reqs {
+		r.stagedOps = append(r.stagedOps, reqs[i].Op...)
+	}
+	r.staged = append(r.staged, reqs...)
+	staged, ops := r.staged[at:len(r.staged):len(r.staged)], r.stagedOps[from:]
+	for i := range staged {
+		n := len(staged[i].Op)
+		staged[i].Op, ops = ops[:n:n], ops[n:]
+	}
+	return staged
 }
 
 // sendAuthed seals, MACs and transmits a message to one peer: the body is

@@ -20,7 +20,10 @@ import (
 // returns every ecall's result, plus the plaintexts
 // the client decrypted. With poison set, the argument of every ecall is
 // overwritten as soon as the handler returns, which is what the host is free
-// to do with a buffer it lent for the call.
+// to do with a buffer it lent for the call, and the operations of the
+// submits a call returned, views of its result, are overwritten when the next
+// call starts: the host uses a result until its next call, and what it keeps
+// of a submit ordering copies.
 func ecallScript(t *testing.T, poison bool) (results [][]byte, replies []msg.ChannelReply) {
 	t.Helper()
 	secrets, pub, tagger := testSecrets(t)
@@ -34,8 +37,17 @@ func ecallScript(t *testing.T, poison bool) (results [][]byte, replies []msg.Cha
 	}
 	table := trusted.ECalls()
 
+	var lent Actions // the last result's, decoded by view of it
 	call := func(name string, build func(w *wire.Writer)) Actions {
 		t.Helper()
+		if poison {
+			for _, req := range lent.Submits {
+				for i := range req.Op {
+					req.Op[i] = 0xA5
+				}
+			}
+		}
+		lent.Submits = lent.Submits[:0]
 		w := wire.NewWriter(256)
 		build(w)
 		arg := w.Bytes()
@@ -43,21 +55,19 @@ func ecallScript(t *testing.T, poison bool) (results [][]byte, replies []msg.Cha
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		out = bytes.Clone(out) // a result is valid until the next ecall
 		if poison {
 			for i := range arg {
 				arg[i] = 0xA5
 			}
 		}
-		results = append(results, out)
+		results = append(results, bytes.Clone(out)) // a result is valid until the next ecall
 		if name == ECallAuthReply {
 			return Actions{}
 		}
-		acts, err := decodeActions(out, &Actions{})
-		if err != nil {
+		if lent, err = decodeActions(out, &lent); err != nil {
 			t.Fatalf("%s: decode result: %v", name, err)
 		}
-		return acts
+		return lent
 	}
 	clientData := func(payload []byte) Actions {
 		return call(ECallClientData, func(w *wire.Writer) {
@@ -185,9 +195,11 @@ func ecallScript(t *testing.T, poison bool) (results [][]byte, replies []msg.Cha
 
 // TestECallArgumentsAreNotRetained: an ecall handler decodes its argument by
 // view, and everything the Troxy keeps past the call — a vote's first result,
-// and its key list, a cache entry, a fast read's fallback — is its own copy. Overwriting every
-// argument after its call must change nothing: not one result byte, and not
-// what the client reads.
+// and its key list, a cache entry, a fast read's fallback — is its own copy,
+// not a view of the argument or of a result it returned. Overwriting every
+// argument after its call, and the submits' operations in each result at the
+// next call, must change nothing: not one result byte, and not what the
+// client reads.
 func TestECallArgumentsAreNotRetained(t *testing.T) {
 	clean, cleanReplies := ecallScript(t, false)
 	poisoned, poisonedReplies := ecallScript(t, true)

@@ -32,14 +32,14 @@ type Proxy interface {
 	AcceptConn(env node.Env, connID uint64, from msg.NodeID)
 	CloseConn(env node.Env, connID uint64)
 	//
-	// Submits and its requests, operations included, are the caller's to
-	// keep: ordering keeps a submit as it is handed over. Everything else in
-	// an Actions, of this call and of every other, is lent: the Client and
-	// Queries slices and every byte they point to are valid until the next
-	// call into the proxy, which a submit can make (its reply is voted here),
-	// so the caller uses them before it submits (Replica.apply). A client
-	// record's or cache message's Body is the envelope body it leaves in,
-	// which Send copies.
+	// Everything in an Actions, of this call and of every other, is lent: the
+	// Client, Submits and Queries slices and every byte they point to are
+	// valid until the next call into the proxy, which a submit can make (its
+	// reply is voted here), so the caller uses the records and cache messages
+	// before it submits, and a submit that is not the first of its Actions
+	// from memory of its own (Replica.apply); Submit copies what it keeps. A
+	// client record's or cache message's Body is the envelope body it leaves
+	// in, which Send copies.
 	HandleClientData(env node.Env, connID uint64, from msg.NodeID, payload []byte) (Actions, error)
 	//
 	// rep is the caller's in both reply calls and may be one it reuses: no
@@ -83,9 +83,8 @@ func chargeActions(env node.Env, p node.Profile, acts *Actions) {
 // by view of where it lies until the next call — the binding's result buffer,
 // which the enclave boundary copies it out into, or in process the handler's
 // pooled writer, which the handler releases at its next call. A reply's tag
-// moves on into the reply's own storage; the operations of the submits, which
-// ordering keeps, are copied into one slab of their own; everything else a
-// result points to is lent until the next call.
+// moves on into the reply's own storage; everything else a result points to
+// is lent until the next call.
 type Binding struct {
 	// enc is the enclave hosting the Troxy (etroxy); without one, ecalls is
 	// the Troxy's half of the interface, called in process (ctroxy).
@@ -93,7 +92,7 @@ type Binding struct {
 	ecalls  map[string]func([]byte) ([]byte, error)
 	profile node.Profile
 	out     []byte  // the last copy-out of the enclave, valid until the next call
-	lent    Actions // the last result decoded, whose Client and Queries the next reuses
+	lent    Actions // the last result decoded, whose slices the next reuses
 }
 
 // NewDirectProxy binds a provisioned core in process, without an enclave

@@ -51,9 +51,9 @@ func (r *scratchRun) took(acts Actions, err error) Actions {
 	}
 	if r.poison {
 		poisonScratch(r.core)
-		// Every byte slice in an Actions is the caller's to keep, whichever
-		// binding returned it: ordering holds a submit as it is handed over,
-		// long after the Core has decrypted its next record.
+		// Nothing in an Actions a binding returns is a view of the Core's
+		// scratch, whichever binding returned it: it is lent until the
+		// binding's next call, whatever the Core reuses meanwhile.
 		again := wire.NewWriter(256)
 		encodeActions(again, &acts)
 		if !bytes.Equal(again.Bytes(), w.Bytes()) {

@@ -349,13 +349,13 @@ func encodeActions(w *wire.Writer, a *Actions) {
 // decodeActions decodes by view of b, on the host a result the binding lends.
 // A client record's Body is the span of its ChannelData encoding, its Frame
 // inside, and a cache message's Body the span of its CacheQuery or CacheReply
-// encoding, decoded here only to find where it ends; both go into lent's
-// slices. The submits, which ordering keeps, get a slice and an operation slab
-// of their own. A submit arrives with its digest: b is this replica's own
+// encoding, decoded here only to find where it ends; a submit's operation is
+// a view of b too, and ordering copies what it keeps of it. All three go into
+// lent's slices. A submit arrives with its digest: b is this replica's own
 // trusted subsystem speaking, and a wrong digest would only get this replica's
 // proposals rejected — every other replica computes its own.
 func decodeActions(b []byte, lent *Actions) (Actions, error) {
-	a := Actions{Client: lent.Client[:0], Queries: lent.Queries[:0]}
+	a := Actions{Client: lent.Client[:0], Submits: lent.Submits[:0], Queries: lent.Queries[:0]}
 	r := wire.NewReader(b)
 	nc := r.SliceLen()
 	for i := 0; i < nc; i++ {
@@ -367,10 +367,7 @@ func decodeActions(b []byte, lent *Actions) (Actions, error) {
 		}
 		a.Client = append(a.Client, ClientRecord{ConnID: cd.ConnID, Node: node, Frame: cd.Payload, Body: r.Span(from)})
 	}
-	ns, ops := r.SliceLen(), 0
-	if ns > 0 {
-		a.Submits = make([]msg.OrderRequest, 0, min(ns, 64))
-	}
+	ns := r.SliceLen()
 	for i := 0; i < ns; i++ {
 		var req msg.OrderRequest
 		if err := req.UnmarshalWire(r); err != nil {
@@ -380,12 +377,6 @@ func decodeActions(b []byte, lent *Actions) (Actions, error) {
 		copy(d[:], r.FixedBytes(len(d))) // a short read fails the reader, and Finish below
 		req.SetDigest(d)
 		a.Submits = append(a.Submits, req)
-		ops += len(req.Op)
-	}
-	slab := make([]byte, 0, ops) // none for no operation bytes
-	for i := range a.Submits {
-		slab = append(slab, a.Submits[i].Op...)
-		a.Submits[i].Op = slab[len(slab)-len(a.Submits[i].Op) : len(slab) : len(slab)]
 	}
 	nq := r.SliceLen()
 	for i := 0; i < nq; i++ {
