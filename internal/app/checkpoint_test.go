@@ -233,6 +233,104 @@ func TestStoreForkIsolation(t *testing.T) {
 	}
 }
 
+// TestStoreOverwriteLeavesCapturedStateAlone: a PUT overwrites a value in
+// place only while nothing but the live store can see it. Each capture comes
+// right after rounds of in-place overwrites, and more rounds follow it; a
+// half-consumed snapshot iterator, a retained checkpoint's chunks and their
+// digests, a fork and its parent, and a store restored from the chunks all
+// keep exactly the state they captured.
+func TestStoreOverwriteLeavesCapturedStateAlone(t *testing.T) {
+	const keys = 300
+	round := 0
+	overwrite := func(s *Store) {
+		for r := 0; r < 3; r++ {
+			round++
+			value := bytes.Repeat([]byte{byte('a' + round%26)}, 128)
+			for k := 0; k < keys; k++ {
+				s.Execute(fmt.Appendf(nil, "PUT key-%04d %s", k, value))
+			}
+		}
+	}
+	// inPlace checks that a second PUT in one generation reuses the value's
+	// buffer, so the rounds above do write where a capture could look.
+	inPlace := func(s *Store) {
+		t.Helper()
+		before := &s.lookup([]byte("key-0000")).value[0]
+		s.Execute(append([]byte("PUT key-0000 "), bytes.Repeat([]byte{'z'}, 128)...))
+		if &s.lookup([]byte("key-0000")).value[0] != before {
+			t.Fatal("an overwrite in the store's own generation allocated a new value")
+		}
+	}
+	s := NewStore()
+	overwrite(s)
+	inPlace(s)
+
+	it := s.SnapshotIter(512)
+	atIter := s.Snapshot()
+	var streamed []byte
+	for i := 0; i < 20; i++ {
+		piece, ok := it.Next()
+		if !ok {
+			t.Fatal("the iterator ended within its first 20 pieces")
+		}
+		streamed = append(streamed, piece...)
+	}
+	overwrite(s)
+	inPlace(s)
+
+	cp := s.Checkpoint(1024)
+	atCheckpoint := s.Snapshot()
+	chunks := make([][]byte, cp.NumChunks())
+	digests := make([]msg.Digest, cp.NumChunks())
+	for i := range chunks {
+		chunks[i] = cp.Chunk(i)
+		digests[i], _ = cp.ChunkInfo(i)
+	}
+	overwrite(s)
+	inPlace(s)
+
+	f := s.Fork().(*Store)
+	atFork := s.Snapshot()
+	overwrite(s)
+	inPlace(s)
+	if !bytes.Equal(f.Snapshot(), atFork) {
+		t.Error("writes to the store reached its fork")
+	}
+	parent := s.Snapshot()
+	overwrite(f)
+	inPlace(f)
+	if !bytes.Equal(s.Snapshot(), parent) {
+		t.Error("writes to the fork reached the store it was forked from")
+	}
+
+	restored := restoredFrom(t, NewStore(), cp).(*Store)
+	overwrite(restored)
+	inPlace(restored)
+	if bytes.Equal(restored.Snapshot(), atCheckpoint) {
+		t.Fatal("the restored store's overwrites changed nothing")
+	}
+	restored = restoredFrom(t, NewStore(), cp).(*Store)
+	overwrite(s)
+	if !bytes.Equal(restored.Snapshot(), atCheckpoint) {
+		t.Error("a store restored from the checkpoint does not hold what the checkpoint captured")
+	}
+
+	for i := range chunks {
+		if d, _ := cp.ChunkInfo(i); d != digests[i] {
+			t.Fatalf("chunk %d's digest changed after the checkpoint was cut", i)
+		}
+		if !bytes.Equal(cp.Chunk(i), chunks[i]) {
+			t.Fatalf("chunk %d's bytes changed after the checkpoint was cut", i)
+		}
+	}
+	for piece, ok := it.Next(); ok; piece, ok = it.Next() {
+		streamed = append(streamed, piece...)
+	}
+	if !bytes.Equal(streamed, atIter) {
+		t.Error("the snapshot iterator streamed writes made after it was opened")
+	}
+}
+
 // Only what was written is hashed again: one overwritten entry costs its own
 // bytes plus the digest table of its shard, not the store.
 func TestStoreCheckpointHashesOnlyWhatChanged(t *testing.T) {

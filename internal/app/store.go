@@ -1,6 +1,7 @@
 package app
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"errors"
@@ -27,6 +28,13 @@ import (
 type Store struct {
 	shards [storeShards]storeShard
 
+	// gen is the store's generation. It goes up wherever entries come to be
+	// seen by something besides the live store — a checkpoint, a fork (in
+	// both stores), a snapshot iterator, and a restore — so an entry whose
+	// value was allocated in the current generation is the live store's
+	// alone, and put may overwrite that value in place.
+	gen uint64
+
 	// Scratch space of Checkpoint, kept so that a steady-state cut allocates
 	// only what the checkpoint retains.
 	encBuf, digestBuf []byte
@@ -39,20 +47,28 @@ const storeShards = 64
 // storeEntry is one key with its value. The key sits in a one-element array
 // of its own so that Keys can hand out a slice of it without allocating; the
 // array is never written after the entry is created, and an overwrite keeps
-// it (only the value is new).
+// it. The value is a buffer the store owns, allocated in generation gen: in
+// the store's current generation nothing else can see it and an overwrite
+// that fits writes it in place; from an older one a checkpoint, a fork or a
+// snapshot iterator may hold it, and it is never written again.
 type storeEntry struct {
 	name  *[1]string
-	value string
+	value []byte
+	gen   uint64
 }
 
-func newEntry(key, value string) storeEntry { return storeEntry{&[1]string{key}, value} }
+func newEntry(key string, value []byte, gen uint64) storeEntry {
+	return storeEntry{&[1]string{key}, value, gen}
+}
 
 func (e *storeEntry) key() string { return e.name[0] }
 
 // storeShard is one hash shard. Once a checkpoint has captured entries, the
 // slice is shared with that immutable view and the next write clones it
-// first (keys and values are immutable, so they are never copied). digests is
-// never shared: it belongs to the live shard alone.
+// first. The clone copies the entries, not their keys or values: keys are
+// never written, and a value allocated before the capture is never written
+// either (storeEntry.gen), so the next put to it allocates a new one. digests
+// is never shared: it belongs to the live shard alone.
 type storeShard struct {
 	entries []storeEntry // sorted by (keyHash(key), key)
 	// hashes[i] is keyHash(entries[i].key). A lookup searches this dense
@@ -150,7 +166,8 @@ func (sh *storeShard) own() {
 // which are updated in place, are copied. The fork cuts its first
 // checkpoint's chunk tables from those digests without hashing an entry.
 func (s *Store) Fork() Application {
-	f := &Store{}
+	s.gen++
+	f := &Store{gen: s.gen}
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.shared = true
@@ -172,17 +189,24 @@ func (s *Store) lookup(key []byte) *storeEntry {
 
 // put stores value under key. The store is where a value is kept, so this is
 // where the operation's bytes are copied: the value always, the key only
-// when it is new.
+// when it is new. The value lands in the entry's own buffer when nothing
+// else can see it and it fits, and in a new one otherwise.
 func (s *Store) put(key, value []byte) {
 	h := keyHash(key)
 	sh := s.shard(h)
 	i, found := find(sh, h, key)
 	sh.own()
 	if found {
-		sh.entries[i].value, sh.digests[i] = string(value), msg.Digest{}
+		e := &sh.entries[i]
+		if e.gen == s.gen && cap(e.value) >= len(value) {
+			e.value = append(e.value[:0], value...)
+		} else {
+			e.value, e.gen = bytes.Clone(value), s.gen
+		}
+		sh.digests[i] = msg.Digest{}
 		return
 	}
-	sh.entries = slices.Insert(sh.entries, i, newEntry(string(key), string(value)))
+	sh.entries = slices.Insert(sh.entries, i, newEntry(string(key), bytes.Clone(value), s.gen))
 	sh.hashes = slices.Insert(sh.hashes, i, h)
 	sh.digests = slices.Insert(sh.digests, i, msg.Digest{})
 	sh.resized = true
@@ -205,7 +229,9 @@ func (s *Store) del(key []byte) bool {
 // storeLoader builds a store's shards from entries arriving in any order —
 // a restore. Inserting them one by one would shift half a shard per entry
 // (a snapshot is in key order, the shards are in hash order); the loader
-// collects them and sorts each shard once.
+// collects them and sorts each shard once. It copies each value, once, into
+// a buffer of the store's: what it is handed is a view of a snapshot or a
+// chunk. Its entries are of generation 0, which the restore leaves behind.
 type storeLoader struct {
 	shards [storeShards][]loadedEntry
 }
@@ -215,9 +241,15 @@ type loadedEntry struct {
 	storeEntry
 }
 
-func (l *storeLoader) add(key, value string) {
+func (l *storeLoader) add(key string, value []byte) {
 	h := keyHash(key)
-	l.shards[h>>shardBits] = append(l.shards[h>>shardBits], loadedEntry{h, newEntry(key, value)})
+	l.shards[h>>shardBits] = append(l.shards[h>>shardBits], loadedEntry{h, newEntry(key, bytes.Clone(value), 0)})
+}
+
+// load replaces the store's contents with what l collected.
+func (s *Store) load(l *storeLoader) {
+	s.shards = l.build()
+	s.gen++
 }
 
 // build returns the shards; of entries with the same key the last added wins.
@@ -357,7 +389,8 @@ func (s *Store) sorted() []storeEntry {
 // value as length-prefixed strings. Snapshots, checkpoint records and entry
 // digests all use it.
 func appendEntry(b []byte, e *storeEntry) []byte {
-	return wire.AppendString(wire.AppendString(b, e.key()), e.value)
+	b = binary.LittleEndian.AppendUint32(wire.AppendString(b, e.key()), uint32(len(e.value)))
+	return append(b, e.value...)
 }
 
 // entrySize is the length of appendEntry's output.
@@ -385,7 +418,7 @@ func (s *Store) Restore(snapshot []byte) error {
 	var staged storeLoader
 	for i := 0; i < n; i++ {
 		k := r.String()
-		v := r.String()
+		v := r.Bytes32()
 		if r.Err() != nil {
 			break
 		}
@@ -394,7 +427,7 @@ func (s *Store) Restore(snapshot []byte) error {
 	if err := r.Finish(); err != nil {
 		return fmt.Errorf("app: restore store: %w", err)
 	}
-	s.shards = staged.build()
+	s.load(&staged)
 	return nil
 }
 
@@ -413,8 +446,11 @@ var _ Incremental = (*Store)(nil)
 // pieces is byte-identical to Snapshot(): a U32 entry count followed by
 // sorted (key, value) string pairs. Entries are encoded lazily, so a
 // gigabyte-scale store never materializes its full snapshot; only the sorted
-// entry list (strings shared with the store) is captured up front.
+// entry list (keys and values shared with the store) is captured up front,
+// and the store's generation moves on so that no later put writes a value
+// the iterator has yet to encode.
 func (s *Store) SnapshotIter(maxPiece int) ChunkIterator {
+	s.gen++
 	// At least one entry per piece, or a bound below one would never finish.
 	return &storeIter{all: s.sorted(), max: max(maxPiece, 1)}
 }
@@ -484,7 +520,7 @@ func (sk *storeSink) Write(p []byte) error {
 		}
 		r := wire.NewReader(sk.carry)
 		k := r.String()
-		v := r.String()
+		v := r.Bytes32()
 		if errors.Is(r.Err(), wire.ErrTooLarge) {
 			sk.err = fmt.Errorf("app: restore store: %w", r.Err())
 			return sk.err
@@ -510,7 +546,7 @@ func (sk *storeSink) Commit() error {
 			sk.got, sk.total, len(sk.carry))
 		return sk.err
 	}
-	sk.s.shards = sk.staged.build()
+	sk.s.load(&sk.staged)
 	sk.err = errors.New("app: restore sink already committed")
 	return nil
 }

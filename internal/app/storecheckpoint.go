@@ -37,7 +37,9 @@ type storeChunk struct {
 
 // storeCheckpoint is a retained checkpoint: the entry slices as they were
 // when it was cut, shared with the live store until the store's next write
-// to the shard clones them (storeShard.own), and the chunk table.
+// to the shard clones them (storeShard.own), and the chunk table. The cut
+// moves the store's generation on, so the values it captured are never
+// written in place.
 type storeCheckpoint struct {
 	shards [storeShards][]storeEntry
 	chunks []storeChunk
@@ -57,6 +59,7 @@ func (s *Store) Checkpoint(chunkSize int) Checkpoint {
 		cp.shards[i] = sh.entries
 		n += len(sh.chunks)
 	}
+	s.gen++
 	cp.chunks = make([]storeChunk, 0, n)
 	for i := range s.shards {
 		cp.chunks = append(cp.chunks, s.shards[i].chunks...)
@@ -150,7 +153,7 @@ func (sk *storeChunkSink) Write(chunk []byte) error {
 	sk.err = EachRecord(chunk, func(payload []byte) error {
 		r := wire.NewReader(payload)
 		k := r.String()
-		v := r.String()
+		v := r.Bytes32()
 		if err := r.Finish(); err != nil {
 			return fmt.Errorf("app: restore store: entry record: %w", err)
 		}
@@ -164,7 +167,7 @@ func (sk *storeChunkSink) Commit() error {
 	if sk.err != nil {
 		return sk.err
 	}
-	sk.s.shards = sk.staged.build()
+	sk.s.load(&sk.staged)
 	sk.err = errors.New("app: restore sink already committed")
 	return nil
 }

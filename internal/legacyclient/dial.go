@@ -1,8 +1,10 @@
 package legacyclient
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	mrand "math/rand"
@@ -28,7 +30,16 @@ type TCPClient struct {
 	next int
 	conn net.Conn
 	sess *securechannel.Session
+	rd   *wire.ChunkReader // conn's frames
 	seq  uint64
+
+	// req holds the request frame, encoded once per Request and sealed again
+	// for every attempt; out is the frame an attempt writes, its length
+	// header and the record sealed behind it; plain is where a reply record
+	// is decrypted. All three are reused from request to request: Request
+	// copies the one result it returns out of plain.
+	req        wire.Writer
+	out, plain []byte
 
 	// backoff is the current retry delay: it grows exponentially (with
 	// jitter, capped at dialBackoffMax) across failed attempts so a
@@ -72,9 +83,7 @@ func Dial(addrs []string, serverPub ed25519.PublicKey, identity uint64, timeout 
 
 func (c *TCPClient) reconnect() error {
 	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-		c.sess = nil
+		c.drop()
 	}
 	var lastErr error
 	for range c.addrs {
@@ -101,11 +110,22 @@ func (c *TCPClient) reconnect() error {
 			lastErr = err
 			continue
 		}
-		c.conn = conn
-		c.sess = sess
+		c.attach(conn, sess)
 		return nil
 	}
 	return fmt.Errorf("%w: %v", ErrExhausted, lastErr)
+}
+
+// attach makes conn, and the session established over it, the client's
+// connection, read through a chunk reader of its own.
+func (c *TCPClient) attach(conn net.Conn, sess *securechannel.Session) {
+	c.conn, c.sess, c.rd = conn, sess, wire.NewChunkReader(conn)
+}
+
+// drop closes the connection and forgets it with its session and reader.
+func (c *TCPClient) drop() {
+	c.conn.Close()
+	c.conn, c.sess, c.rd = nil, nil, nil
 }
 
 // handshake runs the client side of the secure-channel handshake over raw:
@@ -134,12 +154,8 @@ func (c *TCPClient) Request(op []byte, readOnly bool) ([]byte, error) {
 	if readOnly {
 		flags = msg.FlagReadOnly
 	}
-	plaintext := msg.EncodeChannelRequest(&msg.ChannelRequest{
-		Client: c.identity,
-		Seq:    c.seq,
-		Flags:  flags,
-		Op:     op,
-	})
+	c.req.Reset()
+	(&msg.ChannelRequest{Client: c.identity, Seq: c.seq, Flags: flags, Op: op}).MarshalWire(&c.req)
 
 	attempts := 2 * len(c.addrs)
 	var lastErr error
@@ -153,7 +169,7 @@ func (c *TCPClient) Request(op []byte, readOnly bool) ([]byte, error) {
 				continue
 			}
 		}
-		result, err := c.tryOnce(plaintext)
+		result, err := c.tryOnce(c.req.Bytes())
 		if err == nil {
 			c.backoff = 0
 			return result, nil
@@ -189,11 +205,19 @@ func (c *TCPClient) backoffSleep() {
 	}
 }
 
+// tryOnce sends plaintext over the current connection and waits for the
+// reply that answers it. The frame goes out in one write: its length header,
+// then the record sealed behind it in the client's out buffer.
 func (c *TCPClient) tryOnce(plaintext []byte) ([]byte, error) {
-	record, err := c.sess.Seal(plaintext)
+	frame, err := c.sess.AppendSeal(append(c.out[:0], 0, 0, 0, 0), plaintext)
 	if err != nil {
 		return nil, err
 	}
+	c.out = frame
+	if len(frame)-4 > wire.MaxFrameLen {
+		return nil, fmt.Errorf("%w: frame of %d bytes", wire.ErrTooLarge, len(frame)-4)
+	}
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
 	if err := c.conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
 		return nil, err
 	}
@@ -202,28 +226,28 @@ func (c *TCPClient) tryOnce(plaintext []byte) ([]byte, error) {
 		// the idle period before the next request; drop it so the next
 		// Request reconnects instead of timing out mid-operation.
 		if err := c.conn.SetDeadline(time.Time{}); err != nil {
-			c.conn.Close()
-			c.conn = nil
-			c.sess = nil
+			c.drop()
 		}
 	}()
-	if err := wire.WriteFrame(c.conn, record); err != nil {
-		return nil, err
+	if _, err := c.conn.Write(frame); err != nil {
+		return nil, fmt.Errorf("write frame: %w", err)
 	}
 	for {
-		frame, err := wire.ReadFrame(c.conn)
+		record, err := c.rd.ReadFrame()
 		if err != nil {
 			return nil, err
 		}
 		// Plain or coalesced record: a reply batched with stale replies from
 		// earlier attempts still arrives in one authenticated unit. The
-		// plaintext gets memory of its own: the result goes to the caller.
-		replies, err := c.sess.OpenFrames(nil, frame)
+		// plaintext lands in the client's buffer, so the result it returns
+		// is copied out: the next request decrypts over it.
+		replies, err := c.sess.OpenFrames(c.plain, record)
 		if err != nil {
 			// Tampered or out-of-order channel data: treat the channel as
 			// corrupted and fail over (Section III-D).
 			return nil, err
 		}
+		c.plain = replies.Scratch()
 		for replyPlain := range replies.All() {
 			reply, err := msg.DecodeChannelReply(replyPlain)
 			if err != nil {
@@ -232,10 +256,11 @@ func (c *TCPClient) tryOnce(plaintext []byte) ([]byte, error) {
 			if reply.Seq != c.seq {
 				continue // stale reply from a previous attempt
 			}
+			result := bytes.Clone(reply.Result)
 			if reply.Status != msg.StatusOK {
-				return reply.Result, fmt.Errorf("legacyclient: service error (%d)", reply.Status)
+				return result, fmt.Errorf("legacyclient: service error (%d)", reply.Status)
 			}
-			return reply.Result, nil
+			return result, nil
 		}
 	}
 }

@@ -1,15 +1,21 @@
 package legacyclient
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"crypto/rand"
+	"encoding/binary"
 	"errors"
+	"io"
 	mrand "math/rand"
 	"net"
 	"testing"
 	"time"
 
+	"github.com/troxy-bft/troxy/internal/msg"
 	"github.com/troxy-bft/troxy/internal/securechannel"
+	"github.com/troxy-bft/troxy/internal/testutil"
+	"github.com/troxy-bft/troxy/internal/wire"
 )
 
 // TestRequestBackoffGrows drives Request against dead addresses and checks
@@ -101,11 +107,108 @@ func TestRequestWriteErrorIsReturned(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn := &failingConn{}
-	c := &TCPClient{conn: conn, sess: sess, timeout: time.Minute}
+	c := &TCPClient{timeout: time.Minute}
+	c.attach(conn, sess)
 	if _, err := c.tryOnce([]byte("PUT k v")); !errors.Is(err, errWrite) {
 		t.Errorf("tryOnce = %v, want the write's error", err)
 	}
 	if conn.reads != 0 {
 		t.Errorf("the client read %d times after its write failed", conn.reads)
+	}
+}
+
+// echoService is the far end of a client's connection in a test: it finishes
+// the handshake, then answers every request with its operation as the
+// result, from buffers it reuses, so a request costs it no allocation.
+func echoService(conn net.Conn, priv ed25519.PrivateKey) error {
+	hello, err := wire.ReadFrame(conn)
+	if err != nil {
+		return err
+	}
+	sess, serverHello, err := securechannel.ServerHandshake(priv, hello, rand.Reader)
+	if err != nil {
+		return err
+	}
+	if err := wire.WriteFrame(conn, serverHello); err != nil {
+		return err
+	}
+	rd := wire.NewChunkReader(conn)
+	var plain, out []byte
+	var reply wire.Writer
+	for {
+		record, err := rd.ReadFrame()
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrClosedPipe) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		frames, err := sess.OpenFrames(plain, record)
+		if err != nil {
+			return err
+		}
+		plain = frames.Scratch()
+		for frame := range frames.All() {
+			req, err := msg.DecodeChannelRequest(frame)
+			if err != nil {
+				return err
+			}
+			reply.Reset()
+			(&msg.ChannelReply{Seq: req.Seq, Status: msg.StatusOK, Result: req.Op}).MarshalWire(&reply)
+			if out, err = sess.AppendSeal(append(out[:0], 0, 0, 0, 0), reply.Bytes()); err != nil {
+				return err
+			}
+			binary.LittleEndian.PutUint32(out, uint32(len(out)-4))
+			if _, err := conn.Write(out); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// pipeConn is one end of a net.Pipe whose deadlines are no-ops: a pipe's
+// deadline starts a timer where a TCP connection's does not allocate.
+type pipeConn struct{ net.Conn }
+
+func (pipeConn) SetDeadline(time.Time) error { return nil }
+
+// TestRequestAllocatesOnlyItsResult: a request is encoded, sealed and framed
+// into buffers the client reuses, read through the connection's chunk reader
+// and decrypted into another, so what it allocates is the result it hands
+// back.
+func TestRequestAllocatesOnlyItsResult(t *testing.T) {
+	if testutil.RaceEnabled() {
+		t.Skip("allocation counts differ under -race")
+	}
+	pub, priv, err := ed25519.GenerateKey(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, service := net.Pipe()
+	served := make(chan error, 1)
+	go func() { served <- echoService(service, priv) }()
+	sess, err := handshake(client, pub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &TCPClient{addrs: []string{"pipe"}, timeout: time.Minute}
+	c.attach(pipeConn{client}, sess)
+	op := append([]byte("PUT key-0001 "), bytes.Repeat([]byte{'v'}, 128)...)
+	var result []byte
+	allocs := testing.AllocsPerRun(100, func() {
+		if result, err = c.Request(op, false); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !bytes.Equal(result, op) {
+		t.Errorf("result %q, want the echoed operation", result)
+	}
+	t.Logf("%.2f allocations a request", allocs)
+	if allocs > 1 {
+		t.Errorf("a request allocates %.1f times, want 1 (its result)", allocs)
+	}
+	c.Close()
+	if err := <-served; err != nil {
+		t.Errorf("echo service: %v", err)
 	}
 }

@@ -185,9 +185,9 @@ func TestMachineReassemblesHTTPResponseAcrossFrames(t *testing.T) {
 	}
 }
 
-// TestTCPClientResultOutlivesLaterRecords: the blocking client hands its
-// caller the result as a view of the record's plaintext, so that plaintext is
-// the caller's — a later request's records must not be decrypted over it.
+// TestTCPClientResultOutlivesLaterRecords: the blocking client decrypts every
+// record into one buffer it reuses, so the result it hands its caller is a
+// copy — a later request's records must not be decrypted over it.
 func TestTCPClientResultOutlivesLaterRecords(t *testing.T) {
 	pub, priv, err := ed25519.GenerateKey(nil)
 	if err != nil {

@@ -255,6 +255,18 @@ var Catalogue = []Mutant{
 		New:   "	kept := s.ops[:n]\n",
 	},
 	{
+		ID: "store-overwrites-captured-value", File: "internal/app/store.go",
+		Fault: "a PUT overwrites any value that fits in place, also one a retained checkpoint, a fork or a snapshot iterator still holds: the captured state changes under its digests",
+		Old:   "		if e.gen == s.gen && cap(e.value) >= len(value) {\n",
+		New:   "		if cap(e.value) >= len(value) {\n",
+	},
+	{
+		ID: "store-iter-keeps-generation", File: "internal/app/store.go",
+		Fault: "opening a snapshot iterator leaves the store's generation as it is: a PUT before the iterator ends overwrites a value it has yet to encode",
+		Old:   "	s.gen++\n	// At least one entry per piece",
+		New:   "	// At least one entry per piece",
+	},
+	{
 		ID: "held-request-matched-by-id-only", File: "internal/hybster/core.go",
 		Fault: "a follower takes any request under a client and sequence number it watches for the one it submitted: the certificate is checked against the held digest, whatever bytes the PREPARE carries",
 		Old:   "bytes.Equal(held.Op, req.Op) {",
@@ -487,11 +499,11 @@ var Catalogue = []Mutant{
 	{
 		ID: "client-write-error-dropped", File: "internal/legacyclient/dial.go", Aims: []string{"senderr"},
 		Fault: "the TCP client waits out its deadline for a reply to a request it failed to send",
-		Old: `	if err := wire.WriteFrame(c.conn, record); err != nil {
-		return nil, err
+		Old: `	if _, err := c.conn.Write(frame); err != nil {
+		return nil, fmt.Errorf("write frame: %w", err)
 	}
 	for {`,
-		New: `	_ = wire.WriteFrame(c.conn, record)
+		New: `	_, _ = c.conn.Write(frame)
 	for {`,
 	},
 	{
